@@ -15,6 +15,11 @@
 //!   CI fails if the fused path is ever slower than the reference.
 //! * `gemm_256` and `gemm_attn_32x32x16` — one large square GEMM and a
 //!   swarm of attention-shaped small GEMMs.
+//! * `gemm_nn_4x2048x2048` / `gemm_nt_4x2048x2048` / `gemm_nn_1x768x768`
+//!   — the thin shapes of data-parallel training and batch-1 serving:
+//!   `A·B` against `A·Bᵀ` (the form `Linear::forward` runs) at four
+//!   rows, and a single row, which runs entirely in the edge tiles. CI
+//!   gates NT ≤ 1.5 × NN and the one-row shape ≥ 2 GFLOP/s on AVX2.
 //! * `compress_f32` / `expand_f16` / `compress_f16` — the compression
 //!   and expansion primitives.
 //! * `allreduce_compressed` — the compressed fp16 gradient all-reduce.
@@ -60,6 +65,25 @@ fn sample<F: FnMut()>(best_of: usize, reps: usize, mut f: F) -> (Vec<f64>, f64) 
     }
     let best = runs.iter().copied().fold(f64::INFINITY, f64::min);
     (runs, best)
+}
+
+/// [`sample`] for two kernels whose ratio CI gates: every sample times
+/// `f` and then `g`, so drift on a shared box hits both alike.
+fn sample_pair<F: FnMut(), G: FnMut()>(
+    best_of: usize,
+    reps: usize,
+    mut f: F,
+    mut g: G,
+) -> [(Vec<f64>, f64); 2] {
+    let (mut fs, mut gs) = (Vec::with_capacity(best_of), Vec::with_capacity(best_of));
+    for _ in 0..best_of {
+        fs.extend(sample(1, reps, &mut f).0);
+        gs.extend(sample(1, reps, &mut g).0);
+    }
+    [fs, gs].map(|runs| {
+        let best = runs.iter().copied().fold(f64::INFINITY, f64::min);
+        (runs, best)
+    })
 }
 
 /// Deterministic pseudo-random f32 in roughly [-1, 1) (SplitMix64 bits;
@@ -126,24 +150,40 @@ pub fn run(quick: bool) -> Result<(), String> {
         results.push(KernelResult { name: "samo_step_reference", n: phi, reps, runs_ms, best_ms, flops: None, bytes: None });
     }
 
-    // --- GEMM: one large square multiply, one attention-shaped swarm. -
+    // --- GEMM: one large square multiply, the thin training/serving
+    // shapes, one attention-shaped swarm. ------------------------------
+    let gemm_row = |name, (m, n, k): (usize, usize, usize), reps, (runs_ms, best_ms)| KernelResult {
+        name,
+        n: m * n * k,
+        reps,
+        runs_ms,
+        best_ms,
+        flops: Some(2 * (m * n * k) as u64),
+        bytes: None,
+    };
+    for (name, (m, n, k)) in [("gemm_256", (256, 256, 256)), ("gemm_nn_1x768x768", (1, 768, 768))] {
+        let a = random_vec(m * k, 3);
+        let b = random_vec(k * n, 4);
+        let mut c = vec![0.0f32; m * n];
+        let timed = sample(best_of, reps, || matmul(m, n, k, &a, &b, &mut c));
+        results.push(gemm_row(name, (m, n, k), reps, timed));
+    }
     {
-        let dim = 256;
-        let a = random_vec(dim * dim, 3);
-        let b = random_vec(dim * dim, 4);
-        let mut c = vec![0.0f32; dim * dim];
-        let (runs_ms, best_ms) = sample(best_of, reps, || {
-            matmul(dim, dim, dim, &a, &b, &mut c);
-        });
-        results.push(KernelResult {
-            name: "gemm_256",
-            n: dim * dim * dim,
-            reps,
-            runs_ms,
-            best_ms,
-            flops: Some(2 * (dim * dim * dim) as u64),
-            bytes: None,
-        });
+        // `A·B` against `A·Bᵀ` (B stored n×k, as `Linear` stores its
+        // weights) on the same buffers. A few ms each: 4× the reps make
+        // the gated ratio repeatable at no cost worth naming.
+        let (m, n, k) = (4, 2048, 2048);
+        let a = random_vec(m * k, 3);
+        let b = random_vec(k * n, 4);
+        let (mut c0, mut c1) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+        let [nn, nt] = sample_pair(
+            best_of,
+            4 * reps,
+            || matmul(m, n, k, &a, &b, &mut c0),
+            || matmul_nt(m, n, k, &a, &b, &mut c1),
+        );
+        results.push(gemm_row("gemm_nn_4x2048x2048", (m, n, k), 4 * reps, nn));
+        results.push(gemm_row("gemm_nt_4x2048x2048", (m, n, k), 4 * reps, nt));
     }
     {
         // Fig. 4's attention inner loop: batch x heads = 64 score GEMMs

@@ -2,7 +2,7 @@
 
 use crate::layer::Layer;
 use crate::param::Parameter;
-use tensor::gemm::{matmul_nt, matmul_tn, sgemm};
+use tensor::gemm::{matmul_nt, matmul_tn_acc, sgemm};
 use tensor::Tensor;
 
 /// Affine map `y = x · Wᵀ + b`, weights stored `[out_features, in_features]`
@@ -130,17 +130,16 @@ impl Layer for Linear {
         assert_eq!(dy.rows(), batch);
         assert_eq!(dy.cols(), self.out_features);
 
-        // dW += dyᵀ · x  (out×batch · batch×in = out×in)
-        let mut dw = vec![0.0f32; self.out_features * self.in_features];
-        matmul_tn(
+        // dW += dyᵀ · x  (out×batch · batch×in = out×in), straight into
+        // the gradient: no dW-sized temporary.
+        matmul_tn_acc(
             self.out_features,
             self.in_features,
             batch,
             dy.as_slice(),
             x.as_slice(),
-            &mut dw,
+            self.weight.grad.as_mut_slice(),
         );
-        self.weight.accumulate_grad(&dw);
 
         if let Some(b) = &mut self.bias {
             let gb = b.grad.as_mut_slice();
@@ -246,6 +245,39 @@ mod tests {
         assert_eq!(l.weight.grad.as_slice(), &[3.0]);
         l.zero_grad();
         assert_eq!(l.weight.grad.as_slice(), &[0.0]);
+    }
+
+    #[test]
+    fn forward_backward_keep_the_bits_of_product_then_add() {
+        // What the layer computed while dW still went through a dW-sized
+        // temporary: y = x·Wᵀ, grad += (dyᵀ·x into zeros), dx = dy·W.
+        // Round 0 accumulates onto a zero gradient, round 1 onto that.
+        use tensor::gemm::{matmul, matmul_nt, matmul_tn};
+        let (inf, outf, batch) = (37, 70, 5);
+        let mut l = Linear::new(inf, outf, false, 3);
+        let w = l.weight.value.as_slice().to_vec();
+        let mut grad_ref = vec![0.0f32; outf * inf];
+        for round in 0..2u64 {
+            let x = Tensor::randn(&[batch, inf], 1.0, 10 + round);
+            let dy = Tensor::randn(&[batch, outf], 1.0, 20 + round);
+            let y = l.forward(&x);
+            let dx = l.backward(&dy);
+
+            let mut y_ref = vec![0.0f32; batch * outf];
+            matmul_nt(batch, outf, inf, x.as_slice(), &w, &mut y_ref);
+            let mut dw = vec![0.0f32; outf * inf];
+            matmul_tn(outf, inf, batch, dy.as_slice(), x.as_slice(), &mut dw);
+            for (g, &d) in grad_ref.iter_mut().zip(&dw) {
+                *g += d;
+            }
+            let mut dx_ref = vec![0.0f32; batch * inf];
+            matmul(batch, inf, outf, dy.as_slice(), &w, &mut dx_ref);
+
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(y.as_slice()), bits(&y_ref), "y, round {round}");
+            assert_eq!(bits(dx.as_slice()), bits(&dx_ref), "dx, round {round}");
+            assert_eq!(bits(l.weight.grad.as_slice()), bits(&grad_ref), "dW, round {round}");
+        }
     }
 
     #[test]

@@ -7,10 +7,18 @@
 //! against (Fig. 1).
 //!
 //! Layout is row-major throughout. The kernel uses classic three-level
-//! cache blocking (`MC × KC` panels of A, `KC × NC` panels of B) with an
-//! `i-k-j` inner ordering whose unit-stride innermost loop over columns of
-//! C auto-vectorizes well. Parallelism is over row panels of C, so worker
-//! threads write disjoint output ranges and need no synchronization.
+//! cache blocking: `MC × KC` panels of A and `KC × NC` panels of B are
+//! packed into per-thread scratch, transposed operands through cache-line
+//! sized in-register transposes so that packing streams whichever way the
+//! operand is stored, and `MR × NR` register tiles of C sweep the packed
+//! panels. Shapes that do not fill a tile — a batch of one to three rows,
+//! a column count off the tile width — run the same tile with fewer rows
+//! or masked columns, not a scalar fallback. Parallelism is over row
+//! panels of C, so worker threads write disjoint output ranges and need no
+//! synchronization.
+//!
+//! Every variant rounds each output element identically: one chain of
+//! fused multiply-adds over `k` in storage order (see [`sgemm`]).
 
 use crate::f16::{f16_slice_to_f32, narrow_slice, F16};
 use crate::pool::par_ranges;
@@ -87,13 +95,8 @@ pub fn sgemm_with_tier(
     c: &mut [f32],
     ldc: usize,
 ) {
-    check_dims(transa, transb, m, n, k, a.len(), lda, b.len(), ldb, c.len(), ldc);
-    if m == 0 || n == 0 {
+    if !begin_gemm(transa, transb, m, n, k, a.len(), lda, b.len(), ldb, c.len(), ldc) {
         return;
-    }
-    if telemetry::enabled() {
-        gemm_metrics().0.inc();
-        gemm_metrics().1.add(2 * (m as u64) * (n as u64) * (k as u64));
     }
 
     // Scale C by beta first so the accumulation loop is a pure FMA.
@@ -113,7 +116,91 @@ pub fn sgemm_with_tier(
         return;
     }
 
-    // Parallelize over row panels; each task owns rows [row0, row1) of C.
+    par_row_panels(m, c, ldc, |row0, row1, c_panel| {
+        gemm_panel::<false>(
+            tier, transa, transb, row0, row1, n, k, alpha, a, lda, b, ldb, c_panel, ldc,
+        );
+    });
+}
+
+/// `C += Aᵀ · B` for contiguous row-major `A` (`k × m`), `B` (`k × n`)
+/// and `C` (`m × n`) — the weight-gradient accumulation `dW += dYᵀ · X`.
+///
+/// Every element is rounded exactly as by [`matmul_tn`] into a zeroed
+/// `m × n` temporary followed by `c[i] += t[i]`, whatever `C` holds, but
+/// no such temporary exists. While `k` fits one `KC` block — a batch of
+/// rows, the usual case — each register tile runs its whole chain from
+/// zero and is added to C as it is stored. A longer `k` carries partial
+/// chains between blocks, which must not mix with C: the product then
+/// goes through one `MC`-row block per thread before being added.
+pub fn matmul_tn_acc(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    let tier = simd::active();
+    if !begin_gemm(true, false, m, n, k, a.len(), m, b.len(), n, c.len(), n) {
+        return;
+    }
+    par_row_panels(m, c, n, |row0, row1, c_panel| {
+        // `k = 0` takes the block path too: it still adds the (zero)
+        // product, which turns a `-0.0` in C into `+0.0`.
+        if (1..=KC).contains(&k) {
+            gemm_panel::<true>(tier, true, false, row0, row1, n, k, 1.0, a, m, b, n, c_panel, n);
+            return;
+        }
+        ACC_SCRATCH.with(|cell| {
+            let mut block = cell.borrow_mut();
+            if block.len() < MC.min(m) * n {
+                block.resize(MC.min(m) * n, 0.0);
+            }
+            // MC-row blocks from `row0`, as `gemm_panel` itself would cut
+            // them, so the MR row groups — and with them the zero skips —
+            // are those of the one-shot product.
+            for r0 in (row0..row1).step_by(MC) {
+                let r1 = (r0 + MC).min(row1);
+                let block = &mut block[..(r1 - r0) * n];
+                block.fill(0.0);
+                gemm_panel::<false>(tier, true, false, r0, r1, n, k, 1.0, a, m, b, n, block, n);
+                let c_rows = &mut c_panel[(r0 - row0) * n..(r1 - row0) * n];
+                for (cv, &t) in c_rows.iter_mut().zip(block.iter()) {
+                    *cv += t;
+                }
+            }
+        });
+    });
+}
+
+/// Checks the operand sizes and counts the call; `false` when C is empty
+/// and there is nothing to do.
+#[allow(clippy::too_many_arguments)]
+fn begin_gemm(
+    transa: bool,
+    transb: bool,
+    m: usize,
+    n: usize,
+    k: usize,
+    alen: usize,
+    lda: usize,
+    blen: usize,
+    ldb: usize,
+    clen: usize,
+    ldc: usize,
+) -> bool {
+    check_dims(transa, transb, m, n, k, alen, lda, blen, ldb, clen, ldc);
+    if m == 0 || n == 0 {
+        return false;
+    }
+    if telemetry::enabled() {
+        gemm_metrics().0.inc();
+        gemm_metrics().1.add(2 * (m as u64) * (n as u64) * (k as u64));
+    }
+    true
+}
+
+/// Runs `f(row0, row1, c_panel)` over disjoint ranges of whole `MC`-row
+/// panels of the `m`-row matrix `c`, in parallel; `c_panel` starts at row
+/// `row0`.
+fn par_row_panels<F>(m: usize, c: &mut [f32], ldc: usize, f: F)
+where
+    F: Fn(usize, usize, &mut [f32]) + Sync,
+{
     let c_addr = SendPtr(c.as_mut_ptr());
     let c_len = c.len();
     let c_addr = &c_addr; // capture the Sync wrapper, not the raw pointer field
@@ -122,20 +209,23 @@ pub fn sgemm_with_tier(
         let row1 = (p1 * MC).min(m);
         // The final row of C only extends `n` elements, not `ldc`.
         let panel_len = ((row1 - row0) * ldc).min(c_len - row0 * ldc);
-        // SAFETY: row panels [row0, row1) are disjoint across tasks, so
-        // each task has exclusive access to its slice of C.
+        // SAFETY: `c_addr` points at `c`, exclusively borrowed for this
+        // call and `c_len` long; `par_ranges` hands out disjoint ranges
+        // `p0..p1`, so the row ranges [row0, row1) — and the element ranges
+        // `row0 * ldc ..+ panel_len <= c_len` — of two tasks never overlap.
         let c_panel =
             unsafe { std::slice::from_raw_parts_mut(c_addr.0.add(row0 * ldc), panel_len) };
-        gemm_panel(
-            tier, transa, transb, row0, row1, n, k, alpha, a, lda, b, ldb, c_panel, ldc,
-        );
+        f(row0, row1, c_panel);
     });
 }
 
 /// Raw pointer wrapper that asserts cross-thread transfer is safe; used
 /// only for the disjoint row-panel partitioning above.
 struct SendPtr(*mut f32);
+// SAFETY: the pointer is only dereferenced by `par_row_panels` tasks, each
+// within its own disjoint row range of a matrix that outlives the scope.
 unsafe impl Send for SendPtr {}
+// SAFETY: as above — tasks share the wrapper but never an element.
 unsafe impl Sync for SendPtr {}
 
 thread_local! {
@@ -149,6 +239,12 @@ thread_local! {
     /// so the `RefCell` borrow cannot conflict.
     static PACK_SCRATCH: std::cell::RefCell<(Vec<f32>, Vec<f32>)> =
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+
+    /// The `MC × n` product block of [`matmul_tn_acc`], reused the same
+    /// way. Separate from `PACK_SCRATCH` because `gemm_panel` borrows that
+    /// while this is held.
+    static ACC_SCRATCH: std::cell::RefCell<Vec<f32>> =
+        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Rows of C updated per microkernel invocation: four accumulator rows
@@ -161,9 +257,11 @@ const MR: usize = 4;
 const NR: usize = 16;
 
 /// Multiplies rows [row0, row1) of op(A) into the C panel (whose row 0
-/// corresponds to global row `row0`).
+/// corresponds to global row `row0`). With `ADD`, which needs
+/// `k <= KC`, the product is summed on its own and then added to the
+/// panel instead of continuing the chain from the panel's values.
 #[allow(clippy::too_many_arguments)]
-fn gemm_panel(
+fn gemm_panel<const ADD: bool>(
     tier: Tier,
     transa: bool,
     transb: bool,
@@ -179,11 +277,12 @@ fn gemm_panel(
     c_panel: &mut [f32],
     ldc: usize,
 ) {
+    assert!(!ADD || k <= KC, "a product added to C must be one k-block");
     PACK_SCRATCH.with(|cell| {
         let mut scratch = cell.borrow_mut();
         let (packed_a, packed_b) = &mut *scratch;
         let need_a = MC.min(row1 - row0) * KC.min(k);
-        let need_b = KC.min(k) * NC.min(n);
+        let need_b = KC.min(k) * NC.min(n).next_multiple_of(NR);
         if packed_a.len() < need_a {
             packed_a.resize(need_a, 0.0);
         }
@@ -197,17 +296,19 @@ fn gemm_panel(
             let mut jj = 0;
             while jj < n {
                 let nb = NC.min(n - jj);
-                // Pack the KC×NC panel of op(B) contiguously (row-major kb×nb).
-                pack_b(transb, b, ldb, kk, jj, kb, nb, packed_b);
+                // Pack the KC×NC panel of op(B); `bl` is how it was laid out.
+                let bl = pack_b(tier, transb, b, ldb, kk, jj, kb, nb, packed_b);
 
                 let mut ii = row0;
                 while ii < row1 {
                     let mb = MC.min(row1 - ii);
                     // Pack the MC×KC panel of op(A) (row-major mb×kb), with
                     // alpha folded in so the inner loop is multiply-add only.
-                    pack_a(transa, a, lda, ii, kk, mb, kb, alpha, packed_a);
+                    pack_a(tier, transa, a, lda, ii, kk, mb, kb, alpha, packed_a);
 
-                    microkernel(tier, packed_a, packed_b, c_panel, ii - row0, mb, kb, nb, jj, ldc);
+                    microkernel::<ADD>(
+                        tier, packed_a, packed_b, bl, c_panel, ii - row0, mb, kb, nb, jj, ldc,
+                    );
                     ii += mb;
                 }
                 jj += nb;
@@ -219,20 +320,26 @@ fn gemm_panel(
 
 /// Register-blocked inner kernel: updates `mb` rows of the C panel
 /// (panel-local row offset `crow0`, columns `[jj, jj + nb)`) from the
-/// packed `mb×kb` A block and packed `kb×nb` B panel, `MR` rows of C per
-/// k-sweep so each loaded B row feeds four accumulator rows.
+/// packed `mb×kb` A block and the packed `kb×nb` B panel laid out as
+/// `bl`. C is cut into register tiles of `MR` rows (then single rows for
+/// the `mb mod MR` remainder) by `NR` columns (then one narrower tile);
+/// each tile stays in accumulators for its whole k-sweep, so C is loaded
+/// and stored once per tile and each loaded B row feeds all its rows.
 ///
 /// Both tiers compute each output element as the identical chain of
 /// correctly-rounded fused multiply-adds over `p = 0..kb` (scalar
-/// `f32::mul_add` ≡ `vfmadd`), with the same all-zero-A skip, so their
-/// results are bitwise equal; the column/row tails are literally shared
-/// code. That bitwise contract is what keeps the checkpoint-determinism
-/// oracles valid regardless of which tier a host selects.
+/// `f32::mul_add` ≡ `vfmadd`), skipping `p` exactly when every A value of
+/// the tile's row group is zero, so their results are bitwise equal,
+/// edge tiles included. That bitwise contract is what keeps the
+/// checkpoint-determinism oracles valid regardless of which tier a host
+/// selects. The chain starts from the tile's C values and replaces them,
+/// or with `ADD` starts from zero and is added to them.
 #[allow(clippy::too_many_arguments)]
-fn microkernel(
+fn microkernel<const ADD: bool>(
     tier: Tier,
     packed_a: &[f32],
     packed_b: &[f32],
+    bl: BLayout,
     c_panel: &mut [f32],
     crow0: usize,
     mb: usize,
@@ -241,186 +348,96 @@ fn microkernel(
     jj: usize,
     ldc: usize,
 ) {
+    // The bounds every tile below stays inside, on either tier.
+    assert!(packed_a.len() >= mb * kb, "packed A too small");
+    assert!(packed_b.len() > bl.at(nb - 1, kb - 1) + (nb - 1) % NR, "packed B too small");
+    assert!(jj + nb <= ldc, "C panel too narrow");
+    assert!(c_panel.len() >= (crow0 + mb - 1) * ldc + jj + nb, "C panel too small");
     #[cfg(target_arch = "x86_64")]
     if tier == Tier::Avx2 && simd::detected_avx2() {
-        // SAFETY: AVX2+FMA presence just checked.
-        unsafe { microkernel_avx2(packed_a, packed_b, c_panel, crow0, mb, kb, nb, jj, ldc) };
+        // SAFETY: AVX2+FMA presence just checked; bounds asserted above.
+        unsafe {
+            microkernel_avx2::<ADD>(packed_a, packed_b, bl, c_panel, crow0, mb, kb, nb, jj, ldc)
+        };
         return;
     }
     let _ = tier;
-    microkernel_scalar(packed_a, packed_b, c_panel, crow0, mb, kb, nb, jj, ldc);
-}
-
-/// Splits the four disjoint C row slices of an MR block out of the panel.
-///
-/// # Safety
-/// The caller must guarantee `jj + nb <= ldc` and that `c_panel` covers
-/// rows `crow0 .. crow0 + i + MR` — then the four `nb`-long slices are
-/// pairwise disjoint and in bounds.
-#[inline]
-unsafe fn c_rows_mr<'a>(
-    cp: *mut f32,
-    crow0: usize,
-    i: usize,
-    jj: usize,
-    nb: usize,
-    ldc: usize,
-) -> (&'a mut [f32], &'a mut [f32], &'a mut [f32], &'a mut [f32]) {
-    let base = (crow0 + i) * ldc + jj;
-    (
-        std::slice::from_raw_parts_mut(cp.add(base), nb),
-        std::slice::from_raw_parts_mut(cp.add(base + ldc), nb),
-        std::slice::from_raw_parts_mut(cp.add(base + 2 * ldc), nb),
-        std::slice::from_raw_parts_mut(cp.add(base + 3 * ldc), nb),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn microkernel_scalar(
-    packed_a: &[f32],
-    packed_b: &[f32],
-    c_panel: &mut [f32],
-    crow0: usize,
-    mb: usize,
-    kb: usize,
-    nb: usize,
-    jj: usize,
-    ldc: usize,
-) {
     let cp = c_panel.as_mut_ptr();
     let mut i = 0;
-    while i + MR <= mb {
-        let a0 = &packed_a[i * kb..(i + 1) * kb];
-        let a1 = &packed_a[(i + 1) * kb..(i + 2) * kb];
-        let a2 = &packed_a[(i + 2) * kb..(i + 3) * kb];
-        let a3 = &packed_a[(i + 3) * kb..(i + 4) * kb];
-        // SAFETY: see `c_rows_mr` — rows are disjoint and in bounds.
-        let (c0, c1, c2, c3) = unsafe { c_rows_mr(cp, crow0, i, jj, nb, ldc) };
-        // Full NR-wide tiles: the MR×NR C tile lives in register
-        // accumulators for the whole k-sweep, so C is loaded and stored
-        // once per tile instead of once per k iteration.
-        let mut jt = 0;
-        while jt + NR <= nb {
-            let mut acc0 = [0.0f32; NR];
-            let mut acc1 = [0.0f32; NR];
-            let mut acc2 = [0.0f32; NR];
-            let mut acc3 = [0.0f32; NR];
-            acc0.copy_from_slice(&c0[jt..jt + NR]);
-            acc1.copy_from_slice(&c1[jt..jt + NR]);
-            acc2.copy_from_slice(&c2[jt..jt + NR]);
-            acc3.copy_from_slice(&c3[jt..jt + NR]);
-            for p in 0..kb {
-                let (av0, av1, av2, av3) = (a0[p], a1[p], a2[p], a3[p]);
-                // Pruned θ16 rows are exact zeros: skip the sweep when
-                // the whole register block contributes nothing.
-                if av0 == 0.0 && av1 == 0.0 && av2 == 0.0 && av3 == 0.0 {
-                    continue;
-                }
-                let bt = &packed_b[p * nb + jt..p * nb + jt + NR];
-                // Single-rounding FMA per element, matching the AVX2
-                // tier's `vfmadd` bit-for-bit; each B element is reused
-                // across the four accumulator rows.
-                for j in 0..NR {
-                    acc0[j] = av0.mul_add(bt[j], acc0[j]);
-                    acc1[j] = av1.mul_add(bt[j], acc1[j]);
-                    acc2[j] = av2.mul_add(bt[j], acc2[j]);
-                    acc3[j] = av3.mul_add(bt[j], acc3[j]);
-                }
+    while i < mb {
+        let rows = if i + MR <= mb { MR } else { 1 };
+        for jt in (0..nb).step_by(NR) {
+            let w = NR.min(nb - jt);
+            let a = |r: usize| &packed_a[(i + r) * kb..(i + r + 1) * kb];
+            // SAFETY: rows `crow0 + i + r` are distinct and inside the
+            // panel, and columns `jj + jt ..+ w` inside each row, by the
+            // assert above — so the `w`-long slices are disjoint.
+            let c = |r: usize| unsafe {
+                std::slice::from_raw_parts_mut(cp.add((crow0 + i + r) * ldc + jj + jt), w)
+            };
+            let b = &packed_b[bl.at(jt, 0)..];
+            if rows == MR {
+                tile_scalar::<MR, ADD>(std::array::from_fn(a), b, bl.row, std::array::from_fn(c));
+            } else {
+                tile_scalar::<1, ADD>([a(0)], b, bl.row, [c(0)]);
             }
-            c0[jt..jt + NR].copy_from_slice(&acc0);
-            c1[jt..jt + NR].copy_from_slice(&acc1);
-            c2[jt..jt + NR].copy_from_slice(&acc2);
-            c3[jt..jt + NR].copy_from_slice(&acc3);
-            jt += NR;
         }
-        // Tail columns (nb not a multiple of NR): shared with the AVX2
-        // tier, so the tails cannot diverge.
-        if jt < nb {
-            mr_col_tail(a0, a1, a2, a3, packed_b, c0, c1, c2, c3, jt, nb, kb);
-        }
-        i += MR;
+        i += rows;
     }
-    row_remainder(packed_a, packed_b, c_panel, crow0, i, mb, kb, nb, jj, ldc);
 }
 
-/// Column tail of a full MR row block (`jt..nb`): per-k row sweeps.
-/// Called by both the scalar and AVX2 microkernels.
-#[allow(clippy::too_many_arguments)]
-fn mr_col_tail(
-    a0: &[f32],
-    a1: &[f32],
-    a2: &[f32],
-    a3: &[f32],
-    packed_b: &[f32],
-    c0: &mut [f32],
-    c1: &mut [f32],
-    c2: &mut [f32],
-    c3: &mut [f32],
-    jt: usize,
-    nb: usize,
-    kb: usize,
+/// One register tile on the scalar tier: `R` rows by `w = c[r].len() ≤ NR`
+/// columns, `b` starting at the tile's first column with `ldb` between
+/// consecutive `p`.
+#[inline(always)]
+fn tile_scalar<const R: usize, const ADD: bool>(
+    a: [&[f32]; R],
+    b: &[f32],
+    ldb: usize,
+    c: [&mut [f32]; R],
 ) {
-    for p in 0..kb {
-        let (av0, av1, av2, av3) = (a0[p], a1[p], a2[p], a3[p]);
-        if av0 == 0.0 && av1 == 0.0 && av2 == 0.0 && av3 == 0.0 {
+    let w = c[0].len();
+    let mut acc = [[0.0f32; NR]; R];
+    if !ADD {
+        for r in 0..R {
+            acc[r][..w].copy_from_slice(c[r]);
+        }
+    }
+    for p in 0..a[0].len() {
+        let av: [f32; R] = std::array::from_fn(|r| a[r][p]);
+        // Pruned θ16 rows are exact zeros: skip the sweep when the whole
+        // register block contributes nothing.
+        if av.iter().all(|&v| v == 0.0) {
             continue;
         }
-        let brow = &packed_b[p * nb..(p + 1) * nb];
-        for j in jt..nb {
-            let bv = brow[j];
-            c0[j] = av0.mul_add(bv, c0[j]);
-            c1[j] = av1.mul_add(bv, c1[j]);
-            c2[j] = av2.mul_add(bv, c2[j]);
-            c3[j] = av3.mul_add(bv, c3[j]);
+        let bt = &b[p * ldb..p * ldb + w];
+        // Single-rounding FMA per element, matching the AVX2 tier's
+        // `vfmadd` bit-for-bit.
+        for r in 0..R {
+            for j in 0..w {
+                acc[r][j] = av[r].mul_add(bt[j], acc[r][j]);
+            }
+        }
+    }
+    for r in 0..R {
+        for j in 0..w {
+            c[r][j] = if ADD { c[r][j] + acc[r][j] } else { acc[r][j] };
         }
     }
 }
 
-/// Remainder rows (mb not a multiple of MR), rows `i0..mb`: single-row
-/// sweeps. Called by both the scalar and AVX2 microkernels.
-#[allow(clippy::too_many_arguments)]
-fn row_remainder(
-    packed_a: &[f32],
-    packed_b: &[f32],
-    c_panel: &mut [f32],
-    crow0: usize,
-    i0: usize,
-    mb: usize,
-    kb: usize,
-    nb: usize,
-    jj: usize,
-    ldc: usize,
-) {
-    for i in i0..mb {
-        let arow = &packed_a[i * kb..(i + 1) * kb];
-        let crow = &mut c_panel[(crow0 + i) * ldc + jj..(crow0 + i) * ldc + jj + nb];
-        for (p, &aval) in arow.iter().enumerate() {
-            if aval == 0.0 {
-                continue;
-            }
-            let brow = &packed_b[p * nb..(p + 1) * nb];
-            for (cv, &bv) in crow.iter_mut().zip(brow) {
-                *cv = aval.mul_add(bv, *cv);
-            }
-        }
-    }
-}
-
-/// AVX2+FMA microkernel: the MR×NR register tile becomes eight YMM
-/// accumulators (two per row). Per output element it issues the same
-/// `fma(a, b, acc)` chain over `p` as the scalar tier — `vfmaddps` and
-/// `f32::mul_add` are both correctly rounded — and replicates the
-/// all-zero-A skip, so the result is bitwise identical. Column and row
-/// tails call the exact scalar helpers above.
+/// The AVX2+FMA tile loop of [`microkernel`]: the same cut of C into
+/// tiles, each run by [`tile_avx2`].
 ///
 /// # Safety
-/// Requires AVX2 and FMA.
+/// Requires AVX2 and FMA, and the three bounds [`microkernel`] asserts.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn microkernel_avx2(
+unsafe fn microkernel_avx2<const ADD: bool>(
     packed_a: &[f32],
     packed_b: &[f32],
+    bl: BLayout,
     c_panel: &mut [f32],
     crow0: usize,
     mb: usize,
@@ -429,70 +446,140 @@ unsafe fn microkernel_avx2(
     jj: usize,
     ldc: usize,
 ) {
-    use std::arch::x86_64::*;
-    let cp = c_panel.as_mut_ptr();
-    let bp = packed_b.as_ptr();
+    let (ap, bp, cp) = (packed_a.as_ptr(), packed_b.as_ptr(), c_panel.as_mut_ptr());
     let mut i = 0;
-    while i + MR <= mb {
-        let a0 = &packed_a[i * kb..(i + 1) * kb];
-        let a1 = &packed_a[(i + 1) * kb..(i + 2) * kb];
-        let a2 = &packed_a[(i + 2) * kb..(i + 3) * kb];
-        let a3 = &packed_a[(i + 3) * kb..(i + 4) * kb];
-        // SAFETY: see `c_rows_mr` — rows are disjoint and in bounds.
-        let (c0, c1, c2, c3) = c_rows_mr(cp, crow0, i, jj, nb, ldc);
-        let mut jt = 0;
-        while jt + NR <= nb {
-            let mut acc00 = _mm256_loadu_ps(c0.as_ptr().add(jt));
-            let mut acc01 = _mm256_loadu_ps(c0.as_ptr().add(jt + 8));
-            let mut acc10 = _mm256_loadu_ps(c1.as_ptr().add(jt));
-            let mut acc11 = _mm256_loadu_ps(c1.as_ptr().add(jt + 8));
-            let mut acc20 = _mm256_loadu_ps(c2.as_ptr().add(jt));
-            let mut acc21 = _mm256_loadu_ps(c2.as_ptr().add(jt + 8));
-            let mut acc30 = _mm256_loadu_ps(c3.as_ptr().add(jt));
-            let mut acc31 = _mm256_loadu_ps(c3.as_ptr().add(jt + 8));
-            for p in 0..kb {
-                let (av0, av1, av2, av3) = (a0[p], a1[p], a2[p], a3[p]);
-                // Same exact-zero skip as the scalar tier (a NaN/Inf in
-                // B must be skipped — or not — identically on both).
-                if av0 == 0.0 && av1 == 0.0 && av2 == 0.0 && av3 == 0.0 {
-                    continue;
-                }
-                let bt = bp.add(p * nb + jt);
-                let b0 = _mm256_loadu_ps(bt);
-                let b1 = _mm256_loadu_ps(bt.add(8));
-                let v0 = _mm256_set1_ps(av0);
-                acc00 = _mm256_fmadd_ps(v0, b0, acc00);
-                acc01 = _mm256_fmadd_ps(v0, b1, acc01);
-                let v1 = _mm256_set1_ps(av1);
-                acc10 = _mm256_fmadd_ps(v1, b0, acc10);
-                acc11 = _mm256_fmadd_ps(v1, b1, acc11);
-                let v2 = _mm256_set1_ps(av2);
-                acc20 = _mm256_fmadd_ps(v2, b0, acc20);
-                acc21 = _mm256_fmadd_ps(v2, b1, acc21);
-                let v3 = _mm256_set1_ps(av3);
-                acc30 = _mm256_fmadd_ps(v3, b0, acc30);
-                acc31 = _mm256_fmadd_ps(v3, b1, acc31);
+    while i < mb {
+        let rows = if i + MR <= mb { MR } else { 1 };
+        for jt in (0..nb).step_by(NR) {
+            let w = NR.min(nb - jt);
+            // SAFETY (pointers and calls): row `i + r < mb` of packed A is
+            // `kb` long; row `crow0 + i + r` of the panel holds columns
+            // `jj + jt ..+ w`; every row `p < kb` of the packed B tile at
+            // `jt` holds `w` columns — the caller's three bounds.
+            let a = |r: usize| ap.add((i + r) * kb);
+            let c = |r: usize| cp.add((crow0 + i + r) * ldc + jj + jt);
+            let b = bp.add(bl.at(jt, 0));
+            match (rows == MR, w == NR) {
+                (true, true) => tile_avx2::<MR, true, ADD>(
+                    std::array::from_fn(a), b, bl.row, kb, std::array::from_fn(c), w,
+                ),
+                (true, false) => tile_avx2::<MR, false, ADD>(
+                    std::array::from_fn(a), b, bl.row, kb, std::array::from_fn(c), w,
+                ),
+                (false, _) => tile_avx2::<1, false, ADD>([a(0)], b, bl.row, kb, [c(0)], w),
             }
-            _mm256_storeu_ps(c0.as_mut_ptr().add(jt), acc00);
-            _mm256_storeu_ps(c0.as_mut_ptr().add(jt + 8), acc01);
-            _mm256_storeu_ps(c1.as_mut_ptr().add(jt), acc10);
-            _mm256_storeu_ps(c1.as_mut_ptr().add(jt + 8), acc11);
-            _mm256_storeu_ps(c2.as_mut_ptr().add(jt), acc20);
-            _mm256_storeu_ps(c2.as_mut_ptr().add(jt + 8), acc21);
-            _mm256_storeu_ps(c3.as_mut_ptr().add(jt), acc30);
-            _mm256_storeu_ps(c3.as_mut_ptr().add(jt + 8), acc31);
-            jt += NR;
         }
-        if jt < nb {
-            mr_col_tail(a0, a1, a2, a3, packed_b, c0, c1, c2, c3, jt, nb, kb);
-        }
-        i += MR;
+        i += rows;
     }
-    row_remainder(packed_a, packed_b, c_panel, crow0, i, mb, kb, nb, jj, ldc);
 }
 
+/// `TAIL_MASK[8 - w..][..8]` has its first `w ≤ 8` lanes set: the
+/// `vmaskmov` mask selecting the leading `w` floats of a vector.
+#[cfg(target_arch = "x86_64")]
+static TAIL_MASK: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
+/// One register tile on the AVX2 tier: `R` rows by `w ≤ NR` columns of C
+/// in `2 R` YMM accumulators. `FULL` tiles (`w == NR`) use plain loads
+/// and stores; the others mask the columns beyond `w` out of every load
+/// and store. Per stored element this is [`tile_scalar`]'s chain:
+/// `fma(a, b, acc)` over `p` ascending, skipping `p` when all `R` A
+/// values are zero (a NaN/Inf in B must be skipped — or not —
+/// identically on both tiers).
+///
+/// # Safety
+/// Requires AVX2 and FMA. Each `a[r]` must be readable for `kb` floats,
+/// each `c[r]` readable and writable for `w` floats, and `b + p * ldb`
+/// readable for `w` floats for every `p < kb`; `1 <= w <= NR`, and
+/// `w == NR` if `FULL`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+unsafe fn tile_avx2<const R: usize, const FULL: bool, const ADD: bool>(
+    a: [*const f32; R],
+    b: *const f32,
+    ldb: usize,
+    kb: usize,
+    c: [*mut f32; R],
+    w: usize,
+) {
+    use std::arch::x86_64::*;
+    debug_assert!((1..=NR).contains(&w) && (!FULL || w == NR));
+    let m0 = _mm256_loadu_si256(TAIL_MASK.as_ptr().add(8 - w.min(8)) as *const __m256i);
+    let m1 = _mm256_loadu_si256(TAIL_MASK.as_ptr().add(8 - w.saturating_sub(8)) as *const __m256i);
+    // The upper-half pointers may lie past the row when `w <= 8`; `m1` is
+    // then all zero and a fully masked `vmaskmov` touches no memory, so
+    // they are formed with `wrapping_add` and never dereferenced.
+    let load = |p: *const f32, m: __m256i| {
+        if FULL {
+            _mm256_loadu_ps(p)
+        } else {
+            _mm256_maskload_ps(p, m)
+        }
+    };
+    let mut acc = [[_mm256_setzero_ps(); 2]; R];
+    if !ADD {
+        for r in 0..R {
+            acc[r] = [load(c[r], m0), load(c[r].wrapping_add(8), m1)];
+        }
+    }
+    for p in 0..kb {
+        let av: [f32; R] = std::array::from_fn(|r| *a[r].add(p));
+        if av.iter().all(|&v| v == 0.0) {
+            continue;
+        }
+        let bt = b.add(p * ldb);
+        let (b0, b1) = (load(bt, m0), load(bt.wrapping_add(8), m1));
+        for r in 0..R {
+            let v = _mm256_set1_ps(av[r]);
+            acc[r] = [_mm256_fmadd_ps(v, b0, acc[r][0]), _mm256_fmadd_ps(v, b1, acc[r][1])];
+        }
+    }
+    for r in 0..R {
+        if ADD {
+            acc[r][0] = _mm256_add_ps(load(c[r], m0), acc[r][0]);
+            acc[r][1] = _mm256_add_ps(load(c[r].wrapping_add(8), m1), acc[r][1]);
+        }
+        if FULL {
+            _mm256_storeu_ps(c[r], acc[r][0]);
+            _mm256_storeu_ps(c[r].add(8), acc[r][1]);
+        } else {
+            _mm256_maskstore_ps(c[r], m0, acc[r][0]);
+            _mm256_maskstore_ps(c[r].wrapping_add(8), m1, acc[r][1]);
+        }
+    }
+}
+
+/// Where [`pack_b`] put element `(p, j)` of a packed B panel: at
+/// `j / NR * tile + p * row + j % NR`.
+#[derive(Clone, Copy)]
+struct BLayout {
+    /// Distance between the NR-column tiles.
+    tile: usize,
+    /// Distance between consecutive `p` within a tile.
+    row: usize,
+}
+
+impl BLayout {
+    /// Offset of row `p` of the tile starting at column `jt` (a multiple of NR).
+    #[inline(always)]
+    fn at(self, jt: usize, p: usize) -> usize {
+        jt / NR * self.tile + p * self.row
+    }
+}
+
+/// Packs the `kb × nb` panel of op(B) at `(kk, jj)` and returns its layout.
+///
+/// Rows of a non-transposed B are copied as they are (row-major
+/// `kb × nb`): one sequential run each. A transposed B is packed
+/// tile-major — columns `t * NR ..+ NR` of the panel form the row-major
+/// `kb × NR` block at `t * kb * NR` — because that is the order an
+/// in-register transpose of NR rows of B produces, and a microkernel
+/// sweep over `p` then reads one contiguous run. The last tile keeps the
+/// NR stride when `nb` is not a multiple of NR; its surplus columns are
+/// never read.
 #[allow(clippy::too_many_arguments)]
 fn pack_b(
+    tier: Tier,
     transb: bool,
     b: &[f32],
     ldb: usize,
@@ -501,24 +588,26 @@ fn pack_b(
     kb: usize,
     nb: usize,
     packed: &mut [f32],
-) {
+) -> BLayout {
     if !transb {
         for p in 0..kb {
             let src = &b[(kk + p) * ldb + jj..(kk + p) * ldb + jj + nb];
             packed[p * nb..(p + 1) * nb].copy_from_slice(src);
         }
+        BLayout { tile: NR, row: nb }
     } else {
-        // op(B)[p, j] = B[j, p]
-        for p in 0..kb {
-            for j in 0..nb {
-                packed[p * nb + j] = b[(jj + j) * ldb + (kk + p)];
-            }
+        // op(B)[p, j] = B[j, p]: each tile is the transpose of NR rows of B.
+        for (t, tile) in packed.chunks_mut(kb * NR).take(nb.div_ceil(NR)).enumerate() {
+            let w = NR.min(nb - t * NR);
+            pack_transposed(tier, b, ldb, jj + t * NR, kk, w, kb, 1.0, tile, NR);
         }
+        BLayout { tile: kb * NR, row: NR }
     }
 }
 
 #[allow(clippy::too_many_arguments)]
 fn pack_a(
+    tier: Tier,
     transa: bool,
     a: &[f32],
     lda: usize,
@@ -543,11 +632,108 @@ fn pack_a(
         }
     } else {
         // op(A)[i, p] = A[p, i]
-        for i in 0..mb {
-            for p in 0..kb {
-                packed[i * kb + p] = alpha * a[(kk + p) * lda + (ii + i)];
+        pack_transposed(tier, a, lda, kk, ii, kb, mb, alpha, packed, kb);
+    }
+}
+
+/// Side of the square blocks [`pack_transposed`] moves: one AVX2 vector.
+const TB: usize = 8;
+
+/// Packs the transpose of a `rows × cols` block of `src` (top-left element
+/// `(r0, c0)`, leading dimension `ld`), scaled by `alpha`, into `dst` with
+/// leading dimension `ldd`:
+/// `dst[c * ldd + r] = alpha * src[(r0 + r) * ld + c0 + c]`.
+///
+/// Both sides stream: the block is walked in strips of `TB` source rows,
+/// so `TB` sequential reads feed `TB`-float contiguous writes, instead of
+/// one strided load per element. The AVX2 tier moves full `TB × TB`
+/// blocks through an in-register transpose; the values written are the
+/// same on both tiers.
+#[allow(clippy::too_many_arguments)]
+fn pack_transposed(
+    tier: Tier,
+    src: &[f32],
+    ld: usize,
+    r0: usize,
+    c0: usize,
+    rows: usize,
+    cols: usize,
+    alpha: f32,
+    dst: &mut [f32],
+    ldd: usize,
+) {
+    if rows == 0 || cols == 0 {
+        return;
+    }
+    // The bounds every access below stays inside, vector or scalar.
+    assert!(src.len() >= (r0 + rows - 1) * ld + c0 + cols, "transposed source too small");
+    assert!(ldd >= rows, "transposed pack rows overlap");
+    assert!(dst.len() >= (cols - 1) * ldd + rows, "transposed pack buffer too small");
+    #[cfg(target_arch = "x86_64")]
+    let vec_cols = if tier == Tier::Avx2 && simd::detected_avx2() { cols - cols % TB } else { 0 };
+    #[cfg(not(target_arch = "x86_64"))]
+    let vec_cols = {
+        let _ = tier;
+        0
+    };
+    for rb in (0..rows).step_by(TB) {
+        let rn = TB.min(rows - rb);
+        let mut c = 0;
+        #[cfg(target_arch = "x86_64")]
+        if rn == TB {
+            while c < vec_cols {
+                // SAFETY: AVX2 was detected (`vec_cols > 0`); source rows
+                // `r0 + rb ..+ TB` hold columns `c0 + c ..+ TB` and `dst`
+                // rows `c ..+ TB` hold columns `rb ..+ TB` by the two
+                // asserts above.
+                unsafe {
+                    transpose_block_avx2(
+                        src.as_ptr().add((r0 + rb) * ld + c0 + c),
+                        ld,
+                        dst.as_mut_ptr().add(c * ldd + rb),
+                        ldd,
+                        alpha,
+                    );
+                }
+                c += TB;
             }
         }
+        for c in c..cols {
+            for r in rb..rb + rn {
+                dst[c * ldd + r] = alpha * src[(r0 + r) * ld + c0 + c];
+            }
+        }
+    }
+}
+
+/// `dst[c * ldd + r] = alpha * src[r * ld + c]` for `r, c < TB`: an
+/// in-register 8×8 transpose. Row `r` and row `r + 4` are loaded as the
+/// two 128-bit halves of one vector, once for columns 0..4 and once for
+/// columns 4..8, so the 4×4 transposes within the halves (unpack, then
+/// shuffle) already leave whole output rows — sixteen shuffles a block.
+///
+/// # Safety
+/// Requires AVX2 and FMA. `src + r * ld` must be readable and `dst + r * ldd`
+/// writable for `TB` floats, for every `r < TB`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn transpose_block_avx2(src: *const f32, ld: usize, dst: *mut f32, ldd: usize, alpha: f32) {
+    use std::arch::x86_64::*;
+    let scale = _mm256_set1_ps(alpha);
+    for half in 0..2 {
+        let pair = |r: usize| {
+            let top = _mm_loadu_ps(src.add(r * ld + 4 * half));
+            let bottom = _mm_loadu_ps(src.add((r + 4) * ld + 4 * half));
+            _mm256_mul_ps(scale, _mm256_insertf128_ps(_mm256_castps128_ps256(top), bottom, 1))
+        };
+        let (r0, r1, r2, r3) = (pair(0), pair(1), pair(2), pair(3));
+        let (lo01, hi01) = (_mm256_unpacklo_ps(r0, r1), _mm256_unpackhi_ps(r0, r1));
+        let (lo23, hi23) = (_mm256_unpacklo_ps(r2, r3), _mm256_unpackhi_ps(r2, r3));
+        let out = dst.add(4 * half * ldd);
+        _mm256_storeu_ps(out, _mm256_shuffle_ps(lo01, lo23, 0x44));
+        _mm256_storeu_ps(out.add(ldd), _mm256_shuffle_ps(lo01, lo23, 0xEE));
+        _mm256_storeu_ps(out.add(2 * ldd), _mm256_shuffle_ps(hi01, hi23, 0x44));
+        _mm256_storeu_ps(out.add(3 * ldd), _mm256_shuffle_ps(hi01, hi23, 0xEE));
     }
 }
 

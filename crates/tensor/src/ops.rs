@@ -5,7 +5,7 @@
 //! Sec. III-C) and the layer forward/backward passes.
 
 use crate::f16::F16;
-use crate::pool::{par_chunks_mut, par_ranges};
+use crate::pool::{par_chunks_mut, par_ranges, par_rows_mut};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Minimum slice length before a kernel bothers going parallel.
@@ -120,25 +120,18 @@ pub fn softmax_rows(data: &mut [f32], rows: usize, cols: usize) {
     if rows == 0 || cols == 0 {
         return;
     }
-    let pool = crate::pool::ThreadPool::global();
-    // Row-aligned chunking: each task gets a whole number of rows.
-    let rows_per_task = rows.div_ceil(pool.workers() * 2).max(1);
-    pool.scope(|s| {
-        for chunk in data.chunks_mut(rows_per_task * cols) {
-            s.spawn(move || {
-                for row in chunk.chunks_mut(cols) {
-                    let max = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-                    let mut denom = 0.0f32;
-                    for v in row.iter_mut() {
-                        *v = (*v - max).exp();
-                        denom += *v;
-                    }
-                    let inv = 1.0 / denom;
-                    for v in row.iter_mut() {
-                        *v *= inv;
-                    }
-                }
-            });
+    par_rows_mut(data, cols, PAR_THRESHOLD.div_ceil(cols), |_, chunk| {
+        for row in chunk.chunks_mut(cols) {
+            let max = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+            let mut denom = 0.0f32;
+            for v in row.iter_mut() {
+                *v = (*v - max).exp();
+                denom += *v;
+            }
+            let inv = 1.0 / denom;
+            for v in row.iter_mut() {
+                *v *= inv;
+            }
         }
     });
 }

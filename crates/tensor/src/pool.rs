@@ -221,19 +221,30 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let len = data.len();
-    if len == 0 {
+    par_rows_mut(data, 1, min_chunk, f);
+}
+
+/// [`par_chunks_mut`] over the rows of a row-major matrix: every chunk
+/// is a whole number of `cols`-element rows, at least `min_rows` of them.
+/// Runs inline when one chunk suffices.
+pub fn par_rows_mut<T, F>(data: &mut [T], cols: usize, min_rows: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    if data.is_empty() {
         return;
     }
+    assert_eq!(data.len() % cols, 0, "matrix is not a whole number of rows");
+    let rows = data.len() / cols;
     let pool = ThreadPool::global();
     let max_chunks = if pool.workers() == 1 { 1 } else { pool.workers() * 2 };
-    let min_chunk = min_chunk.max(1);
-    let chunks = (len / min_chunk).clamp(1, max_chunks);
+    let chunks = (rows / min_rows.max(1)).clamp(1, max_chunks);
     if chunks == 1 {
         f(0, data);
         return;
     }
-    let chunk = len.div_ceil(chunks);
+    let chunk = rows.div_ceil(chunks) * cols;
     pool.scope(|s| {
         let f = &f;
         for (i, slice) in data.chunks_mut(chunk).enumerate() {

@@ -31,6 +31,8 @@ struct CountingAlloc;
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
+/// Largest single request (bytes) seen while counting.
+static LARGEST_ALLOC: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// True only on the thread whose window is being measured. Const
@@ -39,25 +41,26 @@ thread_local! {
     static COUNT_THIS_THREAD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-fn count_event() {
+fn count_event(bytes: usize) {
     if COUNTING.load(Ordering::Relaxed) && COUNT_THIS_THREAD.with(|c| c.get()) {
         ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+        LARGEST_ALLOC.fetch_max(bytes as u64, Ordering::Relaxed);
     }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_event();
+        count_event(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_event();
+        count_event(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_event();
+        count_event(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -206,6 +209,32 @@ fn hot_paths_allocate_nothing_in_steady_state() {
         }
     });
     assert_eq!(events, 0, "matmul allocated {events} time(s) after warm-up");
+
+    // --- Linear forward + backward + zero_grad --------------------------
+    // The training layer itself returns fresh activation tensors, so it
+    // is not allocation-free — but once warm nothing it requests may
+    // scale with in·out: dW streams into the gradient through the GEMM's
+    // thread-local block, not through a dW-sized temporary.
+    let (in_f, out_f, batch) = (96usize, 128, 4);
+    let mut lin = Linear::new(in_f, out_f, true, 30);
+    let lx = Tensor::randn(&[batch, in_f], 1.0, 31);
+    let ldy = Tensor::randn(&[batch, out_f], 1.0, 32);
+    let fwd_bwd_zero = |lin: &mut Linear| {
+        lin.forward(&lx);
+        lin.backward(&ldy);
+        lin.zero_grad();
+    };
+    fwd_bwd_zero(&mut lin); // warm the packing and product-block scratch
+    LARGEST_ALLOC.store(0, Ordering::Relaxed);
+    alloc_events_during(|| fwd_bwd_zero(&mut lin));
+    let largest = LARGEST_ALLOC.load(Ordering::Relaxed) as usize;
+    let activation = batch * in_f.max(out_f) * 4;
+    assert!(
+        largest <= activation,
+        "Linear fwd+bwd+zero_grad requested {largest} B at once: more than an \
+         activation ({activation} B), weights are {} B",
+        in_f * out_f * 4
+    );
 
     // --- Steady-state serving loop (`Layer::infer_batch`) -------------
     // The serving runtime's replica loop is exactly this: one warm
