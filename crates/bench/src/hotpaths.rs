@@ -324,7 +324,6 @@ fn write_json(results: &[KernelResult], quick: bool, best_of: usize) -> std::io:
     use telemetry::json::Json;
     let threads = tensor::pool::ThreadPool::global().workers();
     let threads_env = std::env::var("SAMO_THREADS")
-        .or_else(|_| std::env::var("SAMO_NUM_THREADS"))
         .map(Json::Str)
         .unwrap_or(Json::Null);
     let round6 = |v: f64| Json::Num((v * 1e6).round() / 1e6);

@@ -1,7 +1,15 @@
 //! In-process data-parallel SAMO training with ZeRO-style sharding —
 //! the full runtime the paper's Sec. IV-A describes (compressed gradient
 //! all-reduce across `G_data` replicas), composed with the sharded
-//! optimizer extension of [`crate::sharded`].
+//! optimizer extension of [`crate::state`].
+//!
+//! This is the **sequential oracle** the threaded runtimes are compared
+//! with, bit for bit: it loops over the replicas inside one thread,
+//! reduces with the exact-sum reference
+//! ([`comms::reference::allreduce_mean_f16`]) and steps with the
+//! three-phase reference kernels. It therefore keeps its own step,
+//! independent of `crate::engine`, and shares only the engine's
+//! construction, checkpoint and telemetry helpers.
 //!
 //! Each rank holds a full replica of the compute model (dense θ16), the
 //! full compressed fp16 gradient, and *its shard* of the fp32/optimizer
@@ -13,7 +21,12 @@
 //! 4. the updated compressed fp16 parameters are all-gathered and
 //!    expanded into every replica's dense θ16.
 
-use crate::sharded::ShardedSamoLayerState;
+use crate::engine::{
+    apply_meta, assert_replicas_agree, build_layers, check_structure, install_layers, record_step,
+    trainer_meta, DP,
+};
+use crate::serialize::{load_checkpoint, save_checkpoint};
+use crate::state::SamoLayerState;
 use crate::trainer::{allreduce_mean_f16, samo_ring_allreduce_bytes};
 use nn::layer::Layer;
 use nn::mixed::{LossScaler, Optimizer};
@@ -24,7 +37,7 @@ use tensor::f16::F16;
 pub struct DataParallelSamo<M: Layer> {
     replicas: Vec<M>,
     /// `[rank][param]` sharded states.
-    states: Vec<Vec<ShardedSamoLayerState>>,
+    states: Vec<Vec<SamoLayerState>>,
     opt: Optimizer,
     scaler: LossScaler,
     steps_taken: u64,
@@ -41,47 +54,13 @@ impl<M: Layer> DataParallelSamo<M> {
         // A data-parallel group of zero ranks has no defined collective
         // semantics; misconfiguration is a programming error, caught here
         // rather than as an index panic deep inside `step()`.
-        assert!(
-            !replicas.is_empty(),
-            "DataParallelSamo needs at least one replica"
-        );
+        assert_replicas_agree(&replicas);
         let d = replicas.len();
-        // Check replicas agree before pruning.
-        {
-            let first: Vec<Vec<f32>> = replicas[0]
-                .params()
-                .iter()
-                .map(|p| p.value.as_slice().to_vec())
-                .collect();
-            for (r, m) in replicas.iter().enumerate().skip(1) {
-                for (p, expect) in m.params().iter().zip(&first) {
-                    assert_eq!(
-                        p.value.as_slice(),
-                        &expect[..],
-                        "replica {r} differs at init ({})",
-                        p.name
-                    );
-                }
-            }
-        }
-        let mut states = Vec::with_capacity(d);
-        for (rank, model) in replicas.iter_mut().enumerate() {
-            let params = model.params_mut();
-            assert_eq!(params.len(), masks.len(), "one mask per parameter");
-            let mut rank_states = Vec::with_capacity(params.len());
-            for (p, mask) in params.into_iter().zip(&masks) {
-                let st = ShardedSamoLayerState::from_params(
-                    p.value.as_slice(),
-                    mask.clone(),
-                    &opt,
-                    rank,
-                    d,
-                );
-                st.write_dense_f32_params_into(p.value.as_mut_slice());
-                rank_states.push(st);
-            }
-            states.push(rank_states);
-        }
+        let states = replicas
+            .iter_mut()
+            .enumerate()
+            .map(|(rank, model)| build_layers(model, &masks, &opt, rank, d))
+            .collect();
         DataParallelSamo {
             replicas,
             states,
@@ -155,6 +134,7 @@ impl<M: Layer> DataParallelSamo<M> {
         let tel = telemetry::enabled();
         let d = self.replicas.len();
         let nparams = self.states[0].len();
+        let mut phases = Vec::new();
 
         // 1. Compress each rank's gradients.
         let sp = tel.then(|| telemetry::span("samo.dp.compress"));
@@ -163,14 +143,14 @@ impl<M: Layer> DataParallelSamo<M> {
                 st.compress_grad(p.grad.as_slice());
             }
         }
-        let t_compress = sp.map(telemetry::SpanGuard::finish);
+        phases.extend(sp.map(|sp| ("compress", sp.finish())));
 
         // 2. All-reduce (mean) the compressed fp16 gradients per param.
         let sp = tel.then(|| telemetry::span("samo.dp.allreduce"));
         for pi in 0..nparams {
             let mut bufs: Vec<&mut [F16]> = Vec::with_capacity(d);
             // Split-borrow across ranks.
-            let mut rest: &mut [Vec<ShardedSamoLayerState>] = &mut self.states;
+            let mut rest: &mut [Vec<SamoLayerState>] = &mut self.states;
             while let Some((head, tail)) = rest.split_first_mut() {
                 bufs.push(&mut head[pi].grad16);
                 rest = tail;
@@ -178,71 +158,70 @@ impl<M: Layer> DataParallelSamo<M> {
             allreduce_mean_f16(&mut bufs)
                 .expect("replica gradient buffers share one layout by construction");
         }
-        let t_allreduce = sp.map(telemetry::SpanGuard::finish);
+        phases.extend(sp.map(|sp| ("allreduce", sp.finish())));
         // The collective has run by now whether or not the step applies.
         // Accounted with the bandwidth-optimal ring formula
         // `2·(G−1)/G · fφ` values — what a real ring all-reduce moves
         // per rank (and what `comms` implements), not the flat `fφ`
         // payload model.
-        let step_allreduce_bytes =
-            samo_ring_allreduce_bytes(self.nnz() as u64, self.replicas.len() as u64);
-        self.allreduce_bytes += step_allreduce_bytes;
+        self.allreduce_bytes += samo_ring_allreduce_bytes(self.nnz() as u64, d as u64);
 
         // Overflow check on the reduced gradients.
         let finite = !self
             .states
             .iter()
-            .flat_map(|rs| rs.iter())
-            .any(|st| st.grad16.iter().any(|g| !g.is_finite()));
+            .flatten()
+            .any(SamoLayerState::grads_non_finite);
         let scale = self.scaler.scale();
         let proceed = self.scaler.check_and_update(finite);
-        if !proceed {
+        if proceed {
+            // 3–4. Each rank steps its shard; gather shards per parameter.
+            let sp = tel.then(|| telemetry::span("samo.dp.shard_step"));
+            for pi in 0..nparams {
+                let nnz = self.states[0][pi].grad16.len();
+                let mut gathered = vec![F16::ZERO; nnz];
+                for rank_states in &mut self.states {
+                    let st = &mut rank_states[pi];
+                    let shard16 = st.optimizer_step_shard(&self.opt, 1.0 / scale);
+                    let (lo, hi) = st.shard_range();
+                    gathered[lo..hi].copy_from_slice(&shard16);
+                }
+                for rank_states in &mut self.states {
+                    rank_states[pi].install_gathered(&gathered);
+                }
+            }
+            // 5. Write the updated dense parameters into every replica.
+            for (model, rank_states) in self.replicas.iter_mut().zip(&self.states) {
+                for (p, st) in model.params_mut().into_iter().zip(rank_states) {
+                    st.write_dense_f32_params_into(p.value.as_mut_slice());
+                    p.zero_grad();
+                }
+            }
+            phases.extend(sp.map(|sp| ("shard_step", sp.finish())));
+            self.steps_taken += 1;
+        } else {
             for model in &mut self.replicas {
                 model.zero_grad();
             }
             self.steps_skipped += 1;
-            if tel {
-                self.record_step(false, scale, step_allreduce_bytes, t_compress, t_allreduce, None);
-            }
-            return false;
         }
-
-        // 3–4. Each rank steps its shard; gather shards per parameter.
-        let sp = tel.then(|| telemetry::span("samo.dp.shard_step"));
-        for pi in 0..nparams {
-            let nnz = self.states[0][pi].grad16.len();
-            let mut gathered = vec![F16::ZERO; nnz];
-            for rank_states in &mut self.states {
-                let st = &mut rank_states[pi];
-                let shard16 = st.optimizer_step_shard(&self.opt, 1.0 / scale);
-                let (lo, hi) = st.shard_range();
-                gathered[lo..hi].copy_from_slice(&shard16);
-            }
-            for rank_states in &mut self.states {
-                rank_states[pi].install_gathered(&gathered);
-            }
-        }
-
-        // 5. Write the updated dense parameters into every replica.
-        for (model, rank_states) in self.replicas.iter_mut().zip(&self.states) {
-            for (p, st) in model.params_mut().into_iter().zip(rank_states) {
-                st.write_dense_f32_params_into(p.value.as_mut_slice());
-                p.zero_grad();
-            }
-        }
-        let t_shard_step = sp.map(telemetry::SpanGuard::finish);
-        self.steps_taken += 1;
         if tel {
-            self.record_step(
-                true,
+            record_step(
+                &DP,
+                proceed,
                 scale,
-                step_allreduce_bytes,
-                t_compress,
-                t_allreduce,
-                t_shard_step,
+                self.meta(),
+                &self.states[0],
+                &self.opt,
+                d,
+                phases,
             );
         }
-        true
+        proceed
+    }
+
+    fn meta(&self) -> crate::TrainerMeta {
+        trainer_meta(&self.scaler, self.steps_taken, self.steps_skipped)
     }
 
     /// Serializes the group's training state as one v2 checkpoint: the
@@ -251,25 +230,13 @@ impl<M: Layer> DataParallelSamo<M> {
     /// restores into any world size), plus the loss-scaler state and
     /// step counters.
     pub fn save(&self) -> bytes::Bytes {
-        let layers = self.gather_full_layers();
-        let snap = self.scaler.snapshot();
-        let meta = crate::serialize::TrainerMeta {
-            loss_scale: snap.scale,
-            good_steps: snap.good_steps,
-            steps_taken: self.steps_taken,
-            steps_skipped: self.steps_skipped,
-        };
-        crate::serialize::save_checkpoint(&layers, &meta)
-    }
-
-    fn gather_full_layers(&self) -> Vec<crate::state::SamoLayerState> {
-        (0..self.states[0].len())
+        let layers: Vec<SamoLayerState> = (0..self.states[0].len())
             .map(|pi| {
-                let ranks: Vec<&ShardedSamoLayerState> =
-                    self.states.iter().map(|rs| &rs[pi]).collect();
-                ShardedSamoLayerState::to_full_layer(&ranks, &self.opt)
+                let ranks: Vec<&SamoLayerState> = self.states.iter().map(|rs| &rs[pi]).collect();
+                SamoLayerState::to_full_layer(&ranks)
             })
-            .collect()
+            .collect();
+        save_checkpoint(&layers, &self.meta())
     }
 
     /// Restores a checkpoint produced by [`Self::save`] into the whole
@@ -278,32 +245,19 @@ impl<M: Layer> DataParallelSamo<M> {
     /// bitwise identically. The group's structure (parameter count, mask
     /// shapes) must match what was saved; the world size may differ.
     pub fn restore(&mut self, checkpoint: &[u8]) -> Result<(), String> {
-        let (layers, meta) = crate::serialize::load_checkpoint(checkpoint, &self.opt)?;
-        self.check_structure(&layers)?;
-        let d = self.replicas.len();
-        for (rank, (model, rank_states)) in
-            self.replicas.iter_mut().zip(&mut self.states).enumerate()
-        {
-            for ((st, layer), p) in rank_states
-                .iter_mut()
-                .zip(&layers)
-                .zip(model.params_mut())
-            {
-                *st = ShardedSamoLayerState::from_full_layer(layer, &self.opt, rank, d);
-                st.write_dense_f32_params_into(p.value.as_mut_slice());
-                p.zero_grad();
-            }
+        let (layers, meta) = load_checkpoint(checkpoint, &self.opt)?;
+        check_structure(&self.states[0], &layers, 0, self.states[0].len())?;
+        for (model, rank_states) in self.replicas.iter_mut().zip(&mut self.states) {
+            install_layers(rank_states, layers.iter().cloned(), model)?;
         }
-        if let Some(meta) = meta {
-            self.scaler.restore_state(nn::mixed::LossScalerState {
-                scale: meta.loss_scale,
-                good_steps: meta.good_steps,
-            });
-            self.steps_taken = meta.steps_taken;
-            self.steps_skipped = meta.steps_skipped;
-        }
+        apply_meta(
+            meta,
+            &mut self.scaler,
+            &mut self.steps_taken,
+            &mut self.steps_skipped,
+        );
         if telemetry::enabled() {
-            telemetry::global().counter("samo.ckpt.recoveries").inc();
+            telemetry::global().counter(DP.recoveries).inc();
         }
         Ok(())
     }
@@ -320,38 +274,17 @@ impl<M: Layer> DataParallelSamo<M> {
                 self.replicas.len()
             ));
         }
-        let (layers, _) = crate::serialize::load_checkpoint(checkpoint, &self.opt)?;
-        self.check_structure(&layers)?;
-        let d = self.replicas.len();
-        let model = &mut self.replicas[rank];
-        let rank_states = &mut self.states[rank];
-        for ((st, layer), p) in rank_states
-            .iter_mut()
-            .zip(&layers)
-            .zip(model.params_mut())
-        {
-            *st = ShardedSamoLayerState::from_full_layer(layer, &self.opt, rank, d);
-            st.write_dense_f32_params_into(p.value.as_mut_slice());
-            p.zero_grad();
-        }
+        let (layers, _) = load_checkpoint(checkpoint, &self.opt)?;
+        check_structure(&self.states[0], &layers, 0, self.states[0].len())?;
+        install_layers(
+            &mut self.states[rank],
+            layers.into_iter(),
+            &mut self.replicas[rank],
+        )?;
         if telemetry::enabled() {
-            telemetry::global().counter("samo.ckpt.rank_recoveries").inc();
-        }
-        Ok(())
-    }
-
-    fn check_structure(&self, layers: &[crate::state::SamoLayerState]) -> Result<(), String> {
-        if layers.len() != self.states[0].len() {
-            return Err(format!(
-                "checkpoint has {} layers, group has {}",
-                layers.len(),
-                self.states[0].len()
-            ));
-        }
-        for (layer, st) in layers.iter().zip(&self.states[0]) {
-            if layer.mask().shape() != st.mask().shape() {
-                return Err("checkpoint mask shape mismatch".into());
-            }
+            telemetry::global()
+                .counter("samo.ckpt.rank_recoveries")
+                .inc();
         }
         Ok(())
     }
@@ -386,7 +319,7 @@ impl<M: Layer> DataParallelSamo<M> {
         for st in &mut self.states[rank] {
             st.theta16.fill(tensor::f16::F16::from_f32(f32::NAN));
             st.grad16.fill(tensor::f16::F16::from_f32(f32::NAN));
-            st.theta32_shard.fill(f32::NAN);
+            st.theta32.fill(f32::NAN);
         }
 
         self.restore_rank(rank, &checkpoint)?;
@@ -412,61 +345,13 @@ impl<M: Layer> DataParallelSamo<M> {
             .collect();
         for (p, want) in self.replicas[witness].params().iter().zip(&restored) {
             if p.value.as_slice() != &want[..] {
-                return Err(format!("parameter {}: replica diverged after rank recovery", p.name));
+                return Err(format!(
+                    "parameter {}: replica diverged after rank recovery",
+                    p.name
+                ));
             }
         }
         Ok(checkpoint.len())
-    }
-
-    /// Cold path: metric/JSONL bookkeeping for one completed `step()`.
-    fn record_step(
-        &self,
-        applied: bool,
-        scale_used: f32,
-        step_allreduce_bytes: u64,
-        t_compress: Option<f64>,
-        t_allreduce: Option<f64>,
-        t_shard_step: Option<f64>,
-    ) {
-        let reg = telemetry::global();
-        reg.counter(if applied {
-            "samo.dp.steps_taken"
-        } else {
-            "samo.dp.steps_skipped"
-        })
-        .inc();
-        reg.counter("samo.dp.allreduce_bytes")
-            .add(step_allreduce_bytes);
-        reg.gauge("samo.dp.loss_scale")
-            .set(f64::from(self.scaler.scale()));
-        let bytes = self.bytes_per_rank();
-        reg.gauge("samo.dp.bytes_per_rank").set_max(bytes as f64);
-        let mut phases = Vec::new();
-        if let Some(t) = t_compress {
-            phases.push(("compress", t));
-        }
-        if let Some(t) = t_allreduce {
-            phases.push(("allreduce", t));
-        }
-        if let Some(t) = t_shard_step {
-            phases.push(("shard_step", t));
-        }
-        telemetry::jsonl::emit_step(&telemetry::StepEvent {
-            kind: "samo_dp",
-            step: self.steps_taken + self.steps_skipped - 1,
-            applied,
-            loss_scale: scale_used,
-            steps_taken: self.steps_taken,
-            steps_skipped: self.steps_skipped,
-            numel: self.numel() as u64,
-            nnz: self.nnz() as u64,
-            model_state_bytes: bytes,
-            // Sharded per-rank state has per-rank remainders; the paper's
-            // closed form does not apply verbatim, so it is omitted.
-            formula_state_bytes: None,
-            allreduce_bytes: step_allreduce_bytes,
-            phases,
-        });
     }
 }
 
@@ -658,8 +543,17 @@ mod tests {
             drive_step(&mut resumed, s);
         }
         for r in 0..live.world_size() {
-            for (a, b) in live.replicas[r].params().iter().zip(resumed.replicas[r].params()) {
-                assert_eq!(a.value.as_slice(), b.value.as_slice(), "rank {r} {}", a.name);
+            for (a, b) in live.replicas[r]
+                .params()
+                .iter()
+                .zip(resumed.replicas[r].params())
+            {
+                assert_eq!(
+                    a.value.as_slice(),
+                    b.value.as_slice(),
+                    "rank {r} {}",
+                    a.name
+                );
             }
         }
     }
@@ -681,7 +575,11 @@ mod tests {
         let mut dp2 = DataParallelSamo::new(vec![model(19), model(19)], masks2, adam());
         dp2.restore(&ckpt).unwrap();
         assert_eq!(dp2.steps_taken(), dp3.steps_taken());
-        for (a, b) in dp2.replicas[0].params().iter().zip(dp3.replicas[0].params()) {
+        for (a, b) in dp2.replicas[0]
+            .params()
+            .iter()
+            .zip(dp3.replicas[0].params())
+        {
             assert_eq!(a.value.as_slice(), b.value.as_slice(), "{}", a.name);
         }
     }

@@ -1,4 +1,4 @@
-//! Cross-process data-parallel SAMO: a [`SamoTrainer`](crate::SamoTrainer)-shaped trainer
+//! Cross-process data-parallel SAMO: the [`StepEngine`] of one rank
 //! whose gradient mean moves through a [`Communicator`] — any
 //! [`Transport`], but built for [`comms::TcpTransport`] endpoints
 //! living in *separate OS processes* wired by [`comms::bootstrap_tcp`].
@@ -6,51 +6,46 @@
 //! # Bitwise equivalence with the single-process trainer
 //!
 //! Each rank runs the same fused compress/optimizer kernels as
-//! [`SamoTrainer`](crate::SamoTrainer); the only new operation is the ring all-reduce over
-//! the compressed `∇θ16`. The ring computes the exact-f64-sum mean
-//! (see the `comms` crate docs), so when every rank feeds identical
-//! per-rank batches — replicated data parallelism — the mean of G
-//! bitwise-identical f16 gradients is that gradient again, bit for
-//! bit, and the whole distributed trajectory (θ, optimizer moments,
-//! loss-scale schedule, checkpoint bytes) is bitwise identical to
-//! [`SamoTrainer`](crate::SamoTrainer) on one process. That identity is the oracle the
-//! `samo-launch` drill checks checkpoints against: the transport is
-//! the only variable, so any divergence is a transport bug.
+//! [`SamoTrainer`](crate::SamoTrainer) on an unsharded state; the only
+//! new operation is the ring all-reduce over the compressed `∇θ16`. The
+//! ring computes the exact-f64-sum mean (see the `comms` crate docs), so
+//! when every rank feeds identical per-rank batches — replicated data
+//! parallelism — the mean of G bitwise-identical f16 gradients is that
+//! gradient again, bit for bit, and the whole distributed trajectory (θ,
+//! optimizer moments, loss-scale schedule, checkpoint bytes) is bitwise
+//! identical to [`SamoTrainer`](crate::SamoTrainer) on one process. That
+//! identity is the oracle the `samo-launch` drill checks checkpoints
+//! against: the transport is the only variable, so any divergence is a
+//! transport bug.
 //!
 //! # Failure and recovery
 //!
-//! A dead peer surfaces as `Err` from [`DistDataParallel::step`]
-//! within the heartbeat window ([`comms::CommsError::PeerDead`]) or
-//! the socket EOF ([`comms::CommsError::Closed`]) — never a hang. The
-//! survivor then re-rendezvouses (a fresh transport + generation),
-//! and [`DistDataParallel::resync`] installs the new communicator,
-//! restores the agreed checkpoint, and barriers the new mesh together.
+//! A dead peer surfaces as `Err` from `step` within the heartbeat window
+//! ([`comms::CommsError::PeerDead`]) or the socket EOF
+//! ([`comms::CommsError::Closed`]) — never a hang. The survivor then
+//! re-rendezvouses (a fresh transport + generation), and `resync`
+//! installs the new communicator, restores the agreed checkpoint, and
+//! barriers the new mesh together.
 
-use crate::state::{RemapScratch, SamoLayerState};
+use crate::engine::{Ring, StepEngine, DP};
 use comms::{CommsError, Communicator, Transport};
 use nn::layer::Layer;
-use nn::mixed::{LossScaler, LossScalerState, Optimizer};
-use prune::{Mask, MaskSchedule};
-use tensor::f16::F16;
+use nn::mixed::Optimizer;
+use prune::Mask;
 
-/// A data-parallel SAMO trainer over an arbitrary transport. One
-/// instance per rank (usually one per process).
-pub struct DistDataParallel<T: Transport> {
-    comm: Communicator<T>,
-    pub layers: Vec<SamoLayerState>,
-    pub opt: Optimizer,
-    pub scaler: LossScaler,
-    schedule: Option<MaskSchedule>,
-    remap_scratch: Vec<RemapScratch>,
-    remap_events: u64,
-    steps_taken: u64,
-    steps_skipped: u64,
-}
+/// A data-parallel SAMO trainer over an arbitrary transport: the
+/// [`StepEngine`] with the ring reducer. One instance per rank (usually
+/// one per process); `save` is local and byte-identical to
+/// [`SamoTrainer::save`](crate::SamoTrainer::save) for the same
+/// trajectory, which is what lets the multi-process drill diff
+/// checkpoints against the single-process oracle.
+pub type DistDataParallel<T> = StepEngine<Ring<T>>;
 
-impl<T: Transport> DistDataParallel<T> {
-    /// Builds this rank's trainer exactly like [`SamoTrainer::new`](crate::SamoTrainer::new)
-    /// (prune in place, round to f16, write widened params back) and
-    /// attaches the communicator. The caller has already
+impl<T: Transport> StepEngine<Ring<T>> {
+    /// Builds this rank's trainer exactly like
+    /// [`SamoTrainer::new`](crate::SamoTrainer::new) (prune in place,
+    /// round to f16, write widened params back) and attaches the
+    /// communicator. The caller has already
     /// [`Communicator::adopt_epoch`]'d the rendezvous-agreed epoch.
     pub fn new(
         model: &mut impl Layer,
@@ -58,80 +53,23 @@ impl<T: Transport> DistDataParallel<T> {
         opt: Optimizer,
         comm: Communicator<T>,
     ) -> DistDataParallel<T> {
-        let params = model.params_mut();
-        assert_eq!(params.len(), masks.len(), "need exactly one mask per parameter tensor");
-        let mut layers = Vec::with_capacity(params.len());
-        for (p, mask) in params.into_iter().zip(masks) {
-            assert_eq!(p.numel(), mask.numel(), "mask shape mismatch for {}", p.name);
-            let st = SamoLayerState::from_params(p.value.as_slice(), mask, &opt);
-            st.write_dense_f32_params_into(p.value.as_mut_slice());
-            layers.push(st);
-        }
-        DistDataParallel {
-            comm,
-            layers,
-            opt,
-            scaler: LossScaler::default(),
-            schedule: None,
-            remap_scratch: Vec::new(),
-            remap_events: 0,
-            steps_taken: 0,
-            steps_skipped: 0,
-        }
-    }
-
-    /// Installs a dynamic-sparsity [`MaskSchedule`] (see
-    /// [`SamoTrainer::set_mask_schedule`](crate::SamoTrainer::set_mask_schedule)).
-    /// Every rank of the mesh must install the same schedule before the
-    /// same step: at each update step the ranks reduce the dense f16
-    /// gradient, derive identical masks from the reduced bits, remap
-    /// their compressed state in place, and bump the comms epoch
-    /// together to renegotiate the gradient bucket layout.
-    pub fn set_mask_schedule(&mut self, schedule: MaskSchedule) {
-        let opt = &self.opt;
-        self.remap_scratch = self
-            .layers
-            .iter_mut()
-            .map(|l| RemapScratch::for_layer(l, opt))
-            .collect();
-        self.schedule = Some(schedule);
-    }
-
-    /// Mask-change events applied by the installed schedule.
-    pub fn remap_events(&self) -> u64 {
-        self.remap_events
+        StepEngine::build(model, &masks, opt, Ring(comm), false, &DP)
     }
 
     /// This rank's index in the mesh.
     pub fn rank(&self) -> usize {
-        self.comm.rank()
+        self.reducer.0.rank()
     }
 
     /// Mesh size.
     pub fn world(&self) -> usize {
-        self.comm.world()
-    }
-
-    /// Applied steps.
-    pub fn steps_taken(&self) -> u64 {
-        self.steps_taken
-    }
-
-    /// Steps skipped on gradient overflow (every rank skips together —
-    /// the verdict is computed from the *reduced* bits).
-    pub fn steps_skipped(&self) -> u64 {
-        self.steps_skipped
-    }
-
-    /// Current loss scale to multiply the loss by before backward.
-    pub fn loss_scale(&self) -> f32 {
-        self.scaler.scale()
+        self.reducer.0.world()
     }
 
     /// The communicator — for broadcasts (e.g. shipping checkpoint
     /// bytes to rejoining ranks) and barriers around the step loop.
     pub fn comm_mut(&mut self) -> &mut Communicator<T> {
-        &mut self.comm
+        &mut self.reducer.0
     }
 
     /// Completes one training step after `model` ran forward/backward
@@ -143,165 +81,7 @@ impl<T: Transport> DistDataParallel<T> {
     /// `Err` means a collective failed (dead peer, timeout, poisoned
     /// communicator) and the group needs [`Self::resync`].
     pub fn step(&mut self, model: &mut impl Layer) -> Result<bool, CommsError> {
-        if self.schedule.is_some() {
-            self.maybe_remap(model)?;
-        }
-        // Compress every layer's gradient and start its ring; ids line
-        // up across ranks because everyone walks layers in order.
-        let mut order: Vec<(u64, usize)> = Vec::with_capacity(self.layers.len());
-        {
-            let layers = &mut self.layers;
-            let mut i = 0;
-            let mut local_finite = true;
-            model.for_each_param_mut(&mut |p| {
-                // The local finite flag is irrelevant: the verdict
-                // comes from the reduced bits below.
-                local_finite &= layers[i].compress_grad_fused(p.grad.as_slice());
-                i += 1;
-            });
-            let _ = local_finite;
-            assert_eq!(i, layers.len());
-        }
-        for i in 0..self.layers.len() {
-            let id = self.comm.ring_start(self.layers[i].grad16.clone())?;
-            order.push((id, i));
-            self.comm.ring_pump()?;
-        }
-        self.comm.ring_finish()?;
-        for (id, mean) in self.comm.take_completed() {
-            let i = order
-                .iter()
-                .find(|(rid, _)| *rid == id)
-                .expect("completed ring was started by this step")
-                .1;
-            self.layers[i].set_compressed_grad16(&mean);
-        }
-
-        let finite = !self.layers.iter().any(SamoLayerState::grads_non_finite);
-        let scale = self.scaler.scale();
-        let proceed = self.scaler.check_and_update(finite);
-        if proceed {
-            let opt = &self.opt;
-            let layers = &mut self.layers;
-            let inv_scale = 1.0 / scale;
-            let mut i = 0;
-            model.for_each_param_mut(&mut |p| {
-                layers[i].optimizer_step_fused(opt, inv_scale, p.value.as_mut_slice());
-                p.zero_grad();
-                i += 1;
-            });
-            self.steps_taken += 1;
-        } else {
-            model.for_each_param_mut(&mut |p| p.zero_grad());
-            self.steps_skipped += 1;
-        }
-        Ok(proceed)
-    }
-
-    /// Dynamic-sparsity hook, run before the compressed rings so the
-    /// new mask's gradient buckets are filled by this step's normal
-    /// compress. The grow score is the ring-reduced f16-narrowed dense
-    /// gradient widened back to f32 — exactly the bits
-    /// [`SamoTrainer`](crate::SamoTrainer) canonicalizes locally, so
-    /// with replicated data every runtime ranks regrowth candidates
-    /// identically. When any mask changes, every rank bumps the comms
-    /// epoch in lockstep (the masks are identical, so the verdict is
-    /// too): the compressed-gradient bucket layout is renegotiated and
-    /// stale-epoch buckets are dropped on receive.
-    fn maybe_remap(&mut self, model: &mut impl Layer) -> Result<(), CommsError> {
-        let t = self.steps_taken + self.steps_skipped;
-        let Some(sched) = &self.schedule else { return Ok(()) };
-        if !sched.is_update_step(t) {
-            return Ok(());
-        }
-        let sched = sched.clone();
-        let mut moved = false;
-        let params = model.params_mut();
-        assert_eq!(params.len(), self.layers.len());
-        for (i, p) in params.into_iter().enumerate() {
-            let layer = &mut self.layers[i];
-            let sc = &mut self.remap_scratch[i];
-            let mut dense16: Vec<F16> =
-                p.grad.as_slice().iter().map(|&g| F16::from_f32(g)).collect();
-            self.comm.allreduce_mean_f16(&mut dense16)?;
-            sc.score.clear();
-            sc.score.extend(dense16.iter().map(|g| g.to_f32()));
-            let new_mask = sched.next_mask(t, p.value.as_slice(), &sc.score, layer.mask());
-            if &new_mask != layer.mask() {
-                layer.remap_compressed_state(new_mask, sc);
-                layer.write_dense_f32_params_into(p.value.as_mut_slice());
-                moved = true;
-            }
-        }
-        if moved {
-            self.remap_events += 1;
-            self.comm.bump_epoch();
-        }
-        Ok(())
-    }
-
-    /// Serializes this rank's training state — byte-identical to
-    /// [`SamoTrainer::save`](crate::SamoTrainer::save) for the same trajectory, which is what
-    /// lets the multi-process drill diff checkpoints against the
-    /// single-process oracle.
-    pub fn save(&self) -> bytes::Bytes {
-        let snap = self.scaler.snapshot();
-        crate::serialize::save_checkpoint(
-            &self.layers,
-            &crate::serialize::TrainerMeta {
-                loss_scale: snap.scale,
-                good_steps: snap.good_steps,
-                steps_taken: self.steps_taken,
-                steps_skipped: self.steps_skipped,
-            },
-        )
-    }
-
-    /// Restores a checkpoint produced by [`Self::save`] (or
-    /// [`SamoTrainer::save`](crate::SamoTrainer::save) — same format) into this trainer and
-    /// `model`. Purely local: no collective runs, so it composes with
-    /// [`Self::resync`]'s barrier.
-    pub fn restore(&mut self, checkpoint: &[u8], model: &mut impl Layer) -> Result<(), String> {
-        let (layers, meta) = crate::serialize::load_checkpoint(checkpoint, &self.opt)?;
-        if layers.len() != self.layers.len() {
-            return Err(format!(
-                "checkpoint has {} layers, trainer has {}",
-                layers.len(),
-                self.layers.len()
-            ));
-        }
-        for (new, old) in layers.iter().zip(&self.layers) {
-            if new.mask().shape() != old.mask().shape() {
-                return Err("checkpoint mask shape mismatch".into());
-            }
-        }
-        self.layers = layers;
-        if self.schedule.is_some() {
-            // Restored layers are fresh allocations without remap
-            // headroom — re-prime the scratch against them.
-            let opt = &self.opt;
-            self.remap_scratch = self
-                .layers
-                .iter_mut()
-                .map(|l| RemapScratch::for_layer(l, opt))
-                .collect();
-        }
-        for (p, st) in model.params_mut().into_iter().zip(&self.layers) {
-            if p.numel() != st.numel() {
-                return Err(format!("parameter {} size mismatch", p.name));
-            }
-            st.write_dense_f32_params_into(p.value.as_mut_slice());
-            p.zero_grad();
-        }
-        if let Some(meta) = meta {
-            self.scaler.restore_state(LossScalerState {
-                scale: meta.loss_scale,
-                good_steps: meta.good_steps,
-            });
-            self.steps_taken = meta.steps_taken;
-            self.steps_skipped = meta.steps_skipped;
-        }
-        Ok(())
+        self.step_after_backward(model)
     }
 
     /// The restore-and-resync recovery entry point: installs a freshly
@@ -316,9 +96,10 @@ impl<T: Transport> DistDataParallel<T> {
         checkpoint: &[u8],
         model: &mut impl Layer,
     ) -> Result<(), String> {
-        self.comm = comm;
+        self.reducer.0 = comm;
         self.restore(checkpoint, model)?;
-        self.comm
+        self.reducer
+            .0
             .barrier()
             .map_err(|e| format!("post-resync barrier failed: {e}"))?;
         if telemetry::enabled() {

@@ -1,0 +1,868 @@
+//! The one per-rank SAMO training step, behind every runtime.
+//!
+//! The paper's contribution is one per-layer data structure
+//! ([`SamoLayerState`]) and one step over it: compress → reduce →
+//! verdict → optimizer → expand. [`StepEngine`] is that step for one
+//! rank, generic over a [`Reducer`] — how the rank's compressed `∇θ16`
+//! becomes the group mean. What varies between runtimes is only who
+//! drives it:
+//!
+//! * [`crate::SamoTrainer`] and [`crate::DistDataParallel`] call
+//!   `step(model)` after the caller's backward — an inline loop over the
+//!   parameters (`reduce_after_backward`);
+//! * [`crate::ThreadedDataParallelSamo`] runs backward through
+//!   `backward_overlapped`, so each parameter's ring starts while the
+//!   rest of backward still runs;
+//! * [`crate::ThreadedPipelineSamo`] does the same on the last
+//!   microbatch of its 1F1B schedule, and agrees on the overflow verdict
+//!   across stages between `finish_reduce` and `apply`.
+//!
+//! The kernels are chosen by the data, not by the caller: a state that
+//! owns the whole compressed range takes the fused pair
+//! ([`SamoLayerState::compress_grad_fused`],
+//! [`SamoLayerState::optimizer_step_fused`]); a shard takes the
+//! three-phase step on its range plus the parameter all-gather.
+//!
+//! [`crate::DataParallelSamo`], the sequential oracle the threaded
+//! runtimes are compared with, keeps its own step and shares only the
+//! construction, checkpoint and telemetry helpers at the bottom of this
+//! file.
+
+use crate::serialize::{load_checkpoint, save_checkpoint, TrainerMeta};
+use crate::state::{RemapScratch, SamoLayerState};
+use crate::trainer::{formula_state_bytes, samo_allreduce_bytes, samo_ring_allreduce_bytes};
+use comms::{CommsError, Communicator, InProcTransport, Transport};
+use nn::layer::Layer;
+use nn::mixed::{LossScaler, LossScalerState, Optimizer};
+use prune::{Mask, MaskSchedule};
+use telemetry::SpanGuard;
+use tensor::f16::F16;
+use tensor::Tensor;
+
+/// How a rank's compressed `∇θ16` becomes the group mean: not at all
+/// ([`NoReduce`], a single worker) or by the chunked ring all-reduce
+/// over any [`Transport`] ([`Ring`]).
+pub trait Reducer {
+    /// The wire under the communicator.
+    type Transport: Transport;
+    /// The communicator the collectives run on, if there is a group.
+    fn comm(&self) -> Option<&Communicator<Self::Transport>>;
+    /// Mutable counterpart of [`Self::comm`].
+    fn comm_mut(&mut self) -> Option<&mut Communicator<Self::Transport>>;
+}
+
+/// A single worker: the local gradient is the mean.
+pub struct NoReduce;
+
+impl Reducer for NoReduce {
+    // Never instantiated: names a transport so the trait stays one type.
+    type Transport = InProcTransport;
+    fn comm(&self) -> Option<&Communicator<InProcTransport>> {
+        None
+    }
+    fn comm_mut(&mut self) -> Option<&mut Communicator<InProcTransport>> {
+        None
+    }
+}
+
+/// One rank of a data-parallel group reducing over `T`.
+pub struct Ring<T: Transport>(pub(crate) Communicator<T>);
+
+impl<T: Transport> Reducer for Ring<T> {
+    type Transport = T;
+    fn comm(&self) -> Option<&Communicator<T>> {
+        Some(&self.0)
+    }
+    fn comm_mut(&mut self) -> Option<&mut Communicator<T>> {
+        Some(&mut self.0)
+    }
+}
+
+/// The names one runtime reports its steps under. An empty span name
+/// leaves that phase untimed (the runtime times a wider window itself).
+pub(crate) struct Labels {
+    /// `StepEvent::kind`; `None` keeps the runtime to counters.
+    pub kind: Option<&'static str>,
+    /// Prefix of `.steps_taken`, `.steps_skipped`, `.loss_scale`,
+    /// `.allreduce_bytes` and `.remap_events`.
+    pub prefix: &'static str,
+    /// High-water gauge of the rank's state bytes.
+    pub state_gauge: Option<&'static str>,
+    /// Ring byte model plus a cumulative counter, or (a single worker)
+    /// the flat payload a data-parallel step would move, Eq. 9.
+    pub ring: bool,
+    pub compress: &'static str,
+    pub reduce: &'static str,
+    pub optimizer: &'static str,
+    pub remap: &'static str,
+    /// Counter bumped by a restore.
+    pub recoveries: &'static str,
+}
+
+pub(crate) const SAMO: Labels = Labels {
+    kind: Some("samo"),
+    prefix: "samo",
+    state_gauge: Some("samo.model_state_bytes"),
+    ring: false,
+    compress: "samo.step.compress",
+    reduce: "",
+    optimizer: "samo.step.optimizer",
+    remap: "samo.step.remap",
+    recoveries: "samo.ckpt.recoveries",
+};
+
+/// [`crate::DistDataParallel`], and (kind, prefix and gauge only) the
+/// sequential [`crate::DataParallelSamo`].
+pub(crate) const DP: Labels = Labels {
+    kind: Some("samo_dp"),
+    prefix: "samo.dp",
+    state_gauge: Some("samo.dp.bytes_per_rank"),
+    ring: true,
+    compress: "samo.dp.compress",
+    reduce: "samo.dp.allreduce",
+    optimizer: "samo.dp.optimizer",
+    remap: "samo.dp.remap",
+    recoveries: "samo.ckpt.recoveries",
+};
+
+pub(crate) const DP_THREADED: Labels = Labels {
+    kind: Some("samo_dp_threaded"),
+    prefix: "samo.dp_threaded",
+    state_gauge: None,
+    ring: true,
+    compress: "",
+    reduce: "",
+    optimizer: "samo.dp_threaded.shard_step",
+    remap: "",
+    recoveries: "samo.dp_threaded.recoveries",
+};
+
+pub(crate) const PIPELINE: Labels = Labels {
+    kind: None,
+    prefix: "samo.pipeline",
+    state_gauge: None,
+    ring: true,
+    compress: "",
+    reduce: "",
+    optimizer: "",
+    remap: "",
+    recoveries: "samo.pipeline.recoveries",
+};
+
+/// A running phase span and its name.
+pub(crate) struct Phase(&'static str, SpanGuard);
+
+/// SAMO training state of one rank for a whole model (or pipeline stage):
+/// one compressed layer state per parameter tensor, the loss scaler, the
+/// step counters, and (optionally) a dynamic-sparsity [`MaskSchedule`]
+/// with its per-layer remap scratch.
+pub struct StepEngine<R: Reducer> {
+    pub layers: Vec<SamoLayerState>,
+    pub opt: Optimizer,
+    pub scaler: LossScaler,
+    pub(crate) reducer: R,
+    steps_taken: u64,
+    steps_skipped: u64,
+    schedule: Option<MaskSchedule>,
+    remap_scratch: Vec<RemapScratch>,
+    remap_events: u64,
+    /// `(ring id, parameter)` of every reduction started this step.
+    ring_order: Vec<(u64, usize)>,
+    /// AND of the fused compress kernels' overflow flags this step.
+    local_finite: bool,
+    labels: &'static Labels,
+    /// One rank per group reports: rank 0 of the reducer (the pipeline
+    /// narrows it to stage 0).
+    pub(crate) reports: bool,
+    phases: Vec<(&'static str, f64)>,
+}
+
+impl<R: Reducer> StepEngine<R> {
+    /// Builds the rank's state from the model's current parameters and
+    /// one mask per parameter tensor (in `model.params()` order): the
+    /// full state, or — `sharded` — this rank's shard of the group's. The
+    /// model's parameters are pruned in place and replaced by the widened
+    /// `θ16`.
+    pub(crate) fn build(
+        model: &mut impl Layer,
+        masks: &[Mask],
+        opt: Optimizer,
+        reducer: R,
+        sharded: bool,
+        labels: &'static Labels,
+    ) -> StepEngine<R> {
+        let (rank, world) = reducer.comm().map_or((0, 1), |c| (c.rank(), c.world()));
+        let (shard_id, num_shards) = if sharded { (rank, world) } else { (0, 1) };
+        StepEngine {
+            layers: build_layers(model, masks, &opt, shard_id, num_shards),
+            opt,
+            scaler: LossScaler::default(),
+            reducer,
+            steps_taken: 0,
+            steps_skipped: 0,
+            schedule: None,
+            remap_scratch: Vec::new(),
+            remap_events: 0,
+            ring_order: Vec::new(),
+            local_finite: true,
+            labels,
+            reports: rank == 0,
+            phases: Vec::new(),
+        }
+    }
+
+    /// Installs a dynamic-sparsity schedule: on every schedule update
+    /// step the masks are recomputed and the compressed state remapped
+    /// in place before the new gradient is compressed. Every rank of a
+    /// group must install the same schedule before the same step.
+    /// Pre-sizes one [`RemapScratch`] per layer so remap events never
+    /// allocate once warm.
+    pub fn set_mask_schedule(&mut self, schedule: MaskSchedule) {
+        self.prime_remap_scratch();
+        self.schedule = Some(schedule);
+    }
+
+    fn prime_remap_scratch(&mut self) {
+        let opt = &self.opt;
+        self.remap_scratch = self
+            .layers
+            .iter_mut()
+            .map(|l| RemapScratch::for_layer(l, opt))
+            .collect();
+    }
+
+    /// The installed dynamic-sparsity schedule, if any.
+    pub fn mask_schedule(&self) -> Option<&MaskSchedule> {
+        self.schedule.as_ref()
+    }
+
+    /// Number of steps at which at least one layer's mask actually moved.
+    pub fn remap_events(&self) -> u64 {
+        self.remap_events
+    }
+
+    /// The deterministic step index `t` the schedule is evaluated at:
+    /// applied plus skipped steps, so every rank of a data-parallel
+    /// group (which agrees on the skip verdict bitwise) agrees on the
+    /// remap timeline too.
+    pub fn step_index(&self) -> u64 {
+        self.steps_taken + self.steps_skipped
+    }
+
+    /// Whether the schedule fires at the step about to run.
+    pub(crate) fn is_update_step(&self) -> bool {
+        let t = self.step_index();
+        self.schedule.as_ref().is_some_and(|s| s.is_update_step(t))
+    }
+
+    /// Total parameters φ across all layers.
+    pub fn numel(&self) -> usize {
+        self.layers.iter().map(|l| l.numel()).sum()
+    }
+
+    /// Unpruned parameters fφ.
+    pub fn nnz(&self) -> usize {
+        self.layers.iter().map(|l| l.nnz()).sum()
+    }
+
+    /// Measured model-state bytes this rank holds (peak includes the
+    /// downcast temp).
+    pub fn model_state_bytes(&self, peak: bool) -> u64 {
+        self.layers.iter().map(|l| l.measured_bytes(peak)).sum()
+    }
+
+    /// Steps applied (not skipped by the loss scaler).
+    pub fn steps_taken(&self) -> u64 {
+        self.steps_taken
+    }
+
+    /// Steps skipped due to gradient overflow (every rank of a group
+    /// skips together — the verdict comes from the *reduced* bits).
+    pub fn steps_skipped(&self) -> u64 {
+        self.steps_skipped
+    }
+
+    /// Current loss scale to multiply the loss by before backward.
+    pub fn loss_scale(&self) -> f32 {
+        self.scaler.scale()
+    }
+
+    /// The trainer-level state a v2 checkpoint carries.
+    pub(crate) fn meta(&self) -> TrainerMeta {
+        trainer_meta(&self.scaler, self.steps_taken, self.steps_skipped)
+    }
+
+    /// Serializes the compressed training state (see `crate::serialize`
+    /// for the v2 format) including the loss-scaler state and step
+    /// counters, so a resumed run continues the exact scaling schedule.
+    /// The compute model is *not* included — θ16 is reconstructible from
+    /// the checkpoint via [`Self::restore`]. The layers must be
+    /// unsharded; a sharded group gathers them first
+    /// ([`SamoLayerState::to_full_layer`]).
+    pub fn save(&self) -> bytes::Bytes {
+        save_checkpoint(&self.layers, &self.meta())
+    }
+
+    /// Restores a checkpoint produced by any runtime's `save` into this
+    /// trainer and writes the reconstructed parameters into `model`.
+    /// The model/mask structure must match what was saved. For a v2
+    /// checkpoint the loss-scaler state and step counters are restored
+    /// too; a legacy v1 buffer leaves them untouched. Purely local: no
+    /// collective runs.
+    pub fn restore(&mut self, checkpoint: &[u8], model: &mut impl Layer) -> Result<(), String> {
+        self.restore_slice(checkpoint, model, 0, self.layers.len())
+    }
+
+    /// [`Self::restore`] for the rank that holds layers
+    /// `off..off + self.layers.len()` of a `total`-layer model (a
+    /// pipeline stage).
+    pub(crate) fn restore_slice(
+        &mut self,
+        checkpoint: &[u8],
+        model: &mut impl Layer,
+        off: usize,
+        total: usize,
+    ) -> Result<(), String> {
+        let (mut layers, meta) = load_checkpoint(checkpoint, &self.opt)?;
+        check_structure(&self.layers, &layers, off, total)?;
+        let mine = layers.drain(off..off + self.layers.len());
+        install_layers(&mut self.layers, mine, model)?;
+        if self.schedule.is_some() {
+            // The restored layers are fresh allocations without remap
+            // headroom; rebuild the scratch (and re-reserve) so future
+            // remap events stay allocation-free.
+            self.prime_remap_scratch();
+        }
+        apply_meta(
+            meta,
+            &mut self.scaler,
+            &mut self.steps_taken,
+            &mut self.steps_skipped,
+        );
+        // Whatever a failed step left behind.
+        self.ring_order.clear();
+        self.phases.clear();
+        self.local_finite = true;
+        if self.reports && telemetry::enabled() {
+            telemetry::global().counter(self.labels.recoveries).inc();
+        }
+        Ok(())
+    }
+
+    /// Recovery path: restores the last good checkpoint *and* backs the
+    /// loss scale off once, so the replayed steps retry with a gentler
+    /// scale than the one that just diverged. Used by the divergence
+    /// sentinel (`crate::sentinel`).
+    pub fn rollback(&mut self, checkpoint: &[u8], model: &mut impl Layer) -> Result<(), String> {
+        self.restore(checkpoint, model)?;
+        self.scaler.force_backoff();
+        telemetry::log_info!(
+            "rollback: restored step {} (skipped {}), loss scale backed off to {}",
+            self.steps_taken,
+            self.steps_skipped,
+            self.scaler.scale()
+        );
+        if telemetry::enabled() {
+            telemetry::global().counter("samo.ckpt.rollbacks").inc();
+        }
+        Ok(())
+    }
+
+    /// Starts a phase span when this rank reports and `name` is timed.
+    pub(crate) fn span(&self, name: &'static str) -> Option<Phase> {
+        (self.reports && !name.is_empty() && telemetry::enabled())
+            .then(|| Phase(name, telemetry::span(name)))
+    }
+
+    /// Ends a [`Self::span`], keeping its duration for the step event
+    /// under the last segment of the span's name.
+    pub(crate) fn end_phase(&mut self, phase: Option<Phase>) {
+        if let Some(Phase(name, sp)) = phase {
+            self.phases
+                .push((name.rsplit('.').next().unwrap_or(name), sp.finish()));
+        }
+    }
+
+    /// Compresses parameter `pi`'s freshly produced dense (loss-scaled)
+    /// gradient into `∇θ16` — "at the granularity of a layer ... so that
+    /// we never have to store the uncompressed gradients for the entire
+    /// model" (Sec. III-C) — and starts its mean reduction. Ring ids line
+    /// up across ranks because every rank visits parameters in the same
+    /// order.
+    fn compress_param(&mut self, pi: usize, grad: &[f32]) -> Result<(), CommsError> {
+        let st = &mut self.layers[pi];
+        if st.is_sharded() {
+            st.compress_grad(grad);
+        } else {
+            self.local_finite &= st.compress_grad_fused(grad);
+        }
+        if let Some(comm) = self.reducer.comm_mut() {
+            self.ring_order
+                .push((comm.ring_start(st.grad16.clone())?, pi));
+        }
+        Ok(())
+    }
+
+    /// Makes progress on the in-flight reductions without blocking.
+    pub(crate) fn pump(&mut self) -> Result<(), CommsError> {
+        self.reducer
+            .comm_mut()
+            .map_or(Ok(()), Communicator::ring_pump)
+    }
+
+    /// Backward with overlapped reduction: as each parameter group
+    /// reports its gradient final (reverse execution order — identical
+    /// on every rank), compress it and start its ring; pump the rings in
+    /// flight between groups, so communication overlaps the rest of the
+    /// backward pass exactly as on a real cluster. Returns
+    /// `d(loss)/d(input)`.
+    pub(crate) fn backward_overlapped(
+        &mut self,
+        model: &mut impl Layer,
+        dy: &Tensor,
+    ) -> Result<Tensor, CommsError> {
+        let mut res = Ok(());
+        let dx = model.backward_with_ready(dy, &mut |off, params| {
+            if res.is_err() {
+                return; // finish backward, but stop talking
+            }
+            res = params
+                .iter()
+                .enumerate()
+                .try_for_each(|(i, p)| self.compress_param(off + i, p.grad.as_slice()))
+                .and_then(|()| self.pump());
+        });
+        res.map(|()| dx)
+    }
+
+    /// The collectives of a step whose backward has already run: the
+    /// dynamic-sparsity remap if the schedule fires, then compress and
+    /// reduce every parameter in order. The allocation-free
+    /// `for_each_param_mut` traversal (not `params_mut`, which builds a
+    /// `Vec`) keeps a single worker's whole step off the heap. Returns
+    /// the overflow verdict input, see [`Self::finish_reduce`].
+    pub(crate) fn reduce_after_backward(
+        &mut self,
+        model: &mut impl Layer,
+    ) -> Result<bool, CommsError> {
+        self.maybe_remap(model)?;
+        let sp = self.span(self.labels.compress);
+        let (mut i, mut res) = (0, Ok(()));
+        model.for_each_param_mut(&mut |p| {
+            if res.is_ok() {
+                res = self
+                    .compress_param(i, p.grad.as_slice())
+                    .and_then(|()| self.pump());
+            }
+            i += 1;
+        });
+        res?;
+        assert_eq!(i, self.layers.len());
+        self.end_phase(sp);
+        let sp = self.span(self.labels.reduce);
+        let finite = self.finish_reduce()?;
+        self.end_phase(sp);
+        Ok(finite)
+    }
+
+    /// Completes every reduction started this step and installs the
+    /// means. Returns whether every gradient this rank now holds is
+    /// finite: the reduced bits are identical on every rank, so a local
+    /// scan reaches the same verdict everywhere with no extra
+    /// collective; a single worker reuses the flags its fused compress
+    /// already produced.
+    pub(crate) fn finish_reduce(&mut self) -> Result<bool, CommsError> {
+        let local = std::mem::replace(&mut self.local_finite, true);
+        let Some(comm) = self.reducer.comm_mut() else {
+            return Ok(local);
+        };
+        comm.ring_finish()?;
+        for (id, mean) in comm.take_completed() {
+            let &(_, pi) = self
+                .ring_order
+                .iter()
+                .find(|(rid, _)| *rid == id)
+                .expect("completed ring was started by this step");
+            self.layers[pi].grad16.copy_from_slice(&mean);
+        }
+        self.ring_order.clear();
+        Ok(!self.layers.iter().any(SamoLayerState::grads_non_finite))
+    }
+
+    /// The rest of the step once the group agrees whether the reduced
+    /// gradients are `finite`: the loss-scaler verdict, then — unless it
+    /// skips — the optimizer on the owned range, the parameter
+    /// all-gather for shards, the widened `θ16` written into the model,
+    /// gradients zeroed, counters and telemetry. Returns `false` if the
+    /// step was skipped.
+    pub(crate) fn apply(
+        &mut self,
+        model: &mut impl Layer,
+        finite: bool,
+    ) -> Result<bool, CommsError> {
+        let scale = self.scaler.scale();
+        let proceed = self.scaler.check_and_update(finite);
+        if proceed {
+            let sp = self.span(self.labels.optimizer);
+            let (layers, opt, reducer) = (&mut self.layers, &self.opt, &mut self.reducer);
+            let inv_scale = 1.0 / scale;
+            let (mut i, mut res) = (0, Ok(()));
+            model.for_each_param_mut(&mut |p| {
+                let st = &mut layers[i];
+                i += 1;
+                if res.is_err() {
+                    return;
+                }
+                if st.is_sharded() {
+                    let shard16 = st.optimizer_step_shard(opt, inv_scale);
+                    let comm = reducer.comm_mut().expect("a sharded state has a group");
+                    match comm.all_gather_f16(&shard16, &st.shard_counts()) {
+                        Ok(gathered) => {
+                            st.install_gathered(&gathered);
+                            st.write_dense_f32_params_into(p.value.as_mut_slice());
+                        }
+                        Err(e) => res = Err(e),
+                    }
+                } else {
+                    st.optimizer_step_fused(opt, inv_scale, p.value.as_mut_slice());
+                }
+                p.zero_grad();
+            });
+            res?;
+            self.end_phase(sp);
+            self.steps_taken += 1;
+        } else {
+            model.for_each_param_mut(&mut |p| p.zero_grad());
+            self.steps_skipped += 1;
+        }
+        if self.reports && telemetry::enabled() {
+            let world = self.reducer.comm().map_or(1, Communicator::world);
+            let phases = std::mem::take(&mut self.phases);
+            record_step(
+                self.labels,
+                proceed,
+                scale,
+                self.meta(),
+                &self.layers,
+                &self.opt,
+                world,
+                phases,
+            );
+        }
+        Ok(proceed)
+    }
+
+    /// Completes a training step after `model` has run forward/backward
+    /// with the loss multiplied by [`Self::loss_scale`].
+    pub(crate) fn step_after_backward(
+        &mut self,
+        model: &mut impl Layer,
+    ) -> Result<bool, CommsError> {
+        let finite = self.reduce_after_backward(model)?;
+        self.apply(model, finite)
+    }
+
+    /// Dynamic-sparsity hook: if the schedule fires at the current step
+    /// index, recompute each layer's mask from the dense weights and the
+    /// *grow score* — the f16-narrowed dense gradient, mean-reduced
+    /// across the group and widened back, i.e. exactly the values a
+    /// compressed ring would agree on, so every runtime ranks regrowth
+    /// candidates identically and no mask broadcast is needed — and
+    /// remap the compressed state in place. Runs before the
+    /// compress/verdict phase so the new mask's gradient slots are filled
+    /// by the normal compress whether or not the scaler skips the step:
+    /// the remap timeline is a pure function of the step index. When any
+    /// mask changes, every rank bumps the comms epoch in lockstep: the
+    /// compressed-gradient bucket layout is renegotiated and stale-epoch
+    /// buckets are dropped on receive.
+    fn maybe_remap(&mut self, model: &mut impl Layer) -> Result<(), CommsError> {
+        let t = self.step_index();
+        let Some(sched) = self
+            .schedule
+            .as_ref()
+            .filter(|s| s.is_update_step(t))
+            .cloned()
+        else {
+            return Ok(());
+        };
+        let sp = self.span(self.labels.remap);
+        let (layers, scratch, reducer) =
+            (&mut self.layers, &mut self.remap_scratch, &mut self.reducer);
+        let (mut i, mut moved, mut res) = (0, false, Ok(()));
+        model.for_each_param_mut(&mut |p| {
+            let (layer, sc) = (&mut layers[i], &mut scratch[i]);
+            i += 1;
+            if res.is_err() {
+                return;
+            }
+            let mut dense16: Vec<F16> = p
+                .grad
+                .as_slice()
+                .iter()
+                .map(|&g| F16::from_f32(g))
+                .collect();
+            if let Some(comm) = reducer.comm_mut() {
+                res = comm.allreduce_mean_f16(&mut dense16);
+                if res.is_err() {
+                    return;
+                }
+            }
+            sc.score.clear();
+            sc.score.extend(dense16.iter().map(|g| g.to_f32()));
+            let new_mask = sched.next_mask(t, p.value.as_slice(), &sc.score, layer.mask());
+            if &new_mask != layer.mask() {
+                res = remap_layer(layer, new_mask, sc, reducer.comm_mut());
+                layer.write_dense_f32_params_into(p.value.as_mut_slice());
+                moved = true;
+            }
+        });
+        res?;
+        assert_eq!(i, self.layers.len());
+        if moved {
+            self.remap_events += 1;
+            if let Some(comm) = self.reducer.comm_mut() {
+                comm.bump_epoch();
+            }
+            if self.reports && telemetry::enabled() {
+                let name = format!("{}.remap_events", self.labels.prefix);
+                telemetry::global().counter(&name).inc();
+            }
+        }
+        drop(sp);
+        Ok(())
+    }
+}
+
+/// Moves one layer's compressed state onto `new_mask`. A full state is
+/// remapped in place. A shard's bounds depend on `nnz`, so surviving
+/// values migrate between ranks: the full fp32 state is reassembled
+/// from every rank's `[θ32 | os]` segment over
+/// [`Communicator::all_gather_f32`], remapped, and cut again under the
+/// new bounds.
+fn remap_layer<T: Transport>(
+    layer: &mut SamoLayerState,
+    new_mask: Mask,
+    scratch: &mut RemapScratch,
+    comm: Option<&mut Communicator<T>>,
+) -> Result<(), CommsError> {
+    if !layer.is_sharded() {
+        layer.remap_compressed_state(new_mask, scratch);
+        return Ok(());
+    }
+    let mine = layer.shard_arrays();
+    let arrays = mine.len();
+    let lens = layer.shard_counts();
+    let counts: Vec<usize> = lens.iter().map(|n| n * arrays).collect();
+    let comm = comm.expect("a sharded state has a group");
+    let gathered = comm.all_gather_f32(&mine.concat(), &counts)?;
+    let mut rest = &gathered[..];
+    let shards: Vec<Vec<&[f32]>> = lens
+        .iter()
+        .map(|&n| {
+            let (seg, tail) = rest.split_at(n * arrays);
+            rest = tail;
+            (0..arrays).map(|a| &seg[a * n..(a + 1) * n]).collect()
+        })
+        .collect();
+    let mut full = layer.full_from_shards(&shards);
+    full.remap_compressed_state(new_mask, scratch);
+    let (shard_id, num_shards) = layer.shard();
+    *layer = full.into_shard(shard_id, num_shards);
+    Ok(())
+}
+
+/// One compressed layer state per parameter tensor of `model` (in
+/// `model.params()` order), as shard `shard_id` of `num_shards`. The
+/// model's parameters are pruned in place: the (pruned, fp16-rounded)
+/// values are loaded back into the compute model — forward/backward run
+/// on widened θ16.
+pub(crate) fn build_layers(
+    model: &mut impl Layer,
+    masks: &[Mask],
+    opt: &Optimizer,
+    shard_id: usize,
+    num_shards: usize,
+) -> Vec<SamoLayerState> {
+    let params = model.params_mut();
+    assert_eq!(
+        params.len(),
+        masks.len(),
+        "need exactly one mask per parameter tensor"
+    );
+    params
+        .into_iter()
+        .zip(masks)
+        .map(|(p, mask)| {
+            assert_eq!(
+                p.numel(),
+                mask.numel(),
+                "mask shape mismatch for {}",
+                p.name
+            );
+            let st = SamoLayerState::from_params_sharded(
+                p.value.as_slice(),
+                mask.clone(),
+                opt,
+                shard_id,
+                num_shards,
+            );
+            st.write_dense_f32_params_into(p.value.as_mut_slice());
+            st
+        })
+        .collect()
+}
+
+/// Panics unless every replica holds the same parameters as the first —
+/// data-parallel groups start from identical replicas.
+pub(crate) fn assert_replicas_agree<M: Layer>(replicas: &[M]) {
+    let first = replicas
+        .first()
+        .expect("a group needs at least one replica")
+        .params();
+    for (r, m) in replicas.iter().enumerate().skip(1) {
+        let params = m.params();
+        assert_eq!(
+            params.len(),
+            first.len(),
+            "replica {r} parameter count differs"
+        );
+        for (p, expect) in params.iter().zip(&first) {
+            assert_eq!(
+                p.value.as_slice(),
+                expect.value.as_slice(),
+                "replica {r} differs at init ({})",
+                p.name
+            );
+        }
+    }
+}
+
+/// Checks a loaded checkpoint against the runtime it is restored into:
+/// exactly `total` layers, and the mask shapes of the layers
+/// `off..off + have.len()` this rank holds.
+pub(crate) fn check_structure(
+    have: &[SamoLayerState],
+    checkpoint: &[SamoLayerState],
+    off: usize,
+    total: usize,
+) -> Result<(), String> {
+    if checkpoint.len() != total {
+        return Err(format!(
+            "checkpoint has {} layers, trainer has {total}",
+            checkpoint.len()
+        ));
+    }
+    for (new, old) in checkpoint[off..].iter().zip(have) {
+        if new.mask().shape() != old.mask().shape() {
+            return Err("checkpoint mask shape mismatch".into());
+        }
+    }
+    Ok(())
+}
+
+/// Replaces each of `states` by the matching full checkpoint layer, cut
+/// to the shard the state held, and writes the reconstructed parameters
+/// into `model` (gradients zeroed).
+pub(crate) fn install_layers(
+    states: &mut [SamoLayerState],
+    layers: impl Iterator<Item = SamoLayerState>,
+    model: &mut impl Layer,
+) -> Result<(), String> {
+    for ((st, layer), p) in states.iter_mut().zip(layers).zip(model.params_mut()) {
+        if p.numel() != layer.numel() {
+            return Err(format!("parameter {} size mismatch", p.name));
+        }
+        let (shard_id, num_shards) = st.shard();
+        *st = layer.into_shard(shard_id, num_shards);
+        st.write_dense_f32_params_into(p.value.as_mut_slice());
+        p.zero_grad();
+    }
+    Ok(())
+}
+
+/// The trainer-level state a v2 checkpoint carries.
+pub(crate) fn trainer_meta(
+    scaler: &LossScaler,
+    steps_taken: u64,
+    steps_skipped: u64,
+) -> TrainerMeta {
+    let snap = scaler.snapshot();
+    TrainerMeta {
+        loss_scale: snap.scale,
+        good_steps: snap.good_steps,
+        steps_taken,
+        steps_skipped,
+    }
+}
+
+/// Inverse of [`trainer_meta`]; a legacy v1 checkpoint has no meta and
+/// leaves everything untouched.
+pub(crate) fn apply_meta(
+    meta: Option<TrainerMeta>,
+    scaler: &mut LossScaler,
+    steps_taken: &mut u64,
+    steps_skipped: &mut u64,
+) {
+    if let Some(meta) = meta {
+        scaler.restore_state(LossScalerState {
+            scale: meta.loss_scale,
+            good_steps: meta.good_steps,
+        });
+        *steps_taken = meta.steps_taken;
+        *steps_skipped = meta.steps_skipped;
+    }
+}
+
+/// Cold path: metric/JSONL bookkeeping for one completed step of one
+/// rank holding `layers`, in a group of `world`. `meta` is the state
+/// *after* the verdict.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn record_step(
+    labels: &Labels,
+    applied: bool,
+    scale_used: f32,
+    meta: TrainerMeta,
+    layers: &[SamoLayerState],
+    opt: &Optimizer,
+    world: usize,
+    phases: Vec<(&'static str, f64)>,
+) {
+    let reg = telemetry::global();
+    let prefix = labels.prefix;
+    let verdict = if applied { "taken" } else { "skipped" };
+    reg.counter(&format!("{prefix}.steps_{verdict}")).inc();
+    reg.gauge(&format!("{prefix}.loss_scale"))
+        .set(f64::from(meta.loss_scale));
+    let Some(kind) = labels.kind else { return };
+    let numel = layers.iter().map(|l| l.numel()).sum::<usize>() as u64;
+    let nnz = layers.iter().map(|l| l.nnz()).sum::<usize>() as u64;
+    let bytes = layers.iter().map(|l| l.measured_bytes(true)).sum();
+    if let Some(gauge) = labels.state_gauge {
+        reg.gauge(gauge).set_max(bytes as f64);
+    }
+    let allreduce_bytes = if labels.ring {
+        let step_bytes = samo_ring_allreduce_bytes(nnz, world as u64);
+        reg.counter(&format!("{prefix}.allreduce_bytes"))
+            .add(step_bytes);
+        step_bytes
+    } else {
+        samo_allreduce_bytes(nnz)
+    };
+    // Shards carry per-rank remainders; the paper's closed form holds
+    // for a state that owns the whole compressed range.
+    let unsharded = !layers.iter().any(SamoLayerState::is_sharded);
+    telemetry::jsonl::emit_step(&telemetry::StepEvent {
+        kind,
+        step: meta.steps_taken + meta.steps_skipped - 1,
+        applied,
+        loss_scale: scale_used,
+        steps_taken: meta.steps_taken,
+        steps_skipped: meta.steps_skipped,
+        numel,
+        nnz,
+        model_state_bytes: bytes,
+        formula_state_bytes: unsharded.then(|| formula_state_bytes(opt, numel, nnz)),
+        allreduce_bytes,
+        phases,
+    });
+}

@@ -9,17 +9,41 @@
 //! bytes — then spend the savings on communication (smaller all-reduce
 //! messages; fewer pipeline stages).
 //!
+//! The data structure and its step:
+//!
 //! * [`compressed`] — compress / "expand" primitives,
-//! * [`memory`] — the Sec. III-D analytical model (Fig. 2) and byte-exact
-//!   accounting,
+//! * [`memory`] — the Sec. III-D analytical model (Fig. 2), its SGD and
+//!   ZeRO-sharded variants, and byte-exact accounting,
 //! * [`state`] — [`state::SamoLayerState`], the per-layer compressed
-//!   mixed-precision model state and its three-phase optimizer step,
-//! * [`trainer`] — whole-model SAMO training, the dense masked baseline
-//!   it is numerically equivalent to, and the compressed all-reduce,
+//!   mixed-precision model state (the whole compressed space or one
+//!   ZeRO-style shard of it), its fused and three-phase step kernels and
+//!   the dynamic-sparsity remap; [`sharded`] is its old second name,
+//! * [`engine`] — [`engine::StepEngine`], the one per-rank training step
+//!   (compress → reduce → verdict → optimizer → expand), generic over
+//!   how gradients are reduced.
+//!
+//! The runtimes that drive it (DESIGN.md §20):
+//!
+//! * [`trainer`] — [`SamoTrainer`], the engine on a single worker; the
+//!   dense masked baseline it is numerically equivalent to; the closed
+//!   forms of state bytes and all-reduce volume,
+//! * [`dist`] — [`DistDataParallel`], the engine reducing over any
+//!   `comms::Transport`, one rank per process,
+//! * [`threaded`] — [`ThreadedDataParallelSamo`], one engine per rank
+//!   thread with the ring overlapped with backward, and the thread
+//!   protocol both threaded runtimes share,
+//! * [`pipeline`] — [`ThreadedPipelineSamo`], the hybrid
+//!   `G_inter × G_data` 1F1B pipeline,
+//! * [`data_parallel`] — [`DataParallelSamo`], the sequential in-process
+//!   oracle the threaded runtimes are compared with.
+//!
+//! Keeping a run alive:
+//!
+//! * [`serialize`] — the CRC-validated v2 checkpoint format,
 //! * [`checkpoint`] — durable on-disk checkpointing (atomic writes,
-//!   CRC-validated v2 format, cadence + retention),
+//!   cadence + retention, publish markers),
 //! * [`sentinel`] — divergence detection driving checkpoint rollback.
-
+//!
 //! ```
 //! use nn::layer::Layer;
 //! // Prune a layer to 90% and train it with compressed model state.
@@ -40,6 +64,7 @@ pub mod checkpoint;
 pub mod compressed;
 pub mod data_parallel;
 pub mod dist;
+pub mod engine;
 pub mod memory;
 pub mod pipeline;
 pub mod sentinel;
@@ -54,13 +79,15 @@ pub use checkpoint::{
     CheckpointSubscriber,
 };
 pub use compressed::{compress_f16, compress_f32, expand_f16, expand_f32};
-pub use memory::{m_default_bytes, m_samo_bytes, samo_savings_fraction, SamoBreakdown};
+pub use memory::{
+    m_default_bytes, m_samo_bytes, m_samo_zero_bytes, samo_savings_fraction, SamoBreakdown,
+};
 pub use data_parallel::DataParallelSamo;
 pub use dist::DistDataParallel;
 pub use pipeline::{PipelineConfig, StageStats, ThreadedPipelineSamo};
 pub use sentinel::{DivergenceSentinel, SentinelConfig, Verdict};
 pub use serialize::TrainerMeta;
-pub use sharded::{m_samo_zero_bytes, ShardedSamoLayerState};
+pub use sharded::ShardedSamoLayerState;
 pub use state::SamoLayerState;
 pub use threaded::ThreadedDataParallelSamo;
 pub use trainer::{DenseMaskedTrainer, SamoTrainer};

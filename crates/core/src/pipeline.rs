@@ -15,8 +15,10 @@
 //!   per-step cross-stage overflow verdict;
 //! * a **data mesh** per stage (`world = G_data`) running the
 //!   compressed-`∇θ16` chunked ring all-reduce and the sharded
-//!   parameter all-gather, exactly as
-//!   [`crate::ThreadedDataParallelSamo`] does.
+//!   parameter all-gather — the stage's [`StepEngine`], exactly as in
+//!   [`crate::ThreadedDataParallelSamo`], whose thread protocol
+//!   (`RankGroup`) this runtime shares. What this file adds is the
+//!   1F1B scheduler.
 //!
 //! # Scheduling
 //!
@@ -40,8 +42,8 @@
 //! everywhere, which makes per-stage work uniform — the pipeline bench
 //! uses it to compare the measured bubble against Eq. 7.
 //!
-//! On the **last** microbatch the backward runs through
-//! [`Layer::backward_with_ready`], compressing each parameter bucket
+//! On the **last** microbatch the backward runs through the engine's
+//! [`Layer::backward_with_ready`] hook, compressing each parameter bucket
 //! and starting its ring on the data mesh as soon as its gradient is
 //! final — the all-reduce overlaps the backward tail, as in the
 //! data-parallel runtime.
@@ -50,7 +52,8 @@
 //!
 //! For any `(G_inter, G_data)` and any thread timing, checkpoint bytes
 //! equal a single-process [`crate::SamoTrainer`] driven with the same
-//! microbatches step for step (`tests/pipeline_threaded.rs`):
+//! microbatches step for step (`tests/pipeline_threaded.rs` at the
+//! repository root):
 //! forward/backward compose the same deterministic kernels, backward
 //! order per parameter is microbatch order everywhere, recomputation
 //! reproduces identical activations (stage blocks must be
@@ -58,7 +61,7 @@
 //! stateless layer), the ring mean is the exact-f64-sum rounding which
 //! is the identity at `G_data = 1` and exact for identical replicas,
 //! and the sharded optimizer path is bitwise-equal to the fused
-//! single-process kernels (`crate::sharded` tests).
+//! single-process kernels (`crate::state` tests).
 //!
 //! # Failure handling
 //!
@@ -69,15 +72,16 @@
 //! checkpoint on every rank, bumps both mesh epochs (discarding stale
 //! in-flight traffic) and barriers the group back together.
 
-use crate::sharded::ShardedSamoLayerState;
+use crate::engine::{assert_replicas_agree, Ring, StepEngine, PIPELINE};
+use crate::state::SamoLayerState;
+use crate::threaded::{relay_step_metrics, RankGroup, RankWorker};
 use comms::{CommsError, Communicator, FaultController, InProcTransport, Transport};
 use nn::layer::{Layer, Sequential};
-use nn::mixed::{LossScaler, LossScalerState, Optimizer};
+use nn::mixed::{LossScaler, Optimizer};
 use prune::Mask;
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use telemetry::json::Json;
 use tensor::f16::F16;
 use tensor::Tensor;
 
@@ -240,93 +244,33 @@ fn p2p_id(mb: usize, dir: u64) -> u64 {
     ((mb as u64) << 1) | dir
 }
 
-/// A rank whose step duration exceeds this multiple of the step median
-/// is reported as a straggler by rank (0,0)'s metrics aggregation.
-pub const STRAGGLER_FACTOR: f64 = 1.5;
-
-/// 16-byte wire record of one rank's step-duration snapshot:
-/// `stage: u32le | data_idx: u32le | dur_us: f64le`.
-fn encode_metric(stage: usize, data_idx: usize, dur_us: f64) -> Vec<u8> {
-    let mut b = Vec::with_capacity(16);
-    b.extend_from_slice(&(stage as u32).to_le_bytes());
-    b.extend_from_slice(&(data_idx as u32).to_le_bytes());
-    b.extend_from_slice(&dur_us.to_le_bytes());
-    b
-}
-
-/// Parses a batch of concatenated [`encode_metric`] records; trailing
-/// partial records (impossible from well-behaved peers) are dropped.
-fn decode_metrics(bytes: &[u8]) -> Vec<(usize, usize, f64)> {
-    bytes
-        .chunks_exact(16)
-        .map(|c| {
-            let stage = u32::from_le_bytes(c[0..4].try_into().unwrap()) as usize;
-            let data_idx = u32::from_le_bytes(c[4..8].try_into().unwrap()) as usize;
-            let dur = f64::from_le_bytes(c[8..16].try_into().unwrap());
-            (stage, data_idx, dur)
-        })
-        .collect()
-}
-
-type InspectFn = Box<dyn FnOnce(&mut Sequential, &Vec<ShardedSamoLayerState>) + Send>;
-
-enum Cmd {
-    Step {
-        input: InputFn,
-        loss_grad: LossGradFn,
-        step: u32,
-    },
-    SetScaler(LossScaler),
-    Snapshot,
-    Restore(Arc<Vec<u8>>),
-    Inspect(InspectFn),
-    Shutdown,
-}
-
-struct StepOutcome {
-    applied: bool,
-    finite: bool,
-}
-
-struct SnapshotData {
-    states: Vec<ShardedSamoLayerState>,
-    stats: StageStats,
-}
-
-enum Resp {
-    Step(Result<StepOutcome, CommsError>),
-    Snapshot(Box<SnapshotData>),
-    Restored(Result<(), String>),
-    Ack,
+/// What one pipelined step is told to do.
+#[derive(Clone)]
+struct StepJob {
+    input: InputFn,
+    loss_grad: LossGradFn,
+    step: u32,
 }
 
 /// Everything one `(stage, data_idx)` rank thread owns.
 struct StageRank {
     stage: usize,
     data_idx: usize,
-    g_inter: usize,
+    cfg: PipelineConfig,
     /// Global trace lane (`tid`) of this rank: unique across every
     /// pipeline group of the process, shared by the rank's pipeline
     /// slices (pid 3) and both communicators' comms slices (pid 2).
     lane: u64,
-    /// Index of this stage's first parameter in whole-model order.
+    /// Index of this stage's first parameter in whole-model order, and
+    /// the whole model's parameter count.
     param_off: usize,
+    params_total: usize,
     block: Sequential,
-    states: Vec<ShardedSamoLayerState>,
-    opt: Optimizer,
-    scaler: LossScaler,
+    /// The stage's state and step, reducing over the data mesh of this
+    /// stage (rank = data_idx).
+    engine: StepEngine<Ring<InProcTransport>>,
     /// Pipeline mesh of this data replica; rank = stage.
     pipe: Communicator<InProcTransport>,
-    /// Data mesh of this stage; rank = data_idx.
-    data: Communicator<InProcTransport>,
-    microbatches: usize,
-    mb_rows: usize,
-    max_in_flight: usize,
-    timeout: Duration,
-    force_recompute: bool,
-    poisoned: bool,
-    steps_taken: u64,
-    steps_skipped: u64,
     stats: StageStats,
     /// Boundary input per in-flight microbatch (recompute source).
     input_stash: Vec<Option<Tensor>>,
@@ -340,52 +284,28 @@ struct StageRank {
     rank_dur_stats: Vec<(f64, u64)>,
 }
 
-impl StageRank {
-    fn is_last(&self) -> bool {
-        self.stage + 1 == self.g_inter
+impl RankWorker for StageRank {
+    type Model = Sequential;
+    type Transport = InProcTransport;
+    type Job = StepJob;
+    type Stats = StageStats;
+
+    fn parts(&mut self) -> (&mut Sequential, &mut StepEngine<Ring<InProcTransport>>) {
+        (&mut self.block, &mut self.engine)
     }
 
-    fn trace_lane(&self) -> u64 {
-        self.lane
-    }
-
-    fn tensor_from_wire(&self, v: Vec<f32>) -> Result<Tensor, CommsError> {
-        if self.mb_rows == 0 || !v.len().is_multiple_of(self.mb_rows) {
-            return Err(CommsError::Mismatch(format!(
-                "boundary payload of {} values does not divide into {} rows",
-                v.len(),
-                self.mb_rows
-            )));
-        }
-        let cols = v.len() / self.mb_rows;
-        Ok(Tensor::from_vec(&[self.mb_rows, cols], v))
-    }
-
-    fn step(&mut self, input: &InputFn, loss_grad: &LossGradFn, step: u32) -> Result<StepOutcome, CommsError> {
-        if self.poisoned {
-            return Err(CommsError::Poisoned);
-        }
-        let res = self.step_inner(input, loss_grad, step);
-        self.poisoned |= res.is_err();
-        res
-    }
-
-    fn step_inner(
-        &mut self,
-        input: &InputFn,
-        loss_grad: &LossGradFn,
-        step: u32,
-    ) -> Result<StepOutcome, CommsError> {
+    fn step(&mut self, job: &StepJob) -> Result<bool, CommsError> {
         let tel = telemetry::enabled();
         // Step window start: the "step" slice recorded on completion
         // covers the scheduler loop plus the collective epilogue, so
         // the critical-path analyzer can attribute every compute/comm/
         // wait slice inside it to this training step.
         let win0 = tel.then(comms::trace::now_us);
-        let m = self.microbatches;
+        let m = self.cfg.microbatches;
         let s = self.stage;
         let last = self.is_last();
-        let scale_used = self.scaler.scale();
+        let step = job.step;
+        let scale_used = self.engine.loss_scale();
         self.input_stash = (0..m).map(|_| None).collect();
         self.y_stash = (0..m).map(|_| None).collect();
         self.cache_mb = None;
@@ -395,7 +315,6 @@ impl StageRank {
         let wall0 = Instant::now();
         let mut fwd_done = 0usize;
         let mut bwd_done = 0usize;
-        let mut ring_order: Vec<(u64, usize)> = Vec::with_capacity(self.states.len());
         let mut last_progress = Instant::now();
         while bwd_done < m {
             let mut progressed = false;
@@ -405,7 +324,7 @@ impl StageRank {
             let dy = if last {
                 (fwd_done > bwd_done).then(|| {
                     let y = self.y_stash[bwd_done].take().expect("output stashed");
-                    loss_grad(self.data_idx, bwd_done, &y, scale_used)
+                    (job.loss_grad)(self.data_idx, bwd_done, &y, scale_used)
                 })
             } else {
                 self.pipe
@@ -414,15 +333,15 @@ impl StageRank {
                     .transpose()?
             };
             if let Some(dy) = dy {
-                self.backward_mb(bwd_done, &dy, bwd_done + 1 == m, step, &mut ring_order, tel)?;
+                self.backward_mb(bwd_done, &dy, bwd_done + 1 == m, step, tel)?;
                 bwd_done += 1;
                 progressed = true;
             }
 
             // 2. Forward, inside the activation-memory window.
-            if !progressed && fwd_done < m && fwd_done < bwd_done + self.max_in_flight {
+            if !progressed && fwd_done < m && fwd_done < bwd_done + self.cfg.max_in_flight {
                 let x = if s == 0 {
-                    Some(input(self.data_idx, fwd_done))
+                    Some((job.input)(self.data_idx, fwd_done))
                 } else {
                     self.pipe
                         .try_recv_p2p(s - 1, p2p_id(fwd_done, DIR_ACT), step)?
@@ -442,14 +361,13 @@ impl StageRank {
                 // Keep any in-flight rings moving, then check the
                 // progress deadline: a dead neighbour must surface as a
                 // bounded Err, never a hang.
-                self.data.ring_pump()?;
-                if last_progress.elapsed() > self.timeout {
+                self.engine.pump()?;
+                if last_progress.elapsed() > self.cfg.timeout {
                     let from = if last { s.saturating_sub(1) } else { s + 1 };
                     if tel {
                         // The scheduler starved to its progress deadline:
                         // make the stall visible as a timed-out wait
                         // slice, like the blocking-recv deadline path.
-                        use telemetry::json::Json;
                         let t1 = comms::trace::now_us();
                         let stalled_us = last_progress.elapsed().as_secs_f64() * 1e6;
                         comms::trace::record_wait(
@@ -471,168 +389,97 @@ impl StageRank {
         self.stats.sched_wall_s += wall0.elapsed().as_secs_f64();
         self.stats.last_sched_end_us = comms::trace::now_us();
 
-        // Collective epilogue: finish the overlapped rings, install the
-        // reduced gradients, agree on the overflow verdict across
-        // stages, then shard-step + all-gather parameters.
-        self.data.ring_finish()?;
-        for (id, mean) in self.data.take_completed() {
-            let pi = ring_order
-                .iter()
-                .find(|(rid, _)| *rid == id)
-                .expect("completed ring was started by this step")
-                .1;
-            self.states[pi].grad16.copy_from_slice(&mean);
-        }
-        let local_finite = !self
-            .states
-            .iter()
-            .any(|st| st.grad16.iter().any(|g| !g.is_finite()));
-        // One f16 flag per stage; every stage of this replica sees the
-        // same flags, and replicas agree because the reduced gradient
-        // bits are identical — so every rank's scaler stays in lockstep.
+        // Collective epilogue: finish the overlapped rings and install
+        // the reduced gradients, agree on the overflow verdict across
+        // stages — one f16 flag per stage; every stage of this replica
+        // sees the same flags, and replicas agree because the reduced
+        // gradient bits are identical, so every rank's scaler stays in
+        // lockstep — then step the owned range and all-gather parameters.
+        let local_finite = self.engine.finish_reduce()?;
         let flag = F16::from_f32(if local_finite { 1.0 } else { 0.0 });
         let flags = self
             .pipe
-            .all_gather_f16(&[flag], &vec![1usize; self.g_inter])?;
+            .all_gather_f16(&[flag], &vec![1usize; self.cfg.g_inter])?;
         let finite = flags.iter().all(|f| f.to_f32() == 1.0);
-        let proceed = self.scaler.check_and_update(finite);
-        if !proceed {
-            self.block.zero_grad();
-            self.steps_skipped += 1;
-            if tel {
-                self.record_step(false);
-            }
-            if let Some(w0) = win0 {
-                self.finish_step_telemetry(step, w0);
-            }
-            return Ok(StepOutcome { applied: false, finite });
-        }
-
-        let world = self.data.world();
-        let inv = 1.0 / scale_used;
-        for pi in 0..self.states.len() {
-            let shard16 = self.states[pi].optimizer_step_shard(&self.opt, inv);
-            let counts: Vec<usize> = comms::segment_bounds(self.states[pi].nnz(), world)
-                .iter()
-                .map(|(lo, hi)| hi - lo)
-                .collect();
-            let gathered = self.data.all_gather_f16(&shard16, &counts)?;
-            self.states[pi].install_gathered(&gathered);
-        }
-        for (p, st) in self.block.params_mut().into_iter().zip(&self.states) {
-            st.write_dense_f32_params_into(p.value.as_mut_slice());
-            p.zero_grad();
-        }
-        self.steps_taken += 1;
-        if tel {
-            self.record_step(true);
-        }
+        let applied = self.engine.apply(&mut self.block, finite)?;
         if let Some(w0) = win0 {
             self.finish_step_telemetry(step, w0);
         }
-        Ok(StepOutcome { applied: true, finite })
+        Ok(applied)
+    }
+
+    /// Reloads this rank's stage slice of a full checkpoint, then
+    /// rejoins both meshes on fresh epochs.
+    fn restore(&mut self, checkpoint: &[u8]) -> Result<(), String> {
+        self.engine.restore_slice(
+            checkpoint,
+            &mut self.block,
+            self.param_off,
+            self.params_total,
+        )?;
+        // Discard stale in-flight traffic on both meshes and
+        // re-synchronize: every rank restores together, so epochs
+        // advance in lockstep; the barriers run pipe-then-data on every
+        // rank, and the meshes are disjoint, so no ordering deadlock.
+        let data = &mut self.engine.reducer.0;
+        self.pipe.bump_epoch();
+        data.bump_epoch();
+        self.pipe
+            .barrier()
+            .map_err(|e| format!("post-restore pipeline barrier failed: {e}"))?;
+        data.barrier()
+            .map_err(|e| format!("post-restore data barrier failed: {e}"))
+    }
+
+    fn stats(&self) -> StageStats {
+        let (pipe, data) = (self.pipe.transport(), self.engine.reducer.0.transport());
+        StageStats {
+            pipe_wire_bytes: pipe.bytes_sent(),
+            data_wire_bytes: data.bytes_sent(),
+            msgs_dropped: pipe.msgs_dropped() + data.msgs_dropped(),
+            ..self.stats
+        }
+    }
+}
+
+impl StageRank {
+    fn is_last(&self) -> bool {
+        self.stage + 1 == self.cfg.g_inter
+    }
+
+    fn tensor_from_wire(&self, v: Vec<f32>) -> Result<Tensor, CommsError> {
+        let rows = self.cfg.mb_rows;
+        if rows == 0 || !v.len().is_multiple_of(rows) {
+            return Err(CommsError::Mismatch(format!(
+                "boundary payload of {} values does not divide into {rows} rows",
+                v.len()
+            )));
+        }
+        let cols = v.len() / rows;
+        Ok(Tensor::from_vec(&[rows, cols], v))
     }
 
     /// Telemetry tail of a completed step: records this rank's step
-    /// window slice and runs the mesh-native metrics relay. Only called
+    /// window slice and runs the mesh-native metrics relay
+    /// ([`relay_step_metrics`]). Only called
     /// when telemetry is enabled and the step reached a verdict (error
     /// paths skip it — a dead rank's wait slices still tell the story).
     fn finish_step_telemetry(&mut self, step: u32, win0: f64) {
         let now = comms::trace::now_us();
         let dur_us = (now - win0).max(0.0);
-        let group = self.lane - (self.data_idx * self.g_inter + self.stage) as u64;
-        trace::record_step_window(self.trace_lane(), group, u64::from(step), win0, dur_us);
-        self.relay_step_metrics(step, dur_us);
+        let group = self.lane - (self.data_idx * self.cfg.g_inter + self.stage) as u64;
+        trace::record_step_window(self.lane, group, u64::from(step), win0, dur_us);
+        let place = (self.stage, self.cfg.g_inter);
+        let (data, rolling) = (&mut self.engine.reducer.0, &mut self.rank_dur_stats);
+        relay_step_metrics(step, dur_us, place, Some(&mut self.pipe), data, rolling);
     }
 
-    /// Mesh-native metrics aggregation: every rank ships its step
-    /// duration over the transport to rank (0,0), which folds rolling
-    /// per-rank stats, warns on stragglers, and emits one aggregated
-    /// `mesh_metrics` line into the metrics jsonl stream.
-    ///
-    /// Two hops: stages > 0 send to stage 0 over their replica's pipe
-    /// mesh; replicas > 0 relay their gathered batch to data rank 0
-    /// over the stage-0 data mesh. Delivery is best-effort
-    /// ([`Communicator::send_telemetry`] never poisons) — a lost
-    /// snapshot degrades the report, never the step.
-    fn relay_step_metrics(&mut self, step: u32, dur_us: f64) {
-        let g = self.g_inter;
-        let mine = encode_metric(self.stage, self.data_idx, dur_us);
-        if self.stage > 0 {
-            self.pipe.send_telemetry(0, self.stage as u64, step, mine);
-            return;
+    /// Records one forward/backward compute slice on this rank's lane.
+    fn record_mb_slice(&self, kind: char, mb: usize, ts: Option<f64>, dt: f64) {
+        if let Some(ts) = ts {
+            let args = vec![("mb".into(), Json::UInt(mb as u64))];
+            trace::record_slice(self.lane, format!("{kind}{mb}"), ts, dt * 1e6, args);
         }
-        let mut batch = mine;
-        for s in 1..g {
-            if let Some(b) = self.pipe.recv_telemetry(s, s as u64, step, self.timeout) {
-                batch.extend_from_slice(&b);
-            }
-        }
-        if self.data_idx > 0 {
-            self.data.send_telemetry(0, self.data_idx as u64, step, batch);
-            return;
-        }
-        let mut entries = decode_metrics(&batch);
-        for di in 1..self.data.world() {
-            if let Some(b) = self.data.recv_telemetry(di, di as u64, step, self.timeout) {
-                entries.extend(decode_metrics(&b));
-            }
-        }
-        self.aggregate_metrics(step, &entries);
-    }
-
-    /// Rank (0,0): fold one step's snapshots into the rolling per-rank
-    /// stats, flag stragglers (above [`STRAGGLER_FACTOR`] × the step
-    /// median), and emit the aggregated `mesh_metrics` jsonl line.
-    fn aggregate_metrics(&mut self, step: u32, entries: &[(usize, usize, f64)]) {
-        use telemetry::json::Json;
-        if entries.is_empty() {
-            return;
-        }
-        let g = self.g_inter;
-        let world = g * self.data.world();
-        if self.rank_dur_stats.len() != world {
-            self.rank_dur_stats = vec![(0.0, 0); world];
-        }
-        let mut durs: Vec<f64> = entries.iter().map(|e| e.2).collect();
-        durs.sort_by(f64::total_cmp);
-        let median = durs[durs.len() / 2];
-        let mut per_rank = Vec::with_capacity(entries.len());
-        let mut stragglers = Vec::new();
-        for &(s, di, dur) in entries {
-            let Some(cell) = self.rank_dur_stats.get_mut(di * g + s) else {
-                continue; // malformed snapshot; drop it
-            };
-            cell.0 += dur;
-            cell.1 += 1;
-            let mean = cell.0 / cell.1 as f64;
-            per_rank.push(Json::Obj(vec![
-                ("stage".into(), Json::UInt(s as u64)),
-                ("data".into(), Json::UInt(di as u64)),
-                ("dur_us".into(), Json::Num(dur)),
-                ("mean_us".into(), Json::Num(mean)),
-            ]));
-            if entries.len() > 1 && dur > STRAGGLER_FACTOR * median {
-                telemetry::log_warn!(
-                    "pipeline straggler: rank (s{s},d{di}) step {step} took {dur:.0}us ({:.2}x step median)",
-                    dur / median
-                );
-                stragglers.push(Json::Obj(vec![
-                    ("stage".into(), Json::UInt(s as u64)),
-                    ("data".into(), Json::UInt(di as u64)),
-                    ("ratio".into(), Json::Num(dur / median)),
-                ]));
-            }
-        }
-        telemetry::jsonl::emit_line(&Json::Obj(vec![
-            ("kind".into(), Json::from("mesh_metrics")),
-            ("step".into(), Json::UInt(u64::from(step))),
-            ("ranks".into(), Json::UInt(entries.len() as u64)),
-            ("median_us".into(), Json::Num(median)),
-            ("max_us".into(), Json::Num(durs[durs.len() - 1])),
-            ("per_rank".into(), Json::Arr(per_rank)),
-            ("stragglers".into(), Json::Arr(stragglers)),
-        ]));
     }
 
     fn forward_mb(&mut self, mb: usize, x: Tensor, step: u32, tel: bool) -> Result<(), CommsError> {
@@ -641,22 +488,18 @@ impl StageRank {
         let y = self.block.forward(&x);
         let dt = t0.elapsed().as_secs_f64();
         self.stats.fwd_s += dt;
-        if let Some(ts) = ts {
-            trace::record_slice(
-                self.trace_lane(),
-                format!("F{mb}"),
-                ts,
-                dt * 1e6,
-                vec![("mb".into(), telemetry::json::Json::UInt(mb as u64))],
-            );
-        }
+        self.record_mb_slice('F', mb, ts, dt);
         self.cache_mb = Some(mb);
         self.input_stash[mb] = Some(x);
         if self.is_last() {
             self.y_stash[mb] = Some(y);
         } else {
-            self.pipe
-                .send_p2p(self.stage + 1, p2p_id(mb, DIR_ACT), step, y.as_slice().to_vec())?;
+            self.pipe.send_p2p(
+                self.stage + 1,
+                p2p_id(mb, DIR_ACT),
+                step,
+                y.as_slice().to_vec(),
+            )?;
         }
         Ok(())
     }
@@ -667,12 +510,11 @@ impl StageRank {
         dy: &Tensor,
         last_mb: bool,
         step: u32,
-        ring_order: &mut Vec<(u64, usize)>,
         tel: bool,
     ) -> Result<(), CommsError> {
         let ts = tel.then(comms::trace::now_us);
         let t0 = Instant::now();
-        if self.force_recompute || self.cache_mb != Some(mb) {
+        if self.cfg.force_recompute || self.cache_mb != Some(mb) {
             // The activation caches belong to a different microbatch:
             // re-run the stage forward from the stashed boundary input.
             // Parameters are unchanged within a step, so the recompute
@@ -688,170 +530,23 @@ impl StageRank {
             // becomes final as its layer finishes backward — compress
             // and start its ring immediately so the all-reduce overlaps
             // the rest of the backward tail.
-            let states = &mut self.states;
-            let data = &mut self.data;
-            let mut comm_err: Option<CommsError> = None;
-            let dx = {
-                let comm_err = &mut comm_err;
-                let ring_order = &mut *ring_order;
-                self.block.backward_with_ready(dy, &mut |off, params| {
-                    if comm_err.is_some() {
-                        return; // finish backward, but stop talking
-                    }
-                    for (i, p) in params.iter().enumerate() {
-                        let pi = off + i;
-                        states[pi].compress_grad(p.grad.as_slice());
-                        match data.ring_start(states[pi].grad16.clone()) {
-                            Ok(id) => ring_order.push((id, pi)),
-                            Err(e) => {
-                                *comm_err = Some(e);
-                                return;
-                            }
-                        }
-                    }
-                    if let Err(e) = data.ring_pump() {
-                        *comm_err = Some(e);
-                    }
-                })
-            };
-            if let Some(e) = comm_err {
-                return Err(e);
-            }
-            dx
+            self.engine.backward_overlapped(&mut self.block, dy)?
         } else {
             self.block.backward(dy)
         };
         self.cache_mb = None;
         let dt = t0.elapsed().as_secs_f64();
         self.stats.bwd_s += dt;
-        if let Some(ts) = ts {
-            trace::record_slice(
-                self.trace_lane(),
-                format!("B{mb}"),
-                ts,
-                dt * 1e6,
-                vec![("mb".into(), telemetry::json::Json::UInt(mb as u64))],
-            );
-        }
+        self.record_mb_slice('B', mb, ts, dt);
         if self.stage > 0 {
-            self.pipe
-                .send_p2p(self.stage - 1, p2p_id(mb, DIR_GRAD), step, dx.as_slice().to_vec())?;
+            self.pipe.send_p2p(
+                self.stage - 1,
+                p2p_id(mb, DIR_GRAD),
+                step,
+                dx.as_slice().to_vec(),
+            )?;
         }
         Ok(())
-    }
-
-    /// Reloads this rank's stage slice of a full checkpoint, then
-    /// rejoins both meshes on fresh epochs.
-    fn restore(&mut self, checkpoint: &[u8]) -> Result<(), String> {
-        let (layers, meta) = crate::serialize::load_checkpoint(checkpoint, &self.opt)?;
-        let lo = self.param_off;
-        let hi = lo + self.states.len();
-        if layers.len() < hi {
-            return Err(format!(
-                "checkpoint has {} layers, stage {} needs {}..{}",
-                layers.len(),
-                self.stage,
-                lo,
-                hi
-            ));
-        }
-        let slice = &layers[lo..hi];
-        for (layer, st) in slice.iter().zip(&self.states) {
-            if layer.mask().shape() != st.mask().shape() {
-                return Err("checkpoint mask shape mismatch".into());
-            }
-        }
-        let d = self.data.world();
-        for ((st, layer), p) in self
-            .states
-            .iter_mut()
-            .zip(slice)
-            .zip(self.block.params_mut())
-        {
-            *st = ShardedSamoLayerState::from_full_layer(layer, &self.opt, self.data_idx, d);
-            st.write_dense_f32_params_into(p.value.as_mut_slice());
-            p.zero_grad();
-        }
-        if let Some(meta) = meta {
-            self.scaler.restore_state(LossScalerState {
-                scale: meta.loss_scale,
-                good_steps: meta.good_steps,
-            });
-            self.steps_taken = meta.steps_taken;
-            self.steps_skipped = meta.steps_skipped;
-        }
-        // Discard stale in-flight traffic on both meshes and
-        // re-synchronize: every rank restores together, so epochs
-        // advance in lockstep; the barriers run pipe-then-data on every
-        // rank, and the meshes are disjoint, so no ordering deadlock.
-        self.pipe.bump_epoch();
-        self.data.bump_epoch();
-        self.poisoned = false;
-        if let Err(e) = self.pipe.barrier() {
-            self.poisoned = true;
-            return Err(format!("post-restore pipeline barrier failed: {e}"));
-        }
-        if let Err(e) = self.data.barrier() {
-            self.poisoned = true;
-            return Err(format!("post-restore data barrier failed: {e}"));
-        }
-        if telemetry::enabled() && self.stage == 0 && self.data_idx == 0 {
-            telemetry::global().counter("samo.pipeline.recoveries").inc();
-        }
-        Ok(())
-    }
-
-    fn snapshot(&mut self) -> SnapshotData {
-        let mut stats = self.stats;
-        stats.pipe_wire_bytes = self.pipe.transport().bytes_sent();
-        stats.data_wire_bytes = self.data.transport().bytes_sent();
-        stats.msgs_dropped =
-            self.pipe.transport().msgs_dropped() + self.data.transport().msgs_dropped();
-        SnapshotData {
-            states: self.states.clone(),
-            stats,
-        }
-    }
-
-    /// Cold path: rank (0,0)'s metric bookkeeping for one step.
-    fn record_step(&self, applied: bool) {
-        if self.stage != 0 || self.data_idx != 0 {
-            return;
-        }
-        let reg = telemetry::global();
-        reg.counter(if applied {
-            "samo.pipeline.steps_taken"
-        } else {
-            "samo.pipeline.steps_skipped"
-        })
-        .inc();
-        reg.gauge("samo.pipeline.loss_scale")
-            .set(f64::from(self.scaler.scale()));
-    }
-}
-
-fn rank_loop(mut rk: StageRank, rx: Receiver<Cmd>, tx: Sender<Resp>) {
-    while let Ok(cmd) = rx.recv() {
-        let resp = match cmd {
-            Cmd::Step { input, loss_grad, step } => Resp::Step(rk.step(&input, &loss_grad, step)),
-            Cmd::SetScaler(s) => {
-                rk.scaler = s;
-                Resp::Ack
-            }
-            Cmd::Snapshot => Resp::Snapshot(Box::new(rk.snapshot())),
-            Cmd::Restore(ck) => Resp::Restored(rk.restore(&ck)),
-            Cmd::Inspect(f) => {
-                f(&mut rk.block, &rk.states);
-                Resp::Ack
-            }
-            Cmd::Shutdown => {
-                let _ = tx.send(Resp::Ack);
-                return;
-            }
-        };
-        if tx.send(resp).is_err() {
-            return;
-        }
     }
 }
 
@@ -863,23 +558,27 @@ fn rank_loop(mut rk: StageRank, rx: Receiver<Cmd>, tx: Sender<Resp>) {
 /// special case) and bitwise-equivalent to [`crate::SamoTrainer`].
 pub struct ThreadedPipelineSamo {
     cfg: PipelineConfig,
-    cmd: Vec<Sender<Cmd>>,
-    resp: Vec<Receiver<Resp>>,
-    handles: Vec<JoinHandle<()>>,
+    /// Rank `data_idx · g_inter + stage`.
+    group: RankGroup<Sequential, StepJob, StageStats>,
     /// One fault controller per data replica's pipeline mesh.
     pipe_faults: Vec<Arc<FaultController>>,
     /// One fault controller per stage's data mesh.
     data_faults: Vec<Arc<FaultController>>,
-    opt: Optimizer,
-    /// Mirror of the rank scalers (updated with the same verdicts).
-    scaler: LossScaler,
-    /// Parameters per stage, in stage order (checkpoint reassembly).
-    params_per_stage: Vec<usize>,
-    steps_taken: u64,
-    steps_skipped: u64,
     step_seq: u32,
-    numel: usize,
-    nnz: usize,
+}
+
+/// One in-process mesh of `world` endpoints per fault controller, each
+/// endpoint to be taken by the rank that owns it.
+fn meshes(faults: &[Arc<FaultController>], world: usize) -> Vec<Vec<Option<InProcTransport>>> {
+    faults
+        .iter()
+        .map(|f| {
+            InProcTransport::mesh_with_faults(world, Arc::clone(f))
+                .into_iter()
+                .map(Some)
+                .collect()
+        })
+        .collect()
 }
 
 impl ThreadedPipelineSamo {
@@ -887,77 +586,59 @@ impl ThreadedPipelineSamo {
     /// replicas (consumed and partitioned into `g_inter` stage blocks
     /// each) and one mask per parameter tensor, then spawns one thread
     /// per `(stage, data_idx)` rank.
-    pub fn new(replicas: Vec<Sequential>, masks: Vec<Mask>, opt: Optimizer, cfg: PipelineConfig) -> ThreadedPipelineSamo {
-        assert_eq!(replicas.len(), cfg.g_data, "one model replica per data rank");
+    pub fn new(
+        replicas: Vec<Sequential>,
+        masks: Vec<Mask>,
+        opt: Optimizer,
+        cfg: PipelineConfig,
+    ) -> ThreadedPipelineSamo {
+        assert_eq!(
+            replicas.len(),
+            cfg.g_data,
+            "one model replica per data rank"
+        );
         assert!(cfg.g_inter >= 1 && cfg.g_data >= 1);
         assert!(cfg.microbatches >= 1, "need at least one microbatch");
-        assert!(cfg.max_in_flight >= 1, "max_in_flight must admit one microbatch");
+        assert!(
+            cfg.max_in_flight >= 1,
+            "max_in_flight must admit one microbatch"
+        );
         let n_layers = replicas[0].len();
         assert!(
             n_layers >= cfg.g_inter,
             "cannot split {n_layers} layers into {} stages",
             cfg.g_inter
         );
-        {
-            let first: Vec<Vec<f32>> = replicas[0]
-                .params()
-                .iter()
-                .map(|p| p.value.as_slice().to_vec())
-                .collect();
-            assert_eq!(first.len(), masks.len(), "one mask per parameter");
-            for (r, m) in replicas.iter().enumerate().skip(1) {
-                assert_eq!(m.len(), n_layers, "replica {r} layer count differs");
-                for (p, expect) in m.params().iter().zip(&first) {
-                    assert_eq!(
-                        p.value.as_slice(),
-                        &expect[..],
-                        "replica {r} differs at init ({})",
-                        p.name
-                    );
-                }
-            }
+        for (r, m) in replicas.iter().enumerate() {
+            assert_eq!(m.len(), n_layers, "replica {r} layer count differs");
         }
+        assert_replicas_agree(&replicas);
+        assert_eq!(
+            replicas[0].params().len(),
+            masks.len(),
+            "one mask per parameter"
+        );
 
         // Meshes: one pipeline ring per data replica, one data ring per
         // stage. Each rank takes endpoint [stage] of its replica's pipe
         // mesh and endpoint [data_idx] of its stage's data mesh.
-        let pipe_faults: Vec<Arc<FaultController>> =
-            (0..cfg.g_data).map(|_| Arc::new(FaultController::new())).collect();
-        let data_faults: Vec<Arc<FaultController>> =
-            (0..cfg.g_inter).map(|_| Arc::new(FaultController::new())).collect();
-        let mut pipe_meshes: Vec<Vec<Option<InProcTransport>>> = pipe_faults
-            .iter()
-            .map(|f| {
-                InProcTransport::mesh_with_faults(cfg.g_inter, Arc::clone(f))
-                    .into_iter()
-                    .map(Some)
-                    .collect()
-            })
-            .collect();
-        let mut data_meshes: Vec<Vec<Option<InProcTransport>>> = data_faults
-            .iter()
-            .map(|f| {
-                InProcTransport::mesh_with_faults(cfg.g_data, Arc::clone(f))
-                    .into_iter()
-                    .map(Some)
-                    .collect()
-            })
-            .collect();
+        let new_faults = |n| {
+            (0..n)
+                .map(|_| Arc::new(FaultController::new()))
+                .collect::<Vec<_>>()
+        };
+        let (pipe_faults, data_faults) = (new_faults(cfg.g_data), new_faults(cfg.g_inter));
+        let mut pipe_meshes = meshes(&pipe_faults, cfg.g_inter);
+        let mut data_meshes = meshes(&data_faults, cfg.g_data);
 
         let bounds = comms::segment_bounds(n_layers, cfg.g_inter);
-        let scaler = LossScaler::default();
         // Trace lanes are process-global so two groups alive in one
         // session (e.g. the bench sweeping pipeline depths) never share
         // a `tid` row in the combined trace.
         use std::sync::atomic::{AtomicU64, Ordering};
         static NEXT_LANE: AtomicU64 = AtomicU64::new(0);
         let lane_base = NEXT_LANE.fetch_add((cfg.g_inter * cfg.g_data) as u64, Ordering::Relaxed);
-        let mut params_per_stage = vec![0usize; cfg.g_inter];
-        let mut numel = 0usize;
-        let mut nnz = 0usize;
-        let mut cmd = Vec::with_capacity(cfg.g_inter * cfg.g_data);
-        let mut resp = Vec::with_capacity(cfg.g_inter * cfg.g_data);
-        let mut handles = Vec::with_capacity(cfg.g_inter * cfg.g_data);
+        let mut workers = Vec::with_capacity(cfg.g_inter * cfg.g_data);
         for (data_idx, replica) in replicas.into_iter().enumerate() {
             let mut layers = replica.into_layers();
             // Split back-to-front so earlier bounds stay valid.
@@ -969,54 +650,34 @@ impl ThreadedPipelineSamo {
             let mut param_off = 0usize;
             for (stage, mut block) in blocks.into_iter().enumerate() {
                 let n_params = block.params().len();
-                if data_idx == 0 {
-                    params_per_stage[stage] = n_params;
-                }
-                let stage_masks = &masks[param_off..param_off + n_params];
-                let mut states = Vec::with_capacity(n_params);
-                for (p, mask) in block.params_mut().into_iter().zip(stage_masks) {
-                    assert_eq!(p.numel(), mask.numel(), "mask shape mismatch for {}", p.name);
-                    let st = ShardedSamoLayerState::from_params(
-                        p.value.as_slice(),
-                        mask.clone(),
-                        &opt,
-                        data_idx,
-                        cfg.g_data,
-                    );
-                    st.write_dense_f32_params_into(p.value.as_mut_slice());
-                    states.push(st);
-                }
-                if data_idx == 0 {
-                    numel += states.iter().map(|s| s.numel()).sum::<usize>();
-                    nnz += states.iter().map(|s| s.nnz()).sum::<usize>();
-                }
                 let pipe_t = pipe_meshes[data_idx][stage].take().expect("pipe endpoint");
                 let data_t = data_meshes[stage][data_idx].take().expect("data endpoint");
                 let lane = lane_base + (data_idx * cfg.g_inter + stage) as u64;
+                let comm = |t| {
+                    Communicator::new(t)
+                        .with_timeout(cfg.timeout)
+                        .with_trace_lane(lane)
+                };
+                let mut engine = StepEngine::build(
+                    &mut block,
+                    &masks[param_off..param_off + n_params],
+                    opt.clone(),
+                    Ring(comm(data_t)),
+                    true,
+                    &PIPELINE,
+                );
+                // Rank (0,0) reports for the group.
+                engine.reports &= stage == 0;
                 let rk = StageRank {
                     stage,
                     data_idx,
-                    g_inter: cfg.g_inter,
+                    cfg: cfg.clone(),
                     lane,
                     param_off,
+                    params_total: masks.len(),
                     block,
-                    states,
-                    opt: opt.clone(),
-                    scaler: scaler.clone(),
-                    pipe: Communicator::new(pipe_t)
-                        .with_timeout(cfg.timeout)
-                        .with_trace_lane(lane),
-                    data: Communicator::new(data_t)
-                        .with_timeout(cfg.timeout)
-                        .with_trace_lane(lane),
-                    microbatches: cfg.microbatches,
-                    mb_rows: cfg.mb_rows,
-                    max_in_flight: cfg.max_in_flight,
-                    timeout: cfg.timeout,
-                    force_recompute: cfg.force_recompute,
-                    poisoned: false,
-                    steps_taken: 0,
-                    steps_skipped: 0,
+                    engine,
+                    pipe: comm(pipe_t),
                     stats: StageStats::default(),
                     input_stash: Vec::new(),
                     y_stash: Vec::new(),
@@ -1024,33 +685,15 @@ impl ThreadedPipelineSamo {
                     rank_dur_stats: Vec::new(),
                 };
                 param_off += n_params;
-                let (ctx, crx) = channel::<Cmd>();
-                let (rtx, rrx) = channel::<Resp>();
-                handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("samo-pp-s{stage}d{data_idx}"))
-                        .spawn(move || rank_loop(rk, crx, rtx))
-                        .expect("spawn stage thread"),
-                );
-                cmd.push(ctx);
-                resp.push(rrx);
+                workers.push((format!("samo-pp-s{stage}d{data_idx}"), rk));
             }
         }
         ThreadedPipelineSamo {
+            group: RankGroup::spawn(workers, cfg.g_inter),
             cfg,
-            cmd,
-            resp,
-            handles,
             pipe_faults,
             data_faults,
-            opt,
-            scaler,
-            params_per_stage,
-            steps_taken: 0,
-            steps_skipped: 0,
             step_seq: 0,
-            numel,
-            nnz,
         }
     }
 
@@ -1078,40 +721,32 @@ impl ThreadedPipelineSamo {
 
     /// Current loss scale (the loss-gradient closure receives it).
     pub fn loss_scale(&self) -> f32 {
-        self.scaler.scale()
+        self.group.meta.loss_scale
     }
 
     /// Applied steps.
     pub fn steps_taken(&self) -> u64 {
-        self.steps_taken
+        self.group.meta.steps_taken
     }
 
     /// Steps skipped on gradient overflow (all ranks skip together).
     pub fn steps_skipped(&self) -> u64 {
-        self.steps_skipped
+        self.group.meta.steps_skipped
     }
 
     /// Total parameters φ (per replica).
     pub fn numel(&self) -> usize {
-        self.numel
+        self.group.numel
     }
 
     /// Unpruned parameters fφ (per replica).
     pub fn nnz(&self) -> usize {
-        self.nnz
+        self.group.nnz
     }
 
     /// Replaces the loss scaler on every rank (and the mirror).
     pub fn set_scaler(&mut self, scaler: LossScaler) {
-        self.scaler = scaler.clone();
-        for tx in &self.cmd {
-            tx.send(Cmd::SetScaler(scaler.clone())).expect("rank thread alive");
-        }
-        for rx in &self.resp {
-            let Ok(Resp::Ack) = rx.recv() else {
-                panic!("rank thread died during set_scaler");
-            };
-        }
+        self.group.set_scaler(scaler);
     }
 
     /// Runs one pipelined training step. `input(data_idx, mb)` feeds
@@ -1124,46 +759,13 @@ impl ThreadedPipelineSamo {
         input: impl Fn(usize, usize) -> Tensor + Send + Sync + 'static,
         loss_grad: impl Fn(usize, usize, &Tensor, f32) -> Tensor + Send + Sync + 'static,
     ) -> Result<bool, String> {
-        let input: InputFn = Arc::new(input);
-        let loss_grad: LossGradFn = Arc::new(loss_grad);
         let step = self.step_seq;
         self.step_seq = self.step_seq.wrapping_add(1);
-        for tx in &self.cmd {
-            tx.send(Cmd::Step {
-                input: Arc::clone(&input),
-                loss_grad: Arc::clone(&loss_grad),
-                step,
-            })
-            .map_err(|_| "a rank thread died".to_string())?;
-        }
-        let mut outcomes = Vec::with_capacity(self.cmd.len());
-        let mut errors = Vec::new();
-        for (i, rx) in self.resp.iter().enumerate() {
-            let (stage, data_idx) = (i % self.cfg.g_inter, i / self.cfg.g_inter);
-            match rx.recv() {
-                Ok(Resp::Step(Ok(o))) => outcomes.push(o),
-                Ok(Resp::Step(Err(e))) => errors.push(format!("stage {stage} (data {data_idx}): {e}")),
-                Ok(_) => errors.push(format!("stage {stage} (data {data_idx}): protocol confusion")),
-                Err(_) => errors.push(format!("stage {stage} (data {data_idx}): thread died")),
-            }
-        }
-        if !errors.is_empty() {
-            return Err(errors.join("; "));
-        }
-        let applied = outcomes[0].applied;
-        let finite = outcomes[0].finite;
-        debug_assert!(
-            outcomes.iter().all(|o| o.applied == applied && o.finite == finite),
-            "ranks must agree on the step verdict"
-        );
-        // Keep the mirror scaler in lockstep with the rank replicas.
-        let _ = self.scaler.check_and_update(finite);
-        if applied {
-            self.steps_taken += 1;
-        } else {
-            self.steps_skipped += 1;
-        }
-        Ok(applied)
+        self.group.step(StepJob {
+            input: Arc::new(input),
+            loss_grad: Arc::new(loss_grad),
+            step,
+        })
     }
 
     /// Serializes the group as one topology-independent v2 checkpoint:
@@ -1171,66 +773,20 @@ impl ThreadedPipelineSamo {
     /// concatenated in model order, so the bytes equal what a
     /// single-process [`crate::SamoTrainer`] in the same state saves.
     pub fn save(&mut self) -> bytes::Bytes {
-        let snaps = self.snapshot_all();
-        let g_inter = self.cfg.g_inter;
-        let mut layers: Vec<crate::state::SamoLayerState> = Vec::new();
-        for (stage, &n_params) in self.params_per_stage.iter().enumerate() {
-            for li in 0..n_params {
-                let ranks: Vec<&ShardedSamoLayerState> = (0..self.cfg.g_data)
-                    .map(|d| &snaps[d * g_inter + stage].states[li])
-                    .collect();
-                layers.push(ShardedSamoLayerState::to_full_layer(&ranks, &self.opt));
-            }
-        }
-        let snap = self.scaler.snapshot();
-        let meta = crate::serialize::TrainerMeta {
-            loss_scale: snap.scale,
-            good_steps: snap.good_steps,
-            steps_taken: self.steps_taken,
-            steps_skipped: self.steps_skipped,
-        };
-        crate::serialize::save_checkpoint(&layers, &meta)
+        self.group.save()
     }
 
     /// Restores a checkpoint on every rank and re-synchronizes the
     /// group (fresh epochs on both meshes + barriers). The recovery
     /// path after a failed step: heal the faulted links first.
     pub fn restore(&mut self, checkpoint: &[u8]) -> Result<(), String> {
-        let ck = Arc::new(checkpoint.to_vec());
-        for tx in &self.cmd {
-            tx.send(Cmd::Restore(Arc::clone(&ck)))
-                .map_err(|_| "a rank thread died".to_string())?;
-        }
-        let mut errors = Vec::new();
-        for (i, rx) in self.resp.iter().enumerate() {
-            let (stage, data_idx) = (i % self.cfg.g_inter, i / self.cfg.g_inter);
-            match rx.recv() {
-                Ok(Resp::Restored(Ok(()))) => {}
-                Ok(Resp::Restored(Err(e))) => errors.push(format!("stage {stage} (data {data_idx}): {e}")),
-                Ok(_) => errors.push(format!("stage {stage} (data {data_idx}): protocol confusion")),
-                Err(_) => errors.push(format!("stage {stage} (data {data_idx}): thread died")),
-            }
-        }
-        if !errors.is_empty() {
-            return Err(errors.join("; "));
-        }
-        // Re-sync the mirror from the checkpoint's own metadata.
-        let (_, meta) = crate::serialize::load_checkpoint(checkpoint, &self.opt)?;
-        if let Some(meta) = meta {
-            self.scaler.restore_state(LossScalerState {
-                scale: meta.loss_scale,
-                good_steps: meta.good_steps,
-            });
-            self.steps_taken = meta.steps_taken;
-            self.steps_skipped = meta.steps_skipped;
-        }
-        Ok(())
+        self.group.restore(checkpoint)
     }
 
     /// Per-rank scheduler statistics in rank order
     /// (`data_idx · g_inter + stage`).
     pub fn stage_stats(&mut self) -> Vec<StageStats> {
-        self.snapshot_all().into_iter().map(|s| s.stats).collect()
+        self.group.snapshot_all().into_iter().map(|s| s.1).collect()
     }
 
     /// Runs `f` on rank `(stage, data_idx)`'s thread with exclusive
@@ -1238,43 +794,8 @@ impl ThreadedPipelineSamo {
     pub fn with_rank<R, F>(&mut self, stage: usize, data_idx: usize, f: F) -> R
     where
         R: Send + 'static,
-        F: FnOnce(&mut Sequential, &[ShardedSamoLayerState]) -> R + Send + 'static,
+        F: FnOnce(&mut Sequential, &[SamoLayerState]) -> R + Send + 'static,
     {
-        let i = data_idx * self.cfg.g_inter + stage;
-        let (tx, rx) = channel();
-        self.cmd[i]
-            .send(Cmd::Inspect(Box::new(move |block, states| {
-                let _ = tx.send(f(block, states));
-            })))
-            .expect("rank thread alive");
-        let out = rx.recv().expect("inspect reply");
-        let Ok(Resp::Ack) = self.resp[i].recv() else {
-            panic!("rank thread died during inspect");
-        };
-        out
-    }
-
-    fn snapshot_all(&mut self) -> Vec<SnapshotData> {
-        for tx in &self.cmd {
-            tx.send(Cmd::Snapshot).expect("rank thread alive");
-        }
-        self.resp
-            .iter()
-            .map(|rx| match rx.recv() {
-                Ok(Resp::Snapshot(s)) => *s,
-                _ => panic!("rank thread died during snapshot"),
-            })
-            .collect()
-    }
-}
-
-impl Drop for ThreadedPipelineSamo {
-    fn drop(&mut self) {
-        for tx in &self.cmd {
-            let _ = tx.send(Cmd::Shutdown);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        self.group.with_rank(data_idx * self.cfg.g_inter + stage, f)
     }
 }

@@ -13,11 +13,27 @@
 //! | `∇θ16`   | compressed  | `2fφ` B   |
 //! | `∇θ32`   | compressed  | `4fφ` B   |
 //! | `os`     | compressed  | `8fφ` B   |
+//!
+//! # ZeRO-style sharding — an extension beyond the paper
+//!
+//! The paper compares against DeepSpeed's ZeRO optimizer (Rajbhandari et
+//! al.), which shards optimizer state across data-parallel ranks, but
+//! never composes the two ideas. They compose naturally: of `d` ranks,
+//! each holds the full dense `θ16`, the full index and the full `∇θ16`
+//! (the all-reduce input), but only its contiguous range `[lo, hi)` of
+//! the compressed `θ32`, `∇θ32` and `os`. Per rank that is
+//! `M = 2φ + 6fφ + 18fφ/d` ([`crate::memory::m_samo_zero_bytes`]); at
+//! `d = 1` the range is the whole compressed space and the state is
+//! byte for byte the paper's. After the gradient all-reduce every rank
+//! runs the optimizer on its range only
+//! ([`SamoLayerState::optimizer_step_shard`]); the updated compressed fp16
+//! parameters are all-gathered and expanded into every rank's `θ16`
+//! ([`SamoLayerState::install_gathered`]).
 
 use crate::compressed::{compress_f32, expand_f16_into, expand_f16_over_zeroed, SyncPtr};
 use crate::memory::SamoBreakdown;
 use nn::mixed::{OptState, Optimizer};
-use nn::optim::{adam_bias_corrections, adam_update, sgd_update};
+use nn::optim::{adam_bias_corrections, adam_update, sgd_update, AdamState, SgdState};
 use prune::Mask;
 use std::sync::atomic::{AtomicBool, Ordering};
 use tensor::f16::{to_f32_table, F16};
@@ -28,46 +44,97 @@ use tensor::simd;
 /// chunk that fork–join overhead stays negligible.
 const STEP_MIN_CHUNK: usize = 32 * 1024;
 
-/// SAMO-compressed mixed-precision model state for one layer.
+/// SAMO-compressed mixed-precision model state for one layer: shard
+/// `shard_id` of `num_shards` of the fp32 tensors (the whole compressed
+/// space when `num_shards == 1`).
 #[derive(Clone, Debug)]
 pub struct SamoLayerState {
     mask: Mask,
+    shard_id: usize,
+    num_shards: usize,
     /// Dense fp16 parameters — zeros explicitly present at pruned
-    /// positions so dense kernels apply directly.
+    /// positions so dense kernels apply directly. Full on every shard.
     pub theta16: Vec<F16>,
-    /// Compressed fp32 master parameters (length = nnz).
+    /// Compressed fp32 master parameters over the owned range.
     pub theta32: Vec<f32>,
-    /// Compressed fp16 gradients.
+    /// Compressed fp16 gradients (length = nnz on every shard: the
+    /// input to the all-reduce).
     pub grad16: Vec<F16>,
-    /// Compressed fp32 gradients.
+    /// Compressed fp32 gradients over the owned range.
     pub grad32: Vec<f32>,
-    /// Compressed optimizer state.
+    /// Compressed optimizer state over the owned range.
     pub os: OptState,
 }
 
+/// Contiguous bounds of part `r` of `d` over `n` elements — the same
+/// partition as [`comms::segment_bounds`], which sizes the all-gather.
+fn shard_bounds(n: usize, r: usize, d: usize) -> (usize, usize) {
+    let base = n / d;
+    let extra = n % d;
+    let lo = r * base + r.min(extra);
+    (lo, lo + base + usize::from(r < extra))
+}
+
+/// The per-parameter arrays of an optimizer state: Adam's `m` and `v`,
+/// SGD's velocity.
+fn os_arrays(os: &OptState) -> [Option<&Vec<f32>>; 2] {
+    match os {
+        OptState::Adam(a) => [Some(&a.m), Some(&a.v)],
+        OptState::Sgd(s) => [Some(&s.velocity), None],
+    }
+}
+
+/// Mutable counterpart of [`os_arrays`].
+fn os_arrays_mut(os: &mut OptState) -> [Option<&mut Vec<f32>>; 2] {
+    match os {
+        OptState::Adam(a) => [Some(&mut a.m), Some(&mut a.v)],
+        OptState::Sgd(s) => [Some(&mut s.velocity), None],
+    }
+}
+
+/// The dense `θ16` of a full compressed `θ32`: narrow, then expand.
+fn dense_theta16(theta32: &[f32], mask: &Mask) -> Vec<F16> {
+    let mut temp16 = vec![F16::ZERO; theta32.len()];
+    tensor::f16::narrow_slice(theta32, &mut temp16);
+    let mut theta16 = vec![F16::ZERO; mask.numel()];
+    expand_f16_over_zeroed(&temp16, mask, &mut theta16);
+    theta16
+}
+
 impl SamoLayerState {
-    /// Builds the state from dense fp32 parameter values and a pruning
-    /// mask. Values at pruned positions are discarded (set to zero in the
-    /// dense θ16, absent in compressed tensors).
+    /// Builds the full (unsharded) state from dense fp32 parameter values
+    /// and a pruning mask. Values at pruned positions are discarded (set
+    /// to zero in the dense θ16, absent in compressed tensors).
     pub fn from_params(values: &[f32], mask: Mask, opt: &Optimizer) -> SamoLayerState {
+        SamoLayerState::from_params_sharded(values, mask, opt, 0, 1)
+    }
+
+    /// Builds shard `shard_id` of `num_shards` from dense parameter
+    /// values and the pruning mask.
+    pub fn from_params_sharded(
+        values: &[f32],
+        mask: Mask,
+        opt: &Optimizer,
+        shard_id: usize,
+        num_shards: usize,
+    ) -> SamoLayerState {
+        assert!(shard_id < num_shards, "shard {shard_id} of {num_shards}");
         assert_eq!(values.len(), mask.numel());
-        let theta32 = compress_f32(values, &mask);
-        let mut temp16 = vec![F16::ZERO; theta32.len()];
-        tensor::f16::narrow_slice(&theta32, &mut temp16);
-        let mut theta16 = vec![F16::ZERO; values.len()];
-        expand_f16_over_zeroed(&temp16, &mask, &mut theta16);
-        let nnz = mask.nnz();
+        let compressed = compress_f32(values, &mask);
+        let (lo, hi) = shard_bounds(compressed.len(), shard_id, num_shards);
         SamoLayerState {
+            theta16: dense_theta16(&compressed, &mask),
+            theta32: compressed[lo..hi].to_vec(),
+            grad16: vec![F16::ZERO; compressed.len()],
+            grad32: vec![0.0; hi - lo],
+            os: OptState::new(opt, hi - lo),
             mask,
-            theta16,
-            theta32,
-            grad16: vec![F16::ZERO; nnz],
-            grad32: vec![0.0; nnz],
-            os: OptState::new(opt, nnz),
+            shard_id,
+            num_shards,
         }
     }
 
-    /// Reassembles a state from checkpointed parts (see
+    /// Reassembles a full state from checkpointed parts (see
     /// `crate::serialize`): the dense θ16 is reconstructed from the
     /// compressed θ32, and ∇θ32 is transient (rebuilt on the next step).
     pub(crate) fn from_parts(
@@ -78,19 +145,101 @@ impl SamoLayerState {
     ) -> SamoLayerState {
         assert_eq!(theta32.len(), mask.nnz());
         assert_eq!(grad16.len(), mask.nnz());
-        let mut temp16 = vec![F16::ZERO; theta32.len()];
-        tensor::f16::narrow_slice(&theta32, &mut temp16);
-        let mut theta16 = vec![F16::ZERO; mask.numel()];
-        expand_f16_over_zeroed(&temp16, &mask, &mut theta16);
-        let nnz = mask.nnz();
         SamoLayerState {
-            theta16,
+            theta16: dense_theta16(&theta32, &mask),
+            grad32: vec![0.0; theta32.len()],
             theta32,
             grad16,
-            grad32: vec![0.0; nnz],
             os,
             mask,
+            shard_id: 0,
+            num_shards: 1,
         }
+    }
+
+    /// Cuts a full state (e.g. one loaded from a checkpoint) down to
+    /// shard `shard_id` of `num_shards` — the recovery path of a lost
+    /// rank, and the re-shard after a mask change. Exactly inverts
+    /// [`Self::to_full_layer`]; `num_shards == 1` returns `self`.
+    pub fn into_shard(mut self, shard_id: usize, num_shards: usize) -> SamoLayerState {
+        assert_eq!(self.num_shards, 1, "only a full state can be sharded");
+        assert!(shard_id < num_shards, "shard {shard_id} of {num_shards}");
+        if num_shards > 1 {
+            let (lo, hi) = shard_bounds(self.nnz(), shard_id, num_shards);
+            self.theta32 = self.theta32[lo..hi].to_vec();
+            self.grad32 = vec![0.0; hi - lo];
+            for a in os_arrays_mut(&mut self.os).into_iter().flatten() {
+                *a = a[lo..hi].to_vec();
+            }
+            (self.shard_id, self.num_shards) = (shard_id, num_shards);
+        }
+        self
+    }
+
+    /// This shard's fp32 arrays in wire order: `θ32`, then the optimizer
+    /// moments — one rank's contribution to [`Self::full_from_shards`].
+    pub(crate) fn shard_arrays(&self) -> Vec<&[f32]> {
+        let moments = os_arrays(&self.os).into_iter().flatten();
+        std::iter::once(&self.theta32)
+            .chain(moments)
+            .map(Vec::as_slice)
+            .collect()
+    }
+
+    /// Rebuilds the full state from every rank's [`Self::shard_arrays`],
+    /// in rank order: the shards are contiguous and partition the
+    /// compressed space, so concatenation recovers exactly the state an
+    /// unsharded layer would hold. `self` supplies what every rank holds
+    /// in full (mask, `∇θ16`, Adam's step count).
+    pub(crate) fn full_from_shards(&self, shards: &[Vec<&[f32]>]) -> SamoLayerState {
+        let cat = |a: usize| -> Vec<f32> { shards.iter().flat_map(|s| s[a]).copied().collect() };
+        let os = match &self.os {
+            OptState::Adam(st) => OptState::Adam(AdamState {
+                m: cat(1),
+                v: cat(2),
+                step: st.step,
+            }),
+            OptState::Sgd(_) => OptState::Sgd(SgdState { velocity: cat(1) }),
+        };
+        SamoLayerState::from_parts(self.mask.clone(), cat(0), self.grad16.clone(), os)
+    }
+
+    /// Reassembles the full compressed layer state for one parameter
+    /// from every rank's shard, for checkpointing. `ranks` must hold one
+    /// state per rank, in rank order, all for the same parameter tensor.
+    pub fn to_full_layer(ranks: &[&SamoLayerState]) -> SamoLayerState {
+        let first = ranks.first().expect("need at least one shard");
+        assert_eq!(ranks.len(), first.num_shards, "one state per rank");
+        for (r, st) in ranks.iter().enumerate() {
+            assert_eq!(st.shard_id, r, "ranks must be in order");
+            assert_eq!(st.mask, first.mask, "shards of different tensors");
+        }
+        let shards: Vec<_> = ranks.iter().map(|st| st.shard_arrays()).collect();
+        first.full_from_shards(&shards)
+    }
+
+    /// `(shard_id, num_shards)`.
+    pub fn shard(&self) -> (usize, usize) {
+        (self.shard_id, self.num_shards)
+    }
+
+    /// Whether this state owns only part of the compressed range.
+    pub fn is_sharded(&self) -> bool {
+        self.num_shards > 1
+    }
+
+    /// This shard's bounds `[lo, hi)` within the compressed space.
+    pub fn shard_range(&self) -> (usize, usize) {
+        shard_bounds(self.nnz(), self.shard_id, self.num_shards)
+    }
+
+    /// Length of every shard's range, in rank order (the all-gather's
+    /// `counts`).
+    pub fn shard_counts(&self) -> Vec<usize> {
+        (0..self.num_shards)
+            .map(|r| shard_bounds(self.nnz(), r, self.num_shards))
+            .map(|(lo, hi)| hi - lo)
+            .collect()
     }
 
     /// The layer's pruning mask.
@@ -118,13 +267,6 @@ impl SamoLayerState {
         for (g16, &i) in self.grad16.iter_mut().zip(ind.iter()) {
             *g16 = F16::from_f32(dense_scaled_grad[i as usize]);
         }
-    }
-
-    /// Accumulate a *compressed* fp32 gradient directly (used by the
-    /// data-parallel all-reduce path, which sums compressed tensors).
-    pub fn set_compressed_grad16(&mut self, compressed: &[F16]) {
-        assert_eq!(compressed.len(), self.nnz());
-        self.grad16.copy_from_slice(compressed);
     }
 
     /// True if any stored fp16 gradient is non-finite (loss-scaler check).
@@ -178,8 +320,9 @@ impl SamoLayerState {
     /// bitwise-determinism argument of DESIGN.md §16 at risk for no
     /// measured win.
     ///
-    /// Precondition: `dense_out` and `θ16` are already zero at every
-    /// pruned position. Both are only ever produced by this type's
+    /// Preconditions: the state owns the whole compressed range
+    /// (`num_shards == 1`), and `dense_out` and `θ16` are already zero at
+    /// every pruned position. Both are only ever produced by this type's
     /// constructors or step kernels, which maintain that invariant, so
     /// only the unpruned positions need to be rewritten here.
     pub fn optimizer_step_fused(
@@ -190,7 +333,12 @@ impl SamoLayerState {
     ) {
         assert_eq!(dense_out.len(), self.numel());
         let nnz = self.mask.nnz();
-        let SamoLayerState { mask, theta16, theta32, grad16, grad32, os } = self;
+        // The raw-pointer loops below index every fp32 array up to nnz.
+        assert_eq!(
+            self.num_shards, 1,
+            "the fused step needs the whole compressed range"
+        );
+        let SamoLayerState { mask, theta16, theta32, grad16, grad32, os, .. } = self;
         let ind = mask.indices();
         let table = to_f32_table();
         let grad16 = &grad16[..];
@@ -247,34 +395,47 @@ impl SamoLayerState {
         }
     }
 
-    /// The three-phase SAMO optimizer step (Sec. III-C):
+    /// The three-phase SAMO optimizer step (Sec. III-C) over the owned
+    /// range, returning the updated *compressed fp16* range — the
+    /// payload of the parameter all-gather:
     ///
     /// 1. upscale `∇θ16 → ∇θ32` directly on compressed tensors,
     /// 2. run the optimizer on compressed `θ32` with dense elementwise
     ///    kernels,
-    /// 3. downcast: make a compressed fp16 copy of `θ32`, then *expand*
-    ///    it through `ind` into the dense `θ16`.
+    /// 3. downcast: make a compressed fp16 copy of `θ32` (the `2fφ/d`
+    ///    transient of the memory model).
     ///
-    /// This is the reference path the fused kernels are property-tested
-    /// against; the training hot loop uses [`Self::compress_grad_fused`]
-    /// and [`Self::optimizer_step_fused`] instead.
-    pub fn optimizer_step(&mut self, opt: &Optimizer, inv_loss_scale: f32) {
-        // Phase 1: upscale on compressed data.
-        for (g32, g16) in self.grad32.iter_mut().zip(&self.grad16) {
+    /// [`Self::install_gathered`] completes the step by expanding every
+    /// rank's copy through `ind` into the dense `θ16`.
+    pub fn optimizer_step_shard(&mut self, opt: &Optimizer, inv_loss_scale: f32) -> Vec<F16> {
+        let (lo, hi) = self.shard_range();
+        for (g32, g16) in self.grad32.iter_mut().zip(&self.grad16[lo..hi]) {
             *g32 = g16.to_f32() * inv_loss_scale;
         }
-        // Phase 2: optimizer on compressed data.
-        let SamoLayerState { theta32, grad32, os, .. } = self;
-        os.step(opt, theta32, grad32);
-        // Phase 3: downcast + expand. The transient compressed copy is
-        // the `2fφ` term in the memory model.
-        let temp16: Vec<F16> = self.theta32.iter().map(|&v| F16::from_f32(v)).collect();
-        expand_f16_into(&temp16, &self.mask, &mut self.theta16);
+        self.os.step(opt, &mut self.theta32, &self.grad32);
+        self.theta32.iter().map(|&v| F16::from_f32(v)).collect()
     }
 
-    /// Byte-exact measurement of this layer's model-state storage,
-    /// matching [`SamoBreakdown`]. `include_temp` adds the transient
-    /// downcast copy (peak vs steady usage).
+    /// Installs the all-gathered compressed fp16 parameters (every
+    /// rank's range, concatenated) and expands them into the dense θ16.
+    pub fn install_gathered(&mut self, full_compressed16: &[F16]) {
+        assert_eq!(full_compressed16.len(), self.mask.nnz());
+        expand_f16_into(full_compressed16, &self.mask, &mut self.theta16);
+    }
+
+    /// The whole three-phase step on a full state — the reference path
+    /// the fused kernels are property-tested against; the training hot
+    /// loop uses [`Self::compress_grad_fused`] and
+    /// [`Self::optimizer_step_fused`] instead.
+    pub fn optimizer_step(&mut self, opt: &Optimizer, inv_loss_scale: f32) {
+        assert_eq!(self.num_shards, 1, "a shard's step needs the all-gather");
+        let temp16 = self.optimizer_step_shard(opt, inv_loss_scale);
+        self.install_gathered(&temp16);
+    }
+
+    /// Byte-exact measurement of the model-state storage this shard
+    /// holds, matching [`SamoBreakdown`]. `include_temp` adds the
+    /// transient downcast copy (peak vs steady usage).
     pub fn measured_bytes(&self, include_temp: bool) -> u64 {
         let b = self.breakdown();
         if include_temp {
@@ -321,16 +482,12 @@ impl SamoLayerState {
     /// steady-state memory model is unaffected.
     fn reserve_remap_headroom(&mut self) {
         let numel = self.numel();
-        let reserve = |v_len: usize| numel.saturating_sub(v_len);
-        self.theta32.reserve(reserve(self.theta32.len()));
-        self.grad16.reserve(reserve(self.grad16.len()));
-        self.grad32.reserve(reserve(self.grad32.len()));
-        match &mut self.os {
-            OptState::Adam(a) => {
-                a.m.reserve(reserve(a.m.len()));
-                a.v.reserve(reserve(a.v.len()));
-            }
-            OptState::Sgd(s) => s.velocity.reserve(reserve(s.velocity.len())),
+        self.theta32
+            .reserve(numel.saturating_sub(self.theta32.len()));
+        self.grad16.reserve(numel.saturating_sub(self.grad16.len()));
+        self.grad32.reserve(numel.saturating_sub(self.grad32.len()));
+        for a in os_arrays_mut(&mut self.os).into_iter().flatten() {
+            a.reserve(numel.saturating_sub(a.len()));
         }
     }
 
@@ -351,16 +508,24 @@ impl SamoLayerState {
     /// `scratch` and swapped in, so with a warm [`RemapScratch`] the
     /// kernel performs **zero heap allocations** (asserted by
     /// `tests/zero_alloc.rs`). Returns the retired mask so callers can
-    /// control where its refcount drop happens.
+    /// control where its refcount drop happens. Shard bounds depend on
+    /// `nnz`, so a sharded layer is gathered, remapped whole and cut
+    /// again (`crate::engine`); this kernel takes full states only.
     pub fn remap_compressed_state(&mut self, new_mask: Mask, scratch: &mut RemapScratch) -> Mask {
         assert_eq!(
             new_mask.shape(),
             self.mask.shape(),
             "remap must preserve the tensor shape"
         );
+        assert_eq!(self.num_shards, 1, "remap needs the whole compressed range");
+        assert_eq!(
+            std::mem::discriminant(&self.os),
+            std::mem::discriminant(&scratch.os),
+            "optimizer-state kind mismatch between layer and scratch"
+        );
         let new_nnz = new_mask.nnz();
         let table = to_f32_table();
-        let SamoLayerState { mask, theta16, theta32, grad16, grad32, os } = self;
+        let SamoLayerState { mask, theta16, theta32, grad16, grad32, os, .. } = self;
         let old_ind = mask.indices();
         let new_ind = new_mask.indices();
 
@@ -370,25 +535,12 @@ impl SamoLayerState {
         scratch.grad16.resize(new_nnz, F16::ZERO);
         scratch.grad32.clear();
         scratch.grad32.resize(new_nnz, 0.0);
-        // (old, new) first-moment slices, plus the (old, new) second
-        // moments when the optimizer carries them (Adam).
-        type Moments<'a> = (&'a [f32], &'a mut [f32], Option<(&'a [f32], &'a mut [f32])>);
-        let (old_m, new_m, mut second): Moments =
-            match (&mut *os, &mut scratch.os) {
-                (OptState::Adam(a), OptState::Adam(s)) => {
-                    s.m.clear();
-                    s.m.resize(new_nnz, 0.0);
-                    s.v.clear();
-                    s.v.resize(new_nnz, 0.0);
-                    (&a.m, &mut s.m, Some((&a.v, &mut s.v)))
-                }
-                (OptState::Sgd(a), OptState::Sgd(s)) => {
-                    s.velocity.clear();
-                    s.velocity.resize(new_nnz, 0.0);
-                    (&a.velocity, &mut s.velocity, None)
-                }
-                _ => panic!("optimizer-state kind mismatch between layer and scratch"),
-            };
+        let old_os = os_arrays(os);
+        let mut new_os = os_arrays_mut(&mut scratch.os);
+        for a in new_os.iter_mut().flatten() {
+            a.clear();
+            a.resize(new_nnz, 0.0);
+        }
 
         // Two-pointer merge over the sorted index sets. Schedule
         // transitions keep most indices (sparsify/densify move only the
@@ -411,9 +563,10 @@ impl SamoLayerState {
                 scratch.theta32[j..j + run].copy_from_slice(&theta32[i..i + run]);
                 scratch.grad16[j..j + run].copy_from_slice(&grad16[i..i + run]);
                 scratch.grad32[j..j + run].copy_from_slice(&grad32[i..i + run]);
-                new_m[j..j + run].copy_from_slice(&old_m[i..i + run]);
-                if let Some((ov, nv)) = second.as_mut() {
-                    nv[j..j + run].copy_from_slice(&ov[i..i + run]);
+                for (o, n) in old_os.iter().zip(&mut new_os) {
+                    if let (Some(o), Some(n)) = (o, n) {
+                        n[j..j + run].copy_from_slice(&o[i..i + run]);
+                    }
                 }
                 i += run;
                 j += run;
@@ -443,13 +596,11 @@ impl SamoLayerState {
         std::mem::swap(theta32, &mut scratch.theta32);
         std::mem::swap(grad16, &mut scratch.grad16);
         std::mem::swap(grad32, &mut scratch.grad32);
-        match (os, &mut scratch.os) {
-            (OptState::Adam(a), OptState::Adam(s)) => {
-                std::mem::swap(&mut a.m, &mut s.m);
-                std::mem::swap(&mut a.v, &mut s.v);
+        let staged = os_arrays_mut(&mut scratch.os);
+        for (a, s) in os_arrays_mut(os).into_iter().zip(staged) {
+            if let (Some(a), Some(s)) = (a, s) {
+                std::mem::swap(a, s);
             }
-            (OptState::Sgd(a), OptState::Sgd(s)) => std::mem::swap(&mut a.velocity, &mut s.velocity),
-            _ => unreachable!("variant checked above"),
         }
         std::mem::replace(mask, new_mask)
     }
@@ -480,12 +631,8 @@ impl RemapScratch {
         let numel = layer.numel();
         layer.reserve_remap_headroom();
         let mut os = OptState::new(opt, 0);
-        match &mut os {
-            OptState::Adam(a) => {
-                a.m.reserve(numel);
-                a.v.reserve(numel);
-            }
-            OptState::Sgd(s) => s.velocity.reserve(numel),
+        for a in os_arrays_mut(&mut os).into_iter().flatten() {
+            a.reserve(numel);
         }
         RemapScratch {
             theta32: Vec::with_capacity(numel),
@@ -755,5 +902,114 @@ mod tests {
         st.optimizer_step(&opt, 1.0 / scale);
         assert!((st.theta32[0] + 0.5).abs() < 1e-3);
         assert!((st.theta32[1] - 0.25).abs() < 1e-3);
+    }
+
+    /// A 1-D layer of `phi` parameters at 70% sparsity, one state per
+    /// shard, after `steps` rounds of compress → shard step → all-gather
+    /// on gradients every rank agrees on.
+    fn stepped_shards(phi: usize, d: usize, steps: usize) -> (SamoLayerState, Vec<SamoLayerState>) {
+        let opt = adam();
+        let mask = prune::random_prune(&[phi], 0.7, 2);
+        let values: Vec<f32> = (0..phi).map(|i| ((i * 31 % 97) as f32 - 48.0) * 0.01).collect();
+        let mut reference = SamoLayerState::from_params(&values, mask.clone(), &opt);
+        let mut ranks: Vec<SamoLayerState> = (0..d)
+            .map(|r| SamoLayerState::from_params_sharded(&values, mask.clone(), &opt, r, d))
+            .collect();
+        for step in 0..steps {
+            let grads: Vec<f32> =
+                (0..phi).map(|i| ((i + step * 13) % 29) as f32 * 0.01 - 0.14).collect();
+            reference.compress_grad(&grads);
+            reference.optimizer_step(&opt, 1.0);
+            let mut gathered = vec![F16::ZERO; mask.nnz()];
+            for rank in ranks.iter_mut() {
+                rank.compress_grad(&grads);
+                let shard16 = rank.optimizer_step_shard(&opt, 1.0);
+                let (lo, hi) = rank.shard_range();
+                gathered[lo..hi].copy_from_slice(&shard16);
+            }
+            for (r, rank) in ranks.iter_mut().enumerate() {
+                rank.install_gathered(&gathered);
+                // The extension's correctness theorem: every rank's dense
+                // θ16 and its θ32 range equal the unsharded trajectory.
+                assert_eq!(rank.theta16, reference.theta16, "rank {r} diverged at step {step}");
+                let (lo, hi) = rank.shard_range();
+                assert_eq!(&rank.theta32[..], &reference.theta32[lo..hi]);
+            }
+        }
+        (reference, ranks)
+    }
+
+    #[test]
+    fn shard_bounds_partition_the_compressed_space() {
+        // (3, 5): fewer survivors than ranks leaves trailing ranks empty.
+        for &(n, d) in &[(10usize, 3usize), (7, 7), (100, 8), (5, 1), (3, 5), (0, 2)] {
+            let bounds: Vec<_> = (0..d).map(|r| shard_bounds(n, r, d)).collect();
+            assert_eq!(bounds, comms::segment_bounds(n, d), "all-gather counts must agree");
+            assert_eq!(bounds[0].0, 0);
+            assert_eq!(bounds[d - 1].1, n);
+            for w in bounds.windows(2) {
+                assert_eq!(w[0].1, w[1].0, "shards must be contiguous");
+            }
+        }
+        let st = SamoLayerState::from_params_sharded(
+            &[1.0; 8],
+            Mask::new(&[8], vec![0, 2, 5]),
+            &adam(),
+            4,
+            5,
+        );
+        assert_eq!(st.shard_range(), (3, 3));
+        assert!(st.theta32.is_empty());
+        assert_eq!(st.shard_counts(), vec![1, 1, 1, 0, 0]);
+    }
+
+    #[test]
+    fn sharded_training_equals_unsharded() {
+        stepped_shards(257, 3, 5); // 257 is deliberately not divisible by 3
+    }
+
+    #[test]
+    fn concat_of_shards_inverts_slicing() {
+        let (reference, ranks) = stepped_shards(131, 4, 3);
+        let refs: Vec<&SamoLayerState> = ranks.iter().collect();
+        let full = SamoLayerState::to_full_layer(&refs);
+        assert_eq!(full.shard(), (0, 1));
+        assert_eq!(full.theta32, reference.theta32);
+        assert_eq!(full.theta16, reference.theta16);
+        for (r, orig) in ranks.iter().enumerate() {
+            let rebuilt = full.clone().into_shard(r, 4);
+            assert_eq!(rebuilt.shard_range(), orig.shard_range());
+            assert_eq!(rebuilt.theta16, orig.theta16, "rank {r} θ16");
+            assert_eq!(rebuilt.grad16, orig.grad16, "rank {r} ∇θ16");
+            assert_eq!(rebuilt.theta32, orig.theta32, "rank {r} θ32");
+            match (&rebuilt.os, &orig.os) {
+                (OptState::Adam(a), OptState::Adam(b)) => {
+                    assert_eq!((a.step, &a.m, &a.v), (b.step, &b.m, &b.v));
+                }
+                _ => panic!("wrong optimizer state"),
+            }
+        }
+    }
+
+    #[test]
+    fn shard_bytes_match_the_zero_formula_and_d1_is_the_full_state() {
+        let (phi, d) = (50_000usize, 4usize);
+        let mask = prune::random_prune(&[phi], 0.9, 1);
+        let nnz = mask.nnz() as u64;
+        let values = vec![0.1; phi];
+        let mut sharded_total = 0u64;
+        for r in 0..d {
+            let st = SamoLayerState::from_params_sharded(&values, mask.clone(), &adam(), r, d);
+            // Per rank: 2φ + (4+2)·nnz + (4+4+8+2)·shard.
+            let (lo, hi) = st.shard_range();
+            let expect = 2 * phi as u64 + 6 * nnz + 18 * (hi - lo) as u64;
+            assert_eq!(st.measured_bytes(true), expect, "rank {r}");
+            sharded_total += 18 * (hi - lo) as u64;
+        }
+        assert_eq!(sharded_total, 18 * nnz, "shards cover everything once");
+        let one = SamoLayerState::from_params_sharded(&values, mask.clone(), &adam(), 0, 1);
+        let full = SamoLayerState::from_params(&values, mask, &adam());
+        assert_eq!(one.breakdown(), full.breakdown());
+        assert_eq!(one.measured_bytes(true), crate::memory::m_samo_bytes(phi as u64, 0.9));
     }
 }

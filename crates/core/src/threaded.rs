@@ -3,13 +3,15 @@
 //!
 //! Where [`crate::data_parallel::DataParallelSamo`] loops over replicas
 //! inside one thread and reduces gradients with the sequential oracle,
-//! this runtime gives every rank its own OS thread owning its replica,
-//! sharded optimizer state, loss-scaler copy, and a
-//! [`comms::Communicator`] endpoint of an in-process mesh. Gradients
+//! this runtime gives every rank its own OS thread owning its replica
+//! and a [`StepEngine`] — sharded optimizer state, loss-scaler copy, and
+//! a [`comms::Communicator`] endpoint of an in-process mesh. Gradients
 //! move through the chunked **ring all-reduce**, and the reduction is
 //! started per parameter bucket from inside backward
 //! ([`Layer::backward_with_ready`]), so communication overlaps the rest
-//! of the backward pass exactly as on a real cluster.
+//! of the backward pass exactly as on a real cluster. What this file
+//! adds to the engine is the thread protocol: `RankGroup`, which
+//! [`crate::ThreadedPipelineSamo`] shares.
 //!
 //! # Bitwise equivalence with the in-process trainer
 //!
@@ -17,7 +19,7 @@
 //! [`comms::reference::allreduce_mean_f16`], which is also what the
 //! in-process trainer calls — so both runtimes take bitwise-identical
 //! optimizer steps from identical seeds, regardless of thread timing
-//! (`tests/data_parallel_threaded.rs` asserts this). Loss-scale
+//! (`tests/data_parallel_threaded.rs` at the repository root asserts this). Loss-scale
 //! decisions need no extra collective: every rank scans the *reduced*
 //! (identical) gradient bits, so every scaler replica reaches the same
 //! verdict independently.
@@ -31,18 +33,19 @@
 //! checkpoint on every rank, bumps the comms epoch (discarding stale
 //! in-flight traffic), and barriers the group back together.
 
-use crate::sharded::ShardedSamoLayerState;
-use crate::state::{RemapScratch, SamoLayerState};
+use crate::engine::{assert_replicas_agree, trainer_meta, Ring, StepEngine, DP_THREADED};
+use crate::serialize::{save_checkpoint, TrainerMeta};
+use crate::state::SamoLayerState;
 use crate::trainer::samo_ring_allreduce_bytes;
 use comms::{CommsError, Communicator, FaultController, InProcTransport, Transport};
 use nn::layer::Layer;
-use nn::mixed::{LossScaler, LossScalerState, OptState, Optimizer};
+use nn::mixed::{LossScaler, Optimizer};
 use prune::{Mask, MaskSchedule};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tensor::f16::F16;
+use telemetry::json::Json;
 use tensor::Tensor;
 
 /// The per-step work a rank thread runs before the collective phase:
@@ -61,505 +64,99 @@ pub struct CommStats {
     pub msgs_dropped: u64,
 }
 
-type InspectFn<M> = Box<dyn FnOnce(&mut M, &Vec<ShardedSamoLayerState>) + Send>;
+/// A rank whose step duration exceeds this multiple of the step median
+/// is reported as a straggler by rank 0's metrics aggregation.
+pub const STRAGGLER_FACTOR: f64 = 1.5;
 
-enum Cmd<M> {
-    Step(StepFn<M>),
+/// What a rank thread reports back after a step (and after a restore):
+/// the verdict, its trainer-level state — identical on every rank, and
+/// what the calling thread mirrors — and its unpruned parameter count,
+/// which a dynamic-sparsity remap changes.
+pub(crate) struct StepOutcome {
+    pub applied: bool,
+    pub meta: TrainerMeta,
+    pub nnz: usize,
+}
+
+/// What [`RankGroup`] needs of the state a rank thread owns.
+pub(crate) trait RankWorker: Send + 'static {
+    type Model: Layer;
+    type Transport: Transport;
+    /// What one step is told to do.
+    type Job: Clone + Send + 'static;
+    type Stats: Send + 'static;
+    /// The compute model and the engine training it.
+    fn parts(&mut self) -> (&mut Self::Model, &mut StepEngine<Ring<Self::Transport>>);
+    /// Runs one training step; `Ok(false)` if skipped on overflow.
+    fn step(&mut self, job: &Self::Job) -> Result<bool, CommsError>;
+    /// Reloads the rank's part of a full checkpoint, then rejoins the
+    /// group on fresh comms epochs.
+    fn restore(&mut self, checkpoint: &[u8]) -> Result<(), String>;
+    fn stats(&self) -> Self::Stats;
+}
+
+type InspectFn<M> = Box<dyn FnOnce(&mut M, &[SamoLayerState]) + Send>;
+
+enum Cmd<M, J> {
+    Step(J),
+    Restore(Arc<[u8]>),
     SetScaler(LossScaler),
     SetSchedule(MaskSchedule),
     Snapshot,
-    Restore(Arc<Vec<u8>>),
     Inspect(InspectFn<M>),
-    Shutdown,
 }
 
-struct StepOutcome {
-    applied: bool,
-    finite: bool,
-    /// Total unpruned parameters after this step — refreshes the parent
-    /// mirror when a dynamic-sparsity remap changes the mask.
-    nnz: usize,
-}
-
-struct SnapshotData {
-    states: Vec<ShardedSamoLayerState>,
-    stats: CommStats,
-}
-
-enum Resp {
-    Step(Result<StepOutcome, CommsError>),
-    Snapshot(Box<SnapshotData>),
-    Restored(Result<(), String>),
+enum Resp<S> {
+    /// A step's or a restore's result.
+    Done(Result<StepOutcome, String>),
+    Snapshot(Vec<SamoLayerState>, S),
     Ack,
 }
 
-/// Everything one rank thread owns. Generic over the transport: the
-/// in-process mesh by default, loopback TCP endpoints when built via
-/// [`ThreadedDataParallelSamo::with_transports`].
-struct Rank<M: Layer, T: Transport> {
-    rank: usize,
-    model: M,
-    states: Vec<ShardedSamoLayerState>,
-    opt: Optimizer,
-    scaler: LossScaler,
-    comm: Communicator<T>,
-    schedule: Option<MaskSchedule>,
-    poisoned: bool,
-    steps_taken: u64,
-    steps_skipped: u64,
-    /// Rank 0 only: rolling per-rank step-duration stats
-    /// `(sum_us, samples)`, fed by the mesh-native telemetry relay.
-    rank_dur_stats: Vec<(f64, u64)>,
-}
-
-impl<M: Layer, T: Transport> Rank<M, T> {
-    fn step(&mut self, f: &StepFn<M>) -> Result<StepOutcome, CommsError> {
-        if self.poisoned {
-            return Err(CommsError::Poisoned);
-        }
-        let res = self.step_inner(f);
-        self.poisoned |= res.is_err();
-        res
-    }
-
-    fn step_inner(&mut self, f: &StepFn<M>) -> Result<StepOutcome, CommsError> {
-        // Telemetry once per group, from rank 0's thread. The metrics
-        // relay below runs on *every* rank when telemetry is on.
-        let t_step0 = telemetry::enabled().then(Instant::now);
-        let tel = telemetry::enabled() && self.rank == 0;
-        let scale_used = self.scaler.scale();
-        let dy = f(self.rank, &mut self.model, scale_used);
-
-        let update = self
-            .schedule
-            .as_ref()
-            .is_some_and(|s| s.is_update_step(self.steps_taken + self.steps_skipped));
-        let t_comm = if update {
-            // Dynamic-sparsity update step: the compressed bucket layout
-            // is about to be renegotiated, so skip the overlapped
-            // compressed rings — run a plain backward, reduce the
-            // *dense* f16 gradient, remap, and install the reduced
-            // compressed gradient for the (possibly new) mask.
-            let sp = tel.then(|| telemetry::span("samo.dp_threaded.remap"));
-            let _ = self.model.backward(&dy);
-            self.remap_step()?;
-            sp.map(telemetry::SpanGuard::finish)
-        } else {
-            // Backward with overlapped all-reduce: as each parameter
-            // group reports its gradient ready (reverse execution order
-            // — identical on every rank, so ring ids line up), compress
-            // it and start its ring; pump in-flight rings between
-            // groups.
-            let sp = tel.then(|| telemetry::span("samo.dp_threaded.backward_allreduce"));
-            let mut order: Vec<(u64, usize)> = Vec::with_capacity(self.states.len());
-            let mut comm_err: Option<CommsError> = None;
-            {
-                let states = &mut self.states;
-                let comm = &mut self.comm;
-                let order = &mut order;
-                let comm_err = &mut comm_err;
-                self.model.backward_with_ready(&dy, &mut |off, params| {
-                    if comm_err.is_some() {
-                        return; // finish backward, but stop talking
-                    }
-                    for (i, p) in params.iter().enumerate() {
-                        let pi = off + i;
-                        states[pi].compress_grad(p.grad.as_slice());
-                        match comm.ring_start(states[pi].grad16.clone()) {
-                            Ok(id) => order.push((id, pi)),
-                            Err(e) => {
-                                *comm_err = Some(e);
-                                return;
-                            }
-                        }
-                    }
-                    if let Err(e) = comm.ring_pump() {
-                        *comm_err = Some(e);
-                    }
-                });
-            }
-            if let Some(e) = comm_err {
-                return Err(e);
-            }
-            self.comm.ring_finish()?;
-            for (id, mean) in self.comm.take_completed() {
-                let pi = order
-                    .iter()
-                    .find(|(rid, _)| *rid == id)
-                    .expect("completed ring was started by this step")
-                    .1;
-                self.states[pi].grad16.copy_from_slice(&mean);
-            }
-            sp.map(telemetry::SpanGuard::finish)
-        };
-
-        // The reduced bits are identical on every rank, so a local
-        // overflow scan and scaler update reach the same verdict
-        // everywhere — no extra collective needed.
-        let finite = !self
-            .states
-            .iter()
-            .any(|st| st.grad16.iter().any(|g| !g.is_finite()));
-        let proceed = self.scaler.check_and_update(finite);
-        if !proceed {
-            self.model.zero_grad();
-            self.steps_skipped += 1;
-            if tel {
-                self.record_step(false, scale_used, t_comm, None);
-            }
-            if let Some(t0) = t_step0 {
-                self.relay_step_metrics(t0);
-            }
-            return Ok(StepOutcome {
-                applied: false,
-                finite,
-                nnz: self.states.iter().map(ShardedSamoLayerState::nnz).sum(),
-            });
-        }
-
-        // Shard-step, then all-gather the updated fp16 shards.
-        let sp = tel.then(|| telemetry::span("samo.dp_threaded.shard_step"));
-        let world = self.comm.world();
-        let inv = 1.0 / scale_used;
-        for pi in 0..self.states.len() {
-            let shard16 = self.states[pi].optimizer_step_shard(&self.opt, inv);
-            let counts: Vec<usize> = comms::segment_bounds(self.states[pi].nnz(), world)
-                .iter()
-                .map(|(lo, hi)| hi - lo)
-                .collect();
-            debug_assert_eq!(
-                {
-                    let (lo, hi) = self.states[pi].shard_range();
-                    hi - lo
-                },
-                counts[self.rank],
-                "comms::segment_bounds must match the optimizer shard partition"
-            );
-            let gathered = self.comm.all_gather_f16(&shard16, &counts)?;
-            self.states[pi].install_gathered(&gathered);
-        }
-        for (p, st) in self.model.params_mut().into_iter().zip(&self.states) {
-            st.write_dense_f32_params_into(p.value.as_mut_slice());
-            p.zero_grad();
-        }
-        let t_shard = sp.map(telemetry::SpanGuard::finish);
-        self.steps_taken += 1;
-        if tel {
-            self.record_step(true, scale_used, t_comm, t_shard);
-        }
-        if let Some(t0) = t_step0 {
-            self.relay_step_metrics(t0);
-        }
-        Ok(StepOutcome {
-            applied: true,
-            finite,
-            nnz: self.states.iter().map(ShardedSamoLayerState::nnz).sum(),
-        })
-    }
-
-    /// The dynamic-sparsity update path, run in place of the overlapped
-    /// compressed ring when the installed [`MaskSchedule`] fires.
-    ///
-    /// Every rank reduces the f16-narrowed *dense* gradient — bitwise
-    /// the values a compressed ring would agree on, and, widened, the
-    /// canonical grow score ([`crate::SamoTrainer`] ranks regrowth
-    /// candidates from exactly the same bits) — then computes the new
-    /// mask locally (inputs are identical on every rank, so no mask
-    /// broadcast is needed). When a mask changes, the full fp32 state is
-    /// reassembled from every rank's `[θ32 | os]` shard segment over
-    /// [`Communicator::all_gather_f32`], remapped in place with
-    /// [`SamoLayerState::remap_compressed_state`], and re-sharded under
-    /// the new bounds — shard boundaries depend on `nnz`, so surviving
-    /// values migrate between ranks here. Finally the comms epoch is
-    /// bumped in lockstep: the compressed-gradient bucket layout has
-    /// been renegotiated and any stale in-flight bucket from the old
-    /// layout is dropped by every future receive.
-    fn remap_step(&mut self) -> Result<(), CommsError> {
-        let t = self.steps_taken + self.steps_skipped;
-        let sched = self.schedule.clone().expect("remap_step requires a schedule");
-        let world = self.comm.world();
-        let mut moved = false;
-        let params = self.model.params_mut();
-        assert_eq!(params.len(), self.states.len());
-        for (pi, p) in params.into_iter().enumerate() {
-            let st = &mut self.states[pi];
-            let mut dense16: Vec<F16> =
-                p.grad.as_slice().iter().map(|&g| F16::from_f32(g)).collect();
-            self.comm.allreduce_mean_f16(&mut dense16)?;
-            let score: Vec<f32> = dense16.iter().map(|g| g.to_f32()).collect();
-            let new_mask = sched.next_mask(t, p.value.as_slice(), &score, st.mask());
-            if &new_mask != st.mask() {
-                let nnz = st.nnz();
-                let bounds = comms::segment_bounds(nnz, world);
-                let karrays = match &st.os_shard {
-                    OptState::Adam(_) => 3,
-                    OptState::Sgd(_) => 2,
-                };
-                let (lo, hi) = st.shard_range();
-                let mut mine: Vec<f32> = Vec::with_capacity((hi - lo) * karrays);
-                mine.extend_from_slice(&st.theta32_shard);
-                match &st.os_shard {
-                    OptState::Adam(a) => {
-                        mine.extend_from_slice(&a.m);
-                        mine.extend_from_slice(&a.v);
-                    }
-                    OptState::Sgd(s) => mine.extend_from_slice(&s.velocity),
-                }
-                let counts: Vec<usize> =
-                    bounds.iter().map(|&(l, h)| (h - l) * karrays).collect();
-                let gathered = self.comm.all_gather_f32(&mine, &counts)?;
-                let mut theta32 = vec![0.0f32; nnz];
-                let mut os = OptState::new(&self.opt, nnz);
-                let mut off = 0usize;
-                for &(l, h) in &bounds {
-                    let seg = h - l;
-                    theta32[l..h].copy_from_slice(&gathered[off..off + seg]);
-                    match &mut os {
-                        OptState::Adam(full) => {
-                            full.m[l..h].copy_from_slice(&gathered[off + seg..off + 2 * seg]);
-                            full.v[l..h]
-                                .copy_from_slice(&gathered[off + 2 * seg..off + 3 * seg]);
-                        }
-                        OptState::Sgd(full) => {
-                            full.velocity[l..h]
-                                .copy_from_slice(&gathered[off + seg..off + 2 * seg]);
-                        }
-                    }
-                    off += seg * karrays;
-                }
-                if let (OptState::Adam(full), OptState::Adam(shard)) = (&mut os, &st.os_shard) {
-                    full.step = shard.step;
-                }
-                let mut full = SamoLayerState::from_parts(
-                    st.mask().clone(),
-                    theta32,
-                    st.grad16.clone(),
-                    os,
-                );
-                let mut scratch = RemapScratch::for_layer(&mut full, &self.opt);
-                full.remap_compressed_state(new_mask, &mut scratch);
-                let ind = full.mask().indices().clone();
-                for (g, &ix) in full.grad16.iter_mut().zip(ind.iter()) {
-                    *g = dense16[ix as usize];
-                }
-                *st = ShardedSamoLayerState::from_full_layer(&full, &self.opt, self.rank, world);
-                st.write_dense_f32_params_into(p.value.as_mut_slice());
-                moved = true;
-            } else {
-                // Mask unchanged: the dense reduction above already
-                // carries the agreed gradient — install its compressed
-                // view directly (the per-layer rings were skipped).
-                let ind = st.mask().indices().clone();
-                for (g, &ix) in st.grad16.iter_mut().zip(ind.iter()) {
-                    *g = dense16[ix as usize];
-                }
-            }
-        }
-        if moved {
-            self.comm.bump_epoch();
-            if telemetry::enabled() && self.rank == 0 {
-                telemetry::global()
-                    .counter("samo.dp_threaded.remap_events")
-                    .inc();
-            }
-        }
-        Ok(())
-    }
-
-    /// Mesh-native metrics aggregation: every rank ships its step wall
-    /// time over the transport to rank 0, which folds rolling per-rank
-    /// stats, warns on stragglers (above
-    /// [`crate::pipeline::STRAGGLER_FACTOR`] × the step median) and
-    /// emits one aggregated `mesh_metrics` line into the metrics jsonl
-    /// stream. Delivery is best-effort — a lost snapshot degrades the
-    /// report, never the step.
-    fn relay_step_metrics(&mut self, t0: Instant) {
-        use telemetry::json::Json;
-        let dur_us = t0.elapsed().as_secs_f64() * 1e6;
-        let step = (self.steps_taken + self.steps_skipped).saturating_sub(1) as u32;
-        if self.rank != 0 {
-            self.comm
-                .send_telemetry(0, self.rank as u64, step, dur_us.to_le_bytes().to_vec());
-            return;
-        }
-        let world = self.comm.world();
-        if self.rank_dur_stats.len() != world {
-            self.rank_dur_stats = vec![(0.0, 0); world];
-        }
-        let wait = self.comm.timeout();
-        let mut durs: Vec<(usize, f64)> = vec![(0, dur_us)];
-        for r in 1..world {
-            if let Some(b) = self.comm.recv_telemetry(r, r as u64, step, wait) {
-                if let Ok(bytes) = <[u8; 8]>::try_from(&b[..]) {
-                    durs.push((r, f64::from_le_bytes(bytes)));
-                }
-            }
-        }
-        let mut sorted: Vec<f64> = durs.iter().map(|d| d.1).collect();
-        sorted.sort_by(f64::total_cmp);
-        let median = sorted[sorted.len() / 2];
-        let mut per_rank = Vec::with_capacity(durs.len());
-        let mut stragglers = Vec::new();
-        for &(r, dur) in &durs {
-            let cell = &mut self.rank_dur_stats[r];
-            cell.0 += dur;
-            cell.1 += 1;
-            per_rank.push(Json::Obj(vec![
-                ("rank".into(), Json::UInt(r as u64)),
-                ("dur_us".into(), Json::Num(dur)),
-                ("mean_us".into(), Json::Num(cell.0 / cell.1 as f64)),
-            ]));
-            if durs.len() > 1 && dur > crate::pipeline::STRAGGLER_FACTOR * median {
-                telemetry::log_warn!(
-                    "data-parallel straggler: rank {r} step {step} took {dur:.0}us ({:.2}x step median)",
-                    dur / median
-                );
-                stragglers.push(Json::Obj(vec![
-                    ("rank".into(), Json::UInt(r as u64)),
-                    ("ratio".into(), Json::Num(dur / median)),
-                ]));
-            }
-        }
-        telemetry::jsonl::emit_line(&Json::Obj(vec![
-            ("kind".into(), Json::from("mesh_metrics")),
-            ("step".into(), Json::UInt(u64::from(step))),
-            ("ranks".into(), Json::UInt(durs.len() as u64)),
-            ("median_us".into(), Json::Num(median)),
-            ("max_us".into(), Json::Num(sorted[sorted.len() - 1])),
-            ("per_rank".into(), Json::Arr(per_rank)),
-            ("stragglers".into(), Json::Arr(stragglers)),
-        ]));
-    }
-
-    /// Reloads the rank's slice of a full checkpoint, then rejoins the
-    /// group on a fresh comms epoch.
-    fn restore(&mut self, checkpoint: &[u8]) -> Result<(), String> {
-        let (layers, meta) = crate::serialize::load_checkpoint(checkpoint, &self.opt)?;
-        if layers.len() != self.states.len() {
-            return Err(format!(
-                "checkpoint has {} layers, group has {}",
-                layers.len(),
-                self.states.len()
-            ));
-        }
-        for (layer, st) in layers.iter().zip(&self.states) {
-            if layer.mask().shape() != st.mask().shape() {
-                return Err("checkpoint mask shape mismatch".into());
-            }
-        }
-        let d = self.comm.world();
-        for ((st, layer), p) in self
-            .states
-            .iter_mut()
-            .zip(&layers)
-            .zip(self.model.params_mut())
-        {
-            *st = ShardedSamoLayerState::from_full_layer(layer, &self.opt, self.rank, d);
-            st.write_dense_f32_params_into(p.value.as_mut_slice());
-            p.zero_grad();
-        }
-        if let Some(meta) = meta {
-            self.scaler.restore_state(LossScalerState {
-                scale: meta.loss_scale,
-                good_steps: meta.good_steps,
-            });
-            self.steps_taken = meta.steps_taken;
-            self.steps_skipped = meta.steps_skipped;
-        }
-        // Discard any stale in-flight traffic and re-synchronize: every
-        // rank restores together, so epochs advance in lockstep.
-        self.comm.bump_epoch();
-        self.poisoned = false;
-        if let Err(e) = self.comm.barrier() {
-            self.poisoned = true;
-            return Err(format!("post-restore barrier failed: {e}"));
-        }
-        if telemetry::enabled() && self.rank == 0 {
-            telemetry::global()
-                .counter("samo.dp_threaded.recoveries")
-                .inc();
-        }
-        Ok(())
-    }
-
-    fn stats(&self) -> CommStats {
-        let t = self.comm.transport();
-        CommStats {
-            wire_bytes: t.bytes_sent(),
-            model_allreduce_bytes: self.comm.model_allreduce_bytes(),
-            msgs_dropped: t.msgs_dropped(),
-        }
-    }
-
-    /// Cold path: rank 0's metric/JSONL bookkeeping for one step.
-    fn record_step(
-        &self,
-        applied: bool,
-        scale_used: f32,
-        t_comm: Option<f64>,
-        t_shard: Option<f64>,
-    ) {
-        let reg = telemetry::global();
-        reg.counter(if applied {
-            "samo.dp_threaded.steps_taken"
-        } else {
-            "samo.dp_threaded.steps_skipped"
-        })
-        .inc();
-        let nnz: usize = self.states.iter().map(|s| s.nnz()).sum();
-        let step_bytes = samo_ring_allreduce_bytes(nnz as u64, self.comm.world() as u64);
-        reg.counter("samo.dp_threaded.allreduce_bytes").add(step_bytes);
-        reg.gauge("samo.dp_threaded.loss_scale")
-            .set(f64::from(self.scaler.scale()));
-        let bytes: u64 = self.states.iter().map(|s| s.measured_bytes(true)).sum();
-        let mut phases = Vec::new();
-        if let Some(t) = t_comm {
-            phases.push(("backward_allreduce", t));
-        }
-        if let Some(t) = t_shard {
-            phases.push(("shard_step", t));
-        }
-        telemetry::jsonl::emit_step(&telemetry::StepEvent {
-            kind: "samo_dp_threaded",
-            step: self.steps_taken + self.steps_skipped - 1,
+/// A rank thread: serves commands until the group drops its channel.
+/// A rank whose step failed refuses further steps (poisoned) until a
+/// restore succeeds.
+fn rank_loop<W: RankWorker>(
+    mut w: W,
+    rx: Receiver<Cmd<W::Model, W::Job>>,
+    tx: Sender<Resp<W::Stats>>,
+) {
+    let outcome = |w: &mut W, applied| {
+        let engine = w.parts().1;
+        StepOutcome {
             applied,
-            loss_scale: scale_used,
-            steps_taken: self.steps_taken,
-            steps_skipped: self.steps_skipped,
-            numel: self.states.iter().map(|s| s.numel()).sum::<usize>() as u64,
-            nnz: nnz as u64,
-            model_state_bytes: bytes,
-            formula_state_bytes: None,
-            allreduce_bytes: step_bytes,
-            phases,
-        });
-    }
-}
-
-fn rank_loop<M: Layer, T: Transport>(mut rk: Rank<M, T>, rx: Receiver<Cmd<M>>, tx: Sender<Resp>) {
+            meta: engine.meta(),
+            nnz: engine.nnz(),
+        }
+    };
+    let mut poisoned = false;
     while let Ok(cmd) = rx.recv() {
         let resp = match cmd {
-            Cmd::Step(f) => Resp::Step(rk.step(&f)),
+            Cmd::Step(_) if poisoned => Resp::Done(Err(CommsError::Poisoned.to_string())),
+            Cmd::Step(job) => match w.step(&job) {
+                Ok(applied) => Resp::Done(Ok(outcome(&mut w, applied))),
+                Err(e) => {
+                    poisoned = true;
+                    Resp::Done(Err(e.to_string()))
+                }
+            },
+            Cmd::Restore(ck) => Resp::Done(w.restore(&ck).map(|()| {
+                poisoned = false;
+                outcome(&mut w, false)
+            })),
             Cmd::SetScaler(s) => {
-                rk.scaler = s;
+                w.parts().1.scaler = s;
                 Resp::Ack
             }
             Cmd::SetSchedule(s) => {
-                rk.schedule = Some(s);
+                w.parts().1.set_mask_schedule(s);
                 Resp::Ack
             }
-            Cmd::Snapshot => Resp::Snapshot(Box::new(SnapshotData {
-                states: rk.states.clone(),
-                stats: rk.stats(),
-            })),
-            Cmd::Restore(ck) => Resp::Restored(rk.restore(&ck)),
+            Cmd::Snapshot => Resp::Snapshot(w.parts().1.layers.clone(), w.stats()),
             Cmd::Inspect(f) => {
-                f(&mut rk.model, &rk.states);
+                let (model, engine) = w.parts();
+                f(model, &engine.layers);
                 Resp::Ack
-            }
-            Cmd::Shutdown => {
-                let _ = tx.send(Resp::Ack);
-                return;
             }
         };
         if tx.send(resp).is_err() {
@@ -568,24 +165,386 @@ fn rank_loop<M: Layer, T: Transport>(mut rk: Rank<M, T>, rx: Receiver<Cmd<M>>, t
     }
 }
 
+/// One OS thread per rank plus the calling thread's mirror of the state
+/// every rank agrees on. Typed by what crosses the channels — the
+/// model `M`, the step job `J` and the per-rank stats `S` — not by the
+/// transport the rank threads talk over.
+pub(crate) struct RankGroup<M, J, S> {
+    cmd: Vec<Sender<Cmd<M, J>>>,
+    resp: Vec<Receiver<Resp<S>>>,
+    handles: Vec<JoinHandle<()>>,
+    /// Pipeline depth: rank `i` is stage `i % g_inter` of data replica
+    /// `i / g_inter` (1 for plain data parallelism).
+    g_inter: usize,
+    pub meta: TrainerMeta,
+    /// Total parameters φ (per replica).
+    pub numel: usize,
+    /// Unpruned parameters fφ (per replica).
+    pub nnz: usize,
+}
+
+impl<M: 'static, J: Clone + Send + 'static, S: Send + 'static> RankGroup<M, J, S> {
+    /// Spawns one named thread per worker, in rank order.
+    pub fn spawn<W>(workers: Vec<(String, W)>, g_inter: usize) -> RankGroup<M, J, S>
+    where
+        W: RankWorker<Model = M, Job = J, Stats = S>,
+    {
+        let mut group = RankGroup {
+            cmd: Vec::with_capacity(workers.len()),
+            resp: Vec::with_capacity(workers.len()),
+            handles: Vec::with_capacity(workers.len()),
+            g_inter,
+            meta: trainer_meta(&LossScaler::default(), 0, 0),
+            numel: 0,
+            nnz: 0,
+        };
+        for (i, (name, mut worker)) in workers.into_iter().enumerate() {
+            if i < g_inter {
+                // The stages of replica 0 make up one whole model.
+                let engine = worker.parts().1;
+                group.numel += engine.numel();
+                group.nnz += engine.nnz();
+            }
+            let (ctx, crx) = channel();
+            let (rtx, rrx) = channel();
+            let run = move || rank_loop(worker, crx, rtx);
+            group.handles.push(
+                std::thread::Builder::new()
+                    .name(name)
+                    .spawn(run)
+                    .expect("spawn rank thread"),
+            );
+            group.cmd.push(ctx);
+            group.resp.push(rrx);
+        }
+        group
+    }
+
+    /// Names rank `i` in error messages.
+    fn label(&self, i: usize) -> String {
+        if self.g_inter == 1 {
+            format!("rank {i}")
+        } else {
+            format!("stage {} (data {})", i % self.g_inter, i / self.g_inter)
+        }
+    }
+
+    /// Sends every rank its command, then collects every reply: the
+    /// ranks run concurrently, as the collectives inside require.
+    /// `None` marks a rank whose thread died.
+    fn broadcast(&self, cmd: impl Fn() -> Cmd<M, J>) -> Vec<Option<Resp<S>>> {
+        for tx in &self.cmd {
+            let _ = tx.send(cmd());
+        }
+        self.resp.iter().map(|rx| rx.recv().ok()).collect()
+    }
+
+    /// Runs a step or a restore on every rank, joins the errors of the
+    /// ranks that failed, and mirrors what the others reported. Returns
+    /// whether the step was applied.
+    fn run(&mut self, cmd: impl Fn() -> Cmd<M, J>) -> Result<bool, String> {
+        let mut outcomes = Vec::with_capacity(self.cmd.len());
+        let mut errors = Vec::new();
+        for (i, resp) in self.broadcast(cmd).into_iter().enumerate() {
+            match resp {
+                Some(Resp::Done(Ok(o))) => outcomes.push(o),
+                Some(Resp::Done(Err(e))) => errors.push(format!("{}: {e}", self.label(i))),
+                Some(_) => errors.push(format!("{}: protocol confusion", self.label(i))),
+                None => errors.push(format!("{}: thread died", self.label(i))),
+            }
+        }
+        if !errors.is_empty() {
+            return Err(errors.join("; "));
+        }
+        let first = &outcomes[0];
+        debug_assert!(
+            outcomes
+                .iter()
+                .all(|o| (o.applied, o.meta) == (first.applied, first.meta)),
+            "ranks must agree on the step verdict"
+        );
+        self.meta = first.meta;
+        // A dynamic-sparsity remap may have changed the masks.
+        self.nnz = outcomes[..self.g_inter].iter().map(|o| o.nnz).sum();
+        Ok(first.applied)
+    }
+
+    /// One training step on every rank; `Err` if any rank's collective
+    /// failed (the group then needs [`Self::restore`]).
+    pub fn step(&mut self, job: J) -> Result<bool, String> {
+        self.run(|| Cmd::Step(job.clone()))
+    }
+
+    /// Restores a checkpoint on every rank and re-synchronizes the
+    /// group (fresh comms epochs + barriers). This is the recovery path
+    /// after a failed step: heal the faulted links first, then restore.
+    pub fn restore(&mut self, checkpoint: &[u8]) -> Result<(), String> {
+        let ck: Arc<[u8]> = checkpoint.into();
+        self.run(|| Cmd::Restore(Arc::clone(&ck))).map(|_| ())
+    }
+
+    /// Replaces the loss scaler on every rank (and the mirror).
+    pub fn set_scaler(&mut self, scaler: LossScaler) {
+        self.meta = trainer_meta(&scaler, self.meta.steps_taken, self.meta.steps_skipped);
+        self.acked(|| Cmd::SetScaler(scaler.clone()));
+    }
+
+    /// Installs a dynamic-sparsity schedule on every rank.
+    pub fn set_mask_schedule(&mut self, schedule: MaskSchedule) {
+        self.acked(|| Cmd::SetSchedule(schedule.clone()));
+    }
+
+    fn acked(&self, cmd: impl Fn() -> Cmd<M, J>) {
+        for resp in self.broadcast(cmd) {
+            assert!(matches!(resp, Some(Resp::Ack)), "rank thread died");
+        }
+    }
+
+    /// Every rank's layer states and stats, in rank order.
+    pub fn snapshot_all(&self) -> Vec<(Vec<SamoLayerState>, S)> {
+        self.broadcast(|| Cmd::Snapshot)
+            .into_iter()
+            .map(|resp| match resp {
+                Some(Resp::Snapshot(layers, stats)) => (layers, stats),
+                _ => panic!("rank thread died during snapshot"),
+            })
+            .collect()
+    }
+
+    /// Serializes the group as one topology-independent v2 checkpoint:
+    /// each layer's shards are gathered across the data-parallel ranks
+    /// that hold it and the stages' layers concatenated in model order,
+    /// so the bytes equal what a single-process [`crate::SamoTrainer`]
+    /// in the same state saves — a checkpoint written at one world size
+    /// restores into any other.
+    pub fn save(&self) -> bytes::Bytes {
+        let snaps = self.snapshot_all();
+        let g_data = snaps.len() / self.g_inter;
+        let mut layers = Vec::new();
+        for stage in 0..self.g_inter {
+            for li in 0..snaps[stage].0.len() {
+                let ranks: Vec<&SamoLayerState> = (0..g_data)
+                    .map(|d| &snaps[d * self.g_inter + stage].0[li])
+                    .collect();
+                layers.push(SamoLayerState::to_full_layer(&ranks));
+            }
+        }
+        save_checkpoint(&layers, &self.meta)
+    }
+
+    /// Runs `f` on rank `i`'s thread with exclusive access to its model
+    /// and layer states, and returns the result — the inspection hook
+    /// tests use to compare bits across runtimes.
+    pub fn with_rank<R, F>(&self, i: usize, f: F) -> R
+    where
+        R: Send + 'static,
+        F: FnOnce(&mut M, &[SamoLayerState]) -> R + Send + 'static,
+    {
+        let (tx, rx) = channel();
+        self.cmd[i]
+            .send(Cmd::Inspect(Box::new(move |model, layers| {
+                let _ = tx.send(f(model, layers));
+            })))
+            .expect("rank thread alive");
+        let out = rx.recv().expect("inspect reply");
+        assert!(
+            matches!(self.resp[i].recv(), Ok(Resp::Ack)),
+            "rank thread died during inspect"
+        );
+        out
+    }
+}
+
+impl<M, J, S> Drop for RankGroup<M, J, S> {
+    fn drop(&mut self) {
+        // A closed channel is the shutdown message.
+        self.cmd.clear();
+        for h in self.handles.drain(..) {
+            let _ = h.join();
+        }
+    }
+}
+
+/// Mesh-native metrics aggregation: every rank ships its step wall time
+/// over the transport to rank 0 (data rank 0 of stage 0), which folds
+/// rolling per-rank `(sum_us, samples)` stats, warns on stragglers (above
+/// [`STRAGGLER_FACTOR`] × the step median) and emits one aggregated
+/// `mesh_metrics` line into the metrics jsonl stream.
+///
+/// Two hops in a pipeline of `g_inter` stages: stages > 0 send to stage
+/// 0 over their replica's `pipe` mesh; replicas > 0 relay their gathered
+/// batch to data rank 0 over the stage-0 `data` mesh. A record is
+/// `slot: u64le | dur_us: f64le` with `slot = data rank · g_inter +
+/// stage`. Delivery is best-effort ([`Communicator::send_telemetry`]
+/// never poisons) — a lost snapshot degrades the report, never the step.
+pub(crate) fn relay_step_metrics<T: Transport>(
+    step: u32,
+    dur_us: f64,
+    (stage, g_inter): (usize, usize),
+    pipe: Option<&mut Communicator<InProcTransport>>,
+    data: &mut Communicator<T>,
+    rolling: &mut Vec<(f64, u64)>,
+) {
+    let (rank, timeout) = (data.rank(), data.timeout());
+    let slot = (rank * g_inter + stage) as u64;
+    let mut batch = [slot.to_le_bytes(), dur_us.to_le_bytes()].concat();
+    if let Some(pipe) = pipe {
+        if stage > 0 {
+            pipe.send_telemetry(0, stage as u64, step, batch);
+            return;
+        }
+        for s in 1..g_inter {
+            batch.extend(
+                pipe.recv_telemetry(s, s as u64, step, timeout)
+                    .unwrap_or_default(),
+            );
+        }
+    }
+    if rank > 0 {
+        data.send_telemetry(0, rank as u64, step, batch);
+        return;
+    }
+    for r in 1..data.world() {
+        batch.extend(
+            data.recv_telemetry(r, r as u64, step, timeout)
+                .unwrap_or_default(),
+        );
+    }
+    // Trailing partial records (impossible from well-behaved peers) are
+    // dropped, as are slots outside the group.
+    rolling.resize(g_inter * data.world(), (0.0, 0));
+    let entries: Vec<(usize, f64)> = batch
+        .chunks_exact(16)
+        .map(|c| {
+            let slot = u64::from_le_bytes(c[..8].try_into().unwrap()) as usize;
+            (slot, f64::from_le_bytes(c[8..].try_into().unwrap()))
+        })
+        .filter(|&(slot, _)| slot < rolling.len())
+        .collect();
+    let mut sorted: Vec<f64> = entries.iter().map(|e| e.1).collect();
+    sorted.sort_by(f64::total_cmp);
+    let (median, max) = (sorted[sorted.len() / 2], sorted[sorted.len() - 1]);
+    let id = |slot: usize| -> Vec<(String, Json)> {
+        let uint = |k: &str, v: usize| (k.to_string(), Json::UInt(v as u64));
+        if g_inter == 1 {
+            vec![uint("rank", slot)]
+        } else {
+            vec![uint("stage", slot % g_inter), uint("data", slot / g_inter)]
+        }
+    };
+    let mut per_rank = Vec::with_capacity(entries.len());
+    let mut stragglers = Vec::new();
+    for &(slot, dur) in &entries {
+        let cell = &mut rolling[slot];
+        cell.0 += dur;
+        cell.1 += 1;
+        let mut obj = id(slot);
+        obj.push(("dur_us".into(), Json::Num(dur)));
+        obj.push(("mean_us".into(), Json::Num(cell.0 / cell.1 as f64)));
+        per_rank.push(Json::Obj(obj));
+        if entries.len() > 1 && dur > STRAGGLER_FACTOR * median {
+            let mut obj = id(slot);
+            telemetry::log_warn!(
+                "straggler: {} step {step} took {dur:.0}us ({:.2}x step median)",
+                Json::Obj(obj.clone()).render(),
+                dur / median
+            );
+            obj.push(("ratio".into(), Json::Num(dur / median)));
+            stragglers.push(Json::Obj(obj));
+        }
+    }
+    telemetry::jsonl::emit_line(&Json::Obj(vec![
+        ("kind".into(), Json::from("mesh_metrics")),
+        ("step".into(), Json::UInt(u64::from(step))),
+        ("ranks".into(), Json::UInt(entries.len() as u64)),
+        ("median_us".into(), Json::Num(median)),
+        ("max_us".into(), Json::Num(max)),
+        ("per_rank".into(), Json::Arr(per_rank)),
+        ("stragglers".into(), Json::Arr(stragglers)),
+    ]));
+}
+
+/// Everything one rank thread owns. Generic over the transport: the
+/// in-process mesh by default, loopback TCP endpoints when built via
+/// [`ThreadedDataParallelSamo::with_transports`].
+struct Rank<M: Layer, T: Transport> {
+    rank: usize,
+    model: M,
+    engine: StepEngine<Ring<T>>,
+    /// Rank 0 only: rolling per-rank step-duration stats
+    /// `(sum_us, samples)`, fed by the mesh-native telemetry relay.
+    rank_dur_stats: Vec<(f64, u64)>,
+}
+
+impl<M: Layer + Send + 'static, T: Transport + 'static> RankWorker for Rank<M, T> {
+    type Model = M;
+    type Transport = T;
+    type Job = StepFn<M>;
+    type Stats = CommStats;
+
+    fn parts(&mut self) -> (&mut M, &mut StepEngine<Ring<T>>) {
+        (&mut self.model, &mut self.engine)
+    }
+
+    fn step(&mut self, f: &StepFn<M>) -> Result<bool, CommsError> {
+        // The step event comes once per group, from rank 0's engine; the
+        // metrics relay below runs on *every* rank when telemetry is on.
+        let t_step0 = telemetry::enabled().then(Instant::now);
+        let dy = f(self.rank, &mut self.model, self.engine.loss_scale());
+        let finite = if self.engine.is_update_step() {
+            // Dynamic-sparsity update step: the masks, and with them the
+            // compressed bucket layout, are renegotiated from the final
+            // gradients — run a plain backward, then the engine's inline
+            // remap → compress → reduce.
+            let sp = self.engine.span("samo.dp_threaded.remap");
+            let _ = self.model.backward(&dy);
+            let finite = self.engine.reduce_after_backward(&mut self.model)?;
+            self.engine.end_phase(sp);
+            finite
+        } else {
+            let sp = self.engine.span("samo.dp_threaded.backward_allreduce");
+            self.engine.backward_overlapped(&mut self.model, &dy)?;
+            let finite = self.engine.finish_reduce()?;
+            self.engine.end_phase(sp);
+            finite
+        };
+        let applied = self.engine.apply(&mut self.model, finite)?;
+        if let Some(t0) = t_step0 {
+            let dur_us = t0.elapsed().as_secs_f64() * 1e6;
+            let step = self.engine.step_index().saturating_sub(1) as u32;
+            let (comm, rolling) = (&mut self.engine.reducer.0, &mut self.rank_dur_stats);
+            relay_step_metrics(step, dur_us, (0, 1), None, comm, rolling);
+        }
+        Ok(applied)
+    }
+
+    fn restore(&mut self, checkpoint: &[u8]) -> Result<(), String> {
+        self.engine.restore(checkpoint, &mut self.model)?;
+        // Discard any stale in-flight traffic and re-synchronize: every
+        // rank restores together, so epochs advance in lockstep.
+        let comm = &mut self.engine.reducer.0;
+        comm.bump_epoch();
+        comm.barrier()
+            .map_err(|e| format!("post-restore barrier failed: {e}"))
+    }
+
+    fn stats(&self) -> CommStats {
+        let comm = &self.engine.reducer.0;
+        CommStats {
+            wire_bytes: comm.transport().bytes_sent(),
+            model_allreduce_bytes: comm.model_allreduce_bytes(),
+            msgs_dropped: comm.transport().msgs_dropped(),
+        }
+    }
+}
+
 /// A data-parallel SAMO group where every rank is a real OS thread and
 /// gradients move through the `comms` ring all-reduce. Drop-in peer of
 /// [`crate::DataParallelSamo`] (same step semantics, same bits).
 pub struct ThreadedDataParallelSamo<M: Layer + Send + 'static> {
-    world: usize,
-    cmd: Vec<Sender<Cmd<M>>>,
-    resp: Vec<Receiver<Resp>>,
-    handles: Vec<JoinHandle<()>>,
+    group: RankGroup<M, StepFn<M>, CommStats>,
     faults: Arc<FaultController>,
-    opt: Optimizer,
-    /// Mirror of the rank scalers (updated with the same verdicts), so
-    /// `loss_scale()` answers without a round-trip.
-    scaler: LossScaler,
-    steps_taken: u64,
-    steps_skipped: u64,
     allreduce_bytes: u64,
-    numel: usize,
-    nnz: usize,
 }
 
 impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
@@ -616,105 +575,57 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
     /// report rank `r`; `faults` should be the controller those
     /// transports were built with so [`Self::faults`] still steers them.
     pub fn with_transports<T: Transport + 'static>(
-        mut replicas: Vec<M>,
+        replicas: Vec<M>,
         masks: Vec<Mask>,
         opt: Optimizer,
         timeout: Duration,
         transports: Vec<T>,
         faults: Arc<FaultController>,
     ) -> ThreadedDataParallelSamo<M> {
-        assert!(
-            !replicas.is_empty(),
-            "ThreadedDataParallelSamo needs at least one replica"
+        assert_eq!(
+            transports.len(),
+            replicas.len(),
+            "one transport endpoint per replica"
         );
-        let d = replicas.len();
-        assert_eq!(transports.len(), d, "one transport endpoint per replica");
-        {
-            let first: Vec<Vec<f32>> = replicas[0]
-                .params()
-                .iter()
-                .map(|p| p.value.as_slice().to_vec())
-                .collect();
-            for (r, m) in replicas.iter().enumerate().skip(1) {
-                for (p, expect) in m.params().iter().zip(&first) {
-                    assert_eq!(
-                        p.value.as_slice(),
-                        &expect[..],
-                        "replica {r} differs at init ({})",
-                        p.name
-                    );
-                }
-            }
-        }
-        let scaler = LossScaler::default();
-        let mut numel = 0;
-        let mut nnz = 0;
-        let mut cmd = Vec::with_capacity(d);
-        let mut resp = Vec::with_capacity(d);
-        let mut handles = Vec::with_capacity(d);
-        for (rank, (mut model, t)) in replicas.drain(..).zip(transports).enumerate() {
-            assert_eq!(t.rank(), rank, "transport endpoints must arrive in rank order");
-            let params = model.params_mut();
-            assert_eq!(params.len(), masks.len(), "one mask per parameter");
-            let mut states = Vec::with_capacity(params.len());
-            for (p, mask) in params.into_iter().zip(&masks) {
-                let st = ShardedSamoLayerState::from_params(
-                    p.value.as_slice(),
-                    mask.clone(),
-                    &opt,
+        assert_replicas_agree(&replicas);
+        let workers = replicas
+            .into_iter()
+            .zip(transports)
+            .enumerate()
+            .map(|(rank, (mut model, t))| {
+                assert_eq!(
+                    t.rank(),
                     rank,
-                    d,
+                    "transport endpoints must arrive in rank order"
                 );
-                st.write_dense_f32_params_into(p.value.as_mut_slice());
-                states.push(st);
-            }
-            if rank == 0 {
-                numel = states.iter().map(|s| s.numel()).sum();
-                nnz = states.iter().map(|s| s.nnz()).sum();
-            }
-            let rk = Rank {
-                rank,
-                model,
-                states,
-                opt: opt.clone(),
-                scaler: scaler.clone(),
-                comm: Communicator::new(t).with_timeout(timeout),
-                schedule: None,
-                poisoned: false,
-                steps_taken: 0,
-                steps_skipped: 0,
-                rank_dur_stats: Vec::new(),
-            };
-            let (ctx, crx) = channel::<Cmd<M>>();
-            let (rtx, rrx) = channel::<Resp>();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("samo-dp-rank{rank}"))
-                    .spawn(move || rank_loop(rk, crx, rtx))
-                    .expect("spawn rank thread"),
-            );
-            cmd.push(ctx);
-            resp.push(rrx);
-        }
+                let comm = Communicator::new(t).with_timeout(timeout);
+                let engine = StepEngine::build(
+                    &mut model,
+                    &masks,
+                    opt.clone(),
+                    Ring(comm),
+                    true,
+                    &DP_THREADED,
+                );
+                let rk = Rank {
+                    rank,
+                    model,
+                    engine,
+                    rank_dur_stats: Vec::new(),
+                };
+                (format!("samo-dp-rank{rank}"), rk)
+            })
+            .collect();
         ThreadedDataParallelSamo {
-            world: d,
-            cmd,
-            resp,
-            handles,
+            group: RankGroup::spawn(workers, 1),
             faults,
-            opt,
-            scaler,
-            steps_taken: 0,
-            steps_skipped: 0,
             allreduce_bytes: 0,
-            numel,
-            nnz,
         }
     }
 
     /// Number of rank threads.
     pub fn world_size(&self) -> usize {
-        self.world
+        self.group.cmd.len()
     }
 
     /// Fault injection handle for every link of the mesh.
@@ -725,17 +636,17 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
     /// Current loss scale (multiply the loss before backward — the
     /// step closure receives it as its third argument).
     pub fn loss_scale(&self) -> f32 {
-        self.scaler.scale()
+        self.group.meta.loss_scale
     }
 
     /// Applied steps.
     pub fn steps_taken(&self) -> u64 {
-        self.steps_taken
+        self.group.meta.steps_taken
     }
 
     /// Steps skipped on gradient overflow (every rank skips together).
     pub fn steps_skipped(&self) -> u64 {
-        self.steps_skipped
+        self.group.meta.steps_skipped
     }
 
     /// Cumulative modeled ring all-reduce bytes, same formula as
@@ -746,26 +657,17 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
 
     /// Total parameters φ (per replica).
     pub fn numel(&self) -> usize {
-        self.numel
+        self.group.numel
     }
 
     /// Unpruned parameters fφ (per replica).
     pub fn nnz(&self) -> usize {
-        self.nnz
+        self.group.nnz
     }
 
     /// Replaces the loss scaler on every rank (and the mirror).
     pub fn set_scaler(&mut self, scaler: LossScaler) {
-        self.scaler = scaler.clone();
-        for tx in &self.cmd {
-            tx.send(Cmd::SetScaler(scaler.clone()))
-                .expect("rank thread alive");
-        }
-        for rx in &self.resp {
-            let Ok(Resp::Ack) = rx.recv() else {
-                panic!("rank thread died during set_scaler");
-            };
-        }
+        self.group.set_scaler(scaler);
     }
 
     /// Installs a dynamic-sparsity [`MaskSchedule`] on every rank. At
@@ -776,15 +678,7 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
     /// stays bitwise identical to a [`crate::SamoTrainer`] driven by
     /// the same schedule on replicated data.
     pub fn set_mask_schedule(&mut self, schedule: MaskSchedule) {
-        for tx in &self.cmd {
-            tx.send(Cmd::SetSchedule(schedule.clone()))
-                .expect("rank thread alive");
-        }
-        for rx in &self.resp {
-            let Ok(Resp::Ack) = rx.recv() else {
-                panic!("rank thread died during set_mask_schedule");
-            };
-        }
+        self.group.set_mask_schedule(schedule);
     }
 
     /// Runs one concurrent training step: every rank thread executes
@@ -797,107 +691,29 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
         &mut self,
         f: impl Fn(usize, &mut M, f32) -> Tensor + Send + Sync + 'static,
     ) -> Result<bool, String> {
-        let f: StepFn<M> = Arc::new(f);
-        for tx in &self.cmd {
-            tx.send(Cmd::Step(Arc::clone(&f)))
-                .map_err(|_| "a rank thread died".to_string())?;
-        }
-        let mut outcomes = Vec::with_capacity(self.world);
-        let mut errors = Vec::new();
-        for (rank, rx) in self.resp.iter().enumerate() {
-            match rx.recv() {
-                Ok(Resp::Step(Ok(o))) => outcomes.push(o),
-                Ok(Resp::Step(Err(e))) => errors.push(format!("rank {rank}: {e}")),
-                Ok(_) => errors.push(format!("rank {rank}: protocol confusion")),
-                Err(_) => errors.push(format!("rank {rank}: thread died")),
-            }
-        }
-        if !errors.is_empty() {
-            return Err(errors.join("; "));
-        }
-        let applied = outcomes[0].applied;
-        let finite = outcomes[0].finite;
-        debug_assert!(
-            outcomes
-                .iter()
-                .all(|o| o.applied == applied && o.finite == finite && o.nnz == outcomes[0].nnz),
-            "ranks must agree on the step verdict and mask"
-        );
-        // Keep the mirror scaler in lockstep with the rank replicas.
-        let _ = self.scaler.check_and_update(finite);
-        if applied {
-            self.steps_taken += 1;
-        } else {
-            self.steps_skipped += 1;
-        }
-        // A dynamic-sparsity remap may have changed the mask this step.
-        self.nnz = outcomes[0].nnz;
+        let applied = self.group.step(Arc::new(f))?;
         self.allreduce_bytes +=
-            samo_ring_allreduce_bytes(self.nnz as u64, self.world as u64);
+            samo_ring_allreduce_bytes(self.group.nnz as u64, self.world_size() as u64);
         Ok(applied)
     }
 
     /// Serializes the group as one rank-count-independent v2 checkpoint
     /// (same format as [`crate::DataParallelSamo::save`]).
     pub fn save(&mut self) -> bytes::Bytes {
-        let snaps = self.snapshot_all();
-        let nparams = snaps[0].states.len();
-        let layers: Vec<crate::state::SamoLayerState> = (0..nparams)
-            .map(|pi| {
-                let ranks: Vec<&ShardedSamoLayerState> =
-                    snaps.iter().map(|s| &s.states[pi]).collect();
-                ShardedSamoLayerState::to_full_layer(&ranks, &self.opt)
-            })
-            .collect();
-        let snap = self.scaler.snapshot();
-        let meta = crate::serialize::TrainerMeta {
-            loss_scale: snap.scale,
-            good_steps: snap.good_steps,
-            steps_taken: self.steps_taken,
-            steps_skipped: self.steps_skipped,
-        };
-        crate::serialize::save_checkpoint(&layers, &meta)
+        self.group.save()
     }
 
     /// Restores a checkpoint on every rank and re-synchronizes the
     /// group (fresh comms epoch + barrier). This is the recovery path
     /// after a failed step: heal the faulted links first, then restore.
     pub fn restore(&mut self, checkpoint: &[u8]) -> Result<(), String> {
-        let ck = Arc::new(checkpoint.to_vec());
-        for tx in &self.cmd {
-            tx.send(Cmd::Restore(Arc::clone(&ck)))
-                .map_err(|_| "a rank thread died".to_string())?;
-        }
-        let mut errors = Vec::new();
-        for (rank, rx) in self.resp.iter().enumerate() {
-            match rx.recv() {
-                Ok(Resp::Restored(Ok(()))) => {}
-                Ok(Resp::Restored(Err(e))) => errors.push(format!("rank {rank}: {e}")),
-                Ok(_) => errors.push(format!("rank {rank}: protocol confusion")),
-                Err(_) => errors.push(format!("rank {rank}: thread died")),
-            }
-        }
-        if !errors.is_empty() {
-            return Err(errors.join("; "));
-        }
-        // Re-sync the mirror from the checkpoint's own metadata.
-        let (layers, meta) = crate::serialize::load_checkpoint(checkpoint, &self.opt)?;
-        self.nnz = layers.iter().map(SamoLayerState::nnz).sum();
-        if let Some(meta) = meta {
-            self.scaler.restore_state(LossScalerState {
-                scale: meta.loss_scale,
-                good_steps: meta.good_steps,
-            });
-            self.steps_taken = meta.steps_taken;
-            self.steps_skipped = meta.steps_skipped;
-        }
-        Ok(())
+        self.group.restore(checkpoint)
     }
 
     /// Per-rank transport statistics (wire bytes, modeled ring bytes,
     /// fault-dropped messages), in rank order.
     pub fn comm_stats(&mut self) -> Vec<CommStats> {
-        self.snapshot_all().into_iter().map(|s| s.stats).collect()
+        self.group.snapshot_all().into_iter().map(|s| s.1).collect()
     }
 
     /// Runs `f` on rank `rank`'s thread with exclusive access to its
@@ -906,42 +722,8 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
     pub fn with_rank<R, F>(&mut self, rank: usize, f: F) -> R
     where
         R: Send + 'static,
-        F: FnOnce(&mut M, &[ShardedSamoLayerState]) -> R + Send + 'static,
+        F: FnOnce(&mut M, &[SamoLayerState]) -> R + Send + 'static,
     {
-        let (tx, rx) = channel();
-        self.cmd[rank]
-            .send(Cmd::Inspect(Box::new(move |model, states| {
-                let _ = tx.send(f(model, states));
-            })))
-            .expect("rank thread alive");
-        let out = rx.recv().expect("inspect reply");
-        let Ok(Resp::Ack) = self.resp[rank].recv() else {
-            panic!("rank thread died during inspect");
-        };
-        out
-    }
-
-    fn snapshot_all(&mut self) -> Vec<SnapshotData> {
-        for tx in &self.cmd {
-            tx.send(Cmd::Snapshot).expect("rank thread alive");
-        }
-        self.resp
-            .iter()
-            .map(|rx| match rx.recv() {
-                Ok(Resp::Snapshot(s)) => *s,
-                _ => panic!("rank thread died during snapshot"),
-            })
-            .collect()
-    }
-}
-
-impl<M: Layer + Send + 'static> Drop for ThreadedDataParallelSamo<M> {
-    fn drop(&mut self) {
-        for tx in &self.cmd {
-            let _ = tx.send(Cmd::Shutdown);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        self.group.with_rank(rank, f)
     }
 }

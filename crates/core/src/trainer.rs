@@ -1,220 +1,35 @@
-//! End-to-end training integration: SAMO-compressed training and the
-//! dense masked baseline it must be numerically equivalent to, plus the
-//! compressed data-parallel gradient all-reduce (paper Sec. IV-A).
+//! Single-worker training: [`SamoTrainer`] — the step engine with nothing
+//! to reduce — and the dense masked baseline it must be numerically
+//! equivalent to, plus the closed forms of the model-state memory and of
+//! the compressed data-parallel gradient all-reduce (paper Sec. IV-A).
 
-use crate::state::{RemapScratch, SamoLayerState};
+use crate::engine::{NoReduce, StepEngine, SAMO};
 use nn::layer::Layer;
 use nn::mixed::{DenseMixedState, LossScaler, Optimizer};
-use prune::{Mask, MaskSchedule};
+use prune::Mask;
 use tensor::f16::F16;
 
-/// SAMO training state for a whole model: one compressed layer state per
-/// parameter tensor, plus the shared loss scaler and (optionally) a
-/// dynamic-sparsity [`MaskSchedule`] with its per-layer remap scratch.
-pub struct SamoTrainer {
-    pub layers: Vec<SamoLayerState>,
-    pub opt: Optimizer,
-    pub scaler: LossScaler,
-    steps_taken: u64,
-    steps_skipped: u64,
-    schedule: Option<MaskSchedule>,
-    remap_scratch: Vec<RemapScratch>,
-    remap_events: u64,
-}
+/// SAMO training state for a whole model on one worker: the
+/// [`StepEngine`] with no reducer. Everything but `new` and `step` is
+/// the engine's.
+pub type SamoTrainer = StepEngine<NoReduce>;
 
-impl SamoTrainer {
+impl StepEngine<NoReduce> {
     /// Builds the trainer from a model's current parameters and one mask
     /// per parameter tensor (in `model.params()` order). The model's
     /// parameters are immediately pruned in place.
     pub fn new(model: &mut impl Layer, masks: Vec<Mask>, opt: Optimizer) -> SamoTrainer {
-        let params = model.params_mut();
-        assert_eq!(
-            params.len(),
-            masks.len(),
-            "need exactly one mask per parameter tensor"
-        );
-        let mut layers = Vec::with_capacity(params.len());
-        for (p, mask) in params.into_iter().zip(masks) {
-            assert_eq!(p.numel(), mask.numel(), "mask shape mismatch for {}", p.name);
-            let st = SamoLayerState::from_params(p.value.as_slice(), mask, &opt);
-            // Load the (pruned, fp16-rounded) parameters back into the
-            // compute model — forward/backward run on widened θ16.
-            st.write_dense_f32_params_into(p.value.as_mut_slice());
-            layers.push(st);
-        }
-        SamoTrainer {
-            layers,
-            opt,
-            scaler: LossScaler::default(),
-            steps_taken: 0,
-            steps_skipped: 0,
-            schedule: None,
-            remap_scratch: Vec::new(),
-            remap_events: 0,
-        }
-    }
-
-    /// Installs a dynamic-sparsity schedule: on every schedule update
-    /// step, [`Self::step`] recomputes each layer's mask and remaps the
-    /// compressed state in place before compressing the new gradient.
-    /// Pre-sizes one [`RemapScratch`] per layer so remap events never
-    /// allocate once warm.
-    pub fn set_mask_schedule(&mut self, schedule: MaskSchedule) {
-        let opt = &self.opt;
-        self.remap_scratch = self
-            .layers
-            .iter_mut()
-            .map(|l| RemapScratch::for_layer(l, opt))
-            .collect();
-        self.schedule = Some(schedule);
-    }
-
-    /// The installed dynamic-sparsity schedule, if any.
-    pub fn mask_schedule(&self) -> Option<&MaskSchedule> {
-        self.schedule.as_ref()
-    }
-
-    /// Number of steps at which at least one layer's mask actually moved.
-    pub fn remap_events(&self) -> u64 {
-        self.remap_events
-    }
-
-    /// The deterministic step index `t` the schedule is evaluated at:
-    /// applied plus skipped steps, so every rank of a data-parallel
-    /// group (which agrees on the skip verdict bitwise) agrees on the
-    /// remap timeline too.
-    pub fn step_index(&self) -> u64 {
-        self.steps_taken + self.steps_skipped
-    }
-
-    /// Total parameters φ across all layers.
-    pub fn numel(&self) -> usize {
-        self.layers.iter().map(|l| l.numel()).sum()
-    }
-
-    /// Unpruned parameters fφ.
-    pub fn nnz(&self) -> usize {
-        self.layers.iter().map(|l| l.nnz()).sum()
-    }
-
-    /// Measured model-state bytes (peak includes downcast temp).
-    pub fn model_state_bytes(&self, peak: bool) -> u64 {
-        self.layers.iter().map(|l| l.measured_bytes(peak)).sum()
-    }
-
-    /// Steps applied (not skipped by the loss scaler).
-    pub fn steps_taken(&self) -> u64 {
-        self.steps_taken
-    }
-
-    /// Steps skipped due to gradient overflow.
-    pub fn steps_skipped(&self) -> u64 {
-        self.steps_skipped
-    }
-
-    /// Current loss scale to multiply the loss by before backward.
-    pub fn loss_scale(&self) -> f32 {
-        self.scaler.scale()
-    }
-
-    /// Serializes the compressed training state (see `crate::serialize`
-    /// for the v2 format) including the loss-scaler state and step
-    /// counters, so a resumed run continues the exact scaling schedule.
-    /// The compute model is *not* included — θ16 is reconstructible from
-    /// the checkpoint via [`Self::restore`].
-    pub fn save(&self) -> bytes::Bytes {
-        crate::serialize::save_checkpoint(&self.layers, &self.meta())
-    }
-
-    /// The trainer-level state a v2 checkpoint carries.
-    fn meta(&self) -> crate::serialize::TrainerMeta {
-        let snap = self.scaler.snapshot();
-        crate::serialize::TrainerMeta {
-            loss_scale: snap.scale,
-            good_steps: snap.good_steps,
-            steps_taken: self.steps_taken,
-            steps_skipped: self.steps_skipped,
-        }
-    }
-
-    /// Restores a checkpoint produced by [`Self::save`] into this
-    /// trainer and writes the reconstructed parameters into `model`.
-    /// The model/mask structure must match what was saved. For a v2
-    /// checkpoint the loss-scaler state and step counters are restored
-    /// too; a legacy v1 buffer leaves them untouched.
-    pub fn restore(&mut self, checkpoint: &[u8], model: &mut impl Layer) -> Result<(), String> {
-        let (layers, meta) = crate::serialize::load_checkpoint(checkpoint, &self.opt)?;
-        if layers.len() != self.layers.len() {
-            return Err(format!(
-                "checkpoint has {} layers, trainer has {}",
-                layers.len(),
-                self.layers.len()
-            ));
-        }
-        for (new, old) in layers.iter().zip(&self.layers) {
-            if new.mask().shape() != old.mask().shape() {
-                return Err("checkpoint mask shape mismatch".into());
-            }
-        }
-        self.layers = layers;
-        if self.schedule.is_some() {
-            // The restored layers are fresh allocations without remap
-            // headroom; rebuild the scratch (and re-reserve) so future
-            // remap events stay allocation-free.
-            let opt = &self.opt;
-            self.remap_scratch = self
-                .layers
-                .iter_mut()
-                .map(|l| RemapScratch::for_layer(l, opt))
-                .collect();
-        }
-        for (p, st) in model.params_mut().into_iter().zip(&self.layers) {
-            if p.numel() != st.numel() {
-                return Err(format!("parameter {} size mismatch", p.name));
-            }
-            st.write_dense_f32_params_into(p.value.as_mut_slice());
-            p.zero_grad();
-        }
-        if let Some(meta) = meta {
-            self.scaler.restore_state(nn::mixed::LossScalerState {
-                scale: meta.loss_scale,
-                good_steps: meta.good_steps,
-            });
-            self.steps_taken = meta.steps_taken;
-            self.steps_skipped = meta.steps_skipped;
-        }
-        if telemetry::enabled() {
-            telemetry::global().counter("samo.ckpt.recoveries").inc();
-        }
-        Ok(())
-    }
-
-    /// Recovery path: restores the last good checkpoint *and* backs the
-    /// loss scale off once, so the replayed steps retry with a gentler
-    /// scale than the one that just diverged. Used by the divergence
-    /// sentinel (`crate::sentinel`).
-    pub fn rollback(&mut self, checkpoint: &[u8], model: &mut impl Layer) -> Result<(), String> {
-        self.restore(checkpoint, model)?;
-        self.scaler.force_backoff();
-        telemetry::log_info!(
-            "rollback: restored step {} (skipped {}), loss scale backed off to {}",
-            self.steps_taken,
-            self.steps_skipped,
-            self.scaler.scale()
-        );
-        if telemetry::enabled() {
-            telemetry::global().counter("samo.ckpt.rollbacks").inc();
-        }
-        Ok(())
+        StepEngine::build(model, &masks, opt, NoReduce, false, &SAMO)
     }
 
     /// Completes a training step after `model` has run forward/backward
     /// with the loss multiplied by [`Self::loss_scale`], using the two
     /// fused single-pass kernels: gather + f16-round + overflow-detect
-    /// ([`SamoLayerState::compress_grad_fused`]), then upscale +
+    /// ([`crate::SamoLayerState::compress_grad_fused`]), then upscale +
     /// optimizer + downcast + scatter writing the model's dense f32
-    /// parameters in place ([`SamoLayerState::optimizer_step_fused`]).
-    /// Returns `false` if the step was skipped.
+    /// parameters in place
+    /// ([`crate::SamoLayerState::optimizer_step_fused`]). Returns `false`
+    /// if the step was skipped.
     ///
     /// The steady-state path performs no heap allocation: both kernels
     /// work in place, and the skipped-step path only zeroes gradients
@@ -223,147 +38,10 @@ impl SamoTrainer {
     /// With telemetry enabled, each fused kernel is timed
     /// (`samo.step.compress`, `samo.step.optimizer`) and one
     /// [`telemetry::StepEvent`] line is appended to `metrics.jsonl`;
-    /// disabled, the only overhead is one atomic load.
+    /// disabled, the overhead is a few atomic loads.
     pub fn step(&mut self, model: &mut impl Layer) -> bool {
-        let tel = telemetry::enabled();
-        if self.schedule.is_some() {
-            self.maybe_remap(model);
-        }
-        // Backward pass hook: compress gradients layer by layer, folding
-        // the overflow scan into the same pass. The allocation-free
-        // `for_each_param_mut` traversal (not `params_mut`, which builds
-        // a Vec) keeps the whole step off the heap.
-        let sp = tel.then(|| telemetry::span("samo.step.compress"));
-        let mut finite = true;
-        {
-            let layers = &mut self.layers;
-            let mut i = 0;
-            model.for_each_param_mut(&mut |p| {
-                finite &= layers[i].compress_grad_fused(p.grad.as_slice());
-                i += 1;
-            });
-            assert_eq!(i, layers.len());
-        }
-        let t_compress = sp.map(telemetry::SpanGuard::finish);
-        let scale = self.scaler.scale();
-        let proceed = self.scaler.check_and_update(finite);
-        let mut t_optimizer = None;
-        if proceed {
-            let sp = tel.then(|| telemetry::span("samo.step.optimizer"));
-            let opt = &self.opt;
-            let layers = &mut self.layers;
-            let inv_scale = 1.0 / scale;
-            let mut i = 0;
-            model.for_each_param_mut(&mut |p| {
-                layers[i].optimizer_step_fused(opt, inv_scale, p.value.as_mut_slice());
-                p.zero_grad();
-                i += 1;
-            });
-            t_optimizer = sp.map(telemetry::SpanGuard::finish);
-            self.steps_taken += 1;
-        } else {
-            model.for_each_param_mut(&mut |p| p.zero_grad());
-            self.steps_skipped += 1;
-        }
-        if tel {
-            self.record_step(proceed, scale, t_compress, t_optimizer, None);
-        }
-        proceed
-    }
-
-    /// Dynamic-sparsity hook run at the top of [`Self::step`]: if the
-    /// schedule fires at the current step index, recompute each layer's
-    /// mask from the dense weights and the f16-canonicalized dense
-    /// gradient (the *grow score* — exactly the values a data-parallel
-    /// gradient ring reduces, so every runtime ranks regrowth candidates
-    /// identically) and remap the compressed state in place. Runs before
-    /// the compress/verdict phase so the new mask's gradient slots are
-    /// filled by the normal fused compress whether or not the scaler
-    /// skips the step — the remap timeline is therefore a pure function
-    /// of the step index.
-    fn maybe_remap(&mut self, model: &mut impl Layer) {
-        let t = self.step_index();
-        let Some(sched) = &self.schedule else { return };
-        if !sched.is_update_step(t) {
-            return;
-        }
-        let sched = sched.clone();
-        let tel = telemetry::enabled();
-        let sp = tel.then(|| telemetry::span("samo.step.remap"));
-        let layers = &mut self.layers;
-        let scratch = &mut self.remap_scratch;
-        let mut i = 0;
-        let mut moved = false;
-        model.for_each_param_mut(&mut |p| {
-            let layer = &mut layers[i];
-            let sc = &mut scratch[i];
-            sc.score.clear();
-            sc.score
-                .extend(p.grad.as_slice().iter().map(|&g| F16::from_f32(g).to_f32()));
-            let new_mask = sched.next_mask(t, p.value.as_slice(), &sc.score, layer.mask());
-            if &new_mask != layer.mask() {
-                layer.remap_compressed_state(new_mask, sc);
-                layer.write_dense_f32_params_into(p.value.as_mut_slice());
-                moved = true;
-            }
-            i += 1;
-        });
-        assert_eq!(i, layers.len());
-        if moved {
-            self.remap_events += 1;
-            if tel {
-                telemetry::global().counter("samo.remap_events").inc();
-            }
-        }
-        drop(sp);
-    }
-
-    /// Cold path: metric/JSONL bookkeeping for one completed `step()`.
-    fn record_step(
-        &self,
-        applied: bool,
-        scale_used: f32,
-        t_compress: Option<f64>,
-        t_optimizer: Option<f64>,
-        t_expand: Option<f64>,
-    ) {
-        let numel = self.numel() as u64;
-        let nnz = self.nnz() as u64;
-        let reg = telemetry::global();
-        reg.counter(if applied {
-            "samo.steps_taken"
-        } else {
-            "samo.steps_skipped"
-        })
-        .inc();
-        reg.gauge("samo.loss_scale")
-            .set(f64::from(self.scaler.scale()));
-        let bytes = self.model_state_bytes(true);
-        reg.gauge("samo.model_state_bytes").set_max(bytes as f64);
-        let mut phases = Vec::new();
-        if let Some(t) = t_compress {
-            phases.push(("compress", t));
-        }
-        if let Some(t) = t_optimizer {
-            phases.push(("optimizer", t));
-        }
-        if let Some(t) = t_expand {
-            phases.push(("expand", t));
-        }
-        telemetry::jsonl::emit_step(&telemetry::StepEvent {
-            kind: "samo",
-            step: self.steps_taken + self.steps_skipped - 1,
-            applied,
-            loss_scale: scale_used,
-            steps_taken: self.steps_taken,
-            steps_skipped: self.steps_skipped,
-            numel,
-            nnz,
-            model_state_bytes: bytes,
-            formula_state_bytes: Some(formula_state_bytes(&self.opt, numel, nnz)),
-            allreduce_bytes: samo_allreduce_bytes(nnz),
-            phases,
-        });
+        self.step_after_backward(model)
+            .expect("a single worker runs no collective")
     }
 }
 
@@ -784,7 +462,7 @@ mod tests {
 
     #[test]
     fn mask_schedule_remaps_and_memory_tracks_the_trajectory() {
-        use prune::MomentumPruneRegrow;
+        use prune::{MaskSchedule, MomentumPruneRegrow};
         let mut model = Linear::new(12, 12, false, 71);
         let phi = 144u64;
         // Trajectory sparsifies 0.5 -> 0.9 then densifies back to 0.25.

@@ -8,6 +8,7 @@ use nn::loss::mse;
 use nn::mixed::Optimizer;
 use nn::optim::AdamConfig;
 use samo::trainer::{dense_formula_state_bytes, formula_state_bytes, SamoTrainer};
+use samo::DistDataParallel;
 use tensor::Tensor;
 
 fn adam() -> Optimizer {
@@ -92,6 +93,53 @@ fn samo_steps_record_counters_spans_and_jsonl() {
             line.contains(&format!("\"formula_state_bytes\":{formula}")),
             "line: {line}"
         );
+    }
+
+    // The same recorder serves the cross-process trainer: one `samo_dp`
+    // event per group step (from rank 0), its three phases as spans, and
+    // a restore counted as a recovery. (Same test function: the JSONL
+    // sink is opened once per process.)
+    let recoveries = reg.counter("samo.ckpt.recoveries").get();
+    let dp_taken = reg.counter("samo.dp.steps_taken").get();
+    telemetry::set_enabled(true);
+    std::thread::scope(|s| {
+        for t in comms::InProcTransport::mesh(2) {
+            let (x, target) = (&x, &target);
+            s.spawn(move || {
+                let mut model = Linear::new(8, 8, false, 1);
+                let mask = prune::random_prune(&[8, 8], 0.75, 2);
+                let comm = comms::Communicator::new(t);
+                let mut dist = DistDataParallel::new(&mut model, vec![mask], adam(), comm);
+                for _ in 0..steps {
+                    let y = model.forward(x);
+                    let (_, mut dy) = mse(&y, target);
+                    tensor::ops::scale(dist.loss_scale(), dy.as_mut_slice());
+                    model.backward(&dy);
+                    dist.step(&mut model).expect("healthy mesh");
+                }
+                let ckpt = dist.save();
+                dist.restore(&ckpt, &mut model).expect("own checkpoint restores");
+            });
+        }
+    });
+    telemetry::jsonl::flush();
+    telemetry::set_enabled(false);
+    assert_eq!(reg.counter("samo.dp.steps_taken").get() - dp_taken, steps);
+    assert_eq!(reg.counter("samo.ckpt.recoveries").get() - recoveries, 1);
+    let spans = telemetry::take_spans();
+    for name in ["samo.dp.compress", "samo.dp.allreduce", "samo.dp.optimizer"] {
+        let n = spans.iter().filter(|s| s.name == name).count() as u64;
+        assert_eq!(n, steps, "span {name}");
+    }
+    let data = std::fs::read_to_string(tmp.join("metrics.jsonl")).unwrap();
+    let dp_lines: Vec<&str> = data.lines().skip(steps as usize).collect();
+    assert_eq!(dp_lines.len(), steps as usize);
+    for line in dp_lines {
+        assert!(line.starts_with("{\"kind\":\"samo_dp\""), "line: {line}");
+        for phase in ["\"t_compress\"", "\"t_allreduce\"", "\"t_optimizer\""] {
+            assert!(line.contains(phase), "phase {phase} missing: {line}");
+        }
+        assert!(line.contains(&format!("\"model_state_bytes\":{formula}")), "line: {line}");
     }
 
     let _ = std::fs::remove_dir_all(&tmp);

@@ -130,8 +130,7 @@ impl ThreadPool {
     }
 
     /// The process-global pool, sized to the number of available CPUs.
-    /// Overridable with the `SAMO_THREADS` environment variable
-    /// (`SAMO_NUM_THREADS` is honored as a legacy alias).
+    /// Overridable with the `SAMO_THREADS` environment variable.
     pub fn global() -> &'static ThreadPool {
         static GLOBAL: std::sync::OnceLock<ThreadPool> = std::sync::OnceLock::new();
         GLOBAL.get_or_init(|| ThreadPool::new(configured_workers()))
@@ -162,19 +161,16 @@ impl ThreadPool {
     }
 }
 
-/// Worker count for the global pool: `SAMO_THREADS` if set (then the
-/// legacy `SAMO_NUM_THREADS`), else the number of available CPUs. A set
-/// but unusable value (unparseable, or `0`) is rejected with a warning
-/// naming it — falling back to full parallelism must not be silent.
+/// Worker count for the global pool: `SAMO_THREADS` if set, else the
+/// number of available CPUs. A set but unusable value (unparseable, or
+/// `0`) is rejected with a warning naming it — falling back to full
+/// parallelism must not be silent.
 pub fn configured_workers() -> usize {
-    let configured = ["SAMO_THREADS", "SAMO_NUM_THREADS"]
-        .iter()
-        .find_map(|key| std::env::var(key).ok().map(|raw| (key, raw)));
-    if let Some((key, raw)) = configured {
+    if let Ok(raw) = std::env::var("SAMO_THREADS") {
         match raw.parse::<usize>() {
             Ok(n) if n > 0 => return n,
             _ => telemetry::log_warn!(
-                "{key}={raw:?} is not a positive thread count; \
+                "SAMO_THREADS={raw:?} is not a positive thread count; \
                  falling back to all available CPUs"
             ),
         }
@@ -370,13 +366,9 @@ mod tests {
 
     #[test]
     fn configured_workers_rejects_bad_values_with_fallback() {
-        // Process-global env: save and restore both knobs around the probe.
-        let saved: Vec<Option<String>> = ["SAMO_THREADS", "SAMO_NUM_THREADS"]
-            .iter()
-            .map(|k| std::env::var(k).ok())
-            .collect();
+        // Process-global env: save and restore the knob around the probe.
+        let saved = std::env::var("SAMO_THREADS").ok();
         let fallback = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-        std::env::remove_var("SAMO_NUM_THREADS");
         for (val, want) in [
             ("3", 3),
             ("1", 1),
@@ -389,19 +381,9 @@ mod tests {
             std::env::set_var("SAMO_THREADS", val);
             assert_eq!(configured_workers(), want, "SAMO_THREADS={val:?}");
         }
-        // A bad primary value must not silently resurrect the legacy
-        // alias: first-set-wins precedence is part of the contract.
-        std::env::set_var("SAMO_THREADS", "junk");
-        std::env::set_var("SAMO_NUM_THREADS", "2");
-        assert_eq!(configured_workers(), fallback);
-        // Legacy alias alone still works.
-        std::env::remove_var("SAMO_THREADS");
-        assert_eq!(configured_workers(), 2);
-        for (k, v) in ["SAMO_THREADS", "SAMO_NUM_THREADS"].iter().zip(saved) {
-            match v {
-                Some(v) => std::env::set_var(k, v),
-                None => std::env::remove_var(k),
-            }
+        match saved {
+            Some(v) => std::env::set_var("SAMO_THREADS", v),
+            None => std::env::remove_var("SAMO_THREADS"),
         }
     }
 

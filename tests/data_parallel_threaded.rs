@@ -79,37 +79,46 @@ fn threaded_step(th: &mut ThreadedDataParallelSamo<Sequential>, step: u64) -> Re
 /// so byte equality is state equality).
 #[test]
 fn threaded_matches_inproc_bitwise() {
-    let world = 3;
-    let mut dp =
-        DataParallelSamo::new((0..world).map(|_| model(7)).collect(), masks(), adam());
-    dp.set_scaler(LossScaler::new(1024.0));
-    let mut th =
-        ThreadedDataParallelSamo::new((0..world).map(|_| model(7)).collect(), masks(), adam());
-    th.set_scaler(LossScaler::new(1024.0));
+    // An odd world under a modest scale, and an even one under the
+    // default scaler (65536, where the first verdicts matter most).
+    for (world, scaler) in [(3usize, Some(1024.0)), (2, None)] {
+        let mut dp =
+            DataParallelSamo::new((0..world).map(|_| model(7)).collect(), masks(), adam());
+        let mut th =
+            ThreadedDataParallelSamo::new((0..world).map(|_| model(7)).collect(), masks(), adam());
+        if let Some(scale) = scaler {
+            dp.set_scaler(LossScaler::new(scale));
+            th.set_scaler(LossScaler::new(scale));
+        }
 
-    for step in 0..10u64 {
-        drive_inproc(&mut dp, step);
-        threaded_step(&mut th, step).expect("healthy mesh");
-        assert_eq!(dp.loss_scale(), th.loss_scale(), "scale diverged at step {step}");
-        assert_eq!(
-            dp.save().as_ref(),
-            th.save().as_ref(),
-            "training state diverged at step {step}"
-        );
-    }
-    assert_eq!(dp.steps_taken(), th.steps_taken());
-    assert_eq!(dp.steps_skipped(), th.steps_skipped());
-    // Both account collective volume with the same ring formula.
-    assert_eq!(dp.allreduce_bytes(), th.allreduce_bytes());
+        for step in 0..10u64 {
+            let skipped = dp.steps_skipped();
+            drive_inproc(&mut dp, step);
+            let applied = threaded_step(&mut th, step).expect("healthy mesh");
+            // Overflow verdicts agree: both groups see the same reduced
+            // gradient bits, so they skip the same steps.
+            assert_eq!(applied, dp.steps_skipped() == skipped, "verdict at step {step}");
+            assert_eq!(dp.loss_scale(), th.loss_scale(), "scale diverged at step {step}");
+            assert_eq!(
+                dp.save().as_ref(),
+                th.save().as_ref(),
+                "training state diverged at world {world} step {step}"
+            );
+        }
+        assert_eq!(dp.steps_taken(), th.steps_taken());
+        assert_eq!(dp.steps_skipped(), th.steps_skipped());
+        // Both account collective volume with the same ring formula.
+        assert_eq!(dp.allreduce_bytes(), th.allreduce_bytes());
 
-    // And the replicas themselves hold identical dense parameters.
-    for r in 0..world {
-        let want: Vec<Vec<f32>> =
-            dp.replica_mut(r).params().iter().map(|p| p.value.as_slice().to_vec()).collect();
-        let got = th.with_rank(r, |m, _| {
-            m.params().iter().map(|p| p.value.as_slice().to_vec()).collect::<Vec<_>>()
-        });
-        assert_eq!(got, want, "rank {r} replica diverged");
+        // And the replicas themselves hold identical dense parameters.
+        for r in 0..world {
+            let want: Vec<Vec<f32>> =
+                dp.replica_mut(r).params().iter().map(|p| p.value.as_slice().to_vec()).collect();
+            let got = th.with_rank(r, |m, _| {
+                m.params().iter().map(|p| p.value.as_slice().to_vec()).collect::<Vec<_>>()
+            });
+            assert_eq!(got, want, "rank {r} replica diverged");
+        }
     }
 }
 
@@ -167,15 +176,19 @@ fn killed_rank_times_out_and_restore_resyncs_bitwise() {
     // Heal the node, restore the checkpoint, replay the failed step.
     th.faults().heal_rank(1, world);
     th.restore(&checkpoint).expect("restore after heal");
+    // The checkpoint is runtime-independent: the in-process group takes
+    // the bytes the threaded one wrote and stays where it was.
+    dp.restore(&checkpoint).expect("in-process restore of threaded bytes");
     for step in fail_at..total {
         drive_inproc(&mut dp, step);
         threaded_step(&mut th, step).expect("healed mesh");
+        assert_eq!(
+            th.save().as_ref(),
+            dp.save().as_ref(),
+            "restored threaded group must match the never-failed in-process trainer bitwise \
+             (step {step})"
+        );
     }
-    assert_eq!(
-        th.save().as_ref(),
-        dp.save().as_ref(),
-        "restored threaded group must match the never-failed in-process trainer bitwise"
-    );
 }
 
 /// A rank-1 "group" degenerates to plain SAMO semantics and must not

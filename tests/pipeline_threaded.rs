@@ -64,7 +64,7 @@ fn batch(step: u64, mb: usize) -> (Tensor, Tensor) {
 
 /// One single-process oracle step: the same microbatches, sequentially
 /// accumulated on the full model, then the fused SAMO step.
-fn oracle_step(trainer: &mut SamoTrainer, model: &mut Sequential, step: u64) {
+fn oracle_step(trainer: &mut SamoTrainer, model: &mut Sequential, step: u64) -> bool {
     let scale = trainer.loss_scale();
     for mb in 0..MB {
         let (x, t) = batch(step, mb);
@@ -73,7 +73,7 @@ fn oracle_step(trainer: &mut SamoTrainer, model: &mut Sequential, step: u64) {
         tensor::ops::scale(scale, dy.as_mut_slice());
         model.backward(&dy);
     }
-    trainer.step(model);
+    trainer.step(model)
 }
 
 fn pipeline_step(pp: &mut ThreadedPipelineSamo, step: u64) -> Result<bool, String> {
@@ -104,16 +104,25 @@ fn cfg(g_inter: usize, g_data: usize) -> PipelineConfig {
 /// of stage-thread timing.
 #[test]
 fn pipeline_matches_single_process_bitwise_for_each_depth() {
-    for g_inter in [2usize, 3, 4] {
+    // Depth 2 also runs under the default scaler (65536, where the
+    // first verdicts matter most) and the default collective deadline.
+    let cases = [(2usize, None), (2, Some(1024.0)), (3, Some(1024.0)), (4, Some(1024.0))];
+    for (g_inter, scaler) in cases {
         let mut oracle_model = model(11);
         let mut oracle = SamoTrainer::new(&mut oracle_model, masks(), adam());
-        oracle.scaler = LossScaler::new(1024.0);
-        let mut pp = ThreadedPipelineSamo::new(vec![model(11)], masks(), adam(), cfg(g_inter, 1));
-        pp.set_scaler(LossScaler::new(1024.0));
+        let mut c = cfg(g_inter, 1);
+        if scaler.is_none() {
+            c.timeout = comms::collectives::DEFAULT_TIMEOUT;
+        }
+        let mut pp = ThreadedPipelineSamo::new(vec![model(11)], masks(), adam(), c);
+        if let Some(scale) = scaler {
+            oracle.scaler = LossScaler::new(scale);
+            pp.set_scaler(LossScaler::new(scale));
+        }
 
         for step in 0..6u64 {
-            oracle_step(&mut oracle, &mut oracle_model, step);
-            pipeline_step(&mut pp, step).expect("healthy mesh");
+            let applied = oracle_step(&mut oracle, &mut oracle_model, step);
+            assert_eq!(pipeline_step(&mut pp, step), Ok(applied), "verdict at step {step}");
             assert_eq!(
                 oracle.loss_scale(),
                 pp.loss_scale(),
@@ -211,52 +220,76 @@ fn forced_recompute_is_bitwise_identical_and_counted() {
 /// never-failed single-process trainer bitwise.
 #[test]
 fn killed_stage_times_out_and_restore_resyncs_bitwise() {
-    let g_inter = 3;
-    let fail_at = 3u64;
-    let total = 6u64;
+    // An interior stage of three, and the last stage of two.
+    for g_inter in [3usize, 2] {
+        let fail_at = 3u64;
+        let total = 6u64;
 
-    let mut oracle_model = model(19);
-    let mut oracle = SamoTrainer::new(&mut oracle_model, masks(), adam());
-    oracle.scaler = LossScaler::new(1024.0);
-    let mut c = cfg(g_inter, 1);
-    c.timeout = Duration::from_millis(300);
-    let mut pp = ThreadedPipelineSamo::new(vec![model(19)], masks(), adam(), c);
-    pp.set_scaler(LossScaler::new(1024.0));
+        let mut oracle_model = model(19);
+        let mut oracle = SamoTrainer::new(&mut oracle_model, masks(), adam());
+        oracle.scaler = LossScaler::new(1024.0);
+        let mut c = cfg(g_inter, 1);
+        c.timeout = Duration::from_millis(300);
+        let mut pp = ThreadedPipelineSamo::new(vec![model(19)], masks(), adam(), c);
+        pp.set_scaler(LossScaler::new(1024.0));
 
-    for step in 0..fail_at {
-        oracle_step(&mut oracle, &mut oracle_model, step);
-        pipeline_step(&mut pp, step).expect("healthy mesh");
+        for step in 0..fail_at {
+            oracle_step(&mut oracle, &mut oracle_model, step);
+            pipeline_step(&mut pp, step).expect("healthy mesh");
+        }
+        let checkpoint = pp.save();
+        assert_eq!(checkpoint.as_ref(), oracle.save().as_ref(), "pre-failure state diverged");
+
+        // Stage 1 dies: every pipeline link in and out goes dark.
+        pp.pipe_faults()[0].kill_rank(1, g_inter);
+        let t0 = Instant::now();
+        let err = pipeline_step(&mut pp, fail_at).expect_err("dead stage must fail the step");
+        assert!(err.contains("timed out"), "failure should surface as a timeout: {err}");
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "timeout must be bounded, took {:?}",
+            t0.elapsed()
+        );
+
+        // Poisoned until recovery: further steps refuse to run.
+        let err2 = pipeline_step(&mut pp, fail_at).expect_err("group must stay poisoned");
+        assert!(err2.contains("poisoned"), "got: {err2}");
+
+        // Heal the stage, restore the checkpoint, replay the failed step.
+        pp.pipe_faults()[0].heal_rank(1, g_inter);
+        pp.restore(&checkpoint).expect("restore after heal");
+        for step in fail_at..total {
+            let applied = oracle_step(&mut oracle, &mut oracle_model, step);
+            assert_eq!(pipeline_step(&mut pp, step), Ok(applied), "healed mesh, step {step}");
+            assert_eq!(
+                pp.save().as_ref(),
+                oracle.save().as_ref(),
+                "restored pipeline must match the never-failed single-process trainer bitwise \
+                 (G_inter={g_inter} step {step})"
+            );
+        }
     }
-    let checkpoint = pp.save();
-    assert_eq!(checkpoint.as_ref(), oracle.save().as_ref(), "pre-failure state diverged");
+}
 
-    // The interior stage dies: every pipeline link in and out goes dark.
-    pp.pipe_faults()[0].kill_rank(1, g_inter);
-    let t0 = Instant::now();
-    let err = pipeline_step(&mut pp, fail_at).expect_err("dead stage must fail the step");
-    assert!(err.contains("timed out"), "failure should surface as a timeout: {err}");
-    assert!(
-        t0.elapsed() < Duration::from_secs(10),
-        "timeout must be bounded, took {:?}",
-        t0.elapsed()
-    );
+/// A checkpoint of a different model — here one with an extra layer, so
+/// every stage's own slice still lines up — is rejected by every rank
+/// before any state is touched, exactly as the other runtimes reject it.
+#[test]
+fn restore_rejects_a_checkpoint_with_more_layers_than_the_model() {
+    let mut pp = ThreadedPipelineSamo::new(vec![model(23)], masks(), adam(), cfg(2, 1));
+    pipeline_step(&mut pp, 0).expect("healthy mesh");
+    let before = pp.save();
 
-    // Poisoned until recovery: further steps refuse to run.
-    let err2 = pipeline_step(&mut pp, fail_at).expect_err("group must stay poisoned");
-    assert!(err2.contains("poisoned"), "got: {err2}");
+    // The same model with one more (bias-free) linear layer on top.
+    let mut bigger = model(23).push(Linear::new(OUT, OUT, false, 99));
+    let mut bigger_masks = masks();
+    bigger_masks.push(Mask::dense(&[OUT, OUT]));
+    let foreign = SamoTrainer::new(&mut bigger, bigger_masks, adam()).save();
 
-    // Heal the stage, restore the checkpoint, replay the failed step.
-    pp.pipe_faults()[0].heal_rank(1, g_inter);
-    pp.restore(&checkpoint).expect("restore after heal");
-    for step in fail_at..total {
-        oracle_step(&mut oracle, &mut oracle_model, step);
-        pipeline_step(&mut pp, step).expect("healed mesh");
-    }
-    assert_eq!(
-        pp.save().as_ref(),
-        oracle.save().as_ref(),
-        "restored pipeline must match the never-failed single-process trainer bitwise"
-    );
+    let err = pp.restore(&foreign).expect_err("a 7-layer checkpoint must not restore into 6");
+    assert!(err.contains("checkpoint has 7 layers"), "got: {err}");
+    assert_eq!(pp.save().as_ref(), before.as_ref(), "a rejected restore must change nothing");
+    assert_eq!(pipeline_step(&mut pp, 1), Ok(true), "the group keeps training");
 }
 
 /// A depth-1 "pipeline" degenerates to plain data-parallel semantics
