@@ -3,40 +3,34 @@
 //! ```text
 //! repro <experiment> [--quick] [--trace <path>]
 //! repro trace-analyze <trace.json> [--gate]
+//! repro gate <BENCH_hotpaths.json | trace.json | metrics.jsonl>...
 //!   experiments: fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 table1 table2 memory ablation sensitivity scorecard cnn memorymap faults all
-//!   extras:      bench   (hot-path microbenchmarks; NOT part of `all`,
-//!                         writes BENCH_hotpaths.json at the repo root)
-//!                comms   (threaded ring all-reduce bench, compressed vs
-//!                         dense; merges a `comms` section into
-//!                         BENCH_hotpaths.json; NOT part of `all`)
-//!                pipeline (threaded inter-layer pipeline bubble bench,
-//!                         measured vs Eq. 7; merges a `pipeline` section
-//!                         into BENCH_hotpaths.json; NOT part of `all`)
+//!   trackers (NOT part of `all`: perf trackers, not paper experiments;
+//!   each records its section into BENCH_hotpaths.json at the repo root
+//!   and fails unless the section passes its gate, `bench::gates`):
+//!                bench   (hot-path microbenchmarks)
+//!                comms   (threaded ring all-reduce, compressed vs dense)
+//!                pipeline (threaded inter-layer pipeline bubble, measured
+//!                         vs Eq. 7)
 //!                tcp     (loopback-TCP vs in-process transport on the
-//!                         same ring all-reduce, bitwise cross-checked;
-//!                         merges a `tcp` section into
-//!                         BENCH_hotpaths.json; NOT part of `all`)
+//!                         same ring all-reduce, bitwise cross-checked)
 //!                simd    (SIMD compute tier: scalar vs AVX2 per
 //!                         dispatched kernel, 2:4 structured spMM vs
-//!                         dense/CSR, int8 vs f32 GEMM; self-gating;
-//!                         merges a `simd` section into
-//!                         BENCH_hotpaths.json; NOT part of `all`)
+//!                         dense/CSR, int8 vs f32 GEMM)
 //!                serve   (batched inference serving over loopback TCP:
 //!                         SLA load-gen per backend at batch 1 vs
-//!                         batched, plus a hot-reload drill under load;
-//!                         self-gating; merges a `serve` section into
-//!                         BENCH_hotpaths.json; NOT part of `all`)
+//!                         batched, plus a hot-reload drill under load)
 //!                dynamic (dynamic sparsity: MaskSchedule-driven trainer
-//!                         memory gated against 24(1-p(t))phi + 2phi per
-//!                         step, plus the in-place remap kernel vs the
-//!                         naive dense rebuild; self-gating; merges a
-//!                         `dynamic` section into BENCH_hotpaths.json;
-//!                         NOT part of `all`)
+//!                         memory against 24(1-p(t))phi + 2phi per step,
+//!                         plus the in-place remap kernel vs the naive
+//!                         dense rebuild)
 //!                trace-analyze (offline critical-path / decomposition /
 //!                         flow-census analysis of a `--trace` file;
-//!                         merges an `analysis` section into
-//!                         BENCH_hotpaths.json; `--gate` turns trace
-//!                         health violations into a nonzero exit)
+//!                         records an `analysis` section; `--gate` turns
+//!                         trace health violations into a nonzero exit)
+//!                gate    (runs the gate table over files on disk: every
+//!                         section of a BENCH_hotpaths.json, the shape of
+//!                         a Chrome trace or of a metrics.jsonl)
 //! ```
 //!
 //! Each experiment prints the regenerated rows/series and writes a CSV
@@ -119,118 +113,67 @@ fn main() {
     // a usable trace and flushed metrics behind.
     let mut flush_guard = FlushGuard { trace_path: trace_path.clone(), armed: true };
 
+    let mut names: Vec<&str> = Vec::new();
     let mut ran = false;
     let mut failed: Option<String> = None;
     {
         // Experiments report failures (unwritable results dir, no feasible
-        // parallel config, ...) instead of panicking; the first failure
-        // stops the run and becomes a nonzero exit below.
-        let mut exp =
-            |name: &str, span_name: &'static str, f: &mut dyn FnMut() -> Result<(), String>| {
-                if (what == "all" || what == name) && failed.is_none() {
-                    let sp = telemetry::enabled().then(|| telemetry::span(span_name));
-                    if let Err(e) = f() {
-                        failed = Some(format!("{name}: {e}"));
-                    }
-                    drop(sp);
-                    ran = true;
+        // parallel config, a failed gate, ...) instead of panicking; the
+        // first failure stops the run and becomes a nonzero exit below.
+        // `in_all` is false for the perf trackers and the file tools: they
+        // are not paper experiments and write into the repo root rather
+        // than `results/`.
+        let mut exp = |name: &'static str,
+                       span_name: &'static str,
+                       in_all: bool,
+                       f: &mut dyn FnMut() -> Result<(), String>| {
+            names.push(name);
+            if (what == name || (in_all && what == "all")) && failed.is_none() {
+                let sp = telemetry::enabled().then(|| telemetry::span(span_name));
+                if let Err(e) = f() {
+                    failed = Some(format!("{name}: {e}"));
                 }
-            };
-        exp("fig1", "repro.fig1", &mut || fig1(quick));
-        exp("fig2", "repro.fig2", &mut fig2);
-        exp("fig3", "repro.fig3", &mut fig3);
-        exp("fig4", "repro.fig4", &mut || fig4(quick));
-        exp("fig5", "repro.fig5", &mut fig5);
-        exp("fig6", "repro.fig6", &mut || {
+                drop(sp);
+                ran = true;
+            }
+        };
+        exp("fig1", "repro.fig1", true, &mut || fig1(quick));
+        exp("fig2", "repro.fig2", true, &mut fig2);
+        exp("fig3", "repro.fig3", true, &mut fig3);
+        exp("fig4", "repro.fig4", true, &mut || fig4(quick));
+        exp("fig5", "repro.fig5", true, &mut fig5);
+        exp("fig6", "repro.fig6", true, &mut || {
             fig6_7("fig6", &[(GPT3_XL, 64, 512), (GPT3_2_7B, 64, 512)])
         });
-        exp("fig7", "repro.fig7", &mut || {
+        exp("fig7", "repro.fig7", true, &mut || {
             fig6_7("fig7", &[(GPT3_6_7B, 128, 1024), (GPT3_13B, 256, 2048)])
         });
-        exp("fig8", "repro.fig8", &mut fig8);
-        exp("table1", "repro.table1", &mut table1);
-        exp("table2", "repro.table2", &mut table2);
-        exp("memory", "repro.memory", &mut memory_headline);
-        exp("ablation", "repro.ablation", &mut ablation);
-        exp("sensitivity", "repro.sensitivity", &mut sensitivity);
-        exp("scorecard", "repro.scorecard", &mut scorecard);
-        exp("cnn", "repro.cnn", &mut || cnn_accuracy(quick));
-        exp("memorymap", "repro.memorymap", &mut memorymap);
-        exp("faults", "repro.faults", &mut || faults(quick));
-        // `bench` and `comms` are deliberately not part of `all`: they
-        // are perf trackers, not paper experiments, and write into the
-        // repo root rather than `results/`.
-        if what == "bench" && failed.is_none() {
-            let sp = telemetry::enabled().then(|| telemetry::span("repro.bench"));
-            if let Err(e) = bench::hotpaths::run(quick) {
-                failed = Some(format!("bench: {e}"));
-            }
-            drop(sp);
-            ran = true;
-        }
-        if what == "comms" && failed.is_none() {
-            let sp = telemetry::enabled().then(|| telemetry::span("repro.comms"));
-            if let Err(e) = bench::comms_bench::run(quick) {
-                failed = Some(format!("comms: {e}"));
-            }
-            drop(sp);
-            ran = true;
-        }
-        if what == "tcp" && failed.is_none() {
-            let sp = telemetry::enabled().then(|| telemetry::span("repro.tcp"));
-            if let Err(e) = bench::tcp_bench::run(quick) {
-                failed = Some(format!("tcp: {e}"));
-            }
-            drop(sp);
-            ran = true;
-        }
-        if what == "simd" && failed.is_none() {
-            let sp = telemetry::enabled().then(|| telemetry::span("repro.simd"));
-            if let Err(e) = bench::simd_bench::run(quick) {
-                failed = Some(format!("simd: {e}"));
-            }
-            drop(sp);
-            ran = true;
-        }
-        if what == "pipeline" && failed.is_none() {
-            let sp = telemetry::enabled().then(|| telemetry::span("repro.pipeline"));
-            if let Err(e) = bench::pipeline_bench::run(quick) {
-                failed = Some(format!("pipeline: {e}"));
-            }
-            drop(sp);
-            ran = true;
-        }
-        if what == "serve" && failed.is_none() {
-            let sp = telemetry::enabled().then(|| telemetry::span("repro.serve"));
-            if let Err(e) = bench::serve_bench::run(quick) {
-                failed = Some(format!("serve: {e}"));
-            }
-            drop(sp);
-            ran = true;
-        }
-        if what == "dynamic" && failed.is_none() {
-            let sp = telemetry::enabled().then(|| telemetry::span("repro.dynamic"));
-            if let Err(e) = bench::dynamic_bench::run(quick) {
-                failed = Some(format!("dynamic: {e}"));
-            }
-            drop(sp);
-            ran = true;
-        }
-        if what == "trace-analyze" && failed.is_none() {
-            let Some(input) = positionals.get(1) else {
-                eprintln!("trace-analyze requires a trace file path");
-                std::process::exit(2);
-            };
-            if let Err(e) = bench::trace_analyze::run(input, gate) {
-                failed = Some(format!("trace-analyze: {e}"));
-            }
-            ran = true;
-        }
+        exp("fig8", "repro.fig8", true, &mut fig8);
+        exp("table1", "repro.table1", true, &mut table1);
+        exp("table2", "repro.table2", true, &mut table2);
+        exp("memory", "repro.memory", true, &mut memory_headline);
+        exp("ablation", "repro.ablation", true, &mut ablation);
+        exp("sensitivity", "repro.sensitivity", true, &mut sensitivity);
+        exp("scorecard", "repro.scorecard", true, &mut scorecard);
+        exp("cnn", "repro.cnn", true, &mut || cnn_accuracy(quick));
+        exp("memorymap", "repro.memorymap", true, &mut memorymap);
+        exp("faults", "repro.faults", true, &mut || faults(quick));
+        exp("bench", "repro.bench", false, &mut || bench::hotpaths::run(quick));
+        exp("comms", "repro.comms", false, &mut || bench::comms_bench::run(quick));
+        exp("tcp", "repro.tcp", false, &mut || bench::tcp_bench::run(quick));
+        exp("simd", "repro.simd", false, &mut || bench::simd_bench::run(quick));
+        exp("pipeline", "repro.pipeline", false, &mut || bench::pipeline_bench::run(quick));
+        exp("serve", "repro.serve", false, &mut || bench::serve_bench::run(quick));
+        exp("dynamic", "repro.dynamic", false, &mut || bench::dynamic_bench::run(quick));
+        exp("trace-analyze", "repro.trace_analyze", false, &mut || {
+            bench::trace_analyze::run(&file_args(&positionals, "a trace file path")[0], gate)
+        });
+        exp("gate", "repro.gate", false, &mut || {
+            bench::gates::run(file_args(&positionals, "at least one file path"))
+        });
     }
     if !ran {
-        eprintln!(
-            "unknown experiment '{what}'. Choose from: fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 table1 table2 memory ablation sensitivity scorecard cnn memorymap faults all bench comms tcp simd pipeline serve dynamic trace-analyze"
-        );
+        eprintln!("unknown experiment '{what}'. Choose from: {} all", names.join(" "));
         std::process::exit(2);
     }
 
@@ -248,6 +191,16 @@ fn main() {
         eprintln!("repro: {e}");
         std::process::exit(1);
     }
+}
+
+/// The file arguments after the subcommand; a usage error (exit 2) when
+/// there are none.
+fn file_args<'a>(positionals: &'a [String], wanted: &str) -> &'a [String] {
+    if positionals.len() < 2 {
+        eprintln!("{} requires {wanted}", positionals[0]);
+        std::process::exit(2);
+    }
+    &positionals[1..]
 }
 
 /// Flushes telemetry on unwind ([`std::process::exit`] paths flush

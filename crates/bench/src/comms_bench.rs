@@ -2,7 +2,8 @@
 //! thread-per-rank `comms` runtime, recorded to `BENCH_hotpaths.json`.
 //!
 //! For each world size every rank runs on its own OS thread with its own
-//! [`Communicator`] over an in-process transport mesh, so the number
+//! [`Communicator`] over an in-process transport mesh (`bench_mesh`,
+//! which `repro tcp` reuses over real sockets), so the number
 //! includes the real synchronization cost of the chunked ring schedule
 //! (reduce-scatter + all-gather), not just the arithmetic. Two buffer
 //! sizes are compared:
@@ -14,12 +15,12 @@
 //!
 //! The paper's claim is that the collective shrinks by the compression
 //! factor: modeled ring bytes per rank are `2·(G−1)/G·n·2`, so the
-//! compressed/dense byte ratio must be `1/f` (±10% for integer
-//! truncation). The run fails if it is not — CI's perf-smoke job also
-//! re-checks the recorded ratio independently. Wire bytes (headers plus
-//! the f64 reduce-scatter partials) are recorded alongside the modeled
-//! f16 volume so the protocol overhead stays visible.
+//! compressed/dense byte ratio must be `1/f` up to integer truncation —
+//! the `comms` gate ([`crate::gates::BYTE_RATIO_TOLERANCE`]). Wire bytes
+//! (headers plus the f64 reduce-scatter partials) are recorded alongside
+//! the modeled f16 volume so the protocol overhead stays visible.
 
+use crate::harness::{self, obj, round6};
 use comms::{CommsError, Communicator, InProcTransport, Transport};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -29,44 +30,71 @@ use tensor::f16::F16;
 /// Compression factor `f` at the paper's headline sparsity p = 0.9.
 const COMPRESSION_FACTOR: usize = 10;
 
-/// One world-size measurement of a single buffer size.
-struct Run {
-    best_ms: f64,
+/// One world-size measurement of a single buffer size on one transport.
+pub(crate) struct Run {
+    pub best_ms: f64,
     /// Modeled f16 ring volume per rank per all-reduce.
-    model_bytes: u64,
+    pub model_bytes: u64,
     /// Measured transport bytes per rank per all-reduce (headers + f64
     /// reduce-scatter partials included).
-    wire_bytes: u64,
+    pub wire_bytes: u64,
+    /// Rank 0's reduced buffer from the last sample, for bitwise checks.
+    pub reduced: Vec<F16>,
+}
+
+/// Deterministic per-rank buffer: a spread of finite f16 values.
+pub(crate) fn seeded_buf(rank: usize, n: usize) -> Vec<F16> {
+    (0..n)
+        .map(|i| {
+            let x = (rank as i64 * 31 + i as i64 * 7) % 97;
+            F16::from_f32(x as f32 / 16.0 - 3.0)
+        })
+        .collect()
 }
 
 /// Times `reps` chunked ring all-reduces of `n` f16 elements on `world`
-/// rank threads, `best_of` samples; each sample spawns a fresh mesh so
-/// thread start-up costs are identical across samples and sizes.
-fn bench_allreduce(world: usize, n: usize, best_of: usize, reps: usize) -> Result<Run, String> {
-    let mut best_ms = f64::INFINITY;
-    let mut model_bytes = 0u64;
-    let mut wire_bytes = 0u64;
+/// rank threads over the endpoints `make_mesh` builds, `best_of`
+/// samples; each sample spawns a fresh mesh so socket and thread
+/// start-up costs are identical across samples, sizes and transports.
+/// Every rep reduces the same `seeded_buf` inputs.
+pub(crate) fn bench_mesh<T, F>(
+    make_mesh: F,
+    world: usize,
+    n: usize,
+    best_of: usize,
+    reps: usize,
+) -> Result<Run, String>
+where
+    T: Transport + Send + 'static,
+    F: Fn() -> Result<Vec<T>, String>,
+{
+    let mut run = Run { best_ms: f64::INFINITY, model_bytes: 0, wire_bytes: 0, reduced: Vec::new() };
     for _ in 0..best_of {
-        let mesh = InProcTransport::mesh(world);
+        let mesh = make_mesh()?;
         let totals: Mutex<(u64, u64)> = Mutex::new((0, 0));
+        let rank0: Mutex<Vec<F16>> = Mutex::new(Vec::new());
         let t0 = Instant::now();
         std::thread::scope(|s| -> Result<(), String> {
             let handles: Vec<_> = mesh
                 .into_iter()
                 .map(|t| {
-                    let totals = &totals;
+                    let (totals, rank0) = (&totals, &rank0);
                     s.spawn(move || -> Result<(), CommsError> {
                         let mut comm = Communicator::new(t);
                         let rank = comm.rank();
-                        let mut buf: Vec<F16> = (0..n)
-                            .map(|i| F16::from_f32(((i + rank) % 31) as f32 * 0.03125 - 0.5))
-                            .collect();
+                        let seed = seeded_buf(rank, n);
+                        let mut buf = seed.clone();
                         for _ in 0..reps {
+                            buf.copy_from_slice(&seed);
                             comm.allreduce_mean_f16(&mut buf)?;
                         }
-                        let mut tl = totals.lock().unwrap();
+                        let mut tl = totals.lock().expect("no rank panics holding the totals");
                         tl.0 += comm.model_allreduce_bytes();
                         tl.1 += comm.transport().bytes_sent();
+                        drop(tl);
+                        if rank == 0 {
+                            *rank0.lock().expect("only rank 0 takes this lock") = buf;
+                        }
                         Ok(())
                     })
                 })
@@ -79,26 +107,25 @@ fn bench_allreduce(world: usize, n: usize, best_of: usize, reps: usize) -> Resul
             Ok(())
         })?;
         let ms = t0.elapsed().as_secs_f64() * 1e3 / reps as f64;
-        best_ms = best_ms.min(ms);
-        let (model, wire) = *totals.lock().unwrap();
+        run.best_ms = run.best_ms.min(ms);
+        let (model, wire) = totals.into_inner().expect("rank threads joined cleanly");
         let per_op = reps as u64 * world as u64;
-        model_bytes = model / per_op;
-        wire_bytes = wire / per_op;
+        run.model_bytes = model / per_op;
+        run.wire_bytes = wire / per_op;
+        run.reduced = rank0.into_inner().expect("rank threads joined cleanly");
     }
-    Ok(Run { best_ms, model_bytes, wire_bytes })
+    Ok(run)
 }
 
 /// Runs the suite: worlds 2/4/8, dense `phi` vs compressed `phi/f`,
-/// table + CSV to `results/`, and a `comms` section merged into
-/// `BENCH_hotpaths.json` (preserving the `kernels` section written by
-/// `repro bench`).
+/// table + CSV to `results/`, and the `comms` section recorded under its
+/// gate.
 pub fn run(quick: bool) -> Result<(), String> {
     let best_of = if quick { 3 } else { 5 };
     let reps = if quick { 3 } else { 10 };
     let phi = if quick { 1 << 16 } else { 1 << 18 };
     let nnz = phi / COMPRESSION_FACTOR;
     let worlds: &[usize] = &[2, 4, 8];
-    let density = nnz as f64 / phi as f64;
 
     telemetry::log_info!(
         "comms: best-of-{best_of} x {reps} reps, phi = {phi}, nnz = {nnz} (f = {COMPRESSION_FACTOR})"
@@ -113,18 +140,13 @@ pub fn run(quick: bool) -> Result<(), String> {
     );
     let mut world_rows: Vec<Json> = Vec::new();
     for &world in worlds {
-        let dense = bench_allreduce(world, phi, best_of, reps)?;
-        let comp = bench_allreduce(world, nnz, best_of, reps)?;
+        let mesh = || Ok(InProcTransport::mesh(world));
+        let dense = bench_mesh(mesh, world, phi, best_of, reps)?;
+        let comp = bench_mesh(mesh, world, nnz, best_of, reps)?;
 
+        // The headline acceptance check, applied by the gate: the
+        // compressed collective moves 1/f of the dense bytes.
         let ratio = comp.model_bytes as f64 / dense.model_bytes as f64;
-        // The headline acceptance check: the compressed collective moves
-        // 1/f of the dense bytes. Byte accounting is deterministic, so a
-        // deviation beyond integer truncation means the ring is wrong.
-        if (ratio - density).abs() > 0.1 * density {
-            return Err(format!(
-                "world {world}: compressed/dense byte ratio {ratio:.4} deviates from 1/f = {density:.4} by more than 10%"
-            ));
-        }
         let gb_s = |bytes: u64, ms: f64| bytes as f64 / (ms * 1e-3) / 1e9;
         let dense_gb_s = gb_s(dense.model_bytes, dense.best_ms);
         let comp_gb_s = gb_s(comp.model_bytes, comp.best_ms);
@@ -138,39 +160,31 @@ pub fn run(quick: bool) -> Result<(), String> {
             format!("{dense_gb_s:.3}"),
             format!("{comp_gb_s:.3}"),
         ]);
-        let round = |v: f64| Json::Num((v * 1e6).round() / 1e6);
-        world_rows.push(Json::Obj(vec![
-            ("world".to_string(), Json::UInt(world as u64)),
-            ("dense_best_ms".to_string(), round(dense.best_ms)),
-            ("compressed_best_ms".to_string(), round(comp.best_ms)),
-            ("dense_model_bytes".to_string(), Json::UInt(dense.model_bytes)),
-            ("compressed_model_bytes".to_string(), Json::UInt(comp.model_bytes)),
-            ("dense_wire_bytes".to_string(), Json::UInt(dense.wire_bytes)),
-            ("compressed_wire_bytes".to_string(), Json::UInt(comp.wire_bytes)),
-            ("byte_ratio".to_string(), round(ratio)),
-            ("dense_gb_s".to_string(), round(dense_gb_s)),
-            ("compressed_gb_s".to_string(), round(comp_gb_s)),
+        world_rows.push(obj([
+            ("world", Json::UInt(world as u64)),
+            ("dense_best_ms", round6(dense.best_ms)),
+            ("compressed_best_ms", round6(comp.best_ms)),
+            ("dense_model_bytes", Json::UInt(dense.model_bytes)),
+            ("compressed_model_bytes", Json::UInt(comp.model_bytes)),
+            ("dense_wire_bytes", Json::UInt(dense.wire_bytes)),
+            ("compressed_wire_bytes", Json::UInt(comp.wire_bytes)),
+            ("byte_ratio", round6(ratio)),
+            ("dense_gb_s", round6(dense_gb_s)),
+            ("compressed_gb_s", round6(comp_gb_s)),
         ]));
     }
     println!("{}", tab.render());
     let csv = tab.write_csv().map_err(|e| format!("write comms CSV: {e}"))?;
     telemetry::log_info!("comms: CSV written to {}", csv.display());
 
-    let section = Json::Obj(vec![
-        ("schema".to_string(), Json::UInt(1)),
-        ("quick".to_string(), Json::Bool(quick)),
-        ("best_of".to_string(), Json::UInt(best_of as u64)),
-        ("phi".to_string(), Json::UInt(phi as u64)),
-        ("nnz".to_string(), Json::UInt(nnz as u64)),
-        (
-            "compression_factor".to_string(),
-            Json::UInt(COMPRESSION_FACTOR as u64),
-        ),
-        ("worlds".to_string(), Json::Arr(world_rows)),
+    let section = obj([
+        ("schema", Json::UInt(1)),
+        ("quick", Json::Bool(quick)),
+        ("best_of", Json::UInt(best_of as u64)),
+        ("phi", Json::UInt(phi as u64)),
+        ("nnz", Json::UInt(nnz as u64)),
+        ("compression_factor", Json::UInt(COMPRESSION_FACTOR as u64)),
+        ("worlds", Json::Arr(world_rows)),
     ]);
-    let path = "BENCH_hotpaths.json";
-    crate::tracked::merge_tracked_json(path, vec![("comms".to_string(), section)])
-        .map_err(|e| format!("write {path}: {e}"))?;
-    println!("wrote {path} (comms section)");
-    Ok(())
+    harness::record("comms", vec![("comms".to_string(), section)])
 }

@@ -8,12 +8,12 @@
 //! naive decompress-regather migration it replaces — recorded as a
 //! `dynamic` section in `BENCH_hotpaths.json`.
 //!
-//! The run **self-gates**:
+//! The run is held to the `dynamic` gate ([`crate::gates`]):
 //! * measured bytes must match the formula at every step of the
 //!   trajectory (a single mismatch means a remap leaked or lost state);
 //! * the nnz trajectory must actually move in **both** directions
 //!   (schedules that only clamp are not dynamic sparsity);
-//! * the schedule must have fired at least three remap events;
+//! * the schedule must have fired its remap events;
 //! * the in-place remap must beat the naive scatter-to-dense /
 //!   gather-back rebuild on every transition (the kernel's reason to
 //!   exist: one merge pass over compressed indices, zero allocations,
@@ -28,11 +28,11 @@ use prune::{MaskSchedule, MomentumPruneRegrow};
 use samo::state::RemapScratch;
 use samo::trainer::formula_state_bytes;
 use samo::{SamoLayerState, SamoTrainer};
-use std::time::Instant;
 use telemetry::json::Json;
 use tensor::f16::F16;
 use tensor::Tensor;
 
+use crate::harness::{self, obj, round6, sample};
 use crate::Table;
 
 /// One trajectory checkpoint: the schedule's target sparsity and the
@@ -55,24 +55,11 @@ struct Transition {
     speedup: f64,
 }
 
-/// Best-of-`best_of` mean per-invocation milliseconds over `reps` calls.
-fn sample<F: FnMut()>(best_of: usize, reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..best_of {
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3 / reps as f64);
-    }
-    best
-}
-
 /// Drives a [`SamoTrainer`] through the full schedule window plus one
 /// step of post-schedule steady state, checking measured bytes against
-/// `formula_state_bytes` at every step. Returns the update-step phases
-/// plus the mismatch and direction evidence for the gates.
-fn run_trajectory(quick: bool) -> (Vec<Phase>, u64, usize, u64, Vec<usize>) {
+/// `formula_state_bytes` at every step. Returns the update-step phases,
+/// the count of mismatching steps, φ and the remap events fired.
+fn run_trajectory(quick: bool) -> (Vec<Phase>, u64, usize, u64) {
     let d = if quick { 48 } else { 128 };
     let mut model = Sequential::new()
         .push(Linear::new(d, d, false, 101))
@@ -101,7 +88,6 @@ fn run_trajectory(quick: bool) -> (Vec<Phase>, u64, usize, u64, Vec<usize>) {
     let target = Tensor::randn(&[batch, d], 1.0, 8);
     let mut phases = Vec::new();
     let mut mismatches = 0u64;
-    let mut nnzs = Vec::with_capacity(steps as usize);
     for t in 0..steps {
         let y = model.forward(&x);
         let (_, mut dy) = mse(&y, &target);
@@ -118,7 +104,6 @@ fn run_trajectory(quick: bool) -> (Vec<Phase>, u64, usize, u64, Vec<usize>) {
         if measured != formula {
             mismatches += 1;
         }
-        nnzs.push(tr.nnz());
         if update || t + 1 == steps {
             phases.push(Phase {
                 t,
@@ -129,7 +114,7 @@ fn run_trajectory(quick: bool) -> (Vec<Phase>, u64, usize, u64, Vec<usize>) {
             });
         }
     }
-    (phases, mismatches, phi as usize, tr.remap_events(), nnzs)
+    (phases, mismatches, phi as usize, tr.remap_events())
 }
 
 /// The naive migration the remap kernel replaces: scatter every
@@ -196,7 +181,8 @@ fn bench_remap(quick: bool) -> (usize, Vec<Transition>) {
         let pair_ms = sample(best_of, reps, || {
             let _ = layer.remap_compressed_state(a.clone(), &mut scratch);
             let _ = layer.remap_compressed_state(b.clone(), &mut scratch);
-        });
+        })
+        .best_ms;
 
         // Naive baseline over the same transition pair: the same five
         // compressed arrays the kernel moves (θ32, ∇θ32, m, v, ∇θ16)
@@ -224,7 +210,8 @@ fn bench_remap(quick: bool) -> (usize, Vec<Transition>) {
                 &fwd,
                 &fwd16,
             );
-        });
+        })
+        .best_ms;
 
         out.push(Transition {
             name,
@@ -242,7 +229,7 @@ pub fn run(quick: bool) -> Result<(), String> {
     telemetry::log_info!("repro dynamic: trajectory memory gate + remap kernel bench (quick={quick})");
 
     // --- Trajectory: measured bytes track 24(1−p(t))φ + 2φ. ----------
-    let (phases, mismatches, phi, remap_events, nnzs) = run_trajectory(quick);
+    let (phases, mismatches, phi, remap_events) = run_trajectory(quick);
     let mut tab = Table::new(
         "repro dynamic: schedule trajectory",
         &["t", "target p(t)", "nnz", "measured B", "formula B"],
@@ -275,91 +262,57 @@ pub fn run(quick: bool) -> Result<(), String> {
     }
     println!("{}", tab.render());
 
-    // --- Record the section (preserving all others). ------------------
-    let round = |v: f64| Json::Num((v * 1e6).round() / 1e6);
-    let section = Json::Obj(vec![
-        ("schema".to_string(), Json::UInt(1)),
-        ("quick".to_string(), Json::Bool(quick)),
-        ("phi".to_string(), Json::UInt(phi as u64)),
-        ("remap_events".to_string(), Json::UInt(remap_events)),
-        ("memory_mismatches".to_string(), Json::UInt(mismatches)),
+    let section = obj([
+        ("schema", Json::UInt(1)),
+        ("quick", Json::Bool(quick)),
+        ("phi", Json::UInt(phi as u64)),
+        ("remap_events", Json::UInt(remap_events)),
+        ("memory_mismatches", Json::UInt(mismatches)),
         (
-            "trajectory".to_string(),
+            "trajectory",
             Json::Arr(
                 phases
                     .iter()
                     .map(|p| {
-                        Json::Obj(vec![
-                            ("t".to_string(), Json::UInt(p.t)),
-                            ("sparsity".to_string(), round(p.sparsity)),
-                            ("nnz".to_string(), Json::UInt(p.nnz as u64)),
-                            ("measured_bytes".to_string(), Json::UInt(p.measured_bytes)),
-                            ("formula_bytes".to_string(), Json::UInt(p.formula_bytes)),
+                        obj([
+                            ("t", Json::UInt(p.t)),
+                            ("sparsity", round6(p.sparsity)),
+                            ("nnz", Json::UInt(p.nnz as u64)),
+                            ("measured_bytes", Json::UInt(p.measured_bytes)),
+                            ("formula_bytes", Json::UInt(p.formula_bytes)),
                         ])
                     })
                     .collect(),
             ),
         ),
         (
-            "remap".to_string(),
-            Json::Obj(vec![
-                ("numel".to_string(), Json::UInt(numel as u64)),
+            "remap",
+            obj([
+                ("numel", Json::UInt(numel as u64)),
                 (
-                    "transitions".to_string(),
+                    "transitions",
                     Json::Arr(
                         transitions
                             .iter()
                             .map(|t| {
-                                Json::Obj(vec![
-                                    ("name".to_string(), Json::Str(t.name.to_string())),
-                                    ("from_nnz".to_string(), Json::UInt(t.from_nnz as u64)),
-                                    ("to_nnz".to_string(), Json::UInt(t.to_nnz as u64)),
-                                    ("remap_ms".to_string(), round(t.remap_ms)),
-                                    ("rebuild_ms".to_string(), round(t.rebuild_ms)),
-                                    ("speedup_vs_rebuild".to_string(), round(t.speedup)),
+                                obj([
+                                    ("name", Json::Str(t.name.to_string())),
+                                    ("from_nnz", Json::UInt(t.from_nnz as u64)),
+                                    ("to_nnz", Json::UInt(t.to_nnz as u64)),
+                                    ("remap_ms", round6(t.remap_ms)),
+                                    ("rebuild_ms", round6(t.rebuild_ms)),
+                                    ("speedup_vs_rebuild", round6(t.speedup)),
                                 ])
                             })
                             .collect(),
                     ),
                 ),
                 (
-                    "min_speedup".to_string(),
-                    round(transitions.iter().map(|t| t.speedup).fold(f64::INFINITY, f64::min)),
+                    "min_speedup",
+                    round6(transitions.iter().map(|t| t.speedup).fold(f64::INFINITY, f64::min)),
                 ),
             ]),
         ),
     ]);
-    crate::tracked::merge_tracked_json("BENCH_hotpaths.json", vec![("dynamic".to_string(), section)])
-        .map_err(|e| format!("record dynamic section: {e}"))?;
-
-    // --- Self-gates. --------------------------------------------------
-    if mismatches > 0 {
-        return Err(format!(
-            "measured model-state bytes diverged from 24(1-p)phi + 2phi on {mismatches} step(s)"
-        ));
-    }
-    if remap_events < 3 {
-        return Err(format!(
-            "schedule fired only {remap_events} remap event(s); expected >= 3"
-        ));
-    }
-    if !nnzs.windows(2).any(|w| w[1] < w[0]) || !nnzs.windows(2).any(|w| w[1] > w[0]) {
-        return Err(format!(
-            "nnz trajectory never moved in both directions: {nnzs:?}"
-        ));
-    }
-    for t in &transitions {
-        if t.speedup < 1.0 {
-            return Err(format!(
-                "in-place remap lost to the naive dense rebuild on {} ({:.2}x)",
-                t.name, t.speedup
-            ));
-        }
-    }
-    let min_speedup = transitions.iter().map(|t| t.speedup).fold(f64::INFINITY, f64::min);
-    telemetry::log_info!(
-        "dynamic: gates passed (memory exact over {} steps, {remap_events} remaps, remap >= {min_speedup:.2}x vs rebuild)",
-        nnzs.len()
-    );
-    Ok(())
+    harness::record("dynamic", vec![("dynamic".to_string(), section)])
 }

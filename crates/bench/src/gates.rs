@@ -1,0 +1,941 @@
+//! The perf-smoke gate table: one check per `BENCH_hotpaths.json`
+//! section plus the shape checks of the two telemetry artefacts (Chrome
+//! trace, `metrics.jsonl`). Every threshold is a named constant here and
+//! nowhere else; each `repro <tracker>` runs its row on the section it
+//! just recorded ([`crate::harness::record`]) and `repro gate <file>…`
+//! runs the same rows over files on disk ([`run`]), which is what CI does.
+//!
+//! A check reads only the JSON it is handed, so a passing file proves the
+//! same thing on any machine. Where a floor presumes the AVX2 tier, the
+//! section's own `avx2_detected` decides whether it applies.
+
+use std::fmt::Display;
+use telemetry::json::Json;
+
+/// AVX2 `sgemm` over its scalar twin at 256³.
+pub const AVX2_SGEMM_MIN: f64 = 1.5;
+/// 2:4 structured spMM over dense f32 — as a kernel (`simd`) and carried
+/// through the whole serving stack (`serve`).
+pub const NM24_OVER_DENSE_MIN: f64 = 1.3;
+/// int8 GEMM over f32, kernel and serving alike.
+pub const INT8_OVER_F32_MIN: f64 = 1.5;
+/// Batched over batch-1 serving throughput on the dense backend — the
+/// continuous batcher's reason to exist.
+pub const BATCH_SPEEDUP_MIN: f64 = 2.0;
+/// Longest serving blackout a hot reload may cause, far below a request
+/// lifetime.
+pub const BLACKOUT_MAX_MS: f64 = 250.0;
+/// Generations the serve drill publishes; every one must be reloaded.
+pub const RELOAD_GENERATIONS: u64 = 3;
+/// Distinct model steps the drill's load must observe (it saw the model
+/// advance).
+pub const STEPS_SEEN_MIN: usize = 2;
+/// Remap events the dynamic-sparsity schedule must fire.
+pub const REMAP_EVENTS_MIN: u64 = 3;
+/// In-place remap over the naive dense rebuild, on every transition.
+pub const REMAP_OVER_REBUILD_MIN: f64 = 1.0;
+/// Measured pipeline bubble vs Eq. 7, relative — for the scheduler-stats
+/// measurement (`pipeline`) and its re-derivation from a trace (`analysis`).
+pub const BUBBLE_TOLERANCE: f64 = 0.05;
+/// Floor of `median(critical path / makespan)`: a chain that explains
+/// less of the step time means the flow edges are broken.
+pub const CP_RATIO_FLOOR: f64 = 0.80;
+/// A trace lane's compute/comm/wait/idle shares vs its step window,
+/// relative (`repro trace-analyze`; per-lane rows are not recorded).
+pub const SHARE_TOLERANCE: f64 = 0.01;
+/// Compressed/dense ring volume vs the density `nnz/φ = 1/f`, relative:
+/// byte accounting is deterministic, so only integer truncation may show.
+pub const BYTE_RATIO_TOLERANCE: f64 = 0.1;
+/// Thin `A·Bᵀ` (what `Linear::forward` runs) over `A·B` of the same
+/// 4×2048×2048 shape — packing a transposed operand must stream.
+pub const THIN_NT_OVER_NN_MAX: f64 = 1.5;
+/// One-row 768×768 GEMM on AVX2: the row must run in vector edge tiles.
+pub const ONE_ROW_GFLOPS_MIN: f64 = 2.0;
+
+/// A passed check's one-line summary, or what failed.
+type Check = Result<String, String>;
+/// A row of the table: reads its section out of the whole document.
+type Row = fn(&Json) -> Check;
+
+/// One row per `BENCH_hotpaths.json` section, in file order.
+const SECTIONS: [(&str, Row); 8] = [
+    ("kernels", kernels),
+    ("comms", comms),
+    ("tcp", tcp),
+    ("pipeline", pipeline),
+    ("simd", simd),
+    ("dynamic", dynamic),
+    ("serve", serve),
+    ("analysis", analysis),
+];
+
+/// Runs `section`'s row of the table over the document `doc`.
+pub fn check(section: &str, doc: &Json) -> Check {
+    let (_, row) = SECTIONS
+        .iter()
+        .find(|(name, _)| *name == section)
+        .ok_or_else(|| format!("no gate for section `{section}`"))?;
+    if doc.get(section).is_none() {
+        return Err(format!("section `{section}` is missing"));
+    }
+    row(doc).map_err(|e| format!("gate `{section}` failed: {e}"))
+}
+
+/// `repro gate <path>…`: a `.jsonl` path is held to the step-metrics
+/// shape, a JSON document with `traceEvents` to the Chrome-trace shape,
+/// and anything else to the whole section table — every section present,
+/// every row passing.
+pub fn run(paths: &[String]) -> Result<(), String> {
+    for path in paths {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+        let verdicts = if path.ends_with(".jsonl") {
+            vec![("metrics", metrics(&text))]
+        } else {
+            let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+            if doc.get("traceEvents").is_some() {
+                vec![("trace", trace(&doc))]
+            } else {
+                SECTIONS
+                    .iter()
+                    .map(|(name, _)| (*name, check(name, &doc)))
+                    .collect()
+            }
+        };
+        for (name, verdict) in verdicts {
+            println!(
+                "{path}: {name} OK: {}",
+                verdict.map_err(|e| format!("{path}: {e}"))?
+            );
+        }
+    }
+    Ok(())
+}
+
+// ---- reading -----------------------------------------------------------
+
+/// A JSON number of any variant (integral values parse as `UInt`/`Int`).
+pub fn as_f64(j: &Json) -> Option<f64> {
+    match j {
+        Json::Num(n) => Some(*n),
+        Json::Int(i) => Some(*i as f64),
+        Json::UInt(u) => Some(*u as f64),
+        _ => None,
+    }
+}
+
+fn get<'a>(j: &'a Json, key: &str) -> Result<&'a Json, String> {
+    j.get(key)
+        .ok_or_else(|| format!("field `{key}` is missing"))
+}
+
+/// The error for a field of the wrong JSON type.
+fn not_a(kind: &str, key: &str, found: &Json) -> String {
+    format!("field `{key}` is {}, not {kind}", found.render())
+}
+
+fn num(j: &Json, key: &str) -> Result<f64, String> {
+    let v = get(j, key)?;
+    as_f64(v).ok_or_else(|| not_a("a number", key, v))
+}
+
+fn uint(j: &Json, key: &str) -> Result<u64, String> {
+    match get(j, key)? {
+        Json::UInt(u) => Ok(*u),
+        other => Err(not_a("an unsigned integer", key, other)),
+    }
+}
+
+fn flag(j: &Json, key: &str) -> Result<bool, String> {
+    match get(j, key)? {
+        Json::Bool(b) => Ok(*b),
+        other => Err(not_a("a boolean", key, other)),
+    }
+}
+
+fn text<'a>(j: &'a Json, key: &str) -> Result<&'a str, String> {
+    match get(j, key)? {
+        Json::Str(s) => Ok(s),
+        other => Err(not_a("a string", key, other)),
+    }
+}
+
+/// A non-empty array field.
+fn rows<'a>(j: &'a Json, key: &str) -> Result<&'a [Json], String> {
+    match get(j, key)? {
+        Json::Arr(items) if !items.is_empty() => Ok(items),
+        other => Err(not_a("a non-empty array", key, other)),
+    }
+}
+
+/// The row whose `name` field is `name`.
+fn named<'a>(rows: &'a [Json], name: &str) -> Result<&'a Json, String> {
+    let wanted = Json::Str(name.to_string());
+    let row = rows.iter().find(|r| r.get("name") == Some(&wanted));
+    row.ok_or_else(|| format!("row `{name}` is missing"))
+}
+
+// ---- comparing ---------------------------------------------------------
+
+fn at_least<T: PartialOrd + Display>(what: &str, got: T, floor: T) -> Result<(), String> {
+    if got >= floor {
+        Ok(())
+    } else {
+        Err(format!("{what}: {got} is below the floor {floor}"))
+    }
+}
+
+fn at_most<T: PartialOrd + Display>(what: &str, got: T, cap: T) -> Result<(), String> {
+    if got <= cap {
+        Ok(())
+    } else {
+        Err(format!("{what}: {got} exceeds the cap {cap}"))
+    }
+}
+
+fn equal<T: PartialEq + Display>(what: &str, got: T, want: T) -> Result<(), String> {
+    if got == want {
+        Ok(())
+    } else {
+        Err(format!("{what}: {got}, must be exactly {want}"))
+    }
+}
+
+// ---- the section rows --------------------------------------------------
+
+fn kernels(doc: &Json) -> Check {
+    equal("schema", uint(doc, "schema")?, 1)?;
+    at_least("worker threads", uint(doc, "threads")?, 1)?;
+    let best_of = uint(doc, "best_of")?;
+    let table = rows(doc, "kernels")?;
+    for k in table {
+        let (name, best) = (text(k, "name")?, num(k, "best_ms")?);
+        let runs: Vec<f64> = rows(k, "runs_ms")?.iter().filter_map(as_f64).collect();
+        let min = runs.iter().copied().fold(f64::INFINITY, f64::min);
+        if best <= 0.0 || runs.len() as u64 != best_of || (min - best).abs() >= 1e-9 {
+            let want = format!("the positive minimum of {best_of} runs {runs:?}");
+            return Err(format!("kernel {name}: best_ms {best} is not {want}"));
+        }
+    }
+    let best_ms = |name| num(named(table, name)?, "best_ms");
+    let fused = best_ms("samo_step_fused")?;
+    let reference = best_ms("samo_step_reference")?;
+    at_most("fused SAMO step ms over the reference", fused, reference)?;
+    let thin = best_ms("gemm_nt_4x2048x2048")? / best_ms("gemm_nn_4x2048x2048")?;
+    at_most(
+        "thin A·Bᵀ over A·B at 4x2048x2048",
+        thin,
+        THIN_NT_OVER_NN_MAX,
+    )?;
+    let one_row = num(named(table, "gemm_nn_1x768x768")?, "gflops")?;
+    // The tier the kernels ran on is recorded by `repro simd`.
+    let tier = doc.get("simd").and_then(|s| s.get("active_tier"));
+    if tier == Some(&Json::Str("avx2".into())) {
+        at_least(
+            "1x768x768 GEMM GFLOP/s on AVX2",
+            one_row,
+            ONE_ROW_GFLOPS_MIN,
+        )?;
+    }
+    let n = table.len();
+    Ok(format!(
+        "{n} kernels, fused step {fused:.4} ms <= reference {reference:.4} ms, \
+         thin NT/NN {thin:.2}, 1-row {one_row:.2} GFLOP/s"
+    ))
+}
+
+fn comms(doc: &Json) -> Check {
+    let s = get(doc, "comms")?;
+    let density = num(s, "nnz")? / num(s, "phi")?;
+    let mut worlds = Vec::new();
+    for w in rows(s, "worlds")? {
+        let world = uint(w, "world")?;
+        let ratio = num(w, "compressed_model_bytes")? / num(w, "dense_model_bytes")?;
+        let what = format!("world {world}: ring bytes at {ratio} of dense vs density {density}");
+        let rel_err = (ratio - density).abs() / density;
+        at_most(
+            &format!("{what}, relative error"),
+            rel_err,
+            BYTE_RATIO_TOLERANCE,
+        )?;
+        worlds.push(world);
+    }
+    Ok(format!(
+        "worlds {worlds:?}, ring volume at 1/f = {density:.4} of dense"
+    ))
+}
+
+fn tcp(doc: &Json) -> Check {
+    let mut worlds = Vec::new();
+    for w in rows(get(doc, "tcp")?, "worlds")? {
+        let world = uint(w, "world")?;
+        if !flag(w, "bitwise_equal")? {
+            return Err(format!(
+                "world {world}: TCP and in-process reductions diverged"
+            ));
+        }
+        let (wire, model) = (uint(w, "tcp_wire_bytes")?, uint(w, "model_bytes")?);
+        at_least(
+            &format!("world {world}: TCP wire bytes over modeled f16 bytes"),
+            wire,
+            model,
+        )?;
+        if num(w, "tcp_best_ms")? <= 0.0 || num(w, "inproc_best_ms")? <= 0.0 {
+            return Err(format!("world {world}: a transport recorded no time"));
+        }
+        worlds.push(world);
+    }
+    Ok(format!(
+        "worlds {worlds:?}, bitwise equal across transports"
+    ))
+}
+
+/// One measured-vs-Eq. 7 row, shared by `pipeline` and `analysis`.
+fn bubble_row(label: String, row: &Json) -> Result<(), String> {
+    let measured = num(row, "measured_bubble_fraction")?;
+    let analytic = num(row, "analytic_bubble_fraction")?;
+    let what = format!("{label}: measured bubble {measured} vs Eq. 7 {analytic}, relative error");
+    at_most(&what, num(row, "rel_err")?, BUBBLE_TOLERANCE)
+}
+
+fn pipeline(doc: &Json) -> Check {
+    let mut depths = Vec::new();
+    for d in rows(get(doc, "pipeline")?, "depths")? {
+        let g = uint(d, "g_inter")?;
+        bubble_row(format!("g_inter {g}"), d)?;
+        depths.push(g);
+    }
+    Ok(format!(
+        "depths {depths:?}, bubble within {BUBBLE_TOLERANCE} of Eq. 7"
+    ))
+}
+
+fn simd(doc: &Json) -> Check {
+    let s = get(doc, "simd")?;
+    if !flag(s, "avx2_detected")? {
+        // Scalar-vs-scalar speedups are tautologically 1x.
+        return Ok("avx2 not detected, dispatch gates skipped".into());
+    }
+    let tier = text(s, "active_tier")?;
+    if tier != "avx2" {
+        return Err(format!("AVX2 detected but the active tier is {tier}"));
+    }
+    let sgemm = num(named(rows(s, "dispatch")?, "sgemm_256")?, "speedup")?;
+    at_least("AVX2 sgemm_256 over scalar", sgemm, AVX2_SGEMM_MIN)?;
+    let nm24 = num(get(s, "structured_24")?, "speedup_vs_dense")?;
+    at_least("2:4 spMM over dense sgemm", nm24, NM24_OVER_DENSE_MIN)?;
+    let int8 = num(get(s, "int8")?, "speedup_vs_f32")?;
+    at_least("int8 qgemm over f32 sgemm", int8, INT8_OVER_F32_MIN)?;
+    Ok(format!(
+        "sgemm {sgemm:.1}x, 2:4 vs dense {nm24:.2}x, int8 vs f32 {int8:.2}x"
+    ))
+}
+
+fn dynamic(doc: &Json) -> Check {
+    let s = get(doc, "dynamic")?;
+    let mismatches = uint(s, "memory_mismatches")?;
+    equal("steps off 24(1-p)phi + 2phi", mismatches, 0)?;
+    at_least(
+        "remap events fired",
+        uint(s, "remap_events")?,
+        REMAP_EVENTS_MIN,
+    )?;
+    let mut nnz = Vec::new();
+    for p in rows(s, "trajectory")? {
+        let what = format!("t = {}: state bytes vs 24(1-p)phi + 2phi", uint(p, "t")?);
+        equal(&what, uint(p, "measured_bytes")?, uint(p, "formula_bytes")?)?;
+        nnz.push(uint(p, "nnz")?);
+    }
+    // Schedules that only clamp are not dynamic sparsity.
+    if !nnz.windows(2).any(|w| w[1] < w[0]) || !nnz.windows(2).any(|w| w[1] > w[0]) {
+        return Err(format!(
+            "nnz trajectory never moved in both directions: {nnz:?}"
+        ));
+    }
+    let mut slowest = f64::INFINITY;
+    for t in rows(get(s, "remap")?, "transitions")? {
+        let speedup = num(t, "speedup_vs_rebuild")?;
+        let what = format!(
+            "{}: in-place remap over the dense rebuild",
+            text(t, "name")?
+        );
+        at_least(&what, speedup, REMAP_OVER_REBUILD_MIN)?;
+        slowest = slowest.min(speedup);
+    }
+    let n = nnz.len();
+    Ok(format!(
+        "{n} phases exact, nnz {nnz:?}, remap >= {slowest:.2}x vs rebuild"
+    ))
+}
+
+fn serve(doc: &Json) -> Check {
+    let s = get(doc, "serve")?;
+    // Reload gates hold on every tier: a reload may never fail a request,
+    // every published generation must land, the load must see the model
+    // advance, and the blackout must stay far below a request lifetime.
+    let rel = get(s, "reload")?;
+    equal(
+        "requests failed by a hot reload",
+        uint(rel, "requests_failed")?,
+        0,
+    )?;
+    at_least(
+        "generations reloaded",
+        uint(rel, "reloads")?,
+        RELOAD_GENERATIONS,
+    )?;
+    let steps_seen = rows(rel, "steps_seen")?.len();
+    at_least("model steps seen under load", steps_seen, STEPS_SEEN_MIN)?;
+    let blackout = num(rel, "max_blackout_ms")?;
+    at_most("reload blackout ms", blackout, BLACKOUT_MAX_MS)?;
+    let reloads = format!("blackout <= {blackout:.2} ms, 0 failed");
+    if !flag(s, "avx2_detected")? {
+        // Scalar matvec vs scalar matmul is not what the floors are about.
+        return Ok(format!(
+            "avx2 not detected, throughput gates skipped; {reloads}"
+        ));
+    }
+    let batch = num(s, "batch_speedup")?;
+    at_least(
+        "batched over batch-1 serving (dense)",
+        batch,
+        BATCH_SPEEDUP_MIN,
+    )?;
+    let nm24 = num(s, "nm24_over_dense")?;
+    at_least("2:4 over dense serving", nm24, NM24_OVER_DENSE_MIN)?;
+    let int8 = num(s, "int8_over_dense")?;
+    at_least("int8 over dense serving", int8, INT8_OVER_F32_MIN)?;
+    Ok(format!(
+        "batch {batch:.2}x, nm24 {nm24:.2}x, int8 {int8:.2}x, {reloads}"
+    ))
+}
+
+fn analysis(doc: &Json) -> Check {
+    let a = get(doc, "analysis")?;
+    let overlap = num(a, "comm_overlap_fraction")?;
+    if !(0.0..=1.0).contains(&overlap) {
+        return Err(format!("comm overlap fraction {overlap} is outside [0, 1]"));
+    }
+    // A healthy run drops no messages.
+    equal("orphan flow events", uint(a, "orphan_flows")?, 0)?;
+    let mut summary = format!("overlap {overlap:.3}");
+    if uint(a, "steps_analyzed")? > 0 {
+        let pairs = uint(a, "matched_flows")?;
+        at_least("flow pairs in a live trace", pairs, 1)?;
+        let cp = num(a, "median_cp_ratio")?;
+        at_least("median critical path / makespan", cp, CP_RATIO_FLOOR)?;
+        summary += &format!(", {pairs} flow pairs, cp ratio {cp:.3}");
+    }
+    if let Some(Json::Arr(eq7)) = a.get("eq7") {
+        for row in eq7 {
+            bubble_row(format!("group {}", uint(row, "group")?), row)?;
+        }
+        summary += &format!(", {} Eq. 7 rows within {BUBBLE_TOLERANCE}", eq7.len());
+    }
+    Ok(summary)
+}
+
+// ---- telemetry artefacts -----------------------------------------------
+
+/// Chrome `trace_event` shape: complete slices and paired flow arrows
+/// only, one lane per simulated GPU on pid 0.
+fn trace(doc: &Json) -> Check {
+    let events = rows(doc, "traceEvents")?;
+    let (mut starts, mut finishes, mut lanes) = (Vec::new(), Vec::new(), Vec::new());
+    for e in events {
+        let ph = text(e, "ph")?;
+        let required: &[&str] = match ph {
+            "X" => &["name", "pid", "tid", "ts", "dur"],
+            "s" | "f" => &["name", "cat", "id", "pid", "tid", "ts"],
+            other => return Err(format!("unexpected event phase `{other}`: {}", e.render())),
+        };
+        for key in required {
+            get(e, key).map_err(|err| format!("{err} in {}", e.render()))?;
+        }
+        // Flow events: paired causal arrows, no duration.
+        if ph != "X" && (e.get("dur").is_some() || (ph == "f" && text(e, "bp") != Ok("e"))) {
+            return Err(format!("malformed flow event {}", e.render()));
+        }
+        match ph {
+            "s" => starts.push(uint(e, "id")?),
+            "f" => finishes.push(uint(e, "id")?),
+            _ => {}
+        }
+        if num(e, "pid")? == 0.0 {
+            lanes.push(uint(e, "tid")?);
+        }
+    }
+    lanes.sort_unstable();
+    lanes.dedup();
+    if lanes != [0, 1, 2] {
+        return Err(format!(
+            "expected one pid-0 lane per simulated GPU, got {lanes:?}"
+        ));
+    }
+    starts.sort_unstable();
+    finishes.sort_unstable();
+    let (n, pairs) = (events.len(), starts.len());
+    if starts != finishes || starts.windows(2).any(|w| w[0] == w[1]) {
+        let census = format!("{pairs} starts, {} finishes", finishes.len());
+        return Err(format!(
+            "flow ids must pair start/finish exactly once: {census}"
+        ));
+    }
+    Ok(format!(
+        "{n} events, pipeline lanes {lanes:?}, {pairs} flow pairs"
+    ))
+}
+
+/// `metrics.jsonl` shape: one known record kind per line, and every
+/// trainer step's measured state bytes equal to the paper's closed form
+/// wherever the record carries one.
+fn metrics(jsonl: &str) -> Check {
+    let (mut records, mut mesh) = (0u64, 0u64);
+    for line in jsonl.lines() {
+        let rec = Json::parse(line)?;
+        let bad = |what: &str| format!("{what}: {line}");
+        records += 1;
+        match text(&rec, "kind")? {
+            "mesh_metrics" => {
+                // Rank-0 aggregation shipped over the transport.
+                mesh += 1;
+                let ranks = uint(&rec, "ranks")?;
+                let (median, max) = (num(&rec, "median_us")?, num(&rec, "max_us")?);
+                let per_rank = rows(&rec, "per_rank")?.len() as u64;
+                if ranks < 1 || per_rank != ranks || median <= 0.0 || max < median {
+                    return Err(bad("inconsistent mesh_metrics record"));
+                }
+            }
+            "link_event" => {
+                // TCP heartbeat misses / peer deaths / reconnects.
+                uint(&rec, "rank")?;
+                if text(&rec, "event")?.is_empty() {
+                    return Err(bad("link_event without an event"));
+                }
+            }
+            "samo" | "dense_masked" | "samo_dp" | "samo_dp_threaded" => {
+                let formula = get(&rec, "formula_state_bytes")?;
+                if formula != &Json::Null && get(&rec, "model_state_bytes")? != formula {
+                    return Err(bad("measured state bytes differ from 24(1-p)phi + 2phi"));
+                }
+            }
+            _ => return Err(bad("unknown record kind")),
+        }
+    }
+    at_least("records in metrics.jsonl", records, 1)?;
+    Ok(format!("{records} records ({mesh} mesh_metrics)"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The tracked file as committed: every row must pass it unchanged.
+    fn committed() -> Json {
+        Json::parse(include_str!("../../../BENCH_hotpaths.json")).expect("tracked file parses")
+    }
+
+    /// The value at `path` (array positions spelled as numbers).
+    fn at<'a>(doc: &'a mut Json, path: &[&str]) -> &'a mut Json {
+        path.iter().fold(doc, |j, key| match j {
+            Json::Obj(fields) => {
+                let field = fields.iter_mut().find(|(k, _)| k == key);
+                &mut field.unwrap_or_else(|| panic!("no field `{key}`")).1
+            }
+            Json::Arr(items) => &mut items[key.parse::<usize>().expect("array position")],
+            _ => panic!("cannot descend into a scalar at `{key}`"),
+        })
+    }
+
+    /// The committed document with the value at `path` replaced.
+    fn doctored(path: &[&str], value: Json) -> Json {
+        let mut doc = committed();
+        *at(&mut doc, path) = value;
+        doc
+    }
+
+    /// `section`'s row must reject `doc` with a message naming the gate
+    /// and every one of `mentions` (the offending number and its bound).
+    fn rejects(section: &str, doc: &Json, mentions: &[&str]) {
+        let err = check(section, doc).expect_err("doctored section must fail");
+        assert!(err.contains(&format!("gate `{section}` failed")), "{err}");
+        for m in mentions {
+            assert!(err.contains(m), "`{m}` not named in: {err}");
+        }
+    }
+
+    /// Sets a kernel row's time, keeping `best_ms = min(runs_ms)`.
+    fn set_kernel_ms(doc: &mut Json, name: &str, ms: f64) {
+        let Json::Arr(table) = at(doc, &["kernels"]) else {
+            panic!("kernels is an array")
+        };
+        let row = table
+            .iter_mut()
+            .find(|r| r.get("name") == Some(&Json::Str(name.into())))
+            .unwrap_or_else(|| panic!("no kernel {name}"));
+        let runs = rows(row, "runs_ms").unwrap().len();
+        *at(row, &["best_ms"]) = Json::Num(ms);
+        *at(row, &["runs_ms"]) = Json::Arr(vec![Json::Num(ms); runs]);
+    }
+
+    #[test]
+    fn committed_file_passes_every_row() {
+        let doc = committed();
+        for (section, _) in SECTIONS {
+            check(section, &doc).unwrap_or_else(|e| panic!("{e}"));
+        }
+    }
+
+    #[test]
+    fn a_missing_section_is_named() {
+        let Json::Obj(mut fields) = committed() else {
+            panic!("document is an object")
+        };
+        fields.retain(|(k, _)| k != "tcp");
+        let err = check("tcp", &Json::Obj(fields)).unwrap_err();
+        assert_eq!(err, "section `tcp` is missing");
+    }
+
+    #[test]
+    fn kernels_row_holds_shape_fused_step_and_thin_gemms() {
+        rejects(
+            "kernels",
+            &doctored(&["schema"], Json::UInt(2)),
+            &["schema", "2", "1"],
+        );
+        rejects(
+            "kernels",
+            &doctored(&["threads"], Json::UInt(0)),
+            &["threads", "0"],
+        );
+        rejects(
+            "kernels",
+            &doctored(&["best_of"], Json::UInt(99)),
+            &["99 runs"],
+        );
+        rejects(
+            "kernels",
+            &doctored(&["kernels", "0", "best_ms"], Json::Num(1e-7)),
+            &["minimum"],
+        );
+
+        let reference = num(
+            named(
+                rows(&committed(), "kernels").unwrap(),
+                "samo_step_reference",
+            )
+            .unwrap(),
+            "best_ms",
+        )
+        .unwrap();
+        let mut doc = committed();
+        set_kernel_ms(&mut doc, "samo_step_fused", reference * 2.0);
+        rejects(
+            "kernels",
+            &doc,
+            &[
+                "fused",
+                &format!("{}", reference * 2.0),
+                &format!("{reference}"),
+            ],
+        );
+
+        let mut doc = committed();
+        set_kernel_ms(&mut doc, "gemm_nn_4x2048x2048", 1.0);
+        set_kernel_ms(&mut doc, "gemm_nt_4x2048x2048", 1.51);
+        rejects("kernels", &doc, &["A·Bᵀ", "1.51", "1.5"]);
+
+        // The one-row floor binds on the AVX2 tier only.
+        let row1 = rows(&committed(), "kernels")
+            .unwrap()
+            .iter()
+            .position(|k| k.get("name") == Some(&Json::Str("gemm_nn_1x768x768".into())))
+            .unwrap()
+            .to_string();
+        let mut doc = doctored(&["kernels", &row1, "gflops"], Json::Num(1.99));
+        rejects("kernels", &doc, &["1x768x768", "1.99", "2"]);
+        *at(&mut doc, &["simd", "active_tier"]) = Json::Str("scalar".into());
+        check("kernels", &doc).expect("scalar tier skips the one-row floor");
+    }
+
+    #[test]
+    fn comms_row_holds_ring_volume_at_one_over_f() {
+        let dense = num(
+            at(&mut committed(), &["comms", "worlds", "0"]),
+            "dense_model_bytes",
+        )
+        .unwrap();
+        let doc = doctored(
+            &["comms", "worlds", "0", "compressed_model_bytes"],
+            Json::UInt((0.12 * dense) as u64),
+        );
+        rejects("comms", &doc, &["world 2", "density", "0.1"]);
+        // Moving too few bytes is an accounting bug too.
+        let doc = doctored(
+            &["comms", "worlds", "0", "compressed_model_bytes"],
+            Json::UInt((0.08 * dense) as u64),
+        );
+        rejects("comms", &doc, &["world 2"]);
+    }
+
+    #[test]
+    fn tcp_row_holds_bitwise_parity_and_wire_accounting() {
+        rejects(
+            "tcp",
+            &doctored(&["tcp", "worlds", "1", "bitwise_equal"], Json::Bool(false)),
+            &["world 4", "diverged"],
+        );
+        let model = uint(at(&mut committed(), &["tcp", "worlds", "0"]), "model_bytes").unwrap();
+        let doc = doctored(
+            &["tcp", "worlds", "0", "tcp_wire_bytes"],
+            Json::UInt(model - 1),
+        );
+        rejects(
+            "tcp",
+            &doc,
+            &["world 2", &(model - 1).to_string(), &model.to_string()],
+        );
+        rejects(
+            "tcp",
+            &doctored(&["tcp", "worlds", "0", "tcp_best_ms"], Json::UInt(0)),
+            &["no time"],
+        );
+        rejects(
+            "tcp",
+            &doctored(&["tcp", "worlds"], Json::Arr(vec![])),
+            &["worlds"],
+        );
+    }
+
+    #[test]
+    fn pipeline_row_holds_the_bubble_at_eq7() {
+        let doc = doctored(&["pipeline", "depths", "0", "rel_err"], Json::Num(0.051));
+        rejects("pipeline", &doc, &["g_inter 2", "Eq. 7", "0.051", "0.05"]);
+    }
+
+    #[test]
+    fn simd_row_holds_the_three_floors_where_avx2_is_detected() {
+        let sgemm = doctored(&["simd", "dispatch", "0", "speedup"], Json::Num(1.49));
+        rejects("simd", &sgemm, &["sgemm_256", "1.49", "1.5"]);
+        rejects(
+            "simd",
+            &doctored(
+                &["simd", "structured_24", "speedup_vs_dense"],
+                Json::Num(1.29),
+            ),
+            &["2:4", "1.29", "1.3"],
+        );
+        rejects(
+            "simd",
+            &doctored(&["simd", "int8", "speedup_vs_f32"], Json::Num(1.49)),
+            &["int8", "1.49", "1.5"],
+        );
+        rejects(
+            "simd",
+            &doctored(&["simd", "active_tier"], Json::Str("scalar".into())),
+            &["active tier is scalar"],
+        );
+
+        let mut scalar_box = sgemm;
+        *at(&mut scalar_box, &["simd", "avx2_detected"]) = Json::Bool(false);
+        let summary = check("simd", &scalar_box).expect("no AVX2, no dispatch ratio to gate");
+        assert!(summary.contains("skipped"), "{summary}");
+    }
+
+    #[test]
+    fn dynamic_row_holds_memory_direction_events_and_remap() {
+        rejects(
+            "dynamic",
+            &doctored(&["dynamic", "memory_mismatches"], Json::UInt(1)),
+            &["24(1-p)phi + 2phi", "1", "0"],
+        );
+        rejects(
+            "dynamic",
+            &doctored(&["dynamic", "remap_events"], Json::UInt(2)),
+            &["remap events", "2", "3"],
+        );
+        let formula = uint(
+            at(&mut committed(), &["dynamic", "trajectory", "1"]),
+            "formula_bytes",
+        )
+        .unwrap();
+        let doc = doctored(
+            &["dynamic", "trajectory", "1", "measured_bytes"],
+            Json::UInt(formula + 8),
+        );
+        rejects(
+            "dynamic",
+            &doc,
+            &[&(formula + 8).to_string(), &formula.to_string()],
+        );
+        let doc = doctored(
+            &["dynamic", "remap", "transitions", "0", "speedup_vs_rebuild"],
+            Json::Num(0.99),
+        );
+        rejects("dynamic", &doc, &["rebuild", "0.99", "1"]);
+
+        // A trajectory that only ever densifies is not dynamic sparsity.
+        let mut doc = committed();
+        let Json::Arr(points) = at(&mut doc, &["dynamic", "trajectory"]) else {
+            panic!("trajectory is an array")
+        };
+        for (i, p) in points.iter_mut().enumerate() {
+            *at(p, &["nnz"]) = Json::UInt(100 + i as u64);
+        }
+        rejects("dynamic", &doc, &["both directions"]);
+    }
+
+    #[test]
+    fn serve_row_holds_reloads_always_and_throughput_on_avx2() {
+        let failed = doctored(&["serve", "reload", "requests_failed"], Json::UInt(1));
+        rejects("serve", &failed, &["hot reload", "1", "0"]);
+        rejects(
+            "serve",
+            &doctored(&["serve", "reload", "reloads"], Json::UInt(2)),
+            &["reloaded", "2", "3"],
+        );
+        rejects(
+            "serve",
+            &doctored(
+                &["serve", "reload", "steps_seen"],
+                Json::Arr(vec![Json::UInt(2)]),
+            ),
+            &["steps seen", "1", "2"],
+        );
+        rejects(
+            "serve",
+            &doctored(&["serve", "reload", "max_blackout_ms"], Json::Num(250.5)),
+            &["blackout", "250.5", "250"],
+        );
+        let slow = doctored(&["serve", "batch_speedup"], Json::Num(1.99));
+        rejects("serve", &slow, &["batch", "1.99", "2"]);
+        rejects(
+            "serve",
+            &doctored(&["serve", "nm24_over_dense"], Json::Num(1.29)),
+            &["2:4", "1.29", "1.3"],
+        );
+        rejects(
+            "serve",
+            &doctored(&["serve", "int8_over_dense"], Json::Num(1.49)),
+            &["int8", "1.49", "1.5"],
+        );
+
+        // Without AVX2 the throughput floors are skipped, the reload gates not.
+        let mut scalar_box = slow;
+        *at(&mut scalar_box, &["serve", "avx2_detected"]) = Json::Bool(false);
+        let summary = check("serve", &scalar_box).expect("throughput floors presume AVX2");
+        assert!(summary.contains("skipped"), "{summary}");
+        let mut scalar_box = failed;
+        *at(&mut scalar_box, &["serve", "avx2_detected"]) = Json::Bool(false);
+        rejects("serve", &scalar_box, &["hot reload"]);
+    }
+
+    #[test]
+    fn analysis_row_holds_trace_health() {
+        rejects(
+            "analysis",
+            &doctored(&["analysis", "comm_overlap_fraction"], Json::Num(1.01)),
+            &["overlap", "1.01"],
+        );
+        rejects(
+            "analysis",
+            &doctored(&["analysis", "orphan_flows"], Json::UInt(1)),
+            &["orphan", "1", "0"],
+        );
+        rejects(
+            "analysis",
+            &doctored(&["analysis", "median_cp_ratio"], Json::Num(0.79)),
+            &["critical path", "0.79", "0.8"],
+        );
+        rejects(
+            "analysis",
+            &doctored(&["analysis", "matched_flows"], Json::UInt(0)),
+            &["flow pairs", "0", "1"],
+        );
+        let doc = doctored(&["analysis", "eq7", "0", "rel_err"], Json::Num(0.051));
+        rejects("analysis", &doc, &["group", "Eq. 7", "0.051", "0.05"]);
+    }
+
+    /// A minimal well-formed trace: the three simulated lanes and one
+    /// flow pair between two live slices.
+    fn tiny_trace() -> Json {
+        let text = r#"{"traceEvents":[
+            {"name":"F0","ph":"X","pid":0,"tid":0,"ts":0,"dur":1},
+            {"name":"F0","ph":"X","pid":0,"tid":1,"ts":1,"dur":1},
+            {"name":"F0","ph":"X","pid":0,"tid":2,"ts":2,"dur":1},
+            {"name":"send","ph":"X","pid":3,"tid":0,"ts":0,"dur":2},
+            {"name":"recv","ph":"X","pid":3,"tid":1,"ts":2,"dur":2},
+            {"name":"act","cat":"p2p","ph":"s","bp":"e","pid":3,"tid":0,"ts":1,"id":7},
+            {"name":"act","cat":"p2p","ph":"f","bp":"e","pid":3,"tid":1,"ts":3,"id":7}
+        ]}"#;
+        Json::parse(text).unwrap()
+    }
+
+    #[test]
+    fn trace_shape_is_held() {
+        assert!(trace(&tiny_trace()).unwrap().contains("1 flow pairs"));
+        let broken = |edit: &dyn Fn(&mut Vec<Json>)| {
+            let mut doc = tiny_trace();
+            let Json::Arr(events) = at(&mut doc, &["traceEvents"]) else {
+                panic!("events are an array")
+            };
+            edit(events);
+            trace(&doc).expect_err("malformed trace must fail")
+        };
+        assert!(broken(&|e| *at(&mut e[0], &["ph"]) = Json::Str("B".into())).contains("phase `B`"));
+        assert!(broken(
+            &|e| e[3] = Json::parse(r#"{"name":"send","ph":"X","pid":3,"tid":0,"ts":0}"#).unwrap()
+        )
+        .contains("`dur` is missing"));
+        assert!(broken(&|e| {
+            e.remove(2);
+        })
+        .contains("lane"));
+        assert!(broken(&|e| {
+            e.pop();
+        })
+        .contains("1 starts, 0 finishes"));
+        assert!(broken(&|e| *at(&mut e[6], &["id"]) = Json::UInt(8)).contains("pair"));
+        assert!(broken(&|e| {
+            let dup = e[5..7].to_vec();
+            e.extend(dup);
+        })
+        .contains("exactly once"));
+        assert!(
+            broken(&|e| *at(&mut e[6], &["bp"]) = Json::Str("s".into())).contains("malformed flow")
+        );
+        assert!(broken(&|e| {
+            let Json::Obj(f) = &mut e[5] else { panic!() };
+            f.push(("dur".into(), Json::UInt(1)));
+        })
+        .contains("malformed flow"));
+        assert!(broken(&|e| e.clear()).contains("traceEvents"));
+    }
+
+    #[test]
+    fn metrics_shape_and_exact_state_bytes_are_held() {
+        let step = r#"{"kind":"samo","step":1,"model_state_bytes":440,"formula_state_bytes":440}"#;
+        let sharded =
+            r#"{"kind":"samo_dp","step":1,"model_state_bytes":300,"formula_state_bytes":null}"#;
+        let mesh = r#"{"kind":"mesh_metrics","ranks":2,"median_us":5.0,"max_us":7.5,"per_rank":[5.0,7.5]}"#;
+        let link = r#"{"kind":"link_event","event":"peer_dead","rank":1}"#;
+        let ok = metrics(&[step, sharded, mesh, link].join("\n")).unwrap();
+        assert_eq!(ok, "4 records (1 mesh_metrics)");
+
+        let off = step.replace("\"model_state_bytes\":440", "\"model_state_bytes\":448");
+        assert!(metrics(&off).unwrap_err().contains("24(1-p)phi + 2phi"));
+        assert!(metrics(&mesh.replace("\"ranks\":2", "\"ranks\":3"))
+            .unwrap_err()
+            .contains("mesh_metrics"));
+        assert!(metrics(&mesh.replace("7.5,", "4.0,"))
+            .unwrap_err()
+            .contains("mesh_metrics"));
+        assert!(metrics(&link.replace("peer_dead", ""))
+            .unwrap_err()
+            .contains("link_event"));
+        assert!(metrics(r#"{"kind":"mystery"}"#)
+            .unwrap_err()
+            .contains("unknown record kind"));
+        assert!(metrics("").unwrap_err().contains("records"));
+        assert!(metrics("not json").is_err());
+    }
+}

@@ -1,35 +1,30 @@
-//! `repro bench` — criterion-free best-of-N wall-clock benchmarks over
-//! the training hot-path kernels, recorded to `BENCH_hotpaths.json` at
-//! the repo root so every PR leaves a perf trajectory behind.
-//!
-//! Criterion is unusable offline (stubbed dependency), so this harness
-//! does the simplest defensible thing: each kernel runs `reps` times per
-//! sample, each sample's mean per-invocation time is recorded, and the
-//! best of `best_of` samples is the headline number (minimum wall-clock
-//! is the standard estimator for "how fast can this go with the caches
-//! warm and the machine quiet").
+//! `repro bench` — best-of-N wall-clock benchmarks ([`crate::harness`])
+//! over the training hot-path kernels, recorded to `BENCH_hotpaths.json`
+//! at the repo root so every PR leaves a perf trajectory behind.
 //!
 //! Covered kernels (see EXPERIMENTS.md for the JSON schema):
 //! * `samo_step_fused` / `samo_step_reference` — the fused two-kernel
 //!   SAMO step vs the retained three-phase oracle, same layer state.
-//!   CI fails if the fused path is ever slower than the reference.
+//!   Gated: the fused path may never be slower than the reference.
 //! * `gemm_256` and `gemm_attn_32x32x16` — one large square GEMM and a
 //!   swarm of attention-shaped small GEMMs.
 //! * `gemm_nn_4x2048x2048` / `gemm_nt_4x2048x2048` / `gemm_nn_1x768x768`
 //!   — the thin shapes of data-parallel training and batch-1 serving:
 //!   `A·B` against `A·Bᵀ` (the form `Linear::forward` runs) at four
-//!   rows, and a single row, which runs entirely in the edge tiles. CI
-//!   gates NT ≤ 1.5 × NN and the one-row shape ≥ 2 GFLOP/s on AVX2.
+//!   rows, and a single row, which runs entirely in the edge tiles.
+//!   Gated by [`crate::gates::THIN_NT_OVER_NN_MAX`] and
+//!   [`crate::gates::ONE_ROW_GFLOPS_MIN`].
 //! * `compress_f32` / `expand_f16` / `compress_f16` — the compression
 //!   and expansion primitives.
 //! * `allreduce_compressed` — the compressed fp16 gradient all-reduce.
 
+use crate::harness::{self, duel, random_vec, round6, sample, Sample};
 use nn::mixed::Optimizer;
 use nn::optim::AdamConfig;
 use samo::state::SamoLayerState;
 use samo::trainer::allreduce_mean_f16;
 use samo::{compress_f16, compress_f32, expand_f16};
-use std::time::Instant;
+use telemetry::json::Json;
 use tensor::f16::F16;
 use tensor::gemm::{matmul, matmul_nt};
 
@@ -39,8 +34,7 @@ struct KernelResult {
     /// Problem size (elements for memory-bound kernels, FLOPs/2 for GEMM).
     n: usize,
     reps: usize,
-    runs_ms: Vec<f64>,
-    best_ms: f64,
+    timed: Sample,
     /// Arithmetic work per invocation, for GEMM-shaped kernels — emitted
     /// as `gflops` (= flops / best_ms / 1e6) alongside `best_ms`.
     flops: Option<u64>,
@@ -52,58 +46,9 @@ struct KernelResult {
     bytes: Option<u64>,
 }
 
-/// Runs `f` `reps` times per sample, `best_of` samples; returns each
-/// sample's mean per-invocation milliseconds and the minimum.
-fn sample<F: FnMut()>(best_of: usize, reps: usize, mut f: F) -> (Vec<f64>, f64) {
-    let mut runs = Vec::with_capacity(best_of);
-    for _ in 0..best_of {
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        runs.push(t0.elapsed().as_secs_f64() * 1e3 / reps as f64);
-    }
-    let best = runs.iter().copied().fold(f64::INFINITY, f64::min);
-    (runs, best)
-}
-
-/// [`sample`] for two kernels whose ratio CI gates: every sample times
-/// `f` and then `g`, so drift on a shared box hits both alike.
-fn sample_pair<F: FnMut(), G: FnMut()>(
-    best_of: usize,
-    reps: usize,
-    mut f: F,
-    mut g: G,
-) -> [(Vec<f64>, f64); 2] {
-    let (mut fs, mut gs) = (Vec::with_capacity(best_of), Vec::with_capacity(best_of));
-    for _ in 0..best_of {
-        fs.extend(sample(1, reps, &mut f).0);
-        gs.extend(sample(1, reps, &mut g).0);
-    }
-    [fs, gs].map(|runs| {
-        let best = runs.iter().copied().fold(f64::INFINITY, f64::min);
-        (runs, best)
-    })
-}
-
-/// Deterministic pseudo-random f32 in roughly [-1, 1) (SplitMix64 bits;
-/// no `rand` needed so the harness stays dependency-free).
-fn lcg_f32(state: &mut u64) -> f32 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    ((z >> 40) as f32) / (1u64 << 23) as f32 - 1.0
-}
-
-fn random_vec(n: usize, seed: u64) -> Vec<f32> {
-    let mut s = seed;
-    (0..n).map(|_| lcg_f32(&mut s)).collect()
-}
-
-/// Runs the suite and writes `BENCH_hotpaths.json` into the current
-/// directory (the repo root when invoked as `repro bench`).
+/// Runs the suite, records it into `BENCH_hotpaths.json` in the current
+/// directory (the repo root when invoked as `repro bench`) and holds it
+/// to the `kernels` gate.
 pub fn run(quick: bool) -> Result<(), String> {
     let best_of = if quick { 3 } else { 5 };
     let reps = if quick { 3 } else { 10 };
@@ -131,33 +76,32 @@ pub fn run(quick: bool) -> Result<(), String> {
     {
         let mut st = SamoLayerState::from_params(&init, mask.clone(), &opt);
         let mut dense = st.dense_f32_params();
-        let (runs_ms, best_ms) = sample(best_of, reps, || {
+        let timed = sample(best_of, reps, || {
             let finite = st.compress_grad_fused(&grads);
             assert!(finite);
             st.optimizer_step_fused(&opt, 1.0, &mut dense);
         });
-        results.push(KernelResult { name: "samo_step_fused", n: phi, reps, runs_ms, best_ms, flops: None, bytes: None });
+        results.push(KernelResult { name: "samo_step_fused", n: phi, reps, timed, flops: None, bytes: None });
     }
     {
         let mut st = SamoLayerState::from_params(&init, mask.clone(), &opt);
         let mut dense = st.dense_f32_params();
-        let (runs_ms, best_ms) = sample(best_of, reps, || {
+        let timed = sample(best_of, reps, || {
             st.compress_grad(&grads);
             assert!(!st.grads_non_finite());
             st.optimizer_step(&opt, 1.0);
             dense.copy_from_slice(&st.dense_f32_params());
         });
-        results.push(KernelResult { name: "samo_step_reference", n: phi, reps, runs_ms, best_ms, flops: None, bytes: None });
+        results.push(KernelResult { name: "samo_step_reference", n: phi, reps, timed, flops: None, bytes: None });
     }
 
     // --- GEMM: one large square multiply, the thin training/serving
     // shapes, one attention-shaped swarm. ------------------------------
-    let gemm_row = |name, (m, n, k): (usize, usize, usize), reps, (runs_ms, best_ms)| KernelResult {
+    let gemm_row = |name, (m, n, k): (usize, usize, usize), reps, timed| KernelResult {
         name,
         n: m * n * k,
         reps,
-        runs_ms,
-        best_ms,
+        timed,
         flops: Some(2 * (m * n * k) as u64),
         bytes: None,
     };
@@ -176,7 +120,7 @@ pub fn run(quick: bool) -> Result<(), String> {
         let a = random_vec(m * k, 3);
         let b = random_vec(k * n, 4);
         let (mut c0, mut c1) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
-        let [nn, nt] = sample_pair(
+        let [nn, nt] = duel(
             best_of,
             4 * reps,
             || matmul(m, n, k, &a, &b, &mut c0),
@@ -192,7 +136,7 @@ pub fn run(quick: bool) -> Result<(), String> {
         let q = random_vec(seq * hd, 5);
         let k = random_vec(seq * hd, 6);
         let mut scores = vec![0.0f32; seq * seq];
-        let (runs_ms, best_ms) = sample(best_of, reps, || {
+        let timed = sample(best_of, reps, || {
             for _ in 0..loops {
                 matmul_nt(seq, seq, hd, &q, &k, &mut scores);
             }
@@ -201,62 +145,45 @@ pub fn run(quick: bool) -> Result<(), String> {
             name: "gemm_attn_32x32x16",
             n: loops * seq * seq * hd,
             reps,
-            runs_ms,
-            best_ms,
+            timed,
             flops: Some(2 * (loops * seq * seq * hd) as u64),
             bytes: None,
         });
     }
 
     // --- Compression / expansion primitives. -------------------------
+    let memory_row = |name, timed, bytes: usize| KernelResult {
+        name,
+        n: phi,
+        reps,
+        timed,
+        flops: None,
+        bytes: Some(bytes as u64),
+    };
     let dense32 = random_vec(phi, 8);
     {
-        let (runs_ms, best_ms) = sample(best_of, reps, || {
+        let timed = sample(best_of, reps, || {
             std::hint::black_box(compress_f32(std::hint::black_box(&dense32), &mask));
         });
         // Gather: 4 B index + 4 B source read + 4 B write per nonzero.
-        results.push(KernelResult {
-            name: "compress_f32",
-            n: phi,
-            reps,
-            runs_ms,
-            best_ms,
-            flops: None,
-            bytes: Some(12 * mask.nnz() as u64),
-        });
+        results.push(memory_row("compress_f32", timed, 12 * mask.nnz()));
     }
     let values16: Vec<F16> = dense32[..mask.nnz()].iter().map(|&v| F16::from_f32(v)).collect();
     {
-        let (runs_ms, best_ms) = sample(best_of, reps, || {
+        let timed = sample(best_of, reps, || {
             std::hint::black_box(expand_f16(std::hint::black_box(&values16), &mask));
         });
         // Scatter into a dense f16 buffer: the full 2 B/elem output is
         // written (zeros included) plus 2 B value + 4 B index per nonzero.
-        results.push(KernelResult {
-            name: "expand_f16",
-            n: phi,
-            reps,
-            runs_ms,
-            best_ms,
-            flops: None,
-            bytes: Some(2 * phi as u64 + 6 * mask.nnz() as u64),
-        });
+        results.push(memory_row("expand_f16", timed, 2 * phi + 6 * mask.nnz()));
     }
     let dense16: Vec<F16> = dense32.iter().map(|&v| F16::from_f32(v)).collect();
     {
-        let (runs_ms, best_ms) = sample(best_of, reps, || {
+        let timed = sample(best_of, reps, || {
             std::hint::black_box(compress_f16(std::hint::black_box(&dense16), &mask));
         });
         // Gather: 4 B index + 2 B source read + 2 B write per nonzero.
-        results.push(KernelResult {
-            name: "compress_f16",
-            n: phi,
-            reps,
-            runs_ms,
-            best_ms,
-            flops: None,
-            bytes: Some(8 * mask.nnz() as u64),
-        });
+        results.push(memory_row("compress_f16", timed, 8 * mask.nnz()));
     }
 
     // --- Compressed gradient all-reduce (4 ranks). --------------------
@@ -266,7 +193,7 @@ pub fn run(quick: bool) -> Result<(), String> {
         let mut bufs: Vec<Vec<F16>> = (0..ranks)
             .map(|r| random_vec(nnz, 10 + r as u64).iter().map(|&v| F16::from_f32(v)).collect())
             .collect();
-        let (runs_ms, best_ms) = sample(best_of, reps, || {
+        let timed = sample(best_of, reps, || {
             let mut views: Vec<&mut [F16]> = bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
             allreduce_mean_f16(&mut views).expect("matching layouts");
         });
@@ -275,8 +202,7 @@ pub fn run(quick: bool) -> Result<(), String> {
             name: "allreduce_compressed",
             n: ranks * nnz,
             reps,
-            runs_ms,
-            best_ms,
+            timed,
             flops: None,
             bytes: Some(4 * (ranks * nnz) as u64),
         });
@@ -286,90 +212,67 @@ pub fn run(quick: bool) -> Result<(), String> {
     let mut tab =
         crate::Table::new("bench_hotpaths", &["kernel", "n", "best_ms", "throughput", "samples"]);
     for r in &results {
+        let best_ms = r.timed.best_ms;
         tab.push(vec![
             r.name.to_string(),
             r.n.to_string(),
-            format!("{:.4}", r.best_ms),
+            format!("{best_ms:.4}"),
             match (r.flops, r.bytes) {
-                (Some(f), _) => format!("{:.2} GFLOP/s", gflops(f, r.best_ms)),
-                (_, Some(b)) => format!("{:.2} GB/s", gb_s(b, r.best_ms)),
+                (Some(f), _) => format!("{:.2} GFLOP/s", giga_per_s(f, best_ms)),
+                (_, Some(b)) => format!("{:.2} GB/s", giga_per_s(b, best_ms)),
                 _ => "-".to_string(),
             },
-            r.runs_ms.iter().map(|m| format!("{m:.4}")).collect::<Vec<_>>().join(" "),
+            r.timed.runs_ms.iter().map(|m| format!("{m:.4}")).collect::<Vec<_>>().join(" "),
         ]);
     }
     println!("{}", tab.render());
     let csv = tab.write_csv().map_err(|e| format!("write bench CSV: {e}"))?;
     telemetry::log_info!("bench: CSV written to {}", csv.display());
 
-    let path = write_json(&results, quick, best_of).map_err(|e| format!("write BENCH_hotpaths.json: {e}"))?;
-    println!("wrote {path}");
-    Ok(())
+    harness::record("kernels", to_json(&results, quick, best_of))
 }
 
-/// GFLOP/s at `flops` of work per invocation taking `best_ms`.
-fn gflops(flops: u64, best_ms: f64) -> f64 {
-    flops as f64 / (best_ms * 1e6)
+/// 10⁹ units (FLOPs or algorithmic bytes) per second at `units` of work
+/// per invocation taking `best_ms`.
+fn giga_per_s(units: u64, best_ms: f64) -> f64 {
+    units as f64 / (best_ms * 1e6)
 }
 
-/// GB/s at `bytes` of algorithmic traffic per invocation taking `best_ms`.
-fn gb_s(bytes: u64, best_ms: f64) -> f64 {
-    bytes as f64 / (best_ms * 1e6)
-}
-
-/// Serializes the results. Schema documented in EXPERIMENTS.md; bump
-/// `schema` on breaking changes. Goes through the section-preserving
-/// merge so a `comms` section recorded by `repro comms` survives.
-fn write_json(results: &[KernelResult], quick: bool, best_of: usize) -> std::io::Result<String> {
-    use telemetry::json::Json;
+/// The top-level fields `repro bench` owns. Schema documented in
+/// EXPERIMENTS.md; bump `schema` on breaking changes.
+fn to_json(results: &[KernelResult], quick: bool, best_of: usize) -> Vec<(String, Json)> {
     let threads = tensor::pool::ThreadPool::global().workers();
     let threads_env = std::env::var("SAMO_THREADS")
         .map(Json::Str)
         .unwrap_or(Json::Null);
-    let round6 = |v: f64| Json::Num((v * 1e6).round() / 1e6);
-    let kernels = Json::Arr(
-        results
-            .iter()
-            .map(|r| {
-                let mut obj = vec![
-                    ("name".to_string(), Json::Str(r.name.to_string())),
-                    ("n".to_string(), Json::UInt(r.n as u64)),
-                    ("reps".to_string(), Json::UInt(r.reps as u64)),
-                    ("best_ms".to_string(), round6(r.best_ms)),
-                    (
-                        "runs_ms".to_string(),
-                        Json::Arr(r.runs_ms.iter().map(|&m| round6(m)).collect()),
-                    ),
-                ];
-                if let Some(f) = r.flops {
-                    obj.push(("gflops".to_string(), round6(gflops(f, r.best_ms))));
-                }
-                if let Some(b) = r.bytes {
-                    obj.push(("gb_s".to_string(), round6(gb_s(b, r.best_ms))));
-                }
-                Json::Obj(obj)
-            })
-            .collect(),
-    );
-    let own = vec![
+    let kernels = results
+        .iter()
+        .map(|r| {
+            let mut row = vec![
+                ("name".to_string(), Json::Str(r.name.to_string())),
+                ("n".to_string(), Json::UInt(r.n as u64)),
+                ("reps".to_string(), Json::UInt(r.reps as u64)),
+                ("best_ms".to_string(), round6(r.timed.best_ms)),
+                (
+                    "runs_ms".to_string(),
+                    Json::Arr(r.timed.runs_ms.iter().map(|&m| round6(m)).collect()),
+                ),
+            ];
+            if let Some(f) = r.flops {
+                row.push(("gflops".to_string(), round6(giga_per_s(f, r.timed.best_ms))));
+            }
+            if let Some(b) = r.bytes {
+                row.push(("gb_s".to_string(), round6(giga_per_s(b, r.timed.best_ms))));
+            }
+            Json::Obj(row)
+        })
+        .collect();
+    vec![
         ("schema".to_string(), Json::UInt(1)),
         ("quick".to_string(), Json::Bool(quick)),
         ("best_of".to_string(), Json::UInt(best_of as u64)),
         ("threads".to_string(), Json::UInt(threads as u64)),
         ("threads_env".to_string(), threads_env),
-        // Wall-clock trajectory of `repro fig4 --quick` (best of 3)
-        // measured at each PR boundary on the development machine; the
-        // anchor the per-kernel numbers are tracked against.
-        (
-            "fig4_quick_best_of_3_ms".to_string(),
-            Json::Obj(vec![
-                ("pre_pr3".to_string(), Json::UInt(11077)),
-                ("post_pr3".to_string(), Json::UInt(7914)),
-            ]),
-        ),
-        ("kernels".to_string(), kernels),
-    ];
-    let path = "BENCH_hotpaths.json";
-    crate::tracked::merge_tracked_json(path, own)?;
-    Ok(path.to_string())
+        ("kernels".to_string(), Json::Arr(kernels)),
+    ]
 }

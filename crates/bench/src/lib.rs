@@ -1,9 +1,12 @@
-//! Shared harness utilities for the reproduction binaries and benches:
-//! a tiny CSV writer and the experiment drivers behind `repro`.
+//! Shared utilities for the reproduction binaries: a tiny CSV writer,
+//! the measurement [`harness`] and [`gates`] table of the perf trackers,
+//! and the tracker drivers behind `repro`.
 
 pub mod chart;
 pub mod comms_bench;
 pub mod dynamic_bench;
+pub mod gates;
+pub mod harness;
 pub mod hotpaths;
 pub mod pipeline_bench;
 pub mod serve_bench;
@@ -14,7 +17,7 @@ pub mod tracked;
 
 use std::fs;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Directory that experiment outputs are written to.
 pub fn results_dir() -> PathBuf {
@@ -120,11 +123,6 @@ pub fn write_text(name: &str, contents: &str) -> std::io::Result<PathBuf> {
     let path = dir.join(name);
     fs::write(&path, contents)?;
     Ok(path)
-}
-
-/// Reads back a previously written result file (test helper).
-pub fn read_result(name: &str) -> std::io::Result<String> {
-    fs::read_to_string(Path::new(&results_dir()).join(name))
 }
 
 #[cfg(test)]

@@ -4,15 +4,16 @@
 //! drill under sustained load — recorded as a `serve` section in
 //! `BENCH_hotpaths.json`.
 //!
-//! The run **self-gates**:
+//! The run is held to the `serve` gate ([`crate::gates`]):
 //! * the hot-reload drill must complete **every** request (a reload
-//!   that fails traffic is a broken reload, full stop) and must
-//!   actually reload each published generation;
-//! * when AVX2+FMA is detected, batched serving must beat batch-1 by
-//!   ≥ 2× on the dense backend (the continuous batcher's reason to
-//!   exist), and the sparse backends must carry their PR-8 kernel
-//!   floors through the whole serving stack: 2:4 structured ≥ 1.3×
-//!   and int8 ≥ 1.5× over dense f32 at the same batched setting.
+//!   that fails traffic is a broken reload, full stop), must actually
+//!   reload each published generation, and must keep its blackout far
+//!   below a request lifetime;
+//! * when AVX2+FMA is detected, batched serving must beat batch-1 on
+//!   the dense backend (the continuous batcher's reason to exist), and
+//!   the sparse backends must carry their PR-8 kernel floors through
+//!   the whole serving stack: 2:4 structured and int8 over dense f32
+//!   at the same batched setting.
 //!
 //! On hardware without AVX2 the throughput gates are skipped (scalar
 //! matvec vs scalar matmul is not the comparison the floors are
@@ -26,6 +27,7 @@ use std::time::Duration;
 use telemetry::json::Json;
 use tensor::simd::{self, Tier};
 
+use crate::harness::{self, obj, round6};
 use crate::Table;
 
 /// One measured serving operating point.
@@ -165,7 +167,7 @@ pub fn run(quick: bool) -> Result<(), String> {
     println!("{}", tab.render());
 
     // --- Hot-reload drill under load. ---------------------------------
-    let generations = 3;
+    let generations = crate::gates::RELOAD_GENERATIONS as usize;
     let (reload_report, reload_stats, blackouts) =
         reload_drill(&dir, &mut publisher, generations, if quick { 900 } else { 1500 })?;
     telemetry::log_info!(
@@ -195,105 +197,51 @@ pub fn run(quick: bool) -> Result<(), String> {
         "serve: dense batched/b1 {batch_speedup:.2}x, nm24/dense {nm24_ratio:.2}x, int8/dense {int8_ratio:.2}x"
     );
 
-    // --- Record the section (preserving all others). ------------------
-    let round = |v: f64| Json::Num((v * 1e6).round() / 1e6);
-    let section = Json::Obj(vec![
-        ("schema".to_string(), Json::UInt(1)),
-        ("quick".to_string(), Json::Bool(quick)),
-        ("avx2_detected".to_string(), Json::Bool(detected)),
-        ("active_tier".to_string(), Json::Str(simd::active().name().to_string())),
-        ("dims".to_string(), Json::Arr(DIMS.iter().map(|&d| Json::UInt(d as u64)).collect())),
-        ("clients".to_string(), Json::UInt(clients as u64)),
+    let _ = std::fs::remove_dir_all(&dir);
+    let section = obj([
+        ("schema", Json::UInt(1)),
+        ("quick", Json::Bool(quick)),
+        ("avx2_detected", Json::Bool(detected)),
+        ("active_tier", Json::Str(simd::active().name().to_string())),
+        ("dims", Json::Arr(DIMS.iter().map(|&d| Json::UInt(d as u64)).collect())),
+        ("clients", Json::UInt(clients as u64)),
         (
-            "points".to_string(),
+            "points",
             Json::Arr(
                 points
                     .iter()
                     .map(|p| {
-                        Json::Obj(vec![
-                            ("backend".to_string(), Json::Str(p.backend.to_string())),
-                            ("max_batch".to_string(), Json::UInt(p.max_batch as u64)),
-                            ("throughput_rps".to_string(), round(p.throughput_rps)),
-                            ("p50_ms".to_string(), round(p.p50_ms)),
-                            ("p99_ms".to_string(), round(p.p99_ms)),
-                            ("mean_fill".to_string(), round(p.mean_fill)),
-                            ("requests".to_string(), Json::UInt(p.requests)),
+                        obj([
+                            ("backend", Json::Str(p.backend.to_string())),
+                            ("max_batch", Json::UInt(p.max_batch as u64)),
+                            ("throughput_rps", round6(p.throughput_rps)),
+                            ("p50_ms", round6(p.p50_ms)),
+                            ("p99_ms", round6(p.p99_ms)),
+                            ("mean_fill", round6(p.mean_fill)),
+                            ("requests", Json::UInt(p.requests)),
                         ])
                     })
                     .collect(),
             ),
         ),
-        ("batch_speedup".to_string(), round(batch_speedup)),
-        ("nm24_over_dense".to_string(), round(nm24_ratio)),
-        ("int8_over_dense".to_string(), round(int8_ratio)),
+        ("batch_speedup", round6(batch_speedup)),
+        ("nm24_over_dense", round6(nm24_ratio)),
+        ("int8_over_dense", round6(int8_ratio)),
         (
-            "reload".to_string(),
-            Json::Obj(vec![
-                ("requests_ok".to_string(), Json::UInt(reload_report.ok)),
-                ("requests_failed".to_string(), Json::UInt(reload_report.failed())),
-                ("reloads".to_string(), Json::UInt(reload_stats.reloads)),
-                ("respawns".to_string(), Json::UInt(reload_stats.respawns)),
+            "reload",
+            obj([
+                ("requests_ok", Json::UInt(reload_report.ok)),
+                ("requests_failed", Json::UInt(reload_report.failed())),
+                ("reloads", Json::UInt(reload_stats.reloads)),
+                ("respawns", Json::UInt(reload_stats.respawns)),
+                ("blackout_ms", Json::Arr(blackouts.iter().map(|&b| round6(b)).collect())),
+                ("max_blackout_ms", round6(blackouts.iter().cloned().fold(0.0, f64::max))),
                 (
-                    "blackout_ms".to_string(),
-                    Json::Arr(blackouts.iter().map(|&b| round(b)).collect()),
-                ),
-                (
-                    "max_blackout_ms".to_string(),
-                    round(blackouts.iter().cloned().fold(0.0, f64::max)),
-                ),
-                (
-                    "steps_seen".to_string(),
+                    "steps_seen",
                     Json::Arr(reload_report.steps_seen.iter().map(|&s| Json::UInt(s)).collect()),
                 ),
             ]),
         ),
     ]);
-    crate::tracked::merge_tracked_json("BENCH_hotpaths.json", vec![("serve".to_string(), section)])
-        .map_err(|e| format!("record serve section: {e}"))?;
-
-    // --- Self-gates. --------------------------------------------------
-    if reload_report.failed() > 0 {
-        return Err(format!(
-            "hot reload failed {} requests; a reload must be invisible to traffic",
-            reload_report.failed()
-        ));
-    }
-    if reload_stats.reloads < generations as u64 {
-        return Err(format!(
-            "only {} of {generations} published generations were reloaded",
-            reload_stats.reloads
-        ));
-    }
-    if reload_report.steps_seen.len() < 2 {
-        return Err(format!(
-            "load never observed the model advance: steps {:?}",
-            reload_report.steps_seen
-        ));
-    }
-    if detected {
-        if batch_speedup < 2.0 {
-            return Err(format!(
-                "batched serving speedup {batch_speedup:.2}x < 2.0x over batch-1 (dense)"
-            ));
-        }
-        if nm24_ratio < 1.3 {
-            return Err(format!(
-                "2:4 structured serving {nm24_ratio:.2}x < 1.3x over dense end-to-end"
-            ));
-        }
-        if int8_ratio < 1.5 {
-            return Err(format!(
-                "int8 serving {int8_ratio:.2}x < 1.5x over dense end-to-end"
-            ));
-        }
-        telemetry::log_info!(
-            "serve: gates passed (batch {batch_speedup:.2}x >= 2.0x, nm24 {nm24_ratio:.2}x >= 1.3x, int8 {int8_ratio:.2}x >= 1.5x, reload clean)"
-        );
-    } else {
-        telemetry::log_info!(
-            "serve: AVX2 not detected; throughput gates skipped, reload gates passed"
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok(())
+    harness::record("serve", vec![("serve".to_string(), section)])
 }

@@ -4,86 +4,25 @@
 //! int8 quantized GEMM against f32 — recorded as a `simd` section in
 //! `BENCH_hotpaths.json`.
 //!
-//! The run **self-gates**: when AVX2+FMA is detected it fails unless
-//! * the AVX2 `sgemm` beats scalar by ≥ 1.5× on the 256³ shape,
-//! * the structured 2:4 spMM beats dense `sgemm` at the same shape by
-//!   ≥ 1.3× (the structured format's whole reason to exist — Fig. 1
-//!   shows unstructured CSR *loses* this comparison, which the recorded
-//!   `csr_p50_ms` documents),
-//! * int8 `qgemm` beats the f32 `sgemm` by ≥ 1.5×.
+//! The run is held to the `simd` gate ([`crate::gates`]): when AVX2+FMA
+//! is detected the AVX2 `sgemm` must beat scalar on the 256³ shape, the
+//! structured 2:4 spMM must beat dense `sgemm` at the same shape (the
+//! structured format's whole reason to exist — Fig. 1 shows unstructured
+//! CSR *loses* this comparison, which the recorded `csr_p50_ms`
+//! documents), and int8 `qgemm` must beat the f32 `sgemm`.
 //!
 //! On hardware without AVX2 the gates are skipped (scalar-vs-scalar
 //! speedups are tautologically 1×) and the section records
 //! `avx2_detected: false` so CI can tell the difference.
 
+use crate::harness::{self, duel, obj, random_vec, round6, sample};
 use crate::Table;
 use sparse::{spmm, Nm24};
-use std::time::Instant;
 use telemetry::json::Json;
 use tensor::f16::F16;
 use tensor::gemm::sgemm_with_tier;
 use tensor::qgemm::{qgemm_i8_with_tier, quantize_rows_i8, PackedBi8};
 use tensor::simd::{self, Tier};
-
-/// Deterministic pseudo-random f32 in roughly [-1, 1) (SplitMix64).
-fn random_vec(n: usize, seed: u64) -> Vec<f32> {
-    let mut s = seed;
-    (0..n)
-        .map(|_| {
-            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            ((z >> 40) as f32) / (1u64 << 23) as f32 - 1.0
-        })
-        .collect()
-}
-
-/// Best-of-`best_of` mean-of-`reps` per-invocation milliseconds.
-fn sample<F: FnMut()>(best_of: usize, reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..best_of {
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3 / reps as f64);
-    }
-    best
-}
-
-/// Interleaved best-of sampling for a head-to-head comparison: the two
-/// contenders alternate within each round so frequency drift and
-/// scheduler noise on a shared box hit both equally, instead of biasing
-/// whichever happened to run in the quieter window. Each timed block is
-/// preceded by one untimed call of the same contender: the opponent just
-/// evicted this contender's working set, and with few reps that one
-/// cache-cold rep would otherwise tax the shorter kernel far more than
-/// the longer one (a duel artifact, not a property of either kernel).
-fn sample_duel<F: FnMut(), G: FnMut()>(
-    rounds: usize,
-    reps: usize,
-    mut f: F,
-    mut g: G,
-) -> (f64, f64) {
-    let (mut bf, mut bg) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..rounds {
-        f();
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        bf = bf.min(t0.elapsed().as_secs_f64() * 1e3 / reps as f64);
-        g();
-        let t1 = Instant::now();
-        for _ in 0..reps {
-            g();
-        }
-        bg = bg.min(t1.elapsed().as_secs_f64() * 1e3 / reps as f64);
-    }
-    (bf, bg)
-}
 
 /// One scalar-vs-AVX2 pair for a dispatched kernel.
 struct Pair {
@@ -98,8 +37,8 @@ impl Pair {
     }
 }
 
-/// Runs the suite, prints the tables, merges the `simd` section, and
-/// enforces the self-gates.
+/// Runs the suite, prints the tables, and records the `simd` section
+/// under its gate.
 pub fn run(quick: bool) -> Result<(), String> {
     let best_of = if quick { 3 } else { 5 };
     let reps = if quick { 3 } else { 10 };
@@ -114,43 +53,32 @@ pub fn run(quick: bool) -> Result<(), String> {
 
     // --- Scalar vs AVX2 per dispatched kernel. ------------------------
     let mut pairs: Vec<Pair> = Vec::new();
+    let mut dispatch = |name, kernel: &mut dyn FnMut(Tier)| {
+        let mut ms = |tier| sample(best_of, reps, || kernel(tier)).best_ms;
+        pairs.push(Pair { name, scalar_ms: ms(Tier::Scalar), avx2_ms: ms(Tier::Avx2) });
+    };
     let gemm_flops = 2.0 * (dim * dim * dim) as f64;
     {
         let a = random_vec(dim * dim, 3);
         let b = random_vec(dim * dim, 4);
         let mut c = vec![0.0f32; dim * dim];
-        let mut run = |tier| {
-            sample(best_of, reps, || {
-                sgemm_with_tier(tier, false, false, dim, dim, dim, 1.0, &a, dim, &b, dim, 0.0, &mut c, dim);
-            })
-        };
-        let scalar_ms = run(Tier::Scalar);
-        let avx2_ms = run(Tier::Avx2);
-        pairs.push(Pair { name: "sgemm_256", scalar_ms, avx2_ms });
+        dispatch("sgemm_256", &mut |tier| {
+            sgemm_with_tier(tier, false, false, dim, dim, dim, 1.0, &a, dim, &b, dim, 0.0, &mut c, dim);
+        });
     }
     {
         let src: Vec<F16> = random_vec(conv_n, 5).iter().map(|&v| F16::from_f32(v)).collect();
         let mut dst = vec![0.0f32; conv_n];
-        let mut run = |tier| {
-            sample(best_of, reps, || {
-                simd::widen_slice_tier(tier, std::hint::black_box(&src), &mut dst);
-            })
-        };
-        let scalar_ms = run(Tier::Scalar);
-        let avx2_ms = run(Tier::Avx2);
-        pairs.push(Pair { name: "widen_f16", scalar_ms, avx2_ms });
+        dispatch("widen_f16", &mut |tier| {
+            simd::widen_slice_tier(tier, std::hint::black_box(&src), &mut dst);
+        });
     }
     {
         let src = random_vec(conv_n, 6);
         let mut dst = vec![F16::ZERO; conv_n];
-        let mut run = |tier| {
-            sample(best_of, reps, || {
-                simd::narrow_slice_tier(tier, std::hint::black_box(&src), &mut dst);
-            })
-        };
-        let scalar_ms = run(Tier::Scalar);
-        let avx2_ms = run(Tier::Avx2);
-        pairs.push(Pair { name: "narrow_f16", scalar_ms, avx2_ms });
+        dispatch("narrow_f16", &mut |tier| {
+            simd::narrow_slice_tier(tier, std::hint::black_box(&src), &mut dst);
+        });
     }
 
     // --- Structured 2:4 spMM vs dense GEMM vs unstructured CSR. -------
@@ -166,10 +94,10 @@ pub fn run(quick: bool) -> Result<(), String> {
     // kernels are ~1 ms each, so the extra rounds are cheap and min-of-N
     // over interleaved trials is what makes the gate reproducible.
     let duel_rounds = best_of * 3;
-    let (nm24_ms, dense_ms) = {
+    let [nm24_ms, dense_ms] = {
         let mut c0 = vec![0.0f32; dim * dim];
         let mut c1 = vec![0.0f32; dim * dim];
-        sample_duel(
+        duel(
             duel_rounds,
             reps,
             || sparse::spmm_nm24_with_tier(tier, &nm, &b_rhs, dim, &mut c0),
@@ -177,6 +105,7 @@ pub fn run(quick: bool) -> Result<(), String> {
                 sgemm_with_tier(tier, false, false, dim, dim, dim, 1.0, &w_masked, dim, &b_rhs, dim, 0.0, &mut c1, dim);
             },
         )
+        .map(|s| s.best_ms)
     };
     // Unstructured CSR at the same 50% density (the Fig. 1 losing road).
     let csr_p50_ms = {
@@ -187,16 +116,17 @@ pub fn run(quick: bool) -> Result<(), String> {
         sample(best_of, reps, || {
             spmm(&csr, &b_rhs, dim, &mut c);
         })
+        .best_ms
     };
 
     // --- int8 quantized GEMM vs f32, B pre-packed (inference setup). --
     let a_f32 = random_vec(dim * dim, 9);
     let b_f32 = random_vec(dim * dim, 10);
     let packed = PackedBi8::pack(&b_f32, dim, dim);
-    let (int8_ms, f32_ms) = {
+    let [int8_ms, f32_ms] = {
         let mut c0 = vec![0.0f32; dim * dim];
         let mut c1 = vec![0.0f32; dim * dim];
-        sample_duel(
+        duel(
             duel_rounds,
             reps,
             || {
@@ -209,6 +139,7 @@ pub fn run(quick: bool) -> Result<(), String> {
                 sgemm_with_tier(tier, false, false, dim, dim, dim, 1.0, &a_f32, dim, &b_f32, dim, 0.0, &mut c1, dim);
             },
         )
+        .map(|s| s.best_ms)
     };
 
     // --- Report. ------------------------------------------------------
@@ -252,85 +183,48 @@ pub fn run(quick: bool) -> Result<(), String> {
     let csv = tab.write_csv().map_err(|e| format!("write simd CSV: {e}"))?;
     telemetry::log_info!("simd: CSV written to {}", csv.display());
 
-    // --- Record the section (preserving all others). ------------------
-    let round = |v: f64| Json::Num((v * 1e6).round() / 1e6);
-    let section = Json::Obj(vec![
-        ("schema".to_string(), Json::UInt(1)),
-        ("quick".to_string(), Json::Bool(quick)),
-        ("best_of".to_string(), Json::UInt(best_of as u64)),
-        ("avx2_detected".to_string(), Json::Bool(detected)),
-        ("active_tier".to_string(), Json::Str(simd::active().name().to_string())),
+    let section = obj([
+        ("schema", Json::UInt(1)),
+        ("quick", Json::Bool(quick)),
+        ("best_of", Json::UInt(best_of as u64)),
+        ("avx2_detected", Json::Bool(detected)),
+        ("active_tier", Json::Str(simd::active().name().to_string())),
         (
-            "dispatch".to_string(),
+            "dispatch",
             Json::Arr(
                 pairs
                     .iter()
                     .map(|p| {
-                        Json::Obj(vec![
-                            ("name".to_string(), Json::Str(p.name.to_string())),
-                            ("scalar_ms".to_string(), round(p.scalar_ms)),
-                            ("avx2_ms".to_string(), round(p.avx2_ms)),
-                            ("speedup".to_string(), round(p.speedup())),
+                        obj([
+                            ("name", Json::Str(p.name.to_string())),
+                            ("scalar_ms", round6(p.scalar_ms)),
+                            ("avx2_ms", round6(p.avx2_ms)),
+                            ("speedup", round6(p.speedup())),
                         ])
                     })
                     .collect(),
             ),
         ),
         (
-            "structured_24".to_string(),
-            Json::Obj(vec![
-                ("dim".to_string(), Json::UInt(dim as u64)),
-                ("nm24_ms".to_string(), round(nm24_ms)),
-                ("dense_ms".to_string(), round(dense_ms)),
-                ("csr_p50_ms".to_string(), round(csr_p50_ms)),
-                ("speedup_vs_dense".to_string(), round(dense_ms / nm24_ms)),
-                ("speedup_vs_csr".to_string(), round(csr_p50_ms / nm24_ms)),
+            "structured_24",
+            obj([
+                ("dim", Json::UInt(dim as u64)),
+                ("nm24_ms", round6(nm24_ms)),
+                ("dense_ms", round6(dense_ms)),
+                ("csr_p50_ms", round6(csr_p50_ms)),
+                ("speedup_vs_dense", round6(dense_ms / nm24_ms)),
+                ("speedup_vs_csr", round6(csr_p50_ms / nm24_ms)),
             ]),
         ),
         (
-            "int8".to_string(),
-            Json::Obj(vec![
-                ("dim".to_string(), Json::UInt(dim as u64)),
-                ("int8_ms".to_string(), round(int8_ms)),
-                ("f32_ms".to_string(), round(f32_ms)),
-                ("speedup_vs_f32".to_string(), round(f32_ms / int8_ms)),
+            "int8",
+            obj([
+                ("dim", Json::UInt(dim as u64)),
+                ("int8_ms", round6(int8_ms)),
+                ("f32_ms", round6(f32_ms)),
+                ("speedup_vs_f32", round6(f32_ms / int8_ms)),
             ]),
         ),
     ]);
-    let path = "BENCH_hotpaths.json";
-    crate::tracked::merge_tracked_json(path, vec![("simd".to_string(), section)])
-        .map_err(|e| format!("write {path}: {e}"))?;
-    println!("wrote {path} (simd section)");
-
-    // --- Self-gates. --------------------------------------------------
-    if !detected {
-        telemetry::log_info!("simd: AVX2+FMA not detected — speedup gates skipped");
-        return Ok(());
-    }
-    let sgemm_pair = &pairs[0];
-    if sgemm_pair.speedup() < 1.5 {
-        return Err(format!(
-            "gate failed: AVX2 sgemm only {:.2}x scalar on gemm_256 (need >= 1.5x)",
-            sgemm_pair.speedup()
-        ));
-    }
-    if dense_ms / nm24_ms < 1.3 {
-        return Err(format!(
-            "gate failed: structured 2:4 spMM only {:.2}x dense sgemm (need >= 1.3x)",
-            dense_ms / nm24_ms
-        ));
-    }
-    if f32_ms / int8_ms < 1.5 {
-        return Err(format!(
-            "gate failed: int8 qgemm only {:.2}x f32 sgemm (need >= 1.5x)",
-            f32_ms / int8_ms
-        ));
-    }
-    telemetry::log_info!(
-        "simd: gates passed — sgemm {:.2}x, 2:4 vs dense {:.2}x, int8 vs f32 {:.2}x",
-        sgemm_pair.speedup(),
-        dense_ms / nm24_ms,
-        f32_ms / int8_ms
-    );
-    Ok(())
+    harness::record("simd", vec![("simd".to_string(), section)])
 }

@@ -12,30 +12,24 @@
 //! With `--gate` (what CI passes after `repro pipeline --quick
 //! --trace`) the run fails unless the trace is healthy:
 //!
-//! * every lane's four shares sum to its step window within 1%;
-//! * the critical path never exceeds the makespan, and its median ratio
-//!   stays above [`CP_RATIO_FLOOR`] (a chain that explains less than
-//!   that of the step time means the flow edges are broken);
-//! * every flow start has exactly one finish (no orphans — a healthy
-//!   run drops no messages);
-//! * the measured bubble matches the Eq. 7 estimate within
-//!   [`BUBBLE_TOLERANCE`], the same gate `repro pipeline` applies to
-//!   its scheduler-stats measurement.
+//! * every lane's four shares sum to its step window within
+//!   [`SHARE_TOLERANCE`], and the critical path never exceeds the
+//!   makespan (checked here, on the per-step rows that are not recorded);
+//! * the recorded section passes the `analysis` gate ([`crate::gates`]):
+//!   the median critical-path ratio stays above its floor, every flow
+//!   start has exactly one finish (no orphans — a healthy run drops no
+//!   messages), and the measured bubble matches the Eq. 7 estimate
+//!   within the tolerance `repro pipeline` applies to its
+//!   scheduler-stats measurement.
 //!
 //! Without `--gate` everything is reported but nothing fails: traces
 //! from fault drills legitimately contain orphan flows and huge waits.
 
+use crate::gates::{self, as_f64, SHARE_TOLERANCE};
+use crate::harness::{self, median};
 use axonn_sim::pipeline::analytic_bubble;
 use telemetry::critical_path::{analyze_str, Analysis, PIPELINE_PID};
 use telemetry::json::Json;
-
-/// Lane share sum vs window tolerance, relative.
-pub const SHARE_TOLERANCE: f64 = 0.01;
-/// Gate floor for `median(critical_path / makespan)`.
-pub const CP_RATIO_FLOOR: f64 = 0.80;
-/// Measured vs Eq. 7 bubble tolerance, relative (mirrors
-/// `pipeline_bench::TOLERANCE`).
-pub const BUBBLE_TOLERANCE: f64 = 0.05;
 
 /// One pipeline group's Eq. 7 cross-check, re-derived from the trace.
 struct Eq7Row {
@@ -47,23 +41,6 @@ struct Eq7Row {
     measured: f64,
     analytic: f64,
     rel_err: f64,
-}
-
-fn median(mut v: Vec<f64>) -> Option<f64> {
-    if v.is_empty() {
-        return None;
-    }
-    v.sort_by(f64::total_cmp);
-    Some(v[v.len() / 2])
-}
-
-fn num(j: &Json) -> Option<f64> {
-    match j {
-        Json::Num(n) => Some(*n),
-        Json::Int(i) => Some(*i as f64),
-        Json::UInt(u) => Some(*u as f64),
-        _ => None,
-    }
 }
 
 fn str_of(j: &Json) -> Option<&str> {
@@ -95,16 +72,16 @@ fn eq7_from_trace(doc: &Json) -> Vec<Eq7Row> {
     let mut fb: Vec<(u64, f64, f64, bool, u64)> = Vec::new(); // (tid, ts, dur, fwd, mb)
     for ev in events {
         if ev.get("ph").and_then(str_of) != Some("X")
-            || ev.get("pid").and_then(num) != Some(PIPELINE_PID as f64)
+            || ev.get("pid").and_then(as_f64) != Some(PIPELINE_PID as f64)
         {
             continue;
         }
         let name = ev.get("name").and_then(str_of).unwrap_or("");
-        let tid = ev.get("tid").and_then(num).unwrap_or(0.0) as u64;
-        let ts = ev.get("ts").and_then(num).unwrap_or(0.0);
-        let dur = ev.get("dur").and_then(num).unwrap_or(0.0);
+        let tid = ev.get("tid").and_then(as_f64).unwrap_or(0.0) as u64;
+        let ts = ev.get("ts").and_then(as_f64).unwrap_or(0.0);
+        let dur = ev.get("dur").and_then(as_f64).unwrap_or(0.0);
         if name == "step" {
-            let arg = |k: &str| ev.get("args").and_then(|a| a.get(k)).and_then(num);
+            let arg = |k: &str| ev.get("args").and_then(|a| a.get(k)).and_then(as_f64);
             if let Some(step) = arg("step") {
                 windows.push(Win {
                     tid,
@@ -280,19 +257,6 @@ pub fn run(path: &str, gate: bool) -> Result<(), String> {
             a.median_cp_ratio, a.median_bubble_fraction
         );
     }
-    if a.orphan_flows > 0 {
-        violations.push(format!(
-            "{} orphan flow events (dropped messages or timed-out receives)",
-            a.orphan_flows
-        ));
-    }
-    if !a.steps.is_empty() && a.median_cp_ratio < CP_RATIO_FLOOR {
-        violations.push(format!(
-            "median critical-path ratio {:.3} below floor {CP_RATIO_FLOOR} — flow edges \
-             explain too little of the step time",
-            a.median_cp_ratio
-        ));
-    }
 
     // ---- Eq. 7 cross-check ----------------------------------------
     let eq7 = eq7_from_trace(&doc);
@@ -321,27 +285,14 @@ pub fn run(path: &str, gate: bool) -> Result<(), String> {
                 ("analytic_bubble_fraction".into(), Json::Num(r.analytic)),
                 ("rel_err".into(), Json::Num(r.rel_err)),
             ]));
-            if r.rel_err > BUBBLE_TOLERANCE {
-                violations.push(format!(
-                    "group {}: trace bubble {:.4} deviates from Eq. 7 {:.4} by {:.1}% \
-                     (> {:.0}% tolerance)",
-                    r.group,
-                    r.measured,
-                    r.analytic,
-                    r.rel_err * 1e2,
-                    BUBBLE_TOLERANCE * 1e2
-                ));
-            }
         }
         println!("{}", etab.render());
     }
 
     // ---- record ----------------------------------------------------
     let section = merge_section(&a, &eq7_json);
-    let out = "BENCH_hotpaths.json";
-    crate::tracked::merge_tracked_json(out, vec![("analysis".to_string(), section)])
-        .map_err(|e| format!("write {out}: {e}"))?;
-    println!("wrote {out} (analysis section)");
+    let doc = harness::write("analysis", vec![("analysis".to_string(), section)])?;
+    violations.extend(gates::check("analysis", &doc).err());
 
     for v in &violations {
         telemetry::log_warn!("trace-analyze: {v}");

@@ -1,20 +1,20 @@
 //! Read-modify-write for tracked JSON result files.
 //!
-//! `repro bench` and `repro comms` both record into
-//! `BENCH_hotpaths.json` at the repo root. Each owns a disjoint set of
-//! top-level sections; [`merge_tracked_json`] replaces the caller's own
-//! sections wholesale and preserves every other top-level key already in
-//! the file, so the two commands can run in either order (or alone)
-//! without clobbering each other's numbers.
+//! Every `repro` tracker records into `BENCH_hotpaths.json` at the repo
+//! root. Each owns a disjoint set of top-level sections;
+//! [`merge_tracked_json`] replaces the caller's own sections wholesale
+//! and preserves every other top-level key already in the file, so the
+//! commands can run in any order (or alone) without clobbering each
+//! other's numbers.
 
 use telemetry::json::Json;
 
 /// Merges `own` top-level sections into the JSON object stored at
-/// `path` and writes the result back. Keys in `own` are replaced;
-/// foreign keys are appended after them in their original order. A
-/// missing or unparseable file is treated as empty — tracked result
-/// files are regenerable by definition.
-pub fn merge_tracked_json(path: &str, own: Vec<(String, Json)>) -> std::io::Result<()> {
+/// `path`, writes the result back and returns it. Keys in `own` are
+/// replaced; foreign keys are appended after them in their original
+/// order. A missing or unparseable file is treated as empty — tracked
+/// result files are regenerable by definition.
+pub fn merge_tracked_json(path: &str, own: Vec<(String, Json)>) -> std::io::Result<Json> {
     let mut fields = own;
     if let Ok(text) = std::fs::read_to_string(path) {
         if let Ok(Json::Obj(existing)) = Json::parse(&text) {
@@ -25,7 +25,8 @@ pub fn merge_tracked_json(path: &str, own: Vec<(String, Json)>) -> std::io::Resu
             }
         }
     }
-    std::fs::write(path, render_top(&fields))
+    std::fs::write(path, render_top(&fields))?;
+    Ok(Json::Obj(fields))
 }
 
 /// Pretty top-level rendering: one line per top-level key, one line per

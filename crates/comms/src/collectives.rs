@@ -450,69 +450,10 @@ impl<T: Transport> Communicator<T> {
         mine: &[F16],
         counts: &[usize],
     ) -> Result<Vec<F16>, CommsError> {
-        self.ready()?;
-        let res = self.all_gather_inner(mine, counts);
-        self.poisoned |= res.is_err();
-        res
-    }
-
-    fn all_gather_inner(
-        &mut self,
-        mine: &[F16],
-        counts: &[usize],
-    ) -> Result<Vec<F16>, CommsError> {
-        let g = self.world();
-        let r = self.rank();
-        if counts.len() != g {
-            return Err(CommsError::Mismatch(format!(
-                "all_gather counts has {} entries for world {g}",
-                counts.len()
-            )));
-        }
-        if mine.len() != counts[r] {
-            return Err(CommsError::Mismatch(format!(
-                "rank {r} contributes {} elements, counts says {}",
-                mine.len(),
-                counts[r]
-            )));
-        }
-        let mut offsets = Vec::with_capacity(g + 1);
-        let mut total = 0usize;
-        for &c in counts {
-            offsets.push(total);
-            total += c;
-        }
-        offsets.push(total);
-        let mut out = vec![F16::ZERO; total];
-        out[offsets[r]..offsets[r] + mine.len()].copy_from_slice(mine);
-        if g == 1 {
-            return Ok(out);
-        }
-        let sp = telemetry::enabled().then(|| telemetry::span("comms.allgather"));
-        let id = self.fresh_id();
-        let deadline = self.deadline();
-        for s in 0..g - 1 {
-            let send_seg = (r + g - s) % g;
-            let tag = self.tag(Kind::AllGather, id, s as u32);
-            let chunk = out[offsets[send_seg]..offsets[send_seg + 1]].to_vec();
-            let next = self.next();
-            self.send_traced(next, Message { tag, payload: Payload::F16(chunk) })?;
-            let recv_seg = (r + g - s - 1) % g;
-            let msg = self.recv_match(self.prev(), tag, deadline)?;
-            let Payload::F16(vals) = msg.payload else {
-                return Err(CommsError::Mismatch("all_gather expects f16 payloads".into()));
-            };
-            if vals.len() != counts[recv_seg] {
-                return Err(CommsError::Mismatch(format!(
-                    "all_gather segment {recv_seg}: got {} elements, want {}",
-                    vals.len(),
-                    counts[recv_seg]
-                )));
-            }
-            out[offsets[recv_seg]..offsets[recv_seg + 1]].copy_from_slice(&vals);
-        }
-        drop(sp);
-        Ok(out)
+        self.all_gather(mine, counts, Payload::F16, |p| match p {
+            Payload::F16(v) => Some(v),
+            _ => None,
+        })
     }
 
     /// Ring all-gather of **f32** segments — the f32 twin of
@@ -524,17 +465,34 @@ impl<T: Transport> Communicator<T> {
         mine: &[f32],
         counts: &[usize],
     ) -> Result<Vec<f32>, CommsError> {
+        self.all_gather(mine, counts, Payload::F32, |p| match p {
+            Payload::F32(v) => Some(v),
+            _ => None,
+        })
+    }
+
+    /// The one ring all-gather body; `wrap`/`unwrap` name the [`Payload`]
+    /// variant that carries `E` on the wire.
+    fn all_gather<E: Copy + Default>(
+        &mut self,
+        mine: &[E],
+        counts: &[usize],
+        wrap: fn(Vec<E>) -> Payload,
+        unwrap: fn(Payload) -> Option<Vec<E>>,
+    ) -> Result<Vec<E>, CommsError> {
         self.ready()?;
-        let res = self.all_gather_f32_inner(mine, counts);
+        let res = self.all_gather_inner(mine, counts, wrap, unwrap);
         self.poisoned |= res.is_err();
         res
     }
 
-    fn all_gather_f32_inner(
+    fn all_gather_inner<E: Copy + Default>(
         &mut self,
-        mine: &[f32],
+        mine: &[E],
         counts: &[usize],
-    ) -> Result<Vec<f32>, CommsError> {
+        wrap: fn(Vec<E>) -> Payload,
+        unwrap: fn(Payload) -> Option<Vec<E>>,
+    ) -> Result<Vec<E>, CommsError> {
         let g = self.world();
         let r = self.rank();
         if counts.len() != g {
@@ -557,7 +515,7 @@ impl<T: Transport> Communicator<T> {
             total += c;
         }
         offsets.push(total);
-        let mut out = vec![0.0f32; total];
+        let mut out = vec![E::default(); total];
         out[offsets[r]..offsets[r] + mine.len()].copy_from_slice(mine);
         if g == 1 {
             return Ok(out);
@@ -570,11 +528,14 @@ impl<T: Transport> Communicator<T> {
             let tag = self.tag(Kind::AllGather, id, s as u32);
             let chunk = out[offsets[send_seg]..offsets[send_seg + 1]].to_vec();
             let next = self.next();
-            self.send_traced(next, Message { tag, payload: Payload::F32(chunk) })?;
+            self.send_traced(next, Message { tag, payload: wrap(chunk) })?;
             let recv_seg = (r + g - s - 1) % g;
             let msg = self.recv_match(self.prev(), tag, deadline)?;
-            let Payload::F32(vals) = msg.payload else {
-                return Err(CommsError::Mismatch("all_gather_f32 expects f32 payloads".into()));
+            let Some(vals) = unwrap(msg.payload) else {
+                return Err(CommsError::Mismatch(format!(
+                    "all_gather expects {} payloads",
+                    std::any::type_name::<E>()
+                )));
             };
             if vals.len() != counts[recv_seg] {
                 return Err(CommsError::Mismatch(format!(

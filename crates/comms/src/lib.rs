@@ -2,9 +2,10 @@
 //!
 //! Unlike `samo::data_parallel`, where all ranks live in one `Vec` and a
 //! sequential loop averages gradients in place, this crate moves real
-//! messages between real OS threads: each rank owns a [`Transport`]
-//! endpoint (typed channels in process today; the trait is shaped so a
-//! TCP framing can slot in later) and a [`Communicator`] implementing
+//! messages between real OS threads or processes: each rank owns a
+//! [`Transport`] endpoint ([`InProcTransport`]: typed channels;
+//! [`TcpTransport`]: length-prefixed frames over real sockets, with
+//! heartbeats) and a [`Communicator`] implementing
 //! `barrier`, `broadcast`, `all_gather`, and a **chunked ring
 //! all-reduce** over compressed fp16 gradient buckets — the collective
 //! the paper's Sec. IV-A runs on `∇θ16` to cut message volume by `1/f`.
@@ -114,9 +115,9 @@ pub fn ring_allreduce_model_bytes(n: u64, world: u64, elem_bytes: u64) -> u64 {
 }
 
 /// Contiguous partition of `n` elements into `parts` chunks, remainder
-/// spread one-per-chunk from the front — the same rule
-/// `samo::sharded::shard_bounds` uses for optimizer shards, duplicated
-/// here so `comms` stays independent of the training crates.
+/// spread one-per-chunk from the front — the rule `samo::state` follows
+/// for optimizer shards (its unit tests assert the two agree), so these
+/// bounds size the all-gather of sharded state.
 pub fn segment_bounds(n: usize, parts: usize) -> Vec<(usize, usize)> {
     assert!(parts >= 1);
     let base = n / parts;

@@ -375,7 +375,7 @@ pub fn read_checkpoint_file(path: &Path) -> Result<Vec<u8>, String> {
 pub fn load_checkpoint_file(
     path: &Path,
     opt: &nn::mixed::Optimizer,
-) -> Result<(Vec<crate::state::SamoLayerState>, Option<crate::serialize::TrainerMeta>), String> {
+) -> Result<(Vec<crate::state::SamoLayerState>, crate::serialize::TrainerMeta), String> {
     let bytes = read_checkpoint_file(path)?;
     crate::serialize::load_checkpoint(&bytes, opt)
 }
@@ -420,7 +420,7 @@ mod tests {
         assert!(path.exists());
         let (layers, meta) = load_checkpoint_file(&path, &adam()).unwrap();
         assert_eq!(layers.len(), 1);
-        assert_eq!(meta.unwrap().steps_taken, 3);
+        assert_eq!(meta.steps_taken, 3);
         assert_eq!(mgr.latest().unwrap().unwrap(), path);
         let _ = fs::remove_dir_all(&dir);
     }

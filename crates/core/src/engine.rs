@@ -305,10 +305,9 @@ impl<R: Reducer> StepEngine<R> {
 
     /// Restores a checkpoint produced by any runtime's `save` into this
     /// trainer and writes the reconstructed parameters into `model`.
-    /// The model/mask structure must match what was saved. For a v2
-    /// checkpoint the loss-scaler state and step counters are restored
-    /// too; a legacy v1 buffer leaves them untouched. Purely local: no
-    /// collective runs.
+    /// The model/mask structure must match what was saved. The
+    /// loss-scaler state and step counters are restored too. Purely
+    /// local: no collective runs.
     pub fn restore(&mut self, checkpoint: &[u8], model: &mut impl Layer) -> Result<(), String> {
         self.restore_slice(checkpoint, model, 0, self.layers.len())
     }
@@ -795,22 +794,19 @@ pub(crate) fn trainer_meta(
     }
 }
 
-/// Inverse of [`trainer_meta`]; a legacy v1 checkpoint has no meta and
-/// leaves everything untouched.
+/// Inverse of [`trainer_meta`].
 pub(crate) fn apply_meta(
-    meta: Option<TrainerMeta>,
+    meta: TrainerMeta,
     scaler: &mut LossScaler,
     steps_taken: &mut u64,
     steps_skipped: &mut u64,
 ) {
-    if let Some(meta) = meta {
-        scaler.restore_state(LossScalerState {
-            scale: meta.loss_scale,
-            good_steps: meta.good_steps,
-        });
-        *steps_taken = meta.steps_taken;
-        *steps_skipped = meta.steps_skipped;
-    }
+    scaler.restore_state(LossScalerState {
+        scale: meta.loss_scale,
+        good_steps: meta.good_steps,
+    });
+    *steps_taken = meta.steps_taken;
+    *steps_skipped = meta.steps_skipped;
 }
 
 /// Cold path: metric/JSONL bookkeeping for one completed step of one

@@ -3,15 +3,13 @@
 //! checkpointing the *compressed* state writes `24fφ`-ish bytes instead
 //! of `20φ`, the same ~4× saving on disk as in memory).
 //!
-//! Two on-disk versions share the magic/version header:
-//!
-//! * **v1** (legacy, still readable): per layer: mask (shape + linearized
-//!   indices), compressed `θ32`, `∇θ16`, and the optimizer state.
-//! * **v2** (written by [`save_checkpoint`]): adds a trainer-meta section
-//!   ([`TrainerMeta`]: loss-scale state and step counters, which v1
-//!   silently dropped) and a CRC-32 checksum after every section — the
-//!   meta block and each layer — so torn or bit-rotted files are rejected
-//!   with an `Err` instead of silently corrupting a resumed run.
+//! On disk: the magic/version header, a trainer-meta section
+//! ([`TrainerMeta`]: loss-scale state and step counters), then one
+//! section per layer — mask (shape + linearized indices), compressed
+//! `θ32`, `∇θ16`, and the optimizer state. Every section is preceded by
+//! its CRC-32, so torn or bit-rotted files are rejected with an `Err`
+//! instead of silently corrupting a resumed run. Any other version —
+//! the unchecksummed version 1 included — is refused by its header.
 //!
 //! All integers little-endian; no external schema needed. Loaders never
 //! trust a length field without checking it against the remaining input,
@@ -25,8 +23,7 @@ use prune::Mask;
 use tensor::f16::F16;
 
 const MAGIC: u32 = 0x53414D4F; // "SAMO"
-const VERSION_V1: u16 = 1;
-const VERSION_V2: u16 = 2;
+const VERSION: u16 = 2;
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — implemented here
@@ -61,7 +58,7 @@ pub fn crc32(data: &[u8]) -> u32 {
     !c
 }
 
-/// Trainer-level state carried by v2 checkpoints alongside the layers:
+/// Trainer-level state carried by checkpoints alongside the layers:
 /// everything a resumed run needs so its trajectory is bitwise identical
 /// to an uninterrupted one.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -112,26 +109,12 @@ fn put_layer(buf: &mut impl BufMut, layer: &SamoLayerState) {
     }
 }
 
-/// Serializes the per-layer SAMO states into a self-describing v1 buffer
-/// (no trainer meta, no checksums). Prefer [`save_checkpoint`] for
-/// durable files; this remains for compatibility and in-memory snapshots.
-pub fn save_layers(layers: &[SamoLayerState]) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(MAGIC);
-    buf.put_u16_le(VERSION_V1);
-    buf.put_u32_le(layers.len() as u32);
-    for layer in layers {
-        put_layer(&mut buf, layer);
-    }
-    buf.freeze()
-}
-
-/// Serializes layers plus trainer meta into a v2 buffer with per-section
-/// CRC-32 checksums (one over the meta section, one per layer).
+/// Serializes layers plus trainer meta with per-section CRC-32
+/// checksums (one over the meta section, one per layer).
 pub fn save_checkpoint(layers: &[SamoLayerState], meta: &TrainerMeta) -> Bytes {
     let mut buf = BytesMut::new();
     buf.put_u32_le(MAGIC);
-    buf.put_u16_le(VERSION_V2);
+    buf.put_u16_le(VERSION);
 
     let mut sec: Vec<u8> = Vec::new();
     sec.put_f32_le(meta.loss_scale);
@@ -301,75 +284,51 @@ fn parse_layer(r: &mut Reader<'_>, opt: &Optimizer, li: usize) -> Result<SamoLay
     Ok(SamoLayerState::from_parts(mask, theta32, grad16, os))
 }
 
-/// Deserializes a v1 or v2 checkpoint. Returns the layers and, for v2,
-/// the trainer meta (`None` for legacy v1 buffers). The optimizer kind
-/// must match what was saved. Any corruption — truncation, structural
-/// nonsense, or (v2) a CRC mismatch — yields `Err`; this function never
-/// panics on untrusted input.
+/// Deserializes a checkpoint into its layers and trainer meta. The
+/// optimizer kind must match what was saved. Any corruption — truncation,
+/// structural nonsense, an unknown version, or a CRC mismatch — yields
+/// `Err`; this function never panics on untrusted input.
 pub fn load_checkpoint(
     buf: &[u8],
     opt: &Optimizer,
-) -> Result<(Vec<SamoLayerState>, Option<TrainerMeta>), String> {
+) -> Result<(Vec<SamoLayerState>, TrainerMeta), String> {
     let mut r = Reader::new(buf);
     let magic = r.get_u32("header")?;
     if magic != MAGIC {
         return Err(format!("bad magic {magic:#010x}"));
     }
     let version = r.get_u16("header")?;
-    match version {
-        VERSION_V1 => {
-            let nlayers = r.get_u32("layer count")? as usize;
-            // No preallocation from the untrusted count: each parsed layer
-            // consumes at least a few bytes, so growth is input-bounded.
-            let mut layers = Vec::new();
-            for li in 0..nlayers {
-                layers.push(parse_layer(&mut r, opt, li)?);
-            }
-            if r.remaining() > 0 {
-                return Err(format!("{} trailing bytes after checkpoint", r.remaining()));
-            }
-            Ok((layers, None))
-        }
-        VERSION_V2 => {
-            let meta_crc = r.get_u32("meta crc")?;
-            let start = r.pos;
-            let loss_scale = r.get_f32("meta")?;
-            let good_steps = r.get_u32("meta")?;
-            let steps_taken = r.get_u64("meta")?;
-            let steps_skipped = r.get_u64("meta")?;
-            let nlayers = r.get_u32("layer count")? as usize;
-            if crc32(&buf[start..r.pos]) != meta_crc {
-                return Err("meta section CRC mismatch".to_string());
-            }
-            let meta = TrainerMeta {
-                loss_scale,
-                good_steps,
-                steps_taken,
-                steps_skipped,
-            };
-            let mut layers = Vec::new();
-            for li in 0..nlayers {
-                let layer_crc = r.get_u32("layer crc")?;
-                let start = r.pos;
-                let layer = parse_layer(&mut r, opt, li)?;
-                if crc32(&buf[start..r.pos]) != layer_crc {
-                    return Err(format!("layer {li}: CRC mismatch"));
-                }
-                layers.push(layer);
-            }
-            if r.remaining() > 0 {
-                return Err(format!("{} trailing bytes after checkpoint", r.remaining()));
-            }
-            Ok((layers, Some(meta)))
-        }
-        v => Err(format!("unsupported version {v}")),
+    if version != VERSION {
+        return Err(format!("unsupported version {version}"));
     }
-}
-
-/// Deserializes the layers of a v1 or v2 checkpoint, discarding any
-/// trainer meta. The optimizer kind must match what was saved.
-pub fn load_layers(buf: &[u8], opt: &Optimizer) -> Result<Vec<SamoLayerState>, String> {
-    load_checkpoint(buf, opt).map(|(layers, _)| layers)
+    let meta_crc = r.get_u32("meta crc")?;
+    let start = r.pos;
+    let meta = TrainerMeta {
+        loss_scale: r.get_f32("meta")?,
+        good_steps: r.get_u32("meta")?,
+        steps_taken: r.get_u64("meta")?,
+        steps_skipped: r.get_u64("meta")?,
+    };
+    let nlayers = r.get_u32("layer count")? as usize;
+    if crc32(&buf[start..r.pos]) != meta_crc {
+        return Err("meta section CRC mismatch".to_string());
+    }
+    // No preallocation from the untrusted count: each parsed layer
+    // consumes at least a few bytes, so growth is input-bounded.
+    let mut layers = Vec::new();
+    for li in 0..nlayers {
+        let layer_crc = r.get_u32("layer crc")?;
+        let start = r.pos;
+        let layer = parse_layer(&mut r, opt, li)?;
+        if crc32(&buf[start..r.pos]) != layer_crc {
+            return Err(format!("layer {li}: CRC mismatch"));
+        }
+        layers.push(layer);
+    }
+    if r.remaining() > 0 {
+        return Err(format!("{} trailing bytes after checkpoint", r.remaining()));
+    }
+    Ok((layers, meta))
 }
 
 #[cfg(test)]
@@ -418,8 +377,9 @@ mod tests {
     fn roundtrip_adam() {
         let opt = adam();
         let layers = make_layers(&opt);
-        let bytes = save_layers(&layers);
-        let loaded = load_layers(&bytes, &opt).unwrap();
+        let bytes = save_checkpoint(&layers, &meta());
+        let (loaded, got) = load_checkpoint(&bytes, &opt).unwrap();
+        assert_eq!(got, meta());
         assert_eq!(loaded.len(), 3);
         for (a, b) in layers.iter().zip(&loaded) {
             assert_eq!(a.mask(), b.mask());
@@ -441,8 +401,8 @@ mod tests {
     fn roundtrip_sgd() {
         let opt = Optimizer::Sgd(SgdConfig::default());
         let layers = make_layers(&opt);
-        let bytes = save_layers(&layers);
-        let loaded = load_layers(&bytes, &opt).unwrap();
+        let bytes = save_checkpoint(&layers, &meta());
+        let (loaded, _) = load_checkpoint(&bytes, &opt).unwrap();
         for (a, b) in layers.iter().zip(&loaded) {
             match (&a.os, &b.os) {
                 (OptState::Sgd(x), OptState::Sgd(y)) => assert_eq!(x.velocity, y.velocity),
@@ -452,29 +412,16 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_v2_with_meta() {
-        let opt = adam();
-        let layers = make_layers(&opt);
-        let bytes = save_checkpoint(&layers, &meta());
-        let (loaded, got) = load_checkpoint(&bytes, &opt).unwrap();
-        assert_eq!(got, Some(meta()));
-        assert_eq!(loaded.len(), layers.len());
-        for (a, b) in layers.iter().zip(&loaded) {
-            assert_eq!(a.mask(), b.mask());
-            assert_eq!(a.theta32, b.theta32);
-            assert_eq!(a.theta16, b.theta16);
-        }
-        // load_layers reads v2 too, dropping the meta.
-        assert_eq!(load_layers(&bytes, &opt).unwrap().len(), layers.len());
-    }
-
-    #[test]
-    fn v1_still_loads_without_meta() {
-        let opt = adam();
-        let bytes = save_layers(&make_layers(&opt));
-        let (layers, got) = load_checkpoint(&bytes, &opt).unwrap();
-        assert_eq!(layers.len(), 3);
-        assert_eq!(got, None);
+    fn v1_header_is_rejected_as_unsupported() {
+        // A well-formed version-1 file (magic, version, layer count,
+        // unchecksummed layers) is refused by its header, not parsed.
+        let mut buf = BytesMut::new();
+        buf.put_u32_le(MAGIC);
+        buf.put_u16_le(1);
+        buf.put_u32_le(1);
+        put_layer(&mut buf, &make_layers(&adam())[0]);
+        let err = load_checkpoint(&buf.freeze(), &adam()).unwrap_err();
+        assert_eq!(err, "unsupported version 1");
     }
 
     #[test]
@@ -493,8 +440,8 @@ mod tests {
             live.compress_grad(&grad_at(s));
             live.optimizer_step(&opt, 1.0);
         }
-        let checkpoint = save_layers(std::slice::from_ref(&live));
-        let mut resumed = load_layers(&checkpoint, &opt).unwrap().pop().unwrap();
+        let checkpoint = save_checkpoint(std::slice::from_ref(&live), &meta());
+        let mut resumed = load_checkpoint(&checkpoint, &opt).unwrap().0.pop().unwrap();
         for s in 3..6 {
             live.compress_grad(&grad_at(s));
             live.optimizer_step(&opt, 1.0);
@@ -508,33 +455,33 @@ mod tests {
     #[test]
     fn rejects_corruption() {
         let opt = adam();
-        let bytes = save_layers(&make_layers(&opt));
+        let bytes = save_checkpoint(&make_layers(&opt), &meta());
 
         // Bad magic.
         let mut bad = bytes.to_vec();
         bad[0] ^= 0xFF;
-        assert!(load_layers(&bad, &opt).unwrap_err().contains("magic"));
+        assert!(load_checkpoint(&bad, &opt).unwrap_err().contains("magic"));
 
         // Truncation at every interesting boundary family.
         for cut in [5usize, 12, bytes.len() / 2, bytes.len() - 1] {
-            let err = load_layers(&bytes[..cut], &opt).unwrap_err();
+            let err = load_checkpoint(&bytes[..cut], &opt).unwrap_err();
             assert!(err.contains("truncated"), "cut at {cut}: {err}");
         }
 
         // Trailing garbage.
         let mut long = bytes.to_vec();
         long.push(0);
-        assert!(load_layers(&long, &opt).unwrap_err().contains("trailing"));
+        assert!(load_checkpoint(&long, &opt).unwrap_err().contains("trailing"));
 
         // Optimizer mismatch.
         let sgd = Optimizer::Sgd(SgdConfig::default());
-        assert!(load_layers(&bytes, &sgd)
+        assert!(load_checkpoint(&bytes, &sgd)
             .unwrap_err()
             .contains("does not match"));
     }
 
     #[test]
-    fn v2_detects_payload_bit_rot() {
+    fn detects_payload_bit_rot() {
         let opt = adam();
         let bytes = save_checkpoint(&make_layers(&opt), &meta());
         // Flip a bit deep in the last layer's payload — structurally valid,
@@ -549,26 +496,37 @@ mod tests {
         );
     }
 
-    #[test]
-    fn huge_layer_count_is_rejected_cheaply() {
-        // A corrupted header claiming 4 billion layers must fail fast with
-        // a truncation error, not allocate.
+    /// Header plus a correctly checksummed meta section announcing
+    /// `nlayers` layers — the prefix a hostile length field hides behind.
+    fn sealed_prefix(nlayers: u32) -> BytesMut {
+        let mut sec: Vec<u8> = Vec::new();
+        sec.put_f32_le(1.0);
+        sec.put_u32_le(0);
+        sec.put_u64_le(0);
+        sec.put_u64_le(0);
+        sec.put_u32_le(nlayers);
         let mut buf = BytesMut::new();
         buf.put_u32_le(MAGIC);
-        buf.put_u16_le(VERSION_V1);
-        buf.put_u32_le(u32::MAX);
-        let err = load_layers(&buf.freeze(), &adam()).unwrap_err();
+        buf.put_u16_le(VERSION);
+        buf.put_u32_le(crc32(&sec));
+        buf.put_slice(&sec);
+        buf
+    }
+
+    #[test]
+    fn huge_layer_count_is_rejected_cheaply() {
+        // A header claiming 4 billion layers must fail fast with a
+        // truncation error, not allocate.
+        let err = load_checkpoint(&sealed_prefix(u32::MAX).freeze(), &adam()).unwrap_err();
         assert!(err.contains("truncated"), "{err}");
 
         // Likewise a huge nnz inside a layer.
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(MAGIC);
-        buf.put_u16_le(VERSION_V1);
-        buf.put_u32_le(1);
+        let mut buf = sealed_prefix(1);
+        buf.put_u32_le(0); // layer crc — never reached
         buf.put_u8(1); // rank
         buf.put_u64_le(1 << 30); // shape
         buf.put_u64_le(u64::MAX / 2); // nnz — would overflow nnz*4
-        let err = load_layers(&buf.freeze(), &adam()).unwrap_err();
+        let err = load_checkpoint(&buf.freeze(), &adam()).unwrap_err();
         assert!(
             err.contains("truncated") || err.contains("overflow") || err.contains("exceeds"),
             "{err}"
@@ -584,7 +542,7 @@ mod tests {
         let mask = prune::random_prune(&[phi], 0.9, 3);
         let nnz = mask.nnz();
         let st = SamoLayerState::from_params(&vec![0.1; phi], mask, &opt);
-        let bytes = save_layers(std::slice::from_ref(&st));
+        let bytes = save_checkpoint(std::slice::from_ref(&st), &meta());
         // indices 4 + θ32 4 + ∇θ16 2 + adam 8 = 18 bytes per nnz.
         let expect = 18 * nnz;
         assert!(bytes.len() >= expect && bytes.len() < expect + 128);

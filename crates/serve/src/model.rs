@@ -74,16 +74,16 @@ pub struct LoadedCheckpoint {
     pub step: u64,
     pub path: PathBuf,
     pub states: Vec<SamoLayerState>,
-    pub meta: Option<TrainerMeta>,
+    pub meta: TrainerMeta,
 }
 
-/// Reads `path` and parses it under `opt` (the v2 format CRC-checks
+/// Reads `path` and parses it under `opt` (the format CRC-checks
 /// every section), then reads and parses it a *second* time and
 /// asserts the dense f32 parameters bitwise equal across the loads —
 /// the "verified against a fresh load" guarantee the hot-reload path
 /// promises before a model is swapped into replicas.
 pub fn load_verified(path: &Path, step: u64, opt: &Optimizer) -> Result<LoadedCheckpoint, String> {
-    let read = || -> Result<(Vec<SamoLayerState>, Option<TrainerMeta>), String> {
+    let read = || -> Result<(Vec<SamoLayerState>, TrainerMeta), String> {
         let bytes = std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
         samo::serialize::load_checkpoint(&bytes, opt)
     };
@@ -254,7 +254,7 @@ mod tests {
         let loaded = load_verified(&path, 9, &adam()).unwrap();
         assert_eq!(loaded.step, 9);
         assert_eq!(loaded.states.len(), 4);
-        assert_eq!(loaded.meta.as_ref().map(|m| m.steps_taken), Some(9));
+        assert_eq!(loaded.meta.steps_taken, 9);
         // Flip one payload byte: the CRC layer must refuse it.
         let mut torn = bytes.to_vec();
         let mid = torn.len() / 2;

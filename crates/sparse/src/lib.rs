@@ -12,12 +12,10 @@
 //! * [`nm`] — 2:4 structured format and SIMD spMM over the fixed
 //!   2-of-4 pattern (DESIGN.md §16).
 
-pub mod block;
 pub mod formats;
 pub mod kernels;
 pub mod nm;
 
-pub use block::{bsr_spmm, Bsr};
 pub use formats::{random_sparse, Coo, Csr};
 pub use kernels::{sddmm, spmm, spmm_f16, spmm_reference, spmm_row_split};
 pub use nm::{spmm_nm24, spmm_nm24_with_tier, Nm24};

@@ -57,9 +57,15 @@ mod tests {
     #[test]
     fn reset_rewinds_the_session_origin() {
         let _guard = crate::registry::test_lock();
+        // The base is fixed at first use: touch it before sleeping, or a
+        // run where this test comes first measures the 5 ms from nothing.
+        let start = now_us();
         std::thread::sleep(std::time::Duration::from_millis(5));
         let before = now_us();
-        assert!(before >= 5_000.0, "expected ≥5ms since start, got {before}");
+        assert!(
+            before >= start + 5_000.0,
+            "expected ≥5ms since {start}, got {before}"
+        );
         reset();
         let after = now_us();
         assert!(
