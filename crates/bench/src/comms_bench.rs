@@ -17,8 +17,10 @@
 //! factor: modeled ring bytes per rank are `2·(G−1)/G·n·2`, so the
 //! compressed/dense byte ratio must be `1/f` up to integer truncation —
 //! the `comms` gate ([`crate::gates::BYTE_RATIO_TOLERANCE`]). Wire bytes
-//! (headers plus the f64 reduce-scatter partials) are recorded alongside
-//! the modeled f16 volume so the protocol overhead stays visible.
+//! (a 16 B header per message, and at world 3+ the f64 partial sums of
+//! reduce-scatter hops 1..G−2 — hop 0 carries the rank's own f16 values)
+//! are recorded alongside the modeled f16 volume so the protocol
+//! overhead stays visible.
 
 use crate::harness::{self, obj, round6};
 use comms::{CommsError, Communicator, InProcTransport, Transport};
@@ -35,8 +37,8 @@ pub(crate) struct Run {
     pub best_ms: f64,
     /// Modeled f16 ring volume per rank per all-reduce.
     pub model_bytes: u64,
-    /// Measured transport bytes per rank per all-reduce (headers + f64
-    /// reduce-scatter partials included).
+    /// Measured transport bytes per rank per all-reduce (headers and, at
+    /// world 3+, f64 reduce-scatter partials included).
     pub wire_bytes: u64,
     /// Rank 0's reduced buffer from the last sample, for bitwise checks.
     pub reduced: Vec<F16>,

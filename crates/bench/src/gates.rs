@@ -46,6 +46,11 @@ pub const SHARE_TOLERANCE: f64 = 0.01;
 /// Compressed/dense ring volume vs the density `nnz/φ = 1/f`, relative:
 /// byte accounting is deterministic, so only integer truncation may show.
 pub const BYTE_RATIO_TOLERANCE: f64 = 0.1;
+/// Framing bytes one ring message adds to its payload. At world 2 every
+/// hop of an all-reduce rides at f16 (hop 0 carries the rank's own f16
+/// values), so the measured wire bytes are the modeled f16 volume plus
+/// this per message and nothing else.
+pub const WIRE_HEADER_BYTES: u64 = comms::Payload::HEADER_BYTES;
 /// Thin `A·Bᵀ` (what `Linear::forward` runs) over `A·B` of the same
 /// 4×2048×2048 shape — packing a transposed operand must stream.
 pub const THIN_NT_OVER_NN_MAX: f64 = 1.5;
@@ -279,6 +284,14 @@ fn tcp(doc: &Json) -> Check {
             wire,
             model,
         )?;
+        if world == 2 {
+            // One reduce-scatter and one all-gather message per rank.
+            at_most(
+                "world 2: TCP wire bytes over modeled f16 bytes plus two headers",
+                wire,
+                model + 2 * WIRE_HEADER_BYTES,
+            )?;
+        }
         if num(w, "tcp_best_ms")? <= 0.0 || num(w, "inproc_best_ms")? <= 0.0 {
             return Err(format!("world {world}: a transport recorded no time"));
         }
@@ -693,6 +706,17 @@ mod tests {
             "tcp",
             &doc,
             &["world 2", &(model - 1).to_string(), &model.to_string()],
+        );
+        // ... and so is a first hop that went back to f64 partials.
+        let cap = model + 2 * WIRE_HEADER_BYTES;
+        let doc = doctored(
+            &["tcp", "worlds", "0", "tcp_wire_bytes"],
+            Json::UInt(cap + 1),
+        );
+        rejects(
+            "tcp",
+            &doc,
+            &["world 2", &(cap + 1).to_string(), &cap.to_string()],
         );
         rejects(
             "tcp",

@@ -14,10 +14,12 @@
 //! in the arithmetic, only in the wall clock.
 //!
 //! Recorded per world: best-of timings for both transports, the modeled
-//! f16 ring volume, and the measured TCP wire bytes (frame headers and
-//! f64 reduce-scatter partials included) so the framing overhead stays
-//! visible. The `tcp` gate holds `bitwise_equal` and the wire-byte
-//! accounting.
+//! f16 ring volume, and the measured TCP wire bytes (frame headers and,
+//! at world 4, the f64 partials of reduce-scatter hops 1–2 included) so
+//! the framing overhead stays visible. The `tcp` gate holds
+//! `bitwise_equal` and the wire-byte accounting from both sides: at
+//! least the model, and at world 2 — where every hop rides at f16 — at
+//! most the model plus the headers.
 
 use crate::comms_bench::{bench_mesh, seeded_buf};
 use crate::harness::{self, obj, round6};

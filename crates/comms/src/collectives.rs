@@ -7,21 +7,42 @@
 //! ([`crate::segment_bounds`]). Rank `r` talks only to its ring
 //! neighbours `r±1 (mod G)`:
 //!
-//! * **Reduce-scatter** (`G−1` hops, f64 payloads): at hop 0 rank `r`
-//!   sends its own segment `r`, widened to f64. On receiving the
-//!   partial for segment `(r−s−1) mod G` at hop `s` it adds its own
-//!   values exactly and forwards; after the last hop it owns the full
-//!   exact sum of segment `(r+1) mod G`, divides by `G`, and rounds
+//! * **Reduce-scatter** (`G−1` hops): at hop 0 rank `r` sends its own
+//!   values of segment `r` **as f16** — they are f16 values, so 2 B each
+//!   carry them exactly. On receiving the partial for segment
+//!   `(r−s−1) mod G` at hop `s` it widens (hop 0) and adds its own
+//!   values exactly in f64, and forwards the f64 partial sums (hops
+//!   `≥ 1`, which only exist at `G > 2`); after the last hop it owns the
+//!   full exact sum of segment `(r+1) mod G`, divides by `G`, and rounds
 //!   once to f16.
 //! * **All-gather** (`G−1` hops, f16 payloads): the finished f16
 //!   segments rotate around the ring until every rank holds all of
 //!   them.
 //!
+//! | hop `s` of an all-reduce | payload | bytes per value |
+//! |--------------------------|---------|-----------------|
+//! | `0`                      | own f16 values          | 2 |
+//! | `1 ..= G−2`              | f64 partial sums        | 8 |
+//! | `G−1 ..= 2G−3`           | reduced f16 means       | 2 |
+//!
 //! Per-rank wire volume is `(G−1)/G · n` elements per phase — the
 //! bandwidth-optimal `2·(G−1)/G · n` total the byte-accounting formulas
-//! model. The f64 partials make the sum *exact*, hence order-free,
-//! hence bitwise equal to [`crate::reference`] no matter how threads
-//! interleave (see the crate docs for the argument).
+//! model, and at `G = 2` exactly that many f16 bytes plus a 16 B header
+//! per message. The f64 accumulation makes the sum *exact*, hence
+//! order-free, hence bitwise equal to [`crate::reference`] no matter
+//! how threads interleave or which width a hop travelled at (see the
+//! crate docs for the argument).
+//!
+//! # Reduce-scatter-only rings
+//!
+//! A rank that keeps only its shard of the optimizer state never reads
+//! the mean outside that shard, so [`Communicator::reduce_scatter_start`]
+//! runs the first phase alone: the same hops with the schedule shifted
+//! by one — hop 0 sends segment `(r−1) mod G`, hop `s` receives segment
+//! `(r−s−2) mod G` — so that after `G−1` hops rank `r` owns the mean of
+//! segment `r` = `segment_bounds(n, G)[r]`, the range `samo::state`
+//! shards by. The rest of the completed buffer still holds the rank's
+//! own inputs.
 //!
 //! # Overlap
 //!
@@ -41,23 +62,27 @@ use crate::{ring_allreduce_model_bytes, segment_bounds, CommsError};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use telemetry::json::Json;
-use tensor::f16::F16;
+use tensor::f16::{to_f32_table, F16};
 
 /// Default per-collective deadline. Generous for healthy in-process
 /// meshes; tests with injected faults shrink it.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// One in-flight chunked ring all-reduce.
+/// One in-flight chunked ring all-reduce or reduce-scatter.
 struct RingState {
     id: u64,
     /// Input values; progressively overwritten with the mean.
     data: Vec<F16>,
     /// `G` contiguous segment bounds.
     segs: Vec<(usize, usize)>,
-    /// Incoming hops processed so far (of `2·(G−1)`); doubles as the
-    /// next expected message `step`, since per-link FIFO order makes
-    /// hops of one ring arrive in schedule order.
+    /// Incoming hops processed so far (of `2·(G−1)`, or `G−1` when
+    /// `scatter_only`); doubles as the next expected message `step`,
+    /// since per-link FIFO order makes hops of one ring arrive in
+    /// schedule order.
     hops_done: u32,
+    /// Stop after the reduce-scatter, on the schedule shifted by one
+    /// (see the module docs).
+    scatter_only: bool,
 }
 
 /// A rank's collective interface over a transport endpoint.
@@ -133,8 +158,10 @@ impl<T: Transport> Communicator<T> {
         &self.t
     }
 
-    /// Modeled f16 ring volume of every all-reduce issued so far
-    /// (`2·(G−1)/G · n · 2B` each) — the paper's Eq. 9 accounting.
+    /// Modeled f16 ring volume of every reduction issued so far
+    /// (`2·(G−1)/G · n · 2B` each) — the paper's Eq. 9 accounting. A
+    /// reduce-scatter-only ring is charged the same: the parameter
+    /// all-gather that completes a sharded step moves the other half.
     pub fn model_allreduce_bytes(&self) -> u64 {
         self.model_allreduce_bytes
     }
@@ -550,6 +577,15 @@ impl<T: Transport> Communicator<T> {
         Ok(out)
     }
 
+    /// Whether `mine` holds on every rank: a one-element
+    /// [`Self::all_gather_f16`] of flags, and their AND (a group of one
+    /// sends nothing). How the trainers agree on an overflow verdict.
+    pub fn all_true(&mut self, mine: bool) -> Result<bool, CommsError> {
+        let flag = F16::from_f32(f32::from(u8::from(mine)));
+        let flags = self.all_gather_f16(&[flag], &vec![1; self.world()])?;
+        Ok(flags.iter().all(|f| f.to_f32() == 1.0))
+    }
+
     // --- Point-to-point (pipeline boundary traffic) -------------------
 
     /// Sends `data` to rank `to` as a tagged point-to-point message —
@@ -709,13 +745,30 @@ impl<T: Transport> Communicator<T> {
     /// drive with [`Self::ring_pump`] / [`Self::ring_finish`], collect
     /// with [`Self::take_completed`].
     pub fn ring_start(&mut self, data: Vec<F16>) -> Result<u64, CommsError> {
+        self.ring_begin(data, false)
+    }
+
+    /// Starts an asynchronous ring **reduce-scatter** (mean) over
+    /// `data`: driven and collected like [`Self::ring_start`], but the
+    /// completed buffer holds the mean only on this rank's
+    /// `segment_bounds(n, G)[rank]` and the rank's own inputs elsewhere —
+    /// half the hops and half the bytes of the all-reduce.
+    pub fn reduce_scatter_start(&mut self, data: Vec<F16>) -> Result<u64, CommsError> {
+        self.ring_begin(data, true)
+    }
+
+    fn ring_begin(&mut self, data: Vec<F16>, scatter_only: bool) -> Result<u64, CommsError> {
         self.ready()?;
-        let res = self.ring_start_inner(data);
+        let res = self.ring_begin_inner(data, scatter_only);
         self.poisoned |= res.is_err();
         res
     }
 
-    fn ring_start_inner(&mut self, mut data: Vec<F16>) -> Result<u64, CommsError> {
+    fn ring_begin_inner(
+        &mut self,
+        mut data: Vec<F16>,
+        scatter_only: bool,
+    ) -> Result<u64, CommsError> {
         let g = self.world();
         let r = self.rank();
         let id = self.fresh_id();
@@ -730,12 +783,12 @@ impl<T: Transport> Communicator<T> {
             return Ok(id);
         }
         let segs = segment_bounds(data.len(), g);
-        let (lo, hi) = segs[r];
-        let partial: Vec<f64> = data[lo..hi].iter().map(|v| f64::from(v.to_f32())).collect();
+        let (lo, hi) = segs[(r + g - usize::from(scatter_only)) % g];
         let tag = self.tag(Kind::AllReduce, id, 0);
         let next = self.next();
-        self.send_traced(next, Message { tag, payload: Payload::F64(partial) })?;
-        self.rings.push(RingState { id, data, segs, hops_done: 0 });
+        let first = Payload::F16(data[lo..hi].to_vec());
+        self.send_traced(next, Message { tag, payload: first })?;
+        self.rings.push(RingState { id, data, segs, hops_done: 0, scatter_only });
         // A fast neighbour may already have sent hops for this id.
         self.ring_drain_stash()?;
         Ok(id)
@@ -878,11 +931,6 @@ impl<T: Transport> Communicator<T> {
         let step = msg.tag.step as usize;
         let id = msg.tag.id;
 
-        enum Outgoing {
-            None,
-            F64(u32, Vec<f64>),
-            F16(u32, Vec<F16>),
-        }
         let outgoing;
         let done;
         let seg;
@@ -895,72 +943,74 @@ impl<T: Transport> Communicator<T> {
                     ring.hops_done
                 )));
             }
+            let shift = usize::from(ring.scatter_only);
+            seg = if step <= g - 2 {
+                (r + 2 * g - 1 - step - shift) % g
+            } else {
+                (r + g - (step - (g - 1))) % g
+            };
+            let (lo, hi) = ring.segs[seg];
+            let own = &mut ring.data[lo..hi];
+            let mismatch = |what: &str| {
+                let want = hi - lo;
+                CommsError::Mismatch(format!("ring {id} segment {seg}: hop {step} expects {want} {what}"))
+            };
             if step <= g - 2 {
                 phase = "rs";
-                seg = (r + g - 1 - step) % g;
-                let (lo, hi) = ring.segs[seg];
-                let Payload::F64(mut partial) = msg.payload else {
-                    return Err(CommsError::Mismatch(
-                        "reduce-scatter hop expects f64 partial sums".into(),
-                    ));
-                };
-                if partial.len() != hi - lo {
-                    return Err(CommsError::Mismatch(format!(
-                        "ring {id} segment {seg}: got {} elements, want {}",
-                        partial.len(),
-                        hi - lo
-                    )));
-                }
-                for (a, x) in partial.iter_mut().zip(&ring.data[lo..hi]) {
-                    *a += f64::from(x.to_f32());
-                }
-                if step < g - 2 {
-                    outgoing = Outgoing::F64(step as u32 + 1, partial);
-                } else {
-                    // Last reduce-scatter hop: this rank now owns the
-                    // exact sum of segment (r+1) mod G.
-                    let w = g as f64;
-                    for (slot, &sum) in ring.data[lo..hi].iter_mut().zip(&partial) {
-                        *slot = f16_mean_from_exact_sum(sum, w);
+                let table = to_f32_table();
+                let widen = |x: &F16| f64::from(table[x.0 as usize]);
+                let w = g as f64;
+                let last = step == g - 2;
+                // Hop 0 carries the sender's own f16 values, later hops
+                // f64 partial sums. The last hop leaves this rank the
+                // exact sum of the segment; a hop that is both (G = 2)
+                // never materialises the partials.
+                let partial = match msg.payload {
+                    Payload::F16(first) if step == 0 && first.len() == own.len() => {
+                        if last {
+                            for (slot, a) in own.iter_mut().zip(&first) {
+                                *slot = f16_mean_from_exact_sum(widen(a) + widen(slot), w);
+                            }
+                            None
+                        } else {
+                            Some(first.iter().zip(&*own).map(|(a, x)| widen(a) + widen(x)).collect())
+                        }
                     }
-                    outgoing = Outgoing::F16(g as u32 - 1, ring.data[lo..hi].to_vec());
-                }
+                    Payload::F64(mut partial) if step > 0 && partial.len() == own.len() => {
+                        for (a, x) in partial.iter_mut().zip(&*own) {
+                            *a += widen(x);
+                        }
+                        if last {
+                            for (slot, &sum) in own.iter_mut().zip(&partial) {
+                                *slot = f16_mean_from_exact_sum(sum, w);
+                            }
+                        }
+                        (!last).then_some(partial)
+                    }
+                    _ if step == 0 => return Err(mismatch("f16 values")),
+                    _ => return Err(mismatch("f64 partial sums")),
+                };
+                outgoing = match partial {
+                    Some(partial) => Some((step as u32 + 1, Payload::F64(partial))),
+                    None if ring.scatter_only => None,
+                    None => Some((g as u32 - 1, Payload::F16(own.to_vec()))),
+                };
             } else {
                 phase = "ag";
-                let sa = step - (g - 1);
-                seg = (r + g - sa) % g;
-                let (lo, hi) = ring.segs[seg];
-                let Payload::F16(vals) = msg.payload else {
-                    return Err(CommsError::Mismatch("all-gather hop expects f16 values".into()));
+                let vals = match msg.payload {
+                    Payload::F16(vals) if vals.len() == own.len() => vals,
+                    _ => return Err(mismatch("reduced f16 values")),
                 };
-                if vals.len() != hi - lo {
-                    return Err(CommsError::Mismatch(format!(
-                        "ring {id} segment {seg}: got {} elements, want {}",
-                        vals.len(),
-                        hi - lo
-                    )));
-                }
-                ring.data[lo..hi].copy_from_slice(&vals);
-                if sa < g - 2 {
-                    outgoing = Outgoing::F16(step as u32 + 1, vals);
-                } else {
-                    outgoing = Outgoing::None;
-                }
+                own.copy_from_slice(&vals);
+                let more = step - (g - 1) < g - 2;
+                outgoing = more.then(|| (step as u32 + 1, Payload::F16(vals)));
             }
             ring.hops_done += 1;
-            done = ring.hops_done as usize == 2 * (g - 1);
+            done = ring.hops_done as usize == (2 - shift) * (g - 1);
         }
-        let next = self.next();
-        match outgoing {
-            Outgoing::F64(s, v) => {
-                let tag = self.tag(Kind::AllReduce, id, s);
-                self.send_traced(next, Message { tag, payload: Payload::F64(v) })?;
-            }
-            Outgoing::F16(s, v) => {
-                let tag = self.tag(Kind::AllReduce, id, s);
-                self.send_traced(next, Message { tag, payload: Payload::F16(v) })?;
-            }
-            Outgoing::None => {}
+        if let Some((s, payload)) = outgoing {
+            let (tag, next) = (self.tag(Kind::AllReduce, id, s), self.next());
+            self.send_traced(next, Message { tag, payload })?;
         }
         if done {
             let ring = self.rings.swap_remove(idx);
@@ -1110,6 +1160,22 @@ mod tests {
     }
 
     #[test]
+    fn all_true_is_the_and_over_ranks() {
+        for world in 1..=4usize {
+            for liar in [None, Some(world - 1)] {
+                let got = run_ranks(world, Arc::default(), DEFAULT_TIMEOUT, |comm, rank| {
+                    let verdict = comm.all_true(Some(rank) != liar).unwrap();
+                    (verdict, comm.transport().msgs_sent())
+                });
+                for (verdict, msgs) in got {
+                    assert_eq!(verdict, liar.is_none(), "world {world} liar {liar:?}");
+                    assert_eq!(msgs, world as u64 - 1, "one ring lap of one-element flags");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn ring_allreduce_matches_oracle_across_world_sizes() {
         // Sizes straddle the divisible/remainder boundary; world 1 hits
         // the degenerate path.
@@ -1179,6 +1245,43 @@ mod tests {
                 assert_eq!(id, ids[b]);
                 assert_eq!(data, wants[b], "bucket {b}");
             }
+        }
+    }
+
+    #[test]
+    fn reduce_scatter_owns_its_segment_and_drains_early_arrivals() {
+        // Rank 1 posts both first hops before rank 0 starts anything, so
+        // rank 0's first pump finds a hop for a ring it has not started:
+        // it must be stashed, then applied when that ring starts.
+        let n = 11;
+        let want = oracle(2, n, 900);
+        let posted = std::sync::Barrier::new(2);
+        let got = run_ranks(2, Arc::default(), DEFAULT_TIMEOUT, |comm, rank| {
+            if rank == 0 {
+                posted.wait();
+            }
+            comm.ring_start(vals(900 + rank as u64, n)).unwrap();
+            if rank == 0 {
+                comm.ring_pump().unwrap();
+                assert_eq!(comm.stash.len(), 1, "the early hop waits in the stash");
+            }
+            comm.reduce_scatter_start(vals(900 + rank as u64, n)).unwrap();
+            if rank == 1 {
+                posted.wait();
+            }
+            comm.ring_finish().unwrap();
+            assert!(comm.stash.is_empty());
+            let mut done = comm.take_completed();
+            done.sort_by_key(|(id, _)| *id);
+            done
+        });
+        let segs = segment_bounds(n, 2);
+        for (rank, done) in got.into_iter().enumerate() {
+            assert_eq!(done[0].1, want, "all-reduce, rank {rank}");
+            let (lo, hi) = segs[rank];
+            let mut expect = vals(900 + rank as u64, n);
+            expect[lo..hi].copy_from_slice(&want[lo..hi]);
+            assert_eq!(done[1].1, expect, "reduce-scatter, rank {rank}");
         }
     }
 

@@ -75,9 +75,9 @@ impl<T: Transport> StepEngine<Ring<T>> {
     /// Completes one training step after `model` ran forward/backward
     /// with the loss multiplied by [`Self::loss_scale`]. The local
     /// compressed gradients are ring-all-reduced to their mean; the
-    /// overflow verdict is then computed from the *reduced* bits, so
-    /// every rank's loss scaler reaches the same decision without an
-    /// extra collective — exactly the scheme the threaded runtime uses.
+    /// overflow verdict is the AND of every rank's compress flag, agreed
+    /// with one one-element gather, so every rank's loss scaler reaches
+    /// the same decision — exactly the scheme the threaded runtime uses.
     /// `Err` means a collective failed (dead peer, timeout, poisoned
     /// communicator) and the group needs [`Self::resync`].
     pub fn step(&mut self, model: &mut impl Layer) -> Result<bool, CommsError> {

@@ -17,11 +17,16 @@
 //!   microbatch of its 1F1B schedule, and agrees on the overflow verdict
 //!   across stages between `finish_reduce` and `apply`.
 //!
-//! The kernels are chosen by the data, not by the caller: a state that
-//! owns the whole compressed range takes the fused pair
+//! Every state runs the same fused pair
 //! ([`SamoLayerState::compress_grad_fused`],
-//! [`SamoLayerState::optimizer_step_fused`]); a shard takes the
-//! three-phase step on its range plus the parameter all-gather.
+//! [`SamoLayerState::optimizer_step_owned`]) on the range it owns;
+//! sharding decides only what moves: a full state all-reduces `∇θ16`,
+//! a shard reduce-scatters it (each rank needs the mean on its own range
+//! alone) and all-gathers the updated fp16 parameters — together the
+//! `2·(G−1)/G·fφ·2 B` of a ring all-reduce. A shard then holds reduced
+//! bits on its own range only, so the group agrees on the overflow
+//! verdict with one flag gather per step (`finish_reduce`) — full states
+//! too, which keeps the verdict one path.
 //!
 //! [`crate::DataParallelSamo`], the sequential oracle the threaded
 //! runtimes are compared with, keeps its own step and shares only the
@@ -166,7 +171,8 @@ pub struct StepEngine<R: Reducer> {
     schedule: Option<MaskSchedule>,
     remap_scratch: Vec<RemapScratch>,
     remap_events: u64,
-    /// `(ring id, parameter)` of every reduction started this step.
+    /// `(ring id, parameter)` of every reduction started this step; the
+    /// ids are consecutive, so a ring's position is `id − first id`.
     ring_order: Vec<(u64, usize)>,
     /// AND of the fused compress kernels' overflow flags this step.
     local_finite: bool,
@@ -277,7 +283,7 @@ impl<R: Reducer> StepEngine<R> {
     }
 
     /// Steps skipped due to gradient overflow (every rank of a group
-    /// skips together — the verdict comes from the *reduced* bits).
+    /// skips together — they agree on the verdict, see `finish_reduce`).
     pub fn steps_skipped(&self) -> u64 {
         self.steps_skipped
     }
@@ -390,14 +396,18 @@ impl<R: Reducer> StepEngine<R> {
     /// order.
     fn compress_param(&mut self, pi: usize, grad: &[f32]) -> Result<(), CommsError> {
         let st = &mut self.layers[pi];
-        if st.is_sharded() {
-            st.compress_grad(grad);
-        } else {
-            self.local_finite &= st.compress_grad_fused(grad);
-        }
+        self.local_finite &= st.compress_grad_fused(grad);
         if let Some(comm) = self.reducer.comm_mut() {
-            self.ring_order
-                .push((comm.ring_start(st.grad16.clone())?, pi));
+            // The ring takes the buffer and `finish_reduce` puts it back:
+            // no copy in either direction (a failed step loses it; the
+            // next compress or restore re-creates it).
+            let grad16 = std::mem::take(&mut st.grad16);
+            let id = if st.is_sharded() {
+                comm.reduce_scatter_start(grad16)?
+            } else {
+                comm.ring_start(grad16)?
+            };
+            self.ring_order.push((id, pi));
         }
         Ok(())
     }
@@ -464,34 +474,41 @@ impl<R: Reducer> StepEngine<R> {
         Ok(finite)
     }
 
-    /// Completes every reduction started this step and installs the
-    /// means. Returns whether every gradient this rank now holds is
-    /// finite: the reduced bits are identical on every rank, so a local
-    /// scan reaches the same verdict everywhere with no extra
-    /// collective; a single worker reuses the flags its fused compress
-    /// already produced.
+    /// Completes every reduction started this step, installs the means
+    /// and returns whether the group's gradients are all finite. The
+    /// exact mean of finite f16 values is no larger than the largest of
+    /// them, so a reduced value is non-finite iff some rank's input at
+    /// that position was: the verdict is the AND over ranks of the flag
+    /// each rank's fused compress already produced — agreed with one
+    /// one-element all-gather per step, since a shard holds reduced bits
+    /// on its own range only. A single worker's flag is the verdict.
     pub(crate) fn finish_reduce(&mut self) -> Result<bool, CommsError> {
         let local = std::mem::replace(&mut self.local_finite, true);
         let Some(comm) = self.reducer.comm_mut() else {
             return Ok(local);
         };
         comm.ring_finish()?;
-        for (id, mean) in comm.take_completed() {
-            let &(_, pi) = self
-                .ring_order
-                .iter()
-                .find(|(rid, _)| *rid == id)
-                .expect("completed ring was started by this step");
-            self.layers[pi].grad16.copy_from_slice(&mean);
+        let first = self.ring_order.first().map_or(0, |&(id, _)| id);
+        for (id, reduced) in comm.take_completed() {
+            let started = id
+                .checked_sub(first)
+                .and_then(|k| self.ring_order.get(k as usize));
+            let Some(&(_, pi)) = started.filter(|&&(rid, _)| rid == id) else {
+                return Err(CommsError::Mismatch(format!(
+                    "completed ring {id} was not started by this step"
+                )));
+            };
+            self.layers[pi].grad16 = reduced;
         }
         self.ring_order.clear();
-        Ok(!self.layers.iter().any(SamoLayerState::grads_non_finite))
+        comm.all_true(local)
     }
 
     /// The rest of the step once the group agrees whether the reduced
     /// gradients are `finite`: the loss-scaler verdict, then — unless it
-    /// skips — the optimizer on the owned range, the parameter
-    /// all-gather for shards, the widened `θ16` written into the model,
+    /// skips — the fused optimizer pass on the owned range (which also
+    /// writes `θ16` and the model's f32 view there), for shards the
+    /// parameter all-gather and the scatter of the other ranks' ranges,
     /// gradients zeroed, counters and telemetry. Returns `false` if the
     /// step was skipped.
     pub(crate) fn apply(
@@ -512,18 +529,12 @@ impl<R: Reducer> StepEngine<R> {
                 if res.is_err() {
                     return;
                 }
+                let dense = p.value.as_mut_slice();
+                let mine = st.optimizer_step_owned(opt, inv_scale, dense);
                 if st.is_sharded() {
-                    let shard16 = st.optimizer_step_shard(opt, inv_scale);
-                    let comm = reducer.comm_mut().expect("a sharded state has a group");
-                    match comm.all_gather_f16(&shard16, &st.shard_counts()) {
-                        Ok(gathered) => {
-                            st.install_gathered(&gathered);
-                            st.write_dense_f32_params_into(p.value.as_mut_slice());
-                        }
-                        Err(e) => res = Err(e),
-                    }
-                } else {
-                    st.optimizer_step_fused(opt, inv_scale, p.value.as_mut_slice());
+                    res = group(reducer.comm_mut())
+                        .and_then(|comm| comm.all_gather_f16(&mine, &st.shard_counts()))
+                        .map(|gathered| st.scatter_gathered(&gathered, dense));
                 }
                 p.zero_grad();
             });
@@ -632,6 +643,11 @@ impl<R: Reducer> StepEngine<R> {
     }
 }
 
+/// The communicator a sharded state's collectives need.
+fn group<C>(comm: Option<C>) -> Result<C, CommsError> {
+    comm.ok_or_else(|| CommsError::Mismatch("a sharded state has no group to gather from".into()))
+}
+
 /// Moves one layer's compressed state onto `new_mask`. A full state is
 /// remapped in place. A shard's bounds depend on `nnz`, so surviving
 /// values migrate between ranks: the full fp32 state is reassembled
@@ -652,8 +668,7 @@ fn remap_layer<T: Transport>(
     let arrays = mine.len();
     let lens = layer.shard_counts();
     let counts: Vec<usize> = lens.iter().map(|n| n * arrays).collect();
-    let comm = comm.expect("a sharded state has a group");
-    let gathered = comm.all_gather_f32(&mine.concat(), &counts)?;
+    let gathered = group(comm)?.all_gather_f32(&mine.concat(), &counts)?;
     let mut rest = &gathered[..];
     let shards: Vec<Vec<&[f32]>> = lens
         .iter()

@@ -14,11 +14,11 @@
 //!   tagged p2p messages ([`comms::Communicator::send_p2p`]), and the
 //!   per-step cross-stage overflow verdict;
 //! * a **data mesh** per stage (`world = G_data`) running the
-//!   compressed-`∇θ16` chunked ring all-reduce and the sharded
-//!   parameter all-gather — the stage's [`StepEngine`], exactly as in
-//!   [`crate::ThreadedDataParallelSamo`], whose thread protocol
-//!   (`RankGroup`) this runtime shares. What this file adds is the
-//!   1F1B scheduler.
+//!   compressed-`∇θ16` chunked ring reduce-scatter, the overflow-flag
+//!   gather and the sharded parameter all-gather — the stage's
+//!   [`StepEngine`], exactly as in [`crate::ThreadedDataParallelSamo`],
+//!   whose thread protocol (`RankGroup`) this runtime shares. What this
+//!   file adds is the 1F1B scheduler.
 //!
 //! # Scheduling
 //!
@@ -82,7 +82,6 @@ use prune::Mask;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use telemetry::json::Json;
-use tensor::f16::F16;
 use tensor::Tensor;
 
 /// Produces stage 0's boundary input for `(data_idx, microbatch)`.
@@ -389,18 +388,15 @@ impl RankWorker for StageRank {
         self.stats.sched_wall_s += wall0.elapsed().as_secs_f64();
         self.stats.last_sched_end_us = comms::trace::now_us();
 
-        // Collective epilogue: finish the overlapped rings and install
-        // the reduced gradients, agree on the overflow verdict across
-        // stages — one f16 flag per stage; every stage of this replica
-        // sees the same flags, and replicas agree because the reduced
-        // gradient bits are identical, so every rank's scaler stays in
+        // Collective epilogue: finish the overlapped rings, install the
+        // reduced gradients and agree on this stage's overflow flag
+        // across its data replicas (`finish_reduce`), then across stages
+        // — one f16 flag per stage; every stage of this replica sees the
+        // same flags, and replicas agree because each stage's flag is
+        // already its data group's, so every rank's scaler stays in
         // lockstep — then step the owned range and all-gather parameters.
-        let local_finite = self.engine.finish_reduce()?;
-        let flag = F16::from_f32(if local_finite { 1.0 } else { 0.0 });
-        let flags = self
-            .pipe
-            .all_gather_f16(&[flag], &vec![1usize; self.cfg.g_inter])?;
-        let finite = flags.iter().all(|f| f.to_f32() == 1.0);
+        let stage_finite = self.engine.finish_reduce()?;
+        let finite = self.pipe.all_true(stage_finite)?;
         let applied = self.engine.apply(&mut self.block, finite)?;
         if let Some(w0) = win0 {
             self.finish_step_telemetry(step, w0);

@@ -19,16 +19,20 @@
 //! The paper compares against DeepSpeed's ZeRO optimizer (Rajbhandari et
 //! al.), which shards optimizer state across data-parallel ranks, but
 //! never composes the two ideas. They compose naturally: of `d` ranks,
-//! each holds the full dense `θ16`, the full index and the full `∇θ16`
-//! (the all-reduce input), but only its contiguous range `[lo, hi)` of
-//! the compressed `θ32`, `∇θ32` and `os`. Per rank that is
+//! each holds the full dense `θ16`, the full index and an `nnz`-long
+//! `∇θ16` (the reduction's input), but only its contiguous range
+//! `[lo, hi)` of the compressed `θ32`, `∇θ32` and `os`. Per rank that is
 //! `M = 2φ + 6fφ + 18fφ/d` ([`crate::memory::m_samo_zero_bytes`]); at
 //! `d = 1` the range is the whole compressed space and the state is
-//! byte for byte the paper's. After the gradient all-reduce every rank
-//! runs the optimizer on its range only
-//! ([`SamoLayerState::optimizer_step_shard`]); the updated compressed fp16
-//! parameters are all-gathered and expanded into every rank's `θ16`
-//! ([`SamoLayerState::install_gathered`]).
+//! byte for byte the paper's. The gradient ring reduce-scatters, so
+//! after it a rank's `∇θ16` holds the group mean on its own range only
+//! (its local values elsewhere); the rank runs the fused step on that
+//! range ([`SamoLayerState::optimizer_step_owned`]), and the updated
+//! compressed fp16 ranges are all-gathered and scattered through `ind`
+//! into every rank's `θ16` ([`SamoLayerState::scatter_gathered`]).
+//! [`SamoLayerState::optimizer_step_shard`] and
+//! [`SamoLayerState::install_gathered`] are the three-phase reference of
+//! the same step.
 
 use crate::compressed::{compress_f32, expand_f16_into, expand_f16_over_zeroed, SyncPtr};
 use crate::memory::SamoBreakdown;
@@ -58,7 +62,8 @@ pub struct SamoLayerState {
     /// Compressed fp32 master parameters over the owned range.
     pub theta32: Vec<f32>,
     /// Compressed fp16 gradients (length = nnz on every shard: the
-    /// input to the all-reduce).
+    /// input to the reduction, which on a shard leaves the mean on the
+    /// owned range only).
     pub grad16: Vec<F16>,
     /// Compressed fp32 gradients over the owned range.
     pub grad32: Vec<f32>,
@@ -99,6 +104,52 @@ fn dense_theta16(theta32: &[f32], mask: &Mask) -> Vec<F16> {
     let mut theta16 = vec![F16::ZERO; mask.numel()];
     expand_f16_over_zeroed(&temp16, mask, &mut theta16);
     theta16
+}
+
+/// Raw views of what the fused optimizer pass reads and writes on the
+/// owned range (`ind`, `grad16` and the fp32 arrays start at `lo`).
+struct OwnedPass<'a> {
+    ind: &'a [u32],
+    grad16: &'a [F16],
+    inv_loss_scale: f32,
+    theta32: SyncPtr<f32>,
+    grad32: SyncPtr<f32>,
+    theta16: SyncPtr<F16>,
+    dense_out: SyncPtr<f32>,
+    payload: Option<SyncPtr<F16>>,
+}
+
+impl OwnedPass<'_> {
+    /// `update(k, θ32[k], ∇θ32[k])` is the optimizer at owned position k.
+    fn run(&self, update: impl Fn(usize, &mut f32, f32) + Sync) {
+        let table = to_f32_table();
+        par_ranges(self.ind.len(), STEP_MIN_CHUNK, |s, e| {
+            // Locals, so the stores below cannot be taken to alias them.
+            let (theta32, grad32) = (self.theta32.0, self.grad32.0);
+            let (theta16, dense_out) = (self.theta16.0, self.dense_out.0);
+            let payload = self.payload.as_ref().map(|p| p.0);
+            let inv_loss_scale = self.inv_loss_scale;
+            let owned = self.ind[s..e].iter().zip(&self.grad16[s..e]);
+            for (k, (&i, g16)) in (s..e).zip(owned) {
+                // SAFETY: owned position k and dense position i (`ind`
+                // is strictly increasing) are each touched by exactly
+                // one task, and the caller checked every array spans
+                // them.
+                unsafe {
+                    let g = table[g16.0 as usize] * inv_loss_scale;
+                    *grad32.add(k) = g;
+                    let p = &mut *theta32.add(k);
+                    update(k, p, g);
+                    let h = F16::from_f32_fast(*p);
+                    *theta16.add(i as usize) = h;
+                    *dense_out.add(i as usize) = table[h.0 as usize];
+                    if let Some(payload) = payload {
+                        *payload.add(k) = h;
+                    }
+                }
+            }
+        });
+    }
 }
 
 impl SamoLayerState {
@@ -189,8 +240,10 @@ impl SamoLayerState {
     /// Rebuilds the full state from every rank's [`Self::shard_arrays`],
     /// in rank order: the shards are contiguous and partition the
     /// compressed space, so concatenation recovers exactly the state an
-    /// unsharded layer would hold. `self` supplies what every rank holds
-    /// in full (mask, `∇θ16`, Adam's step count).
+    /// unsharded layer would hold. `self` supplies the mask, Adam's step
+    /// count and `∇θ16` — this rank's, so the mean only on its own range:
+    /// enough for the remap path, whose next compress overwrites `∇θ16`
+    /// anyway; [`Self::to_full_layer`] assembles the checkpointed one.
     pub(crate) fn full_from_shards(&self, shards: &[Vec<&[f32]>]) -> SamoLayerState {
         let cat = |a: usize| -> Vec<f32> { shards.iter().flat_map(|s| s[a]).copied().collect() };
         let os = match &self.os {
@@ -215,7 +268,14 @@ impl SamoLayerState {
             assert_eq!(st.mask, first.mask, "shards of different tensors");
         }
         let shards: Vec<_> = ranks.iter().map(|st| st.shard_arrays()).collect();
-        first.full_from_shards(&shards)
+        let mut full = first.full_from_shards(&shards);
+        // After a reduce-scatter a rank holds the reduced `∇θ16` on its
+        // own range only, so that too is assembled from the owners.
+        for st in ranks {
+            let (lo, hi) = st.shard_range();
+            full.grad16[lo..hi].copy_from_slice(&st.grad16[lo..hi]);
+        }
+        full
     }
 
     /// `(shard_id, num_shards)`.
@@ -289,6 +349,10 @@ impl SamoLayerState {
     pub fn compress_grad_fused(&mut self, dense_scaled_grad: &[f32]) -> bool {
         assert_eq!(dense_scaled_grad.len(), self.numel());
         let ind = self.mask.indices();
+        // The raw-pointer writes below cover `∇θ16` up to nnz. A no-op
+        // unless a failed step's ring kept the buffer: every value is
+        // overwritten here anyway.
+        self.grad16.resize(ind.len(), F16::ZERO);
         let tier = simd::active();
         let all_finite = AtomicBool::new(true);
         let g16 = SyncPtr(self.grad16.as_mut_ptr());
@@ -305,13 +369,12 @@ impl SamoLayerState {
     }
 
     /// Fused step kernel (b): upscale + optimizer + downcast +
-    /// scatter-into-θ16 in one parallel pass over `nnz`, writing the
-    /// model's dense f32 parameter view into `dense_out` in place.
-    /// Equivalent to [`Self::optimizer_step`] followed by copying
+    /// scatter-into-θ16 in one parallel pass over the owned range,
+    /// writing the model's dense f32 parameter view into `dense_out` in
+    /// place. Equivalent to [`Self::optimizer_step`] followed by copying
     /// [`Self::dense_f32_params`] out (bitwise for `θ32`/`∇θ32`/`os`,
     /// exact for `θ16` — property tested against that oracle), without
-    /// the transient compressed fp16 copy or the dense `Vec` per layer
-    /// per step.
+    /// the dense `Vec` per layer per step.
     ///
     /// Deliberately scalar on every tier: the per-element optimizer math
     /// is a long dependent chain (Adam moments → update → downcast →
@@ -320,33 +383,39 @@ impl SamoLayerState {
     /// bitwise-determinism argument of DESIGN.md §16 at risk for no
     /// measured win.
     ///
-    /// Preconditions: the state owns the whole compressed range
-    /// (`num_shards == 1`), and `dense_out` and `θ16` are already zero at
-    /// every pruned position. Both are only ever produced by this type's
+    /// Precondition: `dense_out` and `θ16` are already zero at every
+    /// pruned position. Both are only ever produced by this type's
     /// constructors or step kernels, which maintain that invariant, so
     /// only the unpruned positions need to be rewritten here.
-    pub fn optimizer_step_fused(
+    ///
+    /// Returns the updated compressed fp16 range when other ranks need
+    /// it — a shard's contribution to the parameter all-gather, written
+    /// by the same pass ([`Self::scatter_gathered`] installs the other
+    /// ranks'); empty, and allocation-free, at `d = 1`.
+    pub fn optimizer_step_owned(
         &mut self,
         opt: &Optimizer,
         inv_loss_scale: f32,
         dense_out: &mut [f32],
-    ) {
+    ) -> Vec<F16> {
         assert_eq!(dense_out.len(), self.numel());
-        let nnz = self.mask.nnz();
-        // The raw-pointer loops below index every fp32 array up to nnz.
-        assert_eq!(
-            self.num_shards, 1,
-            "the fused step needs the whole compressed range"
-        );
+        let (lo, hi) = self.shard_range();
+        let mut payload = vec![F16::ZERO; if self.is_sharded() { hi - lo } else { 0 }];
         let SamoLayerState { mask, theta16, theta32, grad16, grad32, os, .. } = self;
-        let ind = mask.indices();
-        let table = to_f32_table();
-        let grad16 = &grad16[..];
-        let t16 = SyncPtr(theta16.as_mut_ptr());
-        let t32 = SyncPtr(theta32.as_mut_ptr());
-        let g32 = SyncPtr(grad32.as_mut_ptr());
-        let out = SyncPtr(dense_out.as_mut_ptr());
-        let (t16, t32, g32, out) = (&t16, &t32, &g32, &out);
+        // The raw-pointer loop below indexes every owned array up to
+        // `hi − lo`.
+        let owned = [Some(&*theta32), Some(&*grad32)].into_iter().chain(os_arrays(os));
+        assert!(owned.flatten().all(|a| a.len() == hi - lo), "shard arrays must span the range");
+        let pass = OwnedPass {
+            ind: &mask.indices()[lo..hi],
+            grad16: &grad16[lo..hi],
+            inv_loss_scale,
+            theta32: SyncPtr(theta32.as_mut_ptr()),
+            grad32: SyncPtr(grad32.as_mut_ptr()),
+            theta16: SyncPtr(theta16.as_mut_ptr()),
+            dense_out: SyncPtr(dense_out.as_mut_ptr()),
+            payload: (!payload.is_empty()).then_some(SyncPtr(payload.as_mut_ptr())),
+        };
         match (os, opt) {
             (OptState::Adam(st), Optimizer::Adam(cfg)) => {
                 st.step += 1;
@@ -354,44 +423,48 @@ impl SamoLayerState {
                 let m = SyncPtr(st.m.as_mut_ptr());
                 let v = SyncPtr(st.v.as_mut_ptr());
                 let (m, v) = (&m, &v);
-                par_ranges(nnz, STEP_MIN_CHUNK, |s, e| {
-                    for j in s..e {
-                        // SAFETY: compressed position j and dense
-                        // position ind[j] (strictly increasing) are each
-                        // touched by exactly one task.
-                        unsafe {
-                            let g = table[grad16[j].0 as usize] * inv_loss_scale;
-                            *g32.0.add(j) = g;
-                            let p = &mut *t32.0.add(j);
-                            adam_update(cfg, bc1, bc2, &mut *m.0.add(j), &mut *v.0.add(j), p, g);
-                            let h = F16::from_f32_fast(*p);
-                            let i = ind[j] as usize;
-                            *t16.0.add(i) = h;
-                            *out.0.add(i) = table[h.0 as usize];
-                        }
-                    }
+                // SAFETY: `run` hands each owned position k to one task.
+                pass.run(|k, p, g| unsafe {
+                    adam_update(cfg, bc1, bc2, &mut *m.0.add(k), &mut *v.0.add(k), p, g)
                 });
             }
             (OptState::Sgd(st), Optimizer::Sgd(cfg)) => {
                 let vel = SyncPtr(st.velocity.as_mut_ptr());
                 let vel = &vel;
-                par_ranges(nnz, STEP_MIN_CHUNK, |s, e| {
-                    for j in s..e {
-                        // SAFETY: as above — disjoint j and ind[j].
-                        unsafe {
-                            let g = table[grad16[j].0 as usize] * inv_loss_scale;
-                            *g32.0.add(j) = g;
-                            let p = &mut *t32.0.add(j);
-                            sgd_update(cfg, &mut *vel.0.add(j), p, g);
-                            let h = F16::from_f32_fast(*p);
-                            let i = ind[j] as usize;
-                            *t16.0.add(i) = h;
-                            *out.0.add(i) = table[h.0 as usize];
-                        }
-                    }
-                });
+                // SAFETY: as above.
+                pass.run(|k, p, g| unsafe { sgd_update(cfg, &mut *vel.0.add(k), p, g) });
             }
             _ => panic!("optimizer/optimizer-state kind mismatch"),
+        }
+        payload
+    }
+
+    /// [`Self::optimizer_step_owned`] without its return value — the whole
+    /// step of a state that owns the compressed range (a single worker).
+    pub fn optimizer_step_fused(
+        &mut self,
+        opt: &Optimizer,
+        inv_loss_scale: f32,
+        dense_out: &mut [f32],
+    ) {
+        self.optimizer_step_owned(opt, inv_loss_scale, dense_out);
+    }
+
+    /// Completes a shard's fused step: scatters the *other* ranks' ranges
+    /// of the all-gathered compressed fp16 parameters through `ind` into
+    /// `θ16` and the model's f32 view (the owned range was written by
+    /// [`Self::optimizer_step_owned`]). Pruned positions are not touched:
+    /// they are zero already, see the precondition there.
+    pub fn scatter_gathered(&mut self, full_compressed16: &[F16], dense_out: &mut [f32]) {
+        assert_eq!(full_compressed16.len(), self.mask.nnz());
+        assert_eq!(dense_out.len(), self.numel());
+        let (lo, hi) = self.shard_range();
+        let (ind, table) = (self.mask.indices(), to_f32_table());
+        for range in [0..lo, hi..ind.len()] {
+            for (&i, &h) in ind[range.clone()].iter().zip(&full_compressed16[range]) {
+                self.theta16[i as usize] = h;
+                dense_out[i as usize] = table[h.0 as usize];
+            }
         }
     }
 
@@ -406,7 +479,10 @@ impl SamoLayerState {
     ///    transient of the memory model).
     ///
     /// [`Self::install_gathered`] completes the step by expanding every
-    /// rank's copy through `ind` into the dense `θ16`.
+    /// rank's copy through `ind` into the dense `θ16`. Together they are
+    /// the reference [`Self::optimizer_step_owned`] and
+    /// [`Self::scatter_gathered`] are tested against, and the step of the
+    /// sequential oracle [`crate::DataParallelSamo`].
     pub fn optimizer_step_shard(&mut self, opt: &Optimizer, inv_loss_scale: f32) -> Vec<F16> {
         let (lo, hi) = self.shard_range();
         for (g32, g16) in self.grad32.iter_mut().zip(&self.grad16[lo..hi]) {

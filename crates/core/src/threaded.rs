@@ -6,8 +6,10 @@
 //! this runtime gives every rank its own OS thread owning its replica
 //! and a [`StepEngine`] — sharded optimizer state, loss-scaler copy, and
 //! a [`comms::Communicator`] endpoint of an in-process mesh. Gradients
-//! move through the chunked **ring all-reduce**, and the reduction is
-//! started per parameter bucket from inside backward
+//! move through the chunked **ring reduce-scatter** (a shard needs the
+//! mean on its own range only; the parameter all-gather after the
+//! optimizer is the other half of an all-reduce's volume), and the
+//! reduction is started per parameter bucket from inside backward
 //! ([`Layer::backward_with_ready`]), so communication overlaps the rest
 //! of the backward pass exactly as on a real cluster. What this file
 //! adds to the engine is the thread protocol: `RankGroup`, which
@@ -19,10 +21,19 @@
 //! [`comms::reference::allreduce_mean_f16`], which is also what the
 //! in-process trainer calls — so both runtimes take bitwise-identical
 //! optimizer steps from identical seeds, regardless of thread timing
-//! (`tests/data_parallel_threaded.rs` at the repository root asserts this). Loss-scale
-//! decisions need no extra collective: every rank scans the *reduced*
-//! (identical) gradient bits, so every scaler replica reaches the same
-//! verdict independently.
+//! (`tests/data_parallel_threaded.rs` at the repository root asserts this).
+//!
+//! Loss-scale decisions cost one one-element flag gather per step. After
+//! the reduce-scatter a rank holds reduced bits on its own range only, so
+//! no rank can scan them all. It does not need to: the exact mean of
+//! finite f16 values is at most the largest of them in magnitude and so
+//! cannot overflow, while a `±inf` or NaN input makes the sum — and the
+//! mean — non-finite; a reduced value is therefore non-finite iff some
+//! rank's *input* at that position was, which is the flag each rank's
+//! fused compress already returns. The AND of those flags over the group
+//! is the verdict a scan of every reduced bit would reach (a rank's local
+//! flag and its owned reduced range say the same thing twice), and every
+//! scaler replica applies it in lockstep.
 //!
 //! # Failure handling
 //!
@@ -58,7 +69,8 @@ pub type StepFn<M> = Arc<dyn Fn(usize, &mut M, f32) -> Tensor + Send + Sync>;
 pub struct CommStats {
     /// Bytes actually pushed into this rank's links (headers included).
     pub wire_bytes: u64,
-    /// Modeled f16 ring volume (`2·(G−1)/G · fφ · 2B` per step).
+    /// Modeled f16 ring volume (`2·(G−1)/G · fφ · 2B` per step): the
+    /// reduce-scatter of `∇θ16` plus the all-gather of `θ16`.
     pub model_allreduce_bytes: u64,
     /// Messages lost to injected faults on this rank's outgoing links.
     pub msgs_dropped: u64,
@@ -316,7 +328,8 @@ impl<M: 'static, J: Clone + Send + 'static, S: Send + 'static> RankGroup<M, J, S
     /// that hold it and the stages' layers concatenated in model order,
     /// so the bytes equal what a single-process [`crate::SamoTrainer`]
     /// in the same state saves — a checkpoint written at one world size
-    /// restores into any other.
+    /// restores into any other. A group whose step failed has no
+    /// consistent state to save (its rings kept `∇θ16`): restore first.
     pub fn save(&self) -> bytes::Bytes {
         let snaps = self.snapshot_all();
         let g_data = snaps.len() / self.g_inter;
@@ -539,7 +552,7 @@ impl<M: Layer + Send + 'static, T: Transport + 'static> RankWorker for Rank<M, T
 }
 
 /// A data-parallel SAMO group where every rank is a real OS thread and
-/// gradients move through the `comms` ring all-reduce. Drop-in peer of
+/// gradients move through the `comms` ring reduce-scatter. Drop-in peer of
 /// [`crate::DataParallelSamo`] (same step semantics, same bits).
 pub struct ThreadedDataParallelSamo<M: Layer + Send + 'static> {
     group: RankGroup<M, StepFn<M>, CommStats>,
@@ -683,8 +696,8 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
 
     /// Runs one concurrent training step: every rank thread executes
     /// `f(rank, model, loss_scale)` (forward + scaled backward seed),
-    /// backward with overlapped ring all-reduce, shard-step, and
-    /// all-gather. Returns `Ok(true)` if applied, `Ok(false)` if
+    /// backward with overlapped ring reduce-scatter, the fused step on
+    /// the owned range, and the parameter all-gather. Returns `Ok(true)` if applied, `Ok(false)` if
     /// skipped on overflow, and `Err` if any rank's collective failed
     /// (the group then needs [`Self::restore`]).
     pub fn step(

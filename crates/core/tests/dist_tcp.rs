@@ -238,6 +238,13 @@ fn dead_peer_errors_then_new_generation_resync_replays_bitwise() {
                             ),
                             "got {err:?}"
                         );
+                        // A retry before the resync is refused, not a
+                        // panic: the failed step's rings kept `∇θ16`,
+                        // which the next compress re-creates.
+                        assert_eq!(
+                            drive_dist(d, &mut model, steps_before),
+                            Err(comms::CommsError::Poisoned)
+                        );
                         d.comm_mut().epoch()
                     };
 

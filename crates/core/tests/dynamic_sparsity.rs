@@ -78,19 +78,47 @@ fn drive_oracle(oracle: &mut SamoTrainer, model: &mut Sequential, step: usize) -
     oracle.step(model)
 }
 
-fn oracle_checkpoints() -> (Vec<bytes::Bytes>, Vec<usize>) {
+/// The bits of every parameter tensor's f32 view.
+fn view_bits(model: &Sequential) -> Vec<Vec<u32>> {
+    let bits = |p: &&nn::Parameter| p.value.as_slice().iter().map(|v| v.to_bits()).collect();
+    model.params().iter().map(bits).collect()
+}
+
+/// Per step: the oracle's checkpoint, its nnz, and its model's f32 view.
+type OracleRun = (Vec<bytes::Bytes>, Vec<usize>, Vec<Vec<Vec<u32>>>);
+
+fn oracle_run() -> OracleRun {
     let mut model = build_model(91);
     let mut oracle = SamoTrainer::new(&mut model, masks_for(&build_model(91)), adam());
     oracle.set_mask_schedule(schedule());
     let mut ckpts = Vec::with_capacity(STEPS);
     let mut nnzs = Vec::with_capacity(STEPS);
+    let mut views = Vec::with_capacity(STEPS);
     for step in 0..STEPS {
         drive_oracle(&mut oracle, &mut model, step);
         ckpts.push(oracle.save());
         nnzs.push(oracle.nnz());
+        views.push(view_bits(&model));
     }
     assert!(oracle.remap_events() >= 3, "schedule must actually move the masks");
-    (ckpts, nnzs)
+    (ckpts, nnzs, views)
+}
+
+/// One step of a threaded group against the oracle's: checkpoint bytes,
+/// the nnz mirror, and every rank's model — a shard's fused step writes
+/// the f32 view at unpruned positions only, so a position a remap killed
+/// must have been zeroed by the remap's full widen, on every rank.
+fn assert_step_matches(
+    th: &mut ThreadedDataParallelSamo<Sequential>,
+    step: usize,
+    (want, nnzs, views): &OracleRun,
+) {
+    assert_eq!(th.save().as_ref(), want[step].as_ref(), "diverged from SamoTrainer at step {step}");
+    assert_eq!(th.nnz(), nnzs[step], "nnz mirror stale at step {step}");
+    for r in 0..th.world_size() {
+        let view = th.with_rank(r, |m, _| view_bits(m));
+        assert_eq!(view, views[step], "rank {r}'s model diverged at step {step}");
+    }
 }
 
 fn threaded_step(
@@ -121,8 +149,8 @@ fn assert_bidirectional(nnzs: &[usize]) {
 
 #[test]
 fn threaded_mesh_matches_single_process_across_remaps() {
-    let (want, nnzs) = oracle_checkpoints();
-    assert_bidirectional(&nnzs);
+    let oracle = oracle_run();
+    assert_bidirectional(&oracle.1);
 
     let world = 3;
     let replicas: Vec<Sequential> = (0..world).map(|_| build_model(91)).collect();
@@ -131,18 +159,13 @@ fn threaded_mesh_matches_single_process_across_remaps() {
     th.set_mask_schedule(schedule());
     for step in 0..STEPS {
         threaded_step(&mut th, step).expect("healthy mesh");
-        assert_eq!(
-            th.save().as_ref(),
-            want[step].as_ref(),
-            "threaded (in-proc mesh) diverged from SamoTrainer at step {step}"
-        );
-        assert_eq!(th.nnz(), nnzs[step], "nnz mirror stale at step {step}");
+        assert_step_matches(&mut th, step, &oracle);
     }
 }
 
 #[test]
 fn threaded_tcp_matches_single_process_across_remaps() {
-    let (want, nnzs) = oracle_checkpoints();
+    let oracle = oracle_run();
 
     let world = 2;
     let replicas: Vec<Sequential> = (0..world).map(|_| build_model(91)).collect();
@@ -161,12 +184,7 @@ fn threaded_tcp_matches_single_process_across_remaps() {
     th.set_mask_schedule(schedule());
     for step in 0..STEPS {
         threaded_step(&mut th, step).expect("healthy TCP mesh");
-        assert_eq!(
-            th.save().as_ref(),
-            want[step].as_ref(),
-            "threaded (TCP) diverged from SamoTrainer at step {step}"
-        );
-        assert_eq!(th.nnz(), nnzs[step], "nnz mirror stale at step {step}");
+        assert_step_matches(&mut th, step, &oracle);
     }
 }
 
@@ -176,7 +194,7 @@ fn threaded_tcp_matches_single_process_across_remaps() {
 /// per-step checkpoint equals the single-process one.
 #[test]
 fn dist_tcp_matches_single_process_across_remaps() {
-    let (want, _) = oracle_checkpoints();
+    let (want, _, _) = oracle_run();
 
     let world = 2;
     let transports = TcpTransport::local_mesh(world).unwrap();

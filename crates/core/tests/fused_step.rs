@@ -1,11 +1,15 @@
-//! The fused SAMO step (`compress_grad_fused` + `optimizer_step_fused`)
-//! must be **bitwise identical** to the retained three-phase reference
-//! (`compress_grad` + `grads_non_finite` + `optimizer_step` +
+//! The fused SAMO step (`compress_grad_fused` + `optimizer_step_owned`,
+//! and for shards `scatter_gathered`) must be **bitwise identical** to
+//! the retained three-phase reference (`compress_grad` +
+//! `grads_non_finite` + `optimizer_step_shard` + `install_gathered` +
 //! `dense_f32_params`): same θ32, θ16, ∇θ16, ∇θ32, optimizer state and
-//! dense fp32 compute view, same overflow verdict — for Adam and
-//! SGD-momentum, across multiple steps, at any sparsity including the
-//! fully dense (p = 0) and fully pruned (p = 1) extremes, and with
-//! non-finite gradients injected.
+//! dense fp32 compute view, same overflow verdict — on a full state and
+//! on every shard of `d ∈ {2, 3}` ranks (where the reference all-reduces
+//! `∇θ16` and a fused rank is handed the mean on its own range only, as
+//! the reduce-scatter leaves it), for Adam and SGD-momentum, across
+//! multiple steps, at any sparsity including the fully dense (p = 0) and
+//! fully pruned (p = 1) extremes and fewer survivors than ranks, and
+//! with non-finite gradients injected.
 
 use nn::mixed::{OptState, Optimizer};
 use nn::optim::{AdamConfig, SgdConfig};
@@ -53,14 +57,15 @@ fn assert_os_eq(a: &OptState, b: &OptState) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Drives both paths from identical initial state and gradients and
-/// asserts bit-equality of everything after every step. Every third step
-/// optionally injects a non-finite gradient to exercise the fused
-/// overflow verdict and the skip path.
+/// Drives both paths on `d` ranks from identical initial state and
+/// per-rank gradients and asserts bit-equality of everything after every
+/// step. Every third step optionally injects a non-finite gradient on
+/// one rank to exercise the group verdict and the skip path.
 fn assert_fused_matches_reference(
     opt: Optimizer,
     numel: usize,
     sparsity: f64,
+    d: usize,
     steps: usize,
     seed: u64,
     inject_overflow: bool,
@@ -69,40 +74,82 @@ fn assert_fused_matches_reference(
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xF05E);
     let init: Vec<f32> = (0..numel).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
 
-    let mut fused = SamoLayerState::from_params(&init, mask.clone(), &opt);
-    let mut refr = SamoLayerState::from_params(&init, mask, &opt);
-    // The fused kernel's dense output buffer: starts as the shared dense
-    // view (zero at pruned positions, per its precondition) and is
+    let mut fused: Vec<SamoLayerState> = (0..d)
+        .map(|r| SamoLayerState::from_params_sharded(&init, mask.clone(), &opt, r, d))
+        .collect();
+    let mut refr = fused.clone();
+    // The fused kernel's dense output buffers: each starts as the shared
+    // dense view (zero at pruned positions, per its precondition) and is
     // updated in place by scatter alone afterwards.
-    let mut dense_fused = fused.dense_f32_params();
+    let mut dense: Vec<Vec<f32>> = fused.iter().map(|st| st.dense_f32_params()).collect();
     let inv_loss_scale = 1.0f32 / 8.0;
 
     for step in 0..steps {
-        let mut grads: Vec<f32> = (0..numel).map(|_| rng.gen_range(-4.0f32..4.0)).collect();
-        if inject_overflow && step % 3 == 1 && numel > 0 {
-            let at = rng.gen_range(0..numel);
-            grads[at] = if step % 2 == 0 { f32::INFINITY } else { f32::NAN };
-            // ... which only matters if `at` survives the mask; both
-            // paths must agree either way.
+        let mut all_finite = true;
+        for r in 0..d {
+            let mut grads: Vec<f32> = (0..numel).map(|_| rng.gen_range(-4.0f32..4.0)).collect();
+            if inject_overflow && step % 3 == 1 && r == step % d && numel > 0 {
+                let at = rng.gen_range(0..numel);
+                grads[at] = if step % 2 == 0 { f32::INFINITY } else { f32::NAN };
+                // ... which only matters if `at` survives the mask; both
+                // paths must agree either way.
+            }
+            let finite = fused[r].compress_grad_fused(&grads);
+            refr[r].compress_grad(&grads);
+            prop_assert_eq!(finite, !refr[r].grads_non_finite(), "rank {} step {}", r, step);
+            prop_assert_eq!(bits16(&fused[r].grad16), bits16(&refr[r].grad16));
+            all_finite &= finite;
         }
 
-        let finite = fused.compress_grad_fused(&grads);
-        refr.compress_grad(&grads);
-        let ref_finite = !refr.grads_non_finite();
-        prop_assert_eq!(finite, ref_finite, "overflow verdict diverged at step {}", step);
-        prop_assert_eq!(bits16(&fused.grad16), bits16(&refr.grad16));
-
-        if finite {
-            // Mirrors SamoTrainer::step: apply only when all finite.
-            fused.optimizer_step_fused(&opt, inv_loss_scale, &mut dense_fused);
-            refr.optimizer_step(&opt, inv_loss_scale);
-            let dense_ref = refr.dense_f32_params();
-            prop_assert_eq!(bits32(&fused.theta32), bits32(&refr.theta32));
-            prop_assert_eq!(bits16(&fused.theta16), bits16(&refr.theta16));
-            prop_assert_eq!(bits32(&fused.grad32), bits32(&refr.grad32));
-            prop_assert_eq!(bits32(&dense_fused), bits32(&dense_ref));
-            assert_os_eq(&fused.os, &refr.os)?;
+        // The reference all-reduces; a fused rank gets the mean on its
+        // owned range only and keeps its local values elsewhere.
+        let mut bufs: Vec<&mut [F16]> = refr.iter_mut().map(|st| &mut st.grad16[..]).collect();
+        samo::trainer::allreduce_mean_f16(&mut bufs).expect("one layout");
+        for (f, r) in fused.iter_mut().zip(&refr) {
+            let (lo, hi) = f.shard_range();
+            f.grad16[lo..hi].copy_from_slice(&r.grad16[lo..hi]);
         }
+        // The AND of the ranks' local flags is the verdict a scan of the
+        // reduced bits reaches.
+        let reduced_finite = !refr.iter().any(SamoLayerState::grads_non_finite);
+        prop_assert_eq!(all_finite, reduced_finite, "verdict diverged at step {}", step);
+
+        if all_finite {
+            // Mirrors the engine: apply only when all finite.
+            let mut gathered = vec![F16::ZERO; mask.nnz()];
+            let mut gathered_ref = gathered.clone();
+            for r in 0..d {
+                let (lo, hi) = fused[r].shard_range();
+                let mine = fused[r].optimizer_step_owned(&opt, inv_loss_scale, &mut dense[r]);
+                let shard16 = refr[r].optimizer_step_shard(&opt, inv_loss_scale);
+                if d == 1 {
+                    prop_assert!(mine.is_empty(), "a full state gathers nothing");
+                } else {
+                    prop_assert_eq!(bits16(&mine), bits16(&shard16));
+                    gathered[lo..hi].copy_from_slice(&mine);
+                }
+                gathered_ref[lo..hi].copy_from_slice(&shard16);
+            }
+            for r in 0..d {
+                fused[r].scatter_gathered(&gathered, &mut dense[r]);
+                refr[r].install_gathered(&gathered_ref);
+                let dense_ref = refr[r].dense_f32_params();
+                prop_assert_eq!(bits32(&fused[r].theta32), bits32(&refr[r].theta32));
+                prop_assert_eq!(bits16(&fused[r].theta16), bits16(&refr[r].theta16));
+                prop_assert_eq!(bits32(&fused[r].grad32), bits32(&refr[r].grad32));
+                prop_assert_eq!(bits32(&dense[r]), bits32(&dense_ref));
+                assert_os_eq(&fused[r].os, &refr[r].os)?;
+            }
+        }
+
+        // A checkpoint assembles ∇θ16 from each owner's range, so the
+        // ranks' differing local values elsewhere never reach it.
+        let full = SamoLayerState::to_full_layer(&fused.iter().collect::<Vec<_>>());
+        let full_ref = SamoLayerState::to_full_layer(&refr.iter().collect::<Vec<_>>());
+        prop_assert_eq!(bits16(&full.grad16), bits16(&full_ref.grad16));
+        prop_assert_eq!(bits32(&full.theta32), bits32(&full_ref.theta32));
+        prop_assert_eq!(bits16(&full.theta16), bits16(&full_ref.theta16));
+        assert_os_eq(&full.os, &full_ref.os)?;
     }
     Ok(())
 }
@@ -114,40 +161,46 @@ proptest! {
     fn fused_step_equals_three_phase_adam(
         numel in 1usize..600,
         sparsity in 0.0f64..1.0,
+        d in 1usize..4,
         seed in any::<u64>(),
     ) {
-        assert_fused_matches_reference(adam(), numel, sparsity, 6, seed, false)?;
+        assert_fused_matches_reference(adam(), numel, sparsity, d, 6, seed, false)?;
     }
 
     #[test]
     fn fused_step_equals_three_phase_sgd(
         numel in 1usize..600,
         sparsity in 0.0f64..1.0,
+        d in 1usize..4,
         seed in any::<u64>(),
     ) {
-        assert_fused_matches_reference(sgd(), numel, sparsity, 6, seed, false)?;
+        assert_fused_matches_reference(sgd(), numel, sparsity, d, 6, seed, false)?;
     }
 
     #[test]
     fn fused_step_equals_three_phase_with_overflows(
         numel in 1usize..400,
         sparsity in 0.0f64..1.0,
+        d in 1usize..4,
         seed in any::<u64>(),
     ) {
-        assert_fused_matches_reference(adam(), numel, sparsity, 9, seed, true)?;
-        assert_fused_matches_reference(sgd(), numel, sparsity, 9, seed, true)?;
+        assert_fused_matches_reference(adam(), numel, sparsity, d, 9, seed, true)?;
+        assert_fused_matches_reference(sgd(), numel, sparsity, d, 9, seed, true)?;
     }
 }
 
 /// The mask extremes deserve explicit coverage: p = 0 keeps every
-/// parameter (compressed length == numel) and p = 1 keeps none
-/// (every kernel is a no-op over an empty index set).
+/// parameter (compressed length == numel), p = 1 keeps none (every
+/// kernel is a no-op over an empty index set), and a handful of
+/// survivors leaves some of three ranks an empty range (`nnz < d`).
 #[test]
-fn fused_step_handles_dense_and_empty_masks() {
+fn fused_step_handles_dense_empty_and_thinner_than_the_group_masks() {
     for opt in [adam(), sgd()] {
-        for sparsity in [0.0, 1.0] {
-            assert_fused_matches_reference(opt.clone(), 193, sparsity, 5, 42, true)
-                .expect("fused/reference divergence at mask extreme");
+        for d in 1..=3 {
+            for (numel, sparsity) in [(193, 0.0), (193, 1.0), (5, 0.6), (3, 0.5)] {
+                assert_fused_matches_reference(opt.clone(), numel, sparsity, d, 5, 42, true)
+                    .expect("fused/reference divergence at a mask extreme");
+            }
         }
     }
 }

@@ -12,6 +12,7 @@ use nn::optim::AdamConfig;
 use prune::Mask;
 use samo::data_parallel::DataParallelSamo;
 use samo::threaded::ThreadedDataParallelSamo;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tensor::Tensor;
 
@@ -188,6 +189,83 @@ fn killed_rank_times_out_and_restore_resyncs_bitwise() {
             "restored threaded group must match the never-failed in-process trainer bitwise \
              (step {step})"
         );
+    }
+}
+
+/// Lockstep skip under sharding: after the reduce-scatter a rank holds
+/// reduced bits on its own range only, so an overflow in rank 1's
+/// *local* gradient at a position rank 0 owns is invisible to rank 1's
+/// reduced range (and the mirror case; an overflow on the rank that owns
+/// the position, which its peer sees neither locally nor in its reduced
+/// range; and a `+inf`/`−inf` pair that meets as NaN on one owner) — the
+/// flag gather must still make both ranks skip, with equal scalers and counters, and the next applied
+/// step must leave exactly the sequential oracle's checkpoint bytes.
+/// Gradients accumulate, so a value planted in `p.grad` before backward
+/// survives it: `inf + finite = inf`.
+#[test]
+fn overflow_on_one_rank_skips_every_rank_in_lockstep() {
+    const W2: usize = 2; // the bias-free second weight: 4 × 10, half kept
+    let ind: Vec<u32> = masks()[W2].indices().to_vec();
+    let nnz = ind.len();
+    // Rank 0 owns compressed positions [0, ⌈nnz/2⌉), rank 1 the rest.
+    let (in_rank0, in_rank1) = (ind[0] as usize, ind[nnz - 1] as usize);
+    // (rank whose local gradient overflows, dense position, value)
+    let cases: [&[(usize, usize, f32)]; 4] = [
+        &[(1, in_rank0, f32::INFINITY)],
+        &[(0, in_rank1, f32::NEG_INFINITY)],
+        &[(1, in_rank1, f32::INFINITY)],
+        &[(0, in_rank1, f32::INFINITY), (1, in_rank1, f32::NEG_INFINITY)],
+    ];
+    for tcp in [false, true] {
+        for plant in cases {
+            let mut dp = DataParallelSamo::new(vec![model(9), model(9)], masks(), adam());
+            dp.set_scaler(LossScaler::new(1024.0));
+            let mut th = if tcp {
+                let mesh = comms::TcpTransport::local_mesh(2).expect("loopback mesh");
+                let faults = Arc::clone(mesh[0].faults());
+                let timeout = comms::collectives::DEFAULT_TIMEOUT;
+                ThreadedDataParallelSamo::with_transports(
+                    vec![model(9), model(9)],
+                    masks(),
+                    adam(),
+                    timeout,
+                    mesh,
+                    faults,
+                )
+            } else {
+                ThreadedDataParallelSamo::new(vec![model(9), model(9)], masks(), adam())
+            };
+            th.set_scaler(LossScaler::new(1024.0));
+
+            for step in 0..4u64 {
+                let planted: Vec<(usize, usize, f32)> =
+                    if step == 1 { plant.to_vec() } else { Vec::new() };
+                for &(rank, at, v) in &planted {
+                    dp.replica_mut(rank).params_mut()[W2].grad.as_mut_slice()[at] = v;
+                }
+                drive_inproc(&mut dp, step);
+                let applied = th
+                    .step(move |rank, m, scale| {
+                        for &(r, at, v) in &planted {
+                            if r == rank {
+                                m.params_mut()[W2].grad.as_mut_slice()[at] = v;
+                            }
+                        }
+                        let (x, t) = batch(step, rank);
+                        let y = m.forward(&x);
+                        let (_, mut dy) = mse(&y, &t);
+                        tensor::ops::scale(scale, dy.as_mut_slice());
+                        dy
+                    })
+                    .expect("healthy mesh");
+                let ctx = format!("tcp {tcp} case {plant:?} step {step}");
+                assert_eq!(applied, step != 1, "{ctx}: exactly the planted step skips");
+                assert_eq!(th.loss_scale(), dp.loss_scale(), "{ctx}: scalers");
+                assert_eq!(th.steps_skipped(), dp.steps_skipped(), "{ctx}: skip counters");
+                assert_eq!(th.save().as_ref(), dp.save().as_ref(), "{ctx}: checkpoint bytes");
+            }
+            assert_eq!((th.steps_taken(), th.steps_skipped()), (3, 1));
+        }
     }
 }
 
