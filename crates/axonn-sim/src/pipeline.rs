@@ -354,7 +354,7 @@ pub fn chrome_trace_events(trace: &[(usize, f64, f64, char)]) -> Vec<telemetry::
         .map(|&(stage, start, end, label)| telemetry::TraceEvent {
             name: if label == 'F' { "forward" } else { "backward" }.to_string(),
             cat: "pipeline".to_string(),
-            pid: 0,
+            pid: telemetry::trace::lane::SIMULATED,
             tid: stage as u64,
             ts_us: start * 1e6,
             dur_us: (end - start) * 1e6,

@@ -29,7 +29,11 @@ fn one_complete_event_per_schedule_span() {
     assert_eq!(events.len(), trace.len());
 
     for (ev, &(stage, start, end, label)) in events.iter().zip(&trace) {
-        assert_eq!(ev.pid, 0, "pipeline events live on pid 0");
+        assert_eq!(
+            ev.pid,
+            telemetry::trace::lane::SIMULATED,
+            "pipeline events live on pid 0"
+        );
         assert_eq!(ev.tid, stage as u64, "one tid lane per GPU");
         assert!((ev.ts_us - start * 1e6).abs() < 1e-6);
         assert!((ev.dur_us - (end - start) * 1e6).abs() < 1e-6);

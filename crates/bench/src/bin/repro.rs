@@ -226,15 +226,12 @@ impl Drop for FlushGuard {
 }
 
 /// Writes the Chrome trace: the Fig. 3 simulated pipeline schedule on
-/// pid 0 (one tid lane per GPU), every live span recorded during this
-/// run on pid 1, ring hops from the threaded comms runtime on pid 2,
-/// and per-stage F/B slices from the threaded pipeline runtime on
-/// pid 3 (`repro pipeline --trace` makes the real 1F1B schedule and
-/// its bubble directly visible in Perfetto), and queue/batch/compute/
-/// reload slices from the serving runtime on pid 4 (`repro serve
-/// --trace`, one lane per replica), plus paired `ph:"s"/"f"` flow
-/// arrows for every send→recv on the live meshes — the causal edges
-/// `repro trace-analyze` walks for the cross-rank critical path.
+/// pid 0 (one tid lane per GPU) plus one drain of the trace recorder —
+/// whatever this run recorded live on the lanes of
+/// `telemetry::trace::lane` (span timers, comms ring hops with their
+/// send→recv flow arrows, pipeline stage slices, serving slices). The
+/// flow arrows are the causal edges `repro trace-analyze` walks for the
+/// cross-rank critical path.
 fn write_trace(path: &str) -> Result<(), String> {
     let spec = axonn_sim::PipelineSpec {
         stages: 3,
@@ -247,11 +244,8 @@ fn write_trace(path: &str) -> Result<(), String> {
     };
     let mut events =
         axonn_sim::chrome_trace_events(&axonn_sim::pipeline::trace_schedule(&SUMMIT, &spec));
-    events.extend(telemetry::trace::span_trace_events(&telemetry::take_spans()));
-    events.extend(comms::trace::take_events());
-    events.extend(samo::pipeline::trace::take_events());
-    events.extend(serve::trace::take_events());
-    let flows = comms::trace::take_flows();
+    let (live, flows) = telemetry::trace::take();
+    events.extend(live);
     telemetry::trace::write_chrome_trace_with_flows(std::path::Path::new(path), &events, &flows)
         .map_err(|e| format!("write chrome trace {path}: {e}"))?;
     telemetry::log_info!(

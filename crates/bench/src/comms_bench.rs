@@ -56,9 +56,14 @@ pub(crate) fn seeded_buf(rank: usize, n: usize) -> Vec<F16> {
 
 /// Times `reps` chunked ring all-reduces of `n` f16 elements on `world`
 /// rank threads over the endpoints `make_mesh` builds, `best_of`
-/// samples; each sample spawns a fresh mesh so socket and thread
-/// start-up costs are identical across samples, sizes and transports.
-/// Every rep reduces the same `seeded_buf` inputs.
+/// samples, each on a fresh mesh. The clock runs *inside* the rank
+/// threads: every rank builds its communicator and buffers, meets the
+/// others at a barrier, starts its clock, reduces the same `seeded_buf`
+/// inputs `reps` times and stops the clock; a closing barrier keeps
+/// every endpoint up until the slowest rank is done. A sample is the
+/// slowest rank's time — the collective is over when its last rank is —
+/// so thread spawn, mesh and buffer set-up, reader-thread joins and
+/// socket teardown are outside it, and so are both barriers' bytes.
 pub(crate) fn bench_mesh<T, F>(
     make_mesh: F,
     world: usize,
@@ -73,9 +78,9 @@ where
     let mut run = Run { best_ms: f64::INFINITY, model_bytes: 0, wire_bytes: 0, reduced: Vec::new() };
     for _ in 0..best_of {
         let mesh = make_mesh()?;
-        let totals: Mutex<(u64, u64)> = Mutex::new((0, 0));
+        // (model bytes, wire bytes, slowest rank's seconds)
+        let totals: Mutex<(u64, u64, f64)> = Mutex::new((0, 0, 0.0));
         let rank0: Mutex<Vec<F16>> = Mutex::new(Vec::new());
-        let t0 = Instant::now();
         std::thread::scope(|s| -> Result<(), String> {
             let handles: Vec<_> = mesh
                 .into_iter()
@@ -86,13 +91,20 @@ where
                         let rank = comm.rank();
                         let seed = seeded_buf(rank, n);
                         let mut buf = seed.clone();
+                        comm.barrier()?;
+                        let wire0 = comm.transport().bytes_sent();
+                        let t0 = Instant::now();
                         for _ in 0..reps {
                             buf.copy_from_slice(&seed);
                             comm.allreduce_mean_f16(&mut buf)?;
                         }
+                        let secs = t0.elapsed().as_secs_f64();
+                        let wire = comm.transport().bytes_sent() - wire0;
+                        comm.barrier()?;
                         let mut tl = totals.lock().expect("no rank panics holding the totals");
                         tl.0 += comm.model_allreduce_bytes();
-                        tl.1 += comm.transport().bytes_sent();
+                        tl.1 += wire;
+                        tl.2 = tl.2.max(secs);
                         drop(tl);
                         if rank == 0 {
                             *rank0.lock().expect("only rank 0 takes this lock") = buf;
@@ -108,9 +120,8 @@ where
             }
             Ok(())
         })?;
-        let ms = t0.elapsed().as_secs_f64() * 1e3 / reps as f64;
-        run.best_ms = run.best_ms.min(ms);
-        let (model, wire) = totals.into_inner().expect("rank threads joined cleanly");
+        let (model, wire, secs) = totals.into_inner().expect("rank threads joined cleanly");
+        run.best_ms = run.best_ms.min(secs * 1e3 / reps as f64);
         let per_op = reps as u64 * world as u64;
         run.model_bytes = model / per_op;
         run.wire_bytes = wire / per_op;
@@ -124,7 +135,7 @@ where
 /// gate.
 pub fn run(quick: bool) -> Result<(), String> {
     let best_of = if quick { 3 } else { 5 };
-    let reps = if quick { 3 } else { 10 };
+    let reps = if quick { 20 } else { 50 };
     let phi = if quick { 1 << 16 } else { 1 << 18 };
     let nnz = phi / COMPRESSION_FACTOR;
     let worlds: &[usize] = &[2, 4, 8];

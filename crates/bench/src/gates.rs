@@ -11,6 +11,7 @@
 
 use std::fmt::Display;
 use telemetry::json::Json;
+use telemetry::trace::lane;
 
 /// AVX2 `sgemm` over its scalar twin at 256³.
 pub const AVX2_SGEMM_MIN: f64 = 1.5;
@@ -473,7 +474,7 @@ fn trace(doc: &Json) -> Check {
             "f" => finishes.push(uint(e, "id")?),
             _ => {}
         }
-        if num(e, "pid")? == 0.0 {
+        if uint(e, "pid")? == lane::SIMULATED {
             lanes.push(uint(e, "tid")?);
         }
     }
@@ -525,7 +526,11 @@ fn metrics(jsonl: &str) -> Check {
                     return Err(bad("link_event without an event"));
                 }
             }
-            "samo" | "dense_masked" | "samo_dp" | "samo_dp_threaded" => {
+            "step" => {
+                // Every training runtime writes this one record.
+                if text(&rec, "runtime")?.is_empty() {
+                    return Err(bad("step record without a runtime"));
+                }
                 let formula = get(&rec, "formula_state_bytes")?;
                 if formula != &Json::Null && get(&rec, "model_state_bytes")? != formula {
                     return Err(bad("measured state bytes differ from 24(1-p)phi + 2phi"));
@@ -937,9 +942,8 @@ mod tests {
 
     #[test]
     fn metrics_shape_and_exact_state_bytes_are_held() {
-        let step = r#"{"kind":"samo","step":1,"model_state_bytes":440,"formula_state_bytes":440}"#;
-        let sharded =
-            r#"{"kind":"samo_dp","step":1,"model_state_bytes":300,"formula_state_bytes":null}"#;
+        let step = r#"{"kind":"step","runtime":"samo","step":1,"model_state_bytes":440,"formula_state_bytes":440}"#;
+        let sharded = r#"{"kind":"step","runtime":"samo_dp","step":1,"model_state_bytes":300,"formula_state_bytes":null}"#;
         let mesh = r#"{"kind":"mesh_metrics","ranks":2,"median_us":5.0,"max_us":7.5,"per_rank":[5.0,7.5]}"#;
         let link = r#"{"kind":"link_event","event":"peer_dead","rank":1}"#;
         let ok = metrics(&[step, sharded, mesh, link].join("\n")).unwrap();

@@ -45,7 +45,7 @@ fn oracle_mean(world: usize, n: usize) -> Vec<F16> {
 /// `results/`, and a `tcp` section merged into `BENCH_hotpaths.json`.
 pub fn run(quick: bool) -> Result<(), String> {
     let best_of = if quick { 3 } else { 5 };
-    let reps = if quick { 3 } else { 10 };
+    let reps = if quick { 20 } else { 50 };
     let n = if quick { 1 << 14 } else { 1 << 16 };
     let worlds: &[usize] = &[2, 4];
 

@@ -28,8 +28,9 @@
 use crate::gates::{self, as_f64, SHARE_TOLERANCE};
 use crate::harness::{self, median};
 use axonn_sim::pipeline::analytic_bubble;
-use telemetry::critical_path::{analyze_str, Analysis, PIPELINE_PID};
+use telemetry::critical_path::{analyze_str, Analysis};
 use telemetry::json::Json;
+use telemetry::trace::lane;
 
 /// One pipeline group's Eq. 7 cross-check, re-derived from the trace.
 struct Eq7Row {
@@ -72,7 +73,7 @@ fn eq7_from_trace(doc: &Json) -> Vec<Eq7Row> {
     let mut fb: Vec<(u64, f64, f64, bool, u64)> = Vec::new(); // (tid, ts, dur, fwd, mb)
     for ev in events {
         if ev.get("ph").and_then(str_of) != Some("X")
-            || ev.get("pid").and_then(as_f64) != Some(PIPELINE_PID as f64)
+            || ev.get("pid").and_then(as_f64) != Some(lane::PIPELINE as f64)
         {
             continue;
         }

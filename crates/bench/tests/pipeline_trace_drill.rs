@@ -11,6 +11,7 @@ use nn::optim::AdamConfig;
 use samo::pipeline::{PipelineConfig, ThreadedPipelineSamo};
 use std::sync::Arc;
 use std::time::Duration;
+use telemetry::trace::lane;
 use tensor::Tensor;
 
 const WIDTH: usize = 16;
@@ -66,9 +67,7 @@ fn killed_rank_still_delivers_its_trace_and_metrics() {
     let was = telemetry::enabled();
     telemetry::set_enabled(true);
     telemetry::clock::reset();
-    comms::trace::take_events();
-    comms::trace::take_flows();
-    samo::pipeline::trace::take_events();
+    telemetry::trace::take();
 
     let mut pp = build_pipeline(Duration::from_millis(300));
     assert_eq!(run_step(&mut pp), Ok(true), "healthy step applies");
@@ -86,9 +85,9 @@ fn killed_rank_still_delivers_its_trace_and_metrics() {
     telemetry::jsonl::flush();
     telemetry::set_enabled(was);
 
-    let pipe_events = samo::pipeline::trace::take_events();
-    let comms_events = comms::trace::take_events();
-    comms::trace::take_flows();
+    let (events, _flows) = telemetry::trace::take();
+    let on = |pid: u64| events.iter().filter(move |e| e.pid == pid).collect::<Vec<_>>();
+    let (pipe_events, comms_events) = (on(lane::PIPELINE), on(lane::COMMS));
 
     // Both ranks' pipeline lanes reported the healthy step: per-lane
     // F/B slices plus the step-0 window on each lane.

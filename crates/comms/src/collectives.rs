@@ -61,7 +61,9 @@ use crate::transport::{Kind, Message, Payload, Tag, Transport};
 use crate::{ring_allreduce_model_bytes, segment_bounds, CommsError};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
+use telemetry::clock::now_us;
 use telemetry::json::Json;
+use telemetry::trace::{self, lane};
 use tensor::f16::{to_f32_table, F16};
 
 /// Default per-collective deadline. Generous for healthy in-process
@@ -128,7 +130,7 @@ impl<T: Transport> Communicator<T> {
         self
     }
 
-    /// Sets the Perfetto lane (`tid` on pid 2) this communicator's
+    /// Sets the Perfetto lane (`tid` on the `COMMS` pid) this communicator's
     /// trace events render on (builder style). See `trace_lane`.
     pub fn with_trace_lane(mut self, lane: u64) -> Communicator<T> {
         self.trace_lane = lane;
@@ -234,29 +236,40 @@ impl<T: Transport> Communicator<T> {
         }
         let fid = self.flow_id(&msg.tag, self.rank());
         let name = flow_name(&msg.tag);
-        let t0 = crate::trace::now_us();
+        let t0 = now_us();
         let res = self.t.send(to, msg);
-        let t1 = crate::trace::now_us();
-        crate::trace::record_hop(
-            self.trace_lane,
-            format!("send {name}"),
-            t0,
-            t1 - t0,
-            vec![("to".to_string(), Json::from(to))],
-        );
-        crate::trace::record_flow(self.trace_lane, name, t0, fid, true);
+        let t1 = now_us();
+        trace::slice(lane::COMMS, self.trace_lane, "comms", t0, t1 - t0, || {
+            (format!("send {name}"), vec![("to".to_string(), Json::from(to))])
+        });
+        trace::flow(lane::COMMS, self.trace_lane, "msg", t0, fid, true, || name);
         res
+    }
+
+    /// Records a blocking window `t0..t1` spent waiting on `from` as a
+    /// `wait` slice (so the analyzer can split each step into compute /
+    /// comm / wait / idle), flagged when it ended in a timeout.
+    pub fn wait_slice(
+        &self,
+        t0: f64,
+        t1: f64,
+        from: usize,
+        timed_out: bool,
+        name: impl FnOnce() -> String,
+    ) {
+        trace::slice(lane::COMMS, self.trace_lane, "wait", t0, t1 - t0, || {
+            let mut args = vec![("from".to_string(), Json::from(from))];
+            if timed_out {
+                args.push(("timed_out".to_string(), Json::Bool(true)));
+            }
+            (name(), args)
+        });
     }
 
     /// Records the flow-finish for a message consumed at `ts_us`.
     fn flow_consumed(&self, tag: &Tag, from: usize, ts_us: f64) {
-        crate::trace::record_flow(
-            self.trace_lane,
-            flow_name(tag),
-            ts_us,
-            self.flow_id(tag, from),
-            false,
-        );
+        let id = self.flow_id(tag, from);
+        trace::flow(lane::COMMS, self.trace_lane, "msg", ts_us, id, false, || flow_name(tag));
     }
 
     /// After any collective error the communicator refuses further work
@@ -316,11 +329,11 @@ impl<T: Transport> Communicator<T> {
         let tel = telemetry::enabled();
         if let Some(m) = self.stash.remove(&(from, want)) {
             if tel {
-                self.flow_consumed(&want, from, crate::trace::now_us());
+                self.flow_consumed(&want, from, now_us());
             }
             return Ok(m);
         }
-        let t0 = tel.then(crate::trace::now_us);
+        let t0 = tel.then(now_us);
         let res = loop {
             match self.t.recv_from(from, deadline) {
                 Err(e) => break Err(e),
@@ -336,18 +349,8 @@ impl<T: Transport> Communicator<T> {
             }
         };
         if let Some(t0) = t0 {
-            let t1 = crate::trace::now_us();
-            let mut args = vec![("from".to_string(), Json::from(from))];
-            if res.is_err() {
-                args.push(("timed_out".to_string(), Json::Bool(true)));
-            }
-            crate::trace::record_wait(
-                self.trace_lane,
-                format!("recv {}", flow_name(&want)),
-                t0,
-                t1 - t0,
-                args,
-            );
+            let t1 = now_us();
+            self.wait_slice(t0, t1, from, res.is_err(), || format!("recv {}", flow_name(&want)));
             if res.is_ok() {
                 self.flow_consumed(&want, from, t1);
             }
@@ -667,7 +670,7 @@ impl<T: Transport> Communicator<T> {
                 return Err(CommsError::Mismatch("p2p expects f32 payloads".into()));
             };
             if tel {
-                self.flow_consumed(&want, from, crate::trace::now_us());
+                self.flow_consumed(&want, from, now_us());
             }
             return Ok(Some(v));
         }
@@ -683,7 +686,7 @@ impl<T: Transport> Communicator<T> {
                             return Err(CommsError::Mismatch("p2p expects f32 payloads".into()));
                         };
                         if tel {
-                            self.flow_consumed(&want, from, crate::trace::now_us());
+                            self.flow_consumed(&want, from, now_us());
                         }
                         return Ok(Some(v));
                     }
@@ -829,21 +832,11 @@ impl<T: Transport> Communicator<T> {
         let prev = self.prev();
         self.ring_drain_stash()?;
         while !self.rings.is_empty() {
-            let t0 = telemetry::enabled().then(crate::trace::now_us);
+            let t0 = telemetry::enabled().then(now_us);
             let res = self.t.recv_from(prev, deadline);
             if let Some(t0) = t0 {
-                let t1 = crate::trace::now_us();
-                let mut args = vec![("from".to_string(), Json::from(prev))];
-                if res.is_err() {
-                    args.push(("timed_out".to_string(), Json::Bool(true)));
-                }
-                crate::trace::record_wait(
-                    self.trace_lane,
-                    "ring stall".to_string(),
-                    t0,
-                    t1 - t0,
-                    args,
-                );
+                let t1 = now_us();
+                self.wait_slice(t0, t1, prev, res.is_err(), || "ring stall".to_string());
             }
             self.handle_from_prev(res?)?;
         }
@@ -926,7 +919,7 @@ impl<T: Transport> Communicator<T> {
         let g = self.world();
         let r = self.rank();
         let tel = telemetry::enabled();
-        let t0 = tel.then(crate::trace::now_us);
+        let t0 = tel.then(now_us);
         let in_tag = msg.tag;
         let step = msg.tag.step as usize;
         let id = msg.tag.id;
@@ -1020,13 +1013,10 @@ impl<T: Transport> Communicator<T> {
             }
         }
         if let Some(t0) = t0 {
-            crate::trace::record_hop(
-                self.trace_lane,
-                format!("ring{id} {phase} seg{seg}"),
-                t0,
-                crate::trace::now_us() - t0,
-                vec![("step".to_string(), Json::from(step))],
-            );
+            trace::slice(lane::COMMS, self.trace_lane, "comms", t0, now_us() - t0, || {
+                let args = vec![("step".to_string(), Json::from(step))];
+                (format!("ring{id} {phase} seg{seg}"), args)
+            });
             // Close the incoming hop's causal arrow inside the hop
             // slice (the forward send above opened the next one).
             self.flow_consumed(&in_tag, self.prev(), t0);
@@ -1468,8 +1458,7 @@ mod tests {
         let _guard = telemetry::registry::test_lock();
         let was = telemetry::enabled();
         telemetry::set_enabled(true);
-        crate::trace::take_events();
-        crate::trace::take_flows();
+        trace::take();
 
         run_ranks(3, Arc::default(), DEFAULT_TIMEOUT, |comm, rank| {
             let mut buf = vals(rank as u64, 64);
@@ -1483,8 +1472,7 @@ mod tests {
         });
         telemetry::set_enabled(was);
 
-        let events = crate::trace::take_events();
-        let flows = crate::trace::take_flows();
+        let (events, flows) = trace::take();
         assert!(events.iter().any(|e| e.cat == "comms"), "hop/send slices recorded");
         assert!(events.iter().any(|e| e.cat == "wait"), "wait slices recorded");
 

@@ -1,142 +1,6 @@
-//! Perfetto trace of the comms layer: ring hops, sends, waits, flows.
-//!
-//! Every ring hop, p2p/collective send and blocking recv wait a rank
-//! observes is recorded as one Chrome `trace_event` complete event on
-//! **pid 2** (pid 0 is the simulated pipeline schedule, pid 1 the live
-//! span timers, pid 3 the pipeline runtime), one `tid` lane per trace
-//! lane — load the combined file from `repro comms --trace` in
-//! <https://ui.perfetto.dev> and the reduce-scatter / all-gather wave
-//! moving around the ring is directly visible. Alongside the slices,
-//! every send→recv pair emits a matched [`FlowEvent`] pair keyed by a
-//! hash of `(mesh, tag, sender)`, which Perfetto renders as causal
-//! arrows across lanes and `telemetry::critical_path` walks as
-//! dependency edges.
-//!
-//! Recording is gated on `telemetry::enabled()` so the hot path pays
-//! one branch when off. Each recording thread buffers into its own
-//! [`telemetry::ThreadLocalSink`] buffer (no cross-rank lock
-//! contention); buffers survive thread death, so a rank killed by a
-//! fault drill still contributes its events to [`take_events`].
-//! Timestamps come from the shared resettable [`telemetry::clock`], so
-//! comms slices line up with span and pipeline lanes in one session.
+//! The comms layer records its ring hops, sends, recv waits and flow
+//! arrows through the workspace's one trace recorder
+//! (`telemetry::trace`, lane `COMMS`). This module survives only as the
+//! path of [`now_us`], which the frozen `benchmark/` imports.
 
-use telemetry::json::Json;
-use telemetry::sink::Handle;
-use telemetry::trace::{FlowEvent, TraceEvent};
-use telemetry::ThreadLocalSink;
-
-/// The pid lane for comms rank events in combined trace files.
-pub const COMMS_TRACE_PID: u64 = 2;
-
-static EVENTS: ThreadLocalSink<TraceEvent> = ThreadLocalSink::new();
-static FLOWS: ThreadLocalSink<FlowEvent> = ThreadLocalSink::new();
-
-thread_local! {
-    static LOCAL_EVENTS: Handle<TraceEvent> = EVENTS.handle();
-    static LOCAL_FLOWS: Handle<FlowEvent> = FLOWS.handle();
-}
-
-/// Microseconds on the shared trace clock (see [`telemetry::clock`]).
-pub fn now_us() -> f64 {
-    telemetry::clock::now_us()
-}
-
-/// Records one ring hop (or collective phase) on the rank's lane.
-pub fn record_hop(lane: u64, name: String, ts_us: f64, dur_us: f64, args: Vec<(String, Json)>) {
-    record_slice(lane, "comms", name, ts_us, dur_us, args);
-}
-
-/// Records a blocking-receive wait (deadline recv, ring-hop stall) on
-/// the rank's lane. Wait slices carry `cat: "wait"` so the analyzer
-/// can split each step into compute / comm / wait / idle.
-pub fn record_wait(lane: u64, name: String, ts_us: f64, dur_us: f64, args: Vec<(String, Json)>) {
-    record_slice(lane, "wait", name, ts_us, dur_us, args);
-}
-
-fn record_slice(
-    lane: u64,
-    cat: &str,
-    name: String,
-    ts_us: f64,
-    dur_us: f64,
-    args: Vec<(String, Json)>,
-) {
-    LOCAL_EVENTS.with(|buf| {
-        buf.lock().push(TraceEvent {
-            name,
-            cat: cat.into(),
-            pid: COMMS_TRACE_PID,
-            tid: lane,
-            ts_us,
-            dur_us,
-            args,
-        })
-    });
-}
-
-/// Records one half of a causal send→recv flow arrow on the rank's
-/// lane. The sender emits `start = true` from inside its send slice;
-/// the consumer emits `start = false` (same `id`) from inside the slice
-/// that absorbed the message.
-pub fn record_flow(lane: u64, name: String, ts_us: f64, id: u64, start: bool) {
-    LOCAL_FLOWS.with(|buf| {
-        buf.lock().push(FlowEvent {
-            name,
-            cat: "msg".into(),
-            pid: COMMS_TRACE_PID,
-            tid: lane,
-            ts_us,
-            id,
-            start,
-        })
-    });
-}
-
-/// Drains every recorded comms slice (for trace-file assembly),
-/// including buffers of threads that have already exited.
-pub fn take_events() -> Vec<TraceEvent> {
-    EVENTS.drain()
-}
-
-/// Drains every recorded flow event.
-pub fn take_flows() -> Vec<FlowEvent> {
-    FLOWS.drain()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn events_drain_once() {
-        let _guard = telemetry::registry::test_lock();
-        record_hop(3, "rs b0 s1".into(), now_us(), 1.0, vec![]);
-        let evs = take_events();
-        assert!(evs.iter().any(|e| e.tid == 3 && e.pid == COMMS_TRACE_PID));
-        assert!(take_events().is_empty());
-    }
-
-    #[test]
-    fn waits_and_flows_drain_separately() {
-        let _guard = telemetry::registry::test_lock();
-        record_wait(1, "recv rank0".into(), now_us(), 5.0, vec![]);
-        record_flow(1, "p2p".into(), now_us(), 99, false);
-        let evs = take_events();
-        assert!(evs.iter().any(|e| e.cat == "wait" && e.tid == 1));
-        let flows = take_flows();
-        assert!(flows.iter().any(|f| f.id == 99 && !f.start));
-        assert!(take_flows().is_empty());
-    }
-
-    #[test]
-    fn events_from_dead_threads_survive() {
-        let _guard = telemetry::registry::test_lock();
-        std::thread::spawn(|| {
-            record_hop(7, "from the beyond".into(), 1.0, 2.0, vec![]);
-        })
-        .join()
-        .unwrap();
-        let evs = take_events();
-        assert!(evs.iter().any(|e| e.name == "from the beyond" && e.tid == 7));
-    }
-}
+pub use telemetry::clock::now_us;

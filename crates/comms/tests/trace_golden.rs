@@ -14,6 +14,7 @@
 use comms::{Communicator, InProcTransport};
 use std::collections::HashMap;
 use std::time::Duration;
+use telemetry::trace::lane;
 use tensor::f16::F16;
 
 /// Runs a 3-rank world through every traced primitive: ring all-reduce,
@@ -54,15 +55,20 @@ fn golden_trace_pairs_every_flow_and_roundtrips() {
     telemetry::set_enabled(true);
     telemetry::clock::reset();
     // Drain anything a previous test in this binary left behind.
-    comms::trace::take_events();
-    comms::trace::take_flows();
+    telemetry::trace::take();
 
     traced_world();
     telemetry::set_enabled(was);
 
-    let events = comms::trace::take_events();
-    let flows = comms::trace::take_flows();
+    // One drain holds both lanes this run touches: the collectives'
+    // `comms.*` span timers (pid 1) and the comms slices (pid 2).
+    let (all, flows) = telemetry::trace::take();
+    let (events, spans): (Vec<_>, Vec<_>) = all.into_iter().partition(|e| e.pid == lane::COMMS);
     assert!(!events.is_empty(), "traced run must record slices");
+    assert!(events.iter().all(|e| matches!(e.cat.as_str(), "comms" | "wait")), "pid 2: cat comms|wait");
+    let is_span = |e: &telemetry::TraceEvent| (e.pid, e.cat.as_str()) == (lane::SPANS, "span");
+    assert!(spans.iter().all(|e| is_span(e) && e.name.starts_with("comms.")), "pid 1: span timers");
+    assert!(flows.iter().all(|f| f.pid == lane::COMMS && f.cat == "msg"), "flows: pid 2, cat msg");
     assert!(!flows.is_empty(), "traced run must record flows");
 
     // Strict pairing: every id has exactly one start and one finish.
@@ -111,8 +117,7 @@ fn timed_out_recv_leaves_exactly_one_orphan_start() {
     let _guard = telemetry::registry::test_lock();
     let was = telemetry::enabled();
     telemetry::set_enabled(true);
-    comms::trace::take_events();
-    comms::trace::take_flows();
+    telemetry::trace::take();
 
     // Rank 0 sends to rank 1, which never receives: the flow start is
     // recorded at the send but no finish ever appears — the analyzer
@@ -131,8 +136,7 @@ fn timed_out_recv_leaves_exactly_one_orphan_start() {
     });
     telemetry::set_enabled(was);
 
-    let events = comms::trace::take_events();
-    let flows = comms::trace::take_flows();
+    let (events, flows) = telemetry::trace::take();
     let starts = flows.iter().filter(|f| f.start).count();
     let finishes = flows.len() - starts;
     assert_eq!(starts, finishes + 1, "exactly the unreceived p2p is unpaired");

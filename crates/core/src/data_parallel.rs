@@ -22,8 +22,8 @@
 //!    expanded into every replica's dense θ16.
 
 use crate::engine::{
-    apply_meta, assert_replicas_agree, build_layers, check_structure, install_layers, record_step,
-    trainer_meta, DP,
+    apply_meta, assert_replicas_agree, build_layers, check_structure, count_recovery,
+    install_layers, record_step, trainer_meta, DP,
 };
 use crate::serialize::{load_checkpoint, save_checkpoint};
 use crate::state::SamoLayerState;
@@ -137,7 +137,7 @@ impl<M: Layer> DataParallelSamo<M> {
         let mut phases = Vec::new();
 
         // 1. Compress each rank's gradients.
-        let sp = tel.then(|| telemetry::span("samo.dp.compress"));
+        let sp = tel.then(|| telemetry::span("samo.step.compress"));
         for (model, rank_states) in self.replicas.iter_mut().zip(&mut self.states) {
             for (p, st) in model.params_mut().into_iter().zip(rank_states.iter_mut()) {
                 st.compress_grad(p.grad.as_slice());
@@ -146,7 +146,7 @@ impl<M: Layer> DataParallelSamo<M> {
         phases.extend(sp.map(|sp| ("compress", sp.finish())));
 
         // 2. All-reduce (mean) the compressed fp16 gradients per param.
-        let sp = tel.then(|| telemetry::span("samo.dp.allreduce"));
+        let sp = tel.then(|| telemetry::span("samo.step.reduce"));
         for pi in 0..nparams {
             let mut bufs: Vec<&mut [F16]> = Vec::with_capacity(d);
             // Split-borrow across ranks.
@@ -158,7 +158,7 @@ impl<M: Layer> DataParallelSamo<M> {
             allreduce_mean_f16(&mut bufs)
                 .expect("replica gradient buffers share one layout by construction");
         }
-        phases.extend(sp.map(|sp| ("allreduce", sp.finish())));
+        phases.extend(sp.map(|sp| ("reduce", sp.finish())));
         // The collective has run by now whether or not the step applies.
         // Accounted with the bandwidth-optimal ring formula
         // `2·(G−1)/G · fφ` values — what a real ring all-reduce moves
@@ -176,7 +176,7 @@ impl<M: Layer> DataParallelSamo<M> {
         let proceed = self.scaler.check_and_update(finite);
         if proceed {
             // 3–4. Each rank steps its shard; gather shards per parameter.
-            let sp = tel.then(|| telemetry::span("samo.dp.shard_step"));
+            let sp = tel.then(|| telemetry::span("samo.step.optimizer"));
             for pi in 0..nparams {
                 let nnz = self.states[0][pi].grad16.len();
                 let mut gathered = vec![F16::ZERO; nnz];
@@ -197,7 +197,7 @@ impl<M: Layer> DataParallelSamo<M> {
                     p.zero_grad();
                 }
             }
-            phases.extend(sp.map(|sp| ("shard_step", sp.finish())));
+            phases.extend(sp.map(|sp| ("optimizer", sp.finish())));
             self.steps_taken += 1;
         } else {
             for model in &mut self.replicas {
@@ -213,7 +213,7 @@ impl<M: Layer> DataParallelSamo<M> {
                 self.meta(),
                 &self.states[0],
                 &self.opt,
-                d,
+                Some(d),
                 phases,
             );
         }
@@ -256,9 +256,7 @@ impl<M: Layer> DataParallelSamo<M> {
             &mut self.steps_taken,
             &mut self.steps_skipped,
         );
-        if telemetry::enabled() {
-            telemetry::global().counter(DP.recoveries).inc();
-        }
+        count_recovery();
         Ok(())
     }
 

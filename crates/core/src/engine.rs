@@ -28,6 +28,15 @@
 //! verdict with one flag gather per step (`finish_reduce`) — full states
 //! too, which keeps the verdict one path.
 //!
+//! One rank per group reports (rank 0; the pipeline narrows it to stage
+//! 0): with telemetry on it emits one `telemetry::StepEvent` per step —
+//! the same record for every runtime, told apart by `runtime` — and keeps
+//! the counters and gauges under the runtime's `Labels` prefix. The
+//! phase spans `samo.step.{remap,compress,reduce,optimizer}` open where
+//! the inline path runs (`reduce_after_backward`, `apply`); the overlapped
+//! drivers open none for compress and reduce, because there both
+//! interleave with backward.
+//!
 //! [`crate::DataParallelSamo`], the sequential oracle the threaded
 //! runtimes are compared with, keeps its own step and shares only the
 //! construction, checkpoint and telemetry helpers at the bottom of this
@@ -83,75 +92,24 @@ impl<T: Transport> Reducer for Ring<T> {
     }
 }
 
-/// The names one runtime reports its steps under. An empty span name
-/// leaves that phase untimed (the runtime times a wider window itself).
+/// What differs between the runtimes' reports: the prefix of their
+/// counters and gauges (`.steps_taken`, `.steps_skipped`, `.loss_scale`,
+/// `.model_state_bytes`, `.allreduce_bytes`, `.remap_events`) — and, dots
+/// to underscores, the `runtime` of their step events. The phase spans
+/// (`samo.step.{remap,compress,reduce,optimizer}`) are the same for all:
+/// a runtime reports the phases its code path runs inline.
 pub(crate) struct Labels {
-    /// `StepEvent::kind`; `None` keeps the runtime to counters.
-    pub kind: Option<&'static str>,
-    /// Prefix of `.steps_taken`, `.steps_skipped`, `.loss_scale`,
-    /// `.allreduce_bytes` and `.remap_events`.
     pub prefix: &'static str,
-    /// High-water gauge of the rank's state bytes.
-    pub state_gauge: Option<&'static str>,
-    /// Ring byte model plus a cumulative counter, or (a single worker)
-    /// the flat payload a data-parallel step would move, Eq. 9.
-    pub ring: bool,
-    pub compress: &'static str,
-    pub reduce: &'static str,
-    pub optimizer: &'static str,
-    pub remap: &'static str,
-    /// Counter bumped by a restore.
-    pub recoveries: &'static str,
 }
 
-pub(crate) const SAMO: Labels = Labels {
-    kind: Some("samo"),
-    prefix: "samo",
-    state_gauge: Some("samo.model_state_bytes"),
-    ring: false,
-    compress: "samo.step.compress",
-    reduce: "",
-    optimizer: "samo.step.optimizer",
-    remap: "samo.step.remap",
-    recoveries: "samo.ckpt.recoveries",
-};
-
-/// [`crate::DistDataParallel`], and (kind, prefix and gauge only) the
-/// sequential [`crate::DataParallelSamo`].
-pub(crate) const DP: Labels = Labels {
-    kind: Some("samo_dp"),
-    prefix: "samo.dp",
-    state_gauge: Some("samo.dp.bytes_per_rank"),
-    ring: true,
-    compress: "samo.dp.compress",
-    reduce: "samo.dp.allreduce",
-    optimizer: "samo.dp.optimizer",
-    remap: "samo.dp.remap",
-    recoveries: "samo.ckpt.recoveries",
-};
-
+pub(crate) const SAMO: Labels = Labels { prefix: "samo" };
+/// [`crate::DistDataParallel`] and the sequential [`crate::DataParallelSamo`].
+pub(crate) const DP: Labels = Labels { prefix: "samo.dp" };
 pub(crate) const DP_THREADED: Labels = Labels {
-    kind: Some("samo_dp_threaded"),
     prefix: "samo.dp_threaded",
-    state_gauge: None,
-    ring: true,
-    compress: "",
-    reduce: "",
-    optimizer: "samo.dp_threaded.shard_step",
-    remap: "",
-    recoveries: "samo.dp_threaded.recoveries",
 };
-
 pub(crate) const PIPELINE: Labels = Labels {
-    kind: None,
     prefix: "samo.pipeline",
-    state_gauge: None,
-    ring: true,
-    compress: "",
-    reduce: "",
-    optimizer: "",
-    remap: "",
-    recoveries: "samo.pipeline.recoveries",
 };
 
 /// A running phase span and its name.
@@ -348,8 +306,8 @@ impl<R: Reducer> StepEngine<R> {
         self.ring_order.clear();
         self.phases.clear();
         self.local_finite = true;
-        if self.reports && telemetry::enabled() {
-            telemetry::global().counter(self.labels.recoveries).inc();
+        if self.reports {
+            count_recovery();
         }
         Ok(())
     }
@@ -373,15 +331,14 @@ impl<R: Reducer> StepEngine<R> {
         Ok(())
     }
 
-    /// Starts a phase span when this rank reports and `name` is timed.
-    pub(crate) fn span(&self, name: &'static str) -> Option<Phase> {
-        (self.reports && !name.is_empty() && telemetry::enabled())
-            .then(|| Phase(name, telemetry::span(name)))
+    /// Starts a phase span when this rank reports.
+    fn span(&self, name: &'static str) -> Option<Phase> {
+        (self.reports && telemetry::enabled()).then(|| Phase(name, telemetry::span(name)))
     }
 
     /// Ends a [`Self::span`], keeping its duration for the step event
     /// under the last segment of the span's name.
-    pub(crate) fn end_phase(&mut self, phase: Option<Phase>) {
+    fn end_phase(&mut self, phase: Option<Phase>) {
         if let Some(Phase(name, sp)) = phase {
             self.phases
                 .push((name.rsplit('.').next().unwrap_or(name), sp.finish()));
@@ -455,7 +412,7 @@ impl<R: Reducer> StepEngine<R> {
         model: &mut impl Layer,
     ) -> Result<bool, CommsError> {
         self.maybe_remap(model)?;
-        let sp = self.span(self.labels.compress);
+        let sp = self.span("samo.step.compress");
         let (mut i, mut res) = (0, Ok(()));
         model.for_each_param_mut(&mut |p| {
             if res.is_ok() {
@@ -468,7 +425,7 @@ impl<R: Reducer> StepEngine<R> {
         res?;
         assert_eq!(i, self.layers.len());
         self.end_phase(sp);
-        let sp = self.span(self.labels.reduce);
+        let sp = self.span("samo.step.reduce");
         let finite = self.finish_reduce()?;
         self.end_phase(sp);
         Ok(finite)
@@ -519,7 +476,7 @@ impl<R: Reducer> StepEngine<R> {
         let scale = self.scaler.scale();
         let proceed = self.scaler.check_and_update(finite);
         if proceed {
-            let sp = self.span(self.labels.optimizer);
+            let sp = self.span("samo.step.optimizer");
             let (layers, opt, reducer) = (&mut self.layers, &self.opt, &mut self.reducer);
             let inv_scale = 1.0 / scale;
             let (mut i, mut res) = (0, Ok(()));
@@ -546,7 +503,7 @@ impl<R: Reducer> StepEngine<R> {
             self.steps_skipped += 1;
         }
         if self.reports && telemetry::enabled() {
-            let world = self.reducer.comm().map_or(1, Communicator::world);
+            let world = self.reducer.comm().map(Communicator::world);
             let phases = std::mem::take(&mut self.phases);
             record_step(
                 self.labels,
@@ -595,7 +552,7 @@ impl<R: Reducer> StepEngine<R> {
         else {
             return Ok(());
         };
-        let sp = self.span(self.labels.remap);
+        let sp = self.span("samo.step.remap");
         let (layers, scratch, reducer) =
             (&mut self.layers, &mut self.remap_scratch, &mut self.reducer);
         let (mut i, mut moved, mut res) = (0, false, Ok(()));
@@ -638,7 +595,7 @@ impl<R: Reducer> StepEngine<R> {
                 telemetry::global().counter(&name).inc();
             }
         }
-        drop(sp);
+        self.end_phase(sp);
         Ok(())
     }
 }
@@ -824,9 +781,18 @@ pub(crate) fn apply_meta(
     *steps_skipped = meta.steps_skipped;
 }
 
+/// Counts a restore from a checkpoint, whichever runtime ran it.
+pub(crate) fn count_recovery() {
+    if telemetry::enabled() {
+        telemetry::global().counter("samo.ckpt.recoveries").inc();
+    }
+}
+
 /// Cold path: metric/JSONL bookkeeping for one completed step of one
-/// rank holding `layers`, in a group of `world`. `meta` is the state
-/// *after* the verdict.
+/// rank holding `layers`, in a ring group of `world` (a single worker has
+/// none, and reports the flat payload a data-parallel step would move,
+/// Eq. 9, instead of the ring byte model and its cumulative counter).
+/// `meta` is the state *after* the verdict.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn record_step(
     labels: &Labels,
@@ -835,35 +801,26 @@ pub(crate) fn record_step(
     meta: TrainerMeta,
     layers: &[SamoLayerState],
     opt: &Optimizer,
-    world: usize,
+    world: Option<usize>,
     phases: Vec<(&'static str, f64)>,
 ) {
-    let reg = telemetry::global();
     let prefix = labels.prefix;
-    let verdict = if applied { "taken" } else { "skipped" };
-    reg.counter(&format!("{prefix}.steps_{verdict}")).inc();
-    reg.gauge(&format!("{prefix}.loss_scale"))
-        .set(f64::from(meta.loss_scale));
-    let Some(kind) = labels.kind else { return };
     let numel = layers.iter().map(|l| l.numel()).sum::<usize>() as u64;
     let nnz = layers.iter().map(|l| l.nnz()).sum::<usize>() as u64;
-    let bytes = layers.iter().map(|l| l.measured_bytes(true)).sum();
-    if let Some(gauge) = labels.state_gauge {
-        reg.gauge(gauge).set_max(bytes as f64);
-    }
-    let allreduce_bytes = if labels.ring {
-        let step_bytes = samo_ring_allreduce_bytes(nnz, world as u64);
-        reg.counter(&format!("{prefix}.allreduce_bytes"))
-            .add(step_bytes);
-        step_bytes
-    } else {
-        samo_allreduce_bytes(nnz)
+    let allreduce_bytes = match world {
+        Some(world) => {
+            let step_bytes = samo_ring_allreduce_bytes(nnz, world as u64);
+            let name = format!("{prefix}.allreduce_bytes");
+            telemetry::global().counter(&name).add(step_bytes);
+            step_bytes
+        }
+        None => samo_allreduce_bytes(nnz),
     };
     // Shards carry per-rank remainders; the paper's closed form holds
     // for a state that owns the whole compressed range.
     let unsharded = !layers.iter().any(SamoLayerState::is_sharded);
-    telemetry::jsonl::emit_step(&telemetry::StepEvent {
-        kind,
+    let ev = telemetry::StepEvent {
+        runtime: prefix.replace('.', "_"),
         step: meta.steps_taken + meta.steps_skipped - 1,
         applied,
         loss_scale: scale_used,
@@ -871,9 +828,23 @@ pub(crate) fn record_step(
         steps_skipped: meta.steps_skipped,
         numel,
         nnz,
-        model_state_bytes: bytes,
+        model_state_bytes: layers.iter().map(|l| l.measured_bytes(true)).sum(),
         formula_state_bytes: unsharded.then(|| formula_state_bytes(opt, numel, nnz)),
         allreduce_bytes,
         phases,
-    });
+    };
+    report_step(prefix, meta.loss_scale, &ev);
+}
+
+/// The counters and gauges every runtime keeps under its `prefix`, and
+/// the step event itself. `scale_now` is the loss scale after the verdict.
+pub(crate) fn report_step(prefix: &str, scale_now: f32, ev: &telemetry::StepEvent) {
+    let reg = telemetry::global();
+    let verdict = if ev.applied { "taken" } else { "skipped" };
+    reg.counter(&format!("{prefix}.steps_{verdict}")).inc();
+    reg.gauge(&format!("{prefix}.loss_scale"))
+        .set(f64::from(scale_now));
+    reg.gauge(&format!("{prefix}.model_state_bytes"))
+        .set_max(ev.model_state_bytes as f64);
+    telemetry::jsonl::emit_step(ev);
 }

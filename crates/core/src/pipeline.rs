@@ -81,7 +81,9 @@ use nn::mixed::{LossScaler, Optimizer};
 use prune::Mask;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use telemetry::clock::now_us;
 use telemetry::json::Json;
+use telemetry::trace::{self, lane};
 use tensor::Tensor;
 
 /// Produces stage 0's boundary input for `(data_idx, microbatch)`.
@@ -91,78 +93,6 @@ pub type InputFn = Arc<dyn Fn(usize, usize) -> Tensor + Send + Sync>;
 /// current loss scale, returns the **scaled** output gradient
 /// `d(scale·loss)/d(output)` seeding backward.
 pub type LossGradFn = Arc<dyn Fn(usize, usize, &Tensor, f32) -> Tensor + Send + Sync>;
-
-/// Per-stage Perfetto trace rows: every forward/backward slice a stage
-/// executes is recorded as one Chrome `trace_event` complete event on
-/// **pid 3** (pid 0 is the simulated pipeline, pid 1 live spans, pid 2
-/// comms ring hops), one `tid` lane per `(data_idx, stage)` rank. The
-/// timeline origin is shared with the comms hops
-/// ([`comms::trace::now_us`]), so stage compute and ring traffic line
-/// up in one combined trace. Recording is gated on
-/// [`telemetry::enabled`].
-pub mod trace {
-    use telemetry::json::Json;
-    use telemetry::sink::Handle;
-    use telemetry::trace::TraceEvent;
-    use telemetry::ThreadLocalSink;
-
-    /// The pid lane for live pipeline-stage events in combined traces.
-    pub const PIPELINE_TRACE_PID: u64 = 3;
-
-    static EVENTS: ThreadLocalSink<TraceEvent> = ThreadLocalSink::new();
-
-    thread_local! {
-        static LOCAL_EVENTS: Handle<TraceEvent> = EVENTS.handle();
-    }
-
-    /// Records one stage compute slice on the rank's lane. Each rank
-    /// thread buffers into its own [`ThreadLocalSink`] buffer, so the
-    /// hot path never contends on a global lock; buffers survive thread
-    /// death, so a killed rank's slices still reach [`take_events`].
-    pub fn record_slice(
-        lane: u64,
-        name: String,
-        ts_us: f64,
-        dur_us: f64,
-        args: Vec<(String, Json)>,
-    ) {
-        LOCAL_EVENTS.with(|buf| {
-            buf.lock().push(TraceEvent {
-                name,
-                cat: "pipeline".into(),
-                pid: PIPELINE_TRACE_PID,
-                tid: lane,
-                ts_us,
-                dur_us,
-                args,
-            })
-        });
-    }
-
-    /// Records the per-rank **step window** slice (`name: "step"`,
-    /// `args.step = N`, `args.group = lane base`) that
-    /// [`telemetry::critical_path`] uses to attribute compute/comm/wait
-    /// slices to training steps. The group id keeps same-numbered steps
-    /// of two pipeline groups in one process from merging.
-    pub fn record_step_window(lane: u64, group: u64, step: u64, ts_us: f64, dur_us: f64) {
-        record_slice(
-            lane,
-            "step".into(),
-            ts_us,
-            dur_us,
-            vec![
-                ("step".into(), Json::UInt(step)),
-                ("group".into(), Json::UInt(group)),
-            ],
-        );
-    }
-
-    /// Drains every recorded stage event (for trace-file assembly),
-    /// including buffers of threads that have already exited.
-    pub fn take_events() -> Vec<TraceEvent> {
-        EVENTS.drain()
-    }
-}
 
 /// Pipeline decomposition and scheduling knobs.
 #[derive(Clone, Debug)]
@@ -218,7 +148,7 @@ pub struct StageStats {
     /// Just-in-time activation recomputations performed.
     pub recomputes: u64,
     /// When this rank's scheduler loop last started/ended, microseconds
-    /// on the shared comms-trace clock ([`comms::trace::now_us`]) — the
+    /// on the shared comms-trace clock ([`now_us`]) — the
     /// bubble bench reconstructs the step makespan across ranks from
     /// these (`max(end) − min(start)` over the group).
     pub last_sched_start_us: f64,
@@ -257,8 +187,10 @@ struct StageRank {
     data_idx: usize,
     cfg: PipelineConfig,
     /// Global trace lane (`tid`) of this rank: unique across every
-    /// pipeline group of the process, shared by the rank's pipeline
-    /// slices (pid 3) and both communicators' comms slices (pid 2).
+    /// pipeline group of the process, shared by the rank's stage
+    /// slices ([`lane::PIPELINE`]: every forward/backward it executes,
+    /// plus the step window) and both communicators' comms slices, on
+    /// one clock, so stage compute and ring traffic line up.
     lane: u64,
     /// Index of this stage's first parameter in whole-model order, and
     /// the whole model's parameter count.
@@ -294,12 +226,11 @@ impl RankWorker for StageRank {
     }
 
     fn step(&mut self, job: &StepJob) -> Result<bool, CommsError> {
-        let tel = telemetry::enabled();
         // Step window start: the "step" slice recorded on completion
         // covers the scheduler loop plus the collective epilogue, so
         // the critical-path analyzer can attribute every compute/comm/
         // wait slice inside it to this training step.
-        let win0 = tel.then(comms::trace::now_us);
+        let win0 = telemetry::enabled().then(now_us);
         let m = self.cfg.microbatches;
         let s = self.stage;
         let last = self.is_last();
@@ -310,7 +241,7 @@ impl RankWorker for StageRank {
         self.cache_mb = None;
 
         // Message-driven schedule: backward preferred over forward.
-        self.stats.last_sched_start_us = comms::trace::now_us();
+        self.stats.last_sched_start_us = now_us();
         let wall0 = Instant::now();
         let mut fwd_done = 0usize;
         let mut bwd_done = 0usize;
@@ -332,7 +263,7 @@ impl RankWorker for StageRank {
                     .transpose()?
             };
             if let Some(dy) = dy {
-                self.backward_mb(bwd_done, &dy, bwd_done + 1 == m, step, tel)?;
+                self.backward_mb(bwd_done, &dy, bwd_done + 1 == m, step)?;
                 bwd_done += 1;
                 progressed = true;
             }
@@ -348,7 +279,7 @@ impl RankWorker for StageRank {
                         .transpose()?
                 };
                 if let Some(x) = x {
-                    self.forward_mb(fwd_done, x, step, tel)?;
+                    self.forward_mb(fwd_done, x, step)?;
                     fwd_done += 1;
                     progressed = true;
                 }
@@ -363,30 +294,21 @@ impl RankWorker for StageRank {
                 self.engine.pump()?;
                 if last_progress.elapsed() > self.cfg.timeout {
                     let from = if last { s.saturating_sub(1) } else { s + 1 };
-                    if tel {
-                        // The scheduler starved to its progress deadline:
-                        // make the stall visible as a timed-out wait
-                        // slice, like the blocking-recv deadline path.
-                        let t1 = comms::trace::now_us();
-                        let stalled_us = last_progress.elapsed().as_secs_f64() * 1e6;
-                        comms::trace::record_wait(
-                            self.lane,
-                            format!("sched stall (mb {fwd_done}f/{bwd_done}b)"),
-                            t1 - stalled_us,
-                            stalled_us,
-                            vec![
-                                ("from".to_string(), Json::from(from)),
-                                ("timed_out".to_string(), Json::Bool(true)),
-                            ],
-                        );
-                    }
+                    // The scheduler starved to its progress deadline:
+                    // make the stall visible as a timed-out wait slice,
+                    // like the blocking-recv deadline path.
+                    let t1 = now_us();
+                    let t0 = t1 - last_progress.elapsed().as_secs_f64() * 1e6;
+                    self.pipe.wait_slice(t0, t1, from, true, || {
+                        format!("sched stall (mb {fwd_done}f/{bwd_done}b)")
+                    });
                     return Err(CommsError::Timeout { rank: s, from });
                 }
                 std::thread::yield_now();
             }
         }
         self.stats.sched_wall_s += wall0.elapsed().as_secs_f64();
-        self.stats.last_sched_end_us = comms::trace::now_us();
+        self.stats.last_sched_end_us = now_us();
 
         // Collective epilogue: finish the overlapped rings, install the
         // reduced gradients and agree on this stage's overflow flag
@@ -461,10 +383,19 @@ impl StageRank {
     /// when telemetry is enabled and the step reached a verdict (error
     /// paths skip it — a dead rank's wait slices still tell the story).
     fn finish_step_telemetry(&mut self, step: u32, win0: f64) {
-        let now = comms::trace::now_us();
+        let now = now_us();
         let dur_us = (now - win0).max(0.0);
+        // The step window `telemetry::critical_path` attributes this
+        // rank's compute/comm/wait slices to; the group id (lane base)
+        // keeps same-numbered steps of two groups from merging.
         let group = self.lane - (self.data_idx * self.cfg.g_inter + self.stage) as u64;
-        trace::record_step_window(self.lane, group, u64::from(step), win0, dur_us);
+        trace::slice(lane::PIPELINE, self.lane, "pipeline", win0, dur_us, || {
+            let uint = |k: &str, v: u64| (k.to_string(), Json::UInt(v));
+            (
+                "step".into(),
+                vec![uint("step", u64::from(step)), uint("group", group)],
+            )
+        });
         let place = (self.stage, self.cfg.g_inter);
         let (data, rolling) = (&mut self.engine.reducer.0, &mut self.rank_dur_stats);
         relay_step_metrics(step, dur_us, place, Some(&mut self.pipe), data, rolling);
@@ -473,13 +404,17 @@ impl StageRank {
     /// Records one forward/backward compute slice on this rank's lane.
     fn record_mb_slice(&self, kind: char, mb: usize, ts: Option<f64>, dt: f64) {
         if let Some(ts) = ts {
-            let args = vec![("mb".into(), Json::UInt(mb as u64))];
-            trace::record_slice(self.lane, format!("{kind}{mb}"), ts, dt * 1e6, args);
+            trace::slice(lane::PIPELINE, self.lane, "pipeline", ts, dt * 1e6, || {
+                (
+                    format!("{kind}{mb}"),
+                    vec![("mb".into(), Json::UInt(mb as u64))],
+                )
+            });
         }
     }
 
-    fn forward_mb(&mut self, mb: usize, x: Tensor, step: u32, tel: bool) -> Result<(), CommsError> {
-        let ts = tel.then(comms::trace::now_us);
+    fn forward_mb(&mut self, mb: usize, x: Tensor, step: u32) -> Result<(), CommsError> {
+        let ts = telemetry::enabled().then(now_us);
         let t0 = Instant::now();
         let y = self.block.forward(&x);
         let dt = t0.elapsed().as_secs_f64();
@@ -506,9 +441,8 @@ impl StageRank {
         dy: &Tensor,
         last_mb: bool,
         step: u32,
-        tel: bool,
     ) -> Result<(), CommsError> {
-        let ts = tel.then(comms::trace::now_us);
+        let ts = telemetry::enabled().then(now_us);
         let t0 = Instant::now();
         if self.cfg.force_recompute || self.cache_mb != Some(mb) {
             // The activation caches belong to a different microbatch:

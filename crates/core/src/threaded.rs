@@ -509,17 +509,11 @@ impl<M: Layer + Send + 'static, T: Transport + 'static> RankWorker for Rank<M, T
             // compressed bucket layout, are renegotiated from the final
             // gradients — run a plain backward, then the engine's inline
             // remap → compress → reduce.
-            let sp = self.engine.span("samo.dp_threaded.remap");
             let _ = self.model.backward(&dy);
-            let finite = self.engine.reduce_after_backward(&mut self.model)?;
-            self.engine.end_phase(sp);
-            finite
+            self.engine.reduce_after_backward(&mut self.model)?
         } else {
-            let sp = self.engine.span("samo.dp_threaded.backward_allreduce");
             self.engine.backward_overlapped(&mut self.model, &dy)?;
-            let finite = self.engine.finish_reduce()?;
-            self.engine.end_phase(sp);
-            finite
+            self.engine.finish_reduce()?
         };
         let applied = self.engine.apply(&mut self.model, finite)?;
         if let Some(t0) = t_step0 {

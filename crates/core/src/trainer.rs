@@ -3,7 +3,7 @@
 //! equivalent to, plus the closed forms of the model-state memory and of
 //! the compressed data-parallel gradient all-reduce (paper Sec. IV-A).
 
-use crate::engine::{NoReduce, StepEngine, SAMO};
+use crate::engine::{report_step, NoReduce, StepEngine, SAMO};
 use nn::layer::Layer;
 use nn::mixed::{DenseMixedState, LossScaler, Optimizer};
 use prune::Mask;
@@ -182,7 +182,8 @@ impl DenseMaskedTrainer {
         proceed
     }
 
-    /// Cold path: metric/JSONL bookkeeping for one completed `step()`.
+    /// Cold path: the same step record and `dense.*` metrics every SAMO
+    /// runtime keeps, under `runtime: "dense_masked"`.
     fn record_step(
         &self,
         applied: bool,
@@ -191,39 +192,22 @@ impl DenseMaskedTrainer {
         t_optimizer: Option<f64>,
     ) {
         let numel = self.numel() as u64;
-        let nnz = self.nnz() as u64;
-        let reg = telemetry::global();
-        reg.counter(if applied {
-            "dense.steps_taken"
-        } else {
-            "dense.steps_skipped"
-        })
-        .inc();
-        reg.gauge("dense.loss_scale")
-            .set(f64::from(self.scaler.scale()));
-        let bytes = self.model_state_bytes();
-        reg.gauge("dense.model_state_bytes").set_max(bytes as f64);
-        let mut phases = Vec::new();
-        if let Some(t) = t_mask_grad {
-            phases.push(("mask_grad", t));
-        }
-        if let Some(t) = t_optimizer {
-            phases.push(("optimizer", t));
-        }
-        telemetry::jsonl::emit_step(&telemetry::StepEvent {
-            kind: "dense_masked",
+        let phases = [("mask_grad", t_mask_grad), ("optimizer", t_optimizer)];
+        let ev = telemetry::StepEvent {
+            runtime: "dense_masked".into(),
             step: self.steps_taken + self.steps_skipped - 1,
             applied,
             loss_scale: scale_used,
             steps_taken: self.steps_taken,
             steps_skipped: self.steps_skipped,
             numel,
-            nnz,
-            model_state_bytes: bytes,
+            nnz: self.nnz() as u64,
+            model_state_bytes: self.model_state_bytes(),
             formula_state_bytes: Some(dense_formula_state_bytes(&self.opt, numel)),
             allreduce_bytes: dense_allreduce_bytes(numel),
-            phases,
-        });
+            phases: phases.into_iter().filter_map(|(n, t)| Some((n, t?))).collect(),
+        };
+        report_step("dense", self.scaler.scale(), &ev);
     }
 }
 

@@ -23,8 +23,14 @@
 //! * [`client`] — a blocking deadline-aware client,
 //! * [`loadgen`] — the closed-loop SLA load generator,
 //! * [`harness`] — the toy training job the tests and benches publish
-//!   checkpoints from,
-//! * [`trace`] — request/batch/compute/reload slices on trace pid 4.
+//!   checkpoints from.
+//!
+//! With telemetry on, each request's life is traced on the serving lane
+//! of the one recorder (`telemetry::trace::lane::SERVE`), one `tid` per
+//! replica: its `queue` wait from enqueue to dispatch, the `batch` it
+//! was coalesced into and the `compute` slice inside the batch — with
+//! `reload` slices on one more `tid` (index = replica count) cutting
+//! across them when a hot checkpoint swap lands.
 //!
 //! The serving invariant that everything above hangs off: a reply
 //! stamped with checkpoint step `s` is **bitwise identical** to a
@@ -42,7 +48,6 @@ mod replica;
 pub mod reload;
 pub mod server;
 mod stats;
-pub mod trace;
 
 pub use batcher::BatchPolicy;
 pub use client::{InferReply, ServeClient, ServeError};

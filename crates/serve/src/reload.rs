@@ -21,7 +21,6 @@
 use crate::model::{build_model, Backend};
 use crate::server::DispatchMsg;
 use crate::stats::Shared;
-use crate::trace;
 use nn::mixed::Optimizer;
 use samo::CheckpointSubscriber;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,6 +29,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use telemetry::json::Json;
+use telemetry::trace::{self, lane};
 
 pub(crate) struct WatcherConfig {
     pub sub: CheckpointSubscriber,
@@ -57,12 +57,12 @@ fn watch(
     dispatch: Sender<DispatchMsg>,
     shutdown: Arc<AtomicBool>,
 ) {
-    let watcher_lane = cfg.replicas as u64;
+    let watcher_tid = cfg.replicas as u64;
     while !shutdown.load(Ordering::Relaxed) {
         std::thread::sleep(cfg.poll);
         let Some((step, path)) = cfg.sub.poll() else { continue };
         let t0 = Instant::now();
-        let load_ts = trace::now_us();
+        let load_ts = telemetry::clock::now_us();
         // Load + verify + build: all off the serving path.
         let loaded = match crate::model::load_verified(&path, step, &cfg.opt) {
             Ok(l) => l,
@@ -108,18 +108,13 @@ fn watch(
         shared
             .last_blackout_us
             .store(blackout.as_micros() as u64, Ordering::Relaxed);
-        trace::record_slice(
-            watcher_lane,
-            "reload",
-            format!("reload step={step}"),
-            load_ts,
-            t0.elapsed().as_secs_f64() * 1e6,
-            vec![
-                ("step".to_string(), Json::UInt(step)),
-                ("blackout_us".to_string(), Json::UInt(blackout.as_micros() as u64)),
-                ("acked".to_string(), Json::UInt(acked as u64)),
-            ],
-        );
+        let dur_us = t0.elapsed().as_secs_f64() * 1e6;
+        trace::slice(lane::SERVE, watcher_tid, "reload", load_ts, dur_us, || {
+            let uint = |k: &str, v: u64| (k.to_string(), Json::UInt(v));
+            let blackout_us = uint("blackout_us", blackout.as_micros() as u64);
+            let args = vec![uint("step", step), blackout_us, uint("acked", acked as u64)];
+            (format!("reload step={step}"), args)
+        });
         telemetry::log_info!(
             "serve: hot-reloaded step {step} on {acked}/{} replicas, blackout {:.2} ms",
             cfg.replicas,

@@ -20,7 +20,6 @@
 use crate::model::BuiltModel;
 use crate::protocol;
 use crate::stats::Shared;
-use crate::trace;
 use comms::tcp::framing;
 use comms::Message;
 use nn::Layer;
@@ -30,7 +29,9 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
+use telemetry::clock::now_us;
 use telemetry::json::Json;
+use telemetry::trace::{self, lane};
 
 /// The write half of one client connection, shared by every replica
 /// that answers that client. A failed write marks the connection dead
@@ -132,9 +133,9 @@ fn run_batch(
     input: &mut Vec<f32>,
     output: &mut Vec<f32>,
 ) {
-    let lane = idx as u64;
+    let tid = idx as u64;
     let t_batch = Instant::now();
-    let batch_ts = trace::now_us();
+    let batch_ts = now_us();
     // Shape-check first: misfits get an error reply, the rest batch.
     let mut good: Vec<Pending> = Vec::with_capacity(batch.len());
     for p in batch {
@@ -158,25 +159,15 @@ fn run_batch(
     input.clear();
     for p in &good {
         input.extend_from_slice(&p.features);
-        trace::record_slice(
-            lane,
-            "queue",
-            format!("queue req {}", p.id),
-            p.enqueued_us,
-            batch_ts - p.enqueued_us,
-            vec![("id".to_string(), Json::UInt(p.id))],
-        );
+        trace::slice(lane::SERVE, tid, "queue", p.enqueued_us, batch_ts - p.enqueued_us, || {
+            (format!("queue req {}", p.id), vec![("id".to_string(), Json::UInt(p.id))])
+        });
     }
-    let compute_ts = trace::now_us();
+    let compute_ts = now_us();
     let out_cols = model.seq.infer_batch(input, n, model.in_features, output);
-    trace::record_slice(
-        lane,
-        "compute",
-        format!("infer n={n}"),
-        compute_ts,
-        trace::now_us() - compute_ts,
-        vec![("rows".to_string(), Json::UInt(n as u64))],
-    );
+    trace::slice(lane::SERVE, tid, "compute", compute_ts, now_us() - compute_ts, || {
+        (format!("infer n={n}"), vec![("rows".to_string(), Json::UInt(n as u64))])
+    });
     for (j, p) in good.iter().enumerate() {
         let out = output[j * out_cols..(j + 1) * out_cols].to_vec();
         if p.conn.send(&protocol::reply(p.id, step, out)) {
@@ -189,15 +180,8 @@ fn run_batch(
     shared.requests.fetch_add(n as u64, Ordering::Relaxed);
     shared.batches.fetch_add(1, Ordering::Relaxed);
     shared.batch_fill.record(n as f64);
-    trace::record_slice(
-        lane,
-        "batch",
-        format!("batch n={n} step={step}"),
-        batch_ts,
-        t_batch.elapsed().as_secs_f64() * 1e6,
-        vec![
-            ("rows".to_string(), Json::UInt(n as u64)),
-            ("step".to_string(), Json::UInt(step)),
-        ],
-    );
+    trace::slice(lane::SERVE, tid, "batch", batch_ts, t_batch.elapsed().as_secs_f64() * 1e6, || {
+        let uint = |k: &str, v: u64| (k.to_string(), Json::UInt(v));
+        (format!("batch n={n} step={step}"), vec![uint("rows", n as u64), uint("step", step)])
+    });
 }

@@ -28,7 +28,6 @@ use crate::protocol::{self, ServerBound};
 use crate::reload::{spawn_watcher, WatcherConfig};
 use crate::replica::{spawn_replica, ConnWriter, Pending, ReplicaCmd, ReplicaHandle};
 use crate::stats::{ServeStats, Shared};
-use crate::trace;
 use comms::tcp::framing;
 use nn::mixed::Optimizer;
 use samo::{CheckpointSubscriber, SamoLayerState};
@@ -291,7 +290,7 @@ fn conn_loop(mut stream: TcpStream, tx: Sender<DispatchMsg>, shutdown: Arc<Atomi
                         id,
                         features,
                         enqueued: Instant::now(),
-                        enqueued_us: trace::now_us(),
+                        enqueued_us: telemetry::clock::now_us(),
                         conn: writer.clone(),
                     };
                     if tx.send(DispatchMsg::Request(pending)).is_err() {

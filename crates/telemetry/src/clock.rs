@@ -1,7 +1,6 @@
 //! The shared, resettable trace clock.
 //!
-//! Every trace lane in the workspace — live spans (`pid 1`), comms ring
-//! hops (`pid 2`), pipeline stage slices (`pid 3`) — stamps events with
+//! Every live trace lane ([`crate::trace::lane`]) stamps events with
 //! [`now_us`] so slices from different subsystems line up on one
 //! Perfetto timeline. The clock is monotonic within a session and
 //! resettable between sessions: sequential `repro` subcommands in one

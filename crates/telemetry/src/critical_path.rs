@@ -3,8 +3,8 @@
 //!
 //! [`analyze`] walks a trace document produced by
 //! [`crate::trace::write_chrome_trace_with_flows`] — per-rank slice
-//! lanes on pids 2 (comms) and 3 (pipeline runtime) plus `ph:"s"/"f"`
-//! flow pairs — and answers "where did each training step's wall time
+//! lanes on the [`lane::COMMS`] and [`lane::PIPELINE`] pids plus
+//! `ph:"s"/"f"` flow pairs — and answers "where did each training step's wall time
 //! go":
 //!
 //! * **Decomposition** — per lane, per step, the step window is split
@@ -29,11 +29,7 @@
 //! on pid 3) contains their start time.
 
 use crate::json::Json;
-
-/// Trace pid carrying comms slices (ring hops, sends, recv waits).
-pub const COMMS_PID: u64 = 2;
-/// Trace pid carrying pipeline-runtime slices (F/B compute, windows).
-pub const PIPELINE_PID: u64 = 3;
+use crate::trace::lane;
 
 /// Per-lane share of one step window.
 #[derive(Debug, Clone, PartialEq)]
@@ -212,8 +208,8 @@ fn classify(pid: u64, cat: &str, name: &str) -> Class {
     match (pid, cat) {
         (_, "wait") => Class::Wait,
         (_, "comms") => Class::Comm,
-        (PIPELINE_PID, "pipeline") if name == "step" => Class::Window,
-        (PIPELINE_PID, "pipeline") => Class::Compute,
+        (lane::PIPELINE, "pipeline") if name == "step" => Class::Window,
+        (lane::PIPELINE, "pipeline") => Class::Compute,
         _ => Class::Other,
     }
 }
@@ -241,7 +237,7 @@ pub fn analyze(doc: &Json) -> Result<Analysis, String> {
         let ts = ev.get("ts").and_then(num).unwrap_or(0.0);
         match ph {
             "X" => {
-                if pid != COMMS_PID && pid != PIPELINE_PID {
+                if pid != lane::COMMS && pid != lane::PIPELINE {
                     continue;
                 }
                 let cat = ev.get("cat").and_then(str_of).unwrap_or("");
@@ -603,7 +599,7 @@ mod tests {
         FlowEvent {
             name: "p2p".into(),
             cat: "flow".into(),
-            pid: COMMS_PID,
+            pid: lane::COMMS,
             tid,
             ts_us: ts,
             id,
@@ -616,12 +612,12 @@ mod tests {
     /// chain 40 + 2 + 50 = 92 over either lane alone (≤ 50).
     fn two_lane_doc() -> Json {
         let events = vec![
-            slice(PIPELINE_PID, 0, "pipeline", "step", 0.0, 100.0, Some(1)),
-            slice(PIPELINE_PID, 1, "pipeline", "step", 0.0, 100.0, Some(1)),
-            slice(PIPELINE_PID, 0, "pipeline", "F0", 0.0, 40.0, None),
-            slice(COMMS_PID, 0, "comms", "send", 40.0, 2.0, None),
-            slice(COMMS_PID, 1, "wait", "recv", 0.0, 50.0, None),
-            slice(PIPELINE_PID, 1, "pipeline", "F0", 50.0, 50.0, None),
+            slice(lane::PIPELINE, 0, "pipeline", "step", 0.0, 100.0, Some(1)),
+            slice(lane::PIPELINE, 1, "pipeline", "step", 0.0, 100.0, Some(1)),
+            slice(lane::PIPELINE, 0, "pipeline", "F0", 0.0, 40.0, None),
+            slice(lane::COMMS, 0, "comms", "send", 40.0, 2.0, None),
+            slice(lane::COMMS, 1, "wait", "recv", 0.0, 50.0, None),
+            slice(lane::PIPELINE, 1, "pipeline", "F0", 50.0, 50.0, None),
         ];
         let flows = vec![flow(0, 41.0, 7, true), flow(1, 49.0, 7, false)];
         chrome_trace_json_with_flows(&events, &flows)
@@ -679,9 +675,9 @@ mod tests {
         // A ring hop pumped inside a backward slice: comm wins, compute
         // loses the overlap, and the hop is fully overlapped.
         let events = vec![
-            slice(PIPELINE_PID, 0, "pipeline", "step", 0.0, 100.0, Some(0)),
-            slice(PIPELINE_PID, 0, "pipeline", "B0", 10.0, 60.0, None),
-            slice(COMMS_PID, 0, "comms", "ring0 rs seg1", 20.0, 10.0, None),
+            slice(lane::PIPELINE, 0, "pipeline", "step", 0.0, 100.0, Some(0)),
+            slice(lane::PIPELINE, 0, "pipeline", "B0", 10.0, 60.0, None),
+            slice(lane::COMMS, 0, "comms", "ring0 rs seg1", 20.0, 10.0, None),
         ];
         let a = analyze(&chrome_trace_json_with_flows(&events, &[])).unwrap();
         let lane = &a.steps[0].lanes[0];
@@ -695,15 +691,15 @@ mod tests {
         // Two sequential runtime groups whose step counters both start
         // at 0: merging their windows would report a bogus makespan
         // spanning both runs. `args.group` keeps them separate.
-        let mut g0 = slice(PIPELINE_PID, 0, "pipeline", "step", 0.0, 100.0, Some(0));
+        let mut g0 = slice(lane::PIPELINE, 0, "pipeline", "step", 0.0, 100.0, Some(0));
         g0.args.push(("group".into(), Json::UInt(0)));
-        let mut g1 = slice(PIPELINE_PID, 5, "pipeline", "step", 10_000.0, 200.0, Some(0));
+        let mut g1 = slice(lane::PIPELINE, 5, "pipeline", "step", 10_000.0, 200.0, Some(0));
         g1.args.push(("group".into(), Json::UInt(5)));
         let events = vec![
             g0,
             g1,
-            slice(PIPELINE_PID, 0, "pipeline", "F0", 0.0, 80.0, None),
-            slice(PIPELINE_PID, 5, "pipeline", "F0", 10_000.0, 150.0, None),
+            slice(lane::PIPELINE, 0, "pipeline", "F0", 0.0, 80.0, None),
+            slice(lane::PIPELINE, 5, "pipeline", "F0", 10_000.0, 150.0, None),
         ];
         let a = analyze(&chrome_trace_json_with_flows(&events, &[])).unwrap();
         assert_eq!(a.steps.len(), 2);

@@ -1,6 +1,7 @@
 //! One-line-per-training-step JSONL metric records.
 //!
-//! Trainers emit a [`StepEvent`] per optimizer step; with telemetry
+//! Every training runtime emits the same [`StepEvent`] per optimizer
+//! step (`kind: "step"`, told apart by `runtime`); with telemetry
 //! enabled each event is appended as a single JSON object line to
 //! `<results>/metrics.jsonl`, where `<results>` honours
 //! `SAMO_RESULTS_DIR` (default `results`). The file is truncated the
@@ -21,8 +22,10 @@ use std::sync::OnceLock;
 /// replicas with per-rank remainders).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepEvent {
-    /// Which trainer produced the event: `samo`, `dense_masked`, `samo_dp`.
-    pub kind: &'static str,
+    /// Which runtime produced the event: `samo`, `samo_dp`,
+    /// `samo_dp_threaded`, `samo_pipeline` or the dense baseline
+    /// `dense_masked`. Every runtime writes the same keys.
+    pub runtime: String,
     /// 0-based index of this `step()` call (applied or skipped).
     pub step: u64,
     /// False when the dynamic loss scaler skipped the update.
@@ -48,7 +51,8 @@ impl StepEvent {
     /// The JSON object written as one line.
     pub fn to_json(&self) -> Json {
         let mut fields: Vec<(String, Json)> = vec![
-            ("kind".into(), Json::from(self.kind)),
+            ("kind".into(), Json::from("step")),
+            ("runtime".into(), Json::Str(self.runtime.clone())),
             ("step".into(), Json::UInt(self.step)),
             ("applied".into(), Json::Bool(self.applied)),
             ("loss_scale".into(), Json::Num(f64::from(self.loss_scale))),
@@ -179,7 +183,7 @@ mod tests {
     #[test]
     fn step_event_serialises_all_fields() {
         let ev = StepEvent {
-            kind: "samo",
+            runtime: "samo".into(),
             step: 3,
             applied: true,
             loss_scale: 65536.0,
@@ -195,7 +199,8 @@ mod tests {
         let line = ev.to_json().render();
         assert!(line.starts_with('{') && line.ends_with('}'));
         for key in [
-            "\"kind\":\"samo\"",
+            "\"kind\":\"step\"",
+            "\"runtime\":\"samo\"",
             "\"step\":3",
             "\"applied\":true",
             "\"loss_scale\":65536",
@@ -214,7 +219,7 @@ mod tests {
     #[test]
     fn formula_none_serialises_as_null() {
         let ev = StepEvent {
-            kind: "samo_dp",
+            runtime: "samo_dp".into(),
             step: 0,
             applied: false,
             loss_scale: 2.0,

@@ -10,20 +10,22 @@
 //! * [`registry`] — named [`Counter`]s, [`Gauge`]s and fixed-bucket
 //!   [`Histogram`]s, shared through a process-global [`Registry`]
 //!   (scoped registries are available for tests).
+//! * [`trace`] — the one trace recorder: [`trace::slice()`] and
+//!   [`trace::flow`] push into per-thread buffers on one of the live
+//!   lanes ([`trace::lane`]: spans, comms, pipeline, serve),
+//!   [`trace::take`] drains them, and the `chrome://tracing` / Perfetto
+//!   `trace_event` exporter writes them next to the simulated pipeline
+//!   schedule.
 //! * [`mod@span`] — RAII wall-clock timers. Every finished span feeds a
-//!   histogram (`<name>` in seconds) and, while telemetry is enabled, an
-//!   in-memory collector that the Chrome-trace exporter drains.
-//! * [`jsonl`] — one-line-per-training-step [`StepEvent`] records
-//!   appended to `metrics.jsonl` under the results directory
-//!   (`SAMO_RESULTS_DIR`, default `results`).
-//! * [`trace`] — `chrome://tracing` / Perfetto `trace_event` JSON export
-//!   for simulated pipeline schedules and collected live spans, plus
-//!   causal [`FlowEvent`] arrows between send/recv slices.
+//!   histogram (`<name>` in seconds) and becomes a slice on the spans
+//!   lane.
+//! * [`jsonl`] — one-line-per-training-step [`StepEvent`] records, one
+//!   schema for every runtime, appended to `metrics.jsonl` under the
+//!   results directory (`SAMO_RESULTS_DIR`, default `results`).
 //!
-//! Supporting cast: [`clock`] (the shared resettable trace clock all
-//! lanes stamp from), [`mod@sink`] (per-thread event buffers so
-//! recording never contends on a global lock), and [`critical_path`]
-//! (offline analyzer walking a merged trace's slices and flow edges).
+//! Supporting cast: [`clock`] (the shared resettable trace clock every
+//! lane stamps from) and [`critical_path`] (offline analyzer walking a
+//! merged trace's slices and flow edges).
 //!
 //! Plus [`logger`], a leveled stderr logger (`SAMO_LOG=quiet|info|debug`)
 //! so experiment drivers can keep stdout exclusively for machine-readable
@@ -43,14 +45,13 @@ pub mod json;
 pub mod jsonl;
 pub mod logger;
 pub mod registry;
-pub mod sink;
+mod sink;
 pub mod span;
 pub mod trace;
 
 pub use jsonl::StepEvent;
 pub use registry::{global, Counter, Gauge, Histogram, Registry};
-pub use sink::ThreadLocalSink;
-pub use span::{span, take_spans, SpanEvent, SpanGuard};
+pub use span::{span, SpanGuard};
 pub use trace::{FlowEvent, TraceEvent};
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -1,8 +1,8 @@
 //! Per-thread event buffers with a central drain.
 //!
-//! The trace recorders used to funnel every rank through one global
-//! `Mutex<Vec<_>>`, serialising all threads on the recording hot path.
-//! A [`ThreadLocalSink`] instead hands each recording thread its own
+//! The buffers behind [`crate::trace`]. One global `Mutex<Vec<_>>`
+//! would serialise all threads on the recording hot path; a
+//! [`ThreadLocalSink`] instead hands each recording thread its own
 //! buffer: a push takes only that thread's (uncontended) lock, and the
 //! exporter later drains every buffer — including buffers whose owning
 //! thread has already exited or was killed mid-drill, because the
@@ -64,19 +64,11 @@ impl<T: Send> ThreadLocalSink<T> {
         out
     }
 
-    /// Total events currently buffered across all threads.
-    pub fn len(&self) -> usize {
-        self.buffers.lock().iter().map(|b| b.lock().len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<T: Send> Default for ThreadLocalSink<T> {
-    fn default() -> Self {
-        Self::new()
+    /// Buffers currently registered (one per thread that recorded and
+    /// is alive or undrained).
+    #[cfg(test)]
+    pub(crate) fn registered(&self) -> usize {
+        self.buffers.lock().len()
     }
 }
 
@@ -104,7 +96,7 @@ mod tests {
         assert_eq!(got, vec![0, 1, 2, 3, 100, 101, 102, 103]);
         // All four threads exited; their buffers were pruned.
         assert_eq!(SINK.drain(), Vec::<u32>::new());
-        assert!(SINK.buffers.lock().is_empty());
+        assert_eq!(SINK.registered(), 0);
     }
 
     #[test]

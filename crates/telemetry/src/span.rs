@@ -3,30 +3,12 @@
 //! A [`span`] measures the wall time between its creation and its
 //! [`SpanGuard::finish`] (or drop). When telemetry is enabled the
 //! duration is recorded into the global histogram named after the span,
-//! and the span is pushed to an in-memory collector that
-//! [`crate::trace::write_chrome_trace`] can later drain into a
-//! `chrome://tracing` file. When telemetry is disabled the guard is
+//! and the span becomes a slice on the [`lane::SPANS`] lane of the trace
+//! recorder ([`crate::trace`]). When telemetry is disabled the guard is
 //! inert apart from reading the clock once.
 
-use parking_lot::Mutex;
+use crate::trace::{self, lane};
 use std::time::Instant;
-
-/// Spans kept by the collector before new ones are dropped. Generous for
-/// any real run (a full `repro all --quick` produces a few thousand)
-/// while bounding memory if someone leaves telemetry on in a loop.
-pub const MAX_COLLECTED_SPANS: usize = 100_000;
-
-/// A finished span: name plus microsecond start/duration relative to the
-/// process epoch, tagged with an opaque thread id for trace lanes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanEvent {
-    pub name: String,
-    pub start_us: u64,
-    pub dur_us: u64,
-    pub tid: u64,
-}
-
-static COLLECTED: Mutex<Vec<SpanEvent>> = Mutex::new(Vec::new());
 
 fn current_tid() -> u64 {
     // Stable small ids per thread, assigned in first-use order.
@@ -79,17 +61,11 @@ impl SpanGuard {
         // Timestamps come off the shared trace clock so span lanes line
         // up with comms/pipeline lanes: start = now − duration, clamped
         // in case a clock reset happened mid-span.
-        let dur_us = dur.as_micros().min(u64::MAX as u128) as u64;
-        let start_us = (crate::clock::now_us() - dur_us as f64).max(0.0) as u64;
-        let mut collected = COLLECTED.lock();
-        if collected.len() < MAX_COLLECTED_SPANS {
-            collected.push(SpanEvent {
-                name: self.name.to_string(),
-                start_us,
-                dur_us,
-                tid: current_tid(),
-            });
-        }
+        let dur_us = dur.as_micros() as f64;
+        let start_us = (crate::clock::now_us() - dur_us).max(0.0);
+        trace::slice(lane::SPANS, current_tid(), "span", start_us, dur_us, || {
+            (self.name.to_string(), Vec::new())
+        });
     }
 }
 
@@ -99,35 +75,30 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Drain every span collected so far, leaving the collector empty.
-pub fn take_spans() -> Vec<SpanEvent> {
-    std::mem::take(&mut *COLLECTED.lock())
-}
-
-/// Number of spans currently held by the collector.
-pub fn collected_span_count() -> usize {
-    COLLECTED.lock().len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn span_records_histogram_and_collector_when_enabled() {
+    fn span_records_histogram_and_slice_when_enabled() {
         let _guard = crate::registry::test_lock();
         let was = crate::enabled();
         crate::set_enabled(true);
-        take_spans();
+        trace::take();
 
         let before = crate::global().histogram("test.span.unit").count();
         let s = span("test.span.unit");
         std::thread::sleep(std::time::Duration::from_millis(1));
         let secs = s.finish();
         assert!(secs >= 0.001);
-        assert_eq!(crate::global().histogram("test.span.unit").count(), before + 1);
-        let spans = take_spans();
-        assert!(spans.iter().any(|e| e.name == "test.span.unit" && e.dur_us >= 1000));
+        assert_eq!(
+            crate::global().histogram("test.span.unit").count(),
+            before + 1
+        );
+        let (slices, _) = trace::take();
+        assert!(slices.iter().any(|e| e.name == "test.span.unit"
+            && (e.pid, e.cat.as_str()) == (lane::SPANS, "span")
+            && e.dur_us >= 1000.0));
 
         crate::set_enabled(was);
     }
@@ -137,12 +108,12 @@ mod tests {
         let _guard = crate::registry::test_lock();
         let was = crate::enabled();
         crate::set_enabled(false);
-        take_spans();
+        trace::take();
 
         let before = crate::global().histogram("test.span.off").count();
         drop(span("test.span.off"));
         assert_eq!(crate::global().histogram("test.span.off").count(), before);
-        assert_eq!(collected_span_count(), 0);
+        assert!(trace::take().0.is_empty());
 
         crate::set_enabled(was);
     }

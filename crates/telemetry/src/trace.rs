@@ -1,14 +1,12 @@
-//! Chrome `trace_event` JSON export.
+//! The one trace recorder, and its Chrome `trace_event` JSON export.
 //!
-//! The output loads directly in `chrome://tracing` or
-//! [Perfetto](https://ui.perfetto.dev). Every event is a "complete"
-//! event (`ph: "X"`) with microsecond `ts`/`dur`; `pid`/`tid` pick the
-//! process/thread lanes the UI renders. By convention here:
-//!
-//! * `pid 0` — the simulated pipeline (one `tid` lane per GPU);
-//! * `pid 1` — live [`mod@crate::span`] timers (one `tid` lane per thread);
-//! * `pid 2` — comms: ring hops, sends, recv waits (one lane per rank);
-//! * `pid 3` — pipeline runtime stage slices (one lane per rank).
+//! Every timed slice any crate records goes through [`slice()`], every
+//! causal arrow through [`flow`]; [`take`] drains both. The output
+//! loads directly in `chrome://tracing` or
+//! [Perfetto](https://ui.perfetto.dev). Every slice is a "complete"
+//! event (`ph: "X"`) with microsecond `ts`/`dur` off the shared
+//! [`crate::clock`]; `pid`/`tid` pick the process/thread lanes the UI
+//! renders: the [`lane`] constants.
 //!
 //! Alongside slices the document may carry **flow events**
 //! ([`FlowEvent`], `ph: "s"`/`ph: "f"`): paired start/finish markers
@@ -16,11 +14,145 @@
 //! here, from every send to the recv it unblocked. Pairs match on
 //! `cat` + `id`, and `bp: "e"` binds each endpoint to its enclosing
 //! slice rather than to the next slice on the lane.
+//!
+//! # Recording
+//!
+//! [`slice()`] and [`flow`] check [`crate::enabled`] *before* running the
+//! closure that builds the name and args, so a disabled call site costs
+//! one relaxed load and allocates nothing, on every lane, by
+//! construction. Enabled, an event is pushed into the calling thread's
+//! own buffer (`ThreadLocalSink`): no cross-thread lock, and a buffer
+//! outlives its thread, so a rank killed mid-drill still contributes
+//! its events to [`take`]. At most [`MAX_COLLECTED_SPANS`] events are
+//! held between drains; the rest are counted in
+//! `telemetry.trace.dropped`.
 
 use crate::json::Json;
-use crate::span::SpanEvent;
+use crate::registry::Counter;
+use crate::sink::{Handle, ThreadLocalSink};
 use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+
+/// The `pid` of each lane group in a combined trace: the simulated
+/// schedule and the four live lanes.
+pub mod lane {
+    /// The simulated pipeline schedule, one `tid` per GPU — built by
+    /// `axonn_sim::chrome_trace_events`, never recorded live.
+    pub const SIMULATED: u64 = 0;
+    /// [`mod@crate::span`] timers, one `tid` per thread.
+    pub const SPANS: u64 = 1;
+    /// Ring hops, sends, recv waits and their flows, one `tid` per rank.
+    pub const COMMS: u64 = 2;
+    /// Pipeline-runtime stage slices and step windows, one `tid` per rank.
+    pub const PIPELINE: u64 = 3;
+    /// Serving queue/batch/compute slices, one `tid` per replica, plus
+    /// one (index = replica count) for the reload watcher.
+    pub const SERVE: u64 = 4;
+}
+
+/// Events (slices plus flows) held between two [`take`]s before new ones
+/// are dropped. Generous for any real run (a full `repro all --quick`
+/// produces a few thousand) while bounding memory if telemetry stays on
+/// in a long run that never drains.
+pub const MAX_COLLECTED_SPANS: usize = 100_000;
+
+static SLICES: ThreadLocalSink<TraceEvent> = ThreadLocalSink::new();
+static FLOWS: ThreadLocalSink<FlowEvent> = ThreadLocalSink::new();
+/// Events reserved or buffered; a relaxed counter, so the cap costs the
+/// recording path no lock.
+static HELD: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static LOCAL: (Handle<TraceEvent>, Handle<FlowEvent>) = (SLICES.handle(), FLOWS.handle());
+}
+
+fn dropped() -> &'static Counter {
+    static DROPPED: OnceLock<Arc<Counter>> = OnceLock::new();
+    DROPPED.get_or_init(|| crate::global().counter("telemetry.trace.dropped"))
+}
+
+/// Whether an event may be recorded now: telemetry on and room under
+/// the cap (a refusal for room is counted).
+fn admit() -> bool {
+    if !crate::enabled() {
+        return false;
+    }
+    if HELD.fetch_add(1, Ordering::Relaxed) < MAX_COLLECTED_SPANS {
+        return true;
+    }
+    HELD.fetch_sub(1, Ordering::Relaxed);
+    dropped().inc();
+    false
+}
+
+/// Records one slice on `lane`'s `tid` row. `describe` builds the name
+/// and args and runs only when the event is kept.
+pub fn slice(
+    lane: u64,
+    tid: u64,
+    cat: &str,
+    ts_us: f64,
+    dur_us: f64,
+    describe: impl FnOnce() -> (String, Vec<(String, Json)>),
+) {
+    if admit() {
+        let (name, args) = describe();
+        let ev = TraceEvent {
+            name,
+            cat: cat.into(),
+            pid: lane,
+            tid,
+            ts_us,
+            dur_us,
+            args,
+        };
+        LOCAL.with(|(slices, _)| slices.lock().push(ev));
+    }
+}
+
+/// Records one half of a causal arrow on `lane`'s `tid` row: the sender
+/// emits `start = true` from inside its send slice, the consumer
+/// `start = false` (same `cat` and `id`) from inside the slice that
+/// absorbed the message. `name` runs only when the event is kept.
+pub fn flow(
+    lane: u64,
+    tid: u64,
+    cat: &str,
+    ts_us: f64,
+    id: u64,
+    start: bool,
+    name: impl FnOnce() -> String,
+) {
+    if admit() {
+        let ev = FlowEvent {
+            name: name(),
+            cat: cat.into(),
+            pid: lane,
+            tid,
+            ts_us,
+            id,
+            start,
+        };
+        LOCAL.with(|(_, flows)| flows.lock().push(ev));
+    }
+}
+
+/// Drains every recorded slice and flow, including the buffers of
+/// threads that have exited. Events come grouped by thread, not sorted
+/// by `ts` (trace UIs sort on load).
+pub fn take() -> (Vec<TraceEvent>, Vec<FlowEvent>) {
+    static REPORTED: AtomicU64 = AtomicU64::new(0);
+    let (slices, flows) = (SLICES.drain(), FLOWS.drain());
+    HELD.fetch_sub(slices.len() + flows.len(), Ordering::Relaxed);
+    let total = dropped().get();
+    let new = total.saturating_sub(REPORTED.swap(total, Ordering::Relaxed));
+    if new > 0 {
+        crate::log_warn!("trace: {new} events dropped at the {MAX_COLLECTED_SPANS}-event cap");
+    }
+    (slices, flows)
+}
 
 /// One complete ("X") trace event.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,22 +226,6 @@ impl FlowEvent {
     }
 }
 
-/// Convert collected live spans into trace events on `pid 1`.
-pub fn span_trace_events(spans: &[SpanEvent]) -> Vec<TraceEvent> {
-    spans
-        .iter()
-        .map(|s| TraceEvent {
-            name: s.name.clone(),
-            cat: "span".into(),
-            pid: 1,
-            tid: s.tid,
-            ts_us: s.start_us as f64,
-            dur_us: s.dur_us as f64,
-            args: Vec::new(),
-        })
-        .collect()
-}
-
 /// The top-level trace document for a set of events.
 pub fn chrome_trace_json(events: &[TraceEvent]) -> Json {
     chrome_trace_json_with_flows(events, &[])
@@ -180,7 +296,12 @@ mod tests {
             id: 42,
             start: true,
         };
-        let f = FlowEvent { tid: 1, ts_us: 20.0, start: false, ..s.clone() };
+        let f = FlowEvent {
+            tid: 1,
+            ts_us: 20.0,
+            start: false,
+            ..s.clone()
+        };
         let (sj, fj) = (s.to_json().render(), f.to_json().render());
         assert!(sj.contains("\"ph\":\"s\""), "{sj}");
         assert!(fj.contains("\"ph\":\"f\""), "{fj}");
@@ -223,19 +344,136 @@ mod tests {
         assert_eq!(doc, r#"{"traceEvents":[],"displayTimeUnit":"ms"}"#);
     }
 
+    /// Telemetry on for the test, the recorder drained before and after.
+    fn recording<R>(f: impl FnOnce() -> R) -> R {
+        let _guard = crate::registry::test_lock();
+        crate::set_enabled(true);
+        take();
+        let out = f();
+        take();
+        crate::set_enabled(false);
+        out
+    }
+
     #[test]
-    fn spans_map_to_pid_one() {
-        let spans = vec![SpanEvent {
-            name: "repro.fig4".into(),
-            start_us: 5,
-            dur_us: 7,
-            tid: 3,
-        }];
-        let evs = span_trace_events(&spans);
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].pid, 1);
-        assert_eq!(evs[0].tid, 3);
-        assert_eq!(evs[0].ts_us, 5.0);
-        assert_eq!(evs[0].dur_us, 7.0);
+    fn disabled_runs_no_closure_and_registers_no_buffer() {
+        let _guard = crate::registry::test_lock();
+        crate::set_enabled(false);
+        // A fresh thread: its buffers would be registered on first use.
+        let (calls, registered) = std::thread::spawn(|| {
+            let before = (SLICES.registered(), FLOWS.registered());
+            let calls = std::cell::Cell::new(0);
+            slice(lane::SERVE, 0, "queue", 0.0, 1.0, || {
+                calls.set(calls.get() + 1);
+                ("never".into(), Vec::new())
+            });
+            flow(lane::COMMS, 0, "msg", 0.0, 1, true, || {
+                calls.set(calls.get() + 1);
+                "never".into()
+            });
+            (
+                calls.get(),
+                (SLICES.registered(), FLOWS.registered()) == before,
+            )
+        })
+        .join()
+        .unwrap();
+        assert_eq!(
+            calls, 0,
+            "a disabled call site must not build its name or args"
+        );
+        assert!(
+            registered,
+            "a disabled call site must not register a buffer"
+        );
+        assert_eq!(HELD.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn every_lane_drains_once_with_its_pid_including_dead_threads() {
+        let (slices, flows) = recording(|| {
+            slice(lane::COMMS, 3, "comms", 1.0, 2.0, || {
+                ("rs b0 s1".into(), Vec::new())
+            });
+            slice(lane::COMMS, 1, "wait", 1.0, 5.0, || {
+                ("recv rank0".into(), Vec::new())
+            });
+            flow(lane::COMMS, 1, "msg", 2.0, 99, false, || "p2p".into());
+            std::thread::spawn(|| {
+                slice(lane::PIPELINE, 7, "pipeline", 1.0, 2.0, || {
+                    ("F0".into(), Vec::new())
+                });
+                let args = vec![("id".to_string(), Json::UInt(9))];
+                slice(lane::SERVE, 5, "queue", 1.0, 2.0, || {
+                    ("queue req 9".into(), args)
+                });
+            })
+            .join()
+            .unwrap();
+            take()
+        });
+        let row = |e: &TraceEvent| (e.pid, e.tid, e.cat.clone(), e.name.clone());
+        let mut rows: Vec<_> = slices.iter().map(row).collect();
+        rows.sort();
+        let want = [
+            (2, 1, "wait", "recv rank0"),
+            (2, 3, "comms", "rs b0 s1"),
+            (3, 7, "pipeline", "F0"),
+            (4, 5, "queue", "queue req 9"),
+        ];
+        let want: Vec<_> = want
+            .iter()
+            .map(|&(p, t, c, n)| (p, t, c.to_string(), n.to_string()))
+            .collect();
+        assert_eq!(rows, want, "dead-thread slices survive; pid = lane");
+        assert_eq!(flows.len(), 1);
+        assert!((flows[0].id, flows[0].start, flows[0].cat.as_str()) == (99, false, "msg"));
+        assert!(slices
+            .iter()
+            .any(|e| e.args == [("id".to_string(), Json::UInt(9))]));
+        assert_eq!(
+            HELD.load(Ordering::Relaxed),
+            0,
+            "a drain releases what it took"
+        );
+    }
+
+    #[test]
+    fn the_cap_keeps_exactly_max_events_and_counts_the_rest() {
+        const EXTRA: usize = 37;
+        let (kept, dropped_by) = recording(|| {
+            let before = dropped().get();
+            // Two exited threads and the caller share the one cap.
+            let spawn = |n: usize| {
+                std::thread::spawn(move || {
+                    for i in 0..n {
+                        slice(lane::COMMS, 0, "comms", i as f64, 1.0, || {
+                            (String::new(), Vec::new())
+                        });
+                    }
+                })
+            };
+            let half = MAX_COLLECTED_SPANS / 2;
+            let (a, b) = (spawn(half), spawn(MAX_COLLECTED_SPANS - half - 1));
+            a.join().unwrap();
+            b.join().unwrap();
+            flow(lane::COMMS, 0, "msg", 0.0, 1, true, String::new);
+            let built = std::cell::Cell::new(0);
+            for _ in 0..EXTRA {
+                slice(lane::SPANS, 0, "span", 0.0, 1.0, || {
+                    built.set(built.get() + 1);
+                    (String::new(), Vec::new())
+                });
+            }
+            assert_eq!(built.get(), 0, "a dropped event is never built");
+            let (slices, flows) = take();
+            (slices.len() + flows.len(), dropped().get() - before)
+        });
+        assert_eq!(kept, MAX_COLLECTED_SPANS);
+        assert_eq!(dropped_by, EXTRA as u64);
+        assert!(crate::global()
+            .snapshot()
+            .counters
+            .contains_key("telemetry.trace.dropped"));
     }
 }
