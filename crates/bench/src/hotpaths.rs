@@ -14,6 +14,12 @@
 //!   rows, and a single row, which runs entirely in the edge tiles.
 //!   Gated by [`crate::gates::THIN_NT_OVER_NN_MAX`] and
 //!   [`crate::gates::ONE_ROW_GFLOPS_MIN`].
+//! * `dw_dense_4x2048x2048` / `dw_streamed_4x2048x2048` — the weight
+//!   gradient of a thin-batch `Linear` at p = 0.9 on its way into `∇θ16`:
+//!   `matmul_tn_acc` into the dense gradient + `compress_grad_fused` +
+//!   clearing it, against `matmul_tn_row_blocks` compressed block by
+//!   block (same `∇θ16` bits, asserted). Gated: streamed may never be
+//!   slower than dense.
 //! * `compress_f32` / `expand_f16` / `compress_f16` — the compression
 //!   and expansion primitives.
 //! * `allreduce_compressed` — the compressed fp16 gradient all-reduce.
@@ -26,7 +32,7 @@ use samo::trainer::allreduce_mean_f16;
 use samo::{compress_f16, compress_f32, expand_f16};
 use telemetry::json::Json;
 use tensor::f16::F16;
-use tensor::gemm::{matmul, matmul_nt};
+use tensor::gemm::{matmul, matmul_nt, matmul_tn_acc, matmul_tn_row_blocks};
 
 /// One benchmarked kernel: per-invocation times in milliseconds.
 struct KernelResult {
@@ -128,6 +134,39 @@ pub fn run(quick: bool) -> Result<(), String> {
         );
         results.push(gemm_row("gemm_nn_4x2048x2048", (m, n, k), 4 * reps, nn));
         results.push(gemm_row("gemm_nt_4x2048x2048", (m, n, k), 4 * reps, nt));
+    }
+    {
+        // dW = dyᵀ·x into ∇θ16, the two ways the trainers do it. The
+        // dense form streams a φ-sized gradient through memory three
+        // times (accumulate, gather at one kept value per cache line,
+        // clear); the streamed form gathers each 64-row block while it
+        // is still in cache and has no gradient to clear.
+        let (m, n, k) = (2048, 2048, 4);
+        let dy = random_vec(k * m, 20);
+        let x = random_vec(k * n, 21);
+        let wmask = prune::random_prune(&[m, n], sparsity, 22);
+        let state = SamoLayerState::from_params(&vec![0.0; m * n], wmask, &opt);
+        let (mut dense_st, streamed_st) = (state.clone(), std::sync::Mutex::new(state));
+        let mut grad = vec![0.0f32; m * n];
+        let [dense, streamed] = duel(
+            best_of,
+            reps,
+            || {
+                matmul_tn_acc(m, n, k, &dy, &x, &mut grad);
+                assert!(dense_st.compress_grad_fused(&grad));
+                grad.fill(0.0);
+            },
+            || {
+                matmul_tn_row_blocks(m, n, k, &dy, &x, |r0, r1, block| {
+                    let mut st = streamed_st.lock().expect("no gather panics");
+                    assert!(st.compress_grad_rows(r0, r1, block));
+                })
+            },
+        );
+        let streamed_st = streamed_st.into_inner().expect("no gather panics");
+        assert!(dense_st.grad16 == streamed_st.grad16, "streamed ∇θ16 differs from dense");
+        results.push(gemm_row("dw_dense_4x2048x2048", (m, n, k), reps, dense));
+        results.push(gemm_row("dw_streamed_4x2048x2048", (m, n, k), reps, streamed));
     }
     {
         // Fig. 4's attention inner loop: batch x heads = 64 score GEMMs

@@ -12,14 +12,24 @@
 //!   parameters (`reduce_after_backward`);
 //! * [`crate::ThreadedDataParallelSamo`] runs backward through
 //!   `backward_overlapped`, so each parameter's ring starts while the
-//!   rest of backward still runs;
-//! * [`crate::ThreadedPipelineSamo`] does the same on the last
-//!   microbatch of its 1F1B schedule, and agrees on the overflow verdict
-//!   across stages between `finish_reduce` and `apply`.
+//!   rest of backward still runs — and a weight matrix whose layer offers
+//!   its gradient as GEMM row blocks is compressed *inside* backward,
+//!   block by block ([`SamoLayerState::compress_grad_rows`]): the paper
+//!   compresses "at the granularity of a layer ... so that we never have
+//!   to store the uncompressed gradients for the entire model"
+//!   (Sec. III-C); here the uncompressed gradient of such a layer is one
+//!   row block, its dense `grad` is released, and `apply` has nothing to
+//!   clear. A dynamic-sparsity update step is the exception: its plain
+//!   backward materialises the dense gradients (they are the grow
+//!   score), and `apply` releases them again;
+//! * [`crate::ThreadedPipelineSamo`] overlaps the rings the same way on
+//!   the last microbatch of its 1F1B schedule, dense (its microbatches
+//!   accumulate into `grad`), and agrees on the overflow verdict across
+//!   stages between `finish_reduce` and `apply`.
 //!
 //! Every state runs the same fused pair
-//! ([`SamoLayerState::compress_grad_fused`],
-//! [`SamoLayerState::optimizer_step_owned`]) on the range it owns;
+//! ([`SamoLayerState::compress_grad_fused`] — or its row-block form —
+//! and [`SamoLayerState::optimizer_step_owned`]) on the range it owns;
 //! sharding decides only what moves: a full state all-reduces `∇θ16`,
 //! a shard reduce-scatters it (each rank needs the mean on its own range
 //! alone) and all-gathers the updated fp16 parameters — together the
@@ -46,9 +56,11 @@ use crate::serialize::{load_checkpoint, save_checkpoint, TrainerMeta};
 use crate::state::{RemapScratch, SamoLayerState};
 use crate::trainer::{formula_state_bytes, samo_allreduce_bytes, samo_ring_allreduce_bytes};
 use comms::{CommsError, Communicator, InProcTransport, Transport};
-use nn::layer::Layer;
+use nn::layer::{GradSink, Layer};
 use nn::mixed::{LossScaler, LossScalerState, Optimizer};
+use nn::param::Parameter;
 use prune::{Mask, MaskSchedule};
+use std::sync::Mutex;
 use telemetry::SpanGuard;
 use tensor::f16::F16;
 use tensor::Tensor;
@@ -56,7 +68,7 @@ use tensor::Tensor;
 /// How a rank's compressed `∇θ16` becomes the group mean: not at all
 /// ([`NoReduce`], a single worker) or by the chunked ring all-reduce
 /// over any [`Transport`] ([`Ring`]).
-pub trait Reducer {
+pub trait Reducer: Send {
     /// The wire under the communicator.
     type Transport: Transport;
     /// The communicator the collectives run on, if there is a group.
@@ -134,6 +146,9 @@ pub struct StepEngine<R: Reducer> {
     ring_order: Vec<(u64, usize)>,
     /// AND of the fused compress kernels' overflow flags this step.
     local_finite: bool,
+    /// Parameters whose gradient has arrived as row blocks: they keep no
+    /// dense `grad` between steps (`apply`).
+    streamed: Vec<bool>,
     labels: &'static Labels,
     /// One rank per group reports: rank 0 of the reducer (the pipeline
     /// narrows it to stage 0).
@@ -159,6 +174,7 @@ impl<R: Reducer> StepEngine<R> {
         let (shard_id, num_shards) = if sharded { (rank, world) } else { (0, 1) };
         StepEngine {
             layers: build_layers(model, masks, &opt, shard_id, num_shards),
+            streamed: vec![false; masks.len()],
             opt,
             scaler: LossScaler::default(),
             reducer,
@@ -346,14 +362,16 @@ impl<R: Reducer> StepEngine<R> {
     }
 
     /// Compresses parameter `pi`'s freshly produced dense (loss-scaled)
-    /// gradient into `∇θ16` — "at the granularity of a layer ... so that
-    /// we never have to store the uncompressed gradients for the entire
-    /// model" (Sec. III-C) — and starts its mean reduction. Ring ids line
-    /// up across ranks because every rank visits parameters in the same
-    /// order.
-    fn compress_param(&mut self, pi: usize, grad: &[f32]) -> Result<(), CommsError> {
+    /// gradient into `∇θ16` — unless it already arrived as row blocks
+    /// (`None`, see [`Overlap`]) — and starts its mean reduction. Ring ids
+    /// line up across ranks because every rank visits parameters in the
+    /// same order.
+    fn compress_param(&mut self, pi: usize, grad: Option<&[f32]>) -> Result<(), CommsError> {
         let st = &mut self.layers[pi];
-        self.local_finite &= st.compress_grad_fused(grad);
+        match grad {
+            Some(grad) => self.local_finite &= st.compress_grad_fused(grad),
+            None => self.streamed[pi] = true,
+        }
         if let Some(comm) = self.reducer.comm_mut() {
             // The ring takes the buffer and `finish_reduce` puts it back:
             // no copy in either direction (a failed step loses it; the
@@ -380,25 +398,24 @@ impl<R: Reducer> StepEngine<R> {
     /// reports its gradient final (reverse execution order — identical
     /// on every rank), compress it and start its ring; pump the rings in
     /// flight between groups, so communication overlaps the rest of the
-    /// backward pass exactly as on a real cluster. Returns
-    /// `d(loss)/d(input)`.
+    /// backward pass exactly as on a real cluster. With `stream_rows`, a
+    /// weight matrix whose layer offers its gradient as GEMM row blocks is
+    /// compressed block by block inside that GEMM and its dense gradient
+    /// never exists. Returns `d(loss)/d(input)`.
     pub(crate) fn backward_overlapped(
         &mut self,
         model: &mut impl Layer,
         dy: &Tensor,
+        stream_rows: bool,
     ) -> Result<Tensor, CommsError> {
-        let mut res = Ok(());
-        let dx = model.backward_with_ready(dy, &mut |off, params| {
-            if res.is_err() {
-                return; // finish backward, but stop talking
-            }
-            res = params
-                .iter()
-                .enumerate()
-                .try_for_each(|(i, p)| self.compress_param(off + i, p.grad.as_slice()))
-                .and_then(|()| self.pump());
-        });
-        res.map(|()| dx)
+        let mut sink = Overlap {
+            engine: Mutex::new(self),
+            stream_rows,
+            rows_of: None,
+            res: Ok(()),
+        };
+        let dx = model.backward_into(dy, &mut sink);
+        sink.res.map(|()| dx)
     }
 
     /// The collectives of a step whose backward has already run: the
@@ -417,7 +434,7 @@ impl<R: Reducer> StepEngine<R> {
         model.for_each_param_mut(&mut |p| {
             if res.is_ok() {
                 res = self
-                    .compress_param(i, p.grad.as_slice())
+                    .compress_param(i, Some(p.grad.as_slice()))
                     .and_then(|()| self.pump());
             }
             i += 1;
@@ -466,8 +483,8 @@ impl<R: Reducer> StepEngine<R> {
     /// skips — the fused optimizer pass on the owned range (which also
     /// writes `θ16` and the model's f32 view there), for shards the
     /// parameter all-gather and the scatter of the other ranks' ranges,
-    /// gradients zeroed, counters and telemetry. Returns `false` if the
-    /// step was skipped.
+    /// dense gradients zeroed (streamed ones released), counters and
+    /// telemetry. Returns `false` if the step was skipped.
     pub(crate) fn apply(
         &mut self,
         model: &mut impl Layer,
@@ -493,15 +510,21 @@ impl<R: Reducer> StepEngine<R> {
                         .and_then(|comm| comm.all_gather_f16(&mine, &st.shard_counts()))
                         .map(|gathered| st.scatter_gathered(&gathered, dense));
                 }
-                p.zero_grad();
             });
             res?;
             self.end_phase(sp);
             self.steps_taken += 1;
         } else {
-            model.for_each_param_mut(&mut |p| p.zero_grad());
             self.steps_skipped += 1;
         }
+        // A dense arrival is cleared for the next backward to accumulate
+        // into; a streamed parameter has no use for the buffer — released
+        // already, or materialised for this step by a plain backward.
+        let mut streamed = self.streamed.iter();
+        model.for_each_param_mut(&mut |p| match streamed.next() {
+            Some(true) => p.release_grad(),
+            _ => p.zero_grad(),
+        });
         if self.reports && telemetry::enabled() {
             let world = self.reducer.comm().map(Communicator::world);
             let phases = std::mem::take(&mut self.phases);
@@ -597,6 +620,55 @@ impl<R: Reducer> StepEngine<R> {
         }
         self.end_phase(sp);
         Ok(())
+    }
+}
+
+/// The gradient sink of [`StepEngine::backward_overlapped`]: `ready`
+/// compresses what arrived dense and starts every parameter's ring;
+/// `rows` compresses a weight gradient while its GEMM produces it (the
+/// module docs say why). Row blocks come from kernel pool threads, hence
+/// the lock; it is never contended for longer than one block's gather.
+struct Overlap<'a, R: Reducer> {
+    engine: Mutex<&'a mut StepEngine<R>>,
+    stream_rows: bool,
+    /// The parameter whose rows are arriving, until its `ready`.
+    rows_of: Option<usize>,
+    /// The first comms failure: backward finishes, but stops talking.
+    res: Result<(), CommsError>,
+}
+
+/// A gather that panics under the lock takes backward down with it (the
+/// pool re-throws on the caller), so nobody meets the poisoned lock.
+const UNPOISONED: &str = "a panicking gather ends the backward that holds the sink";
+
+impl<R: Reducer> GradSink for Overlap<'_, R> {
+    fn ready(&mut self, off: usize, params: &[&Parameter]) {
+        if self.res.is_err() {
+            return;
+        }
+        let rows_of = self.rows_of.take();
+        let engine = self.engine.get_mut().expect(UNPOISONED);
+        self.res = params
+            .iter()
+            .enumerate()
+            .try_for_each(|(i, p)| {
+                let dense = (rows_of != Some(off + i)).then(|| p.grad.as_slice());
+                engine.compress_param(off + i, dense)
+            })
+            .and_then(|()| engine.pump());
+    }
+
+    fn takes_rows(&mut self, index: usize) -> bool {
+        let engine = self.engine.get_mut().expect(UNPOISONED);
+        let takes = self.stream_rows && engine.layers[index].mask().shape().len() == 2;
+        self.rows_of = takes.then_some(index);
+        takes
+    }
+
+    fn rows(&self, index: usize, row0: usize, row1: usize, block: &[f32]) {
+        let mut engine = self.engine.lock().expect(UNPOISONED);
+        let finite = engine.layers[index].compress_grad_rows(row0, row1, block);
+        engine.local_finite &= finite;
     }
 }
 

@@ -43,7 +43,7 @@
 //! uses it to compare the measured bubble against Eq. 7.
 //!
 //! On the **last** microbatch the backward runs through the engine's
-//! [`Layer::backward_with_ready`] hook, compressing each parameter bucket
+//! [`Layer::backward_into`] hook, compressing each parameter bucket
 //! and starting its ring on the data mesh as soon as its gradient is
 //! final — the all-reduce overlaps the backward tail, as in the
 //! data-parallel runtime.
@@ -459,8 +459,9 @@ impl StageRank {
             // Final microbatch: every parameter's accumulated gradient
             // becomes final as its layer finishes backward — compress
             // and start its ring immediately so the all-reduce overlaps
-            // the rest of the backward tail.
-            self.engine.backward_overlapped(&mut self.block, dy)?
+            // the rest of the backward tail. Every gradient arrives dense:
+            // the earlier microbatches accumulated into `grad`.
+            self.engine.backward_overlapped(&mut self.block, dy, false)?
         } else {
             self.block.backward(dy)
         };
@@ -716,7 +717,7 @@ impl ThreadedPipelineSamo {
     /// Per-rank scheduler statistics in rank order
     /// (`data_idx · g_inter + stage`).
     pub fn stage_stats(&mut self) -> Vec<StageStats> {
-        self.group.snapshot_all().into_iter().map(|s| s.1).collect()
+        self.group.stats()
     }
 
     /// Runs `f` on rank `(stage, data_idx)`'s thread with exclusive

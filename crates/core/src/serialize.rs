@@ -15,7 +15,7 @@
 //! trust a length field without checking it against the remaining input,
 //! so a corrupted header cannot trigger an over-allocation.
 
-use crate::state::SamoLayerState;
+use crate::state::{os_arrays, OwnedRange, SamoLayerState};
 use bytes::{BufMut, Bytes, BytesMut};
 use nn::mixed::{OptState, Optimizer};
 use nn::optim::{AdamState, SgdState};
@@ -73,8 +73,9 @@ pub struct TrainerMeta {
     pub steps_skipped: u64,
 }
 
-fn put_layer(buf: &mut impl BufMut, layer: &SamoLayerState) {
-    let mask = layer.mask();
+/// One layer's section: the mask, then each compressed array as the
+/// concatenation of the shards' ranges.
+fn put_layer(buf: &mut impl BufMut, mask: &Mask, ranges: &[OwnedRange<'_>]) {
     buf.put_u8(mask.shape().len() as u8);
     for &d in mask.shape() {
         buf.put_u64_le(d as u64);
@@ -83,28 +84,23 @@ fn put_layer(buf: &mut impl BufMut, layer: &SamoLayerState) {
     for &i in mask.indices().iter() {
         buf.put_u32_le(i);
     }
-    for &v in &layer.theta32 {
+    for &v in ranges.iter().flat_map(|r| r.theta32.iter()) {
         buf.put_f32_le(v);
     }
-    for g in &layer.grad16 {
+    for g in ranges.iter().flat_map(|r| r.grad16.iter()) {
         buf.put_u16_le(g.to_bits());
     }
-    match &layer.os {
+    // Every shard counts the same Adam steps.
+    match &*ranges[0].os {
         OptState::Adam(st) => {
             buf.put_u8(0);
             buf.put_u64_le(st.step);
-            for &m in &st.m {
-                buf.put_f32_le(m);
-            }
-            for &v in &st.v {
-                buf.put_f32_le(v);
-            }
         }
-        OptState::Sgd(st) => {
-            buf.put_u8(1);
-            for &v in &st.velocity {
-                buf.put_f32_le(v);
-            }
+        OptState::Sgd(_) => buf.put_u8(1),
+    }
+    for array in 0..2 {
+        for &v in ranges.iter().filter_map(|r| os_arrays(&r.os)[array]).flatten() {
+            buf.put_f32_le(v);
         }
     }
 }
@@ -112,6 +108,17 @@ fn put_layer(buf: &mut impl BufMut, layer: &SamoLayerState) {
 /// Serializes layers plus trainer meta with per-section CRC-32
 /// checksums (one over the meta section, one per layer).
 pub fn save_checkpoint(layers: &[SamoLayerState], meta: &TrainerMeta) -> Bytes {
+    let mut whole = Vec::with_capacity(layers.len());
+    for l in layers {
+        assert!(!l.is_sharded(), "a shard is saved with its peers' ranges");
+        whole.push((l.mask().clone(), vec![l.owned_range()]));
+    }
+    save_ranges(&whole, meta)
+}
+
+/// [`save_checkpoint`] from each layer's mask and its shards' owned
+/// ranges in rank order — no full state is assembled to write one.
+pub(crate) fn save_ranges(layers: &[(Mask, Vec<OwnedRange<'_>>)], meta: &TrainerMeta) -> Bytes {
     let mut buf = BytesMut::new();
     buf.put_u32_le(MAGIC);
     buf.put_u16_le(VERSION);
@@ -125,9 +132,9 @@ pub fn save_checkpoint(layers: &[SamoLayerState], meta: &TrainerMeta) -> Bytes {
     buf.put_u32_le(crc32(&sec));
     buf.put_slice(&sec);
 
-    for layer in layers {
+    for (mask, ranges) in layers {
         let mut sec: Vec<u8> = Vec::new();
-        put_layer(&mut sec, layer);
+        put_layer(&mut sec, mask, ranges);
         buf.put_u32_le(crc32(&sec));
         buf.put_slice(&sec);
     }
@@ -419,9 +426,37 @@ mod tests {
         buf.put_u32_le(MAGIC);
         buf.put_u16_le(1);
         buf.put_u32_le(1);
-        put_layer(&mut buf, &make_layers(&adam())[0]);
+        let layer = &make_layers(&adam())[0];
+        put_layer(&mut buf, layer.mask(), &[layer.owned_range()]);
         let err = load_checkpoint(&buf.freeze(), &adam()).unwrap_err();
         assert_eq!(err, "unsupported version 1");
+    }
+
+    #[test]
+    fn shards_ranges_write_the_bytes_of_the_full_state() {
+        // Three shards of a stepped layer, each contributing its owned
+        // ranges (borrowed, and owned as a rank thread sends them): the
+        // same bytes as the assembled full layer, for Adam and SGD.
+        let sgd = Optimizer::Sgd(nn::optim::SgdConfig { lr: 0.1, momentum: 0.9, weight_decay: 0.0 });
+        for opt in [adam(), sgd] {
+            let mask = prune::random_prune(&[10, 7], 0.5, 4);
+            let values: Vec<f32> = (0..70).map(|j| (j as f32 * 0.3).sin()).collect();
+            let mut shards: Vec<SamoLayerState> = (0..3)
+                .map(|r| SamoLayerState::from_params_sharded(&values, mask.clone(), &opt, r, 3))
+                .collect();
+            for (r, st) in shards.iter_mut().enumerate() {
+                // Local gradients differ between ranks outside the owned range.
+                let grads: Vec<f32> = (0..70).map(|j| (j + r) as f32 * 0.01).collect();
+                st.compress_grad(&grads);
+                st.optimizer_step_shard(&opt, 1.0);
+            }
+            let full = SamoLayerState::to_full_layer(&shards.iter().collect::<Vec<_>>());
+            let want = save_checkpoint(std::slice::from_ref(&full), &meta());
+            let borrowed = shards.iter().map(SamoLayerState::owned_range).collect();
+            assert_eq!(save_ranges(&[(mask.clone(), borrowed)], &meta()), want);
+            let owned = shards.iter().map(|s| s.owned_range().into_owned()).collect();
+            assert_eq!(save_ranges(&[(mask, owned)], &meta()), want);
+        }
     }
 
     #[test]

@@ -14,6 +14,15 @@
 //! | `∇θ32`   | compressed  | `4fφ` B   |
 //! | `os`     | compressed  | `8fφ` B   |
 //!
+//! The dense `∇θ16` is not in the table: the paper compresses it "at the
+//! granularity of a layer ... so that we never have to store the
+//! uncompressed gradients for the entire model" (Sec. III-C).
+//! [`SamoLayerState::compress_grad_fused`] is that, for a runtime whose
+//! caller ran backward into a dense gradient;
+//! [`SamoLayerState::compress_grad_rows`] is the same kernel on the rows
+//! a GEMM has just produced, for a runtime that drives backward itself —
+//! there the uncompressed gradient of a layer is one row block.
+//!
 //! # ZeRO-style sharding — an extension beyond the paper
 //!
 //! The paper compares against DeepSpeed's ZeRO optimizer (Rajbhandari et
@@ -39,6 +48,7 @@ use crate::memory::SamoBreakdown;
 use nn::mixed::{OptState, Optimizer};
 use nn::optim::{adam_bias_corrections, adam_update, sgd_update, AdamState, SgdState};
 use prune::Mask;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use tensor::f16::{to_f32_table, F16};
 use tensor::pool::par_ranges;
@@ -80,9 +90,29 @@ fn shard_bounds(n: usize, r: usize, d: usize) -> (usize, usize) {
     (lo, lo + base + usize::from(r < extra))
 }
 
+/// What a checkpoint carries of one state — its range of `θ32` and of
+/// `∇θ16`, and its optimizer state — borrowed in place, or owned to leave
+/// the thread that holds the state. A layer's ranges, in shard order,
+/// concatenate to the arrays a full state would hold.
+pub(crate) struct OwnedRange<'a> {
+    pub theta32: Cow<'a, [f32]>,
+    pub grad16: Cow<'a, [F16]>,
+    pub os: Cow<'a, OptState>,
+}
+
+impl OwnedRange<'_> {
+    pub(crate) fn into_owned(self) -> OwnedRange<'static> {
+        OwnedRange {
+            theta32: Cow::Owned(self.theta32.into_owned()),
+            grad16: Cow::Owned(self.grad16.into_owned()),
+            os: Cow::Owned(self.os.into_owned()),
+        }
+    }
+}
+
 /// The per-parameter arrays of an optimizer state: Adam's `m` and `v`,
 /// SGD's velocity.
-fn os_arrays(os: &OptState) -> [Option<&Vec<f32>>; 2] {
+pub(crate) fn os_arrays(os: &OptState) -> [Option<&Vec<f32>>; 2] {
     match os {
         OptState::Adam(a) => [Some(&a.m), Some(&a.v)],
         OptState::Sgd(s) => [Some(&s.velocity), None],
@@ -117,6 +147,31 @@ struct OwnedPass<'a> {
     theta16: SyncPtr<F16>,
     dense_out: SyncPtr<f32>,
     payload: Option<SyncPtr<F16>>,
+}
+
+/// A layer's dense gradient read as `count` rows of `cols`, and where
+/// their kept values go: `∇θ16`, `ind.len()` long.
+struct RowGather<'a> {
+    ind: &'a [u32],
+    count: usize,
+    cols: usize,
+    grad16: SyncPtr<F16>,
+}
+
+impl RowGather<'_> {
+    /// Gathers the kept positions of rows `row0..row1`, given in `block`,
+    /// narrowed to f16, into their run of `∇θ16`; `false` if any is
+    /// non-finite. Concurrent calls must name disjoint rows.
+    fn gather(&self, row0: usize, row1: usize, block: &[f32]) -> bool {
+        let (lo, hi) = (row0 * self.cols, row1 * self.cols);
+        let s = self.ind.partition_point(|&i| (i as usize) < lo);
+        let e = s + self.ind[s..].partition_point(|&i| (i as usize) < hi);
+        // SAFETY: `ind` is strictly increasing, so the run `s..e` of
+        // positions inside these rows belongs to this call alone, and
+        // `row_gather` sized `∇θ16` to `ind.len() >= e`.
+        let out = unsafe { std::slice::from_raw_parts_mut(self.grad16.0.add(s), e - s) };
+        simd::gather_narrow_finite(simd::active(), block, lo as u32, &self.ind[s..e], out)
+    }
 }
 
 impl OwnedPass<'_> {
@@ -278,6 +333,18 @@ impl SamoLayerState {
         full
     }
 
+    /// What a checkpoint carries of this state, borrowed. After a
+    /// reduce-scatter a rank holds the reduced `∇θ16` on its own range
+    /// only, so that too is taken from its owner.
+    pub(crate) fn owned_range(&self) -> OwnedRange<'_> {
+        let (lo, hi) = self.shard_range();
+        OwnedRange {
+            theta32: Cow::Borrowed(&self.theta32),
+            grad16: Cow::Borrowed(&self.grad16[lo..hi]),
+            os: Cow::Borrowed(&self.os),
+        }
+    }
+
     /// `(shard_id, num_shards)`.
     pub fn shard(&self) -> (usize, usize) {
         (self.shard_id, self.num_shards)
@@ -341,31 +408,60 @@ impl SamoLayerState {
     /// dense gradient once and never re-scans the compressed buffer.
     ///
     /// Returns `true` when every stored gradient is finite (i.e. `false`
-    /// signals loss-scale overflow). Each chunk runs through
-    /// [`tensor::simd::gather_narrow_finite`], so on AVX2 hardware the
-    /// gather + round + finiteness check are all vectorized; the scalar
-    /// tier is bitwise identical, so the checkpoint determinism oracles
-    /// hold regardless of `SAMO_SIMD`.
+    /// signals loss-scale overflow). This is [`Self::compress_grad_rows`]
+    /// on the whole tensor, its rows cut into one range per pool task:
+    /// every range runs through [`tensor::simd::gather_narrow_finite`], so
+    /// on AVX2 hardware the gather + round + finiteness check are all
+    /// vectorized; the scalar tier is bitwise identical, so the checkpoint
+    /// determinism oracles hold regardless of `SAMO_SIMD`.
     pub fn compress_grad_fused(&mut self, dense_scaled_grad: &[f32]) -> bool {
         assert_eq!(dense_scaled_grad.len(), self.numel());
-        let ind = self.mask.indices();
-        // The raw-pointer writes below cover `∇θ16` up to nnz. A no-op
-        // unless a failed step's ring kept the buffer: every value is
-        // overwritten here anyway.
-        self.grad16.resize(ind.len(), F16::ZERO);
-        let tier = simd::active();
+        let rows = self.row_gather();
+        let cols = rows.cols;
+        // Rows holding about `STEP_MIN_CHUNK` kept values between them.
+        let min_rows = (STEP_MIN_CHUNK * rows.count).div_ceil(rows.ind.len().max(1));
         let all_finite = AtomicBool::new(true);
-        let g16 = SyncPtr(self.grad16.as_mut_ptr());
-        let (g16, all_finite_ref) = (&g16, &all_finite);
-        par_ranges(ind.len(), STEP_MIN_CHUNK, |s, e| {
-            // SAFETY: each compressed position j in s..e is written by
-            // exactly one task.
-            let out = unsafe { std::slice::from_raw_parts_mut(g16.0.add(s), e - s) };
-            if !simd::gather_narrow_finite(tier, dense_scaled_grad, &ind[s..e], out) {
-                all_finite_ref.store(false, Ordering::Relaxed);
+        par_ranges(rows.count, min_rows, |r0, r1| {
+            if !rows.gather(r0, r1, &dense_scaled_grad[r0 * cols..r1 * cols]) {
+                all_finite.store(false, Ordering::Relaxed);
             }
         });
         all_finite.into_inner()
+    }
+
+    /// [`Self::compress_grad_fused`] on the part of the dense gradient
+    /// that exists: `block` holds rows `row0..row1` of it (the tensor
+    /// read as `shape[0]` rows), and the kept positions inside those rows
+    /// — a contiguous run of the sorted index, found by two binary
+    /// searches — are gathered into their run of `∇θ16` while the block
+    /// is still in cache. This is "compression ... at the granularity of
+    /// a layer ... so that we never have to store the uncompressed
+    /// gradients" (Sec. III-C) taken one step further: the granularity of
+    /// a GEMM row block, so not even one layer's dense gradient exists.
+    /// Blocks covering every row once leave exactly the `∇θ16` the fused
+    /// kernel gathers from the assembled gradient; the AND of their
+    /// returns is its overflow flag.
+    pub fn compress_grad_rows(&mut self, row0: usize, row1: usize, block: &[f32]) -> bool {
+        let rows = self.row_gather();
+        assert!(row0 <= row1 && row1 <= rows.count, "rows {row0}..{row1} of {}", rows.count);
+        assert_eq!(block.len(), (row1 - row0) * rows.cols);
+        rows.gather(row0, row1, block)
+    }
+
+    /// The one compress kernel, ready to run on this layer's rows.
+    fn row_gather(&mut self) -> RowGather<'_> {
+        let ind = self.mask.indices();
+        // The raw-pointer writes of `gather` cover `∇θ16` up to nnz. A
+        // no-op unless a failed step's ring kept the buffer: every value
+        // is overwritten by a whole compress anyway.
+        self.grad16.resize(ind.len(), F16::ZERO);
+        let count = self.mask.shape().first().map_or(1, |&r| r.max(1));
+        RowGather {
+            ind,
+            count,
+            cols: self.mask.numel() / count,
+            grad16: SyncPtr(self.grad16.as_mut_ptr()),
+        }
     }
 
     /// Fused step kernel (b): upscale + optimizer + downcast +

@@ -10,10 +10,15 @@
 //! mean on its own range only; the parameter all-gather after the
 //! optimizer is the other half of an all-reduce's volume), and the
 //! reduction is started per parameter bucket from inside backward
-//! ([`Layer::backward_with_ready`]), so communication overlaps the rest
-//! of the backward pass exactly as on a real cluster. What this file
-//! adds to the engine is the thread protocol: `RankGroup`, which
-//! [`crate::ThreadedPipelineSamo`] shares.
+//! ([`Layer::backward_into`] the engine's gradient sink), so
+//! communication overlaps the rest of the backward pass exactly as on a
+//! real cluster. The rank drives backward itself, so it can also take a
+//! `Linear`'s weight gradient while the GEMM produces it: each row block
+//! is compressed into `∇θ16` as it leaves the kernel, and a rank holds
+//! no dense gradient for a weight matrix between steps — only on a
+//! dynamic-sparsity update step, whose plain backward materialises them
+//! as the grow score. What this file adds to the engine is the thread
+//! protocol: `RankGroup`, which [`crate::ThreadedPipelineSamo`] shares.
 //!
 //! # Bitwise equivalence with the in-process trainer
 //!
@@ -45,8 +50,8 @@
 //! in-flight traffic), and barriers the group back together.
 
 use crate::engine::{assert_replicas_agree, trainer_meta, Ring, StepEngine, DP_THREADED};
-use crate::serialize::{save_checkpoint, TrainerMeta};
-use crate::state::SamoLayerState;
+use crate::serialize::{save_ranges, TrainerMeta};
+use crate::state::{OwnedRange, SamoLayerState};
 use crate::trainer::samo_ring_allreduce_bytes;
 use comms::{CommsError, Communicator, FaultController, InProcTransport, Transport};
 use nn::layer::Layer;
@@ -114,14 +119,18 @@ enum Cmd<M, J> {
     Restore(Arc<[u8]>),
     SetScaler(LossScaler),
     SetSchedule(MaskSchedule),
-    Snapshot,
+    Stats,
+    Save,
     Inspect(InspectFn<M>),
 }
 
 enum Resp<S> {
     /// A step's or a restore's result.
     Done(Result<StepOutcome, String>),
-    Snapshot(Vec<SamoLayerState>, S),
+    Stats(S),
+    /// Per layer, what a checkpoint carries of this rank's state: the
+    /// mask (shared, not copied) and copies of the owned ranges.
+    Saved(Vec<(Mask, OwnedRange<'static>)>),
     Ack,
 }
 
@@ -164,7 +173,11 @@ fn rank_loop<W: RankWorker>(
                 w.parts().1.set_mask_schedule(s);
                 Resp::Ack
             }
-            Cmd::Snapshot => Resp::Snapshot(w.parts().1.layers.clone(), w.stats()),
+            Cmd::Stats => Resp::Stats(w.stats()),
+            Cmd::Save => {
+                let layers = w.parts().1.layers.iter();
+                Resp::Saved(layers.map(|l| (l.mask().clone(), l.owned_range().into_owned())).collect())
+            }
             Cmd::Inspect(f) => {
                 let (model, engine) = w.parts();
                 f(model, &engine.layers);
@@ -306,43 +319,53 @@ impl<M: 'static, J: Clone + Send + 'static, S: Send + 'static> RankGroup<M, J, S
         self.acked(|| Cmd::SetSchedule(schedule.clone()));
     }
 
-    fn acked(&self, cmd: impl Fn() -> Cmd<M, J>) {
-        for resp in self.broadcast(cmd) {
-            assert!(matches!(resp, Some(Resp::Ack)), "rank thread died");
-        }
+    /// Every rank's reply to `cmd`, in rank order, as `pick` reads it.
+    fn collect<X>(
+        &self,
+        cmd: impl Fn() -> Cmd<M, J>,
+        pick: impl Fn(Resp<S>) -> Option<X>,
+    ) -> Vec<X> {
+        let replies = self.broadcast(cmd).into_iter();
+        replies.map(|r| r.and_then(&pick).expect("rank thread died")).collect()
     }
 
-    /// Every rank's layer states and stats, in rank order.
-    pub fn snapshot_all(&self) -> Vec<(Vec<SamoLayerState>, S)> {
-        self.broadcast(|| Cmd::Snapshot)
-            .into_iter()
-            .map(|resp| match resp {
-                Some(Resp::Snapshot(layers, stats)) => (layers, stats),
-                _ => panic!("rank thread died during snapshot"),
-            })
-            .collect()
+    fn acked(&self, cmd: impl Fn() -> Cmd<M, J>) {
+        self.collect(cmd, |r| matches!(r, Resp::Ack).then_some(()));
+    }
+
+    /// Every rank's stats, in rank order.
+    pub fn stats(&self) -> Vec<S> {
+        self.collect(|| Cmd::Stats, |r| match r {
+            Resp::Stats(stats) => Some(stats),
+            _ => None,
+        })
     }
 
     /// Serializes the group as one topology-independent v2 checkpoint:
-    /// each layer's shards are gathered across the data-parallel ranks
-    /// that hold it and the stages' layers concatenated in model order,
-    /// so the bytes equal what a single-process [`crate::SamoTrainer`]
-    /// in the same state saves — a checkpoint written at one world size
-    /// restores into any other. A group whose step failed has no
-    /// consistent state to save (its rings kept `∇θ16`): restore first.
+    /// each layer's owned ranges are gathered across the data-parallel
+    /// ranks that hold it and the stages' layers concatenated in model
+    /// order, so the bytes equal what a single-process
+    /// [`crate::SamoTrainer`] in the same state saves — a checkpoint
+    /// written at one world size restores into any other. Only what the
+    /// checkpoint carries is copied off the rank threads (`14 B` per
+    /// kept value in all): no dense `θ16`, no index. A group whose step
+    /// failed has no consistent state to save (its rings kept `∇θ16`):
+    /// restore first.
     pub fn save(&self) -> bytes::Bytes {
-        let snaps = self.snapshot_all();
-        let g_data = snaps.len() / self.g_inter;
+        let mut ranks = self.collect(|| Cmd::Save, |r| match r {
+            Resp::Saved(layers) => Some(layers.into_iter()),
+            _ => None,
+        });
+        let g_data = ranks.len() / self.g_inter;
         let mut layers = Vec::new();
         for stage in 0..self.g_inter {
-            for li in 0..snaps[stage].0.len() {
-                let ranks: Vec<&SamoLayerState> = (0..g_data)
-                    .map(|d| &snaps[d * self.g_inter + stage].0[li])
-                    .collect();
-                layers.push(SamoLayerState::to_full_layer(&ranks));
+            while let Some((mask, first)) = ranks[stage].next() {
+                let rest = (1..g_data).map(|d| ranks[d * self.g_inter + stage].next());
+                let rest = rest.map(|l| l.expect("every replica holds the same layers").1);
+                layers.push((mask, std::iter::once(first).chain(rest).collect()));
             }
         }
-        save_checkpoint(&layers, &self.meta)
+        save_ranges(&layers, &self.meta)
     }
 
     /// Runs `f` on rank `i`'s thread with exclusive access to its model
@@ -512,7 +535,7 @@ impl<M: Layer + Send + 'static, T: Transport + 'static> RankWorker for Rank<M, T
             let _ = self.model.backward(&dy);
             self.engine.reduce_after_backward(&mut self.model)?
         } else {
-            self.engine.backward_overlapped(&mut self.model, &dy)?;
+            self.engine.backward_overlapped(&mut self.model, &dy, true)?;
             self.engine.finish_reduce()?
         };
         let applied = self.engine.apply(&mut self.model, finite)?;
@@ -720,7 +743,7 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
     /// Per-rank transport statistics (wire bytes, modeled ring bytes,
     /// fault-dropped messages), in rank order.
     pub fn comm_stats(&mut self) -> Vec<CommStats> {
-        self.group.snapshot_all().into_iter().map(|s| s.1).collect()
+        self.group.stats()
     }
 
     /// Runs `f` on rank `rank`'s thread with exclusive access to its

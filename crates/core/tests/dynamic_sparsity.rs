@@ -108,6 +108,14 @@ fn oracle_run() -> OracleRun {
 /// the nnz mirror, and every rank's model — a shard's fused step writes
 /// the f32 view at unpruned positions only, so a position a remap killed
 /// must have been zeroed by the remap's full widen, on every rank.
+///
+/// The threaded runtime streams the weight gradients and holds no dense
+/// buffer for them — except on an update step, where a plain backward
+/// materialises them as the grow score (equality with the oracle across
+/// the remap is the proof it read the real gradient) and the step's end
+/// releases them again. Which parameters stream is known once one
+/// streamed backward has run: the update step at t = 0 comes before it
+/// and leaves every gradient in place.
 fn assert_step_matches(
     th: &mut ThreadedDataParallelSamo<Sequential>,
     step: usize,
@@ -115,9 +123,13 @@ fn assert_step_matches(
 ) {
     assert_eq!(th.save().as_ref(), want[step].as_ref(), "diverged from SamoTrainer at step {step}");
     assert_eq!(th.nnz(), nnzs[step], "nnz mirror stale at step {step}");
+    let (weights, biases) = (IN * 10 + 10 * OUT, 10 + OUT);
     for r in 0..th.world_size() {
         let view = th.with_rank(r, |m, _| view_bits(m));
         assert_eq!(view, views[step], "rank {r}'s model diverged at step {step}");
+        let grads = th.with_rank(r, |m, _| nn::param::resident_param_bytes(m).1);
+        let held = if step == 0 { weights + biases } else { biases };
+        assert_eq!(grads, 4 * held, "rank {r}'s dense gradients after step {step}");
     }
 }
 

@@ -1,0 +1,285 @@
+//! The streamed weight gradient: on the thread-per-rank data-parallel
+//! runtime a `Linear`'s `dyᵀ·x` is compressed into `∇θ16` one GEMM row
+//! block at a time and its dense `grad` never exists.
+//!
+//! * `SamoLayerState::compress_grad_rows` over any cut of the rows leaves
+//!   the bits (and the overflow flag) `compress_grad_fused` gathers from
+//!   the assembled dense gradient;
+//! * the ruler: after training steps every rank of
+//!   `ThreadedDataParallelSamo` holds gradient buffers for the biases
+//!   only, where the caller-driven `SamoTrainer` holds `4φ` bytes;
+//! * a failed step poisons the group as before, and streaming resumes
+//!   after the restore.
+//!
+//! CI runs the suite with the kernel pool pinned to one worker and on the
+//! default pool (row blocks then arrive from pool threads).
+
+use nn::layer::{Layer, Sequential};
+use nn::linear::Linear;
+use nn::loss::mse;
+use nn::mixed::{LossScaler, Optimizer};
+use nn::optim::AdamConfig;
+use nn::param::resident_param_bytes;
+use prune::Mask;
+use samo::data_parallel::DataParallelSamo;
+use samo::threaded::ThreadedDataParallelSamo;
+use samo::{SamoLayerState, SamoTrainer};
+use std::sync::Mutex;
+use std::time::Duration;
+use tensor::f16::F16;
+use tensor::gemm::{matmul_tn_acc, matmul_tn_row_blocks};
+use tensor::Tensor;
+
+fn adam() -> Optimizer {
+    Optimizer::Adam(AdamConfig { lr: 0.02, ..Default::default() })
+}
+
+fn bits16(v: &[F16]) -> Vec<u16> {
+    v.iter().map(|h| h.0).collect()
+}
+
+/// A dense gradient of ordinary values in a small-integer pattern.
+fn gradient(numel: usize, salt: usize) -> Vec<f32> {
+    (0..numel).map(|i| ((i * 31 + salt * 17) % 97) as f32 * 0.37 - 17.0).collect()
+}
+
+/// `compress_grad_rows` over `rows` cut every `step` rows, against the
+/// fused kernel on the whole of `dense`.
+fn assert_rows_match_fused(mask: &Mask, dense: &[f32], step: usize, what: &str) {
+    let (rows, cols) = (mask.shape()[0], mask.shape()[1]);
+    let values = vec![0.5f32; mask.numel()];
+    let mut whole = SamoLayerState::from_params(&values, mask.clone(), &adam());
+    let want_finite = whole.compress_grad_fused(dense);
+
+    let mut streamed = SamoLayerState::from_params(&values, mask.clone(), &adam());
+    // Stale values everywhere: every kept position must be overwritten.
+    streamed.grad16.fill(F16::from_f32(-3.0));
+    let mut finite = true;
+    for r0 in (0..rows).step_by(step) {
+        let r1 = (r0 + step).min(rows);
+        finite &= streamed.compress_grad_rows(r0, r1, &dense[r0 * cols..r1 * cols]);
+    }
+    assert_eq!(bits16(&streamed.grad16), bits16(&whole.grad16), "{what}: ∇θ16, blocks of {step}");
+    assert_eq!(finite, want_finite, "{what}: overflow flag, blocks of {step}");
+}
+
+#[test]
+fn row_blocks_compress_to_the_bits_of_the_fused_kernel() {
+    let (rows, cols) = (70usize, 33usize);
+    let numel = rows * cols;
+    // Random masks from dense to empty, and one with whole rows unkept
+    // (rows 3..40 hold nothing, row 40 holds its last column only).
+    let mut masks: Vec<(String, Mask)> = [0.0, 0.5, 0.9, 1.0]
+        .iter()
+        .map(|&p| (format!("p = {p}"), prune::random_prune(&[rows, cols], p, 5)))
+        .collect();
+    let kept: Vec<u32> = (0..numel as u32)
+        .filter(|&i| !(3 * cols as u32..41 * cols as u32 - 1).contains(&i) && i % 3 != 1)
+        .collect();
+    masks.push(("empty rows".into(), Mask::new(&[rows, cols], kept)));
+    assert_eq!(masks[3].1.nnz(), 0, "p = 1 keeps nothing");
+
+    for (name, mask) in &masks {
+        let ind = mask.indices();
+        let inside = |k: usize| ind.get(k * ind.len() / 7).map(|&i| i as usize);
+        let outside = (0..numel).find(|i| ind.binary_search(&(*i as u32)).is_err());
+        // (what, positions and values to plant)
+        let mut plants: Vec<(String, Vec<(usize, f32)>)> = vec![("finite".into(), Vec::new())];
+        if let (Some(a), Some(b), Some(c)) = (inside(1), inside(3), inside(6)) {
+            plants.push(("inf inside".into(), vec![(a, f32::INFINITY)]));
+            plants.push(("-inf and NaN inside".into(), vec![(b, f32::NEG_INFINITY), (c, f32::NAN)]));
+            plants.push(("f16 overflow inside".into(), vec![(a, 1e9)]));
+        }
+        if let Some(o) = outside {
+            // Never stored, so never seen: the verdict stays finite.
+            plants.push(("inf and NaN outside".into(), vec![(o, f32::INFINITY)]));
+        }
+        for (what, plant) in &plants {
+            let mut dense = gradient(numel, plant.len());
+            for &(at, v) in plant {
+                dense[at] = v;
+            }
+            // One row per block puts a boundary between every two kept
+            // entries of neighbouring rows; 64 is the GEMM's block.
+            for step in [1usize, 7, 64, rows] {
+                assert_rows_match_fused(mask, &dense, step, &format!("{name}, {what}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn streaming_the_gemm_compresses_what_the_dense_gradient_would() {
+    // The whole path of one weight: dW = dyᵀ·x streamed from the GEMM
+    // (from pool threads when there are any: 200 rows are four row
+    // panels) into ∇θ16, against the dense product accumulated into
+    // zeros and compressed by the fused kernel — within one k-block and
+    // beyond it.
+    let (out_f, in_f) = (200usize, 37usize);
+    let mask = prune::random_prune(&[out_f, in_f], 0.8, 9);
+    for &batch in &[4usize, 300] {
+        let dy = Tensor::randn(&[batch, out_f], 50.0, 1);
+        let x = Tensor::randn(&[batch, in_f], 50.0, 2);
+        let mut dense = vec![0.0f32; out_f * in_f];
+        matmul_tn_acc(out_f, in_f, batch, dy.as_slice(), x.as_slice(), &mut dense);
+        let mut whole = SamoLayerState::from_params(&dense, mask.clone(), &adam());
+        let want_finite = whole.compress_grad_fused(&dense);
+
+        let streamed = Mutex::new((SamoLayerState::from_params(&dense, mask.clone(), &adam()), true));
+        matmul_tn_row_blocks(out_f, in_f, batch, dy.as_slice(), x.as_slice(), |r0, r1, block| {
+            let mut g = streamed.lock().unwrap();
+            let finite = g.0.compress_grad_rows(r0, r1, block);
+            g.1 &= finite;
+        });
+        let (streamed, finite) = streamed.into_inner().unwrap();
+        assert_eq!(bits16(&streamed.grad16), bits16(&whole.grad16), "batch {batch}");
+        assert_eq!(finite, want_finite);
+        // Products of N(0, 50²) values summed over a long batch pass the
+        // f16 range somewhere: the flag is exercised both ways.
+        assert_eq!(want_finite, batch == 4, "batch {batch}");
+    }
+}
+
+const DIMS: [usize; 4] = [256, 2048, 2048, 256];
+const PHI: usize = 5_247_232;
+const BIASES: usize = 4_352;
+
+/// The wide MLP of the `dp2_tcp_wide` benchmark workload.
+fn wide_mlp(seed: u64) -> Sequential {
+    let mut m = Sequential::new();
+    for (i, w) in DIMS.windows(2).enumerate() {
+        m = m.push(Linear::new(w[0], w[1], true, seed + i as u64));
+        if i + 2 < DIMS.len() {
+            m = m.push(nn::activations::Relu::new());
+        }
+    }
+    m
+}
+
+fn wide_masks(model: &Sequential) -> Vec<Mask> {
+    let mask = |p: &&nn::Parameter| match p.value.shape() {
+        shape @ [_, _] => prune::magnitude_prune(p.value.as_slice(), shape, 0.9),
+        shape => Mask::dense(shape),
+    };
+    model.params().iter().map(mask).collect()
+}
+
+fn wide_batch(step: u64, rank: usize) -> (Tensor, Tensor) {
+    let seed = 500 + step * 8 + rank as u64;
+    (Tensor::randn(&[4, DIMS[0]], 1.0, seed), Tensor::randn(&[4, DIMS[3]], 1.0, seed + 1_000))
+}
+
+/// ROADMAP item 1's ruler, smallest slice: what the parameters of a
+/// trained model hold, per rank, next to the compressed state.
+#[test]
+fn a_streamed_rank_holds_gradient_buffers_for_the_biases_only() {
+    let masks = wide_masks(&wide_mlp(3));
+    let mut th = ThreadedDataParallelSamo::new(vec![wide_mlp(3), wide_mlp(3)], masks.clone(), adam());
+    let mut model = wide_mlp(3);
+    assert_eq!(model.num_params(), PHI);
+    let mut single = SamoTrainer::new(&mut model, masks, adam());
+    for step in 0..3u64 {
+        th.step(move |rank, m, scale| {
+            let (x, t) = wide_batch(step, rank);
+            let (_, mut dy) = mse(&m.forward(&x), &t);
+            tensor::ops::scale(scale, dy.as_mut_slice());
+            dy
+        })
+        .expect("healthy mesh");
+        let (x, t) = wide_batch(step, 0);
+        let (_, mut dy) = mse(&model.forward(&x), &t);
+        tensor::ops::scale(single.loss_scale(), dy.as_mut_slice());
+        model.backward(&dy);
+        single.step(&mut model);
+    }
+    for rank in 0..2 {
+        let (values, grads) = th.with_rank(rank, |m, _| resident_param_bytes(m));
+        assert_eq!(values, 4 * PHI, "rank {rank} keeps the f32 view of θ16");
+        assert_eq!(grads, 4 * BIASES, "rank {rank}: no weight matrix keeps a dense gradient");
+    }
+    // The caller runs backward, so the gradients must be where it put them.
+    assert_eq!(resident_param_bytes(&model), (4 * PHI, 4 * PHI));
+}
+
+const IN: usize = 6;
+const OUT: usize = 4;
+
+fn small_model(seed: u64) -> Sequential {
+    Sequential::new()
+        .push(Linear::new(IN, 10, true, seed))
+        .push(nn::activations::Relu::new())
+        .push(Linear::new(10, OUT, false, seed + 1))
+}
+
+fn small_masks() -> Vec<Mask> {
+    let m = small_model(1);
+    let mask = |p: &&nn::Parameter| prune::magnitude_prune(p.value.as_slice(), p.value.shape(), 0.5);
+    m.params().iter().map(mask).collect()
+}
+
+fn small_batch(step: u64, rank: usize) -> (Tensor, Tensor) {
+    let seed = 900 + step * 8 + rank as u64;
+    (Tensor::randn(&[5, IN], 1.0, seed), Tensor::randn(&[5, OUT], 1.0, seed + 1_000))
+}
+
+fn small_step(th: &mut ThreadedDataParallelSamo<Sequential>, step: u64) -> Result<bool, String> {
+    th.step(move |rank, m, scale| {
+        let (x, t) = small_batch(step, rank);
+        let (_, mut dy) = mse(&m.forward(&x), &t);
+        tensor::ops::scale(scale, dy.as_mut_slice());
+        dy
+    })
+}
+
+/// A step that dies between a streamed compress and its ring's end leaves
+/// `∇θ16` with the ring; the retry is still refused as poisoned (not a
+/// panic in the next row-block compress), and after heal + restore the
+/// group streams on, byte for byte with the sequential oracle.
+#[test]
+fn a_failed_streamed_step_poisons_and_streaming_resumes_after_restore() {
+    let world = 2;
+    let mut dp = DataParallelSamo::new(vec![small_model(5), small_model(5)], small_masks(), adam());
+    dp.set_scaler(LossScaler::new(1024.0));
+    let mut th = ThreadedDataParallelSamo::with_comm_timeout(
+        vec![small_model(5), small_model(5)],
+        small_masks(),
+        adam(),
+        Duration::from_millis(300),
+    );
+    th.set_scaler(LossScaler::new(1024.0));
+    let drive_oracle = |dp: &mut DataParallelSamo<Sequential>, step: u64| {
+        for r in 0..world {
+            let scale = dp.loss_scale();
+            let (x, t) = small_batch(step, r);
+            let m = dp.replica_mut(r);
+            let (_, mut dy) = mse(&m.forward(&x), &t);
+            tensor::ops::scale(scale, dy.as_mut_slice());
+            m.backward(&dy);
+        }
+        dp.step();
+    };
+    for step in 0..2 {
+        drive_oracle(&mut dp, step);
+        small_step(&mut th, step).expect("healthy mesh");
+    }
+    let checkpoint = th.save();
+    assert_eq!(checkpoint.as_ref(), dp.save().as_ref());
+
+    th.faults().kill_rank(1, world);
+    let err = small_step(&mut th, 2).expect_err("cut links fail the step");
+    assert!(err.contains("timed out"), "got: {err}");
+    let retry = small_step(&mut th, 2).expect_err("no step before a restore");
+    assert!(retry.contains("poisoned"), "got: {retry}");
+
+    th.faults().heal_rank(1, world);
+    th.restore(&checkpoint).expect("restore after heal");
+    for step in 2..5 {
+        drive_oracle(&mut dp, step);
+        small_step(&mut th, step).expect("healed mesh");
+        assert_eq!(th.save().as_ref(), dp.save().as_ref(), "step {step} after the restore");
+    }
+    for rank in 0..world {
+        let grads = th.with_rank(rank, |m, _| resident_param_bytes(m).1);
+        assert_eq!(grads, 4 * 10, "rank {rank}: only the first layer's bias gradient is held");
+    }
+}

@@ -1,7 +1,61 @@
 //! The layer abstraction: modules with hand-written backward passes.
+//!
+//! Besides the plain `backward`, which accumulates into every
+//! parameter's dense `grad`, a layer runs [`Layer::backward_into`] a
+//! [`GradSink`]: the hook a data-parallel runtime uses to take each
+//! gradient the moment it is final — and, for a weight matrix, while it
+//! is being produced, one block of rows at a time, so that the dense
+//! gradient of the paper's Sec. III-C ("we never have to store the
+//! uncompressed gradients") is a row block, not a tensor.
 
 use crate::param::Parameter;
 use tensor::Tensor;
+
+/// Where [`Layer::backward_into`] delivers parameter gradients.
+///
+/// Indices and offsets count parameters in the [`Layer::params`] order of
+/// the layer the sink was handed to; containers shift them for their
+/// children.
+pub trait GradSink: Sync {
+    /// The parameters `params`, starting at index `offset`, have their
+    /// final gradient: in `grad`, or — for one whose rows this sink took
+    /// — already delivered through [`Self::rows`]. Fires once per
+    /// parameter, in reverse execution order.
+    fn ready(&mut self, offset: usize, params: &[&Parameter]);
+
+    /// Whether the sink takes the gradient of the 2-D parameter `index`
+    /// as row blocks instead of finding it in `grad`. A layer asks right
+    /// before it produces that gradient; on `true` it leaves `grad`
+    /// untouched and calls [`Self::rows`] with every row exactly once
+    /// before the parameter's [`Self::ready`].
+    fn takes_rows(&mut self, _index: usize) -> bool {
+        false
+    }
+
+    /// Rows `row0..row1` of parameter `index`'s gradient, row-major in
+    /// `block`, with the bits accumulating them into a zeroed `grad`
+    /// would leave. Called from kernel pool threads, concurrently on
+    /// disjoint rows; `block` is only valid during the call.
+    fn rows(&self, _index: usize, _row0: usize, _row1: usize, _block: &[f32]) {}
+}
+
+/// A sink as a child whose parameters start at `off` sees it.
+struct Shifted<'a> {
+    sink: &'a mut dyn GradSink,
+    off: usize,
+}
+
+impl GradSink for Shifted<'_> {
+    fn ready(&mut self, offset: usize, params: &[&Parameter]) {
+        self.sink.ready(self.off + offset, params);
+    }
+    fn takes_rows(&mut self, index: usize) -> bool {
+        self.sink.takes_rows(self.off + index)
+    }
+    fn rows(&self, index: usize, row0: usize, row1: usize, block: &[f32]) {
+        self.sink.rows(self.off + index, row0, row1, block);
+    }
+}
 
 /// A differentiable module.
 ///
@@ -79,20 +133,17 @@ pub trait Layer {
         out_cols
     }
 
-    /// Backward with a gradient-readiness callback, the hook data-parallel
-    /// trainers use to overlap all-reduce with the rest of backward:
-    /// `on_ready(param_offset, params)` fires as soon as a group of
-    /// parameters has its final gradient, where `param_offset` is the
-    /// group's starting index in [`Self::params`] order. Leaf layers get
-    /// the default (whole layer ready after its backward); containers
-    /// override it to fire once per child, in reverse execution order.
-    fn backward_with_ready(
-        &mut self,
-        dy: &Tensor,
-        on_ready: &mut dyn FnMut(usize, &[&Parameter]),
-    ) -> Tensor {
+    /// Backward into a gradient sink, the hook data-parallel trainers use
+    /// to overlap the reduction with the rest of backward and to compress
+    /// a weight gradient while it is produced: [`GradSink::ready`] fires
+    /// as soon as a group of parameters has its final gradient. Leaf
+    /// layers get the default (a plain backward, then the whole layer
+    /// ready, every gradient dense); containers override it to forward
+    /// the sink to each child, in reverse execution order, and layers
+    /// whose weight gradient is one GEMM offer it as row blocks.
+    fn backward_into(&mut self, dy: &Tensor, sink: &mut dyn GradSink) -> Tensor {
         let dx = self.backward(dy);
-        on_ready(0, &self.params());
+        sink.ready(0, &self.params());
         dx
     }
 }
@@ -227,15 +278,12 @@ impl Layer for Sequential {
         cols
     }
 
-    fn backward_with_ready(
-        &mut self,
-        dy: &Tensor,
-        on_ready: &mut dyn FnMut(usize, &[&Parameter]),
-    ) -> Tensor {
+    fn backward_into(&mut self, dy: &Tensor, sink: &mut dyn GradSink) -> Tensor {
         // Children finish their gradients in reverse execution order;
-        // report each with its parameter offset in `params()` order so
-        // the caller can start reducing it while earlier (in forward
-        // order) children are still running backward.
+        // each sees the sink shifted by its parameter offset in
+        // `params()` order, so the caller can start reducing a child's
+        // gradients while earlier (in forward order) children are still
+        // running backward.
         let offsets: Vec<usize> = self
             .layers
             .iter()
@@ -246,10 +294,8 @@ impl Layer for Sequential {
             })
             .collect();
         let mut cur = dy.clone();
-        for (layer, off) in self.layers.iter_mut().zip(&offsets).rev() {
-            cur = layer.backward_with_ready(&cur, &mut |child_off, params| {
-                on_ready(off + child_off, params)
-            });
+        for (layer, &off) in self.layers.iter_mut().zip(&offsets).rev() {
+            cur = layer.backward_into(&cur, &mut Shifted { sink: &mut *sink, off });
         }
         cur
     }
@@ -260,8 +306,17 @@ mod tests {
     use super::*;
     use crate::linear::Linear;
 
+    /// A sink that takes nothing as rows and records the `ready` groups.
+    struct Groups(Vec<(usize, usize)>);
+
+    impl GradSink for Groups {
+        fn ready(&mut self, off: usize, params: &[&Parameter]) {
+            self.0.push((off, params.len()));
+        }
+    }
+
     #[test]
-    fn backward_with_ready_fires_per_child_in_reverse_order() {
+    fn backward_into_fires_per_child_in_reverse_order() {
         let build = || {
             Sequential::new()
                 .push(Linear::new(4, 3, true, 1))
@@ -277,16 +332,18 @@ mod tests {
 
         let mut hooked = build();
         hooked.forward(&x);
-        let mut groups: Vec<(usize, usize)> = Vec::new();
-        let dx_hooked = hooked.backward_with_ready(&dy, &mut |off, params| {
-            groups.push((off, params.len()));
-        });
+        let mut groups = Groups(Vec::new());
+        let dx_hooked = hooked.backward_into(&dy, &mut groups);
 
         assert_eq!(dx_plain.as_slice(), dx_hooked.as_slice(), "hook must not change math");
         // Reverse execution order: last Linear (params 2..3), Relu
         // (no params), first Linear (params 0..2). Offsets index into
         // `params()` order; every parameter is reported exactly once.
-        assert_eq!(groups, vec![(2, 1), (2, 0), (0, 2)]);
+        assert_eq!(groups.0, vec![(2, 1), (2, 0), (0, 2)]);
+        // A sink that declines rows finds every gradient dense.
+        for (p, q) in plain.params().iter().zip(hooked.params()) {
+            assert_eq!(p.grad.as_slice(), q.grad.as_slice(), "{}", p.name);
+        }
     }
 
     #[test]

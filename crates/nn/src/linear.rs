@@ -1,8 +1,8 @@
 //! Fully-connected layer — the workload of the paper's Fig. 1.
 
-use crate::layer::Layer;
+use crate::layer::{GradSink, Layer};
 use crate::param::Parameter;
-use tensor::gemm::{matmul_nt, matmul_tn_acc, sgemm};
+use tensor::gemm::{matmul_nt, matmul_tn_acc, matmul_tn_row_blocks, sgemm};
 use tensor::Tensor;
 
 /// Affine map `y = x · Wᵀ + b`, weights stored `[out_features, in_features]`
@@ -63,6 +63,61 @@ impl Linear {
     pub fn weight_mut(&mut self) -> &mut Parameter {
         &mut self.weight
     }
+
+    /// Backward with the weight gradient `dW = dyᵀ · x` going either into
+    /// the dense `grad` (materialised if it was released) or, row block
+    /// by row block, to `rows` — the same bits either way, since a block
+    /// is what accumulating into zeros leaves.
+    fn backward_dw(&mut self, dy: &Tensor, rows: Option<&dyn GradSink>) -> Tensor {
+        let x = self
+            .cached_input
+            .take()
+            .expect("backward called before forward");
+        let batch = x.rows();
+        assert_eq!(dy.rows(), batch);
+        assert_eq!(dy.cols(), self.out_features);
+
+        // dW += dyᵀ · x  (out×batch · batch×in = out×in): no dW-sized
+        // temporary on either path, and on the second no dW at all.
+        let (m, n) = (self.out_features, self.in_features);
+        match rows {
+            None => {
+                let grad = self.weight.dense_grad().as_mut_slice();
+                matmul_tn_acc(m, n, batch, dy.as_slice(), x.as_slice(), grad);
+            }
+            Some(sink) => matmul_tn_row_blocks(m, n, batch, dy.as_slice(), x.as_slice(), |r0, r1, block| {
+                sink.rows(0, r0, r1, block)
+            }),
+        }
+
+        if let Some(b) = &mut self.bias {
+            let gb = b.dense_grad().as_mut_slice();
+            for row in dy.as_slice().chunks(self.out_features) {
+                for (g, &d) in gb.iter_mut().zip(row) {
+                    *g += d;
+                }
+            }
+        }
+
+        // dx = dy · W  (batch×out · out×in)
+        let mut dx = Tensor::zeros(&[batch, self.in_features]);
+        sgemm(
+            false,
+            false,
+            batch,
+            self.in_features,
+            self.out_features,
+            1.0,
+            dy.as_slice(),
+            self.out_features,
+            self.weight.value.as_slice(),
+            self.in_features,
+            0.0,
+            dx.as_mut_slice(),
+            self.in_features,
+        );
+        dx
+    }
 }
 
 impl Layer for Linear {
@@ -122,51 +177,18 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .take()
-            .expect("backward called before forward");
-        let batch = x.rows();
-        assert_eq!(dy.rows(), batch);
-        assert_eq!(dy.cols(), self.out_features);
+        self.backward_dw(dy, None)
+    }
 
-        // dW += dyᵀ · x  (out×batch · batch×in = out×in), straight into
-        // the gradient: no dW-sized temporary.
-        matmul_tn_acc(
-            self.out_features,
-            self.in_features,
-            batch,
-            dy.as_slice(),
-            x.as_slice(),
-            self.weight.grad.as_mut_slice(),
-        );
-
-        if let Some(b) = &mut self.bias {
-            let gb = b.grad.as_mut_slice();
-            for row in dy.as_slice().chunks(self.out_features) {
-                for (g, &d) in gb.iter_mut().zip(row) {
-                    *g += d;
-                }
-            }
+    fn backward_into(&mut self, dy: &Tensor, sink: &mut dyn GradSink) -> Tensor {
+        let rows = sink.takes_rows(0);
+        let dx = self.backward_dw(dy, rows.then_some(&*sink));
+        // Stack slices, not `params()`: a streamed backward adds no
+        // allocation to the plain one.
+        match &self.bias {
+            Some(b) => sink.ready(0, &[&self.weight, b]),
+            None => sink.ready(0, &[&self.weight]),
         }
-
-        // dx = dy · W  (batch×out · out×in)
-        let mut dx = Tensor::zeros(&[batch, self.in_features]);
-        sgemm(
-            false,
-            false,
-            batch,
-            self.in_features,
-            self.out_features,
-            1.0,
-            dy.as_slice(),
-            self.out_features,
-            self.weight.value.as_slice(),
-            self.in_features,
-            0.0,
-            dx.as_mut_slice(),
-            self.in_features,
-        );
         dx
     }
 

@@ -145,25 +145,89 @@ pub fn matmul_tn_acc(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut
             gemm_panel::<true>(tier, true, false, row0, row1, n, k, 1.0, a, m, b, n, c_panel, n);
             return;
         }
-        ACC_SCRATCH.with(|cell| {
-            let mut block = cell.borrow_mut();
-            if block.len() < MC.min(m) * n {
-                block.resize(MC.min(m) * n, 0.0);
-            }
-            // MC-row blocks from `row0`, as `gemm_panel` itself would cut
-            // them, so the MR row groups — and with them the zero skips —
-            // are those of the one-shot product.
-            for r0 in (row0..row1).step_by(MC) {
-                let r1 = (r0 + MC).min(row1);
-                let block = &mut block[..(r1 - r0) * n];
-                block.fill(0.0);
-                gemm_panel::<false>(tier, true, false, r0, r1, n, k, 1.0, a, m, b, n, block, n);
-                let c_rows = &mut c_panel[(r0 - row0) * n..(r1 - row0) * n];
-                for (cv, &t) in c_rows.iter_mut().zip(block.iter()) {
-                    *cv += t;
-                }
+        tn_row_blocks::<false>(tier, row0, row1, m, n, k, a, b, |r0, r1, block| {
+            let c_rows = &mut c_panel[(r0 - row0) * n..(r1 - row0) * n];
+            for (cv, &t) in c_rows.iter_mut().zip(block.iter()) {
+                *cv += t;
             }
         });
+    });
+}
+
+/// `Aᵀ · B` for contiguous row-major `A` (`k × m`) and `B` (`k × n`),
+/// never stored: `consume(row0, row1, block)` is handed rows
+/// `row0..row1` of the product (row-major, `n` wide) one block of at most
+/// `MC` rows at a time, each block exactly once and together covering
+/// `0..m`, while the block is still in cache. Blocks of different row
+/// panels arrive from different pool threads, concurrently.
+///
+/// Every element is what [`matmul_tn_acc`] leaves in a zeroed `C` — the
+/// chain of [`matmul_tn`] (same FMAs over `k`, same zero-skip row
+/// groups, `+0.0` start) added to `+0.0`, so a product that underflowed
+/// to `-0.0` reads `+0.0` here as it does there. A consumer that gathers
+/// from the blocks therefore sees the bits it would find in a gradient
+/// accumulated into zeros, without that `m × n` buffer existing.
+///
+/// `consume` runs inside the product's per-thread block and must not
+/// call back into this function or [`matmul_tn_acc`].
+pub fn matmul_tn_row_blocks<F>(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], consume: F)
+where
+    F: Fn(usize, usize, &[f32]) + Sync,
+{
+    let tier = simd::active();
+    if !begin_gemm(true, false, m, n, k, a.len(), m, b.len(), n, m * n, n) {
+        return;
+    }
+    par_ranges(m.div_ceil(MC), 1, |p0, p1| {
+        let (row0, row1) = (p0 * MC, (p1 * MC).min(m));
+        tn_row_blocks::<true>(tier, row0, row1, m, n, k, a, b, |r0, r1, block| {
+            consume(r0, r1, block)
+        });
+    });
+}
+
+/// Rows `row0..row1` of `Aᵀ · B` (shapes as in [`matmul_tn_acc`]), one
+/// `MC`-row block at a time through this thread's [`ACC_SCRATCH`]:
+/// `f(r0, r1, block)`. The blocks are cut from `row0` as `gemm_panel`
+/// itself would cut them, so the MR row groups — and with them the zero
+/// skips — are those of the one-shot product. A block holds the product
+/// as [`matmul_tn`] rounds it, or with `ONTO_ZERO` that product added to
+/// `+0.0`: what accumulating it into zeroed rows leaves.
+#[allow(clippy::too_many_arguments)]
+fn tn_row_blocks<const ONTO_ZERO: bool>(
+    tier: Tier,
+    row0: usize,
+    row1: usize,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    mut f: impl FnMut(usize, usize, &mut [f32]),
+) {
+    ACC_SCRATCH.with(|cell| {
+        let mut scratch = cell.borrow_mut();
+        if scratch.len() < MC.min(m) * n {
+            scratch.resize(MC.min(m) * n, 0.0);
+        }
+        for r0 in (row0..row1).step_by(MC) {
+            let r1 = (r0 + MC).min(row1);
+            let block = &mut scratch[..(r1 - r0) * n];
+            block.fill(0.0);
+            if ONTO_ZERO && (1..=KC).contains(&k) {
+                // One k-block: the tile adds its finished chain to the
+                // zeros as it stores, as `matmul_tn_acc` does into C.
+                gemm_panel::<true>(tier, true, false, r0, r1, n, k, 1.0, a, m, b, n, block, n);
+            } else {
+                gemm_panel::<false>(tier, true, false, r0, r1, n, k, 1.0, a, m, b, n, block, n);
+                if ONTO_ZERO {
+                    for t in block.iter_mut() {
+                        *t += 0.0;
+                    }
+                }
+            }
+            f(r0, r1, block);
+        }
     });
 }
 
@@ -240,7 +304,7 @@ thread_local! {
     static PACK_SCRATCH: std::cell::RefCell<(Vec<f32>, Vec<f32>)> =
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
 
-    /// The `MC × n` product block of [`matmul_tn_acc`], reused the same
+    /// The `MC × n` product block of [`tn_row_blocks`], reused the same
     /// way. Separate from `PACK_SCRATCH` because `gemm_panel` borrows that
     /// while this is held.
     static ACC_SCRATCH: std::cell::RefCell<Vec<f32>> =

@@ -127,38 +127,49 @@ pub fn narrow_slice_tier(tier: Tier, src: &[f32], dst: &mut [F16]) {
 }
 
 /// Fused gather → f32-to-f16 narrow → finiteness test:
-/// `out[j] = F16::from_f32_fast(src[idx[j]])`, returning `false` if any
-/// produced half is non-finite. This is the inner loop of the fused
+/// `out[j] = F16::from_f32_fast(src[idx[j] - base])`, returning `false` if
+/// any produced half is non-finite. This is the inner loop of the fused
 /// gradient compression step ([`core`]'s `compress_grad_fused`), where the
-/// AVX2 path replaces the scalar gather with `vgatherdps`.
+/// AVX2 path replaces the scalar gather with `vgatherdps`. `src` is the
+/// part of the indexed array that starts at position `base` — the whole of
+/// it at `base = 0`, or one row block of a gradient that is compressed as
+/// it is produced.
 ///
 /// # Panics
-/// Panics if an index is out of bounds for `src` or the lengths differ.
-pub fn gather_narrow_finite(tier: Tier, src: &[f32], idx: &[u32], out: &mut [F16]) -> bool {
+/// Panics if an index lies outside `base..base + src.len()` or the
+/// lengths differ.
+pub fn gather_narrow_finite(
+    tier: Tier,
+    src: &[f32],
+    base: u32,
+    idx: &[u32],
+    out: &mut [F16],
+) -> bool {
     assert_eq!(idx.len(), out.len());
     #[cfg(target_arch = "x86_64")]
     if tier == Tier::Avx2 && detected_avx2() && src.len() <= i32::MAX as usize {
         // The hardware gather performs no bounds checks and treats the
         // indices as signed i32, so validate up front: one vectorizable
-        // max-reduction, negligible next to the gather itself. (With
-        // `src.len() <= i32::MAX`, any in-bounds index is non-negative.)
-        let max = idx.iter().copied().max();
-        match max {
-            None => return true,
-            Some(mx) if (mx as usize) < src.len() => {
-                // SAFETY: AVX2 presence checked; all indices in bounds.
-                return unsafe { gather_narrow_finite_avx2(src, idx, out) };
-            }
-            Some(mx) => panic!(
-                "gather_narrow_finite: index {mx} out of bounds for slice of len {}",
-                src.len()
-            ),
+        // max-reduction, negligible next to the gather itself. An index
+        // below `base` wraps to at least `2^32 − base > i32::MAX`, so the
+        // one comparison catches both ends. (With `src.len() <= i32::MAX`,
+        // any in-bounds offset is non-negative.)
+        if idx.is_empty() {
+            return true;
         }
+        let max = idx.iter().fold(0, |mx, &ix| ix.wrapping_sub(base).max(mx));
+        assert!(
+            (max as usize) < src.len(),
+            "gather_narrow_finite: index out of bounds for positions {base}..{}",
+            base as usize + src.len()
+        );
+        // SAFETY: AVX2 presence checked; all offsets in bounds.
+        return unsafe { gather_narrow_finite_avx2(src, base, idx, out) };
     }
     let _ = tier;
     let mut finite = true;
     for (o, &ix) in out.iter_mut().zip(idx) {
-        let h = F16::from_f32_fast(src[ix as usize]);
+        let h = F16::from_f32_fast(src[ix.wrapping_sub(base) as usize]);
         finite &= h.is_finite();
         *o = h;
     }
@@ -274,19 +285,25 @@ mod avx2 {
     }
 
     /// # Safety
-    /// Requires AVX2; every index must be in bounds for `src` and
-    /// `src.len() <= i32::MAX` (gather indices are signed).
+    /// Requires AVX2; every `idx[j] - base` must be in bounds for `src`
+    /// and `src.len() <= i32::MAX` (gather indices are signed).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn gather_narrow_finite_avx2(src: &[f32], idx: &[u32], out: &mut [F16]) -> bool {
+    pub unsafe fn gather_narrow_finite_avx2(
+        src: &[f32],
+        base: u32,
+        idx: &[u32],
+        out: &mut [F16],
+    ) -> bool {
         let n = idx.len();
         let sp = src.as_ptr();
         let ip = idx.as_ptr();
         let op = out.as_mut_ptr();
         let exp_mask = _mm256_set1_epi32(0x7C00);
+        let basev = _mm256_set1_epi32(base as i32);
         let mut nonfinite = _mm256_setzero_si256();
         let mut i = 0;
         while i + 8 <= n {
-            let iv = _mm256_loadu_si256(ip.add(i) as *const __m256i);
+            let iv = _mm256_sub_epi32(_mm256_loadu_si256(ip.add(i) as *const __m256i), basev);
             let vals = _mm256_i32gather_ps::<4>(sp, iv);
             let halves = narrow8(vals);
             // Non-finite ⇔ all five exponent bits set (Inf or NaN).
@@ -297,7 +314,7 @@ mod avx2 {
         }
         let mut finite = _mm256_movemask_epi8(nonfinite) == 0;
         while i < n {
-            let h = F16::from_f32_fast(*sp.add(*ip.add(i) as usize));
+            let h = F16::from_f32_fast(*sp.add((*ip.add(i) - base) as usize));
             finite &= h.is_finite();
             *op.add(i) = h;
             i += 1;
@@ -333,11 +350,40 @@ mod tests {
         let idx: Vec<u32> = (0..100).rev().step_by(3).map(|i| i as u32).collect();
         for tier in [Tier::Scalar, Tier::Avx2] {
             let mut out = vec![F16::ZERO; idx.len()];
-            let finite = gather_narrow_finite(tier, &src, &idx, &mut out);
+            let finite = gather_narrow_finite(tier, &src, 0, &idx, &mut out);
             assert!(finite);
             for (o, &ix) in out.iter().zip(&idx) {
                 assert_eq!(o.to_bits(), F16::from_f32_fast(src[ix as usize]).to_bits());
             }
+        }
+    }
+
+    #[test]
+    fn gather_narrow_from_a_block_matches_the_whole_array() {
+        // A block that starts at `base` holds positions `base..`: the
+        // same halves as gathering those indices from the whole array,
+        // vector body and scalar tail alike.
+        let src: Vec<f32> = (0..200).map(|i| (i as f32 - 90.0) * 0.21).collect();
+        let (base, end) = (37usize, 150usize);
+        let idx: Vec<u32> = (base..end).step_by(3).map(|i| i as u32).collect();
+        for tier in [Tier::Scalar, Tier::Avx2] {
+            let mut whole = vec![F16::ZERO; idx.len()];
+            let mut block = vec![F16::ZERO; idx.len()];
+            assert!(gather_narrow_finite(tier, &src, 0, &idx, &mut whole));
+            assert!(gather_narrow_finite(tier, &src[base..end], base as u32, &idx, &mut block));
+            assert_eq!(whole, block);
+        }
+    }
+
+    #[test]
+    fn gather_narrow_rejects_an_index_below_the_block() {
+        let src = vec![0.0f32; 16];
+        for tier in [Tier::Scalar, Tier::Avx2] {
+            let r = std::panic::catch_unwind(|| {
+                let mut out = vec![F16::ZERO; 9];
+                gather_narrow_finite(tier, &src, 8, &[7, 8, 9, 10, 11, 12, 13, 14, 15], &mut out)
+            });
+            assert!(r.is_err(), "{tier:?} read before the block");
         }
     }
 
@@ -348,11 +394,11 @@ mod tests {
         let idx: Vec<u32> = (0..40).collect();
         for tier in [Tier::Scalar, Tier::Avx2] {
             let mut out = vec![F16::ZERO; 40];
-            assert!(!gather_narrow_finite(tier, &src, &idx, &mut out));
+            assert!(!gather_narrow_finite(tier, &src, 0, &idx, &mut out));
             // Overflow-to-inf must also be flagged.
             let big = vec![1e9f32; 9];
             let mut out2 = vec![F16::ZERO; 9];
-            assert!(!gather_narrow_finite(tier, &big, &[0, 1, 2, 3, 4, 5, 6, 7, 8], &mut out2));
+            assert!(!gather_narrow_finite(tier, &big, 0, &[0, 1, 2, 3, 4, 5, 6, 7, 8], &mut out2));
         }
     }
 
@@ -362,6 +408,6 @@ mod tests {
         let src = vec![0.0f32; 8];
         let idx = [0u32, 1, 2, 3, 4, 5, 6, 8];
         let mut out = vec![F16::ZERO; 8];
-        gather_narrow_finite(active(), &src, &idx, &mut out);
+        gather_narrow_finite(active(), &src, 0, &idx, &mut out);
     }
 }

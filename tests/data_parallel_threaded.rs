@@ -4,15 +4,16 @@
 //! timeouts (never hangs) with checkpoint-restore resynchronizing the
 //! group exactly.
 
-use nn::layer::{Layer, Sequential};
+use nn::layer::{GradSink, Layer, Sequential};
 use nn::linear::Linear;
 use nn::loss::mse;
 use nn::mixed::{LossScaler, Optimizer};
 use nn::optim::AdamConfig;
+use nn::param::Parameter;
 use prune::Mask;
 use samo::data_parallel::DataParallelSamo;
 use samo::threaded::ThreadedDataParallelSamo;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tensor::Tensor;
 
@@ -26,6 +27,74 @@ fn model(seed: u64) -> Sequential {
         .push(Linear::new(IN, HID, true, seed))
         .push(nn::activations::Relu::new())
         .push(Linear::new(HID, OUT, false, seed + 1))
+}
+
+/// `(dense position, value)` to add to a streamed weight gradient.
+type Plant = Arc<Mutex<Vec<(usize, f32)>>>;
+
+/// The bias-free second `Linear` with a tap on its streamed gradient: the
+/// threaded runtime takes a weight gradient as GEMM row blocks and keeps
+/// no dense `grad` to plant a value in, so a planted value is added to the
+/// row block that holds its position on the way to the runtime's sink —
+/// where accumulation would have put it (`inf + finite = inf`).
+struct Tapped {
+    inner: Linear,
+    plant: Plant,
+}
+
+struct Tap<'a> {
+    sink: &'a mut dyn GradSink,
+    plant: &'a Mutex<Vec<(usize, f32)>>,
+}
+
+impl GradSink for Tap<'_> {
+    fn ready(&mut self, off: usize, params: &[&Parameter]) {
+        self.sink.ready(off, params);
+    }
+    fn takes_rows(&mut self, index: usize) -> bool {
+        let took = self.sink.takes_rows(index);
+        assert!(took, "the threaded runtime streams a Linear's weight gradient");
+        took
+    }
+    fn rows(&self, index: usize, row0: usize, row1: usize, block: &[f32]) {
+        let cols = block.len() / (row1 - row0);
+        let mut block = block.to_vec();
+        self.plant.lock().unwrap().retain(|&(at, v)| {
+            let hit = (row0 * cols..row1 * cols).contains(&at);
+            if hit {
+                block[at - row0 * cols] += v;
+            }
+            !hit
+        });
+        self.sink.rows(index, row0, row1, &block);
+    }
+}
+
+impl Layer for Tapped {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.inner.forward(x)
+    }
+    fn backward(&mut self, dy: &Tensor) -> Tensor {
+        self.inner.backward(dy)
+    }
+    fn params(&self) -> Vec<&Parameter> {
+        self.inner.params()
+    }
+    fn params_mut(&mut self) -> Vec<&mut Parameter> {
+        self.inner.params_mut()
+    }
+    fn backward_into(&mut self, dy: &Tensor, sink: &mut dyn GradSink) -> Tensor {
+        let mut tap = Tap { sink, plant: &self.plant };
+        self.inner.backward_into(dy, &mut tap)
+    }
+}
+
+/// [`model`] with the second `Linear` tapped.
+fn tapped_model(seed: u64, plant: &Plant) -> Sequential {
+    Sequential::new()
+        .push(Linear::new(IN, HID, true, seed))
+        .push(nn::activations::Relu::new())
+        .push(Tapped { inner: Linear::new(HID, OUT, false, seed + 1), plant: Arc::clone(plant) })
 }
 
 fn masks() -> Vec<Mask> {
@@ -200,8 +269,10 @@ fn killed_rank_times_out_and_restore_resyncs_bitwise() {
 /// range; and a `+inf`/`−inf` pair that meets as NaN on one owner) — the
 /// flag gather must still make both ranks skip, with equal scalers and counters, and the next applied
 /// step must leave exactly the sequential oracle's checkpoint bytes.
-/// Gradients accumulate, so a value planted in `p.grad` before backward
-/// survives it: `inf + finite = inf`.
+/// Gradients accumulate, so a value planted in the oracle's `p.grad`
+/// before backward survives it: `inf + finite = inf`. The threaded
+/// runtime streams that gradient and holds no `p.grad`; there the value
+/// goes in through the streamed row block ([`Tapped`]).
 #[test]
 fn overflow_on_one_rank_skips_every_rank_in_lockstep() {
     const W2: usize = 2; // the bias-free second weight: 4 × 10, half kept
@@ -220,12 +291,14 @@ fn overflow_on_one_rank_skips_every_rank_in_lockstep() {
         for plant in cases {
             let mut dp = DataParallelSamo::new(vec![model(9), model(9)], masks(), adam());
             dp.set_scaler(LossScaler::new(1024.0));
+            let plants: [Plant; 2] = Default::default();
+            let replicas = plants.iter().map(|p| tapped_model(9, p)).collect();
             let mut th = if tcp {
                 let mesh = comms::TcpTransport::local_mesh(2).expect("loopback mesh");
                 let faults = Arc::clone(mesh[0].faults());
                 let timeout = comms::collectives::DEFAULT_TIMEOUT;
                 ThreadedDataParallelSamo::with_transports(
-                    vec![model(9), model(9)],
+                    replicas,
                     masks(),
                     adam(),
                     timeout,
@@ -233,7 +306,7 @@ fn overflow_on_one_rank_skips_every_rank_in_lockstep() {
                     faults,
                 )
             } else {
-                ThreadedDataParallelSamo::new(vec![model(9), model(9)], masks(), adam())
+                ThreadedDataParallelSamo::new(replicas, masks(), adam())
             };
             th.set_scaler(LossScaler::new(1024.0));
 
@@ -244,13 +317,11 @@ fn overflow_on_one_rank_skips_every_rank_in_lockstep() {
                     dp.replica_mut(rank).params_mut()[W2].grad.as_mut_slice()[at] = v;
                 }
                 drive_inproc(&mut dp, step);
+                for &(rank, at, v) in &planted {
+                    plants[rank].lock().unwrap().push((at, v));
+                }
                 let applied = th
                     .step(move |rank, m, scale| {
-                        for &(r, at, v) in &planted {
-                            if r == rank {
-                                m.params_mut()[W2].grad.as_mut_slice()[at] = v;
-                            }
-                        }
                         let (x, t) = batch(step, rank);
                         let y = m.forward(&x);
                         let (_, mut dy) = mse(&y, &t);
@@ -260,6 +331,9 @@ fn overflow_on_one_rank_skips_every_rank_in_lockstep() {
                     .expect("healthy mesh");
                 let ctx = format!("tcp {tcp} case {plant:?} step {step}");
                 assert_eq!(applied, step != 1, "{ctx}: exactly the planted step skips");
+                for p in &plants {
+                    assert!(p.lock().unwrap().is_empty(), "{ctx}: planted through a row block");
+                }
                 assert_eq!(th.loss_scale(), dp.loss_scale(), "{ctx}: scalers");
                 assert_eq!(th.steps_skipped(), dp.steps_skipped(), "{ctx}: skip counters");
                 assert_eq!(th.save().as_ref(), dp.save().as_ref(), "{ctx}: checkpoint bytes");

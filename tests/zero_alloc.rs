@@ -236,6 +236,58 @@ fn hot_paths_allocate_nothing_in_steady_state() {
         in_f * out_f * 4
     );
 
+    // --- Streamed weight gradient: backward + compress of one Linear ---
+    // The data-parallel runtime takes dW as GEMM row blocks and gathers
+    // each into ∇θ16 while it is hot. Warm, that adds nothing to the
+    // heap: the product block is the GEMM's thread-local one, finding a
+    // block's kept positions is two binary searches, and the sink is a
+    // stack value. First the kernel pair on its own — no allocation at
+    // all — then the layer: a streamed `backward_into` requests exactly
+    // what the plain backward does (the returned `dx`), and nothing of
+    // the size of the weights.
+    struct Compress(std::sync::Mutex<(samo::SamoLayerState, bool)>);
+    impl nn::layer::GradSink for Compress {
+        fn ready(&mut self, _off: usize, _params: &[&nn::Parameter]) {}
+        fn takes_rows(&mut self, index: usize) -> bool {
+            index == 0
+        }
+        fn rows(&self, _index: usize, row0: usize, row1: usize, block: &[f32]) {
+            let mut g = self.0.lock().unwrap();
+            let finite = g.0.compress_grad_rows(row0, row1, block);
+            g.1 &= finite;
+        }
+    }
+    let smask = prune::random_prune(&[out_f, in_f], 0.9, 33);
+    let sopt = Optimizer::Adam(AdamConfig::default());
+    let state = samo::SamoLayerState::from_params(lin.params()[0].value.as_slice(), smask, &sopt);
+    let mut sink = Compress(std::sync::Mutex::new((state, true)));
+    let stream_dw = |sink: &Compress| {
+        use nn::layer::GradSink;
+        let (dy, x) = (ldy.as_slice(), lx.as_slice());
+        tensor::gemm::matmul_tn_row_blocks(out_f, in_f, batch, dy, x, |r0, r1, block| {
+            sink.rows(0, r0, r1, block)
+        });
+    };
+    stream_dw(&sink); // warm
+    let events = alloc_events_during(|| stream_dw(&sink));
+    assert_eq!(events, 0, "streamed dW + compress allocated {events} time(s)");
+
+    lin.forward(&lx);
+    let plain = alloc_events_during(|| {
+        lin.backward(&ldy);
+    });
+    lin.forward(&lx);
+    lin.backward_into(&ldy, &mut sink); // warm
+    lin.forward(&lx);
+    LARGEST_ALLOC.store(0, Ordering::Relaxed);
+    let streamed = alloc_events_during(|| {
+        lin.backward_into(&ldy, &mut sink);
+    });
+    assert_eq!(streamed, plain, "a streamed backward allocates what a plain one does: dx");
+    let largest = LARGEST_ALLOC.load(Ordering::Relaxed) as usize;
+    assert!(largest <= activation, "streamed backward requested {largest} B at once");
+    assert!(sink.0.into_inner().unwrap().1, "ordinary gradients are finite");
+
     // --- Steady-state serving loop (`Layer::infer_batch`) -------------
     // The serving runtime's replica loop is exactly this: one warm
     // model, one warm output buffer, `infer_batch` per batch. Every
