@@ -235,6 +235,9 @@ fn kernels(doc: &Json) -> Check {
     let dw_dense = best_ms("dw_dense_4x2048x2048")?;
     let dw_streamed = best_ms("dw_streamed_4x2048x2048")?;
     at_most("streamed dW + compress ms over the dense form", dw_streamed, dw_dense)?;
+    let f32w = best_ms("fwd_dx_f32w_4x2048x2048")?;
+    let f16w = best_ms("fwd_dx_f16w_4x2048x2048")?;
+    at_most("forward + dx ms from θ16 over its f32 view", f16w, f32w)?;
     let one_row = num(named(table, "gemm_nn_1x768x768")?, "gflops")?;
     // The tier the kernels ran on is recorded by `repro simd`.
     let tier = doc.get("simd").and_then(|s| s.get("active_tier"));
@@ -249,6 +252,7 @@ fn kernels(doc: &Json) -> Check {
     Ok(format!(
         "{n} kernels, fused step {fused:.4} ms <= reference {reference:.4} ms, \
          streamed dW {dw_streamed:.4} ms <= dense {dw_dense:.4} ms, \
+         fwd + dx from θ16 {f16w:.4} ms <= from f32 {f32w:.4} ms, \
          thin NT/NN {thin:.2}, 1-row {one_row:.2} GFLOP/s"
     ))
 }
@@ -665,6 +669,11 @@ mod tests {
         set_kernel_ms(&mut doc, "dw_dense_4x2048x2048", 2.0);
         set_kernel_ms(&mut doc, "dw_streamed_4x2048x2048", 2.25);
         rejects("kernels", &doc, &["streamed dW", "2.25", "2"]);
+
+        let mut doc = committed();
+        set_kernel_ms(&mut doc, "fwd_dx_f32w_4x2048x2048", 4.0);
+        set_kernel_ms(&mut doc, "fwd_dx_f16w_4x2048x2048", 4.5);
+        rejects("kernels", &doc, &["from θ16", "4.5", "4"]);
 
         let mut doc = committed();
         set_kernel_ms(&mut doc, "gemm_nn_4x2048x2048", 1.0);

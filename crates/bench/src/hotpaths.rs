@@ -20,6 +20,11 @@
 //!   clearing it, against `matmul_tn_row_blocks` compressed block by
 //!   block (same `∇θ16` bits, asserted). Gated: streamed may never be
 //!   slower than dense.
+//! * `fwd_dx_f32w_4x2048x2048` / `fwd_dx_f16w_4x2048x2048` — forward
+//!   and input gradient of the same thin-batch `Linear` (`x·Wᵀ`, then
+//!   `dy·W`) from the f32 view of `θ16` against `θ16` itself, widened by
+//!   the GEMM's pack step (same bits, asserted). Gated: the
+//!   half-precision weight may never be slower than its f32 copy.
 //! * `compress_f32` / `expand_f16` / `compress_f16` — the compression
 //!   and expansion primitives.
 //! * `allreduce_compressed` — the compressed fp16 gradient all-reduce.
@@ -31,8 +36,8 @@ use samo::state::SamoLayerState;
 use samo::trainer::allreduce_mean_f16;
 use samo::{compress_f16, compress_f32, expand_f16};
 use telemetry::json::Json;
-use tensor::f16::F16;
-use tensor::gemm::{matmul, matmul_nt, matmul_tn_acc, matmul_tn_row_blocks};
+use tensor::f16::{f16_slice_to_f32, f32_slice_to_f16, F16};
+use tensor::gemm::{matmul, matmul_nt, matmul_tn_acc, matmul_tn_row_blocks, sgemm, GemmElem};
 
 /// One benchmarked kernel: per-invocation times in milliseconds.
 struct KernelResult {
@@ -167,6 +172,36 @@ pub fn run(quick: bool) -> Result<(), String> {
         assert!(dense_st.grad16 == streamed_st.grad16, "streamed ∇θ16 differs from dense");
         results.push(gemm_row("dw_dense_4x2048x2048", (m, n, k), reps, dense));
         results.push(gemm_row("dw_streamed_4x2048x2048", (m, n, k), reps, streamed));
+    }
+    {
+        // y = x·Wᵀ and dx = dy·W of that layer, the two products that
+        // read the weight: from the f32 view a caller-driven trainer
+        // keeps of θ16, and from θ16 itself as the thread-per-rank
+        // runtimes lend it — half the bytes of a bandwidth-bound stream,
+        // widened exactly as the pack step copies them.
+        let (m, n, k) = (4, 2048, 2048);
+        let w16 = f32_slice_to_f16(&random_vec(n * k, 23));
+        let w32 = f16_slice_to_f32(&w16);
+        let (x, dy) = (random_vec(m * k, 24), random_vec(m * n, 25));
+        type Dims = (usize, usize, usize);
+        fn fwd_dx<W: GemmElem>((m, n, k): Dims, w: &[W], io: [&[f32]; 2], y: &mut [f32], dx: &mut [f32]) {
+            sgemm(false, true, m, n, k, 1.0, io[0], k, w, k, 0.0, y, n);
+            sgemm(false, false, m, k, n, 1.0, io[1], n, w, k, 0.0, dx, k);
+        }
+        let (mut y32, mut dx32) = (vec![0.0f32; m * n], vec![0.0f32; m * k]);
+        let (mut y16, mut dx16) = (y32.clone(), dx32.clone());
+        let [f32w, f16w] = duel(
+            best_of,
+            4 * reps,
+            || fwd_dx((m, n, k), &w32, [&x, &dy], &mut y32, &mut dx32),
+            || fwd_dx((m, n, k), &w16, [&x, &dy], &mut y16, &mut dx16),
+        );
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert!(bits(&y32) == bits(&y16), "forward from θ16 differs from its f32 view");
+        assert!(bits(&dx32) == bits(&dx16), "dx from θ16 differs from its f32 view");
+        // Two products of m·n·k multiply-adds each.
+        results.push(gemm_row("fwd_dx_f32w_4x2048x2048", (2 * m, n, k), 4 * reps, f32w));
+        results.push(gemm_row("fwd_dx_f16w_4x2048x2048", (2 * m, n, k), 4 * reps, f16w));
     }
     {
         // Fig. 4's attention inner loop: batch x heads = 64 score GEMMs

@@ -413,11 +413,12 @@ fn normalise(name: &str) -> String {
         "samo",
         "dense",
     ];
-    const PER_RUNTIME: [&str; 6] = [
+    const PER_RUNTIME: [&str; 7] = [
         "steps_taken",
         "steps_skipped",
         "loss_scale",
         "model_state_bytes",
+        "resident_param_bytes",
         "allreduce_bytes",
         "remap_events",
     ];

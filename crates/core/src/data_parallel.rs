@@ -121,12 +121,6 @@ impl<M: Layer> DataParallelSamo<M> {
         self.states[0].iter().map(|s| s.nnz()).sum()
     }
 
-    /// Per-rank model-state bytes (all ranks hold the same amount ±1
-    /// shard-remainder element).
-    pub fn bytes_per_rank(&self) -> u64 {
-        self.states[0].iter().map(|s| s.measured_bytes(true)).sum()
-    }
-
     /// Completes a step after every replica has run forward/backward
     /// with the scaled loss: compress → all-reduce → shard-step →
     /// all-gather → expand. Returns `false` if skipped on overflow.
@@ -419,21 +413,6 @@ mod tests {
             }
         }
         assert_eq!(dp.steps_taken(), 6);
-    }
-
-    #[test]
-    fn sharding_reduces_per_rank_memory() {
-        let masks1 = masks(&model(7));
-        let dp1 = DataParallelSamo::new(vec![model(7)], masks1, adam());
-        let masks4 = masks(&model(7));
-        let dp4 =
-            DataParallelSamo::new(vec![model(7), model(7), model(7), model(7)], masks4, adam());
-        assert!(
-            dp4.bytes_per_rank() < dp1.bytes_per_rank(),
-            "{} vs {}",
-            dp4.bytes_per_rank(),
-            dp1.bytes_per_rank()
-        );
     }
 
     #[test]

@@ -27,6 +27,24 @@
 //!   accumulate into `grad`), and agrees on the overflow verdict across
 //!   stages between `finish_reduce` and `apply`.
 //!
+//! The two thread-per-rank runtimes own their model, so `θ16` *is* its
+//! weight there: a parameter whose layer computes from half precision
+//! (`Parameter::accepts_theta16` — `Linear`) holds no f32 `value` while
+//! the rank trains (`Parameter::release_value`, when its thread starts),
+//! and for a step's compute window — the step closure and backward; every
+//! microbatch of a pipeline schedule — the state's `theta16` buffer is
+//! moved into the parameter and back (`StepEngine::lend_theta16`: a
+//! `Vec` swap, one buffer, one owner at a time). The runtime brings it
+//! home when the window closes, before `finish_reduce` / `apply`; a step
+//! that fails inside the window returns early, and the rank loop both
+//! runtimes share brings it home before it reports the error. So
+//! everything outside a step (`save`, `restore`, remap, byte accounting,
+//! the inspection hook) finds `theta16` where it always was; the
+//! inspection hook additionally widens the values for its closure
+//! (`Parameter::widen_value`). The caller-driven trainers run forward and
+//! backward outside the engine, keep the f32 view, and are thereby the
+//! independent oracle of all this.
+//!
 //! Every state runs the same fused pair
 //! ([`SamoLayerState::compress_grad_fused`] — or its row-block form —
 //! and [`SamoLayerState::optimizer_step_owned`]) on the range it owns;
@@ -394,6 +412,15 @@ impl<R: Reducer> StepEngine<R> {
             .map_or(Ok(()), Communicator::ring_pump)
     }
 
+    /// Moves `θ16` of every parameter that holds no f32 view from its
+    /// layer state into the parameter (`lend`) for a compute window, or
+    /// every lent one back home. Idempotent either way; allocation-free.
+    pub(crate) fn lend_theta16(&mut self, model: &mut impl Layer, lend: bool) {
+        let mut layers = self.layers.iter_mut();
+        let mut home = || &mut layers.next().expect("one state per parameter").theta16;
+        model.for_each_param_mut(&mut |p| p.lend_theta16(home(), lend));
+    }
+
     /// Backward with overlapped reduction: as each parameter group
     /// reports its gradient final (reverse execution order — identical
     /// on every rank), compress it and start its ring; pump the rings in
@@ -481,8 +508,9 @@ impl<R: Reducer> StepEngine<R> {
     /// The rest of the step once the group agrees whether the reduced
     /// gradients are `finite`: the loss-scaler verdict, then — unless it
     /// skips — the fused optimizer pass on the owned range (which also
-    /// writes `θ16` and the model's f32 view there), for shards the
-    /// parameter all-gather and the scatter of the other ranks' ranges,
+    /// writes `θ16` and, where the model keeps one, its f32 view there),
+    /// for shards the parameter all-gather and the scatter of the other
+    /// ranks' ranges,
     /// dense gradients zeroed (streamed ones released), counters and
     /// telemetry. Returns `false` if the step was skipped.
     pub(crate) fn apply(
@@ -526,6 +554,10 @@ impl<R: Reducer> StepEngine<R> {
             _ => p.zero_grad(),
         });
         if self.reports && telemetry::enabled() {
+            let (values, grads) = nn::param::resident_param_bytes(model);
+            let name = format!("{}.resident_param_bytes", self.labels.prefix);
+            let resident = (values + grads) as f64;
+            telemetry::global().gauge(&name).set(resident);
             let world = self.reducer.comm().map(Communicator::world);
             let phases = std::mem::take(&mut self.phases);
             record_step(
@@ -599,7 +631,11 @@ impl<R: Reducer> StepEngine<R> {
             }
             sc.score.clear();
             sc.score.extend(dense16.iter().map(|g| g.to_f32()));
-            let new_mask = sched.next_mask(t, p.value.as_slice(), &sc.score, layer.mask());
+            // A released view is widened for the ranking alone, as the
+            // dense gradients were materialised for this step alone.
+            let widened = (!p.holds_value()).then(|| layer.dense_f32_params());
+            let weights = widened.as_deref().unwrap_or(p.value.as_slice());
+            let new_mask = sched.next_mask(t, weights, &sc.score, layer.mask());
             if &new_mask != layer.mask() {
                 res = remap_layer(layer, new_mask, sc, reducer.comm_mut());
                 layer.write_dense_f32_params_into(p.value.as_mut_slice());
@@ -805,7 +841,7 @@ pub(crate) fn check_structure(
 
 /// Replaces each of `states` by the matching full checkpoint layer, cut
 /// to the shard the state held, and writes the reconstructed parameters
-/// into `model` (gradients zeroed).
+/// into `model` where it keeps an f32 view (gradients zeroed).
 pub(crate) fn install_layers(
     states: &mut [SamoLayerState],
     layers: impl Iterator<Item = SamoLayerState>,

@@ -64,33 +64,6 @@ pub fn samo_savings_fraction(p: f64) -> f64 {
 /// The sparsity below which SAMO *costs* memory: `p = 0.25`.
 pub const BREAK_EVEN_SPARSITY: f64 = 0.25;
 
-/// Dense model-state bytes under SGD with momentum (the optimizer the
-/// paper uses for the CNNs): `θ16 + ∇θ16 + θ32 + ∇θ32 + 4-byte momentum`
-/// = `16φ`. The paper derives the Adam case; "SAMO can be easily
-/// extended to work with other optimizers" (Sec. III-D) — this is that
-/// extension, with the same structure.
-pub fn m_default_sgd_bytes(phi: u64) -> u64 {
-    16 * phi
-}
-
-/// SAMO model-state bytes under SGD at pruned fraction `p`:
-/// `2φ` dense θ16 + `(4 index + 4 θ32 + 2 ∇θ16 + 4 ∇θ32 + 4 momentum +
-/// 2 temp)·fφ = 20fφ + 2φ` peak.
-pub fn m_samo_sgd_bytes(phi: u64, p: f64) -> u64 {
-    assert!((0.0..=1.0).contains(&p));
-    let f = 1.0 - p;
-    (20.0 * f * phi as f64 + 2.0 * phi as f64).round() as u64
-}
-
-/// Fractional saving of SAMO-with-SGD relative to dense SGD:
-/// `(20p − 6)/16`; break-even at `p = 0.3`.
-pub fn samo_sgd_savings_fraction(p: f64) -> f64 {
-    (20.0 * p - 6.0) / 16.0
-}
-
-/// Break-even sparsity for the SGD variant.
-pub const BREAK_EVEN_SPARSITY_SGD: f64 = 0.3;
-
 /// Component-wise breakdown of SAMO's model state for one layer/model of
 /// `phi` parameters with `nnz` kept, in bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,27 +107,6 @@ impl SamoBreakdown {
     pub fn peak_bytes(&self) -> u64 {
         self.steady_bytes() + self.downcast_temp
     }
-}
-
-/// One point of the Fig. 2 series.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig2Point {
-    pub sparsity: f64,
-    pub percent_saved: f64,
-}
-
-/// Generates the Fig. 2 series: percentage of model-state memory saved by
-/// SAMO versus default mixed precision, over a sparsity sweep.
-pub fn fig2_series(steps: usize) -> Vec<Fig2Point> {
-    (0..=steps)
-        .map(|i| {
-            let p = i as f64 / steps as f64;
-            Fig2Point {
-                sparsity: p,
-                percent_saved: samo_savings_fraction(p) * 100.0,
-            }
-        })
-        .collect()
 }
 
 /// GiB helper for reporting (the paper mixes GB/GiB loosely; we report
@@ -214,35 +166,11 @@ mod tests {
     }
 
     #[test]
-    fn fig2_series_shape() {
-        let series = fig2_series(100);
-        assert_eq!(series.len(), 101);
-        // Monotonically increasing in sparsity.
-        for w in series.windows(2) {
-            assert!(w[1].percent_saved > w[0].percent_saved);
-        }
-        // Ranges from -30% (p=0) to +90% (p=1).
-        assert!((series[0].percent_saved + 30.0).abs() < 1e-9);
-        assert!((series[100].percent_saved - 90.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sgd_variant_formulas() {
-        assert_eq!(m_default_sgd_bytes(100), 1600);
-        // f = 0.1: 20·0.1·φ + 2φ = 4φ.
-        assert_eq!(m_samo_sgd_bytes(100, 0.9), 400);
-        // Break-even: 20·0.3 − 6 = 0.
-        assert!(samo_sgd_savings_fraction(BREAK_EVEN_SPARSITY_SGD).abs() < 1e-12);
-        assert!(samo_sgd_savings_fraction(0.29) < 0.0);
-        assert!(samo_sgd_savings_fraction(0.9) > 0.0);
-        // At p = 0.9 SGD saves 75% (vs Adam's 78%).
-        assert!((samo_sgd_savings_fraction(0.9) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
     fn sgd_variant_matches_live_structures() {
-        // Byte-exact check against a real SamoLayerState with SGD, as
-        // for the Adam formula. Peak = 2φ + 20·nnz for SGD.
+        // "SAMO can be easily extended to work with other optimizers"
+        // (Sec. III-D): with SGD's one 4-byte momentum per kept value
+        // the structures hold 2φ + (4 index + 4 θ32 + 2 ∇θ16 + 4 ∇θ32 +
+        // 4 momentum + 2 temp)·nnz = 2φ + 20·nnz at peak, byte for byte.
         use crate::state::SamoLayerState;
         use nn::mixed::Optimizer;
         use nn::optim::SgdConfig;

@@ -239,6 +239,10 @@ impl RankWorker for StageRank {
         self.input_stash = (0..m).map(|_| None).collect();
         self.y_stash = (0..m).map(|_| None).collect();
         self.cache_mb = None;
+        // The compute window: every microbatch's forward and backward runs
+        // from the lent θ16 — home again before the epilogue, or, if the
+        // schedule fails, before the rank loop reports it.
+        self.engine.lend_theta16(&mut self.block, true);
 
         // Message-driven schedule: backward preferred over forward.
         self.stats.last_sched_start_us = now_us();
@@ -309,6 +313,7 @@ impl RankWorker for StageRank {
         }
         self.stats.sched_wall_s += wall0.elapsed().as_secs_f64();
         self.stats.last_sched_end_us = now_us();
+        self.engine.lend_theta16(&mut self.block, false);
 
         // Collective epilogue: finish the overlapped rings, install the
         // reduced gradients and agree on this stage's overflow flag

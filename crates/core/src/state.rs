@@ -23,6 +23,19 @@
 //! a GEMM has just produced, for a runtime that drives backward itself —
 //! there the uncompressed gradient of a layer is one row block.
 //!
+//! `θ16` is dense "so that the forward and backward passes can use fast
+//! dense kernels", and on the runtimes that own their model it is the
+//! model's weight itself: for a step's compute window the engine moves
+//! `theta16` into the parameter whose layer multiplies by it
+//! (`crate::engine`, module docs) and this state holds an empty `Vec`
+//! until it is moved back. The state stays its one owner: every
+//! constructor, kernel, checkpoint path and byte count here expects
+//! `theta16` home, and the kernel that scatters into it through raw
+//! pointers asserts so. The model's f32 widening of `θ16` — `dense_out`
+//! of the step kernels, [`SamoLayerState::write_dense_f32_params_into`]
+//! — is written where the model keeps one; a parameter that computes from
+//! the lent `θ16` has released it and passes an empty slice.
+//!
 //! # ZeRO-style sharding — an extension beyond the paper
 //!
 //! The paper compares against DeepSpeed's ZeRO optimizer (Rajbhandari et
@@ -138,6 +151,7 @@ fn dense_theta16(theta32: &[f32], mask: &Mask) -> Vec<F16> {
 
 /// Raw views of what the fused optimizer pass reads and writes on the
 /// owned range (`ind`, `grad16` and the fp32 arrays start at `lo`).
+/// `dense_out` is the model's f32 view of `θ16` where the model keeps one.
 struct OwnedPass<'a> {
     ind: &'a [u32],
     grad16: &'a [F16],
@@ -145,7 +159,7 @@ struct OwnedPass<'a> {
     theta32: SyncPtr<f32>,
     grad32: SyncPtr<f32>,
     theta16: SyncPtr<F16>,
-    dense_out: SyncPtr<f32>,
+    dense_out: Option<SyncPtr<f32>>,
     payload: Option<SyncPtr<F16>>,
 }
 
@@ -177,11 +191,22 @@ impl RowGather<'_> {
 impl OwnedPass<'_> {
     /// `update(k, θ32[k], ∇θ32[k])` is the optimizer at owned position k.
     fn run(&self, update: impl Fn(usize, &mut f32, f32) + Sync) {
+        match self.dense_out {
+            Some(_) => self.sweep::<true>(update),
+            None => self.sweep::<false>(update),
+        }
+    }
+
+    /// The pass itself; `VIEW` says `dense_out` is there to be written
+    /// next to `θ16`. One loop per form: testing for the view per element
+    /// cost the trainers that keep it 4–5 % of a step.
+    fn sweep<const VIEW: bool>(&self, update: impl Fn(usize, &mut f32, f32) + Sync) {
         let table = to_f32_table();
         par_ranges(self.ind.len(), STEP_MIN_CHUNK, |s, e| {
             // Locals, so the stores below cannot be taken to alias them.
             let (theta32, grad32) = (self.theta32.0, self.grad32.0);
-            let (theta16, dense_out) = (self.theta16.0, self.dense_out.0);
+            let dense_out = self.dense_out.as_ref().map_or(std::ptr::null_mut(), |p| p.0);
+            let theta16 = self.theta16.0;
             let payload = self.payload.as_ref().map(|p| p.0);
             let inv_loss_scale = self.inv_loss_scale;
             let owned = self.ind[s..e].iter().zip(&self.grad16[s..e]);
@@ -189,7 +214,7 @@ impl OwnedPass<'_> {
                 // SAFETY: owned position k and dense position i (`ind`
                 // is strictly increasing) are each touched by exactly
                 // one task, and the caller checked every array spans
-                // them.
+                // them; `dense_out` is non-null whenever `VIEW`.
                 unsafe {
                     let g = table[g16.0 as usize] * inv_loss_scale;
                     *grad32.add(k) = g;
@@ -197,7 +222,9 @@ impl OwnedPass<'_> {
                     update(k, p, g);
                     let h = F16::from_f32_fast(*p);
                     *theta16.add(i as usize) = h;
-                    *dense_out.add(i as usize) = table[h.0 as usize];
+                    if VIEW {
+                        *dense_out.add(i as usize) = table[h.0 as usize];
+                    }
                     if let Some(payload) = payload {
                         *payload.add(k) = h;
                     }
@@ -467,10 +494,12 @@ impl SamoLayerState {
     /// Fused step kernel (b): upscale + optimizer + downcast +
     /// scatter-into-θ16 in one parallel pass over the owned range,
     /// writing the model's dense f32 parameter view into `dense_out` in
-    /// place. Equivalent to [`Self::optimizer_step`] followed by copying
-    /// [`Self::dense_f32_params`] out (bitwise for `θ32`/`∇θ32`/`os`,
-    /// exact for `θ16` — property tested against that oracle), without
-    /// the dense `Vec` per layer per step.
+    /// place — where the model keeps one: a parameter that computes from
+    /// the lent `θ16` has released it, `dense_out` is then empty and `θ16`
+    /// is all the pass writes. Equivalent to [`Self::optimizer_step`]
+    /// followed by copying [`Self::dense_f32_params`] out (bitwise for
+    /// `θ32`/`∇θ32`/`os`, exact for `θ16` — property tested against that
+    /// oracle), without the dense `Vec` per layer per step.
     ///
     /// Deliberately scalar on every tier: the per-element optimizer math
     /// is a long dependent chain (Adam moments → update → downcast →
@@ -479,8 +508,8 @@ impl SamoLayerState {
     /// bitwise-determinism argument of DESIGN.md §16 at risk for no
     /// measured win.
     ///
-    /// Precondition: `dense_out` and `θ16` are already zero at every
-    /// pruned position. Both are only ever produced by this type's
+    /// Precondition: `dense_out` (if held) and `θ16` are already zero at
+    /// every pruned position. Both are only ever produced by this type's
     /// constructors or step kernels, which maintain that invariant, so
     /// only the unpruned positions need to be rewritten here.
     ///
@@ -494,7 +523,9 @@ impl SamoLayerState {
         inv_loss_scale: f32,
         dense_out: &mut [f32],
     ) -> Vec<F16> {
-        assert_eq!(dense_out.len(), self.numel());
+        assert!(dense_out.is_empty() || dense_out.len() == self.numel());
+        // The raw-pointer loop scatters into every position of θ16.
+        assert_eq!(self.theta16.len(), self.numel(), "θ16 is on loan");
         let (lo, hi) = self.shard_range();
         let mut payload = vec![F16::ZERO; if self.is_sharded() { hi - lo } else { 0 }];
         let SamoLayerState { mask, theta16, theta32, grad16, grad32, os, .. } = self;
@@ -509,7 +540,7 @@ impl SamoLayerState {
             theta32: SyncPtr(theta32.as_mut_ptr()),
             grad32: SyncPtr(grad32.as_mut_ptr()),
             theta16: SyncPtr(theta16.as_mut_ptr()),
-            dense_out: SyncPtr(dense_out.as_mut_ptr()),
+            dense_out: (!dense_out.is_empty()).then_some(SyncPtr(dense_out.as_mut_ptr())),
             payload: (!payload.is_empty()).then_some(SyncPtr(payload.as_mut_ptr())),
         };
         match (os, opt) {
@@ -548,18 +579,22 @@ impl SamoLayerState {
 
     /// Completes a shard's fused step: scatters the *other* ranks' ranges
     /// of the all-gathered compressed fp16 parameters through `ind` into
-    /// `θ16` and the model's f32 view (the owned range was written by
-    /// [`Self::optimizer_step_owned`]). Pruned positions are not touched:
-    /// they are zero already, see the precondition there.
+    /// `θ16` and — unless it is empty, as there — the model's f32 view
+    /// (the owned range was written by [`Self::optimizer_step_owned`]).
+    /// Pruned positions are not touched: they are zero already, see the
+    /// precondition there.
     pub fn scatter_gathered(&mut self, full_compressed16: &[F16], dense_out: &mut [f32]) {
         assert_eq!(full_compressed16.len(), self.mask.nnz());
-        assert_eq!(dense_out.len(), self.numel());
+        assert!(dense_out.is_empty() || dense_out.len() == self.numel());
         let (lo, hi) = self.shard_range();
         let (ind, table) = (self.mask.indices(), to_f32_table());
         for range in [0..lo, hi..ind.len()] {
             for (&i, &h) in ind[range.clone()].iter().zip(&full_compressed16[range]) {
                 self.theta16[i as usize] = h;
-                dense_out[i as usize] = table[h.0 as usize];
+                // An empty view has no element to write.
+                if let Some(v) = dense_out.get_mut(i as usize) {
+                    *v = table[h.0 as usize];
+                }
             }
         }
     }
@@ -641,10 +676,13 @@ impl SamoLayerState {
     /// Writes the dense fp32 parameter view directly into an existing
     /// buffer (table-based widen, no allocation) — used by the trainer's
     /// build/restore paths instead of round-tripping through
-    /// [`Self::dense_f32_params`].
+    /// [`Self::dense_f32_params`]. Like the step kernels, it takes the
+    /// view the model has: nothing to write into an empty (released) one.
     pub fn write_dense_f32_params_into(&self, out: &mut [f32]) {
-        assert_eq!(out.len(), self.theta16.len());
-        tensor::ops::widen_into(&self.theta16, out);
+        if !out.is_empty() {
+            assert_eq!(out.len(), self.theta16.len());
+            tensor::ops::widen_into(&self.theta16, out);
+        }
     }
 
     /// Reserves worst-case (dense) capacity on every compressed buffer so

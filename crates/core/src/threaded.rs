@@ -17,8 +17,14 @@
 //! is compressed into `∇θ16` as it leaves the kernel, and a rank holds
 //! no dense gradient for a weight matrix between steps — only on a
 //! dynamic-sparsity update step, whose plain backward materialises them
-//! as the grow score. What this file adds to the engine is the thread
-//! protocol: `RankGroup`, which [`crate::ThreadedPipelineSamo`] shares.
+//! as the grow score. And because the rank owns its replica, the dense
+//! `θ16` is the replica's weight: a `Linear` holds no f32 `value` while
+//! the rank trains and multiplies by the `θ16` its engine lends for the
+//! step closure and backward (`crate::engine`, module docs). Only the
+//! inspection hook ([`ThreadedDataParallelSamo::with_rank`]) shows its
+//! closure widened values, for the length of the call. What this file
+//! adds to the engine is the thread protocol: `RankGroup`, which
+//! [`crate::ThreadedPipelineSamo`] shares.
 //!
 //! # Bitwise equivalence with the in-process trainer
 //!
@@ -150,6 +156,9 @@ fn rank_loop<W: RankWorker>(
             nnz: engine.nnz(),
         }
     };
+    // From here on θ16 is the weight: a `Linear` keeps no f32 copy of it
+    // and computes from what the engine lends for each step.
+    w.parts().0.for_each_param_mut(&mut |p| p.release_value());
     let mut poisoned = false;
     while let Ok(cmd) = rx.recv() {
         let resp = match cmd {
@@ -158,6 +167,9 @@ fn rank_loop<W: RankWorker>(
                 Ok(applied) => Resp::Done(Ok(outcome(&mut w, applied))),
                 Err(e) => {
                     poisoned = true;
+                    // A compute window that ended in `Err` left θ16 lent.
+                    let (model, engine) = w.parts();
+                    engine.lend_theta16(model, false);
                     Resp::Done(Err(e.to_string()))
                 }
             },
@@ -180,7 +192,13 @@ fn rank_loop<W: RankWorker>(
             }
             Cmd::Inspect(f) => {
                 let (model, engine) = w.parts();
+                // `value`s current for the closure: widened from θ16, which
+                // is home again before the closure sees the states.
+                engine.lend_theta16(model, true);
+                model.for_each_param_mut(&mut |p| p.widen_value());
+                engine.lend_theta16(model, false);
                 f(model, &engine.layers);
+                model.for_each_param_mut(&mut |p| p.release_value());
                 Resp::Ack
             }
         };
@@ -370,7 +388,9 @@ impl<M: 'static, J: Clone + Send + 'static, S: Send + 'static> RankGroup<M, J, S
 
     /// Runs `f` on rank `i`'s thread with exclusive access to its model
     /// and layer states, and returns the result — the inspection hook
-    /// tests use to compare bits across runtimes.
+    /// tests use to compare bits across runtimes. The model's `value`s
+    /// are current for the call (the widened `θ16`, released again after
+    /// it): a step closure sees the training form instead.
     pub fn with_rank<R, F>(&self, i: usize, f: F) -> R
     where
         R: Send + 'static,
@@ -526,6 +546,10 @@ impl<M: Layer + Send + 'static, T: Transport + 'static> RankWorker for Rank<M, T
         // The step event comes once per group, from rank 0's engine; the
         // metrics relay below runs on *every* rank when telemetry is on.
         let t_step0 = telemetry::enabled().then(Instant::now);
+        // The compute window: forward and backward run from the lent θ16
+        // — home again before the collectives, or, if backward fails,
+        // before the rank loop reports it.
+        self.engine.lend_theta16(&mut self.model, true);
         let dy = f(self.rank, &mut self.model, self.engine.loss_scale());
         let finite = if self.engine.is_update_step() {
             // Dynamic-sparsity update step: the masks, and with them the
@@ -533,9 +557,11 @@ impl<M: Layer + Send + 'static, T: Transport + 'static> RankWorker for Rank<M, T
             // gradients — run a plain backward, then the engine's inline
             // remap → compress → reduce.
             let _ = self.model.backward(&dy);
+            self.engine.lend_theta16(&mut self.model, false);
             self.engine.reduce_after_backward(&mut self.model)?
         } else {
             self.engine.backward_overlapped(&mut self.model, &dy, true)?;
+            self.engine.lend_theta16(&mut self.model, false);
             self.engine.finish_reduce()?
         };
         let applied = self.engine.apply(&mut self.model, finite)?;
@@ -748,7 +774,9 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
 
     /// Runs `f` on rank `rank`'s thread with exclusive access to its
     /// replica and sharded states, and returns the result — the
-    /// inspection hook tests use to compare bits across runtimes.
+    /// inspection hook tests use to compare bits across runtimes. For the
+    /// call the replica's `value`s are the widened `θ16` (a transient
+    /// `4φ` bytes); inside a step closure the weights hold none.
     pub fn with_rank<R, F>(&mut self, rank: usize, f: F) -> R
     where
         R: Send + 'static,

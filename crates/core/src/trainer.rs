@@ -254,16 +254,11 @@ pub fn samo_allreduce_bytes(nnz: u64) -> u64 {
     2 * nnz
 }
 
-/// Per-rank wire bytes of a dense fp16 *ring* all-reduce across `world`
-/// ranks: `2·(G−1)/G · φ` values of 2 bytes (reduce-scatter plus
-/// all-gather, each moving `(G−1)/G` of the buffer).
-pub fn dense_ring_allreduce_bytes(phi: u64, world: u64) -> u64 {
-    comms::ring_allreduce_model_bytes(phi, world, 2)
-}
-
-/// Per-rank wire bytes of SAMO's compressed fp16 ring all-reduce: the
-/// same ring factor over the `fφ` surviving coordinates, so the
-/// compressed/dense ratio stays `f` at every world size.
+/// Per-rank wire bytes of SAMO's compressed fp16 ring all-reduce across
+/// `world` ranks: `2·(G−1)/G · fφ` values of 2 bytes (reduce-scatter
+/// plus all-gather, each moving `(G−1)/G` of the buffer) — the ring
+/// factor of a dense all-reduce over the `fφ` surviving coordinates, so
+/// the compressed/dense ratio stays `f` at every world size.
 pub fn samo_ring_allreduce_bytes(nnz: u64, world: u64) -> u64 {
     comms::ring_allreduce_model_bytes(nnz, world, 2)
 }
@@ -676,16 +671,15 @@ mod tests {
     #[test]
     fn ring_allreduce_message_sizes() {
         // Ring factor 2·(G−1)/G of the fp16 payload, degenerate at G≤1.
-        assert_eq!(dense_ring_allreduce_bytes(1000, 1), 0);
-        assert_eq!(dense_ring_allreduce_bytes(1000, 2), 2000); // = flat model at G=2
-        assert_eq!(dense_ring_allreduce_bytes(1000, 4), 3000);
+        assert_eq!(samo_ring_allreduce_bytes(100, 1), 0);
+        assert_eq!(samo_ring_allreduce_bytes(100, 2), 200); // = flat model at G=2
         assert_eq!(samo_ring_allreduce_bytes(100, 4), 300);
 
         // Compressed/dense ratio ≈ 1/f = nnz/φ at every world size: the
         // ring factor cancels (satellite check for Eq. 9 at density
         // f = 0.1 → a 10× wire-volume reduction).
         for world in [2u64, 3, 4, 8] {
-            let dense = dense_ring_allreduce_bytes(1000, world) as f64;
+            let dense = comms::ring_allreduce_model_bytes(1000, world, 2) as f64;
             let samo = samo_ring_allreduce_bytes(100, world) as f64;
             let ratio = samo / dense;
             // Within 1%: integer byte counts truncate when G ∤ 2·n·(G−1).

@@ -133,13 +133,20 @@ fn assert_step_matches(
     }
 }
 
+/// On every step — update steps included — the closure finds the model
+/// in its training form: of f32 values the biases alone, each weight
+/// computing from its lent `θ16`. An update step ranks the weights by
+/// magnitude from a transient widening of `θ16` after that window has
+/// closed; [`assert_step_matches`] then finds the oracle's masks.
 fn threaded_step(
     th: &mut ThreadedDataParallelSamo<Sequential>,
     step: usize,
 ) -> Result<bool, String> {
-    th.step(move |_rank, m, scale| {
+    th.step(move |rank, m, scale| {
         let (x, target) = batch_for(step);
         let y = m.forward(&x);
+        let values = nn::param::resident_param_bytes(m).0;
+        assert_eq!(values, 4 * (10 + OUT), "rank {rank} holds f32 weights at step {step}");
         let (_, mut dy) = mse(&y, &target);
         tensor::ops::scale(scale, dy.as_mut_slice());
         dy

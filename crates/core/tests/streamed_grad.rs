@@ -5,14 +5,22 @@
 //! * `SamoLayerState::compress_grad_rows` over any cut of the rows leaves
 //!   the bits (and the overflow flag) `compress_grad_fused` gathers from
 //!   the assembled dense gradient;
-//! * the ruler: after training steps every rank of
-//!   `ThreadedDataParallelSamo` holds gradient buffers for the biases
-//!   only, where the caller-driven `SamoTrainer` holds `4φ` bytes;
-//! * a failed step poisons the group as before, and streaming resumes
-//!   after the restore.
+//! * the ruler, read *inside the step closure* — where the model is in
+//!   its training form: every rank of `ThreadedDataParallelSamo` holds
+//!   f32 buffers for the biases only, values and gradients alike (a
+//!   `Linear` computes from the `θ16` its engine lends for the step),
+//!   where the caller-driven `SamoTrainer` holds `4φ` bytes of each; the
+//!   inspection hook shows `value`s — the widened `θ16` — for the length
+//!   of its call, and the next closure finds them released again;
+//! * a failed step poisons the group as before, the inspection hook
+//!   still shows current values and leaves every `θ16` in its layer
+//!   state — on the data-parallel runtime and on a pipeline stage, whose
+//!   compute window ended in `Err` — and training resumes after the
+//!   restore, byte for byte with the caller-driven oracles.
 //!
 //! CI runs the suite with the kernel pool pinned to one worker and on the
-//! default pool (row blocks then arrive from pool threads).
+//! default pool (row blocks then arrive from pool threads), in the
+//! `comms` and the `pipeline` job.
 
 use nn::layer::{Layer, Sequential};
 use nn::linear::Linear;
@@ -22,9 +30,10 @@ use nn::optim::AdamConfig;
 use nn::param::resident_param_bytes;
 use prune::Mask;
 use samo::data_parallel::DataParallelSamo;
+use samo::pipeline::{PipelineConfig, ThreadedPipelineSamo};
 use samo::threaded::ThreadedDataParallelSamo;
 use samo::{SamoLayerState, SamoTrainer};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use tensor::f16::F16;
 use tensor::gemm::{matmul_tn_acc, matmul_tn_row_blocks};
@@ -169,19 +178,42 @@ fn wide_batch(step: u64, rank: usize) -> (Tensor, Tensor) {
     (Tensor::randn(&[4, DIMS[0]], 1.0, seed), Tensor::randn(&[4, DIMS[3]], 1.0, seed + 1_000))
 }
 
-/// ROADMAP item 1's ruler, smallest slice: what the parameters of a
-/// trained model hold, per rank, next to the compressed state.
+/// What a step closure finds its model holding: `(values, grads)` of
+/// [`resident_param_bytes`], and whether every weight that computes from
+/// half precision has its whole `θ16` lent — and nothing else has any.
+fn training_form(m: &Sequential) -> ((usize, usize), bool) {
+    let lent = |p: &&nn::Parameter| p.theta16.len() == if p.accepts_theta16 { p.numel() } else { 0 };
+    (resident_param_bytes(m), m.params().iter().all(lent))
+}
+
+/// What the inspection hook shows: the bytes of f32 values held, whether
+/// each is its layer state's `θ16` widened, bit for bit, and whether the
+/// `θ16`s are home — whole in the states, none left in a parameter.
+fn inspected(m: &mut Sequential, states: &[SamoLayerState]) -> (usize, bool, bool) {
+    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    let params = m.params();
+    let pairs = || params.iter().zip(states);
+    let current = pairs().all(|(p, st)| bits(p.value.as_slice()) == bits(&st.dense_f32_params()));
+    let home = pairs().all(|(p, st)| p.theta16.is_empty() && st.theta16.len() == p.numel());
+    (resident_param_bytes(m).0, current, home)
+}
+
+/// ROADMAP item 1's ruler: what the parameters of a model hold, per rank,
+/// next to the compressed state — while it trains.
 #[test]
-fn a_streamed_rank_holds_gradient_buffers_for_the_biases_only() {
+fn a_training_rank_holds_f32_buffers_for_the_biases_only() {
     let masks = wide_masks(&wide_mlp(3));
     let mut th = ThreadedDataParallelSamo::new(vec![wide_mlp(3), wide_mlp(3)], masks.clone(), adam());
     let mut model = wide_mlp(3);
     assert_eq!(model.num_params(), PHI);
     let mut single = SamoTrainer::new(&mut model, masks, adam());
+    let seen = Arc::new(Mutex::new(Vec::new()));
     for step in 0..3u64 {
+        let ruler = Arc::clone(&seen);
         th.step(move |rank, m, scale| {
             let (x, t) = wide_batch(step, rank);
             let (_, mut dy) = mse(&m.forward(&x), &t);
+            ruler.lock().unwrap().push((step, rank, training_form(m)));
             tensor::ops::scale(scale, dy.as_mut_slice());
             dy
         })
@@ -191,13 +223,26 @@ fn a_streamed_rank_holds_gradient_buffers_for_the_biases_only() {
         tensor::ops::scale(single.loss_scale(), dy.as_mut_slice());
         model.backward(&dy);
         single.step(&mut model);
+        // Between steps a reader gets values, and gets them current; the
+        // next closure must find them released again.
+        for rank in 0..2 {
+            let shown = th.with_rank(rank, inspected);
+            assert_eq!(shown, (4 * PHI, true, true), "rank {rank} inspected after step {step}");
+        }
     }
-    for rank in 0..2 {
-        let (values, grads) = th.with_rank(rank, |m, _| resident_param_bytes(m));
-        assert_eq!(values, 4 * PHI, "rank {rank} keeps the f32 view of θ16");
-        assert_eq!(grads, 4 * BIASES, "rank {rank}: no weight matrix keeps a dense gradient");
+    let mut seen = std::mem::take(&mut *seen.lock().unwrap());
+    seen.sort();
+    assert_eq!(seen.len(), 6, "two ranks, three steps");
+    for (step, rank, ((values, grads), lent)) in seen {
+        assert_eq!(values, 4 * BIASES, "rank {rank}, step {step}: no f32 copy of a weight matrix");
+        assert!(lent, "rank {rank}, step {step}: the weights compute from the lent θ16");
+        // Which gradients stream is known once one streamed backward has
+        // run: step 0 still finds the buffers the replica was built with.
+        let held = if step == 0 { PHI } else { BIASES };
+        assert_eq!(grads, 4 * held, "rank {rank}, step {step}: no weight matrix keeps a dense gradient");
     }
-    // The caller runs backward, so the gradients must be where it put them.
+    // The caller runs forward and backward, so both must be where it
+    // reads and writes them.
     assert_eq!(resident_param_bytes(&model), (4 * PHI, 4 * PHI));
 }
 
@@ -222,10 +267,14 @@ fn small_batch(step: u64, rank: usize) -> (Tensor, Tensor) {
     (Tensor::randn(&[5, IN], 1.0, seed), Tensor::randn(&[5, OUT], 1.0, seed + 1_000))
 }
 
+/// One step of the small model; every rank's closure asserts the training
+/// form: of f32 values, the first layer's bias alone.
 fn small_step(th: &mut ThreadedDataParallelSamo<Sequential>, step: u64) -> Result<bool, String> {
     th.step(move |rank, m, scale| {
         let (x, t) = small_batch(step, rank);
         let (_, mut dy) = mse(&m.forward(&x), &t);
+        let ((values, _), lent) = training_form(m);
+        assert!(values == 4 * 10 && lent, "rank {rank}, step {step}: {values} B of values");
         tensor::ops::scale(scale, dy.as_mut_slice());
         dy
     })
@@ -233,8 +282,9 @@ fn small_step(th: &mut ThreadedDataParallelSamo<Sequential>, step: u64) -> Resul
 
 /// A step that dies between a streamed compress and its ring's end leaves
 /// `∇θ16` with the ring; the retry is still refused as poisoned (not a
-/// panic in the next row-block compress), and after heal + restore the
-/// group streams on, byte for byte with the sequential oracle.
+/// panic in the next row-block compress), a reader still gets current
+/// values, and after heal + restore the group streams on, byte for byte
+/// with the sequential oracle.
 #[test]
 fn a_failed_streamed_step_poisons_and_streaming_resumes_after_restore() {
     let world = 2;
@@ -270,6 +320,10 @@ fn a_failed_streamed_step_poisons_and_streaming_resumes_after_restore() {
     assert!(err.contains("timed out"), "got: {err}");
     let retry = small_step(&mut th, 2).expect_err("no step before a restore");
     assert!(retry.contains("poisoned"), "got: {retry}");
+    for rank in 0..world {
+        let shown = th.with_rank(rank, inspected);
+        assert_eq!(shown, (4 * (IN * 10 + 10 + 10 * OUT), true, true), "rank {rank} after the failure");
+    }
 
     th.faults().heal_rank(1, world);
     th.restore(&checkpoint).expect("restore after heal");
@@ -281,5 +335,64 @@ fn a_failed_streamed_step_poisons_and_streaming_resumes_after_restore() {
     for rank in 0..world {
         let grads = th.with_rank(rank, |m, _| resident_param_bytes(m).1);
         assert_eq!(grads, 4 * 10, "rank {rank}: only the first layer's bias gradient is held");
+    }
+}
+
+/// The same on a pipeline stage, where a stage that dies mid-schedule
+/// fails the step *inside* every stage's compute window, `θ16` lent: a
+/// reader between the failure and the restore gets current values and
+/// leaves every `θ16` home, and after the restore the pipeline is byte
+/// for byte the single-process trainer — which runs every pass from f32
+/// values. (`tests/pipeline_threaded.rs` restores without looking first:
+/// the rank loop has brought `θ16` home by then, or that resync breaks.)
+#[test]
+fn a_failed_pipeline_step_leaves_theta16_home_and_restore_resyncs() {
+    let (mb, stages) = (3usize, 2usize);
+    let batch = |step: u64, mb: usize| small_batch(step * 8 + mb as u64, 0);
+    let mut model = small_model(7);
+    let mut oracle = SamoTrainer::new(&mut model, small_masks(), adam());
+    oracle.scaler = LossScaler::new(1024.0);
+    let cfg = PipelineConfig { timeout: Duration::from_millis(300), ..PipelineConfig::new(stages, mb, 5) };
+    let mut pp = ThreadedPipelineSamo::new(vec![small_model(7)], small_masks(), adam(), cfg);
+    pp.set_scaler(LossScaler::new(1024.0));
+    let mut drive_oracle = |step: u64| {
+        for m in 0..mb {
+            let (x, t) = batch(step, m);
+            let (_, mut dy) = mse(&model.forward(&x), &t);
+            tensor::ops::scale(oracle.loss_scale(), dy.as_mut_slice());
+            model.backward(&dy);
+        }
+        oracle.step(&mut model);
+        oracle.save()
+    };
+    let pipeline_step = |pp: &mut ThreadedPipelineSamo, step: u64| {
+        pp.step(
+            move |_, m| batch(step, m).0,
+            move |_, m, y, scale| {
+                let (_, mut dy) = mse(y, &batch(step, m).1);
+                tensor::ops::scale(scale, dy.as_mut_slice());
+                dy
+            },
+        )
+    };
+    let mut checkpoint = bytes::Bytes::new();
+    for step in 0..2 {
+        checkpoint = drive_oracle(step);
+        pipeline_step(&mut pp, step).expect("healthy meshes");
+        assert_eq!(pp.save().as_ref(), checkpoint.as_ref(), "step {step}");
+    }
+    pp.pipe_faults()[0].kill_rank(1, stages);
+    pipeline_step(&mut pp, 2).expect_err("a dead stage fails the step");
+    // Stage 0 holds the first layer (6·10 + 10), stage 1 the rest (10·4).
+    for (stage, numel) in [(0, IN * 10 + 10), (1, 10 * OUT)] {
+        let shown = pp.with_rank(stage, 0, inspected);
+        assert_eq!(shown, (4 * numel, true, true), "stage {stage} after the failure");
+    }
+    pp.pipe_faults()[0].heal_rank(1, stages);
+    pp.restore(&checkpoint).expect("restore after heal");
+    for step in 2..5 {
+        let want = drive_oracle(step);
+        pipeline_step(&mut pp, step).expect("healed meshes");
+        assert_eq!(pp.save().as_ref(), want.as_ref(), "step {step} after the restore");
     }
 }

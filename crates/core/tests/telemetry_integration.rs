@@ -229,6 +229,14 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
         assert_eq!(reg.counter(&format!("{prefix}.steps_taken")).get(), 1, "{prefix}");
         assert!(reg.gauge(&format!("{prefix}.model_state_bytes")).get() > 0.0, "{prefix}");
     }
+    // The f32 shadows a reporting rank's 8 × 8 weight keeps next to that
+    // state: value and gradient where the caller runs the passes; the
+    // gradient its microbatches accumulate into on a pipeline stage;
+    // nothing on a data-parallel rank, which computes from θ16 and
+    // streams dW into ∇θ16.
+    let resident = |prefix: &str| reg.gauge(&format!("{prefix}.resident_param_bytes")).get();
+    let shadows = ["samo", "samo.dp", "samo.pipeline", "samo.dp_threaded"].map(resident);
+    assert_eq!(shadows, [512.0, 512.0, 256.0, 0.0]);
 
     let _ = std::fs::remove_dir_all(&tmp);
 }

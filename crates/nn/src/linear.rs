@@ -1,8 +1,17 @@
 //! Fully-connected layer — the workload of the paper's Fig. 1.
+//!
+//! The weight is the GEMM's B operand in both products that read it
+//! (`y = x · Wᵀ`, `dx = dy · W`), and the GEMM packs B from `f32` or from
+//! half precision alike, to the same bits. So the layer declares
+//! [`Parameter::accepts_theta16`] and multiplies by whichever form of the
+//! weight it finds: the dense `θ16` a SAMO runtime lent for the step —
+//! the paper's one dense tensor, no f32 copy of it anywhere — or, for an
+//! unmanaged model, a serving replica or a trainer whose caller runs the
+//! passes, the f32 `value`.
 
 use crate::layer::{GradSink, Layer};
 use crate::param::Parameter;
-use tensor::gemm::{matmul_nt, matmul_tn_acc, matmul_tn_row_blocks, sgemm};
+use tensor::gemm::{matmul_tn_acc, matmul_tn_row_blocks, sgemm};
 use tensor::Tensor;
 
 /// Affine map `y = x · Wᵀ + b`, weights stored `[out_features, in_features]`
@@ -18,18 +27,8 @@ pub struct Linear {
 impl Linear {
     /// Kaiming-uniform initialized layer.
     pub fn new(in_features: usize, out_features: usize, bias: bool, seed: u64) -> Linear {
-        let weight = Parameter::new(
-            "linear.weight",
-            Tensor::kaiming_uniform(&[out_features, in_features], seed),
-        );
-        let bias = bias.then(|| Parameter::new("linear.bias", Tensor::zeros(&[out_features])));
-        Linear {
-            weight,
-            bias,
-            in_features,
-            out_features,
-            cached_input: None,
-        }
+        let weight = Tensor::kaiming_uniform(&[out_features, in_features], seed);
+        Linear::from_weights(weight, bias.then(|| Tensor::zeros(&[out_features])))
     }
 
     /// Builds a layer from explicit weights (tests, pruning experiments).
@@ -40,8 +39,10 @@ impl Linear {
         if let Some(b) = &bias {
             assert_eq!(b.numel(), out_features);
         }
+        let mut weight = Parameter::new("linear.weight", weight);
+        weight.accepts_theta16 = true;
         Linear {
-            weight: Parameter::new("linear.weight", weight),
+            weight,
             bias: bias.map(|b| Parameter::new("linear.bias", b)),
             in_features,
             out_features,
@@ -62,6 +63,23 @@ impl Linear {
     /// Direct access to the weight parameter (pruning hooks).
     pub fn weight_mut(&mut self) -> &mut Parameter {
         &mut self.weight
+    }
+
+    /// `c = a · Wᵀ` (`transb`: `rows × in` by `in × out`, the forward
+    /// product) or `c = a · W` (`rows × out` by `out × in`, the input
+    /// gradient), from the lent `θ16` when there is one and from the f32
+    /// `value` otherwise — the same bits.
+    fn times_weight(&self, transb: bool, rows: usize, a: &[f32], c: &mut [f32]) {
+        let (n, k) = match transb {
+            true => (self.out_features, self.in_features),
+            false => (self.in_features, self.out_features),
+        };
+        let (w, ldb) = (&self.weight, self.in_features);
+        if w.theta16.is_empty() {
+            sgemm(false, transb, rows, n, k, 1.0, a, k, w.value.as_slice(), ldb, 0.0, c, n);
+        } else {
+            sgemm(false, transb, rows, n, k, 1.0, a, k, &w.theta16, ldb, 0.0, c, n);
+        }
     }
 
     /// Backward with the weight gradient `dW = dyᵀ · x` going either into
@@ -101,21 +119,7 @@ impl Linear {
 
         // dx = dy · W  (batch×out · out×in)
         let mut dx = Tensor::zeros(&[batch, self.in_features]);
-        sgemm(
-            false,
-            false,
-            batch,
-            self.in_features,
-            self.out_features,
-            1.0,
-            dy.as_slice(),
-            self.out_features,
-            self.weight.value.as_slice(),
-            self.in_features,
-            0.0,
-            dx.as_mut_slice(),
-            self.in_features,
-        );
+        self.times_weight(false, batch, dy.as_slice(), dx.as_mut_slice());
         dx
     }
 }
@@ -132,14 +136,7 @@ impl Layer for Linear {
         );
         let mut y = Tensor::zeros(&[batch, self.out_features]);
         // y = x (batch×in) · Wᵀ (in×out)
-        matmul_nt(
-            batch,
-            self.out_features,
-            self.in_features,
-            x.as_slice(),
-            self.weight.value.as_slice(),
-            y.as_mut_slice(),
-        );
+        self.times_weight(true, batch, x.as_slice(), y.as_mut_slice());
         if let Some(b) = &self.bias {
             let bs = b.value.as_slice();
             for row in y.as_mut_slice().chunks_mut(self.out_features) {
@@ -157,14 +154,7 @@ impl Layer for Linear {
         assert_eq!(x.len(), batch * in_cols, "input slice/shape mismatch");
         out.clear();
         out.resize(batch * self.out_features, 0.0);
-        matmul_nt(
-            batch,
-            self.out_features,
-            self.in_features,
-            x,
-            self.weight.value.as_slice(),
-            out,
-        );
+        self.times_weight(true, batch, x, out);
         if let Some(b) = &self.bias {
             let bs = b.value.as_slice();
             for row in out.chunks_mut(self.out_features) {

@@ -7,9 +7,22 @@
 //! the accumulator ([`Parameter::release_grad`]): `grad` is then an empty
 //! tensor, clearing it is a no-op, and whoever next needs a dense
 //! gradient gets a fresh zeroed one from [`Parameter::dense_grad`].
+//!
+//! The f32 `value` is the other: the paper's one dense tensor is `θ16`,
+//! kept dense "so that the forward and backward passes can use fast dense
+//! kernels", and an f32 widening of it exists only for kernels that
+//! multiply f32 slices. A layer whose kernels read half precision
+//! directly declares it ([`Parameter::accepts_theta16`] — `Linear`); a
+//! runtime that drives the compute itself then releases `value`
+//! ([`Tensor::release`]: the shape stays, [`Parameter::numel`] keeps
+//! answering) and *lends* its `θ16` for the compute window
+//! ([`Parameter::theta16`], a `Vec` moved in and back out — one buffer,
+//! one owner at a time). Nothing is configured: a layer computes from
+//! the `θ16` it finds lent, and from `value` otherwise.
 //! [`resident_param_bytes`] is the ruler for what a model still holds.
 
 use crate::layer::Layer;
+use tensor::f16::F16;
 use tensor::Tensor;
 
 /// A trainable tensor together with its gradient accumulator.
@@ -17,11 +30,18 @@ use tensor::Tensor;
 pub struct Parameter {
     /// Human-readable identifier (e.g. `"blocks.0.attn.qkv.weight"`).
     pub name: String,
-    /// Current value.
+    /// Current value, f32. Released — its shape, no elements — while a
+    /// runtime that lends `theta16` manages the parameter.
     pub value: Tensor,
     /// Gradient of the loss w.r.t. `value`; accumulated by `backward`.
     /// Empty while released, see [`Self::release_grad`].
     pub grad: Tensor,
+    /// The dense half-precision value, while the runtime that owns it
+    /// lends it for forward and backward; empty otherwise.
+    pub theta16: Vec<F16>,
+    /// Set by the layer that owns the parameter: it computes from a lent
+    /// `theta16`, so a runtime may release `value`.
+    pub accepts_theta16: bool,
 }
 
 impl Parameter {
@@ -32,12 +52,50 @@ impl Parameter {
             name: name.into(),
             value,
             grad,
+            theta16: Vec::new(),
+            accepts_theta16: false,
         }
     }
 
-    /// Number of scalar parameters.
+    /// Number of scalar parameters, whether or not `value` is held.
     pub fn numel(&self) -> usize {
-        self.value.numel()
+        self.value.shape().iter().product()
+    }
+
+    /// Whether `value` holds the elements its shape describes — `false`
+    /// once released to a runtime that lends `theta16` instead.
+    pub fn holds_value(&self) -> bool {
+        self.value.numel() == self.numel()
+    }
+
+    /// Gives the f32 buffer back if the owning layer computes from a lent
+    /// `theta16`: the parameter's training form under a runtime that
+    /// drives forward and backward itself. A no-op for any other.
+    pub fn release_value(&mut self) {
+        if self.accepts_theta16 {
+            self.value.release();
+        }
+    }
+
+    /// Undoes [`Self::release_value`] for a reader of `value`: a released
+    /// value comes back as the `theta16` it is lent, widened.
+    pub fn widen_value(&mut self) {
+        if !self.holds_value() {
+            let widened = tensor::f16::f16_slice_to_f32(&self.theta16);
+            self.value = Tensor::from_vec(self.value.shape(), widened);
+        }
+    }
+
+    /// Moves the dense half-precision value between `home` — its owner's
+    /// buffer — and `theta16`: in (`lend`) if the parameter holds no f32
+    /// value, for a compute window; back out otherwise. One buffer, one
+    /// owner at a time: a `Vec` swap, no copy, and no move at all when it
+    /// is where it should be already.
+    pub fn lend_theta16(&mut self, home: &mut Vec<F16>, lend: bool) {
+        let wanted_here = lend && !self.holds_value();
+        if wanted_here == self.theta16.is_empty() {
+            std::mem::swap(&mut self.theta16, home);
+        }
     }
 
     /// Clears the gradient accumulator (nothing to clear while released).
@@ -56,7 +114,7 @@ impl Parameter {
     /// The dense gradient accumulator, for a writer: a released one comes
     /// back zeroed, in the shape of `value`.
     pub fn dense_grad(&mut self) -> &mut Tensor {
-        if self.grad.numel() != self.value.numel() {
+        if self.grad.numel() != self.numel() {
             self.grad = Tensor::zeros(self.value.shape());
         }
         &mut self.grad
@@ -71,7 +129,7 @@ impl Parameter {
 /// Bytes of the f32 buffers `model`'s parameters hold right now, as
 /// `(values, grads)`: the two dense shadows a process keeps next to the
 /// compressed model state. Buffer lengths, not capacities or pages — a
-/// released gradient counts zero.
+/// released value or gradient counts zero.
 pub fn resident_param_bytes(model: &impl Layer) -> (usize, usize) {
     model.params().iter().fold((0, 0), |(v, g), p| {
         (v + 4 * p.value.numel(), g + 4 * p.grad.numel())
@@ -120,5 +178,43 @@ mod tests {
         assert_eq!(resident_param_bytes(&l), (4 * 36, 4 * 36));
         l.weight_mut().release_grad();
         assert_eq!(resident_param_bytes(&l), (4 * 36, 4 * 4), "the bias gradient is left");
+        l.for_each_param_mut(&mut |p| p.release_value());
+        assert_eq!(resident_param_bytes(&l), (4 * 4, 4 * 4), "a bias computes from its f32 value");
+        let w = l.weight_mut();
+        assert!(!w.holds_value());
+        assert_eq!((w.numel(), w.value.shape()), (32, &[4, 8][..]), "the shape still answers");
+        w.accumulate_grad(&[1.0; 32]);
+        assert_eq!(w.grad.shape(), &[4, 8], "a dense gradient comes back in that shape");
+    }
+
+    #[test]
+    fn theta16_moves_into_a_released_parameter_and_back_without_a_copy() {
+        let mut l = crate::linear::Linear::new(8, 4, true, 0);
+        let mut home: Vec<F16> = (0..32).map(|i| F16::from_f32(i as f32)).collect();
+        let buffer = home.as_ptr();
+        let w = l.weight_mut();
+        w.lend_theta16(&mut home, true);
+        assert!(w.theta16.is_empty() && home.len() == 32, "a held value borrows nothing");
+        w.release_value();
+        for _ in 0..2 {
+            w.lend_theta16(&mut home, true); // the second call finds it lent
+            assert!(home.is_empty());
+            assert_eq!((w.theta16.len(), w.theta16.as_ptr()), (32, buffer));
+        }
+        for _ in 0..2 {
+            w.lend_theta16(&mut home, false);
+            assert!(w.theta16.is_empty());
+            assert_eq!((home.len(), home.as_ptr()), (32, buffer));
+        }
+        // A reader of `value` gets it widened from what is lent; θ16 goes
+        // home whatever the value's state, and a held value stays put.
+        w.lend_theta16(&mut home, true);
+        w.widen_value();
+        assert_eq!(w.value.as_slice()[31], 31.0);
+        w.lend_theta16(&mut home, false);
+        assert_eq!((w.theta16.len(), home.as_ptr()), (0, buffer));
+        let held = w.value.as_slice().as_ptr();
+        w.widen_value();
+        assert_eq!(w.value.as_slice().as_ptr(), held, "a held value is left alone");
     }
 }

@@ -18,9 +18,14 @@
 //! synchronization.
 //!
 //! Every variant rounds each output element identically: one chain of
-//! fused multiply-adds over `k` in storage order (see [`sgemm`]).
+//! fused multiply-adds over `k` in storage order (see [`sgemm`]). The B
+//! operand may be half precision ([`GemmElem`]): the pack step, which
+//! touches every B element once anyway, widens it — exactly — on the way
+//! into the f32 panel, so the dense `θ16` of the paper is multiplied as
+//! it is stored and every output bit is that of the f32 GEMM on the
+//! widened operand.
 
-use crate::f16::{f16_slice_to_f32, narrow_slice, F16};
+use crate::f16::{f16_slice_to_f32, narrow_slice, to_f32_table, F16};
 use crate::pool::par_ranges;
 use crate::simd::{self, Tier};
 use std::sync::{Arc, OnceLock};
@@ -46,7 +51,8 @@ const NC: usize = 1024;
 ///
 /// * `a` is `m × k` after the optional transpose (`transa`), stored with
 ///   leading dimension `lda` (its physical row length).
-/// * `b` is `k × n` after `transb`, leading dimension `ldb`.
+/// * `b` is `k × n` after `transb`, leading dimension `ldb`; `f32`, or
+///   [`F16`] widened as it is packed (same bits as widening it first).
 /// * `c` is `m × n`, leading dimension `ldc`.
 ///
 /// The microkernel runs on the SIMD tier selected by [`simd::active`];
@@ -57,7 +63,7 @@ const NC: usize = 1024;
 /// # Panics
 /// Panics if any slice is too small for the described matrix.
 #[allow(clippy::too_many_arguments)]
-pub fn sgemm(
+pub fn sgemm<B: GemmElem>(
     transa: bool,
     transb: bool,
     m: usize,
@@ -66,7 +72,7 @@ pub fn sgemm(
     alpha: f32,
     a: &[f32],
     lda: usize,
-    b: &[f32],
+    b: &[B],
     ldb: usize,
     beta: f32,
     c: &mut [f32],
@@ -79,7 +85,7 @@ pub fn sgemm(
 /// parity tests and the `repro simd` benchmark use, since the
 /// process-wide tier is resolved once and cannot be toggled per call.
 #[allow(clippy::too_many_arguments)]
-pub fn sgemm_with_tier(
+pub fn sgemm_with_tier<B: GemmElem>(
     tier: Tier,
     transa: bool,
     transb: bool,
@@ -89,7 +95,7 @@ pub fn sgemm_with_tier(
     alpha: f32,
     a: &[f32],
     lda: usize,
-    b: &[f32],
+    b: &[B],
     ldb: usize,
     beta: f32,
     c: &mut [f32],
@@ -117,7 +123,7 @@ pub fn sgemm_with_tier(
     }
 
     par_row_panels(m, c, ldc, |row0, row1, c_panel| {
-        gemm_panel::<false>(
+        gemm_panel::<false, _>(
             tier, transa, transb, row0, row1, n, k, alpha, a, lda, b, ldb, c_panel, ldc,
         );
     });
@@ -142,7 +148,7 @@ pub fn matmul_tn_acc(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut
         // `k = 0` takes the block path too: it still adds the (zero)
         // product, which turns a `-0.0` in C into `+0.0`.
         if (1..=KC).contains(&k) {
-            gemm_panel::<true>(tier, true, false, row0, row1, n, k, 1.0, a, m, b, n, c_panel, n);
+            gemm_panel::<true, _>(tier, true, false, row0, row1, n, k, 1.0, a, m, b, n, c_panel, n);
             return;
         }
         tn_row_blocks::<false>(tier, row0, row1, m, n, k, a, b, |r0, r1, block| {
@@ -217,9 +223,9 @@ fn tn_row_blocks<const ONTO_ZERO: bool>(
             if ONTO_ZERO && (1..=KC).contains(&k) {
                 // One k-block: the tile adds its finished chain to the
                 // zeros as it stores, as `matmul_tn_acc` does into C.
-                gemm_panel::<true>(tier, true, false, r0, r1, n, k, 1.0, a, m, b, n, block, n);
+                gemm_panel::<true, _>(tier, true, false, r0, r1, n, k, 1.0, a, m, b, n, block, n);
             } else {
-                gemm_panel::<false>(tier, true, false, r0, r1, n, k, 1.0, a, m, b, n, block, n);
+                gemm_panel::<false, _>(tier, true, false, r0, r1, n, k, 1.0, a, m, b, n, block, n);
                 if ONTO_ZERO {
                     for t in block.iter_mut() {
                         *t += 0.0;
@@ -325,7 +331,7 @@ const NR: usize = 16;
 /// `k <= KC`, the product is summed on its own and then added to the
 /// panel instead of continuing the chain from the panel's values.
 #[allow(clippy::too_many_arguments)]
-fn gemm_panel<const ADD: bool>(
+fn gemm_panel<const ADD: bool, B: GemmElem>(
     tier: Tier,
     transa: bool,
     transb: bool,
@@ -336,7 +342,7 @@ fn gemm_panel<const ADD: bool>(
     alpha: f32,
     a: &[f32],
     lda: usize,
-    b: &[f32],
+    b: &[B],
     ldb: usize,
     c_panel: &mut [f32],
     ldc: usize,
@@ -631,6 +637,106 @@ impl BLayout {
     }
 }
 
+/// An element the pack step reads: `f32` as it is, or [`F16`] widened to
+/// the `f32` it denotes. Widening is exact, so a packed panel of halves
+/// holds what packing the widened matrix would — with one exception that
+/// no stored parameter meets: `vcvtph2ps` quiets the 1,022 signalling-NaN
+/// patterns where [`to_f32_table`] keeps their payload, and
+/// `F16::from_f32{,_fast}` never produce one (they quiet every NaN).
+pub trait GemmElem: Copy + Sync {
+    /// The value as `f32` ([`F16`]: its table entry).
+    #[doc(hidden)]
+    fn widen(self) -> f32;
+
+    /// `dst[i] = src[i]` widened: a row of the non-transposed pack.
+    #[doc(hidden)]
+    fn widen_row(tier: Tier, src: &[Self], dst: &mut [f32]);
+
+    /// Four consecutive elements as one SSE vector.
+    ///
+    /// # Safety
+    /// Requires AVX2, FMA and F16C; `p` must be readable for four elements.
+    #[doc(hidden)]
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn load4(p: *const Self) -> std::arch::x86_64::__m128;
+}
+
+impl GemmElem for f32 {
+    #[inline(always)]
+    fn widen(self) -> f32 {
+        self
+    }
+
+    #[inline(always)]
+    fn widen_row(_tier: Tier, src: &[f32], dst: &mut [f32]) {
+        dst.copy_from_slice(src);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2,fma,f16c")]
+    unsafe fn load4(p: *const f32) -> std::arch::x86_64::__m128 {
+        // SAFETY: the caller vouches for four readable floats at `p`.
+        std::arch::x86_64::_mm_loadu_ps(p)
+    }
+}
+
+impl GemmElem for F16 {
+    #[inline(always)]
+    fn widen(self) -> f32 {
+        self.to_f32_lut()
+    }
+
+    fn widen_row(tier: Tier, src: &[F16], dst: &mut [f32]) {
+        assert_eq!(src.len(), dst.len());
+        #[cfg(target_arch = "x86_64")]
+        let done = if tier == Tier::Avx2 && simd::detected_avx2() {
+            // SAFETY: the tier check covers F16C; the lengths are equal.
+            unsafe { widen_row_f16c(src, dst) }
+        } else {
+            0
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let done = {
+            let _ = tier;
+            0
+        };
+        let table = to_f32_table();
+        for (d, s) in dst[done..].iter_mut().zip(&src[done..]) {
+            *d = table[s.0 as usize];
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2,fma,f16c")]
+    unsafe fn load4(p: *const F16) -> std::arch::x86_64::__m128 {
+        use std::arch::x86_64::*;
+        // SAFETY: the caller vouches for four readable halves — the eight
+        // bytes this loads — at `p`.
+        _mm_cvtph_ps(_mm_loadl_epi64(p as *const __m128i))
+    }
+}
+
+/// Widens the leading whole groups of eight halves of `src` into `dst`
+/// with `vcvtph2ps` and returns how many elements that was; the caller
+/// finishes the tail.
+///
+/// # Safety
+/// Requires AVX2, FMA and F16C, and `dst.len() >= src.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma,f16c")]
+unsafe fn widen_row_f16c(src: &[F16], dst: &mut [f32]) -> usize {
+    use std::arch::x86_64::*;
+    let whole = src.len() - src.len() % 8;
+    for i in (0..whole).step_by(8) {
+        // SAFETY: `i + 8 <= whole <= src.len() <= dst.len()`.
+        let halves = _mm_loadu_si128(src.as_ptr().add(i) as *const __m128i);
+        _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_cvtph_ps(halves));
+    }
+    whole
+}
+
 /// Packs the `kb × nb` panel of op(B) at `(kk, jj)` and returns its layout.
 ///
 /// Rows of a non-transposed B are copied as they are (row-major
@@ -640,12 +746,13 @@ impl BLayout {
 /// in-register transpose of NR rows of B produces, and a microkernel
 /// sweep over `p` then reads one contiguous run. The last tile keeps the
 /// NR stride when `nb` is not a multiple of NR; its surplus columns are
-/// never read.
+/// never read. Either way a half-precision B is widened as it is moved
+/// ([`GemmElem`]): the panel holds `f32` whatever B held.
 #[allow(clippy::too_many_arguments)]
-fn pack_b(
+fn pack_b<B: GemmElem>(
     tier: Tier,
     transb: bool,
-    b: &[f32],
+    b: &[B],
     ldb: usize,
     kk: usize,
     jj: usize,
@@ -656,7 +763,7 @@ fn pack_b(
     if !transb {
         for p in 0..kb {
             let src = &b[(kk + p) * ldb + jj..(kk + p) * ldb + jj + nb];
-            packed[p * nb..(p + 1) * nb].copy_from_slice(src);
+            B::widen_row(tier, src, &mut packed[p * nb..(p + 1) * nb]);
         }
         BLayout { tile: NR, row: nb }
     } else {
@@ -704,8 +811,8 @@ fn pack_a(
 const TB: usize = 8;
 
 /// Packs the transpose of a `rows × cols` block of `src` (top-left element
-/// `(r0, c0)`, leading dimension `ld`), scaled by `alpha`, into `dst` with
-/// leading dimension `ldd`:
+/// `(r0, c0)`, leading dimension `ld`), widened and scaled by `alpha`,
+/// into `dst` with leading dimension `ldd`:
 /// `dst[c * ldd + r] = alpha * src[(r0 + r) * ld + c0 + c]`.
 ///
 /// Both sides stream: the block is walked in strips of `TB` source rows,
@@ -714,9 +821,9 @@ const TB: usize = 8;
 /// blocks through an in-register transpose; the values written are the
 /// same on both tiers.
 #[allow(clippy::too_many_arguments)]
-fn pack_transposed(
+fn pack_transposed<E: GemmElem>(
     tier: Tier,
-    src: &[f32],
+    src: &[E],
     ld: usize,
     r0: usize,
     c0: usize,
@@ -746,10 +853,10 @@ fn pack_transposed(
         #[cfg(target_arch = "x86_64")]
         if rn == TB {
             while c < vec_cols {
-                // SAFETY: AVX2 was detected (`vec_cols > 0`); source rows
-                // `r0 + rb ..+ TB` hold columns `c0 + c ..+ TB` and `dst`
-                // rows `c ..+ TB` hold columns `rb ..+ TB` by the two
-                // asserts above.
+                // SAFETY: the tier's features were detected
+                // (`vec_cols > 0`); source rows `r0 + rb ..+ TB` hold
+                // columns `c0 + c ..+ TB` and `dst` rows `c ..+ TB` hold
+                // columns `rb ..+ TB` by the asserts above.
                 unsafe {
                     transpose_block_avx2(
                         src.as_ptr().add((r0 + rb) * ld + c0 + c),
@@ -764,7 +871,7 @@ fn pack_transposed(
         }
         for c in c..cols {
             for r in rb..rb + rn {
-                dst[c * ldd + r] = alpha * src[(r0 + r) * ld + c0 + c];
+                dst[c * ldd + r] = alpha * src[(r0 + r) * ld + c0 + c].widen();
             }
         }
     }
@@ -772,22 +879,34 @@ fn pack_transposed(
 
 /// `dst[c * ldd + r] = alpha * src[r * ld + c]` for `r, c < TB`: an
 /// in-register 8×8 transpose. Row `r` and row `r + 4` are loaded as the
-/// two 128-bit halves of one vector, once for columns 0..4 and once for
-/// columns 4..8, so the 4×4 transposes within the halves (unpack, then
-/// shuffle) already leave whole output rows — sixteen shuffles a block.
+/// two 128-bit halves of one vector — halves of a row widened by the load
+/// ([`GemmElem::load4`]) — once for columns 0..4 and once for columns
+/// 4..8, so the 4×4 transposes within the halves (unpack, then shuffle)
+/// already leave whole output rows — sixteen shuffles a block.
 ///
 /// # Safety
-/// Requires AVX2 and FMA. `src + r * ld` must be readable and `dst + r * ldd`
-/// writable for `TB` floats, for every `r < TB`.
+/// Requires AVX2, FMA and F16C. `src + r * ld` must be readable for `TB`
+/// elements and `dst + r * ldd` writable for `TB` floats, for every
+/// `r < TB`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn transpose_block_avx2(src: *const f32, ld: usize, dst: *mut f32, ldd: usize, alpha: f32) {
+#[target_feature(enable = "avx2,fma,f16c")]
+unsafe fn transpose_block_avx2<E: GemmElem>(
+    src: *const E,
+    ld: usize,
+    dst: *mut f32,
+    ldd: usize,
+    alpha: f32,
+) {
     use std::arch::x86_64::*;
     let scale = _mm256_set1_ps(alpha);
     for half in 0..2 {
+        // SAFETY (loads and stores): `r + 4 < TB` and `4 * half + 4 <= TB`
+        // keep every four-element load inside the caller's `TB` readable
+        // elements per source row, and every eight-float store at rows
+        // `4 * half ..+ 4` of `dst` inside its `TB` writable floats.
         let pair = |r: usize| {
-            let top = _mm_loadu_ps(src.add(r * ld + 4 * half));
-            let bottom = _mm_loadu_ps(src.add((r + 4) * ld + 4 * half));
+            let top = E::load4(src.add(r * ld + 4 * half));
+            let bottom = E::load4(src.add((r + 4) * ld + 4 * half));
             _mm256_mul_ps(scale, _mm256_insertf128_ps(_mm256_castps128_ps256(top), bottom, 1))
         };
         let (r0, r1, r2, r3) = (pair(0), pair(1), pair(2), pair(3));
@@ -853,14 +972,14 @@ pub fn matmul_tn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f3
 /// half-precision output — the arithmetic profile of a tensor-core
 /// `hgemm`. `C = A · B` with all matrices contiguous row-major.
 pub fn hgemm(m: usize, n: usize, k: usize, a: &[F16], b: &[F16], c: &mut [F16]) {
-    // Widen once up front through the dispatched batch converters (the
-    // table gather is bit-identical to `to_f32`, and `narrow_slice` to
-    // `from_f32`): the cost model of mixed precision on GPUs also
-    // performs the multiply in wider accumulators.
+    // A is widened once up front through the dispatched batch converter
+    // (the table gather is bit-identical to `to_f32`, and `narrow_slice`
+    // to `from_f32`), B by the pack step as it is read: the cost model of
+    // mixed precision on GPUs also performs the multiply in wider
+    // accumulators.
     let a32 = f16_slice_to_f32(a);
-    let b32 = f16_slice_to_f32(b);
     let mut c32 = vec![0.0f32; m * n];
-    matmul(m, n, k, &a32, &b32, &mut c32);
+    sgemm(false, false, m, n, k, 1.0, &a32, k, b, n, 0.0, &mut c32, n);
     narrow_slice(&c32, c);
 }
 
@@ -992,7 +1111,7 @@ mod tests {
         assert_eq!(c, vec![1.0; 4]); // m == 0: untouched
         let mut c2 = vec![1.0f32; 4];
         // k == 0 still applies beta.
-        sgemm(false, false, 2, 2, 0, 1.0, &[], 1, &[], 2, 0.5, &mut c2, 2);
+        sgemm(false, false, 2, 2, 0, 1.0, &[], 1, &[0.0f32; 0], 2, 0.5, &mut c2, 2);
         assert_eq!(c2, vec![0.5; 4]);
     }
 
@@ -1042,6 +1161,43 @@ mod tests {
         matmul(m, n, k, &aw, &bw, &mut cw);
         for (h, &w) in c.iter().zip(&cw) {
             assert_eq!(h.to_f32(), F16::from_f32(w).to_f32());
+        }
+    }
+
+    #[test]
+    fn the_pack_widens_every_half_like_the_table_but_signalling_nans() {
+        // All 65,536 patterns as a 256 × 256 matrix, through both layouts
+        // of `pack_b` on both tiers. `vcvtph2ps` quiets a signalling NaN
+        // (quiet bit 0x0200 clear, 1,022 patterns) where the table keeps
+        // its payload — which the scalar transposed pack's `alpha * x` may
+        // then quiet or not, as the compiler folds a multiplication by
+        // one. No stored half is one: see
+        // `narrowing_never_yields_a_signalling_nan` in `tests/f16_operand.rs`.
+        let side = 256usize;
+        let halves: Vec<F16> = (0..=u16::MAX).map(F16::from_bits).collect();
+        let table = to_f32_table();
+        let signalling = |h: F16| h.is_nan() && h.0 & 0x0200 == 0;
+        assert_eq!(halves.iter().filter(|&&h| signalling(h)).count(), 1022);
+        for tier in [Tier::Scalar, Tier::Avx2] {
+            let vector = tier == Tier::Avx2 && simd::detected_avx2();
+            for transb in [false, true] {
+                let mut packed = vec![0.0f32; side * side];
+                let bl = pack_b(tier, transb, &halves, side, 0, 0, side, side, &mut packed);
+                for p in 0..side {
+                    for j in 0..side {
+                        // op(B)[p, j]
+                        let h = if transb { halves[j * side + p] } else { halves[p * side + j] };
+                        let got = packed[bl.at(j - j % NR, p) + j % NR].to_bits();
+                        let want = table[h.0 as usize].to_bits();
+                        if signalling(h) {
+                            let quieted = got == want | 0x0040_0000;
+                            assert!(quieted || (got == want && !vector), "{:#06x}: {got:#x}", h.0);
+                        } else {
+                            assert_eq!(got, want, "{:#06x}, {tier:?}, transb {transb}", h.0);
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -98,9 +98,18 @@ impl Tensor {
         &self.shape
     }
 
-    /// Total element count.
+    /// Elements held: the product of the shape, or zero once
+    /// [`Self::release`]d.
     pub fn numel(&self) -> usize {
         self.data.len()
+    }
+
+    /// Gives the buffer back to the allocator and keeps the shape: the
+    /// values live elsewhere (a SAMO-managed weight computes from the
+    /// dense `θ16`) and whoever needs them here again builds a fresh
+    /// tensor of [`Self::shape`].
+    pub fn release(&mut self) {
+        self.data = Vec::new();
     }
 
     /// Number of rows when viewed as 2-D (product of all but last dim).

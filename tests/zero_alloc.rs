@@ -288,6 +288,30 @@ fn hot_paths_allocate_nothing_in_steady_state() {
     assert!(largest <= activation, "streamed backward requested {largest} B at once");
     assert!(sink.0.into_inner().unwrap().1, "ordinary gradients are finite");
 
+    // --- Linear from a lent θ16: forward + dx -------------------------
+    // A weight a SAMO runtime manages computes from the dense θ16 the
+    // runtime lends it. The GEMM's pack step widens the halves into the
+    // thread-local panel it would copy f32 into, so warm forward + dx
+    // request what the f32 layer requests — the activations — and
+    // nothing of the size of the weights.
+    let fwd_bwd = |lin: &mut Linear| {
+        lin.forward(&lx);
+        lin.backward(&ldy);
+    };
+    fwd_bwd(&mut lin);
+    let from_f32 = alloc_events_during(|| fwd_bwd(&mut lin));
+    let weight = lin.weight_mut();
+    let mut theta16 = tensor::f16::f32_slice_to_f16(weight.value.as_slice());
+    weight.release_value();
+    weight.lend_theta16(&mut theta16, true);
+    assert!(theta16.is_empty() && !weight.holds_value(), "θ16 is the only weight left");
+    fwd_bwd(&mut lin); // warm: same scratch, first use of the f16 table
+    LARGEST_ALLOC.store(0, Ordering::Relaxed);
+    let from_f16 = alloc_events_during(|| fwd_bwd(&mut lin));
+    assert_eq!(from_f16, from_f32, "a lent θ16 adds no allocation to forward + backward");
+    let largest = LARGEST_ALLOC.load(Ordering::Relaxed) as usize;
+    assert!(largest <= activation, "forward + dx from θ16 requested {largest} B at once");
+
     // --- Steady-state serving loop (`Layer::infer_batch`) -------------
     // The serving runtime's replica loop is exactly this: one warm
     // model, one warm output buffer, `infer_batch` per batch. Every
