@@ -25,8 +25,8 @@
 //!   `dy·W`) from the f32 view of `θ16` against `θ16` itself, widened by
 //!   the GEMM's pack step (same bits, asserted). Gated: the
 //!   half-precision weight may never be slower than its f32 copy.
-//! * `compress_f32` / `expand_f16` / `compress_f16` — the compression
-//!   and expansion primitives.
+//! * `compress.f32` / `expand.f16` / `compress.f16` — the compression
+//!   and expansion primitives, at the element types the step uses.
 //! * `allreduce_compressed` — the compressed fp16 gradient all-reduce.
 
 use crate::harness::{self, duel, random_vec, round6, sample, Sample};
@@ -34,7 +34,7 @@ use nn::mixed::Optimizer;
 use nn::optim::AdamConfig;
 use samo::state::SamoLayerState;
 use samo::trainer::allreduce_mean_f16;
-use samo::{compress_f16, compress_f32, expand_f16};
+use samo::{compress, expand};
 use telemetry::json::Json;
 use tensor::f16::{f16_slice_to_f32, f32_slice_to_f16, F16};
 use tensor::gemm::{matmul, matmul_nt, matmul_tn_acc, matmul_tn_row_blocks, sgemm, GemmElem};
@@ -237,27 +237,27 @@ pub fn run(quick: bool) -> Result<(), String> {
     let dense32 = random_vec(phi, 8);
     {
         let timed = sample(best_of, reps, || {
-            std::hint::black_box(compress_f32(std::hint::black_box(&dense32), &mask));
+            std::hint::black_box(compress(std::hint::black_box(&dense32), &mask));
         });
         // Gather: 4 B index + 4 B source read + 4 B write per nonzero.
-        results.push(memory_row("compress_f32", timed, 12 * mask.nnz()));
+        results.push(memory_row("compress.f32", timed, 12 * mask.nnz()));
     }
     let values16: Vec<F16> = dense32[..mask.nnz()].iter().map(|&v| F16::from_f32(v)).collect();
     {
         let timed = sample(best_of, reps, || {
-            std::hint::black_box(expand_f16(std::hint::black_box(&values16), &mask));
+            std::hint::black_box(expand(std::hint::black_box(&values16), &mask));
         });
         // Scatter into a dense f16 buffer: the full 2 B/elem output is
         // written (zeros included) plus 2 B value + 4 B index per nonzero.
-        results.push(memory_row("expand_f16", timed, 2 * phi + 6 * mask.nnz()));
+        results.push(memory_row("expand.f16", timed, 2 * phi + 6 * mask.nnz()));
     }
     let dense16: Vec<F16> = dense32.iter().map(|&v| F16::from_f32(v)).collect();
     {
         let timed = sample(best_of, reps, || {
-            std::hint::black_box(compress_f16(std::hint::black_box(&dense16), &mask));
+            std::hint::black_box(compress(std::hint::black_box(&dense16), &mask));
         });
         // Gather: 4 B index + 2 B source read + 2 B write per nonzero.
-        results.push(memory_row("compress_f16", timed, 8 * mask.nnz()));
+        results.push(memory_row("compress.f16", timed, 8 * mask.nnz()));
     }
 
     // --- Compressed gradient all-reduce (4 ranks). --------------------

@@ -10,16 +10,16 @@
 //!   reload each published generation, and must keep its blackout far
 //!   below a request lifetime;
 //! * when AVX2+FMA is detected, batched serving must beat batch-1 on
-//!   the dense backend (the continuous batcher's reason to exist), and
-//!   the sparse backends must carry their PR-8 kernel floors through
-//!   the whole serving stack: 2:4 structured and int8 over dense f32
-//!   at the same batched setting.
+//!   the dense backend (the continuous batcher's reason to exist).
 //!
-//! On hardware without AVX2 the throughput gates are skipped (scalar
-//! matvec vs scalar matmul is not the comparison the floors are
-//! about) and the section records `avx2_detected: false` so CI can
-//! tell the difference. Latency quantiles are exact client-side
-//! measurements, not histogram buckets.
+//! 2:4 structured and int8 over dense f32 at the same batched setting
+//! are recorded beside it as data: they are the `simd` row's kernel
+//! floors seen through a queue, at whatever batch fill the load reaches,
+//! and a floor is gated once — on the kernel. On hardware without AVX2
+//! the batching gate is skipped (scalar matvec vs scalar matmul is not
+//! the comparison it is about) and the section records
+//! `avx2_detected: false` so CI can tell the difference. Latency
+//! quantiles are exact client-side measurements, not histogram buckets.
 
 use serve::{Backend, BatchPolicy, LoadGenConfig, ServeConfig, Server, TrainPublisher};
 use std::path::PathBuf;

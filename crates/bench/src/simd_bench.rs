@@ -1,4 +1,4 @@
-//! `repro simd` — the SIMD compute tier (DESIGN.md §16) measured
+//! `repro simd` — the SIMD compute tier (DESIGN.md §11) measured
 //! honestly: scalar vs AVX2 per dispatched kernel, the 2:4 structured
 //! spMM against dense GEMM and unstructured CSR at matched shapes, and
 //! int8 quantized GEMM against f32 — recorded as a `simd` section in

@@ -114,22 +114,23 @@ pub fn ring_allreduce_model_bytes(n: u64, world: u64, elem_bytes: u64) -> u64 {
     2 * elem_bytes * n * (world - 1) / world
 }
 
-/// Contiguous partition of `n` elements into `parts` chunks, remainder
-/// spread one-per-chunk from the front — the rule `samo::state` follows
-/// for optimizer shards (its unit tests assert the two agree), so these
+/// Bounds `[lo, hi)` of part `r` when `n` elements are cut into `parts`
+/// contiguous chunks, remainder spread one-per-chunk from the front. The
+/// one partition formula: ring segments, pipeline stage blocks and the
+/// optimizer shards of `samo::state` (which asks inside its
+/// allocation-free step, one part at a time) all follow it, so these
 /// bounds size the all-gather of sharded state.
+pub fn segment(n: usize, r: usize, parts: usize) -> (usize, usize) {
+    assert!(r < parts, "part {r} of {parts}");
+    let (base, rem) = (n / parts, n % parts);
+    let lo = r * base + r.min(rem);
+    (lo, lo + base + usize::from(r < rem))
+}
+
+/// Every [`segment`] of `n` elements in `parts`, in order.
 pub fn segment_bounds(n: usize, parts: usize) -> Vec<(usize, usize)> {
     assert!(parts >= 1);
-    let base = n / parts;
-    let rem = n % parts;
-    let mut bounds = Vec::with_capacity(parts);
-    let mut lo = 0;
-    for i in 0..parts {
-        let len = base + usize::from(i < rem);
-        bounds.push((lo, lo + len));
-        lo += len;
-    }
-    bounds
+    (0..parts).map(|r| segment(n, r, parts)).collect()
 }
 
 #[cfg(test)]

@@ -78,7 +78,7 @@ pub use checkpoint::{
     load_checkpoint_file, publish_marker_path, CheckpointConfig, CheckpointManager,
     CheckpointSubscriber,
 };
-pub use compressed::{compress_f16, compress_f32, expand_f16, expand_f32};
+pub use compressed::{compress, expand};
 pub use memory::{
     m_default_bytes, m_samo_bytes, m_samo_zero_bytes, samo_savings_fraction, SamoBreakdown,
 };

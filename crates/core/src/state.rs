@@ -30,11 +30,12 @@
 //! (`crate::engine`, module docs) and this state holds an empty `Vec`
 //! until it is moved back. The state stays its one owner: every
 //! constructor, kernel, checkpoint path and byte count here expects
-//! `theta16` home, and the kernel that scatters into it through raw
-//! pointers asserts so. The model's f32 widening of `θ16` — `dense_out`
-//! of the step kernels, [`SamoLayerState::write_dense_f32_params_into`]
-//! — is written where the model keeps one; a parameter that computes from
-//! the lent `θ16` has released it and passes an empty slice.
+//! `theta16` home, and the kernel that scatters into it asserts so (an
+//! empty one would read as nothing to write). The model's f32 widening
+//! of `θ16` — `dense_out` of the step kernels,
+//! [`SamoLayerState::write_dense_f32_params_into`] — is written where the
+//! model keeps one; a parameter that computes from the lent `θ16` has
+//! released it and passes an empty slice.
 //!
 //! # ZeRO-style sharding — an extension beyond the paper
 //!
@@ -56,7 +57,7 @@
 //! [`SamoLayerState::install_gathered`] are the three-phase reference of
 //! the same step.
 
-use crate::compressed::{compress_f32, expand_f16_into, expand_f16_over_zeroed, SyncPtr};
+use crate::compressed::{compress, expand_into, expand_over_zeroed, Scatter};
 use crate::memory::SamoBreakdown;
 use nn::mixed::{OptState, Optimizer};
 use nn::optim::{adam_bias_corrections, adam_update, sgd_update, AdamState, SgdState};
@@ -64,11 +65,11 @@ use prune::Mask;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use tensor::f16::{to_f32_table, F16};
-use tensor::pool::par_ranges;
+use tensor::pool::{par_chunks_mut, SplitMut};
 use tensor::simd;
 
-/// `par_ranges` granularity for the fused step kernels: enough work per
-/// chunk that fork–join overhead stays negligible.
+/// Pool granularity of the fused step kernels, in compressed positions:
+/// enough work per chunk that fork–join overhead stays negligible.
 const STEP_MIN_CHUNK: usize = 32 * 1024;
 
 /// SAMO-compressed mixed-precision model state for one layer: shard
@@ -92,15 +93,6 @@ pub struct SamoLayerState {
     pub grad32: Vec<f32>,
     /// Compressed optimizer state over the owned range.
     pub os: OptState,
-}
-
-/// Contiguous bounds of part `r` of `d` over `n` elements — the same
-/// partition as [`comms::segment_bounds`], which sizes the all-gather.
-fn shard_bounds(n: usize, r: usize, d: usize) -> (usize, usize) {
-    let base = n / d;
-    let extra = n % d;
-    let lo = r * base + r.min(extra);
-    (lo, lo + base + usize::from(r < extra))
 }
 
 /// What a checkpoint carries of one state — its range of `θ32` and of
@@ -145,92 +137,63 @@ fn dense_theta16(theta32: &[f32], mask: &Mask) -> Vec<F16> {
     let mut temp16 = vec![F16::ZERO; theta32.len()];
     tensor::f16::narrow_slice(theta32, &mut temp16);
     let mut theta16 = vec![F16::ZERO; mask.numel()];
-    expand_f16_over_zeroed(&temp16, mask, &mut theta16);
+    expand_over_zeroed(&temp16, mask, &mut theta16);
     theta16
 }
 
-/// Raw views of what the fused optimizer pass reads and writes on the
-/// owned range (`ind`, `grad16` and the fp32 arrays start at `lo`).
-/// `dense_out` is the model's f32 view of `θ16` where the model keeps one.
-struct OwnedPass<'a> {
-    ind: &'a [u32],
-    grad16: &'a [F16],
+/// What one task of the fused optimizer pass writes, as the pool cuts it
+/// from the owned range: its positions of `θ32` and `∇θ32`; of the
+/// model's f32 widening of `θ16`, where the model keeps one, and of `θ16`
+/// itself, both behind `ind`; and of the updated range for the other
+/// ranks, where there are any.
+type Owned<'a> = (
+    (&'a mut [f32], &'a mut [f32]),
+    (Option<Scatter<'a, f32>>, (Scatter<'a, F16>, Option<&'a mut [F16]>)),
+);
+
+/// The fused optimizer pass over one task's positions: `grad16` are their
+/// reduced gradients, `os` walks the optimizer's arrays over them, and
+/// `update(os[k], θ32[k], ∇θ32[k])` is the optimizer at one.
+fn sweep<I: Iterator>(
+    grad16: &[F16],
     inv_loss_scale: f32,
-    theta32: SyncPtr<f32>,
-    grad32: SyncPtr<f32>,
-    theta16: SyncPtr<F16>,
-    dense_out: Option<SyncPtr<f32>>,
-    payload: Option<SyncPtr<F16>>,
-}
-
-/// A layer's dense gradient read as `count` rows of `cols`, and where
-/// their kept values go: `∇θ16`, `ind.len()` long.
-struct RowGather<'a> {
-    ind: &'a [u32],
-    count: usize,
-    cols: usize,
-    grad16: SyncPtr<F16>,
-}
-
-impl RowGather<'_> {
-    /// Gathers the kept positions of rows `row0..row1`, given in `block`,
-    /// narrowed to f16, into their run of `∇θ16`; `false` if any is
-    /// non-finite. Concurrent calls must name disjoint rows.
-    fn gather(&self, row0: usize, row1: usize, block: &[f32]) -> bool {
-        let (lo, hi) = (row0 * self.cols, row1 * self.cols);
-        let s = self.ind.partition_point(|&i| (i as usize) < lo);
-        let e = s + self.ind[s..].partition_point(|&i| (i as usize) < hi);
-        // SAFETY: `ind` is strictly increasing, so the run `s..e` of
-        // positions inside these rows belongs to this call alone, and
-        // `row_gather` sized `∇θ16` to `ind.len() >= e`.
-        let out = unsafe { std::slice::from_raw_parts_mut(self.grad16.0.add(s), e - s) };
-        simd::gather_narrow_finite(simd::active(), block, lo as u32, &self.ind[s..e], out)
+    owned: Owned<'_>,
+    os: I,
+    update: &impl Fn(I::Item, &mut f32, f32),
+) {
+    match owned.1.0.is_some() {
+        true => sweep_as::<true, I>(grad16, inv_loss_scale, owned, os, update),
+        false => sweep_as::<false, I>(grad16, inv_loss_scale, owned, os, update),
     }
 }
 
-impl OwnedPass<'_> {
-    /// `update(k, θ32[k], ∇θ32[k])` is the optimizer at owned position k.
-    fn run(&self, update: impl Fn(usize, &mut f32, f32) + Sync) {
-        match self.dense_out {
-            Some(_) => self.sweep::<true>(update),
-            None => self.sweep::<false>(update),
+/// [`sweep`] itself; `VIEW` says the f32 view is there to be written next
+/// to `θ16`. One loop per form: testing for the view per element cost the
+/// trainers that keep it 4–5 % of a step.
+fn sweep_as<const VIEW: bool, I: Iterator>(
+    grad16: &[F16],
+    inv_loss_scale: f32,
+    ((theta32, grad32), (view, (mut theta16, payload))): Owned<'_>,
+    os: I,
+    update: &impl Fn(I::Item, &mut f32, f32),
+) {
+    let table = to_f32_table();
+    // Stand-ins that are never written for what is not there.
+    let mut view = view.unwrap_or_else(|| Scatter::new(&[], Default::default()));
+    let payload = payload.unwrap_or_default();
+    let fp32 = theta32.iter_mut().zip(grad32.iter_mut()).zip(os);
+    for (k, ((&i, g16), ((p, g32), os))) in theta16.ind.iter().zip(grad16).zip(fp32).enumerate() {
+        let g = table[g16.0 as usize] * inv_loss_scale;
+        *g32 = g;
+        update(os, p, g);
+        let h = F16::from_f32_fast(*p);
+        theta16.put(i, h);
+        if VIEW {
+            view.put(i, table[h.0 as usize]);
         }
-    }
-
-    /// The pass itself; `VIEW` says `dense_out` is there to be written
-    /// next to `θ16`. One loop per form: testing for the view per element
-    /// cost the trainers that keep it 4–5 % of a step.
-    fn sweep<const VIEW: bool>(&self, update: impl Fn(usize, &mut f32, f32) + Sync) {
-        let table = to_f32_table();
-        par_ranges(self.ind.len(), STEP_MIN_CHUNK, |s, e| {
-            // Locals, so the stores below cannot be taken to alias them.
-            let (theta32, grad32) = (self.theta32.0, self.grad32.0);
-            let dense_out = self.dense_out.as_ref().map_or(std::ptr::null_mut(), |p| p.0);
-            let theta16 = self.theta16.0;
-            let payload = self.payload.as_ref().map(|p| p.0);
-            let inv_loss_scale = self.inv_loss_scale;
-            let owned = self.ind[s..e].iter().zip(&self.grad16[s..e]);
-            for (k, (&i, g16)) in (s..e).zip(owned) {
-                // SAFETY: owned position k and dense position i (`ind`
-                // is strictly increasing) are each touched by exactly
-                // one task, and the caller checked every array spans
-                // them; `dense_out` is non-null whenever `VIEW`.
-                unsafe {
-                    let g = table[g16.0 as usize] * inv_loss_scale;
-                    *grad32.add(k) = g;
-                    let p = &mut *theta32.add(k);
-                    update(k, p, g);
-                    let h = F16::from_f32_fast(*p);
-                    *theta16.add(i as usize) = h;
-                    if VIEW {
-                        *dense_out.add(i as usize) = table[h.0 as usize];
-                    }
-                    if let Some(payload) = payload {
-                        *payload.add(k) = h;
-                    }
-                }
-            }
-        });
+        if let Some(slot) = payload.get_mut(k) {
+            *slot = h;
+        }
     }
 }
 
@@ -253,8 +216,8 @@ impl SamoLayerState {
     ) -> SamoLayerState {
         assert!(shard_id < num_shards, "shard {shard_id} of {num_shards}");
         assert_eq!(values.len(), mask.numel());
-        let compressed = compress_f32(values, &mask);
-        let (lo, hi) = shard_bounds(compressed.len(), shard_id, num_shards);
+        let compressed = compress(values, &mask);
+        let (lo, hi) = comms::segment(compressed.len(), shard_id, num_shards);
         SamoLayerState {
             theta16: dense_theta16(&compressed, &mask),
             theta32: compressed[lo..hi].to_vec(),
@@ -298,7 +261,7 @@ impl SamoLayerState {
         assert_eq!(self.num_shards, 1, "only a full state can be sharded");
         assert!(shard_id < num_shards, "shard {shard_id} of {num_shards}");
         if num_shards > 1 {
-            let (lo, hi) = shard_bounds(self.nnz(), shard_id, num_shards);
+            let (lo, hi) = comms::segment(self.nnz(), shard_id, num_shards);
             self.theta32 = self.theta32[lo..hi].to_vec();
             self.grad32 = vec![0.0; hi - lo];
             for a in os_arrays_mut(&mut self.os).into_iter().flatten() {
@@ -384,14 +347,14 @@ impl SamoLayerState {
 
     /// This shard's bounds `[lo, hi)` within the compressed space.
     pub fn shard_range(&self) -> (usize, usize) {
-        shard_bounds(self.nnz(), self.shard_id, self.num_shards)
+        comms::segment(self.nnz(), self.shard_id, self.num_shards)
     }
 
     /// Length of every shard's range, in rank order (the all-gather's
     /// `counts`).
     pub fn shard_counts(&self) -> Vec<usize> {
         (0..self.num_shards)
-            .map(|r| shard_bounds(self.nnz(), r, self.num_shards))
+            .map(|r| comms::segment(self.nnz(), r, self.num_shards))
             .map(|(lo, hi)| hi - lo)
             .collect()
     }
@@ -435,21 +398,20 @@ impl SamoLayerState {
     /// dense gradient once and never re-scans the compressed buffer.
     ///
     /// Returns `true` when every stored gradient is finite (i.e. `false`
-    /// signals loss-scale overflow). This is [`Self::compress_grad_rows`]
-    /// on the whole tensor, its rows cut into one range per pool task:
-    /// every range runs through [`tensor::simd::gather_narrow_finite`], so
-    /// on AVX2 hardware the gather + round + finiteness check are all
-    /// vectorized; the scalar tier is bitwise identical, so the checkpoint
-    /// determinism oracles hold regardless of `SAMO_SIMD`.
+    /// signals loss-scale overflow). `∇θ16` is cut into one run of
+    /// compressed positions per pool task, and every run goes through
+    /// [`tensor::simd::gather_narrow_finite`], so on AVX2 hardware the
+    /// gather + round + finiteness check are all vectorized; the scalar
+    /// tier is bitwise identical, so the checkpoint determinism oracles
+    /// hold regardless of `SAMO_SIMD`.
     pub fn compress_grad_fused(&mut self, dense_scaled_grad: &[f32]) -> bool {
         assert_eq!(dense_scaled_grad.len(), self.numel());
-        let rows = self.row_gather();
-        let cols = rows.cols;
-        // Rows holding about `STEP_MIN_CHUNK` kept values between them.
-        let min_rows = (STEP_MIN_CHUNK * rows.count).div_ceil(rows.ind.len().max(1));
+        let (ind, grad16) = self.compress_target();
+        let tier = simd::active();
         let all_finite = AtomicBool::new(true);
-        par_ranges(rows.count, min_rows, |r0, r1| {
-            if !rows.gather(r0, r1, &dense_scaled_grad[r0 * cols..r1 * cols]) {
+        par_chunks_mut(grad16, STEP_MIN_CHUNK, |s, out| {
+            let run = &ind[s..s + out.len()];
+            if !simd::gather_narrow_finite(tier, dense_scaled_grad, 0, run, out) {
                 all_finite.store(false, Ordering::Relaxed);
             }
         });
@@ -469,26 +431,23 @@ impl SamoLayerState {
     /// kernel gathers from the assembled gradient; the AND of their
     /// returns is its overflow flag.
     pub fn compress_grad_rows(&mut self, row0: usize, row1: usize, block: &[f32]) -> bool {
-        let rows = self.row_gather();
-        assert!(row0 <= row1 && row1 <= rows.count, "rows {row0}..{row1} of {}", rows.count);
-        assert_eq!(block.len(), (row1 - row0) * rows.cols);
-        rows.gather(row0, row1, block)
+        let count = self.mask.shape().first().map_or(1, |&r| r.max(1));
+        let cols = self.numel() / count;
+        assert!(row0 <= row1 && row1 <= count, "rows {row0}..{row1} of {count}");
+        assert_eq!(block.len(), (row1 - row0) * cols);
+        let (lo, hi) = (row0 * cols, row1 * cols);
+        let (ind, grad16) = self.compress_target();
+        let s = ind.partition_point(|&i| (i as usize) < lo);
+        let e = s + ind[s..].partition_point(|&i| (i as usize) < hi);
+        simd::gather_narrow_finite(simd::active(), block, lo as u32, &ind[s..e], &mut grad16[s..e])
     }
 
-    /// The one compress kernel, ready to run on this layer's rows.
-    fn row_gather(&mut self) -> RowGather<'_> {
-        let ind = self.mask.indices();
-        // The raw-pointer writes of `gather` cover `∇θ16` up to nnz. A
-        // no-op unless a failed step's ring kept the buffer: every value
-        // is overwritten by a whole compress anyway.
-        self.grad16.resize(ind.len(), F16::ZERO);
-        let count = self.mask.shape().first().map_or(1, |&r| r.max(1));
-        RowGather {
-            ind,
-            count,
-            cols: self.mask.numel() / count,
-            grad16: SyncPtr(self.grad16.as_mut_ptr()),
-        }
+    /// The index, and `∇θ16` at its full length for a compress to write.
+    /// The resize is a no-op unless a failed step's ring kept the buffer:
+    /// every value is overwritten by a whole compress anyway.
+    fn compress_target(&mut self) -> (&[u32], &mut [F16]) {
+        self.grad16.resize(self.mask.nnz(), F16::ZERO);
+        (self.mask.indices(), &mut self.grad16)
     }
 
     /// Fused step kernel (b): upscale + optimizer + downcast +
@@ -505,7 +464,7 @@ impl SamoLayerState {
     /// is a long dependent chain (Adam moments → update → downcast →
     /// scatter) with a data-dependent scatter at the end, so
     /// vectorization would buy little and would put the
-    /// bitwise-determinism argument of DESIGN.md §16 at risk for no
+    /// bitwise-determinism argument of DESIGN.md §11 at risk for no
     /// measured win.
     ///
     /// Precondition: `dense_out` (if held) and `θ16` are already zero at
@@ -524,42 +483,33 @@ impl SamoLayerState {
         dense_out: &mut [f32],
     ) -> Vec<F16> {
         assert!(dense_out.is_empty() || dense_out.len() == self.numel());
-        // The raw-pointer loop scatters into every position of θ16.
         assert_eq!(self.theta16.len(), self.numel(), "θ16 is on loan");
         let (lo, hi) = self.shard_range();
         let mut payload = vec![F16::ZERO; if self.is_sharded() { hi - lo } else { 0 }];
         let SamoLayerState { mask, theta16, theta32, grad16, grad32, os, .. } = self;
-        // The raw-pointer loop below indexes every owned array up to
-        // `hi − lo`.
+        // A short array would end the pass early.
         let owned = [Some(&*theta32), Some(&*grad32)].into_iter().chain(os_arrays(os));
         assert!(owned.flatten().all(|a| a.len() == hi - lo), "shard arrays must span the range");
-        let pass = OwnedPass {
-            ind: &mask.indices()[lo..hi],
-            grad16: &grad16[lo..hi],
-            inv_loss_scale,
-            theta32: SyncPtr(theta32.as_mut_ptr()),
-            grad32: SyncPtr(grad32.as_mut_ptr()),
-            theta16: SyncPtr(theta16.as_mut_ptr()),
-            dense_out: (!dense_out.is_empty()).then_some(SyncPtr(dense_out.as_mut_ptr())),
-            payload: (!payload.is_empty()).then_some(SyncPtr(payload.as_mut_ptr())),
-        };
+        let (ind, grad16) = (&mask.indices()[lo..hi], &grad16[lo..hi]);
+        let view = (!dense_out.is_empty()).then(|| Scatter::new(ind, dense_out));
+        let wire = (!payload.is_empty()).then_some(&mut payload[..]);
+        let owned: Owned = ((theta32, grad32), (view, (Scatter::new(ind, theta16), wire)));
         match (os, opt) {
             (OptState::Adam(st), Optimizer::Adam(cfg)) => {
                 st.step += 1;
                 let (bc1, bc2) = adam_bias_corrections(cfg, st.step);
-                let m = SyncPtr(st.m.as_mut_ptr());
-                let v = SyncPtr(st.v.as_mut_ptr());
-                let (m, v) = (&m, &v);
-                // SAFETY: `run` hands each owned position k to one task.
-                pass.run(|k, p, g| unsafe {
-                    adam_update(cfg, bc1, bc2, &mut *m.0.add(k), &mut *v.0.add(k), p, g)
+                let update = |(m, v): (_, _), p: &mut _, g| adam_update(cfg, bc1, bc2, m, v, p, g);
+                let moments = (&mut st.m[..], &mut st.v[..]);
+                par_chunks_mut((owned, moments), STEP_MIN_CHUNK, |s, (owned, (m, v))| {
+                    let os = m.iter_mut().zip(v);
+                    sweep(&grad16[s..], inv_loss_scale, owned, os, &update)
                 });
             }
             (OptState::Sgd(st), Optimizer::Sgd(cfg)) => {
-                let vel = SyncPtr(st.velocity.as_mut_ptr());
-                let vel = &vel;
-                // SAFETY: as above.
-                pass.run(|k, p, g| unsafe { sgd_update(cfg, &mut *vel.0.add(k), p, g) });
+                let update = |vel: &mut _, p: &mut _, g| sgd_update(cfg, vel, p, g);
+                par_chunks_mut((owned, &mut st.velocity[..]), STEP_MIN_CHUNK, |s, (owned, vel)| {
+                    sweep(&grad16[s..], inv_loss_scale, owned, vel.iter_mut(), &update)
+                });
             }
             _ => panic!("optimizer/optimizer-state kind mismatch"),
         }
@@ -627,7 +577,7 @@ impl SamoLayerState {
     /// rank's range, concatenated) and expands them into the dense θ16.
     pub fn install_gathered(&mut self, full_compressed16: &[F16]) {
         assert_eq!(full_compressed16.len(), self.mask.nnz());
-        expand_f16_into(full_compressed16, &self.mask, &mut self.theta16);
+        expand_into(full_compressed16, &self.mask, &mut self.theta16);
     }
 
     /// The whole three-phase step on a full state — the reference path
@@ -1150,17 +1100,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_bounds_partition_the_compressed_space() {
-        // (3, 5): fewer survivors than ranks leaves trailing ranks empty.
-        for &(n, d) in &[(10usize, 3usize), (7, 7), (100, 8), (5, 1), (3, 5), (0, 2)] {
-            let bounds: Vec<_> = (0..d).map(|r| shard_bounds(n, r, d)).collect();
-            assert_eq!(bounds, comms::segment_bounds(n, d), "all-gather counts must agree");
-            assert_eq!(bounds[0].0, 0);
-            assert_eq!(bounds[d - 1].1, n);
-            for w in bounds.windows(2) {
-                assert_eq!(w[0].1, w[1].0, "shards must be contiguous");
-            }
-        }
+    fn fewer_survivors_than_ranks_leaves_trailing_shards_empty() {
         let st = SamoLayerState::from_params_sharded(
             &[1.0; 8],
             Mask::new(&[8], vec![0, 2, 5]),

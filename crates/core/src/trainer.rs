@@ -562,27 +562,27 @@ mod tests {
 
     #[test]
     fn allreduce_on_compressed_equals_compress_of_allreduce() {
-        use crate::compressed::{compress_f16, expand_f16};
+        use crate::compressed::{compress, expand};
         let mask = prune::random_prune(&[64], 0.8, 13);
         let d1: Vec<F16> = (0..64).map(|i| F16::from_f32(i as f32 * 0.5)).collect();
         let d2: Vec<F16> = (0..64).map(|i| F16::from_f32(32.0 - i as f32)).collect();
 
         // Path A: compress then all-reduce.
-        let mut c1 = compress_f16(&d1, &mask);
-        let mut c2 = compress_f16(&d2, &mask);
+        let mut c1 = compress(&d1, &mask);
+        let mut c2 = compress(&d2, &mask);
         {
             let mut bufs: Vec<&mut [F16]> = vec![&mut c1, &mut c2];
             allreduce_mean_f16(&mut bufs).unwrap();
         }
 
         // Path B: all-reduce dense then compress.
-        let mut e1 = expand_f16(&compress_f16(&d1, &mask), &mask);
-        let mut e2 = expand_f16(&compress_f16(&d2, &mask), &mask);
+        let mut e1 = expand(&compress(&d1, &mask), &mask);
+        let mut e2 = expand(&compress(&d2, &mask), &mask);
         {
             let mut bufs: Vec<&mut [F16]> = vec![&mut e1, &mut e2];
             allreduce_mean_f16(&mut bufs).unwrap();
         }
-        let cref = compress_f16(&e1, &mask);
+        let cref = compress(&e1, &mask);
         assert_eq!(c1, cref);
     }
 

@@ -17,7 +17,7 @@ use nn::mixed::Optimizer;
 use nn::optim::{AdamConfig, SgdConfig};
 use proptest::prelude::*;
 use prune::Mask;
-use samo::compressed::compress_f32;
+use samo::compressed::compress;
 use samo::trainer::{DenseMaskedTrainer, SamoTrainer};
 use tensor::Tensor;
 
@@ -87,7 +87,7 @@ fn assert_equivalent(
             .zip(&dense_tr.layers)
             .zip(0..)
         {
-            let dense_c = compress_f32(&dense_state.theta32, mask);
+            let dense_c = compress(&dense_state.theta32, mask);
             prop_assert_eq!(
                 &samo_layer.theta32,
                 &dense_c,
@@ -137,14 +137,14 @@ proptest! {
         let dense: Vec<f32> = (0..numel).map(|_| rng.gen_range(-10.0f32..10.0)).collect();
 
         // expand ∘ compress = mask
-        let roundtrip = samo::expand_f32(&compress_f32(&dense, &mask), &mask);
+        let roundtrip = samo::expand(&compress(&dense, &mask), &mask);
         let mut masked = dense.clone();
         mask.apply(&mut masked);
         prop_assert_eq!(roundtrip, masked);
 
         // compress ∘ expand = identity on compressed data
         let values: Vec<f32> = (0..mask.nnz()).map(|_| rng.gen_range(-10.0f32..10.0)).collect();
-        let back = compress_f32(&samo::expand_f32(&values, &mask), &mask);
+        let back = compress(&samo::expand(&values, &mask), &mask);
         prop_assert_eq!(back, values);
     }
 

@@ -9,7 +9,12 @@
 //! the reduce-scatter leaves it), for Adam and SGD-momentum, across
 //! multiple steps, at any sparsity including the fully dense (p = 0) and
 //! fully pruned (p = 1) extremes and fewer survivors than ranks, and
-//! with non-finite gradients injected.
+//! with non-finite gradients injected — alternately at a kept and at a
+//! pruned position. The compress has a third form, the row-block one
+//! (`compress_grad_rows`, here handed every row at once), held to the
+//! same bits and flag; and one input is a matrix large enough that the
+//! kernel pool cuts both fused kernels into several tasks, between two
+//! compressed positions in the middle of a row.
 
 use nn::mixed::{OptState, Optimizer};
 use nn::optim::{AdamConfig, SgdConfig};
@@ -60,17 +65,20 @@ fn assert_os_eq(a: &OptState, b: &OptState) -> Result<(), TestCaseError> {
 /// Drives both paths on `d` ranks from identical initial state and
 /// per-rank gradients and asserts bit-equality of everything after every
 /// step. Every third step optionally injects a non-finite gradient on
-/// one rank to exercise the group verdict and the skip path.
+/// one rank to exercise the group verdict and the skip path: at a kept
+/// position, then at a pruned one (which nobody may notice), and so on.
 fn assert_fused_matches_reference(
     opt: Optimizer,
-    numel: usize,
+    shape: &[usize],
     sparsity: f64,
     d: usize,
     steps: usize,
     seed: u64,
     inject_overflow: bool,
 ) -> Result<(), TestCaseError> {
-    let mask = prune::random_prune(&[numel], sparsity, seed);
+    let numel: usize = shape.iter().product();
+    let mask = prune::random_prune(shape, sparsity, seed);
+    let kept = mask.to_bools();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xF05E);
     let init: Vec<f32> = (0..numel).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
 
@@ -78,6 +86,7 @@ fn assert_fused_matches_reference(
         .map(|r| SamoLayerState::from_params_sharded(&init, mask.clone(), &opt, r, d))
         .collect();
     let mut refr = fused.clone();
+    let mut by_rows = fused.clone();
     // The fused kernel's dense output buffers: each starts as the shared
     // dense view (zero at pruned positions, per its precondition) and is
     // updated in place by scatter alone afterwards.
@@ -88,16 +97,21 @@ fn assert_fused_matches_reference(
         let mut all_finite = true;
         for r in 0..d {
             let mut grads: Vec<f32> = (0..numel).map(|_| rng.gen_range(-4.0f32..4.0)).collect();
-            if inject_overflow && step % 3 == 1 && r == step % d && numel > 0 {
-                let at = rng.gen_range(0..numel);
-                grads[at] = if step % 2 == 0 { f32::INFINITY } else { f32::NAN };
-                // ... which only matters if `at` survives the mask; both
-                // paths must agree either way.
+            if inject_overflow && step % 3 == 1 && r == step % d {
+                // The first position from a random one on that is kept
+                // (even injections) or pruned (odd ones), if there is one.
+                let (nth, from) = (step / 3, rng.gen_range(0..numel));
+                let at = (from..numel).chain(0..from).find(|&i| kept[i] == (nth % 2 == 0));
+                let value = if nth / 2 % 2 == 0 { f32::INFINITY } else { f32::NAN };
+                grads[at.unwrap_or(from)] = value;
             }
             let finite = fused[r].compress_grad_fused(&grads);
             refr[r].compress_grad(&grads);
             prop_assert_eq!(finite, !refr[r].grads_non_finite(), "rank {} step {}", r, step);
             prop_assert_eq!(bits16(&fused[r].grad16), bits16(&refr[r].grad16));
+            let finite_by_rows = by_rows[r].compress_grad_rows(0, shape[0], &grads);
+            prop_assert_eq!(finite_by_rows, finite, "rank {} step {}", r, step);
+            prop_assert_eq!(bits16(&by_rows[r].grad16), bits16(&refr[r].grad16));
             all_finite &= finite;
         }
 
@@ -164,7 +178,7 @@ proptest! {
         d in 1usize..4,
         seed in any::<u64>(),
     ) {
-        assert_fused_matches_reference(adam(), numel, sparsity, d, 6, seed, false)?;
+        assert_fused_matches_reference(adam(), &[numel], sparsity, d, 6, seed, false)?;
     }
 
     #[test]
@@ -174,7 +188,7 @@ proptest! {
         d in 1usize..4,
         seed in any::<u64>(),
     ) {
-        assert_fused_matches_reference(sgd(), numel, sparsity, d, 6, seed, false)?;
+        assert_fused_matches_reference(sgd(), &[numel], sparsity, d, 6, seed, false)?;
     }
 
     #[test]
@@ -184,23 +198,34 @@ proptest! {
         d in 1usize..4,
         seed in any::<u64>(),
     ) {
-        assert_fused_matches_reference(adam(), numel, sparsity, d, 9, seed, true)?;
-        assert_fused_matches_reference(sgd(), numel, sparsity, d, 9, seed, true)?;
+        assert_fused_matches_reference(adam(), &[numel], sparsity, d, 9, seed, true)?;
+        assert_fused_matches_reference(sgd(), &[numel], sparsity, d, 9, seed, true)?;
     }
 }
 
 /// The mask extremes deserve explicit coverage: p = 0 keeps every
 /// parameter (compressed length == numel), p = 1 keeps none (every
 /// kernel is a no-op over an empty index set), and a handful of
-/// survivors leaves some of three ranks an empty range (`nnz < d`).
+/// survivors leaves some of three ranks an empty range (`nnz < d`). So
+/// does the other end: a 131 × 1021 matrix keeping ≈ 94 k values is
+/// more than two pool chunks at the step kernels' 32 k granularity, so
+/// on a pool with more than one worker `∇θ16` and a full state's owned
+/// range are cut between two compressed positions — which, with every
+/// row keeping its own ≈ 715 values, lie inside a row — and the pieces
+/// run on different threads; its six steps inject an `inf` once at a
+/// kept and once at a pruned position.
 #[test]
 fn fused_step_handles_dense_empty_and_thinner_than_the_group_masks() {
     for opt in [adam(), sgd()] {
         for d in 1..=3 {
             for (numel, sparsity) in [(193, 0.0), (193, 1.0), (5, 0.6), (3, 0.5)] {
-                assert_fused_matches_reference(opt.clone(), numel, sparsity, d, 5, 42, true)
+                assert_fused_matches_reference(opt.clone(), &[numel], sparsity, d, 5, 42, true)
                     .expect("fused/reference divergence at a mask extreme");
             }
+        }
+        for d in 1..=2 {
+            assert_fused_matches_reference(opt.clone(), &[131, 1021], 0.3, d, 6, 7, true)
+                .expect("fused/reference divergence on a mask the pool cuts mid-row");
         }
     }
 }

@@ -114,26 +114,6 @@ impl GptConfig {
         24.0 * b * s * l * h * h * (1.0 + s / (6.0 * h) + v / (16.0 * l * h))
     }
 
-    /// Forward flops of one transformer layer for a microbatch, split
-    /// into (attention, mlp): per token, attention costs
-    /// `8h² + 4·s·h` (QKV + proj GEMMs and the two s×s score/value
-    /// products) and the 4× MLP costs `16h²`. Their sum over all layers
-    /// plus the LM head recovers [`Self::flops_forward_microbatch`].
-    pub fn flops_split_per_layer(&self, mbs: usize) -> (f64, f64) {
-        let tokens = (mbs * self.seq) as f64;
-        let h = self.hidden as f64;
-        let s = self.seq as f64;
-        let attention = tokens * (8.0 * h * h + 4.0 * s * h);
-        let mlp = tokens * 16.0 * h * h;
-        (attention, mlp)
-    }
-
-    /// Forward flops of the LM-head projection for a microbatch
-    /// (`2·tokens·h·V`).
-    pub fn flops_head(&self, mbs: usize) -> f64 {
-        2.0 * (mbs * self.seq) as f64 * (self.hidden * self.vocab) as f64
-    }
-
     /// Bytes of one fp16 activation tensor crossing a pipeline-stage
     /// boundary for a microbatch of `mbs` sequences: `2·mbs·s·h`.
     pub fn boundary_activation_bytes(&self, mbs: usize) -> u64 {
@@ -208,39 +188,23 @@ mod tests {
     #[test]
     fn layer_split_recovers_total_flops() {
         // Σ layers (attn + mlp) + 0.75·head == flops_forward_microbatch:
-        // Narayanan's V/(16lh) term contributes 1.5·T·h·V, i.e. 3/4 of
-        // the raw 2·T·h·V head GEMM (their derivation folds the head
+        // per token, attention costs `8h² + 4·s·h` (QKV + proj GEMMs and
+        // the two s×s score/value products), the 4× MLP `16h²`, the head
+        // GEMM `2·h·V`. Narayanan's V/(16lh) term contributes 1.5·T·h·V,
+        // i.e. 3/4 of the raw head GEMM (their derivation folds the head
         // into the recompute factor differently).
         for cfg in ALL_GPT {
             for mbs in [1usize, 4] {
-                let (attn, mlp) = cfg.flops_split_per_layer(mbs);
-                let layers_total = cfg.layers as f64 * (attn + mlp);
-                let with_head = layers_total + 0.75 * cfg.flops_head(mbs);
+                let tokens = (mbs * cfg.seq) as f64;
+                let (h, s) = (cfg.hidden as f64, cfg.seq as f64);
+                let per_layer = tokens * (8.0 * h * h + 4.0 * s * h) + tokens * 16.0 * h * h;
+                let head = 2.0 * tokens * (cfg.hidden * cfg.vocab) as f64;
+                let with_head = cfg.layers as f64 * per_layer + 0.75 * head;
                 let formula = cfg.flops_forward_microbatch(mbs);
                 let err = (with_head - formula).abs() / formula;
                 assert!(err < 1e-9, "{} mbs={mbs}: err {err}", cfg.name);
             }
         }
-    }
-
-    #[test]
-    fn mlp_dominates_attention_at_long_hidden() {
-        // For GPT-3 13B (h=5120, s=2048), the MLP's 16h² exceeds the
-        // attention's 8h² + 4sh.
-        let (attn, mlp) = GPT3_13B.flops_split_per_layer(1);
-        assert!(mlp > attn);
-        // For a hypothetical long-context small model, attention wins.
-        let long_ctx = GptConfig {
-            name: "long",
-            layers: 12,
-            hidden: 512,
-            heads: 8,
-            seq: 8192,
-            vocab: 50000,
-            batch: 32,
-        };
-        let (attn2, mlp2) = long_ctx.flops_split_per_layer(1);
-        assert!(attn2 > mlp2);
     }
 
     #[test]

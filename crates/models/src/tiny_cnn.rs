@@ -56,14 +56,6 @@ impl TinyCnn {
         self.bn1.set_training(training);
         self.bn2.set_training(training);
     }
-
-    /// The BatchNorm scale factors of both norm layers — the Early-Bird
-    /// pruning signal.
-    pub fn bn_scales(&self) -> Vec<f32> {
-        let mut v = self.bn1.scale_factors().to_vec();
-        v.extend_from_slice(self.bn2.scale_factors());
-        v
-    }
 }
 
 impl Layer for TinyCnn {
@@ -283,13 +275,6 @@ mod tests {
             }
         }
         assert!(correct > 30, "accuracy {correct}/64 too low");
-    }
-
-    #[test]
-    fn bn_scales_exposed_for_early_bird() {
-        let cnn = TinyCnn::new(5);
-        assert_eq!(cnn.bn_scales().len(), 8 + 16);
-        assert!(cnn.bn_scales().iter().all(|&g| g == 1.0));
     }
 
     #[test]

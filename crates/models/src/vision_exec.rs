@@ -8,11 +8,9 @@ use nn::activations::Relu;
 use nn::batchnorm::BatchNorm2d;
 use nn::combinators::{Flatten, Residual};
 use nn::conv::Conv2d;
-use nn::layer::{Layer, Sequential};
+use nn::layer::Sequential;
 use nn::linear::Linear;
-use nn::param::Parameter;
 use nn::pool2d::{GlobalAvgPool, MaxPool2d};
-use tensor::Tensor;
 
 use crate::tiny_cnn::CNN_CLASSES;
 
@@ -75,49 +73,37 @@ pub fn build_resnet_nano(seed: u64) -> Sequential {
         .push(Linear::new(12, CNN_CLASSES, true, seed + 30))
 }
 
-/// Forward helper asserting the expected logits shape.
-pub fn classify(model: &mut Sequential, images: &Tensor) -> Tensor {
-    let batch = images.shape()[0];
-    let logits = model.forward(images);
-    assert_eq!(logits.shape(), &[batch, CNN_CLASSES]);
-    logits
-}
-
-/// Sets every BatchNorm in a freshly built nano model to eval mode by
-/// rebuilding is impractical with type erasure; instead, callers should
-/// evaluate with training-mode BN on large batches (statistics are close)
-/// or keep a separate eval protocol. This helper documents that
-/// limitation and checks a model is usable for inference as-is.
-pub fn eval_logits(model: &mut Sequential, images: &Tensor) -> Vec<usize> {
-    let batch = images.shape()[0];
-    let logits = classify(model, images);
-    tensor::ops::argmax_rows(logits.as_slice(), batch, CNN_CLASSES)
-}
-
-/// Collects per-parameter pruning masks for a nano model at `sparsity`,
-/// pruning conv/linear weight matrices and keeping BN/bias dense.
-pub fn nano_masks(model: &Sequential, sparsity: f64) -> Vec<prune::Mask> {
-    model
-        .params()
-        .iter()
-        .map(|p: &&Parameter| {
-            if p.value.shape().len() >= 2 && p.numel() >= 256 {
-                prune::magnitude_prune(p.value.as_slice(), p.value.shape(), sparsity)
-            } else {
-                prune::Mask::dense(p.value.shape())
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tiny_cnn::ShapeDataset;
+    use nn::layer::Layer;
     use nn::loss::cross_entropy;
     use nn::mixed::Optimizer;
     use nn::optim::SgdConfig;
+    use nn::param::Parameter;
     use samo::trainer::SamoTrainer;
+    use tensor::Tensor;
+
+    /// Forward helper asserting the expected logits shape.
+    fn classify(model: &mut Sequential, images: &Tensor) -> Tensor {
+        let batch = images.shape()[0];
+        let logits = model.forward(images);
+        assert_eq!(logits.shape(), &[batch, CNN_CLASSES]);
+        logits
+    }
+
+    /// Per-parameter pruning masks for a nano model at `sparsity`,
+    /// pruning conv/linear weight matrices and keeping BN/bias dense.
+    fn nano_masks(model: &Sequential, sparsity: f64) -> Vec<prune::Mask> {
+        let mask = |p: &&Parameter| match p.value.shape() {
+            shape if shape.len() >= 2 && p.numel() >= 256 => {
+                prune::magnitude_prune(p.value.as_slice(), shape, sparsity)
+            }
+            shape => prune::Mask::dense(shape),
+        };
+        model.params().iter().map(mask).collect()
+    }
 
     #[test]
     fn vgg_nano_shapes_and_structure() {
@@ -178,7 +164,8 @@ mod tests {
             );
             // Accuracy above chance on fresh data.
             let (x, labels) = ShapeDataset::new(70).sample(64);
-            let preds = eval_logits(&mut model, &x);
+            let logits = classify(&mut model, &x);
+            let preds = tensor::ops::argmax_rows(logits.as_slice(), 64, CNN_CLASSES);
             let correct = preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
             assert!(correct > 24, "{name}: accuracy {correct}/64");
         }

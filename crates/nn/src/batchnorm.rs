@@ -50,12 +50,6 @@ impl BatchNorm2d {
         self.training = training;
     }
 
-    /// The learned per-channel scale factors γ — the pruning signal of
-    /// the Early-Bird Tickets algorithm.
-    pub fn scale_factors(&self) -> &[f32] {
-        self.gamma.value.as_slice()
-    }
-
     /// Running mean (inference statistics).
     pub fn running_mean(&self) -> &[f32] {
         &self.running_mean
@@ -263,12 +257,5 @@ mod tests {
         let x = Tensor::randn(&[2, 3, 2, 2], 1.0, 4);
         let report = crate::gradcheck::check_layer(&mut bn, &x, 1e-2, 48);
         assert!(report.passes(3e-2), "{report:?}");
-    }
-
-    #[test]
-    fn scale_factors_are_gamma() {
-        let mut bn = BatchNorm2d::new(4);
-        bn.gamma.value.as_mut_slice().copy_from_slice(&[0.1, 2.0, 0.5, 1.5]);
-        assert_eq!(bn.scale_factors(), &[0.1, 2.0, 0.5, 1.5]);
     }
 }

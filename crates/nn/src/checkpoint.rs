@@ -32,11 +32,6 @@ impl<L: Layer> Checkpoint<L> {
     pub fn inner(&self) -> &L {
         &self.inner
     }
-
-    /// Mutable access to the wrapped module.
-    pub fn inner_mut(&mut self) -> &mut L {
-        &mut self.inner
-    }
 }
 
 impl<L: Layer> Layer for Checkpoint<L> {

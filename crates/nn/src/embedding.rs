@@ -45,11 +45,6 @@ impl Embedding {
         &self.table
     }
 
-    /// Mutable access to the table parameter.
-    pub fn table_mut(&mut self) -> &mut Parameter {
-        &mut self.table
-    }
-
     /// Embeds a slice of ids into a `[len, dim]` tensor.
     pub fn embed_ids(&self, ids: &[usize]) -> Tensor {
         let mut out = Tensor::zeros(&[ids.len(), self.dim]);

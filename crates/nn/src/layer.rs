@@ -187,11 +187,6 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// Access to the contained layers.
-    pub fn layers_mut(&mut self) -> &mut [Box<dyn Layer + Send>] {
-        &mut self.layers
-    }
-
     /// Decomposes the container into its owned layers, in forward order.
     /// The pipeline runtime uses this to partition one model into
     /// contiguous stage blocks that move onto different stage threads.

@@ -3,7 +3,7 @@
 //! CSR baseline. Where Fig. 1 of the paper shows unstructured sparse
 //! kernels losing to dense GEMM at pruned-network sparsities, the fixed
 //! 2-of-4 pattern admits a branch-free SIMD inner loop
-//! ([`sparse::spmm_nm24`], DESIGN.md §16) that can actually win at 50%.
+//! ([`sparse::spmm_nm24`], DESIGN.md §11) that can actually win at 50%.
 //!
 //! Inference-only: SAMO trains with dense fp16 kernels (Sec. III); this
 //! layer is the deployment path for a model pruned with

@@ -3,15 +3,12 @@
 //! Weights are quantized **once** at construction (per-output-channel
 //! symmetric scales, the torchao recipe); activations are quantized
 //! per-row on the fly inside the forward. This is the inference-only
-//! endpoint of DESIGN.md §16's int8 tier — there is no backward, because
+//! endpoint of DESIGN.md §11's int8 tier — there is no backward, because
 //! training stays in the paper's fp16/fp32 mixed-precision regime.
 
 use crate::layer::Layer;
 use crate::param::Parameter;
-use tensor::qgemm::{
-    error_bound, qgemm_i8_with_tier, quantize_rows_i8, quantize_rows_i8_into, PackedBi8,
-    QuantizedActs,
-};
+use tensor::qgemm::{qgemm_i8_with_tier, quantize_rows_i8_into, PackedBi8, QuantizedActs};
 use tensor::simd;
 use tensor::Tensor;
 
@@ -60,27 +57,6 @@ impl QuantLinear {
 
     pub fn out_features(&self) -> usize {
         self.out_features
-    }
-
-    /// The quantized weight, dequantized back to dense `Wᵀ`
-    /// (`in × out`) — for error measurement.
-    pub fn dequantized_wt(&self) -> Vec<f32> {
-        self.packed.dequantize()
-    }
-
-    /// A priori error bound on `|y - y_f32|` per output element, for one
-    /// input row: the sum of the quantization half-ulp cross-terms over
-    /// the reduction (DESIGN.md §16).
-    pub fn output_error_bound(&self, x_row: &[f32]) -> Vec<f64> {
-        assert_eq!(x_row.len(), self.in_features);
-        let q = quantize_rows_i8(x_row, 1, self.in_features);
-        let wt = self.packed.dequantize();
-        (0..self.out_features)
-            .map(|o| {
-                let col = (0..self.in_features).map(|i| wt[i * self.out_features + o]);
-                error_bound(x_row, col, q.scales[0], self.packed.scales[o])
-            })
-            .collect()
     }
 }
 
@@ -145,6 +121,22 @@ impl Layer for QuantLinear {
 mod tests {
     use super::*;
     use crate::linear::Linear;
+    use tensor::qgemm::{error_bound, quantize_rows_i8};
+
+    /// A priori error bound on `|y - y_f32|` per output element, for one
+    /// input row: the sum of the quantization half-ulp cross-terms over
+    /// the reduction (DESIGN.md §11).
+    fn output_error_bound(ql: &QuantLinear, x_row: &[f32]) -> Vec<f64> {
+        assert_eq!(x_row.len(), ql.in_features);
+        let q = quantize_rows_i8(x_row, 1, ql.in_features);
+        let wt = ql.packed.dequantize();
+        (0..ql.out_features)
+            .map(|o| {
+                let col = (0..ql.in_features).map(|i| wt[i * ql.out_features + o]);
+                error_bound(x_row, col, q.scales[0], ql.packed.scales[o])
+            })
+            .collect()
+    }
 
     #[test]
     fn forward_within_quantization_error_bound_of_dense() {
@@ -157,7 +149,7 @@ mod tests {
         let yq = ql.forward(&x);
         let yd = dl.forward(&x);
         for r in 0..batch {
-            let bounds = ql.output_error_bound(&x.as_slice()[r * in_f..(r + 1) * in_f]);
+            let bounds = output_error_bound(&ql, &x.as_slice()[r * in_f..(r + 1) * in_f]);
             for (o, bound) in bounds.iter().enumerate() {
                 let (a, b) = (yq.as_slice()[r * out_f + o], yd.as_slice()[r * out_f + o]);
                 let err = (a - b).abs() as f64;

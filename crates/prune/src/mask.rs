@@ -163,37 +163,9 @@ impl Mask {
     }
 }
 
-/// Demonstration of the paper's linearization example (Sec. III-B): for a
-/// 2×2 tensor with nonzeros at coordinates (0,0) and (1,1), the 1-D view
-/// stores indices [0, 3].
-pub fn linearize_coords(shape: &[usize], coords: &[Vec<usize>]) -> Vec<u32> {
-    let mut out: Vec<u32> = coords
-        .iter()
-        .map(|c| {
-            assert_eq!(c.len(), shape.len());
-            let mut idx = 0usize;
-            for (d, &x) in c.iter().enumerate() {
-                assert!(x < shape[d], "coordinate out of bounds");
-                idx = idx * shape[d] + x;
-            }
-            idx as u32
-        })
-        .collect();
-    out.sort_unstable();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_linearization_example() {
-        // "say the non-zero indices for a 2×2 state tensor are
-        // [(0,0),(1,1)] ... the non-zero values are at indices 0 and 3"
-        let ind = linearize_coords(&[2, 2], &[vec![0, 0], vec![1, 1]]);
-        assert_eq!(ind, vec![0, 3]);
-    }
 
     #[test]
     fn mask_basic_accounting() {

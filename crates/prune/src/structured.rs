@@ -7,7 +7,6 @@
 //! but structured masks matter for the *kernels*: block-sparse weights
 //! admit much faster spMM, which is the design tension Fig. 1 exposes.
 
-use crate::algorithms::magnitude_prune;
 use crate::mask::Mask;
 
 /// Prunes a `rows × cols` matrix in `block × block` tiles: tiles are
@@ -118,12 +117,6 @@ pub fn block_coherence(mask: &Mask, rows: usize, cols: usize, block: usize) -> f
         }
     }
     pure as f64 / (brows * bcols) as f64
-}
-
-/// Convenience: unstructured magnitude mask for the same matrix, for
-/// comparing structured vs unstructured (paper Sec. II-C discussion).
-pub fn unstructured_prune(weights: &[f32], rows: usize, cols: usize, sparsity: f64) -> Mask {
-    magnitude_prune(weights, &[rows, cols], sparsity)
 }
 
 #[cfg(test)]

@@ -66,7 +66,6 @@ pub struct TrainPublisher {
     model: Sequential,
     trainer: SamoTrainer,
     mgr: CheckpointManager,
-    dir: PathBuf,
     dims: Vec<usize>,
     seed: u64,
 }
@@ -83,7 +82,6 @@ impl TrainPublisher {
             model,
             trainer,
             mgr,
-            dir: dir.to_path_buf(),
             dims: dims.to_vec(),
             seed,
         })
@@ -139,10 +137,6 @@ impl TrainPublisher {
         let mut out = Vec::new();
         built.seq.infer_batch(probe, 1, built.in_features, &mut out);
         Ok(out)
-    }
-
-    pub fn checkpoint_dir(&self) -> &Path {
-        &self.dir
     }
 }
 

@@ -16,7 +16,7 @@
 //! * [`protocol`] — the serving dialect over the comms frame format,
 //! * [`batcher`] — fill-or-deadline request coalescing,
 //! * [`model`] — verified checkpoint loads, backend lowering
-//!   (dense / 2:4 structured sparse / int8, DESIGN.md §16),
+//!   (dense / 2:4 structured sparse / int8, DESIGN.md §11),
 //! * `replica` (private) — the thread-per-replica pool (crash + respawn),
 //! * [`reload`] — the publish-marker watcher and blackout metering,
 //! * [`server`] — listener, readers, dispatcher: the endpoint,

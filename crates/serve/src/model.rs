@@ -7,7 +7,7 @@
 //! the parameter shapes alone — `[out, in]` tensors are linear weights,
 //! each followed by its `[out]` bias, with a GELU between consecutive
 //! linears (the repo's toy-MLP convention, see `harness`) — and lowers
-//! it onto one of three compute backends from DESIGN.md §16:
+//! it onto one of three compute backends from DESIGN.md §11:
 //!
 //! * [`Backend::Dense`] — `Linear`, dense f32 GEMM (AVX2 when detected),
 //! * [`Backend::Nm24`] — `NmLinear`, magnitude-projected 2:4 structured

@@ -7,8 +7,6 @@
 //! > and compressed sparse row (CSR, what spMM kernels like Sputnik's
 //! > consume) — with validated invariants and conversions.
 
-use tensor::Tensor;
-
 /// Coordinate-format sparse matrix with *linearized* 1-D indices.
 ///
 /// Per paper Sec. III-B, indices of an N-dimensional tensor are stored
@@ -70,11 +68,6 @@ impl Coo {
             out[i as usize] = v;
         }
         out
-    }
-
-    /// Expands to a [`Tensor`].
-    pub fn to_tensor(&self) -> Tensor {
-        Tensor::from_vec(&[self.rows, self.cols], self.to_dense())
     }
 
     /// Validates the structural invariants; returns an error description

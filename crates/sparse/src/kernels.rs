@@ -15,7 +15,7 @@
 
 use crate::formats::Csr;
 use std::sync::{Arc, OnceLock};
-use tensor::pool::ThreadPool;
+use tensor::pool::{par_parts_mut, par_rows_mut, ThreadPool};
 
 /// Cached `sparse.spmm_calls` counter handle (all spMM variants).
 fn spmm_calls() -> &'static Arc<telemetry::Counter> {
@@ -28,37 +28,36 @@ fn spmm_calls() -> &'static Arc<telemetry::Counter> {
 ///
 /// Row-parallel: each task owns a contiguous range of output rows.
 pub fn spmm(a: &Csr, b: &[f32], n: usize, c: &mut [f32]) {
-    assert_eq!(b.len(), a.cols * n, "B must be k x n");
-    assert_eq!(c.len(), a.rows * n, "C must be m x n");
-    if a.rows == 0 || n == 0 {
+    if !begin_spmm(a, b, n, c) {
         return;
     }
-    if telemetry::enabled() {
+    par_rows_mut(c, n, 1, |offset, c_rows| spmm_rows(a, b, n, offset / n, c_rows));
+}
+
+/// Checks the operand sizes and counts the call; `false` when C is empty.
+fn begin_spmm(a: &Csr, b: &[f32], n: usize, c: &[f32]) -> bool {
+    assert_eq!(b.len(), a.cols * n, "B must be k x n");
+    assert_eq!(c.len(), a.rows * n, "C must be m x n");
+    let work = !c.is_empty();
+    if work && telemetry::enabled() {
         spmm_calls().inc();
     }
-    let pool = ThreadPool::global();
-    let rows_per_task = a.rows.div_ceil(pool.workers() * 4).max(1);
-    pool.scope(|s| {
-        for (task, c_chunk) in c.chunks_mut(rows_per_task * n).enumerate() {
-            let row0 = task * rows_per_task;
-            s.spawn(move || {
-                for (local, crow) in c_chunk.chunks_mut(n).enumerate() {
-                    let r = row0 + local;
-                    crow.fill(0.0);
-                    let lo = a.row_ptr[r] as usize;
-                    let hi = a.row_ptr[r + 1] as usize;
-                    for idx in lo..hi {
-                        let col = a.col_idx[idx] as usize;
-                        let aval = a.values[idx];
-                        let brow = &b[col * n..col * n + n];
-                        for (cv, &bv) in crow.iter_mut().zip(brow) {
-                            *cv += aval * bv;
-                        }
-                    }
-                }
-            });
+    work
+}
+
+/// Rows `r0..` of `A_sparse · B` into `c_rows`, as many as it holds.
+fn spmm_rows(a: &Csr, b: &[f32], n: usize, r0: usize, c_rows: &mut [f32]) {
+    for (local, crow) in c_rows.chunks_mut(n).enumerate() {
+        crow.fill(0.0);
+        let r = r0 + local;
+        for idx in a.row_ptr[r] as usize..a.row_ptr[r + 1] as usize {
+            let aval = a.values[idx];
+            let col = a.col_idx[idx] as usize;
+            for (cv, &bv) in crow.iter_mut().zip(&b[col * n..col * n + n]) {
+                *cv += aval * bv;
+            }
         }
-    });
+    }
 }
 
 /// Work partition boundaries that split `nnz` roughly equally while
@@ -82,52 +81,12 @@ fn balanced_row_splits(a: &Csr, tasks: usize) -> Vec<usize> {
 /// row ranges containing an approximately equal number of nonzeros, so a
 /// few heavy rows cannot serialize the computation.
 pub fn spmm_row_split(a: &Csr, b: &[f32], n: usize, c: &mut [f32]) {
-    assert_eq!(b.len(), a.cols * n, "B must be k x n");
-    assert_eq!(c.len(), a.rows * n, "C must be m x n");
-    if a.rows == 0 || n == 0 {
+    if !begin_spmm(a, b, n, c) {
         return;
     }
-    if telemetry::enabled() {
-        spmm_calls().inc();
-    }
-    let pool = ThreadPool::global();
-    let splits = balanced_row_splits(a, pool.workers() * 4);
-
-    // Hand each task its disjoint row-range of C.
-    struct SendPtr(*mut f32);
-    unsafe impl Send for SendPtr {}
-    unsafe impl Sync for SendPtr {}
-    let c_ptr = SendPtr(c.as_mut_ptr());
-    let c_ptr = &c_ptr;
-
-    pool.scope(|s| {
-        for w in splits.windows(2) {
-            let (r0, r1) = (w[0], w[1]);
-            if r0 == r1 {
-                continue;
-            }
-            s.spawn(move || {
-                // SAFETY: row ranges from `balanced_row_splits` are
-                // disjoint and cover 0..rows exactly once.
-                let c_rows = unsafe {
-                    std::slice::from_raw_parts_mut(c_ptr.0.add(r0 * n), (r1 - r0) * n)
-                };
-                for (local, crow) in c_rows.chunks_mut(n).enumerate() {
-                    let r = r0 + local;
-                    crow.fill(0.0);
-                    let lo = a.row_ptr[r] as usize;
-                    let hi = a.row_ptr[r + 1] as usize;
-                    for idx in lo..hi {
-                        let col = a.col_idx[idx] as usize;
-                        let aval = a.values[idx];
-                        let brow = &b[col * n..col * n + n];
-                        for (cv, &bv) in crow.iter_mut().zip(brow) {
-                            *cv += aval * bv;
-                        }
-                    }
-                }
-            });
-        }
+    let splits = balanced_row_splits(a, ThreadPool::global().workers() * 4);
+    par_parts_mut(c, splits[1..].iter().map(|r| r * n), |_, offset, c_rows| {
+        spmm_rows(a, b, n, offset / n, c_rows)
     });
 }
 
@@ -142,49 +101,23 @@ pub fn sddmm(pattern: &Csr, a: &[f32], b: &[f32], n: usize, out: &mut [f32]) {
     assert_eq!(a.len(), pattern.rows * n, "A must be m x n");
     assert_eq!(b.len(), pattern.cols * n, "B must be k x n");
     assert_eq!(out.len(), pattern.nnz(), "out must have one slot per nonzero");
-    if pattern.nnz() == 0 {
-        return;
-    }
-    let pool = ThreadPool::global();
-    let splits = balanced_row_splits(pattern, pool.workers() * 4);
-
-    struct SendPtr(*mut f32);
-    unsafe impl Send for SendPtr {}
-    unsafe impl Sync for SendPtr {}
-    let o_ptr = SendPtr(out.as_mut_ptr());
-    let o_ptr = &o_ptr;
-
-    pool.scope(|s| {
-        for w in splits.windows(2) {
-            let (r0, r1) = (w[0], w[1]);
-            if r0 == r1 {
-                continue;
-            }
-            s.spawn(move || {
-                let lo_all = pattern.row_ptr[r0] as usize;
-                let hi_all = pattern.row_ptr[r1] as usize;
-                // SAFETY: nonzero ranges for disjoint row ranges are
-                // disjoint (row_ptr is monotone).
-                let out_chunk = unsafe {
-                    std::slice::from_raw_parts_mut(o_ptr.0.add(lo_all), hi_all - lo_all)
-                };
-                let mut cursor = 0usize;
-                for r in r0..r1 {
-                    let lo = pattern.row_ptr[r] as usize;
-                    let hi = pattern.row_ptr[r + 1] as usize;
-                    let arow = &a[r * n..r * n + n];
-                    for idx in lo..hi {
-                        let col = pattern.col_idx[idx] as usize;
-                        let brow = &b[col * n..col * n + n];
-                        let mut acc = 0.0f32;
-                        for (&x, &y) in arow.iter().zip(brow) {
-                            acc += x * y;
-                        }
-                        out_chunk[cursor] = acc;
-                        cursor += 1;
-                    }
+    // A task's rows own a contiguous run of nonzeros (`row_ptr` is
+    // monotone), so `out` is cut where the rows are.
+    let splits = balanced_row_splits(pattern, ThreadPool::global().workers() * 4);
+    let nnz_ends = splits[1..].iter().map(|&r| pattern.row_ptr[r] as usize);
+    par_parts_mut(out, nnz_ends, |task, _, out_chunk| {
+        let mut slots = out_chunk.iter_mut();
+        for r in splits[task]..splits[task + 1] {
+            let arow = &a[r * n..r * n + n];
+            for idx in pattern.row_ptr[r] as usize..pattern.row_ptr[r + 1] as usize {
+                let col = pattern.col_idx[idx] as usize;
+                let brow = &b[col * n..col * n + n];
+                let mut acc = 0.0f32;
+                for (&x, &y) in arow.iter().zip(brow) {
+                    acc += x * y;
                 }
-            });
+                *slots.next().expect("one slot per nonzero of the task's rows") = acc;
+            }
         }
     });
 }
@@ -211,27 +144,17 @@ pub fn spmm_f16(
     if telemetry::enabled() {
         spmm_calls().inc();
     }
-    let pool = ThreadPool::global();
-    let rows_per_task = rows.div_ceil(pool.workers() * 4).max(1);
-    pool.scope(|s| {
-        for (task, c_chunk) in c.chunks_mut(rows_per_task * n).enumerate() {
-            let row0 = task * rows_per_task;
-            s.spawn(move || {
-                for (local, crow) in c_chunk.chunks_mut(n).enumerate() {
-                    let r = row0 + local;
-                    crow.fill(0.0);
-                    let lo = row_ptr[r] as usize;
-                    let hi = row_ptr[r + 1] as usize;
-                    for idx in lo..hi {
-                        let col = col_idx[idx] as usize;
-                        let aval = values[idx].to_f32();
-                        let brow = &b[col * n..col * n + n];
-                        for (cv, bv) in crow.iter_mut().zip(brow) {
-                            *cv += aval * bv.to_f32();
-                        }
-                    }
+    par_rows_mut(c, n, 1, |offset, c_rows| {
+        for (local, crow) in c_rows.chunks_mut(n).enumerate() {
+            crow.fill(0.0);
+            let r = offset / n + local;
+            for idx in row_ptr[r] as usize..row_ptr[r + 1] as usize {
+                let aval = values[idx].to_f32();
+                let col = col_idx[idx] as usize;
+                for (cv, bv) in crow.iter_mut().zip(&b[col * n..col * n + n]) {
+                    *cv += aval * bv.to_f32();
                 }
-            });
+            }
         }
     });
 }

@@ -10,7 +10,7 @@
 //! * [`kernels`] — spMM (row-parallel and Sputnik-style nnz-balanced
 //!   row-splitting) and sDDMM,
 //! * [`nm`] — 2:4 structured format and SIMD spMM over the fixed
-//!   2-of-4 pattern (DESIGN.md §16).
+//!   2-of-4 pattern (DESIGN.md §11).
 
 pub mod formats;
 pub mod kernels;

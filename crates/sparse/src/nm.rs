@@ -16,7 +16,7 @@
 //! decoupled.
 
 use tensor::simd::{self, Tier};
-use tensor::pool::par_ranges;
+use tensor::pool::par_rows_mut;
 
 /// A row-major `rows × cols` matrix in 2:4 structured form: per group of
 /// 4 consecutive columns, exactly 2 `(value, in-group offset)` pairs in
@@ -213,15 +213,9 @@ thread_local! {
 /// The compute half of [`spmm_nm24_with_tier`], over an already-packed
 /// chunk-major B.
 fn spmm_nm24_packed(tier: Tier, w: &Nm24, bpack: &[f32], n: usize, c: &mut [f32]) {
-    struct SendPtr(*mut f32);
-    unsafe impl Send for SendPtr {}
-    unsafe impl Sync for SendPtr {}
-    let c_ptr = SendPtr(c.as_mut_ptr());
-    let c_ptr = &c_ptr;
-    par_ranges(w.rows, 8, |r0, r1| {
-        // SAFETY: par_ranges hands out disjoint row ranges.
-        let c_rows = unsafe { std::slice::from_raw_parts_mut(c_ptr.0.add(r0 * n), (r1 - r0) * n) };
-        let spans = &w.spans[r0..r1];
+    par_rows_mut(c, n, 8, |offset, c_rows| {
+        let r0 = offset / n;
+        let spans = &w.spans[r0..r0 + c_rows.len() / n];
         c_rows.fill(0.0);
         // Chunk-outer, row-inner: rows are walked in pairs so the AVX2
         // kernel has eight independent accumulator chains (four per
@@ -251,6 +245,11 @@ fn spmm_nm24_packed(tier: Tier, w: &Nm24, bpack: &[f32], n: usize, c: &mut [f32]
 fn nm_row(tier: Tier, pairs: &[(f32, u32)], block: &[f32], crow: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if tier == Tier::Avx2 && simd::detected_avx2() {
+        // SAFETY: AVX2+FMA were just detected. `pairs` comes out of an
+        // `Nm24`, whose constructor only decodes columns `< cols` (the
+        // fields are private), and `spmm_nm24_packed` cuts `block` as
+        // `cols` rows of `crow.len()` columns: every B row the kernel
+        // reads unchecked lies inside `block`.
         unsafe { avx2::nm_row_avx2(pairs, block, crow) };
         return;
     }
@@ -271,6 +270,8 @@ fn nm_rows2(
 ) {
     #[cfg(target_arch = "x86_64")]
     if tier == Tier::Avx2 && simd::detected_avx2() {
+        // SAFETY: as in `nm_row`, for both rows' pairs; `ca` and `cb` are
+        // the same columns `j..j1` of two rows of C, so equally long.
         unsafe { avx2::nm_rows2_avx2(pa, pb, block, ca, cb) };
         return;
     }
@@ -306,13 +307,18 @@ mod avx2 {
     /// eight chains hide FMA latency.
     ///
     /// # Safety
-    /// Requires AVX2+FMA at runtime.
+    /// Requires AVX2+FMA at runtime, and `block` to hold a row of
+    /// `crow.len()` columns for every column index in `pairs`.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn nm_row_avx2(pairs: &[(f32, u32)], block: &[f32], crow: &mut [f32]) {
         if crow.len() != 32 {
             super::nm_row_scalar(pairs, block, crow);
             return;
         }
+        debug_assert!(pairs.iter().all(|&(_, col)| (col as usize + 1) * 32 <= block.len()));
+        // SAFETY: every load is one of the four 8-lane quarters of B row
+        // `col`, 32 floats at `col * 32`, which the caller vouches for;
+        // the four stores cover `crow`, just checked to be 32 long.
         let bp = block.as_ptr();
         let mut acc0 = _mm256_setzero_ps();
         let mut acc1 = _mm256_setzero_ps();
@@ -343,7 +349,9 @@ mod avx2 {
     /// longer list keeps accumulating into that row's registers.
     ///
     /// # Safety
-    /// Requires AVX2+FMA at runtime.
+    /// Requires AVX2+FMA at runtime, `cb` as long as `ca`, and `block` to
+    /// hold a row of that many columns for every column index in `pa`
+    /// and `pb`.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn nm_rows2_avx2(
         pa: &[(f32, u32)],
@@ -357,6 +365,12 @@ mod avx2 {
             super::nm_row_scalar(pb, block, cb);
             return;
         }
+        debug_assert_eq!(cb.len(), 32);
+        debug_assert!(pa.iter().chain(pb).all(|&(_, col)| (col as usize + 1) * 32 <= block.len()));
+        // SAFETY: `i < m <= pa.len(), pb.len()` for the unchecked pair
+        // reads; every load is a quarter of a 32-float B row the caller
+        // vouches for; the stores cover `ca` (checked 32 long) and `cb`
+        // (as long, by contract).
         let bp = block.as_ptr();
         let m = pa.len().min(pb.len());
         let mut a0 = _mm256_setzero_ps();

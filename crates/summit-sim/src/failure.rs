@@ -97,20 +97,6 @@ impl FailureProcess {
         self.next_at
     }
 
-    /// True if a failure strikes in `[from, to)`; if so the process
-    /// advances past it (one failure per call — nested failures during
-    /// recovery collapse into the next interval, the standard
-    /// first-order treatment).
-    pub fn fires_in(&mut self, from: f64, to: f64) -> bool {
-        debug_assert!(to >= from);
-        if self.next_at >= from && self.next_at < to {
-            self.advance_past(to);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Re-arms the process so the next failure falls at or after `t`.
     pub fn advance_past(&mut self, t: f64) {
         if !self.system_mtbf.is_finite() {
@@ -214,20 +200,12 @@ mod tests {
     }
 
     #[test]
-    fn fires_in_detects_and_advances() {
-        let mut p = FailureProcess::new(100.0, 1, 3);
-        let first = p.peek_next();
-        assert!(!p.fires_in(first + 1.0, first + 2.0));
-        assert!(p.fires_in(0.0, first + 0.5));
-        assert!(p.peek_next() >= first + 0.5, "advanced past the window");
-    }
-
-    #[test]
     fn disabled_failures_never_fire() {
-        let mut p = FailureProcess::new(f64::INFINITY, 100, 1);
-        assert!(!p.fires_in(0.0, 1e12));
-        let mut p0 = FailureProcess::new(3600.0, 0, 1);
-        assert!(!p0.fires_in(0.0, 1e12));
+        for mut p in [FailureProcess::new(f64::INFINITY, 100, 1), FailureProcess::new(3600.0, 0, 1)] {
+            assert_eq!(p.peek_next(), f64::INFINITY);
+            p.advance_past(1e12);
+            assert_eq!(p.peek_next(), f64::INFINITY);
+        }
     }
 
     #[test]
@@ -239,10 +217,12 @@ mod tests {
         let mut count = 0;
         let mut t = 0.0;
         while t < horizon {
-            if p.fires_in(t, t + 1.0) {
-                count += 1;
-            }
+            // One failure per one-second window, at most.
             t += 1.0;
+            if p.peek_next() < t {
+                count += 1;
+                p.advance_past(t);
+            }
         }
         assert!((160..=240).contains(&count), "saw {count} failures");
     }

@@ -75,27 +75,6 @@ impl Machine {
         }
     }
 
-    /// Ring all-reduce time over `n` GPUs for a `bytes`-sized buffer
-    /// (NCCL cost model): `2·(n−1)/n · bytes / ring_bw + 2·(n−1)·latency`.
-    ///
-    /// When the ring spans nodes, every GPU's ring traffic must cross its
-    /// node's injection link, which `gpus_per_node` ranks share, so the
-    /// effective per-GPU ring bandwidth is `inter_node_bw / min(n_per_node,
-    /// n)`; within one node the full NVLink bandwidth applies.
-    pub fn allreduce_time(&self, bytes: u64, n: usize) -> f64 {
-        if n <= 1 || bytes == 0 {
-            return 0.0;
-        }
-        let (bw, lat) = if n <= self.gpus_per_node {
-            (self.intra_node_bw, self.intra_latency)
-        } else {
-            let per_node = self.gpus_per_node.min(n);
-            (self.inter_node_bw / per_node as f64, self.inter_latency)
-        };
-        let steps = 2 * (n - 1);
-        steps as f64 * lat + (steps as f64 / n as f64) * bytes as f64 / bw
-    }
-
     /// MPI point-to-point transfer time between GPU buffers — the cost
     /// model for AxoNN's pipeline messages. Spectrum-MPI stages device
     /// buffers through host memory, so the effective bandwidth is the
@@ -141,7 +120,8 @@ impl Machine {
     /// a node's GPUs before leaving, so each node's injection link
     /// carries only one ring edge and the full `inter_node_bw` applies.
     /// Concurrent group all-reduces over *strided* ranks (one per
-    /// pipeline stage) share the link instead — use [`Self::allreduce_time`].
+    /// pipeline stage) share the link instead — use
+    /// [`Self::allreduce_time_grouped`].
     pub fn allreduce_time_contiguous(&self, bytes: u64, n: usize) -> f64 {
         if n <= 1 || bytes == 0 {
             return 0.0;
@@ -153,36 +133,6 @@ impl Machine {
         };
         let steps = 2 * (n - 1);
         steps as f64 * lat + (steps as f64 / n as f64) * bytes as f64 / bw
-    }
-
-    /// Reduce-scatter over `n` contiguous ranks: each rank ends with a
-    /// reduced `bytes / n` shard (ring model, half an all-reduce). This
-    /// is the first half of ZeRO's gradient path.
-    pub fn reduce_scatter_time(&self, bytes: u64, n: usize) -> f64 {
-        if n <= 1 || bytes == 0 {
-            return 0.0;
-        }
-        let (bw, lat) = if n <= self.gpus_per_node {
-            (self.intra_node_bw, self.intra_latency)
-        } else {
-            (self.inter_node_bw, self.inter_latency)
-        };
-        let steps = n - 1;
-        steps as f64 * lat + (steps as f64 / n as f64) * bytes as f64 / bw
-    }
-
-    /// Broadcast of `bytes` from one rank to `n − 1` others
-    /// (tree/pipeline model: bandwidth-bound at one full payload).
-    pub fn broadcast_time(&self, bytes: u64, n: usize) -> f64 {
-        if n <= 1 || bytes == 0 {
-            return 0.0;
-        }
-        let (bw, lat) = if n <= self.gpus_per_node {
-            (self.intra_node_bw, self.intra_latency)
-        } else {
-            (self.inter_node_bw, self.inter_latency)
-        };
-        (n as f64).log2().ceil() * lat + bytes as f64 / bw
     }
 
     /// All-gather time over `n` GPUs where each rank contributes
@@ -241,62 +191,18 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_scales_with_size_and_ranks() {
-        let small = SUMMIT.allreduce_time(1_000_000, 12);
-        let big = SUMMIT.allreduce_time(100_000_000, 12);
-        assert!(big > 10.0 * small);
-        // Asymptotically, time approaches 2·bytes/ring_bw regardless of n.
-        let t64 = SUMMIT.allreduce_time(1_000_000_000, 64);
-        let t512 = SUMMIT.allreduce_time(1_000_000_000, 512);
-        assert!(t512 < t64 * 1.5, "t64 {t64} t512 {t512}");
-    }
-
-    #[test]
-    fn allreduce_edge_cases() {
-        assert_eq!(SUMMIT.allreduce_time(1000, 1), 0.0);
-        assert_eq!(SUMMIT.allreduce_time(0, 8), 0.0);
-    }
-
-    #[test]
-    fn single_node_allreduce_uses_nvlink() {
-        // 6-GPU all-reduce of 1 GB: 2·5/6·1e9/50e9 ≈ 33 ms.
-        let t = SUMMIT.allreduce_time(1_000_000_000, 6);
-        assert!(t < 0.05, "t = {t}");
-        // 12 GPUs crosses nodes: much slower per byte.
-        let t12 = SUMMIT.allreduce_time(1_000_000_000, 12);
-        assert!(t12 > 5.0 * t);
-    }
-
-    #[test]
-    fn reduce_scatter_plus_allgather_equals_allreduce() {
-        // The classic decomposition: allreduce = reduce-scatter +
-        // all-gather (same ring, both halves). Holds exactly within a
-        // node; across nodes `allgather_time` models strided (shared-
-        // link) groups while `allreduce_time_contiguous` models a
-        // node-contiguous ring, so compare the intra-node regime.
+    fn allgather_is_half_a_contiguous_allreduce_within_a_node() {
+        // allreduce = reduce-scatter + all-gather, the same ring twice.
+        // Holds exactly within a node; across nodes `allgather_time`
+        // models strided (shared-link) groups while
+        // `allreduce_time_contiguous` models a node-contiguous ring.
         for &n in &[2usize, 4, 6] {
             let bytes = 50_000_000;
-            let rs = SUMMIT.reduce_scatter_time(bytes, n);
             let ag = SUMMIT.allgather_time(bytes, n);
             let ar = SUMMIT.allreduce_time_contiguous(bytes, n);
-            assert!(((rs + ag) - ar).abs() < 1e-9, "n={n}: {rs}+{ag} vs {ar}");
+            assert!((2.0 * ag - ar).abs() < 1e-9, "n={n}: 2·{ag} vs {ar}");
         }
-    }
-
-    #[test]
-    fn broadcast_is_bandwidth_bound_once() {
-        // Broadcasting 1 GB across nodes ≈ one payload over the link.
-        let t = SUMMIT.broadcast_time(1_000_000_000, 48);
-        assert!((t - 1_000_000_000.0 / 12.5e9).abs() / t < 0.01);
-        assert_eq!(SUMMIT.broadcast_time(0, 48), 0.0);
-        assert_eq!(SUMMIT.broadcast_time(1000, 1), 0.0);
-    }
-
-    #[test]
-    fn allgather_cheaper_than_allreduce() {
-        let ar = SUMMIT.allreduce_time(10_000_000, 24);
-        let ag = SUMMIT.allgather_time(10_000_000, 24);
-        assert!(ag < ar);
-        assert!(ag > 0.4 * ar);
+        assert_eq!(SUMMIT.allgather_time(1000, 1), 0.0);
+        assert_eq!(SUMMIT.allreduce_time_contiguous(0, 8), 0.0);
     }
 }

@@ -30,8 +30,6 @@ impl F16 {
     pub const ZERO: F16 = F16(0x0000);
     /// One.
     pub const ONE: F16 = F16(0x3C00);
-    /// Negative one.
-    pub const NEG_ONE: F16 = F16(0xBC00);
     /// Largest finite value, 65504.
     pub const MAX: F16 = F16(0x7BFF);
     /// Smallest finite value, -65504.
@@ -44,9 +42,6 @@ impl F16 {
     pub const NEG_INFINITY: F16 = F16(0xFC00);
     /// A quiet NaN.
     pub const NAN: F16 = F16(0x7E00);
-    /// Machine epsilon: the difference between 1.0 and the next
-    /// representable value, 2^-10.
-    pub const EPSILON: F16 = F16(0x1400);
 
     /// Creates an `F16` from raw IEEE 754 binary16 bits.
     #[inline]
@@ -212,12 +207,6 @@ impl F16 {
         (self.0 & 0x7C00) == 0x7C00 && (self.0 & 0x03FF) != 0
     }
 
-    /// `true` if this value is +inf or -inf.
-    #[inline]
-    pub fn is_infinite(self) -> bool {
-        (self.0 & 0x7FFF) == 0x7C00
-    }
-
     /// `true` if this value is neither infinite nor NaN.
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -228,13 +217,6 @@ impl F16 {
     #[inline]
     pub fn is_zero(self) -> bool {
         (self.0 & 0x7FFF) == 0
-    }
-
-    /// `true` if the sign bit is set (including -0.0 and NaNs with the
-    /// sign bit).
-    #[inline]
-    pub fn is_sign_negative(self) -> bool {
-        (self.0 & 0x8000) != 0
     }
 
     /// Absolute value.
@@ -378,7 +360,6 @@ mod tests {
         assert_eq!(F16::ONE.to_f32(), 1.0);
         assert_eq!(F16::MAX.to_f32(), 65504.0);
         assert_eq!(F16::MIN_POSITIVE.to_f32(), 2.0_f32.powi(-14));
-        assert_eq!(F16::EPSILON.to_f32(), 2.0_f32.powi(-10));
     }
 
     #[test]
@@ -389,7 +370,6 @@ mod tests {
         assert!(F16::NAN.to_f32().is_nan());
         assert_eq!(F16::INFINITY.to_f32(), f32::INFINITY);
         assert_eq!(F16::NEG_INFINITY.to_f32(), f32::NEG_INFINITY);
-        assert!(F16::INFINITY.is_infinite());
         assert!(!F16::INFINITY.is_finite());
     }
 
@@ -414,7 +394,7 @@ mod tests {
         assert_eq!(F16::from_bits(0x03FF).to_f32(), largest_sub);
         // Below half the smallest subnormal: flush to zero.
         assert_eq!(F16::from_f32(2.0_f32.powi(-26)), F16::ZERO);
-        assert!(F16::from_f32(-2.0_f32.powi(-26)).is_sign_negative());
+        assert_eq!(F16::from_f32(-2.0_f32.powi(-26)).to_bits(), 0x8000);
     }
 
     #[test]

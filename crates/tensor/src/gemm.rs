@@ -25,8 +25,8 @@
 //! it is stored and every output bit is that of the f32 GEMM on the
 //! widened operand.
 
-use crate::f16::{f16_slice_to_f32, narrow_slice, to_f32_table, F16};
-use crate::pool::par_ranges;
+use crate::f16::{to_f32_table, F16};
+use crate::pool::{par_ranges, par_rows_mut};
 use crate::simd::{self, Tier};
 use std::sync::{Arc, OnceLock};
 
@@ -122,7 +122,7 @@ pub fn sgemm_with_tier<B: GemmElem>(
         return;
     }
 
-    par_row_panels(m, c, ldc, |row0, row1, c_panel| {
+    par_row_panels(m, n, c, ldc, |row0, row1, c_panel| {
         gemm_panel::<false, _>(
             tier, transa, transb, row0, row1, n, k, alpha, a, lda, b, ldb, c_panel, ldc,
         );
@@ -144,7 +144,7 @@ pub fn matmul_tn_acc(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut
     if !begin_gemm(true, false, m, n, k, a.len(), m, b.len(), n, c.len(), n) {
         return;
     }
-    par_row_panels(m, c, n, |row0, row1, c_panel| {
+    par_row_panels(m, n, c, n, |row0, row1, c_panel| {
         // `k = 0` takes the block path too: it still adds the (zero)
         // product, which turns a `-0.0` in C into `+0.0`.
         if (1..=KC).contains(&k) {
@@ -266,37 +266,18 @@ fn begin_gemm(
 
 /// Runs `f(row0, row1, c_panel)` over disjoint ranges of whole `MC`-row
 /// panels of the `m`-row matrix `c`, in parallel; `c_panel` starts at row
-/// `row0`.
-fn par_row_panels<F>(m: usize, c: &mut [f32], ldc: usize, f: F)
+/// `row0`. A panel is one "row" of the pool's row split, the last one
+/// short: it has the rows that are left, and the final row of C only
+/// extends `n` elements, not `ldc`.
+fn par_row_panels<F>(m: usize, n: usize, c: &mut [f32], ldc: usize, f: F)
 where
     F: Fn(usize, usize, &mut [f32]) + Sync,
 {
-    let c_addr = SendPtr(c.as_mut_ptr());
-    let c_len = c.len();
-    let c_addr = &c_addr; // capture the Sync wrapper, not the raw pointer field
-    par_ranges(m.div_ceil(MC), 1, |p0, p1| {
-        let row0 = p0 * MC;
-        let row1 = (p1 * MC).min(m);
-        // The final row of C only extends `n` elements, not `ldc`.
-        let panel_len = ((row1 - row0) * ldc).min(c_len - row0 * ldc);
-        // SAFETY: `c_addr` points at `c`, exclusively borrowed for this
-        // call and `c_len` long; `par_ranges` hands out disjoint ranges
-        // `p0..p1`, so the row ranges [row0, row1) — and the element ranges
-        // `row0 * ldc ..+ panel_len <= c_len` — of two tasks never overlap.
-        let c_panel =
-            unsafe { std::slice::from_raw_parts_mut(c_addr.0.add(row0 * ldc), panel_len) };
-        f(row0, row1, c_panel);
+    par_rows_mut(&mut c[..(m - 1) * ldc + n], MC * ldc, 1, |offset, c_panel| {
+        let row0 = offset / ldc;
+        f(row0, row0 + c_panel.len().div_ceil(ldc), c_panel);
     });
 }
-
-/// Raw pointer wrapper that asserts cross-thread transfer is safe; used
-/// only for the disjoint row-panel partitioning above.
-struct SendPtr(*mut f32);
-// SAFETY: the pointer is only dereferenced by `par_row_panels` tasks, each
-// within its own disjoint row range of a matrix that outlives the scope.
-unsafe impl Send for SendPtr {}
-// SAFETY: as above — tasks share the wrapper but never an element.
-unsafe impl Sync for SendPtr {}
 
 thread_local! {
     /// Reusable per-thread packing scratch for [`gemm_panel`]:
@@ -522,10 +503,10 @@ unsafe fn microkernel_avx2<const ADD: bool>(
         let rows = if i + MR <= mb { MR } else { 1 };
         for jt in (0..nb).step_by(NR) {
             let w = NR.min(nb - jt);
-            // SAFETY (pointers and calls): row `i + r < mb` of packed A is
-            // `kb` long; row `crow0 + i + r` of the panel holds columns
-            // `jj + jt ..+ w`; every row `p < kb` of the packed B tile at
-            // `jt` holds `w` columns — the caller's three bounds.
+            // SAFETY: for the pointers and the calls — row `i + r < mb` of
+            // packed A is `kb` long; row `crow0 + i + r` of the panel holds
+            // columns `jj + jt ..+ w`; every row `p < kb` of the packed B
+            // tile at `jt` holds `w` columns — the caller's three bounds.
             let a = |r: usize| ap.add((i + r) * kb);
             let c = |r: usize| cp.add((crow0 + i + r) * ldc + jj + jt);
             let b = bp.add(bl.at(jt, 0));
@@ -574,6 +555,11 @@ unsafe fn tile_avx2<const R: usize, const FULL: bool, const ADD: bool>(
 ) {
     use std::arch::x86_64::*;
     debug_assert!((1..=NR).contains(&w) && (!FULL || w == NR));
+    // SAFETY: the two mask loads read 8 of `TAIL_MASK`'s 16 words from an
+    // offset `<= 8`. Every other access is a (masked) 8-lane load or store
+    // of the first `w` floats at `c[r]` or `b + p * ldb`, or a scalar read
+    // of `a[r] + p`, `p < kb` — what the caller vouches for; lanes beyond
+    // `w` are masked out, and masked-out lanes touch no memory.
     let m0 = _mm256_loadu_si256(TAIL_MASK.as_ptr().add(8 - w.min(8)) as *const __m256i);
     let m1 = _mm256_loadu_si256(TAIL_MASK.as_ptr().add(8 - w.saturating_sub(8)) as *const __m256i);
     // The upper-half pointers may lie past the row when `w <= 8`; `m1` is
@@ -656,6 +642,8 @@ pub trait GemmElem: Copy + Sync {
     ///
     /// # Safety
     /// Requires AVX2, FMA and F16C; `p` must be readable for four elements.
+    // SAFETY: upheld by the one caller, `transpose_block_avx2`, which runs
+    // behind the tier check and stays inside its `TB × TB` source block.
     #[doc(hidden)]
     #[cfg(target_arch = "x86_64")]
     unsafe fn load4(p: *const Self) -> std::arch::x86_64::__m128;
@@ -900,10 +888,11 @@ unsafe fn transpose_block_avx2<E: GemmElem>(
     use std::arch::x86_64::*;
     let scale = _mm256_set1_ps(alpha);
     for half in 0..2 {
-        // SAFETY (loads and stores): `r + 4 < TB` and `4 * half + 4 <= TB`
-        // keep every four-element load inside the caller's `TB` readable
-        // elements per source row, and every eight-float store at rows
-        // `4 * half ..+ 4` of `dst` inside its `TB` writable floats.
+        // SAFETY: for the loads and stores — `r + 4 < TB` and
+        // `4 * half + 4 <= TB` keep every four-element load inside the
+        // caller's `TB` readable elements per source row, and every
+        // eight-float store at rows `4 * half ..+ 4` of `dst` inside its
+        // `TB` writable floats.
         let pair = |r: usize| {
             let top = E::load4(src.add(r * ld + 4 * half));
             let bottom = E::load4(src.add((r + 4) * ld + 4 * half));
@@ -966,21 +955,6 @@ pub fn matmul_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f3
 /// `C = Aᵀ · B`, the shape used by the weight gradient `dW = dYᵀ · X`.
 pub fn matmul_tn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     sgemm(true, false, m, n, k, 1.0, a, m, b, n, 0.0, c, n);
-}
-
-/// Mixed-precision GEMM: half-precision inputs, f32 accumulation,
-/// half-precision output — the arithmetic profile of a tensor-core
-/// `hgemm`. `C = A · B` with all matrices contiguous row-major.
-pub fn hgemm(m: usize, n: usize, k: usize, a: &[F16], b: &[F16], c: &mut [F16]) {
-    // A is widened once up front through the dispatched batch converter
-    // (the table gather is bit-identical to `to_f32`, and `narrow_slice`
-    // to `from_f32`), B by the pack step as it is read: the cost model of
-    // mixed precision on GPUs also performs the multiply in wider
-    // accumulators.
-    let a32 = f16_slice_to_f32(a);
-    let mut c32 = vec![0.0f32; m * n];
-    sgemm(false, false, m, n, k, 1.0, &a32, k, b, n, 0.0, &mut c32, n);
-    narrow_slice(&c32, c);
 }
 
 /// Reference naive GEMM used to validate the blocked kernel in tests and
@@ -1142,26 +1116,6 @@ mod tests {
         let mut c3ref = vec![0.0f32; m * n];
         sgemm_reference(true, false, m, n, k, 1.0, &at, m, &b, n, 0.0, &mut c3ref, n);
         assert_close(&c3, &c3ref, 1e-5);
-    }
-
-    #[test]
-    fn hgemm_matches_widened_matmul() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let (m, n, k) = (8, 12, 16);
-        let a32 = random_matrix(&mut rng, m * k);
-        let b32 = random_matrix(&mut rng, k * n);
-        let a: Vec<F16> = a32.iter().map(|&v| F16::from_f32(v)).collect();
-        let b: Vec<F16> = b32.iter().map(|&v| F16::from_f32(v)).collect();
-        let mut c = vec![F16::ZERO; m * n];
-        hgemm(m, n, k, &a, &b, &mut c);
-
-        let aw: Vec<f32> = a.iter().map(|v| v.to_f32()).collect();
-        let bw: Vec<f32> = b.iter().map(|v| v.to_f32()).collect();
-        let mut cw = vec![0.0f32; m * n];
-        matmul(m, n, k, &aw, &bw, &mut cw);
-        for (h, &w) in c.iter().zip(&cw) {
-            assert_eq!(h.to_f32(), F16::from_f32(w).to_f32());
-        }
     }
 
     #[test]

@@ -42,17 +42,6 @@ pub fn add(a: &[f32], b: &[f32], out: &mut [f32]) {
     });
 }
 
-/// `out[i] = a[i] * b[i]` (Hadamard product).
-pub fn hadamard(a: &[f32], b: &[f32], out: &mut [f32]) {
-    assert_eq!(a.len(), b.len());
-    assert_eq!(a.len(), out.len());
-    par_chunks_mut(out, PAR_THRESHOLD, |offset, chunk| {
-        for (i, v) in chunk.iter_mut().enumerate() {
-            *v = a[offset + i] * b[offset + i];
-        }
-    });
-}
-
 /// Dot product `Σ a[i]·b[i]` with parallel tree reduction.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len());
@@ -96,23 +85,6 @@ pub fn sum(x: &[f32]) -> f32 {
     f64::from_bits(acc.load(Ordering::Relaxed)) as f32
 }
 
-/// Maximum absolute value in the slice (0.0 for empty slices). Used by the
-/// gradient scaler to detect overflow before unscaling.
-pub fn max_abs(x: &[f32]) -> f32 {
-    x.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
-}
-
-/// `true` if any element is NaN or infinite — the mixed-precision loss
-/// scaler's overflow check.
-pub fn has_non_finite(x: &[f32]) -> bool {
-    x.iter().any(|v| !v.is_finite())
-}
-
-/// `true` if any half-precision element is NaN or infinite.
-pub fn has_non_finite_f16(x: &[F16]) -> bool {
-    x.iter().any(|v| !v.is_finite())
-}
-
 /// Numerically stable softmax over each row of a row-major `rows × cols`
 /// matrix, in place.
 pub fn softmax_rows(data: &mut [f32], rows: usize, cols: usize) {
@@ -150,20 +122,6 @@ pub fn argmax_rows(data: &[f32], rows: usize, cols: usize) -> Vec<usize> {
                 }
             }
             best
-        })
-        .collect()
-}
-
-/// Per-row mean and (biased) variance of a row-major `rows × cols`
-/// matrix, with f64 accumulation.
-pub fn mean_var_rows(data: &[f32], rows: usize, cols: usize) -> Vec<(f32, f32)> {
-    assert_eq!(data.len(), rows * cols);
-    data.chunks(cols)
-        .map(|row| {
-            let n = row.len() as f64;
-            let mean = row.iter().map(|&v| v as f64).sum::<f64>() / n;
-            let var = row.iter().map(|&v| (v as f64 - mean).powi(2)).sum::<f64>() / n;
-            (mean as f32, var as f32)
         })
         .collect()
 }
@@ -217,8 +175,6 @@ mod tests {
         let mut out = vec![0.0f32; 4];
         add(&a, &b, &mut out);
         assert_eq!(out, vec![3.0; 4]);
-        hadamard(&a, &b, &mut out);
-        assert_eq!(out, vec![2.0; 4]);
     }
 
     #[test]
@@ -232,22 +188,6 @@ mod tests {
         let ones = vec![1.0f32; n];
         assert_eq!(sum(&ones), n as f32);
         assert_eq!(dot(&ones, &ones), n as f32);
-    }
-
-    #[test]
-    fn non_finite_detection() {
-        assert!(!has_non_finite(&[1.0, 2.0]));
-        assert!(has_non_finite(&[1.0, f32::NAN]));
-        assert!(has_non_finite(&[f32::INFINITY]));
-        assert!(!has_non_finite_f16(&[F16::ONE]));
-        assert!(has_non_finite_f16(&[F16::NAN]));
-        assert!(has_non_finite_f16(&[F16::INFINITY]));
-    }
-
-    #[test]
-    fn max_abs_finds_extreme() {
-        assert_eq!(max_abs(&[]), 0.0);
-        assert_eq!(max_abs(&[1.0, -5.0, 3.0]), 5.0);
     }
 
     #[test]
@@ -280,17 +220,6 @@ mod tests {
         // Ties pick the first occurrence.
         assert_eq!(argmax_rows(&[3.0, 3.0, 3.0], 1, 3), vec![0]);
         assert!(argmax_rows(&[], 0, 3).is_empty());
-    }
-
-    #[test]
-    fn mean_var_rows_known_values() {
-        let stats = mean_var_rows(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 2, 3);
-        assert!((stats[0].0 - 2.0).abs() < 1e-6);
-        assert!((stats[0].1 - 2.0 / 3.0).abs() < 1e-6);
-        assert!((stats[1].0 - 5.0).abs() < 1e-6);
-        // Constant row has zero variance.
-        let c = mean_var_rows(&[7.0; 4], 1, 4);
-        assert_eq!(c[0], (7.0, 0.0));
     }
 
     #[test]

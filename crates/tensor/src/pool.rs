@@ -14,6 +14,12 @@
 //! latch is a `parking_lot` mutex/condvar pair (see "Rust Atomics and
 //! Locks", ch. 1/9). Worker panics are captured and re-thrown on the
 //! scope owner's thread so failures are never silently swallowed.
+//!
+//! That erasure is the only `unsafe` a parallel kernel needs: the
+//! `par_*_mut` functions cut a kernel's output ([`SplitMut`]) and move
+//! each piece into the task that writes it, so no task holds a pointer
+//! into another's range. They are the one way this workspace divides a
+//! mutable buffer among threads.
 
 use std::mem;
 use std::panic::{self, AssertUnwindSafe};
@@ -152,12 +158,15 @@ impl ThreadPool {
             latch: Latch::new(),
             _marker: std::marker::PhantomData,
         };
-        let result = f(&scope);
+        // Tasks borrow from the caller: wait for them even when `f` itself
+        // panics after spawning some, as `std::thread::scope` does.
+        let result = panic::catch_unwind(AssertUnwindSafe(|| f(&scope)));
         scope.latch.wait();
-        if let Some(payload) = scope.latch.panic.lock().take() {
-            panic::resume_unwind(payload);
+        let task_panic = scope.latch.panic.lock().take();
+        match (result, task_panic) {
+            (Ok(result), None) => result,
+            (Err(payload), _) | (_, Some(payload)) => panic::resume_unwind(payload),
         }
-        result
     }
 }
 
@@ -178,76 +187,162 @@ pub fn configured_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
 }
 
-/// Splits `0..len` into roughly equal contiguous ranges, one per worker
-/// (but no smaller than `min_chunk`), and runs `f(start, end)` on each in
-/// parallel. Runs inline when a single chunk suffices — in particular
-/// always on a one-worker pool, where dispatching through the channel
-/// would only add latency (and a per-job `Box` allocation).
+/// Length, in elements, of the equal contiguous chunks that `len`
+/// elements in rows of `cols` are cut into (the last chunk takes what is
+/// left): whole rows, at most two chunks per worker and at least
+/// `min_rows` rows each — and always one chunk, `len`, on a one-worker
+/// pool, where dispatching through the channel would only add latency
+/// (and a per-job `Box` allocation). One chunk is the common answer and
+/// is found without dividing: an attention-sized GEMM asks thousands of
+/// times a step.
+fn chunk_len(len: usize, cols: usize, min_rows: usize) -> usize {
+    let (workers, min_rows) = (ThreadPool::global().workers(), min_rows.max(1));
+    if workers == 1 || len <= cols * (2 * min_rows - 1) {
+        return len;
+    }
+    let rows = len.div_ceil(cols);
+    rows.div_ceil((rows / min_rows).min(workers * 2)) * cols
+}
+
+/// Splits `0..len` into equal contiguous ranges (see [`par_chunks_mut`]
+/// for how many) and runs `f(start, end)` on each in parallel — the
+/// fork–join of kernels that only read, or that reduce. Runs inline when
+/// a single chunk suffices.
 pub fn par_ranges<F>(len: usize, min_chunk: usize, f: F)
 where
     F: Fn(usize, usize) + Sync,
 {
-    if len == 0 {
+    let chunk = chunk_len(len, 1, min_chunk);
+    if chunk >= len {
+        if len > 0 {
+            f(0, len);
+        }
         return;
     }
-    let pool = ThreadPool::global();
-    let max_chunks = if pool.workers() == 1 { 1 } else { pool.workers() * 2 };
-    let min_chunk = min_chunk.max(1);
-    let chunks = (len / min_chunk).clamp(1, max_chunks);
-    if chunks == 1 {
-        f(0, len);
-        return;
-    }
-    let chunk = len.div_ceil(chunks);
-    pool.scope(|s| {
+    ThreadPool::global().scope(|s| {
         let f = &f;
-        let mut start = 0;
-        while start < len {
-            let end = (start + chunk).min(len);
-            s.spawn(move || f(start, end));
-            start = end;
+        for start in (0..len).step_by(chunk) {
+            s.spawn(move || f(start, (start + chunk).min(len)));
         }
     });
 }
 
-/// Applies `f` in parallel to disjoint mutable chunks of `data`, giving
-/// each invocation the chunk and the index of its first element.
-pub fn par_chunks_mut<T, F>(data: &mut [T], min_chunk: usize, f: F)
+/// Mutable buffers that can be cut in two at a position — what the
+/// `par_*_mut` functions hand out piece by piece, so that a kernel's
+/// tasks own their outputs instead of sharing a pointer to them. A slice
+/// is cut at an element; a pair, both members at the same position;
+/// a kernel whose outputs are cut at different places for one position
+/// (a scatter through a sorted index) brings its own impl.
+#[allow(clippy::len_without_is_empty)]
+pub trait SplitMut: Send + Sized {
+    /// Number of positions: `split_at` accepts `0..=len`.
+    fn len(&self) -> usize;
+    /// The positions before `mid`, and those from `mid` on.
+    fn split_at(self, mid: usize) -> (Self, Self);
+}
+
+impl<T: Send> SplitMut for &mut [T] {
+    fn len(&self) -> usize {
+        <[T]>::len(self)
+    }
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        self.split_at_mut(mid)
+    }
+}
+
+impl<A: SplitMut, B: SplitMut> SplitMut for (A, B) {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let ((a0, a1), (b0, b1)) = (self.0.split_at(mid), self.1.split_at(mid));
+        ((a0, b0), (a1, b1))
+    }
+}
+
+/// A buffer that may not be there: `None` is cut into `None`s.
+impl<S: SplitMut> SplitMut for Option<S> {
+    fn len(&self) -> usize {
+        self.as_ref().map_or(0, S::len)
+    }
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        self.map(|s| s.split_at(mid)).unzip()
+    }
+}
+
+/// The one place a mutable buffer is divided among kernel threads: cuts
+/// `data` into the consecutive parts that end at `ends` (ascending, the
+/// last one `data.len()`) and runs `f(part, offset, piece)` on each
+/// non-empty one in parallel, `offset` being the position of the piece's
+/// first element. Runs inline — no latch, no boxed job — on a one-worker
+/// pool; a panicking task re-throws here.
+pub fn par_parts_mut<S, F>(data: S, ends: impl IntoIterator<Item = usize>, f: F)
 where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
+    S: SplitMut,
+    F: Fn(usize, usize, S) + Sync,
+{
+    let pool = ThreadPool::global();
+    if pool.workers() == 1 {
+        return cut(data, ends.into_iter(), &f);
+    }
+    pool.scope(|s| {
+        let f = &f;
+        cut(data, ends.into_iter(), |part, offset, piece| s.spawn(move || f(part, offset, piece)));
+    });
+}
+
+/// Hands `give` the non-empty parts of `data` that end at `ends`.
+fn cut<S: SplitMut>(
+    data: S,
+    ends: impl Iterator<Item = usize>,
+    mut give: impl FnMut(usize, usize, S),
+) {
+    let len = data.len();
+    let (mut rest, mut offset) = (data, 0);
+    for (part, end) in ends.enumerate() {
+        assert!(offset <= end && end <= len, "part {part} ends at {end}: not in {offset}..={len}");
+        let (piece, tail) = rest.split_at(end - offset);
+        rest = tail;
+        if end > offset {
+            give(part, offset, piece);
+        }
+        offset = end;
+    }
+    assert_eq!(offset, len, "the parts must cover the buffer");
+}
+
+/// Applies `f` in parallel to disjoint mutable chunks of `data`, giving
+/// each invocation the chunk and the index of its first element. Chunks
+/// are equal but for the last, which takes what is left: at most two per
+/// worker, at least `min_chunk` positions each.
+pub fn par_chunks_mut<S, F>(data: S, min_chunk: usize, f: F)
+where
+    S: SplitMut,
+    F: Fn(usize, S) + Sync,
 {
     par_rows_mut(data, 1, min_chunk, f);
 }
 
 /// [`par_chunks_mut`] over the rows of a row-major matrix: every chunk
 /// is a whole number of `cols`-element rows, at least `min_rows` of them.
-/// Runs inline when one chunk suffices.
-pub fn par_rows_mut<T, F>(data: &mut [T], cols: usize, min_rows: usize, f: F)
+/// The last row may be short — a strided matrix ends with its last
+/// element, not its last stride — and belongs to the last chunk. Runs
+/// inline when one chunk suffices.
+pub fn par_rows_mut<S, F>(data: S, cols: usize, min_rows: usize, f: F)
 where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
+    S: SplitMut,
+    F: Fn(usize, S) + Sync,
 {
-    if data.is_empty() {
+    let len = data.len();
+    if len == 0 {
         return;
     }
-    assert_eq!(data.len() % cols, 0, "matrix is not a whole number of rows");
-    let rows = data.len() / cols;
-    let pool = ThreadPool::global();
-    let max_chunks = if pool.workers() == 1 { 1 } else { pool.workers() * 2 };
-    let chunks = (rows / min_rows.max(1)).clamp(1, max_chunks);
-    if chunks == 1 {
-        f(0, data);
-        return;
+    let chunk = chunk_len(len, cols, min_rows);
+    if chunk >= len {
+        return f(0, data);
     }
-    let chunk = rows.div_ceil(chunks) * cols;
-    pool.scope(|s| {
-        let f = &f;
-        for (i, slice) in data.chunks_mut(chunk).enumerate() {
-            let offset = i * chunk;
-            s.spawn(move || f(offset, slice));
-        }
-    });
+    let ends = (1..=len.div_ceil(chunk)).map(|c| (c * chunk).min(len));
+    par_parts_mut(data, ends, |_, offset, piece| f(offset, piece));
 }
 
 #[cfg(test)]
@@ -354,7 +449,7 @@ mod tests {
     #[test]
     fn par_chunks_mut_writes_disjoint() {
         let mut data = vec![0u32; 5000];
-        par_chunks_mut(&mut data, 8, |offset, chunk| {
+        par_chunks_mut(&mut data[..], 8, |offset, chunk| {
             for (i, v) in chunk.iter_mut().enumerate() {
                 *v = (offset + i) as u32;
             }

@@ -31,7 +31,7 @@
 //! rounding cross-terms; the `error_bound` helper computes it and the
 //! tests assert it holds against an f64 reference.
 
-use crate::pool::par_ranges;
+use crate::pool::par_rows_mut;
 use crate::simd::{self, Tier};
 
 /// Largest supported inner dimension: k/2 pair-products of magnitude
@@ -139,9 +139,10 @@ pub fn quantize_rows_i8_into(tier: Tier, a: &[f32], rows: usize, k: usize, out: 
 
 /// One row's quantize pass, dispatched by tier.
 fn quantize_row(tier: Tier, row: &[f32], inv: f32, out: &mut [i8]) {
+    assert_eq!(row.len(), out.len());
     #[cfg(target_arch = "x86_64")]
     if tier == Tier::Avx2 && simd::detected_avx2() {
-        // SAFETY: AVX2 presence just checked.
+        // SAFETY: AVX2 presence just checked; the lengths are equal.
         unsafe { quantize_row_avx2(row, inv, out) };
         return;
     }
@@ -156,11 +157,13 @@ fn quantize_row(tier: Tier, row: &[f32], inv: f32, out: &mut [i8]) {
 /// no-ops after the ±127 clamp.
 ///
 /// # Safety
-/// Requires AVX2.
+/// Requires AVX2, and `out` at least as long as `row`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn quantize_row_avx2(row: &[f32], inv: f32, out: &mut [i8]) {
     use std::arch::x86_64::*;
+    // SAFETY: the 8-float load and the 8-byte store are both at `i..i + 8`
+    // with `i + 8 <= row.len() <= out.len()`.
     let vinv = _mm256_set1_ps(inv);
     let lo = _mm256_set1_epi32(-127);
     let hi = _mm256_set1_epi32(127);
@@ -180,19 +183,6 @@ unsafe fn quantize_row_avx2(row: &[f32], inv: f32, out: &mut [i8]) {
     for j in i..n {
         out[j] = quantize_one(row[j], inv);
     }
-}
-
-/// Dequantizes a [`QuantizedActs`] back to f32 (test/debug helper).
-pub fn dequantize_rows(q: &QuantizedActs) -> Vec<f32> {
-    let mut out = vec![0.0f32; q.rows * q.k];
-    for r in 0..q.rows {
-        let s = q.scales[r];
-        for (o, &v) in out[r * q.k..(r + 1) * q.k].iter_mut().zip(&q.data[r * q.k..(r + 1) * q.k])
-        {
-            *o = v as f32 * s;
-        }
-    }
-    out
 }
 
 impl PackedBi8 {
@@ -238,13 +228,9 @@ impl PackedBi8 {
 }
 
 /// `C = dequant(Aq · Bq)`: int8 GEMM with i32 accumulation and f32
-/// per-channel dequantization, on the process-wide SIMD tier.
-/// `c` is `rows × n`, overwritten.
-pub fn qgemm_i8(a: &QuantizedActs, b: &PackedBi8, c: &mut [f32]) {
-    qgemm_i8_with_tier(simd::active(), a, b, c);
-}
-
-/// [`qgemm_i8`] pinned to an explicit SIMD tier (parity tests, bench).
+/// per-channel dequantization, on the given SIMD tier (callers pass
+/// [`simd::active`]; parity tests and the bench pin one). `c` is
+/// `rows × n`, overwritten.
 pub fn qgemm_i8_with_tier(tier: Tier, a: &QuantizedActs, b: &PackedBi8, c: &mut [f32]) {
     assert_eq!(a.k, b.k, "inner dimension mismatch");
     assert_eq!(c.len(), a.rows * b.n, "output slice/shape mismatch");
@@ -275,13 +261,9 @@ pub fn qgemm_i8_with_tier(tier: Tier, a: &QuantizedActs, b: &PackedBi8, c: &mut 
         }
         let a_pairs: &[i16] = &a_pairs;
 
-        let c_addr = SendPtrF32(c.as_mut_ptr());
-        let c_addr = &c_addr;
-        par_ranges(rows, 1, |r0, r1| {
-            // SAFETY: row ranges are disjoint across tasks.
-            let c_rows =
-                unsafe { std::slice::from_raw_parts_mut(c_addr.0.add(r0 * n), (r1 - r0) * n) };
-            qgemm_rows(tier, a_pairs, &a.scales, b, r0, r1, k2, n, c_rows);
+        par_rows_mut(c, n, 1, |offset, c_rows| {
+            let r0 = offset / n;
+            qgemm_rows(tier, a_pairs, &a.scales, b, r0, r0 + c_rows.len() / n, k2, n, c_rows);
         });
     });
 }
@@ -290,10 +272,6 @@ thread_local! {
     /// Reusable A-pair re-pack buffer for [`qgemm_i8_with_tier`].
     static APAIR_SCRATCH: std::cell::RefCell<Vec<i16>> = const { std::cell::RefCell::new(Vec::new()) };
 }
-
-struct SendPtrF32(*mut f32);
-unsafe impl Send for SendPtrF32 {}
-unsafe impl Sync for SendPtrF32 {}
 
 #[allow(clippy::too_many_arguments)]
 fn qgemm_rows(
@@ -309,7 +287,11 @@ fn qgemm_rows(
 ) {
     #[cfg(target_arch = "x86_64")]
     if tier == Tier::Avx2 && simd::detected_avx2() {
-        // SAFETY: AVX2 presence just checked.
+        // SAFETY: AVX2 presence just checked; the operand sizes the kernel
+        // relies on are asserted here, once per task.
+        assert!(a_pairs.len() >= r1 * k2 * 2 && a_scales.len() >= r1);
+        assert!(b.packed.len() == k2 * n * 2 && b.scales.len() == n);
+        assert_eq!(c_rows.len(), (r1 - r0) * n);
         unsafe { qgemm_rows_avx2(a_pairs, a_scales, b, r0, r1, k2, n, c_rows) };
         return;
     }
@@ -337,7 +319,9 @@ fn qgemm_rows(
 /// it matches the scalar tier's `(acc · sa) · sb`.
 ///
 /// # Safety
-/// Requires AVX2.
+/// Requires AVX2; `a_pairs` and `a_scales` must hold rows `..r1` (`k2`
+/// pairs and one scale each), `b` must be packed for `k2` pair-rows of `n`
+/// columns, and `c_rows` must hold rows `r0..r1` of `n` columns.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
@@ -353,6 +337,12 @@ unsafe fn qgemm_rows_avx2(
 ) {
     use std::arch::x86_64::*;
     const RB: usize = 4; // row block
+    // SAFETY: every access below is to pair-row `g < k2` of A row
+    // `row < r1` (`a_pairs[row * k2 + g]` as a word, `a_scales[row]`), to
+    // columns `j..j + 16 <= n` or `jj < n` of B's pair-row `g`
+    // (`packed[g * n * 2 + 2 * col ..+ 2]`, `scales[col]`), or to
+    // `c_rows[(row - r0) * n + col]` — inside the sizes the caller
+    // vouches for.
     let bp = b.packed.as_ptr();
     let sb = b.scales.as_ptr();
     let cp = c_rows.as_mut_ptr();
@@ -478,11 +468,11 @@ mod tests {
     fn quantize_roundtrip_within_half_step() {
         let a = lcg_vec(64, 1, 3.0);
         let q = quantize_rows_i8(&a, 4, 16);
-        let back = dequantize_rows(&q);
         for r in 0..4 {
             let s = q.scales[r];
             for i in 0..16 {
-                assert!((a[r * 16 + i] - back[r * 16 + i]).abs() <= s / 2.0 + 1e-6);
+                let back = q.data[r * 16 + i] as f32 * s;
+                assert!((a[r * 16 + i] - back).abs() <= s / 2.0 + 1e-6);
             }
         }
     }
@@ -510,7 +500,7 @@ mod tests {
             let qa = quantize_rows_i8(&a, m, k);
             let pb = PackedBi8::pack(&b, k, n);
             let mut c = vec![0.0f32; m * n];
-            qgemm_i8(&qa, &pb, &mut c);
+            qgemm_i8_with_tier(simd::active(), &qa, &pb, &mut c);
             for i in 0..m {
                 for j in 0..n {
                     let exact: f64 = (0..k)
@@ -574,7 +564,7 @@ mod tests {
         let qa = quantize_rows_i8(&[0.0; 12], 3, 4);
         let pb = PackedBi8::pack(&[0.0; 20], 4, 5);
         let mut c = vec![1.0f32; 15];
-        qgemm_i8(&qa, &pb, &mut c);
+        qgemm_i8_with_tier(simd::active(), &qa, &pb, &mut c);
         assert_eq!(c, vec![0.0; 15]);
     }
 }

@@ -7,7 +7,7 @@
 //! same per-element order, vectorizing only across independent output
 //! elements. That property is what lets the SIMD tier slide under the
 //! existing checkpoint-byte determinism oracles without re-recording
-//! anything — see DESIGN.md §16 for the full argument.
+//! anything — see DESIGN.md §11 for the full argument.
 //!
 //! The tier is chosen once per process from `is_x86_feature_detected!`
 //! (AVX2, FMA and F16C together) and can be overridden with the `SAMO_SIMD`

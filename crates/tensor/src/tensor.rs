@@ -136,11 +136,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns a reshaped copy sharing the same element order.
     ///
     /// # Panics
@@ -160,23 +155,6 @@ impl Tensor {
         let mut out = Tensor::zeros(&[m, n]);
         gemm::matmul(m, n, k, &self.data, &other.data, &mut out.data);
         out
-    }
-
-    /// Transposed copy of a 2-D tensor.
-    pub fn transpose2d(&self) -> Tensor {
-        let (m, n) = (self.rows(), self.cols());
-        let mut out = Tensor::zeros(&[n, m]);
-        for i in 0..m {
-            for j in 0..n {
-                out.data[j * m + i] = self.data[i * n + j];
-            }
-        }
-        out
-    }
-
-    /// Converts to half precision (rounding each element).
-    pub fn to_f16(&self) -> Vec<F16> {
-        self.data.iter().map(|&v| F16::from_f32(v)).collect()
     }
 
     /// Builds an f32 tensor from half-precision data.
@@ -249,15 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_roundtrip() {
-        let a = Tensor::from_vec(&[2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let t = a.transpose2d();
-        assert_eq!(t.shape(), &[3, 2]);
-        assert_eq!(t.as_slice(), &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
-        assert_eq!(t.transpose2d(), a);
-    }
-
-    #[test]
     fn reshape_preserves_data() {
         let a = Tensor::from_vec(&[2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = a.clone().reshape(&[3, 2]);
@@ -268,7 +237,7 @@ mod tests {
     #[test]
     fn f16_roundtrip_of_representable() {
         let a = Tensor::from_vec(&[3], vec![0.5, -2.0, 1024.0]);
-        let h = a.to_f16();
+        let h = crate::f16::f32_slice_to_f16(a.as_slice());
         let back = Tensor::from_f16(&[3], &h);
         assert_eq!(back.as_slice(), a.as_slice());
     }

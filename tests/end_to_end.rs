@@ -11,7 +11,7 @@ use nn::mixed::Optimizer;
 use nn::optim::AdamConfig;
 use prune::Mask;
 use rand::SeedableRng;
-use samo::compressed::compress_f32;
+use samo::compressed::compress;
 use samo::trainer::{allreduce_mean_f16, DenseMaskedTrainer, SamoTrainer};
 
 fn tiny_cfg() -> TinyGptConfig {
@@ -79,7 +79,7 @@ fn samo_equals_dense_masked_on_transformer() {
         for (i, (samo_layer, (dense_state, mask))) in
             samo_tr.layers.iter().zip(&dense_tr.layers).enumerate()
         {
-            let dense_compressed = compress_f32(&dense_state.theta32, mask);
+            let dense_compressed = compress(&dense_state.theta32, mask);
             assert_eq!(
                 samo_layer.theta32, dense_compressed,
                 "θ32 diverged at step {step}, param {i}"
