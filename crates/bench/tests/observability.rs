@@ -207,7 +207,7 @@ fn drive_tcp() {
                 let mut buf = vec![F16::from_f32(rank as f32); 64];
                 comm.allreduce_mean_f16(&mut buf).unwrap();
                 comm.all_gather_f16(&buf[..4], &[4, 4]).unwrap();
-                comm.broadcast_f16(0, &mut buf).unwrap();
+                comm.broadcast_bytes(0, &mut vec![rank as u8; 8]).unwrap();
                 comm.barrier().unwrap();
                 wait_for("a heartbeat round trip", || {
                     comm.transport().rtt_us(peer).is_some()

@@ -22,9 +22,10 @@
 //! `samo-launch` kill drill.
 
 use crate::heartbeat::HeartbeatConfig;
+use crate::tcp::framing::{self, FrameReader, FrameWriter};
 use crate::tcp::TcpTransport;
+use crate::transport::{Kind, Message, Payload, Tag};
 use crate::{CommsError, FaultController};
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -32,14 +33,19 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use telemetry::json::Json;
 
-/// "RDZ1" — leads every registration so the host can reject strays.
-const RDV_MAGIC: u32 = 0x5244_5A31;
-/// "PRE1" — leads every data-link preamble.
-const PRE_MAGIC: u32 = 0x5052_4531;
-/// Per-connection read timeout for the short fixed-size handshakes.
+/// "RDZ1" — the [`Tag::epoch`] of every handshake frame, so a stray
+/// connection (or a confused training or serving peer) is rejected.
+const MAGIC: u32 = 0x5244_5A31;
+/// How long a connection may take to say who it is, and the write
+/// deadline of every handshake reply.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
+/// No handshake outgrows the first step of its reader's buffer (an
+/// address book of ~2,500 ranks would); a stranger that does is dropped.
+const LONGEST_HANDSHAKE: usize = FrameReader::<TcpStream>::GROW_STEP;
 /// Dial timeout for one TCP connect attempt.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+/// How often the accept loops look at their listener and their lobby.
+const POLL: Duration = Duration::from_millis(5);
 
 fn io_err(what: &str, e: std::io::Error) -> CommsError {
     CommsError::Io(format!("{what}: {e}"))
@@ -83,42 +89,135 @@ pub struct BootstrapInfo {
     pub epoch: u32,
 }
 
-// ---- tiny wire helpers (all little-endian) --------------------------
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// The four messages of the bootstrap, each one frame of the codec every
+/// other socket speaks (`tcp::framing`): the tag's epoch is "RDZ1",
+/// its kind names the message, `id`/`step` carry the numbers and the
+/// payload the text. Addresses are parsed where they enter, so nothing
+/// past [`Handshake::decode`] handles an unchecked one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Handshake {
+    /// Worker → host (`AllGather`): who I am, the epoch I am at, where I
+    /// accept data links.
+    Register { rank: u32, world: u32, epoch: u32, addr: SocketAddr },
+    /// Host → every worker (`Broadcast`), once the world is complete:
+    /// the epoch to adopt and every rank's data address, in rank order.
+    Book { generation: u32, epoch: u32, addrs: Vec<SocketAddr> },
+    /// Host → worker (`Telemetry`): the registration was refused.
+    Reject(String),
+    /// Dialer → acceptor (`P2p`), first frame of a data link.
+    Preamble { rank: u32, generation: u32 },
 }
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    let b = s.as_bytes();
-    buf.extend_from_slice(&(b.len() as u16).to_le_bytes());
-    buf.extend_from_slice(b);
+impl Handshake {
+    pub fn encode(&self) -> Message {
+        let (kind, id, step, text) = match self {
+            Handshake::Register { rank, world, epoch, addr } => {
+                (Kind::AllGather, u64::from(*epoch) << 32 | u64::from(*rank), *world, addr.to_string())
+            }
+            Handshake::Book { generation, epoch, addrs } => {
+                let lines: Vec<String> = addrs.iter().map(SocketAddr::to_string).collect();
+                (Kind::Broadcast, u64::from(*epoch), *generation, lines.join("\n"))
+            }
+            Handshake::Reject(text) => (Kind::Telemetry, 0, 0, text.clone()),
+            Handshake::Preamble { rank, generation } => {
+                (Kind::P2p, u64::from(*rank), *generation, String::new())
+            }
+        };
+        let tag = Tag { epoch: MAGIC, kind, id, step };
+        Message { tag, payload: Payload::Bytes(text.into_bytes()) }
+    }
+
+    /// Classifies a decoded frame; `Err` names the defect.
+    pub fn decode(msg: Message) -> Result<Handshake, String> {
+        let Message { tag, payload: Payload::Bytes(bytes) } = msg else {
+            return Err("handshake payload must be bytes".into());
+        };
+        if tag.epoch != MAGIC {
+            return Err(format!("frame epoch {:#010x} is not a handshake", tag.epoch));
+        }
+        let text = String::from_utf8(bytes).map_err(|e| format!("handshake text: {e}"))?;
+        let addr = |s: &str| s.parse::<SocketAddr>().map_err(|e| format!("address {s:?}: {e}"));
+        let low = u32::try_from(tag.id).map_err(|_| format!("handshake id {:#x} out of range", tag.id));
+        Ok(match tag.kind {
+            Kind::AllGather => Handshake::Register {
+                rank: tag.id as u32,
+                world: tag.step,
+                epoch: (tag.id >> 32) as u32,
+                addr: addr(&text)?,
+            },
+            Kind::Broadcast => Handshake::Book {
+                generation: tag.step,
+                epoch: low?,
+                addrs: text.split('\n').map(addr).collect::<Result<_, _>>()?,
+            },
+            Kind::Telemetry => Handshake::Reject(text),
+            Kind::P2p => Handshake::Preamble { rank: low?, generation: tag.step },
+            kind => return Err(format!("unexpected handshake frame kind {kind:?}")),
+        })
+    }
 }
 
-fn read_u32(r: &mut impl Read) -> std::io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
+/// Connections that have not said who they are yet. Every accept loop
+/// keeps one: it takes what the listener has queued and polls each
+/// waiting connection without blocking, so a silent stranger delays
+/// nobody, and is dropped [`HANDSHAKE_TIMEOUT`] after it connected — or
+/// sooner, once it has sent more than any handshake is long.
+struct Lobby {
+    listener: TcpListener,
+    waiting: Vec<(FrameReader<TcpStream>, Instant)>,
 }
 
-fn read_u8(r: &mut impl Read) -> std::io::Result<u8> {
-    let mut b = [0u8; 1];
-    r.read_exact(&mut b)?;
-    Ok(b[0])
+impl Lobby {
+    fn new(listener: TcpListener) -> Result<Lobby, CommsError> {
+        listener.set_nonblocking(true).map_err(|e| io_err("listener set_nonblocking", e))?;
+        Ok(Lobby { listener, waiting: Vec::new() })
+    }
+
+    /// Every connection whose first frame has fully arrived and is a
+    /// handshake, back in blocking mode, with that handshake. Closed,
+    /// corrupt, foreign and overdue connections are dropped.
+    fn poll(&mut self) -> Vec<(FrameReader<TcpStream>, Handshake)> {
+        while let Ok((stream, _)) = self.listener.accept() {
+            if stream.set_nonblocking(true).is_ok() {
+                self.waiting.push((FrameReader::new(stream), Instant::now()));
+            }
+        }
+        let mut ready = Vec::new();
+        let mut i = 0;
+        while i < self.waiting.len() {
+            let (reader, since) = &mut self.waiting[i];
+            let polled = reader.recv(|| true);
+            let in_bounds =
+                since.elapsed() < HANDSHAKE_TIMEOUT && reader.capacity() <= LONGEST_HANDSHAKE;
+            match polled {
+                Ok(None) if in_bounds => i += 1,
+                Ok(Some(msg)) => {
+                    let (reader, _) = self.waiting.swap_remove(i);
+                    if let (Ok(hs), Ok(())) =
+                        (Handshake::decode(msg), reader.get_ref().set_nonblocking(false))
+                    {
+                        ready.push((reader, hs));
+                    }
+                }
+                _ => drop(self.waiting.swap_remove(i)),
+            }
+        }
+        ready
+    }
 }
 
-fn read_str(r: &mut impl Read) -> std::io::Result<String> {
-    let mut lb = [0u8; 2];
-    r.read_exact(&mut lb)?;
-    let mut b = vec![0u8; u16::from_le_bytes(lb) as usize];
-    r.read_exact(&mut b)?;
-    Ok(String::from_utf8_lossy(&b).into_owned())
+/// One handshake reply on a connection that is only written from here
+/// on. Best-effort: a peer that is gone finds out by its own timeout.
+fn reply(stream: TcpStream, hs: &Handshake) {
+    if let Ok(w) = FrameWriter::new(stream, HANDSHAKE_TIMEOUT) {
+        let _ = w.send(&hs.encode());
+    }
 }
 
 // ---- rendezvous host ------------------------------------------------
 
 struct Registration {
-    addr: String,
+    addr: SocketAddr,
     epoch: u32,
     stream: TcpStream,
 }
@@ -140,14 +239,12 @@ impl Rendezvous {
         assert!(world >= 1);
         let listener = TcpListener::bind(bind).map_err(|e| io_err("bind rendezvous", e))?;
         let addr = listener.local_addr().map_err(|e| io_err("rendezvous local_addr", e))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| io_err("rendezvous set_nonblocking", e))?;
+        let lobby = Lobby::new(listener)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let sd = Arc::clone(&shutdown);
         let thread = std::thread::Builder::new()
             .name("samo-rdv".into())
-            .spawn(move || serve(listener, world, sd))
+            .spawn(move || serve(lobby, world, sd))
             .map_err(|e| io_err("spawn rendezvous", e))?;
         Ok(Rendezvous { addr, shutdown, thread: Some(thread) })
     }
@@ -167,92 +264,49 @@ impl Drop for Rendezvous {
     }
 }
 
-fn write_err(stream: &mut TcpStream, msg: &str) {
-    let mut buf = vec![1u8];
-    put_str(&mut buf, msg);
-    let _ = stream.write_all(&buf);
-}
-
-fn serve(listener: TcpListener, world: usize, shutdown: Arc<AtomicBool>) {
+fn serve(mut lobby: Lobby, world: usize, shutdown: Arc<AtomicBool>) {
     let mut generation: u32 = 0;
     let mut pending: Vec<Option<Registration>> = (0..world).map(|_| None).collect();
-    loop {
-        if shutdown.load(Ordering::Relaxed) {
-            return;
+    while !shutdown.load(Ordering::Relaxed) {
+        for (reader, hs) in lobby.poll() {
+            let stream = reader.into_inner();
+            let Handshake::Register { rank, world: w, epoch, addr } = hs else {
+                continue; // a handshake, but not one the host takes
+            };
+            let refusal = match pending.get_mut(rank as usize) {
+                _ if w as usize != world => format!("world mismatch: host {world}, rank sent {w}"),
+                None => format!("rank {rank} out of range for world {world}"),
+                Some(Some(_)) => format!("rank {rank} already registered in generation {generation}"),
+                Some(slot) => {
+                    *slot = Some(Registration { addr, epoch, stream });
+                    continue;
+                }
+            };
+            reply(stream, &Handshake::Reject(refusal));
         }
-        let mut stream = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
-            Err(_) => continue,
-        };
-        let _ = stream.set_nonblocking(false);
-        let _ = stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
-        let _ = stream.set_nodelay(true);
-        // Registration: magic, rank, world, epoch, data address.
-        let reg = (|| -> std::io::Result<(u32, u32, u32, String)> {
-            let magic = read_u32(&mut stream)?;
-            let rank = read_u32(&mut stream)?;
-            let w = read_u32(&mut stream)?;
-            let epoch = read_u32(&mut stream)?;
-            let addr = read_str(&mut stream)?;
-            if magic != RDV_MAGIC {
-                return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "bad magic"));
-            }
-            Ok((rank, w, epoch, addr))
-        })();
-        let Ok((rank, w, epoch, addr)) = reg else {
-            continue; // stray or truncated connection: drop it
-        };
-        if w as usize != world {
-            write_err(&mut stream, &format!("world mismatch: host {world}, rank sent {w}"));
-            continue;
-        }
-        let Some(slot) = pending.get_mut(rank as usize) else {
-            write_err(&mut stream, &format!("rank {rank} out of range for world {world}"));
-            continue;
-        };
-        if slot.is_some() {
-            write_err(
-                &mut stream,
-                &format!("rank {rank} already registered in generation {generation}"),
-            );
-            continue;
-        }
-        *slot = Some(Registration { addr, epoch, stream });
         if pending.iter().all(Option::is_some) {
             // World assembled: agree on an epoch past every stale one,
             // broadcast the address book, advance the generation.
-            let regs: Vec<Registration> =
-                pending.iter_mut().map(|s| s.take().unwrap()).collect();
-            let adopt = regs.iter().map(|r| r.epoch).max().unwrap_or(0) + 1;
-            let mut buf = vec![0u8];
-            put_u32(&mut buf, generation);
-            put_u32(&mut buf, adopt);
-            put_u32(&mut buf, world as u32);
-            for r in &regs {
-                put_str(&mut buf, &r.addr);
-            }
-            for mut r in regs {
-                let _ = r.stream.write_all(&buf);
+            let regs: Vec<Registration> = pending.iter_mut().filter_map(Option::take).collect();
+            let epoch = regs.iter().map(|r| r.epoch).max().unwrap_or(0).saturating_add(1);
+            let addrs = regs.iter().map(|r| r.addr).collect();
+            let book = Handshake::Book { generation, epoch, addrs };
+            for r in regs {
+                reply(r.stream, &book);
             }
             generation += 1;
         }
+        std::thread::sleep(POLL);
     }
 }
 
 // ---- worker side ----------------------------------------------------
 
 fn connect_with_retry(
-    addr: &str,
+    addr: &SocketAddr,
     cfg: &BootstrapConfig,
     what: &str,
 ) -> Result<TcpStream, CommsError> {
-    let sa: SocketAddr = addr
-        .parse()
-        .map_err(|e| CommsError::Io(format!("{what}: bad address {addr:?}: {e}")))?;
     let mut backoff = cfg.connect_backoff;
     let mut last = String::new();
     for attempt in 0..cfg.connect_retries.max(1) {
@@ -260,14 +314,8 @@ fn connect_with_retry(
             std::thread::sleep(backoff);
             backoff = (backoff * 2).min(Duration::from_secs(2));
         }
-        match TcpStream::connect_timeout(&sa, CONNECT_TIMEOUT) {
-            Ok(s) => {
-                // Every bootstrap exchange is a short request/response
-                // (registration, preambles): without TCP_NODELAY each
-                // leg eats a Nagle/delayed-ACK stall.
-                s.set_nodelay(true).map_err(|e| io_err(&format!("{what}: set_nodelay"), e))?;
-                return Ok(s);
-            }
+        match TcpStream::connect_timeout(addr, CONNECT_TIMEOUT) {
+            Ok(s) => return Ok(s),
             Err(e) => last = e.to_string(),
         }
     }
@@ -292,121 +340,89 @@ pub fn bootstrap_tcp(
     faults: Arc<FaultController>,
 ) -> Result<(TcpTransport, BootstrapInfo), CommsError> {
     assert!(world >= 1 && rank < world);
+    let rdv_addr: SocketAddr = rdv_addr
+        .parse()
+        .map_err(|e| CommsError::Io(format!("rendezvous: bad address {rdv_addr:?}: {e}")))?;
     // A private listener for inbound data links, advertised via the
     // rendezvous.
     let data_listener =
         TcpListener::bind("127.0.0.1:0").map_err(|e| io_err("bind data listener", e))?;
-    let data_addr = data_listener
-        .local_addr()
-        .map_err(|e| io_err("data local_addr", e))?
-        .to_string();
-    data_listener
-        .set_nonblocking(true)
-        .map_err(|e| io_err("data set_nonblocking", e))?;
+    let addr = data_listener.local_addr().map_err(|e| io_err("data local_addr", e))?;
+    let mut lobby = Lobby::new(data_listener)?;
 
     // Register and wait for the address book.
-    let mut rdv = connect_with_retry(rdv_addr, cfg, "rendezvous")?;
-    let mut reg = Vec::new();
-    put_u32(&mut reg, RDV_MAGIC);
-    put_u32(&mut reg, rank as u32);
-    put_u32(&mut reg, world as u32);
-    put_u32(&mut reg, epoch);
-    put_str(&mut reg, &data_addr);
-    rdv.write_all(&reg).map_err(|e| io_err("rendezvous register", e))?;
-    rdv.set_read_timeout(Some(cfg.rendezvous_timeout))
-        .map_err(|e| io_err("rendezvous set_read_timeout", e))?;
-    let rdv_io = |e: std::io::Error| {
-        if e.kind() == std::io::ErrorKind::WouldBlock || e.kind() == std::io::ErrorKind::TimedOut {
+    let rdv = connect_with_retry(&rdv_addr, cfg, "rendezvous")?;
+    rdv.set_read_timeout(Some(POLL)).map_err(|e| io_err("rendezvous set_read_timeout", e))?;
+    let register = Handshake::Register { rank: rank as u32, world: world as u32, epoch, addr };
+    let (mut from_host, to_host) =
+        framing::split(rdv, HANDSHAKE_TIMEOUT).map_err(|e| io_err("rendezvous link", e))?;
+    to_host.send(&register.encode()).map_err(|e| io_err("rendezvous register", e))?;
+    let deadline = Instant::now() + cfg.rendezvous_timeout;
+    let answer = from_host
+        .recv(|| Instant::now() >= deadline)
+        .map_err(|e| io_err("rendezvous response", e))?
+        .ok_or_else(|| {
             CommsError::Io(format!(
                 "rendezvous timed out after {:?} waiting for world {world} to assemble",
                 cfg.rendezvous_timeout
             ))
-        } else {
-            io_err("rendezvous response", e)
+        })?;
+    let (generation, adopt_epoch, peer_addrs) = match Handshake::decode(answer) {
+        Ok(Handshake::Book { generation, epoch, addrs }) if addrs.len() == world => {
+            (generation, epoch, addrs)
+        }
+        Ok(Handshake::Reject(why)) => {
+            return Err(CommsError::Mismatch(format!("rendezvous rejected rank {rank}: {why}")));
+        }
+        other => {
+            return Err(CommsError::Mismatch(format!(
+                "rendezvous answered rank {rank} of world {world} with {other:?}"
+            )));
         }
     };
-    let status = read_u8(&mut rdv).map_err(rdv_io)?;
-    if status != 0 {
-        let msg = read_str(&mut rdv).unwrap_or_else(|_| "unreadable rejection".into());
-        return Err(CommsError::Mismatch(format!("rendezvous rejected rank {rank}: {msg}")));
-    }
-    let generation = read_u32(&mut rdv).map_err(rdv_io)?;
-    let adopt_epoch = read_u32(&mut rdv).map_err(rdv_io)?;
-    let w = read_u32(&mut rdv).map_err(rdv_io)? as usize;
-    if w != world {
-        return Err(CommsError::Mismatch(format!(
-            "rendezvous answered for world {w}, expected {world}"
-        )));
-    }
-    let mut peer_addrs = Vec::with_capacity(world);
-    for _ in 0..world {
-        peer_addrs.push(read_str(&mut rdv).map_err(rdv_io)?);
-    }
 
     // Dial every peer (outbound links), announcing rank + generation.
-    let mut outbound: Vec<Option<TcpStream>> = (0..world).map(|_| None).collect();
+    let preamble = Handshake::Preamble { rank: rank as u32, generation }.encode();
+    let mut outbound: Vec<Option<FrameWriter>> = (0..world).map(|_| None).collect();
     for (peer, addr) in peer_addrs.iter().enumerate() {
         if peer == rank {
             continue;
         }
-        let mut s = connect_with_retry(addr, cfg, &format!("data link to rank {peer}"))?;
-        let mut pre = Vec::new();
-        put_u32(&mut pre, PRE_MAGIC);
-        put_u32(&mut pre, rank as u32);
-        put_u32(&mut pre, generation);
-        s.write_all(&pre).map_err(|e| io_err(&format!("preamble to rank {peer}"), e))?;
-        outbound[peer] = Some(s);
+        let what = format!("data link to rank {peer}");
+        let w = FrameWriter::new(connect_with_retry(addr, cfg, &what)?, cfg.heartbeat.window())
+            .map_err(|e| io_err(&what, e))?;
+        w.send(&preamble).map_err(|e| io_err(&format!("preamble to rank {peer}"), e))?;
+        outbound[peer] = Some(w);
     }
 
     // Accept the world − 1 inbound links; everyone dialed before
     // accepting, but listener backlogs make that deadlock-free.
-    let mut inbound: Vec<Option<TcpStream>> = (0..world).map(|_| None).collect();
+    let mut inbound: Vec<Option<FrameReader<TcpStream>>> = (0..world).map(|_| None).collect();
     let deadline = Instant::now() + cfg.rendezvous_timeout;
-    while inbound.iter().filter(|s| s.is_some()).count() < world - 1 {
+    while inbound.iter().flatten().count() < world - 1 {
         if Instant::now() >= deadline {
             return Err(CommsError::Io(format!(
                 "rank {rank}: timed out accepting inbound data links (generation {generation})"
             )));
         }
-        let mut s = match data_listener.accept() {
-            Ok((s, _)) => s,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
+        for (reader, hs) in lobby.poll() {
+            // A previous generation's socket (or nonsense) is discarded
+            // so stale links never join the fresh mesh.
+            match hs {
+                Handshake::Preamble { rank: from, generation: g }
+                    if g == generation && (from as usize) < world && from as usize != rank =>
+                {
+                    inbound[from as usize] = Some(reader);
+                }
+                _ => {}
             }
-            Err(e) => return Err(io_err("accept data link", e)),
-        };
-        let _ = s.set_nonblocking(false);
-        let _ = s.set_nodelay(true);
-        let _ = s.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
-        let pre = (|| -> std::io::Result<(u32, u32)> {
-            let magic = read_u32(&mut s)?;
-            if magic != PRE_MAGIC {
-                return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "bad magic"));
-            }
-            Ok((read_u32(&mut s)?, read_u32(&mut s)?))
-        })();
-        let Ok((from, gen)) = pre else {
-            continue; // stray connection
-        };
-        if gen != generation || from as usize >= world || from as usize == rank {
-            // A previous generation's socket (or nonsense): discard so
-            // stale links never join the fresh mesh.
-            continue;
         }
-        inbound[from as usize] = Some(s);
+        std::thread::sleep(POLL);
     }
 
     let mesh_id = (2u64 << 32) | u64::from(generation);
-    let transport = TcpTransport::from_streams(
-        rank,
-        world,
-        mesh_id,
-        outbound,
-        inbound,
-        faults,
-        cfg.heartbeat,
-    )?;
+    let transport =
+        TcpTransport::from_links(rank, world, mesh_id, outbound, inbound, faults, cfg.heartbeat)?;
     if generation > 0 {
         if telemetry::enabled() {
             telemetry::global().counter("comms.tcp.reconnects").inc();
@@ -429,13 +445,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wire_helpers_roundtrip() {
-        let mut buf = Vec::new();
-        put_u32(&mut buf, 0xdead_beef);
-        put_str(&mut buf, "127.0.0.1:4242");
-        let mut r = &buf[..];
-        assert_eq!(read_u32(&mut r).unwrap(), 0xdead_beef);
-        assert_eq!(read_str(&mut r).unwrap(), "127.0.0.1:4242");
+    fn handshakes_roundtrip_through_the_frame_codec() {
+        let addr: SocketAddr = "127.0.0.1:4242".parse().unwrap();
+        for hs in [
+            Handshake::Register { rank: 3, world: 4, epoch: u32::MAX, addr },
+            Handshake::Book { generation: 2, epoch: 7, addrs: vec![addr, "[::1]:9".parse().unwrap()] },
+            Handshake::Reject("rank 9 out of range".into()),
+            Handshake::Preamble { rank: 1, generation: u32::MAX },
+        ] {
+            let frame = crate::tcp::framing::encode(&hs.encode());
+            let back = crate::tcp::framing::decode(&frame[4..]).unwrap();
+            assert_eq!(Handshake::decode(back), Ok(hs));
+        }
     }
 
     #[test]

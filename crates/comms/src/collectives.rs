@@ -70,6 +70,13 @@ use tensor::f16::{to_f32_table, F16};
 /// meshes; tests with injected faults shrink it.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(5);
 
+/// Most early arrivals a rank keeps for collectives it has not reached.
+/// A healthy neighbour runs at most one step ahead — one first hop per
+/// gradient bucket, a pipeline's microbatches, a telemetry snapshot —
+/// so a stash this deep is a peer off the message schedule, and is
+/// refused ([`CommsError::Mismatch`]) instead of grown.
+const STASH_CAP: usize = 4096;
+
 /// One in-flight chunked ring all-reduce or reduce-scatter.
 struct RingState {
     id: u64,
@@ -186,12 +193,18 @@ impl<T: Transport> Communicator<T> {
         Instant::now() + self.timeout
     }
 
-    fn ready(&self) -> Result<(), CommsError> {
+    /// The poison guard every fallible collective runs under: refuses
+    /// while poisoned, poisons on any error (see [`Self::bump_epoch`]).
+    fn guarded<R>(
+        &mut self,
+        op: impl FnOnce(&mut Self) -> Result<R, CommsError>,
+    ) -> Result<R, CommsError> {
         if self.poisoned {
-            Err(CommsError::Poisoned)
-        } else {
-            Ok(())
+            return Err(CommsError::Poisoned);
         }
+        let res = op(self);
+        self.poisoned |= res.is_err();
+        res
     }
 
     fn fresh_id(&mut self) -> u64 {
@@ -305,57 +318,92 @@ impl<T: Transport> Communicator<T> {
             if from == self.rank() {
                 continue;
             }
+            // Past the cap a flood is dropped here; the collective that
+            // meets the rest of it reports the mismatch.
             while let Ok(Some(msg)) = self.t.try_recv_from(from) {
-                if msg.tag.epoch >= epoch {
-                    self.stash.insert((from, msg.tag), msg);
-                }
+                let _ = self.stash_early(from, msg);
             }
         }
     }
 
-    /// Receives from `from` until the wanted tag shows up, stashing
-    /// everything else and discarding stale-epoch traffic.
+    /// Keeps an early arrival — traffic for a collective this rank has
+    /// not reached — until it is asked for; stale-epoch traffic is
+    /// discarded, and a stash already [`STASH_CAP`] deep is an error.
+    fn stash_early(&mut self, from: usize, msg: Message) -> Result<(), CommsError> {
+        if msg.tag.epoch < self.epoch {
+            return Ok(());
+        }
+        if self.stash.len() >= STASH_CAP {
+            return Err(CommsError::Mismatch(format!(
+                "rank {}: {STASH_CAP} early arrivals stashed and {} from rank {from} still \
+                 matches nothing asked for — ranks disagree about the message schedule",
+                self.rank(),
+                flow_name(&msg.tag)
+            )));
+        }
+        self.stash.insert((from, msg.tag), msg);
+        Ok(())
+    }
+
+    /// The one tag-matching receive: takes `want` out of the stash, or
+    /// receives from `from` — until `deadline`, or with `None` only what
+    /// has already arrived (`Ok(None)` when that runs out) — stashing
+    /// everything else.
     ///
-    /// With telemetry enabled the blocking window is recorded as a
-    /// `wait` slice (timeouts included — a killed peer's stall is
-    /// visible in the trace) and the matched message closes its causal
-    /// flow arrow.
+    /// With telemetry enabled a blocking window is recorded as a `wait`
+    /// slice (timeouts included — a killed peer's stall is visible in
+    /// the trace) and the matched message closes its causal flow arrow.
+    fn recv_tagged(
+        &mut self,
+        from: usize,
+        want: Tag,
+        deadline: Option<Instant>,
+    ) -> Result<Option<Message>, CommsError> {
+        let tel = telemetry::enabled();
+        if let Some(m) = self.stash.remove(&(from, want)) {
+            if tel {
+                self.flow_consumed(&want, from, now_us());
+            }
+            return Ok(Some(m));
+        }
+        let t0 = tel.then(now_us);
+        let res = loop {
+            let next = match deadline {
+                Some(deadline) => self.t.recv_from(from, deadline).map(Some),
+                None => self.t.try_recv_from(from),
+            };
+            match next {
+                Ok(Some(msg)) if msg.tag == want => break Ok(Some(msg)),
+                Ok(Some(msg)) => {
+                    if let Err(e) = self.stash_early(from, msg) {
+                        break Err(e);
+                    }
+                }
+                Ok(None) => break Ok(None),
+                Err(e) => break Err(e),
+            }
+        };
+        if let Some(t0) = t0 {
+            let t1 = now_us();
+            if deadline.is_some() {
+                self.wait_slice(t0, t1, from, res.is_err(), || format!("recv {}", flow_name(&want)));
+            }
+            if matches!(res, Ok(Some(_))) {
+                self.flow_consumed(&want, from, t1);
+            }
+        }
+        res
+    }
+
+    /// [`Self::recv_tagged`], blocking until `deadline`.
     fn recv_match(
         &mut self,
         from: usize,
         want: Tag,
         deadline: Instant,
     ) -> Result<Message, CommsError> {
-        let tel = telemetry::enabled();
-        if let Some(m) = self.stash.remove(&(from, want)) {
-            if tel {
-                self.flow_consumed(&want, from, now_us());
-            }
-            return Ok(m);
-        }
-        let t0 = tel.then(now_us);
-        let res = loop {
-            match self.t.recv_from(from, deadline) {
-                Err(e) => break Err(e),
-                Ok(msg) => {
-                    if msg.tag.epoch < self.epoch {
-                        continue;
-                    }
-                    if msg.tag == want {
-                        break Ok(msg);
-                    }
-                    self.stash.insert((from, msg.tag), msg);
-                }
-            }
-        };
-        if let Some(t0) = t0 {
-            let t1 = now_us();
-            self.wait_slice(t0, t1, from, res.is_err(), || format!("recv {}", flow_name(&want)));
-            if res.is_ok() {
-                self.flow_consumed(&want, from, t1);
-            }
-        }
-        res
+        let timeout = CommsError::Timeout { rank: self.rank(), from };
+        self.recv_tagged(from, want, Some(deadline))?.ok_or(timeout)
     }
 
     // --- Barrier ------------------------------------------------------
@@ -364,110 +412,60 @@ impl<T: Transport> Communicator<T> {
     /// signals `r + 2ᵏ` and waits on `r − 2ᵏ`. Returns only after every
     /// rank has entered the barrier.
     pub fn barrier(&mut self) -> Result<(), CommsError> {
-        self.ready()?;
-        let res = self.barrier_inner();
-        self.poisoned |= res.is_err();
-        res
-    }
-
-    fn barrier_inner(&mut self) -> Result<(), CommsError> {
-        let g = self.world();
-        if g == 1 {
-            return Ok(());
-        }
-        let sp = telemetry::enabled().then(|| telemetry::span("comms.barrier"));
-        let id = self.fresh_id();
-        let deadline = self.deadline();
-        let r = self.rank();
-        let mut k = 1usize;
-        let mut round = 0u32;
-        while k < g {
-            let to = (r + k) % g;
-            let from = (r + g - k) % g;
-            let tag = self.tag(Kind::Barrier, id, round);
-            self.send_traced(to, Message { tag, payload: Payload::Bytes(Vec::new()) })?;
-            self.recv_match(from, tag, deadline)?;
-            k *= 2;
-            round += 1;
-        }
-        drop(sp);
-        Ok(())
+        self.guarded(|c| {
+            let g = c.world();
+            if g == 1 {
+                return Ok(());
+            }
+            let _sp = telemetry::enabled().then(|| telemetry::span("comms.barrier"));
+            let id = c.fresh_id();
+            let deadline = c.deadline();
+            let r = c.rank();
+            let mut k = 1usize;
+            let mut round = 0u32;
+            while k < g {
+                let to = (r + k) % g;
+                let from = (r + g - k) % g;
+                let tag = c.tag(Kind::Barrier, id, round);
+                c.send_traced(to, Message { tag, payload: Payload::Bytes(Vec::new()) })?;
+                c.recv_match(from, tag, deadline)?;
+                k *= 2;
+                round += 1;
+            }
+            Ok(())
+        })
     }
 
     // --- Broadcast ----------------------------------------------------
 
-    /// Broadcasts `root`'s buffer to every rank (ring chain). Buffer
-    /// lengths must agree across ranks.
-    pub fn broadcast_f16(&mut self, root: usize, buf: &mut [F16]) -> Result<(), CommsError> {
-        self.ready()?;
-        let res = self.broadcast_inner(root, &mut |payload| match payload {
-            None => Some(Payload::F16(buf.to_vec())),
-            Some(Payload::F16(v)) if v.len() == buf.len() => {
-                buf.copy_from_slice(&v);
-                None
-            }
-            Some(_) => Some(Payload::Bytes(Vec::new())), // signals mismatch below
-        });
-        self.poisoned |= res.is_err();
-        res
-    }
-
-    /// Broadcasts `root`'s bytes to every rank; non-root inputs are
-    /// replaced.
+    /// Broadcasts `root`'s bytes to every rank along the ring chain;
+    /// non-root inputs are replaced.
     pub fn broadcast_bytes(&mut self, root: usize, data: &mut Vec<u8>) -> Result<(), CommsError> {
-        self.ready()?;
-        let res = self.broadcast_inner(root, &mut |payload| match payload {
-            None => Some(Payload::Bytes(data.clone())),
-            Some(Payload::Bytes(v)) => {
-                *data = v;
-                None
+        self.guarded(|c| {
+            let g = c.world();
+            if root >= g {
+                return Err(CommsError::Mismatch(format!("broadcast root {root} out of range")));
             }
-            Some(_) => Some(Payload::Bytes(Vec::new())),
-        });
-        self.poisoned |= res.is_err();
-        res
-    }
-
-    /// Chain broadcast from `root`. `exchange(None)` yields the local
-    /// payload to forward (root, or mismatch sentinel); `exchange(Some)`
-    /// installs a received payload and returns `None`, or a sentinel on
-    /// type/length mismatch.
-    fn broadcast_inner(
-        &mut self,
-        root: usize,
-        exchange: &mut dyn FnMut(Option<Payload>) -> Option<Payload>,
-    ) -> Result<(), CommsError> {
-        let g = self.world();
-        if root >= g {
-            return Err(CommsError::Mismatch(format!("broadcast root {root} out of range")));
-        }
-        let id = self.fresh_id();
-        if g == 1 {
-            return Ok(());
-        }
-        let sp = telemetry::enabled().then(|| telemetry::span("comms.broadcast"));
-        let deadline = self.deadline();
-        let r = self.rank();
-        let pos = (r + g - root) % g; // position along the chain
-        let tag = self.tag(Kind::Broadcast, id, pos as u32);
-        let payload = if pos == 0 {
-            exchange(None).expect("root yields its payload")
-        } else {
-            let prev_tag = Tag { step: pos as u32 - 1, ..tag };
-            let msg = self.recv_match(self.prev(), prev_tag, deadline)?;
-            if exchange(Some(msg.payload.clone())).is_some() {
-                return Err(CommsError::Mismatch(
-                    "broadcast payload type/length disagrees across ranks".into(),
-                ));
+            let id = c.fresh_id();
+            if g == 1 {
+                return Ok(());
             }
-            msg.payload
-        };
-        if pos < g - 1 {
-            let next = self.next();
-            self.send_traced(next, Message { tag, payload })?;
-        }
-        drop(sp);
-        Ok(())
+            let _sp = telemetry::enabled().then(|| telemetry::span("comms.broadcast"));
+            let deadline = c.deadline();
+            let pos = ((c.rank() + g - root) % g) as u32; // position along the chain
+            let tag = c.tag(Kind::Broadcast, id, pos);
+            if pos > 0 {
+                let msg = c.recv_match(c.prev(), Tag { step: pos - 1, ..tag }, deadline)?;
+                let Payload::Bytes(bytes) = msg.payload else {
+                    return Err(CommsError::Mismatch("broadcast expects byte payloads".into()));
+                };
+                *data = bytes;
+            }
+            if (pos as usize) < g - 1 {
+                c.send_traced(c.next(), Message { tag, payload: Payload::Bytes(data.clone()) })?;
+            }
+            Ok(())
+        })
     }
 
     // --- All-gather ---------------------------------------------------
@@ -510,74 +508,61 @@ impl<T: Transport> Communicator<T> {
         wrap: fn(Vec<E>) -> Payload,
         unwrap: fn(Payload) -> Option<Vec<E>>,
     ) -> Result<Vec<E>, CommsError> {
-        self.ready()?;
-        let res = self.all_gather_inner(mine, counts, wrap, unwrap);
-        self.poisoned |= res.is_err();
-        res
-    }
-
-    fn all_gather_inner<E: Copy + Default>(
-        &mut self,
-        mine: &[E],
-        counts: &[usize],
-        wrap: fn(Vec<E>) -> Payload,
-        unwrap: fn(Payload) -> Option<Vec<E>>,
-    ) -> Result<Vec<E>, CommsError> {
-        let g = self.world();
-        let r = self.rank();
-        if counts.len() != g {
-            return Err(CommsError::Mismatch(format!(
-                "all_gather counts has {} entries for world {g}",
-                counts.len()
-            )));
-        }
-        if mine.len() != counts[r] {
-            return Err(CommsError::Mismatch(format!(
-                "rank {r} contributes {} elements, counts says {}",
-                mine.len(),
-                counts[r]
-            )));
-        }
-        let mut offsets = Vec::with_capacity(g + 1);
-        let mut total = 0usize;
-        for &c in counts {
-            offsets.push(total);
-            total += c;
-        }
-        offsets.push(total);
-        let mut out = vec![E::default(); total];
-        out[offsets[r]..offsets[r] + mine.len()].copy_from_slice(mine);
-        if g == 1 {
-            return Ok(out);
-        }
-        let sp = telemetry::enabled().then(|| telemetry::span("comms.allgather"));
-        let id = self.fresh_id();
-        let deadline = self.deadline();
-        for s in 0..g - 1 {
-            let send_seg = (r + g - s) % g;
-            let tag = self.tag(Kind::AllGather, id, s as u32);
-            let chunk = out[offsets[send_seg]..offsets[send_seg + 1]].to_vec();
-            let next = self.next();
-            self.send_traced(next, Message { tag, payload: wrap(chunk) })?;
-            let recv_seg = (r + g - s - 1) % g;
-            let msg = self.recv_match(self.prev(), tag, deadline)?;
-            let Some(vals) = unwrap(msg.payload) else {
+        self.guarded(|c| {
+            let g = c.world();
+            let r = c.rank();
+            if counts.len() != g {
                 return Err(CommsError::Mismatch(format!(
-                    "all_gather expects {} payloads",
-                    std::any::type_name::<E>()
-                )));
-            };
-            if vals.len() != counts[recv_seg] {
-                return Err(CommsError::Mismatch(format!(
-                    "all_gather segment {recv_seg}: got {} elements, want {}",
-                    vals.len(),
-                    counts[recv_seg]
+                    "all_gather counts has {} entries for world {g}",
+                    counts.len()
                 )));
             }
-            out[offsets[recv_seg]..offsets[recv_seg + 1]].copy_from_slice(&vals);
-        }
-        drop(sp);
-        Ok(out)
+            if mine.len() != counts[r] {
+                return Err(CommsError::Mismatch(format!(
+                    "rank {r} contributes {} elements, counts says {}",
+                    mine.len(),
+                    counts[r]
+                )));
+            }
+            let mut offsets = Vec::with_capacity(g + 1);
+            let mut total = 0usize;
+            for &n in counts {
+                offsets.push(total);
+                total += n;
+            }
+            offsets.push(total);
+            let mut out = vec![E::default(); total];
+            out[offsets[r]..offsets[r] + mine.len()].copy_from_slice(mine);
+            if g == 1 {
+                return Ok(out);
+            }
+            let _sp = telemetry::enabled().then(|| telemetry::span("comms.allgather"));
+            let id = c.fresh_id();
+            let deadline = c.deadline();
+            for s in 0..g - 1 {
+                let send_seg = (r + g - s) % g;
+                let tag = c.tag(Kind::AllGather, id, s as u32);
+                let chunk = out[offsets[send_seg]..offsets[send_seg + 1]].to_vec();
+                c.send_traced(c.next(), Message { tag, payload: wrap(chunk) })?;
+                let recv_seg = (r + g - s - 1) % g;
+                let msg = c.recv_match(c.prev(), tag, deadline)?;
+                let Some(vals) = unwrap(msg.payload) else {
+                    return Err(CommsError::Mismatch(format!(
+                        "all_gather expects {} payloads",
+                        std::any::type_name::<E>()
+                    )));
+                };
+                if vals.len() != counts[recv_seg] {
+                    return Err(CommsError::Mismatch(format!(
+                        "all_gather segment {recv_seg}: got {} elements, want {}",
+                        vals.len(),
+                        counts[recv_seg]
+                    )));
+                }
+                out[offsets[recv_seg]..offsets[recv_seg + 1]].copy_from_slice(&vals);
+            }
+            Ok(out)
+        })
     }
 
     /// Whether `mine` holds on every rank: a one-element
@@ -607,11 +592,10 @@ impl<T: Transport> Communicator<T> {
         step: u32,
         data: Vec<f32>,
     ) -> Result<(), CommsError> {
-        self.ready()?;
-        let tag = self.tag(Kind::P2p, id, step);
-        let res = self.send_traced(to, Message { tag, payload: Payload::F32(data) });
-        self.poisoned |= res.is_err();
-        res
+        self.guarded(|c| {
+            let tag = c.tag(Kind::P2p, id, step);
+            c.send_traced(to, Message { tag, payload: Payload::F32(data) })
+        })
     }
 
     /// Blocks until the p2p message tagged `(id, step)` arrives from
@@ -619,26 +603,10 @@ impl<T: Transport> Communicator<T> {
     /// surfaces as a bounded [`CommsError::Timeout`], never a hang).
     /// Early arrivals with other tags are stashed, never misrouted.
     pub fn recv_p2p(&mut self, from: usize, id: u64, step: u32) -> Result<Vec<f32>, CommsError> {
-        self.ready()?;
-        let deadline = self.deadline();
-        let res = self.recv_p2p_inner(from, id, step, deadline);
-        self.poisoned |= res.is_err();
-        res
-    }
-
-    fn recv_p2p_inner(
-        &mut self,
-        from: usize,
-        id: u64,
-        step: u32,
-        deadline: Instant,
-    ) -> Result<Vec<f32>, CommsError> {
-        let want = self.tag(Kind::P2p, id, step);
-        let msg = self.recv_match(from, want, deadline)?;
-        let Payload::F32(v) = msg.payload else {
-            return Err(CommsError::Mismatch("p2p expects f32 payloads".into()));
-        };
-        Ok(v)
+        self.guarded(|c| {
+            let msg = c.recv_match(from, c.tag(Kind::P2p, id, step), c.deadline())?;
+            f32_payload(msg)
+        })
     }
 
     /// Non-blocking variant of [`Self::recv_p2p`]: returns `Ok(None)`
@@ -651,49 +619,10 @@ impl<T: Transport> Communicator<T> {
         id: u64,
         step: u32,
     ) -> Result<Option<Vec<f32>>, CommsError> {
-        self.ready()?;
-        let res = self.try_recv_p2p_inner(from, id, step);
-        self.poisoned |= res.is_err();
-        res
-    }
-
-    fn try_recv_p2p_inner(
-        &mut self,
-        from: usize,
-        id: u64,
-        step: u32,
-    ) -> Result<Option<Vec<f32>>, CommsError> {
-        let want = self.tag(Kind::P2p, id, step);
-        let tel = telemetry::enabled();
-        if let Some(msg) = self.stash.remove(&(from, want)) {
-            let Payload::F32(v) = msg.payload else {
-                return Err(CommsError::Mismatch("p2p expects f32 payloads".into()));
-            };
-            if tel {
-                self.flow_consumed(&want, from, now_us());
-            }
-            return Ok(Some(v));
-        }
-        loop {
-            match self.t.try_recv_from(from)? {
-                None => return Ok(None),
-                Some(msg) => {
-                    if msg.tag.epoch < self.epoch {
-                        continue;
-                    }
-                    if msg.tag == want {
-                        let Payload::F32(v) = msg.payload else {
-                            return Err(CommsError::Mismatch("p2p expects f32 payloads".into()));
-                        };
-                        if tel {
-                            self.flow_consumed(&want, from, now_us());
-                        }
-                        return Ok(Some(v));
-                    }
-                    self.stash.insert((from, msg.tag), msg);
-                }
-            }
-        }
+        self.guarded(|c| {
+            let msg = c.recv_tagged(from, c.tag(Kind::P2p, id, step), None)?;
+            msg.map(f32_payload).transpose()
+        })
     }
 
     // --- Telemetry (best-effort metrics snapshots) --------------------
@@ -760,87 +689,67 @@ impl<T: Transport> Communicator<T> {
         self.ring_begin(data, true)
     }
 
-    fn ring_begin(&mut self, data: Vec<F16>, scatter_only: bool) -> Result<u64, CommsError> {
-        self.ready()?;
-        let res = self.ring_begin_inner(data, scatter_only);
-        self.poisoned |= res.is_err();
-        res
-    }
-
-    fn ring_begin_inner(
-        &mut self,
-        mut data: Vec<F16>,
-        scatter_only: bool,
-    ) -> Result<u64, CommsError> {
-        let g = self.world();
-        let r = self.rank();
-        let id = self.fresh_id();
-        self.model_allreduce_bytes += ring_allreduce_model_bytes(data.len() as u64, g as u64, 2);
-        if g == 1 {
-            // Mean over one rank still goes through the shared rounding
-            // so G=1 matches the oracle bit-for-bit.
-            for v in &mut data {
-                *v = f16_mean_from_exact_sum(f64::from(v.to_f32()), 1.0);
+    fn ring_begin(&mut self, mut data: Vec<F16>, scatter_only: bool) -> Result<u64, CommsError> {
+        self.guarded(|c| {
+            let g = c.world();
+            let r = c.rank();
+            let id = c.fresh_id();
+            c.model_allreduce_bytes += ring_allreduce_model_bytes(data.len() as u64, g as u64, 2);
+            if g == 1 {
+                // Mean over one rank still goes through the shared rounding
+                // so G=1 matches the oracle bit-for-bit.
+                for v in &mut data {
+                    *v = f16_mean_from_exact_sum(f64::from(v.to_f32()), 1.0);
+                }
+                c.completed.push((id, data));
+                return Ok(id);
             }
-            self.completed.push((id, data));
-            return Ok(id);
-        }
-        let segs = segment_bounds(data.len(), g);
-        let (lo, hi) = segs[(r + g - usize::from(scatter_only)) % g];
-        let tag = self.tag(Kind::AllReduce, id, 0);
-        let next = self.next();
-        let first = Payload::F16(data[lo..hi].to_vec());
-        self.send_traced(next, Message { tag, payload: first })?;
-        self.rings.push(RingState { id, data, segs, hops_done: 0, scatter_only });
-        // A fast neighbour may already have sent hops for this id.
-        self.ring_drain_stash()?;
-        Ok(id)
+            let segs = segment_bounds(data.len(), g);
+            let (lo, hi) = segs[(r + g - usize::from(scatter_only)) % g];
+            let tag = c.tag(Kind::AllReduce, id, 0);
+            let first = Payload::F16(data[lo..hi].to_vec());
+            c.send_traced(c.next(), Message { tag, payload: first })?;
+            c.rings.push(RingState { id, data, segs, hops_done: 0, scatter_only });
+            // A fast neighbour may already have sent hops for this id.
+            c.ring_drain_stash()?;
+            Ok(id)
+        })
     }
 
     /// Makes progress on every in-flight ring without blocking. Call
     /// between gradient buckets to overlap communication with compute.
     pub fn ring_pump(&mut self) -> Result<(), CommsError> {
-        self.ready()?;
-        let res = self.ring_pump_inner();
-        self.poisoned |= res.is_err();
-        res
-    }
-
-    fn ring_pump_inner(&mut self) -> Result<(), CommsError> {
-        self.ring_drain_stash()?;
-        let prev = self.prev();
-        while !self.rings.is_empty() {
-            match self.t.try_recv_from(prev)? {
-                Some(msg) => self.handle_from_prev(msg)?,
-                None => break,
+        self.guarded(|c| {
+            c.ring_drain_stash()?;
+            let prev = c.prev();
+            while !c.rings.is_empty() {
+                match c.t.try_recv_from(prev)? {
+                    Some(msg) => c.handle_from_prev(msg)?,
+                    None => break,
+                }
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Blocks until every in-flight ring completes (or the deadline
     /// passes — a cut link surfaces here as `Timeout`, never a hang).
     pub fn ring_finish(&mut self) -> Result<(), CommsError> {
-        self.ready()?;
-        let res = self.ring_finish_inner();
-        self.poisoned |= res.is_err();
-        res
-    }
-
-    fn ring_finish_inner(&mut self) -> Result<(), CommsError> {
-        let deadline = self.deadline();
-        let prev = self.prev();
-        self.ring_drain_stash()?;
-        while !self.rings.is_empty() {
-            let t0 = telemetry::enabled().then(now_us);
-            let res = self.t.recv_from(prev, deadline);
-            if let Some(t0) = t0 {
-                let t1 = now_us();
-                self.wait_slice(t0, t1, prev, res.is_err(), || "ring stall".to_string());
+        self.guarded(|c| {
+            let deadline = c.deadline();
+            let prev = c.prev();
+            c.ring_drain_stash()?;
+            while !c.rings.is_empty() {
+                let t0 = telemetry::enabled().then(now_us);
+                let res = c.t.recv_from(prev, deadline);
+                if let Some(t0) = t0 {
+                    let t1 = now_us();
+                    c.wait_slice(t0, t1, prev, res.is_err(), || "ring stall".to_string());
+                }
+                c.handle_from_prev(res?)?;
             }
-            self.handle_from_prev(res?)?;
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Drains finished rings as `(id, mean)` pairs, in completion order.
@@ -851,25 +760,19 @@ impl<T: Transport> Communicator<T> {
     /// Blocking convenience: full ring all-reduce of one buffer in
     /// place. Equivalent to start + finish + take.
     pub fn allreduce_mean_f16(&mut self, buf: &mut [F16]) -> Result<(), CommsError> {
-        let sp = telemetry::enabled().then(|| telemetry::span("comms.allreduce"));
+        let _sp = telemetry::enabled().then(|| telemetry::span("comms.allreduce"));
         let id = self.ring_start(buf.to_vec())?;
         self.ring_finish()?;
-        let pos = self
-            .completed
-            .iter()
-            .position(|(cid, _)| *cid == id)
-            .expect("finished ring must be in completed");
+        let Some(pos) = self.completed.iter().position(|(cid, _)| *cid == id) else {
+            return Err(CommsError::Mismatch(format!("ring {id} finished without a result")));
+        };
         let (_, data) = self.completed.swap_remove(pos);
         buf.copy_from_slice(&data);
-        drop(sp);
         Ok(())
     }
 
     /// Routes one message that arrived from the ring predecessor.
     fn handle_from_prev(&mut self, msg: Message) -> Result<(), CommsError> {
-        if msg.tag.epoch < self.epoch {
-            return Ok(());
-        }
         if msg.tag.epoch == self.epoch && msg.tag.kind == Kind::AllReduce {
             if let Some(idx) = self.rings.iter().position(|ring| ring.id == msg.tag.id) {
                 if msg.tag.step == self.rings[idx].hops_done {
@@ -878,8 +781,7 @@ impl<T: Transport> Communicator<T> {
                 }
             }
         }
-        self.stash.insert((self.prev(), msg.tag), msg);
-        Ok(())
+        self.stash_early(self.prev(), msg)
     }
 
     /// Applies stashed hops to every ring that can advance (early
@@ -1025,6 +927,13 @@ impl<T: Transport> Communicator<T> {
     }
 }
 
+fn f32_payload(msg: Message) -> Result<Vec<f32>, CommsError> {
+    match msg.payload {
+        Payload::F32(v) => Ok(v),
+        _ => Err(CommsError::Mismatch("p2p expects f32 payloads".into())),
+    }
+}
+
 /// Human-readable flow/slice label for a message tag. Flow pairs match
 /// on `cat` + `id`; the name is what Perfetto shows on the arrow.
 fn flow_name(tag: &Tag) -> String {
@@ -1102,22 +1011,48 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_delivers_roots_buffer() {
-        let want = vals(9, 37);
+    fn broadcast_delivers_roots_bytes() {
         let got = run_ranks(3, Arc::default(), DEFAULT_TIMEOUT, |comm, rank| {
-            let mut buf = if rank == 1 { want.clone() } else { vec![F16::ZERO; 37] };
-            comm.broadcast_f16(1, &mut buf).unwrap();
-            let mut bytes = if rank == 1 { vec![7u8, 8, 9] } else { Vec::new() };
-            if rank != 1 {
-                bytes.clear();
-            }
+            let mut bytes = if rank == 1 { vec![7u8, 8, 9] } else { vec![0; rank] };
             comm.broadcast_bytes(1, &mut bytes).unwrap();
-            (buf, bytes)
+            bytes
         });
-        for (buf, bytes) in got {
-            assert_eq!(buf, want);
+        for bytes in got {
             assert_eq!(bytes, vec![7, 8, 9]);
         }
+    }
+
+    #[test]
+    fn a_flood_of_foreign_tags_is_refused_at_the_stash_cap() {
+        // Rank 0 is off the schedule: it sends tags nobody will ask for.
+        // Rank 1 keeps at most STASH_CAP of them, then fails the
+        // collective that met the flood with a typed error — and a bump
+        // (which drops what the dead epoch stashed) makes it usable.
+        let flooded = std::sync::Barrier::new(2);
+        let got = run_ranks(2, Arc::default(), DEFAULT_TIMEOUT, |comm, rank| {
+            if rank == 0 {
+                for id in 0..STASH_CAP as u64 + 8 {
+                    comm.send_p2p(1, 1_000_000 + id, 0, Vec::new()).unwrap();
+                }
+                flooded.wait();
+                comm.bump_epoch();
+                comm.send_p2p(1, 5, 0, vec![2.5]).unwrap();
+                (None, 0, None)
+            } else {
+                flooded.wait();
+                let refused = comm.recv_p2p(0, 5, 0).unwrap_err();
+                let held = comm.stash.len();
+                assert_eq!(comm.try_recv_p2p(0, 5, 0), Err(CommsError::Poisoned));
+                comm.bump_epoch();
+                let epoch = comm.epoch();
+                assert!(comm.stash.keys().all(|(_, tag)| tag.epoch == epoch), "the flood is gone");
+                (Some(refused), held, Some(comm.recv_p2p(0, 5, 0)))
+            }
+        });
+        let (refused, held, after) = &got[1];
+        assert!(matches!(refused, Some(CommsError::Mismatch(_))), "got {refused:?}");
+        assert_eq!(*held, STASH_CAP);
+        assert_eq!(after, &Some(Ok(vec![2.5])));
     }
 
     #[test]

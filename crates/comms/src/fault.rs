@@ -12,7 +12,7 @@
 //! jitter, so an injected fault pattern is a pure function of the seed.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 use summit_sim::{SplitMix64, StragglerModel};
 
@@ -52,9 +52,15 @@ impl FaultController {
         FaultController::default()
     }
 
+    /// The plan, whatever became of the last thread to hold it: every
+    /// update is one field write or one map operation, so the map is
+    /// valid at every step and a poisoned lock loses nothing.
+    fn links(&self) -> MutexGuard<'_, HashMap<(usize, usize), LinkFault>> {
+        self.links.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn with_link<R>(&self, from: usize, to: usize, f: impl FnOnce(&mut LinkFault) -> R) -> R {
-        let mut links = self.links.lock().unwrap();
-        f(links.entry((from, to)).or_default())
+        f(self.links().entry((from, to)).or_default())
     }
 
     /// Cuts the directed link: every message from `from` to `to` is lost
@@ -65,7 +71,7 @@ impl FaultController {
 
     /// Restores the link to healthy (clears every fault on it).
     pub fn heal_link(&self, from: usize, to: usize) {
-        self.links.lock().unwrap().remove(&(from, to));
+        self.links().remove(&(from, to));
     }
 
     /// Loses the next `n` messages on the link, then heals by itself —
@@ -122,15 +128,11 @@ impl FaultController {
     /// per-message fault schedule untouched for data traffic — a
     /// background probe must never perturb a seeded drop/jitter plan.
     pub fn is_cut(&self, from: usize, to: usize) -> bool {
-        self.links
-            .lock()
-            .unwrap()
-            .get(&(from, to))
-            .is_some_and(|l| l.cut)
+        self.links().get(&(from, to)).is_some_and(|l| l.cut)
     }
 
     pub(crate) fn decide(&self, from: usize, to: usize) -> Decision {
-        let mut links = self.links.lock().unwrap();
+        let mut links = self.links();
         let Some(l) = links.get_mut(&(from, to)) else {
             return Decision::Deliver(None);
         };

@@ -9,6 +9,9 @@
 //! `barrier`, `broadcast`, `all_gather`, and a **chunked ring
 //! all-reduce** over compressed fp16 gradient buckets — the collective
 //! the paper's Sec. IV-A runs on `∇θ16` to cut message volume by `1/f`.
+//! Every socket in the workspace (mesh links, the rendezvous, the
+//! serving tier) is read and written through [`tcp::framing`], the one
+//! place bytes from outside become messages.
 //!
 //! # Determinism
 //!

@@ -1,17 +1,20 @@
 //! The transport layer: typed messages and point-to-point endpoints.
 //!
 //! [`Transport`] is the narrow waist between the collectives and the
-//! wire. The in-process implementation ([`InProcTransport`]) is a full
-//! mesh of `mpsc` channels — one FIFO per directed link, exactly the
-//! ordering guarantee TCP gives — so a socket-framed transport can
-//! implement the same five operations later without touching the
-//! collective algorithms.
+//! wire. Both implementations deliver into the same `Mailbox` — one
+//! `mpsc` FIFO per directed link, exactly the ordering guarantee TCP
+//! gives, with the held-envelope, injected-delay and deadline logic of
+//! a receive written once — and differ only in how a message leaves:
+//! [`InProcTransport`] sends the envelope down the peer's channel,
+//! [`crate::TcpTransport`] writes a frame that the peer's reader thread
+//! turns back into one.
 
 use crate::fault::{Decision, FaultController};
+use crate::heartbeat::Health;
 use crate::CommsError;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use tensor::f16::F16;
 
 /// Typed message body. Reduce-scatter hops carry f64 partial sums (the
@@ -49,33 +52,34 @@ impl Payload {
     }
 }
 
-/// Which collective a message belongs to.
+/// Which collective a message belongs to. The discriminant is the
+/// kind's code on the wire (`tcp::framing`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kind {
-    AllReduce,
-    AllGather,
-    Broadcast,
-    Barrier,
+    AllReduce = 0,
+    AllGather = 1,
+    Broadcast = 2,
+    Barrier = 3,
     /// Point-to-point pipeline traffic (boundary activations and
     /// activation-gradients). Unlike the collectives above, p2p tags
     /// are caller-supplied — both endpoints derive the same
     /// `(id, step)` from `(training step, microbatch, direction)`
     /// instead of consuming the shared monotonic collective counter,
     /// so stages exchanging different message counts stay aligned.
-    P2p,
+    P2p = 4,
     /// Best-effort metrics snapshots shipped to rank 0 for mesh-wide
     /// aggregation. Like [`Kind::P2p`] the tags are caller-supplied;
     /// unlike everything else a lost or late snapshot must never fail
     /// a collective, so telemetry traffic is sent and received through
     /// the non-poisoning best-effort paths only.
-    Telemetry,
+    Telemetry = 5,
     /// Liveness probes on a socket transport: a background thread pings
     /// every peer each interval (`step` 0) and the peer's reader
     /// answers in line (`step` 1), yielding a per-link RTT gauge.
     /// Heartbeats are consumed inside the transport — they refresh the
     /// peer's last-seen clock and never reach the tagged inbox, so the
     /// collectives are oblivious to them.
-    Heartbeat,
+    Heartbeat = 6,
 }
 
 /// Self-describing routing header. `(epoch, kind, id, step)` is unique
@@ -104,9 +108,9 @@ pub struct Message {
 }
 
 /// An envelope in flight; the fault injector may stamp a future
-/// delivery instant (link delay). Shared with the TCP transport, whose
-/// reader threads stamp `deliver_at` at enqueue time (carrying the
-/// injected delay in the frame) so a slow link never blocks the reader.
+/// delivery instant (link delay). The TCP transport's reader threads
+/// stamp `deliver_at` at enqueue time (the injected delay rides in the
+/// frame) so a slow link never blocks the reader.
 pub(crate) struct Envelope {
     pub(crate) deliver_at: Option<Instant>,
     pub(crate) msg: Message,
@@ -124,8 +128,9 @@ pub trait Transport: Send {
     /// meshes) never collide in a merged trace.
     fn mesh_id(&self) -> u64;
 
-    /// Queues a message to `to`. Never blocks; a cut link "succeeds"
-    /// (the loss only surfaces as the receiver's timeout).
+    /// Queues a message to `to`. A cut link "succeeds" (the loss only
+    /// surfaces as the receiver's timeout); a socket whose peer stopped
+    /// reading gives up within the liveness window.
     fn send(&mut self, to: usize, msg: Message) -> Result<(), CommsError>;
 
     /// Blocks until a message from `from` arrives or `deadline` passes.
@@ -145,6 +150,90 @@ pub trait Transport: Send {
     fn msgs_dropped(&self) -> u64;
 }
 
+/// The receive half of an endpoint — the one place a rank waits for a
+/// peer. Both transports feed it the same way (one `mpsc` FIFO per
+/// directed link, filled by the peer's `send` in process and by a
+/// reader thread over TCP) and differ only in how a message leaves.
+pub(crate) struct Mailbox {
+    rank: usize,
+    /// `inbox[from]` — `None` at `from == rank`.
+    inbox: Vec<Option<Receiver<Envelope>>>,
+    /// The head of link `from` while its delivery instant is still in the
+    /// future (injected delay); holding it keeps the link FIFO.
+    held: Vec<Option<Envelope>>,
+    /// How a socket transport hears of a peer's death mid-wait: the
+    /// failure detector, and how often to ask it. In process a dead peer
+    /// is a disconnected channel, which wakes the wait by itself.
+    liveness: Option<(Arc<Health>, Duration)>,
+}
+
+impl Mailbox {
+    pub(crate) fn new(
+        rank: usize,
+        inbox: Vec<Option<Receiver<Envelope>>>,
+        liveness: Option<(Arc<Health>, Duration)>,
+    ) -> Mailbox {
+        let held = inbox.iter().map(|_| None).collect();
+        Mailbox { rank, inbox, held, liveness }
+    }
+
+    /// The next message from `from`, waiting until `deadline` (`None`:
+    /// not at all). `Ok(None)` means nothing deliverable by then.
+    pub(crate) fn recv(
+        &mut self,
+        from: usize,
+        deadline: Option<Instant>,
+    ) -> Result<Option<Message>, CommsError> {
+        let rank = self.rank;
+        let Some(rx) = self.inbox.get(from).and_then(Option::as_ref) else {
+            return Err(CommsError::Mismatch(format!("recv from invalid rank {from}")));
+        };
+        let held = &mut self.held[from];
+        let (health, slice) = match &self.liveness {
+            Some((health, slice)) => (Some(health), *slice),
+            None => (None, Duration::MAX),
+        };
+        loop {
+            if health.is_some_and(|h| h.is_dead(from)) {
+                return Err(CommsError::PeerDead { rank, peer: from });
+            }
+            let now = Instant::now();
+            let left = deadline.map_or(Duration::ZERO, |d| d.saturating_duration_since(now));
+            if held.is_none() {
+                // Waits in slices so a mid-wait death verdict surfaces
+                // within one of them instead of the full deadline.
+                let next = if left.is_zero() {
+                    rx.try_recv().map_err(|e| e == TryRecvError::Disconnected)
+                } else {
+                    rx.recv_timeout(left.min(slice)).map_err(|e| e == RecvTimeoutError::Disconnected)
+                };
+                match next {
+                    Ok(env) => *held = Some(env),
+                    Err(true) => return Err(CommsError::Closed { rank, peer: from }),
+                    Err(false) if left.is_zero() => return Ok(None),
+                    Err(false) => continue,
+                }
+            }
+            let due = held.as_ref().and_then(|env| env.deliver_at);
+            match due.map(|at| at.saturating_duration_since(now)) {
+                // FIFO: this *is* the next message, so if it cannot be
+                // delivered in time nothing can.
+                Some(wait) if wait > left => return Ok(None),
+                Some(wait) if !wait.is_zero() => std::thread::sleep(wait.min(slice)),
+                _ => return Ok(held.take().map(|env| env.msg)),
+            }
+        }
+    }
+
+    /// Discards everything held or queued.
+    pub(crate) fn drain(&mut self) {
+        for (held, rx) in self.held.iter_mut().zip(&self.inbox) {
+            *held = None;
+            while rx.as_ref().is_some_and(|rx| rx.try_recv().is_ok()) {}
+        }
+    }
+}
+
 /// In-process mesh endpoint: one `mpsc` channel per directed link.
 pub struct InProcTransport {
     rank: usize,
@@ -152,11 +241,7 @@ pub struct InProcTransport {
     mesh_id: u64,
     /// `out[to]` — `None` at `to == rank`.
     out: Vec<Option<Sender<Envelope>>>,
-    /// `inbox[from]` — `None` at `from == rank`.
-    inbox: Vec<Option<Receiver<Envelope>>>,
-    /// A received envelope whose delivery instant is still in the
-    /// future (injected delay); per-link FIFO order is preserved.
-    held: Vec<Option<Envelope>>,
+    mailbox: Mailbox,
     faults: Arc<FaultController>,
     bytes_sent: u64,
     msgs_sent: u64,
@@ -201,8 +286,7 @@ impl InProcTransport {
                 world,
                 mesh_id,
                 out,
-                inbox,
-                held: (0..world).map(|_| None).collect(),
+                mailbox: Mailbox::new(rank, inbox, None),
                 faults: Arc::clone(&faults),
                 bytes_sent: 0,
                 msgs_sent: 0,
@@ -214,10 +298,6 @@ impl InProcTransport {
     /// The shared fault controller (for tests that only hold endpoints).
     pub fn faults(&self) -> &Arc<FaultController> {
         &self.faults
-    }
-
-    fn closed(&self, peer: usize) -> CommsError {
-        CommsError::Closed { rank: self.rank, peer }
     }
 }
 
@@ -249,79 +329,22 @@ impl Transport for InProcTransport {
             }
             Decision::Deliver(delay) => {
                 let env = Envelope { deliver_at: delay.map(|d| Instant::now() + d), msg };
-                tx.send(env).map_err(|_| self.closed(to))
+                tx.send(env).map_err(|_| CommsError::Closed { rank: self.rank, peer: to })
             }
         }
     }
 
     fn recv_from(&mut self, from: usize, deadline: Instant) -> Result<Message, CommsError> {
-        let timeout = || CommsError::Timeout { rank: self.rank, from };
-        loop {
-            let now = Instant::now();
-            if let Some(env) = self.held[from].take() {
-                match env.deliver_at {
-                    Some(at) if at > now => {
-                        if at > deadline {
-                            // FIFO: this *is* the next message and it
-                            // cannot arrive in time.
-                            self.held[from] = Some(env);
-                            return Err(timeout());
-                        }
-                        std::thread::sleep(at - now);
-                        self.held[from] = Some(env);
-                        continue;
-                    }
-                    _ => return Ok(env.msg),
-                }
-            }
-            if now >= deadline {
-                return Err(timeout());
-            }
-            let rx = self.inbox[from]
-                .as_ref()
-                .ok_or_else(|| CommsError::Mismatch(format!("recv from invalid rank {from}")))?;
-            match rx.recv_timeout(deadline - now) {
-                Ok(env) => self.held[from] = Some(env),
-                Err(RecvTimeoutError::Timeout) => return Err(timeout()),
-                Err(RecvTimeoutError::Disconnected) => return Err(self.closed(from)),
-            }
-        }
+        let timeout = CommsError::Timeout { rank: self.rank, from };
+        self.mailbox.recv(from, Some(deadline))?.ok_or(timeout)
     }
 
     fn try_recv_from(&mut self, from: usize) -> Result<Option<Message>, CommsError> {
-        let now = Instant::now();
-        if let Some(env) = self.held[from].take() {
-            match env.deliver_at {
-                Some(at) if at > now => {
-                    self.held[from] = Some(env);
-                    return Ok(None);
-                }
-                _ => return Ok(Some(env.msg)),
-            }
-        }
-        let Some(rx) = self.inbox[from].as_ref() else {
-            return Ok(None);
-        };
-        match rx.try_recv() {
-            Ok(env) => match env.deliver_at {
-                Some(at) if at > now => {
-                    self.held[from] = Some(env);
-                    Ok(None)
-                }
-                _ => Ok(Some(env.msg)),
-            },
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(self.closed(from)),
-        }
+        self.mailbox.recv(from, None)
     }
 
     fn drain(&mut self) {
-        for from in 0..self.world {
-            self.held[from] = None;
-            if let Some(rx) = self.inbox[from].as_ref() {
-                while rx.try_recv().is_ok() {}
-            }
-        }
+        self.mailbox.drain();
     }
 
     fn bytes_sent(&self) -> u64 {
@@ -340,85 +363,92 @@ impl Transport for InProcTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use crate::{HeartbeatConfig, TcpTransport};
 
-    fn tag(id: u64, step: u32) -> Tag {
-        Tag { epoch: 0, kind: Kind::Barrier, id, step }
+    fn bytes(id: u64, body: Vec<u8>) -> Message {
+        Message { tag: Tag { epoch: 0, kind: Kind::Barrier, id, step: 0 }, payload: Payload::Bytes(body) }
     }
 
-    fn deadline_ms(ms: u64) -> Instant {
+    fn within(ms: u64) -> Instant {
         Instant::now() + Duration::from_millis(ms)
     }
 
-    #[test]
-    fn mesh_delivers_in_fifo_order() {
-        let mut mesh = InProcTransport::mesh(2);
-        let (mut a, mut b) = {
-            let b = mesh.pop().unwrap();
-            (mesh.pop().unwrap(), b)
-        };
+    /// What every endpoint owes the collectives, whatever carries the
+    /// message: per-link FIFO, a cut link that times out instead of
+    /// hanging, injected delay that holds a message back without
+    /// reordering, a drain that discards what was held, and a dead peer
+    /// that surfaces as an error. `mesh` builds a world of 2.
+    fn endpoint_contract<T: Transport>(mesh: impl Fn(Arc<FaultController>) -> Vec<T>) {
+        let faults = Arc::new(FaultController::new());
+        let mut ends = mesh(Arc::clone(&faults));
+        let (mut b, mut a) = (ends.pop().unwrap(), ends.pop().unwrap());
+        assert_eq!((a.rank(), b.rank(), a.world()), (0, 1, 2));
+
+        // FIFO, and the byte model on the sender.
         for i in 0..4 {
-            a.send(1, Message { tag: tag(i, 0), payload: Payload::Bytes(vec![i as u8]) })
-                .unwrap();
+            a.send(1, bytes(i, vec![i as u8])).unwrap();
         }
         for i in 0..4 {
-            let m = b.recv_from(0, deadline_ms(1000)).unwrap();
-            assert_eq!(m.tag.id, i);
-            assert_eq!(m.payload, Payload::Bytes(vec![i as u8]));
+            let m = b.recv_from(0, within(5000)).unwrap();
+            assert_eq!((m.tag.id, m.payload), (i, Payload::Bytes(vec![i as u8])));
         }
         assert!(b.try_recv_from(0).unwrap().is_none());
-        assert_eq!(a.bytes_sent(), 4 * (Payload::HEADER_BYTES + 1));
-        assert_eq!(a.msgs_sent(), 4);
-    }
+        assert_eq!((a.msgs_sent(), a.bytes_sent()), (4, 4 * (Payload::HEADER_BYTES + 1)));
+        assert!(matches!(b.recv_from(1, within(10)), Err(CommsError::Mismatch(_))), "own rank");
 
-    #[test]
-    fn cut_link_times_out_instead_of_hanging() {
-        let faults = Arc::new(FaultController::new());
-        let mut mesh = InProcTransport::mesh_with_faults(2, Arc::clone(&faults));
-        let mut b = mesh.pop().unwrap();
-        let mut a = mesh.pop().unwrap();
+        // A cut link loses the message; the receiver's wait is bounded.
         faults.cut_link(0, 1);
-        a.send(1, Message { tag: tag(0, 0), payload: Payload::Bytes(vec![]) }).unwrap();
+        a.send(1, bytes(4, vec![])).unwrap();
         let t0 = Instant::now();
-        let err = b.recv_from(0, deadline_ms(30)).unwrap_err();
-        assert_eq!(err, CommsError::Timeout { rank: 1, from: 0 });
+        let timeout = CommsError::Timeout { rank: 1, from: 0 };
+        assert_eq!(b.recv_from(0, within(30)).unwrap_err(), timeout);
         assert!(t0.elapsed() < Duration::from_secs(5), "bounded wait");
         assert_eq!(a.msgs_dropped(), 1);
-    }
+        faults.heal_link(0, 1);
 
-    #[test]
-    fn delayed_message_arrives_late_but_intact() {
-        let faults = Arc::new(FaultController::new());
-        let mut mesh = InProcTransport::mesh_with_faults(2, Arc::clone(&faults));
-        let mut b = mesh.pop().unwrap();
-        let mut a = mesh.pop().unwrap();
+        // Injected delay: late but intact, and not deliverable early.
         faults.delay_link(0, 1, Duration::from_millis(20));
-        a.send(1, Message { tag: tag(7, 1), payload: Payload::F64(vec![1.5]) }).unwrap();
-        // Not deliverable yet.
+        a.send(1, Message { tag: bytes(7, vec![]).tag, payload: Payload::F64(vec![1.5]) }).unwrap();
         assert!(b.try_recv_from(0).unwrap().is_none());
-        let m = b.recv_from(0, deadline_ms(1000)).unwrap();
-        assert_eq!(m.tag, tag(7, 1));
-        assert_eq!(m.payload, Payload::F64(vec![1.5]));
-    }
+        let m = b.recv_from(0, within(5000)).unwrap();
+        assert_eq!((m.tag.id, m.payload), (7, Payload::F64(vec![1.5])));
 
-    #[test]
-    fn drain_discards_queued_traffic() {
-        let mut mesh = InProcTransport::mesh(2);
-        let mut b = mesh.pop().unwrap();
-        let mut a = mesh.pop().unwrap();
-        a.send(1, Message { tag: tag(0, 0), payload: Payload::Bytes(vec![1]) }).unwrap();
-        a.send(1, Message { tag: tag(1, 0), payload: Payload::Bytes(vec![2]) }).unwrap();
+        // Drain. A message due in a minute cannot meet a 10 s deadline,
+        // and the wait says so the moment it arrives — which proves it
+        // is held when `drain` runs, on either transport.
+        faults.delay_link(0, 1, Duration::from_secs(60));
+        a.send(1, bytes(8, vec![1])).unwrap();
+        let t0 = Instant::now();
+        assert_eq!(b.recv_from(0, within(10_000)).unwrap_err(), timeout);
+        assert!(t0.elapsed() < Duration::from_secs(5), "FIFO verdict, not a wait");
         b.drain();
-        assert!(b.try_recv_from(0).unwrap().is_none());
+        faults.heal_link(0, 1);
+        a.send(1, bytes(9, vec![2])).unwrap();
+        assert_eq!(b.recv_from(0, within(5000)).unwrap().tag.id, 9, "the held message is gone");
+
+        // A dead peer is an error, not a wait.
+        drop(b);
+        let t0 = Instant::now();
+        let err = a.recv_from(1, within(30_000)).unwrap_err();
+        let gone = [CommsError::Closed { rank: 0, peer: 1 }, CommsError::PeerDead { rank: 0, peer: 1 }];
+        assert!(gone.contains(&err), "got {err:?}");
+        assert!(t0.elapsed() < Duration::from_secs(5));
     }
 
     #[test]
-    fn dead_peer_surfaces_closed() {
+    fn in_process_mesh_keeps_the_endpoint_contract() {
+        endpoint_contract(|faults| InProcTransport::mesh_with_faults(2, faults));
+        // In process the sender learns of a dead peer too.
         let mut mesh = InProcTransport::mesh(2);
-        let b = mesh.pop().unwrap();
-        let mut a = mesh.pop().unwrap();
-        drop(b);
-        let err = a.send(1, Message { tag: tag(0, 0), payload: Payload::Bytes(vec![]) });
+        mesh.pop();
+        let err = mesh[0].send(1, bytes(0, vec![]));
         assert_eq!(err, Err(CommsError::Closed { rank: 0, peer: 1 }));
+    }
+
+    #[test]
+    fn tcp_mesh_keeps_the_endpoint_contract() {
+        endpoint_contract(|faults| {
+            TcpTransport::local_mesh_with(2, faults, HeartbeatConfig::default()).unwrap()
+        });
     }
 }

@@ -1,6 +1,7 @@
 //! Rendezvous/bootstrap edge cases: full-mesh assembly, duplicate-rank
-//! rejection, bounded failure on a missing world or dead address, and
-//! stale-epoch joins getting drained via the agreed epoch.
+//! rejection, bounded failure on a missing world or dead address,
+//! stale-epoch joins getting drained via the agreed epoch, and silent
+//! strangers that delay nobody.
 
 use comms::{
     bootstrap_tcp, BootstrapConfig, CommsError, Communicator, FaultController, HeartbeatConfig,
@@ -219,4 +220,33 @@ fn second_generation_reuses_the_same_rendezvous() {
             assert_eq!(info.epoch, generation + 1);
         }
     }
+}
+
+#[test]
+fn silent_strangers_ahead_of_the_world_delay_nobody() {
+    // Five connections that never say a word sit in the host's lobby
+    // ahead of the real ranks. Each used to cost the accept loop its 2 s
+    // handshake timeout, one after the other; polled without blocking
+    // they cost nothing.
+    let rdv = Rendezvous::host("127.0.0.1:0", 2).unwrap();
+    let addr = rdv.addr();
+    let strangers: Vec<_> =
+        (0..5).map(|_| std::net::TcpStream::connect(&addr).unwrap()).collect();
+    let t0 = Instant::now();
+    std::thread::scope(|s| {
+        for rank in 0..2 {
+            let addr = addr.clone();
+            s.spawn(move || {
+                let faults = Arc::new(FaultController::new());
+                let (t, info) = bootstrap_tcp(&addr, rank, 2, 0, &quick_cfg(), faults).unwrap();
+                assert_eq!(info.generation, 0);
+                let mut comm = Communicator::new(t).with_timeout(Duration::from_secs(10));
+                comm.adopt_epoch(info.epoch);
+                comm.barrier().unwrap();
+            });
+        }
+    });
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(1), "a world of 2 behind 5 strangers took {took:?}");
+    drop(strangers);
 }

@@ -10,16 +10,24 @@
 //! than the header, an unknown payload or kind code, or a payload whose
 //! byte count is not a multiple of its element size is an `Err`;
 //! everything else decodes to a message that re-encodes to the same
-//! bytes. The length word is guarded before the body is allocated or
-//! read (`read_message` over a real socket).
+//! bytes. The bootstrap's handshake messages ride the same frames and
+//! sit in the same tables: whatever the decoder accepts,
+//! `Handshake::decode` classifies or refuses without panicking, and
+//! what it classifies survives its own encoding.
+//!
+//! The second half drives the one reader every socket is read through
+//! (`FrameReader`) over a scripted stream: frames cut at every byte
+//! offset and under arbitrary chunking come out exactly as they went
+//! in, truncation anywhere ends in "stopped" or "closed", and a length
+//! word alone — any `u32` — never makes the reader hold more than one
+//! growth step.
 
-use comms::tcp::framing;
+use comms::bootstrap::Handshake;
+use comms::tcp::framing::{self, FrameReader};
 use comms::{Kind, Message, Payload, Tag};
 use proptest::prelude::*;
-use std::io::Write;
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::collections::VecDeque;
+use std::io::{ErrorKind, Read};
 use tensor::f16::F16;
 
 const KINDS: [Kind; 7] = [
@@ -67,24 +75,56 @@ fn payloads(n: usize) -> [Payload; 4] {
     ]
 }
 
-/// The body (everything after the length word) of a valid frame of
-/// every kind × payload type, empty and non-empty.
-fn valid_bodies() -> Vec<Vec<u8>> {
-    let mut out = Vec::new();
+/// One of each bootstrap message, as the frames the rendezvous and the
+/// data-link preamble put on the wire.
+fn handshakes() -> Vec<Message> {
+    let addr = |s: &str| s.parse().unwrap();
+    [
+        Handshake::Register {
+            rank: 2,
+            world: 3,
+            epoch: 0x0506_0708,
+            addr: addr("127.0.0.1:4242"),
+        },
+        Handshake::Book {
+            generation: 1,
+            epoch: 9,
+            addrs: vec![addr("127.0.0.1:1"), addr("[::1]:65535")],
+        },
+        Handshake::Reject("rank 7 out of range for world 3".to_string()),
+        Handshake::Preamble {
+            rank: 1,
+            generation: 4,
+        },
+    ]
+    .iter()
+    .map(Handshake::encode)
+    .collect()
+}
+
+/// Complete frames (length word included) of every kind × payload type,
+/// empty and non-empty, and of every handshake message.
+fn valid_frames() -> Vec<Vec<u8>> {
+    let mut messages = handshakes();
     for kind in KINDS {
         for n in [0, 3] {
-            for payload in payloads(n) {
-                let frame = framing::encode(&Message {
-                    tag: tag(kind),
-                    payload,
-                });
-                let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
-                assert_eq!(len, frame.len() - 4, "length word counts the body");
-                out.push(frame[4..].to_vec());
-            }
+            messages.extend(payloads(n).map(|payload| Message {
+                tag: tag(kind),
+                payload,
+            }));
         }
     }
-    out
+    let frames: Vec<Vec<u8>> = messages.iter().map(framing::encode).collect();
+    for frame in &frames {
+        let len = u32::from_le_bytes(*frame.first_chunk().unwrap()) as usize;
+        assert_eq!(len, frame.len() - 4, "length word counts the body");
+    }
+    frames
+}
+
+/// The body (everything after the length word) of each valid frame.
+fn valid_bodies() -> Vec<Vec<u8>> {
+    valid_frames().iter().map(|f| f[4..].to_vec()).collect()
 }
 
 /// What the layout says about `body`, independently of the decoder:
@@ -106,13 +146,19 @@ fn check(body: &[u8]) -> Result<(), String> {
             let mut want = body.to_vec();
             want[header_len() - 4..header_len()].fill(0);
             let back = framing::encode(&msg);
-            if back[4..] == want[..] {
-                Ok(())
-            } else {
-                Err(format!(
+            if back[4..] != want[..] {
+                return Err(format!(
                     "decoded {msg:?} re-encodes to {:?}, not {want:?}",
                     &back[4..]
-                ))
+                ));
+            }
+            // One layer up: a frame the bootstrap would be handed is
+            // classified or refused, and a classified one is stable.
+            match Handshake::decode(msg) {
+                Ok(hs) if Handshake::decode(hs.encode()) != Ok(hs.clone()) => {
+                    Err(format!("{hs:?} does not survive its own encoding"))
+                }
+                _ => Ok(()),
             }
         }
         (Ok(msg), false) => Err(format!("malformed body {body:?} decoded to {msg:?}")),
@@ -184,48 +230,189 @@ proptest! {
     }
 }
 
-/// Reads one message from a socket whose peer wrote only `len_word`,
-/// then nothing, and keeps the socket open. A reader that trusted the
-/// length would wait for (and allocate) the body; the watchdog turns
-/// that hang into `Ok(None)`.
-fn read_after_length_word(len_word: u32) -> std::io::Result<Option<Message>> {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let mut writer = TcpStream::connect(addr).unwrap();
-    let (mut reader, _) = listener.accept().unwrap();
-    reader
-        .set_read_timeout(Some(Duration::from_millis(10)))
-        .unwrap();
-    writer.write_all(&len_word.to_le_bytes()).unwrap();
-    let shutdown = AtomicBool::new(false);
-    let (done, watchdog) = std::sync::mpsc::channel::<()>();
-    std::thread::scope(|s| {
-        let shutdown = &shutdown;
-        s.spawn(move || {
-            let _ = watchdog.recv_timeout(Duration::from_secs(1));
-            shutdown.store(true, Ordering::Relaxed);
-        });
-        let got = framing::read_message(&mut reader, shutdown);
-        drop((writer, done));
-        got
-    })
+/// What a scripted stream does on one `read`: hands over bytes (as
+/// many as the caller has room for; the rest stay for the next read),
+/// or reports that it would block. A script that has run out is a
+/// closed stream (an empty `Bytes` is skipped, not mistaken for one).
+enum Step {
+    Bytes(Vec<u8>),
+    Block,
+}
+
+struct Script(VecDeque<Step>);
+
+impl Read for Script {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match self.0.pop_front() {
+            None => Ok(0),
+            Some(Step::Block) => Err(ErrorKind::WouldBlock.into()),
+            Some(Step::Bytes(bytes)) if bytes.is_empty() => self.read(buf),
+            Some(Step::Bytes(mut bytes)) => {
+                let n = bytes.len().min(buf.len());
+                buf[..n].copy_from_slice(&bytes[..n]);
+                if n < bytes.len() {
+                    self.0.push_front(Step::Bytes(bytes.split_off(n)));
+                }
+                Ok(n)
+            }
+        }
+    }
+}
+
+/// Everything a reader yields from `script` under a caller that stops
+/// waiting at once: the frames (re-encoded), how many times the wait
+/// was stopped, and the error that ended the stream.
+fn drain(script: Vec<Step>) -> (Vec<Vec<u8>>, usize, ErrorKind) {
+    let mut reader = FrameReader::new(Script(script.into()));
+    let (mut frames, mut stops) = (Vec::new(), 0);
+    loop {
+        match reader.recv(|| true) {
+            Ok(Some(msg)) => frames.push(framing::encode(&msg)),
+            Ok(None) => stops += 1,
+            Err(e) => return (frames, stops, e.kind()),
+        }
+    }
+}
+
+/// Every frame of the tables back to back, as one byte stream.
+fn stream() -> (Vec<Vec<u8>>, Vec<u8>) {
+    let frames = valid_frames();
+    let bytes = frames.concat();
+    (frames, bytes)
+}
+
+/// The stream cut in two at every byte offset, the reader stopped in
+/// between (a stopped wait ends the call; the next call resumes from
+/// the buffered prefix): exactly the frames that went in, in order.
+/// Exhaustive.
+#[test]
+fn frames_cut_at_every_byte_offset_come_out_whole() {
+    let (frames, bytes) = stream();
+    for cut in 0..=bytes.len() {
+        let (head, tail) = bytes.split_at(cut);
+        let script = vec![
+            Step::Bytes(head.to_vec()),
+            Step::Block,
+            Step::Bytes(tail.to_vec()),
+        ];
+        let (got, stops, end) = drain(script);
+        assert_eq!(got, frames, "cut at {cut}");
+        assert!(stops >= 1, "cut at {cut}: the blocked read ends a call");
+        assert_eq!(end, ErrorKind::UnexpectedEof, "cut at {cut}");
+    }
+}
+
+/// The stream truncated at every byte offset: the whole frames of the
+/// prefix, then "closed" when the peer hung up and "stopped" for as
+/// long as it merely went silent — never a panic, a hang or an invented
+/// frame. Exhaustive.
+#[test]
+fn truncation_anywhere_ends_in_stopped_or_closed() {
+    let (frames, bytes) = stream();
+    for cut in 0..bytes.len() {
+        let whole = {
+            let mut end = 0;
+            frames
+                .iter()
+                .take_while(|f| {
+                    end += f.len();
+                    end <= cut
+                })
+                .count()
+        };
+        let (got, _, end) = drain(vec![Step::Bytes(bytes[..cut].to_vec())]);
+        assert_eq!(got, frames[..whole], "hung up at {cut}");
+        assert_eq!(end, ErrorKind::UnexpectedEof, "hung up at {cut}");
+        let silent = vec![Step::Bytes(bytes[..cut].to_vec()), Step::Block, Step::Block];
+        let (got, stops, _) = drain(silent);
+        assert_eq!(got, frames[..whole], "silent at {cut}");
+        assert!(stops >= 2, "silent at {cut}: every blocked read is a stop");
+    }
+}
+
+/// What a reader holds after `len_word` and nothing else arrived, and
+/// how that read ended.
+fn after_length_word(len_word: u32) -> (usize, std::io::Result<Option<Message>>) {
+    let script = vec![Step::Bytes(len_word.to_le_bytes().to_vec()), Step::Block];
+    let mut reader = FrameReader::new(Script(script.into()));
+    let got = reader.recv(|| true);
+    (reader.capacity(), got)
 }
 
 /// The length-word guard: below the header or above `MAX_FRAME_BYTES`
-/// is `InvalidData` straight away — the body is neither allocated nor
-/// waited for.
+/// is `InvalidData` straight away; the bounds themselves are legal, and
+/// the reader goes on to wait for the body without reserving it.
 #[test]
 fn length_words_outside_the_frame_bounds_are_invalid_data() {
     let header = header_len() as u32;
     for len in [0, 1, header - 1, framing::MAX_FRAME_BYTES + 1, u32::MAX] {
-        let err = read_after_length_word(len).expect_err("a corrupt length word is an error");
-        assert_eq!(
-            err.kind(),
-            std::io::ErrorKind::InvalidData,
-            "length {len}: {err}"
+        let (_, got) = after_length_word(len);
+        let err = got.expect_err("a corrupt length word is an error");
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "length {len}: {err}");
+    }
+    for len in [header, header + 2, framing::MAX_FRAME_BYTES] {
+        let (held, got) = after_length_word(len);
+        assert!(matches!(got, Ok(None)), "length {len}: {got:?}");
+        assert!(
+            held <= FrameReader::<Script>::GROW_STEP,
+            "length {len}: {held} B"
         );
     }
-    // The bounds themselves are legal lengths: the reader goes on to
-    // wait for the body (here: until the watchdog stops it).
-    assert!(matches!(read_after_length_word(header + 2), Ok(None)));
+}
+
+/// A frame as large as the format allows, arriving slowly: what the
+/// reader holds follows what has arrived, not what was announced.
+#[test]
+fn a_huge_announced_frame_grows_the_buffer_only_as_it_arrives() {
+    let step = FrameReader::<Script>::GROW_STEP;
+    let mut script = vec![Step::Bytes(framing::MAX_FRAME_BYTES.to_le_bytes().to_vec())];
+    script.extend((0..40).map(|_| Step::Bytes(vec![0; 10_000])));
+    script.push(Step::Block);
+    let mut reader = FrameReader::new(Script(script.into()));
+    assert!(matches!(reader.recv(|| true), Ok(None)));
+    let arrived = 4 + 40 * 10_000;
+    assert!(
+        reader.capacity() <= 2 * arrived + step,
+        "{} B held for {arrived} B received",
+        reader.capacity()
+    );
+}
+
+proptest! {
+    /// Arbitrary chunking — any read sizes, blocked reads anywhere —
+    /// yields exactly the frames that went in.
+    #[test]
+    fn arbitrary_chunking_yields_exactly_the_frames(
+        picks in proptest::collection::vec(0usize..32, 1..6),
+        chunks in proptest::collection::vec((1usize..48, any::<bool>()), 1..64),
+    ) {
+        let table = valid_frames();
+        let frames: Vec<Vec<u8>> = picks.iter().map(|&i| table[i % table.len()].clone()).collect();
+        let bytes = frames.concat();
+        let (mut script, mut at) = (Vec::new(), 0);
+        for (size, blocked) in chunks.iter().cycle() {
+            if at == bytes.len() {
+                break;
+            }
+            let end = (at + size).min(bytes.len());
+            script.push(Step::Bytes(bytes[at..end].to_vec()));
+            if *blocked {
+                script.push(Step::Block);
+            }
+            at = end;
+        }
+        let (got, _, end) = drain(script);
+        prop_assert_eq!(got, frames);
+        prop_assert_eq!(end, ErrorKind::UnexpectedEof);
+    }
+
+    /// Any length word at all: an error or a wait, and at most one
+    /// growth step held either way.
+    #[test]
+    fn any_length_word_holds_at_most_one_growth_step(len in any::<u32>()) {
+        let (held, got) = after_length_word(len);
+        let legal = (header_len() as u32..=framing::MAX_FRAME_BYTES).contains(&len);
+        prop_assert_eq!(got.is_ok(), legal, "length {}", len);
+        prop_assert!(held <= FrameReader::<Script>::GROW_STEP, "{} B held", held);
+    }
 }

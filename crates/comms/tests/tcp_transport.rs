@@ -1,11 +1,16 @@
 //! The TCP transport behind the same collectives the in-process mesh
 //! runs: bitwise ring all-reduce parity, FIFO + tag routing, fault
-//! composition at enqueue time, and heartbeat failure detection.
+//! composition at enqueue time, heartbeat failure detection, and a
+//! write deadline on every link.
 
+use comms::bootstrap::Handshake;
+use comms::tcp::framing::{self, FrameWriter};
 use comms::{
-    CommsError, Communicator, FaultController, HeartbeatConfig, Kind, Message, Payload, Tag,
-    TcpTransport, Transport,
+    bootstrap_tcp, BootstrapConfig, CommsError, Communicator, FaultController, HeartbeatConfig,
+    Kind, Message, Payload, Rendezvous, Tag, TcpTransport, Transport,
 };
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tensor::f16::F16;
@@ -235,4 +240,72 @@ fn broadcast_and_barrier_work_over_tcp() {
     for r in results {
         assert_eq!(r, payload);
     }
+}
+
+#[test]
+fn a_peer_that_stops_reading_fails_the_send_instead_of_wedging_it() {
+    // Rank 1 is played by hand over raw sockets: it registers, accepts
+    // rank 0's link and never reads it, and keeps its own link to rank 0
+    // chatty — so the failure detector sees a live peer and the only
+    // thing standing between `send` and a full socket is the writer's
+    // deadline (the 200 ms heartbeat window).
+    let rdv = Rendezvous::host("127.0.0.1:0", 2).unwrap();
+    let cfg = BootstrapConfig {
+        rendezvous_timeout: Duration::from_secs(10),
+        heartbeat: HeartbeatConfig { interval: Duration::from_millis(25), miss_limit: 8 },
+        ..BootstrapConfig::default()
+    };
+    let addr = rdv.addr();
+    let rank0 = std::thread::spawn(move || {
+        bootstrap_tcp(&addr, 0, 2, 0, &cfg, Arc::new(FaultController::new()))
+    });
+    let patient = Duration::from_secs(5);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let host = TcpStream::connect(rdv.addr()).unwrap();
+    let (mut from_host, to_host) = framing::split(host, patient).unwrap();
+    let register = Handshake::Register {
+        rank: 1,
+        world: 2,
+        epoch: 0,
+        addr: listener.local_addr().unwrap(),
+    };
+    to_host.send(&register.encode()).unwrap();
+    let book = from_host.recv(|| false).unwrap().unwrap();
+    let Ok(Handshake::Book { generation, addrs, .. }) = Handshake::decode(book) else {
+        panic!("the host answers a full world with the address book");
+    };
+    let (unread, _) = listener.accept().unwrap();
+    let chatty = FrameWriter::new(TcpStream::connect(addrs[0]).unwrap(), patient).unwrap();
+    chatty.send(&Handshake::Preamble { rank: 1, generation }.encode()).unwrap();
+    let (mut a, _) = rank0.join().unwrap().expect("rank 0 joins the hand-made world");
+
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let tag = Tag { epoch: 0, kind: Kind::Heartbeat, id: 0, step: 1 };
+            while !done.load(Ordering::Relaxed) {
+                chatty.send(&Message { tag, payload: Payload::Bytes(Vec::new()) }).unwrap();
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        });
+        let big = || Message {
+            tag: Tag { epoch: 0, kind: Kind::P2p, id: 0, step: 0 },
+            payload: Payload::Bytes(vec![0; 1 << 20]),
+        };
+        let t0 = Instant::now();
+        let err = (0..64).find_map(|_| a.send(1, big()).err());
+        let stuck = t0.elapsed();
+        done.store(true, Ordering::Relaxed);
+        assert_eq!(err, Some(CommsError::Timeout { rank: 0, from: 1 }), "64 MB into no reader");
+        assert!(stuck < Duration::from_secs(5), "gave up after {stuck:?}");
+        assert!(!a.peer_dead(1), "the peer was talking all along");
+        // The link is closed, not left holding half a frame.
+        let t0 = Instant::now();
+        assert!(matches!(a.send(1, big()), Err(CommsError::Io(_))));
+        assert!(t0.elapsed() < Duration::from_millis(100), "a closed link fails at once");
+    });
+    let t0 = Instant::now();
+    drop(a);
+    assert!(t0.elapsed() < Duration::from_secs(2), "no thread of the endpoint is parked");
+    drop(unread);
 }

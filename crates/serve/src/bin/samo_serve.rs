@@ -150,15 +150,10 @@ fn smoke_mode(args: &[String]) -> Result<(), String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let addr_file = dir.join("serve.addr");
     let mut child = std::process::Command::new(&exe)
-        .args([
-            "--serve",
-            "--dir",
-            dir.to_str().unwrap(),
-            "--addr-file",
-            addr_file.to_str().unwrap(),
-            "--replicas",
-            "2",
-        ])
+        .args(["--serve", "--replicas", "2", "--dir"])
+        .arg(&dir)
+        .arg("--addr-file")
+        .arg(&addr_file)
         .spawn()
         .map_err(|e| format!("spawn server child: {e}"))?;
     let smoke = (|| -> Result<(), String> {

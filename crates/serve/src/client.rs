@@ -1,19 +1,16 @@
 //! A blocking serving client: one TCP connection, closed-loop
 //! request/reply, deadline-aware reads.
 //!
-//! The transport-side frame reader (`comms::tcp::framing`) rides out
-//! read timeouts forever by design — a training rank would rather
-//! stall than miss a collective. A serving client is the opposite: an
-//! SLA load generator must be able to *give up* on a reply at its
-//! deadline and keep the connection usable. So the client keeps its
-//! own incremental frame buffer: a read that hits the deadline
-//! mid-frame simply resumes from the buffered prefix on the next
-//! call, and a late reply for an abandoned request is skipped by `id`
-//! when it finally lands — the stream never desynchronizes.
+//! An SLA load generator must be able to *give up* on a reply at its
+//! deadline and keep the connection usable. The one frame reader
+//! (`comms::tcp::framing::FrameReader`) is resumable for exactly that:
+//! the deadline is the stop condition the client hands it, a read that
+//! hits it mid-frame resumes from the buffered prefix on the next call,
+//! and a late reply for an abandoned request is skipped by `id` when it
+//! finally lands — the stream never desynchronizes.
 
 use crate::protocol::{self, ClientBound};
-use comms::tcp::framing;
-use std::io::Read;
+use comms::tcp::framing::{self, FrameReader, FrameWriter};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -53,24 +50,18 @@ impl std::fmt::Display for ServeError {
 }
 
 pub struct ServeClient {
-    stream: TcpStream,
-    /// Incremental receive buffer; survives abandoned reads so a
-    /// deadline hit mid-frame never tears the stream.
-    rdbuf: Vec<u8>,
-    /// Total frame bytes (length word included) wanted before the
-    /// buffered frame completes; 0 while the length word is pending.
-    need: usize,
+    reader: FrameReader<TcpStream>,
+    writer: FrameWriter,
     next_id: u64,
 }
 
 impl ServeClient {
     pub fn connect(addr: impl ToSocketAddrs) -> Result<ServeClient, ServeError> {
-        let stream = TcpStream::connect(addr).map_err(|e| ServeError::Io(e.to_string()))?;
-        stream.set_nodelay(true).map_err(|e| ServeError::Io(e.to_string()))?;
-        stream
-            .set_read_timeout(Some(POLL))
-            .map_err(|e| ServeError::Io(e.to_string()))?;
-        Ok(ServeClient { stream, rdbuf: Vec::new(), need: 0, next_id: 1 })
+        let io = |e: std::io::Error| ServeError::Io(e.to_string());
+        let stream = TcpStream::connect(addr).map_err(io)?;
+        stream.set_read_timeout(Some(POLL)).map_err(io)?;
+        let (reader, writer) = framing::split(stream, protocol::WRITE_DEADLINE).map_err(io)?;
+        Ok(ServeClient { reader, writer, next_id: 1 })
     }
 
     /// Sends `features` and blocks for the matching reply until
@@ -117,12 +108,6 @@ impl ServeClient {
         }
     }
 
-    /// Asks the server to kill replica `idx` (fault drill). Fire and
-    /// forget: the drill's effect is observed through serving behavior.
-    pub fn crash_replica(&mut self, idx: usize) -> Result<(), ServeError> {
-        self.send(&protocol::crash_replica(idx))
-    }
-
     /// Requests a clean server shutdown and waits for the ack (or the
     /// server closing the stream, which means the same thing).
     pub fn shutdown_server(&mut self, deadline: Duration) -> Result<(), ServeError> {
@@ -139,10 +124,10 @@ impl ServeClient {
     }
 
     fn send(&mut self, msg: &comms::Message) -> Result<(), ServeError> {
-        framing::write_message(&mut self.stream, msg).map_err(|e| match e.kind() {
-            std::io::ErrorKind::BrokenPipe | std::io::ErrorKind::ConnectionReset => {
-                ServeError::Closed
-            }
+        self.writer.send(msg).map_err(|e| match e.kind() {
+            std::io::ErrorKind::BrokenPipe
+            | std::io::ErrorKind::ConnectionReset
+            | std::io::ErrorKind::NotConnected => ServeError::Closed,
             _ => ServeError::Io(e.to_string()),
         })
     }
@@ -150,37 +135,11 @@ impl ServeClient {
     /// Reads one frame, resuming any buffered partial frame. `Ok(None)`
     /// on deadline; the partial stays buffered for the next call.
     fn read_frame(&mut self, until: Instant) -> Result<Option<ClientBound>, ServeError> {
-        loop {
-            if self.need == 0 && self.rdbuf.len() >= 4 {
-                let len = u32::from_le_bytes(self.rdbuf[..4].try_into().unwrap());
-                if len == 0 || len > framing::MAX_FRAME_BYTES {
-                    return Err(ServeError::Io(format!("corrupt frame length {len}")));
-                }
-                self.need = 4 + len as usize;
-            }
-            if self.need > 0 && self.rdbuf.len() >= self.need {
-                let body = self.rdbuf[4..self.need].to_vec();
-                self.rdbuf.drain(..self.need);
-                self.need = 0;
-                let msg = framing::decode(&body).map_err(ServeError::Io)?;
-                return protocol::parse_client_bound(msg).map(Some).map_err(ServeError::Io);
-            }
-            if Instant::now() >= until {
-                return Ok(None);
-            }
-            let mut tmp = [0u8; 4096];
-            match self.stream.read(&mut tmp) {
-                Ok(0) => return Err(ServeError::Closed),
-                Ok(n) => self.rdbuf.extend_from_slice(&tmp[..n]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock
-                            | std::io::ErrorKind::TimedOut
-                            | std::io::ErrorKind::Interrupted
-                    ) => {}
-                Err(e) => return Err(ServeError::Io(e.to_string())),
-            }
+        match self.reader.recv(|| Instant::now() >= until) {
+            Ok(None) => Ok(None),
+            Ok(Some(msg)) => protocol::parse_client_bound(msg).map(Some).map_err(ServeError::Io),
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Err(ServeError::Closed),
+            Err(e) => Err(ServeError::Io(e.to_string())),
         }
     }
 }

@@ -88,6 +88,8 @@ impl TrainPublisher {
     }
 
     fn batch_for(&self, step: u64) -> (Tensor, Tensor) {
+        // INVARIANT: `new` built the model from these `dims` through
+        // `toy_model`, which asserts there are at least two.
         let (d_in, d_out) = (self.dims[0], *self.dims.last().unwrap());
         let seed = self.seed.wrapping_mul(31).wrapping_add(1000 + step);
         (

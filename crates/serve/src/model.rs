@@ -137,11 +137,10 @@ pub fn build_model(states: &[SamoLayerState], backend: Backend) -> Result<BuiltM
             _ => return Err(format!("layer {li}: unsupported param rank {}", shape.len())),
         }
     }
-    if linears.is_empty() {
+    let (Some((first, _)), Some((last, _))) = (linears.first(), linears.last()) else {
         return Err("checkpoint holds no linear layers".into());
-    }
-    let in_features = linears[0].0.shape()[1];
-    let out_features = linears.last().unwrap().0.shape()[0];
+    };
+    let (in_features, out_features) = (first.shape()[1], last.shape()[0]);
     let mut seq = Sequential::new();
     let n = linears.len();
     for (i, (w, b)) in linears.into_iter().enumerate() {

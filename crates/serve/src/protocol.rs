@@ -16,8 +16,8 @@
 //! * [`Kind::Barrier`] — clean shutdown handshake (`id` 0 request,
 //!   `id` 1 ack), mirroring its collective meaning: everyone agrees to
 //!   stop.
-//! * [`Kind::Telemetry`] — best-effort control: error replies (payload
-//!   carries the message text) and the kill-replica fault drill.
+//! * [`Kind::Telemetry`] — error replies (payload carries the message
+//!   text).
 //! * [`Kind::Heartbeat`] — liveness ping/pong, echoing the transport's
 //!   probe convention (`step` 0 ping, `step` 1 pong).
 
@@ -27,13 +27,15 @@ use comms::{Kind, Message, Payload, Tag};
 /// epochs, which start at 0 and bump by 1 per recovery.
 pub const PROTO_EPOCH: u32 = 0x5345_5256;
 
+/// How long one frame may sit unwritten, in either direction, before the
+/// connection is given up (ten of the 20 ms poll slices): what keeps a
+/// peer that stopped reading from parking the thread that answers it.
+pub(crate) const WRITE_DEADLINE: std::time::Duration = std::time::Duration::from_millis(200);
+
 /// `Tag::id` of a shutdown request (Barrier).
 pub const SHUTDOWN_ID: u64 = 0;
 /// `Tag::id` of a shutdown acknowledgement (Barrier).
 pub const SHUTDOWN_ACK_ID: u64 = 1;
-/// `Tag::id` marking a kill-replica fault drill (Telemetry); the
-/// replica index rides in `tag.step`.
-pub const CRASH_DRILL_ID: u64 = u64::MAX - 1;
 
 fn tag(kind: Kind, id: u64, step: u32) -> Tag {
     Tag { epoch: PROTO_EPOCH, kind, id, step }
@@ -67,13 +69,6 @@ pub fn shutdown_ack() -> Message {
     Message { tag: tag(Kind::Barrier, SHUTDOWN_ACK_ID, 0), payload: Payload::Bytes(Vec::new()) }
 }
 
-/// A fault drill: kill replica `idx`'s thread (the pool must respawn
-/// it; see `replica`).
-pub fn crash_replica(idx: usize) -> Message {
-    let step = u32::try_from(idx).unwrap_or(u32::MAX);
-    Message { tag: tag(Kind::Telemetry, CRASH_DRILL_ID, step), payload: Payload::Bytes(Vec::new()) }
-}
-
 /// A liveness ping.
 pub fn ping() -> Message {
     Message { tag: tag(Kind::Heartbeat, 0, 0), payload: Payload::Bytes(Vec::new()) }
@@ -89,7 +84,6 @@ pub fn pong() -> Message {
 pub enum ServerBound {
     Request { id: u64, features: Vec<f32> },
     Shutdown,
-    CrashReplica(usize),
     Ping,
 }
 
@@ -112,9 +106,6 @@ pub fn parse_server_bound(msg: Message) -> Result<ServerBound, String> {
         (Kind::P2p, Payload::F32(features)) => Ok(ServerBound::Request { id: msg.tag.id, features }),
         (Kind::P2p, p) => Err(format!("request {} payload must be F32, got {p:?}", msg.tag.id)),
         (Kind::Barrier, _) if msg.tag.id == SHUTDOWN_ID => Ok(ServerBound::Shutdown),
-        (Kind::Telemetry, _) if msg.tag.id == CRASH_DRILL_ID => {
-            Ok(ServerBound::CrashReplica(msg.tag.step as usize))
-        }
         (Kind::Heartbeat, _) if msg.tag.step == 0 => Ok(ServerBound::Ping),
         (kind, _) => Err(format!("unexpected server-bound frame kind {kind:?} id {}", msg.tag.id)),
     }
@@ -175,7 +166,6 @@ mod tests {
     #[test]
     fn control_frames_classify() {
         assert_eq!(parse_server_bound(wire(shutdown())).unwrap(), ServerBound::Shutdown);
-        assert_eq!(parse_server_bound(wire(crash_replica(3))).unwrap(), ServerBound::CrashReplica(3));
         assert_eq!(parse_server_bound(wire(ping())).unwrap(), ServerBound::Ping);
         assert_eq!(parse_client_bound(wire(shutdown_ack())).unwrap(), ClientBound::ShutdownAck);
         assert_eq!(parse_client_bound(wire(pong())).unwrap(), ClientBound::Pong);

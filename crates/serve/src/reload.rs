@@ -44,11 +44,10 @@ pub(crate) fn spawn_watcher(
     shared: Arc<Shared>,
     dispatch: Sender<DispatchMsg>,
     shutdown: Arc<AtomicBool>,
-) -> JoinHandle<()> {
+) -> std::io::Result<JoinHandle<()>> {
     std::thread::Builder::new()
         .name("samo-serve-reload".to_string())
         .spawn(move || watch(cfg, shared, dispatch, shutdown))
-        .expect("spawn reload watcher")
 }
 
 fn watch(

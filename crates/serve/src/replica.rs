@@ -20,49 +20,16 @@
 use crate::model::BuiltModel;
 use crate::protocol;
 use crate::stats::Shared;
-use comms::tcp::framing;
-use comms::Message;
+use comms::tcp::framing::FrameWriter;
 use nn::Layer;
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 use telemetry::clock::now_us;
 use telemetry::json::Json;
 use telemetry::trace::{self, lane};
-
-/// The write half of one client connection, shared by every replica
-/// that answers that client. A failed write marks the connection dead
-/// (client hung up); the response is counted dropped, not failed —
-/// the server did its work.
-pub(crate) struct ConnWriter {
-    stream: Mutex<TcpStream>,
-    alive: AtomicBool,
-}
-
-impl ConnWriter {
-    pub fn new(stream: TcpStream) -> ConnWriter {
-        ConnWriter { stream: Mutex::new(stream), alive: AtomicBool::new(true) }
-    }
-
-    /// Serialized frame write; frames from concurrent replicas must
-    /// not interleave on the socket.
-    pub fn send(&self, msg: &Message) -> bool {
-        if !self.alive.load(Ordering::Relaxed) {
-            return false;
-        }
-        let mut stream = self.stream.lock().unwrap_or_else(|e| e.into_inner());
-        match framing::write_message(&mut stream, msg) {
-            Ok(()) => true,
-            Err(_) => {
-                self.alive.store(false, Ordering::Relaxed);
-                false
-            }
-        }
-    }
-}
 
 /// One queued inference request, carrying everything needed to answer
 /// it: the reply route and the enqueue timestamps for latency and the
@@ -72,7 +39,12 @@ pub(crate) struct Pending {
     pub features: Vec<f32>,
     pub enqueued: Instant,
     pub enqueued_us: f64,
-    pub conn: Arc<ConnWriter>,
+    /// The write half of the client's connection, shared by every
+    /// replica that answers that client. A reply it cannot take — the
+    /// client hung up, or stopped reading for the writer's deadline —
+    /// closes the connection and is counted dropped, not failed: the
+    /// server did its work.
+    pub conn: Arc<FrameWriter>,
 }
 
 /// Commands a replica consumes in order.
@@ -96,7 +68,7 @@ pub(crate) fn spawn_replica(
     model: BuiltModel,
     step: u64,
     shared: Arc<Shared>,
-) -> ReplicaHandle {
+) -> Result<ReplicaHandle, String> {
     let (tx, rx) = channel::<ReplicaCmd>();
     let join = std::thread::Builder::new()
         .name(format!("samo-serve-replica-{idx}"))
@@ -120,8 +92,8 @@ pub(crate) fn spawn_replica(
                 }
             }
         })
-        .expect("spawn replica thread");
-    ReplicaHandle { tx, join }
+        .map_err(|e| format!("spawn replica {idx}: {e}"))?;
+    Ok(ReplicaHandle { tx, join })
 }
 
 fn run_batch(
@@ -149,7 +121,7 @@ fn run_batch(
                 p.features.len(),
                 model.in_features
             );
-            p.conn.send(&protocol::error_reply(p.id, &text));
+            let _ = p.conn.send(&protocol::error_reply(p.id, &text));
         }
     }
     let n = good.len();
@@ -170,7 +142,7 @@ fn run_batch(
     });
     for (j, p) in good.iter().enumerate() {
         let out = output[j * out_cols..(j + 1) * out_cols].to_vec();
-        if p.conn.send(&protocol::reply(p.id, step, out)) {
+        if p.conn.send(&protocol::reply(p.id, step, out)).is_ok() {
             shared.responses.fetch_add(1, Ordering::Relaxed);
         } else {
             shared.dropped.fetch_add(1, Ordering::Relaxed);

@@ -8,7 +8,7 @@
 //!  clients ──TCP──▶ reader threads ──┐
 //!                                    │ DispatchMsg::Request
 //!                                    ▼
-//!  reload watcher ──Reload──▶  dispatcher  ──Batch/Swap──▶ replicas ──▶ ConnWriter ──TCP──▶ clients
+//!  reload watcher ──Reload──▶  dispatcher  ──Batch/Swap──▶ replicas ──▶ FrameWriter ──TCP──▶ clients
 //!                               (fill-or-deadline, round-robin,
 //!                                respawn-on-dead-replica)
 //! ```
@@ -21,12 +21,19 @@
 //! crash drill) bounces back with the batch, which is re-sent to a
 //! freshly spawned replica built from the dispatcher's current
 //! checkpoint snapshot — the batch in hand survives every crash.
+//!
+//! Every connection is read through one `FrameReader` and answered
+//! through one shared `FrameWriter` (`comms::tcp::framing`). The writer
+//! carries the dialect's 200 ms write deadline: a client that stops
+//! reading gets its connection closed and its replies counted in
+//! `dropped`, instead of parking the replica that answers it — and
+//! every other client's requests behind it — in `write`.
 
 use crate::batcher::{fill_or_deadline, BatchPolicy};
 use crate::model::{build_model, Backend, BuiltModel};
 use crate::protocol::{self, ServerBound};
 use crate::reload::{spawn_watcher, WatcherConfig};
-use crate::replica::{spawn_replica, ConnWriter, Pending, ReplicaCmd, ReplicaHandle};
+use crate::replica::{spawn_replica, Pending, ReplicaCmd, ReplicaHandle};
 use crate::stats::{ServeStats, Shared};
 use comms::tcp::framing;
 use nn::mixed::Optimizer;
@@ -144,7 +151,7 @@ impl Server {
             .into_iter()
             .enumerate()
             .map(|(i, m)| spawn_replica(i, m, step, shared.clone()))
-            .collect();
+            .collect::<Result<_, _>>()?;
 
         let dispatcher_join = {
             let shared = shared.clone();
@@ -171,7 +178,8 @@ impl Server {
             shared.clone(),
             dispatch_tx.clone(),
             shutdown.clone(),
-        );
+        )
+        .map_err(|e| format!("spawn reload watcher: {e}"))?;
 
         let conn_joins = Arc::new(Mutex::new(Vec::new()));
         let listener_join = {
@@ -263,11 +271,15 @@ fn accept_loop(
                 next_conn += 1;
                 let tx = tx.clone();
                 let shutdown = shutdown.clone();
-                let join = std::thread::Builder::new()
+                // Out of threads: this client is turned away (the closure
+                // and its stream are dropped), the ones being served stay.
+                match std::thread::Builder::new()
                     .name(format!("samo-serve-conn-{conn_id}"))
                     .spawn(move || conn_loop(stream, tx, shutdown))
-                    .expect("spawn conn reader");
-                conn_joins.lock().unwrap_or_else(|e| e.into_inner()).push(join);
+                {
+                    Ok(join) => conn_joins.lock().unwrap_or_else(|e| e.into_inner()).push(join),
+                    Err(e) => telemetry::log_warn!("serve: connection {conn_id} dropped: {e}"),
+                }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
             Err(_) => std::thread::sleep(POLL),
@@ -275,50 +287,43 @@ fn accept_loop(
     }
 }
 
-fn conn_loop(mut stream: TcpStream, tx: Sender<DispatchMsg>, shutdown: Arc<AtomicBool>) {
-    let _ = stream.set_nodelay(true);
+fn conn_loop(stream: TcpStream, tx: Sender<DispatchMsg>, shutdown: Arc<AtomicBool>) {
     let _ = stream.set_read_timeout(Some(POLL));
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(ConnWriter::new(w)),
-        Err(_) => return,
+    let Ok((mut reader, writer)) = framing::split(stream, protocol::WRITE_DEADLINE) else {
+        return;
     };
-    loop {
-        match framing::read_message(&mut stream, &shutdown) {
-            Ok(Some(msg)) => match protocol::parse_server_bound(msg) {
-                Ok(ServerBound::Request { id, features }) => {
-                    let pending = Pending {
-                        id,
-                        features,
-                        enqueued: Instant::now(),
-                        enqueued_us: telemetry::clock::now_us(),
-                        conn: writer.clone(),
-                    };
-                    if tx.send(DispatchMsg::Request(pending)).is_err() {
-                        return;
-                    }
-                }
-                Ok(ServerBound::Shutdown) => {
-                    // Ack first so the requesting client unblocks, then
-                    // flip the flag every poll loop watches.
-                    writer.send(&protocol::shutdown_ack());
-                    shutdown.store(true, Ordering::Relaxed);
-                    let _ = tx.send(DispatchMsg::Shutdown);
+    let writer = Arc::new(writer);
+    // Ends when the client hangs up, the server shuts down, a frame is
+    // corrupt, or a reply could not be written (the writer closes the
+    // socket under the reader).
+    while let Ok(Some(msg)) = reader.recv(|| shutdown.load(Ordering::Relaxed)) {
+        match protocol::parse_server_bound(msg) {
+            Ok(ServerBound::Request { id, features }) => {
+                let pending = Pending {
+                    id,
+                    features,
+                    enqueued: Instant::now(),
+                    enqueued_us: telemetry::clock::now_us(),
+                    conn: writer.clone(),
+                };
+                if tx.send(DispatchMsg::Request(pending)).is_err() {
                     return;
                 }
-                Ok(ServerBound::CrashReplica(idx)) => {
-                    if tx.send(DispatchMsg::Crash(idx)).is_err() {
-                        return;
-                    }
-                }
-                Ok(ServerBound::Ping) => {
-                    writer.send(&protocol::pong());
-                }
-                Err(e) => {
-                    writer.send(&protocol::error_reply(0, &e));
-                }
-            },
-            Ok(None) => return,         // client hung up, or server shutdown
-            Err(_) => return,           // corrupt frame: drop the connection
+            }
+            Ok(ServerBound::Shutdown) => {
+                // Ack first so the requesting client unblocks, then
+                // flip the flag every poll loop watches.
+                let _ = writer.send(&protocol::shutdown_ack());
+                shutdown.store(true, Ordering::Relaxed);
+                let _ = tx.send(DispatchMsg::Shutdown);
+                return;
+            }
+            Ok(ServerBound::Ping) => {
+                let _ = writer.send(&protocol::pong());
+            }
+            Err(e) => {
+                let _ = writer.send(&protocol::error_reply(0, &e));
+            }
         }
     }
 }
@@ -397,11 +402,17 @@ fn handle_control(
                 if let Err(bounced) = h.tx.send(ReplicaCmd::Swap(Box::new(model), new_step, ack.clone()))
                 {
                     // The replica died before the swap: respawn it
-                    // straight onto the new model.
+                    // straight onto the new model (or, out of threads,
+                    // from the new snapshot when its next batch bounces).
                     let ReplicaCmd::Swap(model, s, ack) = bounced.0 else { unreachable!() };
-                    *h = spawn_replica(idx, *model, s, shared.clone());
-                    shared.respawns.fetch_add(1, Ordering::Relaxed);
-                    let _ = ack.send(idx);
+                    match spawn_replica(idx, *model, s, shared.clone()) {
+                        Ok(fresh) => {
+                            *h = fresh;
+                            shared.respawns.fetch_add(1, Ordering::Relaxed);
+                            let _ = ack.send(idx);
+                        }
+                        Err(e) => telemetry::log_warn!("serve: swap to step {s} lost: {e}"),
+                    }
                 }
             }
             false
@@ -425,19 +436,22 @@ fn dispatch_batch(
         // Dead replica (crash drill): rebuild it from the snapshot and
         // re-send the very batch that bounced.
         let ReplicaCmd::Batch(batch) = bounced.0 else { unreachable!() };
-        match build_model(states, backend) {
-            Ok(model) => {
-                handles[idx] = spawn_replica(idx, model, step, shared.clone());
+        match build_model(states, backend)
+            .and_then(|model| spawn_replica(idx, model, step, shared.clone()))
+        {
+            Ok(fresh) => {
+                handles[idx] = fresh;
                 shared.respawns.fetch_add(1, Ordering::Relaxed);
                 telemetry::log_warn!("serve: replica {idx} died; respawned at step {step}");
                 let _ = handles[idx].tx.send(ReplicaCmd::Batch(batch));
             }
             Err(e) => {
                 // Snapshot unusable (should be impossible: it built
-                // once already). Fail the batch loudly.
+                // once already) or no thread to be had. Fail the batch
+                // loudly.
                 for p in batch {
                     shared.errors.fetch_add(1, Ordering::Relaxed);
-                    p.conn.send(&protocol::error_reply(p.id, &format!("replica rebuild: {e}")));
+                    let _ = p.conn.send(&protocol::error_reply(p.id, &format!("replica rebuild: {e}")));
                 }
             }
         }

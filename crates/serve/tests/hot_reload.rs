@@ -132,9 +132,10 @@ fn killed_replica_respawns_and_serving_continues() {
     for _ in 0..4 {
         client.infer(&x).unwrap();
     }
-    // Kill both replicas through the client-side drill frame.
-    client.crash_replica(0).unwrap();
-    client.crash_replica(1).unwrap();
+    // Kill both replicas (the drill is the server's own; no frame a
+    // client can send reaches it).
+    server.inject_replica_crash(0);
+    server.inject_replica_crash(1);
     // Every subsequent request must still be answered correctly: the
     // dispatcher respawns dead replicas and re-sends the bounced batch.
     for _ in 0..20 {

@@ -13,8 +13,8 @@ use comms::tcp::framing;
 use comms::{Kind, Message, Payload, Tag};
 use proptest::prelude::*;
 use serve::protocol::{
-    parse_client_bound, parse_server_bound, ClientBound, ServerBound, CRASH_DRILL_ID, PROTO_EPOCH,
-    SHUTDOWN_ACK_ID, SHUTDOWN_ID,
+    parse_client_bound, parse_server_bound, ClientBound, ServerBound, PROTO_EPOCH, SHUTDOWN_ACK_ID,
+    SHUTDOWN_ID,
 };
 use tensor::f16::F16;
 
@@ -29,7 +29,7 @@ const KINDS: [Kind; 7] = [
 ];
 
 /// Ids and steps the dialect gives a meaning to, next to arbitrary ones.
-const IDS: [u64; 5] = [SHUTDOWN_ID, SHUTDOWN_ACK_ID, CRASH_DRILL_ID, u64::MAX, 42];
+const IDS: [u64; 5] = [SHUTDOWN_ID, SHUTDOWN_ACK_ID, u64::MAX - 1, u64::MAX, 42];
 
 /// Any message a decoded frame can be: the dialect's epoch or a foreign
 /// one, every kind, meaningful and arbitrary ids/steps, every payload
@@ -100,9 +100,6 @@ proptest! {
                 prop_assert_eq!(Some(f32_bits(&features)), floats.clone(), "feature bits survive");
             }
             Ok(ServerBound::Shutdown) => prop_assert_eq!((tag.kind, tag.id), (Kind::Barrier, SHUTDOWN_ID)),
-            Ok(ServerBound::CrashReplica(idx)) => {
-                prop_assert_eq!((tag.kind, tag.id, idx), (Kind::Telemetry, CRASH_DRILL_ID, tag.step as usize));
-            }
             Ok(ServerBound::Ping) => prop_assert_eq!((tag.kind, tag.step), (Kind::Heartbeat, 0)),
             Err(text) => prop_assert!(!text.is_empty()),
         }

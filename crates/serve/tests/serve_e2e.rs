@@ -1,14 +1,16 @@
 //! End-to-end serving over a real loopback socket: the serving
 //! invariant (replies bitwise equal to a fresh checkpoint load on
-//! every backend), request coalescing, protocol error handling, and
-//! the clean-shutdown handshake.
+//! every backend), request coalescing, protocol error handling, the
+//! clean-shutdown handshake, and a client that stops reading.
 
+use comms::tcp::framing;
 use serve::{
-    Backend, BatchPolicy, LoadGenConfig, ServeClient, ServeConfig, ServeError, Server,
+    protocol, Backend, BatchPolicy, LoadGenConfig, ServeClient, ServeConfig, ServeError, Server,
     TrainPublisher,
 };
+use std::io::Write;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const DIMS: [usize; 3] = [16, 32, 8];
 
@@ -128,5 +130,43 @@ fn starting_without_a_published_checkpoint_is_an_error() {
         }
     };
     assert!(err.contains("no published checkpoint"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_client_that_never_reads_cannot_wedge_the_replica() {
+    // One replica, 16 KB replies. Client A floods requests over a raw
+    // socket and never reads: its receive buffer and the server's send
+    // buffer fill after a few MB, and the replica's next reply to A
+    // cannot be written. Without a write deadline that is the end of
+    // the server — its only replica parked in `write`, every other
+    // client starved, `stop` unable to join.
+    const WIDE: [usize; 3] = [16, 32, 4096];
+    const FLOOD: u64 = 600;
+    let dir = tmpdir("slow-reader");
+    let mut publisher = TrainPublisher::new(&dir, &WIDE, 19).unwrap();
+    publisher.publish_after(1).unwrap();
+    let mut cfg = ServeConfig::new(&dir);
+    cfg.replicas = 1;
+    let server = Server::start(cfg).unwrap();
+    let x = probe(5);
+
+    let mut a = std::net::TcpStream::connect(server.addr()).unwrap();
+    for id in 1..=FLOOD {
+        a.write_all(&framing::encode(&protocol::request(id, x.clone()))).unwrap();
+    }
+    let mut b = ServeClient::connect(server.addr()).unwrap();
+    let t0 = Instant::now();
+    let reply = b.infer_deadline(&x, Duration::from_secs(3));
+    let waited = t0.elapsed();
+    assert!(reply.is_ok(), "B starved behind A for {waited:?}: {reply:?}");
+    assert_eq!(reply.unwrap().output.len(), WIDE[2]);
+
+    let t0 = Instant::now();
+    let stats = server.stop();
+    assert!(t0.elapsed() < Duration::from_secs(5), "stop joined every thread");
+    assert!(stats.dropped > 0, "A's unwritable replies are counted: {stats:?}");
+    assert_eq!(stats.errors, 0, "and are not failures of the server: {stats:?}");
+    drop(a);
     let _ = std::fs::remove_dir_all(&dir);
 }
