@@ -23,6 +23,11 @@
 //! bubble = 1 − Σ_stages busy / (G_inter · makespan)
 //! ```
 //!
+//! Beside it the table prints what the stages themselves call idle: the
+//! share of `G_inter · makespan` they spent asleep in the scheduler's
+//! neighbour wait (`StageStats::wait_s`). The two differ by the
+//! scheduler's own overhead and by the skew between stage windows.
+//!
 //! The analytic fraction plugs the *measured* mean per-microbatch times
 //! `f̂, b̂` into Eq. 7: `analytic_bubble(G·f̂, G·b̂, G)` idle seconds per
 //! stage against a busy span of `M·(f̂ + b̂)`, i.e. the classic
@@ -58,6 +63,8 @@ struct DepthRun {
     b_hat: f64,
     /// Mean step makespan across measured steps, seconds.
     makespan_s: f64,
+    /// Median share of `G_inter · makespan` spent in the neighbour wait.
+    wait_share: f64,
     measured: f64,
     analytic: f64,
     rel_err: f64,
@@ -128,8 +135,8 @@ fn bench_depth(
 
     run_step(&mut pp)?; // warmup: first-touch allocation, thread ramp-up
     let mut prev = pp.stage_stats();
-    let (mut fracs, mut fwd_total, mut bwd_total, mut makespan_total) =
-        (Vec::with_capacity(steps), 0.0f64, 0.0f64, 0.0f64);
+    let (mut fracs, mut waits) = (Vec::with_capacity(steps), Vec::with_capacity(steps));
+    let (mut fwd_total, mut bwd_total, mut makespan_total) = (0.0f64, 0.0f64, 0.0f64);
     for _ in 0..steps {
         run_step(&mut pp)?;
         let cur = pp.stage_stats();
@@ -137,12 +144,14 @@ fn bench_depth(
             cur.iter().map(|s| s.last_sched_start_us).fold(f64::INFINITY, f64::min);
         let end = cur.iter().map(|s| s.last_sched_end_us).fold(0.0f64, f64::max);
         let makespan = (end - start) * 1e-6;
-        let (mut fwd, mut bwd) = (0.0f64, 0.0f64);
+        let (mut fwd, mut bwd, mut wait) = (0.0f64, 0.0f64, 0.0f64);
         for (c, p) in cur.iter().zip(&prev) {
             fwd += c.fwd_s - p.fwd_s;
             bwd += c.bwd_s - p.bwd_s;
+            wait += c.wait_s - p.wait_s;
         }
         fracs.push(1.0 - (fwd + bwd) / (g_inter as f64 * makespan));
+        waits.push(wait / (g_inter as f64 * makespan));
         fwd_total += fwd;
         bwd_total += bwd;
         makespan_total += makespan;
@@ -162,6 +171,7 @@ fn bench_depth(
         f_hat,
         b_hat,
         makespan_s: makespan_total / steps as f64,
+        wait_share: median(waits).expect("at least one measured step"),
         measured,
         analytic,
         rel_err: (measured - analytic).abs() / analytic,
@@ -192,7 +202,7 @@ pub fn run(quick: bool) -> Result<(), String> {
         "pipeline_bubble",
         &[
             "g_inter", "microbatches", "fwd_ms_mb", "bwd_ms_mb", "makespan_ms",
-            "measured_bubble", "analytic_bubble", "rel_err",
+            "wait_share", "measured_bubble", "analytic_bubble", "rel_err",
         ],
     );
     let mut depth_rows: Vec<Json> = Vec::new();
@@ -204,6 +214,7 @@ pub fn run(quick: bool) -> Result<(), String> {
             format!("{:.3}", r.f_hat * 1e3),
             format!("{:.3}", r.b_hat * 1e3),
             format!("{:.2}", r.makespan_s * 1e3),
+            format!("{:.4}", r.wait_share),
             format!("{:.4}", r.measured),
             format!("{:.4}", r.analytic),
             format!("{:.4}", r.rel_err),
@@ -213,6 +224,7 @@ pub fn run(quick: bool) -> Result<(), String> {
             ("fwd_ms_per_mb", round6(r.f_hat * 1e3)),
             ("bwd_ms_per_mb", round6(r.b_hat * 1e3)),
             ("makespan_ms", round6(r.makespan_s * 1e3)),
+            ("wait_share", round6(r.wait_share)),
             ("measured_bubble_fraction", round6(r.measured)),
             ("analytic_bubble_fraction", round6(r.analytic)),
             ("rel_err", round6(r.rel_err)),

@@ -334,7 +334,7 @@ fn check_trace(dir: &Path, simulated: Vec<TraceEvent>, live: Vec<TraceEvent>, fl
         let starts = |p: &str| e.name.starts_with(p);
         let ok = match e.cat.as_str() {
             "comms" => starts("send ") || starts("ring"),
-            "wait" => starts("recv ") || e.name == "ring stall",
+            "wait" => starts("recv ") || starts("sched wait ") || e.name == "ring stall",
             _ => false,
         };
         assert!(ok, "comms lane: {e:?}");

@@ -612,7 +612,7 @@ impl<T: Transport> Communicator<T> {
     /// Non-blocking variant of [`Self::recv_p2p`]: returns `Ok(None)`
     /// when the wanted message has not arrived yet. The message-driven
     /// pipeline scheduler polls this to prefer backward work over
-    /// forward without committing to a blocking wait on either link.
+    /// forward, and sleeps in [`Self::wait_any`] when both come back empty.
     pub fn try_recv_p2p(
         &mut self,
         from: usize,
@@ -622,6 +622,30 @@ impl<T: Transport> Communicator<T> {
         self.guarded(|c| {
             let msg = c.recv_tagged(from, c.tag(Kind::P2p, id, step), None)?;
             msg.map(f32_payload).transpose()
+        })
+    }
+
+    /// Sleeps until a message from one of `from` can be received, or fails
+    /// with [`CommsError::Timeout`] at `deadline` — what a rank with
+    /// several neighbours does once polling each ([`Self::try_recv_p2p`])
+    /// found nothing, since the message that ends the wait may come from
+    /// any of them. Says nothing about tags: the caller polls again. With
+    /// telemetry enabled the sleep is a `wait` slice named by `what`.
+    pub fn wait_any(
+        &mut self,
+        from: &[usize],
+        deadline: Instant,
+        what: impl FnOnce() -> String,
+    ) -> Result<(), CommsError> {
+        self.guarded(|c| {
+            let t0 = telemetry::enabled().then(now_us);
+            let first = from.first().copied().unwrap_or(c.rank());
+            let timeout = CommsError::Timeout { rank: c.rank(), from: first };
+            let res = c.t.wait_any(from, deadline).and_then(|ready| ready.map(drop).ok_or(timeout));
+            if let Some(t0) = t0 {
+                c.wait_slice(t0, now_us(), first, res.is_err(), what);
+            }
+            res
         })
     }
 
@@ -714,6 +738,12 @@ impl<T: Transport> Communicator<T> {
             c.ring_drain_stash()?;
             Ok(id)
         })
+    }
+
+    /// Rings started and not yet complete — what [`Self::ring_pump`]
+    /// would move.
+    pub fn rings_in_flight(&self) -> usize {
+        self.rings.len()
     }
 
     /// Makes progress on every in-flight ring without blocking. Call

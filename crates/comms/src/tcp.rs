@@ -36,12 +36,11 @@ pub mod framing;
 
 use crate::fault::{Decision, FaultController};
 use crate::heartbeat::{Health, HeartbeatConfig};
-use crate::transport::{Envelope, Kind, Mailbox, Message, Payload, Tag, Transport};
+use crate::transport::{Envelope, Kind, LinkTx, Mailbox, Message, Payload, Tag, Transport};
 use crate::CommsError;
 use framing::{FrameReader, FrameWriter};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -74,7 +73,7 @@ fn reader_loop(
     rank: usize,
     peer: usize,
     mut reader: FrameReader<TcpStream>,
-    tx: Sender<Envelope>,
+    tx: LinkTx,
     pong: Option<Arc<FrameWriter>>,
     health: Arc<Health>,
     shutdown: Arc<AtomicBool>,
@@ -112,7 +111,7 @@ fn reader_loop(
             _ => {
                 let deliver_at =
                     (delay_us > 0).then(|| Instant::now() + Duration::from_micros(delay_us.into()));
-                if tx.send(Envelope { deliver_at, msg }).is_err() {
+                if !tx.send(Envelope { deliver_at, msg }) {
                     return;
                 }
             }
@@ -234,17 +233,15 @@ impl TcpTransport {
             outbound.into_iter().map(|w| w.map(Arc::new)).collect();
         let health = Arc::new(Health::new(world, hb));
         let shutdown = Arc::new(AtomicBool::new(false));
-        let mut inbox = Vec::with_capacity(world);
+        let mut mailbox = Mailbox::new(rank, world, Some((Arc::clone(&health), POLL)));
         let mut threads = Vec::new();
         for (peer, reader) in inbound.into_iter().enumerate() {
             let Some(reader) = reader else {
-                inbox.push(None);
                 continue;
             };
             let stream = reader.get_ref();
             stream.set_read_timeout(Some(POLL)).map_err(|e| io_err("set_read_timeout", e))?;
-            let (tx, rx) = channel();
-            inbox.push(Some(rx));
+            let tx = mailbox.open(peer);
             let pong = writers[peer].clone();
             let h = Arc::clone(&health);
             let sd = Arc::clone(&shutdown);
@@ -270,7 +267,7 @@ impl TcpTransport {
             world,
             mesh_id,
             writers,
-            mailbox: Mailbox::new(rank, inbox, Some((Arc::clone(&health), POLL))),
+            mailbox,
             health,
             faults,
             shutdown,
@@ -409,6 +406,10 @@ impl Transport for TcpTransport {
 
     fn try_recv_from(&mut self, from: usize) -> Result<Option<Message>, CommsError> {
         self.mailbox.recv(from, None)
+    }
+
+    fn wait_any(&mut self, from: &[usize], deadline: Instant) -> Result<Option<usize>, CommsError> {
+        self.mailbox.wait_any(from, deadline)
     }
 
     fn drain(&mut self) {

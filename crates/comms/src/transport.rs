@@ -7,13 +7,16 @@
 //! a receive written once — and differ only in how a message leaves:
 //! [`InProcTransport`] sends the envelope down the peer's channel,
 //! [`crate::TcpTransport`] writes a frame that the peer's reader thread
-//! turns back into one.
+//! turns back into one. Either way the envelope goes in through the
+//! link's `LinkTx`, which also wakes a rank asleep in
+//! [`Transport::wait_any`] — the one way to wait on several links.
 
 use crate::fault::{Decision, FaultController};
 use crate::heartbeat::Health;
 use crate::CommsError;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use tensor::f16::F16;
 
@@ -139,6 +142,13 @@ pub trait Transport: Send {
     /// Non-blocking receive from `from`.
     fn try_recv_from(&mut self, from: usize) -> Result<Option<Message>, CommsError>;
 
+    /// Sleeps until a receive from one of `from` would deliver at once,
+    /// and says which (`Ok(None)` if `deadline` comes first, or at once
+    /// for an empty set). An injected delivery delay is waited out, not
+    /// skipped; a closed link or a peer declared dead is the error a
+    /// receive from it would return.
+    fn wait_any(&mut self, from: &[usize], deadline: Instant) -> Result<Option<usize>, CommsError>;
+
     /// Discards every queued inbound message (recovery path).
     fn drain(&mut self);
 
@@ -150,31 +160,119 @@ pub trait Transport: Send {
     fn msgs_dropped(&self) -> u64;
 }
 
+/// How a sender wakes the rank that owns a mailbox out of
+/// [`Mailbox::wait_any`]: a sequence number bumped after every enqueue
+/// and every link close. The owner reads it, polls its links, and sleeps
+/// only while it has not moved, so a message that lands between the poll
+/// and the sleep is never slept through.
+#[derive(Default)]
+struct Wake {
+    seq: AtomicU64,
+    /// Whether the owner is (about to be) asleep: a send pays the lock
+    /// and the notify only then.
+    parked: AtomicBool,
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+impl Wake {
+    // SeqCst throughout: the bump (`seq` then `parked`) and the park
+    // (`parked` then `seq`) each write one flag and read the other, and one
+    // of the two must see the other's write.
+    fn bump(&self) {
+        self.seq.fetch_add(1, Ordering::SeqCst);
+        if self.parked.load(Ordering::SeqCst) {
+            // Under the lock the owner is either not yet at its check of
+            // `seq` (and will see the bump) or already in `wait`.
+            let _g = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+            self.cv.notify_one();
+        }
+    }
+
+    /// Sleeps until `until`, or until the sequence moves past `seen`.
+    fn park(&self, seen: u64, until: Instant) {
+        self.parked.store(true, Ordering::SeqCst);
+        let mut g = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        while self.seq.load(Ordering::SeqCst) == seen {
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            g = self.cv.wait_timeout(g, left).unwrap_or_else(PoisonError::into_inner).0;
+        }
+        drop(g);
+        self.parked.store(false, Ordering::SeqCst);
+    }
+}
+
+/// The sending half of one directed link into a [`Mailbox`]: held by the
+/// peer's endpoint in process, by the link's reader thread over TCP.
+pub(crate) struct LinkTx {
+    /// `None` only inside `drop`.
+    tx: Option<Sender<Envelope>>,
+    wake: Arc<Wake>,
+}
+
+impl LinkTx {
+    /// Enqueues `env`; `false` if the receiving endpoint is gone.
+    pub(crate) fn send(&self, env: Envelope) -> bool {
+        let sent = self.tx.as_ref().is_some_and(|tx| tx.send(env).is_ok());
+        self.wake.bump();
+        sent
+    }
+}
+
+impl Drop for LinkTx {
+    fn drop(&mut self) {
+        // Disconnect first: the rank this wakes must find the link closed.
+        self.tx = None;
+        self.wake.bump();
+    }
+}
+
 /// The receive half of an endpoint — the one place a rank waits for a
 /// peer. Both transports feed it the same way (one `mpsc` FIFO per
 /// directed link, filled by the peer's `send` in process and by a
 /// reader thread over TCP) and differ only in how a message leaves.
 pub(crate) struct Mailbox {
     rank: usize,
-    /// `inbox[from]` — `None` at `from == rank`.
+    /// `inbox[from]` — `None` until [`Self::open`], and at `from == rank`.
     inbox: Vec<Option<Receiver<Envelope>>>,
     /// The head of link `from` while its delivery instant is still in the
     /// future (injected delay); holding it keeps the link FIFO.
     held: Vec<Option<Envelope>>,
+    /// Bumped by every [`LinkTx`] of this mailbox.
+    wake: Arc<Wake>,
     /// How a socket transport hears of a peer's death mid-wait: the
     /// failure detector, and how often to ask it. In process a dead peer
     /// is a disconnected channel, which wakes the wait by itself.
     liveness: Option<(Arc<Health>, Duration)>,
 }
 
+/// The failure detector to ask, and how long a wait may go without asking.
+fn liveness(of: &Option<(Arc<Health>, Duration)>) -> (Option<&Health>, Duration) {
+    match of {
+        Some((health, slice)) => (Some(health), *slice),
+        None => (None, Duration::MAX),
+    }
+}
+
 impl Mailbox {
+    /// A mailbox of `world` links, none of them open yet.
     pub(crate) fn new(
         rank: usize,
-        inbox: Vec<Option<Receiver<Envelope>>>,
+        world: usize,
         liveness: Option<(Arc<Health>, Duration)>,
     ) -> Mailbox {
-        let held = inbox.iter().map(|_| None).collect();
-        Mailbox { rank, inbox, held, liveness }
+        let (inbox, held) = ((0..world).map(|_| None).collect(), (0..world).map(|_| None).collect());
+        Mailbox { rank, inbox, held, wake: Arc::default(), liveness }
+    }
+
+    /// Opens the link from `from` and returns its sending half.
+    pub(crate) fn open(&mut self, from: usize) -> LinkTx {
+        let (tx, rx) = channel();
+        self.inbox[from] = Some(rx);
+        LinkTx { tx: Some(tx), wake: Arc::clone(&self.wake) }
     }
 
     /// The next message from `from`, waiting until `deadline` (`None`:
@@ -188,11 +286,8 @@ impl Mailbox {
         let Some(rx) = self.inbox.get(from).and_then(Option::as_ref) else {
             return Err(CommsError::Mismatch(format!("recv from invalid rank {from}")));
         };
+        let (health, slice) = liveness(&self.liveness);
         let held = &mut self.held[from];
-        let (health, slice) = match &self.liveness {
-            Some((health, slice)) => (Some(health), *slice),
-            None => (None, Duration::MAX),
-        };
         loop {
             if health.is_some_and(|h| h.is_dead(from)) {
                 return Err(CommsError::PeerDead { rank, peer: from });
@@ -225,6 +320,50 @@ impl Mailbox {
         }
     }
 
+    /// The first of `links` whose head can be delivered now, sleeping until
+    /// there is one or `deadline` passes (`Ok(None)`). A head that arrives
+    /// is moved to `held`, where [`Self::recv`] finds it.
+    pub(crate) fn wait_any(
+        &mut self,
+        links: &[usize],
+        deadline: Instant,
+    ) -> Result<Option<usize>, CommsError> {
+        let rank = self.rank;
+        loop {
+            // Before the poll: a send that the poll misses moves it.
+            let seen = self.wake.seq.load(Ordering::SeqCst);
+            let (health, slice) = liveness(&self.liveness);
+            let now = Instant::now();
+            // A death verdict wakes nobody: look again every slice.
+            let mut until = now.checked_add(slice).map_or(deadline, |t| t.min(deadline));
+            for &from in links {
+                let Some(rx) = self.inbox.get(from).and_then(Option::as_ref) else {
+                    return Err(CommsError::Mismatch(format!("wait on invalid rank {from}")));
+                };
+                if health.is_some_and(|h| h.is_dead(from)) {
+                    return Err(CommsError::PeerDead { rank, peer: from });
+                }
+                if self.held[from].is_none() {
+                    match rx.try_recv() {
+                        Ok(env) => self.held[from] = Some(env),
+                        Err(TryRecvError::Empty) => continue,
+                        Err(TryRecvError::Disconnected) => {
+                            return Err(CommsError::Closed { rank, peer: from })
+                        }
+                    }
+                }
+                match self.held[from].as_ref().and_then(|env| env.deliver_at) {
+                    Some(due) if due > now => until = until.min(due),
+                    _ => return Ok(Some(from)),
+                }
+            }
+            if links.is_empty() || now >= deadline {
+                return Ok(None);
+            }
+            self.wake.park(seen, until);
+        }
+    }
+
     /// Discards everything held or queued.
     pub(crate) fn drain(&mut self) {
         for (held, rx) in self.held.iter_mut().zip(&self.inbox) {
@@ -240,7 +379,7 @@ pub struct InProcTransport {
     world: usize,
     mesh_id: u64,
     /// `out[to]` — `None` at `to == rank`.
-    out: Vec<Option<Sender<Envelope>>>,
+    out: Vec<Option<LinkTx>>,
     mailbox: Mailbox,
     faults: Arc<FaultController>,
     bytes_sent: u64,
@@ -260,33 +399,21 @@ impl InProcTransport {
         faults: Arc<FaultController>,
     ) -> Vec<InProcTransport> {
         assert!(world >= 1, "a mesh needs at least one rank");
-        static NEXT_MESH_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let mesh_id = NEXT_MESH_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        // txs[from][to] / rxs[to][from]
-        let mut txs: Vec<Vec<Option<Sender<Envelope>>>> = (0..world)
-            .map(|_| (0..world).map(|_| None).collect())
+        static NEXT_MESH_ID: AtomicU64 = AtomicU64::new(0);
+        let mesh_id = NEXT_MESH_ID.fetch_add(1, Ordering::Relaxed);
+        let mut mailboxes: Vec<Mailbox> = (0..world).map(|rank| Mailbox::new(rank, world, None)).collect();
+        let outs: Vec<Vec<Option<LinkTx>>> = (0..world)
+            .map(|from| (0..world).map(|to| (from != to).then(|| mailboxes[to].open(from))).collect())
             .collect();
-        let mut rxs: Vec<Vec<Option<Receiver<Envelope>>>> = (0..world)
-            .map(|_| (0..world).map(|_| None).collect())
-            .collect();
-        for from in 0..world {
-            for to in 0..world {
-                if from != to {
-                    let (tx, rx) = channel();
-                    txs[from][to] = Some(tx);
-                    rxs[to][from] = Some(rx);
-                }
-            }
-        }
-        txs.into_iter()
-            .zip(rxs)
+        outs.into_iter()
+            .zip(mailboxes)
             .enumerate()
-            .map(|(rank, (out, inbox))| InProcTransport {
+            .map(|(rank, (out, mailbox))| InProcTransport {
                 rank,
                 world,
                 mesh_id,
                 out,
-                mailbox: Mailbox::new(rank, inbox, None),
+                mailbox,
                 faults: Arc::clone(&faults),
                 bytes_sent: 0,
                 msgs_sent: 0,
@@ -329,7 +456,7 @@ impl Transport for InProcTransport {
             }
             Decision::Deliver(delay) => {
                 let env = Envelope { deliver_at: delay.map(|d| Instant::now() + d), msg };
-                tx.send(env).map_err(|_| CommsError::Closed { rank: self.rank, peer: to })
+                tx.send(env).then_some(()).ok_or(CommsError::Closed { rank: self.rank, peer: to })
             }
         }
     }
@@ -341,6 +468,10 @@ impl Transport for InProcTransport {
 
     fn try_recv_from(&mut self, from: usize) -> Result<Option<Message>, CommsError> {
         self.mailbox.recv(from, None)
+    }
+
+    fn wait_any(&mut self, from: &[usize], deadline: Instant) -> Result<Option<usize>, CommsError> {
+        self.mailbox.wait_any(from, deadline)
     }
 
     fn drain(&mut self) {
@@ -376,8 +507,9 @@ mod tests {
     /// What every endpoint owes the collectives, whatever carries the
     /// message: per-link FIFO, a cut link that times out instead of
     /// hanging, injected delay that holds a message back without
-    /// reordering, a drain that discards what was held, and a dead peer
-    /// that surfaces as an error. `mesh` builds a world of 2.
+    /// reordering, a drain that discards what was held, a wait on a set
+    /// of links that a send ends at once and nothing else ends early, and
+    /// a dead peer that surfaces as an error. `mesh` builds a world of 2.
     fn endpoint_contract<T: Transport>(mesh: impl Fn(Arc<FaultController>) -> Vec<T>) {
         let faults = Arc::new(FaultController::new());
         let mut ends = mesh(Arc::clone(&faults));
@@ -426,11 +558,79 @@ mod tests {
         a.send(1, bytes(9, vec![2])).unwrap();
         assert_eq!(b.recv_from(0, within(5000)).unwrap().tag.id, 9, "the held message is gone");
 
-        // A dead peer is an error, not a wait.
-        drop(b);
+        // `wait_any`. Nothing to wait for is not a wait; a message sent
+        // before the wait ends it at once and is there to receive.
+        assert_eq!(b.wait_any(&[], within(5000)), Ok(None), "empty set");
         let t0 = Instant::now();
-        let err = a.recv_from(1, within(30_000)).unwrap_err();
+        assert_eq!(b.wait_any(&[0], within(20)), Ok(None), "expired deadline");
+        assert!(t0.elapsed() >= Duration::from_millis(20), "nothing ends the wait early");
+        assert!(matches!(b.wait_any(&[0, 1], within(10)), Err(CommsError::Mismatch(_))), "own rank");
+        a.send(1, bytes(10, vec![])).unwrap();
+        assert_eq!(b.wait_any(&[0], within(5000)), Ok(Some(0)));
+        assert_eq!(b.wait_any(&[0], Instant::now()), Ok(Some(0)), "still there: waiting consumes nothing");
+        assert_eq!(b.try_recv_from(0).unwrap().unwrap().tag.id, 10);
+
+        // A message sent into the wait wakes it, not a poll: the waiter
+        // is back well inside a scheduler tick of the send returning.
+        let mut lags: Vec<Duration> = (11..16)
+            .map(|id| {
+                let (sent, woke) = std::thread::scope(|sc| {
+                    let sender = sc.spawn(|| {
+                        std::thread::sleep(Duration::from_millis(30));
+                        a.send(1, bytes(id, vec![])).unwrap();
+                        Instant::now()
+                    });
+                    assert_eq!(b.wait_any(&[0], within(5000)), Ok(Some(0)));
+                    let woke = Instant::now();
+                    (sender.join().unwrap(), woke)
+                });
+                assert_eq!(b.try_recv_from(0).unwrap().unwrap().tag.id, id);
+                woke.saturating_duration_since(sent)
+            })
+            .collect();
+        lags.sort();
+        assert!(lags[2] < Duration::from_millis(2), "median wake lag of five: {lags:?}");
+
+        // An injected delay is waited out, not skipped.
+        faults.delay_link(0, 1, Duration::from_millis(40));
+        let t0 = Instant::now();
+        a.send(1, bytes(16, vec![])).unwrap();
+        assert_eq!(b.wait_any(&[0], within(5000)), Ok(Some(0)));
+        assert!(t0.elapsed() >= Duration::from_millis(40), "woke after {:?}", t0.elapsed());
+        assert_eq!(b.recv_from(0, Instant::now()).unwrap().tag.id, 16, "deliverable means now");
+        faults.heal_link(0, 1);
+
+        // No wake-up is lost: a sender that waits for every message to
+        // be taken before the next would hang on the first one slept through.
+        let rounds = 10_000u64;
+        let (ack_tx, ack_rx) = channel::<u64>();
+        std::thread::scope(|sc| {
+            let a = &mut a;
+            sc.spawn(move || {
+                for id in 0..rounds {
+                    a.send(1, bytes(id, vec![])).unwrap();
+                    assert_eq!(ack_rx.recv_timeout(Duration::from_secs(20)), Ok(id), "round {id} hung");
+                }
+            });
+            for id in 0..rounds {
+                assert_eq!(b.wait_any(&[0], within(20_000)), Ok(Some(0)), "round {id}");
+                assert_eq!(b.try_recv_from(0).unwrap().unwrap().tag.id, id);
+                ack_tx.send(id).unwrap();
+            }
+        });
+
+        // A dead peer is an error, not a wait — asleep on it or not.
         let gone = [CommsError::Closed { rank: 0, peer: 1 }, CommsError::PeerDead { rank: 0, peer: 1 }];
+        let t0 = Instant::now();
+        std::thread::scope(|sc| {
+            sc.spawn(move || {
+                std::thread::sleep(Duration::from_millis(30));
+                drop(b);
+            });
+            let err = a.wait_any(&[1], within(30_000)).unwrap_err();
+            assert!(gone.contains(&err), "got {err:?}");
+        });
+        let err = a.recv_from(1, within(30_000)).unwrap_err();
         assert!(gone.contains(&err), "got {err:?}");
         assert!(t0.elapsed() < Duration::from_secs(5));
     }

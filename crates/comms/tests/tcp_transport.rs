@@ -148,36 +148,43 @@ fn heartbeat_declares_cut_peer_dead_within_window() {
     // Cutting both directions of rank 1's links starves rank 0's
     // failure detector exactly like a SIGKILLed process whose sockets
     // stayed mysteriously open: detection must come from heartbeats.
-    let faults = Arc::new(FaultController::new());
-    let hb = HeartbeatConfig { interval: Duration::from_millis(25), miss_limit: 4 };
-    let mut mesh = TcpTransport::local_mesh_with(2, Arc::clone(&faults), hb).unwrap();
-    let b = mesh.pop().unwrap();
-    let mut a = mesh.pop().unwrap();
-    // Let at least one heartbeat round-trip land so RTT is measured.
-    std::thread::sleep(hb.interval * 3);
-    assert!(!a.peer_dead(1));
-    faults.kill_rank(1, 2);
-    let t0 = Instant::now();
-    // recv_from must surface PeerDead well before this generous
-    // deadline — detection is bounded by the heartbeat window.
-    let err = a.recv_from(1, Instant::now() + Duration::from_secs(30)).unwrap_err();
-    let detect = t0.elapsed();
-    assert_eq!(err, CommsError::PeerDead { rank: 0, peer: 1 });
-    assert!(
-        detect < hb.window() + Duration::from_secs(2),
-        "detection took {detect:?}, window is {:?}",
-        hb.window()
-    );
-    // Sends to a dead peer fail fast too.
-    let send_err = a.send(
-        1,
-        Message {
-            tag: Tag { epoch: 0, kind: Kind::P2p, id: 0, step: 0 },
-            payload: Payload::Bytes(vec![]),
-        },
-    );
-    assert_eq!(send_err, Err(CommsError::PeerDead { rank: 0, peer: 1 }));
-    drop(b);
+    // Asleep in a receive or in a wait on a set of links alike.
+    for asleep_in_wait_any in [false, true] {
+        let faults = Arc::new(FaultController::new());
+        let hb = HeartbeatConfig { interval: Duration::from_millis(25), miss_limit: 4 };
+        let mut mesh = TcpTransport::local_mesh_with(2, Arc::clone(&faults), hb).unwrap();
+        let b = mesh.pop().unwrap();
+        let mut a = mesh.pop().unwrap();
+        // Let at least one heartbeat round-trip land so RTT is measured.
+        std::thread::sleep(hb.interval * 3);
+        assert!(!a.peer_dead(1));
+        faults.kill_rank(1, 2);
+        let t0 = Instant::now();
+        // The wait must surface PeerDead well before this generous
+        // deadline — detection is bounded by the heartbeat window.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let err = match asleep_in_wait_any {
+            false => a.recv_from(1, deadline).unwrap_err(),
+            true => a.wait_any(&[1], deadline).unwrap_err(),
+        };
+        let detect = t0.elapsed();
+        assert_eq!(err, CommsError::PeerDead { rank: 0, peer: 1 });
+        assert!(
+            detect < hb.window() + Duration::from_secs(2),
+            "detection took {detect:?}, window is {:?}",
+            hb.window()
+        );
+        // Sends to a dead peer fail fast too.
+        let send_err = a.send(
+            1,
+            Message {
+                tag: Tag { epoch: 0, kind: Kind::P2p, id: 0, step: 0 },
+                payload: Payload::Bytes(vec![]),
+            },
+        );
+        assert_eq!(send_err, Err(CommsError::PeerDead { rank: 0, peer: 1 }));
+        drop(b);
+    }
 }
 
 #[test]

@@ -27,20 +27,34 @@
 //! event-driven simulator): each loop iteration first polls the
 //! downstream link for the next activation-gradient, and only when no
 //! backward work is ready does it admit the next forward microbatch.
-//! Stage 0 additionally enforces the `max_in_flight` activation-memory
-//! cap (`next_fwd < bwd_done + max_in_flight`), which bounds every
-//! stage's stash of boundary inputs. Backward executes in strict
+//! Every stage enforces the `max_in_flight` activation-memory cap
+//! (`next_fwd < bwd_done + max_in_flight`). Backward executes in strict
 //! microbatch order, so gradient accumulation order — and therefore
 //! every f32 sum — matches the single-process trainer exactly.
 //!
-//! Layer activation caches are single-slot, so a stage whose cache no
-//! longer holds the microbatch being retired re-runs its forward from
-//! the stashed boundary input just in time (classic activation
-//! recomputation). The last stage never recomputes: under backward
-//! priority its backward always immediately follows the matching
-//! forward. [`PipelineConfig::force_recompute`] forces the recompute
-//! everywhere, which makes per-stage work uniform — the pipeline bench
-//! uses it to compare the measured bubble against Eq. 7.
+//! With neither ready the rank **sleeps** in
+//! [`Communicator::wait_any`] on exactly the links that can end the
+//! wait — downstream for the next gradient, upstream too while the
+//! window has room — and the neighbour's send wakes it. The wait's
+//! deadline is the rank's progress deadline, so a silent neighbour is a
+//! typed timeout out of the same call.
+//!
+//! # The activation stash
+//!
+//! A layer's activation caches hold one microbatch, a stage has up to
+//! `max_in_flight` of them forwarded and not yet retired. Before a forward
+//! would overwrite the caches of a microbatch still in flight the stage
+//! parks them in a [`CacheSlot`] (`Layer::swap_caches`: moved, not
+//! copied), and its backward swaps them back in — at most
+//! `(max_in_flight − 1) × cached_bytes(block)` parked per stage, and no
+//! forward runs twice. A block with a layer that declines the swap keeps
+//! the boundary input of every microbatch in flight instead and re-runs
+//! its forward from it just in time (classic activation recomputation).
+//! The last stage needs neither: under backward priority its backward
+//! always immediately follows the matching forward.
+//! [`PipelineConfig::force_recompute`] forces the recompute everywhere,
+//! which makes per-stage work uniform — the pipeline bench uses it to
+//! compare the measured bubble against Eq. 7.
 //!
 //! On the **last** microbatch the backward runs through the engine's
 //! [`Layer::backward_into`] hook, compressing each parameter bucket
@@ -65,9 +79,9 @@
 //!
 //! # Failure handling
 //!
-//! A killed or cut stage surfaces as a bounded step `Err` — every rank
-//! carries a progress deadline in its scheduler loop, so a silent
-//! neighbour can never hang the group. The group then refuses further
+//! A killed or cut stage surfaces as a bounded step `Err` — every wait
+//! of the scheduler loop ends at the rank's progress deadline, so a
+//! silent neighbour can never hang the group. The group then refuses further
 //! steps (poisoned) until [`ThreadedPipelineSamo::restore`] reloads a
 //! checkpoint on every rank, bumps both mesh epochs (discarding stale
 //! in-flight traffic) and barriers the group back together.
@@ -76,7 +90,7 @@ use crate::engine::{assert_replicas_agree, Ring, StepEngine, PIPELINE};
 use crate::state::SamoLayerState;
 use crate::threaded::{relay_step_metrics, RankGroup, RankWorker};
 use comms::{CommsError, Communicator, FaultController, InProcTransport, Transport};
-use nn::layer::{Layer, Sequential};
+use nn::layer::{CacheSlot, Layer, Sequential};
 use nn::mixed::{LossScaler, Optimizer};
 use prune::Mask;
 use std::sync::Arc;
@@ -141,12 +155,18 @@ pub struct StageStats {
     pub fwd_s: f64,
     /// Seconds spent in backward compute, including any recompute.
     pub bwd_s: f64,
+    /// Seconds asleep waiting for a neighbour's message — the bubble.
+    pub wait_s: f64,
     /// Wall seconds inside the scheduler loop (excludes the collective
-    /// epilogue), summed over steps — `1 − (fwd_s+bwd_s)/sched_wall_s`
-    /// is this rank's measured bubble fraction.
+    /// epilogue), summed over steps: `fwd_s + bwd_s + wait_s` plus the
+    /// scheduler's own overhead (polls, the input and loss closures, the
+    /// sends). `1 − (fwd_s+bwd_s)/sched_wall_s` is this rank's measured
+    /// bubble fraction.
     pub sched_wall_s: f64,
     /// Just-in-time activation recomputations performed.
     pub recomputes: u64,
+    /// Most activation bytes ever parked in the stash at once.
+    pub stash_bytes_peak: u64,
     /// When this rank's scheduler loop last started/ended, microseconds
     /// on the shared comms-trace clock ([`now_us`]) — the
     /// bubble bench reconstructs the step makespan across ranks from
@@ -203,12 +223,18 @@ struct StageRank {
     /// Pipeline mesh of this data replica; rank = stage.
     pipe: Communicator<InProcTransport>,
     stats: StageStats,
-    /// Boundary input per in-flight microbatch (recompute source).
+    /// Boundary input per in-flight microbatch: what a recompute starts
+    /// from, so kept only while the stage is not `stashing`.
     input_stash: Vec<Option<Tensor>>,
     /// Last stage only: outputs awaiting their loss gradient.
     y_stash: Vec<Option<Tensor>>,
-    /// Which microbatch the stage's activation caches belong to.
+    /// Which microbatch the block's own activation caches belong to: the
+    /// last one forwarded, until its backward.
     cache_mb: Option<usize>,
+    /// Parked caches of microbatch `mb`, at `mb % max_in_flight`.
+    slots: Vec<CacheSlot>,
+    /// Whether this step parks caches instead of recomputing them.
+    stashing: bool,
     /// Rank (0,0) only: rolling per-rank step-duration stats
     /// `(sum_us, samples)` indexed by `data_idx * g_inter + stage`,
     /// fed by the mesh-native telemetry relay. Empty elsewhere.
@@ -230,7 +256,7 @@ impl RankWorker for StageRank {
         // covers the scheduler loop plus the collective epilogue, so
         // the critical-path analyzer can attribute every compute/comm/
         // wait slice inside it to this training step.
-        let win0 = telemetry::enabled().then(now_us);
+        let win0 = telemetry::enabled().then(|| (now_us(), self.stats.wait_s));
         let m = self.cfg.microbatches;
         let s = self.stage;
         let last = self.is_last();
@@ -239,6 +265,9 @@ impl RankWorker for StageRank {
         self.input_stash = (0..m).map(|_| None).collect();
         self.y_stash = (0..m).map(|_| None).collect();
         self.cache_mb = None;
+        // One verdict a step, before any microbatch depends on it: a swap
+        // with an empty slot moves nothing and tells whether the block can.
+        self.stashing = !self.cfg.force_recompute && self.slots[0].exchange(&mut self.block);
         // The compute window: every microbatch's forward and backward runs
         // from the lent θ16 — home again before the epilogue, or, if the
         // schedule fails, before the rank loop reports it.
@@ -273,7 +302,8 @@ impl RankWorker for StageRank {
             }
 
             // 2. Forward, inside the activation-memory window.
-            if !progressed && fwd_done < m && fwd_done < bwd_done + self.cfg.max_in_flight {
+            let admits = fwd_done < m && fwd_done < bwd_done + self.cfg.max_in_flight;
+            if !progressed && admits {
                 let x = if s == 0 {
                     Some((job.input)(self.data_idx, fwd_done))
                 } else {
@@ -291,25 +321,24 @@ impl RankWorker for StageRank {
 
             if progressed {
                 last_progress = Instant::now();
-            } else {
-                // Keep any in-flight rings moving, then check the
-                // progress deadline: a dead neighbour must surface as a
-                // bounded Err, never a hang.
-                self.engine.pump()?;
-                if last_progress.elapsed() > self.cfg.timeout {
-                    let from = if last { s.saturating_sub(1) } else { s + 1 };
-                    // The scheduler starved to its progress deadline:
-                    // make the stall visible as a timed-out wait slice,
-                    // like the blocking-recv deadline path.
-                    let t1 = now_us();
-                    let t0 = t1 - last_progress.elapsed().as_secs_f64() * 1e6;
-                    self.pipe.wait_slice(t0, t1, from, true, || {
-                        format!("sched stall (mb {fwd_done}f/{bwd_done}b)")
-                    });
-                    return Err(CommsError::Timeout { rank: s, from });
-                }
-                std::thread::yield_now();
+                continue;
             }
+            // 3. Sleep until a neighbour can end the wait: downstream with
+            //    the next gradient, upstream too while the window admits a
+            //    forward. A neighbour silent past the progress deadline is
+            //    the wait's typed timeout, and a timed-out wait slice.
+            //    Nothing needs pumping meanwhile: the first ring starts
+            //    inside the last backward, which ends the loop.
+            debug_assert_eq!(self.engine.reducer.0.rings_in_flight(), 0);
+            let links = [s + 1, s.wrapping_sub(1)];
+            // [downstream unless last, upstream if it may be forwarded]
+            let links = &links[usize::from(last)..1 + usize::from(admits && s > 0)];
+            let t0 = Instant::now();
+            let woken = self.pipe.wait_any(links, last_progress + self.cfg.timeout, || {
+                format!("sched wait (mb {fwd_done}f/{bwd_done}b)")
+            });
+            self.stats.wait_s += t0.elapsed().as_secs_f64();
+            woken?;
         }
         self.stats.sched_wall_s += wall0.elapsed().as_secs_f64();
         self.stats.last_sched_end_us = now_us();
@@ -325,8 +354,8 @@ impl RankWorker for StageRank {
         let stage_finite = self.engine.finish_reduce()?;
         let finite = self.pipe.all_true(stage_finite)?;
         let applied = self.engine.apply(&mut self.block, finite)?;
-        if let Some(w0) = win0 {
-            self.finish_step_telemetry(step, w0);
+        if let Some((w0, waited0)) = win0 {
+            self.finish_step_telemetry(step, w0, self.stats.wait_s - waited0);
         }
         Ok(applied)
     }
@@ -383,11 +412,15 @@ impl StageRank {
     }
 
     /// Telemetry tail of a completed step: records this rank's step
-    /// window slice and runs the mesh-native metrics relay
+    /// window slice, the seconds of it spent asleep and the stash's peak,
+    /// and runs the mesh-native metrics relay
     /// ([`relay_step_metrics`]). Only called
     /// when telemetry is enabled and the step reached a verdict (error
     /// paths skip it — a dead rank's wait slices still tell the story).
-    fn finish_step_telemetry(&mut self, step: u32, win0: f64) {
+    fn finish_step_telemetry(&mut self, step: u32, win0: f64, waited_s: f64) {
+        let reg = telemetry::global();
+        reg.histogram("samo.pipeline.wait_s").record(waited_s);
+        reg.gauge("samo.pipeline.stash_bytes_peak").set_max(self.stats.stash_bytes_peak as f64);
         let now = now_us();
         let dur_us = (now - win0).max(0.0);
         // The step window `telemetry::critical_path` attributes this
@@ -418,15 +451,30 @@ impl StageRank {
         }
     }
 
+    /// The slot microbatch `mb`'s caches park in, swapped with the block's.
+    fn swap_slot(&mut self, mb: usize) {
+        let slot = mb % self.slots.len();
+        self.slots[slot].exchange(&mut self.block);
+    }
+
     fn forward_mb(&mut self, mb: usize, x: Tensor, step: u32) -> Result<(), CommsError> {
         let ts = telemetry::enabled().then(now_us);
         let t0 = Instant::now();
+        if let (true, Some(in_flight)) = (self.stashing, self.cache_mb) {
+            // The block's caches belong to a microbatch not yet retired:
+            // park them before this forward overwrites them.
+            self.swap_slot(in_flight);
+            let parked: usize = self.slots.iter().map(CacheSlot::bytes).sum();
+            self.stats.stash_bytes_peak = self.stats.stash_bytes_peak.max(parked as u64);
+        }
         let y = self.block.forward(&x);
         let dt = t0.elapsed().as_secs_f64();
         self.stats.fwd_s += dt;
         self.record_mb_slice('F', mb, ts, dt);
         self.cache_mb = Some(mb);
-        self.input_stash[mb] = Some(x);
+        if !self.stashing {
+            self.input_stash[mb] = Some(x);
+        }
         if self.is_last() {
             self.y_stash[mb] = Some(y);
         } else {
@@ -449,16 +497,21 @@ impl StageRank {
     ) -> Result<(), CommsError> {
         let ts = telemetry::enabled().then(now_us);
         let t0 = Instant::now();
-        if self.cfg.force_recompute || self.cache_mb != Some(mb) {
-            // The activation caches belong to a different microbatch:
-            // re-run the stage forward from the stashed boundary input.
-            // Parameters are unchanged within a step, so the recompute
-            // reproduces the original activations bit for bit.
+        let parked = self.stashing && self.cache_mb != Some(mb);
+        if parked {
+            // Trade the newest microbatch's caches for this one's; they
+            // come back once this backward has consumed its own.
+            self.swap_slot(mb);
+        } else if !self.stashing {
             let x = self.input_stash[mb].take().expect("boundary input stashed");
-            let _ = self.block.forward(&x);
-            self.stats.recomputes += 1;
-        } else {
-            self.input_stash[mb] = None;
+            if self.cfg.force_recompute || self.cache_mb != Some(mb) {
+                // The activation caches belong to a different microbatch:
+                // re-run the stage forward from the stashed boundary input.
+                // Parameters are unchanged within a step, so the recompute
+                // reproduces the original activations bit for bit.
+                let _ = self.block.forward(&x);
+                self.stats.recomputes += 1;
+            }
         }
         let dx = if last_mb {
             // Final microbatch: every parameter's accumulated gradient
@@ -470,7 +523,11 @@ impl StageRank {
         } else {
             self.block.backward(dy)
         };
-        self.cache_mb = None;
+        if parked {
+            self.swap_slot(mb);
+        } else {
+            self.cache_mb = None;
+        }
         let dt = t0.elapsed().as_secs_f64();
         self.stats.bwd_s += dt;
         self.record_mb_slice('B', mb, ts, dt);
@@ -618,6 +675,8 @@ impl ThreadedPipelineSamo {
                     input_stash: Vec::new(),
                     y_stash: Vec::new(),
                     cache_mb: None,
+                    slots: (0..cfg.max_in_flight).map(|_| CacheSlot::default()).collect(),
+                    stashing: false,
                     rank_dur_stats: Vec::new(),
                 };
                 param_off += n_params;

@@ -21,7 +21,7 @@
 //! message-driven 1F1B schedule — from host topology.
 
 use nn::activations::Relu;
-use nn::layer::{Layer, Sequential};
+use nn::layer::{CacheSlot, Layer, Sequential};
 use nn::linear::Linear;
 use nn::param::Parameter;
 use prune::Mask;
@@ -75,6 +75,10 @@ impl Layer for StageDelay {
 
     fn params_mut(&mut self) -> Vec<&mut Parameter> {
         Vec::new()
+    }
+
+    fn swap_caches(&mut self, _slot: &mut CacheSlot) -> bool {
+        true
     }
 }
 

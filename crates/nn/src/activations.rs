@@ -1,6 +1,6 @@
 //! Pointwise activation layers.
 
-use crate::layer::Layer;
+use crate::layer::{CacheSlot, Layer};
 use crate::param::Parameter;
 use tensor::Tensor;
 
@@ -66,6 +66,11 @@ impl Layer for Relu {
 
     fn cached_bytes(&self) -> usize {
         self.cached_input.as_ref().map_or(0, |t| t.numel() * 4)
+    }
+
+    fn swap_caches(&mut self, slot: &mut CacheSlot) -> bool {
+        slot.swap(&mut self.cached_input);
+        true
     }
 }
 
@@ -144,6 +149,11 @@ impl Layer for Gelu {
 
     fn cached_bytes(&self) -> usize {
         self.cached_input.as_ref().map_or(0, |t| t.numel() * 4)
+    }
+
+    fn swap_caches(&mut self, slot: &mut CacheSlot) -> bool {
+        slot.swap(&mut self.cached_input);
+        true
     }
 }
 

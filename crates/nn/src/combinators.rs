@@ -1,6 +1,6 @@
 //! Layer combinators: residual connections and shape adapters.
 
-use crate::layer::Layer;
+use crate::layer::{CacheSlot, Layer};
 use crate::param::Parameter;
 use tensor::Tensor;
 
@@ -50,6 +50,10 @@ impl<L: Layer> Layer for Residual<L> {
 
     fn cached_bytes(&self) -> usize {
         self.inner.cached_bytes()
+    }
+
+    fn swap_caches(&mut self, slot: &mut CacheSlot) -> bool {
+        self.inner.swap_caches(slot)
     }
 }
 

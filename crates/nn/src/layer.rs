@@ -57,6 +57,47 @@ impl GradSink for Shifted<'_> {
     }
 }
 
+/// A caller-held set of forward caches, one cell per cache of every leaf
+/// layer in execution order. A pipeline stage keeps one per microbatch in
+/// flight beyond the live one, so a backward finds the activations its
+/// forward left instead of recomputing them. The cells are created by the
+/// first exchange; after that one moves tensors and allocates nothing.
+#[derive(Default)]
+pub struct CacheSlot {
+    cells: Vec<Option<Tensor>>,
+    /// Next cell a leaf takes during an exchange.
+    at: usize,
+}
+
+impl CacheSlot {
+    /// Swaps `layer`'s forward caches with this slot's: the layer takes
+    /// what the slot held (nothing, or the caches an earlier exchange
+    /// parked here) and the slot takes what `forward` left — moved, never
+    /// copied. Exchange after one forward and again before the matching
+    /// backward, and other inputs can run through the layer in between.
+    /// `false`, with layer and slot untouched, if any layer inside
+    /// declines ([`Layer::swap_caches`]).
+    pub fn exchange(&mut self, layer: &mut dyn Layer) -> bool {
+        self.at = 0;
+        layer.swap_caches(self)
+    }
+
+    /// [`Layer::swap_caches`] of a leaf: swaps one of its caches with the
+    /// slot's next cell.
+    pub fn swap(&mut self, cache: &mut Option<Tensor>) {
+        if self.at == self.cells.len() {
+            self.cells.push(None);
+        }
+        std::mem::swap(cache, &mut self.cells[self.at]);
+        self.at += 1;
+    }
+
+    /// Bytes of activations parked here.
+    pub fn bytes(&self) -> usize {
+        self.cells.iter().flatten().map(|t| t.numel() * 4).sum()
+    }
+}
+
 /// A differentiable module.
 ///
 /// `forward` caches whatever it needs; `backward` consumes that cache,
@@ -109,6 +150,16 @@ pub trait Layer {
     /// memory that activation checkpointing trades for recomputation.
     fn cached_bytes(&self) -> usize {
         0
+    }
+
+    /// The layer's half of [`CacheSlot::exchange`]: [`CacheSlot::swap`]
+    /// on every forward cache, always in the same order; a container asks
+    /// its children in execution order. Returns `false` — layer and slot
+    /// untouched — from a layer that cannot hand its caches over (the
+    /// default); whoever wanted them back then runs `forward` again. A
+    /// layer that caches nothing accepts by doing nothing.
+    fn swap_caches(&mut self, _slot: &mut CacheSlot) -> bool {
+        false
     }
 
     /// Inference-only batched forward into a caller-provided buffer:
@@ -252,6 +303,20 @@ impl Layer for Sequential {
         self.layers.iter().map(|l| l.cached_bytes()).sum()
     }
 
+    fn swap_caches(&mut self, slot: &mut CacheSlot) -> bool {
+        let start = slot.at;
+        let Some(declined) = self.layers.iter_mut().position(|l| !l.swap_caches(slot)) else {
+            return true;
+        };
+        // A swap is its own inverse: undo the children that accepted.
+        slot.at = start;
+        for l in &mut self.layers[..declined] {
+            l.swap_caches(slot);
+        }
+        slot.at = start;
+        false
+    }
+
     fn infer_batch(&mut self, x: &[f32], batch: usize, in_cols: usize, out: &mut Vec<f32>) -> usize {
         assert!(batch > 0, "infer_batch needs at least one row");
         assert_eq!(x.len(), batch * in_cols, "input slice/shape mismatch");
@@ -339,6 +404,90 @@ mod tests {
         for (p, q) in plain.params().iter().zip(hooked.params()) {
             assert_eq!(p.grad.as_slice(), q.grad.as_slice(), "{}", p.name);
         }
+    }
+
+    /// A layer that keeps the default `swap_caches`: it declines.
+    struct Keeps(Linear);
+
+    impl Layer for Keeps {
+        fn forward(&mut self, x: &Tensor) -> Tensor {
+            self.0.forward(x)
+        }
+        fn backward(&mut self, dy: &Tensor) -> Tensor {
+            self.0.backward(dy)
+        }
+        fn params(&self) -> Vec<&Parameter> {
+            self.0.params()
+        }
+        fn params_mut(&mut self) -> Vec<&mut Parameter> {
+            self.0.params_mut()
+        }
+        fn cached_bytes(&self) -> usize {
+            self.0.cached_bytes()
+        }
+    }
+
+    /// `forward(a); park; forward(b); backward(b); unpark; backward(a)`
+    /// leaves the bits of `forward(a); backward(a)` after the same `b`
+    /// round, and the cached bytes travel with the exchange.
+    #[test]
+    fn parked_caches_come_back_bit_for_bit() {
+        use crate::activations::{Gelu, Relu};
+        use crate::combinators::Residual;
+        type Build = fn() -> Box<dyn Layer>;
+        let builds: [(&str, Build); 5] = [
+            ("linear", || Box::new(Linear::new(4, 4, true, 1))),
+            ("relu", || Box::new(Relu::new())),
+            ("gelu", || Box::new(Gelu::new())),
+            ("residual", || Box::new(Residual::new(Linear::new(4, 4, false, 2)))),
+            ("sequential", || {
+                let inner = Sequential::new().push(Linear::new(4, 4, true, 3)).push(Gelu::new());
+                Box::new(Sequential::new().push(inner).push(Relu::new()).push(Linear::new(4, 4, false, 4)))
+            }),
+        ];
+        let [a, b, dya, dyb] = [5, 6, 7, 8].map(|seed| Tensor::randn(&[3, 4], 1.0, seed));
+        let grads = |l: &dyn Layer| -> Vec<Vec<u32>> {
+            let bits = |p: &&Parameter| p.grad.as_slice().iter().map(|g| g.to_bits()).collect();
+            l.params().iter().map(bits).collect()
+        };
+        for (name, build) in builds {
+            let mut plain = build();
+            plain.forward(&b);
+            plain.backward(&dyb);
+            plain.forward(&a);
+            let dx_plain = plain.backward(&dya);
+
+            let mut parked = build();
+            let mut slot = CacheSlot::default();
+            parked.forward(&a);
+            let held = parked.cached_bytes();
+            assert!(slot.exchange(parked.as_mut()), "{name} accepts");
+            assert_eq!((parked.cached_bytes(), slot.bytes()), (0, held), "{name}: bytes moved out");
+            parked.forward(&b);
+            parked.backward(&dyb);
+            assert!(slot.exchange(parked.as_mut()));
+            assert_eq!((parked.cached_bytes(), slot.bytes()), (held, 0), "{name}: bytes moved back");
+            let dx_parked = parked.backward(&dya);
+
+            assert_eq!(dx_plain.as_slice(), dx_parked.as_slice(), "{name}: dx");
+            assert_eq!(grads(plain.as_ref()), grads(parked.as_ref()), "{name}: gradients");
+        }
+    }
+
+    #[test]
+    fn one_declining_layer_declines_for_the_block_and_moves_nothing() {
+        let mut block = Sequential::new()
+            .push(Linear::new(4, 4, true, 1))
+            .push(crate::activations::Relu::new())
+            .push(Keeps(Linear::new(4, 4, false, 2)));
+        let x = Tensor::randn(&[3, 4], 1.0, 3);
+        block.forward(&x);
+        let held = block.cached_bytes();
+        let mut slot = CacheSlot::default();
+        assert!(!slot.exchange(&mut block));
+        assert_eq!((block.cached_bytes(), slot.bytes()), (held, 0));
+        // The caches that went out and came back still serve a backward.
+        block.backward(&Tensor::randn(&[3, 4], 1.0, 4));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! unmanaged model, a serving replica or a trainer whose caller runs the
 //! passes, the f32 `value`.
 
-use crate::layer::{GradSink, Layer};
+use crate::layer::{CacheSlot, GradSink, Layer};
 use crate::param::Parameter;
 use tensor::gemm::{matmul_tn_acc, matmul_tn_row_blocks, sgemm};
 use tensor::Tensor;
@@ -211,6 +211,11 @@ impl Layer for Linear {
 
     fn cached_bytes(&self) -> usize {
         self.cached_input.as_ref().map_or(0, |t| t.numel() * 4)
+    }
+
+    fn swap_caches(&mut self, slot: &mut CacheSlot) -> bool {
+        slot.swap(&mut self.cached_input);
+        true
     }
 }
 

@@ -1,9 +1,10 @@
 //! Integration: the thread-per-stage pipeline runtime over the `comms`
 //! mesh is **bitwise interchangeable** with the single-process
 //! `SamoTrainer` — for any pipeline depth, for the hybrid
-//! `G_inter × G_data` decomposition, with activation recomputation
-//! forced on, and after a killed stage is healed and restored from a
-//! checkpoint.
+//! `G_inter × G_data` decomposition, for any depth of the activation
+//! stash, with activation recomputation instead of it (forced on, or
+//! because a layer declines the stash), and after a killed stage is
+//! healed and restored from a checkpoint.
 
 use nn::layer::{Layer, Sequential};
 use nn::linear::Linear;
@@ -99,18 +100,23 @@ fn cfg(g_inter: usize, g_data: usize) -> PipelineConfig {
     }
 }
 
-/// The tentpole correctness bar: for every pipeline depth, checkpoint
-/// bytes equal the single-process trainer's step for step, regardless
-/// of stage-thread timing.
+/// The tentpole correctness bar: for every pipeline depth and every
+/// depth of the activation stash, checkpoint bytes equal the
+/// single-process trainer's step for step, regardless of stage-thread
+/// timing — and no stage runs a forward twice.
 #[test]
 fn pipeline_matches_single_process_bitwise_for_each_depth() {
     // Depth 2 also runs under the default scaler (65536, where the
     // first verdicts matter most) and the default collective deadline.
-    let cases = [(2usize, None), (2, Some(1024.0)), (3, Some(1024.0)), (4, Some(1024.0))];
-    for (g_inter, scaler) in cases {
+    let mut cases = vec![(2usize, 2usize, None)];
+    for g_inter in [2, 3, 4] {
+        cases.extend([1, 2, 4].map(|max_in_flight| (g_inter, max_in_flight, Some(1024.0))));
+    }
+    for (g_inter, max_in_flight, scaler) in cases {
         let mut oracle_model = model(11);
         let mut oracle = SamoTrainer::new(&mut oracle_model, masks(), adam());
         let mut c = cfg(g_inter, 1);
+        c.max_in_flight = max_in_flight;
         if scaler.is_none() {
             c.timeout = comms::collectives::DEFAULT_TIMEOUT;
         }
@@ -131,20 +137,76 @@ fn pipeline_matches_single_process_bitwise_for_each_depth() {
             assert_eq!(
                 oracle.save().as_ref(),
                 pp.save().as_ref(),
-                "training state diverged at G_inter={g_inter} step {step}"
+                "training state diverged at G_inter={g_inter}, {max_in_flight} in flight, step {step}"
             );
         }
         assert_eq!(oracle.steps_taken(), pp.steps_taken());
         assert_eq!(oracle.steps_skipped(), pp.steps_skipped());
 
-        // The last stage never recomputes: under backward priority its
-        // backward immediately follows the matching forward.
+        // Every layer of the model hands its caches over, so a backward
+        // finds them in the stash. The last stage parks nothing (under
+        // backward priority its backward immediately follows the matching
+        // forward), nor does a window of one; stage 0 of a wider window
+        // runs ahead of its first gradient, and parks.
         let stats = pp.stage_stats();
-        assert_eq!(
-            stats[g_inter - 1].recomputes, 0,
-            "last stage must not recompute at G_inter={g_inter}"
-        );
+        for (stage, st) in stats.iter().enumerate() {
+            let at = format!("stage {stage} of {g_inter}, {max_in_flight} in flight");
+            assert_eq!(st.recomputes, 0, "{at}");
+            assert!(st.fwd_s + st.bwd_s + st.wait_s <= st.sched_wall_s, "{at}: {st:?}");
+            if stage + 1 == g_inter || max_in_flight == 1 {
+                assert_eq!(st.stash_bytes_peak, 0, "{at}");
+            }
+        }
+        assert_eq!(stats[0].stash_bytes_peak > 0, max_in_flight > 1, "{stats:?}");
     }
+}
+
+/// A layer that keeps `Layer::swap_caches`' default: it declines.
+struct Keeps(Linear);
+
+impl Layer for Keeps {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        self.0.forward(x)
+    }
+    fn backward(&mut self, dy: &Tensor) -> Tensor {
+        self.0.backward(dy)
+    }
+    fn params(&self) -> Vec<&nn::param::Parameter> {
+        self.0.params()
+    }
+    fn params_mut(&mut self) -> Vec<&mut nn::param::Parameter> {
+        self.0.params_mut()
+    }
+}
+
+/// One layer that will not hand its caches over makes its whole stage
+/// fall back to just-in-time recomputation — counted, nothing parked,
+/// still bitwise — while the other stages keep stashing.
+#[test]
+fn a_declining_layer_recomputes_its_stage_bitwise() {
+    let build = || {
+        let mut layers = model(29).into_layers();
+        layers[0] = Box::new(Keeps(Linear::new(IN, H1, true, 29)));
+        Sequential::from_layers(layers)
+    };
+    let mut oracle_model = build();
+    let mut oracle = SamoTrainer::new(&mut oracle_model, masks(), adam());
+    oracle.scaler = LossScaler::new(1024.0);
+    let mut pp = ThreadedPipelineSamo::new(vec![build()], masks(), adam(), cfg(3, 1));
+    pp.set_scaler(LossScaler::new(1024.0));
+
+    let steps = 6u64;
+    for step in 0..steps {
+        oracle_step(&mut oracle, &mut oracle_model, step);
+        pipeline_step(&mut pp, step).expect("healthy mesh");
+        assert_eq!(oracle.save().as_ref(), pp.save().as_ref(), "diverged at step {step}");
+    }
+    let stats = pp.stage_stats();
+    // Stage 0 runs ahead of its first gradient, so some backward finds
+    // the caches overwritten; at most every one does.
+    assert!((1..=steps * MB as u64).contains(&stats[0].recomputes), "{stats:?}");
+    assert_eq!(stats[0].stash_bytes_peak, 0, "a declined swap parks nothing");
+    assert_eq!((stats[1].recomputes, stats[2].recomputes), (0, 0), "{stats:?}");
 }
 
 /// The hybrid decomposition: 2 pipeline stages × 2 data replicas, with
