@@ -21,6 +21,21 @@ pub const AVX2_SGEMM_MIN: f64 = 1.5;
 pub const NM24_OVER_DENSE_MIN: f64 = 1.3;
 /// int8 GEMM over f32, as a kernel (`simd`); recorded by `serve` likewise.
 pub const INT8_OVER_F32_MIN: f64 = 1.5;
+/// The rows of `repro bench`'s per-layer profile of one `gpt_single` step.
+pub const GPT_LAYERS: [&str; 7] = [
+    "gelu",
+    "attention_heads",
+    "linear_qkv",
+    "linear_proj",
+    "linear_up",
+    "linear_down",
+    "layer_norm",
+];
+/// Vector GELU, forward and backward, over the libm `tanh` loops it
+/// replaced. `softmax_rows` is recorded beside them ungated: libm's
+/// `expf` is a few ns where `tanhf` is twenty, and at attention's row
+/// length the max, sum and scale passes are most of what is left.
+pub const VECTOR_GELU_OVER_LIBM_MIN: f64 = 4.0;
 /// Batched over batch-1 serving throughput on the dense backend — the
 /// continuous batcher's reason to exist.
 pub const BATCH_SPEEDUP_MIN: f64 = 2.0;
@@ -249,9 +264,22 @@ fn kernels(doc: &Json) -> Check {
             ONE_ROW_GFLOPS_MIN,
         )?;
     }
+    // The per-layer profile of the compute-bound step is a record, not a
+    // race: held to its shape only.
+    let profile = get(doc, "gpt_layers")?;
+    let (sum, step) = (num(profile, "sum_ms")?, num(profile, "step_ms")?);
+    at_least("gpt_layers whole-step ms", step, f64::MIN_POSITIVE)?;
+    let layers = rows(profile, "layers")?;
+    for name in GPT_LAYERS {
+        let layer = named(layers, name)?;
+        let (fwd, both) = (num(layer, "fwd_ms")?, num(layer, "fwd_bwd_ms")?);
+        at_least(&format!("gpt_layers {name} forward ms"), fwd, 0.0)?;
+        at_least(&format!("gpt_layers {name} forward + backward ms over forward"), both, fwd)?;
+    }
     let n = table.len();
     Ok(format!(
-        "{n} kernels, fused step {fused:.4} ms <= reference {reference:.4} ms, \
+        "{n} kernels, gpt layers {sum:.2} of a {step:.2} ms step, \
+         fused step {fused:.4} ms <= reference {reference:.4} ms, \
          streamed dW {dw_streamed:.4} ms <= dense {dw_dense:.4} ms, \
          fwd + dx from θ16 {f16w:.4} ms <= from f32 {f32w:.4} ms, \
          thin NT/NN {thin:.2}, 1-row {one_row:.2} GFLOP/s"
@@ -348,8 +376,17 @@ fn simd(doc: &Json) -> Check {
     at_least("2:4 spMM over dense sgemm", nm24, NM24_OVER_DENSE_MIN)?;
     let int8 = num(get(s, "int8")?, "speedup_vs_f32")?;
     at_least("int8 qgemm over f32 sgemm", int8, INT8_OVER_F32_MIN)?;
+    let elementwise = rows(s, "elementwise")?;
+    let softmax = num(named(elementwise, "softmax_rows")?, "speedup")?;
+    let mut gelu = f64::INFINITY;
+    for name in ["gelu_fwd", "gelu_bwd"] {
+        let speedup = num(named(elementwise, name)?, "speedup")?;
+        at_least(&format!("vector {name} over its libm loop"), speedup, VECTOR_GELU_OVER_LIBM_MIN)?;
+        gelu = gelu.min(speedup);
+    }
     Ok(format!(
-        "sgemm {sgemm:.1}x, 2:4 vs dense {nm24:.2}x, int8 vs f32 {int8:.2}x"
+        "sgemm {sgemm:.1}x, 2:4 vs dense {nm24:.2}x, int8 vs f32 {int8:.2}x, \
+         vector gelu >= {gelu:.1}x libm (softmax_rows {softmax:.2}x)"
     ))
 }
 
@@ -645,6 +682,17 @@ mod tests {
             &["minimum"],
         );
 
+        rejects(
+            "kernels",
+            &doctored(&["gpt_layers", "layers", "0", "name"], Json::Str("relu".into())),
+            &["gelu"],
+        );
+        rejects(
+            "kernels",
+            &doctored(&["gpt_layers", "layers", "1", "fwd_bwd_ms"], Json::Num(0.0)),
+            &["attention_heads", "forward + backward"],
+        );
+
         let reference = num(
             named(
                 rows(&committed(), "kernels").unwrap(),
@@ -761,7 +809,7 @@ mod tests {
     }
 
     #[test]
-    fn simd_row_holds_the_three_floors_where_avx2_is_detected() {
+    fn simd_row_holds_its_floors_where_avx2_is_detected() {
         let sgemm = doctored(&["simd", "dispatch", "0", "speedup"], Json::Num(1.49));
         rejects("simd", &sgemm, &["sgemm_256", "1.49", "1.5"]);
         rejects(
@@ -777,6 +825,15 @@ mod tests {
             &doctored(&["simd", "int8", "speedup_vs_f32"], Json::Num(1.49)),
             &["int8", "1.49", "1.5"],
         );
+        for row in ["0", "1"] {
+            let slow = doctored(&["simd", "elementwise", row, "speedup"], Json::Num(3.99));
+            rejects("simd", &slow, &["gelu_", "libm", "3.99", "4"]);
+        }
+        // softmax_rows is a recorded row: it has to be there, at any ratio.
+        let softmax = doctored(&["simd", "elementwise", "2", "speedup"], Json::Num(0.9));
+        check("simd", &softmax).expect("the softmax_rows ratio is data");
+        let gone = doctored(&["simd", "elementwise", "2", "name"], Json::Str("other".into()));
+        rejects("simd", &gone, &["softmax_rows"]);
         rejects(
             "simd",
             &doctored(&["simd", "active_tier"], Json::Str("scalar".into())),

@@ -28,9 +28,21 @@
 //! * `compress.f32` / `expand.f16` / `compress.f16` — the compression
 //!   and expansion primitives, at the element types the step uses.
 //! * `allreduce_compressed` — the compressed fp16 gradient all-reduce.
+//!
+//! Beside the kernels, `gpt_layers`: which layer type owns the
+//! compute-bound step. Every layer of the `gpt_single` benchmark workload
+//! at its shapes (`[B, T, C] = [16, 32, 64]`, 4 heads, 2 blocks), forward
+//! and forward + backward, times its calls per step, summed next to one
+//! whole `TinyGpt` step.
 
-use crate::harness::{self, duel, random_vec, round6, sample, Sample};
+use crate::harness::{self, duel, obj, random_vec, round6, sample, Sample};
+use models::tiny::{TinyGpt, TinyGptConfig};
+use nn::activations::Gelu;
+use nn::attention::CausalSelfAttention;
+use nn::layer::Layer;
+use nn::linear::Linear;
 use nn::mixed::Optimizer;
+use nn::norm::LayerNorm;
 use nn::optim::AdamConfig;
 use samo::state::SamoLayerState;
 use samo::trainer::allreduce_mean_f16;
@@ -38,6 +50,7 @@ use samo::{compress, expand};
 use telemetry::json::Json;
 use tensor::f16::{f16_slice_to_f32, f32_slice_to_f16, F16};
 use tensor::gemm::{matmul, matmul_nt, matmul_tn_acc, matmul_tn_row_blocks, sgemm, GemmElem};
+use tensor::Tensor;
 
 /// One benchmarked kernel: per-invocation times in milliseconds.
 struct KernelResult {
@@ -303,7 +316,106 @@ pub fn run(quick: bool) -> Result<(), String> {
     let csv = tab.write_csv().map_err(|e| format!("write bench CSV: {e}"))?;
     telemetry::log_info!("bench: CSV written to {}", csv.display());
 
-    harness::record("kernels", to_json(&results, quick, best_of))
+    let mut own = to_json(&results, quick, best_of);
+    own.push(("gpt_layers".to_string(), gpt_layers(best_of, reps)));
+    harness::record("kernels", own)
+}
+
+/// The per-layer-type profile of one `gpt_single` step (the benchmark
+/// workload's shapes, restated here because `benchmark/` is a consumer of
+/// this workspace, not a dependency): best-of-N milliseconds per call,
+/// forward and forward + backward, and how many calls a step makes.
+/// `attention_heads` is the attention layer less its two `Linear`s — the
+/// per-head products, mask and softmax.
+fn gpt_layers(best_of: usize, reps: usize) -> Json {
+    let (batch, seq, dim, heads, blocks) = (16, 32, 64, 4, 2);
+    let config = TinyGptConfig { vocab: nn::data::VOCAB, seq, dim, heads, layers: blocks };
+    let rows = batch * seq;
+    let time = |layer: &mut dyn Layer, x: &Tensor| {
+        let dy = Tensor::full(layer.forward(x).shape(), 0.01);
+        let fwd = sample(best_of, reps, || {
+            std::hint::black_box(layer.forward(x));
+        });
+        let both = sample(best_of, reps, || {
+            layer.forward(x);
+            std::hint::black_box(layer.backward(&dy));
+        });
+        [fwd.best_ms, both.best_ms]
+    };
+    let flat = |cols: usize, seed| Tensor::randn(&[rows, cols], 1.0, seed);
+    let linear = |n_in, n_out| time(&mut Linear::new(n_in, n_out, true, 1), &flat(n_in, 2));
+    let (qkv, proj) = (linear(dim, 3 * dim), linear(dim, dim));
+    let (up, down) = (linear(dim, 4 * dim), linear(4 * dim, dim));
+    let x3 = Tensor::randn(&[batch, seq, dim], 1.0, 3);
+    let attn = time(&mut CausalSelfAttention::new(dim, heads, 4), &x3);
+    let attn_heads = [0, 1].map(|i| (attn[i] - qkv[i] - proj[i]).max(0.0));
+    let gelu = time(&mut Gelu::new(), &flat(4 * dim, 5));
+    let norm = time(&mut LayerNorm::new(dim), &x3);
+
+    let step_ms = {
+        let mut gpt = TinyGpt::new(config, 6);
+        let ids: Vec<usize> = (0..rows).map(|i| (i * 7 + i / seq) % config.vocab).collect();
+        sample(best_of, reps, || {
+            let logits = gpt.forward_ids(&ids, batch, seq);
+            let (_, dlogits) = nn::loss::cross_entropy(&logits, &ids);
+            std::hint::black_box(gpt.backward(&dlogits));
+        })
+        .best_ms
+    };
+
+    let layers = [
+        ("gelu", blocks, gelu),
+        ("attention_heads", blocks, attn_heads),
+        ("linear_qkv", blocks, qkv),
+        ("linear_proj", blocks, proj),
+        ("linear_up", blocks, up),
+        ("linear_down", blocks, down),
+        ("layer_norm", 2 * blocks + 1, norm),
+    ];
+    let sum_ms: f64 = layers.iter().map(|(_, calls, ms)| *calls as f64 * ms[1]).sum();
+    let mut tab = crate::Table::new(
+        "bench_gpt_layers",
+        &["layer", "calls_per_step", "fwd_ms", "fwd_bwd_ms", "per_step_ms", "share_of_step"],
+    );
+    for (name, calls, [fwd, both]) in &layers {
+        let per_step = *calls as f64 * both;
+        tab.push(vec![
+            name.to_string(),
+            calls.to_string(),
+            format!("{fwd:.4}"),
+            format!("{both:.4}"),
+            format!("{per_step:.4}"),
+            format!("{:.1}%", 100.0 * per_step / step_ms),
+        ]);
+    }
+    println!("{}", tab.render());
+    println!("layers sum {sum_ms:.3} ms of a {step_ms:.3} ms TinyGpt step (forward + loss + backward)");
+
+    obj([
+        ("batch", Json::UInt(batch as u64)),
+        ("seq", Json::UInt(seq as u64)),
+        ("dim", Json::UInt(dim as u64)),
+        ("heads", Json::UInt(heads as u64)),
+        ("blocks", Json::UInt(blocks as u64)),
+        (
+            "layers",
+            Json::Arr(
+                layers
+                    .iter()
+                    .map(|(name, calls, [fwd, both])| {
+                        obj([
+                            ("name", Json::Str(name.to_string())),
+                            ("calls_per_step", Json::UInt(*calls as u64)),
+                            ("fwd_ms", round6(*fwd)),
+                            ("fwd_bwd_ms", round6(*both)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        ("sum_ms", round6(sum_ms)),
+        ("step_ms", round6(step_ms)),
+    ])
 }
 
 /// 10⁹ units (FLOPs or algorithmic bytes) per second at `units` of work

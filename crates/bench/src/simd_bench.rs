@@ -1,15 +1,18 @@
 //! `repro simd` — the SIMD compute tier (DESIGN.md §11) measured
 //! honestly: scalar vs AVX2 per dispatched kernel, the 2:4 structured
 //! spMM against dense GEMM and unstructured CSR at matched shapes, and
-//! int8 quantized GEMM against f32 — recorded as a `simd` section in
-//! `BENCH_hotpaths.json`.
+//! int8 quantized GEMM against f32, and the vector `exp` kernels (GELU
+//! forward and backward, `softmax_rows`) against the libm loops they
+//! replaced — recorded as a `simd` section in `BENCH_hotpaths.json`.
 //!
 //! The run is held to the `simd` gate ([`crate::gates`]): when AVX2+FMA
 //! is detected the AVX2 `sgemm` must beat scalar on the 256³ shape, the
 //! structured 2:4 spMM must beat dense `sgemm` at the same shape (the
 //! structured format's whole reason to exist — Fig. 1 shows unstructured
 //! CSR *loses* this comparison, which the recorded `csr_p50_ms`
-//! documents), and int8 `qgemm` must beat the f32 `sgemm`.
+//! documents), int8 `qgemm` must beat the f32 `sgemm`, and vector GELU
+//! must beat its libm loop by [`crate::gates::VECTOR_GELU_OVER_LIBM_MIN`]
+//! in both directions (`softmax_rows` is recorded, not gated).
 //!
 //! On hardware without AVX2 the gates are skipped (scalar-vs-scalar
 //! speedups are tautologically 1×) and the section records
@@ -17,6 +20,7 @@
 
 use crate::harness::{self, duel, obj, random_vec, round6, sample};
 use crate::Table;
+use nn::activations::{gelu_grad_scalar, gelu_scalar};
 use sparse::{spmm, Nm24};
 use telemetry::json::Json;
 use tensor::f16::F16;
@@ -81,6 +85,71 @@ pub fn run(quick: bool) -> Result<(), String> {
         });
     }
 
+    // --- The vector exp kernels vs the libm loops they replaced. ------
+    // `gpt_single`'s shapes: the MLP activation of a block is [512, 256],
+    // its attention probabilities 2048 rows of 32. Every contender starts
+    // from a fresh copy of the input, so the in-place ones see the same
+    // values every rep. The gated ratios use 3x the rounds of the
+    // dispatch table: the kernels are ~1 ms each, so the extra rounds are
+    // cheap and min-of-N over interleaved trials is what makes a gate
+    // reproducible.
+    let tier = simd::active();
+    let duel_rounds = best_of * 3;
+    let ew_n = 512 * 256;
+    let ew_x: Vec<f32> = random_vec(ew_n, 11).iter().map(|v| 3.0 * v).collect();
+    let ew_d = random_vec(ew_n, 12);
+    // (kernel, elements a call, [libm, vector] ms a call)
+    let mut elementwise: Vec<(&str, usize, [f64; 2])> = Vec::new();
+    {
+        let (mut y0, mut y1) = (vec![0.0f32; ew_n], vec![0.0f32; ew_n]);
+        let pair = duel(
+            duel_rounds,
+            reps,
+            || {
+                for (y, &x) in y0.iter_mut().zip(std::hint::black_box(&ew_x)) {
+                    *y = gelu_scalar(x);
+                }
+            },
+            || simd::gelu_tier(tier, std::hint::black_box(&ew_x), &mut y1),
+        );
+        elementwise.push(("gelu_fwd", ew_n, pair.map(|s| s.best_ms)));
+    }
+    {
+        let (mut d0, mut d1) = (vec![0.0f32; ew_n], vec![0.0f32; ew_n]);
+        let pair = duel(
+            duel_rounds,
+            reps,
+            || {
+                d0.copy_from_slice(&ew_d);
+                for (d, &x) in d0.iter_mut().zip(std::hint::black_box(&ew_x)) {
+                    *d *= gelu_grad_scalar(x);
+                }
+            },
+            || {
+                d1.copy_from_slice(&ew_d);
+                simd::gelu_grad_mul_tier(tier, std::hint::black_box(&ew_x), &mut d1);
+            },
+        );
+        elementwise.push(("gelu_bwd", ew_n, pair.map(|s| s.best_ms)));
+    }
+    {
+        let (rows, cols) = (ew_n / 64, 32);
+        let (mut p0, mut p1) = (vec![0.0f32; rows * cols], vec![0.0f32; rows * cols]);
+        let pair = duel(
+            duel_rounds,
+            reps,
+            || {
+                p0.copy_from_slice(&ew_x[..rows * cols]);
+                softmax_rows_libm(&mut p0, cols);
+            },
+            || {
+                p1.copy_from_slice(&ew_x[..rows * cols]);
+                tensor::ops::softmax_rows(&mut p1, rows, cols);
+            },
+        );
+        elementwise.push(("softmax_rows", rows * cols, pair.map(|s| s.best_ms)));
+    }
+
     // --- Structured 2:4 spMM vs dense GEMM vs unstructured CSR. -------
     // Same output shape (dim x dim = W(dim x dim) · B(dim x dim)) for
     // all three; dense runs on the *masked* weights so every contender
@@ -89,11 +158,6 @@ pub fn run(quick: bool) -> Result<(), String> {
     let nm = Nm24::from_dense(&w_dense, dim, dim);
     let w_masked = nm.to_dense();
     let b_rhs = random_vec(dim * dim, 8);
-    let tier = simd::active();
-    // The gated ratios use 3x the rounds of the dispatch table: the two
-    // kernels are ~1 ms each, so the extra rounds are cheap and min-of-N
-    // over interleaved trials is what makes the gate reproducible.
-    let duel_rounds = best_of * 3;
     let [nm24_ms, dense_ms] = {
         let mut c0 = vec![0.0f32; dim * dim];
         let mut c1 = vec![0.0f32; dim * dim];
@@ -180,6 +244,20 @@ pub fn run(quick: bool) -> Result<(), String> {
         format!("{:.2}", gemm_flops / (int8_ms * 1e6)),
     ]);
     println!("{}", tab2.render());
+    let ns_per_elem = |ms: f64, n: usize| ms * 1e6 / n as f64;
+    let mut tab3 = Table::new(
+        "simd_elementwise",
+        &["kernel", "libm_ns_per_elem", "vector_ns_per_elem", "speedup"],
+    );
+    for (name, n, [libm_ms, vector_ms]) in &elementwise {
+        tab3.push(vec![
+            name.to_string(),
+            format!("{:.2}", ns_per_elem(*libm_ms, *n)),
+            format!("{:.2}", ns_per_elem(*vector_ms, *n)),
+            format!("{:.2}x", libm_ms / vector_ms),
+        ]);
+    }
+    println!("{}", tab3.render());
     let csv = tab.write_csv().map_err(|e| format!("write simd CSV: {e}"))?;
     telemetry::log_info!("simd: CSV written to {}", csv.display());
 
@@ -200,6 +278,22 @@ pub fn run(quick: bool) -> Result<(), String> {
                             ("scalar_ms", round6(p.scalar_ms)),
                             ("avx2_ms", round6(p.avx2_ms)),
                             ("speedup", round6(p.speedup())),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "elementwise",
+            Json::Arr(
+                elementwise
+                    .iter()
+                    .map(|(name, n, [libm_ms, vector_ms])| {
+                        obj([
+                            ("name", Json::Str(name.to_string())),
+                            ("libm_ns_per_elem", round6(ns_per_elem(*libm_ms, *n))),
+                            ("vector_ns_per_elem", round6(ns_per_elem(*vector_ms, *n))),
+                            ("speedup", round6(libm_ms / vector_ms)),
                         ])
                     })
                     .collect(),
@@ -227,4 +321,22 @@ pub fn run(quick: bool) -> Result<(), String> {
         ),
     ]);
     harness::record("simd", vec![("simd".to_string(), section)])
+}
+
+/// `softmax_rows` as it was before the vector `exp`: libm's `exp` per
+/// element. Kept here as the loop the `softmax_rows` row is measured
+/// against.
+fn softmax_rows_libm(data: &mut [f32], cols: usize) {
+    for row in data.chunks_mut(cols) {
+        let max = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+        let mut denom = 0.0f32;
+        for v in row.iter_mut() {
+            *v = (*v - max).exp();
+            denom += *v;
+        }
+        let inv = 1.0 / denom;
+        for v in row.iter_mut() {
+            *v *= inv;
+        }
+    }
 }

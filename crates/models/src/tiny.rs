@@ -126,6 +126,21 @@ impl Layer for TransformerBlock {
         self.ln2.for_each_param_mut(f);
         self.mlp.for_each_param_mut(f);
     }
+
+    fn clear_caches(&mut self) {
+        self.cache_shapes = None;
+        self.ln1.clear_caches();
+        self.attn.clear_caches();
+        self.ln2.clear_caches();
+        self.mlp.clear_caches();
+    }
+
+    fn cached_bytes(&self) -> usize {
+        self.ln1.cached_bytes()
+            + self.attn.cached_bytes()
+            + self.ln2.cached_bytes()
+            + self.mlp.cached_bytes()
+    }
 }
 
 /// The tiny GPT: token + position embeddings, `layers` transformer
@@ -213,6 +228,8 @@ impl TinyGpt {
             };
             ids.push(next);
         }
+        // Forward only: no backward will come for these activations.
+        self.clear_caches();
         ids
     }
 }
@@ -288,6 +305,25 @@ impl Layer for TinyGpt {
         }
         self.ln_f.for_each_param_mut(f);
         self.head.for_each_param_mut(f);
+    }
+
+    fn clear_caches(&mut self) {
+        self.cache_bt = None;
+        self.tok.clear_caches();
+        self.pos.clear_caches();
+        for b in &mut self.blocks {
+            b.clear_caches();
+        }
+        self.ln_f.clear_caches();
+        self.head.clear_caches();
+    }
+
+    fn cached_bytes(&self) -> usize {
+        self.tok.cached_bytes()
+            + self.pos.cached_bytes()
+            + self.blocks.iter().map(|b| b.cached_bytes()).sum::<usize>()
+            + self.ln_f.cached_bytes()
+            + self.head.cached_bytes()
     }
 }
 
@@ -371,6 +407,37 @@ mod tests {
         // + head 32*16
         let expect = 16 * 32 + 32 * 32 + 2 * (12 * 32 * 32 + 13 * 32) + 64 + 32 * 16;
         assert_eq!(total, expect);
+    }
+
+    #[test]
+    fn caches_are_reported_and_released() {
+        let mut gpt = TinyGpt::new(TinyGptConfig::default(), 23);
+        let ids: Vec<usize> = (0..2 * 8).map(|i| i % 16).collect();
+        assert_eq!(gpt.cached_bytes(), 0);
+
+        let logits = gpt.forward_ids(&ids, 2, 8);
+        let held = gpt.cached_bytes();
+        // At least every block's qkv output and attention probabilities.
+        assert!(held > 2 * (3 * 16 * 32 + 2 * 4 * 8 * 8) * 4, "{held} B reported");
+        gpt.clear_caches();
+        assert_eq!(gpt.cached_bytes(), 0);
+
+        gpt.forward_ids(&ids, 2, 8);
+        assert_eq!(gpt.cached_bytes(), held);
+        gpt.backward(&Tensor::zeros(logits.shape()));
+        assert_eq!(gpt.cached_bytes(), 0, "backward consumes what forward cached");
+
+        // A block on its own, as `Checkpoint` would hold it.
+        let mut block = TransformerBlock::new(8, 2, 5);
+        block.forward(&Tensor::randn(&[2, 3, 8], 0.5, 6));
+        assert!(block.cached_bytes() > 0);
+        block.clear_caches();
+        assert_eq!(block.cached_bytes(), 0);
+
+        // Generation runs forwards only and leaves nothing behind.
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
+        gpt.generate(&[1, 2, 3], 4, 1.0, &mut rng);
+        assert_eq!(gpt.cached_bytes(), 0);
     }
 
     #[test]

@@ -75,7 +75,8 @@ impl Layer for Relu {
 }
 
 /// Gaussian error linear unit (tanh approximation, as used by GPT-style
-/// transformers).
+/// transformers). Training, serving and every runtime compute it with the
+/// one vector kernel, [`tensor::ops::gelu`] and its gradient twin.
 pub struct Gelu {
     cached_input: Option<Tensor>,
 }
@@ -83,12 +84,13 @@ pub struct Gelu {
 const SQRT_2_OVER_PI: f32 = 0.797_884_6;
 const GELU_C: f32 = 0.044_715;
 
-/// The scalar GELU function (tanh approximation).
+/// The GELU formula (tanh approximation) over libm's `tanh`: the
+/// reference the layer's kernel is held to, not what the layer runs.
 pub fn gelu_scalar(x: f32) -> f32 {
     0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + GELU_C * x * x * x)).tanh())
 }
 
-/// Derivative of [`gelu_scalar`].
+/// Derivative of [`gelu_scalar`], over libm's `tanh` likewise.
 pub fn gelu_grad_scalar(x: f32) -> f32 {
     let u = SQRT_2_OVER_PI * (x + GELU_C * x * x * x);
     let t = u.tanh();
@@ -111,10 +113,8 @@ impl Default for Gelu {
 
 impl Layer for Gelu {
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut y = x.clone();
-        for v in y.as_mut_slice() {
-            *v = gelu_scalar(*v);
-        }
+        let mut y = Tensor::zeros(x.shape());
+        tensor::ops::gelu(x.as_slice(), y.as_mut_slice());
         self.cached_input = Some(x.clone());
         y
     }
@@ -122,16 +122,15 @@ impl Layer for Gelu {
     fn backward(&mut self, dy: &Tensor) -> Tensor {
         let x = self.cached_input.take().expect("backward before forward");
         let mut dx = dy.clone();
-        for (d, &xi) in dx.as_mut_slice().iter_mut().zip(x.as_slice()) {
-            *d *= gelu_grad_scalar(xi);
-        }
+        tensor::ops::gelu_grad_mul(x.as_slice(), dx.as_mut_slice());
         dx
     }
 
     fn infer_batch(&mut self, x: &[f32], batch: usize, in_cols: usize, out: &mut Vec<f32>) -> usize {
         assert_eq!(x.len(), batch * in_cols, "input slice/shape mismatch");
-        out.clear();
-        out.extend(x.iter().map(|&v| gelu_scalar(v)));
+        // `forward`'s kernel, so a served reply has a training forward's bits.
+        out.resize(x.len(), 0.0);
+        tensor::ops::gelu(x, out);
         in_cols
     }
 
@@ -199,6 +198,26 @@ mod tests {
         let dx = g.backward(&Tensor::from_vec(&[2], vec![2.0, 2.0]));
         assert!((dx.as_slice()[0] - 2.0 * gelu_grad_scalar(0.5)).abs() < 1e-6);
         assert!((dx.as_slice()[1] - 2.0 * gelu_grad_scalar(-0.5)).abs() < 1e-6);
+    }
+
+    #[test]
+    fn gelu_layer_tracks_the_libm_reference() {
+        // The layer runs the vector kernel; `gelu_scalar` over libm is
+        // what it is held to. Both carry f32 rounding next to |tanh| = 1.
+        let xs: Vec<f32> = (-1000..=1000).map(|i| i as f32 * 0.01).collect();
+        let x = Tensor::from_vec(&[xs.len()], xs.clone());
+        let mut g = Gelu::new();
+        let y = g.forward(&x);
+        let dx = g.backward(&Tensor::full(&[xs.len()], 1.0));
+        for (i, &xi) in xs.iter().enumerate() {
+            let (ey, eg) = (y.as_slice()[i] - gelu_scalar(xi), dx.as_slice()[i] - gelu_grad_scalar(xi));
+            assert!(ey.abs() <= 5e-7 * xi.abs().max(1.0), "gelu({xi}) off by {ey:e}");
+            assert!(eg.abs() <= 4e-6, "gelu'({xi}) off by {eg:e}");
+        }
+        // Serving computes what training computed, bit for bit.
+        let mut out = vec![7.0; 3];
+        assert_eq!(g.infer_batch(&xs, 1, xs.len(), &mut out), xs.len());
+        assert_eq!(out, y.as_slice());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::layer::Layer;
 use crate::linear::Linear;
 use crate::param::Parameter;
-use tensor::gemm::{matmul, matmul_nt, matmul_tn};
+use tensor::gemm::sgemm;
 use tensor::ops::softmax_rows;
 use tensor::Tensor;
 
@@ -12,7 +12,10 @@ use tensor::Tensor;
 ///
 /// Input/output shape is `[B, T, C]`. Internally: fused QKV projection
 /// `C → 3C`, per-head scaled dot-product attention, and an output
-/// projection `C → C`.
+/// projection `C → C`. No head is ever copied out of the fused buffer:
+/// q, k and v of head `h` in batch `b` are `[T, hd]` views into it with
+/// leading dimension `3C`, which is all a GEMM operand needs to be, and
+/// the per-head products land where the next layer reads them.
 pub struct CausalSelfAttention {
     qkv: Linear,
     proj: Linear,
@@ -25,9 +28,9 @@ struct AttnCache {
     batch: usize,
     seq: usize,
     /// `[B*T, 3C]` output of the QKV projection.
-    qkv_out: Vec<f32>,
-    /// Per-(batch, head) attention probabilities, each `[T, T]`.
-    probs: Vec<Vec<f32>>,
+    qkv_out: Tensor,
+    /// Attention probabilities, `[B, H, T, T]`.
+    probs: Vec<f32>,
 }
 
 impl CausalSelfAttention {
@@ -48,44 +51,10 @@ impl CausalSelfAttention {
         self.heads
     }
 
-    /// Copies head `h` of q/k/v for batch `b` out of the fused buffer
-    /// into a `[T, hd]` matrix. `which` is 0 for q, 1 for k, 2 for v.
-    fn extract(
-        &self,
-        qkv_out: &[f32],
-        batch_idx: usize,
-        seq: usize,
-        h: usize,
-        which: usize,
-    ) -> Vec<f32> {
-        let hd = self.dim / self.heads;
-        let row_w = 3 * self.dim;
-        let mut out = vec![0.0f32; seq * hd];
-        for t in 0..seq {
-            let base = (batch_idx * seq + t) * row_w + which * self.dim + h * hd;
-            out[t * hd..(t + 1) * hd].copy_from_slice(&qkv_out[base..base + hd]);
-        }
-        out
-    }
-
-    /// Scatters a `[T, hd]` gradient back into the fused dqkv buffer.
-    fn scatter(
-        &self,
-        dqkv: &mut [f32],
-        src: &[f32],
-        batch_idx: usize,
-        seq: usize,
-        h: usize,
-        which: usize,
-    ) {
-        let hd = self.dim / self.heads;
-        let row_w = 3 * self.dim;
-        for t in 0..seq {
-            let base = (batch_idx * seq + t) * row_w + which * self.dim + h * hd;
-            for j in 0..hd {
-                dqkv[base + j] += src[t * hd + j];
-            }
-        }
+    /// Where head `h` of batch `b` starts in a `[B*T, 3C]` buffer: its q
+    /// rows there, k at `+ C`, v at `+ 2C`, each `hd` wide.
+    fn head_at(&self, b: usize, h: usize, seq: usize) -> usize {
+        b * seq * 3 * self.dim + h * (self.dim / self.heads)
     }
 }
 
@@ -95,53 +64,34 @@ impl Layer for CausalSelfAttention {
         assert_eq!(shape.len(), 3, "attention expects [B, T, C]");
         let (batch, seq, c) = (shape[0], shape[1], shape[2]);
         assert_eq!(c, self.dim);
-        let hd = self.dim / self.heads;
+        let (hd, ld) = (c / self.heads, 3 * c);
         let scale = 1.0 / (hd as f32).sqrt();
 
         let flat = x.clone().reshape(&[batch * seq, c]);
-        let qkv_out_t = self.qkv.forward(&flat);
-        let qkv_out = qkv_out_t.as_slice().to_vec();
+        let qkv_out = self.qkv.forward(&flat);
+        let qkv = qkv_out.as_slice();
 
-        let mut att_out = vec![0.0f32; batch * seq * c];
-        let mut probs_cache = Vec::with_capacity(batch * self.heads);
+        let mut att_out = Tensor::zeros(&[batch * seq, c]);
+        let mut probs = vec![0.0f32; batch * self.heads * seq * seq];
         for b in 0..batch {
             for h in 0..self.heads {
-                let q = self.extract(&qkv_out, b, seq, h, 0);
-                let k = self.extract(&qkv_out, b, seq, h, 1);
-                let v = self.extract(&qkv_out, b, seq, h, 2);
-                // scores = q · kᵀ, scaled.
-                let mut scores = vec![0.0f32; seq * seq];
-                matmul_nt(seq, seq, hd, &q, &k, &mut scores);
-                for s in scores.iter_mut() {
-                    *s *= scale;
-                }
+                let at = self.head_at(b, h, seq);
+                let p = &mut probs[(b * self.heads + h) * seq * seq..][..seq * seq];
+                // scores = q · kᵀ / √hd
+                sgemm(false, true, seq, seq, hd, scale, &qkv[at..], ld, &qkv[at + c..], ld, 0.0, p, seq);
                 // Causal mask: position i may not attend to j > i.
                 for i in 0..seq {
-                    for j in (i + 1)..seq {
-                        scores[i * seq + j] = f32::NEG_INFINITY;
-                    }
+                    p[i * seq + i + 1..(i + 1) * seq].fill(f32::NEG_INFINITY);
                 }
-                softmax_rows(&mut scores, seq, seq);
-                // out = probs · v  [T, hd]
-                let mut out = vec![0.0f32; seq * hd];
-                matmul(seq, hd, seq, &scores, &v, &mut out);
-                for t in 0..seq {
-                    let dst = (b * seq + t) * c + h * hd;
-                    att_out[dst..dst + hd].copy_from_slice(&out[t * hd..(t + 1) * hd]);
-                }
-                probs_cache.push(scores);
+                softmax_rows(p, seq, seq);
+                // out = probs · v, into this head's columns of `att_out`.
+                let out = &mut att_out.as_mut_slice()[b * seq * c + h * hd..];
+                sgemm(false, false, seq, hd, seq, 1.0, p, seq, &qkv[at + 2 * c..], ld, 0.0, out, c);
             }
         }
 
-        let y = self
-            .proj
-            .forward(&Tensor::from_vec(&[batch * seq, c], att_out));
-        self.cache = Some(AttnCache {
-            batch,
-            seq,
-            qkv_out,
-            probs: probs_cache,
-        });
+        let y = self.proj.forward(&att_out);
+        self.cache = Some(AttnCache { batch, seq, qkv_out, probs });
         y.reshape(&[batch, seq, c])
     }
 
@@ -149,63 +99,42 @@ impl Layer for CausalSelfAttention {
         let cache = self.cache.take().expect("backward before forward");
         let (batch, seq) = (cache.batch, cache.seq);
         let c = self.dim;
-        let hd = c / self.heads;
+        let (hd, ld) = (c / self.heads, 3 * c);
         let scale = 1.0 / (hd as f32).sqrt();
 
         let dflat = dy.clone().reshape(&[batch * seq, c]);
         let d_att_out = self.proj.backward(&dflat);
+        let qkv = cache.qkv_out.as_slice();
 
-        let mut dqkv = vec![0.0f32; batch * seq * 3 * c];
+        // Every element of `dqkv` is written once, by the product that
+        // owns it; `ds` is the one `[T, T]` scratch of the whole pass.
+        let mut dqkv = Tensor::zeros(&[batch * seq, ld]);
+        let mut ds = vec![0.0f32; seq * seq];
         for b in 0..batch {
             for h in 0..self.heads {
-                let probs = &cache.probs[b * self.heads + h];
-                let k = self.extract(&cache.qkv_out, b, seq, h, 1);
-                let v = self.extract(&cache.qkv_out, b, seq, h, 2);
-                let q = self.extract(&cache.qkv_out, b, seq, h, 0);
+                let at = self.head_at(b, h, seq);
+                let p = &cache.probs[(b * self.heads + h) * seq * seq..][..seq * seq];
+                let dout = &d_att_out.as_slice()[b * seq * c + h * hd..];
+                let d = dqkv.as_mut_slice();
 
-                // Gather dOut [T, hd] for this head.
-                let mut dout = vec![0.0f32; seq * hd];
-                for t in 0..seq {
-                    let src = (b * seq + t) * c + h * hd;
-                    dout[t * hd..(t + 1) * hd]
-                        .copy_from_slice(&d_att_out.as_slice()[src..src + hd]);
-                }
-
-                // dV = probsᵀ · dOut  [T, hd]
-                let mut dv = vec![0.0f32; seq * hd];
-                matmul_tn(seq, hd, seq, probs, &dout, &mut dv);
-
-                // dProbs = dOut · vᵀ  [T, T]
-                let mut dprobs = vec![0.0f32; seq * seq];
-                matmul_nt(seq, seq, hd, &dout, &v, &mut dprobs);
-
-                // Softmax backward per row: ds = p ⊙ (dp − Σ dp⊙p).
-                let mut dscores = vec![0.0f32; seq * seq];
-                for i in 0..seq {
-                    let prow = &probs[i * seq..(i + 1) * seq];
-                    let dprow = &dprobs[i * seq..(i + 1) * seq];
-                    let dot: f32 = prow.iter().zip(dprow).map(|(p, d)| p * d).sum();
-                    for j in 0..seq {
-                        dscores[i * seq + j] = prow[j] * (dprow[j] - dot) * scale;
+                // dV = probsᵀ · dOut
+                sgemm(true, false, seq, hd, seq, 1.0, p, seq, dout, c, 0.0, &mut d[at + 2 * c..], ld);
+                // dProbs = dOut · vᵀ
+                sgemm(false, true, seq, seq, hd, 1.0, dout, c, &qkv[at + 2 * c..], ld, 0.0, &mut ds, seq);
+                // Softmax backward per row, in place: ds = p ⊙ (dp − Σ dp⊙p) / √hd.
+                for (prow, drow) in p.chunks(seq).zip(ds.chunks_mut(seq)) {
+                    let dot: f32 = prow.iter().zip(drow.iter()).map(|(p, d)| p * d).sum();
+                    for (d, &p) in drow.iter_mut().zip(prow) {
+                        *d = p * (*d - dot) * scale;
                     }
                 }
-
                 // dq = dScores · k; dk = dScoresᵀ · q.
-                let mut dq = vec![0.0f32; seq * hd];
-                matmul(seq, hd, seq, &dscores, &k, &mut dq);
-                let mut dk = vec![0.0f32; seq * hd];
-                matmul_tn(seq, hd, seq, &dscores, &q, &mut dk);
-
-                self.scatter(&mut dqkv, &dq, b, seq, h, 0);
-                self.scatter(&mut dqkv, &dk, b, seq, h, 1);
-                self.scatter(&mut dqkv, &dv, b, seq, h, 2);
+                sgemm(false, false, seq, hd, seq, 1.0, &ds, seq, &qkv[at + c..], ld, 0.0, &mut d[at..], ld);
+                sgemm(true, false, seq, hd, seq, 1.0, &ds, seq, &qkv[at..], ld, 0.0, &mut d[at + c..], ld);
             }
         }
 
-        let dx = self
-            .qkv
-            .backward(&Tensor::from_vec(&[batch * seq, 3 * c], dqkv));
-        dx.reshape(&[batch, seq, c])
+        self.qkv.backward(&dqkv).reshape(&[batch, seq, c])
     }
 
     fn params(&self) -> Vec<&Parameter> {
@@ -232,9 +161,7 @@ impl Layer for CausalSelfAttention {
     }
 
     fn cached_bytes(&self) -> usize {
-        let own = self.cache.as_ref().map_or(0, |c| {
-            (c.qkv_out.len() + c.probs.iter().map(|p| p.len()).sum::<usize>()) * 4
-        });
+        let own = self.cache.as_ref().map_or(0, |c| (c.qkv_out.numel() + c.probs.len()) * 4);
         own + self.qkv.cached_bytes() + self.proj.cached_bytes()
     }
 }
@@ -276,7 +203,7 @@ mod tests {
         let x = Tensor::randn(&[1, 3, 4], 1.0, 6);
         attn.forward(&x);
         let cache = attn.cache.as_ref().unwrap();
-        let probs = &cache.probs[0];
+        let probs = &cache.probs;
         // Row i: entries j > i are exactly zero, row sums to 1.
         for i in 0..3 {
             let row = &probs[i * 3..(i + 1) * 3];
@@ -311,6 +238,6 @@ mod tests {
         let y = attn.forward(&x);
         assert_eq!(y.shape(), &[1, 1, 4]);
         let cache = attn.cache.as_ref().unwrap();
-        assert_eq!(cache.probs[0], vec![1.0]);
+        assert_eq!(cache.probs, vec![1.0]);
     }
 }

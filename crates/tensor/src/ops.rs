@@ -6,6 +6,7 @@
 
 use crate::f16::F16;
 use crate::pool::{par_chunks_mut, par_ranges, par_rows_mut};
+use crate::simd;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Minimum slice length before a kernel bothers going parallel.
@@ -86,25 +87,42 @@ pub fn sum(x: &[f32]) -> f32 {
 }
 
 /// Numerically stable softmax over each row of a row-major `rows × cols`
-/// matrix, in place.
+/// matrix, in place. A row that holds a NaN (or `+∞`) comes out all NaN.
 pub fn softmax_rows(data: &mut [f32], rows: usize, cols: usize) {
     assert_eq!(data.len(), rows * cols);
     if rows == 0 || cols == 0 {
         return;
     }
+    let tier = simd::active();
     par_rows_mut(data, cols, PAR_THRESHOLD.div_ceil(cols), |_, chunk| {
         for row in chunk.chunks_mut(cols) {
             let max = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-            let mut denom = 0.0f32;
-            for v in row.iter_mut() {
-                *v = (*v - max).exp();
-                denom += *v;
-            }
+            simd::exp_sub_tier(tier, row, max);
+            // Summed in storage order on either tier.
+            let denom: f32 = row.iter().sum();
             let inv = 1.0 / denom;
             for v in row.iter_mut() {
                 *v *= inv;
             }
         }
+    });
+}
+
+/// `y[i] = gelu(x[i])` (tanh approximation; see [`simd::gelu_tier`]).
+pub fn gelu(x: &[f32], y: &mut [f32]) {
+    assert_eq!(x.len(), y.len());
+    let tier = simd::active();
+    par_chunks_mut(y, PAR_THRESHOLD, |offset, chunk| {
+        simd::gelu_tier(tier, &x[offset..offset + chunk.len()], chunk);
+    });
+}
+
+/// `d[i] *= gelu′(x[i])`: GELU's backward, in place on the gradient.
+pub fn gelu_grad_mul(x: &[f32], d: &mut [f32]) {
+    assert_eq!(x.len(), d.len());
+    let tier = simd::active();
+    par_chunks_mut(d, PAR_THRESHOLD, |offset, chunk| {
+        simd::gelu_grad_mul_tier(tier, &x[offset..offset + chunk.len()], chunk);
     });
 }
 

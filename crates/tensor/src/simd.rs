@@ -185,10 +185,226 @@ pub fn gather_narrow_finite(
     finite
 }
 
+// The elementwise transcendental kernels: one `exp` core (Cephes `expf`:
+// Cody–Waite reduction, degree-5 polynomial), `tanh` on it, and the three
+// slice kernels the layers call. Each core exists twice — `*_s` here,
+// `*8` in `avx2` — as the same sequence of IEEE operations, constant for
+// constant, so the tiers agree bit for bit (DESIGN.md §11).
+
+/// `exp` saturates outside `±EXP_LIMIT`: `n` then stays in `-127..=127`,
+/// where `(n + 127) << 23` is a float (`0.0` at `n = -127`).
+const EXP_LIMIT: f32 = 88.0;
+const LOG2E: f32 = std::f32::consts::LOG2_E;
+/// `ln 2` split so that `n · LN2_HI` is exact for every `|n| <= 127`.
+const LN2_HI: f32 = 0.693_359_4;
+const LN2_LO: f32 = -2.121_944_4e-4;
+/// `exp(r) ≈ 1 + r + r²·P(r)` on `|r| <= ln 2 / 2`, highest power first.
+const EXP_POLY: [f32; 6] =
+    [1.987_569_1e-4, 1.398_199_9e-3, 8.333_452e-3, 4.166_579_6e-2, 1.666_666_6e-1, 0.5];
+/// `u(x) = √(2/π)·(x + 0.044715·x³) = x·(GELU_KC·x² + GELU_K)`.
+const GELU_K: f32 = 0.797_884_6;
+const GELU_KC: f32 = 0.035_677_407;
+
+/// `exp(x)` for `|x| <= 88`, saturating beyond: `0.0` below `-87.7`,
+/// `≈ 1.65e38` above. NaN stays NaN: the clamps are written as the
+/// compare-and-select `vmaxps` / `vminps` perform, which hand back their
+/// second operand — `x` — on a NaN, where `f32::max` would drop it; and
+/// `NaN as i32 = 0` against `vcvtps2dq`'s `0x8000_0000` both leave
+/// `1.0` after the shift, under a `y` that is NaN already.
+#[inline]
+fn exp_s(x: f32) -> f32 {
+    let x = if -EXP_LIMIT > x { -EXP_LIMIT } else { x };
+    let x = if EXP_LIMIT < x { EXP_LIMIT } else { x };
+    let n = (x * LOG2E).round_ties_even();
+    let r = n.mul_add(-LN2_HI, x);
+    let r = n.mul_add(-LN2_LO, r);
+    let mut p = EXP_POLY[0];
+    for &c in &EXP_POLY[1..] {
+        p = p.mul_add(r, c);
+    }
+    let y = p.mul_add(r * r, r) + 1.0;
+    y * f32::from_bits(((n as i32 + 127) as u32) << 23)
+}
+
+/// `tanh(u) = 1 − 2/(exp(2u) + 1)`: within 2.5e-7 (absolute) of the
+/// real function, `±1.0` beyond `|u| ≈ 9`, `tanh(0) = 0`, NaN for NaN.
+#[inline]
+fn tanh_s(u: f32) -> f32 {
+    1.0 - 2.0 / (exp_s(u + u) + 1.0)
+}
+
+#[inline]
+fn gelu_s(x: f32) -> f32 {
+    let hx = 0.5 * x;
+    hx.mul_add(tanh_s(x * GELU_KC.mul_add(x * x, GELU_K)), hx)
+}
+
+/// `gelu′(x) = ½(1 + t) + ½·x·(1 − t²)·u′(x)`, the last term as
+/// `(−½·x·u′)·(t² − 1)`: no operation negates a register, so a NaN keeps
+/// its sign on both tiers.
+#[inline]
+fn gelu_grad_s(x: f32) -> f32 {
+    let x2 = x * x;
+    let t = tanh_s(x * GELU_KC.mul_add(x2, GELU_K));
+    let du = (3.0 * GELU_KC).mul_add(x2, GELU_K);
+    (-0.5 * x * du).mul_add(t.mul_add(t, -1.0), 0.5f32.mul_add(t, 0.5))
+}
+
+/// `y[i] = gelu(x[i])`, the tanh approximation GPT-style transformers
+/// use, on an explicit tier. Within `2e-7 · max(|x|, 1)` of the
+/// real-valued formula; `gelu(0) = 0`; NaN in, NaN out; `+∞ → +∞` and
+/// `−∞ → NaN`, as with libm's `tanh`.
+pub fn gelu_tier(tier: Tier, x: &[f32], y: &mut [f32]) {
+    assert_eq!(x.len(), y.len());
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Avx2 && detected_avx2() {
+        // SAFETY: AVX2 and FMA presence just checked.
+        unsafe { gelu_avx2(x, y) };
+        return;
+    }
+    let _ = tier;
+    for (yi, &xi) in y.iter_mut().zip(x) {
+        *yi = gelu_s(xi);
+    }
+}
+
+/// `d[i] *= gelu′(x[i])` — GELU's backward, in place on the incoming
+/// gradient — on an explicit tier. `gelu′` is within 2.5e-6 of the
+/// real-valued formula: `1 − t²` cancels next to `|t| = 1`, as it does in
+/// the same formula over libm's f32 `tanh`.
+pub fn gelu_grad_mul_tier(tier: Tier, x: &[f32], d: &mut [f32]) {
+    assert_eq!(x.len(), d.len());
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Avx2 && detected_avx2() {
+        // SAFETY: AVX2 and FMA presence just checked.
+        unsafe { gelu_grad_mul_avx2(x, d) };
+        return;
+    }
+    let _ = tier;
+    for (di, &xi) in d.iter_mut().zip(x) {
+        *di *= gelu_grad_s(xi);
+    }
+}
+
+/// `row[i] = exp(row[i] − max)` — the numerator pass of a stable softmax
+/// — on an explicit tier. Entries more than 87.7 below `max` (a masked
+/// `−∞` among them) become exactly `0.0`; a NaN stays NaN.
+pub fn exp_sub_tier(tier: Tier, row: &mut [f32], max: f32) {
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Avx2 && detected_avx2() {
+        // SAFETY: AVX2 and FMA presence just checked.
+        unsafe { exp_sub_avx2(row, max) };
+        return;
+    }
+    let _ = tier;
+    for v in row {
+        *v = exp_s(*v - max);
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::F16;
+    use super::{exp_s, gelu_grad_s, gelu_s, F16};
+    use super::{EXP_LIMIT, EXP_POLY, GELU_K, GELU_KC, LN2_HI, LN2_LO, LOG2E};
     use std::arch::x86_64::*;
+
+    /// Eight lanes of [`exp_s`], operation for operation.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn exp8(x: __m256) -> __m256 {
+        let x = _mm256_max_ps(_mm256_set1_ps(-EXP_LIMIT), x);
+        let x = _mm256_min_ps(_mm256_set1_ps(EXP_LIMIT), x);
+        let n = _mm256_round_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
+            _mm256_mul_ps(x, _mm256_set1_ps(LOG2E)),
+        );
+        let r = _mm256_fmadd_ps(n, _mm256_set1_ps(-LN2_HI), x);
+        let r = _mm256_fmadd_ps(n, _mm256_set1_ps(-LN2_LO), r);
+        let mut p = _mm256_set1_ps(EXP_POLY[0]);
+        for &c in &EXP_POLY[1..] {
+            p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(c));
+        }
+        let y = _mm256_add_ps(_mm256_fmadd_ps(p, _mm256_mul_ps(r, r), r), _mm256_set1_ps(1.0));
+        let biased = _mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127));
+        _mm256_mul_ps(y, _mm256_castsi256_ps(_mm256_slli_epi32::<23>(biased)))
+    }
+
+    /// Eight lanes of [`super::tanh_s`].
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn tanh8(u: __m256) -> __m256 {
+        let e1 = _mm256_add_ps(exp8(_mm256_add_ps(u, u)), _mm256_set1_ps(1.0));
+        _mm256_sub_ps(_mm256_set1_ps(1.0), _mm256_div_ps(_mm256_set1_ps(2.0), e1))
+    }
+
+    /// Eight lanes of [`gelu_s`].
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn gelu8(x: __m256) -> __m256 {
+        let hx = _mm256_mul_ps(_mm256_set1_ps(0.5), x);
+        let inner =
+            _mm256_fmadd_ps(_mm256_set1_ps(GELU_KC), _mm256_mul_ps(x, x), _mm256_set1_ps(GELU_K));
+        _mm256_fmadd_ps(hx, tanh8(_mm256_mul_ps(x, inner)), hx)
+    }
+
+    /// Eight lanes of [`gelu_grad_s`].
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn gelu_grad8(x: __m256) -> __m256 {
+        let (k, half) = (_mm256_set1_ps(GELU_K), _mm256_set1_ps(0.5));
+        let x2 = _mm256_mul_ps(x, x);
+        let t = tanh8(_mm256_mul_ps(x, _mm256_fmadd_ps(_mm256_set1_ps(GELU_KC), x2, k)));
+        let du = _mm256_fmadd_ps(_mm256_set1_ps(3.0 * GELU_KC), x2, k);
+        let nb = _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(-0.5), x), du);
+        let q = _mm256_fmadd_ps(t, t, _mm256_set1_ps(-1.0));
+        _mm256_fmadd_ps(nb, q, _mm256_fmadd_ps(half, t, half))
+    }
+
+    /// Requires AVX2 and FMA (unsafe to call from code compiled without
+    /// them), and `y.len() == x.len()`.
+    #[target_feature(enable = "avx2,fma")]
+    pub fn gelu_avx2(x: &[f32], y: &mut [f32]) {
+        let (mut xc, mut yc) = (x.chunks_exact(8), y.chunks_exact_mut(8));
+        for (xs, ys) in (&mut xc).zip(&mut yc) {
+            // SAFETY: `chunks_exact(8)`: each side is eight f32s.
+            unsafe { _mm256_storeu_ps(ys.as_mut_ptr(), gelu8(_mm256_loadu_ps(xs.as_ptr()))) };
+        }
+        for (yi, &xi) in yc.into_remainder().iter_mut().zip(xc.remainder()) {
+            *yi = gelu_s(xi);
+        }
+    }
+
+    /// Requires AVX2 and FMA, and `d.len() == x.len()`.
+    #[target_feature(enable = "avx2,fma")]
+    pub fn gelu_grad_mul_avx2(x: &[f32], d: &mut [f32]) {
+        let (mut xc, mut dc) = (x.chunks_exact(8), d.chunks_exact_mut(8));
+        for (xs, ds) in (&mut xc).zip(&mut dc) {
+            // SAFETY: `chunks_exact(8)`: each side is eight f32s.
+            unsafe {
+                let g = gelu_grad8(_mm256_loadu_ps(xs.as_ptr()));
+                _mm256_storeu_ps(ds.as_mut_ptr(), _mm256_mul_ps(_mm256_loadu_ps(ds.as_ptr()), g));
+            }
+        }
+        for (di, &xi) in dc.into_remainder().iter_mut().zip(xc.remainder()) {
+            *di *= gelu_grad_s(xi);
+        }
+    }
+
+    /// Requires AVX2 and FMA.
+    #[target_feature(enable = "avx2,fma")]
+    pub fn exp_sub_avx2(row: &mut [f32], max: f32) {
+        let maxv = _mm256_set1_ps(max);
+        let mut rc = row.chunks_exact_mut(8);
+        for vs in &mut rc {
+            // SAFETY: `chunks_exact_mut(8)`: the chunk is eight f32s.
+            unsafe {
+                let e = exp8(_mm256_sub_ps(_mm256_loadu_ps(vs.as_ptr()), maxv));
+                _mm256_storeu_ps(vs.as_mut_ptr(), e);
+            }
+        }
+        for v in rc.into_remainder() {
+            *v = exp_s(*v - max);
+        }
+    }
 
     // Constants shared with `F16::from_f32_fast` (all positive as i32, so
     // signed 32-bit compares against them are exact).
@@ -353,7 +569,9 @@ mod avx2 {
 }
 
 #[cfg(target_arch = "x86_64")]
-use avx2::{gather_narrow_finite_avx2, narrow_avx2, widen_avx2};
+use avx2::{
+    exp_sub_avx2, gather_narrow_finite_avx2, gelu_avx2, gelu_grad_mul_avx2, narrow_avx2, widen_avx2,
+};
 
 #[cfg(test)]
 mod tests {
@@ -365,6 +583,29 @@ mod tests {
         if active() == Tier::Avx2 {
             assert!(detected_avx2());
         }
+    }
+
+    #[test]
+    fn tanh_core_is_within_its_bound_of_f64_tanh() {
+        // Every 1021st bit pattern: all finite inputs, both signs, every
+        // exponent. (The AVX2 twin is held to these bits by
+        // `tests/elementwise.rs`.)
+        let mut worst = 0.0f64;
+        for b in (0..=u32::MAX).step_by(1021) {
+            let u = f32::from_bits(b);
+            if u.is_nan() {
+                assert!(tanh_s(u).is_nan());
+                continue;
+            }
+            let err = (tanh_s(u) as f64 - f64::tanh(u as f64)).abs();
+            assert!(err <= 2.5e-7, "tanh({u:e}) = {:e}, off by {err:e}", tanh_s(u));
+            worst = worst.max(err);
+            if u.abs() >= 9.02 {
+                assert_eq!(tanh_s(u), 1.0f32.copysign(u), "saturated at {u:e}");
+            }
+        }
+        assert_eq!(tanh_s(0.0).to_bits(), 0);
+        println!("worst |tanh error| {worst:.3e}");
     }
 
     #[test]
