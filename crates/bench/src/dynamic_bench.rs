@@ -5,8 +5,9 @@
 //! `24(1 − p(t))φ + 2φ` for the sparsity the schedule dictates at that
 //! step. The in-place `remap_compressed_state` kernel is then timed in
 //! both directions (sparsify, densify, flat-sparsity churn) against the
-//! naive decompress-regather migration it replaces — recorded as a
-//! `dynamic` section in `BENCH_hotpaths.json`.
+//! naive decompress-regather migration it replaces, and one mask update
+//! plus one checkpoint at the `dyn_ckpt` workload's shape is split into
+//! its phases — recorded as a `dynamic` section in `BENCH_hotpaths.json`.
 //!
 //! The run is held to the `dynamic` gate ([`crate::gates`]):
 //! * measured bytes must match the formula at every step of the
@@ -17,7 +18,9 @@
 //! * the in-place remap must beat the naive scatter-to-dense /
 //!   gather-back rebuild on every transition (the kernel's reason to
 //!   exist: one merge pass over compressed indices, zero allocations,
-//!   no dense detour).
+//!   no dense detour);
+//! * the selection kernel must beat a full sort of the same keys at 1 M
+//!   elements.
 
 use nn::layer::{Layer, Sequential};
 use nn::linear::Linear;
@@ -28,6 +31,7 @@ use prune::{MaskSchedule, MomentumPruneRegrow};
 use samo::state::RemapScratch;
 use samo::trainer::formula_state_bytes;
 use samo::{SamoLayerState, SamoTrainer};
+use std::hint::black_box;
 use telemetry::json::Json;
 use tensor::f16::F16;
 use tensor::Tensor;
@@ -35,31 +39,32 @@ use tensor::Tensor;
 use crate::harness::{self, obj, round6, sample};
 use crate::Table;
 
-/// One trajectory checkpoint: the schedule's target sparsity and the
-/// measured-vs-formula memory accounting at that step.
-struct Phase {
-    t: u64,
-    sparsity: f64,
-    nnz: usize,
-    measured_bytes: u64,
-    formula_bytes: u64,
-}
-
-/// One timed remap transition on the kernel-bench layer.
-struct Transition {
-    name: &'static str,
-    from_nnz: usize,
-    to_nnz: usize,
-    remap_ms: f64,
-    rebuild_ms: f64,
-    speedup: f64,
+/// Prints `rows` — JSON objects with the same keys — as a table and
+/// returns them as the array the section records: every table of this
+/// tracker is described once, for the terminal and for the file.
+fn table(name: &str, rows: Vec<Json>) -> Json {
+    if let Some(Json::Obj(first)) = rows.first() {
+        let header: Vec<&str> = first.iter().map(|(k, _)| k.as_str()).collect();
+        let mut tab = Table::new(name, &header);
+        for row in &rows {
+            let Json::Obj(fields) = row else { continue };
+            let cell = |(_, v): &(String, Json)| match v {
+                Json::Str(text) => text.clone(),
+                other => other.render(),
+            };
+            tab.push(fields.iter().map(cell).collect());
+        }
+        println!("{}", tab.render());
+    }
+    Json::Arr(rows)
 }
 
 /// Drives a [`SamoTrainer`] through the full schedule window plus one
 /// step of post-schedule steady state, checking measured bytes against
-/// `formula_state_bytes` at every step. Returns the update-step phases,
-/// the count of mismatching steps, φ and the remap events fired.
-fn run_trajectory(quick: bool) -> (Vec<Phase>, u64, usize, u64) {
+/// `formula_state_bytes` at every step. Returns one row per update step
+/// (the schedule's target sparsity beside the measured-vs-formula
+/// accounting), the count of mismatching steps, φ and the remap events.
+fn run_trajectory(quick: bool) -> (Vec<Json>, u64, usize, u64) {
     let d = if quick { 48 } else { 128 };
     let mut model = Sequential::new()
         .push(Linear::new(d, d, false, 101))
@@ -105,13 +110,13 @@ fn run_trajectory(quick: bool) -> (Vec<Phase>, u64, usize, u64) {
             mismatches += 1;
         }
         if update || t + 1 == steps {
-            phases.push(Phase {
-                t,
-                sparsity,
-                nnz: tr.nnz(),
-                measured_bytes: measured,
-                formula_bytes: formula,
-            });
+            phases.push(obj([
+                ("t", Json::UInt(t)),
+                ("sparsity", round6(sparsity)),
+                ("nnz", Json::UInt(tr.nnz() as u64)),
+                ("measured_bytes", Json::UInt(measured)),
+                ("formula_bytes", Json::UInt(formula)),
+            ]));
         }
     }
     (phases, mismatches, phi as usize, tr.remap_events())
@@ -148,7 +153,7 @@ fn naive_migrate(
 
 /// Times the in-place remap kernel vs the naive rebuild across a
 /// sparsify → densify round trip and a flat-sparsity churn round trip.
-fn bench_remap(quick: bool) -> (usize, Vec<Transition>) {
+fn bench_remap(quick: bool) -> Vec<Json> {
     let side = if quick { 512 } else { 1024 };
     let numel = side * side;
     let shape = [side, side];
@@ -213,106 +218,95 @@ fn bench_remap(quick: bool) -> (usize, Vec<Transition>) {
         })
         .best_ms;
 
-        out.push(Transition {
-            name,
-            from_nnz: b.nnz(),
-            to_nnz: a.nnz(),
-            remap_ms: pair_ms / 2.0,
-            rebuild_ms: naive_pair_ms / 2.0,
-            speedup: naive_pair_ms / pair_ms,
-        });
+        out.push(obj([
+            ("name", Json::Str(name.to_string())),
+            ("from_nnz", Json::UInt(b.nnz() as u64)),
+            ("to_nnz", Json::UInt(a.nnz() as u64)),
+            ("remap_ms", round6(pair_ms / 2.0)),
+            ("rebuild_ms", round6(naive_pair_ms / 2.0)),
+            ("speedup_vs_rebuild", round6(naive_pair_ms / pair_ms)),
+        ]));
     }
-    (numel, out)
+    out
+}
+
+/// One mask update and one checkpoint at `dyn_ckpt`'s shape (three
+/// layers, φ = 1.57 M, p = 0.9 → 0.95), phase by phase — a row's `ms`
+/// and bytes touched are summed over the layers — and how many times
+/// faster the selection kernel is than sorting the middle layer's 1 M keys.
+fn bench_mask_update(quick: bool) -> (Vec<Json>, f64) {
+    let (best_of, reps) = if quick { (3, 2) } else { (5, 4) };
+    let opt = Optimizer::Adam(AdamConfig::default());
+    let policy = MomentumPruneRegrow::new(vec![(0, 0.9), (100, 0.95)], 16, 0.1);
+    let shapes = [[1024usize, 256], [1024, 1024], [256, 1024]];
+    let random = |seed: u64| -> Vec<Vec<f32>> {
+        (0..3).map(|l| harness::random_vec(shapes[l][0] * shapes[l][1], seed + l as u64)).collect()
+    };
+    let (w, grad) = (random(31), random(41));
+    let prune = |l: usize| prune::magnitude_prune(&w[l], &shapes[l], 0.9);
+    let from: Vec<prune::Mask> = (0..3).map(prune).collect();
+    let next = |l: usize| policy.next_mask(16, &w[l], &grad[l], &from[l]);
+    let to: Vec<prune::Mask> = (0..3).map(next).collect();
+    let mut layers: Vec<SamoLayerState> =
+        (0..3).map(|l| SamoLayerState::from_params(&w[l], from[l].clone(), &opt)).collect();
+    let mut scratch: Vec<RemapScratch> = layers.iter_mut().map(|l| RemapScratch::for_layer(l, &opt)).collect();
+    let meta = samo::TrainerMeta { loss_scale: 1024.0, good_steps: 0, steps_taken: 16, steps_skipped: 0 };
+    let saved = samo::serialize::save_checkpoint(&layers, &meta);
+
+    let phi: usize = w.iter().map(Vec::len).sum();
+    let (nnz, keep): (usize, usize) = (from.iter().map(|m| m.nnz()).sum(), to.iter().map(|m| m.nnz()).sum());
+    let (mut half, mut score) = (vec![F16::ZERO; 1 << 20], vec![0.0f32; 1 << 20]);
+    let mut rows = Vec::new();
+    let mut row = |name: &str, bytes: usize, calls: f64, f: &mut dyn FnMut()| {
+        let ms = sample(best_of, reps, &mut *f).best_ms / calls;
+        let gbps = round6(bytes as f64 / ms / 1e6);
+        rows.push(obj([("name", Json::Str(name.into())), ("ms", round6(ms)), ("gbps", gbps)]));
+    };
+    row("canonicalise", 12 * phi, 1.0, &mut || {
+        for g in &grad {
+            tensor::ops::narrow_into(g, &mut half[..g.len()]);
+            tensor::ops::widen_into(&half[..g.len()], &mut score[..g.len()]);
+        }
+    });
+    row("next_mask", 8 * phi + 4 * (nnz + keep), 1.0, &mut || (0..3).for_each(|l| drop(black_box(next(l)))));
+    row("magnitude_prune", 4 * phi + 4 * nnz, 1.0, &mut || (0..3).for_each(|l| drop(black_box(prune(l)))));
+    // There and back, so every rep starts from the same mask; θ32, ∇θ32,
+    // both moments and ∇θ16 are read under one index and written under the other.
+    row("remap_kernel", 18 * (nnz + keep), 2.0, &mut || {
+        for l in 0..3 {
+            layers[l].remap_compressed_state(to[l].clone(), &mut scratch[l]);
+            layers[l].remap_compressed_state(from[l].clone(), &mut scratch[l]);
+        }
+    });
+    row("save", saved.len(), 1.0, &mut || drop(black_box(samo::serialize::save_checkpoint(&layers, &meta))));
+    row("load", saved.len(), 1.0, &mut || drop(black_box(samo::serialize::load_checkpoint(&saved, &opt))));
+    let sort = || {
+        let mut order: Vec<u32> = (0..w[1].len() as u32).collect();
+        order.sort_unstable_by_key(|&i| (std::cmp::Reverse(prune::select::key(w[1][i as usize])), i));
+        black_box(order);
+    };
+    let [select, sort] = harness::duel(best_of, 1, || drop(black_box(prune(1))), sort);
+    (rows, sort.best_ms / select.best_ms)
 }
 
 pub fn run(quick: bool) -> Result<(), String> {
     telemetry::log_info!("repro dynamic: trajectory memory gate + remap kernel bench (quick={quick})");
-
-    // --- Trajectory: measured bytes track 24(1−p(t))φ + 2φ. ----------
     let (phases, mismatches, phi, remap_events) = run_trajectory(quick);
-    let mut tab = Table::new(
-        "repro dynamic: schedule trajectory",
-        &["t", "target p(t)", "nnz", "measured B", "formula B"],
-    );
-    for p in &phases {
-        tab.push(vec![
-            p.t.to_string(),
-            format!("{:.3}", p.sparsity),
-            p.nnz.to_string(),
-            p.measured_bytes.to_string(),
-            p.formula_bytes.to_string(),
-        ]);
-    }
-    println!("{}", tab.render());
-
-    // --- Remap kernel vs naive rebuild. -------------------------------
-    let (numel, transitions) = bench_remap(quick);
-    let mut tab = Table::new(
-        "repro dynamic: remap kernel",
-        &["transition", "nnz from->to", "remap ms", "rebuild ms", "speedup"],
-    );
-    for tr in &transitions {
-        tab.push(vec![
-            tr.name.to_string(),
-            format!("{}->{}", tr.from_nnz, tr.to_nnz),
-            format!("{:.3}", tr.remap_ms),
-            format!("{:.3}", tr.rebuild_ms),
-            format!("{:.2}x", tr.speedup),
-        ]);
-    }
-    println!("{}", tab.render());
-
+    // Measured bytes track 24(1−p(t))φ + 2φ.
+    let trajectory = table("repro dynamic: schedule trajectory", phases);
+    let transitions = table("repro dynamic: remap kernel vs rebuild", bench_remap(quick));
+    let (update, select_over_sort) = bench_mask_update(quick);
+    let update = table("repro dynamic: a mask update and a checkpoint at dyn_ckpt's shape", update);
+    println!("selection kernel over a full sort at 1 M elements: {select_over_sort:.1}x\n");
     let section = obj([
-        ("schema", Json::UInt(1)),
+        ("schema", Json::UInt(2)),
         ("quick", Json::Bool(quick)),
         ("phi", Json::UInt(phi as u64)),
         ("remap_events", Json::UInt(remap_events)),
         ("memory_mismatches", Json::UInt(mismatches)),
-        (
-            "trajectory",
-            Json::Arr(
-                phases
-                    .iter()
-                    .map(|p| {
-                        obj([
-                            ("t", Json::UInt(p.t)),
-                            ("sparsity", round6(p.sparsity)),
-                            ("nnz", Json::UInt(p.nnz as u64)),
-                            ("measured_bytes", Json::UInt(p.measured_bytes)),
-                            ("formula_bytes", Json::UInt(p.formula_bytes)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "remap",
-            obj([
-                ("numel", Json::UInt(numel as u64)),
-                (
-                    "transitions",
-                    Json::Arr(
-                        transitions
-                            .iter()
-                            .map(|t| {
-                                obj([
-                                    ("name", Json::Str(t.name.to_string())),
-                                    ("from_nnz", Json::UInt(t.from_nnz as u64)),
-                                    ("to_nnz", Json::UInt(t.to_nnz as u64)),
-                                    ("remap_ms", round6(t.remap_ms)),
-                                    ("rebuild_ms", round6(t.rebuild_ms)),
-                                    ("speedup_vs_rebuild", round6(t.speedup)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "min_speedup",
-                    round6(transitions.iter().map(|t| t.speedup).fold(f64::INFINITY, f64::min)),
-                ),
-            ]),
-        ),
+        ("trajectory", trajectory),
+        ("remap", obj([("transitions", transitions)])),
+        ("mask_update", obj([("select_over_sort_1m", round6(select_over_sort)), ("phases", update)])),
     ]);
     harness::record("dynamic", vec![("dynamic".to_string(), section)])
 }

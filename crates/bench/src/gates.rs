@@ -51,6 +51,9 @@ pub const STEPS_SEEN_MIN: usize = 2;
 pub const REMAP_EVENTS_MIN: u64 = 3;
 /// In-place remap over the naive dense rebuild, on every transition.
 pub const REMAP_OVER_REBUILD_MIN: f64 = 1.0;
+/// `prune`'s selection kernel over a full sort of the same keys, at 1 M
+/// elements — the kernel's reason to exist.
+pub const SELECT_OVER_SORT_MIN: f64 = 2.0;
 /// Measured pipeline bubble vs Eq. 7, relative — for the scheduler-stats
 /// measurement (`pipeline`) and its re-derivation from a trace (`analysis`).
 pub const BUBBLE_TOLERANCE: f64 = 0.05;
@@ -421,9 +424,11 @@ fn dynamic(doc: &Json) -> Check {
         at_least(&what, speedup, REMAP_OVER_REBUILD_MIN)?;
         slowest = slowest.min(speedup);
     }
+    let select = num(get(s, "mask_update")?, "select_over_sort_1m")?;
+    at_least("selection kernel over a full sort at 1 M elements", select, SELECT_OVER_SORT_MIN)?;
     let n = nnz.len();
     Ok(format!(
-        "{n} phases exact, nnz {nnz:?}, remap >= {slowest:.2}x vs rebuild"
+        "{n} phases exact, nnz {nnz:?}, remap >= {slowest:.2}x vs rebuild, select {select:.1}x vs sort"
     ))
 }
 

@@ -81,7 +81,7 @@ use prune::{Mask, MaskSchedule};
 use std::sync::Mutex;
 use telemetry::SpanGuard;
 use tensor::f16::F16;
-use tensor::Tensor;
+use tensor::{ops, Tensor};
 
 /// How a rank's compressed `∇θ16` becomes the group mean: not at all
 /// ([`NoReduce`], a single worker) or by the chunked ring all-reduce
@@ -158,6 +158,8 @@ pub struct StepEngine<R: Reducer> {
     steps_skipped: u64,
     schedule: Option<MaskSchedule>,
     remap_scratch: Vec<RemapScratch>,
+    /// f16 staging of the grow score, as long as the largest layer.
+    remap_score16: Vec<F16>,
     remap_events: u64,
     /// `(ring id, parameter)` of every reduction started this step; the
     /// ids are consecutive, so a ring's position is `id − first id`.
@@ -200,6 +202,7 @@ impl<R: Reducer> StepEngine<R> {
             steps_skipped: 0,
             schedule: None,
             remap_scratch: Vec::new(),
+            remap_score16: Vec::new(),
             remap_events: 0,
             ring_order: Vec::new(),
             local_finite: true,
@@ -213,8 +216,9 @@ impl<R: Reducer> StepEngine<R> {
     /// step the masks are recomputed and the compressed state remapped
     /// in place before the new gradient is compressed. Every rank of a
     /// group must install the same schedule before the same step.
-    /// Pre-sizes one [`RemapScratch`] per layer so remap events never
-    /// allocate once warm.
+    /// Pre-sizes one [`RemapScratch`] per layer and the f16 staging of the
+    /// grow score, so the only allocation of an update step that scales
+    /// with a layer is its new mask's index vector.
     pub fn set_mask_schedule(&mut self, schedule: MaskSchedule) {
         self.prime_remap_scratch();
         self.schedule = Some(schedule);
@@ -227,6 +231,8 @@ impl<R: Reducer> StepEngine<R> {
             .iter_mut()
             .map(|l| RemapScratch::for_layer(l, opt))
             .collect();
+        let largest = self.layers.iter().map(|l| l.numel()).max().unwrap_or(0);
+        self.remap_score16 = vec![F16::ZERO; largest];
     }
 
     /// The installed dynamic-sparsity schedule, if any.
@@ -608,8 +614,8 @@ impl<R: Reducer> StepEngine<R> {
             return Ok(());
         };
         let sp = self.span("samo.step.remap");
-        let (layers, scratch, reducer) =
-            (&mut self.layers, &mut self.remap_scratch, &mut self.reducer);
+        let (layers, scratch) = (&mut self.layers, &mut self.remap_scratch);
+        let (score16, reducer) = (&mut self.remap_score16, &mut self.reducer);
         let (mut i, mut moved, mut res) = (0, false, Ok(()));
         model.for_each_param_mut(&mut |p| {
             let (layer, sc) = (&mut layers[i], &mut scratch[i]);
@@ -617,20 +623,16 @@ impl<R: Reducer> StepEngine<R> {
             if res.is_err() {
                 return;
             }
-            let mut dense16: Vec<F16> = p
-                .grad
-                .as_slice()
-                .iter()
-                .map(|&g| F16::from_f32(g))
-                .collect();
+            let dense16 = &mut score16[..p.grad.numel()];
+            ops::narrow_into(p.grad.as_slice(), dense16);
             if let Some(comm) = reducer.comm_mut() {
-                res = comm.allreduce_mean_f16(&mut dense16);
+                res = comm.allreduce_mean_f16(dense16);
                 if res.is_err() {
                     return;
                 }
             }
-            sc.score.clear();
-            sc.score.extend(dense16.iter().map(|g| g.to_f32()));
+            sc.score.resize(dense16.len(), 0.0);
+            ops::widen_into(dense16, &mut sc.score);
             // A released view is widened for the ranking alone, as the
             // dense gradients were materialised for this step alone.
             let widened = (!p.holds_value()).then(|| layer.dense_f32_params());

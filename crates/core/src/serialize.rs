@@ -16,7 +16,7 @@
 //! so a corrupted header cannot trigger an over-allocation.
 
 use crate::state::{os_arrays, OwnedRange, SamoLayerState};
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use nn::mixed::{OptState, Optimizer};
 use nn::optim::{AdamState, SgdState};
 use prune::Mask;
@@ -31,29 +31,41 @@ const VERSION: u16 = 2;
 // canonical check value crc32("123456789") == 0xCBF43926.
 // ---------------------------------------------------------------------------
 
-const fn make_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Table `k` is a byte's CRC contribution once `k` more bytes have gone
+/// by — table 0 run over its own byte, table `k − 1`'s entry over one
+/// more zero byte — so eight input bytes fold into the state with eight
+/// independent lookups (slicing-by-8) instead of a chain of eight.
+const fn make_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
+    while i < 8 * 256 {
+        let (k, byte) = (i / 256, i % 256);
+        let mut c = if k == 0 { byte as u32 } else { tables[k - 1][byte] };
+        let mut bit = 0;
+        while bit < 8 {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
+            bit += 1;
         }
-        table[i] = c;
+        tables[k][byte] = c;
         i += 1;
     }
-    table
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = make_crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = make_crc_tables();
 
 /// CRC-32 checksum (IEEE, as used by zip/png/ethernet) of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let (words, tail) = data.as_chunks::<8>();
     let mut c = !0u32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    for w in words {
+        let [b0, b1, b2, b3] = (c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]])).to_le_bytes();
+        c = t[7][b0 as usize] ^ t[6][b1 as usize] ^ t[5][b2 as usize] ^ t[4][b3 as usize]
+            ^ t[3][w[4] as usize] ^ t[2][w[5] as usize] ^ t[1][w[6] as usize] ^ t[0][w[7] as usize];
+    }
+    for &b in tail {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -73,23 +85,33 @@ pub struct TrainerMeta {
     pub steps_skipped: u64,
 }
 
+/// Appends `src` little-endian, `N` bytes an item, as one bulk copy.
+fn put_all<T, const N: usize>(buf: &mut Vec<u8>, src: &[T], le: impl Fn(&T) -> [u8; N]) {
+    let at = buf.len();
+    buf.resize(at + src.len() * N, 0);
+    for (dst, item) in buf[at..].as_chunks_mut::<N>().0.iter_mut().zip(src) {
+        *dst = le(item);
+    }
+}
+
+/// Runs `body` behind a CRC-32 slot and seals the slot over what it wrote.
+fn put_section(buf: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = buf.len();
+    buf.put_u32_le(0);
+    body(buf);
+    let crc = crc32(&buf[at + 4..]);
+    buf[at..at + 4].copy_from_slice(&crc.to_le_bytes());
+}
+
 /// One layer's section: the mask, then each compressed array as the
 /// concatenation of the shards' ranges.
-fn put_layer(buf: &mut impl BufMut, mask: &Mask, ranges: &[OwnedRange<'_>]) {
+fn put_layer(buf: &mut Vec<u8>, mask: &Mask, ranges: &[OwnedRange<'_>]) {
     buf.put_u8(mask.shape().len() as u8);
-    for &d in mask.shape() {
-        buf.put_u64_le(d as u64);
-    }
+    put_all(buf, mask.shape(), |&d| (d as u64).to_le_bytes());
     buf.put_u64_le(mask.nnz() as u64);
-    for &i in mask.indices().iter() {
-        buf.put_u32_le(i);
-    }
-    for &v in ranges.iter().flat_map(|r| r.theta32.iter()) {
-        buf.put_f32_le(v);
-    }
-    for g in ranges.iter().flat_map(|r| r.grad16.iter()) {
-        buf.put_u16_le(g.to_bits());
-    }
+    put_all(buf, mask.indices(), |i| i.to_le_bytes());
+    ranges.iter().for_each(|r| put_all(buf, &r.theta32, |v| v.to_le_bytes()));
+    ranges.iter().for_each(|r| put_all(buf, &r.grad16, |g| g.to_bits().to_le_bytes()));
     // Every shard counts the same Adam steps.
     match &*ranges[0].os {
         OptState::Adam(st) => {
@@ -99,8 +121,8 @@ fn put_layer(buf: &mut impl BufMut, mask: &Mask, ranges: &[OwnedRange<'_>]) {
         OptState::Sgd(_) => buf.put_u8(1),
     }
     for array in 0..2 {
-        for &v in ranges.iter().filter_map(|r| os_arrays(&r.os)[array]).flatten() {
-            buf.put_f32_le(v);
+        for v in ranges.iter().filter_map(|r| os_arrays(&r.os)[array]) {
+            put_all(buf, v, |v| v.to_le_bytes());
         }
     }
 }
@@ -108,116 +130,89 @@ fn put_layer(buf: &mut impl BufMut, mask: &Mask, ranges: &[OwnedRange<'_>]) {
 /// Serializes layers plus trainer meta with per-section CRC-32
 /// checksums (one over the meta section, one per layer).
 pub fn save_checkpoint(layers: &[SamoLayerState], meta: &TrainerMeta) -> Bytes {
-    let mut whole = Vec::with_capacity(layers.len());
-    for l in layers {
+    let whole = layers.iter().map(|l| {
         assert!(!l.is_sharded(), "a shard is saved with its peers' ranges");
-        whole.push((l.mask().clone(), vec![l.owned_range()]));
-    }
-    save_ranges(&whole, meta)
+        (l.mask().clone(), vec![l.owned_range()])
+    });
+    save_ranges(&whole.collect::<Vec<_>>(), meta)
 }
 
 /// [`save_checkpoint`] from each layer's mask and its shards' owned
-/// ranges in rank order — no full state is assembled to write one.
+/// ranges in rank order — no full state is assembled to write one, and
+/// every section lands in place in one buffer sized up front.
 pub(crate) fn save_ranges(layers: &[(Mask, Vec<OwnedRange<'_>>)], meta: &TrainerMeta) -> Bytes {
-    let mut buf = BytesMut::new();
+    // Per layer: CRC, rank, shape, nnz, tag and Adam's step counter, then
+    // 4 (index) + 4 (θ32) + 2 (∇θ16) + 8 (Adam) or 4 (SGD) B per kept weight.
+    let bytes = |(mask, ranges): &(Mask, Vec<OwnedRange<'_>>)| {
+        let adam = matches!(&*ranges[0].os, OptState::Adam(_)) as usize;
+        4 + 1 + 8 * mask.shape().len() + 8 + 1 + 8 * adam + (14 + 4 * adam) * mask.nnz()
+    };
+    let total = 6 + 32 + layers.iter().map(bytes).sum::<usize>();
+    let mut buf = Vec::with_capacity(total);
     buf.put_u32_le(MAGIC);
     buf.put_u16_le(VERSION);
-
-    let mut sec: Vec<u8> = Vec::new();
-    sec.put_f32_le(meta.loss_scale);
-    sec.put_u32_le(meta.good_steps);
-    sec.put_u64_le(meta.steps_taken);
-    sec.put_u64_le(meta.steps_skipped);
-    sec.put_u32_le(layers.len() as u32);
-    buf.put_u32_le(crc32(&sec));
-    buf.put_slice(&sec);
-
+    put_section(&mut buf, |sec| {
+        sec.put_f32_le(meta.loss_scale);
+        sec.put_u32_le(meta.good_steps);
+        sec.put_u64_le(meta.steps_taken);
+        sec.put_u64_le(meta.steps_skipped);
+        sec.put_u32_le(layers.len() as u32);
+    });
     for (mask, ranges) in layers {
-        let mut sec: Vec<u8> = Vec::new();
-        put_layer(&mut sec, mask, ranges);
-        buf.put_u32_le(crc32(&sec));
-        buf.put_slice(&sec);
+        put_section(&mut buf, |sec| put_layer(sec, mask, ranges));
     }
-    buf.freeze()
+    debug_assert_eq!(buf.len(), total, "the size formula drifted from the writer");
+    buf.into()
 }
 
-/// Cursor over untrusted checkpoint bytes. Every read is bounds-checked
-/// and every length derived from the input is validated before any
-/// allocation, so corrupted input yields `Err`, never a panic or OOM.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+// The loader reads untrusted bytes through a `&mut &[u8]` that shrinks
+// from the front. Every read is bounds-checked and every length derived
+// from the input is validated before any allocation, so corrupted input
+// yields `Err`, never a panic or OOM.
+
+fn truncated(what: &str) -> String {
+    format!("truncated checkpoint while reading {what}")
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn need(&self, n: usize, what: &str) -> Result<(), String> {
-        if self.remaining() < n {
-            Err(format!("truncated checkpoint while reading {what}"))
-        } else {
-            Ok(())
-        }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
-        self.need(n, what)?;
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn get_u8(&mut self, what: &str) -> Result<u8, String> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn get_u16(&mut self, what: &str) -> Result<u16, String> {
-        let b = self.take(2, what)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn get_u32(&mut self, what: &str) -> Result<u32, String> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn get_u64(&mut self, what: &str) -> Result<u64, String> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn get_f32(&mut self, what: &str) -> Result<f32, String> {
-        Ok(f32::from_bits(self.get_u32(what)?))
-    }
-
-    /// A length field from the input, validated to fit the remaining bytes
-    /// at `elem_size` bytes per element — the guard against corrupted
-    /// headers demanding absurd allocations.
-    fn get_len(&mut self, elem_size: usize, what: &str) -> Result<usize, String> {
-        let raw = self.get_u64(what)?;
-        let n = usize::try_from(raw).map_err(|_| format!("{what} count {raw} overflows"))?;
-        let bytes = n
-            .checked_mul(elem_size)
-            .ok_or_else(|| format!("{what} count {n} overflows"))?;
-        self.need(bytes, what)?;
-        Ok(n)
-    }
+/// One little-endian scalar of `N` bytes.
+fn get<T, const N: usize>(r: &mut &[u8], what: &str, le: fn([u8; N]) -> T) -> Result<T, String> {
+    let (head, rest) = r.split_first_chunk::<N>().ok_or_else(|| truncated(what))?;
+    *r = rest;
+    Ok(le(*head))
 }
 
-fn parse_layer(r: &mut Reader<'_>, opt: &Optimizer, li: usize) -> Result<SamoLayerState, String> {
-    let rank = r.get_u8("shape rank")? as usize;
+/// An array of `n` little-endian items, `N` bytes each: its length is
+/// checked against the remaining input before anything is allocated.
+fn get_all<T, const N: usize>(
+    r: &mut &[u8],
+    n: usize,
+    what: &str,
+    le: impl Fn([u8; N]) -> T,
+) -> Result<Vec<T>, String> {
+    let (head, rest) = r.split_at_checked(n.saturating_mul(N)).ok_or_else(|| truncated(what))?;
+    *r = rest;
+    Ok(head.as_chunks::<N>().0.iter().map(|&b| le(b)).collect())
+}
+
+/// A length field from the input, validated to fit the remaining bytes
+/// at `elem_size` bytes per element — the guard against corrupted
+/// headers demanding absurd allocations.
+fn get_len(r: &mut &[u8], elem_size: usize, what: &str) -> Result<usize, String> {
+    let raw = get(r, what, u64::from_le_bytes)?;
+    let n = usize::try_from(raw).map_err(|_| format!("{what} count {raw} overflows"))?;
+    let bytes = n.checked_mul(elem_size).ok_or_else(|| format!("{what} count {n} overflows"))?;
+    if r.len() < bytes {
+        return Err(truncated(what));
+    }
+    Ok(n)
+}
+
+fn parse_layer(r: &mut &[u8], opt: &Optimizer, li: usize) -> Result<SamoLayerState, String> {
+    let rank = get(r, "shape rank", u8::from_le_bytes)? as usize;
     let mut shape = Vec::with_capacity(rank);
     let mut numel: usize = 1;
     for _ in 0..rank {
-        let d = r.get_u64("shape")? as usize;
+        let d = get(r, "shape", u64::from_le_bytes)? as usize;
         numel = numel
             .checked_mul(d)
             .ok_or_else(|| format!("layer {li}: shape overflows"))?;
@@ -226,14 +221,11 @@ fn parse_layer(r: &mut Reader<'_>, opt: &Optimizer, li: usize) -> Result<SamoLay
     if numel > u32::MAX as usize {
         return Err(format!("layer {li}: tensor too large for u32 indices"));
     }
-    let nnz = r.get_len(4, "indices")?;
+    let nnz = get_len(r, 4, "indices")?;
     if nnz > numel {
         return Err(format!("layer {li}: nnz {nnz} exceeds numel {numel}"));
     }
-    let mut indices = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        indices.push(r.get_u32("indices")?);
-    }
+    let indices = get_all(r, nnz, "indices", u32::from_le_bytes)?;
     // Mask::new asserts these invariants; on untrusted input report them
     // as errors instead.
     for w in indices.windows(2) {
@@ -248,38 +240,22 @@ fn parse_layer(r: &mut Reader<'_>, opt: &Optimizer, li: usize) -> Result<SamoLay
     }
     let mask = Mask::new(&shape, indices);
 
-    r.need(nnz.saturating_mul(4), "theta32")?;
-    let mut theta32 = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        theta32.push(r.get_f32("theta32")?);
-    }
-    r.need(nnz.saturating_mul(2), "grad16")?;
-    let mut grad16 = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        grad16.push(F16::from_bits(r.get_u16("grad16")?));
-    }
+    let theta32 = get_all(r, nnz, "theta32", f32::from_le_bytes)?;
+    let grad16 = get_all(r, nnz, "grad16", |b| F16::from_bits(u16::from_le_bytes(b)))?;
 
-    let tag = r.get_u8("optimizer tag")?;
+    let tag = get(r, "optimizer tag", u8::from_le_bytes)?;
     let os = match (tag, opt) {
         (0, Optimizer::Adam(_)) => {
-            r.need(8 + nnz.saturating_mul(8), "adam state")?;
-            let step = r.get_u64("adam step")?;
-            let mut m = Vec::with_capacity(nnz);
-            for _ in 0..nnz {
-                m.push(r.get_f32("adam m")?);
+            if r.len() < nnz.saturating_mul(8).saturating_add(8) {
+                return Err(truncated("adam state"));
             }
-            let mut v = Vec::with_capacity(nnz);
-            for _ in 0..nnz {
-                v.push(r.get_f32("adam v")?);
-            }
+            let step = get(r, "adam step", u64::from_le_bytes)?;
+            let m = get_all(r, nnz, "adam m", f32::from_le_bytes)?;
+            let v = get_all(r, nnz, "adam v", f32::from_le_bytes)?;
             OptState::Adam(AdamState { m, v, step })
         }
         (1, Optimizer::Sgd(_)) => {
-            r.need(nnz.saturating_mul(4), "sgd state")?;
-            let mut velocity = Vec::with_capacity(nnz);
-            for _ in 0..nnz {
-                velocity.push(r.get_f32("sgd velocity")?);
-            }
+            let velocity = get_all(r, nnz, "sgd velocity", f32::from_le_bytes)?;
             OptState::Sgd(SgdState { velocity })
         }
         (t, _) => {
@@ -299,41 +275,41 @@ pub fn load_checkpoint(
     buf: &[u8],
     opt: &Optimizer,
 ) -> Result<(Vec<SamoLayerState>, TrainerMeta), String> {
-    let mut r = Reader::new(buf);
-    let magic = r.get_u32("header")?;
+    let r = &mut { buf };
+    let magic = get(r, "header", u32::from_le_bytes)?;
     if magic != MAGIC {
         return Err(format!("bad magic {magic:#010x}"));
     }
-    let version = r.get_u16("header")?;
+    let version = get(r, "header", u16::from_le_bytes)?;
     if version != VERSION {
         return Err(format!("unsupported version {version}"));
     }
-    let meta_crc = r.get_u32("meta crc")?;
-    let start = r.pos;
+    let meta_crc = get(r, "meta crc", u32::from_le_bytes)?;
+    let sealed = *r;
     let meta = TrainerMeta {
-        loss_scale: r.get_f32("meta")?,
-        good_steps: r.get_u32("meta")?,
-        steps_taken: r.get_u64("meta")?,
-        steps_skipped: r.get_u64("meta")?,
+        loss_scale: get(r, "meta", f32::from_le_bytes)?,
+        good_steps: get(r, "meta", u32::from_le_bytes)?,
+        steps_taken: get(r, "meta", u64::from_le_bytes)?,
+        steps_skipped: get(r, "meta", u64::from_le_bytes)?,
     };
-    let nlayers = r.get_u32("layer count")? as usize;
-    if crc32(&buf[start..r.pos]) != meta_crc {
+    let nlayers = get(r, "layer count", u32::from_le_bytes)? as usize;
+    if crc32(&sealed[..sealed.len() - r.len()]) != meta_crc {
         return Err("meta section CRC mismatch".to_string());
     }
     // No preallocation from the untrusted count: each parsed layer
     // consumes at least a few bytes, so growth is input-bounded.
     let mut layers = Vec::new();
     for li in 0..nlayers {
-        let layer_crc = r.get_u32("layer crc")?;
-        let start = r.pos;
-        let layer = parse_layer(&mut r, opt, li)?;
-        if crc32(&buf[start..r.pos]) != layer_crc {
+        let layer_crc = get(r, "layer crc", u32::from_le_bytes)?;
+        let sealed = *r;
+        let layer = parse_layer(r, opt, li)?;
+        if crc32(&sealed[..sealed.len() - r.len()]) != layer_crc {
             return Err(format!("layer {li}: CRC mismatch"));
         }
         layers.push(layer);
     }
-    if r.remaining() > 0 {
-        return Err(format!("{} trailing bytes after checkpoint", r.remaining()));
+    if !r.is_empty() {
+        return Err(format!("{} trailing bytes after checkpoint", r.len()));
     }
     Ok((layers, meta))
 }
@@ -374,10 +350,24 @@ mod tests {
         }
     }
 
+    /// The byte-at-a-time loop `crc32` replaced, kept as its oracle.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let step = |c: u32, &b: &u8| CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        !data.iter().fold(!0u32, step)
+    }
+
     #[test]
-    fn crc32_check_value() {
+    fn crc32_check_value_and_slicing_matches_bytewise() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // Every length 0..=64 at every alignment of the 8-byte stride.
+        let data: Vec<u8> = (0..72u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let piece = &data[start..start + len];
+                assert_eq!(crc32(piece), crc32_bytewise(piece), "start {start} len {len}");
+            }
+        }
     }
 
     #[test]
@@ -422,13 +412,13 @@ mod tests {
     fn v1_header_is_rejected_as_unsupported() {
         // A well-formed version-1 file (magic, version, layer count,
         // unchecksummed layers) is refused by its header, not parsed.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u32_le(MAGIC);
         buf.put_u16_le(1);
         buf.put_u32_le(1);
         let layer = &make_layers(&adam())[0];
         put_layer(&mut buf, layer.mask(), &[layer.owned_range()]);
-        let err = load_checkpoint(&buf.freeze(), &adam()).unwrap_err();
+        let err = load_checkpoint(&buf, &adam()).unwrap_err();
         assert_eq!(err, "unsupported version 1");
     }
 
@@ -533,18 +523,17 @@ mod tests {
 
     /// Header plus a correctly checksummed meta section announcing
     /// `nlayers` layers — the prefix a hostile length field hides behind.
-    fn sealed_prefix(nlayers: u32) -> BytesMut {
-        let mut sec: Vec<u8> = Vec::new();
-        sec.put_f32_le(1.0);
-        sec.put_u32_le(0);
-        sec.put_u64_le(0);
-        sec.put_u64_le(0);
-        sec.put_u32_le(nlayers);
-        let mut buf = BytesMut::new();
+    fn sealed_prefix(nlayers: u32) -> Vec<u8> {
+        let mut buf = Vec::new();
         buf.put_u32_le(MAGIC);
         buf.put_u16_le(VERSION);
-        buf.put_u32_le(crc32(&sec));
-        buf.put_slice(&sec);
+        put_section(&mut buf, |sec| {
+            sec.put_f32_le(1.0);
+            sec.put_u32_le(0);
+            sec.put_u64_le(0);
+            sec.put_u64_le(0);
+            sec.put_u32_le(nlayers);
+        });
         buf
     }
 
@@ -552,7 +541,7 @@ mod tests {
     fn huge_layer_count_is_rejected_cheaply() {
         // A header claiming 4 billion layers must fail fast with a
         // truncation error, not allocate.
-        let err = load_checkpoint(&sealed_prefix(u32::MAX).freeze(), &adam()).unwrap_err();
+        let err = load_checkpoint(&sealed_prefix(u32::MAX), &adam()).unwrap_err();
         assert!(err.contains("truncated"), "{err}");
 
         // Likewise a huge nnz inside a layer.
@@ -561,7 +550,7 @@ mod tests {
         buf.put_u8(1); // rank
         buf.put_u64_le(1 << 30); // shape
         buf.put_u64_le(u64::MAX / 2); // nnz — would overflow nnz*4
-        let err = load_checkpoint(&buf.freeze(), &adam()).unwrap_err();
+        let err = load_checkpoint(&buf, &adam()).unwrap_err();
         assert!(
             err.contains("truncated") || err.contains("overflow") || err.contains("exceeds"),
             "{err}"

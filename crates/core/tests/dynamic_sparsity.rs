@@ -255,3 +255,16 @@ fn dist_tcp_matches_single_process_across_remaps() {
         }
     }
 }
+
+/// Golden bytes: the fourteen checkpoints of the oracle run — five mask
+/// updates through the selection kernel, every section through the
+/// checkpoint writer — hash to the value they hashed to before either
+/// was rewritten (FNV-1a, so the pin does not lean on `crc32` itself).
+#[test]
+fn oracle_checkpoints_are_byte_identical_to_the_pinned_golden() {
+    let fnv = |h: u64, &b: &u8| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+    let (ckpts, _, _) = oracle_run();
+    let hash = ckpts.iter().flat_map(|c| c.iter()).fold(0xCBF2_9CE4_8422_2325, fnv);
+    let bytes: usize = ckpts.iter().map(|c| c.len()).sum();
+    assert_eq!((bytes, hash), (17_466, 1_427_634_495_236_802_443), "checkpoint bytes moved");
+}

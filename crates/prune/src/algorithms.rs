@@ -16,33 +16,18 @@
 //!   distance over a sliding window falls below a tolerance.
 
 use crate::mask::Mask;
+use crate::select::{emit, reselect, Cut, Tally};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::VecDeque;
 
 /// Keeps the `(1 - sparsity)` fraction of weights with the largest
-/// magnitude in this layer. Ties are broken by index (deterministic).
+/// magnitude in this layer. Ties are broken by index (deterministic); a
+/// NaN ranks below every magnitude ([`crate::select::key`]).
 pub fn magnitude_prune(weights: &[f32], shape: &[usize], sparsity: f64) -> Mask {
-    let numel: usize = shape.iter().product();
-    assert_eq!(weights.len(), numel);
     assert!((0.0..=1.0).contains(&sparsity), "sparsity must be in [0,1]");
-    let keep = ((1.0 - sparsity) * numel as f64).round() as usize;
-    if keep == 0 {
-        return Mask::new(shape, vec![]);
-    }
-    if keep >= numel {
-        return Mask::dense(shape);
-    }
-    // Select the keep-th largest magnitude without a full sort.
-    let mut order: Vec<u32> = (0..numel as u32).collect();
-    order.select_nth_unstable_by(keep - 1, |&a, &b| {
-        let ma = weights[a as usize].abs();
-        let mb = weights[b as usize].abs();
-        mb.partial_cmp(&ma).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-    });
-    let mut kept: Vec<u32> = order[..keep].to_vec();
-    kept.sort_unstable();
-    Mask::new(shape, kept)
+    let keep = ((1.0 - sparsity) * weights.len() as f64).round() as usize;
+    reselect(shape, &[], (weights, 0), (weights, keep))
 }
 
 /// Global magnitude pruning: one threshold across several layers, so
@@ -52,34 +37,18 @@ pub fn global_magnitude_prune(layers: &[(&[f32], &[usize])], sparsity: f64) -> V
     assert!((0.0..=1.0).contains(&sparsity));
     let total: usize = layers.iter().map(|(w, _)| w.len()).sum();
     let keep = ((1.0 - sparsity) * total as f64).round() as usize;
-    // Gather (|w|, layer, idx), select top-keep globally.
-    let mut entries: Vec<(f32, u32, u32)> = Vec::with_capacity(total);
-    for (li, (w, shape)) in layers.iter().enumerate() {
-        let numel: usize = shape.iter().product();
-        assert_eq!(w.len(), numel);
-        for (i, &v) in w.iter().enumerate() {
-            entries.push((v.abs(), li as u32, i as u32));
-        }
-    }
-    if keep < entries.len() && keep > 0 {
-        entries.select_nth_unstable_by(keep - 1, |a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-                .then(a.2.cmp(&b.2))
-        });
-    }
-    let kept = if keep >= entries.len() { &entries[..] } else { &entries[..keep] };
-    let mut per_layer: Vec<Vec<u32>> = vec![Vec::new(); layers.len()];
-    for &(_, li, i) in kept {
-        per_layer[li as usize].push(i);
-    }
-    per_layer
-        .into_iter()
-        .zip(layers)
-        .map(|(mut idx, (_, shape))| {
-            idx.sort_unstable();
-            Mask::new(shape, idx)
+    // One cut over the concatenated layers; its tie quota is spent in
+    // (layer, index) order as the layers are emitted.
+    let population = |t: &mut Tally| layers.iter().for_each(|(w, _)| t.count(w, |&x| x, 1));
+    let (mut cut, mut none) = (Cut::best(total, keep, population), Cut::NONE);
+    let (mut kept, mut at) = (vec![0; keep.min(total) + 1], 0);
+    layers
+        .iter()
+        .map(|(w, shape)| {
+            assert_eq!(w.len(), shape.iter().product::<usize>());
+            let n = emit(w.len(), &[], (w, &mut none), (w, &mut cut), &mut kept[at..]);
+            at += n;
+            Mask::new(shape, kept[at - n..at].to_vec())
         })
         .collect()
 }

@@ -20,61 +20,22 @@
 
 use crate::mask::Mask;
 use crate::schedule::GradualSchedule;
-
-/// Deterministic total ordering on (|score|, index): descending
-/// magnitude, ties broken by ascending index. NaN scores sort last.
-fn by_score_desc(score: &[f32]) -> impl Fn(&u32, &u32) -> std::cmp::Ordering + '_ {
-    // A NaN ranks below every magnitude, so the order stays total (a
-    // selection over an inconsistent order is unspecified) on the
-    // overflow steps whose gradients carry NaNs.
-    let key = |i: u32| {
-        let s = score[i as usize];
-        if s.is_nan() {
-            -1.0
-        } else {
-            s.abs()
-        }
-    };
-    move |&a, &b| key(b).total_cmp(&key(a)).then(a.cmp(&b))
-}
-
-/// Moves the `k` first indices under [`by_score_desc`] to the front of
-/// `idx`, in no particular order, without sorting the rest. The order is
-/// total and no two indices tie, so the set is the prefix a full sort
-/// would give.
-fn select_top(idx: &mut [u32], k: usize, score: &[f32]) {
-    if k > 0 && k < idx.len() {
-        idx.select_nth_unstable_by(k - 1, by_score_desc(score));
-    }
-}
-
-/// The currently-pruned positions of `prev`, ascending.
-fn pruned_indices(prev: &Mask) -> Vec<u32> {
-    let kept = prev.to_bools();
-    (0..prev.numel() as u32).filter(|&i| !kept[i as usize]).collect()
-}
+use crate::select::reselect;
 
 /// Grows `prev` to `keep_target` kept positions: every old survivor is
 /// retained and the highest-|score| currently-pruned positions are
 /// admitted to fill the deficit. Deterministic (score ties break by
-/// index). Used for densification by both [`MaskSchedule`] policies and
-/// by `GradualSchedule::mask_at`.
+/// index). How [`MaskSchedule::next_mask`] densifies a gradual ramp that
+/// runs downward.
 pub(crate) fn grow_to(prev: &Mask, keep_target: usize, score: &[f32]) -> Mask {
-    let numel = prev.numel();
-    assert_eq!(score.len(), numel);
-    let keep_target = keep_target.min(numel);
+    let keep_target = keep_target.min(prev.numel());
     assert!(
         keep_target >= prev.nnz(),
         "grow_to cannot shrink: target {keep_target} < nnz {}",
         prev.nnz()
     );
-    let mut candidates = pruned_indices(prev);
     let admit = keep_target - prev.nnz();
-    select_top(&mut candidates, admit, score);
-    let mut kept: Vec<u32> = prev.indices().as_slice().to_vec();
-    kept.extend_from_slice(&candidates[..admit]);
-    kept.sort_unstable();
-    Mask::new(prev.shape(), kept)
+    reselect(prev.shape(), prev.indices(), (score, prev.nnz()), (score, admit))
 }
 
 /// Momentum-style prune-and-regrow with a piecewise-linear sparsity
@@ -170,27 +131,18 @@ impl MomentumPruneRegrow {
     /// highest-|grow_score| pruned positions to fill the target.
     pub fn next_mask(&self, t: u64, weights: &[f32], grow_score: &[f32], prev: &Mask) -> Mask {
         let numel = prev.numel();
-        assert_eq!(weights.len(), numel);
-        assert_eq!(grow_score.len(), numel);
         let keep_target =
             (((1.0 - self.sparsity_at(t)) * numel as f64).round() as usize).min(numel);
 
-        let mut survivors: Vec<u32> = prev.indices().as_slice().to_vec();
-        let base_keep = keep_target.min(survivors.len());
+        let base_keep = keep_target.min(prev.nnz());
         let n_swap = ((self.swap_fraction * base_keep as f64).floor() as usize).min(base_keep);
-        let mut candidates = pruned_indices(prev);
-        let from_candidates = (keep_target - (base_keep - n_swap)).min(candidates.len());
+        let from_candidates = (keep_target - (base_keep - n_swap)).min(numel - prev.nnz());
         // Whatever the candidates cannot supply (pool exhausted: tiny
         // layers / near-dense targets) is re-admitted from the best of
         // the just-dropped survivors, so only the two top-k sets matter.
         let from_survivors = keep_target - from_candidates;
-        select_top(&mut survivors, from_survivors, weights);
-        select_top(&mut candidates, from_candidates, grow_score);
-
-        let mut kept: Vec<u32> = survivors[..from_survivors].to_vec();
-        kept.extend_from_slice(&candidates[..from_candidates]);
-        kept.sort_unstable();
-        Mask::new(prev.shape(), kept)
+        let (survivors, candidates) = ((weights, from_survivors), (grow_score, from_candidates));
+        reselect(prev.shape(), prev.indices(), survivors, candidates)
     }
 }
 
@@ -261,14 +213,41 @@ impl MaskSchedule {
     }
 }
 
-/// The full-sort formulations [`grow_to`] and
-/// [`MomentumPruneRegrow::next_mask`] replaced, kept as the oracle the
-/// selection-based versions are property-tested against.
+/// The full-sort formulations of [`grow_to`] and
+/// [`MomentumPruneRegrow::next_mask`] and the order they sort by, kept as
+/// the oracle [`crate::select`] is property-tested against.
 #[cfg(test)]
-mod sort_oracle {
+pub(crate) mod sort_oracle {
     use super::*;
 
-    pub(super) fn grow_to(prev: &Mask, keep_target: usize, score: &[f32]) -> Mask {
+    /// Deterministic total ordering on (|score|, index): descending
+    /// magnitude, ties broken by ascending index. NaN scores sort last.
+    pub(crate) fn by_score_desc(score: &[f32]) -> impl Fn(&u32, &u32) -> std::cmp::Ordering + '_ {
+        let key = |i: u32| {
+            let s = score[i as usize];
+            if s.is_nan() {
+                -1.0
+            } else {
+                s.abs()
+            }
+        };
+        move |&a, &b| key(b).total_cmp(&key(a)).then(a.cmp(&b))
+    }
+
+    /// The currently-pruned positions of `prev`, ascending.
+    pub(crate) fn pruned_indices(prev: &Mask) -> Vec<u32> {
+        let kept = prev.to_bools();
+        (0..prev.numel() as u32).filter(|&i| !kept[i as usize]).collect()
+    }
+
+    /// The `k` first of `idx` under [`by_score_desc`], ascending.
+    pub(crate) fn top_k(mut idx: Vec<u32>, k: usize, score: &[f32]) -> Vec<u32> {
+        idx.sort_by(by_score_desc(score));
+        idx.truncate(k);
+        idx.sort_unstable();
+        idx
+    }
+    pub(crate) fn grow_to(prev: &Mask, keep_target: usize, score: &[f32]) -> Mask {
         let mut candidates = pruned_indices(prev);
         candidates.sort_by(by_score_desc(score));
         let mut kept: Vec<u32> = prev.indices().as_slice().to_vec();
@@ -277,7 +256,7 @@ mod sort_oracle {
         Mask::new(prev.shape(), kept)
     }
 
-    pub(super) fn next_mask(
+    pub(crate) fn next_mask(
         m: &MomentumPruneRegrow,
         t: u64,
         weights: &[f32],
@@ -309,43 +288,6 @@ mod sort_oracle {
 mod tests {
     use super::*;
     use crate::algorithms::magnitude_prune;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// Selecting the top-k prefix gives the mask the full sort gave:
-        /// scores drawn from a handful of values (ties, zeros, signs),
-        /// targets from empty to dense (the refill branch included).
-        #[test]
-        fn selection_matches_the_sort_oracle(
-            numel in 1usize..200,
-            prev_keep in 0.0f64..1.0,
-            sparsity in 0.0f64..1.0,
-            swap in 0.0f64..0.99,
-            levels in 1u32..6,
-            seed in any::<u64>(),
-        ) {
-            use rand::{Rng, SeedableRng};
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let mut draw = |n: usize| -> Vec<f32> {
-                let level = |_| (rng.gen_range(0..2 * levels) as f32 - levels as f32) * 0.5;
-                (0..n).map(level).collect()
-            };
-            let (w, score) = (draw(numel), draw(numel));
-            let prev = crate::random_prune(&[numel], 1.0 - prev_keep, seed ^ 1);
-            let m = MomentumPruneRegrow::new(vec![(0, sparsity)], 1, swap);
-            prop_assert_eq!(
-                m.next_mask(0, &w, &score, &prev),
-                sort_oracle::next_mask(&m, 0, &w, &score, &prev)
-            );
-            let target = prev.nnz() + ((numel - prev.nnz()) as f64 * sparsity) as usize;
-            prop_assert_eq!(
-                grow_to(&prev, target, &score),
-                sort_oracle::grow_to(&prev, target, &score)
-            );
-        }
-    }
 
     #[test]
     fn nan_scores_rank_last_and_keep_the_order_total() {

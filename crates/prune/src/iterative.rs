@@ -6,8 +6,8 @@
 //! provides the IMP schedule so the reproduction covers the LTH
 //! literature the paper builds on (its references 3 and 8).
 
-use crate::algorithms::magnitude_prune;
 use crate::mask::Mask;
+use crate::select::reselect;
 
 /// State of an iterative magnitude pruning run.
 ///
@@ -104,31 +104,17 @@ impl IterativePruner {
         let keep = keep.max(min_keep);
 
         // Rank only surviving positions by |w|.
-        let mut surviving: Vec<u32> = self.current.indices().as_slice().to_vec();
-        surviving.sort_by(|&a, &b| {
-            weights[b as usize]
-                .abs()
-                .partial_cmp(&weights[a as usize].abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        surviving.truncate(keep);
-        surviving.sort_unstable();
-        self.current = Mask::new(&self.shape, surviving);
+        self.current =
+            reselect(&self.shape, self.current.indices(), (weights, keep), (weights, 0));
         self.rounds_done += 1;
         self.current.clone()
     }
 }
 
-/// One-shot pruning at the same final sparsity, for comparison with the
-/// iterative schedule (the LTH paper's ablation).
-pub fn one_shot_prune(weights: &[f32], shape: &[usize], sparsity: f64) -> Mask {
-    magnitude_prune(weights, shape, sparsity)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::magnitude_prune;
 
     fn ramp(n: usize) -> Vec<f32> {
         (0..n).map(|i| (i + 1) as f32).collect()
@@ -241,7 +227,7 @@ mod tests {
         for _ in 0..p.rounds_needed() {
             p.prune_round(&w);
         }
-        let one_shot = one_shot_prune(&w, &[200], 0.9);
+        let one_shot = magnitude_prune(&w, &[200], 0.9);
         assert_eq!(p.mask(), &one_shot);
     }
 }

@@ -16,10 +16,11 @@ pub mod iterative;
 pub mod structured;
 pub mod mask;
 pub mod schedule;
+pub mod select;
 
 pub use algorithms::{global_magnitude_prune, magnitude_prune, random_prune, EarlyBird};
 pub use dynamic::{MaskSchedule, MomentumPruneRegrow};
-pub use iterative::{one_shot_prune, IterativePruner};
+pub use iterative::IterativePruner;
 pub use mask::Mask;
 pub use nm::{is_nm_mask, nm_prune, nm_prune_24};
 pub use schedule::GradualSchedule;

@@ -9,7 +9,8 @@
 //! paper's "sparse kernels can't win" CSR indirection (Fig. 1).
 
 use crate::mask::Mask;
-use std::cmp::Ordering;
+use crate::select::key;
+use std::cmp::Reverse;
 
 /// Builds an N:M structured mask over a row-major `rows × cols` weight
 /// matrix: in each group of `m` consecutive columns, the `n` positions
@@ -33,13 +34,7 @@ pub fn nm_prune(weights: &[f32], rows: usize, cols: usize, n: usize, m: usize) -
             let g1 = (g0 + m).min(cols);
             order.clear();
             order.extend(g0..g1);
-            order.sort_by(|&a, &b| {
-                row[b]
-                    .abs()
-                    .partial_cmp(&row[a].abs())
-                    .unwrap_or(Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
+            order.sort_by_key(|&c| (Reverse(key(row[c])), c));
             kept.clear();
             kept.extend(order[..n.min(g1 - g0)].iter().map(|&c| (r * cols + c) as u32));
             kept.sort_unstable();

@@ -8,6 +8,7 @@
 
 use crate::algorithms::magnitude_prune;
 use crate::mask::Mask;
+use crate::select::reselect;
 
 /// Cubic sparsity ramp from `initial` to `final_sparsity` between steps
 /// `begin` and `end`, updating every `frequency` steps.
@@ -77,24 +78,11 @@ impl GradualSchedule {
         match previous {
             None => magnitude_prune(weights, shape, target),
             Some(prev) => {
-                let numel: usize = shape.iter().product();
-                assert_eq!(weights.len(), numel);
-                let keep = ((1.0 - target) * numel as f64).round() as usize;
-                if keep > prev.nnz() {
-                    return crate::dynamic::grow_to(prev, keep, weights);
-                }
-                // Rank only the survivors; prune down to the new target.
-                let mut surviving: Vec<u32> = prev.indices().as_slice().to_vec();
-                surviving.sort_by(|&a, &b| {
-                    weights[b as usize]
-                        .abs()
-                        .partial_cmp(&weights[a as usize].abs())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.cmp(&b))
-                });
-                surviving.truncate(keep);
-                surviving.sort_unstable();
-                Mask::new(shape, surviving)
+                // A rising target ranks only the survivors; a falling one
+                // keeps them all and admits pruned positions on top.
+                let keep = ((1.0 - target) * weights.len() as f64).round() as usize;
+                let admit = keep.saturating_sub(prev.nnz());
+                reselect(shape, prev.indices(), (weights, keep), (weights, admit))
             }
         }
     }

@@ -8,6 +8,8 @@
 //! admit much faster spMM, which is the design tension Fig. 1 exposes.
 
 use crate::mask::Mask;
+use crate::select::key;
+use std::cmp::Reverse;
 
 /// Prunes a `rows × cols` matrix in `block × block` tiles: tiles are
 /// ranked by their L1 norm and the smallest are pruned entirely, giving
@@ -39,7 +41,7 @@ pub fn block_prune(
             (n, b)
         })
         .collect();
-    norms.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1)));
+    norms.sort_by_key(|&(n, b)| (Reverse(key(n)), b));
     let mut kept_blocks: Vec<u32> = norms[..keep_blocks.min(nblocks)].iter().map(|&(_, b)| b).collect();
     kept_blocks.sort_unstable();
 
@@ -65,13 +67,7 @@ pub fn prune_channels_by_bn_scale(gammas: &[f32], sparsity: f64) -> Vec<usize> {
     assert!((0.0..=1.0).contains(&sparsity));
     let keep = ((1.0 - sparsity) * gammas.len() as f64).round() as usize;
     let mut order: Vec<usize> = (0..gammas.len()).collect();
-    order.sort_by(|&a, &b| {
-        gammas[b]
-            .abs()
-            .partial_cmp(&gammas[a].abs())
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
+    order.sort_by_key(|&c| (Reverse(key(gammas[c])), c));
     let mut kept = order[..keep].to_vec();
     kept.sort_unstable();
     kept

@@ -197,6 +197,43 @@ fn hot_paths_allocate_nothing_in_steady_state() {
         assert_eq!(events, 0, "post-schedule step allocated {events} time(s)");
     }
 
+    // --- SamoTrainer::step *on* a remap event --------------------------
+    // An update step allocates, but nothing that scales with the layer
+    // except the new mask's index vector: the grow score is canonicalised
+    // in the engine's warm scratch, the selection reads scores in place
+    // (its histogram is a fixed 256 KiB the thread keeps from t = 0), the
+    // remap kernel swaps pre-sized buffers.
+    let side = 512usize;
+    let mut model3 = Linear::new(side, side, false, 41);
+    let mask3 = prune::magnitude_prune(model3.params()[0].value.as_slice(), &[side, side], 0.9);
+    let opt = Optimizer::Adam(AdamConfig::default());
+    let mut tr3 = SamoTrainer::new(&mut model3, vec![mask3], opt);
+    let policy = prune::MomentumPruneRegrow::new(vec![(0, 0.9), (8, 0.8)], 2, 0.1);
+    tr3.set_mask_schedule(prune::MaskSchedule::MomentumPruneRegrow(policy.clone()));
+    let (x3, target3) = (Tensor::randn(&[4, side], 1.0, 42), Tensor::randn(&[4, side], 1.0, 43));
+    for t in 0..=4u64 {
+        let y = model3.forward(&x3);
+        let (_, mut dy) = mse(&y, &target3);
+        tensor::ops::scale(tr3.loss_scale(), dy.as_mut_slice());
+        model3.backward(&dy);
+        let remaps = tr3.remap_events();
+        LARGEST_ALLOC.store(0, Ordering::Relaxed);
+        alloc_events_during(|| {
+            tr3.step(&mut model3);
+        });
+        // t = 0 warmed the scratch; t = 2 and 4 are the measured updates.
+        if t >= 2 && policy.is_update_step(t) {
+            assert_eq!(tr3.remap_events(), remaps + 1, "the mask must move at t = {t}");
+            let keep_target = ((1.0 - policy.sparsity_at(t)) * (side * side) as f64).round() as usize;
+            let largest = LARGEST_ALLOC.load(Ordering::Relaxed) as usize;
+            assert!(
+                largest <= 4 * (keep_target + 1),
+                "update step at t = {t} requested {largest} B at once; the new index is {} B",
+                4 * keep_target
+            );
+        }
+    }
+
     // --- GEMM (gemm_panel packing scratch is thread-local) ------------
     let dim = 64;
     let a = Tensor::randn(&[dim, dim], 1.0, 5);
