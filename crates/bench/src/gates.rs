@@ -71,9 +71,17 @@ pub const BYTE_RATIO_TOLERANCE: f64 = 0.1;
 /// values), so the measured wire bytes are the modeled f16 volume plus
 /// this per message and nothing else.
 pub const WIRE_HEADER_BYTES: u64 = comms::Payload::HEADER_BYTES;
-/// Thin `A·Bᵀ` (what `Linear::forward` runs) over `A·B` of the same
-/// 4×2048×2048 shape — packing a transposed operand must stream.
+/// Thin `A·Bᵀ` (what `Linear::forward` runs) over the packed `A·B` of
+/// the same 4×2048×2048 shape — packing a transposed operand must stream.
 pub const THIN_NT_OVER_NN_MAX: f64 = 1.5;
+/// On AVX2, at four rows and p = 0.9: the sampled `dyᵀ·x` over the
+/// streamed row blocks, the pack-free `dy·W16` over the packed one, and
+/// the vector Adam sweep over the scalar loop.
+pub const SAMPLED_OVER_STREAMED_MIN: f64 = 1.5;
+pub const THIN_OVER_PACKED_MIN: f64 = 1.5;
+pub const VECTOR_SWEEP_OVER_SCALAR_MIN: f64 = 1.8;
+/// Cells of `thin_sweep`: seven batch sizes, by four densities for `dW`.
+pub const THIN_SWEEP_CELLS: [usize; 2] = [28, 7];
 /// One-row 768×768 GEMM on AVX2: the row must run in vector edge tiles.
 pub const ONE_ROW_GFLOPS_MIN: f64 = 2.0;
 
@@ -245,9 +253,9 @@ fn kernels(doc: &Json) -> Check {
     let fused = best_ms("samo_step_fused")?;
     let reference = best_ms("samo_step_reference")?;
     at_most("fused SAMO step ms over the reference", fused, reference)?;
-    let thin = best_ms("gemm_nt_4x2048x2048")? / best_ms("gemm_nn_4x2048x2048")?;
+    let thin = best_ms("gemm_nt_4x2048x2048")? / best_ms("gemm_nn_packed_4x2048x2048")?;
     at_most(
-        "thin A·Bᵀ over A·B at 4x2048x2048",
+        "thin A·Bᵀ over the packed A·B at 4x2048x2048",
         thin,
         THIN_NT_OVER_NN_MAX,
     )?;
@@ -258,6 +266,17 @@ fn kernels(doc: &Json) -> Check {
     let f16w = best_ms("fwd_dx_f16w_4x2048x2048")?;
     at_most("forward + dx ms from θ16 over its f32 view", f16w, f32w)?;
     let one_row = num(named(table, "gemm_nn_1x768x768")?, "gflops")?;
+    // The thin-batch short cuts: recorded on every tier, raced on AVX2.
+    let sampled = dw_streamed / best_ms("dw_sampled_4x2048x2048")?;
+    let pack_free = best_ms("gemm_nn_f16w_packed_4x2048x2048")? / best_ms("gemm_nn_f16w_thin_4x2048x2048")?;
+    let sweep = best_ms("optimizer_sweep_210k_scalar")? / best_ms("optimizer_sweep_210k_vector")?;
+    for probe in ["stream_copy", "stream_read_f16"] {
+        at_least(&format!("{probe} GB/s"), num(named(table, probe)?, "gb_s")?, f64::MIN_POSITIVE)?;
+    }
+    let cells = get(doc, "thin_sweep")?;
+    for (key, want) in ["dw", "nn"].into_iter().zip(THIN_SWEEP_CELLS) {
+        equal(&format!("thin_sweep {key} cells"), rows(cells, key)?.len(), want)?;
+    }
     // The tier the kernels ran on is recorded by `repro simd`.
     let tier = doc.get("simd").and_then(|s| s.get("active_tier"));
     if tier == Some(&Json::Str("avx2".into())) {
@@ -266,6 +285,9 @@ fn kernels(doc: &Json) -> Check {
             one_row,
             ONE_ROW_GFLOPS_MIN,
         )?;
+        at_least("sampled dW over the streamed blocks on AVX2", sampled, SAMPLED_OVER_STREAMED_MIN)?;
+        at_least("pack-free dy·W16 over the packed one on AVX2", pack_free, THIN_OVER_PACKED_MIN)?;
+        at_least("vector Adam sweep over the scalar loop on AVX2", sweep, VECTOR_SWEEP_OVER_SCALAR_MIN)?;
     }
     // The per-layer profile of the compute-bound step is a record, not a
     // race: held to its shape only.
@@ -285,7 +307,8 @@ fn kernels(doc: &Json) -> Check {
          fused step {fused:.4} ms <= reference {reference:.4} ms, \
          streamed dW {dw_streamed:.4} ms <= dense {dw_dense:.4} ms, \
          fwd + dx from θ16 {f16w:.4} ms <= from f32 {f32w:.4} ms, \
-         thin NT/NN {thin:.2}, 1-row {one_row:.2} GFLOP/s"
+         thin NT/NN {thin:.2}, 1-row {one_row:.2} GFLOP/s, \
+         sampled dW {sampled:.2}x, pack-free dy·W16 {pack_free:.2}x, vector sweep {sweep:.2}x"
     ))
 }
 
@@ -730,9 +753,30 @@ mod tests {
         rejects("kernels", &doc, &["from θ16", "4.5", "4"]);
 
         let mut doc = committed();
-        set_kernel_ms(&mut doc, "gemm_nn_4x2048x2048", 1.0);
+        set_kernel_ms(&mut doc, "gemm_nn_packed_4x2048x2048", 1.0);
         set_kernel_ms(&mut doc, "gemm_nt_4x2048x2048", 1.51);
         rejects("kernels", &doc, &["A·Bᵀ", "1.51", "1.5"]);
+
+        // The thin-batch floors bind on the AVX2 tier only.
+        let floors = [
+            ("dw_streamed_4x2048x2048", "dw_sampled_4x2048x2048", "sampled dW", 1.49),
+            ("gemm_nn_f16w_packed_4x2048x2048", "gemm_nn_f16w_thin_4x2048x2048", "pack-free", 1.49),
+            ("optimizer_sweep_210k_scalar", "optimizer_sweep_210k_vector", "vector Adam sweep", 1.79),
+        ];
+        for (slow, fast, what, ratio) in floors {
+            let mut doc = committed();
+            set_kernel_ms(&mut doc, "dw_dense_4x2048x2048", 9.0);
+            set_kernel_ms(&mut doc, slow, ratio);
+            set_kernel_ms(&mut doc, fast, 1.0);
+            rejects("kernels", &doc, &[what, &format!("{ratio}")]);
+            *at(&mut doc, &["simd", "active_tier"]) = Json::Str("scalar".into());
+            check("kernels", &doc).expect("the scalar tier records the short cuts and races none");
+        }
+        let Json::Arr(mut cells) = at(&mut committed(), &["thin_sweep", "dw"]).clone() else {
+            panic!("thin_sweep.dw is an array")
+        };
+        cells.pop();
+        rejects("kernels", &doctored(&["thin_sweep", "dw"], Json::Arr(cells)), &["thin_sweep dw", "27", "28"]);
 
         // The one-row floor binds on the AVX2 tier only.
         let row1 = rows(&committed(), "kernels")

@@ -52,14 +52,19 @@ pub fn sample<F: FnMut()>(best_of: usize, reps: usize, mut f: F) -> Sample {
 /// would otherwise tax the shorter kernel far more than the longer one
 /// (a duel artifact, not a property of either kernel).
 pub fn duel<F: FnMut(), G: FnMut()>(rounds: usize, reps: usize, mut f: F, mut g: G) -> [Sample; 2] {
-    let (mut fs, mut gs) = (Vec::with_capacity(rounds), Vec::with_capacity(rounds));
+    duel_n(rounds, reps, [&mut f, &mut g])
+}
+
+/// [`duel`] among any number of contenders.
+pub fn duel_n<const N: usize>(rounds: usize, reps: usize, mut contenders: [&mut dyn FnMut(); N]) -> [Sample; N] {
+    let mut runs: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(rounds));
     for _ in 0..rounds {
-        f();
-        fs.push(time_ms(reps, &mut f));
-        g();
-        gs.push(time_ms(reps, &mut g));
+        for (f, runs) in contenders.iter_mut().zip(&mut runs) {
+            f();
+            runs.push(time_ms(reps, f));
+        }
     }
-    [Sample::of(fs), Sample::of(gs)]
+    runs.map(Sample::of)
 }
 
 /// Upper median; `None` for an empty set.

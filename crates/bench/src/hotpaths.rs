@@ -8,18 +8,33 @@
 //!   Gated: the fused path may never be slower than the reference.
 //! * `gemm_256` and `gemm_attn_32x32x16` — one large square GEMM and a
 //!   swarm of attention-shaped small GEMMs.
-//! * `gemm_nn_4x2048x2048` / `gemm_nt_4x2048x2048` / `gemm_nn_1x768x768`
-//!   — the thin shapes of data-parallel training and batch-1 serving:
-//!   `A·B` against `A·Bᵀ` (the form `Linear::forward` runs) at four
-//!   rows, and a single row, which runs entirely in the edge tiles.
-//!   Gated by [`crate::gates::THIN_NT_OVER_NN_MAX`] and
-//!   [`crate::gates::ONE_ROW_GFLOPS_MIN`].
-//! * `dw_dense_4x2048x2048` / `dw_streamed_4x2048x2048` — the weight
-//!   gradient of a thin-batch `Linear` at p = 0.9 on its way into `∇θ16`:
-//!   `matmul_tn_acc` into the dense gradient + `compress_grad_fused` +
-//!   clearing it, against `matmul_tn_row_blocks` compressed block by
-//!   block (same `∇θ16` bits, asserted). Gated: streamed may never be
-//!   slower than dense.
+//! * `gemm_nn_4x2048x2048` / `gemm_nn_packed_4x2048x2048` /
+//!   `gemm_nt_4x2048x2048` / `gemm_nn_1x768x768` — the thin shapes of
+//!   data-parallel training and batch-1 serving: `A·B` as `sgemm` runs it
+//!   at four rows (pack-free), the same product pinned to the packed
+//!   path, `A·Bᵀ` (the form `Linear::forward` runs, packed), and a single
+//!   row. Gated by [`crate::gates::THIN_NT_OVER_NN_MAX`] (against the
+//!   packed `A·B`) and [`crate::gates::ONE_ROW_GFLOPS_MIN`].
+//! * `gemm_nn_f16w_thin_4x2048x2048` / `gemm_nn_f16w_packed_4x2048x2048`
+//!   — `dy·W16`, the input gradient of a thin-batch `Linear` from the
+//!   lent `θ16`: streamed from B against packed into the f32 panel (same
+//!   bits, asserted). Gated by [`crate::gates::THIN_OVER_PACKED_MIN`].
+//! * `dw_dense_4x2048x2048` / `dw_streamed_4x2048x2048` /
+//!   `dw_sampled_4x2048x2048` — the weight gradient of a thin-batch
+//!   `Linear` at p = 0.9 on its way into `∇θ16`: `matmul_tn_acc` into the
+//!   dense gradient + `compress_grad_fused` + clearing it, against
+//!   `matmul_tn_row_blocks` compressed block by block, against
+//!   `matmul_tn_sampled` at the kept positions only (same `∇θ16` bits,
+//!   asserted). Gated: streamed may never be slower than dense, and
+//!   [`crate::gates::SAMPLED_OVER_STREAMED_MIN`].
+//! * `optimizer_sweep_210k_scalar` / `optimizer_sweep_210k_vector` — the
+//!   fused Adam pass over one rank's shard of that layer (≈ 210 k owned
+//!   values, no f32 view, the all-gather payload written), on the scalar
+//!   and the AVX2 tier. Gated by
+//!   [`crate::gates::VECTOR_SWEEP_OVER_SCALAR_MIN`].
+//! * `stream_copy` / `stream_read_f16` — the bandwidth roofs of the same
+//!   run: a 16 MiB f32 copy and a read of `dp2_tcp_wide`'s 10.5 MB of
+//!   `θ16`. The three rows above that move bytes print achieved ÷ roof.
 //! * `fwd_dx_f32w_4x2048x2048` / `fwd_dx_f16w_4x2048x2048` — forward
 //!   and input gradient of the same thin-batch `Linear` (`x·Wᵀ`, then
 //!   `dy·W`) from the f32 view of `θ16` against `θ16` itself, widened by
@@ -29,13 +44,18 @@
 //!   and expansion primitives, at the element types the step uses.
 //! * `allreduce_compressed` — the compressed fp16 gradient all-reduce.
 //!
-//! Beside the kernels, `gpt_layers`: which layer type owns the
+//! Beside the kernels, `thin_sweep`: the two products a thin batch takes
+//! a short cut through, over batch rows {1 … 64} — the sampled `dyᵀ·x`
+//! against the row blocks at densities {0.05 … 0.5}, and the pack-free
+//! `dy·W16` against the packed one — the table the two dispatch constants
+//! of `tensor::gemm` (`sampled_pays`, `THIN_MAX_M`) are read from. And
+//! `gpt_layers`: which layer type owns the
 //! compute-bound step. Every layer of the `gpt_single` benchmark workload
 //! at its shapes (`[B, T, C] = [16, 32, 64]`, 4 heads, 2 blocks), forward
 //! and forward + backward, times its calls per step, summed next to one
 //! whole `TinyGpt` step.
 
-use crate::harness::{self, duel, obj, random_vec, round6, sample, Sample};
+use crate::harness::{self, duel, duel_n, obj, random_vec, round6, sample, Sample};
 use models::tiny::{TinyGpt, TinyGptConfig};
 use nn::activations::Gelu;
 use nn::attention::CausalSelfAttention;
@@ -49,7 +69,11 @@ use samo::trainer::allreduce_mean_f16;
 use samo::{compress, expand};
 use telemetry::json::Json;
 use tensor::f16::{f16_slice_to_f32, f32_slice_to_f16, F16};
-use tensor::gemm::{matmul, matmul_nt, matmul_tn_acc, matmul_tn_row_blocks, sgemm, GemmElem};
+use tensor::gemm::{
+    matmul, matmul_nt, matmul_tn_acc, matmul_tn_row_blocks, matmul_tn_sampled, sampled_pays, sgemm,
+    sgemm_on_path, GemmElem, THIN_MAX_M,
+};
+use tensor::simd::{self, Tier};
 use tensor::Tensor;
 
 /// One benchmarked kernel: per-invocation times in milliseconds.
@@ -68,6 +92,8 @@ struct KernelResult {
     /// cacheline-granular DRAM traffic, so it is a stable, comparable
     /// lower bound across machines.
     bytes: Option<u64>,
+    /// The stream probe of this run whose `gb_s` is this kernel's roof.
+    roof: Option<&'static str>,
 }
 
 /// Runs the suite, records it into `BENCH_hotpaths.json` in the current
@@ -105,7 +131,7 @@ pub fn run(quick: bool) -> Result<(), String> {
             assert!(finite);
             st.optimizer_step_fused(&opt, 1.0, &mut dense);
         });
-        results.push(KernelResult { name: "samo_step_fused", n: phi, reps, timed, flops: None, bytes: None });
+        results.push(KernelResult { name: "samo_step_fused", n: phi, reps, timed, flops: None, bytes: None, roof: None });
     }
     {
         let mut st = SamoLayerState::from_params(&init, mask.clone(), &opt);
@@ -116,7 +142,7 @@ pub fn run(quick: bool) -> Result<(), String> {
             st.optimizer_step(&opt, 1.0);
             dense.copy_from_slice(&st.dense_f32_params());
         });
-        results.push(KernelResult { name: "samo_step_reference", n: phi, reps, timed, flops: None, bytes: None });
+        results.push(KernelResult { name: "samo_step_reference", n: phi, reps, timed, flops: None, bytes: None, roof: None });
     }
 
     // --- GEMM: one large square multiply, the thin training/serving
@@ -128,6 +154,7 @@ pub fn run(quick: bool) -> Result<(), String> {
         timed,
         flops: Some(2 * (m * n * k) as u64),
         bytes: None,
+        roof: None,
     };
     for (name, (m, n, k)) in [("gemm_256", (256, 256, 256)), ("gemm_nn_1x768x768", (1, 768, 768))] {
         let a = random_vec(m * k, 3);
@@ -138,53 +165,120 @@ pub fn run(quick: bool) -> Result<(), String> {
     }
     {
         // `A·B` against `A·Bᵀ` (B stored n×k, as `Linear` stores its
-        // weights) on the same buffers. A few ms each: 4× the reps make
+        // weights) on the same buffers: the first as `sgemm` runs it at
+        // four rows — pack-free — and pinned to the packed path, which is
+        // what `A·Bᵀ` is held against. A few ms each: 4× the reps make
         // the gated ratio repeatable at no cost worth naming.
         let (m, n, k) = (4, 2048, 2048);
         let a = random_vec(m * k, 3);
         let b = random_vec(k * n, 4);
-        let (mut c0, mut c1) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
-        let [nn, nt] = duel(
+        let [mut c0, mut c1, mut c2] = [(); 3].map(|()| vec![0.0f32; m * n]);
+        let tier = simd::active();
+        let [nn, packed, nt] = duel_n(
             best_of,
             4 * reps,
-            || matmul(m, n, k, &a, &b, &mut c0),
-            || matmul_nt(m, n, k, &a, &b, &mut c1),
+            [
+                &mut || matmul(m, n, k, &a, &b, &mut c0),
+                &mut || sgemm_on_path(false, tier, false, false, m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c1, n),
+                &mut || matmul_nt(m, n, k, &a, &b, &mut c2),
+            ],
         );
+        assert!(bits(&c0) == bits(&c1), "pack-free A·B differs from the packed one");
         results.push(gemm_row("gemm_nn_4x2048x2048", (m, n, k), 4 * reps, nn));
+        results.push(gemm_row("gemm_nn_packed_4x2048x2048", (m, n, k), 4 * reps, packed));
         results.push(gemm_row("gemm_nt_4x2048x2048", (m, n, k), 4 * reps, nt));
+
+        // dx = dy·W16 of the wide layer: B is θ16 itself, read once.
+        let w16 = f32_slice_to_f16(&b);
+        let on_path = |thin, c: &mut [f32]| {
+            sgemm_on_path(thin, tier, false, false, m, n, k, 1.0, &a, k, &w16, n, 0.0, c, n)
+        };
+        let [thin, packed] = duel(best_of, 4 * reps, || on_path(true, &mut c0), || on_path(false, &mut c1));
+        assert!(bits(&c0) == bits(&c1), "pack-free dy·W16 differs from the packed one");
+        let moved = (2 * k * n + 4 * m * (k + n)) as u64;
+        for (name, timed) in [("gemm_nn_f16w_thin_4x2048x2048", thin), ("gemm_nn_f16w_packed_4x2048x2048", packed)] {
+            let row = gemm_row(name, (m, n, k), 4 * reps, timed);
+            results.push(KernelResult { bytes: Some(moved), roof: Some("stream_read_f16"), ..row });
+        }
     }
     {
-        // dW = dyᵀ·x into ∇θ16, the two ways the trainers do it. The
+        // dW = dyᵀ·x into ∇θ16, the three ways the trainers do it. The
         // dense form streams a φ-sized gradient through memory three
         // times (accumulate, gather at one kept value per cache line,
         // clear); the streamed form gathers each 64-row block while it
-        // is still in cache and has no gradient to clear.
+        // is still in cache and has no gradient to clear; the sampled
+        // form computes the kept tenth and nothing else.
         let (m, n, k) = (2048, 2048, 4);
         let dy = random_vec(k * m, 20);
         let x = random_vec(k * n, 21);
         let wmask = prune::random_prune(&[m, n], sparsity, 22);
-        let state = SamoLayerState::from_params(&vec![0.0; m * n], wmask, &opt);
+        assert!(sampled_pays(k, wmask.nnz(), m * n), "four rows at p = 0.9 sample");
+        let state = SamoLayerState::from_params(&vec![0.0; m * n], wmask.clone(), &opt);
         let (mut dense_st, streamed_st) = (state.clone(), std::sync::Mutex::new(state));
         let mut grad = vec![0.0f32; m * n];
-        let [dense, streamed] = duel(
+        let mut sampled16 = vec![F16::ZERO; wmask.nnz()];
+        let tier = simd::active();
+        let [dense, streamed, sampled] = duel_n(
             best_of,
             reps,
-            || {
-                matmul_tn_acc(m, n, k, &dy, &x, &mut grad);
-                assert!(dense_st.compress_grad_fused(&grad));
-                grad.fill(0.0);
-            },
-            || {
-                matmul_tn_row_blocks(m, n, k, &dy, &x, |r0, r1, block| {
-                    let mut st = streamed_st.lock().expect("no gather panics");
-                    assert!(st.compress_grad_rows(r0, r1, block));
-                })
-            },
+            [
+                &mut || {
+                    matmul_tn_acc(m, n, k, &dy, &x, &mut grad);
+                    assert!(dense_st.compress_grad_fused(&grad));
+                    grad.fill(0.0);
+                },
+                &mut || {
+                    matmul_tn_row_blocks(m, n, k, &dy, &x, |r0, r1, block| {
+                        let mut st = streamed_st.lock().expect("no gather panics");
+                        assert!(st.compress_grad_rows(r0, r1, block));
+                    })
+                },
+                &mut || assert!(matmul_tn_sampled(tier, m, n, k, &dy, &x, wmask.indices(), &mut sampled16)),
+            ],
         );
         let streamed_st = streamed_st.into_inner().expect("no gather panics");
         assert!(dense_st.grad16 == streamed_st.grad16, "streamed ∇θ16 differs from dense");
+        assert!(dense_st.grad16 == sampled16, "sampled ∇θ16 differs from dense");
         results.push(gemm_row("dw_dense_4x2048x2048", (m, n, k), reps, dense));
         results.push(gemm_row("dw_streamed_4x2048x2048", (m, n, k), reps, streamed));
+        // What the sampled product does and moves: 2·nnz·k FLOPs, the
+        // index and ∇θ16 once each, the operands.
+        results.push(KernelResult {
+            flops: Some((2 * wmask.nnz() * k) as u64),
+            bytes: Some((6 * wmask.nnz() + 4 * k * (m + n)) as u64),
+            roof: Some("stream_copy"),
+            ..gemm_row("dw_sampled_4x2048x2048", (m, n, k), reps, sampled)
+        });
+
+        // The fused Adam pass over one rank's shard of that layer, as
+        // the thread-per-rank runtime runs it: no f32 view, the payload
+        // of the parameter all-gather written. Per owned value it reads
+        // ∇θ16 and the index, reads and writes θ32, m and v, and writes
+        // ∇θ32, θ16 and the payload: 38 B.
+        let values = random_vec(m * n, 26);
+        let mut shard = SamoLayerState::from_params_sharded(&values, wmask.clone(), &opt, 0, 2);
+        for (g, v) in shard.grad16.iter_mut().zip(random_vec(wmask.nnz(), 27)) {
+            *g = F16::from_f32(0.125 * v);
+        }
+        let (lo, hi) = shard.shard_range();
+        let mut twin = shard.clone();
+        let step_on = |tier, st: &mut SamoLayerState| {
+            std::hint::black_box(st.optimizer_step_owned_on(tier, &opt, 1.0, &mut []));
+        };
+        let [scalar, vector] =
+            duel(best_of, 4 * reps, || step_on(Tier::Scalar, &mut shard), || step_on(Tier::Avx2, &mut twin));
+        assert!(shard.theta32 == twin.theta32 && shard.theta16 == twin.theta16, "the tiers' sweeps differ");
+        for (name, timed) in [("optimizer_sweep_210k_scalar", scalar), ("optimizer_sweep_210k_vector", vector)] {
+            results.push(KernelResult {
+                name,
+                n: hi - lo,
+                reps: 4 * reps,
+                timed,
+                flops: None,
+                bytes: Some(38 * (hi - lo) as u64),
+                roof: Some("stream_copy"),
+            });
+        }
     }
     {
         // y = x·Wᵀ and dx = dy·W of that layer, the two products that
@@ -209,7 +303,6 @@ pub fn run(quick: bool) -> Result<(), String> {
             || fwd_dx((m, n, k), &w32, [&x, &dy], &mut y32, &mut dx32),
             || fwd_dx((m, n, k), &w16, [&x, &dy], &mut y16, &mut dx16),
         );
-        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         assert!(bits(&y32) == bits(&y16), "forward from θ16 differs from its f32 view");
         assert!(bits(&dx32) == bits(&dx16), "dx from θ16 differs from its f32 view");
         // Two products of m·n·k multiply-adds each.
@@ -235,6 +328,7 @@ pub fn run(quick: bool) -> Result<(), String> {
             timed,
             flops: Some(2 * (loops * seq * seq * hd) as u64),
             bytes: None,
+            roof: None,
         });
     }
 
@@ -246,6 +340,7 @@ pub fn run(quick: bool) -> Result<(), String> {
         timed,
         flops: None,
         bytes: Some(bytes as u64),
+        roof: None,
     };
     let dense32 = random_vec(phi, 8);
     {
@@ -292,12 +387,34 @@ pub fn run(quick: bool) -> Result<(), String> {
             timed,
             flops: None,
             bytes: Some(4 * (ranks * nnz) as u64),
+            roof: None,
         });
     }
 
+    // --- The bandwidth roofs of this run. ------------------------------
+    {
+        // Beyond the 2 MB L2 of the box the numbers were sized on: a
+        // 16 MiB f32 copy (read + write), and a read of the 10.5 MB of
+        // θ16 a rank of `dp2_tcp_wide` streams three times a step.
+        let src = random_vec(4 << 20, 28);
+        let mut dst = vec![0.0f32; src.len()];
+        let timed = sample(best_of, reps, || dst.copy_from_slice(std::hint::black_box(&src)));
+        results.push(memory_row("stream_copy", timed, 8 * src.len()));
+        let halves = f32_slice_to_f16(&random_vec(5_247_232, 29));
+        let timed = sample(best_of, reps, || {
+            std::hint::black_box(std::hint::black_box(&halves).iter().fold(0u16, |mx, h| mx.max(h.0)));
+        });
+        results.push(memory_row("stream_read_f16", timed, 2 * halves.len()));
+    }
+
     // --- Report. ------------------------------------------------------
+    let gb_s = |r: &KernelResult| r.bytes.map(|b| giga_per_s(b, r.timed.best_ms));
+    let roof_share = |r: &KernelResult| {
+        let roof = results.iter().find(|probe| Some(probe.name) == r.roof)?;
+        Some(gb_s(r)? / gb_s(roof)?)
+    };
     let mut tab =
-        crate::Table::new("bench_hotpaths", &["kernel", "n", "best_ms", "throughput", "samples"]);
+        crate::Table::new("bench_hotpaths", &["kernel", "n", "best_ms", "throughput", "of_roof", "samples"]);
     for r in &results {
         let best_ms = r.timed.best_ms;
         tab.push(vec![
@@ -309,6 +426,7 @@ pub fn run(quick: bool) -> Result<(), String> {
                 (_, Some(b)) => format!("{:.2} GB/s", giga_per_s(b, best_ms)),
                 _ => "-".to_string(),
             },
+            roof_share(r).map_or("-".to_string(), |share| format!("{share:.2} of {}", r.roof.unwrap_or("-"))),
             r.timed.runs_ms.iter().map(|m| format!("{m:.4}")).collect::<Vec<_>>().join(" "),
         ]);
     }
@@ -316,9 +434,105 @@ pub fn run(quick: bool) -> Result<(), String> {
     let csv = tab.write_csv().map_err(|e| format!("write bench CSV: {e}"))?;
     telemetry::log_info!("bench: CSV written to {}", csv.display());
 
-    let mut own = to_json(&results, quick, best_of);
+    let shares: Vec<Option<f64>> = results.iter().map(roof_share).collect();
+    let mut own = to_json(&results, &shares, quick, best_of);
+    own.push(("thin_sweep".to_string(), thin_sweep(best_of, reps)));
     own.push(("gpt_layers".to_string(), gpt_layers(best_of, reps)));
     harness::record("kernels", own)
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|f| f.to_bits()).collect()
+}
+
+/// The sweep the two thin-batch dispatch constants of `tensor::gemm` are
+/// read from, at the wide layer's 2048 × 2048: over batch rows, the
+/// sampled `dyᵀ·x` against the row blocks (both compressing into `∇θ16`)
+/// at four densities, next to what `sampled_pays` picks; and the
+/// pack-free `dy·W16` against the packed one, next to what `sgemm` picks.
+fn thin_sweep(best_of: usize, reps: usize) -> Json {
+    let (out, inp) = (2048usize, 2048usize);
+    let batches = [1usize, 2, 4, 8, 16, 32, 64];
+    let tier = simd::active();
+    let dy = random_vec(64 * out, 40);
+    let x = random_vec(64 * inp, 41);
+    let opt = Optimizer::Adam(AdamConfig::default());
+
+    let mut dw = Vec::new();
+    let mut tab = crate::Table::new(
+        "bench_thin_sweep_dw",
+        &["rows", "density", "rows_x_density", "blocks_ms", "sampled_ms", "blocks_over_sampled", "picked"],
+    );
+    for density in [0.05, 0.1, 0.25, 0.5] {
+        let mask = prune::random_prune(&[out, inp], 1.0 - density, 42);
+        let st = std::sync::Mutex::new(SamoLayerState::from_params(&vec![0.0; out * inp], mask.clone(), &opt));
+        let mut sampled16 = vec![F16::ZERO; mask.nnz()];
+        for rows in batches {
+            let (dy, x) = (&dy[..rows * out], &x[..rows * inp]);
+            let [blocks, sampled] = duel(
+                best_of,
+                reps,
+                || {
+                    matmul_tn_row_blocks(out, inp, rows, dy, x, |r0, r1, block| {
+                        st.lock().expect("no gather panics").compress_grad_rows(r0, r1, block);
+                    })
+                },
+                || {
+                    matmul_tn_sampled(tier, out, inp, rows, dy, x, mask.indices(), &mut sampled16);
+                },
+            );
+            assert!(st.lock().expect("no gather panics").grad16 == sampled16, "sampled ∇θ16 differs");
+            let picked = if sampled_pays(rows, mask.nnz(), out * inp) { "sampled" } else { "blocks" };
+            tab.push(vec![
+                rows.to_string(),
+                format!("{density}"),
+                format!("{:.2}", rows as f64 * density),
+                format!("{:.4}", blocks.best_ms),
+                format!("{:.4}", sampled.best_ms),
+                format!("{:.2}", blocks.best_ms / sampled.best_ms),
+                picked.to_string(),
+            ]);
+            dw.push(obj([
+                ("rows", Json::UInt(rows as u64)),
+                ("density", Json::Num(density)),
+                ("blocks_ms", round6(blocks.best_ms)),
+                ("sampled_ms", round6(sampled.best_ms)),
+                ("picked", Json::Str(picked.to_string())),
+            ]));
+        }
+    }
+    println!("{}", tab.render());
+
+    let w16 = f32_slice_to_f16(&random_vec(out * inp, 43));
+    let mut nn = Vec::new();
+    let mut tab =
+        crate::Table::new("bench_thin_sweep_nn", &["rows", "packed_ms", "thin_ms", "packed_over_thin", "picked"]);
+    for rows in batches {
+        let dy = &dy[..rows * out];
+        let (mut c0, mut c1, mut c2) = (vec![0.0f32; rows * inp], vec![0.0f32; rows * inp], vec![0.0f32; rows * inp]);
+        let on_path = |thin, c: &mut [f32]| {
+            sgemm_on_path(thin, tier, false, false, rows, inp, out, 1.0, dy, out, &w16, inp, 0.0, c, inp)
+        };
+        let [packed, thin] = duel(best_of, reps, || on_path(false, &mut c0), || on_path(true, &mut c1));
+        sgemm(false, false, rows, inp, out, 1.0, dy, out, &w16, inp, 0.0, &mut c2, inp);
+        assert!(bits(&c0) == bits(&c1) && bits(&c0) == bits(&c2), "the paths of dy·W16 differ");
+        let picked = if rows <= THIN_MAX_M { "thin" } else { "packed" };
+        tab.push(vec![
+            rows.to_string(),
+            format!("{:.4}", packed.best_ms),
+            format!("{:.4}", thin.best_ms),
+            format!("{:.2}", packed.best_ms / thin.best_ms),
+            picked.to_string(),
+        ]);
+        nn.push(obj([
+            ("rows", Json::UInt(rows as u64)),
+            ("packed_ms", round6(packed.best_ms)),
+            ("thin_ms", round6(thin.best_ms)),
+            ("picked", Json::Str(picked.to_string())),
+        ]));
+    }
+    println!("{}", tab.render());
+    obj([("dw", Json::Arr(dw)), ("nn", Json::Arr(nn))])
 }
 
 /// The per-layer-type profile of one `gpt_single` step (the benchmark
@@ -426,14 +640,15 @@ fn giga_per_s(units: u64, best_ms: f64) -> f64 {
 
 /// The top-level fields `repro bench` owns. Schema documented in
 /// EXPERIMENTS.md; bump `schema` on breaking changes.
-fn to_json(results: &[KernelResult], quick: bool, best_of: usize) -> Vec<(String, Json)> {
+fn to_json(results: &[KernelResult], roof_shares: &[Option<f64>], quick: bool, best_of: usize) -> Vec<(String, Json)> {
     let threads = tensor::pool::ThreadPool::global().workers();
     let threads_env = std::env::var("SAMO_THREADS")
         .map(Json::Str)
         .unwrap_or(Json::Null);
     let kernels = results
         .iter()
-        .map(|r| {
+        .zip(roof_shares)
+        .map(|(r, share)| {
             let mut row = vec![
                 ("name".to_string(), Json::Str(r.name.to_string())),
                 ("n".to_string(), Json::UInt(r.n as u64)),
@@ -449,6 +664,10 @@ fn to_json(results: &[KernelResult], quick: bool, best_of: usize) -> Vec<(String
             }
             if let Some(b) = r.bytes {
                 row.push(("gb_s".to_string(), round6(giga_per_s(b, r.timed.best_ms))));
+            }
+            if let (Some(roof), Some(share)) = (r.roof, share) {
+                row.push(("roof".to_string(), Json::Str(roof.to_string())));
+                row.push(("of_roof".to_string(), round6(*share)));
             }
             Json::Obj(row)
         })

@@ -83,6 +83,12 @@ impl<'a, T> Scatter<'a, T> {
         Scatter { ind, base: 0, dense }
     }
 
+    /// The piece as a kernel outside this crate takes it: its positions,
+    /// and `(base, dense)` with position `i` at `dense[i - base]`.
+    pub(crate) fn parts(&mut self) -> (&'a [u32], usize, &mut [T]) {
+        (self.ind, self.base, self.dense)
+    }
+
     /// `dense[i] = v`, for an `i` out of this piece's `ind`.
     #[inline]
     pub(crate) fn put(&mut self, i: u32, v: T) {

@@ -13,15 +13,17 @@
 //! * [`crate::ThreadedDataParallelSamo`] runs backward through
 //!   `backward_overlapped`, so each parameter's ring starts while the
 //!   rest of backward still runs — and a weight matrix whose layer offers
-//!   its gradient as GEMM row blocks is compressed *inside* backward,
-//!   block by block ([`SamoLayerState::compress_grad_rows`]): the paper
+//!   the operands of its gradient's product is compressed *inside*
+//!   backward ([`SamoLayerState::compress_grad_product`]): the paper
 //!   compresses "at the granularity of a layer ... so that we never have
 //!   to store the uncompressed gradients for the entire model"
-//!   (Sec. III-C); here the uncompressed gradient of such a layer is one
-//!   row block, its dense `grad` is released, and `apply` has nothing to
-//!   clear. A dynamic-sparsity update step is the exception: its plain
-//!   backward materialises the dense gradients (they are the grow
-//!   score), and `apply` releases them again;
+//!   (Sec. III-C); here a thin batch's gradient is computed at the kept
+//!   positions only, straight into `∇θ16`, a fat batch's uncompressed
+//!   gradient is one GEMM row block, either way the dense `grad` is
+//!   released, and `apply` has nothing to clear. A dynamic-sparsity
+//!   update step is the exception: its plain backward materialises the
+//!   dense gradients (they are the grow score), and `apply` releases
+//!   them again;
 //! * [`crate::ThreadedPipelineSamo`] overlaps the rings the same way on
 //!   the last microbatch of its 1F1B schedule, dense (its microbatches
 //!   accumulate into `grad`), and agrees on the overflow verdict across
@@ -46,8 +48,8 @@
 //! independent oracle of all this.
 //!
 //! Every state runs the same fused pair
-//! ([`SamoLayerState::compress_grad_fused`] — or its row-block form —
-//! and [`SamoLayerState::optimizer_step_owned`]) on the range it owns;
+//! ([`SamoLayerState::compress_grad_fused`] — or its product form — and
+//! [`SamoLayerState::optimizer_step_owned`]) on the range it owns;
 //! sharding decides only what moves: a full state all-reduces `∇θ16`,
 //! a shard reduce-scatters it (each rank needs the mean on its own range
 //! alone) and all-gathers the updated fp16 parameters — together the
@@ -78,7 +80,6 @@ use nn::layer::{GradSink, Layer};
 use nn::mixed::{LossScaler, LossScalerState, Optimizer};
 use nn::param::Parameter;
 use prune::{Mask, MaskSchedule};
-use std::sync::Mutex;
 use telemetry::SpanGuard;
 use tensor::f16::F16;
 use tensor::{ops, Tensor};
@@ -166,7 +167,7 @@ pub struct StepEngine<R: Reducer> {
     ring_order: Vec<(u64, usize)>,
     /// AND of the fused compress kernels' overflow flags this step.
     local_finite: bool,
-    /// Parameters whose gradient has arrived as row blocks: they keep no
+    /// Parameters whose gradient's product the engine took: they keep no
     /// dense `grad` between steps (`apply`).
     streamed: Vec<bool>,
     labels: &'static Labels,
@@ -386,7 +387,7 @@ impl<R: Reducer> StepEngine<R> {
     }
 
     /// Compresses parameter `pi`'s freshly produced dense (loss-scaled)
-    /// gradient into `∇θ16` — unless it already arrived as row blocks
+    /// gradient into `∇θ16` — unless its product was compressed already
     /// (`None`, see [`Overlap`]) — and starts its mean reduction. Ring ids
     /// line up across ranks because every rank visits parameters in the
     /// same order.
@@ -431,20 +432,20 @@ impl<R: Reducer> StepEngine<R> {
     /// reports its gradient final (reverse execution order — identical
     /// on every rank), compress it and start its ring; pump the rings in
     /// flight between groups, so communication overlaps the rest of the
-    /// backward pass exactly as on a real cluster. With `stream_rows`, a
-    /// weight matrix whose layer offers its gradient as GEMM row blocks is
-    /// compressed block by block inside that GEMM and its dense gradient
-    /// never exists. Returns `d(loss)/d(input)`.
+    /// backward pass exactly as on a real cluster. With `stream_dw`, a
+    /// weight matrix whose layer offers its gradient's product is
+    /// compressed from the operands and its dense gradient never exists.
+    /// Returns `d(loss)/d(input)`.
     pub(crate) fn backward_overlapped(
         &mut self,
         model: &mut impl Layer,
         dy: &Tensor,
-        stream_rows: bool,
+        stream_dw: bool,
     ) -> Result<Tensor, CommsError> {
         let mut sink = Overlap {
-            engine: Mutex::new(self),
-            stream_rows,
-            rows_of: None,
+            engine: self,
+            stream_dw,
+            took: None,
             res: Ok(()),
         };
         let dx = model.backward_into(dy, &mut sink);
@@ -663,50 +664,43 @@ impl<R: Reducer> StepEngine<R> {
 
 /// The gradient sink of [`StepEngine::backward_overlapped`]: `ready`
 /// compresses what arrived dense and starts every parameter's ring;
-/// `rows` compresses a weight gradient while its GEMM produces it (the
-/// module docs say why). Row blocks come from kernel pool threads, hence
-/// the lock; it is never contended for longer than one block's gather.
+/// `take_product` compresses a weight gradient from the operands of its
+/// product, the layer state choosing how much of it to compute (the
+/// module docs say why).
 struct Overlap<'a, R: Reducer> {
-    engine: Mutex<&'a mut StepEngine<R>>,
-    stream_rows: bool,
-    /// The parameter whose rows are arriving, until its `ready`.
-    rows_of: Option<usize>,
+    engine: &'a mut StepEngine<R>,
+    stream_dw: bool,
+    /// The parameter whose product was taken, until its `ready`.
+    took: Option<usize>,
     /// The first comms failure: backward finishes, but stops talking.
     res: Result<(), CommsError>,
 }
-
-/// A gather that panics under the lock takes backward down with it (the
-/// pool re-throws on the caller), so nobody meets the poisoned lock.
-const UNPOISONED: &str = "a panicking gather ends the backward that holds the sink";
 
 impl<R: Reducer> GradSink for Overlap<'_, R> {
     fn ready(&mut self, off: usize, params: &[&Parameter]) {
         if self.res.is_err() {
             return;
         }
-        let rows_of = self.rows_of.take();
-        let engine = self.engine.get_mut().expect(UNPOISONED);
+        let took = self.took.take();
+        let engine = &mut *self.engine;
         self.res = params
             .iter()
             .enumerate()
             .try_for_each(|(i, p)| {
-                let dense = (rows_of != Some(off + i)).then(|| p.grad.as_slice());
+                let dense = (took != Some(off + i)).then(|| p.grad.as_slice());
                 engine.compress_param(off + i, dense)
             })
             .and_then(|()| engine.pump());
     }
 
-    fn takes_rows(&mut self, index: usize) -> bool {
-        let engine = self.engine.get_mut().expect(UNPOISONED);
-        let takes = self.stream_rows && engine.layers[index].mask().shape().len() == 2;
-        self.rows_of = takes.then_some(index);
-        takes
-    }
-
-    fn rows(&self, index: usize, row0: usize, row1: usize, block: &[f32]) {
-        let mut engine = self.engine.lock().expect(UNPOISONED);
-        let finite = engine.layers[index].compress_grad_rows(row0, row1, block);
-        engine.local_finite &= finite;
+    fn take_product(&mut self, index: usize, rows: usize, dy: &[f32], x: &[f32]) -> bool {
+        let state = &mut self.engine.layers[index];
+        if !self.stream_dw || state.mask().shape().len() != 2 {
+            return false;
+        }
+        self.took = Some(index);
+        self.engine.local_finite &= state.compress_grad_product(rows, dy, x);
+        true
     }
 }
 

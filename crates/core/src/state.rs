@@ -19,9 +19,11 @@
 //! uncompressed gradients for the entire model" (Sec. III-C).
 //! [`SamoLayerState::compress_grad_fused`] is that, for a runtime whose
 //! caller ran backward into a dense gradient;
-//! [`SamoLayerState::compress_grad_rows`] is the same kernel on the rows
-//! a GEMM has just produced, for a runtime that drives backward itself —
-//! there the uncompressed gradient of a layer is one row block.
+//! [`SamoLayerState::compress_grad_product`] takes the operands of
+//! `dW = dyᵀ·x` instead, for a runtime that drives backward itself —
+//! there a thin batch's gradient is computed at the kept positions only,
+//! and a fat one's uncompressed gradient is one row block
+//! ([`SamoLayerState::compress_grad_rows`]).
 //!
 //! `θ16` is dense "so that the forward and backward passes can use fast
 //! dense kernels", and on the runtimes that own their model it is the
@@ -60,13 +62,15 @@
 use crate::compressed::{compress, expand_into, expand_over_zeroed, Scatter};
 use crate::memory::SamoBreakdown;
 use nn::mixed::{OptState, Optimizer};
-use nn::optim::{adam_bias_corrections, adam_update, sgd_update, AdamState, SgdState};
+use nn::optim::{adam_bias_corrections, adam_update, sgd_update, AdamConfig, AdamState, SgdState};
 use prune::Mask;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use tensor::f16::{to_f32_table, F16};
 use tensor::pool::{par_chunks_mut, SplitMut};
-use tensor::simd;
+use tensor::gemm;
+use tensor::simd::{self, AdamArrays, AdamLanes, SweepTargets, Tier};
 
 /// Pool granularity of the fused step kernels, in compressed positions:
 /// enough work per chunk that fork–join overhead stays negligible.
@@ -165,6 +169,24 @@ fn sweep<I: Iterator>(
         true => sweep_as::<true, I>(grad16, inv_loss_scale, owned, os, update),
         false => sweep_as::<false, I>(grad16, inv_loss_scale, owned, os, update),
     }
+}
+
+/// The AVX2 tier of the Adam [`sweep`] over the leading whole vectors of
+/// one task's positions ([`simd::adam_sweep_vector`]): how many it did —
+/// none on the scalar tier — for the scalar loop to finish from.
+fn adam_vector(
+    tier: Tier,
+    adam: &AdamLanes,
+    inv_loss_scale: f32,
+    grad16: &[F16],
+    ((theta32, grad32), (view, (theta16, payload))): &mut Owned<'_>,
+    (m, v): (&mut [f32], &mut [f32]),
+) -> usize {
+    let (ind, base, theta16) = theta16.parts();
+    let view = view.as_mut().map(|view| view.parts().2);
+    let targets = SweepTargets { ind, base, theta16, view, payload: payload.as_deref_mut() };
+    let arrays = AdamArrays { grad16, theta32, grad32, m, v };
+    simd::adam_sweep_vector(tier, adam, inv_loss_scale, arrays, targets)
 }
 
 /// [`sweep`] itself; `VIEW` says the f32 view is there to be written next
@@ -442,6 +464,33 @@ impl SamoLayerState {
         simd::gather_narrow_finite(simd::active(), block, lo as u32, &ind[s..e], &mut grad16[s..e])
     }
 
+    /// [`Self::compress_grad_fused`] of a weight gradient `dW = dyᵀ·x`
+    /// that is never assembled, and below [`gemm::sampled_pays`] never
+    /// computed where it is pruned: `dy` is `rows × out`, `x` is
+    /// `rows × in`, the state's mask `out × in`. A thin batch at a sparse
+    /// mask runs [`gemm::matmul_tn_sampled`] over the shared index
+    /// straight into `∇θ16`; a fat batch, or a dense mask, keeps the dense
+    /// product, gathered from one row block at a time
+    /// ([`Self::compress_grad_rows`]; blocks come from pool threads, hence
+    /// the lock, held for one block's gather). Either way `∇θ16` and the
+    /// returned overflow flag are those of the fused kernel on
+    /// `matmul_tn_acc`'s product into zeros.
+    pub fn compress_grad_product(&mut self, rows: usize, dy: &[f32], x: &[f32]) -> bool {
+        let &[m, n] = self.mask.shape() else { panic!("a product's gradient is a matrix") };
+        if gemm::sampled_pays(rows, self.nnz(), self.numel()) {
+            let (ind, grad16) = self.compress_target();
+            return gemm::matmul_tn_sampled(simd::active(), m, n, rows, dy, x, ind, grad16);
+        }
+        const UNPOISONED: &str = "a panicking gather ends the product";
+        let state = Mutex::new((self, true));
+        gemm::matmul_tn_row_blocks(m, n, rows, dy, x, |row0, row1, block| {
+            let mut guard = state.lock().expect(UNPOISONED);
+            let finite = guard.0.compress_grad_rows(row0, row1, block);
+            guard.1 &= finite;
+        });
+        state.into_inner().expect(UNPOISONED).1
+    }
+
     /// The index, and `∇θ16` at its full length for a compress to write.
     /// The resize is a no-op unless a failed step's ring kept the buffer:
     /// every value is overwritten by a whole compress anyway.
@@ -460,12 +509,15 @@ impl SamoLayerState {
     /// `θ32`/`∇θ32`/`os`, exact for `θ16` — property tested against that
     /// oracle), without the dense `Vec` per layer per step.
     ///
-    /// Deliberately scalar on every tier: the per-element optimizer math
-    /// is a long dependent chain (Adam moments → update → downcast →
-    /// scatter) with a data-dependent scatter at the end, so
-    /// vectorization would buy little and would put the
-    /// bitwise-determinism argument of DESIGN.md §11 at risk for no
-    /// measured win.
+    /// Adam's pass has an AVX2 tier ([`simd::adam_sweep_vector`]): eight
+    /// positions' widen, unscale, moments, update and narrow in registers,
+    /// then eight scattered stores — 2.4× the scalar loop on a shard of
+    /// 210 k values (`optimizer_sweep_210k` in `repro bench`; EXPERIMENTS.md,
+    /// PR 24). Its lanes are the scalar loop's bits: `adam_update` is
+    /// multiplications, additions, divisions and a square root, each
+    /// correctly rounded by IEEE 754 in either form, none fused, in one
+    /// order (DESIGN.md §11). The scalar loop runs the tail, the
+    /// `SAMO_SIMD=off` tier and SGD, and is the oracle of the other.
     ///
     /// Precondition: `dense_out` (if held) and `θ16` are already zero at
     /// every pruned position. Both are only ever produced by this type's
@@ -478,6 +530,20 @@ impl SamoLayerState {
     /// ranks'); empty, and allocation-free, at `d = 1`.
     pub fn optimizer_step_owned(
         &mut self,
+        opt: &Optimizer,
+        inv_loss_scale: f32,
+        dense_out: &mut [f32],
+    ) -> Vec<F16> {
+        self.optimizer_step_owned_on(simd::active(), opt, inv_loss_scale, dense_out)
+    }
+
+    /// [`Self::optimizer_step_owned`] with Adam's pass pinned to a tier —
+    /// for the tests that hold the two tiers to the same bits and the
+    /// benchmark that times one against the other.
+    #[doc(hidden)]
+    pub fn optimizer_step_owned_on(
+        &mut self,
+        tier: Tier,
         opt: &Optimizer,
         inv_loss_scale: f32,
         dense_out: &mut [f32],
@@ -499,10 +565,14 @@ impl SamoLayerState {
                 st.step += 1;
                 let (bc1, bc2) = adam_bias_corrections(cfg, st.step);
                 let update = |(m, v): (_, _), p: &mut _, g| adam_update(cfg, bc1, bc2, m, v, p, g);
+                let AdamConfig { lr, beta1, beta2, eps, weight_decay } = *cfg;
+                let adam = AdamLanes { lr, beta1, beta2, eps, weight_decay, bias_corrections: (bc1, bc2) };
                 let moments = (&mut st.m[..], &mut st.v[..]);
-                par_chunks_mut((owned, moments), STEP_MIN_CHUNK, |s, (owned, (m, v))| {
-                    let os = m.iter_mut().zip(v);
-                    sweep(&grad16[s..], inv_loss_scale, owned, os, &update)
+                par_chunks_mut((owned, moments), STEP_MIN_CHUNK, |s, (mut owned, (m, v))| {
+                    let grad16 = &grad16[s..s + m.len()];
+                    let done = adam_vector(tier, &adam, inv_loss_scale, grad16, &mut owned, (&mut *m, &mut *v));
+                    let (_, (owned, (m, v))) = (owned, (m, v)).split_at(done);
+                    sweep(&grad16[done..], inv_loss_scale, owned, m.iter_mut().zip(v), &update)
                 });
             }
             (OptState::Sgd(st), Optimizer::Sgd(cfg)) => {

@@ -15,6 +15,16 @@
 //! same bits and flag; and one input is a matrix large enough that the
 //! kernel pool cuts both fused kernels into several tasks, between two
 //! compressed positions in the middle of a row.
+//!
+//! Adam's fused pass has an AVX2 tier (`tensor::simd::adam_sweep_vector`:
+//! whole groups of eight positions of a task's range, the scalar loop
+//! finishing the tail) and the three-phase reference has none, so on the
+//! default tier every comparison here is vector against scalar and under
+//! `SAMO_SIMD=off` scalar against scalar — CI runs both, each on one and
+//! on the default number of kernel threads. One test aims at the lanes,
+//! with both tiers pinned in one process: every owned length from nothing
+//! to four vectors and a tail, gradients at the edges of half precision,
+//! the f32 view held and released.
 
 use nn::mixed::{OptState, Optimizer};
 use nn::optim::{AdamConfig, SgdConfig};
@@ -22,6 +32,7 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use samo::SamoLayerState;
 use tensor::f16::F16;
+use tensor::simd::Tier;
 
 fn adam() -> Optimizer {
     Optimizer::Adam(AdamConfig {
@@ -226,6 +237,78 @@ fn fused_step_handles_dense_empty_and_thinner_than_the_group_masks() {
         for d in 1..=2 {
             assert_fused_matches_reference(opt.clone(), &[131, 1021], 0.3, d, 6, 7, true)
                 .expect("fused/reference divergence on a mask the pool cuts mid-row");
+        }
+    }
+}
+
+/// The vector sweep against the scalar reference where lanes could
+/// differ: owned ranges of 0..=33 positions (no vector, whole vectors,
+/// every tail), full and as two shards, with the model's f32 view held
+/// (`VIEW`) and released, over 20 consecutive steps so moments, bias
+/// corrections and weights all move — on gradients that are zero, `±0`,
+/// subnormal and the largest and smallest normal halves, scaled down by
+/// a loss scale that makes f32 subnormals of the small ones.
+#[test]
+fn the_vector_sweep_is_the_scalar_sweep_lane_for_lane() {
+    let edge = [0x0000u16, 0x8000, 0x0001, 0x83FF, 0x0400, 0x7BFF, 0xFBFF, 0x3C00, 0xB555, 0x2E66];
+    for opt in [adam(), Optimizer::Adam(AdamConfig::default())] {
+        for nnz in 0usize..=33 {
+            // Every other position kept, so the scatter has gaps to skip.
+            let numel = 2 * nnz + 3;
+            let mask = prune::Mask::new(&[numel], (0..nnz as u32).map(|j| 2 * j + 1).collect());
+            let init: Vec<f32> = (0..numel).map(|i| (i as f32 - nnz as f32) * 0.37).collect();
+            for d in 1..=2usize {
+                for held in [true, false] {
+                    let mut fused: Vec<SamoLayerState> = (0..d)
+                        .map(|r| SamoLayerState::from_params_sharded(&init, mask.clone(), &opt, r, d))
+                        .collect();
+                    let mut refr = fused.clone();
+                    let mut scalar = fused.clone();
+                    let view = |st: &SamoLayerState| if held { st.dense_f32_params() } else { Vec::new() };
+                    let mut dense: Vec<Vec<f32>> = fused.iter().map(view).collect();
+                    let mut dense_scalar = dense.clone();
+                    for step in 0..20usize {
+                        let inv_loss_scale = if step % 2 == 0 { 1.0 / 1024.0 } else { 1e-30 };
+                        let grads: Vec<F16> =
+                            (0..nnz).map(|j| F16::from_bits(edge[(j * 7 + step * 3) % edge.len()])).collect();
+                        let mut gathered = vec![F16::ZERO; nnz];
+                        for r in 0..d {
+                            fused[r].grad16.copy_from_slice(&grads);
+                            refr[r].grad16.copy_from_slice(&grads);
+                            let (lo, hi) = fused[r].shard_range();
+                            let mine =
+                                fused[r].optimizer_step_owned_on(Tier::Avx2, &opt, inv_loss_scale, &mut dense[r]);
+                            let shard16 = refr[r].optimizer_step_shard(&opt, inv_loss_scale);
+                            assert_eq!(mine.len(), if d == 1 { 0 } else { hi - lo });
+                            scalar[r].grad16.copy_from_slice(&grads);
+                            let view = &mut dense_scalar[r];
+                            let mine_scalar = scalar[r].optimizer_step_owned_on(Tier::Scalar, &opt, inv_loss_scale, view);
+                            assert_eq!(bits16(&mine_scalar), bits16(&mine), "payload across tiers");
+                            gathered[lo..hi].copy_from_slice(&shard16);
+                            if d > 1 {
+                                assert_eq!(bits16(&mine), bits16(&shard16), "payload");
+                            }
+                        }
+                        for r in 0..d {
+                            fused[r].scatter_gathered(&gathered, &mut dense[r]);
+                            scalar[r].scatter_gathered(&gathered, &mut dense_scalar[r]);
+                            assert_eq!(bits32(&dense_scalar[r]), bits32(&dense[r]), "view across tiers");
+                            assert_eq!(bits32(&scalar[r].theta32), bits32(&fused[r].theta32), "θ32 across tiers");
+                            refr[r].install_gathered(&gathered);
+                            let ctx = format!("nnz {nnz}, rank {r} of {d}, view held {held}, step {step}");
+                            assert_eq!(bits32(&fused[r].theta32), bits32(&refr[r].theta32), "θ32: {ctx}");
+                            assert_eq!(bits16(&fused[r].theta16), bits16(&refr[r].theta16), "θ16: {ctx}");
+                            assert_eq!(bits32(&fused[r].grad32), bits32(&refr[r].grad32), "∇θ32: {ctx}");
+                            assert_os_eq(&fused[r].os, &refr[r].os).expect(&ctx);
+                            if held {
+                                assert_eq!(bits32(&dense[r]), bits32(&refr[r].dense_f32_params()), "view: {ctx}");
+                            } else {
+                                assert!(dense[r].is_empty(), "a released view stays released");
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -1,10 +1,15 @@
 //! The streamed weight gradient: on the thread-per-rank data-parallel
-//! runtime a `Linear`'s `dyᵀ·x` is compressed into `∇θ16` one GEMM row
-//! block at a time and its dense `grad` never exists.
+//! runtime a `Linear`'s `dyᵀ·x` is compressed into `∇θ16` from the
+//! product's operands and its dense `grad` never exists.
 //!
 //! * `SamoLayerState::compress_grad_rows` over any cut of the rows leaves
 //!   the bits (and the overflow flag) `compress_grad_fused` gathers from
 //!   the assembled dense gradient;
+//! * `SamoLayerState::compress_grad_product` leaves them too, whichever
+//!   product the batch and the mask select — the sampled one at the kept
+//!   positions or the row blocks — over thin and fat batches, masks from
+//!   empty to dense, shapes off the row group and the vector, zero row
+//!   groups, underflows and non-finite operands;
 //! * the ruler, read *inside the step closure* — where the model is in
 //!   its training form: every rank of `ThreadedDataParallelSamo` holds
 //!   f32 buffers for the biases only, values and gradients alike (a
@@ -19,8 +24,8 @@
 //!   restore, byte for byte with the caller-driven oracles.
 //!
 //! CI runs the suite with the kernel pool pinned to one worker and on the
-//! default pool (row blocks then arrive from pool threads), in the
-//! `comms` and the `pipeline` job.
+//! default pool (row blocks then arrive from pool threads, a sampled
+//! product is cut among them), in the `comms` and the `pipeline` job.
 
 use nn::layer::{Layer, Sequential};
 use nn::linear::Linear;
@@ -117,36 +122,123 @@ fn row_blocks_compress_to_the_bits_of_the_fused_kernel() {
     }
 }
 
+/// `∇θ16` and the overflow flag three ways: the fused kernel on the dense
+/// product accumulated into zeros, the row blocks compressed one by one,
+/// and `compress_grad_product` on the operands.
+type Compressed = (Vec<u16>, bool);
+
+fn three_ways(mask: &Mask, batch: usize, dy: &[f32], x: &[f32]) -> [Compressed; 3] {
+    let (out_f, in_f) = (mask.shape()[0], mask.shape()[1]);
+    let fresh = || {
+        let mut st = SamoLayerState::from_params(&vec![0.5; mask.numel()], mask.clone(), &adam());
+        // Stale values everywhere: every kept position must be overwritten.
+        st.grad16.fill(F16::from_f32(-3.0));
+        st
+    };
+    let mut dense = vec![0.0f32; out_f * in_f];
+    matmul_tn_acc(out_f, in_f, batch, dy, x, &mut dense);
+    let mut whole = fresh();
+    let whole_finite = whole.compress_grad_fused(&dense);
+
+    let blocks = Mutex::new((fresh(), true));
+    matmul_tn_row_blocks(out_f, in_f, batch, dy, x, |r0, r1, block| {
+        let mut g = blocks.lock().unwrap();
+        let finite = g.0.compress_grad_rows(r0, r1, block);
+        g.1 &= finite;
+    });
+    let (blocks, blocks_finite) = blocks.into_inner().unwrap();
+
+    let mut product = fresh();
+    let product_finite = product.compress_grad_product(batch, dy, x);
+    [
+        (bits16(&whole.grad16), whole_finite),
+        (bits16(&blocks.grad16), blocks_finite),
+        (bits16(&product.grad16), product_finite),
+    ]
+}
+
 #[test]
 fn streaming_the_gemm_compresses_what_the_dense_gradient_would() {
-    // The whole path of one weight: dW = dyᵀ·x streamed from the GEMM
-    // (from pool threads when there are any: 200 rows are four row
-    // panels) into ∇θ16, against the dense product accumulated into
-    // zeros and compressed by the fused kernel — within one k-block and
-    // beyond it.
+    // The whole path of one weight: dW = dyᵀ·x into ∇θ16 without a dense
+    // gradient — sampled at the kept positions for the thin batch, from
+    // the GEMM's row blocks (from pool threads when there are any: 200
+    // rows are four row panels) for the fat one, which is also beyond one
+    // k-block — against the dense product accumulated into zeros and
+    // compressed by the fused kernel.
     let (out_f, in_f) = (200usize, 37usize);
     let mask = prune::random_prune(&[out_f, in_f], 0.8, 9);
     for &batch in &[4usize, 300] {
+        assert_eq!(tensor::gemm::sampled_pays(batch, mask.nnz(), mask.numel()), batch == 4);
         let dy = Tensor::randn(&[batch, out_f], 50.0, 1);
         let x = Tensor::randn(&[batch, in_f], 50.0, 2);
-        let mut dense = vec![0.0f32; out_f * in_f];
-        matmul_tn_acc(out_f, in_f, batch, dy.as_slice(), x.as_slice(), &mut dense);
-        let mut whole = SamoLayerState::from_params(&dense, mask.clone(), &adam());
-        let want_finite = whole.compress_grad_fused(&dense);
-
-        let streamed = Mutex::new((SamoLayerState::from_params(&dense, mask.clone(), &adam()), true));
-        matmul_tn_row_blocks(out_f, in_f, batch, dy.as_slice(), x.as_slice(), |r0, r1, block| {
-            let mut g = streamed.lock().unwrap();
-            let finite = g.0.compress_grad_rows(r0, r1, block);
-            g.1 &= finite;
-        });
-        let (streamed, finite) = streamed.into_inner().unwrap();
-        assert_eq!(bits16(&streamed.grad16), bits16(&whole.grad16), "batch {batch}");
-        assert_eq!(finite, want_finite);
+        let [whole, blocks, product] = three_ways(&mask, batch, dy.as_slice(), x.as_slice());
+        assert_eq!(blocks, whole, "row blocks, batch {batch}");
+        assert_eq!(product, whole, "product, batch {batch}");
         // Products of N(0, 50²) values summed over a long batch pass the
         // f16 range somewhere: the flag is exercised both ways.
-        assert_eq!(want_finite, batch == 4, "batch {batch}");
+        assert_eq!(whole.1, batch == 4, "batch {batch}");
     }
+}
+
+#[test]
+fn the_product_compresses_to_the_bits_of_its_row_blocks_on_either_side_of_the_dispatch() {
+    // 10 output rows: two row groups and two single rows; 19 columns: two
+    // vectors and a tail of three.
+    let (out_f, in_f) = (10usize, 19usize);
+    let numel = out_f * in_f;
+    let masks = [
+        ("empty", Mask::new(&[out_f, in_f], Vec::new())),
+        ("one value", Mask::new(&[out_f, in_f], vec![(numel / 2) as u32])),
+        ("p = 0.9", prune::random_prune(&[out_f, in_f], 0.9, 3)),
+        ("p = 0.5", prune::random_prune(&[out_f, in_f], 0.5, 4)),
+        ("dense", Mask::dense(&[out_f, in_f])),
+    ];
+    let mut sampled_runs = 0;
+    for (name, mask) in &masks {
+        for batch in (1usize..=9).chain([32]) {
+            sampled_runs += usize::from(tensor::gemm::sampled_pays(batch, mask.nnz(), numel));
+            // Ordinary magnitudes, then products that underflow to ±0.0
+            // and subnormals; rows 4..8 of dW — a whole row group — see
+            // an all-zero dy.
+            for scale in [30.0f32, 1e-22] {
+                let mut dy = Tensor::randn(&[batch, out_f], scale, 7 + batch as u64);
+                let x0 = Tensor::randn(&[batch, in_f], scale, 70 + batch as u64);
+                for row in dy.as_mut_slice().chunks_mut(out_f) {
+                    row[4..8].fill(0.0);
+                    row[9] = -0.0;
+                }
+                // (what, dy[last row][col], x[last row][col])
+                type Plant = Option<(usize, f32)>;
+                let plants: [(&str, Plant, Plant); 6] = [
+                    ("finite", None, None),
+                    ("inf in x", None, Some((3, f32::INFINITY))),
+                    ("NaN in x", None, Some((in_f - 1, f32::NAN))),
+                    ("-inf in dy", Some((2, f32::NEG_INFINITY)), None),
+                    ("NaN in dy's zero group", Some((5, f32::NAN)), None),
+                    ("loss-scale overflow", Some((1, 3e38)), Some((0, 3e38))),
+                ];
+                for (what, in_dy, in_x) in plants {
+                    let (mut dy, mut x) = (dy.clone(), x0.clone());
+                    if let Some((col, v)) = in_dy {
+                        dy.as_mut_slice()[(batch - 1) * out_f + col] = v;
+                    }
+                    if let Some((col, v)) = in_x {
+                        x.as_mut_slice()[(batch - 1) * in_f + col] = v;
+                    }
+                    let [whole, blocks, product] = three_ways(mask, batch, dy.as_slice(), x.as_slice());
+                    let ctx = format!("{name}, batch {batch}, scale {scale:e}, {what}");
+                    assert_eq!(blocks, whole, "row blocks: {ctx}");
+                    assert_eq!(product, whole, "product: {ctx}");
+                    if mask.nnz() == numel {
+                        assert_eq!(whole.1, what == "finite", "a dense mask sees every overflow: {ctx}");
+                    }
+                }
+            }
+        }
+    }
+    // Thin at p = 0.9 and 0.5, the empty and one-value masks always, the
+    // dense one at two rows: both sides of the inequality ran.
+    assert!((20..45).contains(&sampled_runs), "{sampled_runs} of 50 shapes sampled");
 }
 
 const DIMS: [usize; 4] = [256, 2048, 2048, 256];

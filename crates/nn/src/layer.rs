@@ -3,10 +3,12 @@
 //! Besides the plain `backward`, which accumulates into every
 //! parameter's dense `grad`, a layer runs [`Layer::backward_into`] a
 //! [`GradSink`]: the hook a data-parallel runtime uses to take each
-//! gradient the moment it is final — and, for a weight matrix, while it
-//! is being produced, one block of rows at a time, so that the dense
+//! gradient the moment it is final — and, for a weight matrix, before it
+//! exists: the layer hands the sink the operands of `dW = dyᵀ·x` and the
+//! sink decides how much of the product to compute, so that the dense
 //! gradient of the paper's Sec. III-C ("we never have to store the
-//! uncompressed gradients") is a row block, not a tensor.
+//! uncompressed gradients") need not be a tensor, a row block, or even
+//! computed where it is pruned.
 
 use crate::param::Parameter;
 use tensor::Tensor;
@@ -16,27 +18,26 @@ use tensor::Tensor;
 /// Indices and offsets count parameters in the [`Layer::params`] order of
 /// the layer the sink was handed to; containers shift them for their
 /// children.
-pub trait GradSink: Sync {
+pub trait GradSink {
     /// The parameters `params`, starting at index `offset`, have their
-    /// final gradient: in `grad`, or — for one whose rows this sink took
-    /// — already delivered through [`Self::rows`]. Fires once per
+    /// final gradient: in `grad`, or — for one whose product this sink
+    /// took — wherever [`Self::take_product`] put it. Fires once per
     /// parameter, in reverse execution order.
     fn ready(&mut self, offset: usize, params: &[&Parameter]);
 
-    /// Whether the sink takes the gradient of the 2-D parameter `index`
-    /// as row blocks instead of finding it in `grad`. A layer asks right
-    /// before it produces that gradient; on `true` it leaves `grad`
-    /// untouched and calls [`Self::rows`] with every row exactly once
-    /// before the parameter's [`Self::ready`].
-    fn takes_rows(&mut self, _index: usize) -> bool {
+    /// The one way to take a 2-D gradient early. A layer whose parameter
+    /// `index` (`out × in`) has the gradient `dyᵀ · x` — `dy` the
+    /// `rows × out` gradient of its output, `x` the `rows × in` input it
+    /// cached, both row-major — offers the operands before it computes
+    /// anything. On `true` the sink has taken the gradient, whichever
+    /// product it chose to run, with the bits accumulating `dyᵀ · x` into
+    /// a zeroed `grad` would leave wherever it kept them, and the layer
+    /// leaves `grad` untouched; on `false` (the default) the layer
+    /// accumulates the product into `grad` itself. Either way the
+    /// parameter's [`Self::ready`] follows.
+    fn take_product(&mut self, _index: usize, _rows: usize, _dy: &[f32], _x: &[f32]) -> bool {
         false
     }
-
-    /// Rows `row0..row1` of parameter `index`'s gradient, row-major in
-    /// `block`, with the bits accumulating them into a zeroed `grad`
-    /// would leave. Called from kernel pool threads, concurrently on
-    /// disjoint rows; `block` is only valid during the call.
-    fn rows(&self, _index: usize, _row0: usize, _row1: usize, _block: &[f32]) {}
 }
 
 /// A sink as a child whose parameters start at `off` sees it.
@@ -49,11 +50,8 @@ impl GradSink for Shifted<'_> {
     fn ready(&mut self, offset: usize, params: &[&Parameter]) {
         self.sink.ready(self.off + offset, params);
     }
-    fn takes_rows(&mut self, index: usize) -> bool {
-        self.sink.takes_rows(self.off + index)
-    }
-    fn rows(&self, index: usize, row0: usize, row1: usize, block: &[f32]) {
-        self.sink.rows(self.off + index, row0, row1, block);
+    fn take_product(&mut self, index: usize, rows: usize, dy: &[f32], x: &[f32]) -> bool {
+        self.sink.take_product(self.off + index, rows, dy, x)
     }
 }
 
@@ -186,12 +184,13 @@ pub trait Layer {
 
     /// Backward into a gradient sink, the hook data-parallel trainers use
     /// to overlap the reduction with the rest of backward and to compress
-    /// a weight gradient while it is produced: [`GradSink::ready`] fires
+    /// a weight gradient instead of storing it: [`GradSink::ready`] fires
     /// as soon as a group of parameters has its final gradient. Leaf
     /// layers get the default (a plain backward, then the whole layer
     /// ready, every gradient dense); containers override it to forward
     /// the sink to each child, in reverse execution order, and layers
-    /// whose weight gradient is one GEMM offer it as row blocks.
+    /// whose weight gradient is one product offer the sink its operands
+    /// ([`GradSink::take_product`]).
     fn backward_into(&mut self, dy: &Tensor, sink: &mut dyn GradSink) -> Tensor {
         let dx = self.backward(dy);
         sink.ready(0, &self.params());
@@ -366,7 +365,7 @@ mod tests {
     use super::*;
     use crate::linear::Linear;
 
-    /// A sink that takes nothing as rows and records the `ready` groups.
+    /// A sink that takes no product and records the `ready` groups.
     struct Groups(Vec<(usize, usize)>);
 
     impl GradSink for Groups {
@@ -400,7 +399,7 @@ mod tests {
         // (no params), first Linear (params 0..2). Offsets index into
         // `params()` order; every parameter is reported exactly once.
         assert_eq!(groups.0, vec![(2, 1), (2, 0), (0, 2)]);
-        // A sink that declines rows finds every gradient dense.
+        // A sink that declines the product finds every gradient dense.
         for (p, q) in plain.params().iter().zip(hooked.params()) {
             assert_eq!(p.grad.as_slice(), q.grad.as_slice(), "{}", p.name);
         }

@@ -1,17 +1,21 @@
 //! Fully-connected layer — the workload of the paper's Fig. 1.
 //!
 //! The weight is the GEMM's B operand in both products that read it
-//! (`y = x · Wᵀ`, `dx = dy · W`), and the GEMM packs B from `f32` or from
+//! (`y = x · Wᵀ`, `dx = dy · W`), and the GEMM reads B from `f32` or from
 //! half precision alike, to the same bits. So the layer declares
 //! [`Parameter::accepts_theta16`] and multiplies by whichever form of the
 //! weight it finds: the dense `θ16` a SAMO runtime lent for the step —
 //! the paper's one dense tensor, no f32 copy of it anywhere — or, for an
 //! unmanaged model, a serving replica or a trainer whose caller runs the
 //! passes, the f32 `value`.
+//!
+//! The third product, `dW = dyᵀ · x`, is the sink's to choose: the layer
+//! offers its operands ([`GradSink::take_product`]) and accumulates the
+//! dense product into `grad` only for a sink that declines them.
 
 use crate::layer::{CacheSlot, GradSink, Layer};
 use crate::param::Parameter;
-use tensor::gemm::{matmul_tn_acc, matmul_tn_row_blocks, sgemm};
+use tensor::gemm::{matmul_tn_acc, sgemm};
 use tensor::Tensor;
 
 /// Affine map `y = x · Wᵀ + b`, weights stored `[out_features, in_features]`
@@ -82,11 +86,11 @@ impl Linear {
         }
     }
 
-    /// Backward with the weight gradient `dW = dyᵀ · x` going either into
-    /// the dense `grad` (materialised if it was released) or, row block
-    /// by row block, to `rows` — the same bits either way, since a block
-    /// is what accumulating into zeros leaves.
-    fn backward_dw(&mut self, dy: &Tensor, rows: Option<&dyn GradSink>) -> Tensor {
+    /// Backward with the weight gradient `dW = dyᵀ · x` going to `sink`,
+    /// if there is one and it takes the product's operands, and otherwise
+    /// into the dense `grad` (materialised if it was released) — the same
+    /// bits either way, as [`GradSink::take_product`] requires.
+    fn backward_dw(&mut self, dy: &Tensor, sink: Option<&mut dyn GradSink>) -> Tensor {
         let x = self
             .cached_input
             .take()
@@ -96,16 +100,11 @@ impl Linear {
         assert_eq!(dy.cols(), self.out_features);
 
         // dW += dyᵀ · x  (out×batch · batch×in = out×in): no dW-sized
-        // temporary on either path, and on the second no dW at all.
-        let (m, n) = (self.out_features, self.in_features);
-        match rows {
-            None => {
-                let grad = self.weight.dense_grad().as_mut_slice();
-                matmul_tn_acc(m, n, batch, dy.as_slice(), x.as_slice(), grad);
-            }
-            Some(sink) => matmul_tn_row_blocks(m, n, batch, dy.as_slice(), x.as_slice(), |r0, r1, block| {
-                sink.rows(0, r0, r1, block)
-            }),
+        // temporary, and for a sink that takes the operands no dW at all.
+        if !sink.is_some_and(|s| s.take_product(0, batch, dy.as_slice(), x.as_slice())) {
+            let (m, n) = (self.out_features, self.in_features);
+            let grad = self.weight.dense_grad().as_mut_slice();
+            matmul_tn_acc(m, n, batch, dy.as_slice(), x.as_slice(), grad);
         }
 
         if let Some(b) = &mut self.bias {
@@ -171,8 +170,7 @@ impl Layer for Linear {
     }
 
     fn backward_into(&mut self, dy: &Tensor, sink: &mut dyn GradSink) -> Tensor {
-        let rows = sink.takes_rows(0);
-        let dx = self.backward_dw(dy, rows.then_some(&*sink));
+        let dx = self.backward_dw(dy, Some(&mut *sink));
         // Stack slices, not `params()`: a streamed backward adds no
         // allocation to the plain one.
         match &self.bias {

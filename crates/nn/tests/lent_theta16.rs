@@ -1,38 +1,28 @@
 //! A `Linear` whose weight is a lent `θ16`: with its f32 `value` released
 //! and the half-precision weights moved into the parameter, the layer must
-//! return — bit for bit — the `y`, `dx`, bias gradient and streamed `dW`
-//! row blocks of the same layer computing from the widened f32 `value`;
-//! and with the `θ16` moved back out and the value restored it is the f32
-//! layer again. Runs under `SAMO_SIMD=off` and the default tier in CI.
+//! return — bit for bit — the `y`, `dx`, bias gradient and the operands of
+//! the streamed `dW` of the same layer computing from the widened f32
+//! `value`; and with the `θ16` moved back out and the value restored it is
+//! the f32 layer again. Runs under `SAMO_SIMD=off` and the default tier in
+//! CI.
 
 use nn::activations::Relu;
 use nn::layer::{GradSink, Layer, Sequential};
 use nn::linear::Linear;
 use nn::param::{resident_param_bytes, Parameter};
-use std::sync::Mutex;
 use tensor::f16::{f16_slice_to_f32, f32_slice_to_f16, F16};
 use tensor::Tensor;
 
-/// Takes every 2-D gradient as row blocks and keeps them, by parameter and
-/// first row.
+/// Takes every 2-D gradient as the operands of its product and keeps
+/// them: parameter, batch rows, `dy`, `x`.
 #[derive(Default)]
-struct Blocks(Mutex<Vec<(usize, usize, Vec<u32>)>>);
+struct Operands(Vec<(usize, usize, Vec<u32>, Vec<u32>)>);
 
-impl GradSink for Blocks {
+impl GradSink for Operands {
     fn ready(&mut self, _off: usize, _params: &[&Parameter]) {}
-    fn takes_rows(&mut self, _index: usize) -> bool {
+    fn take_product(&mut self, index: usize, rows: usize, dy: &[f32], x: &[f32]) -> bool {
+        self.0.push((index, rows, bits(dy), bits(x)));
         true
-    }
-    fn rows(&self, index: usize, row0: usize, _row1: usize, block: &[f32]) {
-        self.0.lock().unwrap().push((index, row0, bits(block)));
-    }
-}
-
-impl Blocks {
-    fn sorted(self) -> Vec<(usize, usize, Vec<u32>)> {
-        let mut blocks = self.0.into_inner().unwrap();
-        blocks.sort();
-        blocks
     }
 }
 
@@ -63,8 +53,7 @@ fn lend(model: &mut impl Layer, halves: &mut [Vec<F16>], lend: bool) {
 }
 
 fn mlp(seed: u64) -> Sequential {
-    // 70 output rows: two row blocks of streamed dW; 37 and 21 are off
-    // the register tile and the transpose strip.
+    // 37 and 21 are off the register tile and the transpose strip.
     Sequential::new()
         .push(Linear::new(37, 70, true, seed))
         .push(Relu::new())
@@ -72,21 +61,21 @@ fn mlp(seed: u64) -> Sequential {
 }
 
 /// Everything one training pass of `model` produces.
-type Pass = (Vec<u32>, Vec<u32>, Vec<Vec<u32>>, Vec<(usize, usize, Vec<u32>)>);
+type Pass = (Vec<u32>, Vec<u32>, Vec<Vec<u32>>, Vec<(usize, usize, Vec<u32>, Vec<u32>)>);
 
 fn pass(model: &mut Sequential, x: &Tensor, dy: &Tensor) -> Pass {
     let y = model.forward(x);
-    let mut sink = Blocks::default();
+    let mut sink = Operands::default();
     let dx = model.backward_into(dy, &mut sink);
     let bias_grads = model.params().into_iter().filter(|p| !p.accepts_theta16);
     let bias_grads = bias_grads.map(|p| bits(p.grad.as_slice())).collect();
-    (bits(y.as_slice()), bits(dx.as_slice()), bias_grads, sink.sorted())
+    (bits(y.as_slice()), bits(dx.as_slice()), bias_grads, sink.0)
 }
 
 #[test]
 fn a_lent_theta16_computes_what_the_widened_value_does() {
     // One row, a thin group, a full group plus one, and a batch past one
-    // k-block of dW.
+    // k-block.
     for &batch in &[1usize, 4, 5, 300] {
         let x = Tensor::randn(&[batch, 37], 1.0, 10 + batch as u64);
         let dy = Tensor::randn(&[batch, 21], 1.0, 20 + batch as u64);
@@ -94,7 +83,7 @@ fn a_lent_theta16_computes_what_the_widened_value_does() {
         let mut widened = mlp(3);
         round_weights(&mut widened);
         let want = pass(&mut widened, &x, &dy);
-        assert!(want.3.len() >= 3, "both weights streamed, the first in two blocks");
+        assert_eq!(want.3.len(), 2, "both weights streamed");
 
         let mut lent = mlp(3);
         let mut halves = round_weights(&mut lent);

@@ -26,7 +26,7 @@
 //! widened operand.
 
 use crate::f16::{to_f32_table, F16};
-use crate::pool::{par_ranges, par_rows_mut};
+use crate::pool::{par_chunks_mut, par_ranges, par_rows_mut};
 use crate::simd::{self, Tier};
 use std::sync::{Arc, OnceLock};
 
@@ -101,6 +101,48 @@ pub fn sgemm_with_tier<B: GemmElem>(
     c: &mut [f32],
     ldc: usize,
 ) {
+    let thin = !transa && !transb && m <= THIN_MAX_M;
+    sgemm_on_path(thin, tier, transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+}
+
+/// Most rows of `A · B` (neither operand transposed) that take the
+/// pack-free path, [`gemm_thin`]: one strip of it, so B is streamed
+/// exactly once — never more bytes than the packed path moves. Read off
+/// the `nn` half of `repro bench`'s `thin_sweep` (EXPERIMENTS.md, PR 24;
+/// `dy·W16` at 2048 × 2048, packed over pack-free): 3.8 / 2.8 / 2.5 /
+/// 2.0× at 1 / 2 / 4 / 8 rows — the packed product copies every B
+/// element into its panel for a handful of rows to read once — and
+/// 1.6 / 1.5 / 1.4× at 16 / 32 / 64 (1.3 / 1.2 / 1.1× on one kernel
+/// thread), where every further strip streams B again: a gain that
+/// shrinks as the rows grow and that a 260 MB L3 is paying for, so fat
+/// batches keep the pack, whose traffic does not grow with `m`.
+pub const THIN_MAX_M: usize = 2 * MR;
+
+/// [`sgemm_with_tier`] on the path the caller names instead of the one
+/// `m` selects: `thin` is the pack-free product (both operands
+/// untransposed), otherwise the packed one. For the tests that hold the
+/// two to the same bits, and for the sweep [`THIN_MAX_M`] is read from.
+#[doc(hidden)]
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub fn sgemm_on_path<B: GemmElem>(
+    thin: bool,
+    tier: Tier,
+    transa: bool,
+    transb: bool,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: &[f32],
+    lda: usize,
+    b: &[B],
+    ldb: usize,
+    beta: f32,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    assert!(!thin || !(transa || transb), "the pack-free product takes A and B as stored");
     if !begin_gemm(transa, transb, m, n, k, a.len(), lda, b.len(), ldb, c.len(), ldc) {
         return;
     }
@@ -122,6 +164,9 @@ pub fn sgemm_with_tier<B: GemmElem>(
         return;
     }
 
+    if thin {
+        return gemm_thin(tier, m, n, k, alpha, a, lda, b, ldb, c, ldc);
+    }
     par_row_panels(m, n, c, ldc, |row0, row1, c_panel| {
         gemm_panel::<false, _>(
             tier, transa, transb, row0, row1, n, k, alpha, a, lda, b, ldb, c_panel, ldc,
@@ -190,6 +235,118 @@ where
             consume(r0, r1, block)
         });
     });
+}
+
+/// Deepest `k` of [`matmul_tn_sampled`]: one k-block, like the `ADD` tile
+/// whose chain it runs (a row's live steps are listed on the stack).
+pub const SAMPLED_MAX_K: usize = KC;
+
+/// Compressed positions per pool task of [`matmul_tn_sampled`].
+const SAMPLED_MIN_CHUNK: usize = 32 * 1024;
+
+/// Whether `Aᵀ · B` (`k` rows of operands, `numel = m · n` products)
+/// should be computed at its `nnz` kept positions only
+/// ([`matmul_tn_sampled`]) rather than whole and gathered from
+/// ([`matmul_tn_row_blocks`]). The sampled product does `k · nnz` gathered
+/// multiply-adds where the blocks do `k · numel` streamed ones plus a
+/// write, a re-read and a gather of what is kept, so it pays while
+/// `k · nnz / numel` — the rows the kept share amounts to — stays small.
+/// The `dw` half of `repro bench`'s `thin_sweep` (EXPERIMENTS.md, PR 24;
+/// rows {1 … 64} × density {0.05 … 0.5} at 2048 × 2048, blocks over
+/// sampled) reads 1.2–3.9× in every cell with `k · nnz / numel <= 2`
+/// (1.04–2.4× on one kernel thread), 0.9–1.25× at 4 and 0.4–0.8× from 8
+/// on — Fig. 1's caveat: a fat batch keeps the dense product. Between 2
+/// and 4 the break-even moves with the density (sparse masks still win
+/// at 3.2 and 6.4), so the cut is the end that never picks the slower
+/// product on the grid.
+pub fn sampled_pays(k: usize, nnz: usize, numel: usize) -> bool {
+    k <= SAMPLED_MAX_K && k * nnz <= SAMPLED_MAX_KEPT_ROWS * numel
+}
+
+/// See [`sampled_pays`].
+const SAMPLED_MAX_KEPT_ROWS: usize = 2;
+
+/// `Aᵀ · B` for contiguous row-major `A` (`k × m`) and `B` (`k × n`),
+/// computed only where it is kept and never stored as f32: `idx` names
+/// positions of the row-major `m × n` product, strictly ascending, and
+/// `out[j]` receives position `idx[j]` narrowed to half precision.
+/// Returns `false` if any of those halves is non-finite.
+///
+/// Every kept element is the one [`matmul_tn_row_blocks`] would hand a
+/// consumer that gathers and narrows it — [`matmul_tn_acc`]'s chain into
+/// a zeroed C: FMAs over `k` ascending from `+0.0`, a step skipped exactly
+/// when every A value of the element's MR row group is zero (full groups
+/// from row 0 while they fit in `m`, single rows after — the cut of
+/// [`microkernel`]; a `0 · ∞` appears, or not, where the blocks put it),
+/// the chain added to `+0.0`. But the `k · (m·n − nnz)` multiply-adds at
+/// pruned positions are never done, and no block is written and read
+/// back to keep a tenth of it. Parallel over runs of `idx`, each task
+/// owning its part of `out`. See [`sampled_pays`] for when this wins.
+///
+/// # Panics
+/// Panics if `k > SAMPLED_MAX_K`, the lengths of `idx` and `out` differ,
+/// an index lies outside the product or below the row of the one before
+/// it, or an operand is too small.
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_tn_sampled(
+    tier: Tier,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    idx: &[u32],
+    out: &mut [F16],
+) -> bool {
+    check_dims(true, false, m, n, k, a.len(), m, b.len(), n, m * n, n);
+    assert!(k <= SAMPLED_MAX_K, "a sampled product is one k-block");
+    assert_eq!(idx.len(), out.len());
+    assert!(idx.last().is_none_or(|&i| (i as usize) < m * n), "index outside the product");
+    if telemetry::enabled() {
+        gemm_metrics().0.inc();
+        gemm_metrics().1.add(2 * (idx.len() as u64) * (k as u64));
+    }
+    let all_finite = std::sync::atomic::AtomicBool::new(true);
+    par_chunks_mut(out, SAMPLED_MIN_CHUNK, |s, out| {
+        let mut run = &idx[s..s + out.len()];
+        let mut out = out;
+        let mut finite = true;
+        // `(start of B's row p, A[p, i])` for the steps of row `i`.
+        let mut terms = [(0usize, 0.0f32); SAMPLED_MAX_K];
+        while let Some(&first) = run.first() {
+            let i = first as usize / n;
+            // The row's run ends at the first index past it, found in
+            // strides of a vector and then singly: a sequential read of
+            // what the gather loads next (a binary search would touch the
+            // run cold). An index out of order ends the run early or is
+            // refused by the gather; it is never misread.
+            let below = |j: usize| run.get(j).is_some_and(|&x| (x as usize) < (i + 1) * n);
+            let mut in_row = 1;
+            while below(in_row + 7) {
+                in_row += 8;
+            }
+            while below(in_row) {
+                in_row += 1;
+            }
+            // The live steps: those row `i`'s row group does not skip.
+            let group = if i / MR * MR + MR <= m { i / MR * MR..i / MR * MR + MR } else { i..i + 1 };
+            let mut live = 0;
+            for p in 0..k {
+                if a[p * m..][group.clone()].iter().any(|&v| v != 0.0) {
+                    terms[live] = (p * n, a[p * m + i]);
+                    live += 1;
+                }
+            }
+            let (row_out, rest_out) = out.split_at_mut(in_row);
+            let base = (i * n) as u32;
+            finite &= simd::gather_fma_narrow_finite(tier, b, &terms[..live], n, base, &run[..in_row], row_out);
+            (run, out) = (&run[in_row..], rest_out);
+        }
+        if !finite {
+            all_finite.store(false, std::sync::atomic::Ordering::Relaxed);
+        }
+    });
+    all_finite.into_inner()
 }
 
 /// Rows `row0..row1` of `Aᵀ · B` (shapes as in [`matmul_tn_acc`]), one
@@ -369,6 +526,152 @@ fn gemm_panel<const ADD: bool, B: GemmElem>(
     });
 }
 
+/// B rows swept per visit of a C tile by [`gemm_thin`].
+const THIN_KB: usize = 8;
+
+/// `C += alpha · A · B` without a packed panel, for an `A` of a few rows:
+/// rows of C are taken a strip of `2·MR` at a time, and per strip B is
+/// streamed once, `THIN_KB` rows at a visit — each register tile of the
+/// strip loads its C values, continues their chains over those B rows,
+/// widening a half-precision B in registers, and stores them back. The
+/// bits are the packed product's: `alpha` is folded into A as [`pack_a`]
+/// folds it, a C element's chain runs over `p` ascending whichever way it
+/// is cut (the packed path cuts it every `KC`), and the strip's tiles are
+/// the MR row groups — full groups, then single rows — that
+/// [`microkernel`] cuts from the same row, so `p` is skipped for the same
+/// rows. Not worth it for `A · Bᵀ`: the chain order then wants B's rows
+/// as columns, an in-register transpose per tile that measured no faster
+/// than the pack that already does it (DESIGN.md §19).
+#[allow(clippy::too_many_arguments)]
+fn gemm_thin<B: GemmElem>(
+    tier: Tier,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: &[f32],
+    lda: usize,
+    b: &[B],
+    ldb: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    const STRIP: usize = 2 * MR;
+    for r0 in (0..m).step_by(STRIP) {
+        let rows = STRIP.min(m - r0);
+        // Full MR groups while they fit below `m`, single rows after.
+        let grouped = (m - r0) / MR * MR;
+        let c_strip = &mut c[r0 * ldc..(r0 + rows - 1) * ldc + n];
+        for p0 in (0..k).step_by(THIN_KB) {
+            let kb = THIN_KB.min(k - p0);
+            let mut a_blk = [[0.0f32; THIN_KB]; STRIP];
+            for (i, row) in a_blk.iter_mut().enumerate().take(rows) {
+                let src = &a[(r0 + i) * lda + p0..][..kb];
+                for (d, &v) in row.iter_mut().zip(src) {
+                    *d = if alpha == 1.0 { v } else { alpha * v };
+                }
+            }
+            let b_rows = &b[p0 * ldb..(p0 + kb - 1) * ldb + n];
+            thin_block(tier, &a_blk, rows, grouped.min(rows), kb, b_rows, ldb, n, c_strip, ldc);
+        }
+    }
+}
+
+/// One visit of [`gemm_thin`]: continues the chains of a strip of C
+/// (`rows` rows of `n` columns, the first `grouped` of them in MR groups)
+/// over `kb` rows of B, `a[i][..kb]` being row `i`'s A values for them.
+#[allow(clippy::too_many_arguments)]
+fn thin_block<B: GemmElem>(
+    tier: Tier,
+    a: &[[f32; THIN_KB]; 2 * MR],
+    rows: usize,
+    grouped: usize,
+    kb: usize,
+    b: &[B],
+    ldb: usize,
+    n: usize,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    // The bounds every tile below stays inside, on either tier.
+    assert!(rows <= a.len() && grouped <= rows && grouped.is_multiple_of(MR) && (1..=THIN_KB).contains(&kb));
+    assert!(n <= ldb && n <= ldc, "rows overlap");
+    assert!(b.len() >= (kb - 1) * ldb + n, "B rows too short");
+    assert!(c.len() >= (rows - 1) * ldc + n, "C strip too small");
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Avx2 && simd::detected_avx2() {
+        // SAFETY: AVX2+FMA+F16C presence just checked; bounds asserted above.
+        unsafe { thin_block_avx2(a, rows, grouped, kb, b.as_ptr(), ldb, n, c.as_mut_ptr(), ldc) };
+        return;
+    }
+    let _ = tier;
+    let mut i = 0;
+    while i < rows {
+        let group = if i < grouped { MR } else { 1 };
+        for jt in (0..n).step_by(NR) {
+            let w = NR.min(n - jt);
+            let mut c_rows = c[i * ldc..].chunks_mut(ldc);
+            let mut c_row = || &mut c_rows.next().expect("the strip holds the group's rows")[jt..jt + w];
+            if group == MR {
+                let a_rows: [&[f32]; MR] = std::array::from_fn(|r| &a[i + r][..kb]);
+                tile_scalar::<MR, false, B>(a_rows, &b[jt..], ldb, std::array::from_fn(|_| c_row()));
+            } else {
+                tile_scalar::<1, false, B>([&a[i][..kb]], &b[jt..], ldb, [c_row()]);
+            }
+        }
+        i += group;
+    }
+}
+
+/// The AVX2+FMA tile loop of [`thin_block`]: the same cut of the strip
+/// into tiles, each run by [`tile_avx2`] straight from B.
+///
+/// # Safety
+/// Requires AVX2, FMA and F16C, and the bounds [`thin_block`] asserts:
+/// `b` readable for `kb` rows of `n` elements `ldb` apart, `c` readable
+/// and writable for `rows` rows of `n` floats `ldc` apart.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma,f16c")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn thin_block_avx2<B: GemmElem>(
+    a: &[[f32; THIN_KB]; 2 * MR],
+    rows: usize,
+    grouped: usize,
+    kb: usize,
+    b: *const B,
+    ldb: usize,
+    n: usize,
+    c: *mut f32,
+    ldc: usize,
+) {
+    debug_assert!(rows <= a.len() && grouped <= rows && kb <= THIN_KB && n <= ldb.min(ldc));
+    let mut i = 0;
+    while i < rows {
+        let group = if i < grouped { MR } else { 1 };
+        for jt in (0..n).step_by(NR) {
+            let w = NR.min(n - jt);
+            // SAFETY: for the pointers and the calls — row `i + r < rows`
+            // of `a` is `THIN_KB >= kb` floats; row `i + r` of the strip
+            // holds columns `jt ..+ w`, and so does every row `p < kb` of
+            // `b` — the caller's bounds.
+            let a_row = |r: usize| a[i + r].as_ptr();
+            let c_row = |r: usize| c.add((i + r) * ldc + jt);
+            let bt = b.add(jt);
+            match (group == MR, w == NR) {
+                (true, true) => tile_avx2::<MR, true, false, B>(
+                    std::array::from_fn(a_row), bt, ldb, kb, std::array::from_fn(c_row), w,
+                ),
+                (true, false) => tile_avx2::<MR, false, false, B>(
+                    std::array::from_fn(a_row), bt, ldb, kb, std::array::from_fn(c_row), w,
+                ),
+                (false, true) => tile_avx2::<1, true, false, B>([a_row(0)], bt, ldb, kb, [c_row(0)], w),
+                (false, false) => tile_avx2::<1, false, false, B>([a_row(0)], bt, ldb, kb, [c_row(0)], w),
+            }
+        }
+        i += group;
+    }
+}
+
 /// Register-blocked inner kernel: updates `mb` rows of the C panel
 /// (panel-local row offset `crow0`, columns `[jj, jj + nb)`) from the
 /// packed `mb×kb` A block and the packed `kb×nb` B panel laid out as
@@ -406,7 +709,7 @@ fn microkernel<const ADD: bool>(
     assert!(c_panel.len() >= (crow0 + mb - 1) * ldc + jj + nb, "C panel too small");
     #[cfg(target_arch = "x86_64")]
     if tier == Tier::Avx2 && simd::detected_avx2() {
-        // SAFETY: AVX2+FMA presence just checked; bounds asserted above.
+        // SAFETY: AVX2+FMA+F16C presence just checked; bounds asserted above.
         unsafe {
             microkernel_avx2::<ADD>(packed_a, packed_b, bl, c_panel, crow0, mb, kb, nb, jj, ldc)
         };
@@ -428,9 +731,9 @@ fn microkernel<const ADD: bool>(
             };
             let b = &packed_b[bl.at(jt, 0)..];
             if rows == MR {
-                tile_scalar::<MR, ADD>(std::array::from_fn(a), b, bl.row, std::array::from_fn(c));
+                tile_scalar::<MR, ADD, f32>(std::array::from_fn(a), b, bl.row, std::array::from_fn(c));
             } else {
-                tile_scalar::<1, ADD>([a(0)], b, bl.row, [c(0)]);
+                tile_scalar::<1, ADD, f32>([a(0)], b, bl.row, [c(0)]);
             }
         }
         i += rows;
@@ -441,9 +744,9 @@ fn microkernel<const ADD: bool>(
 /// columns, `b` starting at the tile's first column with `ldb` between
 /// consecutive `p`.
 #[inline(always)]
-fn tile_scalar<const R: usize, const ADD: bool>(
+fn tile_scalar<const R: usize, const ADD: bool, E: GemmElem>(
     a: [&[f32]; R],
-    b: &[f32],
+    b: &[E],
     ldb: usize,
     c: [&mut [f32]; R],
 ) {
@@ -466,7 +769,7 @@ fn tile_scalar<const R: usize, const ADD: bool>(
         // `vfmadd` bit-for-bit.
         for r in 0..R {
             for j in 0..w {
-                acc[r][j] = av[r].mul_add(bt[j], acc[r][j]);
+                acc[r][j] = av[r].mul_add(bt[j].widen(), acc[r][j]);
             }
         }
     }
@@ -481,9 +784,9 @@ fn tile_scalar<const R: usize, const ADD: bool>(
 /// tiles, each run by [`tile_avx2`].
 ///
 /// # Safety
-/// Requires AVX2 and FMA, and the three bounds [`microkernel`] asserts.
+/// Requires AVX2, FMA and F16C, and the three bounds [`microkernel`] asserts.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
+#[target_feature(enable = "avx2,fma,f16c")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn microkernel_avx2<const ADD: bool>(
     packed_a: &[f32],
@@ -511,13 +814,13 @@ unsafe fn microkernel_avx2<const ADD: bool>(
             let c = |r: usize| cp.add((crow0 + i + r) * ldc + jj + jt);
             let b = bp.add(bl.at(jt, 0));
             match (rows == MR, w == NR) {
-                (true, true) => tile_avx2::<MR, true, ADD>(
+                (true, true) => tile_avx2::<MR, true, ADD, f32>(
                     std::array::from_fn(a), b, bl.row, kb, std::array::from_fn(c), w,
                 ),
-                (true, false) => tile_avx2::<MR, false, ADD>(
+                (true, false) => tile_avx2::<MR, false, ADD, f32>(
                     std::array::from_fn(a), b, bl.row, kb, std::array::from_fn(c), w,
                 ),
-                (false, _) => tile_avx2::<1, false, ADD>([a(0)], b, bl.row, kb, [c(0)], w),
+                (false, _) => tile_avx2::<1, false, ADD, f32>([a(0)], b, bl.row, kb, [c(0)], w),
             }
         }
         i += rows;
@@ -532,22 +835,24 @@ static TAIL_MASK: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0,
 /// One register tile on the AVX2 tier: `R` rows by `w ≤ NR` columns of C
 /// in `2 R` YMM accumulators. `FULL` tiles (`w == NR`) use plain loads
 /// and stores; the others mask the columns beyond `w` out of every load
-/// and store. Per stored element this is [`tile_scalar`]'s chain:
-/// `fma(a, b, acc)` over `p` ascending, skipping `p` when all `R` A
-/// values are zero (a NaN/Inf in B must be skipped — or not —
-/// identically on both tiers).
+/// and store. B is the f32 panel of the packed product or, for the
+/// pack-free one ([`gemm_thin`]), the operand itself, widened as it is
+/// loaded ([`GemmElem::load8`]). Per stored element this is
+/// [`tile_scalar`]'s chain: `fma(a, b, acc)` over `p` ascending, skipping
+/// `p` when all `R` A values are zero (a NaN/Inf in B must be skipped —
+/// or not — identically on both tiers).
 ///
 /// # Safety
-/// Requires AVX2 and FMA. Each `a[r]` must be readable for `kb` floats,
-/// each `c[r]` readable and writable for `w` floats, and `b + p * ldb`
-/// readable for `w` floats for every `p < kb`; `1 <= w <= NR`, and
-/// `w == NR` if `FULL`.
+/// Requires AVX2, FMA and F16C. Each `a[r]` must be readable for `kb`
+/// floats, each `c[r]` readable and writable for `w` floats, and
+/// `b + p * ldb` readable for `w` elements for every `p < kb`;
+/// `1 <= w <= NR`, and `w == NR` if `FULL`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
+#[target_feature(enable = "avx2,fma,f16c")]
 #[inline]
-unsafe fn tile_avx2<const R: usize, const FULL: bool, const ADD: bool>(
+unsafe fn tile_avx2<const R: usize, const FULL: bool, const ADD: bool, E: GemmElem>(
     a: [*const f32; R],
-    b: *const f32,
+    b: *const E,
     ldb: usize,
     kb: usize,
     c: [*mut f32; R],
@@ -557,11 +862,13 @@ unsafe fn tile_avx2<const R: usize, const FULL: bool, const ADD: bool>(
     debug_assert!((1..=NR).contains(&w) && (!FULL || w == NR));
     // SAFETY: the two mask loads read 8 of `TAIL_MASK`'s 16 words from an
     // offset `<= 8`. Every other access is a (masked) 8-lane load or store
-    // of the first `w` floats at `c[r]` or `b + p * ldb`, or a scalar read
-    // of `a[r] + p`, `p < kb` — what the caller vouches for; lanes beyond
-    // `w` are masked out, and masked-out lanes touch no memory.
-    let m0 = _mm256_loadu_si256(TAIL_MASK.as_ptr().add(8 - w.min(8)) as *const __m256i);
-    let m1 = _mm256_loadu_si256(TAIL_MASK.as_ptr().add(8 - w.saturating_sub(8)) as *const __m256i);
+    // of the first `w` floats at `c[r]`, an 8-element load of the first
+    // `w` elements at `b + p * ldb` cut to `w0` and `w1` lanes, or a scalar
+    // read of `a[r] + p`, `p < kb` — what the caller vouches for; lanes
+    // beyond `w` are masked out, and masked-out lanes touch no memory.
+    let (w0, w1) = (w.min(8), w.saturating_sub(8));
+    let m0 = _mm256_loadu_si256(TAIL_MASK.as_ptr().add(8 - w0) as *const __m256i);
+    let m1 = _mm256_loadu_si256(TAIL_MASK.as_ptr().add(8 - w1) as *const __m256i);
     // The upper-half pointers may lie past the row when `w <= 8`; `m1` is
     // then all zero and a fully masked `vmaskmov` touches no memory, so
     // they are formed with `wrapping_add` and never dereferenced.
@@ -570,6 +877,13 @@ unsafe fn tile_avx2<const R: usize, const FULL: bool, const ADD: bool>(
             _mm256_loadu_ps(p)
         } else {
             _mm256_maskload_ps(p, m)
+        }
+    };
+    let load_b = |p: *const E, m: __m256i, lanes: usize| {
+        if FULL {
+            E::load8(p)
+        } else {
+            E::load8_head(p, m, lanes)
         }
     };
     let mut acc = [[_mm256_setzero_ps(); 2]; R];
@@ -584,7 +898,7 @@ unsafe fn tile_avx2<const R: usize, const FULL: bool, const ADD: bool>(
             continue;
         }
         let bt = b.add(p * ldb);
-        let (b0, b1) = (load(bt, m0), load(bt.wrapping_add(8), m1));
+        let (b0, b1) = (load_b(bt, m0, w0), load_b(bt.wrapping_add(8), m1, w1));
         for r in 0..R {
             let v = _mm256_set1_ps(av[r]);
             acc[r] = [_mm256_fmadd_ps(v, b0, acc[r][0]), _mm256_fmadd_ps(v, b1, acc[r][1])];
@@ -647,6 +961,31 @@ pub trait GemmElem: Copy + Sync {
     #[doc(hidden)]
     #[cfg(target_arch = "x86_64")]
     unsafe fn load4(p: *const Self) -> std::arch::x86_64::__m128;
+
+    /// Eight consecutive elements as one AVX vector.
+    ///
+    /// # Safety
+    /// Requires AVX2, FMA and F16C; `p` must be readable for eight elements.
+    // SAFETY: upheld by the one caller, `tile_avx2`, which runs behind the
+    // tier check and stays inside the `w` columns its caller vouches for.
+    #[doc(hidden)]
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn load8(p: *const Self) -> std::arch::x86_64::__m256;
+
+    /// The first `lanes <= 8` elements at `p` in the low lanes of one AVX
+    /// vector, zeros above; `mask` is `TAIL_MASK`'s for `lanes`.
+    ///
+    /// # Safety
+    /// Requires AVX2, FMA and F16C; `p` must be readable for `lanes`
+    /// elements (and need not be a valid pointer when `lanes == 0`).
+    // SAFETY: upheld by the one caller, `tile_avx2`, as for `load8`.
+    #[doc(hidden)]
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn load8_head(
+        p: *const Self,
+        mask: std::arch::x86_64::__m256i,
+        lanes: usize,
+    ) -> std::arch::x86_64::__m256;
 }
 
 impl GemmElem for f32 {
@@ -666,6 +1005,27 @@ impl GemmElem for f32 {
     unsafe fn load4(p: *const f32) -> std::arch::x86_64::__m128 {
         // SAFETY: the caller vouches for four readable floats at `p`.
         std::arch::x86_64::_mm_loadu_ps(p)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2,fma,f16c")]
+    unsafe fn load8(p: *const f32) -> std::arch::x86_64::__m256 {
+        // SAFETY: the caller vouches for eight readable floats at `p`.
+        std::arch::x86_64::_mm256_loadu_ps(p)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2,fma,f16c")]
+    unsafe fn load8_head(
+        p: *const f32,
+        mask: std::arch::x86_64::__m256i,
+        _lanes: usize,
+    ) -> std::arch::x86_64::__m256 {
+        // SAFETY: `mask` selects the `lanes` floats the caller vouches
+        // for; a masked-out lane touches no memory.
+        std::arch::x86_64::_mm256_maskload_ps(p, mask)
     }
 }
 
@@ -703,6 +1063,37 @@ impl GemmElem for F16 {
         // SAFETY: the caller vouches for four readable halves — the eight
         // bytes this loads — at `p`.
         _mm_cvtph_ps(_mm_loadl_epi64(p as *const __m128i))
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2,fma,f16c")]
+    unsafe fn load8(p: *const F16) -> std::arch::x86_64::__m256 {
+        use std::arch::x86_64::*;
+        // SAFETY: the caller vouches for eight readable halves — the
+        // sixteen bytes this loads — at `p`.
+        _mm256_cvtph_ps(_mm_loadu_si128(p as *const __m128i))
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2,fma,f16c")]
+    unsafe fn load8_head(
+        p: *const F16,
+        _mask: std::arch::x86_64::__m256i,
+        lanes: usize,
+    ) -> std::arch::x86_64::__m256 {
+        use std::arch::x86_64::*;
+        debug_assert!(lanes <= 8);
+        // No masked 16-bit load exists: the halves go through the stack.
+        let mut head = [F16::ZERO; 8];
+        if lanes > 0 {
+            // SAFETY: the caller vouches for `lanes <= 8` readable halves
+            // at `p`; `head` holds eight.
+            std::ptr::copy_nonoverlapping(p, head.as_mut_ptr(), lanes);
+        }
+        // SAFETY: `head` is sixteen readable bytes.
+        _mm256_cvtph_ps(_mm_loadu_si128(head.as_ptr() as *const __m128i))
     }
 }
 

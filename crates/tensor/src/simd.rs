@@ -185,6 +185,147 @@ pub fn gather_narrow_finite(
     finite
 }
 
+/// [`gather_narrow_finite`] of a sum that is never stored:
+/// `out[j] = F16::from_f32_fast(0.0 + Σ_t a_t · src[off_t + idx[j] - base])`
+/// over `terms = [(off_t, a_t)]`, the sum one chain of fused multiply-adds
+/// from `+0.0` in `terms` order; returns `false` if any produced half is
+/// non-finite. With `src` a matrix of `width`-long rows, `off_t` the start
+/// of row `t` and `base..base + width` the positions `idx` lies in, this is
+/// one row of a product `Aᵀ·B` at the columns `idx` names, rounded as the
+/// GEMM's `ADD` tile rounds it into zeros — the inner loop of
+/// [`crate::gemm::matmul_tn_sampled`]. The AVX2 path runs eight columns
+/// at a time, `vgatherdps` + `vfmadd` per term; the scalar tier is
+/// bitwise identical (`f32::mul_add`).
+///
+/// # Panics
+/// Panics if an index lies outside `base..base + width`, a term's row
+/// outside `src`, or the lengths differ.
+pub fn gather_fma_narrow_finite(
+    tier: Tier,
+    src: &[f32],
+    terms: &[(usize, f32)],
+    width: usize,
+    base: u32,
+    idx: &[u32],
+    out: &mut [F16],
+) -> bool {
+    assert_eq!(idx.len(), out.len());
+    // One max-reduction, as in `gather_narrow_finite`: an index below
+    // `base` wraps past any `width`.
+    let max = idx.iter().fold(0, |mx, &ix| ix.wrapping_sub(base).max(mx));
+    assert!(
+        idx.is_empty() || (max as usize) < width,
+        "gather_fma_narrow_finite: index out of bounds for positions {base}..{}",
+        base as usize + width
+    );
+    assert!(
+        terms.iter().all(|&(off, _)| off + width <= src.len()),
+        "gather_fma_narrow_finite: a term's row lies outside the source"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Avx2 && detected_avx2() && width <= i32::MAX as usize {
+        // SAFETY: AVX2 and FMA presence checked; every `off + idx[j] - base`
+        // is below `off + width <= src.len()`, the offsets within a row are
+        // non-negative as i32, and `out` is as long as `idx`.
+        return unsafe { gather_fma_narrow_finite_avx2(src, terms, base, idx, out) };
+    }
+    let _ = tier;
+    gather_fma_narrow_scalar(src, terms, base, idx, out)
+}
+
+/// The scalar tier of [`gather_fma_narrow_finite`], and the tail of the
+/// vector one: per index, one chain of FMAs from `+0.0` over `terms`.
+fn gather_fma_narrow_scalar(src: &[f32], terms: &[(usize, f32)], base: u32, idx: &[u32], out: &mut [F16]) -> bool {
+    let mut finite = true;
+    for (o, &ix) in out.iter_mut().zip(idx) {
+        let col = ix.wrapping_sub(base) as usize;
+        let chain = terms.iter().fold(0.0, |acc, &(off, a)| a.mul_add(src[off + col], acc));
+        let h = F16::from_f32_fast(0.0 + chain);
+        finite &= h.is_finite();
+        *o = h;
+    }
+    finite
+}
+
+/// What the fused optimizer pass needs of Adam at one step: the
+/// hyperparameters and that step's bias-correction denominators.
+#[derive(Clone, Copy, Debug)]
+pub struct AdamLanes {
+    pub lr: f32,
+    pub beta1: f32,
+    pub beta2: f32,
+    pub eps: f32,
+    pub weight_decay: f32,
+    /// `1 − β1ᵗ` and `1 − β2ᵗ`.
+    pub bias_corrections: (f32, f32),
+}
+
+/// The arrays the fused optimizer pass walks position by position, all of
+/// one length: the reduced half-precision gradients it reads, and the
+/// master weights, f32 gradients and Adam moments it updates.
+pub struct AdamArrays<'a> {
+    pub grad16: &'a [F16],
+    pub theta32: &'a mut [f32],
+    pub grad32: &'a mut [f32],
+    pub m: &'a mut [f32],
+    pub v: &'a mut [f32],
+}
+
+/// Where the pass scatters an updated weight: position `j` goes, narrowed,
+/// to `theta16[ind[j] - base]` — and widened again to the same place in
+/// `view`, and as it is to `payload[j]`, where those are held.
+pub struct SweepTargets<'a> {
+    pub ind: &'a [u32],
+    pub base: usize,
+    pub theta16: &'a mut [F16],
+    pub view: Option<&'a mut [f32]>,
+    pub payload: Option<&'a mut [F16]>,
+}
+
+/// The AVX2 tier of the fused Adam pass of `samo`'s
+/// `SamoLayerState::optimizer_step_owned`, over the leading whole groups
+/// of eight positions: returns how many positions that was — `0` on the
+/// scalar tier — and the caller's scalar loop, the oracle of this one,
+/// finishes from there. Per position `j`: `g = widen(grad16[j]) ·
+/// inv_loss_scale` into `grad32`, `nn::optim::adam_update` on `(m, v,
+/// theta32)[j]`, the new weight narrowed (`F16::from_f32_fast`) and
+/// scattered as [`SweepTargets`] says.
+///
+/// The lanes are the scalar loop's bits: `adam_update` is seven
+/// multiplications, four additions, a subtraction, three divisions and
+/// a square root with no fused step among them, each correctly rounded
+/// by IEEE 754 whether issued as `mulss` / `divss` / `sqrtss` or as
+/// `vmulps` / `vdivps` / `vsqrtps`; they run here in the same order on
+/// the same operands. `vcvtph2ps` widens every half to the table's entry
+/// but a signalling NaN, which it quiets — as the scalar loop's next
+/// multiplication does. The narrow is [`narrow_slice_tier`]'s.
+///
+/// # Panics
+/// Panics if the arrays differ in length, `payload` is shorter than they,
+/// or a target lies outside `theta16` or a held `view`.
+pub fn adam_sweep_vector(
+    tier: Tier,
+    adam: &AdamLanes,
+    inv_loss_scale: f32,
+    arrays: AdamArrays<'_>,
+    targets: SweepTargets<'_>,
+) -> usize {
+    let n = arrays.grad16.len();
+    assert!(
+        [arrays.theta32.len(), arrays.grad32.len(), arrays.m.len(), arrays.v.len()] == [n; 4]
+            && targets.ind.len() == n
+            && targets.payload.as_ref().is_none_or(|p| p.len() >= n),
+        "the pass's arrays must be one length"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Avx2 && detected_avx2() {
+        // SAFETY: AVX2, FMA and F16C presence just checked.
+        return unsafe { adam_sweep_avx2(adam, inv_loss_scale, arrays, targets) };
+    }
+    let _ = (tier, adam, inv_loss_scale);
+    0
+}
+
 // The elementwise transcendental kernels: one `exp` core (Cephes `expf`:
 // Cody–Waite reduction, degree-5 polynomial), `tanh` on it, and the three
 // slice kernels the layers call. Each core exists twice — `*_s` here,
@@ -304,7 +445,7 @@ pub fn exp_sub_tier(tier: Tier, row: &mut [f32], max: f32) {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{exp_s, gelu_grad_s, gelu_s, F16};
+    use super::{exp_s, gather_fma_narrow_scalar, gelu_grad_s, gelu_s, AdamArrays, AdamLanes, SweepTargets, F16};
     use super::{EXP_LIMIT, EXP_POLY, GELU_K, GELU_KC, LN2_HI, LN2_LO, LOG2E};
     use std::arch::x86_64::*;
 
@@ -566,11 +707,129 @@ mod avx2 {
         }
         finite
     }
+
+    /// Requires AVX2, FMA and F16C (unsafe to call from code compiled
+    /// without them); the lengths are the safe wrapper's to check. The
+    /// scattered stores are bounds-checked.
+    #[target_feature(enable = "avx2,fma,f16c")]
+    pub fn adam_sweep_avx2(
+        adam: &AdamLanes,
+        inv_loss_scale: f32,
+        a: AdamArrays<'_>,
+        mut t: SweepTargets<'_>,
+    ) -> usize {
+        let splat = _mm256_set1_ps;
+        let (lr, eps, wd) = (splat(adam.lr), splat(adam.eps), splat(adam.weight_decay));
+        let (b1, b2) = (splat(adam.beta1), splat(adam.beta2));
+        let (ob1, ob2) = (splat(1.0 - adam.beta1), splat(1.0 - adam.beta2));
+        let (bc1, bc2) = (splat(adam.bias_corrections.0), splat(adam.bias_corrections.1));
+        let inv = splat(inv_loss_scale);
+        let rows = a.grad16.chunks_exact(8).zip(a.grad32.chunks_exact_mut(8));
+        let state = a.m.chunks_exact_mut(8).zip(a.v.chunks_exact_mut(8)).zip(a.theta32.chunks_exact_mut(8));
+        let mut done = 0;
+        for ((g16, g32), ((m, v), p)) in rows.zip(state) {
+            let (mut halves, mut wide) = ([F16::ZERO; 8], [0.0f32; 8]);
+            // SAFETY: `chunks_exact(8)`: every pointer is to eight elements
+            // — sixteen bytes of halves, thirty-two of floats; so are
+            // `halves` and `wide`.
+            unsafe {
+                let g = _mm256_mul_ps(_mm256_cvtph_ps(_mm_loadu_si128(g16.as_ptr() as *const __m128i)), inv);
+                _mm256_storeu_ps(g32.as_mut_ptr(), g);
+                // `adam_update`, operation for operation.
+                let m1 = _mm256_add_ps(_mm256_mul_ps(b1, _mm256_loadu_ps(m.as_ptr())), _mm256_mul_ps(ob1, g));
+                let v1 = _mm256_add_ps(
+                    _mm256_mul_ps(b2, _mm256_loadu_ps(v.as_ptr())),
+                    _mm256_mul_ps(_mm256_mul_ps(ob2, g), g),
+                );
+                _mm256_storeu_ps(m.as_mut_ptr(), m1);
+                _mm256_storeu_ps(v.as_mut_ptr(), v1);
+                let (mhat, vhat) = (_mm256_div_ps(m1, bc1), _mm256_div_ps(v1, bc2));
+                let p0 = _mm256_loadu_ps(p.as_ptr());
+                let ratio = _mm256_div_ps(mhat, _mm256_add_ps(_mm256_sqrt_ps(vhat), eps));
+                let p1 = _mm256_sub_ps(p0, _mm256_mul_ps(lr, _mm256_add_ps(ratio, _mm256_mul_ps(wd, p0))));
+                _mm256_storeu_ps(p.as_mut_ptr(), p1);
+                store8_u16(halves.as_mut_ptr(), narrow8(p1));
+                if t.view.is_some() {
+                    let packed = _mm_loadu_si128(halves.as_ptr() as *const __m128i);
+                    _mm256_storeu_ps(wide.as_mut_ptr(), _mm256_cvtph_ps(packed));
+                }
+            }
+            let ind = &t.ind[done..done + 8];
+            for (&i, &h) in ind.iter().zip(&halves) {
+                t.theta16[i as usize - t.base] = h;
+            }
+            if let Some(view) = t.view.as_deref_mut() {
+                for (&i, &w) in ind.iter().zip(&wide) {
+                    view[i as usize - t.base] = w;
+                }
+            }
+            if let Some(payload) = t.payload.as_deref_mut() {
+                payload[done..done + 8].copy_from_slice(&halves);
+            }
+            done += 8;
+        }
+        done
+    }
+
+    /// # Safety
+    /// Requires AVX2 and FMA; for every term `(off, _)` and every `j`,
+    /// `off + idx[j] - base` must be in bounds for `src` with
+    /// `idx[j] - base <= i32::MAX` (gather indices are signed), and
+    /// `out.len() >= idx.len()`.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn gather_fma_narrow_finite_avx2(
+        src: &[f32],
+        terms: &[(usize, f32)],
+        base: u32,
+        idx: &[u32],
+        out: &mut [F16],
+    ) -> bool {
+        let n = idx.len();
+        debug_assert!(out.len() >= n);
+        debug_assert!(idx.iter().all(|&ix| terms
+            .iter()
+            .all(|&(off, _)| off + ((ix - base) as usize) < src.len())));
+        let sp = src.as_ptr();
+        let ip = idx.as_ptr();
+        let op = out.as_mut_ptr();
+        let exp_mask = _mm256_set1_epi32(0x7C00);
+        let basev = _mm256_set1_epi32(base as i32);
+        let mut nonfinite = _mm256_setzero_si256();
+        // SAFETY: `idx` and `out` are read and written at `i..i + 8` with
+        // `i + 8 <= n`; each gather reads `src` at `off + idx[j] - base`,
+        // which the caller checked in bounds and non-negative as i32.
+        let mut eight = |i: usize| {
+            let cols = _mm256_sub_epi32(_mm256_loadu_si256(ip.add(i) as *const __m256i), basev);
+            let mut acc = _mm256_setzero_ps();
+            for &(off, a) in terms {
+                let vals = _mm256_i32gather_ps::<4>(sp.add(off), cols);
+                acc = _mm256_fmadd_ps(_mm256_set1_ps(a), vals, acc);
+            }
+            let halves = narrow8(_mm256_add_ps(_mm256_setzero_ps(), acc));
+            let exp = _mm256_and_si256(halves, exp_mask);
+            nonfinite = _mm256_or_si256(nonfinite, _mm256_cmpeq_epi32(exp, exp_mask));
+            store8_u16(op.add(i), halves);
+        };
+        let mut i = 0;
+        while i + 8 <= n {
+            eight(i);
+            i += 8;
+        }
+        if i < n && n >= 8 {
+            // The last eight again: the ones already written get the same
+            // bits, and a short tail needs no scalar loop.
+            eight(n - 8);
+            i = n;
+        }
+        let tail_finite = gather_fma_narrow_scalar(src, terms, base, &idx[i..], &mut out[i..n]);
+        tail_finite && _mm256_movemask_epi8(nonfinite) == 0
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
 use avx2::{
-    exp_sub_avx2, gather_narrow_finite_avx2, gelu_avx2, gelu_grad_mul_avx2, narrow_avx2, widen_avx2,
+    adam_sweep_avx2, exp_sub_avx2, gather_fma_narrow_finite_avx2, gather_narrow_finite_avx2, gelu_avx2,
+    gelu_grad_mul_avx2, narrow_avx2, widen_avx2,
 };
 
 #[cfg(test)]
@@ -606,6 +865,85 @@ mod tests {
         }
         assert_eq!(tanh_s(0.0).to_bits(), 0);
         println!("worst |tanh error| {worst:.3e}");
+    }
+
+    /// `nn::optim::adam_update` and the narrow, as `samo`'s scalar sweep
+    /// runs them (that loop is the oracle; `fused_step.rs` holds the two
+    /// tiers to each other through it).
+    fn adam_scalar(k: &AdamLanes, g: f32, m: &mut f32, v: &mut f32, p: &mut f32) -> F16 {
+        *m = k.beta1 * *m + (1.0 - k.beta1) * g;
+        *v = k.beta2 * *v + (1.0 - k.beta2) * g * g;
+        let (mhat, vhat) = (*m / k.bias_corrections.0, *v / k.bias_corrections.1);
+        *p -= k.lr * (mhat / (vhat.sqrt() + k.eps) + k.weight_decay * *p);
+        F16::from_f32_fast(*p)
+    }
+
+    #[test]
+    fn adam_sweep_vector_runs_whole_vectors_and_leaves_the_tail() {
+        let adam = AdamLanes {
+            lr: 0.02,
+            beta1: 0.9,
+            beta2: 0.999,
+            eps: 1e-8,
+            weight_decay: 0.01,
+            bias_corrections: (0.1, 0.001),
+        };
+        let (n, base, inv) = (21usize, 100usize, 1.0 / 64.0);
+        let grad16: Vec<F16> = (0..n).map(|j| F16::from_f32(j as f32 * 1.7 - 9.0)).collect();
+        let ind: Vec<u32> = (0..n as u32).map(|j| base as u32 + 3 * j + 1).collect();
+        for tier in [Tier::Scalar, Tier::Avx2] {
+            for (held, sharded) in [(true, true), (true, false), (false, true), (false, false)] {
+                let mut theta32: Vec<f32> = (0..n).map(|j| 0.3 * j as f32 - 2.0).collect();
+                let (mut grad32, mut m, mut v) = (vec![9.0f32; n], vec![0.5f32; n], vec![0.25f32; n]);
+                let mut theta16 = vec![F16::ONE; 3 * n + 2];
+                let mut view = vec![1.0f32; 3 * n + 2];
+                let mut payload = vec![F16::ONE; n];
+                let (mut m0, mut v0, mut p0) = (m.clone(), v.clone(), theta32.clone());
+                let arrays =
+                    AdamArrays { grad16: &grad16, theta32: &mut theta32, grad32: &mut grad32, m: &mut m, v: &mut v };
+                let targets = SweepTargets {
+                    ind: &ind,
+                    base,
+                    theta16: &mut theta16,
+                    view: held.then_some(&mut view[..]),
+                    payload: sharded.then_some(&mut payload[..]),
+                };
+                let done = adam_sweep_vector(tier, &adam, inv, arrays, targets);
+                let vector = tier == Tier::Avx2 && detected_avx2();
+                assert_eq!(done, if vector { 16 } else { 0 }, "{tier:?}: whole groups of eight");
+                for j in 0..n {
+                    let at = 3 * j + 1;
+                    if j < done {
+                        let g = grad16[j].to_f32() * inv;
+                        let h = adam_scalar(&adam, g, &mut m0[j], &mut v0[j], &mut p0[j]);
+                        assert_eq!(grad32[j].to_bits(), g.to_bits(), "∇θ32[{j}]");
+                        assert_eq!(theta16[at], h, "θ16 behind ind[{j}]");
+                        assert_eq!(view[at].to_bits(), if held { h.to_f32().to_bits() } else { 1.0f32.to_bits() });
+                        assert_eq!(payload[j], if sharded { h } else { F16::ONE }, "payload[{j}]");
+                    } else {
+                        assert_eq!((grad32[j], theta16[at], view[at], payload[j]), (9.0, F16::ONE, 1.0, F16::ONE));
+                    }
+                    assert_eq!((m[j].to_bits(), v[j].to_bits()), (m0[j].to_bits(), v0[j].to_bits()), "moments[{j}]");
+                    assert_eq!(theta32[j].to_bits(), p0[j].to_bits(), "θ32[{j}]");
+                }
+                // Nothing between the targets is touched.
+                assert!(theta16.iter().enumerate().all(|(i, &h)| i % 3 == 1 || h == F16::ONE));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one length")]
+    fn adam_sweep_vector_refuses_ragged_arrays() {
+        let adam =
+            AdamLanes { lr: 0.1, beta1: 0.9, beta2: 0.99, eps: 1e-8, weight_decay: 0.0, bias_corrections: (1.0, 1.0) };
+        let (mut a, mut b, mut c, mut short) = (vec![0.0f32; 8], vec![0.0f32; 8], vec![0.0f32; 8], vec![0.0f32; 7]);
+        let arrays =
+            AdamArrays { grad16: &[F16::ZERO; 8], theta32: &mut a, grad32: &mut b, m: &mut c, v: &mut short };
+        let ind: Vec<u32> = (0..8).collect();
+        let targets =
+            SweepTargets { ind: &ind, base: 0, theta16: &mut [F16::ZERO; 8], view: None, payload: None };
+        adam_sweep_vector(Tier::Scalar, &adam, 1.0, arrays, targets);
     }
 
     #[test]

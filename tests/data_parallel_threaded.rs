@@ -29,14 +29,16 @@ fn model(seed: u64) -> Sequential {
         .push(Linear::new(HID, OUT, false, seed + 1))
 }
 
-/// `(dense position, value)` to add to a streamed weight gradient.
+/// `(dense position, ±∞)` to overflow a streamed weight gradient at.
 type Plant = Arc<Mutex<Vec<(usize, f32)>>>;
 
 /// The bias-free second `Linear` with a tap on its streamed gradient: the
-/// threaded runtime takes a weight gradient as GEMM row blocks and keeps
-/// no dense `grad` to plant a value in, so a planted value is added to the
-/// row block that holds its position on the way to the runtime's sink —
-/// where accumulation would have put it (`inf + finite = inf`).
+/// threaded runtime takes the operands of `dW = dyᵀ·x` and keeps no dense
+/// `grad` to plant a value in, so a planted infinity goes in through the
+/// operands on their way to the runtime's sink: one more batch row whose
+/// only product is `±1e9` at the planted position — past half precision,
+/// so `∇θ16` reads `±∞` there as `inf + finite` does in the oracle's
+/// accumulated gradient — and `0` everywhere else.
 struct Tapped {
     inner: Linear,
     plant: Plant,
@@ -51,22 +53,17 @@ impl GradSink for Tap<'_> {
     fn ready(&mut self, off: usize, params: &[&Parameter]) {
         self.sink.ready(off, params);
     }
-    fn takes_rows(&mut self, index: usize) -> bool {
-        let took = self.sink.takes_rows(index);
+    fn take_product(&mut self, index: usize, rows: usize, dy: &[f32], x: &[f32]) -> bool {
+        let (out, inp) = (dy.len() / rows, x.len() / rows);
+        let (mut dy, mut x, mut rows) = (dy.to_vec(), x.to_vec(), rows);
+        for (at, v) in self.plant.lock().unwrap().drain(..) {
+            dy.extend((0..out).map(|i| if i == at / inp { 1e9f32.copysign(v) } else { 0.0 }));
+            x.extend((0..inp).map(|j| if j == at % inp { 1.0 } else { 0.0 }));
+            rows += 1;
+        }
+        let took = self.sink.take_product(index, rows, &dy, &x);
         assert!(took, "the threaded runtime streams a Linear's weight gradient");
         took
-    }
-    fn rows(&self, index: usize, row0: usize, row1: usize, block: &[f32]) {
-        let cols = block.len() / (row1 - row0);
-        let mut block = block.to_vec();
-        self.plant.lock().unwrap().retain(|&(at, v)| {
-            let hit = (row0 * cols..row1 * cols).contains(&at);
-            if hit {
-                block[at - row0 * cols] += v;
-            }
-            !hit
-        });
-        self.sink.rows(index, row0, row1, &block);
     }
 }
 
@@ -272,7 +269,7 @@ fn killed_rank_times_out_and_restore_resyncs_bitwise() {
 /// Gradients accumulate, so a value planted in the oracle's `p.grad`
 /// before backward survives it: `inf + finite = inf`. The threaded
 /// runtime streams that gradient and holds no `p.grad`; there the value
-/// goes in through the streamed row block ([`Tapped`]).
+/// goes in through the product's operands ([`Tapped`]).
 #[test]
 fn overflow_on_one_rank_skips_every_rank_in_lockstep() {
     const W2: usize = 2; // the bias-free second weight: 4 × 10, half kept
@@ -332,7 +329,7 @@ fn overflow_on_one_rank_skips_every_rank_in_lockstep() {
                 let ctx = format!("tcp {tcp} case {plant:?} step {step}");
                 assert_eq!(applied, step != 1, "{ctx}: exactly the planted step skips");
                 for p in &plants {
-                    assert!(p.lock().unwrap().is_empty(), "{ctx}: planted through a row block");
+                    assert!(p.lock().unwrap().is_empty(), "{ctx}: planted through the operands");
                 }
                 assert_eq!(th.loss_scale(), dp.loss_scale(), "{ctx}: scalers");
                 assert_eq!(th.steps_skipped(), dp.steps_skipped(), "{ctx}: skip counters");

@@ -274,40 +274,46 @@ fn hot_paths_allocate_nothing_in_steady_state() {
     );
 
     // --- Streamed weight gradient: backward + compress of one Linear ---
-    // The data-parallel runtime takes dW as GEMM row blocks and gathers
-    // each into ∇θ16 while it is hot. Warm, that adds nothing to the
-    // heap: the product block is the GEMM's thread-local one, finding a
-    // block's kept positions is two binary searches, and the sink is a
-    // stack value. First the kernel pair on its own — no allocation at
-    // all — then the layer: a streamed `backward_into` requests exactly
-    // what the plain backward does (the returned `dx`), and nothing of
-    // the size of the weights.
-    struct Compress(std::sync::Mutex<(samo::SamoLayerState, bool)>);
+    // The data-parallel runtime takes the operands of dW = dyᵀ·x and
+    // compresses the product into ∇θ16 without storing it. A thin batch
+    // at a sparse mask computes the kept positions only: no scratch at
+    // all, so the very first call allocates nothing — a rank that only
+    // ever samples never grows the GEMM's product block. A dense mask
+    // keeps the row blocks: warm, the block is the GEMM's thread-local
+    // one, finding a block's kept positions is two binary searches, and
+    // the sink is a stack value. First the kernels on their own — no
+    // allocation at all — then the layer: a streamed `backward_into`
+    // requests exactly what the plain backward does (the returned `dx`),
+    // and nothing of the size of the weights.
+    struct Compress(samo::SamoLayerState, bool);
     impl nn::layer::GradSink for Compress {
         fn ready(&mut self, _off: usize, _params: &[&nn::Parameter]) {}
-        fn takes_rows(&mut self, index: usize) -> bool {
+        fn take_product(&mut self, index: usize, rows: usize, dy: &[f32], x: &[f32]) -> bool {
+            if index == 0 {
+                self.1 &= self.0.compress_grad_product(rows, dy, x);
+            }
             index == 0
         }
-        fn rows(&self, _index: usize, row0: usize, row1: usize, block: &[f32]) {
-            let mut g = self.0.lock().unwrap();
-            let finite = g.0.compress_grad_rows(row0, row1, block);
-            g.1 &= finite;
-        }
     }
-    let smask = prune::random_prune(&[out_f, in_f], 0.9, 33);
     let sopt = Optimizer::Adam(AdamConfig::default());
-    let state = samo::SamoLayerState::from_params(lin.params()[0].value.as_slice(), smask, &sopt);
-    let mut sink = Compress(std::sync::Mutex::new((state, true)));
-    let stream_dw = |sink: &Compress| {
-        use nn::layer::GradSink;
-        let (dy, x) = (ldy.as_slice(), lx.as_slice());
-        tensor::gemm::matmul_tn_row_blocks(out_f, in_f, batch, dy, x, |r0, r1, block| {
-            sink.rows(0, r0, r1, block)
-        });
+    let compress = |mask: prune::Mask| {
+        let weights = lin.params()[0].value.as_slice();
+        Compress(samo::SamoLayerState::from_params(weights, mask, &sopt), true)
     };
-    stream_dw(&sink); // warm
-    let events = alloc_events_during(|| stream_dw(&sink));
+    let stream_dw = |sink: &mut Compress| {
+        use nn::layer::GradSink;
+        assert!(sink.take_product(0, batch, ldy.as_slice(), lx.as_slice()));
+    };
+    let smask = prune::random_prune(&[out_f, in_f], 0.9, 33);
+    assert!(tensor::gemm::sampled_pays(batch, smask.nnz(), smask.numel()));
+    let mut sink = compress(smask);
+    let events = alloc_events_during(|| stream_dw(&mut sink));
+    assert_eq!(events, 0, "cold sampled dW + compress allocated {events} time(s)");
+    let mut blocks = compress(prune::Mask::dense(&[out_f, in_f]));
+    stream_dw(&mut blocks); // warm the product block
+    let events = alloc_events_during(|| stream_dw(&mut blocks));
     assert_eq!(events, 0, "streamed dW + compress allocated {events} time(s)");
+    assert!(blocks.1, "ordinary gradients are finite");
 
     lin.forward(&lx);
     let plain = alloc_events_during(|| {
@@ -323,7 +329,7 @@ fn hot_paths_allocate_nothing_in_steady_state() {
     assert_eq!(streamed, plain, "a streamed backward allocates what a plain one does: dx");
     let largest = LARGEST_ALLOC.load(Ordering::Relaxed) as usize;
     assert!(largest <= activation, "streamed backward requested {largest} B at once");
-    assert!(sink.0.into_inner().unwrap().1, "ordinary gradients are finite");
+    assert!(sink.1, "ordinary gradients are finite");
 
     // --- Linear from a lent θ16: forward + dx -------------------------
     // A weight a SAMO runtime manages computes from the dense θ16 the
