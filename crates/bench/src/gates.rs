@@ -82,6 +82,12 @@ pub const THIN_OVER_PACKED_MIN: f64 = 1.5;
 pub const VECTOR_SWEEP_OVER_SCALAR_MIN: f64 = 1.8;
 /// Cells of `thin_sweep`: seven batch sizes, by four densities for `dW`.
 pub const THIN_SWEEP_CELLS: [usize; 2] = [28, 7];
+/// On AVX2, at `pipe2_mlp`'s cell of `kept_sweep` (32 rows of a 512 × 512
+/// layer at p = 0.9): `x·Wᵀ` and `dy·W` over the kept weights against
+/// `sgemm`, each.
+pub const KEPT_OVER_DENSE_MIN: f64 = 2.0;
+/// Cells of `kept_sweep` per product: ten batch sizes by four densities.
+pub const KEPT_SWEEP_CELLS: usize = 40;
 /// One-row 768×768 GEMM on AVX2: the row must run in vector edge tiles.
 pub const ONE_ROW_GFLOPS_MIN: f64 = 2.0;
 
@@ -277,6 +283,15 @@ fn kernels(doc: &Json) -> Check {
     for (key, want) in ["dw", "nn"].into_iter().zip(THIN_SWEEP_CELLS) {
         equal(&format!("thin_sweep {key} cells"), rows(cells, key)?.len(), want)?;
     }
+    // `pipe2_mlp`'s cell of each product's sweep: dense over kept.
+    let kept_cell = |key: &str| -> Result<f64, String> {
+        let cells = rows(get(doc, "kept_sweep")?, key)?;
+        equal(&format!("kept_sweep {key} cells"), cells.len(), KEPT_SWEEP_CELLS)?;
+        let pipe = cells.iter().find(|c| c.get("rows") == Some(&Json::UInt(32)) && c.get("density") == Some(&Json::Num(0.1)));
+        let pipe = pipe.ok_or_else(|| format!("kept_sweep {key}: the 32-row cell at density 0.1 is missing"))?;
+        Ok(num(pipe, "dense_ms")? / num(pipe, "kept_ms")?)
+    };
+    let (kept_xwt, kept_dyw) = (kept_cell("xwt")?, kept_cell("dyw")?);
     // The tier the kernels ran on is recorded by `repro simd`.
     let tier = doc.get("simd").and_then(|s| s.get("active_tier"));
     if tier == Some(&Json::Str("avx2".into())) {
@@ -288,6 +303,9 @@ fn kernels(doc: &Json) -> Check {
         at_least("sampled dW over the streamed blocks on AVX2", sampled, SAMPLED_OVER_STREAMED_MIN)?;
         at_least("pack-free dy·W16 over the packed one on AVX2", pack_free, THIN_OVER_PACKED_MIN)?;
         at_least("vector Adam sweep over the scalar loop on AVX2", sweep, VECTOR_SWEEP_OVER_SCALAR_MIN)?;
+        for (key, ratio) in [("xwt", kept_xwt), ("dyw", kept_dyw)] {
+            at_least(&format!("kept {key} over sgemm at 32x512x512, p = 0.9, on AVX2"), ratio, KEPT_OVER_DENSE_MIN)?;
+        }
     }
     // The per-layer profile of the compute-bound step is a record, not a
     // race: held to its shape only.
@@ -308,7 +326,8 @@ fn kernels(doc: &Json) -> Check {
          streamed dW {dw_streamed:.4} ms <= dense {dw_dense:.4} ms, \
          fwd + dx from θ16 {f16w:.4} ms <= from f32 {f32w:.4} ms, \
          thin NT/NN {thin:.2}, 1-row {one_row:.2} GFLOP/s, \
-         sampled dW {sampled:.2}x, pack-free dy·W16 {pack_free:.2}x, vector sweep {sweep:.2}x"
+         sampled dW {sampled:.2}x, pack-free dy·W16 {pack_free:.2}x, vector sweep {sweep:.2}x, \
+         kept x·Wᵀ {kept_xwt:.2}x and dy·W {kept_dyw:.2}x at 32x512x512"
     ))
 }
 
@@ -777,6 +796,25 @@ mod tests {
         };
         cells.pop();
         rejects("kernels", &doctored(&["thin_sweep", "dw"], Json::Arr(cells)), &["thin_sweep dw", "27", "28"]);
+
+        // The kept products: 40 cells each, and `pipe2_mlp`'s cell raced
+        // on the AVX2 tier only.
+        for key in ["xwt", "dyw"] {
+            let Json::Arr(mut cells) = at(&mut committed(), &["kept_sweep", key]).clone() else {
+                panic!("kept_sweep.{key} is an array")
+            };
+            let pipe = |c: &Json| c.get("rows") == Some(&Json::UInt(32)) && c.get("density") == Some(&Json::Num(0.1));
+            let cell = cells.iter().position(pipe).expect("the 32-row cell at p = 0.9").to_string();
+            let mut doc = committed();
+            *at(&mut doc, &["kept_sweep", key, &cell, "dense_ms"]) = Json::Num(1.99);
+            *at(&mut doc, &["kept_sweep", key, &cell, "kept_ms"]) = Json::Num(1.0);
+            rejects("kernels", &doc, &[&format!("kept {key}"), "1.99", "2"]);
+            *at(&mut doc, &["simd", "active_tier"]) = Json::Str("scalar".into());
+            check("kernels", &doc).expect("the scalar tier records the kept products and races none");
+            cells.pop();
+            let doc = doctored(&["kept_sweep", key], Json::Arr(cells));
+            rejects("kernels", &doc, &[&format!("kept_sweep {key}"), "39", "40"]);
+        }
 
         // The one-row floor binds on the AVX2 tier only.
         let row1 = rows(&committed(), "kernels")

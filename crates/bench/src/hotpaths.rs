@@ -48,7 +48,12 @@
 //! a short cut through, over batch rows {1 … 64} — the sampled `dyᵀ·x`
 //! against the row blocks at densities {0.05 … 0.5}, and the pack-free
 //! `dy·W16` against the packed one — the table the two dispatch constants
-//! of `tensor::gemm` (`sampled_pays`, `THIN_MAX_M`) are read from. And
+//! of `tensor::gemm` (`sampled_pays`, `THIN_MAX_M`) are read from;
+//! `kept_sweep`: the two products that read a `Linear`'s lent `θ16` —
+//! `x·Wᵀ` and `dy·W` at `pipe2_mlp`'s 512 × 512 — dense against over the
+//! kept weights only, rows {1 … 64} × density {0.05 … 0.5}, the table
+//! `kept_pays` is read from (gated at 32 rows, p = 0.9:
+//! [`crate::gates::KEPT_OVER_DENSE_MIN`]). And
 //! `gpt_layers`: which layer type owns the
 //! compute-bound step. Every layer of the `gpt_single` benchmark workload
 //! at its shapes (`[B, T, C] = [16, 32, 64]`, 4 heads, 2 blocks), forward
@@ -70,8 +75,8 @@ use samo::{compress, expand};
 use telemetry::json::Json;
 use tensor::f16::{f16_slice_to_f32, f32_slice_to_f16, F16};
 use tensor::gemm::{
-    matmul, matmul_nt, matmul_tn_acc, matmul_tn_row_blocks, matmul_tn_sampled, sampled_pays, sgemm,
-    sgemm_on_path, GemmElem, THIN_MAX_M,
+    kept_pays, matmul, matmul_nt, matmul_tn_acc, matmul_tn_row_blocks, matmul_tn_sampled, sampled_pays,
+    sgemm, sgemm_kept_on_path, sgemm_on_path, GemmElem, THIN_MAX_M,
 };
 use tensor::simd::{self, Tier};
 use tensor::Tensor;
@@ -437,6 +442,7 @@ pub fn run(quick: bool) -> Result<(), String> {
     let shares: Vec<Option<f64>> = results.iter().map(roof_share).collect();
     let mut own = to_json(&results, &shares, quick, best_of);
     own.push(("thin_sweep".to_string(), thin_sweep(best_of, reps)));
+    own.push(("kept_sweep".to_string(), kept_sweep(best_of, reps)));
     own.push(("gpt_layers".to_string(), gpt_layers(best_of, reps)));
     harness::record("kernels", own)
 }
@@ -533,6 +539,63 @@ fn thin_sweep(best_of: usize, reps: usize) -> Json {
     }
     println!("{}", tab.render());
     obj([("dw", Json::Arr(dw)), ("nn", Json::Arr(nn))])
+}
+
+/// The sweep `kept_pays` is read from, at `pipe2_mlp`'s 512 × 512 layer:
+/// over batch rows and densities, `x·Wᵀ` (`xwt`) and `dy·W` (`dyw`) from a
+/// pruned `θ16` as `sgemm` runs them against over the kept weights only
+/// (the same bits, asserted per cell), next to what `kept_pays` picks.
+fn kept_sweep(best_of: usize, reps: usize) -> Json {
+    let side = 512usize;
+    // Every row count between four and eight: where the pack-free `dy·W`
+    // ends and the kept one starts to win.
+    let batches = [1usize, 2, 4, 5, 6, 7, 8, 16, 32, 64];
+    let tier = simd::active();
+    let a = random_vec(64 * side, 50);
+    let w = random_vec(side * side, 51);
+    let [xwt, dyw] = [("xwt", true), ("dyw", false)].map(|(key, transb)| {
+        let mut cells = Vec::new();
+        let mut tab = crate::Table::new(
+            &format!("bench_kept_sweep_{key}"),
+            &["rows", "density", "dense_ms", "kept_ms", "dense_over_kept", "picked"],
+        );
+        for density in [0.05, 0.1, 0.25, 0.5] {
+            let mask = prune::random_prune(&[side, side], 1.0 - density, 52);
+            let mut pruned = w.clone();
+            mask.apply(&mut pruned);
+            let w16 = f32_slice_to_f16(&pruned);
+            for rows in batches {
+                let a = &a[..rows * side];
+                let (mut dense, mut kept) = (vec![0.0f32; rows * side], vec![0.0f32; rows * side]);
+                let [dense_t, kept_t] = duel(
+                    best_of,
+                    reps,
+                    || sgemm(false, transb, rows, side, side, 1.0, a, side, &w16, side, 0.0, &mut dense, side),
+                    || sgemm_kept_on_path(true, tier, transb, rows, side, side, a, &w16, mask.indices(), &mut kept),
+                );
+                assert!(bits(&dense) == bits(&kept), "kept {key} differs from sgemm at {rows} rows, {density}");
+                let picked = if kept_pays(rows, mask.nnz(), side * side, transb) { "kept" } else { "dense" };
+                tab.push(vec![
+                    rows.to_string(),
+                    format!("{density}"),
+                    format!("{:.4}", dense_t.best_ms),
+                    format!("{:.4}", kept_t.best_ms),
+                    format!("{:.2}", dense_t.best_ms / kept_t.best_ms),
+                    picked.to_string(),
+                ]);
+                cells.push(obj([
+                    ("rows", Json::UInt(rows as u64)),
+                    ("density", Json::Num(density)),
+                    ("dense_ms", round6(dense_t.best_ms)),
+                    ("kept_ms", round6(kept_t.best_ms)),
+                    ("picked", Json::Str(picked.to_string())),
+                ]));
+            }
+        }
+        println!("{}", tab.render());
+        Json::Arr(cells)
+    });
+    obj([("xwt", xwt), ("dyw", dyw)])
 }
 
 /// The per-layer-type profile of one `gpt_single` step (the benchmark

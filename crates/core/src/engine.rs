@@ -80,6 +80,7 @@ use nn::layer::{GradSink, Layer};
 use nn::mixed::{LossScaler, LossScalerState, Optimizer};
 use nn::param::Parameter;
 use prune::{Mask, MaskSchedule};
+use std::sync::Arc;
 use telemetry::SpanGuard;
 use tensor::f16::F16;
 use tensor::{ops, Tensor};
@@ -420,12 +421,16 @@ impl<R: Reducer> StepEngine<R> {
     }
 
     /// Moves `θ16` of every parameter that holds no f32 view from its
-    /// layer state into the parameter (`lend`) for a compute window, or
-    /// every lent one back home. Idempotent either way; allocation-free.
+    /// layer state into the parameter (`lend`) for a compute window, with
+    /// the mask's shared index beside it, or every lent one back home.
+    /// Idempotent either way; allocation-free.
     pub(crate) fn lend_theta16(&mut self, model: &mut impl Layer, lend: bool) {
         let mut layers = self.layers.iter_mut();
-        let mut home = || &mut layers.next().expect("one state per parameter").theta16;
-        model.for_each_param_mut(&mut |p| p.lend_theta16(home(), lend));
+        model.for_each_param_mut(&mut |p| {
+            let st = layers.next().expect("one state per parameter");
+            let index = Arc::clone(st.mask().indices());
+            p.lend_theta16(&mut st.theta16, index, lend);
+        });
     }
 
     /// Backward with overlapped reduction: as each parameter group

@@ -262,8 +262,10 @@ impl RankWorker for StageRank {
         let last = self.is_last();
         let step = job.step;
         let scale_used = self.engine.loss_scale();
-        self.input_stash = (0..m).map(|_| None).collect();
-        self.y_stash = (0..m).map(|_| None).collect();
+        for stash in [&mut self.input_stash, &mut self.y_stash] {
+            stash.clear();
+            stash.resize_with(m, || None);
+        }
         self.cache_mb = None;
         // One verdict a step, before any microbatch depends on it: a swap
         // with an empty slot moves nothing and tells whether the block can.
@@ -478,12 +480,7 @@ impl StageRank {
         if self.is_last() {
             self.y_stash[mb] = Some(y);
         } else {
-            self.pipe.send_p2p(
-                self.stage + 1,
-                p2p_id(mb, DIR_ACT),
-                step,
-                y.as_slice().to_vec(),
-            )?;
+            self.pipe.send_p2p(self.stage + 1, p2p_id(mb, DIR_ACT), step, y.into_vec())?;
         }
         Ok(())
     }
@@ -532,12 +529,7 @@ impl StageRank {
         self.stats.bwd_s += dt;
         self.record_mb_slice('B', mb, ts, dt);
         if self.stage > 0 {
-            self.pipe.send_p2p(
-                self.stage - 1,
-                p2p_id(mb, DIR_GRAD),
-                step,
-                dx.as_slice().to_vec(),
-            )?;
+            self.pipe.send_p2p(self.stage - 1, p2p_id(mb, DIR_GRAD), step, dx.into_vec())?;
         }
         Ok(())
     }

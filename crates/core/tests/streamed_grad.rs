@@ -272,21 +272,24 @@ fn wide_batch(step: u64, rank: usize) -> (Tensor, Tensor) {
 
 /// What a step closure finds its model holding: `(values, grads)` of
 /// [`resident_param_bytes`], and whether every weight that computes from
-/// half precision has its whole `θ16` lent — and nothing else has any.
+/// half precision has its whole `θ16` lent with its mask's index — and
+/// nothing else has either.
 fn training_form(m: &Sequential) -> ((usize, usize), bool) {
-    let lent = |p: &&nn::Parameter| p.theta16.len() == if p.accepts_theta16 { p.numel() } else { 0 };
+    let whole = |p: &&nn::Parameter| p.theta16.len() == if p.accepts_theta16 { p.numel() } else { 0 };
+    let lent = |p: &&nn::Parameter| whole(p) && p.index().is_some() == p.accepts_theta16;
     (resident_param_bytes(m), m.params().iter().all(lent))
 }
 
 /// What the inspection hook shows: the bytes of f32 values held, whether
 /// each is its layer state's `θ16` widened, bit for bit, and whether the
-/// `θ16`s are home — whole in the states, none left in a parameter.
+/// `θ16`s are home — whole in the states, none (and no index) left in a
+/// parameter.
 fn inspected(m: &mut Sequential, states: &[SamoLayerState]) -> (usize, bool, bool) {
     let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
     let params = m.params();
     let pairs = || params.iter().zip(states);
     let current = pairs().all(|(p, st)| bits(p.value.as_slice()) == bits(&st.dense_f32_params()));
-    let home = pairs().all(|(p, st)| p.theta16.is_empty() && st.theta16.len() == p.numel());
+    let home = pairs().all(|(p, st)| p.theta16.is_empty() && p.index().is_none() && st.theta16.len() == p.numel());
     (resident_param_bytes(m).0, current, home)
 }
 

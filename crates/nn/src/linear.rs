@@ -7,7 +7,9 @@
 //! weight it finds: the dense `θ16` a SAMO runtime lent for the step —
 //! the paper's one dense tensor, no f32 copy of it anywhere — or, for an
 //! unmanaged model, a serving replica or a trainer whose caller runs the
-//! passes, the f32 `value`.
+//! passes, the f32 `value`. A lent `θ16` comes with its mask's index, so
+//! the two products may skip the pruned weights
+//! ([`tensor::gemm::sgemm_kept`] — still the same bits).
 //!
 //! The third product, `dW = dyᵀ · x`, is the sink's to choose: the layer
 //! offers its operands ([`GradSink::take_product`]) and accumulates the
@@ -15,7 +17,7 @@
 
 use crate::layer::{CacheSlot, GradSink, Layer};
 use crate::param::Parameter;
-use tensor::gemm::{matmul_tn_acc, sgemm};
+use tensor::gemm::{matmul_tn_acc, sgemm, sgemm_kept};
 use tensor::Tensor;
 
 /// Affine map `y = x · Wᵀ + b`, weights stored `[out_features, in_features]`
@@ -71,18 +73,18 @@ impl Linear {
 
     /// `c = a · Wᵀ` (`transb`: `rows × in` by `in × out`, the forward
     /// product) or `c = a · W` (`rows × out` by `out × in`, the input
-    /// gradient), from the lent `θ16` when there is one and from the f32
-    /// `value` otherwise — the same bits.
+    /// gradient), from the lent `θ16` and its index when there is one —
+    /// over whichever of its weights `sgemm_kept` finds it pays to read —
+    /// and from the f32 `value` otherwise: the same bits.
     fn times_weight(&self, transb: bool, rows: usize, a: &[f32], c: &mut [f32]) {
         let (n, k) = match transb {
             true => (self.out_features, self.in_features),
             false => (self.in_features, self.out_features),
         };
         let (w, ldb) = (&self.weight, self.in_features);
-        if w.theta16.is_empty() {
-            sgemm(false, transb, rows, n, k, 1.0, a, k, w.value.as_slice(), ldb, 0.0, c, n);
-        } else {
-            sgemm(false, transb, rows, n, k, 1.0, a, k, &w.theta16, ldb, 0.0, c, n);
+        match w.index() {
+            Some(idx) => sgemm_kept(transb, rows, n, k, a, &w.theta16, idx, c),
+            None => sgemm(false, transb, rows, n, k, 1.0, a, k, w.value.as_slice(), ldb, 0.0, c, n),
         }
     }
 

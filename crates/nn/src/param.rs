@@ -20,8 +20,14 @@
 //! one owner at a time). Nothing is configured: a layer computes from
 //! the `θ16` it finds lent, and from `value` otherwise.
 //! [`resident_param_bytes`] is the ruler for what a model still holds.
+//!
+//! The lend carries the positions of `θ16` that are kept — its mask's
+//! shared index — so a layer may multiply by the kept weights alone. The
+//! index comes and goes with the `θ16` it describes, in the same call, so
+//! a parameter never holds one without the other.
 
 use crate::layer::Layer;
+use std::sync::Arc;
 use tensor::f16::F16;
 use tensor::Tensor;
 
@@ -42,6 +48,9 @@ pub struct Parameter {
     /// Set by the layer that owns the parameter: it computes from a lent
     /// `theta16`, so a runtime may release `value`.
     pub accepts_theta16: bool,
+    /// The kept positions of the lent `theta16` (every other one is
+    /// zero), lent with it; `None` while no `theta16` is lent.
+    index: Option<Arc<Vec<u32>>>,
 }
 
 impl Parameter {
@@ -54,6 +63,7 @@ impl Parameter {
             grad,
             theta16: Vec::new(),
             accepts_theta16: false,
+            index: None,
         }
     }
 
@@ -90,12 +100,20 @@ impl Parameter {
     /// buffer — and `theta16`: in (`lend`) if the parameter holds no f32
     /// value, for a compute window; back out otherwise. One buffer, one
     /// owner at a time: a `Vec` swap, no copy, and no move at all when it
-    /// is where it should be already.
-    pub fn lend_theta16(&mut self, home: &mut Vec<F16>, lend: bool) {
+    /// is where it should be already. `index` — the kept positions of
+    /// `θ16`, ascending, every position outside it zero — is held while
+    /// `θ16` is and dropped with it.
+    pub fn lend_theta16(&mut self, home: &mut Vec<F16>, index: Arc<Vec<u32>>, lend: bool) {
         let wanted_here = lend && !self.holds_value();
         if wanted_here == self.theta16.is_empty() {
             std::mem::swap(&mut self.theta16, home);
         }
+        self.index = (!self.theta16.is_empty()).then_some(index);
+    }
+
+    /// The index lent with `theta16`, while one is lent.
+    pub fn index(&self) -> Option<&[u32]> {
+        self.index.as_deref().map(Vec::as_slice)
     }
 
     /// Clears the gradient accumulator (nothing to clear while released).
@@ -192,27 +210,32 @@ mod tests {
         let mut l = crate::linear::Linear::new(8, 4, true, 0);
         let mut home: Vec<F16> = (0..32).map(|i| F16::from_f32(i as f32)).collect();
         let buffer = home.as_ptr();
+        let index = Arc::new((0..32).collect::<Vec<u32>>());
         let w = l.weight_mut();
-        w.lend_theta16(&mut home, true);
+        w.lend_theta16(&mut home, Arc::clone(&index), true);
         assert!(w.theta16.is_empty() && home.len() == 32, "a held value borrows nothing");
+        assert!(w.index().is_none(), "nor its index");
         w.release_value();
         for _ in 0..2 {
-            w.lend_theta16(&mut home, true); // the second call finds it lent
+            w.lend_theta16(&mut home, Arc::clone(&index), true); // the second call finds it lent
             assert!(home.is_empty());
             assert_eq!((w.theta16.len(), w.theta16.as_ptr()), (32, buffer));
+            assert_eq!(w.index(), Some(&index[..]), "the index comes with it");
         }
         for _ in 0..2 {
-            w.lend_theta16(&mut home, false);
-            assert!(w.theta16.is_empty());
+            w.lend_theta16(&mut home, Arc::clone(&index), false);
+            assert!(w.theta16.is_empty() && w.index().is_none());
             assert_eq!((home.len(), home.as_ptr()), (32, buffer));
         }
+        assert_eq!(Arc::strong_count(&index), 1, "and goes with it");
         // A reader of `value` gets it widened from what is lent; θ16 goes
         // home whatever the value's state, and a held value stays put.
-        w.lend_theta16(&mut home, true);
+        w.lend_theta16(&mut home, Arc::clone(&index), true);
         w.widen_value();
         assert_eq!(w.value.as_slice()[31], 31.0);
-        w.lend_theta16(&mut home, false);
+        w.lend_theta16(&mut home, Arc::clone(&index), false);
         assert_eq!((w.theta16.len(), home.as_ptr()), (0, buffer));
+        assert!(w.index().is_none());
         let held = w.value.as_slice().as_ptr();
         w.widen_value();
         assert_eq!(w.value.as_slice().as_ptr(), held, "a held value is left alone");

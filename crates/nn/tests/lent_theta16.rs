@@ -1,15 +1,19 @@
 //! A `Linear` whose weight is a lent `θ16`: with its f32 `value` released
-//! and the half-precision weights moved into the parameter, the layer must
+//! and the half-precision weights moved into the parameter (an unpruned
+//! one with the index of all its positions), the layer must
 //! return — bit for bit — the `y`, `dx`, bias gradient and the operands of
 //! the streamed `dW` of the same layer computing from the widened f32
 //! `value`; and with the `θ16` moved back out and the value restored it is
-//! the f32 layer again. Runs under `SAMO_SIMD=off` and the default tier in
-//! CI.
+//! the f32 layer again. The same holds for a pruned `θ16` lent with its
+//! mask's index, whose products run over the kept weights, and the index
+//! leaves with the `θ16`. Runs under `SAMO_SIMD=off` and the default tier
+//! in CI.
 
 use nn::activations::Relu;
 use nn::layer::{GradSink, Layer, Sequential};
 use nn::linear::Linear;
 use nn::param::{resident_param_bytes, Parameter};
+use std::sync::Arc;
 use tensor::f16::{f16_slice_to_f32, f32_slice_to_f16, F16};
 use tensor::Tensor;
 
@@ -42,14 +46,23 @@ fn round_weights(model: &mut impl Layer) -> Vec<Vec<F16>> {
     halves
 }
 
-/// Releases the f32 weights and lends `halves` in their place (`lend`), or
-/// widens the values back in and takes the halves home — as a runtime does.
-fn lend(model: &mut impl Layer, halves: &mut [Vec<F16>], lend: bool) {
+/// The index of every weight matrix of `model` that keeps all of it.
+fn whole(model: &mut impl Layer) -> Vec<Arc<Vec<u32>>> {
+    let weights = model.params_mut().into_iter().filter(|p| p.accepts_theta16);
+    weights.map(|p| Arc::new((0..p.numel() as u32).collect())).collect()
+}
+
+/// Releases the f32 weights and lends `halves` in their place, each with
+/// its index (`lend`), or widens the values back in and takes the halves
+/// home — as a runtime does.
+fn lend(model: &mut impl Layer, halves: &mut [Vec<F16>], indices: &[Arc<Vec<u32>>], lend: bool) {
     model.for_each_param_mut(&mut |p| if lend { p.release_value() } else { p.widen_value() });
     let weights = model.params_mut().into_iter().filter(|p| p.accepts_theta16);
-    for (p, home) in weights.zip(halves) {
-        p.lend_theta16(home, lend);
+    for ((p, home), index) in weights.zip(halves).zip(indices) {
+        p.lend_theta16(home, Arc::clone(index), lend);
     }
+    // No parameter holds an index without the θ16 it describes.
+    assert!(model.params().iter().all(|p| p.index().is_none() == p.theta16.is_empty()));
 }
 
 fn mlp(seed: u64) -> Sequential {
@@ -87,7 +100,8 @@ fn a_lent_theta16_computes_what_the_widened_value_does() {
 
         let mut lent = mlp(3);
         let mut halves = round_weights(&mut lent);
-        lend(&mut lent, &mut halves, true);
+        let indices = whole(&mut lent);
+        lend(&mut lent, &mut halves, &indices, true);
         assert!(halves.iter().all(Vec::is_empty), "moved, not copied");
         let (biases, weights) = (70, 37 * 70 + 70 * 21);
         assert_eq!(lent.num_params(), weights + biases, "a released value still counts");
@@ -98,9 +112,47 @@ fn a_lent_theta16_computes_what_the_widened_value_does() {
         assert_eq!(resident_param_bytes(&lent).0, 4 * biases, "nothing was widened on the side");
 
         // Taken back: the layer is the f32 layer again.
-        lend(&mut lent, &mut halves, false);
+        lend(&mut lent, &mut halves, &indices, false);
         assert_eq!(halves.iter().map(Vec::len).sum::<usize>(), weights, "θ16 is home");
         assert_eq!(resident_param_bytes(&lent).0, 4 * (weights + biases));
+        assert_eq!(pass(&mut lent, &x, &dy), pass(&mut widened, &x, &dy), "batch {batch}, f32 again");
+    }
+}
+
+#[test]
+fn a_lent_index_computes_what_the_widened_value_does() {
+    // A pruned θ16 lent with its mask's index: the products run over the
+    // kept weights where that pays — both from five rows, neither at one
+    // — and must leave every bit of the f32 layer's pass.
+    let prune_weights = |model: &mut Sequential| -> Vec<Arc<Vec<u32>>> {
+        let weights = model.params_mut().into_iter().filter(|p| p.accepts_theta16);
+        let masks = weights.enumerate().map(|(i, p)| {
+            let mask = prune::random_prune(p.value.shape(), 0.9, 40 + i as u64);
+            mask.apply(p.value.as_mut_slice());
+            mask.indices().clone()
+        });
+        masks.collect()
+    };
+    for &batch in &[1usize, 5, 32, 70] {
+        let x = Tensor::randn(&[batch, 37], 1.0, 30 + batch as u64);
+        let dy = Tensor::randn(&[batch, 21], 1.0, 50 + batch as u64);
+
+        let mut widened = mlp(5);
+        prune_weights(&mut widened);
+        round_weights(&mut widened);
+        let want = pass(&mut widened, &x, &dy);
+
+        let mut lent = mlp(5);
+        let indices = prune_weights(&mut lent);
+        let mut halves = round_weights(&mut lent);
+        lend(&mut lent, &mut halves, &indices, true);
+        assert!(lent.params().iter().all(|p| p.index().is_some() == p.accepts_theta16));
+        assert_eq!(pass(&mut lent, &x, &dy), want, "batch {batch}");
+
+        // The index goes home with θ16.
+        lend(&mut lent, &mut halves, &indices, false);
+        assert!(lent.params().iter().all(|p| p.index().is_none() && p.theta16.is_empty()));
+        assert!(indices.iter().all(|i| Arc::strong_count(i) == 1), "no parameter keeps a reference");
         assert_eq!(pass(&mut lent, &x, &dy), pass(&mut widened, &x, &dy), "batch {batch}, f32 again");
     }
 }

@@ -106,7 +106,7 @@ pub fn sgemm_with_tier<B: GemmElem>(
 }
 
 /// Most rows of `A · B` (neither operand transposed) that take the
-/// pack-free path, [`gemm_thin`]: one strip of it, so B is streamed
+/// pack-free path, `gemm_thin`: one strip of it, so B is streamed
 /// exactly once — never more bytes than the packed path moves. Read off
 /// the `nn` half of `repro bench`'s `thin_sweep` (EXPERIMENTS.md, PR 24;
 /// `dy·W16` at 2048 × 2048, packed over pack-free): 3.8 / 2.8 / 2.5 /
@@ -277,7 +277,7 @@ const SAMPLED_MAX_KEPT_ROWS: usize = 2;
 /// a zeroed C: FMAs over `k` ascending from `+0.0`, a step skipped exactly
 /// when every A value of the element's MR row group is zero (full groups
 /// from row 0 while they fit in `m`, single rows after — the cut of
-/// [`microkernel`]; a `0 · ∞` appears, or not, where the blocks put it),
+/// `microkernel`; a `0 · ∞` appears, or not, where the blocks put it),
 /// the chain added to `+0.0`. But the `k · (m·n − nnz)` multiply-adds at
 /// pruned positions are never done, and no block is written and read
 /// back to keep a tenth of it. Parallel over runs of `idx`, each task
@@ -347,6 +347,343 @@ pub fn matmul_tn_sampled(
         }
     });
     all_finite.into_inner()
+}
+
+/// Whether `x · Wᵀ` (`transb`) or `dy · W` with `rows` rows of A and a
+/// weight of `numel` elements, `nnz` of them kept, should run over the
+/// kept weights only ([`sgemm_kept`]) rather than whole ([`sgemm`]). The
+/// kept product pays an index entry, a widen and a broadcast per kept
+/// weight on top of its multiply-adds, so it wins while few are kept, and
+/// against a handful of rows it does not win at all: `dy · W` of up to
+/// [`THIN_MAX_M`] rows streams W once at full vector width (the pack-free
+/// product), and one row of `x · Wᵀ` gives the kept sweep nothing to
+/// spread its per-weight work over. Read off the `kept_sweep` of `repro
+/// bench` (EXPERIMENTS.md, "The lent θ16 brings its index"; rows {1, 2,
+/// 4, 5, 6, 7, 8, 16, 32, 64} × density {0.05 … 0.5} at 512 × 512, dense
+/// over kept). The row cuts ([`KEPT_MIN_ROWS`]) are read at density 0.1,
+/// the paper's p = 0.9: the kept `dy · W` is level with the pack-free one
+/// at two and four rows and ahead from five (1.5×; 2.3× at eight), the
+/// kept `x · Wᵀ` ahead from two in the sweep. The one-row forward is read
+/// off a training step instead: on `dp2_tcp_deep`'s 128² layers the kept
+/// forward measured 60 µs a step against 53 for `sgemm`, where the sweep,
+/// which repeats one layer in a tight loop, reads it ahead. A sparser mask
+/// wins from fewer rows (at 0.05, `dy · W` ≈ 1.9× at two and four). The
+/// density cut, a fifth of the weights kept at most ([`KEPT_DENSITY_CUT`]),
+/// is conservative: at density 0.25 the kept product is also the faster
+/// from 16 rows (1.6–2.4×), `x · Wᵀ` at six to eight too (1.2–1.4×), and
+/// `sgemm` runs there instead; no benchmark workload has a layer that
+/// dense.
+pub fn kept_pays(rows: usize, nnz: usize, numel: usize, transb: bool) -> bool {
+    rows >= KEPT_MIN_ROWS[usize::from(transb)] && KEPT_DENSITY_CUT * nnz <= numel
+}
+
+/// The kept product pays while `nnz ≤ numel / 5`, see [`kept_pays`].
+pub const KEPT_DENSITY_CUT: usize = 5;
+
+/// Fewest rows of A for which the kept product pays: `[dy · W, x · Wᵀ]`,
+/// see [`kept_pays`].
+pub const KEPT_MIN_ROWS: [usize; 2] = [5, 2];
+
+/// Rows of A one sweep of the index serves — eight vector accumulators —
+/// and the block a kernel task owns, as `sgemm`'s `MC`-row panel.
+const KEPT_ROWS: usize = 8 * 8;
+
+/// `C = A · Bᵀ` (`transb`: `x·Wᵀ`, B stored `n × k`) or `C = A · B`
+/// (`dy·W`, B stored `k × n`) for contiguous row-major `A` (`m × k`) and
+/// `C` (`m × n`), where `B` is a weight of which only the positions `idx`
+/// names (row-major over B as stored, strictly ascending) are kept and
+/// every other element is `±0`: the dense `θ16` a runtime lends with its
+/// mask's index. Bit for bit what [`sgemm`] computes on the same `B`
+/// (`alpha = 1`, `beta = 0`), computed over the kept positions only when
+/// [`kept_pays`] says it wins, by `sgemm` otherwise.
+///
+/// The small operand, A, is transposed into thread-local scratch a block
+/// of up to 64 rows at a time (the unit of parallelism, as `sgemm`'s row
+/// panel), so each kept weight is one broadcast and
+/// `⌈rows/8⌉` vector FMAs into register accumulators (`x·Wᵀ`, one row of
+/// W per output column) or into a transposed C (`dy·W`, one row of W per
+/// step `p`). Per output element that is the chain `fma(a, w, acc)` over
+/// its kept positions in ascending order from `+0.0`. The dense chain
+/// ([`sgemm`]'s contract: over every `p`, from `+0.0`, skipped by MR row
+/// group) differs from it only by steps `fma(a, ±0, acc)` at pruned
+/// positions and by the skipped steps, whose `a` is zero; with a finite A
+/// and a finite kept weight each of those adds an exact zero, which
+/// changes only the sign of a zero accumulator. Hence the two fallbacks:
+/// a non-finite A runs `sgemm`, and a block in which an output comes out
+/// `±0` or NaN is recomputed by `sgemm` on the block's rows, group skip
+/// included — unless the output's row of A is all zero and it came out
+/// `+0.0`, which every chain of such a row is that meets no non-finite
+/// weight (DESIGN.md §19).
+///
+/// # Panics
+/// Panics if an operand is too small for the described matrices, an
+/// index lies outside B, or the indices do not ascend.
+#[allow(clippy::too_many_arguments)]
+pub fn sgemm_kept(transb: bool, m: usize, n: usize, k: usize, a: &[f32], b: &[F16], idx: &[u32], c: &mut [f32]) {
+    let kept = kept_pays(m, idx.len(), n * k, transb);
+    sgemm_kept_on_path(kept, simd::active(), transb, m, n, k, a, b, idx, c);
+}
+
+/// [`sgemm_kept`] on the path the caller names instead of the one
+/// [`kept_pays`] picks, and on an explicit tier — for the suite that
+/// holds it to `sgemm`'s bits and the sweep the cut is read from.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn sgemm_kept_on_path(
+    kept: bool,
+    tier: Tier,
+    transb: bool,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[F16],
+    idx: &[u32],
+    c: &mut [f32],
+) {
+    let ldb = if transb { k } else { n };
+    check_dims(false, transb, m, n, k, a.len(), k, b.len(), ldb, c.len(), n);
+    if !kept || m == 0 || n == 0 || k == 0 || !a[..m * k].iter().all(|v| v.is_finite()) {
+        return sgemm_with_tier(tier, false, transb, m, n, k, 1.0, a, k, b, ldb, 0.0, c, n);
+    }
+    assert!(idx.last().is_none_or(|&i| (i as usize) < n * k), "index outside the weight");
+    if telemetry::enabled() {
+        gemm_metrics().0.inc();
+        gemm_metrics().1.add(2 * (idx.len() as u64) * (m as u64));
+    }
+    let (b, c) = (&b[..n * k], &mut c[..m * n]);
+    let mp_max = KEPT_ROWS.min(m.next_multiple_of(8));
+    par_rows_mut(c, KEPT_ROWS * n, 1, |offset, c_rows| {
+        KEPT_SCRATCH.with(|cell| {
+            let mut scratch = cell.borrow_mut();
+            if scratch.len() < (k + n) * mp_max {
+                scratch.resize((k + n) * mp_max, 0.0);
+            }
+            for (blk, c_block) in c_rows.chunks_mut(KEPT_ROWS * n).enumerate() {
+                let (i0, mt) = (offset / n + blk * KEPT_ROWS, c_block.len() / n);
+                let mp = mt.next_multiple_of(8);
+                let (at, rest) = scratch.split_at_mut(k * mp);
+                let ct = &mut rest[..n * mp];
+                // A's rows as columns, the padding lanes zero.
+                if mt < mp {
+                    at.fill(0.0);
+                }
+                pack_transposed(tier, a, k, i0, 0, mt, k, 1.0, at, mp);
+                kept_sweep(tier, transb, n, k, mp, at, b, idx, ct);
+                pack_transposed(tier, ct, mp, 0, 0, n, mt, 1.0, c_block, n);
+                let a_block = &a[i0 * k..(i0 + mt) * k];
+                if !settled(n, k, a_block, c_block) {
+                    // The block starts an `MC`-row panel of the product, so
+                    // `sgemm` on its rows alone cuts the same row groups.
+                    sgemm_with_tier(tier, false, transb, mt, n, k, 1.0, a_block, k, b, ldb, 0.0, c_block, n);
+                }
+            }
+        });
+    });
+}
+
+// A block of the kept product is a whole number of `sgemm`'s row panels.
+const _: () = assert!(KEPT_ROWS.is_multiple_of(MC));
+
+/// Whether a block of [`sgemm_kept`]'s product, `c_block` (`n` wide), from
+/// the rows `a_block` of A (`k` wide), holds [`sgemm`]'s bits as it is:
+/// the kept and the dense chains part only at an output that came out
+/// `±0` or NaN — and not at the `+0.0`s of a row of A that is all zero,
+/// every chain of which is `+0.0` unless it meets a non-finite weight.
+fn settled(n: usize, k: usize, a_block: &[f32], c_block: &[f32]) -> bool {
+    c_block.chunks_exact(n).zip(a_block.chunks_exact(k)).all(|(c_row, a_row)| {
+        c_row.iter().all(|v| v.abs() > 0.0)
+            || (c_row.iter().all(|v| v.to_bits() == 0) && a_row.iter().all(|&x| x == 0.0))
+    })
+}
+
+/// The sweep of [`sgemm_kept`] over the kept weights for one block of
+/// `mp` (a multiple of eight) rows of A, held transposed in `at` (`k × mp`,
+/// row `p` the block's values at step `p`): leaves the product's chains
+/// over the kept positions in `ct` (`n × mp`, row `j` output column `j`).
+/// B's rows are walked in index order, each kept weight widened and
+/// broadcast on its own. For `x·Wᵀ` a row of W is an output column
+/// whose chains stay in registers for the row; for `dy·W` a row of W is one
+/// step `p`, A's values at `p` stay in registers and are added into `ct`
+/// at each kept column.
+#[allow(clippy::too_many_arguments)]
+fn kept_sweep(
+    tier: Tier,
+    transb: bool,
+    n: usize,
+    k: usize,
+    mp: usize,
+    at: &[f32],
+    b: &[F16],
+    idx: &[u32],
+    ct: &mut [f32],
+) {
+    // The bounds every access below stays inside, on either tier: a row
+    // of W is `ldb` long and there are `rows_w` of them, so an index
+    // inside its row's run names a column `< ldb` — checked per index.
+    let (rows_w, ldb) = if transb { (n, k) } else { (k, n) };
+    assert!(mp.is_multiple_of(8) && (8..=KEPT_ROWS).contains(&mp));
+    assert!(at.len() >= k * mp && ct.len() >= n * mp && b.len() >= rows_w * ldb);
+    let ct = &mut ct[..n * mp];
+    if !transb {
+        // Steps add into every output column; `x·Wᵀ` writes each once.
+        ct.fill(0.0);
+    }
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Avx2 && simd::detected_avx2() {
+        // SAFETY: AVX2+FMA+F16C presence just checked; bounds asserted above.
+        let swept = unsafe {
+            match (transb, mp / 8) {
+                (true, 1) => kept_nt_avx2::<1>(n, k, at, b, idx, ct),
+                (true, 2) => kept_nt_avx2::<2>(n, k, at, b, idx, ct),
+                (true, 3) => kept_nt_avx2::<3>(n, k, at, b, idx, ct),
+                (true, 4) => kept_nt_avx2::<4>(n, k, at, b, idx, ct),
+                (true, 5) => kept_nt_avx2::<5>(n, k, at, b, idx, ct),
+                (true, 6) => kept_nt_avx2::<6>(n, k, at, b, idx, ct),
+                (true, 7) => kept_nt_avx2::<7>(n, k, at, b, idx, ct),
+                (true, _) => kept_nt_avx2::<8>(n, k, at, b, idx, ct),
+                (false, 1) => kept_nn_avx2::<1>(n, k, at, b, idx, ct),
+                (false, 2) => kept_nn_avx2::<2>(n, k, at, b, idx, ct),
+                (false, 3) => kept_nn_avx2::<3>(n, k, at, b, idx, ct),
+                (false, 4) => kept_nn_avx2::<4>(n, k, at, b, idx, ct),
+                (false, 5) => kept_nn_avx2::<5>(n, k, at, b, idx, ct),
+                (false, 6) => kept_nn_avx2::<6>(n, k, at, b, idx, ct),
+                (false, 7) => kept_nn_avx2::<7>(n, k, at, b, idx, ct),
+                (false, _) => kept_nn_avx2::<8>(n, k, at, b, idx, ct),
+            }
+        };
+        assert_eq!(swept, idx.len(), "mask indices must ascend");
+        return;
+    }
+    let _ = tier;
+    let mut t = 0;
+    for r in 0..rows_w {
+        let (base, end) = (r * ldb, row_end(idx, t, (r + 1) * ldb));
+        if transb {
+            ct[r * mp..][..mp].fill(0.0);
+        }
+        for &e in &idx[t..end] {
+            let col = (e as usize).wrapping_sub(base);
+            assert!(col < ldb, "mask indices must ascend");
+            let (out, step) = if transb { (r, col) } else { (col, r) };
+            let w = b[e as usize].widen();
+            for (acc, &x) in ct[out * mp..][..mp].iter_mut().zip(&at[step * mp..][..mp]) {
+                *acc = x.mul_add(w, *acc);
+            }
+        }
+        t = end;
+    }
+    assert_eq!(t, idx.len(), "mask indices must ascend");
+}
+
+/// The end of the run of `idx` from `t` that lies below `end`: found in
+/// strides of a vector, then singly — a sequential read of what the
+/// sweep loads next. An index out of order may end the run late; the
+/// sweep's column check refuses it.
+fn row_end(idx: &[u32], mut t: usize, end: usize) -> usize {
+    let below = |t: usize| idx.get(t).is_some_and(|&e| (e as usize) < end);
+    while below(t + 7) {
+        t += 8;
+    }
+    while below(t) {
+        t += 1;
+    }
+    t
+}
+
+/// The AVX2+FMA sweep of [`kept_sweep`] for `x·Wᵀ` on `mp = 8 · V` rows
+/// of A: per row `j` of W, `V` accumulators in registers for the row's
+/// run of the index, then stored as row `j` of `ct`. Returns how many
+/// indices it consumed.
+///
+/// # Safety
+/// Requires AVX2, FMA and F16C, and the bounds [`kept_sweep`] asserts:
+/// `at` holds `k · mp` floats, `ct` `n · mp` and `b` `n · k` halves.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma,f16c")]
+unsafe fn kept_nt_avx2<const V: usize>(
+    n: usize,
+    k: usize,
+    at: &[f32],
+    b: &[F16],
+    idx: &[u32],
+    ct: &mut [f32],
+) -> usize {
+    use std::arch::x86_64::*;
+    let mp = 8 * V;
+    debug_assert!(at.len() >= k * mp && ct.len() >= n * mp && b.len() >= n * k);
+    let (ap, cp) = (at.as_ptr(), ct.as_mut_ptr());
+    let mut t = 0;
+    for j in 0..n {
+        let (base, end) = (j * k, row_end(idx, t, (j + 1) * k));
+        let mut acc = [_mm256_setzero_ps(); V];
+        for &e in &idx[t..end] {
+            let col = (e as usize).wrapping_sub(base);
+            assert!(col < k, "mask indices must ascend");
+            let w = _mm256_broadcastss_ps(_mm_cvtph_ps(_mm_cvtsi32_si128(i32::from(b[e as usize].0))));
+            // SAFETY: `col < k`, so row `col` of `at` — `mp` floats, read
+            // as `V` vectors — is inside the caller's `k · mp`.
+            debug_assert!((col + 1) * mp <= at.len());
+            let x = ap.add(col * mp);
+            for (v, a) in acc.iter_mut().enumerate() {
+                *a = _mm256_fmadd_ps(_mm256_loadu_ps(x.add(8 * v)), w, *a);
+            }
+        }
+        // SAFETY: row `j < n` of `ct` is `mp` floats inside the caller's
+        // `n · mp`.
+        debug_assert!((j + 1) * mp <= ct.len());
+        for (v, &a) in acc.iter().enumerate() {
+            _mm256_storeu_ps(cp.add(j * mp + 8 * v), a);
+        }
+        t = end;
+    }
+    t
+}
+
+/// The AVX2+FMA sweep of [`kept_sweep`] for `dy·W` on `mp = 8 · V` rows
+/// of A: per row `p` of W, A's `V` vectors at step `p` in registers, and
+/// at each kept column `q` the `V` vectors of `ct`'s row `q` loaded,
+/// multiply-added and stored. Returns how many indices it consumed.
+///
+/// # Safety
+/// Requires AVX2, FMA and F16C, and the bounds [`kept_sweep`] asserts:
+/// `at` holds `k · mp` floats, `ct` `n · mp` and `b` `k · n` halves.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma,f16c")]
+unsafe fn kept_nn_avx2<const V: usize>(
+    n: usize,
+    k: usize,
+    at: &[f32],
+    b: &[F16],
+    idx: &[u32],
+    ct: &mut [f32],
+) -> usize {
+    use std::arch::x86_64::*;
+    let mp = 8 * V;
+    debug_assert!(at.len() >= k * mp && ct.len() >= n * mp && b.len() >= k * n);
+    let (ap, cp) = (at.as_ptr(), ct.as_mut_ptr());
+    let mut t = 0;
+    for p in 0..k {
+        let (base, end) = (p * n, row_end(idx, t, (p + 1) * n));
+        // SAFETY: `p < k`, so row `p` of `at` — `mp` floats, read as `V`
+        // vectors — is inside the caller's `k · mp`.
+        debug_assert!((p + 1) * mp <= at.len());
+        let x: [__m256; V] = std::array::from_fn(|v| _mm256_loadu_ps(ap.add(p * mp + 8 * v)));
+        for &e in &idx[t..end] {
+            let col = (e as usize).wrapping_sub(base);
+            assert!(col < n, "mask indices must ascend");
+            let w = _mm256_broadcastss_ps(_mm_cvtph_ps(_mm_cvtsi32_si128(i32::from(b[e as usize].0))));
+            // SAFETY: `col < n`, so row `col` of `ct` — `mp` floats, read
+            // and written as `V` vectors — is inside the caller's `n · mp`.
+            debug_assert!((col + 1) * mp <= ct.len());
+            let c = cp.add(col * mp);
+            for (v, &x) in x.iter().enumerate() {
+                _mm256_storeu_ps(c.add(8 * v), _mm256_fmadd_ps(x, w, _mm256_loadu_ps(c.add(8 * v))));
+            }
+        }
+        t = end;
+    }
+    t
 }
 
 /// Rows `row0..row1` of `Aᵀ · B` (shapes as in [`matmul_tn_acc`]), one
@@ -452,6 +789,12 @@ thread_local! {
     /// way. Separate from `PACK_SCRATCH` because `gemm_panel` borrows that
     /// while this is held.
     static ACC_SCRATCH: std::cell::RefCell<Vec<f32>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+
+    /// [`sgemm_kept`]'s transposed A block and transposed product,
+    /// `(k + n) · 64` floats at most — one buffer, so `x·Wᵀ` and `dy·W`
+    /// of one layer (`k` and `n` swapped) grow it once between them.
+    static KEPT_SCRATCH: std::cell::RefCell<Vec<f32>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 

@@ -136,6 +136,11 @@ impl Tensor {
         &mut self.data
     }
 
+    /// The underlying buffer, moved out: no copy.
+    pub fn into_vec(self) -> Vec<f32> {
+        self.data
+    }
+
     /// Returns a reshaped copy sharing the same element order.
     ///
     /// # Panics

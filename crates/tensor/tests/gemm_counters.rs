@@ -1,12 +1,13 @@
 //! `tensor.sgemm_flops` counts the multiply-adds a product ran, not the
 //! ones its shape names: `2·m·n·k` for the packed, the pack-free and the
-//! row-block products alike, `2·nnz·k` for the sampled one — so the GEMM
-//! share of a step and the GFLOP/s rows of the ledger credit a thin-batch
-//! `dW` at p = 0.9 with a tenth of the dense work. One test, alone in its
-//! process: the counter and the enable flag are global.
+//! row-block products alike, `2·nnz·k` for the sampled one and `2·nnz·m`
+//! for the kept one — so the GEMM share of a step and the GFLOP/s rows of
+//! the ledger credit a thin-batch `dW`, and a `Linear`'s products from a
+//! lent index, at p = 0.9 with a tenth of the dense work. One test, alone
+//! in its process: the counter and the enable flag are global.
 
 use tensor::f16::F16;
-use tensor::gemm::{matmul, matmul_tn_row_blocks, matmul_tn_sampled};
+use tensor::gemm::{matmul, matmul_tn_row_blocks, matmul_tn_sampled, sgemm_kept_on_path};
 use tensor::simd;
 
 #[test]
@@ -31,5 +32,14 @@ fn the_flop_counter_counts_what_ran() {
     // Four rows of A: the pack-free path.
     matmul(k, n, m, &a, &vec![1.0f32; m * n], &mut c);
     assert_eq!(flops.get(), (2 * (idx.len() + 2 * m * n) * k) as u64, "pack-free: 2·m·n·k");
+    // Kept: `k` rows of A against the `m × n` weight's kept positions.
+    let before = flops.get();
+    let w = vec![F16::ONE; m * n];
+    let mut y = vec![0.0f32; k * m];
+    sgemm_kept_on_path(true, simd::active(), true, k, m, n, &b, &w, &idx, &mut y);
+    assert_eq!(flops.get() - before, (2 * idx.len() * k) as u64, "kept: 2·nnz·m");
+    // Declined, it is `sgemm`, and counted as one.
+    sgemm_kept_on_path(false, simd::active(), true, k, m, n, &b, &w, &idx, &mut y);
+    assert_eq!(flops.get() - before, (2 * (idx.len() + m * n) * k) as u64, "declined: 2·m·n·k");
     telemetry::set_enabled(false);
 }

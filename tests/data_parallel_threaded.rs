@@ -189,6 +189,51 @@ fn threaded_matches_inproc_bitwise() {
     }
 }
 
+/// At p = 0.9 a rank's products run over the kept weights of the lent
+/// index — `x·Wᵀ` from four rows a rank as `dp2_tcp_wide` does, `dy·W`
+/// too from sixteen — and the checkpoints are still the in-process
+/// oracle's, which computes on its f32 values.
+#[test]
+fn kept_products_from_the_lent_index_match_inproc_bitwise() {
+    let sparse = |seed| {
+        Sequential::new()
+            .push(Linear::new(48, 64, true, seed))
+            .push(nn::activations::Relu::new())
+            .push(Linear::new(64, 24, false, seed + 1))
+    };
+    let mask = |p: &&Parameter| match p.value.shape() {
+        shape @ [_, _] => prune::magnitude_prune(p.value.as_slice(), shape, 0.9),
+        shape => Mask::dense(shape),
+    };
+    let masks: Vec<Mask> = sparse(3).params().iter().map(mask).collect();
+    for rows in [4usize, 16] {
+        let batch = move |step: u64, rank: usize| {
+            let seed = 60_000 + step * 16 + rank as u64;
+            (Tensor::randn(&[rows, 48], 1.0, seed), Tensor::randn(&[rows, 24], 1.0, seed + 1_000))
+        };
+        let mut dp = DataParallelSamo::new(vec![sparse(3), sparse(3)], masks.clone(), adam());
+        let mut th = ThreadedDataParallelSamo::new(vec![sparse(3), sparse(3)], masks.clone(), adam());
+        for step in 0..4u64 {
+            for r in 0..2 {
+                let (scale, (x, t)) = (dp.loss_scale(), batch(step, r));
+                let m = dp.replica_mut(r);
+                let (_, mut dy) = mse(&m.forward(&x), &t);
+                tensor::ops::scale(scale, dy.as_mut_slice());
+                m.backward(&dy);
+            }
+            dp.step();
+            th.step(move |rank, m, scale| {
+                let (x, t) = batch(step, rank);
+                let (_, mut dy) = mse(&m.forward(&x), &t);
+                tensor::ops::scale(scale, dy.as_mut_slice());
+                dy
+            })
+            .expect("healthy mesh");
+            assert_eq!(dp.save().as_ref(), th.save().as_ref(), "{rows} rows a rank, step {step}");
+        }
+    }
+}
+
 /// Satellite #3: killing a rank's links makes the step fail with a
 /// timeout within the deadline — no hang, no panic — the group then
 /// refuses further steps until restored, and a checkpoint restore

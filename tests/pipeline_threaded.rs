@@ -3,7 +3,8 @@
 //! `SamoTrainer` — for any pipeline depth, for the hybrid
 //! `G_inter × G_data` decomposition, for any depth of the activation
 //! stash, with activation recomputation instead of it (forced on, or
-//! because a layer declines the stash), and after a killed stage is
+//! because a layer declines the stash), with every product running over
+//! the kept weights of a lent index (p = 0.9), and after a killed stage is
 //! healed and restored from a checkpoint.
 
 use nn::layer::{Layer, Sequential};
@@ -241,6 +242,75 @@ fn hybrid_two_by_two_matches_single_process_bitwise() {
             block.params().iter().map(|p| p.value.as_slice().to_vec()).collect::<Vec<_>>()
         });
         assert_eq!(a, b, "stage {stage} replicas diverged");
+    }
+}
+
+/// A wider model at p = 0.9, in microbatches of 16 rows.
+fn sparse_model(seed: u64) -> Sequential {
+    Sequential::new()
+        .push(Linear::new(32, 64, true, seed))
+        .push(nn::activations::Relu::new())
+        .push(Linear::new(64, 64, false, seed + 1))
+        .push(nn::activations::Relu::new())
+        .push(Linear::new(64, 16, true, seed + 2))
+}
+
+fn sparse_masks() -> Vec<Mask> {
+    let mask = |p: &&nn::param::Parameter| match p.value.shape() {
+        shape @ [_, _] => prune::magnitude_prune(p.value.as_slice(), shape, 0.9),
+        shape => Mask::dense(shape),
+    };
+    sparse_model(1).params().iter().map(mask).collect()
+}
+
+fn sparse_batch(step: u64, mb: usize) -> (Tensor, Tensor) {
+    let seed = 50_000 + step * 64 + mb as u64;
+    (Tensor::randn(&[16, 32], 1.0, seed), Tensor::randn(&[16, 16], 1.0, seed + 1_000))
+}
+
+/// With the masks' indices lent beside θ16, every `Linear` product of a
+/// stage runs over the kept weights (p = 0.9 at 16 rows: `x·Wᵀ` and `dy·W`
+/// both pay) — on a pipeline alone and sharded over data replicas — and
+/// the checkpoints are still the single-process trainer's, byte for byte.
+#[test]
+fn kept_products_from_the_lent_index_match_single_process_bitwise() {
+    let masks = sparse_masks();
+    for m in masks.iter().filter(|m| m.shape().len() == 2) {
+        for transb in [true, false] {
+            assert!(tensor::gemm::kept_pays(16, m.nnz(), m.numel(), transb), "{:?}", m.shape());
+        }
+    }
+    for (g_inter, g_data) in [(2usize, 1usize), (3, 2)] {
+        let mut oracle_model = sparse_model(19);
+        let mut oracle = SamoTrainer::new(&mut oracle_model, masks.clone(), adam());
+        let mut c = cfg(g_inter, g_data);
+        c.mb_rows = 16;
+        let replicas = (0..g_data).map(|_| sparse_model(19)).collect();
+        let mut pp = ThreadedPipelineSamo::new(replicas, masks.clone(), adam(), c);
+        for step in 0..4u64 {
+            let scale = oracle.loss_scale();
+            for mb in 0..MB {
+                let (x, t) = sparse_batch(step, mb);
+                let (_, mut dy) = mse(&oracle_model.forward(&x), &t);
+                tensor::ops::scale(scale, dy.as_mut_slice());
+                oracle_model.backward(&dy);
+            }
+            let applied = oracle.step(&mut oracle_model);
+            let got = pp.step(
+                move |_, mb| sparse_batch(step, mb).0,
+                move |_, mb, y, scale| {
+                    let (_, mut dy) = mse(y, &sparse_batch(step, mb).1);
+                    tensor::ops::scale(scale, dy.as_mut_slice());
+                    dy
+                },
+            );
+            assert_eq!(got, Ok(applied), "verdict at {g_inter}x{g_data}, step {step}");
+            let at = format!("{g_inter}x{g_data}, step {step}");
+            assert_eq!(oracle.save().as_ref(), pp.save().as_ref(), "training state diverged at {at}");
+        }
+        // Between steps θ16 is home, and its index with it.
+        let lent = pp.with_rank(0, 0, |block, _| block.params().iter().any(|p| p.index().is_some()));
+        assert!(!lent, "{g_inter}x{g_data}: an index outlived its θ16");
     }
 }
 

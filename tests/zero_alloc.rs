@@ -24,7 +24,7 @@ use nn::qlinear::QuantLinear;
 use samo::SamoTrainer;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use tensor::gemm::matmul;
+use tensor::gemm::{kept_pays, matmul, sgemm_kept};
 use tensor::Tensor;
 
 struct CountingAlloc;
@@ -333,9 +333,10 @@ fn hot_paths_allocate_nothing_in_steady_state() {
 
     // --- Linear from a lent θ16: forward + dx -------------------------
     // A weight a SAMO runtime manages computes from the dense θ16 the
-    // runtime lends it. The GEMM's pack step widens the halves into the
-    // thread-local panel it would copy f32 into, so warm forward + dx
-    // request what the f32 layer requests — the activations — and
+    // runtime lends it — unpruned here, so its index names every position
+    // and the products run whole. The GEMM's pack step widens the halves
+    // into the thread-local panel it would copy f32 into, so warm forward
+    // + dx request what the f32 layer requests — the activations — and
     // nothing of the size of the weights.
     let fwd_bwd = |lin: &mut Linear| {
         lin.forward(&lx);
@@ -345,8 +346,9 @@ fn hot_paths_allocate_nothing_in_steady_state() {
     let from_f32 = alloc_events_during(|| fwd_bwd(&mut lin));
     let weight = lin.weight_mut();
     let mut theta16 = tensor::f16::f32_slice_to_f16(weight.value.as_slice());
+    let whole = std::sync::Arc::new((0..weight.numel() as u32).collect::<Vec<_>>());
     weight.release_value();
-    weight.lend_theta16(&mut theta16, true);
+    weight.lend_theta16(&mut theta16, whole, true);
     assert!(theta16.is_empty() && !weight.holds_value(), "θ16 is the only weight left");
     fwd_bwd(&mut lin); // warm: same scratch, first use of the f16 table
     LARGEST_ALLOC.store(0, Ordering::Relaxed);
@@ -354,6 +356,34 @@ fn hot_paths_allocate_nothing_in_steady_state() {
     assert_eq!(from_f16, from_f32, "a lent θ16 adds no allocation to forward + backward");
     let largest = LARGEST_ALLOC.load(Ordering::Relaxed) as usize;
     assert!(largest <= activation, "forward + dx from θ16 requested {largest} B at once");
+
+    // --- The kept products of a lent index: forward + dx ---------------
+    // With its mask's index lent beside θ16, a layer's two products run
+    // over the kept weights: A is transposed into thread-local scratch
+    // sized for both products of the layer at once, so the first forward
+    // grows it, the first dx (k and n swapped) finds it grown, and warm
+    // calls allocate nothing.
+    let rows = 8;
+    let kmask = prune::random_prune(&[out_f, in_f], 0.9, 34);
+    let mut kw = Tensor::randn(&[out_f, in_f], 1.0, 35);
+    kmask.apply(kw.as_mut_slice());
+    let kw16 = tensor::f16::f32_slice_to_f16(kw.as_slice());
+    let (kx, kdy) = (Tensor::randn(&[rows, in_f], 1.0, 36), Tensor::randn(&[rows, out_f], 1.0, 37));
+    let (mut ky, mut kdx) = (vec![0.0f32; rows * out_f], vec![0.0f32; rows * in_f]);
+    let (nnz, numel) = (kmask.nnz(), kmask.numel());
+    assert!(kept_pays(rows, nnz, numel, true) && kept_pays(rows, nnz, numel, false));
+    let idx = kmask.indices();
+    let grown = alloc_events_during(|| sgemm_kept(true, rows, out_f, in_f, kx.as_slice(), &kw16, idx, &mut ky));
+    assert_eq!(grown, 1, "the first kept forward grows the scratch once");
+    let events = alloc_events_during(|| sgemm_kept(false, rows, in_f, out_f, kdy.as_slice(), &kw16, idx, &mut kdx));
+    assert_eq!(events, 0, "the first kept dx finds the scratch grown");
+    let events = alloc_events_during(|| {
+        for _ in 0..4 {
+            sgemm_kept(true, rows, out_f, in_f, kx.as_slice(), &kw16, idx, &mut ky);
+            sgemm_kept(false, rows, in_f, out_f, kdy.as_slice(), &kw16, idx, &mut kdx);
+        }
+    });
+    assert_eq!(events, 0, "warm kept forward + dx allocated {events} time(s)");
 
     // --- Steady-state serving loop (`Layer::infer_batch`) -------------
     // The serving runtime's replica loop is exactly this: one warm
