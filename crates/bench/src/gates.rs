@@ -9,6 +9,7 @@
 //! same thing on any machine. Where a floor presumes the AVX2 tier, the
 //! section's own `avx2_detected` decides whether it applies.
 
+use crate::hotpaths::PATH_SWEEP;
 use std::fmt::Display;
 use telemetry::json::Json;
 use telemetry::trace::lane;
@@ -80,14 +81,10 @@ pub const THIN_NT_OVER_NN_MAX: f64 = 1.5;
 pub const SAMPLED_OVER_STREAMED_MIN: f64 = 1.5;
 pub const THIN_OVER_PACKED_MIN: f64 = 1.5;
 pub const VECTOR_SWEEP_OVER_SCALAR_MIN: f64 = 1.8;
-/// Cells of `thin_sweep`: seven batch sizes, by four densities for `dW`.
-pub const THIN_SWEEP_CELLS: [usize; 2] = [28, 7];
-/// On AVX2, at `pipe2_mlp`'s cell of `kept_sweep` (32 rows of a 512 × 512
+/// On AVX2, at `pipe2_mlp`'s cell of `path_sweep` (32 rows of a 512 × 512
 /// layer at p = 0.9): `x·Wᵀ` and `dy·W` over the kept weights against
 /// `sgemm`, each.
 pub const KEPT_OVER_DENSE_MIN: f64 = 2.0;
-/// Cells of `kept_sweep` per product: ten batch sizes by four densities.
-pub const KEPT_SWEEP_CELLS: usize = 40;
 /// One-row 768×768 GEMM on AVX2: the row must run in vector edge tiles.
 pub const ONE_ROW_GFLOPS_MIN: f64 = 2.0;
 
@@ -279,17 +276,17 @@ fn kernels(doc: &Json) -> Check {
     for probe in ["stream_copy", "stream_read_f16"] {
         at_least(&format!("{probe} GB/s"), num(named(table, probe)?, "gb_s")?, f64::MIN_POSITIVE)?;
     }
-    let cells = get(doc, "thin_sweep")?;
-    for (key, want) in ["dw", "nn"].into_iter().zip(THIN_SWEEP_CELLS) {
-        equal(&format!("thin_sweep {key} cells"), rows(cells, key)?.len(), want)?;
+    let paths = get(doc, "path_sweep")?;
+    for family in &PATH_SWEEP {
+        equal(&format!("path_sweep {} cells", family.key), rows(paths, family.key)?.len(), family.cells())?;
     }
-    // `pipe2_mlp`'s cell of each product's sweep: dense over kept.
+    // `pipe2_mlp`'s cell of each product's family: dense over kept.
     let kept_cell = |key: &str| -> Result<f64, String> {
-        let cells = rows(get(doc, "kept_sweep")?, key)?;
-        equal(&format!("kept_sweep {key} cells"), cells.len(), KEPT_SWEEP_CELLS)?;
+        let cells = rows(paths, key)?;
         let pipe = cells.iter().find(|c| c.get("rows") == Some(&Json::UInt(32)) && c.get("density") == Some(&Json::Num(0.1)));
-        let pipe = pipe.ok_or_else(|| format!("kept_sweep {key}: the 32-row cell at density 0.1 is missing"))?;
-        Ok(num(pipe, "dense_ms")? / num(pipe, "kept_ms")?)
+        let pipe = pipe.ok_or_else(|| format!("path_sweep {key}: the 32-row cell at density 0.1 is missing"))?;
+        let ms = get(pipe, "ms")?;
+        Ok(num(ms, "Packed")? / num(ms, "Kept")?)
     };
     let (kept_xwt, kept_dyw) = (kept_cell("xwt")?, kept_cell("dyw")?);
     // The tier the kernels ran on is recorded by `repro simd`.
@@ -791,29 +788,31 @@ mod tests {
             *at(&mut doc, &["simd", "active_tier"]) = Json::Str("scalar".into());
             check("kernels", &doc).expect("the scalar tier records the short cuts and races none");
         }
-        let Json::Arr(mut cells) = at(&mut committed(), &["thin_sweep", "dw"]).clone() else {
-            panic!("thin_sweep.dw is an array")
-        };
-        cells.pop();
-        rejects("kernels", &doctored(&["thin_sweep", "dw"], Json::Arr(cells)), &["thin_sweep dw", "27", "28"]);
+        // Every family has the cells of the grid.
+        for family in &PATH_SWEEP {
+            let Json::Arr(mut cells) = at(&mut committed(), &["path_sweep", family.key]).clone() else {
+                panic!("path_sweep.{} is an array", family.key)
+            };
+            assert_eq!(cells.len(), family.cells(), "path_sweep.{}", family.key);
+            cells.pop();
+            let doc = doctored(&["path_sweep", family.key], Json::Arr(cells));
+            let (got, want) = ((family.cells() - 1).to_string(), family.cells().to_string());
+            rejects("kernels", &doc, &[&format!("path_sweep {}", family.key), &got, &want]);
+        }
 
-        // The kept products: 40 cells each, and `pipe2_mlp`'s cell raced
-        // on the AVX2 tier only.
+        // The kept products: `pipe2_mlp`'s cell raced on the AVX2 tier only.
         for key in ["xwt", "dyw"] {
-            let Json::Arr(mut cells) = at(&mut committed(), &["kept_sweep", key]).clone() else {
-                panic!("kept_sweep.{key} is an array")
+            let Json::Arr(cells) = at(&mut committed(), &["path_sweep", key]).clone() else {
+                panic!("path_sweep.{key} is an array")
             };
             let pipe = |c: &Json| c.get("rows") == Some(&Json::UInt(32)) && c.get("density") == Some(&Json::Num(0.1));
             let cell = cells.iter().position(pipe).expect("the 32-row cell at p = 0.9").to_string();
             let mut doc = committed();
-            *at(&mut doc, &["kept_sweep", key, &cell, "dense_ms"]) = Json::Num(1.99);
-            *at(&mut doc, &["kept_sweep", key, &cell, "kept_ms"]) = Json::Num(1.0);
+            *at(&mut doc, &["path_sweep", key, &cell, "ms", "Packed"]) = Json::Num(1.99);
+            *at(&mut doc, &["path_sweep", key, &cell, "ms", "Kept"]) = Json::Num(1.0);
             rejects("kernels", &doc, &[&format!("kept {key}"), "1.99", "2"]);
             *at(&mut doc, &["simd", "active_tier"]) = Json::Str("scalar".into());
             check("kernels", &doc).expect("the scalar tier records the kept products and races none");
-            cells.pop();
-            let doc = doctored(&["kept_sweep", key], Json::Arr(cells));
-            rejects("kernels", &doc, &[&format!("kept_sweep {key}"), "39", "40"]);
         }
 
         // The one-row floor binds on the AVX2 tier only.

@@ -23,10 +23,10 @@
 //!   `dw_sampled_4x2048x2048` — the weight gradient of a thin-batch
 //!   `Linear` at p = 0.9 on its way into `∇θ16`: `matmul_tn_acc` into the
 //!   dense gradient + `compress_grad_fused` + clearing it, against
-//!   `matmul_tn_row_blocks` compressed block by block, against
-//!   `matmul_tn_sampled` at the kept positions only (same `∇θ16` bits,
-//!   asserted). Gated: streamed may never be slower than dense, and
-//!   [`crate::gates::SAMPLED_OVER_STREAMED_MIN`].
+//!   `matmul_tn_kept` on its row blocks, each gathered as it leaves the
+//!   product, and on its sampled path at the kept positions only (same
+//!   `∇θ16` bits, asserted). Gated: streamed may never be slower than
+//!   dense, and [`crate::gates::SAMPLED_OVER_STREAMED_MIN`].
 //! * `optimizer_sweep_210k_scalar` / `optimizer_sweep_210k_vector` — the
 //!   fused Adam pass over one rank's shard of that layer (≈ 210 k owned
 //!   values, no f32 view, the all-gather payload written), on the scalar
@@ -44,15 +44,14 @@
 //!   and expansion primitives, at the element types the step uses.
 //! * `allreduce_compressed` — the compressed fp16 gradient all-reduce.
 //!
-//! Beside the kernels, `thin_sweep`: the two products a thin batch takes
-//! a short cut through, over batch rows {1 … 64} — the sampled `dyᵀ·x`
-//! against the row blocks at densities {0.05 … 0.5}, and the pack-free
-//! `dy·W16` against the packed one — the table the two dispatch constants
-//! of `tensor::gemm` (`sampled_pays`, `THIN_MAX_M`) are read from;
-//! `kept_sweep`: the two products that read a `Linear`'s lent `θ16` —
-//! `x·Wᵀ` and `dy·W` at `pipe2_mlp`'s 512 × 512 — dense against over the
-//! kept weights only, rows {1 … 64} × density {0.05 … 0.5}, the table
-//! `kept_pays` is read from (gated at 32 rows, p = 0.9:
+//! Beside the kernels, `path_sweep`: the table the cuts of
+//! `tensor::gemm::plan` are read from, one grid ([`PATH_SWEEP`]) of
+//! op × rows × density. Each cell races a short cut against what runs
+//! where the planner declines it, through the pinned twins, and records
+//! the planner's pick: the sampled `dyᵀ·x` against the row blocks and the
+//! pack-free `dy·W16` against the packed one at 2048², rows {1 … 64};
+//! `x·Wᵀ` and `dy·W` over the kept weights against `sgemm` at
+//! `pipe2_mlp`'s 512², rows {1 … 64, 512} (gated at 32 rows, p = 0.9:
 //! [`crate::gates::KEPT_OVER_DENSE_MIN`]). And
 //! `gpt_layers`: which layer type owns the
 //! compute-bound step. Every layer of the `gpt_single` benchmark workload
@@ -75,8 +74,8 @@ use samo::{compress, expand};
 use telemetry::json::Json;
 use tensor::f16::{f16_slice_to_f32, f32_slice_to_f16, F16};
 use tensor::gemm::{
-    kept_pays, matmul, matmul_nt, matmul_tn_acc, matmul_tn_row_blocks, matmul_tn_sampled, sampled_pays,
-    sgemm, sgemm_kept_on_path, sgemm_on_path, GemmElem, THIN_MAX_M,
+    matmul, matmul_nt, matmul_tn_acc, matmul_tn_kept_on_path, plan, sgemm, sgemm_kept_on_path, sgemm_on_path,
+    GemmElem, Op, Path,
 };
 use tensor::simd::{self, Tier};
 use tensor::Tensor;
@@ -184,7 +183,7 @@ pub fn run(quick: bool) -> Result<(), String> {
             4 * reps,
             [
                 &mut || matmul(m, n, k, &a, &b, &mut c0),
-                &mut || sgemm_on_path(false, tier, false, false, m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c1, n),
+                &mut || sgemm_on_path(Path::Packed, tier, false, false, m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c1, n),
                 &mut || matmul_nt(m, n, k, &a, &b, &mut c2),
             ],
         );
@@ -195,10 +194,11 @@ pub fn run(quick: bool) -> Result<(), String> {
 
         // dx = dy·W16 of the wide layer: B is θ16 itself, read once.
         let w16 = f32_slice_to_f16(&b);
-        let on_path = |thin, c: &mut [f32]| {
-            sgemm_on_path(thin, tier, false, false, m, n, k, 1.0, &a, k, &w16, n, 0.0, c, n)
+        let on_path = |path, c: &mut [f32]| {
+            sgemm_on_path(path, tier, false, false, m, n, k, 1.0, &a, k, &w16, n, 0.0, c, n)
         };
-        let [thin, packed] = duel(best_of, 4 * reps, || on_path(true, &mut c0), || on_path(false, &mut c1));
+        let [thin, packed] =
+            duel(best_of, 4 * reps, || on_path(Path::PackFree, &mut c0), || on_path(Path::Packed, &mut c1));
         assert!(bits(&c0) == bits(&c1), "pack-free dy·W16 differs from the packed one");
         let moved = (2 * k * n + 4 * m * (k + n)) as u64;
         for (name, timed) in [("gemm_nn_f16w_thin_4x2048x2048", thin), ("gemm_nn_f16w_packed_4x2048x2048", packed)] {
@@ -217,12 +217,12 @@ pub fn run(quick: bool) -> Result<(), String> {
         let dy = random_vec(k * m, 20);
         let x = random_vec(k * n, 21);
         let wmask = prune::random_prune(&[m, n], sparsity, 22);
-        assert!(sampled_pays(k, wmask.nnz(), m * n), "four rows at p = 0.9 sample");
-        let state = SamoLayerState::from_params(&vec![0.0; m * n], wmask.clone(), &opt);
-        let (mut dense_st, streamed_st) = (state.clone(), std::sync::Mutex::new(state));
+        assert_eq!(plan(Op::Tn, k, wmask.nnz(), m * n), Path::Sampled, "four rows at p = 0.9 sample");
+        let mut dense_st = SamoLayerState::from_params(&vec![0.0; m * n], wmask.clone(), &opt);
         let mut grad = vec![0.0f32; m * n];
-        let mut sampled16 = vec![F16::ZERO; wmask.nnz()];
+        let [mut streamed16, mut sampled16] = [(); 2].map(|()| vec![F16::ZERO; wmask.nnz()]);
         let tier = simd::active();
+        let dw = |path, out: &mut [F16]| matmul_tn_kept_on_path(path, tier, m, n, k, &dy, &x, wmask.indices(), out);
         let [dense, streamed, sampled] = duel_n(
             best_of,
             reps,
@@ -232,17 +232,11 @@ pub fn run(quick: bool) -> Result<(), String> {
                     assert!(dense_st.compress_grad_fused(&grad));
                     grad.fill(0.0);
                 },
-                &mut || {
-                    matmul_tn_row_blocks(m, n, k, &dy, &x, |r0, r1, block| {
-                        let mut st = streamed_st.lock().expect("no gather panics");
-                        assert!(st.compress_grad_rows(r0, r1, block));
-                    })
-                },
-                &mut || assert!(matmul_tn_sampled(tier, m, n, k, &dy, &x, wmask.indices(), &mut sampled16)),
+                &mut || assert!(dw(Path::RowBlocks, &mut streamed16)),
+                &mut || assert!(dw(Path::Sampled, &mut sampled16)),
             ],
         );
-        let streamed_st = streamed_st.into_inner().expect("no gather panics");
-        assert!(dense_st.grad16 == streamed_st.grad16, "streamed ∇θ16 differs from dense");
+        assert!(dense_st.grad16 == streamed16, "streamed ∇θ16 differs from dense");
         assert!(dense_st.grad16 == sampled16, "sampled ∇θ16 differs from dense");
         results.push(gemm_row("dw_dense_4x2048x2048", (m, n, k), reps, dense));
         results.push(gemm_row("dw_streamed_4x2048x2048", (m, n, k), reps, streamed));
@@ -441,8 +435,7 @@ pub fn run(quick: bool) -> Result<(), String> {
 
     let shares: Vec<Option<f64>> = results.iter().map(roof_share).collect();
     let mut own = to_json(&results, &shares, quick, best_of);
-    own.push(("thin_sweep".to_string(), thin_sweep(best_of, reps)));
-    own.push(("kept_sweep".to_string(), kept_sweep(best_of, reps)));
+    own.push(("path_sweep".to_string(), path_sweep(best_of, reps)));
     own.push(("gpt_layers".to_string(), gpt_layers(best_of, reps)));
     harness::record("kernels", own)
 }
@@ -451,151 +444,112 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|f| f.to_bits()).collect()
 }
 
-/// The sweep the two thin-batch dispatch constants of `tensor::gemm` are
-/// read from, at the wide layer's 2048 × 2048: over batch rows, the
-/// sampled `dyᵀ·x` against the row blocks (both compressing into `∇θ16`)
-/// at four densities, next to what `sampled_pays` picks; and the
-/// pack-free `dy·W16` against the packed one, next to what `sgemm` picks.
-fn thin_sweep(best_of: usize, reps: usize) -> Json {
-    let (out, inp) = (2048usize, 2048usize);
-    let batches = [1usize, 2, 4, 8, 16, 32, 64];
-    let tier = simd::active();
-    let dy = random_vec(64 * out, 40);
-    let x = random_vec(64 * inp, 41);
-    let opt = Optimizer::Adam(AdamConfig::default());
-
-    let mut dw = Vec::new();
-    let mut tab = crate::Table::new(
-        "bench_thin_sweep_dw",
-        &["rows", "density", "rows_x_density", "blocks_ms", "sampled_ms", "blocks_over_sampled", "picked"],
-    );
-    for density in [0.05, 0.1, 0.25, 0.5] {
-        let mask = prune::random_prune(&[out, inp], 1.0 - density, 42);
-        let st = std::sync::Mutex::new(SamoLayerState::from_params(&vec![0.0; out * inp], mask.clone(), &opt));
-        let mut sampled16 = vec![F16::ZERO; mask.nnz()];
-        for rows in batches {
-            let (dy, x) = (&dy[..rows * out], &x[..rows * inp]);
-            let [blocks, sampled] = duel(
-                best_of,
-                reps,
-                || {
-                    matmul_tn_row_blocks(out, inp, rows, dy, x, |r0, r1, block| {
-                        st.lock().expect("no gather panics").compress_grad_rows(r0, r1, block);
-                    })
-                },
-                || {
-                    matmul_tn_sampled(tier, out, inp, rows, dy, x, mask.indices(), &mut sampled16);
-                },
-            );
-            assert!(st.lock().expect("no gather panics").grad16 == sampled16, "sampled ∇θ16 differs");
-            let picked = if sampled_pays(rows, mask.nnz(), out * inp) { "sampled" } else { "blocks" };
-            tab.push(vec![
-                rows.to_string(),
-                format!("{density}"),
-                format!("{:.2}", rows as f64 * density),
-                format!("{:.4}", blocks.best_ms),
-                format!("{:.4}", sampled.best_ms),
-                format!("{:.2}", blocks.best_ms / sampled.best_ms),
-                picked.to_string(),
-            ]);
-            dw.push(obj([
-                ("rows", Json::UInt(rows as u64)),
-                ("density", Json::Num(density)),
-                ("blocks_ms", round6(blocks.best_ms)),
-                ("sampled_ms", round6(sampled.best_ms)),
-                ("picked", Json::Str(picked.to_string())),
-            ]));
-        }
-    }
-    println!("{}", tab.render());
-
-    let w16 = f32_slice_to_f16(&random_vec(out * inp, 43));
-    let mut nn = Vec::new();
-    let mut tab =
-        crate::Table::new("bench_thin_sweep_nn", &["rows", "packed_ms", "thin_ms", "packed_over_thin", "picked"]);
-    for rows in batches {
-        let dy = &dy[..rows * out];
-        let (mut c0, mut c1, mut c2) = (vec![0.0f32; rows * inp], vec![0.0f32; rows * inp], vec![0.0f32; rows * inp]);
-        let on_path = |thin, c: &mut [f32]| {
-            sgemm_on_path(thin, tier, false, false, rows, inp, out, 1.0, dy, out, &w16, inp, 0.0, c, inp)
-        };
-        let [packed, thin] = duel(best_of, reps, || on_path(false, &mut c0), || on_path(true, &mut c1));
-        sgemm(false, false, rows, inp, out, 1.0, dy, out, &w16, inp, 0.0, &mut c2, inp);
-        assert!(bits(&c0) == bits(&c1) && bits(&c0) == bits(&c2), "the paths of dy·W16 differ");
-        let picked = if rows <= THIN_MAX_M { "thin" } else { "packed" };
-        tab.push(vec![
-            rows.to_string(),
-            format!("{:.4}", packed.best_ms),
-            format!("{:.4}", thin.best_ms),
-            format!("{:.2}", packed.best_ms / thin.best_ms),
-            picked.to_string(),
-        ]);
-        nn.push(obj([
-            ("rows", Json::UInt(rows as u64)),
-            ("packed_ms", round6(packed.best_ms)),
-            ("thin_ms", round6(thin.best_ms)),
-            ("picked", Json::Str(picked.to_string())),
-        ]));
-    }
-    println!("{}", tab.render());
-    obj([("dw", Json::Arr(dw)), ("nn", Json::Arr(nn))])
+/// One family of [`PATH_SWEEP`]: `op` against a `side × side` weight at
+/// every row count × density, its short cut `path` raced against what
+/// runs where the planner declines it.
+pub struct Family {
+    pub key: &'static str,
+    op: Op,
+    side: usize,
+    rows: &'static [usize],
+    densities: &'static [f64],
+    path: Path,
 }
 
-/// The sweep `kept_pays` is read from, at `pipe2_mlp`'s 512 × 512 layer:
-/// over batch rows and densities, `x·Wᵀ` (`xwt`) and `dy·W` (`dyw`) from a
-/// pruned `θ16` as `sgemm` runs them against over the kept weights only
-/// (the same bits, asserted per cell), next to what `kept_pays` picks.
-fn kept_sweep(best_of: usize, reps: usize) -> Json {
-    let side = 512usize;
-    // Every row count between four and eight: where the pack-free `dy·W`
-    // ends and the kept one starts to win.
-    let batches = [1usize, 2, 4, 5, 6, 7, 8, 16, 32, 64];
+impl Family {
+    /// How many cells the family records.
+    pub fn cells(&self) -> usize {
+        self.rows.len() * self.densities.len()
+    }
+
+    /// What runs where the planner declines the family's short cut: the
+    /// row blocks for the sampled product, the packed one for the
+    /// pack-free, and for the kept product the dense weight's path.
+    fn rival(&self, rows: usize, numel: usize) -> Path {
+        match self.path {
+            Path::Sampled => Path::RowBlocks,
+            Path::PackFree => Path::Packed,
+            _ => plan(self.op, rows, numel, numel),
+        }
+    }
+}
+
+const DENSITIES: [f64; 4] = [0.05, 0.1, 0.25, 0.5];
+const THIN_ROWS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
+/// Every row count between four and eight, where the pack-free `dy·W`
+/// ends and the kept one starts to win, and `gpt_single`'s 512.
+const KEPT_ROWS: [usize; 11] = [1, 2, 4, 5, 6, 7, 8, 16, 32, 64, 512];
+
+/// The grid of `path_sweep`, the table the cuts of `tensor::gemm::plan`
+/// are read from: the weight gradient at the wide layer's 2048² (sampled
+/// against the row blocks), the pack-free `dy·W16` there against the
+/// packed one, and `x·Wᵀ` / `dy·W` at `pipe2_mlp`'s 512² over the kept
+/// weights against `sgemm`. The gate counts its cells off the same grid.
+pub const PATH_SWEEP: [Family; 4] = [
+    Family { key: "dw", op: Op::Tn, side: 2048, rows: &THIN_ROWS, densities: &DENSITIES, path: Path::Sampled },
+    Family { key: "nn", op: Op::Nn, side: 2048, rows: &THIN_ROWS, densities: &[1.0], path: Path::PackFree },
+    Family { key: "xwt", op: Op::Nt, side: 512, rows: &KEPT_ROWS, densities: &DENSITIES, path: Path::Kept },
+    Family { key: "dyw", op: Op::Nn, side: 512, rows: &KEPT_ROWS, densities: &DENSITIES, path: Path::Kept },
+];
+
+/// Every cell of [`PATH_SWEEP`] runs both of its paths through the pinned
+/// twins of `tensor::gemm` — the same bits, and for the weight gradient
+/// the same overflow flag, asserted per cell — and records their best
+/// times next to what `plan` picks.
+fn path_sweep(best_of: usize, reps: usize) -> Json {
     let tier = simd::active();
-    let a = random_vec(64 * side, 50);
-    let w = random_vec(side * side, 51);
-    let [xwt, dyw] = [("xwt", true), ("dyw", false)].map(|(key, transb)| {
-        let mut cells = Vec::new();
+    let families = PATH_SWEEP.iter().map(|f| {
+        let side = f.side;
+        let max_rows = f.rows.iter().copied().max().unwrap_or(0);
+        let (a, x, w) = (random_vec(max_rows * side, 40), random_vec(max_rows * side, 41), random_vec(side * side, 43));
         let mut tab = crate::Table::new(
-            &format!("bench_kept_sweep_{key}"),
-            &["rows", "density", "dense_ms", "kept_ms", "dense_over_kept", "picked"],
+            &format!("bench_path_sweep_{}", f.key),
+            &["rows", "density", "rival", "path", "rival_ms", "path_ms", "rival_over_path", "picked"],
         );
-        for density in [0.05, 0.1, 0.25, 0.5] {
-            let mask = prune::random_prune(&[side, side], 1.0 - density, 52);
+        let mut cells = Vec::new();
+        for &density in f.densities {
+            let mask = prune::random_prune(&[side, side], 1.0 - density, 42);
+            let (idx, nnz, numel) = (mask.indices(), mask.nnz(), side * side);
             let mut pruned = w.clone();
             mask.apply(&mut pruned);
             let w16 = f32_slice_to_f16(&pruned);
-            for rows in batches {
-                let a = &a[..rows * side];
-                let (mut dense, mut kept) = (vec![0.0f32; rows * side], vec![0.0f32; rows * side]);
-                let [dense_t, kept_t] = duel(
-                    best_of,
-                    reps,
-                    || sgemm(false, transb, rows, side, side, 1.0, a, side, &w16, side, 0.0, &mut dense, side),
-                    || sgemm_kept_on_path(true, tier, transb, rows, side, side, a, &w16, mask.indices(), &mut kept),
-                );
-                assert!(bits(&dense) == bits(&kept), "kept {key} differs from sgemm at {rows} rows, {density}");
-                let picked = if kept_pays(rows, mask.nnz(), side * side, transb) { "kept" } else { "dense" };
+            for &rows in f.rows {
+                let (rival, a, x) = (f.rival(rows, numel), &a[..rows * side], &x[..rows * side]);
+                // `C` of `x·Wᵀ` / `dy·W`; `∇θ16` and the flag of `dyᵀ·x`.
+                type Out = (Vec<f32>, Vec<F16>, bool);
+                let run = |path, (c, g16, finite): &mut Out| match f.op {
+                    Op::Tn => *finite = matmul_tn_kept_on_path(path, tier, side, side, rows, a, x, idx, g16),
+                    op => sgemm_kept_on_path(path, tier, op == Op::Nt, rows, side, side, a, &w16, idx, c),
+                };
+                let out = || (vec![0.0f32; rows * side], vec![F16::ZERO; if f.op == Op::Tn { nnz } else { 0 }], true);
+                let (mut by_rival, mut by_path) = (out(), out());
+                let [rival_t, path_t] = duel(best_of, reps, || run(rival, &mut by_rival), || run(f.path, &mut by_path));
+                let same = bits(&by_rival.0) == bits(&by_path.0) && (&by_rival.1, by_rival.2) == (&by_path.1, by_path.2);
+                assert!(same, "{} differs between {rival:?} and {:?} at {rows} rows, {density}", f.key, f.path);
+                let picked = plan(f.op, rows, nnz, numel);
                 tab.push(vec![
                     rows.to_string(),
                     format!("{density}"),
-                    format!("{:.4}", dense_t.best_ms),
-                    format!("{:.4}", kept_t.best_ms),
-                    format!("{:.2}", dense_t.best_ms / kept_t.best_ms),
-                    picked.to_string(),
+                    format!("{rival:?}"),
+                    format!("{:?}", f.path),
+                    format!("{:.4}", rival_t.best_ms),
+                    format!("{:.4}", path_t.best_ms),
+                    format!("{:.2}", rival_t.best_ms / path_t.best_ms),
+                    format!("{picked:?}"),
                 ]);
+                let ms = [(rival, rival_t), (f.path, path_t)].map(|(p, t)| (format!("{p:?}"), round6(t.best_ms)));
                 cells.push(obj([
                     ("rows", Json::UInt(rows as u64)),
                     ("density", Json::Num(density)),
-                    ("dense_ms", round6(dense_t.best_ms)),
-                    ("kept_ms", round6(kept_t.best_ms)),
-                    ("picked", Json::Str(picked.to_string())),
+                    ("ms", Json::Obj(ms.into())),
+                    ("picked", Json::Str(format!("{picked:?}"))),
                 ]));
             }
         }
         println!("{}", tab.render());
-        Json::Arr(cells)
+        (f.key.to_string(), Json::Arr(cells))
     });
-    obj([("xwt", xwt), ("dyw", dyw)])
+    Json::Obj(families.collect())
 }
 
 /// The per-layer-type profile of one `gpt_single` step (the benchmark

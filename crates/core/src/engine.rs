@@ -17,10 +17,9 @@
 //!   backward ([`SamoLayerState::compress_grad_product`]): the paper
 //!   compresses "at the granularity of a layer ... so that we never have
 //!   to store the uncompressed gradients for the entire model"
-//!   (Sec. III-C); here a thin batch's gradient is computed at the kept
-//!   positions only, straight into `∇θ16`, a fat batch's uncompressed
-//!   gradient is one GEMM row block, either way the dense `grad` is
-//!   released, and `apply` has nothing to clear. A dynamic-sparsity
+//!   (Sec. III-C); here the gradient is computed at the shared index
+//!   straight into `∇θ16` (`tensor::gemm` picks the product), the dense
+//!   `grad` is released, and `apply` has nothing to clear. A dynamic-sparsity
 //!   update step is the exception: its plain backward materialises the
 //!   dense gradients (they are the grow score), and `apply` releases
 //!   them again;

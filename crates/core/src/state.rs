@@ -20,10 +20,9 @@
 //! [`SamoLayerState::compress_grad_fused`] is that, for a runtime whose
 //! caller ran backward into a dense gradient;
 //! [`SamoLayerState::compress_grad_product`] takes the operands of
-//! `dW = dyᵀ·x` instead, for a runtime that drives backward itself —
-//! there a thin batch's gradient is computed at the kept positions only,
-//! and a fat one's uncompressed gradient is one row block
-//! ([`SamoLayerState::compress_grad_rows`]).
+//! `dW = dyᵀ·x` instead, for a runtime that drives backward itself:
+//! `tensor::gemm` computes that gradient at the shared index, and no
+//! layer's dense gradient exists.
 //!
 //! `θ16` is dense "so that the forward and backward passes can use fast
 //! dense kernels", and on the runtimes that own their model it is the
@@ -66,7 +65,6 @@ use nn::optim::{adam_bias_corrections, adam_update, sgd_update, AdamConfig, Adam
 use prune::Mask;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use tensor::f16::{to_f32_table, F16};
 use tensor::pool::{par_chunks_mut, SplitMut};
 use tensor::gemm;
@@ -440,55 +438,19 @@ impl SamoLayerState {
         all_finite.into_inner()
     }
 
-    /// [`Self::compress_grad_fused`] on the part of the dense gradient
-    /// that exists: `block` holds rows `row0..row1` of it (the tensor
-    /// read as `shape[0]` rows), and the kept positions inside those rows
-    /// — a contiguous run of the sorted index, found by two binary
-    /// searches — are gathered into their run of `∇θ16` while the block
-    /// is still in cache. This is "compression ... at the granularity of
-    /// a layer ... so that we never have to store the uncompressed
-    /// gradients" (Sec. III-C) taken one step further: the granularity of
-    /// a GEMM row block, so not even one layer's dense gradient exists.
-    /// Blocks covering every row once leave exactly the `∇θ16` the fused
-    /// kernel gathers from the assembled gradient; the AND of their
-    /// returns is its overflow flag.
-    pub fn compress_grad_rows(&mut self, row0: usize, row1: usize, block: &[f32]) -> bool {
-        let count = self.mask.shape().first().map_or(1, |&r| r.max(1));
-        let cols = self.numel() / count;
-        assert!(row0 <= row1 && row1 <= count, "rows {row0}..{row1} of {count}");
-        assert_eq!(block.len(), (row1 - row0) * cols);
-        let (lo, hi) = (row0 * cols, row1 * cols);
-        let (ind, grad16) = self.compress_target();
-        let s = ind.partition_point(|&i| (i as usize) < lo);
-        let e = s + ind[s..].partition_point(|&i| (i as usize) < hi);
-        simd::gather_narrow_finite(simd::active(), block, lo as u32, &ind[s..e], &mut grad16[s..e])
-    }
-
     /// [`Self::compress_grad_fused`] of a weight gradient `dW = dyᵀ·x`
-    /// that is never assembled, and below [`gemm::sampled_pays`] never
-    /// computed where it is pruned: `dy` is `rows × out`, `x` is
-    /// `rows × in`, the state's mask `out × in`. A thin batch at a sparse
-    /// mask runs [`gemm::matmul_tn_sampled`] over the shared index
-    /// straight into `∇θ16`; a fat batch, or a dense mask, keeps the dense
-    /// product, gathered from one row block at a time
-    /// ([`Self::compress_grad_rows`]; blocks come from pool threads, hence
-    /// the lock, held for one block's gather). Either way `∇θ16` and the
-    /// returned overflow flag are those of the fused kernel on
-    /// `matmul_tn_acc`'s product into zeros.
+    /// that is never assembled: `dy` is `rows × out`, `x` is `rows × in`,
+    /// the state's mask `out × in`. This is "compression ... at the
+    /// granularity of a layer ... so that we never have to store the
+    /// uncompressed gradients" (Sec. III-C) taken one step further: the
+    /// product is computed at the shared index straight into `∇θ16`
+    /// ([`gemm::matmul_tn_kept`], which picks how), so not even one layer's
+    /// dense gradient exists. `∇θ16` and the returned overflow flag are
+    /// those of the fused kernel on `matmul_tn_acc`'s product into zeros.
     pub fn compress_grad_product(&mut self, rows: usize, dy: &[f32], x: &[f32]) -> bool {
         let &[m, n] = self.mask.shape() else { panic!("a product's gradient is a matrix") };
-        if gemm::sampled_pays(rows, self.nnz(), self.numel()) {
-            let (ind, grad16) = self.compress_target();
-            return gemm::matmul_tn_sampled(simd::active(), m, n, rows, dy, x, ind, grad16);
-        }
-        const UNPOISONED: &str = "a panicking gather ends the product";
-        let state = Mutex::new((self, true));
-        gemm::matmul_tn_row_blocks(m, n, rows, dy, x, |row0, row1, block| {
-            let mut guard = state.lock().expect(UNPOISONED);
-            let finite = guard.0.compress_grad_rows(row0, row1, block);
-            guard.1 &= finite;
-        });
-        state.into_inner().expect(UNPOISONED).1
+        let (ind, grad16) = self.compress_target();
+        gemm::matmul_tn_kept(m, n, rows, dy, x, ind, grad16)
     }
 
     /// The index, and `∇θ16` at its full length for a compress to write.

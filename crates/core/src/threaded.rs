@@ -13,8 +13,8 @@
 //! ([`Layer::backward_into`] the engine's gradient sink), so
 //! communication overlaps the rest of the backward pass exactly as on a
 //! real cluster. The rank drives backward itself, so it can also take a
-//! `Linear`'s weight gradient while the GEMM produces it: each row block
-//! is compressed into `∇θ16` as it leaves the kernel, and a rank holds
+//! `Linear`'s weight gradient from the operands of its product: it is
+//! computed at the shared index straight into `∇θ16`, and a rank holds
 //! no dense gradient for a weight matrix between steps — only on a
 //! dynamic-sparsity update step, whose plain backward materialises them
 //! as the grow score. And because the rank owns its replica, the dense

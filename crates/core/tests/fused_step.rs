@@ -10,10 +10,8 @@
 //! multiple steps, at any sparsity including the fully dense (p = 0) and
 //! fully pruned (p = 1) extremes and fewer survivors than ranks, and
 //! with non-finite gradients injected — alternately at a kept and at a
-//! pruned position. The compress has a third form, the row-block one
-//! (`compress_grad_rows`, here handed every row at once), held to the
-//! same bits and flag; and one input is a matrix large enough that the
-//! kernel pool cuts both fused kernels into several tasks, between two
+//! pruned position. One input is a matrix large enough that the kernel
+//! pool cuts both fused kernels into several tasks, between two
 //! compressed positions in the middle of a row.
 //!
 //! Adam's fused pass has an AVX2 tier (`tensor::simd::adam_sweep_vector`:
@@ -97,7 +95,6 @@ fn assert_fused_matches_reference(
         .map(|r| SamoLayerState::from_params_sharded(&init, mask.clone(), &opt, r, d))
         .collect();
     let mut refr = fused.clone();
-    let mut by_rows = fused.clone();
     // The fused kernel's dense output buffers: each starts as the shared
     // dense view (zero at pruned positions, per its precondition) and is
     // updated in place by scatter alone afterwards.
@@ -120,9 +117,6 @@ fn assert_fused_matches_reference(
             refr[r].compress_grad(&grads);
             prop_assert_eq!(finite, !refr[r].grads_non_finite(), "rank {} step {}", r, step);
             prop_assert_eq!(bits16(&fused[r].grad16), bits16(&refr[r].grad16));
-            let finite_by_rows = by_rows[r].compress_grad_rows(0, shape[0], &grads);
-            prop_assert_eq!(finite_by_rows, finite, "rank {} step {}", r, step);
-            prop_assert_eq!(bits16(&by_rows[r].grad16), bits16(&refr[r].grad16));
             all_finite &= finite;
         }
 

@@ -2,14 +2,13 @@
 //! runtime a `Linear`'s `dyᵀ·x` is compressed into `∇θ16` from the
 //! product's operands and its dense `grad` never exists.
 //!
-//! * `SamoLayerState::compress_grad_rows` over any cut of the rows leaves
-//!   the bits (and the overflow flag) `compress_grad_fused` gathers from
-//!   the assembled dense gradient;
-//! * `SamoLayerState::compress_grad_product` leaves them too, whichever
-//!   product the batch and the mask select — the sampled one at the kept
-//!   positions or the row blocks — over thin and fat batches, masks from
-//!   empty to dense, shapes off the row group and the vector, zero row
-//!   groups, underflows and non-finite operands;
+//! * `SamoLayerState::compress_grad_product` leaves the bits (and the
+//!   overflow flag) `compress_grad_fused` gathers from the assembled dense
+//!   gradient, and so do the row blocks pinned, whichever product the
+//!   planner picks for the batch and the mask — the sampled one at the
+//!   kept positions or the row blocks — over thin and fat batches, masks
+//!   from empty to dense, shapes off the row group and the vector, zero
+//!   row groups, underflows and non-finite operands;
 //! * the ruler, read *inside the step closure* — where the model is in
 //!   its training form: every rank of `ThreadedDataParallelSamo` holds
 //!   f32 buffers for the biases only, values and gradients alike (a
@@ -41,7 +40,7 @@ use samo::{SamoLayerState, SamoTrainer};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use tensor::f16::F16;
-use tensor::gemm::{matmul_tn_acc, matmul_tn_row_blocks};
+use tensor::gemm::{matmul_tn_acc, matmul_tn_kept_on_path, plan, Op, Path};
 use tensor::Tensor;
 
 fn adam() -> Optimizer {
@@ -52,78 +51,8 @@ fn bits16(v: &[F16]) -> Vec<u16> {
     v.iter().map(|h| h.0).collect()
 }
 
-/// A dense gradient of ordinary values in a small-integer pattern.
-fn gradient(numel: usize, salt: usize) -> Vec<f32> {
-    (0..numel).map(|i| ((i * 31 + salt * 17) % 97) as f32 * 0.37 - 17.0).collect()
-}
-
-/// `compress_grad_rows` over `rows` cut every `step` rows, against the
-/// fused kernel on the whole of `dense`.
-fn assert_rows_match_fused(mask: &Mask, dense: &[f32], step: usize, what: &str) {
-    let (rows, cols) = (mask.shape()[0], mask.shape()[1]);
-    let values = vec![0.5f32; mask.numel()];
-    let mut whole = SamoLayerState::from_params(&values, mask.clone(), &adam());
-    let want_finite = whole.compress_grad_fused(dense);
-
-    let mut streamed = SamoLayerState::from_params(&values, mask.clone(), &adam());
-    // Stale values everywhere: every kept position must be overwritten.
-    streamed.grad16.fill(F16::from_f32(-3.0));
-    let mut finite = true;
-    for r0 in (0..rows).step_by(step) {
-        let r1 = (r0 + step).min(rows);
-        finite &= streamed.compress_grad_rows(r0, r1, &dense[r0 * cols..r1 * cols]);
-    }
-    assert_eq!(bits16(&streamed.grad16), bits16(&whole.grad16), "{what}: ∇θ16, blocks of {step}");
-    assert_eq!(finite, want_finite, "{what}: overflow flag, blocks of {step}");
-}
-
-#[test]
-fn row_blocks_compress_to_the_bits_of_the_fused_kernel() {
-    let (rows, cols) = (70usize, 33usize);
-    let numel = rows * cols;
-    // Random masks from dense to empty, and one with whole rows unkept
-    // (rows 3..40 hold nothing, row 40 holds its last column only).
-    let mut masks: Vec<(String, Mask)> = [0.0, 0.5, 0.9, 1.0]
-        .iter()
-        .map(|&p| (format!("p = {p}"), prune::random_prune(&[rows, cols], p, 5)))
-        .collect();
-    let kept: Vec<u32> = (0..numel as u32)
-        .filter(|&i| !(3 * cols as u32..41 * cols as u32 - 1).contains(&i) && i % 3 != 1)
-        .collect();
-    masks.push(("empty rows".into(), Mask::new(&[rows, cols], kept)));
-    assert_eq!(masks[3].1.nnz(), 0, "p = 1 keeps nothing");
-
-    for (name, mask) in &masks {
-        let ind = mask.indices();
-        let inside = |k: usize| ind.get(k * ind.len() / 7).map(|&i| i as usize);
-        let outside = (0..numel).find(|i| ind.binary_search(&(*i as u32)).is_err());
-        // (what, positions and values to plant)
-        let mut plants: Vec<(String, Vec<(usize, f32)>)> = vec![("finite".into(), Vec::new())];
-        if let (Some(a), Some(b), Some(c)) = (inside(1), inside(3), inside(6)) {
-            plants.push(("inf inside".into(), vec![(a, f32::INFINITY)]));
-            plants.push(("-inf and NaN inside".into(), vec![(b, f32::NEG_INFINITY), (c, f32::NAN)]));
-            plants.push(("f16 overflow inside".into(), vec![(a, 1e9)]));
-        }
-        if let Some(o) = outside {
-            // Never stored, so never seen: the verdict stays finite.
-            plants.push(("inf and NaN outside".into(), vec![(o, f32::INFINITY)]));
-        }
-        for (what, plant) in &plants {
-            let mut dense = gradient(numel, plant.len());
-            for &(at, v) in plant {
-                dense[at] = v;
-            }
-            // One row per block puts a boundary between every two kept
-            // entries of neighbouring rows; 64 is the GEMM's block.
-            for step in [1usize, 7, 64, rows] {
-                assert_rows_match_fused(mask, &dense, step, &format!("{name}, {what}"));
-            }
-        }
-    }
-}
-
 /// `∇θ16` and the overflow flag three ways: the fused kernel on the dense
-/// product accumulated into zeros, the row blocks compressed one by one,
+/// product accumulated into zeros, the row blocks gathered one by one,
 /// and `compress_grad_product` on the operands.
 type Compressed = (Vec<u16>, bool);
 
@@ -140,13 +69,10 @@ fn three_ways(mask: &Mask, batch: usize, dy: &[f32], x: &[f32]) -> [Compressed; 
     let mut whole = fresh();
     let whole_finite = whole.compress_grad_fused(&dense);
 
-    let blocks = Mutex::new((fresh(), true));
-    matmul_tn_row_blocks(out_f, in_f, batch, dy, x, |r0, r1, block| {
-        let mut g = blocks.lock().unwrap();
-        let finite = g.0.compress_grad_rows(r0, r1, block);
-        g.1 &= finite;
-    });
-    let (blocks, blocks_finite) = blocks.into_inner().unwrap();
+    let mut blocks = fresh();
+    let tier = tensor::simd::active();
+    let blocks_finite =
+        matmul_tn_kept_on_path(Path::RowBlocks, tier, out_f, in_f, batch, dy, x, mask.indices(), &mut blocks.grad16);
 
     let mut product = fresh();
     let product_finite = product.compress_grad_product(batch, dy, x);
@@ -168,7 +94,7 @@ fn streaming_the_gemm_compresses_what_the_dense_gradient_would() {
     let (out_f, in_f) = (200usize, 37usize);
     let mask = prune::random_prune(&[out_f, in_f], 0.8, 9);
     for &batch in &[4usize, 300] {
-        assert_eq!(tensor::gemm::sampled_pays(batch, mask.nnz(), mask.numel()), batch == 4);
+        assert_eq!(plan(Op::Tn, batch, mask.nnz(), mask.numel()) == Path::Sampled, batch == 4);
         let dy = Tensor::randn(&[batch, out_f], 50.0, 1);
         let x = Tensor::randn(&[batch, in_f], 50.0, 2);
         let [whole, blocks, product] = three_ways(&mask, batch, dy.as_slice(), x.as_slice());
@@ -196,7 +122,7 @@ fn the_product_compresses_to_the_bits_of_its_row_blocks_on_either_side_of_the_di
     let mut sampled_runs = 0;
     for (name, mask) in &masks {
         for batch in (1usize..=9).chain([32]) {
-            sampled_runs += usize::from(tensor::gemm::sampled_pays(batch, mask.nnz(), numel));
+            sampled_runs += usize::from(plan(Op::Tn, batch, mask.nnz(), numel) == Path::Sampled);
             // Ordinary magnitudes, then products that underflow to ±0.0
             // and subnormals; rows 4..8 of dW — a whole row group — see
             // an all-zero dy.

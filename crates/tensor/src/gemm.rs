@@ -23,10 +23,12 @@
 //! touches every B element once anyway, widens it — exactly — on the way
 //! into the f32 panel, so the dense `θ16` of the paper is multiplied as
 //! it is stored and every output bit is that of the f32 GEMM on the
-//! widened operand.
+//! widened operand. Which of the bit-identical products runs — packed,
+//! pack-free, over a lent index's kept weights, sampled at a kept index
+//! or in row blocks — is one function's choice, [`plan`], from the shape.
 
 use crate::f16::{to_f32_table, F16};
-use crate::pool::{par_chunks_mut, par_ranges, par_rows_mut};
+use crate::pool::{par_chunks_mut, par_parts_mut, par_ranges, par_rows_mut};
 use crate::simd::{self, Tier};
 use std::sync::{Arc, OnceLock};
 
@@ -101,32 +103,92 @@ pub fn sgemm_with_tier<B: GemmElem>(
     c: &mut [f32],
     ldc: usize,
 ) {
-    let thin = !transa && !transb && m <= THIN_MAX_M;
-    sgemm_on_path(thin, tier, transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+    let path = if transa || transb { Path::Packed } else { plan(Op::Nn, m, n * k, n * k) };
+    sgemm_on_path(path, tier, transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
 }
 
-/// Most rows of `A · B` (neither operand transposed) that take the
-/// pack-free path, `gemm_thin`: one strip of it, so B is streamed
-/// exactly once — never more bytes than the packed path moves. Read off
-/// the `nn` half of `repro bench`'s `thin_sweep` (EXPERIMENTS.md, PR 24;
-/// `dy·W16` at 2048 × 2048, packed over pack-free): 3.8 / 2.8 / 2.5 /
-/// 2.0× at 1 / 2 / 4 / 8 rows — the packed product copies every B
-/// element into its panel for a handful of rows to read once — and
-/// 1.6 / 1.5 / 1.4× at 16 / 32 / 64 (1.3 / 1.2 / 1.1× on one kernel
-/// thread), where every further strip streams B again: a gain that
-/// shrinks as the rows grow and that a 260 MB L3 is paying for, so fat
-/// batches keep the pack, whose traffic does not grow with `m`.
-pub const THIN_MAX_M: usize = 2 * MR;
+/// The product a weight takes part in: `A · B` (`dy·W`, and any product
+/// with neither operand transposed), `A · Bᵀ` (`x·Wᵀ`), or `Aᵀ · B` (the
+/// weight gradient `dyᵀ·x` at a kept index).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Op {
+    Nn,
+    Nt,
+    Tn,
+}
+
+/// How a product is computed. Every path of an [`Op`] gives the same bits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Path {
+    /// Packed panels of A and B: any shape, the one a fat batch takes.
+    Packed,
+    /// B streamed as it lies, one strip of rows at a time (`gemm_thin`).
+    PackFree,
+    /// Over the kept weights of a lent index only ([`sgemm_kept`]).
+    Kept,
+    /// `dyᵀ·x` at the kept positions only ([`matmul_tn_kept`]).
+    Sampled,
+    /// `dyᵀ·x` whole, one `MC`-row block at a time, gathered at the kept
+    /// positions while the block is in cache ([`matmul_tn_kept`]).
+    RowBlocks,
+}
+
+/// Most rows of `A · B` that take the pack-free path: one strip, so B is
+/// streamed exactly once — never more bytes than the packed path moves.
+const THIN_MAX_M: usize = 2 * MR;
+
+/// The kept product pays while `nnz ≤ numel / KEPT_DENSITY_CUT`, from
+/// `KEPT_MIN_ROWS` rows of A: `[dy·W, x·Wᵀ]`.
+const KEPT_DENSITY_CUT: usize = 5;
+const KEPT_MIN_ROWS: [usize; 2] = [5, 2];
+
+/// Deepest `k` of the sampled product: one k-block, like the `ADD` tile
+/// whose chain it runs (a row's live steps are listed on the stack).
+const SAMPLED_MAX_K: usize = KC;
+
+/// The sampled product pays while `rows · nnz ≤ SAMPLED_MAX_KEPT_ROWS · numel`.
+const SAMPLED_MAX_KEPT_ROWS: usize = 2;
+
+/// The one rule that picks between the bit-identical products of `op`:
+/// `rows` rows of A (for [`Op::Tn`], of `dy` and `x` — the batch), against
+/// a weight (for [`Op::Tn`], a gradient) of `numel` elements, `nnz` of them
+/// kept. A dense operand passes `nnz == numel` and never plans
+/// [`Path::Kept`]. It reads the shape alone: no knob, no environment
+/// variable, no workload name. The cuts are read off `repro bench`'s
+/// `path_sweep` and DESIGN.md §19 ("The planner") tabulates them:
+/// * `Aᵀ·B` is [`Path::Sampled`] while `rows ≤ 256` (one k-block) and
+///   `rows · nnz ≤ 2 · numel` — the sampled product does `rows · nnz`
+///   gathered multiply-adds where the row blocks do `rows · numel`
+///   streamed ones plus a write, a re-read and a gather — else
+///   [`Path::RowBlocks`];
+/// * `A·B` and `A·Bᵀ` are [`Path::Kept`] when at most a fifth of the
+///   weight is kept, from five rows of `dy·W` (below them the pack-free
+///   product streams W once at full vector width) and two of `x·Wᵀ` (one
+///   row gives the kept sweep nothing to spread its per-weight work over);
+/// * otherwise `A·B` of up to eight rows is [`Path::PackFree`], and every
+///   other product [`Path::Packed`].
+#[inline]
+pub fn plan(op: Op, rows: usize, nnz: usize, numel: usize) -> Path {
+    match op {
+        Op::Tn if rows <= SAMPLED_MAX_K && rows * nnz <= SAMPLED_MAX_KEPT_ROWS * numel => Path::Sampled,
+        Op::Tn => Path::RowBlocks,
+        _ if numel > 0 && rows >= KEPT_MIN_ROWS[usize::from(op == Op::Nt)] && KEPT_DENSITY_CUT * nnz <= numel => {
+            Path::Kept
+        }
+        Op::Nn if rows <= THIN_MAX_M => Path::PackFree,
+        _ => Path::Packed,
+    }
+}
 
 /// [`sgemm_with_tier`] on the path the caller names instead of the one
-/// `m` selects: `thin` is the pack-free product (both operands
-/// untransposed), otherwise the packed one. For the tests that hold the
-/// two to the same bits, and for the sweep [`THIN_MAX_M`] is read from.
+/// [`plan`] picks: [`Path::PackFree`] (both operands untransposed) or
+/// [`Path::Packed`]. For the tests that hold the two to the same bits,
+/// and for the sweep the cut is read from.
 #[doc(hidden)]
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub fn sgemm_on_path<B: GemmElem>(
-    thin: bool,
+    path: Path,
     tier: Tier,
     transa: bool,
     transb: bool,
@@ -142,6 +204,8 @@ pub fn sgemm_on_path<B: GemmElem>(
     c: &mut [f32],
     ldc: usize,
 ) {
+    assert!(matches!(path, Path::Packed | Path::PackFree), "{path:?} is not a path of sgemm");
+    let thin = path == Path::PackFree;
     assert!(!thin || !(transa || transb), "the pack-free product takes A and B as stored");
     if !begin_gemm(transa, transb, m, n, k, a.len(), lda, b.len(), ldb, c.len(), ldc) {
         return;
@@ -237,71 +301,88 @@ where
     });
 }
 
-/// Deepest `k` of [`matmul_tn_sampled`]: one k-block, like the `ADD` tile
-/// whose chain it runs (a row's live steps are listed on the stack).
-pub const SAMPLED_MAX_K: usize = KC;
-
-/// Compressed positions per pool task of [`matmul_tn_sampled`].
-const SAMPLED_MIN_CHUNK: usize = 32 * 1024;
-
-/// Whether `Aᵀ · B` (`k` rows of operands, `numel = m · n` products)
-/// should be computed at its `nnz` kept positions only
-/// ([`matmul_tn_sampled`]) rather than whole and gathered from
-/// ([`matmul_tn_row_blocks`]). The sampled product does `k · nnz` gathered
-/// multiply-adds where the blocks do `k · numel` streamed ones plus a
-/// write, a re-read and a gather of what is kept, so it pays while
-/// `k · nnz / numel` — the rows the kept share amounts to — stays small.
-/// The `dw` half of `repro bench`'s `thin_sweep` (EXPERIMENTS.md, PR 24;
-/// rows {1 … 64} × density {0.05 … 0.5} at 2048 × 2048, blocks over
-/// sampled) reads 1.2–3.9× in every cell with `k · nnz / numel <= 2`
-/// (1.04–2.4× on one kernel thread), 0.9–1.25× at 4 and 0.4–0.8× from 8
-/// on — Fig. 1's caveat: a fat batch keeps the dense product. Between 2
-/// and 4 the break-even moves with the density (sparse masks still win
-/// at 3.2 and 6.4), so the cut is the end that never picks the slower
-/// product on the grid.
-pub fn sampled_pays(k: usize, nnz: usize, numel: usize) -> bool {
-    k <= SAMPLED_MAX_K && k * nnz <= SAMPLED_MAX_KEPT_ROWS * numel
-}
-
-/// See [`sampled_pays`].
-const SAMPLED_MAX_KEPT_ROWS: usize = 2;
-
-/// `Aᵀ · B` for contiguous row-major `A` (`k × m`) and `B` (`k × n`),
-/// computed only where it is kept and never stored as f32: `idx` names
-/// positions of the row-major `m × n` product, strictly ascending, and
-/// `out[j]` receives position `idx[j]` narrowed to half precision.
-/// Returns `false` if any of those halves is non-finite.
+/// `Aᵀ · B` for contiguous row-major `A` (`k × m`) and `B` (`k × n`) —
+/// the weight gradient `dW = dyᵀ·x` — at a kept index, never stored as
+/// f32: `idx` names positions of the row-major `m × n` product, strictly
+/// ascending (a mask's shared index), and `out[j]` receives position
+/// `idx[j]` narrowed to half precision. Returns `false` if any of those
+/// halves is non-finite: the overflow flag of a loss-scaled gradient.
 ///
-/// Every kept element is the one [`matmul_tn_row_blocks`] would hand a
-/// consumer that gathers and narrows it — [`matmul_tn_acc`]'s chain into
-/// a zeroed C: FMAs over `k` ascending from `+0.0`, a step skipped exactly
-/// when every A value of the element's MR row group is zero (full groups
-/// from row 0 while they fit in `m`, single rows after — the cut of
-/// `microkernel`; a `0 · ∞` appears, or not, where the blocks put it),
-/// the chain added to `+0.0`. But the `k · (m·n − nnz)` multiply-adds at
-/// pruned positions are never done, and no block is written and read
-/// back to keep a tenth of it. Parallel over runs of `idx`, each task
-/// owning its part of `out`. See [`sampled_pays`] for when this wins.
+/// The counterpart of [`sgemm_kept`] for the third product a weight takes
+/// part in. Every kept half is what gathering and narrowing
+/// [`matmul_tn_acc`]'s product into zeros gives — FMAs over `k` ascending
+/// from `+0.0`, a step skipped exactly when every A value of the element's
+/// MR row group is zero, the chain added to `+0.0` — by whichever path
+/// [`plan`] picks: [`Path::Sampled`] computes the kept positions only,
+/// [`Path::RowBlocks`] the whole product one `MC`-row block at a time,
+/// each block's kept positions gathered while it is in cache.
 ///
 /// # Panics
-/// Panics if `k > SAMPLED_MAX_K`, the lengths of `idx` and `out` differ,
-/// an index lies outside the product or below the row of the one before
-/// it, or an operand is too small.
+/// Panics if the lengths of `idx` and `out` differ, an index lies outside
+/// the product, or an operand is too small; and, on the sampled path, if
+/// an index lies below the row of the one before it.
 #[allow(clippy::too_many_arguments)]
-pub fn matmul_tn_sampled(
-    tier: Tier,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    idx: &[u32],
-    out: &mut [F16],
+pub fn matmul_tn_kept(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], idx: &[u32], out: &mut [F16]) -> bool {
+    let path = plan(Op::Tn, k, idx.len(), m * n);
+    matmul_tn_kept_on_path(path, simd::active(), m, n, k, a, b, idx, out)
+}
+
+/// [`matmul_tn_kept`] on the path the caller names ([`Path::Sampled`],
+/// which needs `k ≤ 256`, or [`Path::RowBlocks`]) instead of the one
+/// [`plan`] picks, and on an explicit tier — for the suites that hold the
+/// two to the same bits and flag, and the sweep the cut is read from.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_tn_kept_on_path(
+    path: Path, tier: Tier, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], idx: &[u32], out: &mut [F16],
 ) -> bool {
-    check_dims(true, false, m, n, k, a.len(), m, b.len(), n, m * n, n);
-    assert!(k <= SAMPLED_MAX_K, "a sampled product is one k-block");
     assert_eq!(idx.len(), out.len());
     assert!(idx.last().is_none_or(|&i| (i as usize) < m * n), "index outside the product");
+    match path {
+        Path::Sampled => tn_sampled(tier, m, n, k, a, b, idx, out),
+        Path::RowBlocks => tn_gathered(tier, m, n, k, a, b, idx, out),
+        _ => panic!("{path:?} is not a path of the weight gradient"),
+    }
+}
+
+/// [`Path::RowBlocks`] of [`matmul_tn_kept`]: one task per `MC`-row panel
+/// of the product, owning the run of `out` its rows keep (a panel that
+/// keeps nothing is not computed); each block goes through
+/// `simd::gather_narrow_finite`, the kernel a compress of the assembled
+/// gradient runs, with the block's first position as the base.
+#[allow(clippy::too_many_arguments)]
+fn tn_gathered(tier: Tier, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], idx: &[u32], out: &mut [F16]) -> bool {
+    if !begin_gemm(true, false, m, n, k, a.len(), m, b.len(), n, m * n, n) {
+        return true;
+    }
+    let all_finite = std::sync::atomic::AtomicBool::new(true);
+    let ends = (1..=m.div_ceil(MC)).map(|p| idx.partition_point(|&i| (i as usize) < (p * MC).min(m) * n));
+    par_parts_mut(out, ends, |p, s, out| {
+        let run = &idx[s..s + out.len()];
+        tn_row_blocks::<true>(tier, p * MC, ((p + 1) * MC).min(m), m, n, k, a, b, |r0, _, block| {
+            if !simd::gather_narrow_finite(tier, block, (r0 * n) as u32, run, out) {
+                all_finite.store(false, std::sync::atomic::Ordering::Relaxed);
+            }
+        });
+    });
+    all_finite.into_inner()
+}
+
+/// Compressed positions per pool task of the sampled product.
+const SAMPLED_MIN_CHUNK: usize = 32 * 1024;
+
+/// [`Path::Sampled`] of [`matmul_tn_kept`]: walks the index row by row,
+/// lists the row's live steps — those its MR row group does not skip
+/// (full groups from row 0 while they fit in `m`, single rows after, the
+/// cut of `microkernel`; a `0 · ∞` appears, or not, where the blocks put
+/// it) — and hands the row's run to `simd::gather_fma_narrow_finite`. The
+/// `k · (m·n − nnz)` multiply-adds at pruned positions are never done,
+/// and no block is written and read back to keep a tenth of it. Parallel
+/// over runs of `idx`, each task owning its part of `out`.
+#[allow(clippy::too_many_arguments)]
+fn tn_sampled(tier: Tier, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], idx: &[u32], out: &mut [F16]) -> bool {
+    check_dims(true, false, m, n, k, a.len(), m, b.len(), n, m * n, n);
+    assert!(k <= SAMPLED_MAX_K, "a sampled product is one k-block");
     if telemetry::enabled() {
         gemm_metrics().0.inc();
         gemm_metrics().1.add(2 * (idx.len() as u64) * (k as u64));
@@ -349,41 +430,6 @@ pub fn matmul_tn_sampled(
     all_finite.into_inner()
 }
 
-/// Whether `x · Wᵀ` (`transb`) or `dy · W` with `rows` rows of A and a
-/// weight of `numel` elements, `nnz` of them kept, should run over the
-/// kept weights only ([`sgemm_kept`]) rather than whole ([`sgemm`]). The
-/// kept product pays an index entry, a widen and a broadcast per kept
-/// weight on top of its multiply-adds, so it wins while few are kept, and
-/// against a handful of rows it does not win at all: `dy · W` of up to
-/// [`THIN_MAX_M`] rows streams W once at full vector width (the pack-free
-/// product), and one row of `x · Wᵀ` gives the kept sweep nothing to
-/// spread its per-weight work over. Read off the `kept_sweep` of `repro
-/// bench` (EXPERIMENTS.md, "The lent θ16 brings its index"; rows {1, 2,
-/// 4, 5, 6, 7, 8, 16, 32, 64} × density {0.05 … 0.5} at 512 × 512, dense
-/// over kept). The row cuts ([`KEPT_MIN_ROWS`]) are read at density 0.1,
-/// the paper's p = 0.9: the kept `dy · W` is level with the pack-free one
-/// at two and four rows and ahead from five (1.5×; 2.3× at eight), the
-/// kept `x · Wᵀ` ahead from two in the sweep. The one-row forward is read
-/// off a training step instead: on `dp2_tcp_deep`'s 128² layers the kept
-/// forward measured 60 µs a step against 53 for `sgemm`, where the sweep,
-/// which repeats one layer in a tight loop, reads it ahead. A sparser mask
-/// wins from fewer rows (at 0.05, `dy · W` ≈ 1.9× at two and four). The
-/// density cut, a fifth of the weights kept at most ([`KEPT_DENSITY_CUT`]),
-/// is conservative: at density 0.25 the kept product is also the faster
-/// from 16 rows (1.6–2.4×), `x · Wᵀ` at six to eight too (1.2–1.4×), and
-/// `sgemm` runs there instead; no benchmark workload has a layer that
-/// dense.
-pub fn kept_pays(rows: usize, nnz: usize, numel: usize, transb: bool) -> bool {
-    rows >= KEPT_MIN_ROWS[usize::from(transb)] && KEPT_DENSITY_CUT * nnz <= numel
-}
-
-/// The kept product pays while `nnz ≤ numel / 5`, see [`kept_pays`].
-pub const KEPT_DENSITY_CUT: usize = 5;
-
-/// Fewest rows of A for which the kept product pays: `[dy · W, x · Wᵀ]`,
-/// see [`kept_pays`].
-pub const KEPT_MIN_ROWS: [usize; 2] = [5, 2];
-
 /// Rows of A one sweep of the index serves — eight vector accumulators —
 /// and the block a kernel task owns, as `sgemm`'s `MC`-row panel.
 const KEPT_ROWS: usize = 8 * 8;
@@ -395,7 +441,7 @@ const KEPT_ROWS: usize = 8 * 8;
 /// every other element is `±0`: the dense `θ16` a runtime lends with its
 /// mask's index. Bit for bit what [`sgemm`] computes on the same `B`
 /// (`alpha = 1`, `beta = 0`), computed over the kept positions only when
-/// [`kept_pays`] says it wins, by `sgemm` otherwise.
+/// [`plan`] picks [`Path::Kept`], by `sgemm` otherwise.
 ///
 /// The small operand, A, is transposed into thread-local scratch a block
 /// of up to 64 rows at a time (the unit of parallelism, as `sgemm`'s row
@@ -420,30 +466,25 @@ const KEPT_ROWS: usize = 8 * 8;
 /// index lies outside B, or the indices do not ascend.
 #[allow(clippy::too_many_arguments)]
 pub fn sgemm_kept(transb: bool, m: usize, n: usize, k: usize, a: &[f32], b: &[F16], idx: &[u32], c: &mut [f32]) {
-    let kept = kept_pays(m, idx.len(), n * k, transb);
-    sgemm_kept_on_path(kept, simd::active(), transb, m, n, k, a, b, idx, c);
+    let path = plan(if transb { Op::Nt } else { Op::Nn }, m, idx.len(), n * k);
+    sgemm_kept_on_path(path, simd::active(), transb, m, n, k, a, b, idx, c);
 }
 
 /// [`sgemm_kept`] on the path the caller names instead of the one
-/// [`kept_pays`] picks, and on an explicit tier — for the suite that
-/// holds it to `sgemm`'s bits and the sweep the cut is read from.
+/// [`plan`] picks — [`Path::Kept`], or a path of [`sgemm`] — and on an
+/// explicit tier: for the suite that holds it to `sgemm`'s bits and the
+/// sweep the cut is read from.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn sgemm_kept_on_path(
-    kept: bool,
-    tier: Tier,
-    transb: bool,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[F16],
-    idx: &[u32],
-    c: &mut [f32],
+    path: Path, tier: Tier, transb: bool, m: usize, n: usize, k: usize, a: &[f32], b: &[F16], idx: &[u32], c: &mut [f32],
 ) {
     let ldb = if transb { k } else { n };
+    if path != Path::Kept {
+        return sgemm_on_path(path, tier, false, transb, m, n, k, 1.0, a, k, b, ldb, 0.0, c, n);
+    }
     check_dims(false, transb, m, n, k, a.len(), k, b.len(), ldb, c.len(), n);
-    if !kept || m == 0 || n == 0 || k == 0 || !a[..m * k].iter().all(|v| v.is_finite()) {
+    if m == 0 || n == 0 || k == 0 || !a[..m * k].iter().all(|v| v.is_finite()) {
         return sgemm_with_tier(tier, false, transb, m, n, k, 1.0, a, k, b, ldb, 0.0, c, n);
     }
     assert!(idx.last().is_none_or(|&i| (i as usize) < n * k), "index outside the weight");

@@ -192,8 +192,8 @@ pub fn gather_narrow_finite(
 /// non-finite. With `src` a matrix of `width`-long rows, `off_t` the start
 /// of row `t` and `base..base + width` the positions `idx` lies in, this is
 /// one row of a product `Aᵀ·B` at the columns `idx` names, rounded as the
-/// GEMM's `ADD` tile rounds it into zeros — the inner loop of
-/// [`crate::gemm::matmul_tn_sampled`]. The AVX2 path runs eight columns
+/// GEMM's `ADD` tile rounds it into zeros — the inner loop of the sampled
+/// path of [`crate::gemm::matmul_tn_kept`]. The AVX2 path runs eight columns
 /// at a time, `vgatherdps` + `vfmadd` per term; the scalar tier is
 /// bitwise identical (`f32::mul_add`).
 ///

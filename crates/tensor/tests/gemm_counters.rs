@@ -7,7 +7,7 @@
 //! in its process: the counter and the enable flag are global.
 
 use tensor::f16::F16;
-use tensor::gemm::{matmul, matmul_tn_row_blocks, matmul_tn_sampled, sgemm_kept_on_path};
+use tensor::gemm::{matmul, matmul_tn_kept_on_path, matmul_tn_row_blocks, sgemm_kept_on_path, Path};
 use tensor::simd;
 
 #[test]
@@ -21,11 +21,11 @@ fn the_flop_counter_counts_what_ran() {
 
     let calls = telemetry::global().counter("tensor.sgemm_calls");
     let flops = telemetry::global().counter("tensor.sgemm_flops");
-    matmul_tn_sampled(simd::active(), m, n, k, &a, &b, &idx, &mut out);
+    matmul_tn_kept_on_path(Path::Sampled, simd::active(), m, n, k, &a, &b, &idx, &mut out);
     assert_eq!((calls.get(), flops.get()), (0, 0), "nothing is counted with telemetry off");
 
     telemetry::set_enabled(true);
-    matmul_tn_sampled(simd::active(), m, n, k, &a, &b, &idx, &mut out);
+    matmul_tn_kept_on_path(Path::Sampled, simd::active(), m, n, k, &a, &b, &idx, &mut out);
     assert_eq!((calls.get(), flops.get()), (1, (2 * idx.len() * k) as u64), "sampled: 2·nnz·k");
     matmul_tn_row_blocks(m, n, k, &a, &b, |_, _, _| {});
     assert_eq!((calls.get(), flops.get()), (2, (2 * (idx.len() + m * n) * k) as u64), "blocks: 2·m·n·k");
@@ -36,10 +36,10 @@ fn the_flop_counter_counts_what_ran() {
     let before = flops.get();
     let w = vec![F16::ONE; m * n];
     let mut y = vec![0.0f32; k * m];
-    sgemm_kept_on_path(true, simd::active(), true, k, m, n, &b, &w, &idx, &mut y);
+    sgemm_kept_on_path(Path::Kept, simd::active(), true, k, m, n, &b, &w, &idx, &mut y);
     assert_eq!(flops.get() - before, (2 * idx.len() * k) as u64, "kept: 2·nnz·m");
     // Declined, it is `sgemm`, and counted as one.
-    sgemm_kept_on_path(false, simd::active(), true, k, m, n, &b, &w, &idx, &mut y);
+    sgemm_kept_on_path(Path::Packed, simd::active(), true, k, m, n, &b, &w, &idx, &mut y);
     assert_eq!(flops.get() - before, (2 * (idx.len() + m * n) * k) as u64, "declined: 2·m·n·k");
     telemetry::set_enabled(false);
 }

@@ -10,7 +10,7 @@
 //! default pool in CI.
 
 use tensor::f16::F16;
-use tensor::gemm::{kept_pays, sgemm_kept, sgemm_kept_on_path, sgemm_with_tier};
+use tensor::gemm::{plan, sgemm_kept, sgemm_kept_on_path, sgemm_with_tier, Op, Path};
 use tensor::simd::Tier;
 
 struct Lcg(u64);
@@ -90,7 +90,7 @@ fn assert_same(transb: bool, m: usize, n: usize, k: usize, a: &[f32], w: &[F16],
     assert_eq!(bits(&run_dense(Tier::Avx2)), bits(&want), "sgemm across tiers: {what}");
     for tier in [Tier::Scalar, Tier::Avx2] {
         let mut c = vec![f32::NAN; m * n];
-        sgemm_kept_on_path(true, tier, transb, m, n, k, a, w, idx, &mut c);
+        sgemm_kept_on_path(Path::Kept, tier, transb, m, n, k, a, w, idx, &mut c);
         assert_eq!(bits(&c), bits(&want), "kept on {tier:?}: {what}");
     }
     let mut c = vec![f32::NAN; m * n];
@@ -172,6 +172,7 @@ fn the_cut_reads_rows_and_density() {
     // four rows the forward only, `dp2_tcp_deep`'s one row neither; a
     // mask past a fifth kept keeps `sgemm`.
     let (numel, nnz) = (512 * 512, 26_214);
+    let kept_pays = |rows, nnz, numel, transb| plan(if transb { Op::Nt } else { Op::Nn }, rows, nnz, numel) == Path::Kept;
     assert!(kept_pays(32, nnz, numel, true) && kept_pays(32, nnz, numel, false));
     assert!(kept_pays(4, nnz, numel, true) && !kept_pays(4, nnz, numel, false));
     assert!(kept_pays(5, nnz, numel, false) && kept_pays(2, nnz, numel, true));
@@ -185,5 +186,5 @@ fn the_cut_reads_rows_and_density() {
 fn indices_out_of_order_are_refused() {
     let (a, w) = (vec![1.0f32; 8], vec![F16::ONE; 16]);
     let mut c = vec![0.0f32; 8];
-    sgemm_kept_on_path(true, Tier::Scalar, true, 2, 4, 4, &a, &w, &[9, 3], &mut c);
+    sgemm_kept_on_path(Path::Kept, Tier::Scalar, true, 2, 4, 4, &a, &w, &[9, 3], &mut c);
 }

@@ -1,7 +1,7 @@
-//! `matmul_tn_sampled`: `Aᵀ·B` computed at its kept positions only. Every
-//! kept half, and the overflow verdict, must be what gathering and
-//! narrowing `matmul_tn_row_blocks`' blocks gives (`gather_narrow_finite`
-//! — the pair the sampled product replaces below `sampled_pays`): batches
+//! The sampled path of `matmul_tn_kept`: `Aᵀ·B` computed at its kept
+//! positions only. Every kept half, and the overflow verdict, must be what
+//! gathering and narrowing `matmul_tn_row_blocks`' blocks gives
+//! (`gather_narrow_finite` — the pair the planner trades it for): batches
 //! of one row to past a row group and a fat one, output rows off the MR
 //! group (single-row groups), input columns off the vector (scalar
 //! tails), masks from empty over one value to dense, an all-zero row
@@ -12,7 +12,7 @@
 
 use std::sync::Mutex;
 use tensor::f16::F16;
-use tensor::gemm::{matmul_tn_row_blocks, matmul_tn_sampled, sampled_pays, SAMPLED_MAX_K};
+use tensor::gemm::{matmul_tn_kept_on_path, matmul_tn_row_blocks, plan, Op, Path};
 use tensor::simd::{gather_narrow_finite, Tier};
 
 struct Lcg(u64);
@@ -65,7 +65,7 @@ fn by_blocks(tier: Tier, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], idx
 fn sampled(tier: Tier, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], idx: &[u32]) -> (Vec<u16>, bool) {
     // Stale values everywhere: every kept position must be overwritten.
     let mut out = vec![F16::from_f32(-3.0); idx.len()];
-    let finite = matmul_tn_sampled(tier, m, n, k, a, b, idx, &mut out);
+    let finite = matmul_tn_kept_on_path(Path::Sampled, tier, m, n, k, a, b, idx, &mut out);
     (out.iter().map(|h| h.0).collect(), finite)
 }
 
@@ -162,12 +162,13 @@ fn non_finite_operands_give_the_verdict_of_the_blocks() {
 fn the_dispatch_reads_rows_times_density() {
     // 4 rows at p = 0.9 sample; a fat batch at the same density, or a
     // thin one at a dense mask, keeps the blocks.
+    let sampled_pays = |k, nnz, numel| plan(Op::Tn, k, nnz, numel) == Path::Sampled;
     assert!(sampled_pays(4, 419_430, 2048 * 2048));
     assert!(!sampled_pays(64, 419_430, 2048 * 2048));
     assert!(!sampled_pays(8, 2048 * 2048 / 2, 2048 * 2048));
     assert!(sampled_pays(2, 2048 * 2048, 2048 * 2048));
-    assert!(!sampled_pays(SAMPLED_MAX_K + 1, 1, 2048 * 2048), "past one k-block");
-    assert!(sampled_pays(SAMPLED_MAX_K, 0, 1));
+    assert!(!sampled_pays(257, 1, 2048 * 2048), "past one k-block");
+    assert!(sampled_pays(256, 0, 1));
 }
 
 #[test]
@@ -175,5 +176,5 @@ fn the_dispatch_reads_rows_times_density() {
 fn an_index_below_its_predecessors_row_is_refused() {
     let (a, b) = (vec![1.0f32; 8], vec![1.0f32; 8]);
     let mut out = vec![F16::ZERO; 2];
-    matmul_tn_sampled(Tier::Scalar, 4, 4, 2, &a, &b, &[9, 3], &mut out);
+    matmul_tn_kept_on_path(Path::Sampled, Tier::Scalar, 4, 4, 2, &a, &b, &[9, 3], &mut out);
 }

@@ -9,7 +9,7 @@
 //! default tier, `SAMO_THREADS=1` and the default pool in CI.
 
 use tensor::f16::{narrow_slice, to_f32_table, F16};
-use tensor::gemm::{sgemm, sgemm_on_path, GemmElem};
+use tensor::gemm::{sgemm, sgemm_on_path, GemmElem, Path};
 use tensor::simd::Tier;
 
 /// Values in [-2, 2) from a small LCG. With `zero_groups`, columns
@@ -37,7 +37,7 @@ type Dims = (usize, usize, usize);
 
 #[allow(clippy::too_many_arguments)]
 fn run<B: GemmElem>(
-    thin: bool,
+    path: Path,
     tier: Tier,
     (m, n, k): Dims,
     (alpha, beta): (f32, f32),
@@ -47,7 +47,7 @@ fn run<B: GemmElem>(
     c: &mut [f32],
     ldc: usize,
 ) {
-    sgemm_on_path(thin, tier, false, false, m, n, k, alpha, a, k, b, ldb, beta, c, ldc);
+    sgemm_on_path(path, tier, false, false, m, n, k, alpha, a, k, b, ldb, beta, c, ldc);
 }
 
 #[test]
@@ -80,13 +80,13 @@ fn the_thin_product_is_the_packed_product_bit_for_bit() {
                 }
                 for scale in [(1.0f32, 0.0f32), (0.5, 1.0), (1.0, 0.5)] {
                     let mut want = c0.clone();
-                    run(false, Tier::Scalar, (m, n, k), scale, &a, &b32, ldb, &mut want, ldc);
+                    run(Path::Packed, Tier::Scalar, (m, n, k), scale, &a, &b32, ldb, &mut want, ldc);
                     for tier in [Tier::Scalar, Tier::Avx2] {
                         let what = format!("{m}x{n}x{k}, (alpha, beta) {scale:?}, {tier:?}");
                         let (mut packed, mut t32, mut t16) = (c0.clone(), c0.clone(), c0.clone());
-                        run(false, tier, (m, n, k), scale, &a, &b16, ldb, &mut packed, ldc);
-                        run(true, tier, (m, n, k), scale, &a, &b32, ldb, &mut t32, ldc);
-                        run(true, tier, (m, n, k), scale, &a, &b16, ldb, &mut t16, ldc);
+                        run(Path::Packed, tier, (m, n, k), scale, &a, &b16, ldb, &mut packed, ldc);
+                        run(Path::PackFree, tier, (m, n, k), scale, &a, &b32, ldb, &mut t32, ldc);
+                        run(Path::PackFree, tier, (m, n, k), scale, &a, &b16, ldb, &mut t16, ldc);
                         assert_eq!(bits(&packed), bits(&want), "packed, f16 B: {what}");
                         assert_eq!(bits(&t32), bits(&want), "thin, f32 B: {what}");
                         assert_eq!(bits(&t16), bits(&want), "thin, f16 B: {what}");
@@ -114,8 +114,8 @@ fn alpha_that_underflows_a_row_group_skips_it_on_both_paths() {
     let c0 = operand(m, n, 5, false);
     for tier in [Tier::Scalar, Tier::Avx2] {
         let (mut packed, mut thin) = (c0.clone(), c0.clone());
-        run(false, tier, (m, n, k), (1e-30, 1.0), &a, &b, n, &mut packed, n);
-        run(true, tier, (m, n, k), (1e-30, 1.0), &a, &b, n, &mut thin, n);
+        run(Path::Packed, tier, (m, n, k), (1e-30, 1.0), &a, &b, n, &mut packed, n);
+        run(Path::PackFree, tier, (m, n, k), (1e-30, 1.0), &a, &b, n, &mut thin, n);
         assert_eq!(bits(&thin), bits(&packed), "{tier:?}");
         assert_eq!(bits(&thin[..4 * n]), bits(&c0[..4 * n]), "the underflowed group adds nothing");
         assert!(thin[4 * n + 3].is_infinite(), "the live group meets the infinity");

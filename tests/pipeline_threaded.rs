@@ -16,6 +16,7 @@ use prune::Mask;
 use samo::pipeline::{PipelineConfig, ThreadedPipelineSamo};
 use samo::SamoTrainer;
 use std::time::{Duration, Instant};
+use tensor::gemm::{plan, Op, Path};
 use tensor::Tensor;
 
 const IN: usize = 6;
@@ -276,8 +277,8 @@ fn sparse_batch(step: u64, mb: usize) -> (Tensor, Tensor) {
 fn kept_products_from_the_lent_index_match_single_process_bitwise() {
     let masks = sparse_masks();
     for m in masks.iter().filter(|m| m.shape().len() == 2) {
-        for transb in [true, false] {
-            assert!(tensor::gemm::kept_pays(16, m.nnz(), m.numel(), transb), "{:?}", m.shape());
+        for op in [Op::Nt, Op::Nn] {
+            assert_eq!(plan(op, 16, m.nnz(), m.numel()), Path::Kept, "{op:?}, {:?}", m.shape());
         }
     }
     for (g_inter, g_data) in [(2usize, 1usize), (3, 2)] {

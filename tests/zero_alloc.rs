@@ -24,7 +24,7 @@ use nn::qlinear::QuantLinear;
 use samo::SamoTrainer;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use tensor::gemm::{kept_pays, matmul, sgemm_kept};
+use tensor::gemm::{matmul, plan, sgemm_kept, Op, Path};
 use tensor::Tensor;
 
 struct CountingAlloc;
@@ -305,7 +305,7 @@ fn hot_paths_allocate_nothing_in_steady_state() {
         assert!(sink.take_product(0, batch, ldy.as_slice(), lx.as_slice()));
     };
     let smask = prune::random_prune(&[out_f, in_f], 0.9, 33);
-    assert!(tensor::gemm::sampled_pays(batch, smask.nnz(), smask.numel()));
+    assert_eq!(plan(Op::Tn, batch, smask.nnz(), smask.numel()), Path::Sampled);
     let mut sink = compress(smask);
     let events = alloc_events_during(|| stream_dw(&mut sink));
     assert_eq!(events, 0, "cold sampled dW + compress allocated {events} time(s)");
@@ -371,7 +371,7 @@ fn hot_paths_allocate_nothing_in_steady_state() {
     let (kx, kdy) = (Tensor::randn(&[rows, in_f], 1.0, 36), Tensor::randn(&[rows, out_f], 1.0, 37));
     let (mut ky, mut kdx) = (vec![0.0f32; rows * out_f], vec![0.0f32; rows * in_f]);
     let (nnz, numel) = (kmask.nnz(), kmask.numel());
-    assert!(kept_pays(rows, nnz, numel, true) && kept_pays(rows, nnz, numel, false));
+    assert!(plan(Op::Nt, rows, nnz, numel) == Path::Kept && plan(Op::Nn, rows, nnz, numel) == Path::Kept);
     let idx = kmask.indices();
     let grown = alloc_events_during(|| sgemm_kept(true, rows, out_f, in_f, kx.as_slice(), &kw16, idx, &mut ky));
     assert_eq!(grown, 1, "the first kept forward grows the scratch once");
