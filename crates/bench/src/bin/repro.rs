@@ -62,7 +62,7 @@ use nn::mixed::Optimizer;
 use nn::optim::AdamConfig;
 use prune::Mask;
 use samo::memory;
-use samo::trainer::{DenseMaskedTrainer, SamoTrainer};
+use samo::{reference::DenseMaskedTrainer, trainer::SamoTrainer};
 use std::time::Instant;
 use summit_sim::kernels::fig1_fc_layer;
 use summit_sim::machine::SUMMIT;

@@ -4,8 +4,9 @@
 //!
 //! Covered kernels (see EXPERIMENTS.md for the JSON schema):
 //! * `samo_step_fused` / `samo_step_reference` — the fused two-kernel
-//!   SAMO step vs the retained three-phase oracle, same layer state.
-//!   Gated: the fused path may never be slower than the reference.
+//!   SAMO step vs the three-phase oracle of `samo::reference`, same
+//!   layer state. Gated: the fused path may never be slower than the
+//!   reference.
 //! * `gemm_256` and `gemm_attn_32x32x16` — one large square GEMM and a
 //!   swarm of attention-shaped small GEMMs.
 //! * `gemm_nn_4x2048x2048` / `gemm_nn_packed_4x2048x2048` /
@@ -60,6 +61,7 @@
 //! whole `TinyGpt` step.
 
 use crate::harness::{self, duel, duel_n, obj, random_vec, round6, sample, Sample};
+use comms::reference::allreduce_mean_f16;
 use models::tiny::{TinyGpt, TinyGptConfig};
 use nn::activations::Gelu;
 use nn::attention::CausalSelfAttention;
@@ -68,9 +70,8 @@ use nn::linear::Linear;
 use nn::mixed::Optimizer;
 use nn::norm::LayerNorm;
 use nn::optim::AdamConfig;
-use samo::state::SamoLayerState;
-use samo::trainer::allreduce_mean_f16;
-use samo::{compress, expand};
+use samo::reference::{compress_grad, grads_non_finite, optimizer_step};
+use samo::{compress, expand, state::SamoLayerState};
 use telemetry::json::Json;
 use tensor::f16::{f16_slice_to_f32, f32_slice_to_f16, F16};
 use tensor::gemm::{
@@ -141,9 +142,9 @@ pub fn run(quick: bool) -> Result<(), String> {
         let mut st = SamoLayerState::from_params(&init, mask.clone(), &opt);
         let mut dense = st.dense_f32_params();
         let timed = sample(best_of, reps, || {
-            st.compress_grad(&grads);
-            assert!(!st.grads_non_finite());
-            st.optimizer_step(&opt, 1.0);
+            compress_grad(&mut st, &grads);
+            assert!(!grads_non_finite(&st));
+            optimizer_step(&mut st, &opt, 1.0);
             dense.copy_from_slice(&st.dense_f32_params());
         });
         results.push(KernelResult { name: "samo_step_reference", n: phi, reps, timed, flops: None, bytes: None, roof: None });

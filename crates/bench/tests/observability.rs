@@ -31,12 +31,10 @@ use nn::mixed::Optimizer;
 use nn::optim::AdamConfig;
 use prune::dynamic::{MaskSchedule, MomentumPruneRegrow};
 use samo::pipeline::{PipelineConfig, ThreadedPipelineSamo};
+use samo::reference::{DataParallelSamo, DenseMaskedTrainer};
 use samo::sentinel::{DivergenceSentinel, SentinelConfig};
-use samo::trainer::{DenseMaskedTrainer, SamoTrainer};
-use samo::{
-    CheckpointConfig, CheckpointManager, DataParallelSamo, DistDataParallel,
-    ThreadedDataParallelSamo,
-};
+use samo::trainer::SamoTrainer;
+use samo::{CheckpointConfig, CheckpointManager, DistDataParallel, ThreadedDataParallelSamo};
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::Arc;

@@ -2,8 +2,8 @@
 //!
 //! This is the function the chunked ring all-reduce must equal
 //! bit-for-bit (property-tested in `tests/ring_oracle.rs`), and the one
-//! `samo::trainer::allreduce_mean_f16` delegates to so the in-process
-//! `DataParallelSamo` and the threaded runtime compute the same bits.
+//! the in-process oracle `samo::reference::DataParallelSamo` reduces
+//! with, so it and the threaded runtime compute the same bits.
 //!
 //! # Why exact summation buys determinism
 //!

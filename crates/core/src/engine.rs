@@ -66,10 +66,10 @@
 //! drivers open none for compress and reduce, because there both
 //! interleave with backward.
 //!
-//! [`crate::DataParallelSamo`], the sequential oracle the threaded
-//! runtimes are compared with, keeps its own step and shares only the
-//! construction, checkpoint and telemetry helpers at the bottom of this
-//! file.
+//! [`crate::reference::DataParallelSamo`], the sequential oracle the
+//! threaded runtimes are compared with, keeps its own step and shares
+//! only the construction, checkpoint and telemetry helpers at the bottom
+//! of this file.
 
 use crate::serialize::{load_checkpoint, save_checkpoint, TrainerMeta};
 use crate::state::{RemapScratch, SamoLayerState};
@@ -134,7 +134,8 @@ pub(crate) struct Labels {
 }
 
 pub(crate) const SAMO: Labels = Labels { prefix: "samo" };
-/// [`crate::DistDataParallel`] and the sequential [`crate::DataParallelSamo`].
+/// [`crate::DistDataParallel`] and the sequential
+/// [`crate::reference::DataParallelSamo`].
 pub(crate) const DP: Labels = Labels { prefix: "samo.dp" };
 pub(crate) const DP_THREADED: Labels = Labels {
     prefix: "samo.dp_threaded",
@@ -303,7 +304,7 @@ impl<R: Reducer> StepEngine<R> {
     /// The compute model is *not* included — θ16 is reconstructible from
     /// the checkpoint via [`Self::restore`]. The layers must be
     /// unsharded; a sharded group gathers them first
-    /// ([`SamoLayerState::to_full_layer`]).
+    /// ([`crate::reference::to_full_layer`]).
     pub fn save(&self) -> bytes::Bytes {
         save_checkpoint(&self.layers, &self.meta())
     }

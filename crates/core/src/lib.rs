@@ -16,8 +16,8 @@
 //!   ZeRO-sharded variants, and byte-exact accounting,
 //! * [`state`] — [`state::SamoLayerState`], the per-layer compressed
 //!   mixed-precision model state (the whole compressed space or one
-//!   ZeRO-style shard of it), its fused and three-phase step kernels and
-//!   the dynamic-sparsity remap; [`sharded`] is its old second name,
+//!   ZeRO-style shard of it), its fused step kernels and the
+//!   dynamic-sparsity remap; [`sharded`] is its old second name,
 //! * [`engine`] — [`engine::StepEngine`], the one per-rank training step
 //!   (compress → reduce → verdict → optimizer → expand), generic over
 //!   how gradients are reduced.
@@ -25,17 +25,23 @@
 //! The runtimes that drive it (DESIGN.md §20):
 //!
 //! * [`trainer`] — [`SamoTrainer`], the engine on a single worker; the
-//!   dense masked baseline it is numerically equivalent to; the closed
-//!   forms of state bytes and all-reduce volume,
+//!   closed forms of state bytes and all-reduce volume,
 //! * [`dist`] — [`DistDataParallel`], the engine reducing over any
 //!   `comms::Transport`, one rank per process,
 //! * [`threaded`] — [`ThreadedDataParallelSamo`], one engine per rank
 //!   thread with the ring overlapped with backward, and the thread
 //!   protocol both threaded runtimes share,
 //! * [`pipeline`] — [`ThreadedPipelineSamo`], the hybrid
-//!   `G_inter × G_data` 1F1B pipeline,
-//! * [`data_parallel`] — [`DataParallelSamo`], the sequential in-process
-//!   oracle the threaded runtimes are compared with.
+//!   `G_inter × G_data` 1F1B pipeline.
+//!
+//! What a correct step is — run by no runtime, checked against by all:
+//!
+//! * [`reference`](mod@reference) — the paper's three-phase step over
+//!   one layer state, [`DataParallelSamo`], the sequential in-process
+//!   oracle the threaded runtimes are compared with, and
+//!   [`DenseMaskedTrainer`], the dense masked baseline SAMO is
+//!   numerically equivalent to; [`data_parallel`] is the oracle's old
+//!   path.
 //!
 //! Keeping a run alive:
 //!
@@ -67,6 +73,7 @@ pub mod dist;
 pub mod engine;
 pub mod memory;
 pub mod pipeline;
+pub mod reference;
 pub mod sentinel;
 pub mod serialize;
 pub mod sharded;
@@ -82,12 +89,12 @@ pub use compressed::{compress, expand};
 pub use memory::{
     m_default_bytes, m_samo_bytes, m_samo_zero_bytes, samo_savings_fraction, SamoBreakdown,
 };
-pub use data_parallel::DataParallelSamo;
 pub use dist::DistDataParallel;
 pub use pipeline::{PipelineConfig, StageStats, ThreadedPipelineSamo};
+pub use reference::{DataParallelSamo, DenseMaskedTrainer};
 pub use sentinel::{DivergenceSentinel, SentinelConfig, Verdict};
 pub use serialize::TrainerMeta;
 pub use sharded::ShardedSamoLayerState;
 pub use state::SamoLayerState;
 pub use threaded::ThreadedDataParallelSamo;
-pub use trainer::{DenseMaskedTrainer, SamoTrainer};
+pub use trainer::SamoTrainer;

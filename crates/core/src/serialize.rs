@@ -317,6 +317,7 @@ pub fn load_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{compress_grad, optimizer_step, optimizer_step_shard, to_full_layer};
     use nn::optim::{AdamConfig, SgdConfig};
 
     fn adam() -> Optimizer {
@@ -334,8 +335,8 @@ mod tests {
                 let values: Vec<f32> = (0..phi).map(|j| (j as f32).sin()).collect();
                 let mut st = SamoLayerState::from_params(&values, mask, opt);
                 // Make the state non-trivial.
-                st.compress_grad(&vec![0.25; phi]);
-                st.optimizer_step(opt, 1.0);
+                compress_grad(&mut st, &vec![0.25; phi]);
+                optimizer_step(&mut st, opt, 1.0);
                 st
             })
             .collect()
@@ -437,10 +438,10 @@ mod tests {
             for (r, st) in shards.iter_mut().enumerate() {
                 // Local gradients differ between ranks outside the owned range.
                 let grads: Vec<f32> = (0..70).map(|j| (j + r) as f32 * 0.01).collect();
-                st.compress_grad(&grads);
-                st.optimizer_step_shard(&opt, 1.0);
+                compress_grad(st, &grads);
+                optimizer_step_shard(st, &opt, 1.0);
             }
-            let full = SamoLayerState::to_full_layer(&shards.iter().collect::<Vec<_>>());
+            let full = to_full_layer(&shards.iter().collect::<Vec<_>>());
             let want = save_checkpoint(std::slice::from_ref(&full), &meta());
             let borrowed = shards.iter().map(SamoLayerState::owned_range).collect();
             assert_eq!(save_ranges(&[(mask.clone(), borrowed)], &meta()), want);
@@ -462,16 +463,16 @@ mod tests {
 
         let mut live = SamoLayerState::from_params(&values, mask, &opt);
         for s in 0..3 {
-            live.compress_grad(&grad_at(s));
-            live.optimizer_step(&opt, 1.0);
+            compress_grad(&mut live, &grad_at(s));
+            optimizer_step(&mut live, &opt, 1.0);
         }
         let checkpoint = save_checkpoint(std::slice::from_ref(&live), &meta());
         let mut resumed = load_checkpoint(&checkpoint, &opt).unwrap().0.pop().unwrap();
         for s in 3..6 {
-            live.compress_grad(&grad_at(s));
-            live.optimizer_step(&opt, 1.0);
-            resumed.compress_grad(&grad_at(s));
-            resumed.optimizer_step(&opt, 1.0);
+            compress_grad(&mut live, &grad_at(s));
+            optimizer_step(&mut live, &opt, 1.0);
+            compress_grad(&mut resumed, &grad_at(s));
+            optimizer_step(&mut resumed, &opt, 1.0);
         }
         assert_eq!(live.theta32, resumed.theta32);
         assert_eq!(live.theta16, resumed.theta16);

@@ -54,11 +54,11 @@
 //! range ([`SamoLayerState::optimizer_step_owned`]), and the updated
 //! compressed fp16 ranges are all-gathered and scattered through `ind`
 //! into every rank's `θ16` ([`SamoLayerState::scatter_gathered`]).
-//! [`SamoLayerState::optimizer_step_shard`] and
-//! [`SamoLayerState::install_gathered`] are the three-phase reference of
-//! the same step.
+//! [`crate::reference::optimizer_step_shard`] and
+//! [`crate::reference::install_gathered`] are the three-phase reference
+//! of the same step.
 
-use crate::compressed::{compress, expand_into, expand_over_zeroed, Scatter};
+use crate::compressed::{compress, expand_over_zeroed, Scatter};
 use crate::memory::SamoBreakdown;
 use nn::mixed::{OptState, Optimizer};
 use nn::optim::{adam_bias_corrections, adam_update, sgd_update, AdamConfig, AdamState, SgdState};
@@ -79,7 +79,9 @@ const STEP_MIN_CHUNK: usize = 32 * 1024;
 /// space when `num_shards == 1`).
 #[derive(Clone, Debug)]
 pub struct SamoLayerState {
-    mask: Mask,
+    /// Crate-visible so the oracle (`crate::reference`) can read the
+    /// index while it writes `θ16` or `∇θ16`.
+    pub(crate) mask: Mask,
     shard_id: usize,
     num_shards: usize,
     /// Dense fp16 parameters — zeros explicitly present at pruned
@@ -127,7 +129,7 @@ pub(crate) fn os_arrays(os: &OptState) -> [Option<&Vec<f32>>; 2] {
 }
 
 /// Mutable counterpart of [`os_arrays`].
-fn os_arrays_mut(os: &mut OptState) -> [Option<&mut Vec<f32>>; 2] {
+pub(crate) fn os_arrays_mut(os: &mut OptState) -> [Option<&mut Vec<f32>>; 2] {
     match os {
         OptState::Adam(a) => [Some(&mut a.m), Some(&mut a.v)],
         OptState::Sgd(s) => [Some(&mut s.velocity), None],
@@ -276,7 +278,7 @@ impl SamoLayerState {
     /// Cuts a full state (e.g. one loaded from a checkpoint) down to
     /// shard `shard_id` of `num_shards` — the recovery path of a lost
     /// rank, and the re-shard after a mask change. Exactly inverts
-    /// [`Self::to_full_layer`]; `num_shards == 1` returns `self`.
+    /// [`crate::reference::to_full_layer`]; `num_shards == 1` returns `self`.
     pub fn into_shard(mut self, shard_id: usize, num_shards: usize) -> SamoLayerState {
         assert_eq!(self.num_shards, 1, "only a full state can be sharded");
         assert!(shard_id < num_shards, "shard {shard_id} of {num_shards}");
@@ -308,7 +310,8 @@ impl SamoLayerState {
     /// unsharded layer would hold. `self` supplies the mask, Adam's step
     /// count and `∇θ16` — this rank's, so the mean only on its own range:
     /// enough for the remap path, whose next compress overwrites `∇θ16`
-    /// anyway; [`Self::to_full_layer`] assembles the checkpointed one.
+    /// anyway; [`crate::reference::to_full_layer`] assembles the
+    /// checkpointed one.
     pub(crate) fn full_from_shards(&self, shards: &[Vec<&[f32]>]) -> SamoLayerState {
         let cat = |a: usize| -> Vec<f32> { shards.iter().flat_map(|s| s[a]).copied().collect() };
         let os = match &self.os {
@@ -320,27 +323,6 @@ impl SamoLayerState {
             OptState::Sgd(_) => OptState::Sgd(SgdState { velocity: cat(1) }),
         };
         SamoLayerState::from_parts(self.mask.clone(), cat(0), self.grad16.clone(), os)
-    }
-
-    /// Reassembles the full compressed layer state for one parameter
-    /// from every rank's shard, for checkpointing. `ranks` must hold one
-    /// state per rank, in rank order, all for the same parameter tensor.
-    pub fn to_full_layer(ranks: &[&SamoLayerState]) -> SamoLayerState {
-        let first = ranks.first().expect("need at least one shard");
-        assert_eq!(ranks.len(), first.num_shards, "one state per rank");
-        for (r, st) in ranks.iter().enumerate() {
-            assert_eq!(st.shard_id, r, "ranks must be in order");
-            assert_eq!(st.mask, first.mask, "shards of different tensors");
-        }
-        let shards: Vec<_> = ranks.iter().map(|st| st.shard_arrays()).collect();
-        let mut full = first.full_from_shards(&shards);
-        // After a reduce-scatter a rank holds the reduced `∇θ16` on its
-        // own range only, so that too is assembled from the owners.
-        for st in ranks {
-            let (lo, hi) = st.shard_range();
-            full.grad16[lo..hi].copy_from_slice(&st.grad16[lo..hi]);
-        }
-        full
     }
 
     /// What a checkpoint carries of this state, borrowed. After a
@@ -394,26 +376,10 @@ impl SamoLayerState {
         self.mask.nnz()
     }
 
-    /// Compresses a freshly produced dense (loss-scaled) fp32 gradient
-    /// into `∇θ16` — done "at the granularity of a layer ... so that we
-    /// never have to store the uncompressed gradients for the entire
-    /// model" (Sec. III-C, backward pass).
-    pub fn compress_grad(&mut self, dense_scaled_grad: &[f32]) {
-        assert_eq!(dense_scaled_grad.len(), self.numel());
-        let ind = self.mask.indices();
-        for (g16, &i) in self.grad16.iter_mut().zip(ind.iter()) {
-            *g16 = F16::from_f32(dense_scaled_grad[i as usize]);
-        }
-    }
-
-    /// True if any stored fp16 gradient is non-finite (loss-scaler check).
-    pub fn grads_non_finite(&self) -> bool {
-        self.grad16.iter().any(|g| !g.is_finite())
-    }
-
     /// Fused step kernel (a): gather + f16-round + overflow-detect in one
-    /// parallel pass over `nnz`. Equivalent to [`Self::compress_grad`]
-    /// followed by [`Self::grads_non_finite`] (bitwise-identical `∇θ16`,
+    /// parallel pass over `nnz`. Equivalent to
+    /// [`crate::reference::compress_grad`] followed by
+    /// [`crate::reference::grads_non_finite`] (bitwise-identical `∇θ16`,
     /// property tested against that three-phase oracle), but reads the
     /// dense gradient once and never re-scans the compressed buffer.
     ///
@@ -466,8 +432,9 @@ impl SamoLayerState {
     /// writing the model's dense f32 parameter view into `dense_out` in
     /// place — where the model keeps one: a parameter that computes from
     /// the lent `θ16` has released it, `dense_out` is then empty and `θ16`
-    /// is all the pass writes. Equivalent to [`Self::optimizer_step`]
-    /// followed by copying [`Self::dense_f32_params`] out (bitwise for
+    /// is all the pass writes. Equivalent to
+    /// [`crate::reference::optimizer_step`] followed by copying
+    /// [`Self::dense_f32_params`] out (bitwise for
     /// `θ32`/`∇θ32`/`os`, exact for `θ16` — property tested against that
     /// oracle), without the dense `Vec` per layer per step.
     ///
@@ -579,47 +546,6 @@ impl SamoLayerState {
                 }
             }
         }
-    }
-
-    /// The three-phase SAMO optimizer step (Sec. III-C) over the owned
-    /// range, returning the updated *compressed fp16* range — the
-    /// payload of the parameter all-gather:
-    ///
-    /// 1. upscale `∇θ16 → ∇θ32` directly on compressed tensors,
-    /// 2. run the optimizer on compressed `θ32` with dense elementwise
-    ///    kernels,
-    /// 3. downcast: make a compressed fp16 copy of `θ32` (the `2fφ/d`
-    ///    transient of the memory model).
-    ///
-    /// [`Self::install_gathered`] completes the step by expanding every
-    /// rank's copy through `ind` into the dense `θ16`. Together they are
-    /// the reference [`Self::optimizer_step_owned`] and
-    /// [`Self::scatter_gathered`] are tested against, and the step of the
-    /// sequential oracle [`crate::DataParallelSamo`].
-    pub fn optimizer_step_shard(&mut self, opt: &Optimizer, inv_loss_scale: f32) -> Vec<F16> {
-        let (lo, hi) = self.shard_range();
-        for (g32, g16) in self.grad32.iter_mut().zip(&self.grad16[lo..hi]) {
-            *g32 = g16.to_f32() * inv_loss_scale;
-        }
-        self.os.step(opt, &mut self.theta32, &self.grad32);
-        self.theta32.iter().map(|&v| F16::from_f32(v)).collect()
-    }
-
-    /// Installs the all-gathered compressed fp16 parameters (every
-    /// rank's range, concatenated) and expands them into the dense θ16.
-    pub fn install_gathered(&mut self, full_compressed16: &[F16]) {
-        assert_eq!(full_compressed16.len(), self.mask.nnz());
-        expand_into(full_compressed16, &self.mask, &mut self.theta16);
-    }
-
-    /// The whole three-phase step on a full state — the reference path
-    /// the fused kernels are property-tested against; the training hot
-    /// loop uses [`Self::compress_grad_fused`] and
-    /// [`Self::optimizer_step_fused`] instead.
-    pub fn optimizer_step(&mut self, opt: &Optimizer, inv_loss_scale: f32) {
-        assert_eq!(self.num_shards, 1, "a shard's step needs the all-gather");
-        let temp16 = self.optimizer_step_shard(opt, inv_loss_scale);
-        self.install_gathered(&temp16);
     }
 
     /// Byte-exact measurement of the model-state storage this shard
@@ -863,48 +789,6 @@ mod tests {
     }
 
     #[test]
-    fn compress_grad_picks_unpruned_positions() {
-        let values = vec![1.0f32; 8];
-        let mut st = SamoLayerState::from_params(&values, mask_half(), &adam());
-        let grads: Vec<f32> = (10..18).map(|i| i as f32).collect();
-        st.compress_grad(&grads);
-        let g: Vec<f32> = st.grad16.iter().map(|v| v.to_f32()).collect();
-        assert_eq!(g, vec![11.0, 13.0, 14.0, 16.0]);
-    }
-
-    #[test]
-    fn optimizer_step_keeps_pruned_params_zero() {
-        let values: Vec<f32> = (1..=8).map(|i| i as f32).collect();
-        let mut st = SamoLayerState::from_params(&values, mask_half(), &adam());
-        st.compress_grad(&[1.0f32; 8]);
-        st.optimizer_step(&adam(), 1.0);
-        let dense = st.dense_f32_params();
-        for (i, &v) in dense.iter().enumerate() {
-            if [1usize, 3, 4, 6].contains(&i) {
-                assert!(v != 0.0 && v < (i + 1) as f32, "unpruned moved down");
-            } else {
-                assert_eq!(v, 0.0, "pruned stayed zero");
-            }
-        }
-    }
-
-    #[test]
-    fn non_finite_grad_detection() {
-        let mut st = SamoLayerState::from_params(&[1.0; 8], mask_half(), &adam());
-        st.compress_grad(&[0.0; 8]);
-        assert!(!st.grads_non_finite());
-        let mut grads = vec![0.0f32; 8];
-        grads[3] = f32::INFINITY; // position 3 is unpruned
-        st.compress_grad(&grads);
-        assert!(st.grads_non_finite());
-        // Overflow at a *pruned* position is invisible — it is never stored.
-        let mut grads2 = vec![0.0f32; 8];
-        grads2[0] = f32::INFINITY; // position 0 is pruned
-        st.compress_grad(&grads2);
-        assert!(!st.grads_non_finite());
-    }
-
-    #[test]
     fn measured_bytes_match_formula() {
         let phi = 10_000usize;
         let mask = prune::random_prune(&[phi], 0.9, 3);
@@ -925,8 +809,8 @@ mod tests {
         let mut st = SamoLayerState::from_params(&values, mask_half(), opt);
         for k in 0..3 {
             let grads: Vec<f32> = (0..8).map(|i| (i as f32 + k as f32) * 0.01).collect();
-            st.compress_grad(&grads);
-            st.optimizer_step(opt, 1.0);
+            crate::reference::compress_grad(&mut st, &grads);
+            crate::reference::optimizer_step(&mut st, opt, 1.0);
         }
         st
     }
@@ -1081,57 +965,6 @@ mod tests {
     }
 
     #[test]
-    fn loss_scale_is_divided_out() {
-        let opt = Optimizer::Sgd(nn::optim::SgdConfig {
-            lr: 1.0,
-            momentum: 0.0,
-            weight_decay: 0.0,
-        });
-        let mask = Mask::dense(&[2]);
-        let mut st = SamoLayerState::from_params(&[0.0, 0.0], mask, &opt);
-        let scale = 256.0;
-        st.compress_grad(&[0.5 * scale, -0.25 * scale]);
-        st.optimizer_step(&opt, 1.0 / scale);
-        assert!((st.theta32[0] + 0.5).abs() < 1e-3);
-        assert!((st.theta32[1] - 0.25).abs() < 1e-3);
-    }
-
-    /// A 1-D layer of `phi` parameters at 70% sparsity, one state per
-    /// shard, after `steps` rounds of compress → shard step → all-gather
-    /// on gradients every rank agrees on.
-    fn stepped_shards(phi: usize, d: usize, steps: usize) -> (SamoLayerState, Vec<SamoLayerState>) {
-        let opt = adam();
-        let mask = prune::random_prune(&[phi], 0.7, 2);
-        let values: Vec<f32> = (0..phi).map(|i| ((i * 31 % 97) as f32 - 48.0) * 0.01).collect();
-        let mut reference = SamoLayerState::from_params(&values, mask.clone(), &opt);
-        let mut ranks: Vec<SamoLayerState> = (0..d)
-            .map(|r| SamoLayerState::from_params_sharded(&values, mask.clone(), &opt, r, d))
-            .collect();
-        for step in 0..steps {
-            let grads: Vec<f32> =
-                (0..phi).map(|i| ((i + step * 13) % 29) as f32 * 0.01 - 0.14).collect();
-            reference.compress_grad(&grads);
-            reference.optimizer_step(&opt, 1.0);
-            let mut gathered = vec![F16::ZERO; mask.nnz()];
-            for rank in ranks.iter_mut() {
-                rank.compress_grad(&grads);
-                let shard16 = rank.optimizer_step_shard(&opt, 1.0);
-                let (lo, hi) = rank.shard_range();
-                gathered[lo..hi].copy_from_slice(&shard16);
-            }
-            for (r, rank) in ranks.iter_mut().enumerate() {
-                rank.install_gathered(&gathered);
-                // The extension's correctness theorem: every rank's dense
-                // θ16 and its θ32 range equal the unsharded trajectory.
-                assert_eq!(rank.theta16, reference.theta16, "rank {r} diverged at step {step}");
-                let (lo, hi) = rank.shard_range();
-                assert_eq!(&rank.theta32[..], &reference.theta32[lo..hi]);
-            }
-        }
-        (reference, ranks)
-    }
-
-    #[test]
     fn fewer_survivors_than_ranks_leaves_trailing_shards_empty() {
         let st = SamoLayerState::from_params_sharded(
             &[1.0; 8],
@@ -1143,34 +976,6 @@ mod tests {
         assert_eq!(st.shard_range(), (3, 3));
         assert!(st.theta32.is_empty());
         assert_eq!(st.shard_counts(), vec![1, 1, 1, 0, 0]);
-    }
-
-    #[test]
-    fn sharded_training_equals_unsharded() {
-        stepped_shards(257, 3, 5); // 257 is deliberately not divisible by 3
-    }
-
-    #[test]
-    fn concat_of_shards_inverts_slicing() {
-        let (reference, ranks) = stepped_shards(131, 4, 3);
-        let refs: Vec<&SamoLayerState> = ranks.iter().collect();
-        let full = SamoLayerState::to_full_layer(&refs);
-        assert_eq!(full.shard(), (0, 1));
-        assert_eq!(full.theta32, reference.theta32);
-        assert_eq!(full.theta16, reference.theta16);
-        for (r, orig) in ranks.iter().enumerate() {
-            let rebuilt = full.clone().into_shard(r, 4);
-            assert_eq!(rebuilt.shard_range(), orig.shard_range());
-            assert_eq!(rebuilt.theta16, orig.theta16, "rank {r} θ16");
-            assert_eq!(rebuilt.grad16, orig.grad16, "rank {r} ∇θ16");
-            assert_eq!(rebuilt.theta32, orig.theta32, "rank {r} θ32");
-            match (&rebuilt.os, &orig.os) {
-                (OptState::Adam(a), OptState::Adam(b)) => {
-                    assert_eq!((a.step, &a.m, &a.v), (b.step, &b.m, &b.v));
-                }
-                _ => panic!("wrong optimizer state"),
-            }
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Thread-per-rank data-parallel SAMO training over the real
 //! message-passing collectives runtime in the `comms` crate.
 //!
-//! Where [`crate::data_parallel::DataParallelSamo`] loops over replicas
+//! Where [`crate::reference::DataParallelSamo`] loops over replicas
 //! inside one thread and reduces gradients with the sequential oracle,
 //! this runtime gives every rank its own OS thread owning its replica
 //! and a [`StepEngine`] — sharded optimizer state, loss-scaler copy, and
@@ -596,7 +596,7 @@ impl<M: Layer + Send + 'static, T: Transport + 'static> RankWorker for Rank<M, T
 
 /// A data-parallel SAMO group where every rank is a real OS thread and
 /// gradients move through the `comms` ring reduce-scatter. Drop-in peer of
-/// [`crate::DataParallelSamo`] (same step semantics, same bits).
+/// [`crate::reference::DataParallelSamo`] (same step semantics, same bits).
 pub struct ThreadedDataParallelSamo<M: Layer + Send + 'static> {
     group: RankGroup<M, StepFn<M>, CommStats>,
     faults: Arc<FaultController>,
@@ -706,7 +706,7 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
     }
 
     /// Cumulative modeled ring all-reduce bytes, same formula as
-    /// [`crate::DataParallelSamo::allreduce_bytes`].
+    /// [`crate::reference::DataParallelSamo::allreduce_bytes`].
     pub fn allreduce_bytes(&self) -> u64 {
         self.allreduce_bytes
     }
@@ -754,7 +754,7 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
     }
 
     /// Serializes the group as one rank-count-independent v2 checkpoint
-    /// (same format as [`crate::DataParallelSamo::save`]).
+    /// (same format as [`crate::reference::DataParallelSamo::save`]).
     pub fn save(&mut self) -> bytes::Bytes {
         self.group.save()
     }

@@ -1,13 +1,13 @@
 //! Single-worker training: [`SamoTrainer`] — the step engine with nothing
-//! to reduce — and the dense masked baseline it must be numerically
-//! equivalent to, plus the closed forms of the model-state memory and of
+//! to reduce — plus the closed forms of the model-state memory and of
 //! the compressed data-parallel gradient all-reduce (paper Sec. IV-A).
+//! The dense masked baseline it must be numerically equivalent to is
+//! [`crate::reference::DenseMaskedTrainer`].
 
-use crate::engine::{report_step, NoReduce, StepEngine, SAMO};
+use crate::engine::{NoReduce, StepEngine, SAMO};
 use nn::layer::Layer;
-use nn::mixed::{DenseMixedState, LossScaler, Optimizer};
+use nn::mixed::Optimizer;
 use prune::Mask;
-use tensor::f16::F16;
 
 /// SAMO training state for a whole model on one worker: the
 /// [`StepEngine`] with no reducer. Everything but `new` and `step` is
@@ -56,161 +56,6 @@ pub fn formula_state_bytes(opt: &Optimizer, phi: u64, nnz: u64) -> u64 {
     }
 }
 
-/// Closed-form dense mixed-precision model-state bytes: `20φ` (Adam) or
-/// `16φ` (SGD). Matches [`DenseMaskedTrainer::model_state_bytes`].
-pub fn dense_formula_state_bytes(opt: &Optimizer, phi: u64) -> u64 {
-    match opt {
-        Optimizer::Adam(_) => 20 * phi,
-        Optimizer::Sgd(_) => 16 * phi,
-    }
-}
-
-/// Dense mixed-precision baseline with gradient masking: trains exactly
-/// the same subnetwork as SAMO but stores everything dense (`M_default`).
-/// SAMO must reproduce this trainer's trajectory bit-for-bit on θ32 —
-/// that equivalence is the reproduction's core correctness theorem.
-pub struct DenseMaskedTrainer {
-    pub layers: Vec<(DenseMixedState, Mask)>,
-    pub opt: Optimizer,
-    pub scaler: LossScaler,
-    steps_taken: u64,
-    steps_skipped: u64,
-}
-
-impl DenseMaskedTrainer {
-    /// Mirrors [`SamoTrainer::new`] with dense storage.
-    pub fn new(model: &mut impl Layer, masks: Vec<Mask>, opt: Optimizer) -> DenseMaskedTrainer {
-        let params = model.params_mut();
-        assert_eq!(params.len(), masks.len());
-        let mut layers = Vec::with_capacity(params.len());
-        for (p, mask) in params.into_iter().zip(masks) {
-            let mut masked = p.value.as_slice().to_vec();
-            mask.apply(&mut masked);
-            let st = DenseMixedState::from_params(&masked, &opt);
-            // Load fp16-rounded pruned params into the compute model.
-            let dense: Vec<f32> = st.theta16.iter().map(|v| v.to_f32()).collect();
-            p.value.as_mut_slice().copy_from_slice(&dense);
-            layers.push((st, mask));
-        }
-        DenseMaskedTrainer {
-            layers,
-            opt,
-            scaler: LossScaler::default(),
-            steps_taken: 0,
-            steps_skipped: 0,
-        }
-    }
-
-    /// Current loss scale.
-    pub fn loss_scale(&self) -> f32 {
-        self.scaler.scale()
-    }
-
-    /// Measured model-state bytes (20φ for Adam).
-    pub fn model_state_bytes(&self) -> u64 {
-        self.layers.iter().map(|(st, _)| st.bytes() as u64).sum()
-    }
-
-    /// Total parameters φ across all layers.
-    pub fn numel(&self) -> usize {
-        self.layers.iter().map(|(_, m)| m.numel()).sum()
-    }
-
-    /// Unpruned parameters fφ.
-    pub fn nnz(&self) -> usize {
-        self.layers.iter().map(|(_, m)| m.nnz()).sum()
-    }
-
-    /// Steps applied (not skipped by the loss scaler).
-    pub fn steps_taken(&self) -> u64 {
-        self.steps_taken
-    }
-
-    /// Steps skipped due to gradient overflow.
-    pub fn steps_skipped(&self) -> u64 {
-        self.steps_skipped
-    }
-
-    /// Dense counterpart of [`SamoTrainer::step`]: masks gradients (the
-    /// subnetwork constraint), runs the dense optimizer, re-masks
-    /// parameters, writes back.
-    pub fn step(&mut self, model: &mut impl Layer) -> bool {
-        let tel = telemetry::enabled();
-        let params = model.params_mut();
-        assert_eq!(params.len(), self.layers.len());
-        let sp = tel.then(|| telemetry::span("dense.step.mask_grad"));
-        for (p, (st, mask)) in params.iter().zip(&mut self.layers) {
-            let mut g = p.grad.as_slice().to_vec();
-            mask.apply(&mut g);
-            st.set_grad_from_f32(&g);
-        }
-        let t_mask_grad = sp.map(telemetry::SpanGuard::finish);
-        let finite = !self
-            .layers
-            .iter()
-            .any(|(st, _)| st.grad16.iter().any(|g| !g.is_finite()));
-        let scale = self.scaler.scale();
-        let proceed = self.scaler.check_and_update(finite);
-        let mut t_optimizer = None;
-        if proceed {
-            let sp = tel.then(|| telemetry::span("dense.step.optimizer"));
-            for (p, (st, mask)) in params.into_iter().zip(&mut self.layers) {
-                st.optimizer_step(&self.opt, 1.0 / scale);
-                // Keep pruned positions exactly zero (masked subnetwork
-                // training; weight decay would otherwise leave them 0
-                // anyway since they start at 0 with 0 grad, but we pin
-                // them for exactness).
-                let mut t32 = st.theta32.clone();
-                mask.apply(&mut t32);
-                st.theta32.copy_from_slice(&t32);
-                tensor::ops::narrow_into(&st.theta32, &mut st.theta16);
-                let dense: Vec<f32> = st.theta16.iter().map(|v| v.to_f32()).collect();
-                p.value.as_mut_slice().copy_from_slice(&dense);
-                p.zero_grad();
-            }
-            t_optimizer = sp.map(telemetry::SpanGuard::finish);
-            self.steps_taken += 1;
-        } else {
-            for p in params {
-                p.zero_grad();
-            }
-            self.steps_skipped += 1;
-        }
-        if tel {
-            self.record_step(proceed, scale, t_mask_grad, t_optimizer);
-        }
-        proceed
-    }
-
-    /// Cold path: the same step record and `dense.*` metrics every SAMO
-    /// runtime keeps, under `runtime: "dense_masked"`.
-    fn record_step(
-        &self,
-        applied: bool,
-        scale_used: f32,
-        t_mask_grad: Option<f64>,
-        t_optimizer: Option<f64>,
-    ) {
-        let numel = self.numel() as u64;
-        let phases = [("mask_grad", t_mask_grad), ("optimizer", t_optimizer)];
-        let ev = telemetry::StepEvent {
-            runtime: "dense_masked".into(),
-            step: self.steps_taken + self.steps_skipped - 1,
-            applied,
-            loss_scale: scale_used,
-            steps_taken: self.steps_taken,
-            steps_skipped: self.steps_skipped,
-            numel,
-            nnz: self.nnz() as u64,
-            model_state_bytes: self.model_state_bytes(),
-            formula_state_bytes: Some(dense_formula_state_bytes(&self.opt, numel)),
-            allreduce_bytes: dense_allreduce_bytes(numel),
-            phases: phases.into_iter().filter_map(|(n, t)| Some((n, t?))).collect(),
-        };
-        report_step("dense", self.scaler.scale(), &ev);
-    }
-}
-
 /// Global L2 norm of the model's current (scaled) gradients — the signal
 /// the divergence sentinel (`crate::sentinel`) watches alongside the
 /// loss. fp64 accumulation so large models don't overflow the sum.
@@ -222,25 +67,6 @@ pub fn grad_l2_norm(model: &impl Layer) -> f64 {
         }
     }
     sum.sqrt()
-}
-
-/// In-place mean all-reduce over per-replica compressed fp16 gradient
-/// buffers (one buffer per data-parallel rank) — the collective SAMO
-/// issues instead of a dense `φ`-sized all-reduce (paper Sec. IV-A).
-/// All buffers end up holding the mean.
-///
-/// Delegates to [`comms::reference::allreduce_mean_f16`], the exact-sum
-/// sequential oracle: the chunked ring all-reduce in `comms` computes
-/// the same function bit-for-bit, which is what lets the threaded
-/// data-parallel runtime match the in-process one exactly.
-///
-/// Degenerate inputs are rejected instead of reduced nonsensically: an
-/// empty replica set is a no-op `Ok` (a zero-rank collective has no
-/// defined mean but also nothing to corrupt), while mismatched buffer
-/// lengths — ranks disagreeing about the compressed layout — are a real
-/// collective error and return `Err`.
-pub fn allreduce_mean_f16(replicas: &mut [&mut [F16]]) -> Result<(), String> {
-    comms::reference::allreduce_mean_f16(replicas).map_err(|e| e.to_string())
 }
 
 /// Message bytes of a dense fp16 gradient all-reduce for `phi` params
@@ -266,9 +92,12 @@ pub fn samo_ring_allreduce_bytes(nnz: u64, world: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::DenseMaskedTrainer;
+    use comms::reference::allreduce_mean_f16;
     use nn::linear::Linear;
     use nn::loss::mse;
     use nn::optim::AdamConfig;
+    use tensor::f16::F16;
     use tensor::Tensor;
 
     fn adam() -> Optimizer {
@@ -597,7 +426,7 @@ mod tests {
         let mut b = vec![F16::from_f32(1.0); 3];
         let a_before = a.clone();
         let mut bufs: Vec<&mut [F16]> = vec![&mut a, &mut b];
-        let err = allreduce_mean_f16(&mut bufs).unwrap_err();
+        let err = allreduce_mean_f16(&mut bufs).unwrap_err().to_string();
         assert!(err.contains("length mismatch"), "{err}");
         assert_eq!(a, a_before, "failed allreduce must not write");
     }

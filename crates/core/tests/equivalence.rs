@@ -18,7 +18,8 @@ use nn::optim::{AdamConfig, SgdConfig};
 use proptest::prelude::*;
 use prune::Mask;
 use samo::compressed::compress;
-use samo::trainer::{DenseMaskedTrainer, SamoTrainer};
+use samo::reference::DenseMaskedTrainer;
+use samo::trainer::SamoTrainer;
 use tensor::Tensor;
 
 fn build_model(in_dim: usize, hidden: usize, out_dim: usize, seed: u64) -> Sequential {

@@ -1,6 +1,6 @@
 //! The fused SAMO step (`compress_grad_fused` + `optimizer_step_owned`,
 //! and for shards `scatter_gathered`) must be **bitwise identical** to
-//! the retained three-phase reference (`compress_grad` +
+//! the three-phase reference of `samo::reference` (`compress_grad` +
 //! `grads_non_finite` + `optimizer_step_shard` + `install_gathered` +
 //! `dense_f32_params`): same θ32, θ16, ∇θ16, ∇θ32, optimizer state and
 //! dense fp32 compute view, same overflow verdict — on a full state and
@@ -28,6 +28,7 @@ use nn::mixed::{OptState, Optimizer};
 use nn::optim::{AdamConfig, SgdConfig};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
+use samo::reference::{compress_grad, grads_non_finite, install_gathered, optimizer_step_shard, to_full_layer};
 use samo::SamoLayerState;
 use tensor::f16::F16;
 use tensor::simd::Tier;
@@ -114,8 +115,8 @@ fn assert_fused_matches_reference(
                 grads[at.unwrap_or(from)] = value;
             }
             let finite = fused[r].compress_grad_fused(&grads);
-            refr[r].compress_grad(&grads);
-            prop_assert_eq!(finite, !refr[r].grads_non_finite(), "rank {} step {}", r, step);
+            compress_grad(&mut refr[r], &grads);
+            prop_assert_eq!(finite, !grads_non_finite(&refr[r]), "rank {} step {}", r, step);
             prop_assert_eq!(bits16(&fused[r].grad16), bits16(&refr[r].grad16));
             all_finite &= finite;
         }
@@ -123,14 +124,14 @@ fn assert_fused_matches_reference(
         // The reference all-reduces; a fused rank gets the mean on its
         // owned range only and keeps its local values elsewhere.
         let mut bufs: Vec<&mut [F16]> = refr.iter_mut().map(|st| &mut st.grad16[..]).collect();
-        samo::trainer::allreduce_mean_f16(&mut bufs).expect("one layout");
+        comms::reference::allreduce_mean_f16(&mut bufs).expect("one layout");
         for (f, r) in fused.iter_mut().zip(&refr) {
             let (lo, hi) = f.shard_range();
             f.grad16[lo..hi].copy_from_slice(&r.grad16[lo..hi]);
         }
         // The AND of the ranks' local flags is the verdict a scan of the
         // reduced bits reaches.
-        let reduced_finite = !refr.iter().any(SamoLayerState::grads_non_finite);
+        let reduced_finite = !refr.iter().any(grads_non_finite);
         prop_assert_eq!(all_finite, reduced_finite, "verdict diverged at step {}", step);
 
         if all_finite {
@@ -140,7 +141,7 @@ fn assert_fused_matches_reference(
             for r in 0..d {
                 let (lo, hi) = fused[r].shard_range();
                 let mine = fused[r].optimizer_step_owned(&opt, inv_loss_scale, &mut dense[r]);
-                let shard16 = refr[r].optimizer_step_shard(&opt, inv_loss_scale);
+                let shard16 = optimizer_step_shard(&mut refr[r], &opt, inv_loss_scale);
                 if d == 1 {
                     prop_assert!(mine.is_empty(), "a full state gathers nothing");
                 } else {
@@ -151,7 +152,7 @@ fn assert_fused_matches_reference(
             }
             for r in 0..d {
                 fused[r].scatter_gathered(&gathered, &mut dense[r]);
-                refr[r].install_gathered(&gathered_ref);
+                install_gathered(&mut refr[r], &gathered_ref);
                 let dense_ref = refr[r].dense_f32_params();
                 prop_assert_eq!(bits32(&fused[r].theta32), bits32(&refr[r].theta32));
                 prop_assert_eq!(bits16(&fused[r].theta16), bits16(&refr[r].theta16));
@@ -163,8 +164,8 @@ fn assert_fused_matches_reference(
 
         // A checkpoint assembles ∇θ16 from each owner's range, so the
         // ranks' differing local values elsewhere never reach it.
-        let full = SamoLayerState::to_full_layer(&fused.iter().collect::<Vec<_>>());
-        let full_ref = SamoLayerState::to_full_layer(&refr.iter().collect::<Vec<_>>());
+        let full = to_full_layer(&fused.iter().collect::<Vec<_>>());
+        let full_ref = to_full_layer(&refr.iter().collect::<Vec<_>>());
         prop_assert_eq!(bits16(&full.grad16), bits16(&full_ref.grad16));
         prop_assert_eq!(bits32(&full.theta32), bits32(&full_ref.theta32));
         prop_assert_eq!(bits16(&full.theta16), bits16(&full_ref.theta16));
@@ -272,7 +273,7 @@ fn the_vector_sweep_is_the_scalar_sweep_lane_for_lane() {
                             let (lo, hi) = fused[r].shard_range();
                             let mine =
                                 fused[r].optimizer_step_owned_on(Tier::Avx2, &opt, inv_loss_scale, &mut dense[r]);
-                            let shard16 = refr[r].optimizer_step_shard(&opt, inv_loss_scale);
+                            let shard16 = optimizer_step_shard(&mut refr[r], &opt, inv_loss_scale);
                             assert_eq!(mine.len(), if d == 1 { 0 } else { hi - lo });
                             scalar[r].grad16.copy_from_slice(&grads);
                             let view = &mut dense_scalar[r];
@@ -288,7 +289,7 @@ fn the_vector_sweep_is_the_scalar_sweep_lane_for_lane() {
                             scalar[r].scatter_gathered(&gathered, &mut dense_scalar[r]);
                             assert_eq!(bits32(&dense_scalar[r]), bits32(&dense[r]), "view across tiers");
                             assert_eq!(bits32(&scalar[r].theta32), bits32(&fused[r].theta32), "θ32 across tiers");
-                            refr[r].install_gathered(&gathered);
+                            install_gathered(&mut refr[r], &gathered);
                             let ctx = format!("nnz {nnz}, rank {r} of {d}, view held {held}, step {step}");
                             assert_eq!(bits32(&fused[r].theta32), bits32(&refr[r].theta32), "θ32: {ctx}");
                             assert_eq!(bits16(&fused[r].theta16), bits16(&refr[r].theta16), "θ16: {ctx}");

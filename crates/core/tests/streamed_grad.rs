@@ -33,8 +33,8 @@ use nn::mixed::{LossScaler, Optimizer};
 use nn::optim::AdamConfig;
 use nn::param::resident_param_bytes;
 use prune::Mask;
-use samo::data_parallel::DataParallelSamo;
 use samo::pipeline::{PipelineConfig, ThreadedPipelineSamo};
+use samo::reference::DataParallelSamo;
 use samo::threaded::ThreadedDataParallelSamo;
 use samo::{SamoLayerState, SamoTrainer};
 use std::sync::{Arc, Mutex};

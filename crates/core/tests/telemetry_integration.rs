@@ -8,10 +8,9 @@ use nn::loss::mse;
 use nn::mixed::Optimizer;
 use nn::optim::AdamConfig;
 use samo::pipeline::{PipelineConfig, ThreadedPipelineSamo};
-use samo::trainer::{
-    dense_formula_state_bytes, formula_state_bytes, DenseMaskedTrainer, SamoTrainer,
-};
-use samo::{DataParallelSamo, DistDataParallel, ThreadedDataParallelSamo};
+use samo::reference::{dense_formula_state_bytes, DataParallelSamo, DenseMaskedTrainer};
+use samo::trainer::{formula_state_bytes, SamoTrainer};
+use samo::{DistDataParallel, ThreadedDataParallelSamo};
 use telemetry::json::Json;
 use telemetry::trace::lane;
 use tensor::Tensor;

@@ -14,7 +14,8 @@ use nn::mixed::Optimizer;
 use nn::optim::AdamConfig;
 use prune::Mask;
 use rand::SeedableRng;
-use samo::trainer::{DenseMaskedTrainer, SamoTrainer};
+use samo::reference::DenseMaskedTrainer;
+use samo::trainer::SamoTrainer;
 
 const BATCH: usize = 16;
 

@@ -8,7 +8,7 @@ use nn::loss::cross_entropy;
 use nn::mixed::{LossScaler, Optimizer};
 use nn::optim::SgdConfig;
 use prune::Mask;
-use samo::data_parallel::DataParallelSamo;
+use samo::reference::DataParallelSamo;
 
 fn masks_for(cnn: &TinyCnn) -> Vec<Mask> {
     cnn.params()

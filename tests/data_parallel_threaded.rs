@@ -11,7 +11,7 @@ use nn::mixed::{LossScaler, Optimizer};
 use nn::optim::AdamConfig;
 use nn::param::Parameter;
 use prune::Mask;
-use samo::data_parallel::DataParallelSamo;
+use samo::reference::DataParallelSamo;
 use samo::threaded::ThreadedDataParallelSamo;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};

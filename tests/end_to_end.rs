@@ -12,7 +12,9 @@ use nn::optim::AdamConfig;
 use prune::Mask;
 use rand::SeedableRng;
 use samo::compressed::compress;
-use samo::trainer::{allreduce_mean_f16, DenseMaskedTrainer, SamoTrainer};
+use comms::reference::allreduce_mean_f16;
+use samo::reference::{compress_grad, DenseMaskedTrainer};
+use samo::trainer::SamoTrainer;
 
 fn tiny_cfg() -> TinyGptConfig {
     TinyGptConfig {
@@ -162,7 +164,7 @@ fn data_parallel_compressed_allreduce_matches_single_gpu() {
     tensor::ops::scale(scale, d.as_mut_slice());
     r1.backward(&d);
     for (p, st) in r1.params_mut().into_iter().zip(&mut tr1.layers) {
-        st.compress_grad(p.grad.as_slice());
+        compress_grad(st, p.grad.as_slice());
     }
 
     let logits = r2.forward_ids(&x2, 2, cfg.seq);
@@ -170,7 +172,7 @@ fn data_parallel_compressed_allreduce_matches_single_gpu() {
     tensor::ops::scale(scale, d.as_mut_slice());
     r2.backward(&d);
     for (p, st) in r2.params_mut().into_iter().zip(&mut tr2.layers) {
-        st.compress_grad(p.grad.as_slice());
+        compress_grad(st, p.grad.as_slice());
     }
 
     // All-reduce each layer's compressed fp16 gradients across replicas.
@@ -188,7 +190,7 @@ fn data_parallel_compressed_allreduce_matches_single_gpu() {
     tensor::ops::scale(scale, d.as_mut_slice());
     single.backward(&d);
     for (p, st) in single.params_mut().into_iter().zip(&mut tr_single.layers) {
-        st.compress_grad(p.grad.as_slice());
+        compress_grad(st, p.grad.as_slice());
     }
 
     // The all-reduced replica gradients must match the single-GPU

@@ -11,7 +11,7 @@ use nn::mixed::{LossScaler, Optimizer};
 use nn::optim::AdamConfig;
 use prune::Mask;
 use samo::checkpoint::{read_checkpoint_file, CheckpointConfig, CheckpointManager};
-use samo::data_parallel::DataParallelSamo;
+use samo::reference::DataParallelSamo;
 use samo::trainer::{grad_l2_norm, SamoTrainer};
 use samo::{DivergenceSentinel, SentinelConfig, Verdict};
 use tensor::Tensor;
