@@ -305,16 +305,20 @@ fn kernels(doc: &Json) -> Check {
         }
     }
     // The per-layer profile of the compute-bound step is a record, not a
-    // race: held to its shape only.
+    // race: held to its shape only. A `Linear` is timed twice, from its
+    // f32 value and from the lent θ16 and index `gpt_single` runs.
     let profile = get(doc, "gpt_layers")?;
     let (sum, step) = (num(profile, "sum_ms")?, num(profile, "step_ms")?);
     at_least("gpt_layers whole-step ms", step, f64::MIN_POSITIVE)?;
     let layers = rows(profile, "layers")?;
     for name in GPT_LAYERS {
         let layer = named(layers, name)?;
-        let (fwd, both) = (num(layer, "fwd_ms")?, num(layer, "fwd_bwd_ms")?);
-        at_least(&format!("gpt_layers {name} forward ms"), fwd, 0.0)?;
-        at_least(&format!("gpt_layers {name} forward + backward ms over forward"), both, fwd)?;
+        let forms = if name.starts_with("linear_") { ["", "lent_"].as_slice() } else { &[""] };
+        for form in forms {
+            let (fwd, both) = (num(layer, &format!("{form}fwd_ms"))?, num(layer, &format!("{form}fwd_bwd_ms"))?);
+            at_least(&format!("gpt_layers {name} {form}forward ms"), fwd, 0.0)?;
+            at_least(&format!("gpt_layers {name} {form}forward + backward ms over forward"), both, fwd)?;
+        }
     }
     let n = table.len();
     Ok(format!(
@@ -735,6 +739,11 @@ mod tests {
             "kernels",
             &doctored(&["gpt_layers", "layers", "1", "fwd_bwd_ms"], Json::Num(0.0)),
             &["attention_heads", "forward + backward"],
+        );
+        rejects(
+            "kernels",
+            &doctored(&["gpt_layers", "layers", "2", "lent_fwd_bwd_ms"], Json::Num(0.0)),
+            &["linear_qkv", "lent_forward + backward"],
         );
 
         let reference = num(

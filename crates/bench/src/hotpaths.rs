@@ -58,7 +58,9 @@
 //! compute-bound step. Every layer of the `gpt_single` benchmark workload
 //! at its shapes (`[B, T, C] = [16, 32, 64]`, 4 heads, 2 blocks), forward
 //! and forward + backward, times its calls per step, summed next to one
-//! whole `TinyGpt` step.
+//! whole `TinyGpt` step. Each `Linear` has a second pair of times
+//! (`lent_*`): pruned to 0.9 by magnitude, computing from the `θ16` and
+//! index a `SamoTrainer` lends it, as the workload runs it.
 
 use crate::harness::{self, duel, duel_n, obj, random_vec, round6, sample, Sample};
 use comms::reference::allreduce_mean_f16;
@@ -71,7 +73,7 @@ use nn::mixed::Optimizer;
 use nn::norm::LayerNorm;
 use nn::optim::AdamConfig;
 use samo::reference::{compress_grad, grads_non_finite, optimizer_step};
-use samo::{compress, expand, state::SamoLayerState};
+use samo::{compress, expand, state::SamoLayerState, SamoTrainer};
 use telemetry::json::Json;
 use tensor::f16::{f16_slice_to_f32, f32_slice_to_f16, F16};
 use tensor::gemm::{
@@ -575,12 +577,24 @@ fn gpt_layers(best_of: usize, reps: usize) -> Json {
         [fwd.best_ms, both.best_ms]
     };
     let flat = |cols: usize, seed| Tensor::randn(&[rows, cols], 1.0, seed);
-    let linear = |n_in, n_out| time(&mut Linear::new(n_in, n_out, true, 1), &flat(n_in, 2));
+    // Each `Linear` twice: dense from its f32 `value`, and as `gpt_single`
+    // runs it — pruned to 0.9 by magnitude under a `SamoTrainer`, which
+    // lends it `θ16` and the mask's index between steps.
+    let linear = |n_in, n_out| {
+        let x = flat(n_in, 2);
+        let f32_value = time(&mut Linear::new(n_in, n_out, true, 1), &x);
+        let mut lent = Linear::new(n_in, n_out, true, 1);
+        let w = &lent.params()[0].value;
+        let masks = vec![prune::magnitude_prune(w.as_slice(), w.shape(), 0.9), prune::Mask::dense(&[n_out])];
+        let _lends = SamoTrainer::new(&mut lent, masks, Optimizer::Adam(AdamConfig::default()));
+        assert!(lent.params()[0].index().is_some(), "the weight computes from the lent θ16");
+        (f32_value, Some(time(&mut lent, &x)))
+    };
     let (qkv, proj) = (linear(dim, 3 * dim), linear(dim, dim));
     let (up, down) = (linear(dim, 4 * dim), linear(4 * dim, dim));
     let x3 = Tensor::randn(&[batch, seq, dim], 1.0, 3);
     let attn = time(&mut CausalSelfAttention::new(dim, heads, 4), &x3);
-    let attn_heads = [0, 1].map(|i| (attn[i] - qkv[i] - proj[i]).max(0.0));
+    let attn_heads = [0, 1].map(|i| (attn[i] - qkv.0[i] - proj.0[i]).max(0.0));
     let gelu = time(&mut Gelu::new(), &flat(4 * dim, 5));
     let norm = time(&mut LayerNorm::new(dim), &x3);
 
@@ -596,21 +610,22 @@ fn gpt_layers(best_of: usize, reps: usize) -> Json {
     };
 
     let layers = [
-        ("gelu", blocks, gelu),
-        ("attention_heads", blocks, attn_heads),
+        ("gelu", blocks, (gelu, None)),
+        ("attention_heads", blocks, (attn_heads, None)),
         ("linear_qkv", blocks, qkv),
         ("linear_proj", blocks, proj),
         ("linear_up", blocks, up),
         ("linear_down", blocks, down),
-        ("layer_norm", 2 * blocks + 1, norm),
+        ("layer_norm", 2 * blocks + 1, (norm, None)),
     ];
-    let sum_ms: f64 = layers.iter().map(|(_, calls, ms)| *calls as f64 * ms[1]).sum();
+    let sum_ms: f64 = layers.iter().map(|(_, calls, (ms, _))| *calls as f64 * ms[1]).sum();
     let mut tab = crate::Table::new(
         "bench_gpt_layers",
-        &["layer", "calls_per_step", "fwd_ms", "fwd_bwd_ms", "per_step_ms", "share_of_step"],
+        &["layer", "calls_per_step", "fwd_ms", "fwd_bwd_ms", "per_step_ms", "share_of_step", "lent_fwd_ms", "lent_fwd_bwd_ms"],
     );
-    for (name, calls, [fwd, both]) in &layers {
+    for (name, calls, ([fwd, both], lent)) in &layers {
         let per_step = *calls as f64 * both;
+        let [lent_fwd, lent_both] = lent.map_or(["-".to_string(), "-".to_string()], |ms| ms.map(|t| format!("{t:.4}")));
         tab.push(vec![
             name.to_string(),
             calls.to_string(),
@@ -618,6 +633,8 @@ fn gpt_layers(best_of: usize, reps: usize) -> Json {
             format!("{both:.4}"),
             format!("{per_step:.4}"),
             format!("{:.1}%", 100.0 * per_step / step_ms),
+            lent_fwd,
+            lent_both,
         ]);
     }
     println!("{}", tab.render());
@@ -634,13 +651,18 @@ fn gpt_layers(best_of: usize, reps: usize) -> Json {
             Json::Arr(
                 layers
                     .iter()
-                    .map(|(name, calls, [fwd, both])| {
-                        obj([
-                            ("name", Json::Str(name.to_string())),
-                            ("calls_per_step", Json::UInt(*calls as u64)),
-                            ("fwd_ms", round6(*fwd)),
-                            ("fwd_bwd_ms", round6(*both)),
-                        ])
+                    .map(|(name, calls, ([fwd, both], lent))| {
+                        let mut row = vec![
+                            ("name".to_string(), Json::Str(name.to_string())),
+                            ("calls_per_step".to_string(), Json::UInt(*calls as u64)),
+                            ("fwd_ms".to_string(), round6(*fwd)),
+                            ("fwd_bwd_ms".to_string(), round6(*both)),
+                        ];
+                        if let Some([fwd, both]) = lent {
+                            row.push(("lent_fwd_ms".to_string(), round6(*fwd)));
+                            row.push(("lent_fwd_bwd_ms".to_string(), round6(*both)));
+                        }
+                        Json::Obj(row)
                     })
                     .collect(),
             ),

@@ -28,23 +28,27 @@
 //!   accumulate into `grad`), and agrees on the overflow verdict across
 //!   stages between `finish_reduce` and `apply`.
 //!
-//! The two thread-per-rank runtimes own their model, so `θ16` *is* its
-//! weight there: a parameter whose layer computes from half precision
-//! (`Parameter::accepts_theta16` — `Linear`) holds no f32 `value` while
-//! the rank trains (`Parameter::release_value`, when its thread starts),
-//! and for a step's compute window — the step closure and backward; every
-//! microbatch of a pipeline schedule — the state's `theta16` buffer is
-//! moved into the parameter and back (`StepEngine::lend_theta16`: a
-//! `Vec` swap, one buffer, one owner at a time). The runtime brings it
-//! home when the window closes, before `finish_reduce` / `apply`; a step
-//! that fails inside the window returns early, and the rank loop both
-//! runtimes share brings it home before it reports the error. So
-//! everything outside a step (`save`, `restore`, remap, byte accounting,
-//! the inspection hook) finds `theta16` where it always was; the
-//! inspection hook additionally widens the values for its closure
-//! (`Parameter::widen_value`). The caller-driven trainers run forward and
-//! backward outside the engine, keep the f32 view, and are thereby the
-//! independent oracle of all this.
+//! `θ16` *is* the weight: a parameter whose layer computes from half
+//! precision (`Parameter::accepts_theta16` — `Linear`) holds no f32
+//! `value` while it trains (`Parameter::release_value`), and for a
+//! compute window the state's `theta16` buffer is moved into the
+//! parameter and back (`StepEngine::lend_theta16`: a `Vec` swap, one
+//! buffer, one owner at a time). The window of the two thread-per-rank
+//! runtimes, which own their model, is a step's — the step closure and
+//! backward; every microbatch of a pipeline schedule. They bring `θ16`
+//! home when it closes, before `finish_reduce` / `apply`; a step that
+//! fails inside the window returns early, and the rank loop both share
+//! brings it home before it reports the error. So everything outside
+//! their step (`save`, `restore`, remap, the inspection hook) finds
+//! `theta16` where it always was; the inspection hook additionally widens
+//! the values for its closure (`Parameter::widen_value`).
+//! [`crate::SamoTrainer`]'s caller runs forward and backward, so its
+//! window is the time *between* steps: `new` releases and lends, `step`
+//! brings `θ16` home for the remap, compress and optimizer and lends it
+//! again, and `restore` / `rollback` leave it where they found it. Only
+//! [`crate::DistDataParallel`] keeps the f32 view; the independent
+//! oracle of the lent products is `crate::reference`, which multiplies
+//! f32 weights.
 //!
 //! Every state runs the same fused pair
 //! ([`SamoLayerState::compress_grad_fused`] — or its product form — and
@@ -160,8 +164,12 @@ pub struct StepEngine<R: Reducer> {
     steps_skipped: u64,
     schedule: Option<MaskSchedule>,
     remap_scratch: Vec<RemapScratch>,
-    /// f16 staging of the grow score, as long as the largest layer.
+    /// What a mask update ranks, one layer at a time, in buffers as long
+    /// as the largest layer: the grow score's f16 staging, the score, and
+    /// the weights widened from `θ16`.
     remap_score16: Vec<F16>,
+    remap_score: Vec<f32>,
+    remap_weights: Vec<f32>,
     remap_events: u64,
     /// `(ring id, parameter)` of every reduction started this step; the
     /// ids are consecutive, so a ring's position is `id − first id`.
@@ -205,6 +213,8 @@ impl<R: Reducer> StepEngine<R> {
             schedule: None,
             remap_scratch: Vec::new(),
             remap_score16: Vec::new(),
+            remap_score: Vec::new(),
+            remap_weights: Vec::new(),
             remap_events: 0,
             ring_order: Vec::new(),
             local_finite: true,
@@ -218,8 +228,8 @@ impl<R: Reducer> StepEngine<R> {
     /// step the masks are recomputed and the compressed state remapped
     /// in place before the new gradient is compressed. Every rank of a
     /// group must install the same schedule before the same step.
-    /// Pre-sizes one [`RemapScratch`] per layer and the f16 staging of the
-    /// grow score, so the only allocation of an update step that scales
+    /// Pre-sizes one [`RemapScratch`] per layer and the buffers the
+    /// ranking reads, so the only allocation of an update step that scales
     /// with a layer is its new mask's index vector.
     pub fn set_mask_schedule(&mut self, schedule: MaskSchedule) {
         self.prime_remap_scratch();
@@ -235,6 +245,8 @@ impl<R: Reducer> StepEngine<R> {
             .collect();
         let largest = self.layers.iter().map(|l| l.numel()).max().unwrap_or(0);
         self.remap_score16 = vec![F16::ZERO; largest];
+        self.remap_score = vec![0.0; largest];
+        self.remap_weights = vec![0.0; largest];
     }
 
     /// The installed dynamic-sparsity schedule, if any.
@@ -310,8 +322,9 @@ impl<R: Reducer> StepEngine<R> {
     }
 
     /// Restores a checkpoint produced by any runtime's `save` into this
-    /// trainer and writes the reconstructed parameters into `model`.
-    /// The model/mask structure must match what was saved. The
+    /// trainer and writes the reconstructed parameters into `model`: into
+    /// its f32 views, and — where `θ16` was lent — the new `θ16`, lent in
+    /// its place. The model/mask structure must match what was saved. The
     /// loss-scaler state and step counters are restored too. Purely
     /// local: no collective runs.
     pub fn restore(&mut self, checkpoint: &[u8], model: &mut impl Layer) -> Result<(), String> {
@@ -331,7 +344,14 @@ impl<R: Reducer> StepEngine<R> {
         let (mut layers, meta) = load_checkpoint(checkpoint, &self.opt)?;
         check_structure(&self.layers, &layers, off, total)?;
         let mine = layers.drain(off..off + self.layers.len());
-        install_layers(&mut self.layers, mine, model)?;
+        // `θ16` goes home to be replaced with its state, and back out only
+        // if it was out: a parameter that still held the old one would
+        // keep it through a re-lend, which never moves a held buffer.
+        let lent = self.layers.iter().any(|st| st.theta16.len() != st.numel());
+        self.lend_theta16(model, false);
+        let installed = install_layers(&mut self.layers, mine, model);
+        self.lend_theta16(model, lent);
+        installed?;
         if self.schedule.is_some() {
             // The restored layers are fresh allocations without remap
             // headroom; rebuild the scratch (and re-reserve) so future
@@ -423,7 +443,8 @@ impl<R: Reducer> StepEngine<R> {
     /// Moves `θ16` of every parameter that holds no f32 view from its
     /// layer state into the parameter (`lend`) for a compute window, with
     /// the mask's shared index beside it, or every lent one back home.
-    /// Idempotent either way; allocation-free.
+    /// Idempotent either way; allocation-free. A lend after a remap
+    /// carries the new index.
     pub(crate) fn lend_theta16(&mut self, model: &mut impl Layer, lend: bool) {
         let mut layers = self.layers.iter_mut();
         model.for_each_param_mut(&mut |p| {
@@ -622,6 +643,7 @@ impl<R: Reducer> StepEngine<R> {
         let sp = self.span("samo.step.remap");
         let (layers, scratch) = (&mut self.layers, &mut self.remap_scratch);
         let (score16, reducer) = (&mut self.remap_score16, &mut self.reducer);
+        let (score, weights) = (&mut self.remap_score, &mut self.remap_weights);
         let (mut i, mut moved, mut res) = (0, false, Ok(()));
         model.for_each_param_mut(&mut |p| {
             let (layer, sc) = (&mut layers[i], &mut scratch[i]);
@@ -629,7 +651,8 @@ impl<R: Reducer> StepEngine<R> {
             if res.is_err() {
                 return;
             }
-            let dense16 = &mut score16[..p.grad.numel()];
+            let n = layer.numel();
+            let (dense16, score, weights) = (&mut score16[..n], &mut score[..n], &mut weights[..n]);
             ops::narrow_into(p.grad.as_slice(), dense16);
             if let Some(comm) = reducer.comm_mut() {
                 res = comm.allreduce_mean_f16(dense16);
@@ -637,13 +660,11 @@ impl<R: Reducer> StepEngine<R> {
                     return;
                 }
             }
-            sc.score.resize(dense16.len(), 0.0);
-            ops::widen_into(dense16, &mut sc.score);
-            // A released view is widened for the ranking alone, as the
-            // dense gradients were materialised for this step alone.
-            let widened = (!p.holds_value()).then(|| layer.dense_f32_params());
-            let weights = widened.as_deref().unwrap_or(p.value.as_slice());
-            let new_mask = sched.next_mask(t, weights, &sc.score, layer.mask());
+            ops::widen_into(dense16, score);
+            // The weights are `θ16` — home here, and the same bits as any
+            // f32 view the model holds.
+            ops::widen_into(&layer.theta16, weights);
+            let new_mask = sched.next_mask(t, weights, score, layer.mask());
             if &new_mask != layer.mask() {
                 res = remap_layer(layer, new_mask, sc, reducer.comm_mut());
                 layer.write_dense_f32_params_into(p.value.as_mut_slice());

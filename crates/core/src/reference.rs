@@ -833,7 +833,7 @@ mod tests {
             plain.step(&mut plain_model);
 
             for (a, b) in dp.replicas[0].params().iter().zip(plain_model.params()) {
-                assert_eq!(a.value.as_slice(), b.value.as_slice(), "step {step}");
+                assert_eq!(a.value.as_slice(), &b.f32_view()[..], "step {step}");
             }
         }
     }

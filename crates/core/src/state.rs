@@ -25,14 +25,16 @@
 //! layer's dense gradient exists.
 //!
 //! `θ16` is dense "so that the forward and backward passes can use fast
-//! dense kernels", and on the runtimes that own their model it is the
-//! model's weight itself: for a step's compute window the engine moves
-//! `theta16` into the parameter whose layer multiplies by it
-//! (`crate::engine`, module docs) and this state holds an empty `Vec`
-//! until it is moved back. The state stays its one owner: every
-//! constructor, kernel, checkpoint path and byte count here expects
-//! `theta16` home, and the kernel that scatters into it asserts so (an
-//! empty one would read as nothing to write). The model's f32 widening
+//! dense kernels", and it is the model's weight itself: for a compute
+//! window — a step's, or the time between a caller-driven trainer's
+//! steps — the engine moves `theta16` into the parameter whose layer
+//! multiplies by it (`crate::engine`, module docs) and this state holds
+//! an empty `Vec` until it is moved back. The state stays its one owner:
+//! the byte count charges `2φ` for it wherever it is, and every
+//! constructor, kernel and remap here expects `theta16` home — the kernel
+//! that scatters into it asserts so (an empty one would read as nothing
+//! to write). A checkpoint never reads it: `θ16` is rebuilt from `θ32`.
+//! The model's f32 widening
 //! of `θ16` — `dense_out` of the step kernels,
 //! [`SamoLayerState::write_dense_f32_params_into`] — is written where the
 //! model keeps one; a parameter that computes from the lent `θ16` has
@@ -560,10 +562,12 @@ impl SamoLayerState {
         }
     }
 
-    /// Component breakdown from the live data structures.
+    /// Component breakdown from the live data structures. `θ16` counts
+    /// `2φ` wherever it is: lent to the model, the buffer is still this
+    /// state's.
     pub fn breakdown(&self) -> SamoBreakdown {
         SamoBreakdown {
-            theta16: (self.theta16.len() * 2) as u64,
+            theta16: (self.numel() * 2) as u64,
             index: self.mask.index_bytes() as u64,
             theta32: (self.theta32.len() * 4) as u64,
             grad16: (self.grad16.len() * 2) as u64,
@@ -735,10 +739,6 @@ pub struct RemapScratch {
     grad16: Vec<F16>,
     grad32: Vec<f32>,
     os: OptState,
-    /// Dense (φ-length) staging for the trainer's grow-score
-    /// canonicalization; lives here so schedule evaluation reuses the
-    /// same warm allocation.
-    pub score: Vec<f32>,
 }
 
 impl RemapScratch {
@@ -757,7 +757,6 @@ impl RemapScratch {
             grad16: Vec::with_capacity(numel),
             grad32: Vec::with_capacity(numel),
             os,
-            score: Vec::with_capacity(numel),
         }
     }
 }

@@ -17,31 +17,41 @@ pub type SamoTrainer = StepEngine<NoReduce>;
 impl StepEngine<NoReduce> {
     /// Builds the trainer from a model's current parameters and one mask
     /// per parameter tensor (in `model.params()` order). The model's
-    /// parameters are immediately pruned in place.
+    /// parameters are immediately pruned in place, and a parameter whose
+    /// layer computes from half precision gives up its f32 `value` and
+    /// computes from the lent `θ16` and its index from here on (read it
+    /// with [`nn::Parameter::f32_view`]).
     pub fn new(model: &mut impl Layer, masks: Vec<Mask>, opt: Optimizer) -> SamoTrainer {
-        StepEngine::build(model, &masks, opt, NoReduce, false, &SAMO)
+        let mut tr = StepEngine::build(model, &masks, opt, NoReduce, false, &SAMO);
+        model.for_each_param_mut(&mut |p| p.release_value());
+        tr.lend_theta16(model, true);
+        tr
     }
 
     /// Completes a training step after `model` has run forward/backward
-    /// with the loss multiplied by [`Self::loss_scale`], using the two
-    /// fused single-pass kernels: gather + f16-round + overflow-detect
+    /// with the loss multiplied by [`Self::loss_scale`]: brings the lent
+    /// `θ16` home, remaps if the mask schedule fires, then runs the two
+    /// fused single-pass kernels — gather + f16-round + overflow-detect
     /// ([`crate::SamoLayerState::compress_grad_fused`]), then upscale +
-    /// optimizer + downcast + scatter writing the model's dense f32
-    /// parameters in place
-    /// ([`crate::SamoLayerState::optimizer_step_fused`]). Returns `false`
-    /// if the step was skipped.
+    /// optimizer + downcast + scatter into `θ16` and whatever f32 views
+    /// the model still holds
+    /// ([`crate::SamoLayerState::optimizer_step_fused`]) — and lends `θ16`
+    /// again with the current index. Returns `false` if the step was
+    /// skipped.
     ///
-    /// The steady-state path performs no heap allocation: both kernels
-    /// work in place, and the skipped-step path only zeroes gradients
-    /// (asserted by `tests/zero_alloc.rs`).
+    /// The steady-state path performs no heap allocation: the lend is a
+    /// `Vec` swap, both kernels work in place, and the skipped-step path
+    /// only zeroes gradients (asserted by `tests/zero_alloc.rs`).
     ///
     /// With telemetry enabled, each fused kernel is timed
     /// (`samo.step.compress`, `samo.step.optimizer`) and one
     /// [`telemetry::StepEvent`] line is appended to `metrics.jsonl`;
     /// disabled, the overhead is a few atomic loads.
     pub fn step(&mut self, model: &mut impl Layer) -> bool {
-        self.step_after_backward(model)
-            .expect("a single worker runs no collective")
+        self.lend_theta16(model, false);
+        let applied = self.step_after_backward(model).expect("a single worker runs no collective");
+        self.lend_theta16(model, true);
+        applied
     }
 }
 
@@ -113,9 +123,45 @@ mod tests {
         let mask = prune::random_prune(&[8, 8], 0.75, 2);
         let trainer = SamoTrainer::new(&mut model, vec![mask.clone()], adam());
         assert_eq!(trainer.nnz(), 16);
-        let w = model.params()[0].value.as_slice();
+        let w = model.params()[0].f32_view();
         let zeros = w.iter().filter(|&&v| v == 0.0).count();
         assert_eq!(zeros, 48);
+    }
+
+    #[test]
+    fn new_leaves_f32_values_only_where_a_layer_cannot_take_theta16() {
+        // Built, never run: the layers need not compose.
+        let mut model = nn::layer::Sequential::new()
+            .push(nn::Embedding::new(10, 8, 80))
+            .push(nn::norm::LayerNorm::new(8))
+            .push(Linear::new(8, 16, true, 81))
+            .push(Linear::new(16, 4, false, 82));
+        let masks = model
+            .params()
+            .iter()
+            .map(|p| Mask::dense(p.value.shape()))
+            .collect();
+        let f32_only: usize = model
+            .params()
+            .iter()
+            .filter(|p| !p.accepts_theta16)
+            .map(|p| 4 * p.numel())
+            .sum();
+        assert_eq!(
+            f32_only,
+            4 * (80 + 8 + 8 + 16),
+            "the table, γ, β and one bias"
+        );
+        let _tr = SamoTrainer::new(&mut model, masks, adam());
+        assert_eq!(nn::param::resident_param_bytes(&model).0, f32_only);
+        for p in model.params() {
+            assert_eq!(
+                p.index().is_some(),
+                p.accepts_theta16,
+                "{}: θ16 is lent with its index",
+                p.name
+            );
+        }
     }
 
     #[test]
@@ -168,7 +214,7 @@ mod tests {
             model.backward(&dy);
             trainer.step(&mut model);
         }
-        let w = model.params()[0].value.as_slice();
+        let w = model.params()[0].f32_view();
         for &i in &pruned_positions {
             assert_eq!(w[i], 0.0, "pruned weight {i} moved");
         }
@@ -178,7 +224,7 @@ mod tests {
     fn overflow_skips_step_and_backs_off_scale() {
         let mut model = Linear::new(2, 2, false, 11);
         let mut trainer = SamoTrainer::new(&mut model, vec![Mask::dense(&[2, 2])], adam());
-        let before = model.params()[0].value.as_slice().to_vec();
+        let before = model.params()[0].f32_view().into_owned();
         let scale_before = trainer.loss_scale();
         // Poison the gradient.
         model.params_mut()[0]
@@ -187,7 +233,7 @@ mod tests {
             .copy_from_slice(&[f32::INFINITY, 0.0, 0.0, 0.0]);
         let applied = trainer.step(&mut model);
         assert!(!applied);
-        assert_eq!(model.params()[0].value.as_slice(), &before[..]);
+        assert_eq!(model.params()[0].f32_view(), before);
         assert!(trainer.loss_scale() < scale_before);
         assert_eq!(trainer.steps_skipped(), 1);
     }
@@ -305,7 +351,7 @@ mod tests {
             );
             // Dense view invariant: pruned positions are exactly zero.
             let keep = tr.layers[0].mask().to_bools();
-            for (i, &w) in model.params()[0].value.as_slice().iter().enumerate() {
+            for (i, &w) in model.params()[0].f32_view().iter().enumerate() {
                 if !keep[i] {
                     assert_eq!(w, 0.0, "pruned weight {i} nonzero after remap");
                 }
@@ -359,9 +405,128 @@ mod tests {
         for _ in 0..3 {
             train_step(&mut model2, &mut tr2);
         }
-        for (a, b) in model.params().iter().zip(model2.params()) {
-            assert_eq!(a.value.as_slice(), b.value.as_slice(), "{}", a.name);
+        assert_eq!(views(&model), views(&model2));
+    }
+
+    /// Every parameter's f32 value, read without ending a lend.
+    fn views(model: &impl Layer) -> Vec<Vec<f32>> {
+        model
+            .params()
+            .iter()
+            .map(|p| p.f32_view().into_owned())
+            .collect()
+    }
+
+    /// A restore or rollback into a trainer that has stepped — whose
+    /// model computes from a lent `θ16` holding newer weights than the
+    /// checkpoint — replays bit for bit: the lent weights are the
+    /// checkpoint's, not the ones the model held.
+    #[test]
+    fn restore_and_rollback_into_a_stepped_trainer_replay_bitwise() {
+        let make = || {
+            let mut model = Linear::new(16, 12, true, 91);
+            let masks = vec![prune::random_prune(&[12, 16], 0.8, 92), Mask::dense(&[12])];
+            let tr = SamoTrainer::new(&mut model, masks, adam());
+            (model, tr)
+        };
+        let train_step = |m: &mut Linear, t: &mut SamoTrainer, s: u64| {
+            let y = m.forward(&Tensor::randn(&[4, 16], 1.0, 93 + s));
+            let (_, mut dy) = mse(&y, &Tensor::randn(&[4, 12], 1.0, 193 + s));
+            tensor::ops::scale(t.loss_scale(), dy.as_mut_slice());
+            m.backward(&dy);
+            t.step(m);
+            (views(m), t.save())
+        };
+        let (mut model, mut tr) = make();
+        for s in 0..3 {
+            train_step(&mut model, &mut tr, s);
         }
+        let ckpt = tr.save();
+        let live: Vec<_> = (3..6).map(|s| train_step(&mut model, &mut tr, s)).collect();
+
+        tr.restore(&ckpt, &mut model).unwrap();
+        let replayed: Vec<_> = (3..6).map(|s| train_step(&mut model, &mut tr, s)).collect();
+        assert!(
+            replayed == live,
+            "a restore into a stepped trainer diverged from the live run"
+        );
+
+        // A rollback retries at half the scale: the same replay as a fresh
+        // trainer rolled back from the same bytes.
+        tr.rollback(&ckpt, &mut model).unwrap();
+        let (mut fresh_model, mut fresh) = make();
+        fresh.rollback(&ckpt, &mut fresh_model).unwrap();
+        for s in 3..6 {
+            let (a, b) = (
+                train_step(&mut model, &mut tr, s),
+                train_step(&mut fresh_model, &mut fresh, s),
+            );
+            assert!(
+                a == b,
+                "a rollback into a stepped trainer diverged at step {s}"
+            );
+        }
+    }
+
+    /// Between steps the weight is the lent `θ16` with its index; the
+    /// kept products it runs give the bits of the f32 products over the
+    /// widened weight, forward and input gradient alike.
+    #[test]
+    fn lent_forward_and_backward_equal_the_widened_f32_bitwise() {
+        // 8 rows at p = 0.9: the kept products (tests/zero_alloc.rs pins
+        // the planner's choice for this shape).
+        let mut model = Linear::new(96, 128, true, 95);
+        let masks = vec![
+            prune::random_prune(&[128, 96], 0.9, 96),
+            Mask::dense(&[128]),
+        ];
+        let mut tr = SamoTrainer::new(&mut model, masks, adam());
+        let (x, target) = (
+            Tensor::randn(&[8, 96], 1.0, 97),
+            Tensor::randn(&[8, 128], 1.0, 98),
+        );
+        let pass = |m: &mut Linear| {
+            let y = m.forward(&x);
+            let dx = m.backward(&mse(&y, &target).1);
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            (bits(&y), bits(&dx))
+        };
+        pass(&mut model);
+        tr.step(&mut model);
+        assert!(
+            model.params()[0].index().is_some(),
+            "θ16 is lent with its index"
+        );
+        let lent = pass(&mut model);
+        model.for_each_param_mut(&mut |p| p.widen_value());
+        tr.lend_theta16(&mut model, false);
+        assert!(
+            model.params()[0].index().is_none(),
+            "the widened f32 value is held"
+        );
+        assert!(pass(&mut model) == lent, "lent and f32 products differ");
+    }
+
+    #[test]
+    fn state_bytes_count_theta16_wherever_it_is() {
+        let mut model = Linear::new(16, 16, true, 99);
+        let masks = vec![
+            prune::random_prune(&[16, 16], 0.75, 100),
+            Mask::dense(&[16]),
+        ];
+        let mut tr = SamoTrainer::new(&mut model, masks, adam());
+        let lent = (tr.model_state_bytes(true), tr.model_state_bytes(false));
+        assert!(tr.layers[0].theta16.is_empty(), "the weight's θ16 is lent");
+        tr.lend_theta16(&mut model, false);
+        assert_eq!(tr.layers[0].theta16.len(), 256);
+        assert_eq!(
+            (tr.model_state_bytes(true), tr.model_state_bytes(false)),
+            lent
+        );
+        assert_eq!(
+            lent.0,
+            formula_state_bytes(&tr.opt, tr.numel() as u64, tr.nnz() as u64)
+        );
     }
 
     #[test]
@@ -466,15 +631,16 @@ mod tests {
         }
         let good = tr.save();
         let scale = tr.loss_scale();
-        let theta: Vec<f32> = model.params()[0].value.as_slice().to_vec();
+        let theta = views(&model);
 
         // "Diverge": take more steps, then roll back.
         for _ in 0..2 {
             model.params_mut()[0].grad.as_mut_slice().fill(5.0);
             tr.step(&mut model);
         }
+        assert_ne!(views(&model), theta);
         tr.rollback(&good, &mut model).unwrap();
-        assert_eq!(model.params()[0].value.as_slice(), &theta[..]);
+        assert_eq!(views(&model), theta);
         assert_eq!(tr.steps_taken(), 3);
         assert_eq!(tr.loss_scale(), scale * 0.5, "rollback must back off the scale");
     }

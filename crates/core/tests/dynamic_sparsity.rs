@@ -80,7 +80,7 @@ fn drive_oracle(oracle: &mut SamoTrainer, model: &mut Sequential, step: usize) -
 
 /// The bits of every parameter tensor's f32 view.
 fn view_bits(model: &Sequential) -> Vec<Vec<u32>> {
-    let bits = |p: &&nn::Parameter| p.value.as_slice().iter().map(|v| v.to_bits()).collect();
+    let bits = |p: &&nn::Parameter| p.f32_view().iter().map(|v| v.to_bits()).collect();
     model.params().iter().map(bits).collect()
 }
 

@@ -60,9 +60,10 @@ fn assert_equivalent(
     let mut samo_tr = SamoTrainer::new(&mut model_samo, masks.clone(), opt.clone());
     let mut dense_tr = DenseMaskedTrainer::new(&mut model_dense, masks.clone(), opt);
 
-    // After init, both models hold identical pruned fp16-rounded params.
+    // After init, both models hold identical pruned fp16-rounded params:
+    // SAMO's weights as the lent θ16, the dense baseline's as f32.
     for (a, b) in model_samo.params().iter().zip(model_dense.params()) {
-        prop_assert_eq!(a.value.as_slice(), b.value.as_slice());
+        prop_assert_eq!(&a.f32_view()[..], b.value.as_slice());
     }
 
     for step in 0..steps {
@@ -98,7 +99,7 @@ fn assert_equivalent(
         }
         // And the compute models see identical parameters.
         for (a, b) in model_samo.params().iter().zip(model_dense.params()) {
-            prop_assert_eq!(a.value.as_slice(), b.value.as_slice());
+            prop_assert_eq!(&a.f32_view()[..], b.value.as_slice());
         }
     }
     Ok(())

@@ -262,9 +262,10 @@ fn a_training_rank_holds_f32_buffers_for_the_biases_only() {
         let held = if step == 0 { PHI } else { BIASES };
         assert_eq!(grads, 4 * held, "rank {rank}, step {step}: no weight matrix keeps a dense gradient");
     }
-    // The caller runs forward and backward, so both must be where it
-    // reads and writes them.
-    assert_eq!(resident_param_bytes(&model), (4 * PHI, 4 * PHI));
+    // The caller runs forward and backward: the weights compute from the
+    // θ16 the trainer lends between steps, and the gradients are where
+    // backward writes them.
+    assert_eq!(resident_param_bytes(&model), (4 * BIASES, 4 * PHI));
 }
 
 const IN: usize = 6;

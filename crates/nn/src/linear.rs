@@ -4,11 +4,11 @@
 //! (`y = x · Wᵀ`, `dx = dy · W`), and the GEMM reads B from `f32` or from
 //! half precision alike, to the same bits. So the layer declares
 //! [`Parameter::accepts_theta16`] and multiplies by whichever form of the
-//! weight it finds: the dense `θ16` a SAMO runtime lent for the step —
-//! the paper's one dense tensor, no f32 copy of it anywhere — or, for an
-//! unmanaged model, a serving replica or a trainer whose caller runs the
-//! passes, the f32 `value`. A lent `θ16` comes with its mask's index, so
-//! the two products may skip the pruned weights
+//! weight it finds: the dense `θ16` a SAMO trainer lent — for its step,
+//! or between steps when the caller runs the passes; the paper's one
+//! dense tensor, no f32 copy of it anywhere — or, for an unmanaged model
+//! or a serving replica, the f32 `value`. A lent `θ16` comes with its
+//! mask's index, so the two products may skip the pruned weights
 //! ([`tensor::gemm::sgemm_kept`] — still the same bits).
 //!
 //! The third product, `dW = dyᵀ · x`, is the sink's to choose: the layer

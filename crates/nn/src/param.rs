@@ -27,6 +27,7 @@
 //! a parameter never holds one without the other.
 
 use crate::layer::Layer;
+use std::borrow::Cow;
 use std::sync::Arc;
 use tensor::f16::F16;
 use tensor::Tensor;
@@ -87,8 +88,20 @@ impl Parameter {
         }
     }
 
+    /// The f32 value for a reader that leaves the parameter as it is: the
+    /// held `value`, or the lent `theta16` widened into a fresh buffer.
+    /// Unlike [`Self::widen_value`], the parameter keeps computing from
+    /// whichever form it had.
+    pub fn f32_view(&self) -> Cow<'_, [f32]> {
+        match self.holds_value() {
+            true => Cow::Borrowed(self.value.as_slice()),
+            false => Cow::Owned(tensor::f16::f16_slice_to_f32(&self.theta16)),
+        }
+    }
+
     /// Undoes [`Self::release_value`] for a reader of `value`: a released
-    /// value comes back as the `theta16` it is lent, widened.
+    /// value comes back as the `theta16` it is lent, widened. Sticky: the
+    /// layer computes from the f32 `value` from then on.
     pub fn widen_value(&mut self) {
         if !self.holds_value() {
             let widened = tensor::f16::f16_slice_to_f32(&self.theta16);
@@ -228,10 +241,14 @@ mod tests {
             assert_eq!((home.len(), home.as_ptr()), (32, buffer));
         }
         assert_eq!(Arc::strong_count(&index), 1, "and goes with it");
-        // A reader of `value` gets it widened from what is lent; θ16 goes
-        // home whatever the value's state, and a held value stays put.
+        // A reader of `value` gets it widened from what is lent: a view
+        // leaves the lend in place, `widen_value` ends it. θ16 goes home
+        // whatever the value's state, and a held value stays put.
         w.lend_theta16(&mut home, Arc::clone(&index), true);
+        assert_eq!(w.f32_view()[31], 31.0);
+        assert!(!w.holds_value() && w.theta16.len() == 32, "a view leaves θ16 lent");
         w.widen_value();
+        assert!(matches!(w.f32_view(), Cow::Borrowed(_)), "a held value is read in place");
         assert_eq!(w.value.as_slice()[31], 31.0);
         w.lend_theta16(&mut home, Arc::clone(&index), false);
         assert_eq!((w.theta16.len(), home.as_ptr()), (0, buffer));

@@ -88,7 +88,7 @@ fn samo_equals_dense_masked_on_transformer() {
             );
         }
         for (a, b) in m1.params().iter().zip(m2.params()) {
-            assert_eq!(a.value.as_slice(), b.value.as_slice(), "{} diverged", a.name);
+            assert_eq!(&a.f32_view()[..], b.value.as_slice(), "{} diverged", a.name);
         }
     }
 }

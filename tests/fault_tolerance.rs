@@ -57,7 +57,7 @@ fn train_step(tr: &mut SamoTrainer, m: &mut Sequential, step: u64) {
 fn params_of(m: &mut Sequential) -> Vec<Vec<f32>> {
     m.params()
         .iter()
-        .map(|p| p.value.as_slice().to_vec())
+        .map(|p| p.f32_view().into_owned())
         .collect()
 }
 
@@ -145,8 +145,12 @@ fn sentinel_rollback_recovers_divergent_run() {
     let scale_at_ckpt = tr.loss_scale();
     let good: Vec<Vec<f32>> = params_of(&mut m);
 
-    // Sabotage: blow up a weight so the loss genuinely explodes.
-    m.params_mut()[0].value.as_mut_slice()[0] = 1e20;
+    // Sabotage: blow up a kept weight of the lent θ16 — the largest
+    // finite half — so the loss genuinely explodes, and rollback has to
+    // bring the bad θ16 home, install the checkpoint's and lend that.
+    let mut params = m.params_mut();
+    let kept = params[0].index().expect("the weight computes from the lent θ16")[0] as usize;
+    params[0].theta16[kept] = tensor::f16::F16::from_f32(65504.0);
     let mut diverged = false;
     for s in 10..20 {
         let (loss, gn) = observe(&mut m, &mut tr, s);

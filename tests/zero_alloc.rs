@@ -362,8 +362,10 @@ fn hot_paths_allocate_nothing_in_steady_state() {
     // over the kept weights: A is transposed into thread-local scratch
     // sized for both products of the layer at once, so the first forward
     // grows it, the first dx (k and n swapped) finds it grown, and warm
-    // calls allocate nothing.
-    let rows = 8;
+    // calls allocate nothing. A whole 64-row block: deeper than the kept
+    // forwards the trainers above ran between their steps, whose scratch
+    // this thread keeps.
+    let rows = 64;
     let kmask = prune::random_prune(&[out_f, in_f], 0.9, 34);
     let mut kw = Tensor::randn(&[out_f, in_f], 1.0, 35);
     kmask.apply(kw.as_mut_slice());
