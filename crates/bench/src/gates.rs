@@ -381,8 +381,22 @@ fn tcp(doc: &Json) -> Check {
         }
         worlds.push(world);
     }
+    // Starting every gather before finishing the first moves the waits,
+    // never a bit or a message: one message per gather per rank at world 2.
+    let e = get(get(doc, "tcp")?, "epilogue")?;
+    if !flag(e, "bitwise_equal")? {
+        return Err("epilogue: started gathers diverged from blocking ones".into());
+    }
+    let gathers = uint(e, "gathers")?;
+    for key in ["blocking_msgs_per_rank", "started_msgs_per_rank"] {
+        let msgs = uint(e, key)?;
+        if msgs != gathers {
+            return Err(format!("epilogue: {key} {msgs}, want one per gather ({gathers})"));
+        }
+    }
     Ok(format!(
-        "worlds {worlds:?}, bitwise equal across transports"
+        "worlds {worlds:?}, bitwise equal across transports; epilogue of {gathers} gathers \
+         started = blocking bits and messages"
     ))
 }
 
@@ -894,6 +908,17 @@ mod tests {
             "tcp",
             &doctored(&["tcp", "worlds"], Json::Arr(vec![])),
             &["worlds"],
+        );
+        // The epilogue: started gathers keep the bits and the messages.
+        rejects(
+            "tcp",
+            &doctored(&["tcp", "epilogue", "bitwise_equal"], Json::Bool(false)),
+            &["epilogue", "diverged"],
+        );
+        rejects(
+            "tcp",
+            &doctored(&["tcp", "epilogue", "started_msgs_per_rank"], Json::UInt(25)),
+            &["started_msgs_per_rank", "25", "24"],
         );
     }
 

@@ -17,7 +17,12 @@
 //!   once to f16.
 //! * **All-gather** (`G−1` hops, f16 payloads): the finished f16
 //!   segments rotate around the ring until every rank holds all of
-//!   them.
+//!   them. The standalone all-gather ([`Communicator::all_gather_f16`])
+//!   rotates contributions the same way, and splits in two like a ring:
+//!   [`Communicator::all_gather_f16_start`] sends hop 0 and returns, and
+//!   [`Communicator::all_gather_f16_finish`] receives the rest, forwarding
+//!   hops at `G > 2` — so a rank can send each gather as soon as its
+//!   input exists and wait once for all of them.
 //!
 //! | hop `s` of an all-reduce | payload | bytes per value |
 //! |--------------------------|---------|-----------------|
@@ -72,9 +77,10 @@ pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Most early arrivals a rank keeps for collectives it has not reached.
 /// A healthy neighbour runs at most one step ahead — one first hop per
-/// gradient bucket, a pipeline's microbatches, a telemetry snapshot —
-/// so a stash this deep is a peer off the message schedule, and is
-/// refused ([`CommsError::Mismatch`]) instead of grown.
+/// gradient bucket, the verdict flag, one hop 0 per started parameter
+/// gather, a pipeline's microbatches, a telemetry snapshot — so a stash
+/// this deep is a peer off the message schedule, and is refused
+/// ([`CommsError::Mismatch`]) instead of grown.
 const STASH_CAP: usize = 4096;
 
 /// One in-flight chunked ring all-reduce or reduce-scatter.
@@ -92,6 +98,27 @@ struct RingState {
     /// Stop after the reduce-scatter, on the schedule shifted by one
     /// (see the module docs).
     scatter_only: bool,
+}
+
+/// An all-gather whose hop 0 is on the wire
+/// ([`Communicator::all_gather_f16_start`]), until
+/// [`Communicator::all_gather_f16_finish`] completes it. It holds no
+/// values: the contribution went out with hop 0.
+#[must_use = "peers forward this gather's hops only when it is finished"]
+#[derive(Debug)]
+pub struct PendingGather {
+    /// Hop 0's tag; the later hops differ only by `step`.
+    tag: Tag,
+    counts: Vec<usize>,
+}
+
+/// A started [`Communicator::all_true`]: the flag gather and this
+/// rank's own flag, which its hop 0 carried away.
+#[must_use = "peers forward this gather's hops only when it is finished"]
+#[derive(Debug)]
+pub struct PendingAllTrue {
+    gather: PendingGather,
+    mine: bool,
 }
 
 /// A rank's collective interface over a transport endpoint.
@@ -472,16 +499,38 @@ impl<T: Transport> Communicator<T> {
 
     /// Ring all-gather: rank `r` contributes `mine` (whose length must
     /// equal `counts[r]`); returns the concatenation of every rank's
-    /// contribution in rank order.
+    /// contribution in rank order. [`Self::all_gather_f16_start`] followed
+    /// by [`Self::all_gather_f16_finish`], with `mine` put in its place.
     pub fn all_gather_f16(
         &mut self,
         mine: &[F16],
         counts: &[usize],
     ) -> Result<Vec<F16>, CommsError> {
-        self.all_gather(mine, counts, Payload::F16, |p| match p {
-            Payload::F16(v) => Some(v),
-            _ => None,
-        })
+        self.all_gather(mine, counts, Payload::F16, f16_payload)
+    }
+
+    /// The first half of [`Self::all_gather_f16`]: checks the layout,
+    /// takes the collective id and sends hop 0 — `mine`, moved into the
+    /// message, not copied — and returns without waiting. Finish started
+    /// gathers in the order they were started, like every rank does; other
+    /// collectives may run in between. A group of one sends nothing and
+    /// takes no id.
+    pub fn all_gather_f16_start(
+        &mut self,
+        mine: Vec<F16>,
+        counts: &[usize],
+    ) -> Result<PendingGather, CommsError> {
+        self.gather_start(mine, counts, Payload::F16)
+    }
+
+    /// The second half of [`Self::all_gather_f16`]: receives the other
+    /// ranks' contributions — forwarding each hop the ring still needs at
+    /// `G > 2` — into a fresh buffer in rank order, and returns it. The
+    /// rank's own range is left zero: its values went out in hop 0, and
+    /// the caller has them. A cut link fails here, with
+    /// [`CommsError::Timeout`] at the deadline.
+    pub fn all_gather_f16_finish(&mut self, started: PendingGather) -> Result<Vec<F16>, CommsError> {
+        self.gather_finish(started, Payload::F16, f16_payload)
     }
 
     /// Ring all-gather of **f32** segments — the f32 twin of
@@ -499,8 +548,9 @@ impl<T: Transport> Communicator<T> {
         })
     }
 
-    /// The one ring all-gather body; `wrap`/`unwrap` name the [`Payload`]
-    /// variant that carries `E` on the wire.
+    /// The one blocking ring all-gather: start, finish, and the rank's own
+    /// contribution copied into its range. `wrap`/`unwrap` name the
+    /// [`Payload`] variant that carries `E` on the wire.
     fn all_gather<E: Copy + Default>(
         &mut self,
         mine: &[E],
@@ -508,9 +558,25 @@ impl<T: Transport> Communicator<T> {
         wrap: fn(Vec<E>) -> Payload,
         unwrap: fn(Payload) -> Option<Vec<E>>,
     ) -> Result<Vec<E>, CommsError> {
+        let started = self.gather_start(mine.to_vec(), counts, wrap)?;
+        let lo: usize = counts[..self.rank()].iter().sum();
+        let mut out = self.gather_finish(started, wrap, unwrap)?;
+        out[lo..lo + mine.len()].copy_from_slice(mine);
+        Ok(out)
+    }
+
+    /// Hop 0 of a ring all-gather: at hop `s` rank `r` sends segment
+    /// `(r−s) mod G` to its successor — its own at hop 0, the one it
+    /// received at hop `s−1` after that — and receives segment
+    /// `(r−s−1) mod G` from its predecessor.
+    fn gather_start<E>(
+        &mut self,
+        mine: Vec<E>,
+        counts: &[usize],
+        wrap: fn(Vec<E>) -> Payload,
+    ) -> Result<PendingGather, CommsError> {
         self.guarded(|c| {
-            let g = c.world();
-            let r = c.rank();
+            let (g, r) = (c.world(), c.rank());
             if counts.len() != g {
                 return Err(CommsError::Mismatch(format!(
                     "all_gather counts has {} entries for world {g}",
@@ -524,28 +590,42 @@ impl<T: Transport> Communicator<T> {
                     counts[r]
                 )));
             }
+            let id = if g == 1 { 0 } else { c.fresh_id() };
+            let tag = c.tag(Kind::AllGather, id, 0);
+            if g > 1 {
+                c.send_traced(c.next(), Message { tag, payload: wrap(mine) })?;
+            }
+            Ok(PendingGather { tag, counts: counts.to_vec() })
+        })
+    }
+
+    /// Hops `0..G−1` of a started all-gather's receive side, forwarding
+    /// hops `1..G−2` on.
+    fn gather_finish<E: Copy + Default>(
+        &mut self,
+        started: PendingGather,
+        wrap: fn(Vec<E>) -> Payload,
+        unwrap: fn(Payload) -> Option<Vec<E>>,
+    ) -> Result<Vec<E>, CommsError> {
+        self.guarded(|c| {
+            let (g, r) = (c.world(), c.rank());
+            let PendingGather { tag, counts } = started;
             let mut offsets = Vec::with_capacity(g + 1);
             let mut total = 0usize;
-            for &n in counts {
+            for &n in &counts {
                 offsets.push(total);
                 total += n;
             }
             offsets.push(total);
             let mut out = vec![E::default(); total];
-            out[offsets[r]..offsets[r] + mine.len()].copy_from_slice(mine);
             if g == 1 {
                 return Ok(out);
             }
             let _sp = telemetry::enabled().then(|| telemetry::span("comms.allgather"));
-            let id = c.fresh_id();
             let deadline = c.deadline();
             for s in 0..g - 1 {
-                let send_seg = (r + g - s) % g;
-                let tag = c.tag(Kind::AllGather, id, s as u32);
-                let chunk = out[offsets[send_seg]..offsets[send_seg + 1]].to_vec();
-                c.send_traced(c.next(), Message { tag, payload: wrap(chunk) })?;
                 let recv_seg = (r + g - s - 1) % g;
-                let msg = c.recv_match(c.prev(), tag, deadline)?;
+                let msg = c.recv_match(c.prev(), Tag { step: s as u32, ..tag }, deadline)?;
                 let Some(vals) = unwrap(msg.payload) else {
                     return Err(CommsError::Mismatch(format!(
                         "all_gather expects {} payloads",
@@ -560,6 +640,10 @@ impl<T: Transport> Communicator<T> {
                     )));
                 }
                 out[offsets[recv_seg]..offsets[recv_seg + 1]].copy_from_slice(&vals);
+                if s + 2 < g {
+                    let tag = Tag { step: s as u32 + 1, ..tag };
+                    c.send_traced(c.next(), Message { tag, payload: wrap(vals) })?;
+                }
             }
             Ok(out)
         })
@@ -568,10 +652,26 @@ impl<T: Transport> Communicator<T> {
     /// Whether `mine` holds on every rank: a one-element
     /// [`Self::all_gather_f16`] of flags, and their AND (a group of one
     /// sends nothing). How the trainers agree on an overflow verdict.
+    /// [`Self::all_true_start`] followed by [`Self::all_true_finish`].
     pub fn all_true(&mut self, mine: bool) -> Result<bool, CommsError> {
+        let started = self.all_true_start(mine)?;
+        self.all_true_finish(started)
+    }
+
+    /// Sends this rank's flag ([`Self::all_gather_f16_start`]) and returns
+    /// without waiting for the others'.
+    pub fn all_true_start(&mut self, mine: bool) -> Result<PendingAllTrue, CommsError> {
         let flag = F16::from_f32(f32::from(u8::from(mine)));
-        let flags = self.all_gather_f16(&[flag], &vec![1; self.world()])?;
-        Ok(flags.iter().all(|f| f.to_f32() == 1.0))
+        let gather = self.all_gather_f16_start(vec![flag], &vec![1; self.world()])?;
+        Ok(PendingAllTrue { gather, mine })
+    }
+
+    /// Collects the other ranks' flags of a started [`Self::all_true`]
+    /// and returns the AND of every rank's.
+    pub fn all_true_finish(&mut self, started: PendingAllTrue) -> Result<bool, CommsError> {
+        let r = self.rank();
+        let flags = self.all_gather_f16_finish(started.gather)?;
+        Ok(started.mine && flags.iter().enumerate().all(|(i, f)| i == r || f.to_f32() == 1.0))
     }
 
     // --- Point-to-point (pipeline boundary traffic) -------------------
@@ -957,6 +1057,13 @@ impl<T: Transport> Communicator<T> {
     }
 }
 
+fn f16_payload(p: Payload) -> Option<Vec<F16>> {
+    match p {
+        Payload::F16(v) => Some(v),
+        _ => None,
+    }
+}
+
 fn f32_payload(msg: Message) -> Result<Vec<f32>, CommsError> {
     match msg.payload {
         Payload::F32(v) => Ok(v),
@@ -1111,6 +1218,86 @@ mod tests {
         });
         for g in got {
             assert_eq!(g, want);
+        }
+    }
+
+    #[test]
+    fn started_gathers_finish_to_what_blocking_gathers_return() {
+        // A sharded step's epilogue: every gather started, then every one
+        // finished in order. Same bits, same messages and bytes, the same
+        // ids consumed — the barrier after it still matches — as the
+        // blocking calls one by one; a group of one takes no id at all.
+        let counts_of = |world: usize, n: usize| -> Vec<usize> {
+            (0..world).map(|r| crate::segment(n, r, world)).map(|(lo, hi)| hi - lo).collect()
+        };
+        let sizes = [13usize, 1, 0, 40, 7];
+        for world in 1..=4usize {
+            let run = |two_phase: bool| {
+                run_ranks(world, Arc::default(), DEFAULT_TIMEOUT, |comm, rank| {
+                    let mine = |b: usize| {
+                        let counts = counts_of(world, sizes[b]);
+                        (vals(300 + 10 * b as u64 + rank as u64, counts[rank]), counts)
+                    };
+                    let out: Vec<Vec<F16>> = if two_phase {
+                        let started: Vec<_> = (0..sizes.len())
+                            .map(|b| {
+                                let (v, counts) = mine(b);
+                                comm.all_gather_f16_start(v, &counts).unwrap()
+                            })
+                            .collect();
+                        let lo = |b: usize| counts_of(world, sizes[b])[..rank].iter().sum::<usize>();
+                        let mut out = Vec::new();
+                        for (b, g) in started.into_iter().enumerate() {
+                            let mut full = comm.all_gather_f16_finish(g).unwrap();
+                            let (v, _) = mine(b);
+                            let own = &mut full[lo(b)..lo(b) + v.len()];
+                            assert!(own.iter().all(|x| x.0 == 0), "own range left zero");
+                            own.copy_from_slice(&v);
+                            out.push(full);
+                        }
+                        out
+                    } else {
+                        (0..sizes.len())
+                            .map(|b| {
+                                let (v, counts) = mine(b);
+                                comm.all_gather_f16(&v, &counts).unwrap()
+                            })
+                            .collect()
+                    };
+                    let ids = comm.next_id;
+                    comm.barrier().unwrap();
+                    let t = comm.transport();
+                    (out, ids, t.msgs_sent(), t.bytes_sent())
+                })
+            };
+            let (blocking, started) = (run(false), run(true));
+            assert_eq!(started, blocking, "world {world}");
+            let ids = if world == 1 { 0 } else { sizes.len() as u64 };
+            assert!(started.iter().all(|r| r.1 == ids), "world {world}: ids consumed");
+        }
+    }
+
+    #[test]
+    fn a_started_gather_on_a_cut_link_times_out_in_finish_and_poisons() {
+        let faults = Arc::new(FaultController::new());
+        faults.cut_link(0, 1);
+        let timeout = Duration::from_millis(150);
+        // No endpoint is dropped before every rank's finish returned.
+        let finished_all = std::sync::Barrier::new(3);
+        let got = run_ranks(3, faults, timeout, |comm, rank| {
+            let started = comm.all_gather_f16_start(vals(rank as u64, 4), &[4, 4, 4]);
+            let t0 = Instant::now();
+            let finished = comm.all_gather_f16_finish(started.unwrap());
+            let waited = t0.elapsed();
+            finished_all.wait();
+            (finished.map(drop), waited, comm.barrier())
+        });
+        // Rank 1 never hears from rank 0; rank 2 then misses rank 1's
+        // forward of it.
+        for (rank, (finished, waited, after)) in got.into_iter().enumerate().skip(1) {
+            assert_eq!(finished, Err(CommsError::Timeout { rank, from: rank - 1 }));
+            assert!(waited < timeout + Duration::from_secs(1), "rank {rank} waited {waited:?}");
+            assert_eq!(after, Err(CommsError::Poisoned), "rank {rank}");
         }
     }
 

@@ -45,7 +45,7 @@ pub mod trace;
 pub mod transport;
 
 pub use bootstrap::{bootstrap_tcp, BootstrapConfig, BootstrapInfo, Rendezvous};
-pub use collectives::Communicator;
+pub use collectives::{Communicator, PendingAllTrue, PendingGather};
 pub use fault::FaultController;
 pub use heartbeat::HeartbeatConfig;
 pub use tcp::TcpTransport;

@@ -58,6 +58,26 @@ fn ring_on_threads(world: usize, buckets: &[Vec<F16>]) -> Vec<Vec<F16>> {
     })
 }
 
+/// A bucket at the edges of half precision: `±65504` (the largest
+/// finite), subnormals, `±∞` and NaNs with odd payloads, between ordinary
+/// values — each edge in roughly one position of eight.
+fn edge_bucket(seed: u64, n: usize) -> Vec<F16> {
+    let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(7);
+    (0..n)
+        .map(|_| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let sign = ((s >> 20) as u16 & 1) << 15;
+            match (s >> 33) % 64 {
+                0..=7 => F16(sign | 0x7BFF),                        // ±65504
+                8..=15 => F16(sign | ((s >> 40) as u16 & 0x03FF)), // subnormal or ±0
+                16..=18 => F16(sign | 0x7C00),                      // ±∞
+                19..=20 => F16(sign | 0x7C01 | ((s >> 44) as u16 & 0x03FF)), // NaNs
+                _ => F16::from_f32(((s >> 40) as f32) / (1 << 14) as f32 - 512.0),
+            }
+        })
+        .collect()
+}
+
 fn oracle(buckets: &[Vec<F16>]) -> Vec<F16> {
     let mut copies = buckets.to_vec();
     let mut bufs: Vec<&mut [F16]> = copies.iter_mut().map(|c| c.as_mut_slice()).collect();
@@ -91,6 +111,36 @@ proptest! {
                 "world {} n {} p {}/10 nonfinite {} rank {}",
                 world, n, p_tenths, nonfinite, rank
             );
+        }
+    }
+
+    /// The fact a rank's overflow flag stands on: a reduced value is
+    /// non-finite exactly when some rank's input at that position is. A
+    /// mean of finite values up to ±65504 stays finite through the exact
+    /// sum and the one rounding; any ±∞ or NaN input survives both. So
+    /// the AND of the local flags is the group's verdict, known before the
+    /// ring runs — the ring itself is held to the oracle on these inputs
+    /// too.
+    #[test]
+    fn reduced_value_is_non_finite_iff_some_input_is(
+        world in 1usize..9,
+        n in 0usize..300,
+        seed in any::<u64>(),
+    ) {
+        let buckets: Vec<Vec<F16>> = (0..world).map(|r| edge_bucket(seed ^ r as u64, n)).collect();
+        let want = oracle(&buckets);
+        for (i, mean) in want.iter().enumerate() {
+            let some_input = buckets.iter().any(|b| !b[i].to_f32().is_finite());
+            prop_assert_eq!(
+                !mean.to_f32().is_finite(), some_input,
+                "world {} position {} inputs {:?} mean {:?}",
+                world, i, buckets.iter().map(|b| b[i]).collect::<Vec<_>>(), mean
+            );
+        }
+        if world > 1 {
+            for (rank, got) in ring_on_threads(world, &buckets).iter().enumerate() {
+                prop_assert_eq!(got, &want, "world {} rank {}", world, rank);
+            }
         }
     }
 

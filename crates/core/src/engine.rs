@@ -61,6 +61,13 @@
 //! verdict with one flag gather per step (`finish_reduce`) — full states
 //! too, which keeps the verdict one path.
 //!
+//! After backward, a collective is sent as soon as its input exists and
+//! the rank blocks once for all of them: the flag leaves beside the ring
+//! tail, before `finish_reduce` waits for it, and each shard's parameter
+//! gather leaves as soon as its optimizer pass ends, before `apply` waits
+//! for any of them. The ids, messages and bytes are those of the blocking
+//! order; only the waits moved.
+//!
 //! One rank per group reports (rank 0; the pipeline narrows it to stage
 //! 0): with telemetry on it emits one `telemetry::StepEvent` per step —
 //! the same record for every runtime, told apart by `runtime` — and keeps
@@ -513,14 +520,16 @@ impl<R: Reducer> StepEngine<R> {
     /// exact mean of finite f16 values is no larger than the largest of
     /// them, so a reduced value is non-finite iff some rank's input at
     /// that position was: the verdict is the AND over ranks of the flag
-    /// each rank's fused compress already produced — agreed with one
-    /// one-element all-gather per step, since a shard holds reduced bits
-    /// on its own range only. A single worker's flag is the verdict.
+    /// each rank's fused compress already produced. That flag is final
+    /// before the ring tail, so it goes out first, beside the tail, and is
+    /// collected after the means are installed. A single worker's flag
+    /// is the verdict.
     pub(crate) fn finish_reduce(&mut self) -> Result<bool, CommsError> {
         let local = std::mem::replace(&mut self.local_finite, true);
         let Some(comm) = self.reducer.comm_mut() else {
             return Ok(local);
         };
+        let verdict = comm.all_true_start(local)?;
         comm.ring_finish()?;
         let first = self.ring_order.first().map_or(0, |&(id, _)| id);
         for (id, reduced) in comm.take_completed() {
@@ -535,17 +544,19 @@ impl<R: Reducer> StepEngine<R> {
             self.layers[pi].grad16 = reduced;
         }
         self.ring_order.clear();
-        comm.all_true(local)
+        comm.all_true_finish(verdict)
     }
 
     /// The rest of the step once the group agrees whether the reduced
     /// gradients are `finite`: the loss-scaler verdict, then — unless it
     /// skips — the fused optimizer pass on the owned range (which also
-    /// writes `θ16` and, where the model keeps one, its f32 view there),
-    /// for shards the parameter all-gather and the scatter of the other
-    /// ranks' ranges,
-    /// dense gradients zeroed (streamed ones released), counters and
-    /// telemetry. Returns `false` if the step was skipped.
+    /// writes `θ16` and, where the model keeps one, its f32 view there).
+    /// A shard's parameter all-gather starts as soon as its pass ends, so
+    /// the gathers travel while the later passes run; a second pass waits
+    /// for them in the same order and scatters the other ranks' ranges,
+    /// one gathered buffer alive at a time. Then dense gradients are
+    /// zeroed (streamed ones released), counters and telemetry. Returns
+    /// `false` if the step was skipped.
     pub(crate) fn apply(
         &mut self,
         model: &mut impl Layer,
@@ -557,19 +568,33 @@ impl<R: Reducer> StepEngine<R> {
             let sp = self.span("samo.step.optimizer");
             let (layers, opt, reducer) = (&mut self.layers, &self.opt, &mut self.reducer);
             let inv_scale = 1.0 / scale;
-            let (mut i, mut res) = (0, Ok(()));
+            let (mut i, mut res, mut gathers) = (0, Ok(()), Vec::new());
             model.for_each_param_mut(&mut |p| {
                 let st = &mut layers[i];
                 i += 1;
                 if res.is_err() {
                     return;
                 }
-                let dense = p.value.as_mut_slice();
-                let mine = st.optimizer_step_owned(opt, inv_scale, dense);
+                let mine = st.optimizer_step_owned(opt, inv_scale, p.value.as_mut_slice());
                 if st.is_sharded() {
                     res = group(reducer.comm_mut())
-                        .and_then(|comm| comm.all_gather_f16(&mine, &st.shard_counts()))
-                        .map(|gathered| st.scatter_gathered(&gathered, dense));
+                        .and_then(|comm| comm.all_gather_f16_start(mine, &st.shard_counts()))
+                        .map(|started| gathers.push(started));
+                }
+            });
+            res?;
+            // The first pass started one gather per shard, in this order.
+            let (mut i, mut res, mut gathers) = (0, Ok(()), gathers.into_iter());
+            model.for_each_param_mut(&mut |p| {
+                let st = &mut layers[i];
+                i += 1;
+                if res.is_err() || !st.is_sharded() {
+                    return;
+                }
+                if let (Some(started), Some(comm)) = (gathers.next(), reducer.comm_mut()) {
+                    res = comm
+                        .all_gather_f16_finish(started)
+                        .map(|gathered| st.scatter_gathered(&gathered, p.value.as_mut_slice()));
                 }
             });
             res?;

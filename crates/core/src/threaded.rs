@@ -34,9 +34,11 @@
 //! optimizer steps from identical seeds, regardless of thread timing
 //! (`tests/data_parallel_threaded.rs` at the repository root asserts this).
 //!
-//! Loss-scale decisions cost one one-element flag gather per step. After
-//! the reduce-scatter a rank holds reduced bits on its own range only, so
-//! no rank can scan them all. It does not need to: the exact mean of
+//! Loss-scale decisions cost one one-element flag per rank per step, sent
+//! before the rank waits for the ring tail and collected after the means
+//! are installed, so it costs no round trip of its own. After the
+//! reduce-scatter a rank holds reduced bits on its own range only, so no
+//! rank can scan them all. It does not need to: the exact mean of
 //! finite f16 values is at most the largest of them in magnitude and so
 //! cannot overflow, while a `±inf` or NaN input makes the sum — and the
 //! mean — non-finite; a reduced value is therefore non-finite iff some
@@ -44,7 +46,11 @@
 //! fused compress already returns. The AND of those flags over the group
 //! is the verdict a scan of every reduced bit would reach (a rank's local
 //! flag and its owned reduced range say the same thing twice), and every
-//! scaler replica applies it in lockstep.
+//! scaler replica applies it in lockstep. Because the flag depends on no
+//! reduced bit, it can leave before the rings end (`crates/comms/tests/
+//! ring_oracle.rs` checks the fact against the oracle). The parameter
+//! all-gathers likewise leave one per shard as its optimizer pass ends,
+//! and the rank then waits for them together.
 //!
 //! # Failure handling
 //!
@@ -740,7 +746,8 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
     /// Runs one concurrent training step: every rank thread executes
     /// `f(rank, model, loss_scale)` (forward + scaled backward seed),
     /// backward with overlapped ring reduce-scatter, the fused step on
-    /// the owned range, and the parameter all-gather. Returns `Ok(true)` if applied, `Ok(false)` if
+    /// the owned range, and the parameter all-gathers, each started as its
+    /// shard's pass ends. Returns `Ok(true)` if applied, `Ok(false)` if
     /// skipped on overflow, and `Err` if any rank's collective failed
     /// (the group then needs [`Self::restore`]).
     pub fn step(

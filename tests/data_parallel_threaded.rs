@@ -385,6 +385,69 @@ fn overflow_on_one_rank_skips_every_rank_in_lockstep() {
     }
 }
 
+/// Timing never changes bits. A rank sends its overflow flag before the
+/// ring tail and each parameter gather as its optimizer pass ends, then
+/// waits for them together — so how fast each message travels decides
+/// only when a rank waits, never what it computes or sends. Seeded jitter
+/// on every link of worlds 2–4, in-process and over loopback TCP, for six
+/// steps with one overflow step (planted on the last rank at a position
+/// rank 0 owns): every checkpoint equals the sequential oracle's, and the
+/// wire bytes after every step equal those of the same run without jitter.
+#[test]
+fn jittered_links_change_no_bit_and_no_byte() {
+    const W2: usize = 2;
+    let at = masks()[W2].indices()[0] as usize;
+    for world in [2usize, 3, 4] {
+        for tcp in [false, true] {
+            let mut dp = DataParallelSamo::new((0..world).map(|_| model(5)).collect(), masks(), adam());
+            dp.set_scaler(LossScaler::new(1024.0));
+            // [without jitter, with jitter]
+            let mut runs = [false, true].map(|jitter| {
+                let plants: Vec<Plant> = (0..world).map(|_| Plant::default()).collect();
+                let replicas = plants.iter().map(|p| tapped_model(5, p)).collect();
+                let mut th = if tcp {
+                    let mesh = comms::TcpTransport::local_mesh(world).expect("loopback mesh");
+                    let faults = Arc::clone(mesh[0].faults());
+                    let timeout = comms::collectives::DEFAULT_TIMEOUT;
+                    ThreadedDataParallelSamo::with_transports(replicas, masks(), adam(), timeout, mesh, faults)
+                } else {
+                    ThreadedDataParallelSamo::new(replicas, masks(), adam())
+                };
+                th.set_scaler(LossScaler::new(1024.0));
+                for (from, to) in (0..world).flat_map(|f| (0..world).map(move |t| (f, t))) {
+                    if jitter && from != to {
+                        let straggler = summit_sim::StragglerModel { prob: 0.3, slowdown: 4.0 };
+                        let seed = (world * 100 + from * 10 + to) as u64;
+                        th.faults().jitter_link(from, to, seed, straggler, Duration::from_micros(150));
+                    }
+                }
+                (th, plants)
+            });
+            for step in 0..6u64 {
+                let overflow = step == 2;
+                if overflow {
+                    dp.replica_mut(world - 1).params_mut()[W2].grad.as_mut_slice()[at] = f32::INFINITY;
+                }
+                drive_inproc(&mut dp, step);
+                let want = dp.save();
+                let mut wire = Vec::new();
+                for (th, plants) in &mut runs {
+                    if overflow {
+                        plants[world - 1].lock().unwrap().push((at, f32::INFINITY));
+                    }
+                    let ctx = format!("world {world} tcp {tcp} step {step}");
+                    let applied = threaded_step(th, step).expect("jitter delays, never loses");
+                    assert_eq!(applied, !overflow, "{ctx}: exactly the planted step skips");
+                    assert_eq!(th.save().as_ref(), want.as_ref(), "{ctx}: checkpoint bytes");
+                    // Cumulative per rank: equal after every step is equal per step.
+                    wire.push(th.comm_stats().iter().map(|s| s.wire_bytes).collect::<Vec<_>>());
+                }
+                assert_eq!(wire[0], wire[1], "world {world} tcp {tcp} step {step}: wire bytes");
+            }
+        }
+    }
+}
+
 /// A rank-1 "group" degenerates to plain SAMO semantics and must not
 /// deadlock on self-communication.
 #[test]
