@@ -811,15 +811,15 @@ mod tests {
             *at(&mut doc, &["simd", "active_tier"]) = Json::Str("scalar".into());
             check("kernels", &doc).expect("the scalar tier records the short cuts and races none");
         }
-        // Every family has the cells of the grid.
+        // Every family has the cells of the grid, no more.
         for family in &PATH_SWEEP {
             let Json::Arr(mut cells) = at(&mut committed(), &["path_sweep", family.key]).clone() else {
                 panic!("path_sweep.{} is an array", family.key)
             };
             assert_eq!(cells.len(), family.cells(), "path_sweep.{}", family.key);
-            cells.pop();
+            cells.push(cells[0].clone());
             let doc = doctored(&["path_sweep", family.key], Json::Arr(cells));
-            let (got, want) = ((family.cells() - 1).to_string(), family.cells().to_string());
+            let (got, want) = ((family.cells() + 1).to_string(), family.cells().to_string());
             rejects("kernels", &doc, &[&format!("path_sweep {}", family.key), &got, &want]);
         }
 

@@ -57,14 +57,20 @@ pub fn duel<F: FnMut(), G: FnMut()>(rounds: usize, reps: usize, mut f: F, mut g:
 
 /// [`duel`] among any number of contenders.
 pub fn duel_n<const N: usize>(rounds: usize, reps: usize, mut contenders: [&mut dyn FnMut(); N]) -> [Sample; N] {
-    let mut runs: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(rounds));
+    let samples = duel_all(rounds, reps, &mut contenders);
+    samples.try_into().unwrap_or_else(|_| unreachable!("one sample per contender"))
+}
+
+/// [`duel_n`] over a slice: one sample per contender, in order.
+pub fn duel_all(rounds: usize, reps: usize, contenders: &mut [&mut dyn FnMut()]) -> Vec<Sample> {
+    let mut runs: Vec<Vec<f64>> = contenders.iter().map(|_| Vec::with_capacity(rounds)).collect();
     for _ in 0..rounds {
         for (f, runs) in contenders.iter_mut().zip(&mut runs) {
             f();
             runs.push(time_ms(reps, f));
         }
     }
-    runs.map(Sample::of)
+    runs.into_iter().map(Sample::of).collect()
 }
 
 /// Upper median; `None` for an empty set.

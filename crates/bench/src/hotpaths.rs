@@ -41,19 +41,23 @@
 //!   `dy·W`) from the f32 view of `θ16` against `θ16` itself, widened by
 //!   the GEMM's pack step (same bits, asserted). Gated: the
 //!   half-precision weight may never be slower than its f32 copy.
+//! * `relu_fwd_bwd_32x512` — a pipeline stage's `Relu` at `pipe2_mlp`'s
+//!   microbatch, forward and backward, against the copy roof.
 //! * `compress.f32` / `expand.f16` / `compress.f16` — the compression
 //!   and expansion primitives, at the element types the step uses.
 //! * `allreduce_compressed` — the compressed fp16 gradient all-reduce.
 //!
 //! Beside the kernels, `path_sweep`: the table the cuts of
 //! `tensor::gemm::plan` are read from, one grid ([`PATH_SWEEP`]) of
-//! op × rows × density. Each cell races a short cut against what runs
-//! where the planner declines it, through the pinned twins, and records
-//! the planner's pick: the sampled `dyᵀ·x` against the row blocks and the
-//! pack-free `dy·W16` against the packed one at 2048², rows {1 … 64};
-//! `x·Wᵀ` and `dy·W` over the kept weights against `sgemm` at
-//! `pipe2_mlp`'s 512², rows {1 … 64, 512} (gated at 32 rows, p = 0.9:
-//! [`crate::gates::KEPT_OVER_DENSE_MIN`]). And
+//! op × rows × density. Each cell races the short cuts against what runs
+//! where the planner declines them, through the pinned twins, and records
+//! the planner's pick: the sampled and the transposed `dyᵀ·x` against the
+//! row blocks and the pack-free `dy·W16` against the packed one at 2048²,
+//! rows {1 … 64}; `pipe2_mlp`'s `dyᵀ·x` (32 rows of a 512² layer at
+//! p = 0.9) summed over its eight microbatches on each path against the
+//! dense gradient; `x·Wᵀ` and `dy·W` over the kept weights against
+//! `sgemm` at `pipe2_mlp`'s 512², rows {1 … 64, 512} (gated at 32 rows,
+//! p = 0.9: [`crate::gates::KEPT_OVER_DENSE_MIN`]). And
 //! `gpt_layers`: which layer type owns the
 //! compute-bound step. Every layer of the `gpt_single` benchmark workload
 //! at its shapes (`[B, T, C] = [16, 32, 64]`, 4 heads, 2 blocks), forward
@@ -62,10 +66,10 @@
 //! (`lent_*`): pruned to 0.9 by magnitude, computing from the `θ16` and
 //! index a `SamoTrainer` lends it, as the workload runs it.
 
-use crate::harness::{self, duel, duel_n, obj, random_vec, round6, sample, Sample};
+use crate::harness::{self, duel, duel_all, duel_n, obj, random_vec, round6, sample, Sample};
 use comms::reference::allreduce_mean_f16;
 use models::tiny::{TinyGpt, TinyGptConfig};
-use nn::activations::Gelu;
+use nn::activations::{Gelu, Relu};
 use nn::attention::CausalSelfAttention;
 use nn::layer::Layer;
 use nn::linear::Linear;
@@ -77,8 +81,8 @@ use samo::{compress, expand, state::SamoLayerState, SamoTrainer};
 use telemetry::json::Json;
 use tensor::f16::{f16_slice_to_f32, f32_slice_to_f16, F16};
 use tensor::gemm::{
-    matmul, matmul_nt, matmul_tn_acc, matmul_tn_kept_on_path, plan, sgemm, sgemm_kept_on_path, sgemm_on_path,
-    GemmElem, Op, Path,
+    matmul, matmul_nt, matmul_tn_acc, matmul_tn_kept_acc_on_path, matmul_tn_kept_on_path, plan, sgemm,
+    sgemm_kept_on_path, sgemm_on_path, GemmElem, Op, Path,
 };
 use tensor::simd::{self, Tier};
 use tensor::Tensor;
@@ -312,6 +316,22 @@ pub fn run(quick: bool) -> Result<(), String> {
         results.push(gemm_row("fwd_dx_f16w_4x2048x2048", (2 * m, n, k), 4 * reps, f16w));
     }
     {
+        // A pipeline stage's `Relu` at `pipe2_mlp`'s 32 × 512 microbatch,
+        // forward and backward: a select stored per element each way.
+        let (rows, cols) = (32, 512);
+        let (x, dy) = (Tensor::randn(&[rows, cols], 1.0, 30), Tensor::randn(&[rows, cols], 1.0, 31));
+        let mut relu = Relu::new();
+        let timed = sample(best_of, 4 * reps, || {
+            relu.forward(&x);
+            std::hint::black_box(relu.backward(&dy));
+        });
+        // Forward reads x and writes y and its cached copy; backward reads
+        // dy and x and writes dx: six floats an element.
+        let bytes = Some(24 * (rows * cols) as u64);
+        let roof = Some("stream_copy");
+        results.push(KernelResult { name: "relu_fwd_bwd_32x512", n: rows * cols, reps: 4 * reps, timed, flops: None, bytes, roof });
+    }
+    {
         // Fig. 4's attention inner loop: batch x heads = 64 score GEMMs
         // of (seq=32) x (seq=32) over head_dim=16 per layer.
         let (seq, hd, loops) = (32, 16, 64);
@@ -448,32 +468,30 @@ fn bits(v: &[f32]) -> Vec<u32> {
 }
 
 /// One family of [`PATH_SWEEP`]: `op` against a `side × side` weight at
-/// every row count × density, its short cut `path` raced against what
-/// runs where the planner declines it.
+/// every row count × density, its short cuts `paths` raced against what
+/// runs where the planner declines them.
 pub struct Family {
     pub key: &'static str,
     op: Op,
     side: usize,
     rows: &'static [usize],
     densities: &'static [f64],
-    path: Path,
+    paths: &'static [Path],
+    /// The rival the short cuts are raced against; `None` for the dense
+    /// weight's own path, which depends on the rows.
+    rival: Option<Path>,
+    /// Microbatches a weight gradient is summed over before it is narrowed
+    /// into `∇θ16` (`dyᵀ·x` only): one is the data-parallel step's
+    /// `matmul_tn_kept`, more a pipeline step's, `matmul_tn_kept_acc`
+    /// against the dense gradient (`Packed`: `matmul_tn_acc` and the
+    /// fused compress).
+    rounds: usize,
 }
 
 impl Family {
     /// How many cells the family records.
     pub fn cells(&self) -> usize {
         self.rows.len() * self.densities.len()
-    }
-
-    /// What runs where the planner declines the family's short cut: the
-    /// row blocks for the sampled product, the packed one for the
-    /// pack-free, and for the kept product the dense weight's path.
-    fn rival(&self, rows: usize, numel: usize) -> Path {
-        match self.path {
-            Path::Sampled => Path::RowBlocks,
-            Path::PackFree => Path::Packed,
-            _ => plan(self.op, rows, numel, numel),
-        }
     }
 }
 
@@ -485,30 +503,44 @@ const KEPT_ROWS: [usize; 11] = [1, 2, 4, 5, 6, 7, 8, 16, 32, 64, 512];
 
 /// The grid of `path_sweep`, the table the cuts of `tensor::gemm::plan`
 /// are read from: the weight gradient at the wide layer's 2048² (sampled
-/// against the row blocks), the pack-free `dy·W16` there against the
-/// packed one, and `x·Wᵀ` / `dy·W` at `pipe2_mlp`'s 512² over the kept
-/// weights against `sgemm`. The gate counts its cells off the same grid.
-pub const PATH_SWEEP: [Family; 4] = [
-    Family { key: "dw", op: Op::Tn, side: 2048, rows: &THIN_ROWS, densities: &DENSITIES, path: Path::Sampled },
-    Family { key: "nn", op: Op::Nn, side: 2048, rows: &THIN_ROWS, densities: &[1.0], path: Path::PackFree },
-    Family { key: "xwt", op: Op::Nt, side: 512, rows: &KEPT_ROWS, densities: &DENSITIES, path: Path::Kept },
-    Family { key: "dyw", op: Op::Nn, side: 512, rows: &KEPT_ROWS, densities: &DENSITIES, path: Path::Kept },
+/// and transposed against the row blocks), the same at `pipe2_mlp`'s cell
+/// summed over its eight microbatches against the dense gradient, the
+/// pack-free `dy·W16` at 2048² against the packed one, and `x·Wᵀ` / `dy·W`
+/// at 512² over the kept weights against `sgemm`. The gate counts its
+/// cells off the same grid.
+pub const PATH_SWEEP: [Family; 5] = [
+    Family { key: "dw", op: Op::Tn, side: 2048, rows: &THIN_ROWS, densities: &DENSITIES, paths: &[Path::Sampled, Path::Transposed], rival: Some(Path::RowBlocks), rounds: 1 },
+    Family { key: "dw_acc", op: Op::Tn, side: 512, rows: &[32], densities: &[0.1], paths: &[Path::Sampled, Path::Transposed, Path::RowBlocks], rival: Some(Path::Packed), rounds: 8 },
+    Family { key: "nn", op: Op::Nn, side: 2048, rows: &THIN_ROWS, densities: &[1.0], paths: &[Path::PackFree], rival: Some(Path::Packed), rounds: 1 },
+    Family { key: "xwt", op: Op::Nt, side: 512, rows: &KEPT_ROWS, densities: &DENSITIES, paths: &[Path::Kept], rival: None, rounds: 1 },
+    Family { key: "dyw", op: Op::Nn, side: 512, rows: &KEPT_ROWS, densities: &DENSITIES, paths: &[Path::Kept], rival: None, rounds: 1 },
 ];
 
-/// Every cell of [`PATH_SWEEP`] runs both of its paths through the pinned
-/// twins of `tensor::gemm` — the same bits, and for the weight gradient
-/// the same overflow flag, asserted per cell — and records their best
-/// times next to what `plan` picks.
+/// What one contender of a cell leaves: `C` of `x·Wᵀ` / `dy·W`, or for
+/// `dyᵀ·x` the dense gradient or the kept sums, `∇θ16` and the flag.
+struct Out {
+    c: Vec<f32>,
+    g16: Vec<F16>,
+    finite: bool,
+}
+
+/// Every cell of [`PATH_SWEEP`] runs its rival and each short cut through
+/// the pinned twins of `tensor::gemm` — the same bits, and for the weight
+/// gradient the same `∇θ16` and overflow flag, asserted per cell — and
+/// records their best times next to what `plan` picks.
 fn path_sweep(best_of: usize, reps: usize) -> Json {
     let tier = simd::active();
     let families = PATH_SWEEP.iter().map(|f| {
         let side = f.side;
         let max_rows = f.rows.iter().copied().max().unwrap_or(0);
         let (a, x, w) = (random_vec(max_rows * side, 40), random_vec(max_rows * side, 41), random_vec(side * side, 43));
-        let mut tab = crate::Table::new(
-            &format!("bench_path_sweep_{}", f.key),
-            &["rows", "density", "rival", "path", "rival_ms", "path_ms", "rival_over_path", "picked"],
-        );
+        let mut head = vec!["rows".to_string(), "density".into(), "rival".into(), "rival_ms".into()];
+        for p in f.paths {
+            head.extend([format!("{p:?}_ms"), format!("rival_over_{p:?}")]);
+        }
+        head.push("picked".into());
+        let head: Vec<&str> = head.iter().map(String::as_str).collect();
+        let mut tab = crate::Table::new(&format!("bench_path_sweep_{}", f.key), &head);
         let mut cells = Vec::new();
         for &density in f.densities {
             let mask = prune::random_prune(&[side, side], 1.0 - density, 42);
@@ -517,34 +549,63 @@ fn path_sweep(best_of: usize, reps: usize) -> Json {
             mask.apply(&mut pruned);
             let w16 = f32_slice_to_f16(&pruned);
             for &rows in f.rows {
-                let (rival, a, x) = (f.rival(rows, numel), &a[..rows * side], &x[..rows * side]);
-                // `C` of `x·Wᵀ` / `dy·W`; `∇θ16` and the flag of `dyᵀ·x`.
-                type Out = (Vec<f32>, Vec<F16>, bool);
-                let run = |path, (c, g16, finite): &mut Out| match f.op {
-                    Op::Tn => *finite = matmul_tn_kept_on_path(path, tier, side, side, rows, a, x, idx, g16),
-                    op => sgemm_kept_on_path(path, tier, op == Op::Nt, rows, side, side, a, &w16, idx, c),
+                let rival = f.rival.unwrap_or_else(|| plan(f.op, rows, numel, numel));
+                let (a, x) = (&a[..rows * side], &x[..rows * side]);
+                let run = |path, out: &mut Out| match f.op {
+                    Op::Tn if f.rounds == 1 => {
+                        out.finite = matmul_tn_kept_on_path(path, tier, side, side, rows, a, x, idx, &mut out.g16)
+                    }
+                    // A pipeline step's weight gradient: the dense gradient
+                    // accumulated, compressed and cleared, or the kept sums.
+                    Op::Tn if path == Path::Packed => {
+                        for _ in 0..f.rounds {
+                            matmul_tn_acc(side, side, rows, a, x, &mut out.c);
+                        }
+                        out.finite = simd::gather_narrow_finite(tier, &out.c, 0, idx, &mut out.g16);
+                        out.c.fill(0.0);
+                    }
+                    Op::Tn => {
+                        let sums = &mut out.c[..nnz];
+                        sums.fill(0.0);
+                        for _ in 0..f.rounds {
+                            matmul_tn_kept_acc_on_path(path, tier, side, side, rows, a, x, idx, sums);
+                        }
+                        out.finite = simd::narrow_sum_finite(tier, sums, &mut out.g16);
+                    }
+                    op => sgemm_kept_on_path(path, tier, op == Op::Nt, rows, side, side, a, &w16, idx, &mut out.c),
                 };
-                let out = || (vec![0.0f32; rows * side], vec![F16::ZERO; if f.op == Op::Tn { nnz } else { 0 }], true);
-                let (mut by_rival, mut by_path) = (out(), out());
-                let [rival_t, path_t] = duel(best_of, reps, || run(rival, &mut by_rival), || run(f.path, &mut by_path));
-                let same = bits(&by_rival.0) == bits(&by_path.0) && (&by_rival.1, by_rival.2) == (&by_path.1, by_path.2);
-                assert!(same, "{} differs between {rival:?} and {:?} at {rows} rows, {density}", f.key, f.path);
+                let contenders: Vec<Path> = std::iter::once(rival).chain(f.paths.iter().copied()).collect();
+                let mut outs: Vec<Out> = contenders
+                    .iter()
+                    .map(|_| match f.op {
+                        Op::Tn => Out { c: vec![0.0; if f.rounds > 1 { numel } else { 0 }], g16: vec![F16::ZERO; nnz], finite: true },
+                        _ => Out { c: vec![0.0; rows * side], g16: Vec::new(), finite: true },
+                    })
+                    .collect();
+                let times = {
+                    let mut bodies: Vec<_> =
+                        contenders.iter().zip(outs.iter_mut()).map(|(&path, out)| move || run(path, out)).collect();
+                    let mut refs: Vec<&mut dyn FnMut()> = bodies.iter_mut().map(|b| b as &mut dyn FnMut()).collect();
+                    duel_all(best_of, reps, &mut refs)
+                };
+                for (path, out) in contenders.iter().zip(&outs).skip(1) {
+                    // For `dyᵀ·x` only ∇θ16 and the flag are the product's.
+                    let same = (&out.g16, out.finite) == (&outs[0].g16, outs[0].finite)
+                        && (f.op == Op::Tn || bits(&out.c) == bits(&outs[0].c));
+                    assert!(same, "{} differs between {rival:?} and {path:?} at {rows} rows, {density}", f.key);
+                }
                 let picked = plan(f.op, rows, nnz, numel);
-                tab.push(vec![
-                    rows.to_string(),
-                    format!("{density}"),
-                    format!("{rival:?}"),
-                    format!("{:?}", f.path),
-                    format!("{:.4}", rival_t.best_ms),
-                    format!("{:.4}", path_t.best_ms),
-                    format!("{:.2}", rival_t.best_ms / path_t.best_ms),
-                    format!("{picked:?}"),
-                ]);
-                let ms = [(rival, rival_t), (f.path, path_t)].map(|(p, t)| (format!("{p:?}"), round6(t.best_ms)));
+                let mut row = vec![rows.to_string(), format!("{density}"), format!("{rival:?}"), format!("{:.4}", times[0].best_ms)];
+                for t in &times[1..] {
+                    row.extend([format!("{:.4}", t.best_ms), format!("{:.2}", times[0].best_ms / t.best_ms)]);
+                }
+                row.push(format!("{picked:?}"));
+                tab.push(row);
+                let ms = contenders.iter().zip(&times).map(|(p, t)| (format!("{p:?}"), round6(t.best_ms)));
                 cells.push(obj([
                     ("rows", Json::UInt(rows as u64)),
                     ("density", Json::Num(density)),
-                    ("ms", Json::Obj(ms.into())),
+                    ("ms", Json::Obj(ms.collect())),
                     ("picked", Json::Str(format!("{picked:?}"))),
                 ]));
             }

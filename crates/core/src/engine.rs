@@ -24,9 +24,13 @@
 //!   dense gradients (they are the grow score), and `apply` releases
 //!   them again;
 //! * [`crate::ThreadedPipelineSamo`] overlaps the rings the same way on
-//!   the last microbatch of its 1F1B schedule, dense (its microbatches
-//!   accumulate into `grad`), and agrees on the overflow verdict across
-//!   stages between `finish_reduce` and `apply`.
+//!   the last microbatch of its 1F1B schedule, and agrees on the overflow
+//!   verdict across stages between `finish_reduce` and `apply`. Its
+//!   earlier microbatches run `backward_accumulate`: a weight's product is
+//!   summed at the kept positions into an `nnz`-long f32 accumulator of
+//!   the engine (`tensor::gemm::matmul_tn_kept_acc`), which the last
+//!   microbatch's product finishes into `∇θ16`. So on a pipeline stage too
+//!   a weight's dense gradient never exists.
 //!
 //! `θ16` *is* the weight: a parameter whose layer computes from half
 //! precision (`Parameter::accepts_theta16` — `Linear`) holds no f32
@@ -186,6 +190,10 @@ pub struct StepEngine<R: Reducer> {
     /// Parameters whose gradient's product the engine took: they keep no
     /// dense `grad` between steps (`apply`).
     streamed: Vec<bool>,
+    /// Per parameter, the weight gradient of a pipeline step's earlier
+    /// microbatches at the kept positions: `nnz` f32 sums while it holds
+    /// them, empty otherwise. A transient, not model state.
+    dw_sums: Vec<Vec<f32>>,
     labels: &'static Labels,
     /// One rank per group reports: rank 0 of the reducer (the pipeline
     /// narrows it to stage 0).
@@ -212,6 +220,7 @@ impl<R: Reducer> StepEngine<R> {
         StepEngine {
             layers: build_layers(model, masks, &opt, shard_id, num_shards),
             streamed: vec![false; masks.len()],
+            dw_sums: vec![Vec::new(); masks.len()],
             opt,
             scaler: LossScaler::default(),
             reducer,
@@ -373,6 +382,7 @@ impl<R: Reducer> StepEngine<R> {
         );
         // Whatever a failed step left behind.
         self.ring_order.clear();
+        self.dw_sums.iter_mut().for_each(Vec::clear);
         self.phases.clear();
         self.local_finite = true;
         if self.reports {
@@ -465,24 +475,28 @@ impl<R: Reducer> StepEngine<R> {
     /// reports its gradient final (reverse execution order — identical
     /// on every rank), compress it and start its ring; pump the rings in
     /// flight between groups, so communication overlaps the rest of the
-    /// backward pass exactly as on a real cluster. With `stream_dw`, a
-    /// weight matrix whose layer offers its gradient's product is
-    /// compressed from the operands and its dense gradient never exists.
-    /// Returns `d(loss)/d(input)`.
-    pub(crate) fn backward_overlapped(
-        &mut self,
-        model: &mut impl Layer,
-        dy: &Tensor,
-        stream_dw: bool,
-    ) -> Result<Tensor, CommsError> {
+    /// backward pass exactly as on a real cluster. A weight matrix whose
+    /// layer offers its gradient's product is compressed from the
+    /// operands — added to the sums of earlier microbatches where there
+    /// are any — and its dense gradient never exists. Returns
+    /// `d(loss)/d(input)`.
+    pub(crate) fn backward_overlapped(&mut self, model: &mut impl Layer, dy: &Tensor) -> Result<Tensor, CommsError> {
         let mut sink = Overlap {
             engine: self,
-            stream_dw,
             took: None,
             res: Ok(()),
         };
         let dx = model.backward_into(dy, &mut sink);
         sink.res.map(|()| dx)
+    }
+
+    /// Backward of a microbatch whose gradients are not final yet: a
+    /// weight matrix whose layer offers its gradient's product adds it at
+    /// the kept positions into the parameter's sums, every other gradient
+    /// accumulates into `grad`, and nothing is reduced. Returns
+    /// `d(loss)/d(input)`.
+    pub(crate) fn backward_accumulate(&mut self, model: &mut impl Layer, dy: &Tensor) -> Tensor {
+        model.backward_into(dy, &mut Accumulate(self))
     }
 
     /// The collectives of a step whose backward has already run: the
@@ -612,9 +626,12 @@ impl<R: Reducer> StepEngine<R> {
             _ => p.zero_grad(),
         });
         if self.reports && telemetry::enabled() {
+            // The f32 shadows of the parameters, and the kept sums kept
+            // warm for the next step's microbatches.
             let (values, grads) = nn::param::resident_param_bytes(model);
+            let sums: usize = self.dw_sums.iter().map(|s| 4 * s.capacity()).sum();
             let name = format!("{}.resident_param_bytes", self.labels.prefix);
-            let resident = (values + grads) as f64;
+            let resident = (values + grads + sums) as f64;
             telemetry::global().gauge(&name).set(resident);
             let world = self.reducer.comm().map(Communicator::world);
             let phases = std::mem::take(&mut self.phases);
@@ -716,11 +733,11 @@ impl<R: Reducer> StepEngine<R> {
 /// The gradient sink of [`StepEngine::backward_overlapped`]: `ready`
 /// compresses what arrived dense and starts every parameter's ring;
 /// `take_product` compresses a weight gradient from the operands of its
-/// product, the layer state choosing how much of it to compute (the
-/// module docs say why).
+/// product — finishing the sums of earlier microbatches where a pipeline
+/// step left any — the layer state choosing how much of it to compute
+/// (the module docs say why).
 struct Overlap<'a, R: Reducer> {
     engine: &'a mut StepEngine<R>,
-    stream_dw: bool,
     /// The parameter whose product was taken, until its `ready`.
     took: Option<usize>,
     /// The first comms failure: backward finishes, but stops talking.
@@ -745,13 +762,36 @@ impl<R: Reducer> GradSink for Overlap<'_, R> {
     }
 
     fn take_product(&mut self, index: usize, rows: usize, dy: &[f32], x: &[f32]) -> bool {
-        let state = &mut self.engine.layers[index];
-        if !self.stream_dw || state.mask().shape().len() != 2 {
+        let engine = &mut *self.engine;
+        let (state, sums) = (&mut engine.layers[index], &mut engine.dw_sums[index]);
+        if state.mask().shape().len() != 2 {
             return false;
         }
         self.took = Some(index);
-        self.engine.local_finite &= state.compress_grad_product(rows, dy, x);
+        engine.local_finite &= match sums.is_empty() {
+            true => state.compress_grad_product(rows, dy, x),
+            false => state.compress_grad_sum(rows, dy, x, sums),
+        };
         true
+    }
+}
+
+/// The gradient sink of [`StepEngine::backward_accumulate`]: a weight
+/// gradient's product is added into the parameter's sums at the kept
+/// positions, and no gradient is final.
+struct Accumulate<'a, R: Reducer>(&'a mut StepEngine<R>);
+
+impl<R: Reducer> GradSink for Accumulate<'_, R> {
+    fn ready(&mut self, _off: usize, _params: &[&Parameter]) {}
+
+    fn take_product(&mut self, index: usize, rows: usize, dy: &[f32], x: &[f32]) -> bool {
+        let engine = &mut *self.0;
+        let state = &engine.layers[index];
+        let taken = state.mask().shape().len() == 2;
+        if taken {
+            state.accumulate_grad_product(rows, dy, x, &mut engine.dw_sums[index]);
+        }
+        taken
     }
 }
 

@@ -56,11 +56,13 @@
 //! which makes per-stage work uniform — the pipeline bench uses it to
 //! compare the measured bubble against Eq. 7.
 //!
-//! On the **last** microbatch the backward runs through the engine's
-//! [`Layer::backward_into`] hook, compressing each parameter bucket
-//! and starting its ring on the data mesh as soon as its gradient is
-//! final — the all-reduce overlaps the backward tail, as in the
-//! data-parallel runtime.
+//! Every backward runs through the engine's [`Layer::backward_into`]
+//! hook. A weight's gradient exists only at its kept positions: each
+//! microbatch but the last adds its product into the engine's `nnz`-long
+//! sums, and on the **last** one the product finishes them into `∇θ16`,
+//! each parameter bucket's ring starting on the data mesh as soon as its
+//! gradient is final — the all-reduce overlaps the backward tail, as in
+//! the data-parallel runtime.
 //!
 //! # Bitwise equivalence with the single-process trainer
 //!
@@ -514,11 +516,11 @@ impl StageRank {
             // Final microbatch: every parameter's accumulated gradient
             // becomes final as its layer finishes backward — compress
             // and start its ring immediately so the all-reduce overlaps
-            // the rest of the backward tail. Every gradient arrives dense:
-            // the earlier microbatches accumulated into `grad`.
-            self.engine.backward_overlapped(&mut self.block, dy, false)?
+            // the rest of the backward tail. A weight's product finishes
+            // the kept sums of the earlier microbatches.
+            self.engine.backward_overlapped(&mut self.block, dy)?
         } else {
-            self.block.backward(dy)
+            self.engine.backward_accumulate(&mut self.block, dy)
         };
         if parked {
             self.swap_slot(mb);

@@ -421,6 +421,33 @@ impl SamoLayerState {
         gemm::matmul_tn_kept(m, n, rows, dy, x, ind, grad16)
     }
 
+    /// Adds the product of [`Self::compress_grad_product`] into `sums`,
+    /// `nnz` f32s at the shared index ([`gemm::matmul_tn_kept_acc`]), which
+    /// start from zeros when empty: the bits the dense gradient holds
+    /// there after the same microbatches.
+    pub(crate) fn accumulate_grad_product(&self, rows: usize, dy: &[f32], x: &[f32], sums: &mut Vec<f32>) {
+        let &[m, n] = self.mask.shape() else { panic!("a product's gradient is a matrix") };
+        sums.resize(self.nnz(), 0.0);
+        gemm::matmul_tn_kept_acc(m, n, rows, dy, x, self.mask.indices(), sums);
+    }
+
+    /// [`Self::compress_grad_product`] of a gradient whose earlier
+    /// microbatches `sums` holds ([`Self::accumulate_grad_product`]): the
+    /// product is added, the sums narrowed into `∇θ16` — the bits and the
+    /// overflow flag of [`Self::compress_grad_fused`] on the dense gradient
+    /// of all the microbatches — and emptied for the next step.
+    pub(crate) fn compress_grad_sum(&mut self, rows: usize, dy: &[f32], x: &[f32], sums: &mut Vec<f32>) -> bool {
+        self.accumulate_grad_product(rows, dy, x, sums);
+        let (tier, all_finite) = (simd::active(), AtomicBool::new(true));
+        par_chunks_mut(self.compress_target().1, STEP_MIN_CHUNK, |s, out| {
+            if !simd::narrow_sum_finite(tier, &sums[s..s + out.len()], out) {
+                all_finite.store(false, Ordering::Relaxed);
+            }
+        });
+        sums.clear();
+        all_finite.into_inner()
+    }
+
     /// The index, and `∇θ16` at its full length for a compress to write.
     /// The resize is a no-op unless a failed step's ring kept the buffer:
     /// every value is overwritten by a whole compress anyway.

@@ -566,7 +566,7 @@ impl<M: Layer + Send + 'static, T: Transport + 'static> RankWorker for Rank<M, T
             self.engine.lend_theta16(&mut self.model, false);
             self.engine.reduce_after_backward(&mut self.model)?
         } else {
-            self.engine.backward_overlapped(&mut self.model, &dy, true)?;
+            self.engine.backward_overlapped(&mut self.model, &dy)?;
             self.engine.lend_theta16(&mut self.model, false);
             self.engine.finish_reduce()?
         };

@@ -418,3 +418,107 @@ fn a_failed_pipeline_step_leaves_theta16_home_and_restore_resyncs() {
         assert_eq!(pp.save().as_ref(), want.as_ref(), "step {step} after the restore");
     }
 }
+
+/// `pipe2_mlp`'s shape, scaled down: 32-row microbatches through weights
+/// pruned to 0.9, where every `dW` takes the transposed product.
+fn kept_mlp(seed: u64) -> Sequential {
+    let mut m = Sequential::new();
+    for (i, w) in [48, 64, 64, 40].windows(2).enumerate() {
+        m = m.push(Linear::new(w[0], w[1], true, seed + i as u64)).push(nn::activations::Relu::new());
+    }
+    m
+}
+
+fn kept_batch(step: u64, mb: usize) -> (Tensor, Tensor) {
+    let seed = 3_000 + step * 16 + mb as u64;
+    (Tensor::randn(&[32, 48], 1.0, seed), Tensor::randn(&[32, 40], 1.0, seed + 1_000))
+}
+
+/// A two-stage pipeline of [`kept_mlp`] over eight microbatches, and the
+/// caller-driven oracle on the whole model with its step.
+fn kept_pipeline() -> (ThreadedPipelineSamo, impl FnMut(u64) -> bytes::Bytes) {
+    let masks = wide_masks(&kept_mlp(11));
+    for mask in masks.iter().filter(|m| m.shape().len() == 2) {
+        assert_eq!(plan(Op::Tn, 32, mask.nnz(), mask.numel()), Path::Transposed);
+    }
+    let cfg = PipelineConfig { timeout: Duration::from_millis(300), ..PipelineConfig::new(2, 8, 32) };
+    let mut pp = ThreadedPipelineSamo::new(vec![kept_mlp(11)], masks.clone(), adam(), cfg);
+    pp.set_scaler(LossScaler::new(1024.0));
+    let mut model = kept_mlp(11);
+    let mut oracle = SamoTrainer::new(&mut model, masks, adam());
+    oracle.scaler = LossScaler::new(1024.0);
+    let oracle_step = move |step: u64| {
+        for mb in 0..8 {
+            let (x, t) = kept_batch(step, mb);
+            let (_, mut dy) = mse(&model.forward(&x), &t);
+            tensor::ops::scale(oracle.loss_scale(), dy.as_mut_slice());
+            model.backward(&dy);
+        }
+        oracle.step(&mut model);
+        oracle.save()
+    };
+    (pp, oracle_step)
+}
+
+/// One pipelined step of [`kept_batch`]es; `cut` runs on the last stage
+/// before each microbatch's loss gradient.
+fn kept_step(pp: &mut ThreadedPipelineSamo, step: u64, cut: impl Fn(usize) + Send + Sync + 'static) -> Result<bool, String> {
+    pp.step(
+        move |_, mb| kept_batch(step, mb).0,
+        move |_, mb, y, scale| {
+            cut(mb);
+            let (_, mut dy) = mse(y, &kept_batch(step, mb).1);
+            tensor::ops::scale(scale, dy.as_mut_slice());
+            dy
+        },
+    )
+}
+
+/// A stage's weight gradient is its kept sums from the first microbatch to
+/// the ring: after every step no stage holds a dense gradient of a weight
+/// matrix (its biases keep theirs), and the checkpoint is the oracle's.
+#[test]
+fn no_pipeline_stage_holds_a_dense_weight_gradient() {
+    let (mut pp, mut oracle_step) = kept_pipeline();
+    for step in 0..3 {
+        kept_step(&mut pp, step, |_| {}).expect("healthy meshes");
+        assert_eq!(pp.save().as_ref(), oracle_step(step).as_ref(), "step {step}");
+        for stage in 0..2 {
+            let held = pp.with_rank(stage, 0, |m, _| {
+                m.params().iter().map(|p| (p.value.shape().len(), p.grad.numel())).collect::<Vec<_>>()
+            });
+            for (rank, numel) in held {
+                assert_eq!(numel == 0, rank == 2, "stage {stage}, step {step}: {rank}-D parameter holds {numel} gradients");
+            }
+        }
+    }
+}
+
+/// A link cut mid-step leaves both stages holding sums of the microbatches
+/// they got through. After heal and restore the replay is the oracle's
+/// byte for byte, which it is only if the restore emptied them.
+#[test]
+fn a_cut_mid_step_leaves_no_kept_sums_behind_the_restore() {
+    let (mut pp, mut oracle_step) = kept_pipeline();
+    let mut checkpoint = bytes::Bytes::new();
+    for step in 0..2 {
+        checkpoint = oracle_step(step);
+        kept_step(&mut pp, step, |_| {}).expect("healthy meshes");
+        assert_eq!(pp.save().as_ref(), checkpoint.as_ref(), "step {step}");
+    }
+    // Stage 0 gets the gradients of microbatches 0 to 3 and no more.
+    let faults = Arc::clone(&pp.pipe_faults()[0]);
+    let cut = move |mb: usize| {
+        if mb == 4 {
+            faults.cut_link(1, 0);
+        }
+    };
+    kept_step(&mut pp, 2, cut).expect_err("a cut link fails the step");
+    pp.pipe_faults()[0].heal_link(1, 0);
+    pp.restore(&checkpoint).expect("restore after heal");
+    for step in 2..4 {
+        let want = oracle_step(step);
+        kept_step(&mut pp, step, |_| {}).expect("healed meshes");
+        assert_eq!(pp.save().as_ref(), want.as_ref(), "step {step} after the restore");
+    }
+}

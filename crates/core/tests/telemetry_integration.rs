@@ -231,14 +231,13 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
     // The f32 shadows a reporting rank's 8 × 8 weight keeps next to that
     // state: the gradient backward writes where the caller runs the
     // passes, its weight computing from the θ16 lent between steps; value
-    // and gradient where the model keeps the f32 view (`samo.dp`); the
-    // gradient its
-    // microbatches accumulate into on a pipeline stage; nothing on a
-    // data-parallel rank, which computes from θ16 and streams dW into
-    // ∇θ16.
+    // and gradient where the model keeps the f32 view (`samo.dp`); on a
+    // pipeline stage, the sums its microbatches add dW into at the 16
+    // kept positions, 4·nnz; nothing on a data-parallel rank, which
+    // computes from θ16 and streams dW into ∇θ16.
     let resident = |prefix: &str| reg.gauge(&format!("{prefix}.resident_param_bytes")).get();
     let shadows = ["samo", "samo.dp", "samo.pipeline", "samo.dp_threaded"].map(resident);
-    assert_eq!(shadows, [256.0, 512.0, 256.0, 0.0]);
+    assert_eq!(shadows, [256.0, 512.0, 4.0 * 16.0, 0.0]);
 
     let _ = std::fs::remove_dir_all(&tmp);
 }

@@ -23,12 +23,12 @@ impl Default for Relu {
 }
 
 impl Layer for Relu {
+    // Both passes store a select, not a conditional store, so they
+    // vectorise; a NaN and a `-0.0` pass through as the branch left them.
     fn forward(&mut self, x: &Tensor) -> Tensor {
         let mut y = x.clone();
         for v in y.as_mut_slice() {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
+            *v = if *v < 0.0 { 0.0 } else { *v };
         }
         self.cached_input = Some(x.clone());
         y
@@ -38,9 +38,7 @@ impl Layer for Relu {
         let x = self.cached_input.take().expect("backward before forward");
         let mut dx = dy.clone();
         for (d, &xi) in dx.as_mut_slice().iter_mut().zip(x.as_slice()) {
-            if xi <= 0.0 {
-                *d = 0.0;
-            }
+            *d = if xi <= 0.0 { 0.0 } else { *d };
         }
         dx
     }
@@ -168,6 +166,44 @@ mod tests {
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0, 0.0]);
         let dx = r.backward(&Tensor::from_vec(&[4], vec![1.0, 1.0, 1.0, 1.0]));
         assert_eq!(dx.as_slice(), &[0.0, 0.0, 1.0, 0.0]);
+    }
+
+    #[test]
+    fn relu_keeps_the_bits_of_the_branchy_form() {
+        // The passes as they were written before they became selects.
+        let forward = |mut v: f32| {
+            if v < 0.0 {
+                v = 0.0;
+            }
+            v
+        };
+        let backward = |mut d: f32, x: f32| {
+            if x <= 0.0 {
+                d = 0.0;
+            }
+            d
+        };
+        let mut special = vec![0.0f32, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::MIN_POSITIVE, -f32::MIN_POSITIVE];
+        for bits in [0x7FC0_0000u32, 0xFFC0_0000, 0x7F80_0001, 0xFFBF_FFFF, 0x7FC0_1234, 0x0000_0001, 0x807F_FFFF] {
+            special.push(f32::from_bits(bits)); // NaN payloads, quiet and signalling; subnormals
+        }
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut random = || {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            f32::from_bits((seed >> 32) as u32)
+        };
+        // Every special input meets every special gradient; then random bits.
+        let crossed = special.iter().flat_map(|&x| special.iter().map(move |&d| (x, d)));
+        let pairs: Vec<(f32, f32)> = crossed.chain((0..4096).map(|_| (random(), random()))).collect();
+        let (xs, ds): (Vec<f32>, Vec<f32>) = pairs.into_iter().unzip();
+        let mut r = Relu::new();
+        let y = r.forward(&Tensor::from_vec(&[xs.len()], xs.clone()));
+        let dx = r.backward(&Tensor::from_vec(&[ds.len()], ds.clone()));
+        for (i, &x) in xs.iter().enumerate() {
+            assert_eq!(y.as_slice()[i].to_bits(), forward(x).to_bits(), "forward of {:#010x}", x.to_bits());
+            let want = backward(ds[i], x).to_bits();
+            assert_eq!(dx.as_slice()[i].to_bits(), want, "backward of {:#010x} at {:#010x}", ds[i].to_bits(), x.to_bits());
+        }
     }
 
     #[test]

@@ -24,12 +24,13 @@
 //! into the f32 panel, so the dense `θ16` of the paper is multiplied as
 //! it is stored and every output bit is that of the f32 GEMM on the
 //! widened operand. Which of the bit-identical products runs — packed,
-//! pack-free, over a lent index's kept weights, sampled at a kept index
-//! or in row blocks — is one function's choice, [`plan`], from the shape.
+//! pack-free, over a lent index's kept weights, sampled or transposed at
+//! a kept index, or in row blocks — is one function's choice, [`plan`],
+//! from the shape.
 
 use crate::f16::{to_f32_table, F16};
-use crate::pool::{par_chunks_mut, par_parts_mut, par_ranges, par_rows_mut};
-use crate::simd::{self, Tier};
+use crate::pool::{par_chunks_mut, par_parts_mut, par_ranges, par_rows_mut, SplitMut};
+use crate::simd::{self, Kept, Tier};
 use std::sync::{Arc, OnceLock};
 
 /// Cached handles so the per-call telemetry cost is two atomic adds, not
@@ -126,8 +127,12 @@ pub enum Path {
     PackFree,
     /// Over the kept weights of a lent index only ([`sgemm_kept`]).
     Kept,
-    /// `dyᵀ·x` at the kept positions only ([`matmul_tn_kept`]).
+    /// `dyᵀ·x` at the kept positions only, `x` gathered per kept column
+    /// ([`matmul_tn_kept`]).
     Sampled,
+    /// `dyᵀ·x` at the kept positions only, from `x` transposed once: no
+    /// gathers ([`matmul_tn_kept`]).
+    Transposed,
     /// `dyᵀ·x` whole, one `MC`-row block at a time, gathered at the kept
     /// positions while the block is in cache ([`matmul_tn_kept`]).
     RowBlocks,
@@ -149,6 +154,11 @@ const SAMPLED_MAX_K: usize = KC;
 /// The sampled product pays while `rows · nnz ≤ SAMPLED_MAX_KEPT_ROWS · numel`.
 const SAMPLED_MAX_KEPT_ROWS: usize = 2;
 
+/// The transposed product pays from `TRANSPOSED_MIN_ROWS` rows while
+/// `TRANSPOSED_DENSITY_CUT · nnz ≤ numel`.
+const TRANSPOSED_MIN_ROWS: usize = 16;
+const TRANSPOSED_DENSITY_CUT: usize = 4;
+
 /// The one rule that picks between the bit-identical products of `op`:
 /// `rows` rows of A (for [`Op::Tn`], of `dy` and `x` — the batch), against
 /// a weight (for [`Op::Tn`], a gradient) of `numel` elements, `nnz` of them
@@ -156,11 +166,14 @@ const SAMPLED_MAX_KEPT_ROWS: usize = 2;
 /// [`Path::Kept`]. It reads the shape alone: no knob, no environment
 /// variable, no workload name. The cuts are read off `repro bench`'s
 /// `path_sweep` and DESIGN.md §19 ("The planner") tabulates them:
-/// * `Aᵀ·B` is [`Path::Sampled`] while `rows ≤ 256` (one k-block) and
-///   `rows · nnz ≤ 2 · numel` — the sampled product does `rows · nnz`
-///   gathered multiply-adds where the row blocks do `rows · numel`
-///   streamed ones plus a write, a re-read and a gather — else
-///   [`Path::RowBlocks`];
+/// * `Aᵀ·B` within one k-block (`rows ≤ 256`) is [`Path::Transposed`] from
+///   16 rows while at most a quarter of the gradient is kept — its
+///   multiply-adds run at full vector width over the kept positions, and
+///   the transposes they cost pay once a row has many steps — then
+///   [`Path::Sampled`] while `rows · nnz ≤ 2 · numel` — the sampled product
+///   does `rows · nnz` gathered multiply-adds where the row blocks do
+///   `rows · numel` streamed ones plus a write, a re-read and a gather —
+///   else [`Path::RowBlocks`];
 /// * `A·B` and `A·Bᵀ` are [`Path::Kept`] when at most a fifth of the
 ///   weight is kept, from five rows of `dy·W` (below them the pack-free
 ///   product streams W once at full vector width) and two of `x·Wᵀ` (one
@@ -170,6 +183,9 @@ const SAMPLED_MAX_KEPT_ROWS: usize = 2;
 #[inline]
 pub fn plan(op: Op, rows: usize, nnz: usize, numel: usize) -> Path {
     match op {
+        Op::Tn if (TRANSPOSED_MIN_ROWS..=SAMPLED_MAX_K).contains(&rows) && TRANSPOSED_DENSITY_CUT * nnz <= numel => {
+            Path::Transposed
+        }
         Op::Tn if rows <= SAMPLED_MAX_K && rows * nnz <= SAMPLED_MAX_KEPT_ROWS * numel => Path::Sampled,
         Op::Tn => Path::RowBlocks,
         _ if numel > 0 && rows >= KEPT_MIN_ROWS[usize::from(op == Op::Nt)] && KEPT_DENSITY_CUT * nnz <= numel => {
@@ -313,121 +329,322 @@ where
 /// [`matmul_tn_acc`]'s product into zeros gives — FMAs over `k` ascending
 /// from `+0.0`, a step skipped exactly when every A value of the element's
 /// MR row group is zero, the chain added to `+0.0` — by whichever path
-/// [`plan`] picks: [`Path::Sampled`] computes the kept positions only,
-/// [`Path::RowBlocks`] the whole product one `MC`-row block at a time,
-/// each block's kept positions gathered while it is in cache.
+/// [`plan`] picks: [`Path::Sampled`] and [`Path::Transposed`] compute the
+/// kept positions only, [`Path::RowBlocks`] the whole product one `MC`-row
+/// block at a time, each block's kept positions gathered while it is in
+/// cache.
 ///
 /// # Panics
 /// Panics if the lengths of `idx` and `out` differ, an index lies outside
-/// the product, or an operand is too small; and, on the sampled path, if
-/// an index lies below the row of the one before it.
+/// the product, or an operand is too small; and, on the sampled and
+/// transposed paths, if an index lies below the row of the one before it.
 #[allow(clippy::too_many_arguments)]
 pub fn matmul_tn_kept(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], idx: &[u32], out: &mut [F16]) -> bool {
     let path = plan(Op::Tn, k, idx.len(), m * n);
-    matmul_tn_kept_on_path(path, simd::active(), m, n, k, a, b, idx, out)
+    tn_kept(path, simd::active(), m, n, k, a, b, idx, Kept::Narrow(out))
 }
 
-/// [`matmul_tn_kept`] on the path the caller names ([`Path::Sampled`],
-/// which needs `k ≤ 256`, or [`Path::RowBlocks`]) instead of the one
-/// [`plan`] picks, and on an explicit tier — for the suites that hold the
-/// two to the same bits and flag, and the sweep the cut is read from.
+/// [`matmul_tn_kept`] summed instead of narrowed: `acc[j] += chain`, the
+/// chain of position `idx[j]` — bit for bit what [`matmul_tn_acc`] leaves
+/// at `idx[j]` in a dense C that holds `acc[j]` there (where a NaN sum
+/// meets a NaN chain, which payload survives is the addition's, there as
+/// here), by the path [`plan`] picks. Microbatches summed this way from zeros and narrowed
+/// once ([`simd::narrow_sum_finite`]) give the halves and the flag that
+/// [`matmul_tn_kept`]'s compress of the dense gradient they accumulate
+/// gives, and that gradient never exists: a pipeline stage's weight
+/// gradient is `nnz` floats from its first microbatch to its ring.
+///
+/// # Panics
+/// As [`matmul_tn_kept`], with `acc` for `out`.
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_tn_kept_acc(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], idx: &[u32], acc: &mut [f32]) {
+    let path = plan(Op::Tn, k, idx.len(), m * n);
+    tn_kept(path, simd::active(), m, n, k, a, b, idx, Kept::Add(acc));
+}
+
+/// [`matmul_tn_kept`] on the path the caller names ([`Path::Sampled`] or
+/// [`Path::Transposed`], which need `k ≤ 256`, or [`Path::RowBlocks`])
+/// instead of the one [`plan`] picks, and on an explicit tier — for the
+/// suites that hold the paths to the same bits and flag, and the sweep the
+/// cuts are read from.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn matmul_tn_kept_on_path(
     path: Path, tier: Tier, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], idx: &[u32], out: &mut [F16],
 ) -> bool {
+    tn_kept(path, tier, m, n, k, a, b, idx, Kept::Narrow(out))
+}
+
+/// [`matmul_tn_kept_acc`] on a named path and tier, as
+/// [`matmul_tn_kept_on_path`].
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_tn_kept_acc_on_path(
+    path: Path, tier: Tier, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], idx: &[u32], acc: &mut [f32],
+) {
+    tn_kept(path, tier, m, n, k, a, b, idx, Kept::Add(acc));
+}
+
+/// The body of the four entries above.
+#[allow(clippy::too_many_arguments)]
+fn tn_kept(path: Path, tier: Tier, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], idx: &[u32], out: Kept) -> bool {
     assert_eq!(idx.len(), out.len());
     assert!(idx.last().is_none_or(|&i| (i as usize) < m * n), "index outside the product");
     match path {
-        Path::Sampled => tn_sampled(tier, m, n, k, a, b, idx, out),
+        Path::Sampled | Path::Transposed => tn_chains(path, tier, m, n, k, a, b, idx, out),
         Path::RowBlocks => tn_gathered(tier, m, n, k, a, b, idx, out),
         _ => panic!("{path:?} is not a path of the weight gradient"),
     }
 }
 
-/// [`Path::RowBlocks`] of [`matmul_tn_kept`]: one task per `MC`-row panel
-/// of the product, owning the run of `out` its rows keep (a panel that
-/// keeps nothing is not computed); each block goes through
-/// `simd::gather_narrow_finite`, the kernel a compress of the assembled
-/// gradient runs, with the block's first position as the base.
+/// [`Path::RowBlocks`]: one task per `MC`-row panel of the product, owning
+/// the run of `out` its rows keep (a panel that keeps nothing is not
+/// computed). A block to narrow holds its chains added to `+0.0` and goes
+/// through `simd::gather_narrow_finite`, the kernel a compress of the
+/// assembled gradient runs, with the block's first position as the base; a
+/// block to sum holds the bare chains, gathered into the sums.
 #[allow(clippy::too_many_arguments)]
-fn tn_gathered(tier: Tier, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], idx: &[u32], out: &mut [F16]) -> bool {
+fn tn_gathered(tier: Tier, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], idx: &[u32], out: Kept) -> bool {
     if !begin_gemm(true, false, m, n, k, a.len(), m, b.len(), n, m * n, n) {
         return true;
     }
     let all_finite = std::sync::atomic::AtomicBool::new(true);
     let ends = (1..=m.div_ceil(MC)).map(|p| idx.partition_point(|&i| (i as usize) < (p * MC).min(m) * n));
     par_parts_mut(out, ends, |p, s, out| {
-        let run = &idx[s..s + out.len()];
-        tn_row_blocks::<true>(tier, p * MC, ((p + 1) * MC).min(m), m, n, k, a, b, |r0, _, block| {
-            if !simd::gather_narrow_finite(tier, block, (r0 * n) as u32, run, out) {
-                all_finite.store(false, std::sync::atomic::Ordering::Relaxed);
-            }
-        });
+        let (run, row0, row1) = (&idx[s..s + out.len()], p * MC, ((p + 1) * MC).min(m));
+        match out {
+            Kept::Narrow(out) => tn_row_blocks::<true>(tier, row0, row1, m, n, k, a, b, |r0, _, block| {
+                if !simd::gather_narrow_finite(tier, block, (r0 * n) as u32, run, out) {
+                    all_finite.store(false, std::sync::atomic::Ordering::Relaxed);
+                }
+            }),
+            Kept::Add(acc) => tn_row_blocks::<false>(tier, row0, row1, m, n, k, a, b, |r0, _, block| {
+                for (s, &i) in acc.iter_mut().zip(run) {
+                    *s += block[i as usize - r0 * n];
+                }
+            }),
+        }
     });
     all_finite.into_inner()
 }
 
-/// Compressed positions per pool task of the sampled product.
+/// Compressed positions per pool task of the sampled and transposed
+/// products.
 const SAMPLED_MIN_CHUNK: usize = 32 * 1024;
 
-/// [`Path::Sampled`] of [`matmul_tn_kept`]: walks the index row by row,
-/// lists the row's live steps — those its MR row group does not skip
-/// (full groups from row 0 while they fit in `m`, single rows after, the
-/// cut of `microkernel`; a `0 · ∞` appears, or not, where the blocks put
-/// it) — and hands the row's run to `simd::gather_fma_narrow_finite`. The
+/// [`Path::Sampled`] and [`Path::Transposed`]: walks the index row by row,
+/// marks the live steps of the row's MR row group — those it does not
+/// skip (full groups from row 0 while they fit in `m`, single rows after,
+/// the cut of `microkernel`; a `0 · ∞` appears, or not, where the blocks
+/// put it) — once per group, and computes the chains of the row's kept
+/// positions over them, each finished ([`Kept`]) as its vector of eight
+/// leaves the kernel. The sampled path gathers B per kept column
+/// (`simd::gather_fma`); the transposed one reads `Bᵀ`, transposed once
+/// into this thread's scratch before the walk ([`transposed_chains`]). The
 /// `k · (m·n − nnz)` multiply-adds at pruned positions are never done,
 /// and no block is written and read back to keep a tenth of it. Parallel
 /// over runs of `idx`, each task owning its part of `out`.
 #[allow(clippy::too_many_arguments)]
-fn tn_sampled(tier: Tier, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], idx: &[u32], out: &mut [F16]) -> bool {
+fn tn_chains(path: Path, tier: Tier, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], idx: &[u32], out: Kept) -> bool {
     check_dims(true, false, m, n, k, a.len(), m, b.len(), n, m * n, n);
-    assert!(k <= SAMPLED_MAX_K, "a sampled product is one k-block");
+    assert!(k <= SAMPLED_MAX_K, "a kept product is one k-block");
     if telemetry::enabled() {
         gemm_metrics().0.inc();
         gemm_metrics().1.add(2 * (idx.len() as u64) * (k as u64));
     }
-    let all_finite = std::sync::atomic::AtomicBool::new(true);
-    par_chunks_mut(out, SAMPLED_MIN_CHUNK, |s, out| {
-        let mut run = &idx[s..s + out.len()];
-        let mut out = out;
-        let mut finite = true;
-        // `(start of B's row p, A[p, i])` for the steps of row `i`.
-        let mut terms = [(0usize, 0.0f32); SAMPLED_MAX_K];
-        while let Some(&first) = run.first() {
-            let i = first as usize / n;
-            // The row's run ends at the first index past it, found in
-            // strides of a vector and then singly: a sequential read of
-            // what the gather loads next (a binary search would touch the
-            // run cold). An index out of order ends the run early or is
-            // refused by the gather; it is never misread.
-            let below = |j: usize| run.get(j).is_some_and(|&x| (x as usize) < (i + 1) * n);
-            let mut in_row = 1;
-            while below(in_row + 7) {
-                in_row += 8;
+    let kp = k.next_multiple_of(8);
+    KEPT_SCRATCH.with(|cell| {
+        let mut scratch = cell.borrow_mut();
+        if path == Path::Transposed {
+            if scratch.len() < n * kp {
+                scratch.resize(n * kp, 0.0);
             }
-            while below(in_row) {
-                in_row += 1;
-            }
-            // The live steps: those row `i`'s row group does not skip.
-            let group = if i / MR * MR + MR <= m { i / MR * MR..i / MR * MR + MR } else { i..i + 1 };
-            let mut live = 0;
-            for p in 0..k {
-                if a[p * m..][group.clone()].iter().any(|&v| v != 0.0) {
-                    terms[live] = (p * n, a[p * m + i]);
-                    live += 1;
-                }
-            }
-            let (row_out, rest_out) = out.split_at_mut(in_row);
-            let base = (i * n) as u32;
-            finite &= simd::gather_fma_narrow_finite(tier, b, &terms[..live], n, base, &run[..in_row], row_out);
-            (run, out) = (&run[in_row..], rest_out);
+            // Column `j` of B as row `j`; its `kp − k` padding is never read.
+            pack_transposed(tier, b, n, 0, 0, k, n, 1.0, &mut scratch, kp);
         }
-        if !finite {
-            all_finite.store(false, std::sync::atomic::Ordering::Relaxed);
+        let bt: &[f32] = &scratch;
+        let all_finite = std::sync::atomic::AtomicBool::new(true);
+        par_chunks_mut(out, SAMPLED_MIN_CHUNK, |s, mut out| {
+            let mut run = &idx[s..s + out.len()];
+            let mut finite = true;
+            // Bit `q` of `live[b]`: step `8b + q` is live for the row group
+            // starting at `live_group`; `av[p]`: A at step `p` of the row.
+            let (mut live, mut live_group) = ([0u8; SAMPLED_MAX_K / 8], usize::MAX);
+            let mut av = [0.0f32; SAMPLED_MAX_K];
+            let mut terms = [(0usize, 0.0f32); SAMPLED_MAX_K];
+            while let Some(&first) = run.first() {
+                let i = first as usize / n;
+                // The row's run ends at the first index past it: a
+                // sequential read of what the kernel loads next (a binary
+                // search would touch the run cold). An index out of order
+                // ends the run early or is refused by the kernel; it is
+                // never misread.
+                let in_row = row_end(run, 0, (i + 1) * n);
+                let group = if i / MR * MR + MR <= m { i / MR * MR..i / MR * MR + MR } else { i..i + 1 };
+                if group.start != live_group {
+                    live_group = group.start;
+                    live.fill(0);
+                    for p in 0..k {
+                        if a[p * m..][group.clone()].iter().any(|&v| v != 0.0) {
+                            live[p / 8] |= 1 << (p % 8);
+                        }
+                    }
+                }
+                let (live, base) = (&live[..kp / 8], (i * n) as u32);
+                let (row_out, rest) = out.split_at(in_row);
+                finite &= match path {
+                    // The sampled product takes the live steps as a list,
+                    // the transposed one A at every step beside the bits.
+                    Path::Sampled => {
+                        let mut steps = 0;
+                        for (b, &bits) in live.iter().enumerate() {
+                            let mut bits = bits;
+                            while bits != 0 {
+                                let p = 8 * b + bits.trailing_zeros() as usize;
+                                terms[steps] = (p, a[p * m + i]);
+                                steps += 1;
+                                bits &= bits - 1;
+                            }
+                        }
+                        simd::gather_fma(tier, b, &terms[..steps], n, base, &run[..in_row], row_out)
+                    }
+                    _ => {
+                        for (p, v) in av[..k].iter_mut().enumerate() {
+                            *v = a[p * m + i];
+                        }
+                        transposed_chains(tier, bt, n, live, &av[..kp], base, &run[..in_row], row_out)
+                    }
+                };
+                (run, out) = (&run[in_row..], rest);
+            }
+            if !finite {
+                all_finite.store(false, std::sync::atomic::Ordering::Relaxed);
+            }
+        });
+        all_finite.into_inner()
+    })
+}
+
+/// [`Path::Transposed`] for one row's run: position `j` is finished
+/// ([`Kept`]) from `Σ_p av[p] · bt[(idx[j] − base) · kp + p]` over the
+/// steps `p` that `live` marks (bit `p % 8` of `live[p / 8]`), ascending,
+/// one FMA chain from `+0.0` — [`simd::gather_fma`]'s sum, read from `bt`:
+/// B transposed into `n` rows of `kp = 8 · live.len()` floats. `false` if
+/// a half it narrowed is not finite. The AVX2 tier runs eight kept columns
+/// in the lanes of one vector: per block of eight steps with a live one it
+/// loads the eight columns' rows of `Bᵀ` there and transposes them in
+/// registers, so a live step is one broadcast and one FMA for eight
+/// columns, and nothing is gathered. The lanes share the row, and with it
+/// the row group, so a skipped step is skipped for all of them alike.
+///
+/// # Panics
+/// Panics if the lengths differ or an index lies outside `base..base + n`.
+#[allow(clippy::too_many_arguments)]
+fn transposed_chains(tier: Tier, bt: &[f32], n: usize, live: &[u8], av: &[f32], base: u32, idx: &[u32], mut out: Kept) -> bool {
+    // The bounds every access below stays inside, on either tier; an
+    // index below `base` wraps past any `n`.
+    let kp = 8 * live.len();
+    assert!(idx.len() == out.len() && av.len() == kp && bt.len() >= n * kp);
+    let max = idx.iter().fold(0, |mx, &ix| ix.wrapping_sub(base).max(mx));
+    assert!(idx.is_empty() || (max as usize) < n, "index out of bounds for positions {base}..{}", base as usize + n);
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Avx2 && simd::detected_avx2() {
+        let mut finite = true;
+        for first in (0..idx.len()).step_by(32) {
+            // SAFETY: AVX2+FMA+F16C presence just checked; every column's
+            // row of `kp` floats lies inside `bt`, and every position inside
+            // `out`, by the asserts above.
+            finite &= unsafe {
+                match (idx.len() - first).div_ceil(8) {
+                    1 => transposed_eights::<1>(bt, live, av, base, idx, first, &mut out),
+                    2 => transposed_eights::<2>(bt, live, av, base, idx, first, &mut out),
+                    3 => transposed_eights::<3>(bt, live, av, base, idx, first, &mut out),
+                    _ => transposed_eights::<4>(bt, live, av, base, idx, first, &mut out),
+                }
+            };
+        }
+        return finite;
+    }
+    let _ = tier;
+    let steps = || (0..kp).filter(|&p| live[p / 8] >> (p % 8) & 1 != 0);
+    idx.iter().enumerate().fold(true, |finite, (j, &ix)| {
+        let col = &bt[(ix - base) as usize * kp..][..kp];
+        out.put(j, steps().fold(0.0, |acc, p| av[p].mul_add(col[p], acc))) & finite
+    })
+}
+
+/// The AVX2+FMA tier of [`transposed_chains`] for the (up to) `G` eights of
+/// kept columns from `first`: per block of eight steps with a live one,
+/// each eight's rows of `Bᵀ` are transposed in registers and its chain is
+/// continued over the live steps — `G` independent chains, each hiding the
+/// others' FMA latency — and each eight is put as it is done. A run whose
+/// length is not a multiple of eight ends in an eight that overlaps the
+/// one before, only its last lanes new; a run shorter than eight has
+/// spare lanes that repeat its last column and are never put.
+///
+/// # Safety
+/// Requires AVX2, FMA and F16C; `bt` holds `kp = 8 · live.len()` floats
+/// from `(idx[j] − base) · kp` for every `j`, `av` is `kp` long, `out` is
+/// as long as `idx`, and `first < idx.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma,f16c")]
+#[inline]
+unsafe fn transposed_eights<const G: usize>(
+    bt: &[f32],
+    live: &[u8],
+    av: &[f32],
+    base: u32,
+    idx: &[u32],
+    first: usize,
+    out: &mut Kept,
+) -> bool {
+    use std::arch::x86_64::*;
+    let (kp, len) = (8 * live.len(), idx.len());
+    debug_assert!(first < len && av.len() == kp && out.len() == len);
+    // Per eight: its first position, and the lanes that are new.
+    let eights: [(usize, usize, usize); G] = std::array::from_fn(|g| {
+        let at = first + 8 * g;
+        if at + 8 <= len {
+            (at, 0, 8)
+        } else if len >= 8 {
+            (len - 8, at - (len - 8), 8)
+        } else {
+            (at, 0, len - at)
         }
     });
-    all_finite.into_inner()
+    // SAFETY: for the pointers and the loads — every lane's row of `Bᵀ`
+    // starts at `(col − base) · kp` with `kp` floats behind it, and a
+    // block of steps starts at `8b <= kp − 8`, so the two four-float loads
+    // per row stay inside it.
+    let rows: [[*const f32; 8]; G] = std::array::from_fn(|g| {
+        std::array::from_fn(|l| bt.as_ptr().add((idx[(eights[g].0 + l).min(len - 1)] - base) as usize * kp))
+    });
+    let mut acc = [_mm256_setzero_ps(); G];
+    for (b, &mask) in live.iter().enumerate() {
+        if mask == 0 {
+            continue;
+        }
+        let av = &av[8 * b..8 * b + 8];
+        for (rows, acc) in rows.iter().zip(&mut acc) {
+            let steps = transpose8x8(|r, half| _mm_loadu_ps(rows[r].add(8 * b + 4 * half)));
+            if mask == u8::MAX {
+                for (&a, step) in av.iter().zip(steps) {
+                    *acc = _mm256_fmadd_ps(_mm256_set1_ps(a), step, *acc);
+                }
+            } else {
+                for (q, (&a, step)) in av.iter().zip(steps).enumerate() {
+                    if mask >> q & 1 != 0 {
+                        *acc = _mm256_fmadd_ps(_mm256_set1_ps(a), step, *acc);
+                    }
+                }
+            }
+        }
+    }
+    let mut nonfinite = _mm256_setzero_si256();
+    for (&(at, lo, hi), &acc) in eights.iter().zip(&acc) {
+        nonfinite = _mm256_or_si256(nonfinite, simd::put8(out, at, lo, hi, acc));
+    }
+    _mm256_movemask_epi8(nonfinite) == 0
 }
 
 /// Rows of A one sweep of the index serves — eight vector accumulators —
@@ -834,7 +1051,9 @@ thread_local! {
 
     /// [`sgemm_kept`]'s transposed A block and transposed product,
     /// `(k + n) · 64` floats at most — one buffer, so `x·Wᵀ` and `dy·W`
-    /// of one layer (`k` and `n` swapped) grow it once between them.
+    /// of one layer (`k` and `n` swapped) grow it once between them — and
+    /// the transposed B of [`Path::Transposed`], which at up to 64 rows
+    /// fits what those two grew.
     static KEPT_SCRATCH: std::cell::RefCell<Vec<f32>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
@@ -1640,12 +1859,9 @@ fn pack_transposed<E: GemmElem>(
     }
 }
 
-/// `dst[c * ldd + r] = alpha * src[r * ld + c]` for `r, c < TB`: an
-/// in-register 8×8 transpose. Row `r` and row `r + 4` are loaded as the
-/// two 128-bit halves of one vector — halves of a row widened by the load
-/// ([`GemmElem::load4`]) — once for columns 0..4 and once for columns
-/// 4..8, so the 4×4 transposes within the halves (unpack, then shuffle)
-/// already leave whole output rows — sixteen shuffles a block.
+/// `dst[c * ldd + r] = alpha * src[r * ld + c]` for `r, c < TB`: the
+/// block's rows — widened by the load ([`GemmElem::load4`]) — through
+/// [`transpose8x8`], each column scaled and stored as an output row.
 ///
 /// # Safety
 /// Requires AVX2, FMA and F16C. `src + r * ld` must be readable for `TB`
@@ -1662,26 +1878,38 @@ unsafe fn transpose_block_avx2<E: GemmElem>(
 ) {
     use std::arch::x86_64::*;
     let scale = _mm256_set1_ps(alpha);
+    // SAFETY: for the loads and stores — `r < TB` and `4 * half + 4 <= TB`
+    // keep every four-element load inside the caller's `TB` readable
+    // elements per source row, and the eight-float store of column `c`
+    // inside row `c < TB` of `dst`.
+    let cols = transpose8x8(|r, half| E::load4(src.add(r * ld + 4 * half)));
+    for (c, col) in cols.into_iter().enumerate() {
+        _mm256_storeu_ps(dst.add(c * ldd), _mm256_mul_ps(scale, col));
+    }
+}
+
+/// The eight columns of an 8×8 block, one vector each: `row(r, half)` is
+/// columns `4 · half ..+ 4` of row `r`. Rows `r` and `r + 4` go in the two
+/// 128-bit halves of one vector, once for each half of the columns, so the
+/// 4×4 transposes within the halves (unpack, then shuffle) already leave
+/// whole columns — sixteen shuffles a block, no cross-lane permute.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma,f16c")]
+#[inline]
+fn transpose8x8(row: impl Fn(usize, usize) -> std::arch::x86_64::__m128) -> [std::arch::x86_64::__m256; 8] {
+    use std::arch::x86_64::*;
+    let mut cols = [_mm256_setzero_ps(); 8];
     for half in 0..2 {
-        // SAFETY: for the loads and stores — `r + 4 < TB` and
-        // `4 * half + 4 <= TB` keep every four-element load inside the
-        // caller's `TB` readable elements per source row, and every
-        // eight-float store at rows `4 * half ..+ 4` of `dst` inside its
-        // `TB` writable floats.
-        let pair = |r: usize| {
-            let top = E::load4(src.add(r * ld + 4 * half));
-            let bottom = E::load4(src.add((r + 4) * ld + 4 * half));
-            _mm256_mul_ps(scale, _mm256_insertf128_ps(_mm256_castps128_ps256(top), bottom, 1))
-        };
+        let pair = |r: usize| _mm256_insertf128_ps(_mm256_castps128_ps256(row(r, half)), row(r + 4, half), 1);
         let (r0, r1, r2, r3) = (pair(0), pair(1), pair(2), pair(3));
         let (lo01, hi01) = (_mm256_unpacklo_ps(r0, r1), _mm256_unpackhi_ps(r0, r1));
         let (lo23, hi23) = (_mm256_unpacklo_ps(r2, r3), _mm256_unpackhi_ps(r2, r3));
-        let out = dst.add(4 * half * ldd);
-        _mm256_storeu_ps(out, _mm256_shuffle_ps(lo01, lo23, 0x44));
-        _mm256_storeu_ps(out.add(ldd), _mm256_shuffle_ps(lo01, lo23, 0xEE));
-        _mm256_storeu_ps(out.add(2 * ldd), _mm256_shuffle_ps(hi01, hi23, 0x44));
-        _mm256_storeu_ps(out.add(3 * ldd), _mm256_shuffle_ps(hi01, hi23, 0xEE));
+        cols[4 * half] = _mm256_shuffle_ps(lo01, lo23, 0x44);
+        cols[4 * half + 1] = _mm256_shuffle_ps(lo01, lo23, 0xEE);
+        cols[4 * half + 2] = _mm256_shuffle_ps(hi01, hi23, 0x44);
+        cols[4 * half + 3] = _mm256_shuffle_ps(hi01, hi23, 0xEE);
     }
+    cols
 }
 
 // The argument list mirrors the BLAS sgemm signature one-for-one;

@@ -25,6 +25,7 @@
 //! scalar instead of being undefined behaviour.
 
 use crate::f16::{to_f32_table, F16};
+use crate::pool::SplitMut;
 use std::sync::OnceLock;
 
 /// The instruction tier a kernel executes with.
@@ -185,66 +186,135 @@ pub fn gather_narrow_finite(
     finite
 }
 
-/// [`gather_narrow_finite`] of a sum that is never stored:
-/// `out[j] = F16::from_f32_fast(0.0 + Σ_t a_t · src[off_t + idx[j] - base])`
-/// over `terms = [(off_t, a_t)]`, the sum one chain of fused multiply-adds
-/// from `+0.0` in `terms` order; returns `false` if any produced half is
-/// non-finite. With `src` a matrix of `width`-long rows, `off_t` the start
-/// of row `t` and `base..base + width` the positions `idx` lies in, this is
-/// one row of a product `Aᵀ·B` at the columns `idx` names, rounded as the
-/// GEMM's `ADD` tile rounds it into zeros — the inner loop of the sampled
-/// path of [`crate::gemm::matmul_tn_kept`]. The AVX2 path runs eight columns
-/// at a time, `vgatherdps` + `vfmadd` per term; the scalar tier is
-/// bitwise identical (`f32::mul_add`).
+/// Where the chains of a product at kept positions go, one per position:
+/// `0.0 + chain` narrowed to half precision beside the overflow test — a
+/// chain added to a zeroed gradient, as a compress of that gradient reads
+/// it — or the chain added to an f32 sum. The kept products of
+/// [`crate::gemm`] differ in this and nothing else.
+pub enum Kept<'a> {
+    Narrow(&'a mut [F16]),
+    Add(&'a mut [f32]),
+}
+
+impl SplitMut for Kept<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Kept::Narrow(out) => out.len(),
+            Kept::Add(sums) => sums.len(),
+        }
+    }
+
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        match self {
+            Kept::Narrow(out) => {
+                let (head, tail) = out.split_at_mut(mid);
+                (Kept::Narrow(head), Kept::Narrow(tail))
+            }
+            Kept::Add(sums) => {
+                let (head, tail) = sums.split_at_mut(mid);
+                (Kept::Add(head), Kept::Add(tail))
+            }
+        }
+    }
+}
+
+impl Kept<'_> {
+    /// Finishes position `j` from its chain: `false` if the half it
+    /// narrowed is not finite.
+    #[inline]
+    pub(crate) fn put(&mut self, j: usize, chain: f32) -> bool {
+        match self {
+            Kept::Narrow(out) => {
+                out[j] = F16::from_f32_fast(0.0 + chain);
+                out[j].is_finite()
+            }
+            Kept::Add(sums) => {
+                sums[j] += chain;
+                true
+            }
+        }
+    }
+}
+
+/// Narrows sums into halves, as [`Kept::Narrow`] finishes chains:
+/// `dst[j] = F16::from_f32_fast(0.0 + src[j])` (for a sum that started
+/// from `+0.0` the addition changes nothing), and `false` if any half is
+/// not finite — the overflow flag of a loss-scaled gradient. The AVX2 path
+/// is [`gather_narrow_finite`]'s narrow and test without the gather; the
+/// scalar tier is bitwise identical.
+///
+/// # Panics
+/// Panics if the lengths differ.
+pub fn narrow_sum_finite(tier: Tier, src: &[f32], dst: &mut [F16]) -> bool {
+    assert_eq!(src.len(), dst.len());
+    let n = src.len();
+    let mut out = Kept::Narrow(dst);
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Avx2 && detected_avx2() && n >= 8 {
+        use std::arch::x86_64::*;
+        // SAFETY: AVX2 presence just checked; every eight loaded and put
+        // starts at `i <= n − 8` of the equal lengths, and the overlapping
+        // last one narrows again the chains it repeats.
+        return unsafe {
+            let mut nonfinite = _mm256_setzero_si256();
+            for i in (0..n - 8).step_by(8).chain([n - 8]) {
+                let lo = i.next_multiple_of(8) - i;
+                nonfinite = _mm256_or_si256(nonfinite, put8(&mut out, i, lo, 8, _mm256_loadu_ps(src.as_ptr().add(i))));
+            }
+            _mm256_movemask_epi8(nonfinite) == 0
+        };
+    }
+    let _ = tier;
+    src.iter().enumerate().fold(true, |finite, (j, &v)| out.put(j, v) & finite)
+}
+
+/// A gathered sum that is never stored: position `j` is finished
+/// ([`Kept`]) from `Σ_t a_t · src[p_t · width + idx[j] - base]` over
+/// `terms = [(p_t, a_t)]`, the sum one chain of fused multiply-adds from
+/// `+0.0` in `terms` order; `false` if a half it narrowed is not finite.
+/// With `src` a matrix of `width`-long rows and `base..base + width` the
+/// positions `idx` lies in, this is one row of a product `Aᵀ·B` at the
+/// columns `idx` names, the chain of the GEMM's tile — the inner loop of
+/// the sampled path of [`crate::gemm::matmul_tn_kept`]. The AVX2 path runs
+/// eight columns at a time, `vgatherdps` + `vfmadd` per term; the scalar
+/// tier is bitwise identical (`f32::mul_add`).
 ///
 /// # Panics
 /// Panics if an index lies outside `base..base + width`, a term's row
 /// outside `src`, or the lengths differ.
-pub fn gather_fma_narrow_finite(
-    tier: Tier,
-    src: &[f32],
-    terms: &[(usize, f32)],
-    width: usize,
-    base: u32,
-    idx: &[u32],
-    out: &mut [F16],
-) -> bool {
+pub fn gather_fma(tier: Tier, src: &[f32], terms: &[(usize, f32)], width: usize, base: u32, idx: &[u32], mut out: Kept) -> bool {
     assert_eq!(idx.len(), out.len());
     // One max-reduction, as in `gather_narrow_finite`: an index below
     // `base` wraps past any `width`.
     let max = idx.iter().fold(0, |mx, &ix| ix.wrapping_sub(base).max(mx));
     assert!(
         idx.is_empty() || (max as usize) < width,
-        "gather_fma_narrow_finite: index out of bounds for positions {base}..{}",
+        "gather_fma: index out of bounds for positions {base}..{}",
         base as usize + width
     );
     assert!(
-        terms.iter().all(|&(off, _)| off + width <= src.len()),
-        "gather_fma_narrow_finite: a term's row lies outside the source"
+        terms.iter().all(|&(p, _)| (p + 1) * width <= src.len()),
+        "gather_fma: a term's row lies outside the source"
     );
     #[cfg(target_arch = "x86_64")]
     if tier == Tier::Avx2 && detected_avx2() && width <= i32::MAX as usize {
-        // SAFETY: AVX2 and FMA presence checked; every `off + idx[j] - base`
-        // is below `off + width <= src.len()`, the offsets within a row are
-        // non-negative as i32, and `out` is as long as `idx`.
-        return unsafe { gather_fma_narrow_finite_avx2(src, terms, base, idx, out) };
+        // SAFETY: AVX2 and FMA presence checked; every `p · width + idx[j]
+        // - base` is below `(p + 1) · width <= src.len()`, the offsets
+        // within a row are non-negative as i32, and `out` is as long as
+        // `idx`.
+        return unsafe { gather_fma_avx2(src, terms, width, base, idx, &mut out) };
     }
     let _ = tier;
-    gather_fma_narrow_scalar(src, terms, base, idx, out)
+    gather_fma_scalar(src, terms, width, base, idx, &mut out)
 }
 
-/// The scalar tier of [`gather_fma_narrow_finite`], and the tail of the
-/// vector one: per index, one chain of FMAs from `+0.0` over `terms`.
-fn gather_fma_narrow_scalar(src: &[f32], terms: &[(usize, f32)], base: u32, idx: &[u32], out: &mut [F16]) -> bool {
-    let mut finite = true;
-    for (o, &ix) in out.iter_mut().zip(idx) {
+/// The scalar tier of [`gather_fma`], and the tail of the vector one: per
+/// index, one chain of FMAs from `+0.0` over `terms`.
+fn gather_fma_scalar(src: &[f32], terms: &[(usize, f32)], width: usize, base: u32, idx: &[u32], out: &mut Kept) -> bool {
+    idx.iter().enumerate().fold(true, |finite, (j, &ix)| {
         let col = ix.wrapping_sub(base) as usize;
-        let chain = terms.iter().fold(0.0, |acc, &(off, a)| a.mul_add(src[off + col], acc));
-        let h = F16::from_f32_fast(0.0 + chain);
-        finite &= h.is_finite();
-        *o = h;
-    }
-    finite
+        out.put(j, terms.iter().fold(0.0, |acc, &(p, a)| a.mul_add(src[p * width + col], acc))) & finite
+    })
 }
 
 /// What the fused optimizer pass needs of Adam at one step: the
@@ -445,7 +515,7 @@ pub fn exp_sub_tier(tier: Tier, row: &mut [f32], max: f32) {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{exp_s, gather_fma_narrow_scalar, gelu_grad_s, gelu_s, AdamArrays, AdamLanes, SweepTargets, F16};
+    use super::{exp_s, gather_fma_scalar, gelu_grad_s, gelu_s, AdamArrays, AdamLanes, Kept, SplitMut, SweepTargets, F16};
     use super::{EXP_LIMIT, EXP_POLY, GELU_K, GELU_KC, LN2_HI, LN2_LO, LOG2E};
     use std::arch::x86_64::*;
 
@@ -665,6 +735,44 @@ mod avx2 {
         }
     }
 
+    /// Finishes positions `j + lo .. j + hi` of `out` from lanes `lo..hi`
+    /// of `acc` as [`Kept::put`] finishes each, and returns a mask that is
+    /// set where a narrowed half is not finite (per lane, or — finished
+    /// lane by lane — on all lanes or none). A narrow of all eight lanes
+    /// (`hi == 8`) is one vector pass, and writes positions `j .. j + lo`
+    /// again — with the halves they hold when they were finished from the
+    /// same chains, the overlapping last eight of a run.
+    ///
+    /// # Safety
+    /// Requires AVX2; `lo <= hi <= 8` and `j + hi <= out.len()`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub unsafe fn put8(out: &mut Kept, j: usize, lo: usize, hi: usize, acc: __m256) -> __m256i {
+        debug_assert!(lo <= hi && hi <= 8 && j + hi <= out.len());
+        match out {
+            Kept::Narrow(halves) if hi == 8 => {
+                let h = narrow8(_mm256_add_ps(_mm256_setzero_ps(), acc));
+                // SAFETY: positions `j .. j + 8` lie inside `halves`.
+                store8_u16(halves.as_mut_ptr().add(j), h);
+                // Non-finite ⇔ all five exponent bits set (Inf or NaN).
+                let exp_mask = _mm256_set1_epi32(0x7C00);
+                _mm256_cmpeq_epi32(_mm256_and_si256(h, exp_mask), exp_mask)
+            }
+            Kept::Add(sums) if (lo, hi) == (0, 8) => {
+                // SAFETY: positions `j .. j + 8` lie inside `sums`.
+                let at = sums.as_mut_ptr().add(j);
+                _mm256_storeu_ps(at, _mm256_add_ps(_mm256_loadu_ps(at), acc));
+                _mm256_setzero_si256()
+            }
+            _ => {
+                let mut lanes = [0.0f32; 8];
+                _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
+                let finite = (lo..hi).fold(true, |finite, l| out.put(j + l, lanes[l]) & finite);
+                _mm256_set1_epi32(if finite { 0 } else { -1 })
+            }
+        }
+    }
+
     /// # Safety
     /// Requires AVX2; every `idx[j] - base` must be in bounds for `src`,
     /// `src.len() <= i32::MAX` (gather indices are signed) and
@@ -772,63 +880,54 @@ mod avx2 {
     }
 
     /// # Safety
-    /// Requires AVX2 and FMA; for every term `(off, _)` and every `j`,
-    /// `off + idx[j] - base` must be in bounds for `src` with
+    /// Requires AVX2 and FMA; for every term `(p, _)` and every `j`,
+    /// `p · width + idx[j] - base` must be in bounds for `src` with
     /// `idx[j] - base <= i32::MAX` (gather indices are signed), and
     /// `out.len() >= idx.len()`.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn gather_fma_narrow_finite_avx2(
+    pub unsafe fn gather_fma_avx2(
         src: &[f32],
         terms: &[(usize, f32)],
+        width: usize,
         base: u32,
         idx: &[u32],
-        out: &mut [F16],
+        out: &mut Kept,
     ) -> bool {
         let n = idx.len();
         debug_assert!(out.len() >= n);
         debug_assert!(idx.iter().all(|&ix| terms
             .iter()
-            .all(|&(off, _)| off + ((ix - base) as usize) < src.len())));
-        let sp = src.as_ptr();
-        let ip = idx.as_ptr();
-        let op = out.as_mut_ptr();
-        let exp_mask = _mm256_set1_epi32(0x7C00);
+            .all(|&(p, _)| p * width + ((ix - base) as usize) < src.len())));
+        if n < 8 {
+            return gather_fma_scalar(src, terms, width, base, idx, out);
+        }
+        let (sp, ip) = (src.as_ptr(), idx.as_ptr());
         let basev = _mm256_set1_epi32(base as i32);
         let mut nonfinite = _mm256_setzero_si256();
-        // SAFETY: `idx` and `out` are read and written at `i..i + 8` with
-        // `i + 8 <= n`; each gather reads `src` at `off + idx[j] - base`,
-        // which the caller checked in bounds and non-negative as i32.
-        let mut eight = |i: usize| {
+        // SAFETY: `idx` is read at `i..i + 8` with `i + 8 <= n`, and `out`
+        // is put there; each gather reads `src` at `p · width + idx[j] -
+        // base`, which the caller checked in bounds and non-negative as
+        // i32. The last eight overlaps the one before where `n` is not a
+        // multiple of eight: only its lanes from `lo` on are new.
+        for i in (0..n - 8).step_by(8).chain([n - 8]) {
             let cols = _mm256_sub_epi32(_mm256_loadu_si256(ip.add(i) as *const __m256i), basev);
             let mut acc = _mm256_setzero_ps();
-            for &(off, a) in terms {
-                let vals = _mm256_i32gather_ps::<4>(sp.add(off), cols);
+            for &(p, a) in terms {
+                let vals = _mm256_i32gather_ps::<4>(sp.add(p * width), cols);
                 acc = _mm256_fmadd_ps(_mm256_set1_ps(a), vals, acc);
             }
-            let halves = narrow8(_mm256_add_ps(_mm256_setzero_ps(), acc));
-            let exp = _mm256_and_si256(halves, exp_mask);
-            nonfinite = _mm256_or_si256(nonfinite, _mm256_cmpeq_epi32(exp, exp_mask));
-            store8_u16(op.add(i), halves);
-        };
-        let mut i = 0;
-        while i + 8 <= n {
-            eight(i);
-            i += 8;
+            let lo = i.next_multiple_of(8) - i;
+            nonfinite = _mm256_or_si256(nonfinite, put8(out, i, lo, 8, acc));
         }
-        if i < n && n >= 8 {
-            // The last eight again: the ones already written get the same
-            // bits, and a short tail needs no scalar loop.
-            eight(n - 8);
-            i = n;
-        }
-        let tail_finite = gather_fma_narrow_scalar(src, terms, base, &idx[i..], &mut out[i..n]);
-        tail_finite && _mm256_movemask_epi8(nonfinite) == 0
+        _mm256_movemask_epi8(nonfinite) == 0
     }
 }
 
 #[cfg(target_arch = "x86_64")]
+pub(crate) use avx2::put8;
+#[cfg(target_arch = "x86_64")]
 use avx2::{
-    adam_sweep_avx2, exp_sub_avx2, gather_fma_narrow_finite_avx2, gather_narrow_finite_avx2, gelu_avx2,
+    adam_sweep_avx2, exp_sub_avx2, gather_fma_avx2, gather_narrow_finite_avx2, gelu_avx2,
     gelu_grad_mul_avx2, narrow_avx2, widen_avx2,
 };
 
@@ -962,6 +1061,26 @@ mod tests {
             assert!(finite);
             for (o, &ix) in out.iter().zip(&idx) {
                 assert_eq!(o.to_bits(), F16::from_f32_fast(src[ix as usize]).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_sum_matches_the_scalar_loop_at_every_length() {
+        // Lengths around the vector (the overlapping last eight), every
+        // class a sum can hold: −0.0 (narrowed as +0.0), subnormals,
+        // values past the half range, ±∞ and NaN.
+        let pool = [1.5f32, -0.0, 0.0, 1e-7, -3e-5, 65_520.0, -1e9, f32::INFINITY, f32::NAN, 2.0e-41, -7.25];
+        for len in 0..=19 {
+            for plant in 0..pool.len() {
+                let src: Vec<f32> = (0..len).map(|j| if j == len / 2 { pool[plant] } else { pool[j % 5] * j as f32 }).collect();
+                let want: Vec<F16> = src.iter().map(|&v| F16::from_f32_fast(0.0 + v)).collect();
+                for tier in [Tier::Scalar, Tier::Avx2] {
+                    let mut got = vec![F16::from_f32(9.0); len];
+                    let finite = narrow_sum_finite(tier, &src, &mut got);
+                    assert_eq!(got, want, "{tier:?}, {len} long, plant {plant}");
+                    assert_eq!(finite, want.iter().all(|h| h.is_finite()), "{tier:?}, {len} long, plant {plant}");
+                }
             }
         }
     }

@@ -160,15 +160,16 @@ fn non_finite_operands_give_the_verdict_of_the_blocks() {
 
 #[test]
 fn the_dispatch_reads_rows_times_density() {
-    // 4 rows at p = 0.9 sample; a fat batch at the same density, or a
-    // thin one at a dense mask, keeps the blocks.
+    // 4 rows at p = 0.9 sample; a fat batch at the same density is
+    // transposed, and a thin one at a dense mask keeps the blocks.
     let sampled_pays = |k, nnz, numel| plan(Op::Tn, k, nnz, numel) == Path::Sampled;
     assert!(sampled_pays(4, 419_430, 2048 * 2048));
-    assert!(!sampled_pays(64, 419_430, 2048 * 2048));
+    assert_eq!(plan(Op::Tn, 64, 419_430, 2048 * 2048), Path::Transposed);
     assert!(!sampled_pays(8, 2048 * 2048 / 2, 2048 * 2048));
     assert!(sampled_pays(2, 2048 * 2048, 2048 * 2048));
-    assert!(!sampled_pays(257, 1, 2048 * 2048), "past one k-block");
-    assert!(sampled_pays(256, 0, 1));
+    assert!(sampled_pays(8, 0, 1));
+    assert_eq!(plan(Op::Tn, 256, 0, 1), Path::Transposed, "one whole k-block");
+    assert_eq!(plan(Op::Tn, 257, 0, 1), Path::RowBlocks, "past one k-block");
 }
 
 #[test]
