@@ -7,8 +7,10 @@
 //!
 //! Spawns `N` worker processes (re-invocations of this binary in
 //! `worker` mode) that rendezvous over loopback TCP, train a replicated
-//! data-parallel SAMO model through [`samo::DistDataParallel`], and
-//! checkpoint every `K` applied steps. The parent runs the same
+//! data-parallel SAMO model — one [`samo::DataParallelRank`] per process,
+//! the sharded, overlapped rank `ThreadedDataParallelSamo` runs one per
+//! thread — and checkpoint every `K` steps with a collective save that
+//! gathers the shards. The parent runs the same
 //! trajectory on an in-process [`samo::SamoTrainer`] and **fails unless
 //! every worker's final checkpoint is bitwise identical to that
 //! single-process oracle** — across real processes and real sockets,
@@ -16,9 +18,10 @@
 //!
 //! With `--kill-rank R --kill-at S2` the parent SIGKILLs rank `R` once
 //! its progress file reaches step `S2`, then relaunches it. Survivors
-//! must surface the death as a bounded step error (socket EOF or
-//! heartbeat), re-rendezvous in a fresh generation, roll back to rank
-//! 0's last checkpoint, and replay — and the post-recovery finals must
+//! must surface the death as a bounded step or save error (socket EOF
+//! or heartbeat), re-rendezvous in a fresh generation, rebuild their
+//! ranks, restore rank 0's last checkpoint, and replay — and the
+//! post-recovery finals must
 //! *still* match the never-failed oracle bit for bit. The parent gates
 //! on the recorded detection latency and on the resync having happened.
 //! The toy model trains in microseconds, so a drill needs
@@ -30,7 +33,9 @@
 //! Coordination between parent and workers goes through small files in
 //! `--dir` (atomic tmp+rename writes): `rdv.addr`, per-rank `rank<R>.step`
 //! progress, `rank<R>.latest.ckpt`, `rank<R>.final.ckpt`, and an
-//! append-only `rank<R>.events` log of failures and resyncs.
+//! append-only `rank<R>.events` log of failures and resyncs. A save that
+//! fails on a dead peer writes nothing: the files are only ever replaced
+//! whole.
 
 use comms::{bootstrap_tcp, BootstrapConfig, Communicator, FaultController, Rendezvous};
 use nn::layer::{Layer, Sequential};
@@ -39,7 +44,7 @@ use nn::loss::mse;
 use nn::mixed::Optimizer;
 use nn::optim::AdamConfig;
 use prune::Mask;
-use samo::{DistDataParallel, SamoTrainer};
+use samo::{DataParallelRank, SamoTrainer};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
@@ -92,6 +97,14 @@ fn batch_for(step: usize) -> (Tensor, Tensor) {
     )
 }
 
+/// Forward on `step`'s batch: the scaled `d(mse)/d(output)`.
+fn loss_grad(model: &mut Sequential, step: usize, scale: f32) -> Tensor {
+    let (x, target) = batch_for(step);
+    let (_, mut dy) = mse(&model.forward(&x), &target);
+    tensor::ops::scale(scale, dy.as_mut_slice());
+    dy
+}
+
 /// Atomic file publish: write to a sibling tmp path, then rename.
 fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
@@ -104,6 +117,13 @@ fn append_event(dir: &Path, rank: usize, line: &str) {
     if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(path) {
         let _ = writeln!(f, "{line}");
     }
+}
+
+/// Logs a collective that failed at `step`, with how long it took to
+/// surface.
+fn step_error(dir: &Path, rank: usize, step: usize, t0: Instant, e: comms::CommsError) {
+    let ms = t0.elapsed().as_millis();
+    append_event(dir, rank, &format!("event=step_error step={step} detect_ms={ms} err={e}"));
 }
 
 fn env_num<T: std::str::FromStr>(key: &str) -> T
@@ -187,26 +207,26 @@ fn worker() -> i32 {
         comm.adopt_epoch(info.epoch);
         epoch = comm.epoch();
 
-        // Fresh trainer every generation; state comes from rank 0's
-        // latest checkpoint below (empty on a cold start).
-        let mut model = build_model();
+        // Fresh rank every generation; state comes from rank 0's latest
+        // checkpoint below (empty on a cold start).
+        let model = build_model();
         let masks = masks_for(&model);
-        let mut dist = DistDataParallel::new(&mut model, masks, adam(), comm);
+        let mut dp = DataParallelRank::new(model, &masks, adam(), comm);
         let mut bytes = if rank == 0 {
             std::fs::read(dir.join("rank0.latest.ckpt")).unwrap_or_default()
         } else {
             Vec::new()
         };
-        if dist.comm_mut().broadcast_bytes(0, &mut bytes).is_err() {
+        if dp.comm_mut().broadcast_bytes(0, &mut bytes).is_err() {
             continue; // a peer died mid-join; rendezvous again
         }
-        if !bytes.is_empty() {
-            if let Err(e) = dist.restore(&bytes, &mut model) {
-                eprintln!("rank {rank}: restore failed: {e}");
-                return 4;
-            }
-        }
-        if dist.comm_mut().barrier().is_err() {
+        // Every rank got the same bytes: all restore, or none does.
+        let joined = match bytes.is_empty() {
+            true => dp.comm_mut().barrier().map_err(|e| e.to_string()),
+            false => dp.restore(&bytes),
+        };
+        if let Err(e) = joined {
+            eprintln!("rank {rank}: rejoin failed: {e}");
             continue;
         }
         if info.generation > 0 {
@@ -217,63 +237,55 @@ fn worker() -> i32 {
                     "event=resync generation={} epoch={} step={}",
                     info.generation,
                     epoch,
-                    dist.steps_taken() + dist.steps_skipped()
+                    dp.engine().step_index()
                 ),
             );
         }
 
         let mut failed = false;
-        while dist.steps_taken() + dist.steps_skipped() < steps {
+        while dp.engine().step_index() < steps {
             if step_delay_ms > 0 {
                 // Stand-in for real compute: stretches the step so a
                 // drill's SIGKILL lands mid-run, with the survivors
                 // blocked inside the collective when the sockets die.
                 std::thread::sleep(Duration::from_millis(step_delay_ms));
             }
-            let step = (dist.steps_taken() + dist.steps_skipped()) as usize;
-            let (x, target) = batch_for(step);
-            let y = model.forward(&x);
-            let (_, mut dy) = mse(&y, &target);
-            tensor::ops::scale(dist.loss_scale(), dy.as_mut_slice());
-            model.backward(&dy);
+            let step = dp.engine().step_index() as usize;
             let t0 = Instant::now();
-            match dist.step(&mut model) {
-                Ok(_) => {
-                    let done = dist.steps_taken() + dist.steps_skipped();
-                    let _ = write_atomic(
-                        &dir.join(format!("rank{rank}.step")),
-                        done.to_string().as_bytes(),
-                    );
-                    if done % ckpt_every == 0 {
-                        let _ = write_atomic(
-                            &dir.join(format!("rank{rank}.latest.ckpt")),
-                            dist.save().as_ref(),
-                        );
-                    }
+            let res = dp.step(|_, model, scale| loss_grad(model, step, scale)).and_then(|_| {
+                let done = dp.engine().step_index();
+                let _ = write_atomic(
+                    &dir.join(format!("rank{rank}.step")),
+                    done.to_string().as_bytes(),
+                );
+                if done % ckpt_every == 0 {
+                    // Collective: every rank saves after the same step.
+                    let ckpt = dp.save()?;
+                    let _ = write_atomic(&dir.join(format!("rank{rank}.latest.ckpt")), &ckpt);
                 }
-                Err(e) => {
-                    append_event(
-                        &dir,
-                        rank,
-                        &format!(
-                            "event=step_error step={step} detect_ms={} err={e}",
-                            t0.elapsed().as_millis()
-                        ),
-                    );
-                    failed = true;
-                    break;
-                }
+                Ok(())
+            });
+            if let Err(e) = res {
+                step_error(&dir, rank, step, t0, e);
+                failed = true;
+                break;
             }
         }
         if failed {
             continue; // re-rendezvous, roll back, replay
         }
-        // Everyone finished; the barrier keeps a fast rank from closing
-        // its sockets while a peer is still draining the last ring.
-        let _ = dist.comm_mut().barrier();
-        if let Err(e) =
-            write_atomic(&dir.join(format!("rank{rank}.final.ckpt")), dist.save().as_ref())
-        {
+        // Everyone finished. The save is collective, and the barrier after
+        // it keeps a fast rank from closing its sockets while a peer still
+        // waits for its last gather.
+        let t0 = Instant::now();
+        let ckpt = match dp.save().and_then(|ckpt| dp.comm_mut().barrier().map(|()| ckpt)) {
+            Ok(ckpt) => ckpt,
+            Err(e) => {
+                step_error(&dir, rank, steps as usize, t0, e);
+                continue;
+            }
+        };
+        if let Err(e) = write_atomic(&dir.join(format!("rank{rank}.final.ckpt")), &ckpt) {
             eprintln!("rank {rank}: write final checkpoint: {e}");
             return 5;
         }
@@ -290,12 +302,8 @@ fn oracle_checkpoint(steps: u64) -> Vec<u8> {
     let mut model = build_model();
     let masks = masks_for(&model);
     let mut oracle = SamoTrainer::new(&mut model, masks, adam());
-    while oracle.steps_taken() + oracle.steps_skipped() < steps {
-        let step = (oracle.steps_taken() + oracle.steps_skipped()) as usize;
-        let (x, target) = batch_for(step);
-        let y = model.forward(&x);
-        let (_, mut dy) = mse(&y, &target);
-        tensor::ops::scale(oracle.loss_scale(), dy.as_mut_slice());
+    while oracle.step_index() < steps {
+        let dy = loss_grad(&mut model, oracle.step_index() as usize, oracle.loss_scale());
         model.backward(&dy);
         oracle.step(&mut model);
     }
@@ -348,6 +356,9 @@ fn parse_args() -> Result<Args, String> {
     let steps = steps.ok_or("--steps is required")?;
     if world < 2 {
         return Err("--world must be >= 2".into());
+    }
+    if ckpt_every == 0 {
+        return Err("--ckpt-every must be >= 1".into());
     }
     if kill_rank.is_some() != kill_at.is_some() {
         return Err("--kill-rank and --kill-at go together".into());

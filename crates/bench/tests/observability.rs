@@ -1,8 +1,8 @@
 //! One recorder, one step schema, one checked metric table.
 //!
 //! A single drill drives, with telemetry on, one step of every training
-//! runtime (plus a remap, an overflow skip, restores, a rollback and a
-//! resync), the checkpoint manager and the divergence sentinel, one TCP
+//! runtime (plus a remap, an overflow skip, restores and a rollback),
+//! the checkpoint manager and the divergence sentinel, one TCP
 //! ring through a heartbeat death and a reconnect, one served request
 //! through a hot reload and a rejected publish, and one simulated
 //! pipeline. Then it checks the two artefacts the drill leaves in the
@@ -34,7 +34,7 @@ use samo::pipeline::{PipelineConfig, ThreadedPipelineSamo};
 use samo::reference::{DataParallelSamo, DenseMaskedTrainer};
 use samo::sentinel::{DivergenceSentinel, SentinelConfig};
 use samo::trainer::SamoTrainer;
-use samo::{CheckpointConfig, CheckpointManager, DistDataParallel, ThreadedDataParallelSamo};
+use samo::{CheckpointConfig, CheckpointManager, DataParallelRank, ThreadedDataParallelSamo};
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::Arc;
@@ -92,7 +92,7 @@ fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
 }
 
 /// Every single-process runtime, the oracle, the two threaded groups,
-/// the cross-process trainer on an in-process mesh, the checkpoint
+/// the data-parallel rank as a process runs it (on an in-process mesh), the checkpoint
 /// manager and the sentinel.
 fn drive_training(dir: &Path) {
     // Single worker: a remap at step 0, then a planted overflow.
@@ -151,20 +151,18 @@ fn drive_training(dir: &Path) {
     .expect("healthy pipeline");
     drop(pipe);
 
-    // The cross-process trainer: step, then resync onto a fresh mesh.
+    // The rank a process runs: step and save, then rebuilt on a fresh
+    // mesh and restored, as after a peer's death.
     let (mut old, mut new) = (InProcTransport::mesh(2), InProcTransport::mesh(2));
     std::thread::scope(|s| {
         for _ in 0..2 {
             let (t, fresh) = (old.remove(0), new.remove(0));
             s.spawn(move || {
-                let mut model = linear();
-                let mut dist =
-                    DistDataParallel::new(&mut model, vec![mask()], adam(), Communicator::new(t));
-                fwd_bwd(&mut model, dist.loss_scale());
-                dist.step(&mut model).expect("healthy mesh");
-                let ckpt = dist.save();
-                dist.resync(Communicator::new(fresh), &ckpt, &mut model)
-                    .expect("resync");
+                let rank = |t| DataParallelRank::new(linear(), &[mask()], adam(), Communicator::new(t));
+                let mut dp = rank(t);
+                dp.step(step).expect("healthy mesh");
+                let ckpt = dp.save().expect("collective save");
+                rank(fresh).restore(&ckpt).expect("restore");
             });
         }
     });

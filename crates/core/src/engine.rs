@@ -7,10 +7,12 @@
 //! becomes the group mean. What varies between runtimes is only who
 //! drives it:
 //!
-//! * [`crate::SamoTrainer`] and [`crate::DistDataParallel`] call
-//!   `step(model)` after the caller's backward — an inline loop over the
-//!   parameters (`reduce_after_backward`);
-//! * [`crate::ThreadedDataParallelSamo`] runs backward through
+//! * [`crate::SamoTrainer`] calls `step(model)` after the caller's
+//!   backward — an inline loop over the parameters
+//!   (`reduce_after_backward`);
+//! * [`crate::threaded::DataParallelRank`] — one per rank thread of
+//!   [`crate::ThreadedDataParallelSamo`], one per process of
+//!   `samo-launch` — runs backward through
 //!   `backward_overlapped`, so each parameter's ring starts while the
 //!   rest of backward still runs — and a weight matrix whose layer offers
 //!   the operands of its gradient's product is compressed *inside*
@@ -37,33 +39,32 @@
 //! `value` while it trains (`Parameter::release_value`), and for a
 //! compute window the state's `theta16` buffer is moved into the
 //! parameter and back (`StepEngine::lend_theta16`: a `Vec` swap, one
-//! buffer, one owner at a time). The window of the two thread-per-rank
-//! runtimes, which own their model, is a step's — the step closure and
+//! buffer, one owner at a time). The window of the runtimes that own
+//! their model is a step's — the data-parallel rank's step closure and
 //! backward; every microbatch of a pipeline schedule. They bring `θ16`
-//! home when it closes, before `finish_reduce` / `apply`; a step that
-//! fails inside the window returns early, and the rank loop both share
-//! brings it home before it reports the error. So everything outside
+//! home when it closes, before `finish_reduce` / `apply`: the rank
+//! whether or not its backward failed; a pipeline schedule that fails
+//! returns early, and the thread group's rank loop brings it home before
+//! it reports the error. So everything outside
 //! their step (`save`, `restore`, remap, the inspection hook) finds
 //! `theta16` where it always was; the inspection hook additionally widens
 //! the values for its closure (`Parameter::widen_value`).
 //! [`crate::SamoTrainer`]'s caller runs forward and backward, so its
 //! window is the time *between* steps: `new` releases and lends, `step`
 //! brings `θ16` home for the remap, compress and optimizer and lends it
-//! again, and `restore` / `rollback` leave it where they found it. Only
-//! [`crate::DistDataParallel`] keeps the f32 view; the independent
-//! oracle of the lent products is `crate::reference`, which multiplies
-//! f32 weights.
+//! again, and `restore` / `rollback` leave it where they found it. No
+//! runtime keeps the f32 view; the independent oracle of the lent
+//! products is `crate::reference`, which multiplies f32 weights.
 //!
 //! Every state runs the same fused pair
 //! ([`SamoLayerState::compress_grad_fused`] — or its product form — and
-//! [`SamoLayerState::optimizer_step_owned`]) on the range it owns;
-//! sharding decides only what moves: a full state all-reduces `∇θ16`,
-//! a shard reduce-scatters it (each rank needs the mean on its own range
+//! [`SamoLayerState::optimizer_step_owned`]) on the range it owns. An
+//! engine is sharded iff its reducer has a group: rank `r` of `G` owns
+//! shard `r`, reduce-scatters `∇θ16` (it needs the mean on its own range
 //! alone) and all-gathers the updated fp16 parameters — together the
 //! `2·(G−1)/G·fφ·2 B` of a ring all-reduce. A shard then holds reduced
 //! bits on its own range only, so the group agrees on the overflow
-//! verdict with one flag gather per step (`finish_reduce`) — full states
-//! too, which keeps the verdict one path.
+//! verdict with one flag gather per step (`finish_reduce`).
 //!
 //! After backward, a collective is sent as soon as its input exists and
 //! the rank blocks once for all of them: the flag leaves beside the ring
@@ -149,8 +150,7 @@ pub(crate) struct Labels {
 }
 
 pub(crate) const SAMO: Labels = Labels { prefix: "samo" };
-/// [`crate::DistDataParallel`] and the sequential
-/// [`crate::reference::DataParallelSamo`].
+/// The sequential [`crate::reference::DataParallelSamo`].
 pub(crate) const DP: Labels = Labels { prefix: "samo.dp" };
 pub(crate) const DP_THREADED: Labels = Labels {
     prefix: "samo.dp_threaded",
@@ -204,21 +204,22 @@ pub struct StepEngine<R: Reducer> {
 impl<R: Reducer> StepEngine<R> {
     /// Builds the rank's state from the model's current parameters and
     /// one mask per parameter tensor (in `model.params()` order): the
-    /// full state, or — `sharded` — this rank's shard of the group's. The
-    /// model's parameters are pruned in place and replaced by the widened
-    /// `θ16`.
+    /// full state, or — in a group — this rank's shard of the group's.
+    /// The model's parameters are pruned in place, and a parameter whose
+    /// layer computes from half precision releases its f32 `value`: it
+    /// computes from the `θ16` the engine lends.
     pub(crate) fn build(
         model: &mut impl Layer,
         masks: &[Mask],
         opt: Optimizer,
         reducer: R,
-        sharded: bool,
         labels: &'static Labels,
     ) -> StepEngine<R> {
         let (rank, world) = reducer.comm().map_or((0, 1), |c| (c.rank(), c.world()));
-        let (shard_id, num_shards) = if sharded { (rank, world) } else { (0, 1) };
+        let layers = build_layers(model, masks, &opt, rank, world);
+        model.for_each_param_mut(&mut |p| p.release_value());
         StepEngine {
-            layers: build_layers(model, masks, &opt, shard_id, num_shards),
+            layers,
             streamed: vec![false; masks.len()],
             dw_sums: vec![Vec::new(); masks.len()],
             opt,
@@ -331,8 +332,8 @@ impl<R: Reducer> StepEngine<R> {
     /// counters, so a resumed run continues the exact scaling schedule.
     /// The compute model is *not* included — θ16 is reconstructible from
     /// the checkpoint via [`Self::restore`]. The layers must be
-    /// unsharded; a sharded group gathers them first
-    /// ([`crate::reference::to_full_layer`]).
+    /// unsharded; a group's rank saves collectively
+    /// ([`crate::threaded::DataParallelRank::save`]).
     pub fn save(&self) -> bytes::Bytes {
         save_checkpoint(&self.layers, &self.meta())
     }
@@ -439,12 +440,7 @@ impl<R: Reducer> StepEngine<R> {
             // The ring takes the buffer and `finish_reduce` puts it back:
             // no copy in either direction (a failed step loses it; the
             // next compress or restore re-creates it).
-            let grad16 = std::mem::take(&mut st.grad16);
-            let id = if st.is_sharded() {
-                comm.reduce_scatter_start(grad16)?
-            } else {
-                comm.ring_start(grad16)?
-            };
+            let id = comm.reduce_scatter_start(std::mem::take(&mut st.grad16))?;
             self.ring_order.push((id, pi));
         }
         Ok(())
@@ -802,10 +798,8 @@ fn group<C>(comm: Option<C>) -> Result<C, CommsError> {
 
 /// Moves one layer's compressed state onto `new_mask`. A full state is
 /// remapped in place. A shard's bounds depend on `nnz`, so surviving
-/// values migrate between ranks: the full fp32 state is reassembled
-/// from every rank's `[θ32 | os]` segment over
-/// [`Communicator::all_gather_f32`], remapped, and cut again under the
-/// new bounds.
+/// values migrate between ranks: the full state is gathered
+/// ([`gather_full`]), remapped, and cut again under the new bounds.
 fn remap_layer<T: Transport>(
     layer: &mut SamoLayerState,
     new_mask: Mask,
@@ -816,11 +810,25 @@ fn remap_layer<T: Transport>(
         layer.remap_compressed_state(new_mask, scratch);
         return Ok(());
     }
+    let mut full = gather_full(layer, group(comm)?)?;
+    full.remap_compressed_state(new_mask, scratch);
+    let (shard_id, num_shards) = layer.shard();
+    *layer = full.into_shard(shard_id, num_shards);
+    Ok(())
+}
+
+/// A shard's full fp32 state, reassembled from every rank's
+/// `[θ32 | os]` segment over [`Communicator::all_gather_f32`]; `∇θ16` is
+/// this rank's. The one gather behind a remap and a group's `save`.
+pub(crate) fn gather_full<T: Transport>(
+    layer: &SamoLayerState,
+    comm: &mut Communicator<T>,
+) -> Result<SamoLayerState, CommsError> {
     let mine = layer.shard_arrays();
     let arrays = mine.len();
     let lens = layer.shard_counts();
     let counts: Vec<usize> = lens.iter().map(|n| n * arrays).collect();
-    let gathered = group(comm)?.all_gather_f32(&mine.concat(), &counts)?;
+    let gathered = comm.all_gather_f32(&mine.concat(), &counts)?;
     let mut rest = &gathered[..];
     let shards: Vec<Vec<&[f32]>> = lens
         .iter()
@@ -830,11 +838,7 @@ fn remap_layer<T: Transport>(
             (0..arrays).map(|a| &seg[a * n..(a + 1) * n]).collect()
         })
         .collect();
-    let mut full = layer.full_from_shards(&shards);
-    full.remap_compressed_state(new_mask, scratch);
-    let (shard_id, num_shards) = layer.shard();
-    *layer = full.into_shard(shard_id, num_shards);
-    Ok(())
+    Ok(layer.full_from_shards(&shards))
 }
 
 /// One compressed layer state per parameter tensor of `model` (in

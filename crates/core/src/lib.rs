@@ -26,11 +26,11 @@
 //!
 //! * [`trainer`] — [`SamoTrainer`], the engine on a single worker; the
 //!   closed forms of state bytes and all-reduce volume,
-//! * [`dist`] — [`DistDataParallel`], the engine reducing over any
-//!   `comms::Transport`, one rank per process,
-//! * [`threaded`] — [`ThreadedDataParallelSamo`], one engine per rank
-//!   thread with the ring overlapped with backward, and the thread
-//!   protocol both threaded runtimes share,
+//! * [`threaded`] — [`DataParallelRank`], the one data-parallel rank: a
+//!   sharded engine over any `comms::Transport` with the ring overlapped
+//!   with backward, one per process in `samo-launch`, one per rank thread
+//!   in [`ThreadedDataParallelSamo`] — and the thread protocol both
+//!   threaded runtimes share,
 //! * [`pipeline`] — [`ThreadedPipelineSamo`], the hybrid
 //!   `G_inter × G_data` 1F1B pipeline.
 //!
@@ -69,7 +69,6 @@
 pub mod checkpoint;
 pub mod compressed;
 pub mod data_parallel;
-pub mod dist;
 pub mod engine;
 pub mod memory;
 pub mod pipeline;
@@ -89,12 +88,11 @@ pub use compressed::{compress, expand};
 pub use memory::{
     m_default_bytes, m_samo_bytes, m_samo_zero_bytes, samo_savings_fraction, SamoBreakdown,
 };
-pub use dist::DistDataParallel;
 pub use pipeline::{PipelineConfig, StageStats, ThreadedPipelineSamo};
 pub use reference::{DataParallelSamo, DenseMaskedTrainer};
 pub use sentinel::{DivergenceSentinel, SentinelConfig, Verdict};
 pub use serialize::TrainerMeta;
 pub use sharded::ShardedSamoLayerState;
 pub use state::SamoLayerState;
-pub use threaded::ThreadedDataParallelSamo;
+pub use threaded::{DataParallelRank, ThreadedDataParallelSamo};
 pub use trainer::SamoTrainer;

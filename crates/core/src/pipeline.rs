@@ -650,7 +650,6 @@ impl ThreadedPipelineSamo {
                     &masks[param_off..param_off + n_params],
                     opt.clone(),
                     Ring(comm(data_t)),
-                    true,
                     &PIPELINE,
                 );
                 // Rank (0,0) reports for the group.

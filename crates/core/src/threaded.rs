@@ -1,11 +1,13 @@
-//! Thread-per-rank data-parallel SAMO training over the real
-//! message-passing collectives runtime in the `comms` crate.
+//! Data-parallel SAMO training over the real message-passing collectives
+//! runtime in the `comms` crate: the one data-parallel rank,
+//! [`DataParallelRank`], run one per OS thread by
+//! [`ThreadedDataParallelSamo`] and one per process by `samo-launch`.
 //!
 //! Where [`crate::reference::DataParallelSamo`] loops over replicas
 //! inside one thread and reduces gradients with the sequential oracle,
-//! this runtime gives every rank its own OS thread owning its replica
-//! and a [`StepEngine`] — sharded optimizer state, loss-scaler copy, and
-//! a [`comms::Communicator`] endpoint of an in-process mesh. Gradients
+//! every rank here owns its replica and a [`StepEngine`] — sharded
+//! optimizer state, loss-scaler copy, and a [`comms::Communicator`]
+//! endpoint of an in-process mesh or a TCP one. Gradients
 //! move through the chunked **ring reduce-scatter** (a shard needs the
 //! mean on its own range only; the parameter all-gather after the
 //! optimizer is the other half of an all-reduce's volume), and the
@@ -22,9 +24,10 @@
 //! the rank trains and multiplies by the `θ16` its engine lends for the
 //! step closure and backward (`crate::engine`, module docs). Only the
 //! inspection hook ([`ThreadedDataParallelSamo::with_rank`]) shows its
-//! closure widened values, for the length of the call. What this file
-//! adds to the engine is the thread protocol: `RankGroup`, which
-//! [`crate::ThreadedPipelineSamo`] shares.
+//! closure widened values, for the length of the call. The thread
+//! protocol, `RankGroup`, is shared with [`crate::ThreadedPipelineSamo`].
+//! A thread group saves by copying each rank's owned ranges off its
+//! thread; a process rank saves collectively ([`DataParallelRank::save`]).
 //!
 //! # Bitwise equivalence with the in-process trainer
 //!
@@ -59,10 +62,14 @@
 //! failed group refuses further steps (poisoned) until
 //! [`ThreadedDataParallelSamo::restore`] reloads a
 //! checkpoint on every rank, bumps the comms epoch (discarding stale
-//! in-flight traffic), and barriers the group back together.
+//! in-flight traffic), and barriers the group back together. A process
+//! rank's peer that dies surfaces the same way, or sooner through the
+//! TCP heartbeat (`PeerDead`) or the socket's EOF (`Closed`); the
+//! survivors rendezvous again and rebuild their ranks on the new
+//! communicator, and [`DataParallelRank::restore`] rejoins them.
 
-use crate::engine::{assert_replicas_agree, trainer_meta, Ring, StepEngine, DP_THREADED};
-use crate::serialize::{save_ranges, TrainerMeta};
+use crate::engine::{assert_replicas_agree, gather_full, trainer_meta, Ring, StepEngine, DP_THREADED};
+use crate::serialize::{save_checkpoint, save_ranges, TrainerMeta};
 use crate::state::{OwnedRange, SamoLayerState};
 use crate::trainer::samo_ring_allreduce_bytes;
 use comms::{CommsError, Communicator, FaultController, InProcTransport, Transport};
@@ -162,9 +169,6 @@ fn rank_loop<W: RankWorker>(
             nnz: engine.nnz(),
         }
     };
-    // From here on θ16 is the weight: a `Linear` keeps no f32 copy of it
-    // and computes from what the engine lends for each step.
-    w.parts().0.for_each_param_mut(&mut |p| p.release_value());
     let mut poisoned = false;
     while let Ok(cmd) = rx.recv() {
         let resp = match cmd {
@@ -173,7 +177,7 @@ fn rank_loop<W: RankWorker>(
                 Ok(applied) => Resp::Done(Ok(outcome(&mut w, applied))),
                 Err(e) => {
                     poisoned = true;
-                    // A compute window that ended in `Err` left θ16 lent.
+                    // A pipeline schedule that ended in `Err` left θ16 lent.
                     let (model, engine) = w.parts();
                     engine.lend_theta16(model, false);
                     Resp::Done(Err(e.to_string()))
@@ -526,11 +530,14 @@ pub(crate) fn relay_step_metrics<T: Transport>(
     ]));
 }
 
-/// Everything one rank thread owns. Generic over the transport: the
-/// in-process mesh by default, loopback TCP endpoints when built via
-/// [`ThreadedDataParallelSamo::with_transports`].
-struct Rank<M: Layer, T: Transport> {
-    rank: usize,
+/// One rank of a data-parallel group: its replica and the sharded
+/// [`StepEngine`] training it over `T` — the one data-parallel rank.
+/// [`ThreadedDataParallelSamo`] runs one per rank thread; `samo-launch`
+/// runs one per process, over the [`comms::TcpTransport`] of
+/// [`comms::bootstrap_tcp`]. [`Self::step`], [`Self::save`] and
+/// [`Self::restore`] are collective: every rank of the group calls them
+/// together.
+pub struct DataParallelRank<M: Layer, T: Transport> {
     model: M,
     engine: StepEngine<Ring<T>>,
     /// Rank 0 only: rolling per-rank step-duration stats
@@ -538,25 +545,48 @@ struct Rank<M: Layer, T: Transport> {
     rank_dur_stats: Vec<(f64, u64)>,
 }
 
-impl<M: Layer + Send + 'static, T: Transport + 'static> RankWorker for Rank<M, T> {
-    type Model = M;
-    type Transport = T;
-    type Job = StepFn<M>;
-    type Stats = CommStats;
-
-    fn parts(&mut self) -> (&mut M, &mut StepEngine<Ring<T>>) {
-        (&mut self.model, &mut self.engine)
+impl<M: Layer, T: Transport> DataParallelRank<M, T> {
+    /// Builds shard `comm.rank()` of the group's state from this rank's
+    /// replica — every rank's is the same — and one mask per parameter
+    /// tensor. From here on `θ16` is the weight: the replica's `Linear`s
+    /// hold no f32 `value` and compute from what the engine lends for
+    /// each step.
+    pub fn new(mut model: M, masks: &[Mask], opt: Optimizer, comm: Communicator<T>) -> Self {
+        let engine = StepEngine::build(&mut model, masks, opt, Ring(comm), &DP_THREADED);
+        DataParallelRank { model, engine, rank_dur_stats: Vec::new() }
     }
 
-    fn step(&mut self, f: &StepFn<M>) -> Result<bool, CommsError> {
+    /// The engine: step counters, loss scale, state bytes, remap events.
+    pub fn engine(&self) -> &StepEngine<Ring<T>> {
+        &self.engine
+    }
+
+    /// The communicator — for broadcasts and barriers around the steps.
+    pub fn comm_mut(&mut self) -> &mut Communicator<T> {
+        &mut self.engine.reducer.0
+    }
+
+    /// Installs a dynamic-sparsity schedule; every rank installs the same
+    /// one before the same step.
+    pub fn set_mask_schedule(&mut self, schedule: MaskSchedule) {
+        self.engine.set_mask_schedule(schedule);
+    }
+
+    /// One training step: `f(rank, model, loss_scale)` runs forward and
+    /// returns the scaled output gradient, then backward starts each
+    /// parameter's ring reduce-scatter from inside it, and the fused step
+    /// on the owned range starts each shard's parameter all-gather as its
+    /// pass ends. `Ok(false)` if skipped on overflow; `Err` if a
+    /// collective failed — the communicator then refuses every collective
+    /// (`Poisoned`) until [`Self::restore`] or a rank rebuilt on a new one.
+    pub fn step(&mut self, f: impl FnOnce(usize, &mut M, f32) -> Tensor) -> Result<bool, CommsError> {
         // The step event comes once per group, from rank 0's engine; the
         // metrics relay below runs on *every* rank when telemetry is on.
         let t_step0 = telemetry::enabled().then(Instant::now);
-        // The compute window: forward and backward run from the lent θ16
-        // — home again before the collectives, or, if backward fails,
-        // before the rank loop reports it.
+        // The compute window: forward and backward run from the lent θ16,
+        // which is home again before the collectives — or the error.
         self.engine.lend_theta16(&mut self.model, true);
-        let dy = f(self.rank, &mut self.model, self.engine.loss_scale());
+        let dy = f(self.engine.reducer.0.rank(), &mut self.model, self.engine.loss_scale());
         let finite = if self.engine.is_update_step() {
             // Dynamic-sparsity update step: the masks, and with them the
             // compressed bucket layout, are renegotiated from the final
@@ -566,8 +596,9 @@ impl<M: Layer + Send + 'static, T: Transport + 'static> RankWorker for Rank<M, T
             self.engine.lend_theta16(&mut self.model, false);
             self.engine.reduce_after_backward(&mut self.model)?
         } else {
-            self.engine.backward_overlapped(&mut self.model, &dy)?;
+            let backward = self.engine.backward_overlapped(&mut self.model, &dy);
             self.engine.lend_theta16(&mut self.model, false);
+            backward?;
             self.engine.finish_reduce()?
         };
         let applied = self.engine.apply(&mut self.model, finite)?;
@@ -580,14 +611,54 @@ impl<M: Layer + Send + 'static, T: Transport + 'static> RankWorker for Rank<M, T
         Ok(applied)
     }
 
-    fn restore(&mut self, checkpoint: &[u8]) -> Result<(), String> {
+    /// Reloads a checkpoint written by any runtime at any world size, cut
+    /// to this rank's shard, then rejoins the group behind a barrier on a
+    /// fresh comms epoch, which discards stale in-flight traffic: every
+    /// rank restores together, so the epochs advance in lockstep.
+    pub fn restore(&mut self, checkpoint: &[u8]) -> Result<(), String> {
         self.engine.restore(checkpoint, &mut self.model)?;
-        // Discard any stale in-flight traffic and re-synchronize: every
-        // rank restores together, so epochs advance in lockstep.
         let comm = &mut self.engine.reducer.0;
         comm.bump_epoch();
         comm.barrier()
             .map_err(|e| format!("post-restore barrier failed: {e}"))
+    }
+
+    /// Serializes the group's state as one v2 checkpoint: on every rank,
+    /// the bytes a [`crate::SamoTrainer`] in the same state saves. Per
+    /// layer, the `[θ32 | moments]` segments are gathered as a remap
+    /// gathers them, and the owned `∇θ16` ranges with one f16 all-gather,
+    /// so each rank holds a full state for the call. `Err` on a dead peer;
+    /// a rank whose step failed has nothing consistent to save and is
+    /// refused (`Poisoned`): restore first.
+    pub fn save(&mut self) -> Result<bytes::Bytes, CommsError> {
+        let comm = &mut self.engine.reducer.0;
+        let mut full = Vec::with_capacity(self.engine.layers.len());
+        for st in &self.engine.layers {
+            let mut layer = gather_full(st, comm)?;
+            let (lo, hi) = st.shard_range();
+            layer.grad16 = comm.all_gather_f16(&st.grad16[lo..hi], &st.shard_counts())?;
+            full.push(layer);
+        }
+        Ok(save_checkpoint(&full, &self.engine.meta()))
+    }
+}
+
+impl<M: Layer + Send + 'static, T: Transport + 'static> RankWorker for DataParallelRank<M, T> {
+    type Model = M;
+    type Transport = T;
+    type Job = StepFn<M>;
+    type Stats = CommStats;
+
+    fn parts(&mut self) -> (&mut M, &mut StepEngine<Ring<T>>) {
+        (&mut self.model, &mut self.engine)
+    }
+
+    fn step(&mut self, f: &StepFn<M>) -> Result<bool, CommsError> {
+        DataParallelRank::step(self, &**f)
+    }
+
+    fn restore(&mut self, checkpoint: &[u8]) -> Result<(), String> {
+        DataParallelRank::restore(self, checkpoint)
     }
 
     fn stats(&self) -> CommStats {
@@ -654,27 +725,14 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
             .into_iter()
             .zip(transports)
             .enumerate()
-            .map(|(rank, (mut model, t))| {
+            .map(|(rank, (model, t))| {
                 assert_eq!(
                     t.rank(),
                     rank,
                     "transport endpoints must arrive in rank order"
                 );
                 let comm = Communicator::new(t).with_timeout(timeout);
-                let engine = StepEngine::build(
-                    &mut model,
-                    &masks,
-                    opt.clone(),
-                    Ring(comm),
-                    true,
-                    &DP_THREADED,
-                );
-                let rk = Rank {
-                    rank,
-                    model,
-                    engine,
-                    rank_dur_stats: Vec::new(),
-                };
+                let rk = DataParallelRank::new(model, &masks, opt.clone(), comm);
                 (format!("samo-dp-rank{rank}"), rk)
             })
             .collect();

@@ -22,8 +22,7 @@ impl StepEngine<NoReduce> {
     /// computes from the lent `θ16` and its index from here on (read it
     /// with [`nn::Parameter::f32_view`]).
     pub fn new(model: &mut impl Layer, masks: Vec<Mask>, opt: Optimizer) -> SamoTrainer {
-        let mut tr = StepEngine::build(model, &masks, opt, NoReduce, false, &SAMO);
-        model.for_each_param_mut(&mut |p| p.release_value());
+        let mut tr = StepEngine::build(model, &masks, opt, NoReduce, &SAMO);
         tr.lend_theta16(model, true);
         tr
     }

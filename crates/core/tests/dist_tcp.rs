@@ -1,10 +1,12 @@
-//! The cross-process trainer over real TCP sockets is **bitwise
-//! interchangeable** with the single-process [`samo::SamoTrainer`]:
-//! replicated ranks feeding identical batches through the framed-TCP
-//! ring all-reduce save byte-identical checkpoints, the thread-per-rank
-//! runtime produces the same bits over TCP endpoints as over the
-//! in-process mesh, and a dead peer surfaces as a bounded `Err` after
-//! which a fresh rendezvous generation + `resync` replays bitwise.
+//! The data-parallel rank over real TCP sockets — one
+//! [`DataParallelRank`] per process in `samo-launch`, one per thread here
+//! — is **bitwise interchangeable** with the single-process
+//! [`samo::SamoTrainer`] and with the thread group: replicated ranks
+//! feeding identical batches through the framed-TCP reduce-scatter save
+//! byte-identical checkpoints, ranks on distinct batches save what
+//! [`ThreadedDataParallelSamo`] saves, each holds only its shard, and a
+//! dead peer surfaces as a bounded `Err` after which a fresh rendezvous
+//! generation + rebuilt ranks + `restore` replay bitwise.
 //!
 //! (CI's multiproc job additionally runs the same equivalence across
 //! real OS processes via `samo-launch`; these tests keep the property
@@ -12,7 +14,7 @@
 
 use comms::{
     bootstrap_tcp, BootstrapConfig, Communicator, FaultController, HeartbeatConfig, Rendezvous,
-    TcpTransport, Transport,
+    TcpTransport,
 };
 use nn::layer::{Layer, Sequential};
 use nn::linear::Linear;
@@ -20,8 +22,8 @@ use nn::loss::mse;
 use nn::mixed::Optimizer;
 use nn::optim::AdamConfig;
 use prune::Mask;
-use samo::threaded::ThreadedDataParallelSamo;
-use samo::{DistDataParallel, SamoTrainer};
+use samo::threaded::{DataParallelRank, ThreadedDataParallelSamo};
+use samo::SamoTrainer;
 use std::sync::Arc;
 use std::time::Duration;
 use tensor::Tensor;
@@ -29,6 +31,8 @@ use tensor::Tensor;
 const IN: usize = 6;
 const OUT: usize = 4;
 const BATCH: usize = 5;
+
+type TcpRank = DataParallelRank<Sequential, TcpTransport>;
 
 fn build_model(seed: u64) -> Sequential {
     Sequential::new()
@@ -57,7 +61,7 @@ fn adam() -> Optimizer {
 }
 
 /// Replicated data parallelism: every rank sees the SAME batch, so the
-/// all-reduced mean is the local gradient bit for bit and the whole
+/// reduced mean is the local gradient bit for bit and the whole
 /// trajectory must match a single-process trainer on that batch.
 fn batch_for(step: usize) -> (Tensor, Tensor) {
     let seed = 7_000 + step as u64;
@@ -67,53 +71,66 @@ fn batch_for(step: usize) -> (Tensor, Tensor) {
     )
 }
 
-fn drive_dist<T: Transport>(
-    dist: &mut DistDataParallel<T>,
-    model: &mut Sequential,
-    step: usize,
-) -> Result<bool, comms::CommsError> {
-    let (x, target) = batch_for(step);
-    let y = model.forward(&x);
-    let (_, mut dy) = mse(&y, &target);
-    tensor::ops::scale(dist.loss_scale(), dy.as_mut_slice());
-    model.backward(&dy);
-    dist.step(model)
+/// A batch of its own for every rank and step.
+fn rank_batch(rank: usize, step: usize) -> (Tensor, Tensor) {
+    let seed = 9_000 + (step * 8 + rank) as u64;
+    (
+        Tensor::randn(&[BATCH, IN], 1.0, seed),
+        Tensor::randn(&[BATCH, OUT], 1.0, seed + 10_000),
+    )
+}
+
+/// Forward on `(x, target)`: the scaled `d(mse)/d(output)`.
+fn loss_grad(model: &mut Sequential, (x, target): (Tensor, Tensor), scale: f32) -> Tensor {
+    let (_, mut dy) = mse(&model.forward(&x), &target);
+    tensor::ops::scale(scale, dy.as_mut_slice());
+    dy
+}
+
+fn drive_rank(rank: &mut TcpRank, step: usize) -> Result<bool, comms::CommsError> {
+    rank.step(|_, model, scale| loss_grad(model, batch_for(step), scale))
 }
 
 fn drive_oracle(oracle: &mut SamoTrainer, model: &mut Sequential, step: usize) -> bool {
-    let (x, target) = batch_for(step);
-    let y = model.forward(&x);
-    let (_, mut dy) = mse(&y, &target);
-    tensor::ops::scale(oracle.loss_scale(), dy.as_mut_slice());
+    let dy = loss_grad(model, batch_for(step), oracle.loss_scale());
     model.backward(&dy);
     oracle.step(model)
 }
 
+/// Runs `body` on one rank per thread over a loopback TCP mesh of
+/// `world`, every rank built from the replica of `seed`; returns what
+/// each rank's `body` returned, in rank order.
+fn over_tcp<R: Send>(world: usize, seed: u64, body: impl Fn(&mut TcpRank) -> R + Sync) -> Vec<R> {
+    let transports = TcpTransport::local_mesh(world).unwrap();
+    std::thread::scope(|s| {
+        let body = &body;
+        let handles: Vec<_> = transports
+            .into_iter()
+            .map(|t| {
+                s.spawn(move || {
+                    let comm = Communicator::new(t).with_timeout(Duration::from_secs(10));
+                    let model = build_model(seed);
+                    let masks = masks_for(&model, seed + 100);
+                    body(&mut DataParallelRank::new(model, &masks, adam(), comm))
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
 #[test]
-fn dist_trainer_over_tcp_checkpoints_bitwise_equal_to_samo_trainer() {
+fn process_ranks_over_tcp_checkpoint_bitwise_equal_to_samo_trainer() {
     for world in [2usize, 4] {
         let steps = 4;
-        let transports = TcpTransport::local_mesh(world).unwrap();
         // Per-step checkpoints from every rank.
-        let saved: Vec<Vec<bytes::Bytes>> = std::thread::scope(|s| {
-            let handles: Vec<_> = transports
-                .into_iter()
-                .map(|t| {
-                    s.spawn(move || {
-                        let comm = Communicator::new(t).with_timeout(Duration::from_secs(10));
-                        let mut model = build_model(61);
-                        let masks = masks_for(&model, 161);
-                        let mut dist = DistDataParallel::new(&mut model, masks, adam(), comm);
-                        let mut ckpts = Vec::with_capacity(steps);
-                        for step in 0..steps {
-                            drive_dist(&mut dist, &mut model, step).expect("healthy step");
-                            ckpts.push(dist.save());
-                        }
-                        ckpts
-                    })
+        let saved = over_tcp(world, 61, |rank| {
+            (0..steps)
+                .map(|step| {
+                    drive_rank(rank, step).expect("healthy step");
+                    rank.save().expect("collective save")
                 })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+                .collect::<Vec<_>>()
         });
 
         let mut model = build_model(61);
@@ -133,25 +150,68 @@ fn dist_trainer_over_tcp_checkpoints_bitwise_equal_to_samo_trainer() {
     }
 }
 
+/// Distinct batches make every rank's `∇θ16` its own until the ring
+/// reduces it, so a save that wrote a rank's own range unreduced — or
+/// only that — would differ from the thread group's.
+#[test]
+fn process_ranks_on_distinct_batches_save_what_the_thread_group_saves() {
+    const WORLD: usize = 3;
+    let steps = 3;
+    let saved = over_tcp(WORLD, 63, |rank| {
+        (0..steps)
+            .map(|step| {
+                rank.step(|r, m, scale| loss_grad(m, rank_batch(r, step), scale)).expect("healthy step");
+                rank.save().expect("collective save")
+            })
+            .collect::<Vec<_>>()
+    });
+
+    let replicas: Vec<Sequential> = (0..WORLD).map(|_| build_model(63)).collect();
+    let masks = masks_for(&replicas[0], 163);
+    let mut group = ThreadedDataParallelSamo::new(replicas, masks, adam());
+    for step in 0..steps {
+        group.step(move |r, m, scale| loss_grad(m, rank_batch(r, step), scale)).expect("inproc step");
+        let want = group.save();
+        for (rank, ckpts) in saved.iter().enumerate() {
+            assert_eq!(
+                ckpts[step].as_ref(),
+                want.as_ref(),
+                "rank {rank} diverged from the thread group at step {step}"
+            );
+        }
+    }
+}
+
+/// Each rank holds `2φ + 6fφ + 18fφ/G` (ZeRO-1 over the compressed
+/// state), within one element of rounding per tensor — the bound the
+/// `dp2_tcp_*` workloads check on the thread group.
+#[test]
+fn each_process_rank_holds_its_shard_of_the_state() {
+    for world in [2usize, 4] {
+        let held = over_tcp(world, 65, |rank| {
+            drive_rank(rank, 0).expect("healthy step");
+            let e = rank.engine();
+            (e.model_state_bytes(true), e.numel() as u64, e.nnz() as u64, e.layers.len() as u64)
+        });
+        for (r, &(measured, phi, nnz, tensors)) in held.iter().enumerate() {
+            let p = 1.0 - nnz as f64 / phi as f64;
+            let formula = samo::m_samo_zero_bytes(phi, p, world as u64);
+            assert!(
+                measured.abs_diff(formula) <= 18 * tensors,
+                "world {world}, rank {r}: {measured} B held vs {formula} B sharded"
+            );
+        }
+    }
+}
+
 #[test]
 fn threaded_group_over_tcp_endpoints_matches_inproc_mesh_bitwise() {
     const WORLD: usize = 2;
     // Per-rank (distinct) batches this time: the property under test is
     // transport-agnosticism of the threaded runtime, not replication.
-    let rank_batch = |rank: usize, step: usize| {
-        let seed = 9_000 + (step * WORLD + rank) as u64;
-        (
-            Tensor::randn(&[BATCH, IN], 1.0, seed),
-            Tensor::randn(&[BATCH, OUT], 1.0, seed + 10_000),
-        )
-    };
     let step_fn = move |step: usize| {
         move |rank: usize, model: &mut Sequential, scale: f32| {
-            let (x, target) = rank_batch(rank, step);
-            let y = model.forward(&x);
-            let (_, mut dy) = mse(&y, &target);
-            tensor::ops::scale(scale, dy.as_mut_slice());
-            dy
+            loss_grad(model, rank_batch(rank, step), scale)
         }
     };
 
@@ -185,7 +245,7 @@ fn threaded_group_over_tcp_endpoints_matches_inproc_mesh_bitwise() {
 }
 
 #[test]
-fn dead_peer_errors_then_new_generation_resync_replays_bitwise() {
+fn dead_peer_errors_then_new_generation_restore_replays_bitwise() {
     const WORLD: usize = 2;
     let steps_before = 2;
     let steps_total = 4;
@@ -203,31 +263,33 @@ fn dead_peer_errors_then_new_generation_resync_replays_bitwise() {
                 let addr = addr.clone();
                 s.spawn(move || {
                     let faults = Arc::new(FaultController::new());
+                    let join = |epoch, generation| {
+                        let (t, info) =
+                            bootstrap_tcp(&addr, rank, WORLD, epoch, &cfg, Arc::clone(&faults))
+                                .unwrap();
+                        assert_eq!(info.generation, generation);
+                        let mut comm = Communicator::new(t).with_timeout(Duration::from_secs(10));
+                        comm.adopt_epoch(info.epoch);
+                        let model = build_model(71);
+                        let masks = masks_for(&model, 171);
+                        DataParallelRank::new(model, &masks, adam(), comm)
+                    };
                     // Generation 0: assemble, train, checkpoint.
-                    let (t, info) =
-                        bootstrap_tcp(&addr, rank, WORLD, 0, &cfg, Arc::clone(&faults)).unwrap();
-                    assert_eq!(info.generation, 0);
-                    let mut comm = Communicator::new(t).with_timeout(Duration::from_secs(10));
-                    comm.adopt_epoch(info.epoch);
-                    let mut model = build_model(71);
-                    let masks = masks_for(&model, 171);
-                    let mut dist =
-                        Some(DistDataParallel::new(&mut model, masks.clone(), adam(), comm));
+                    let mut dp = Some(join(0, 0));
                     for step in 0..steps_before {
-                        drive_dist(dist.as_mut().unwrap(), &mut model, step)
-                            .expect("pre-failure step");
+                        drive_rank(dp.as_mut().unwrap(), step).expect("pre-failure step");
                     }
-                    let ckpt = dist.as_ref().unwrap().save();
-                    let survivor_epoch = if rank == 1 {
+                    let ckpt = dp.as_mut().unwrap().save().expect("collective save");
+                    let epoch = if rank == 1 {
                         // "SIGKILL": rank 1's process dies, closing its
                         // sockets mid-group.
-                        dist = None;
+                        dp = None;
                         0 // the relaunched process starts at epoch 0
                     } else {
                         // The survivor's next step must fail fast (EOF
                         // or heartbeat), never hang.
-                        let d = dist.as_mut().unwrap();
-                        let err = drive_dist(d, &mut model, steps_before)
+                        let d = dp.as_mut().unwrap();
+                        let err = drive_rank(d, steps_before)
                             .expect_err("step with a dead peer must error");
                         assert!(
                             matches!(
@@ -238,50 +300,26 @@ fn dead_peer_errors_then_new_generation_resync_replays_bitwise() {
                             ),
                             "got {err:?}"
                         );
-                        // A retry before the resync is refused, not a
+                        // A retry before the restore is refused, not a
                         // panic: the failed step's rings kept `∇θ16`,
                         // which the next compress re-creates.
-                        assert_eq!(
-                            drive_dist(d, &mut model, steps_before),
-                            Err(comms::CommsError::Poisoned)
-                        );
+                        assert_eq!(drive_rank(d, steps_before), Err(comms::CommsError::Poisoned));
                         d.comm_mut().epoch()
                     };
+                    drop(dp);
 
                     // Generation 1: everyone (survivor + relaunched rank)
-                    // rejoins the same rendezvous.
-                    let (t2, info2) =
-                        bootstrap_tcp(&addr, rank, WORLD, survivor_epoch, &cfg, faults).unwrap();
-                    assert_eq!(info2.generation, 1);
-                    let mut comm2 = Communicator::new(t2).with_timeout(Duration::from_secs(10));
-                    comm2.adopt_epoch(info2.epoch);
-
+                    // rejoins the same rendezvous and rebuilds its rank on
+                    // the new communicator.
+                    let mut dp = join(epoch, 1);
                     // Rank 0 ships the agreed checkpoint to the fresh rank.
                     let mut bytes = if rank == 0 { ckpt.to_vec() } else { Vec::new() };
-                    comm2.broadcast_bytes(0, &mut bytes).unwrap();
-
-                    if rank == 1 {
-                        // Relaunched process: fresh model + trainer, then
-                        // restore the broadcast state and rejoin.
-                        model = build_model(71);
-                        let mut fresh = DistDataParallel::new(&mut model, masks, adam(), comm2);
-                        fresh.restore(&bytes, &mut model).expect("restore on rejoin");
-                        fresh.comm_mut().barrier().unwrap();
-                        dist = Some(fresh);
-                    } else {
-                        // Survivor: install the new communicator and roll
-                        // back to the agreed checkpoint in one move.
-                        dist.as_mut()
-                            .unwrap()
-                            .resync(comm2, &bytes, &mut model)
-                            .expect("survivor resync");
-                    }
-
-                    let dist = dist.as_mut().unwrap();
+                    dp.comm_mut().broadcast_bytes(0, &mut bytes).unwrap();
+                    dp.restore(&bytes).expect("restore on rejoin");
                     for step in steps_before..steps_total {
-                        drive_dist(dist, &mut model, step).expect("post-resync step");
+                        drive_rank(&mut dp, step).expect("post-restore step");
                     }
-                    dist.save()
+                    dp.save().expect("collective save")
                 })
             })
             .collect();

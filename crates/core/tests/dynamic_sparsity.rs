@@ -3,8 +3,8 @@
 //! produces **bitwise-identical** checkpoints between the
 //! single-process [`samo::SamoTrainer`], the thread-per-rank
 //! [`ThreadedDataParallelSamo`] over the in-process mesh, the same
-//! runtime over loopback-TCP endpoints, and the cross-process
-//! [`DistDataParallel`] trainer (the `samo-launch` path) — replicated
+//! runtime over loopback-TCP endpoints, and its rank run one per process
+//! ([`DataParallelRank`], the `samo-launch` path) — replicated
 //! data parallelism, so the ring-reduced grow score equals the local
 //! one bit for bit and every runtime computes the same masks without a
 //! broadcast.
@@ -16,8 +16,8 @@ use nn::loss::mse;
 use nn::mixed::Optimizer;
 use nn::optim::AdamConfig;
 use prune::{MaskSchedule, MomentumPruneRegrow};
-use samo::threaded::ThreadedDataParallelSamo;
-use samo::{DistDataParallel, SamoTrainer};
+use samo::threaded::{DataParallelRank, ThreadedDataParallelSamo};
+use samo::SamoTrainer;
 use std::sync::Arc;
 use std::time::Duration;
 use tensor::Tensor;
@@ -207,10 +207,11 @@ fn threaded_tcp_matches_single_process_across_remaps() {
     }
 }
 
-/// The `samo-launch` trainer: one [`DistDataParallel`] per rank thread
-/// over real TCP sockets, each installing the same schedule. Epoch
-/// renegotiation runs in lockstep on every mask change, and each rank's
-/// per-step checkpoint equals the single-process one.
+/// The `samo-launch` rank: one [`DataParallelRank`] per rank thread over
+/// real TCP sockets, each installing the same schedule. Epoch
+/// renegotiation runs in lockstep on every mask change, shards migrate
+/// through the remap's gather, and each rank's per-step collective save
+/// equals the single-process checkpoint.
 #[test]
 fn dist_tcp_matches_single_process_across_remaps() {
     let (want, _, _) = oracle_run();
@@ -223,21 +224,22 @@ fn dist_tcp_matches_single_process_across_remaps() {
             .map(|t| {
                 s.spawn(move || {
                     let comm = Communicator::new(t).with_timeout(Duration::from_secs(10));
-                    let mut model = build_model(91);
+                    let model = build_model(91);
                     let masks = masks_for(&model);
-                    let mut dist = DistDataParallel::new(&mut model, masks, adam(), comm);
-                    dist.set_mask_schedule(schedule());
+                    let mut dp = DataParallelRank::new(model, &masks, adam(), comm);
+                    dp.set_mask_schedule(schedule());
                     let mut ckpts = Vec::with_capacity(STEPS);
                     for step in 0..STEPS {
-                        let (x, target) = batch_for(step);
-                        let y = model.forward(&x);
-                        let (_, mut dy) = mse(&y, &target);
-                        tensor::ops::scale(dist.loss_scale(), dy.as_mut_slice());
-                        model.backward(&dy);
-                        dist.step(&mut model).expect("healthy step");
-                        ckpts.push(dist.save());
+                        dp.step(|_, model, scale| {
+                            let (x, target) = batch_for(step);
+                            let (_, mut dy) = mse(&model.forward(&x), &target);
+                            tensor::ops::scale(scale, dy.as_mut_slice());
+                            dy
+                        })
+                        .expect("healthy step");
+                        ckpts.push(dp.save().expect("collective save"));
                     }
-                    (ckpts, dist.remap_events())
+                    (ckpts, dp.engine().remap_events())
                 })
             })
             .collect();

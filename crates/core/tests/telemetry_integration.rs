@@ -10,7 +10,7 @@ use nn::optim::AdamConfig;
 use samo::pipeline::{PipelineConfig, ThreadedPipelineSamo};
 use samo::reference::{dense_formula_state_bytes, DataParallelSamo, DenseMaskedTrainer};
 use samo::trainer::{formula_state_bytes, SamoTrainer};
-use samo::{DistDataParallel, ThreadedDataParallelSamo};
+use samo::{DataParallelRank, ThreadedDataParallelSamo};
 use telemetry::json::Json;
 use telemetry::trace::lane;
 use tensor::Tensor;
@@ -125,48 +125,48 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
         );
     }
 
-    // The same recorder serves the cross-process trainer: one `samo_dp`
-    // event per group step (from rank 0), its three inline phases as
-    // spans, and a restore counted as a recovery.
+    // The same recorder serves the data-parallel rank run one per process
+    // (here one per thread): one `samo_dp_threaded` event per group step
+    // (from rank 0), the optimizer phase as a span — compress and reduce
+    // interleave with backward — and a restore counted as a recovery.
     let recoveries = reg.counter("samo.ckpt.recoveries").get();
-    let dp_taken = reg.counter("samo.dp.steps_taken").get();
-    let phase_spans = ["samo.step.compress", "samo.step.reduce", "samo.step.optimizer"];
-    let before = phase_spans.map(|n| reg.histogram(n).count());
+    let dp_taken = reg.counter("samo.dp_threaded.steps_taken").get();
+    let optimizer_spans = reg.histogram("samo.step.optimizer").count();
     telemetry::set_enabled(true);
     std::thread::scope(|s| {
         for t in comms::InProcTransport::mesh(2) {
             let (x, target) = (&x, &target);
             s.spawn(move || {
-                let (mut model, mask) = linear_and_mask();
+                let (model, mask) = linear_and_mask();
                 let comm = comms::Communicator::new(t);
-                let mut dist = DistDataParallel::new(&mut model, vec![mask], adam(), comm);
+                let mut rank = DataParallelRank::new(model, &[mask], adam(), comm);
                 for _ in 0..steps {
-                    let dy = fwd_bwd(&mut model, x, target, dist.loss_scale());
-                    model.backward(&dy);
-                    dist.step(&mut model).expect("healthy mesh");
+                    rank.step(|_, m, scale| fwd_bwd(m, x, target, scale)).expect("healthy mesh");
                 }
-                let ckpt = dist.save();
-                dist.restore(&ckpt, &mut model).expect("own checkpoint restores");
+                let ckpt = rank.save().expect("collective save");
+                rank.restore(&ckpt).expect("own checkpoint restores");
             });
         }
     });
     telemetry::jsonl::flush();
     telemetry::set_enabled(false);
-    assert_eq!(reg.counter("samo.dp.steps_taken").get() - dp_taken, steps);
+    let dp_taken = reg.counter("samo.dp_threaded.steps_taken").get() - dp_taken;
+    assert_eq!(dp_taken, steps);
     assert_eq!(reg.counter("samo.ckpt.recoveries").get() - recoveries, 1);
     let (slices, _) = telemetry::trace::take();
-    for (name, before) in phase_spans.into_iter().zip(before) {
-        let n = slices.iter().filter(|s| s.pid == lane::SPANS && s.name == name).count() as u64;
-        assert_eq!(n, steps, "span {name}: rank 0 alone reports");
-        assert_eq!(reg.histogram(name).count() - before, steps, "histogram {name}");
-    }
+    let n = slices.iter().filter(|s| s.pid == lane::SPANS && s.name == "samo.step.optimizer").count();
+    assert_eq!(n as u64, steps, "rank 0 alone reports");
+    assert_eq!(reg.histogram("samo.step.optimizer").count() - optimizer_spans, steps);
     let data = read();
     let dp = step_records(&data, steps as usize);
     assert_eq!(dp.len(), steps as usize);
+    // A rank holds its shard of the compressed state, not `formula`.
+    let shard = samo::m_samo_zero_bytes(phi, 1.0 - nnz as f64 / phi as f64, 2) as f64;
     for rec in &dp {
-        assert_eq!(rec.get("runtime"), Some(&Json::from("samo_dp")), "{rec:?}");
-        assert_eq!(keys(rec).1, ["t_compress", "t_reduce", "t_optimizer"], "inline phases: {rec:?}");
-        assert_eq!(rec.get("model_state_bytes"), Some(&Json::UInt(formula)), "{rec:?}");
+        assert_eq!(rec.get("runtime"), Some(&Json::from("samo_dp_threaded")), "{rec:?}");
+        assert_eq!(keys(rec).1, ["t_optimizer"], "overlapped phases: {rec:?}");
+        let Some(Json::UInt(held)) = rec.get("model_state_bytes") else { panic!("{rec:?}") };
+        assert!((*held as f64 - shard).abs() <= 18.0, "{held} B vs {shard} B: {rec:?}");
     }
 
     // The remaining runtimes, one step each: the sequential oracle, the
@@ -224,20 +224,20 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
     assert_eq!(keys(by_runtime("samo_pipeline")).1, ["t_optimizer"]);
     assert_eq!(keys(by_runtime("samo_dp")).1, ["t_compress", "t_reduce", "t_optimizer"]);
     assert_eq!(keys(by_runtime("dense_masked")).1, ["t_mask_grad", "t_optimizer"]);
-    for prefix in ["samo.dp_threaded", "samo.pipeline", "dense"] {
-        assert_eq!(reg.counter(&format!("{prefix}.steps_taken")).get(), 1, "{prefix}");
+    let once = [("samo.dp_threaded", dp_taken + 1), ("samo.pipeline", 1), ("dense", 1)];
+    for (prefix, taken) in once {
+        assert_eq!(reg.counter(&format!("{prefix}.steps_taken")).get(), taken, "{prefix}");
         assert!(reg.gauge(&format!("{prefix}.model_state_bytes")).get() > 0.0, "{prefix}");
     }
     // The f32 shadows a reporting rank's 8 × 8 weight keeps next to that
     // state: the gradient backward writes where the caller runs the
-    // passes, its weight computing from the θ16 lent between steps; value
-    // and gradient where the model keeps the f32 view (`samo.dp`); on a
+    // passes, its weight computing from the θ16 lent between steps; on a
     // pipeline stage, the sums its microbatches add dW into at the 16
     // kept positions, 4·nnz; nothing on a data-parallel rank, which
     // computes from θ16 and streams dW into ∇θ16.
     let resident = |prefix: &str| reg.gauge(&format!("{prefix}.resident_param_bytes")).get();
-    let shadows = ["samo", "samo.dp", "samo.pipeline", "samo.dp_threaded"].map(resident);
-    assert_eq!(shadows, [256.0, 512.0, 4.0 * 16.0, 0.0]);
+    let shadows = ["samo", "samo.pipeline", "samo.dp_threaded"].map(resident);
+    assert_eq!(shadows, [256.0, 4.0 * 16.0, 0.0]);
 
     let _ = std::fs::remove_dir_all(&tmp);
 }

@@ -45,7 +45,6 @@ pub mod checkpoint;
 pub mod combinators;
 pub mod attention;
 pub mod conv;
-pub mod dropout;
 pub mod data;
 pub mod embedding;
 pub mod gradcheck;
@@ -66,7 +65,6 @@ pub use activations::{Gelu, Relu};
 pub use batchnorm::BatchNorm2d;
 pub use checkpoint::Checkpoint;
 pub use combinators::{Flatten, Residual};
-pub use dropout::Dropout;
 pub use pool2d::{GlobalAvgPool, MaxPool2d};
 pub use schedule::{clip_grad_norm, Constant, LrSchedule, StepDecay, WarmupCosine};
 pub use attention::CausalSelfAttention;
