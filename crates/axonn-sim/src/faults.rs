@@ -315,7 +315,7 @@ mod tests {
         };
         let rep = simulate_faulty_run(&spec);
         assert!(rep.straggler_s > 0.0);
-        let expected = rep.useful_time_s * spec.straggler.expected_factor();
+        let expected = rep.useful_time_s * 1.15; // 1 + 0.05 · (4 − 1)
         let got = rep.useful_time_s + rep.straggler_s;
         assert!(
             (got - expected).abs() < expected * 0.1,

@@ -41,7 +41,7 @@ fn one_complete_event_per_schedule_span() {
         assert_eq!(ev.cat, "pipeline");
     }
 
-    let doc = telemetry::trace::chrome_trace_json(&events).render();
+    let doc = telemetry::trace::chrome_trace_json_with_flows(&events, &[]).render();
     assert!(doc.starts_with(r#"{"traceEvents":["#));
     assert_eq!(doc.matches("\"ph\":\"X\"").count(), events.len());
     assert!(doc.contains("\"displayTimeUnit\":\"ms\""));

@@ -31,11 +31,13 @@
 //! Never kill rank 0: it hosts the rendezvous for every generation.
 //!
 //! Coordination between parent and workers goes through small files in
-//! `--dir` (atomic tmp+rename writes): `rdv.addr`, per-rank `rank<R>.step`
-//! progress, `rank<R>.latest.ckpt`, `rank<R>.final.ckpt`, and an
-//! append-only `rank<R>.events` log of failures and resyncs. A save that
-//! fails on a dead peer writes nothing: the files are only ever replaced
-//! whole.
+//! `--dir`: `rdv.addr` and per-rank `rank<R>.step` progress (tmp+rename
+//! writes), `rank<R>.latest.ckpt` and `rank<R>.final.ckpt` (durable
+//! writes, `samo::checkpoint::write_durable`), and an append-only
+//! `rank<R>.events` log of failures and resyncs. A save that fails on a
+//! dead peer writes nothing: the files are only ever replaced whole. A
+//! checkpoint the disk refuses is an `event=ckpt_write_error` line and
+//! the worker's exit 5, never a silently older file for recovery to read.
 
 use comms::{bootstrap_tcp, BootstrapConfig, Communicator, FaultController, Rendezvous};
 use nn::layer::{Layer, Sequential};
@@ -110,6 +112,17 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
     std::fs::write(&tmp, bytes)?;
     std::fs::rename(&tmp, path)
+}
+
+/// Writes `rank<R>.<kind>.ckpt` durably. On failure it logs an
+/// `event=ckpt_write_error` line and returns the worker's exit code, 5.
+fn write_ckpt(dir: &Path, rank: usize, kind: &str, ckpt: &[u8]) -> Result<(), i32> {
+    let path = dir.join(format!("rank{rank}.{kind}.ckpt"));
+    samo::checkpoint::write_durable(&path, ckpt).map_err(|e| {
+        append_event(dir, rank, &format!("event=ckpt_write_error file={kind} err={e}"));
+        eprintln!("rank {rank}: write {kind} checkpoint: {e}");
+        5
+    })
 }
 
 fn append_event(dir: &Path, rank: usize, line: &str) {
@@ -258,17 +271,21 @@ fn worker() -> i32 {
                     &dir.join(format!("rank{rank}.step")),
                     done.to_string().as_bytes(),
                 );
-                if done % ckpt_every == 0 {
-                    // Collective: every rank saves after the same step.
-                    let ckpt = dp.save()?;
-                    let _ = write_atomic(&dir.join(format!("rank{rank}.latest.ckpt")), &ckpt);
-                }
-                Ok(())
+                // Collective: every rank saves after the same step.
+                (done % ckpt_every == 0).then(|| dp.save()).transpose()
             });
-            if let Err(e) = res {
-                step_error(&dir, rank, step, t0, e);
-                failed = true;
-                break;
+            match res {
+                Ok(Some(ckpt)) => {
+                    if let Err(code) = write_ckpt(&dir, rank, "latest", &ckpt) {
+                        return code;
+                    }
+                }
+                Ok(None) => {}
+                Err(e) => {
+                    step_error(&dir, rank, step, t0, e);
+                    failed = true;
+                    break;
+                }
             }
         }
         if failed {
@@ -285,11 +302,10 @@ fn worker() -> i32 {
                 continue;
             }
         };
-        if let Err(e) = write_atomic(&dir.join(format!("rank{rank}.final.ckpt")), &ckpt) {
-            eprintln!("rank {rank}: write final checkpoint: {e}");
-            return 5;
-        }
-        return 0;
+        return match write_ckpt(&dir, rank, "final", &ckpt) {
+            Ok(()) => 0,
+            Err(code) => code,
+        };
     }
     eprintln!("rank {rank}: gave up after {MAX_GENERATIONS} generations");
     6

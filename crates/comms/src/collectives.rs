@@ -1,36 +1,39 @@
 //! The collectives: barrier, broadcast, all-gather, and the chunked
-//! ring all-reduce, implemented over any [`Transport`].
+//! ring reduce-scatter and all-reduce, implemented over any [`Transport`].
 //!
-//! # Ring all-reduce schedule
+//! # Ring schedule
 //!
 //! A bucket of `n` f16 values is split into `G` contiguous segments
 //! ([`crate::segment_bounds`]). Rank `r` talks only to its ring
 //! neighbours `r±1 (mod G)`:
 //!
-//! * **Reduce-scatter** (`G−1` hops): at hop 0 rank `r` sends its own
-//!   values of segment `r` **as f16** — they are f16 values, so 2 B each
-//!   carry them exactly. On receiving the partial for segment
-//!   `(r−s−1) mod G` at hop `s` it widens (hop 0) and adds its own
-//!   values exactly in f64, and forwards the f64 partial sums (hops
-//!   `≥ 1`, which only exist at `G > 2`); after the last hop it owns the
-//!   full exact sum of segment `(r+1) mod G`, divides by `G`, and rounds
-//!   once to f16.
-//! * **All-gather** (`G−1` hops, f16 payloads): the finished f16
-//!   segments rotate around the ring until every rank holds all of
-//!   them. The standalone all-gather ([`Communicator::all_gather_f16`])
-//!   rotates contributions the same way, and splits in two like a ring:
-//!   [`Communicator::all_gather_f16_start`] sends hop 0 and returns, and
-//!   [`Communicator::all_gather_f16_finish`] receives the rest, forwarding
-//!   hops at `G > 2` — so a rank can send each gather as soon as its
-//!   input exists and wait once for all of them.
+//! * **Reduce-scatter** (`G−1` hops, [`Communicator::reduce_scatter_start`]):
+//!   at hop 0 rank `r` sends its own values of segment `(r−1) mod G`
+//!   **as f16** — they are f16 values, so 2 B each carry them exactly. On
+//!   receiving the partial for segment `(r−s−2) mod G` at hop `s` it
+//!   widens (hop 0) and adds its own values exactly in f64, and forwards
+//!   the f64 partial sums (hops `≥ 1`, which only exist at `G > 2`); after
+//!   the last hop it owns the full exact sum of segment `r` =
+//!   `segment_bounds(n, G)[r]` — the range `samo::state` shards by —
+//!   divides by `G`, and rounds once to f16. The rest of the completed
+//!   buffer still holds the rank's own inputs.
+//! * **All-gather** (`G−1` hops, f16 payloads): contributions rotate
+//!   around the ring until every rank holds all of them. It splits in two
+//!   like a ring: [`Communicator::all_gather_f16_start`] sends hop 0 and
+//!   returns, and [`Communicator::all_gather_f16_finish`] receives the
+//!   rest, forwarding hops at `G > 2` — so a rank can send each gather as
+//!   soon as its input exists and wait once for all of them.
 //!
-//! | hop `s` of an all-reduce | payload | bytes per value |
-//! |--------------------------|---------|-----------------|
-//! | `0`                      | own f16 values          | 2 |
-//! | `1 ..= G−2`              | f64 partial sums        | 8 |
-//! | `G−1 ..= 2G−3`           | reduced f16 means       | 2 |
+//! [`Communicator::allreduce_mean_f16`] is the two in a row: the
+//! reduce-scatter, then an all-gather of every rank's finished segment.
 //!
-//! Per-rank wire volume is `(G−1)/G · n` elements per phase — the
+//! | hop `s` of the reduce-scatter | payload | bytes per value |
+//! |-------------------------------|---------|-----------------|
+//! | `0`                           | own f16 values   | 2 |
+//! | `1 ..= G−2`                   | f64 partial sums | 8 |
+//!
+//! Every all-gather hop carries f16 means, 2 bytes per value. Per-rank
+//! wire volume is `(G−1)/G · n` elements per phase — the
 //! bandwidth-optimal `2·(G−1)/G · n` total the byte-accounting formulas
 //! model, and at `G = 2` exactly that many f16 bytes plus a 16 B header
 //! per message. The f64 accumulation makes the sum *exact*, hence
@@ -38,20 +41,9 @@
 //! how threads interleave or which width a hop travelled at (see the
 //! crate docs for the argument).
 //!
-//! # Reduce-scatter-only rings
-//!
-//! A rank that keeps only its shard of the optimizer state never reads
-//! the mean outside that shard, so [`Communicator::reduce_scatter_start`]
-//! runs the first phase alone: the same hops with the schedule shifted
-//! by one — hop 0 sends segment `(r−1) mod G`, hop `s` receives segment
-//! `(r−s−2) mod G` — so that after `G−1` hops rank `r` owns the mean of
-//! segment `r` = `segment_bounds(n, G)[r]`, the range `samo::state`
-//! shards by. The rest of the completed buffer still holds the rank's
-//! own inputs.
-//!
 //! # Overlap
 //!
-//! Rings are asynchronous: [`Communicator::ring_start`] posts the first
+//! Rings are asynchronous: [`Communicator::reduce_scatter_start`] posts the first
 //! hop and returns, [`Communicator::ring_pump`] makes progress without
 //! blocking (called between gradient buckets while backward still
 //! runs), and [`Communicator::ring_finish`] blocks until every ring
@@ -83,21 +75,17 @@ pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(5);
 /// ([`CommsError::Mismatch`]) instead of grown.
 const STASH_CAP: usize = 4096;
 
-/// One in-flight chunked ring all-reduce or reduce-scatter.
+/// One in-flight chunked ring reduce-scatter.
 struct RingState {
     id: u64,
-    /// Input values; progressively overwritten with the mean.
+    /// Input values; this rank's own segment is overwritten with the mean.
     data: Vec<F16>,
     /// `G` contiguous segment bounds.
     segs: Vec<(usize, usize)>,
-    /// Incoming hops processed so far (of `2·(G−1)`, or `G−1` when
-    /// `scatter_only`); doubles as the next expected message `step`,
-    /// since per-link FIFO order makes hops of one ring arrive in
-    /// schedule order.
+    /// Incoming hops processed so far (of `G−1`); doubles as the next
+    /// expected message `step`, since per-link FIFO order makes hops of
+    /// one ring arrive in schedule order.
     hops_done: u32,
-    /// Stop after the reduce-scatter, on the schedule shifted by one
-    /// (see the module docs).
-    scatter_only: bool,
 }
 
 /// An all-gather whose hop 0 is on the wire
@@ -702,6 +690,7 @@ impl<T: Transport> Communicator<T> {
     /// `from`, or the communicator deadline passes (a killed stage
     /// surfaces as a bounded [`CommsError::Timeout`], never a hang).
     /// Early arrivals with other tags are stashed, never misrouted.
+    // TEST-API: `trace_golden` and the p2p tests receive with it; the pipeline polls `try_recv_p2p`.
     pub fn recv_p2p(&mut self, from: usize, id: u64, step: u32) -> Result<Vec<f32>, CommsError> {
         self.guarded(|c| {
             let msg = c.recv_match(from, c.tag(Kind::P2p, id, step), c.deadline())?;
@@ -794,26 +783,15 @@ impl<T: Transport> Communicator<T> {
         }
     }
 
-    // --- Chunked ring all-reduce -------------------------------------
+    // --- Chunked ring reduce-scatter and all-reduce -------------------
 
-    /// Starts an asynchronous ring all-reduce (mean) over `data`,
-    /// returning its collective id. Post the first hop and return;
-    /// drive with [`Self::ring_pump`] / [`Self::ring_finish`], collect
-    /// with [`Self::take_completed`].
-    pub fn ring_start(&mut self, data: Vec<F16>) -> Result<u64, CommsError> {
-        self.ring_begin(data, false)
-    }
-
-    /// Starts an asynchronous ring **reduce-scatter** (mean) over
-    /// `data`: driven and collected like [`Self::ring_start`], but the
-    /// completed buffer holds the mean only on this rank's
-    /// `segment_bounds(n, G)[rank]` and the rank's own inputs elsewhere —
-    /// half the hops and half the bytes of the all-reduce.
-    pub fn reduce_scatter_start(&mut self, data: Vec<F16>) -> Result<u64, CommsError> {
-        self.ring_begin(data, true)
-    }
-
-    fn ring_begin(&mut self, mut data: Vec<F16>, scatter_only: bool) -> Result<u64, CommsError> {
+    /// Starts an asynchronous ring **reduce-scatter** (mean) over `data`
+    /// and returns its collective id: posts the first hop and returns.
+    /// Drive with [`Self::ring_pump`] / [`Self::ring_finish`], collect
+    /// with [`Self::take_completed`]. The completed buffer holds the mean
+    /// on this rank's `segment_bounds(n, G)[rank]` and the rank's own
+    /// inputs elsewhere.
+    pub fn reduce_scatter_start(&mut self, mut data: Vec<F16>) -> Result<u64, CommsError> {
         self.guarded(|c| {
             let g = c.world();
             let r = c.rank();
@@ -829,11 +807,11 @@ impl<T: Transport> Communicator<T> {
                 return Ok(id);
             }
             let segs = segment_bounds(data.len(), g);
-            let (lo, hi) = segs[(r + g - usize::from(scatter_only)) % g];
+            let (lo, hi) = segs[(r + g - 1) % g];
             let tag = c.tag(Kind::AllReduce, id, 0);
             let first = Payload::F16(data[lo..hi].to_vec());
             c.send_traced(c.next(), Message { tag, payload: first })?;
-            c.rings.push(RingState { id, data, segs, hops_done: 0, scatter_only });
+            c.rings.push(RingState { id, data, segs, hops_done: 0 });
             // A fast neighbour may already have sent hops for this id.
             c.ring_drain_stash()?;
             Ok(id)
@@ -887,17 +865,20 @@ impl<T: Transport> Communicator<T> {
         std::mem::take(&mut self.completed)
     }
 
-    /// Blocking convenience: full ring all-reduce of one buffer in
-    /// place. Equivalent to start + finish + take.
+    /// Blocking ring all-reduce (mean) of one buffer in place: the
+    /// reduce-scatter, then an all-gather of this rank's finished segment.
     pub fn allreduce_mean_f16(&mut self, buf: &mut [F16]) -> Result<(), CommsError> {
         let _sp = telemetry::enabled().then(|| telemetry::span("comms.allreduce"));
-        let id = self.ring_start(buf.to_vec())?;
+        let id = self.reduce_scatter_start(buf.to_vec())?;
         self.ring_finish()?;
         let Some(pos) = self.completed.iter().position(|(cid, _)| *cid == id) else {
             return Err(CommsError::Mismatch(format!("ring {id} finished without a result")));
         };
         let (_, data) = self.completed.swap_remove(pos);
-        buf.copy_from_slice(&data);
+        let segs = segment_bounds(buf.len(), self.world());
+        let counts: Vec<usize> = segs.iter().map(|&(lo, hi)| hi - lo).collect();
+        let (lo, hi) = segs[self.rank()];
+        buf.copy_from_slice(&self.all_gather_f16(&data[lo..hi], &counts)?);
         Ok(())
     }
 
@@ -944,9 +925,8 @@ impl<T: Transport> Communicator<T> {
         }
     }
 
-    /// Executes one ring hop: accumulate-and-forward (reduce-scatter),
-    /// finalize-and-seed (last reduce-scatter hop), or install-and-
-    /// forward (all-gather).
+    /// Executes one reduce-scatter hop: accumulate and forward, or, on
+    /// the last hop, finalize this rank's segment.
     fn ring_process(&mut self, idx: usize, msg: Message) -> Result<(), CommsError> {
         let g = self.world();
         let r = self.rank();
@@ -959,7 +939,6 @@ impl<T: Transport> Communicator<T> {
         let outgoing;
         let done;
         let seg;
-        let phase;
         {
             let ring = &mut self.rings[idx];
             if step != ring.hops_done as usize {
@@ -968,70 +947,49 @@ impl<T: Transport> Communicator<T> {
                     ring.hops_done
                 )));
             }
-            let shift = usize::from(ring.scatter_only);
-            seg = if step <= g - 2 {
-                (r + 2 * g - 1 - step - shift) % g
-            } else {
-                (r + g - (step - (g - 1))) % g
-            };
+            seg = (r + 2 * g - 2 - step) % g;
             let (lo, hi) = ring.segs[seg];
             let own = &mut ring.data[lo..hi];
             let mismatch = |what: &str| {
                 let want = hi - lo;
                 CommsError::Mismatch(format!("ring {id} segment {seg}: hop {step} expects {want} {what}"))
             };
-            if step <= g - 2 {
-                phase = "rs";
-                let table = to_f32_table();
-                let widen = |x: &F16| f64::from(table[x.0 as usize]);
-                let w = g as f64;
-                let last = step == g - 2;
-                // Hop 0 carries the sender's own f16 values, later hops
-                // f64 partial sums. The last hop leaves this rank the
-                // exact sum of the segment; a hop that is both (G = 2)
-                // never materialises the partials.
-                let partial = match msg.payload {
-                    Payload::F16(first) if step == 0 && first.len() == own.len() => {
-                        if last {
-                            for (slot, a) in own.iter_mut().zip(&first) {
-                                *slot = f16_mean_from_exact_sum(widen(a) + widen(slot), w);
-                            }
-                            None
-                        } else {
-                            Some(first.iter().zip(&*own).map(|(a, x)| widen(a) + widen(x)).collect())
+            let table = to_f32_table();
+            let widen = |x: &F16| f64::from(table[x.0 as usize]);
+            let w = g as f64;
+            let last = step == g - 2;
+            // Hop 0 carries the sender's own f16 values, later hops f64
+            // partial sums. The last hop leaves this rank the exact sum of
+            // its segment; a hop that is both (G = 2) never materialises
+            // the partials.
+            let partial = match msg.payload {
+                Payload::F16(first) if step == 0 && first.len() == own.len() => {
+                    if last {
+                        for (slot, a) in own.iter_mut().zip(&first) {
+                            *slot = f16_mean_from_exact_sum(widen(a) + widen(slot), w);
+                        }
+                        None
+                    } else {
+                        Some(first.iter().zip(&*own).map(|(a, x)| widen(a) + widen(x)).collect())
+                    }
+                }
+                Payload::F64(mut partial) if step > 0 && partial.len() == own.len() => {
+                    for (a, x) in partial.iter_mut().zip(&*own) {
+                        *a += widen(x);
+                    }
+                    if last {
+                        for (slot, &sum) in own.iter_mut().zip(&partial) {
+                            *slot = f16_mean_from_exact_sum(sum, w);
                         }
                     }
-                    Payload::F64(mut partial) if step > 0 && partial.len() == own.len() => {
-                        for (a, x) in partial.iter_mut().zip(&*own) {
-                            *a += widen(x);
-                        }
-                        if last {
-                            for (slot, &sum) in own.iter_mut().zip(&partial) {
-                                *slot = f16_mean_from_exact_sum(sum, w);
-                            }
-                        }
-                        (!last).then_some(partial)
-                    }
-                    _ if step == 0 => return Err(mismatch("f16 values")),
-                    _ => return Err(mismatch("f64 partial sums")),
-                };
-                outgoing = match partial {
-                    Some(partial) => Some((step as u32 + 1, Payload::F64(partial))),
-                    None if ring.scatter_only => None,
-                    None => Some((g as u32 - 1, Payload::F16(own.to_vec()))),
-                };
-            } else {
-                phase = "ag";
-                let vals = match msg.payload {
-                    Payload::F16(vals) if vals.len() == own.len() => vals,
-                    _ => return Err(mismatch("reduced f16 values")),
-                };
-                own.copy_from_slice(&vals);
-                let more = step - (g - 1) < g - 2;
-                outgoing = more.then(|| (step as u32 + 1, Payload::F16(vals)));
-            }
+                    (!last).then_some(partial)
+                }
+                _ if step == 0 => return Err(mismatch("f16 values")),
+                _ => return Err(mismatch("f64 partial sums")),
+            };
+            outgoing = partial.map(|partial| (step as u32 + 1, Payload::F64(partial)));
             ring.hops_done += 1;
-            done = ring.hops_done as usize == (2 - shift) * (g - 1);
+            done = last;
         }
         if let Some((s, payload)) = outgoing {
             let (tag, next) = (self.tag(Kind::AllReduce, id, s), self.next());
@@ -1047,7 +1005,7 @@ impl<T: Transport> Communicator<T> {
         if let Some(t0) = t0 {
             trace::slice(lane::COMMS, self.trace_lane, "comms", t0, now_us() - t0, || {
                 let args = vec![("step".to_string(), Json::from(step))];
-                (format!("ring{id} {phase} seg{seg}"), args)
+                (format!("ring{id} rs seg{seg}"), args)
             });
             // Close the incoming hop's causal arrow inside the hop
             // slice (the forward send above opened the next one).
@@ -1373,7 +1331,7 @@ mod tests {
         let got = run_ranks(3, Arc::default(), DEFAULT_TIMEOUT, |comm, rank| {
             let mut ids = Vec::new();
             for (b, &n) in sizes.iter().enumerate() {
-                ids.push(comm.ring_start(vals(500 + 10 * b as u64 + rank as u64, n)).unwrap());
+                ids.push(comm.reduce_scatter_start(vals(500 + 10 * b as u64 + rank as u64, n)).unwrap());
                 comm.ring_pump().unwrap();
             }
             comm.ring_finish().unwrap();
@@ -1381,34 +1339,39 @@ mod tests {
             done.sort_by_key(|(id, _)| *id);
             (ids, done)
         });
-        for (ids, done) in got {
+        for (rank, (ids, done)) in got.into_iter().enumerate() {
             assert_eq!(done.len(), 3);
             for (b, (id, data)) in done.into_iter().enumerate() {
                 assert_eq!(id, ids[b]);
-                assert_eq!(data, wants[b], "bucket {b}");
+                let (lo, hi) = segment_bounds(sizes[b], 3)[rank];
+                let mut want = vals(500 + 10 * b as u64 + rank as u64, sizes[b]);
+                want[lo..hi].copy_from_slice(&wants[b][lo..hi]);
+                assert_eq!(data, want, "bucket {b}, rank {rank}");
             }
         }
     }
 
     #[test]
     fn reduce_scatter_owns_its_segment_and_drains_early_arrivals() {
-        // Rank 1 posts both first hops before rank 0 starts anything, so
-        // rank 0's first pump finds a hop for a ring it has not started:
-        // it must be stashed, then applied when that ring starts.
+        // Ranks 1 and 2 post both first hops before rank 0 starts
+        // anything, so rank 0's first pump finds, behind the first hop of
+        // its one ring (which needs a second hop at G = 3), a hop for a
+        // ring it has not started: it must be stashed, then applied when
+        // that ring starts.
         let n = 11;
-        let want = oracle(2, n, 900);
-        let posted = std::sync::Barrier::new(2);
-        let got = run_ranks(2, Arc::default(), DEFAULT_TIMEOUT, |comm, rank| {
+        let want = oracle(3, n, 900);
+        let posted = std::sync::Barrier::new(3);
+        let got = run_ranks(3, Arc::default(), DEFAULT_TIMEOUT, |comm, rank| {
             if rank == 0 {
                 posted.wait();
             }
-            comm.ring_start(vals(900 + rank as u64, n)).unwrap();
+            comm.reduce_scatter_start(vals(900 + rank as u64, n)).unwrap();
             if rank == 0 {
                 comm.ring_pump().unwrap();
                 assert_eq!(comm.stash.len(), 1, "the early hop waits in the stash");
             }
             comm.reduce_scatter_start(vals(900 + rank as u64, n)).unwrap();
-            if rank == 1 {
+            if rank != 0 {
                 posted.wait();
             }
             comm.ring_finish().unwrap();
@@ -1417,13 +1380,13 @@ mod tests {
             done.sort_by_key(|(id, _)| *id);
             done
         });
-        let segs = segment_bounds(n, 2);
+        let segs = segment_bounds(n, 3);
         for (rank, done) in got.into_iter().enumerate() {
-            assert_eq!(done[0].1, want, "all-reduce, rank {rank}");
             let (lo, hi) = segs[rank];
             let mut expect = vals(900 + rank as u64, n);
             expect[lo..hi].copy_from_slice(&want[lo..hi]);
-            assert_eq!(done[1].1, expect, "reduce-scatter, rank {rank}");
+            assert_eq!(done[0].1, expect, "first reduce-scatter, rank {rank}");
+            assert_eq!(done[1].1, expect, "second reduce-scatter, rank {rank}");
         }
     }
 

@@ -81,6 +81,7 @@ impl FaultController {
     }
 
     /// Adds a fixed delivery delay to every message on the link.
+    // TEST-API: `tcp_transport`'s delay drill slows a link with it.
     pub fn delay_link(&self, from: usize, to: usize, delay: Duration) {
         self.with_link(from, to, |l| l.delay = Some(delay));
     }
@@ -88,6 +89,7 @@ impl FaultController {
     /// Seeded per-message jitter: each message independently straggles
     /// with probability `model.prob`, adding `model.slowdown × base` to
     /// its delivery time. Deterministic per `(seed, message index)`.
+    // TEST-API: the jitter drills of `data_parallel_threaded` and the ring tests.
     pub fn jitter_link(
         &self,
         from: usize,
@@ -112,6 +114,7 @@ impl FaultController {
     }
 
     /// Heals every link in and out of `rank`.
+    // TEST-API: the kill-and-restore drills heal the killed rank with it.
     pub fn heal_rank(&self, rank: usize, world: usize) {
         for peer in 0..world {
             if peer != rank {

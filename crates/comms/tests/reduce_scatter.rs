@@ -1,13 +1,13 @@
-//! The f16 first ring hop and the reduce-scatter-only ring, on both
-//! transports: for every world 1–5 and every length `0..=2G+3` (so
-//! empty and one-element segments occur), with inputs salted with
-//! `±inf`, NaNs and subnormals,
+//! The f16 first ring hop and the reduce-scatter, on both transports:
+//! for every world 1–5 and every length `0..=2G+3` (so empty and
+//! one-element segments occur), with inputs salted with `±inf`, NaNs and
+//! subnormals,
 //!
 //! * the all-reduce is bitwise [`comms::reference::allreduce_mean_f16`];
-//! * the reduce-scatter-only ring leaves rank `r` exactly the reference
-//!   mean on `segment_bounds(n, G)[r]` and its own inputs elsewhere,
-//!   while other rings are in flight and rank 0 starts late enough that
-//!   its neighbour's hops arrive early;
+//! * the reduce-scatter leaves rank `r` exactly the reference mean on
+//!   `segment_bounds(n, G)[r]` and its own inputs elsewhere, while other
+//!   rings are in flight and rank 0 starts late enough that its
+//!   neighbour's hops arrive early;
 //! * each rank sends exactly the bytes of the documented hop table: f16
 //!   at hop 0 and in the all-gather, f64 in between, 16 B per message.
 
@@ -64,25 +64,26 @@ fn on_ranks<T: Transport, R: Send>(
     })
 }
 
-/// What rank `r` of `g` sends for one ring over `n` values, from the hop
-/// table in the `collectives` module docs.
-fn ring_bytes(n: usize, g: usize, r: usize, scatter_only: bool) -> u64 {
+/// What rank `r` of `g` sends for one reduce-scatter over `n` values —
+/// and, with `gather`, the all-gather of the finished segments after it
+/// (an all-reduce) — from the hop table in the `collectives` module docs.
+fn ring_bytes(n: usize, g: usize, r: usize, gather: bool) -> u64 {
     if g == 1 {
         return 0;
     }
     let segs = segment_bounds(n, g);
     let len = |seg: usize| (segs[seg % g].1 - segs[seg % g].0) as u64;
-    let shift = usize::from(scatter_only);
-    // Hop 0: own f16 values of segment r − shift.
-    let mut bytes = Payload::HEADER_BYTES + 2 * len(r + g - shift);
+    // Hop 0: own f16 values of segment r − 1.
+    let mut bytes = Payload::HEADER_BYTES + 2 * len(r + g - 1);
     // Hops 1..=G−2: the f64 partial of the segment received one hop ago.
     for s in 1..g - 1 {
-        bytes += Payload::HEADER_BYTES + 8 * len(r + 2 * g - s - shift);
+        bytes += Payload::HEADER_BYTES + 8 * len(r + 2 * g - s - 1);
     }
-    if !scatter_only {
-        // All-gather: the segment finalized here, then the ones received.
+    if gather {
+        // All-gather: the segment finalized here (segment r), then the
+        // ones received.
         for k in 0..g - 1 {
-            bytes += Payload::HEADER_BYTES + 2 * len(r + 1 + g - k);
+            bytes += Payload::HEADER_BYTES + 2 * len(r + g - k);
         }
     }
     bytes
@@ -108,10 +109,10 @@ fn check_mesh<T: Transport>(make: impl Fn(usize) -> Vec<T>, what: &str) {
             });
             for (r, (buf, sent)) in got.iter().enumerate() {
                 assert_eq!(bits(buf), bits(&want), "{ctx}: all-reduce, rank {r}");
-                assert_eq!(*sent, ring_bytes(n, world, r, false), "{ctx}: all-reduce bytes, rank {r}");
+                assert_eq!(*sent, ring_bytes(n, world, r, true), "{ctx}: all-reduce bytes, rank {r}");
             }
 
-            // (b) + (c): a reduce-scatter between two all-reduces. Rank 0
+            // (b) + (c): three reduce-scatters in flight at once. Rank 0
             // starts only after every other rank has posted all its first
             // hops, so its neighbour's traffic for the later rings is
             // already in flight when it pumps the first one.
@@ -121,10 +122,10 @@ fn check_mesh<T: Transport>(make: impl Fn(usize) -> Vec<T>, what: &str) {
                 if r == 0 {
                     others_started.wait();
                 }
-                let a = comm.ring_start(side[r].clone()).unwrap();
+                let a = comm.reduce_scatter_start(side[r].clone()).unwrap();
                 comm.ring_pump().unwrap();
                 let b = comm.reduce_scatter_start(inputs[r].clone()).unwrap();
-                let c = comm.ring_start(side[r].clone()).unwrap();
+                let c = comm.reduce_scatter_start(side[r].clone()).unwrap();
                 if r != 0 {
                     others_started.wait();
                 }
@@ -134,18 +135,21 @@ fn check_mesh<T: Transport>(make: impl Fn(usize) -> Vec<T>, what: &str) {
                 assert_eq!(done.iter().map(|d| d.0).collect::<Vec<_>>(), vec![a, b, c]);
                 (done, comm.transport().bytes_sent())
             });
-            let segs = segment_bounds(n, world);
+            // Rank r's share: the mean on its own segment, its inputs
+            // elsewhere (one rank: every NaN is canonicalized).
+            let scattered = |mine: &[F16], mean: &[F16], (lo, hi): (usize, usize)| {
+                let mut e = if world == 1 { mean.to_vec() } else { mine.to_vec() };
+                e[lo..hi].copy_from_slice(&mean[lo..hi]);
+                e
+            };
+            let (segs, side_segs) = (segment_bounds(n, world), segment_bounds(9, world));
             for (r, (done, sent)) in got.iter().enumerate() {
-                assert_eq!(bits(&done[0].1), bits(&side_want), "{ctx}: ring before, rank {r}");
-                assert_eq!(bits(&done[2].1), bits(&side_want), "{ctx}: ring after, rank {r}");
-                let (lo, hi) = segs[r];
-                let mut expect = inputs[r].clone();
-                expect[lo..hi].copy_from_slice(&want[lo..hi]);
-                if world == 1 {
-                    expect = want.clone(); // one rank: NaNs are canonicalized
-                }
+                let side_expect = scattered(&side[r], &side_want, side_segs[r]);
+                assert_eq!(bits(&done[0].1), bits(&side_expect), "{ctx}: ring before, rank {r}");
+                assert_eq!(bits(&done[2].1), bits(&side_expect), "{ctx}: ring after, rank {r}");
+                let expect = scattered(&inputs[r], &want, segs[r]);
                 assert_eq!(bits(&done[1].1), bits(&expect), "{ctx}: reduce-scatter, rank {r}");
-                let bytes = 2 * ring_bytes(9, world, r, false) + ring_bytes(n, world, r, true);
+                let bytes = 2 * ring_bytes(9, world, r, false) + ring_bytes(n, world, r, false);
                 assert_eq!(*sent, bytes, "{ctx}: interleaved bytes, rank {r}");
             }
         }
@@ -168,14 +172,14 @@ fn f16_first_hop_and_reduce_scatter_hold_over_loopback_tcp() {
 #[test]
 fn world_two_moves_exactly_the_modeled_f16_bytes() {
     let n = 1000;
-    assert_eq!(ring_bytes(n, 2, 0, true), n as u64 / 2 * 2 + 16);
-    assert_eq!(ring_bytes(n, 2, 1, false), 2 * (n as u64 / 2 * 2 + 16));
+    assert_eq!(ring_bytes(n, 2, 0, false), n as u64 / 2 * 2 + 16);
+    assert_eq!(ring_bytes(n, 2, 1, true), 2 * (n as u64 / 2 * 2 + 16));
     assert_eq!(
-        ring_bytes(n, 2, 0, false),
+        ring_bytes(n, 2, 0, true),
         comms::ring_allreduce_model_bytes(n as u64, 2, 2) + 2 * Payload::HEADER_BYTES
     );
     // World 3, n divisible: f16 + f64 in the reduce-scatter, 2 × f16 after.
     let seg = 999 / 3;
-    assert_eq!(ring_bytes(999, 3, 2, true), (2 + 8) * seg + 2 * 16);
-    assert_eq!(ring_bytes(999, 3, 2, false), (2 + 8 + 2 + 2) * seg + 4 * 16);
+    assert_eq!(ring_bytes(999, 3, 2, false), (2 + 8) * seg + 2 * 16);
+    assert_eq!(ring_bytes(999, 3, 2, true), (2 + 8 + 2 + 2) * seg + 4 * 16);
 }

@@ -86,9 +86,9 @@ fn golden_trace_pairs_every_flow_and_roundtrips() {
     }
     let starts = flows.iter().filter(|f| f.start).count();
     assert_eq!(starts, by_id.len(), "ids are unique per send");
-    // 3 ranks x 4 ring hops + 2 barrier rounds x 3 sends + 1 p2p
-    // + 1 telemetry snapshot = 20 pairs minimum for this schedule
-    // (a second barrier adds 6 more).
+    // 3 ranks x (2 reduce-scatter + 2 all-gather hops) + 2 barrier
+    // rounds x 3 sends + 1 p2p + 1 telemetry snapshot = 20 pairs minimum
+    // for this schedule (a second barrier adds 6 more).
     assert!(by_id.len() >= 20, "expected >=20 flow pairs, got {}", by_id.len());
 
     // Every flow references a slice lane that actually exists.

@@ -46,6 +46,30 @@ impl CheckpointConfig {
     }
 }
 
+/// Writes `bytes` to `path` durably: into a `.tmp` sibling first, which
+/// is `fsync`ed and renamed over `path`; then the directory is synced so
+/// the rename survives a crash too. A reader finds the old file or the
+/// new one whole, never a torn one. A failed rename removes the sibling.
+pub fn write_durable(path: &Path, bytes: &[u8]) -> Result<(), String> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    {
+        let mut f = fs::File::create(&tmp).map_err(|e| format!("create {tmp:?}: {e}"))?;
+        f.write_all(bytes).map_err(|e| format!("write {tmp:?}: {e}"))?;
+        f.sync_all().map_err(|e| format!("fsync {tmp:?}: {e}"))?;
+    }
+    if let Err(e) = fs::rename(&tmp, path) {
+        let _ = fs::remove_file(&tmp);
+        return Err(format!("rename {tmp:?} -> {path:?}: {e}"));
+    }
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    if let Ok(dir) = fs::File::open(dir) {
+        let _ = dir.sync_all();
+    }
+    Ok(())
+}
+
 /// Durable checkpoint writer/loader with cadence and retention.
 pub struct CheckpointManager {
     cfg: CheckpointConfig,
@@ -134,6 +158,7 @@ impl CheckpointManager {
     /// any. `bytes` is only serialized by the caller when due — pass a
     /// closure-produced buffer via [`Self::maybe_save_with`] to avoid
     /// serializing on off-cadence steps.
+    // TEST-API: `fault_tolerance` drives the save cadence through it.
     pub fn maybe_save_with(
         &mut self,
         steps_taken: u64,
@@ -153,20 +178,7 @@ impl CheckpointManager {
         let tel = telemetry::enabled();
         let started = std::time::Instant::now();
         let final_path = self.file_name(steps_taken);
-        let tmp_path = final_path.with_extension("samo.tmp");
-        {
-            let mut f = fs::File::create(&tmp_path)
-                .map_err(|e| format!("create {tmp_path:?}: {e}"))?;
-            f.write_all(bytes)
-                .map_err(|e| format!("write {tmp_path:?}: {e}"))?;
-            f.sync_all().map_err(|e| format!("fsync {tmp_path:?}: {e}"))?;
-        }
-        fs::rename(&tmp_path, &final_path)
-            .map_err(|e| format!("rename {tmp_path:?} -> {final_path:?}: {e}"))?;
-        // Sync the directory so the rename is durable, not just the data.
-        if let Ok(dir) = fs::File::open(&self.cfg.dir) {
-            let _ = dir.sync_all();
-        }
+        write_durable(&final_path, bytes)?;
         self.last_saved_step = Some(steps_taken);
         let elapsed = started.elapsed().as_secs_f64();
         telemetry::log_info!(
@@ -266,19 +278,7 @@ impl CheckpointManager {
             .and_then(|n| n.to_str())
             .ok_or_else(|| format!("publish: unutterable file name {path:?}"))?;
         let line = format!("{name} {:08x}\n", crate::serialize::crc32(name.as_bytes()));
-        let marker = self.publish_marker();
-        let tmp = marker.with_extension("published.tmp");
-        {
-            let mut f = fs::File::create(&tmp).map_err(|e| format!("create {tmp:?}: {e}"))?;
-            f.write_all(line.as_bytes())
-                .map_err(|e| format!("write {tmp:?}: {e}"))?;
-            f.sync_all().map_err(|e| format!("fsync {tmp:?}: {e}"))?;
-        }
-        fs::rename(&tmp, &marker)
-            .map_err(|e| format!("rename {tmp:?} -> {marker:?}: {e}"))?;
-        if let Ok(dir) = fs::File::open(&self.cfg.dir) {
-            let _ = dir.sync_all();
-        }
+        write_durable(&self.publish_marker(), line.as_bytes())?;
         telemetry::log_info!("checkpoint: published step {step} ({name})");
         if telemetry::enabled() {
             telemetry::global().counter("samo.ckpt.publishes").inc();
@@ -363,23 +363,6 @@ impl CheckpointSubscriber {
     }
 }
 
-/// Reads a checkpoint file written by [`CheckpointManager`]. Pure I/O —
-/// pass the bytes to `crate::serialize::load_checkpoint` (or a trainer's
-/// `restore`) for validation; any corruption surfaces there as `Err`.
-pub fn read_checkpoint_file(path: &Path) -> Result<Vec<u8>, String> {
-    fs::read(path).map_err(|e| format!("read checkpoint {path:?}: {e}"))
-}
-
-/// Convenience: read + deserialize + structural/CRC validation in one
-/// call. Never panics on corrupt input.
-pub fn load_checkpoint_file(
-    path: &Path,
-    opt: &nn::mixed::Optimizer,
-) -> Result<(Vec<crate::state::SamoLayerState>, crate::serialize::TrainerMeta), String> {
-    let bytes = read_checkpoint_file(path)?;
-    crate::serialize::load_checkpoint(&bytes, opt)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,6 +378,12 @@ mod tests {
         let d = std::env::temp_dir().join(format!("samo-ckpt-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
         d
+    }
+
+    /// Read + deserialize + structural/CRC validation of a file.
+    fn load(path: &Path) -> Result<(Vec<SamoLayerState>, crate::serialize::TrainerMeta), String> {
+        let bytes = fs::read(path).map_err(|e| format!("read {path:?}: {e}"))?;
+        crate::serialize::load_checkpoint(&bytes, &adam())
     }
 
     fn sample_bytes(seed: u64) -> bytes::Bytes {
@@ -418,11 +407,32 @@ mod tests {
         let bytes = sample_bytes(3);
         let path = mgr.save_now(3, &bytes).unwrap();
         assert!(path.exists());
-        let (layers, meta) = load_checkpoint_file(&path, &adam()).unwrap();
+        let (layers, meta) = load(&path).unwrap();
         assert_eq!(layers.len(), 1);
         assert_eq!(meta.steps_taken, 3);
         assert_eq!(mgr.latest().unwrap().unwrap(), path);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn write_durable_replaces_the_file_whole_and_leaves_no_tmp() {
+        let dir = tmpdir("durable");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("rank0.latest.ckpt");
+        write_durable(&path, &[7u8; 4096]).unwrap();
+        write_durable(&path, b"short").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"short", "the second write replaces the first whole");
+        let names: Vec<_> = fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, ["rank0.latest.ckpt"], "no .tmp sibling is left behind");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn write_durable_into_a_missing_directory_is_an_error() {
+        let path = tmpdir("durable-missing").join("nested").join("f.ckpt");
+        let err = write_durable(&path, b"x").unwrap_err();
+        assert!(err.contains("create"), "{err}");
+        assert!(!path.exists());
     }
 
     #[test]
@@ -548,12 +558,12 @@ mod tests {
         let n = raw.len();
         raw[n / 2] ^= 0x40;
         fs::write(&path, &raw).unwrap();
-        assert!(load_checkpoint_file(&path, &adam()).is_err());
+        assert!(load(&path).is_err());
         // Truncation too.
         fs::write(&path, &raw[..n / 3]).unwrap();
-        assert!(load_checkpoint_file(&path, &adam()).is_err());
+        assert!(load(&path).is_err());
         // Missing file is an I/O error, not a panic.
-        assert!(load_checkpoint_file(&dir.join("nope.samo"), &adam()).is_err());
+        assert!(load(&dir.join("nope.samo")).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 }

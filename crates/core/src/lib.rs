@@ -81,8 +81,7 @@ pub mod threaded;
 pub mod trainer;
 
 pub use checkpoint::{
-    load_checkpoint_file, publish_marker_path, CheckpointConfig, CheckpointManager,
-    CheckpointSubscriber,
+    publish_marker_path, CheckpointConfig, CheckpointManager, CheckpointSubscriber,
 };
 pub use compressed::{compress, expand};
 pub use memory::{

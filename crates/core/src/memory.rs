@@ -52,6 +52,7 @@ pub fn m_samo_zero_bytes(phi: u64, p: f64, d: u64) -> u64 {
 
 /// Absolute memory saving `(24p − 6)φ` bytes (Eq. 5). Negative below the
 /// break-even sparsity.
+// TEST-API: `paper_claims` checks Eq. 5's (24p − 6)φ with it.
 pub fn samo_savings_bytes(phi: u64, p: f64) -> i64 {
     m_default_bytes(phi) as i64 - m_samo_bytes(phi, p) as i64
 }

@@ -68,6 +68,7 @@ pub fn formula_state_bytes(opt: &Optimizer, phi: u64, nnz: u64) -> u64 {
 /// Global L2 norm of the model's current (scaled) gradients — the signal
 /// the divergence sentinel (`crate::sentinel`) watches alongside the
 /// loss. fp64 accumulation so large models don't overflow the sum.
+// TEST-API: `fault_tolerance`'s sentinel drill feeds it to `DivergenceSentinel`.
 pub fn grad_l2_norm(model: &impl Layer) -> f64 {
     let mut sum = 0.0f64;
     for p in model.params() {

@@ -82,13 +82,6 @@ impl GptConfig {
         embeddings + l * per_layer + 2 * h
     }
 
-    /// Parameters per transformer layer (used to place layers on pipeline
-    /// stages; embeddings are assigned to the first/last stage).
-    pub fn params_per_layer(&self) -> u64 {
-        let h = self.hidden as u64;
-        12 * h * h + 13 * h
-    }
-
     /// Narayanan et al. (SC 2021) flop count for one training batch,
     /// including activation recomputation (factor 4 = 1 fwd + 2 bwd + 1
     /// recompute):
@@ -102,33 +95,10 @@ impl GptConfig {
         96.0 * b * s * l * h * h * (1.0 + s / (6.0 * h) + v / (16.0 * l * h))
     }
 
-    /// Forward+backward (no recompute) flops for one *microbatch* of
-    /// `mbs` sequences across all layers — the simulator's compute unit.
-    /// Forward is 1 unit, backward 2 units of the same 24·mbs·s·l·h² base.
-    pub fn flops_forward_microbatch(&self, mbs: usize) -> f64 {
-        let b = mbs as f64;
-        let s = self.seq as f64;
-        let l = self.layers as f64;
-        let h = self.hidden as f64;
-        let v = self.vocab as f64;
-        24.0 * b * s * l * h * h * (1.0 + s / (6.0 * h) + v / (16.0 * l * h))
-    }
-
     /// Bytes of one fp16 activation tensor crossing a pipeline-stage
     /// boundary for a microbatch of `mbs` sequences: `2·mbs·s·h`.
     pub fn boundary_activation_bytes(&self, mbs: usize) -> u64 {
         2 * mbs as u64 * self.seq as u64 * self.hidden as u64
-    }
-
-    /// Rough per-GPU activation memory for one microbatch on a pipeline
-    /// stage holding `layers_on_stage` layers, *with* activation
-    /// checkpointing (the AxoNN configuration): one boundary activation
-    /// per layer retained, plus one layer's working set.
-    pub fn activation_bytes_per_stage(&self, mbs: usize, layers_on_stage: usize) -> u64 {
-        let per_boundary = self.boundary_activation_bytes(mbs);
-        // Checkpoint per layer + transient working set of ~8 tensors
-        // during the recomputed layer's backward.
-        per_boundary * layers_on_stage as u64 + 8 * per_boundary
     }
 }
 
@@ -157,24 +127,11 @@ mod tests {
     }
 
     #[test]
-    fn params_per_layer_consistent_with_total() {
-        for cfg in ALL_GPT {
-            let layers_total = cfg.params_per_layer() * cfg.layers as u64;
-            let emb = (cfg.vocab + cfg.seq) as u64 * cfg.hidden as u64;
-            assert_eq!(cfg.params(), layers_total + emb + 2 * cfg.hidden as u64);
-        }
-    }
-
-    #[test]
     fn flops_formula_sanity() {
         // GPT-3 13B, batch 2048 sequences of 2048 tokens: Narayanan's
         // formula gives ≈ 4.6e17 flops per batch (96·2048·2048·40·5120²·…).
         let f = GPT3_13B.flops_per_batch();
         assert!(f > 3e17 && f < 7e17, "flops {f:.3e}");
-        // fwd microbatch ≈ flops_per_batch / (4 * B) per sequence.
-        let fwd = GPT3_13B.flops_forward_microbatch(1);
-        let expect = GPT3_13B.flops_per_batch() / (4.0 * GPT3_13B.batch as f64);
-        assert!((fwd - expect).abs() / expect < 1e-9);
     }
 
     #[test]
@@ -187,8 +144,9 @@ mod tests {
 
     #[test]
     fn layer_split_recovers_total_flops() {
-        // Σ layers (attn + mlp) + 0.75·head == flops_forward_microbatch:
-        // per token, attention costs `8h² + 4·s·h` (QKV + proj GEMMs and
+        // Σ layers (attn + mlp) + 0.75·head == a quarter of the batch
+        // flops per sequence (the forward of the 1 + 2 + 1 units): per
+        // token, attention costs `8h² + 4·s·h` (QKV + proj GEMMs and
         // the two s×s score/value products), the 4× MLP `16h²`, the head
         // GEMM `2·h·V`. Narayanan's V/(16lh) term contributes 1.5·T·h·V,
         // i.e. 3/4 of the raw head GEMM (their derivation folds the head
@@ -200,7 +158,7 @@ mod tests {
                 let per_layer = tokens * (8.0 * h * h + 4.0 * s * h) + tokens * 16.0 * h * h;
                 let head = 2.0 * tokens * (cfg.hidden * cfg.vocab) as f64;
                 let with_head = cfg.layers as f64 * per_layer + 0.75 * head;
-                let formula = cfg.flops_forward_microbatch(mbs);
+                let formula = cfg.flops_per_batch() / (4.0 * cfg.batch as f64) * mbs as f64;
                 let err = (with_head - formula).abs() / formula;
                 assert!(err < 1e-9, "{} mbs={mbs}: err {err}", cfg.name);
             }

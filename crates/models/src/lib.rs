@@ -9,7 +9,6 @@ pub mod pipeline_mlp;
 pub mod tiny;
 pub mod tiny_cnn;
 pub mod vision;
-pub mod vision_exec;
 pub mod zoo;
 
 pub use gpt::{GptConfig, ALL_GPT, GPT3_13B, GPT3_2_7B, GPT3_6_7B, GPT3_XL};
@@ -19,5 +18,4 @@ pub use pipeline_mlp::{
 pub use tiny::{TinyGpt, TinyGptConfig, TransformerBlock};
 pub use tiny_cnn::{ShapeDataset, TinyCnn, CNN_CLASSES};
 pub use vision::{vgg19, wideresnet101, VisionModel};
-pub use vision_exec::{build_resnet_nano, build_vgg_nano};
 pub use zoo::{table_i, ModelKind, ZooEntry};

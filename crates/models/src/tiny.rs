@@ -427,7 +427,7 @@ mod tests {
         gpt.backward(&Tensor::zeros(logits.shape()));
         assert_eq!(gpt.cached_bytes(), 0, "backward consumes what forward cached");
 
-        // A block on its own, as `Checkpoint` would hold it.
+        // A block on its own, as a pipeline stage holds it.
         let mut block = TransformerBlock::new(8, 2, 5);
         block.forward(&Tensor::randn(&[2, 3, 8], 0.5, 6));
         assert!(block.cached_bytes() > 0);

@@ -17,6 +17,7 @@ pub struct GradCheckReport {
 
 impl GradCheckReport {
     /// True if both errors are below `tol`.
+    // TEST-API: the layers' gradient checks read their report with it.
     pub fn passes(&self, tol: f32) -> bool {
         self.max_input_err < tol && self.max_param_err < tol
     }
@@ -45,6 +46,7 @@ fn probe_loss(y: &Tensor, w: &[f32]) -> f32 {
 /// Checks `layer`'s backward pass at input `x` by central differences
 /// with step `eps`, probing at most `max_checks` coordinates of the input
 /// and of each parameter (strided to cover the tensor).
+// TEST-API: the layers' tests check every backward by finite differences.
 pub fn check_layer<L: Layer>(
     layer: &mut L,
     x: &Tensor,

@@ -41,8 +41,6 @@
 
 pub mod activations;
 pub mod batchnorm;
-pub mod checkpoint;
-pub mod combinators;
 pub mod attention;
 pub mod conv;
 pub mod data;
@@ -58,15 +56,11 @@ pub mod optim;
 pub mod param;
 pub mod pool2d;
 pub mod qlinear;
-pub mod schedule;
 pub mod sparse_linear;
 
 pub use activations::{Gelu, Relu};
 pub use batchnorm::BatchNorm2d;
-pub use checkpoint::Checkpoint;
-pub use combinators::{Flatten, Residual};
 pub use pool2d::{GlobalAvgPool, MaxPool2d};
-pub use schedule::{clip_grad_norm, Constant, LrSchedule, StepDecay, WarmupCosine};
 pub use attention::CausalSelfAttention;
 pub use conv::Conv2d;
 pub use embedding::Embedding;

@@ -67,6 +67,7 @@ impl Linear {
     }
 
     /// Direct access to the weight parameter (pruning hooks).
+    // TEST-API: `zero_alloc`, `grad_sink` and `param` reach the weight to lend θ16 or drop its gradient.
     pub fn weight_mut(&mut self) -> &mut Parameter {
         &mut self.weight
     }

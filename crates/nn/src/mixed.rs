@@ -168,6 +168,7 @@ impl LossScaler {
 
     /// Creates a scaler with fully explicit configuration. `growth_interval`
     /// is clamped to at least 1 so the schedule is well defined.
+    // TEST-API: `fault_tolerance` builds a fast-growing scaler for its drills.
     pub fn with_config(
         initial_scale: f32,
         growth_factor: f32,

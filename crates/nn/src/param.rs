@@ -92,6 +92,7 @@ impl Parameter {
     /// held `value`, or the lent `theta16` widened into a fresh buffer.
     /// Unlike [`Self::widen_value`], the parameter keeps computing from
     /// whichever form it had.
+    // TEST-API: the equivalence tests read a lent weight's values with it.
     pub fn f32_view(&self) -> Cow<'_, [f32]> {
         match self.holds_value() {
             true => Cow::Borrowed(self.value.as_slice()),

@@ -9,14 +9,13 @@
 //!
 //! * [`magnitude_prune`] — keep the largest-|w| fraction per layer (the
 //!   standard LTH criterion),
-//! * [`global_magnitude_prune`] — one threshold across all layers,
 //! * [`random_prune`] — uniformly random mask (control/baseline),
 //! * [`EarlyBird`] — the early-bird stopping criterion: track the mask
 //!   across training epochs and report a ticket as "drawn" once the mask
 //!   distance over a sliding window falls below a tolerance.
 
 use crate::mask::Mask;
-use crate::select::{emit, reselect, Cut, Tally};
+use crate::select::reselect;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -28,29 +27,6 @@ pub fn magnitude_prune(weights: &[f32], shape: &[usize], sparsity: f64) -> Mask 
     assert!((0.0..=1.0).contains(&sparsity), "sparsity must be in [0,1]");
     let keep = ((1.0 - sparsity) * weights.len() as f64).round() as usize;
     reselect(shape, &[], (weights, 0), (weights, keep))
-}
-
-/// Global magnitude pruning: one threshold across several layers, so
-/// layers with small weights get pruned harder. Returns one mask per
-/// layer, with overall sparsity equal to `sparsity`.
-pub fn global_magnitude_prune(layers: &[(&[f32], &[usize])], sparsity: f64) -> Vec<Mask> {
-    assert!((0.0..=1.0).contains(&sparsity));
-    let total: usize = layers.iter().map(|(w, _)| w.len()).sum();
-    let keep = ((1.0 - sparsity) * total as f64).round() as usize;
-    // One cut over the concatenated layers; its tie quota is spent in
-    // (layer, index) order as the layers are emitted.
-    let population = |t: &mut Tally| layers.iter().for_each(|(w, _)| t.count(w, |&x| x, 1));
-    let (mut cut, mut none) = (Cut::best(total, keep, population), Cut::NONE);
-    let (mut kept, mut at) = (vec![0; keep.min(total) + 1], 0);
-    layers
-        .iter()
-        .map(|(w, shape)| {
-            assert_eq!(w.len(), shape.iter().product::<usize>());
-            let n = emit(w.len(), &[], (w, &mut none), (w, &mut cut), &mut kept[at..]);
-            at += n;
-            Mask::new(shape, kept[at - n..at].to_vec())
-        })
-        .collect()
 }
 
 /// Uniformly random mask at the requested sparsity (exact count).
@@ -171,24 +147,6 @@ mod tests {
         let b = magnitude_prune(&w, &[10], 0.5);
         assert_eq!(a, b);
         assert_eq!(a.nnz(), 5);
-    }
-
-    #[test]
-    fn global_prunes_small_layers_harder() {
-        let big = vec![10.0f32; 100];
-        let small = vec![0.01f32; 100];
-        let masks = global_magnitude_prune(&[(&big, &[100]), (&small, &[100])], 0.5);
-        assert_eq!(masks[0].nnz(), 100, "all big weights kept");
-        assert_eq!(masks[1].nnz(), 0, "all small weights pruned");
-    }
-
-    #[test]
-    fn global_total_sparsity_exact() {
-        let a: Vec<f32> = (0..300).map(|i| i as f32).collect();
-        let b: Vec<f32> = (0..700).map(|i| (i as f32) * 0.5).collect();
-        let masks = global_magnitude_prune(&[(&a, &[300]), (&b, &[700])], 0.9);
-        let kept: usize = masks.iter().map(|m| m.nnz()).sum();
-        assert_eq!(kept, 100);
     }
 
     #[test]

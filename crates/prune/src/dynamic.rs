@@ -6,9 +6,10 @@
 //! (PAPERS.md) prunes the smallest-magnitude survivors and regrows the
 //! same number of pruned positions by gradient momentum every few
 //! hundred steps, and SNIPER (SNIPPETS.md §2) starts at high sparsity
-//! and *densifies* toward the target. [`MaskSchedule`] unifies both
-//! regimes behind one deterministic policy interface so the trainer can
-//! remap its compressed state whenever the schedule fires.
+//! and *densifies* toward the target. [`MomentumPruneRegrow`] covers both
+//! regimes with one piecewise-linear trajectory, and [`MaskSchedule`] is
+//! the interface the trainer asks whenever it may remap its compressed
+//! state.
 //!
 //! Policies are deliberately **stateless**: the next mask is a pure
 //! function of the step index, the dense weights, a grow score, and the
@@ -19,24 +20,7 @@
 //! bitwise-identical masks from the reduced gradient.
 
 use crate::mask::Mask;
-use crate::schedule::GradualSchedule;
 use crate::select::reselect;
-
-/// Grows `prev` to `keep_target` kept positions: every old survivor is
-/// retained and the highest-|score| currently-pruned positions are
-/// admitted to fill the deficit. Deterministic (score ties break by
-/// index). How [`MaskSchedule::next_mask`] densifies a gradual ramp that
-/// runs downward.
-pub(crate) fn grow_to(prev: &Mask, keep_target: usize, score: &[f32]) -> Mask {
-    let keep_target = keep_target.min(prev.numel());
-    assert!(
-        keep_target >= prev.nnz(),
-        "grow_to cannot shrink: target {keep_target} < nnz {}",
-        prev.nnz()
-    );
-    let admit = keep_target - prev.nnz();
-    reselect(prev.shape(), prev.indices(), (score, prev.nnz()), (score, admit))
-}
 
 /// Momentum-style prune-and-regrow with a piecewise-linear sparsity
 /// trajectory (Dettmers & Zettlemoyer, PAPERS.md).
@@ -148,8 +132,6 @@ impl MomentumPruneRegrow {
 
 /// A mask-evolution policy driving dynamic sparsity in the trainer.
 ///
-/// Wraps the monotone [`GradualSchedule`] cubic ramp and the
-/// [`MomentumPruneRegrow`] prune-and-regrow policy behind one interface:
 /// `is_update_step` says *when* the mask moves, `next_mask` says *what*
 /// it moves to. `next_mask` is a pure function of its arguments, so any
 /// process holding the same weights/scores computes the same mask —
@@ -157,37 +139,30 @@ impl MomentumPruneRegrow {
 /// equivalence after a remap.
 #[derive(Debug, Clone)]
 pub enum MaskSchedule {
-    /// Zhu–Gupta cubic ramp (monotone when `initial <= final_sparsity`;
-    /// densifies by grow score when the ramp runs downward).
-    Gradual(GradualSchedule),
     /// Momentum prune-and-regrow over a piecewise-linear trajectory.
     MomentumPruneRegrow(MomentumPruneRegrow),
 }
 
 impl MaskSchedule {
+    fn policy(&self) -> &MomentumPruneRegrow {
+        let MaskSchedule::MomentumPruneRegrow(m) = self;
+        m
+    }
+
     /// True on steps where the mask should be recomputed (and the
     /// trainer should remap its compressed state).
     pub fn is_update_step(&self, t: u64) -> bool {
-        match self {
-            MaskSchedule::Gradual(g) => g.is_update_step(t),
-            MaskSchedule::MomentumPruneRegrow(m) => m.is_update_step(t),
-        }
+        self.policy().is_update_step(t)
     }
 
     /// Target sparsity `p(t)` at step `t` (clamped outside the window).
     pub fn sparsity_at(&self, t: u64) -> f64 {
-        match self {
-            MaskSchedule::Gradual(g) => g.sparsity_at(t),
-            MaskSchedule::MomentumPruneRegrow(m) => m.sparsity_at(t),
-        }
+        self.policy().sparsity_at(t)
     }
 
     /// Last step on which the schedule can fire.
     pub fn end(&self) -> u64 {
-        match self {
-            MaskSchedule::Gradual(g) => g.end,
-            MaskSchedule::MomentumPruneRegrow(m) => m.end(),
-        }
+        self.policy().end()
     }
 
     /// The mask the schedule wants at step `t`. `weights` is the dense
@@ -196,26 +171,13 @@ impl MaskSchedule {
     /// f16-canonicalized dense gradient so every rank of a data-parallel
     /// group agrees bitwise. Both slices are `numel` long.
     pub fn next_mask(&self, t: u64, weights: &[f32], grow_score: &[f32], prev: &Mask) -> Mask {
-        match self {
-            MaskSchedule::Gradual(g) => {
-                let keep =
-                    ((1.0 - g.sparsity_at(t)) * prev.numel() as f64).round() as usize;
-                if keep > prev.nnz() {
-                    // Densify by grow score (the dense weights are zero
-                    // at pruned positions, so |w| cannot rank them).
-                    grow_to(prev, keep, grow_score)
-                } else {
-                    g.mask_at(t, weights, prev.shape(), Some(prev))
-                }
-            }
-            MaskSchedule::MomentumPruneRegrow(m) => m.next_mask(t, weights, grow_score, prev),
-        }
+        self.policy().next_mask(t, weights, grow_score, prev)
     }
 }
 
-/// The full-sort formulations of [`grow_to`] and
-/// [`MomentumPruneRegrow::next_mask`] and the order they sort by, kept as
-/// the oracle [`crate::select`] is property-tested against.
+/// The full-sort formulation of [`MomentumPruneRegrow::next_mask`] and
+/// the order it sorts by, kept as the oracle [`crate::select`] is
+/// property-tested against.
 #[cfg(test)]
 pub(crate) mod sort_oracle {
     use super::*;
@@ -246,14 +208,6 @@ pub(crate) mod sort_oracle {
         idx.truncate(k);
         idx.sort_unstable();
         idx
-    }
-    pub(crate) fn grow_to(prev: &Mask, keep_target: usize, score: &[f32]) -> Mask {
-        let mut candidates = pruned_indices(prev);
-        candidates.sort_by(by_score_desc(score));
-        let mut kept: Vec<u32> = prev.indices().as_slice().to_vec();
-        kept.extend_from_slice(&candidates[..keep_target.min(prev.numel()) - kept.len()]);
-        kept.sort_unstable();
-        Mask::new(prev.shape(), kept)
     }
 
     pub(crate) fn next_mask(
@@ -289,34 +243,8 @@ mod tests {
     use super::*;
     use crate::algorithms::magnitude_prune;
 
-    #[test]
-    fn nan_scores_rank_last_and_keep_the_order_total() {
-        let prev = Mask::new(&[6], vec![0]);
-        let score = [0.0, f32::NAN, 2.0, f32::NAN, -3.0, 1.0];
-        assert_eq!(grow_to(&prev, 4, &score).indices().as_slice(), &[0, 2, 4, 5]);
-        assert_eq!(grow_to(&prev, 5, &score).indices().as_slice(), &[0, 1, 2, 4, 5]);
-    }
-
     fn ramp(n: usize) -> Vec<f32> {
         (0..n).map(|i| (i + 1) as f32).collect()
-    }
-
-    #[test]
-    fn grow_to_admits_by_score() {
-        let w = ramp(10);
-        let prev = magnitude_prune(&w, &[10], 0.8); // keeps 8, 9
-        assert_eq!(prev.indices().as_slice(), &[8, 9]);
-        // Score favors indices 1 and 4 among the pruned.
-        let score = vec![0.0, 9.0, 0.1, 0.1, 5.0, 0.1, 0.1, 0.1, 0.0, 0.0];
-        let grown = grow_to(&prev, 4, &score);
-        assert_eq!(grown.indices().as_slice(), &[1, 4, 8, 9]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot shrink")]
-    fn grow_to_rejects_shrinking() {
-        let prev = Mask::new(&[4], vec![0, 1, 2]);
-        grow_to(&prev, 2, &[0.0; 4]);
     }
 
     #[test]
@@ -383,22 +311,23 @@ mod tests {
     }
 
     #[test]
-    fn schedule_enum_delegates_and_densifies_gradual() {
+    fn schedule_enum_delegates_and_densifies() {
         let n = 40usize;
         let w: Vec<f32> = (0..n).map(|i| ((i * 61) % 199) as f32 * 0.01 + 0.01).collect();
         let score: Vec<f32> = (0..n).map(|i| ((i * 37) % 101) as f32 * 0.01).collect();
-        let g = MaskSchedule::Gradual(GradualSchedule {
-            initial: 0.9,
-            final_sparsity: 0.5,
-            begin: 0,
-            end: 100,
-            frequency: 50,
-        });
-        assert!(g.is_update_step(0) && g.is_update_step(100) && !g.is_update_step(7));
+        let g = MaskSchedule::MomentumPruneRegrow(MomentumPruneRegrow::new(
+            vec![(0, 0.9), (100, 0.5)],
+            50,
+            0.0,
+        ));
+        assert!(g.is_update_step(0) && g.is_update_step(50) && g.is_update_step(100));
+        assert!(!g.is_update_step(7) && !g.is_update_step(101));
         assert_eq!(g.end(), 100);
+        assert!((g.sparsity_at(50) - 0.7).abs() < 1e-12);
+        assert_eq!(g.sparsity_at(200), 0.5);
         let start = magnitude_prune(&w, &[n], 0.9);
         let mid = g.next_mask(50, &w, &score, &start);
-        assert!(mid.nnz() > start.nnz(), "downward ramp must densify");
+        assert_eq!(mid.nnz(), 12, "downward trajectory must densify");
         let fin = g.next_mask(100, &w, &score, &mid);
         assert_eq!(fin.nnz(), 20);
         // Densification preserved every old survivor.

@@ -12,16 +12,10 @@
 pub mod algorithms;
 pub mod dynamic;
 pub mod nm;
-pub mod iterative;
-pub mod structured;
 pub mod mask;
-pub mod schedule;
 pub mod select;
 
-pub use algorithms::{global_magnitude_prune, magnitude_prune, random_prune, EarlyBird};
+pub use algorithms::{magnitude_prune, random_prune, EarlyBird};
 pub use dynamic::{MaskSchedule, MomentumPruneRegrow};
-pub use iterative::IterativePruner;
 pub use mask::Mask;
 pub use nm::{is_nm_mask, nm_prune, nm_prune_24};
-pub use schedule::GradualSchedule;
-pub use structured::{block_prune, channel_mask, prune_channels_by_bn_scale};

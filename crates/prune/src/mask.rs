@@ -57,18 +57,6 @@ impl Mask {
         Mask::new(shape, (0..numel as u32).collect())
     }
 
-    /// Builds a mask from a boolean keep-vector over the flattened tensor.
-    pub fn from_bools(shape: &[usize], keep: &[bool]) -> Mask {
-        let numel: usize = shape.iter().product();
-        assert_eq!(keep.len(), numel);
-        let indices = keep
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &k)| k.then_some(i as u32))
-            .collect();
-        Mask::new(shape, indices)
-    }
-
     /// Shape of the masked tensor.
     pub fn shape(&self) -> &[usize] {
         &self.shape
@@ -197,8 +185,7 @@ mod tests {
     #[test]
     fn bool_roundtrip() {
         let keep = vec![true, false, true, true, false];
-        let m = Mask::from_bools(&[5], &keep);
-        assert_eq!(m.indices().as_slice(), &[0, 2, 3]);
+        let m = Mask::new(&[5], vec![0, 2, 3]);
         assert_eq!(m.to_bools(), keep);
     }
 

@@ -47,6 +47,7 @@ pub fn nm_prune(weights: &[f32], rows: usize, cols: usize, n: usize, m: usize) -
 
 /// Magnitude-based 2:4 mask — the default structured pattern consumed by
 /// `sparse::nm::Nm24`.
+// TEST-API: `nm_linear`'s tests and `nm_proptests` hold `Nm24::from_dense` to this mask.
 pub fn nm_prune_24(weights: &[f32], rows: usize, cols: usize) -> Mask {
     nm_prune(weights, rows, cols, 2, 4)
 }
@@ -55,6 +56,7 @@ pub fn nm_prune_24(weights: &[f32], rows: usize, cols: usize) -> Mask {
 /// `rows × cols` matrix: every complete group of `m` consecutive columns
 /// keeps exactly `n` positions, and a ragged final group of `r` columns
 /// keeps exactly `min(n, r)`.
+// TEST-API: `nm_proptests` checks every N:M mask with it.
 pub fn is_nm_mask(mask: &Mask, rows: usize, cols: usize, n: usize, m: usize) -> bool {
     if m == 0 || n > m || mask.shape() != [rows, cols] {
         return false;

@@ -41,7 +41,7 @@ thread_local! {
 
 /// One digit's histogram of a population, filled by the closure handed
 /// to [`Cut::best`].
-pub(crate) struct Tally<'a> {
+struct Tally<'a> {
     hist: &'a mut [Wrapping<u32>],
     /// `None` while the high digits are counted, then the high digit
     /// under which the low ones are.
@@ -52,7 +52,7 @@ impl Tally<'_> {
     /// Counts (`sign = 1`) or takes back out (`-1`) the scores of
     /// `items`. Few keys share the threshold's high digit, so the second
     /// pass is a compare per item and a rare increment.
-    pub(crate) fn count<T>(&mut self, items: &[T], score: impl Fn(&T) -> f32, sign: i32) {
+    fn count<T>(&mut self, items: &[T], score: impl Fn(&T) -> f32, sign: i32) {
         let Some(high) = self.high else {
             for (i, item) in items.iter().enumerate() {
                 self.hist[((key(score(item)) >> DIGIT) as usize * LANES + i % LANES) % BINS] += sign as u32;
@@ -95,17 +95,17 @@ fn crossing(hist: &[Wrapping<u32>], lanes: usize, left: &mut usize) -> usize {
 
 /// What a selection admits: every key above `key`, and the first `ties`
 /// positions (in ascending order) whose key equals it.
-pub(crate) struct Cut {
+struct Cut {
     key: u32,
     ties: usize,
 }
 
 impl Cut {
-    pub(crate) const NONE: Cut = Cut { key: u32::MAX, ties: 0 };
+    const NONE: Cut = Cut { key: u32::MAX, ties: 0 };
 
     /// The cut that admits the best `k` of a population of `count`
     /// scores; `population` tallies all of them and runs once per digit.
-    pub(crate) fn best(count: usize, k: usize, population: impl Fn(&mut Tally<'_>)) -> Cut {
+    fn best(count: usize, k: usize, population: impl Fn(&mut Tally<'_>)) -> Cut {
         if k == 0 {
             return Cut::NONE;
         } else if k >= count {
@@ -149,7 +149,7 @@ impl Cut {
 /// by `survivors.0` under `survivors.1`, a position in a gap of `prev`
 /// by `candidates.0` under `candidates.1`. `out` needs one slot beyond
 /// the admitted count.
-pub(crate) fn emit(
+fn emit(
     numel: usize,
     prev: &[u32],
     survivors: (&[f32], &mut Cut),
@@ -203,8 +203,8 @@ pub(crate) fn reselect(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamic::{grow_to, sort_oracle, MomentumPruneRegrow};
-    use crate::{global_magnitude_prune, magnitude_prune, random_prune, GradualSchedule};
+    use crate::dynamic::{sort_oracle, MomentumPruneRegrow};
+    use crate::{magnitude_prune, random_prune};
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
@@ -235,12 +235,6 @@ mod tests {
                 _ => -0.25,
             })
             .collect()
-    }
-
-    /// The indices two per-layer masks keep, in the concatenated tensor.
-    fn joined(masks: &[Mask], second_starts_at: usize) -> Vec<u32> {
-        let second = masks[1].indices().iter().map(|&i| i + second_starts_at as u32);
-        masks[0].indices().iter().copied().chain(second).collect()
     }
 
     /// `k` from the edges of `0..=len`, or anywhere inside.
@@ -285,17 +279,16 @@ mod tests {
             prop_assert_eq!(got.indices().as_slice(), &want[..]);
         }
 
-        /// The policies built on the kernel against their full-sort
-        /// formulations, the refill branch included (dense targets with
-        /// a large swap), and one global cut across layer boundaries.
+        /// The policy built on the kernel against its full-sort
+        /// formulation, the refill branch included (dense targets with a
+        /// large swap).
         #[test]
-        fn policies_match_their_sort_oracles(
+        fn next_mask_matches_its_sort_oracle(
             numel in 2usize..200,
             prev_sparsity in 0.0f64..1.0,
             sparsity in 0.0f64..1.0,
             swap in 0.0f64..0.99,
             kinds in (0u32..4, 0u32..4),
-            split in 0.0f64..1.0,
             seed in any::<u64>(),
         ) {
             let (w, score) = (draw(kinds.0, numel, seed), draw(kinds.1, numel, seed ^ 1));
@@ -305,15 +298,6 @@ mod tests {
                 m.next_mask(0, &w, &score, &prev),
                 sort_oracle::next_mask(&m, 0, &w, &score, &prev)
             );
-            let target = prev.nnz() + ((numel - prev.nnz()) as f64 * sparsity) as usize;
-            prop_assert_eq!(grow_to(&prev, target, &score), sort_oracle::grow_to(&prev, target, &score));
-
-            let cut = 1 + (split * (numel - 1) as f64) as usize;
-            let (a, b) = w.split_at(cut.min(numel - 1));
-            let masks = global_magnitude_prune(&[(a, &[a.len()]), (b, &[b.len()])], sparsity);
-            let keep = ((1.0 - sparsity) * numel as f64).round() as usize;
-            let want = sort_oracle::top_k((0..numel as u32).collect(), keep, &w);
-            prop_assert_eq!(joined(&masks, a.len()), want);
         }
     }
 
@@ -346,25 +330,12 @@ mod tests {
                 assert_eq!(got, keep.min(numbers(population)), "{what} at n = {n} kept a NaN early");
             };
             let all: Vec<u32> = (0..n as u32).collect();
-            let dense = Mask::dense(&[n]);
             for sparsity in [0.5, 0.05] {
                 let keep = ((1.0 - sparsity) * n as f64).round() as usize;
                 check(&magnitude_prune(&w, &[n], sparsity), keep, &all, "magnitude_prune");
-                let (a, b) = w.split_at(n / 3);
-                let masks = global_magnitude_prune(&[(a, &[a.len()]), (b, &[b.len()])], sparsity);
-                check(&Mask::new(&[n], joined(&masks, a.len())), keep, &all, "global_magnitude_prune");
 
-                let ramp = GradualSchedule { initial: sparsity, final_sparsity: sparsity, begin: 0, end: 1, frequency: 1 };
-                check(&ramp.mask_at(0, &w, &[n], Some(&dense)), keep, &all, "mask_at");
-                let mut imp = crate::IterativePruner::with_rate(&[n], sparsity, 1.0);
-                check(&imp.prune_round(&w), keep, &all, "prune_round");
-
-                // Grow and regrow from the sparsest third of the positions.
+                // Regrow from the sparsest third of the positions.
                 let prev = Mask::new(&[n], (0..n as u32).step_by(3).collect());
-                let pruned: Vec<u32> = (0..n as u32).filter(|i| i % 3 != 0).collect();
-                let grown = grow_to(&prev, keep.max(prev.nnz()), &w);
-                let admitted: Vec<u32> = grown.indices().iter().copied().filter(|i| i % 3 != 0).collect();
-                check(&Mask::new(&[n], admitted), keep.max(prev.nnz()) - prev.nnz(), &pruned, "grow_to");
                 let policy = MomentumPruneRegrow::new(vec![(0, sparsity)], 1, 0.1);
                 let next = policy.next_mask(0, &w, &w, &prev);
                 assert_eq!(next, sort_oracle::next_mask(&policy, 0, &w, &w, &prev), "next_mask at n = {n}");

@@ -35,7 +35,8 @@ proptest! {
     /// Bool-vector round trip is the identity.
     #[test]
     fn bools_roundtrip(keep in proptest::collection::vec(any::<bool>(), 0..200)) {
-        let mask = Mask::from_bools(&[keep.len()], &keep);
+        let kept = (0..keep.len() as u32).filter(|&i| keep[i as usize]).collect();
+        let mask = Mask::new(&[keep.len()], kept);
         prop_assert_eq!(mask.to_bools(), keep.clone());
         prop_assert_eq!(mask.nnz(), keep.iter().filter(|&&k| k).count());
     }
@@ -83,51 +84,5 @@ proptest! {
         prop_assert!(
             a.hamming_distance(&c) <= a.hamming_distance(&b) + b.hamming_distance(&c)
         );
-    }
-
-    /// Iterative pruning is monotone (kept sets shrink) and hits its
-    /// geometric schedule regardless of the weights seen per round.
-    #[test]
-    fn iterative_pruning_monotone(
-        n in 20usize..200,
-        target in 0.3f64..0.95,
-        seed in any::<u64>(),
-    ) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut pruner = prune::IterativePruner::new(&[n], target);
-        let mut prev = pruner.mask().clone();
-        for _ in 0..pruner.rounds_needed() {
-            let weights: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-            let mask = pruner.prune_round(&weights);
-            // Kept set is a subset of the previous round's.
-            let prev_keep = prev.to_bools();
-            for (i, &k) in mask.to_bools().iter().enumerate() {
-                prop_assert!(!k || prev_keep[i], "resurrected {i}");
-            }
-            prev = mask;
-        }
-        prop_assert!(pruner.is_done());
-        let min_keep = ((1.0 - target) * n as f64).round() as usize;
-        prop_assert_eq!(pruner.mask().nnz(), min_keep.max(1).max(min_keep));
-    }
-
-    /// Block pruning always produces block-coherent masks.
-    #[test]
-    fn block_masks_are_coherent(
-        brows in 1usize..8,
-        bcols in 1usize..8,
-        sparsity in 0.0f64..1.0,
-        seed in any::<u64>(),
-    ) {
-        use rand::{Rng, SeedableRng};
-        let block = 4usize;
-        let (rows, cols) = (brows * block, bcols * block);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let w: Vec<f32> = (0..rows * cols).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let mask = prune::block_prune(&w, rows, cols, block, sparsity);
-        let coherence = prune::structured::block_coherence(&mask, rows, cols, block);
-        prop_assert!((coherence - 1.0).abs() < 1e-12);
-        prop_assert_eq!(mask.nnz() % (block * block), 0);
     }
 }

@@ -219,6 +219,7 @@ impl Server {
     }
 
     /// Injects the kill-replica fault drill from the server side.
+    // TEST-API: `hot_reload`'s crash drills kill a replica with it.
     pub fn inject_replica_crash(&self, idx: usize) {
         let _ = self.dispatch.send(DispatchMsg::Crash(idx));
     }

@@ -122,44 +122,8 @@ pub fn sddmm(pattern: &Csr, a: &[f32], b: &[f32], n: usize, out: &mut [f32]) {
     });
 }
 
-/// Mixed-precision spMM: half-precision sparse values and dense operand,
-/// f32 accumulation, f32 output — the arithmetic profile of Sputnik's
-/// fp16 kernels (the configuration of the paper's Fig. 1).
-pub fn spmm_f16(
-    row_ptr: &[u32],
-    col_idx: &[u32],
-    values: &[tensor::f16::F16],
-    cols: usize,
-    b: &[tensor::f16::F16],
-    n: usize,
-    c: &mut [f32],
-) {
-    let rows = row_ptr.len() - 1;
-    assert_eq!(b.len(), cols * n, "B must be k x n");
-    assert_eq!(c.len(), rows * n, "C must be m x n");
-    assert_eq!(col_idx.len(), values.len());
-    if rows == 0 || n == 0 {
-        return;
-    }
-    if telemetry::enabled() {
-        spmm_calls().inc();
-    }
-    par_rows_mut(c, n, 1, |offset, c_rows| {
-        for (local, crow) in c_rows.chunks_mut(n).enumerate() {
-            crow.fill(0.0);
-            let r = offset / n + local;
-            for idx in row_ptr[r] as usize..row_ptr[r + 1] as usize {
-                let aval = values[idx].to_f32();
-                let col = col_idx[idx] as usize;
-                for (cv, bv) in crow.iter_mut().zip(&b[col * n..col * n + n]) {
-                    *cv += aval * bv.to_f32();
-                }
-            }
-        }
-    });
-}
-
 /// Reference spMM used to validate both parallel kernels.
+// TEST-API: the sparse proptests and this module's tests hold `spmm` and `spmm_row_split` to it.
 pub fn spmm_reference(a: &Csr, b: &[f32], n: usize, c: &mut [f32]) {
     assert_eq!(c.len(), a.rows * n);
     c.fill(0.0);
@@ -280,40 +244,6 @@ mod tests {
         let pattern = Coo { rows: 3, cols: 3, indices: vec![], values: vec![] }.to_csr();
         let mut out: Vec<f32> = vec![];
         sddmm(&pattern, &[0.0; 6], &[0.0; 6], 2, &mut out);
-    }
-
-    #[test]
-    fn spmm_f16_matches_widened_f32() {
-        use tensor::f16::F16;
-        let mut rng = StdRng::seed_from_u64(8);
-        let (m, k, n, sp) = (24usize, 32usize, 12usize, 0.8);
-        let csr = random_sparse(m, k, sp, rng.gen()).to_csr();
-        let b32: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-
-        // Half-precision inputs.
-        let vals16: Vec<F16> = csr.values.iter().map(|&v| F16::from_f32(v)).collect();
-        let b16: Vec<F16> = b32.iter().map(|&v| F16::from_f32(v)).collect();
-        let mut c16 = vec![f32::NAN; m * n];
-        spmm_f16(&csr.row_ptr, &csr.col_idx, &vals16, k, &b16, n, &mut c16);
-
-        // Widened reference with the exact same (rounded) values.
-        let mut csr_w = csr.clone();
-        for (w, h) in csr_w.values.iter_mut().zip(&vals16) {
-            *w = h.to_f32();
-        }
-        let bw: Vec<f32> = b16.iter().map(|h| h.to_f32()).collect();
-        let mut cref = vec![0.0f32; m * n];
-        spmm_reference(&csr_w, &bw, n, &mut cref);
-        for (a, b) in c16.iter().zip(&cref) {
-            assert!((a - b).abs() < 1e-5 * (1.0 + b.abs()), "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn spmm_f16_empty() {
-        let mut c: Vec<f32> = vec![];
-        spmm_f16(&[0], &[], &[], 4, &[tensor::f16::F16::ZERO; 8], 2, &mut []);
-        let _ = &mut c;
     }
 
     #[test]

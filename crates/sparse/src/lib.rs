@@ -17,5 +17,5 @@ pub mod kernels;
 pub mod nm;
 
 pub use formats::{random_sparse, Coo, Csr};
-pub use kernels::{sddmm, spmm, spmm_f16, spmm_reference, spmm_row_split};
+pub use kernels::{sddmm, spmm, spmm_reference, spmm_row_split};
 pub use nm::{spmm_nm24, spmm_nm24_with_tier, Nm24};

@@ -138,11 +138,6 @@ impl StragglerModel {
             1.0
         }
     }
-
-    /// Expected per-step slowdown factor.
-    pub fn expected_factor(&self) -> f64 {
-        1.0 + self.prob * (self.slowdown - 1.0)
-    }
 }
 
 #[cfg(test)]
@@ -233,7 +228,6 @@ mod tests {
             prob: 0.1,
             slowdown: 3.0,
         };
-        assert!((s.expected_factor() - 1.2).abs() < 1e-12);
         let mut rng = SplitMix64::new(17);
         let n = 50_000;
         let sum: f64 = (0..n).map(|_| s.sample(&mut rng)).sum();

@@ -51,30 +51,6 @@ pub const SUMMIT: Machine = Machine {
 };
 
 impl Machine {
-    /// Node index of a GPU rank.
-    pub fn node_of(&self, gpu: usize) -> usize {
-        gpu / self.gpus_per_node
-    }
-
-    /// True if two GPU ranks share a node.
-    pub fn same_node(&self, a: usize, b: usize) -> bool {
-        self.node_of(a) == self.node_of(b)
-    }
-
-    /// Time to move `bytes` point-to-point between two GPUs: latency +
-    /// bandwidth term, using NVLink within a node and the injection link
-    /// across nodes.
-    pub fn p2p_time(&self, bytes: u64, src: usize, dst: usize) -> f64 {
-        if src == dst {
-            return 0.0;
-        }
-        if self.same_node(src, dst) {
-            self.intra_latency + bytes as f64 / self.intra_node_bw
-        } else {
-            self.inter_latency + bytes as f64 / self.inter_node_bw
-        }
-    }
-
     /// MPI point-to-point transfer time between GPU buffers — the cost
     /// model for AxoNN's pipeline messages. Spectrum-MPI stages device
     /// buffers through host memory, so the effective bandwidth is the
@@ -164,30 +140,6 @@ mod tests {
         assert_eq!(SUMMIT.peak_fp16_flops, 125e12);
         assert_eq!(SUMMIT.intra_node_bw, 50e9);
         assert_eq!(SUMMIT.inter_node_bw, 12.5e9);
-    }
-
-    #[test]
-    fn node_topology() {
-        assert_eq!(SUMMIT.node_of(0), 0);
-        assert_eq!(SUMMIT.node_of(5), 0);
-        assert_eq!(SUMMIT.node_of(6), 1);
-        assert!(SUMMIT.same_node(0, 5));
-        assert!(!SUMMIT.same_node(5, 6));
-    }
-
-    #[test]
-    fn p2p_prefers_nvlink() {
-        let bytes = 100_000_000u64; // 100 MB
-        let intra = SUMMIT.p2p_time(bytes, 0, 1);
-        let inter = SUMMIT.p2p_time(bytes, 0, 6);
-        assert!(inter > 3.0 * intra, "intra {intra} inter {inter}");
-        assert_eq!(SUMMIT.p2p_time(bytes, 3, 3), 0.0);
-    }
-
-    #[test]
-    fn p2p_bandwidth_term_dominates_large_messages() {
-        let t = SUMMIT.p2p_time(50_000_000_000, 0, 1); // 50 GB over 50 GB/s
-        assert!((t - 1.0).abs() < 0.01);
     }
 
     #[test]

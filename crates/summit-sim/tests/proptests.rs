@@ -64,21 +64,14 @@ proptest! {
         prop_assert!(SUMMIT.allreduce_time_grouped(bytes, n, stride * 2) >= grouped - 1e-12);
     }
 
-    /// p2p: zero for self, monotone in bytes, NVLink beats the
-    /// injection link.
+    /// MPI p2p: zero for self, positive and monotone in bytes otherwise.
     #[test]
     fn p2p_model_properties(bytes in 1u64..1_000_000_000, a in 0usize..64, b in 0usize..64) {
-        prop_assert_eq!(SUMMIT.p2p_time(bytes, a, a), 0.0);
+        prop_assert_eq!(SUMMIT.mpi_p2p_time(bytes, a, a), 0.0);
         if a != b {
-            let t = SUMMIT.p2p_time(bytes, a, b);
+            let t = SUMMIT.mpi_p2p_time(bytes, a, b);
             prop_assert!(t > 0.0);
-            prop_assert!(SUMMIT.p2p_time(2 * bytes, a, b) > t);
-            if SUMMIT.same_node(a, b) {
-                // Any cross-node pair is slower at equal size.
-                prop_assert!(t <= SUMMIT.p2p_time(bytes, 0, SUMMIT.gpus_per_node));
-            }
-            let mpi = SUMMIT.mpi_p2p_time(bytes, a, b);
-            prop_assert!(mpi >= t * 0.99, "MPI must not beat the raw link: {mpi} vs {t}");
+            prop_assert!(SUMMIT.mpi_p2p_time(2 * bytes, a, b) > t);
         }
     }
 

@@ -320,6 +320,7 @@ pub fn global() -> &'static Registry {
 /// Serialises tests that flip the process-global enable flag or read the
 /// global registry, so `cargo test`'s parallel runner can't interleave
 /// them. Public for use by dependent crates' test suites.
+// TEST-API: suites that flip the global telemetry flag serialise on it.
 pub fn test_lock() -> parking_lot::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock()

@@ -226,11 +226,6 @@ impl FlowEvent {
     }
 }
 
-/// The top-level trace document for a set of events.
-pub fn chrome_trace_json(events: &[TraceEvent]) -> Json {
-    chrome_trace_json_with_flows(events, &[])
-}
-
 /// The top-level trace document for slices plus causal flow arrows.
 pub fn chrome_trace_json_with_flows(events: &[TraceEvent], flows: &[FlowEvent]) -> Json {
     let mut all: Vec<Json> = events.iter().map(TraceEvent::to_json).collect();
@@ -340,7 +335,7 @@ mod tests {
 
     #[test]
     fn document_shape() {
-        let doc = chrome_trace_json(&[]).render();
+        let doc = chrome_trace_json_with_flows(&[], &[]).render();
         assert_eq!(doc, r#"{"traceEvents":[],"displayTimeUnit":"ms"}"#);
     }
 

@@ -29,6 +29,7 @@ impl F16 {
     /// Positive zero.
     pub const ZERO: F16 = F16(0x0000);
     /// One.
+    // TEST-API: the f16, `simd` and GEMM tests fill buffers with it.
     pub const ONE: F16 = F16(0x3C00);
     /// Largest finite value, 65504.
     pub const MAX: F16 = F16(0x7BFF);

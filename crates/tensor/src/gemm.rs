@@ -301,6 +301,7 @@ pub fn matmul_tn_acc(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut
 ///
 /// `consume` runs inside the product's per-thread block and must not
 /// call back into this function or [`matmul_tn_acc`].
+// TEST-API: `row_blocks`, `sampled` and `gemm_counters` use its blocks as the oracle of the kept paths.
 pub fn matmul_tn_row_blocks<F>(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], consume: F)
 where
     F: Fn(usize, usize, &[f32]) + Sync,
@@ -1963,6 +1964,7 @@ pub fn matmul_tn(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f3
 /// Reference naive GEMM used to validate the blocked kernel in tests and
 /// property tests. `C = alpha * op(A) * op(B) + beta * C`.
 #[allow(clippy::too_many_arguments)]
+// TEST-API: the GEMM proptests hold every path to this naive loop.
 pub fn sgemm_reference(
     transa: bool,
     transb: bool,

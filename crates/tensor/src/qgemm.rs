@@ -214,6 +214,7 @@ impl PackedBi8 {
     }
 
     /// Dequantized dense `k × n` copy (test/debug helper).
+    // TEST-API: `qlinear`'s and `qgemm`'s tests compare against the dequantized weight.
     pub fn dequantize(&self) -> Vec<f32> {
         let mut out = vec![0.0f32; self.k * self.n];
         for p in 0..self.k {
@@ -436,6 +437,7 @@ pub fn qgemm_dyn(tier: Tier, a: &[f32], rows: usize, b: &PackedBi8, c: &mut [f32
 /// `c[i][j] = Σ_p a[i][p]·b[p][j]`: quantizing `a` perturbs each element
 /// by at most `sa/2`, `b` by at most `sb/2`, giving
 /// `Σ_p (|a_p|·sb/2 + |b_p|·sa/2 + sa·sb/4)`.
+// TEST-API: the int8 tests bound every product's error with it.
 pub fn error_bound(a_row: &[f32], b_col: impl Iterator<Item = f32>, sa: f32, sb: f32) -> f64 {
     let (sa, sb) = (sa as f64, sb as f64);
     a_row

@@ -5,7 +5,6 @@
 //! function over slices, which keeps the data layout transparent for the
 //! memory accounting the paper's Sec. III is about.
 
-use crate::f16::F16;
 use crate::gemm;
 use rand::distributions::Distribution;
 use rand::rngs::StdRng;
@@ -161,16 +160,6 @@ impl Tensor {
         gemm::matmul(m, n, k, &self.data, &other.data, &mut out.data);
         out
     }
-
-    /// Builds an f32 tensor from half-precision data.
-    pub fn from_f16(shape: &[usize], data: &[F16]) -> Tensor {
-        let numel: usize = shape.iter().product();
-        assert_eq!(numel, data.len());
-        Tensor {
-            shape: shape.to_vec(),
-            data: data.iter().map(|v| v.to_f32()).collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -237,13 +226,5 @@ mod tests {
         let b = a.clone().reshape(&[3, 2]);
         assert_eq!(b.shape(), &[3, 2]);
         assert_eq!(b.as_slice(), a.as_slice());
-    }
-
-    #[test]
-    fn f16_roundtrip_of_representable() {
-        let a = Tensor::from_vec(&[3], vec![0.5, -2.0, 1024.0]);
-        let h = crate::f16::f32_slice_to_f16(a.as_slice());
-        let back = Tensor::from_f16(&[3], &h);
-        assert_eq!(back.as_slice(), a.as_slice());
     }
 }

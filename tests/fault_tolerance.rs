@@ -10,7 +10,7 @@ use nn::loss::mse;
 use nn::mixed::{LossScaler, Optimizer};
 use nn::optim::AdamConfig;
 use prune::Mask;
-use samo::checkpoint::{read_checkpoint_file, CheckpointConfig, CheckpointManager};
+use samo::checkpoint::{CheckpointConfig, CheckpointManager};
 use samo::reference::DataParallelSamo;
 use samo::trainer::{grad_l2_norm, SamoTrainer};
 use samo::{DivergenceSentinel, SentinelConfig, Verdict};
@@ -94,7 +94,7 @@ fn kill_and_resume_is_bitwise_identical() {
 
     // Resume in a "new process": fresh objects, state only from disk.
     let latest = mgr.latest().unwrap().expect("checkpoint on disk");
-    let bytes = read_checkpoint_file(&latest).unwrap();
+    let bytes = std::fs::read(&latest).unwrap();
     let mut m2 = model(999); // init seed intentionally different
     let mut tr2 = SamoTrainer::new(&mut m2, masks_for(&model(21)), adam());
     tr2.scaler = scaler();
@@ -248,7 +248,7 @@ fn manager_cadence_retention_and_reload() {
     assert_eq!(files.len(), 2, "retention keeps exactly keep_last files");
 
     let latest = mgr.latest().unwrap().unwrap();
-    let bytes = read_checkpoint_file(&latest).unwrap();
+    let bytes = std::fs::read(&latest).unwrap();
     let mut m2 = model(77);
     let mut tr2 = SamoTrainer::new(&mut m2, masks_for(&model(77)), adam());
     tr2.restore(&bytes, &mut m2).unwrap();
@@ -319,7 +319,7 @@ fn kill_and_resume_across_remap_events_is_bitwise_identical() {
 
     // Resume from BOTH generations; each must reconverge bitwise.
     for (path, from) in published.iter().zip([gen_a, gen_b]) {
-        let bytes = read_checkpoint_file(path).unwrap();
+        let bytes = std::fs::read(path).unwrap();
         let mut m2 = model(999); // init seed intentionally different
         let mut tr2 = SamoTrainer::new(&mut m2, dyn_masks(&model(55)), adam());
         tr2.set_mask_schedule(dyn_schedule());
@@ -343,7 +343,7 @@ fn kill_and_resume_across_remap_events_is_bitwise_identical() {
     std::fs::write(mgr.publish_marker(), b"samo-ckpt-999.bin deadbe").unwrap();
     assert_eq!(mgr.published(), None, "torn marker must be ignored");
     let fallback = mgr.latest().unwrap().expect("durable files survive a torn marker");
-    let bytes = read_checkpoint_file(&fallback).unwrap();
+    let bytes = std::fs::read(&fallback).unwrap();
     let mut m3 = model(1234);
     let mut tr3 = SamoTrainer::new(&mut m3, dyn_masks(&model(55)), adam());
     tr3.set_mask_schedule(dyn_schedule());
