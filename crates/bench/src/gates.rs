@@ -381,22 +381,22 @@ fn tcp(doc: &Json) -> Check {
         }
         worlds.push(world);
     }
-    // Starting every gather before finishing the first moves the waits,
-    // never a bit or a message: one message per gather per rank at world 2.
-    let e = get(get(doc, "tcp")?, "epilogue")?;
+    // A step's collectives bucketed keep every bit and send one message
+    // per phase: at world 2, two per tensor one at a time, two bucketed.
+    let e = get(get(doc, "tcp")?, "step")?;
     if !flag(e, "bitwise_equal")? {
-        return Err("epilogue: started gathers diverged from blocking ones".into());
+        return Err("step: bucketed collectives diverged from per-parameter ones".into());
     }
-    let gathers = uint(e, "gathers")?;
-    for key in ["blocking_msgs_per_rank", "started_msgs_per_rank"] {
+    let tensors = uint(e, "tensors")?;
+    for (key, want) in [("per_param_msgs_per_rank", 2 * tensors), ("bucketed_msgs_per_rank", 2)] {
         let msgs = uint(e, key)?;
-        if msgs != gathers {
-            return Err(format!("epilogue: {key} {msgs}, want one per gather ({gathers})"));
+        if msgs != want {
+            return Err(format!("step: {key} {msgs}, want {want}"));
         }
     }
     Ok(format!(
-        "worlds {worlds:?}, bitwise equal across transports; epilogue of {gathers} gathers \
-         started = blocking bits and messages"
+        "worlds {worlds:?}, bitwise equal across transports; a step of {tensors} tensors \
+         bucketed = per-parameter bits in 2 messages"
     ))
 }
 
@@ -909,16 +909,21 @@ mod tests {
             &doctored(&["tcp", "worlds"], Json::Arr(vec![])),
             &["worlds"],
         );
-        // The epilogue: started gathers keep the bits and the messages.
+        // The step row: bucketed keeps the bits and sends two messages.
         rejects(
             "tcp",
-            &doctored(&["tcp", "epilogue", "bitwise_equal"], Json::Bool(false)),
-            &["epilogue", "diverged"],
+            &doctored(&["tcp", "step", "bitwise_equal"], Json::Bool(false)),
+            &["step", "diverged"],
         );
         rejects(
             "tcp",
-            &doctored(&["tcp", "epilogue", "started_msgs_per_rank"], Json::UInt(25)),
-            &["started_msgs_per_rank", "25", "24"],
+            &doctored(&["tcp", "step", "bucketed_msgs_per_rank"], Json::UInt(3)),
+            &["bucketed_msgs_per_rank", "3", "want 2"],
+        );
+        rejects(
+            "tcp",
+            &doctored(&["tcp", "step", "per_param_msgs_per_rank"], Json::UInt(47)),
+            &["per_param_msgs_per_rank", "47", "48"],
         );
     }
 

@@ -3,9 +3,14 @@
 //!
 //! # Ring schedule
 //!
-//! A bucket of `n` f16 values is split into `G` contiguous segments
-//! ([`crate::segment_bounds`]). Rank `r` talks only to its ring
-//! neighbours `r±1 (mod G)`:
+//! A ring runs over a **bucket**: one or more parts, each a buffer of f16
+//! values cut into `G` contiguous segments of its own
+//! ([`crate::segment_bounds`]`(len, G)`). Rank `r` talks only to its ring
+//! neighbours `r±1 (mod G)`, and hop `h` sends one message: every part's
+//! hop-`h` segment, concatenated in part order. The receiver splits it by
+//! the lengths it already knows, so a part sees exactly the hops and the
+//! arithmetic it would see alone, and a one-part bucket is the ring over
+//! one buffer, byte for byte.
 //!
 //! * **Reduce-scatter** (`G−1` hops, [`Communicator::reduce_scatter_start`]):
 //!   at hop 0 rank `r` sends its own values of segment `(r−1) mod G`
@@ -13,19 +18,20 @@
 //!   receiving the partial for segment `(r−s−2) mod G` at hop `s` it
 //!   widens (hop 0) and adds its own values exactly in f64, and forwards
 //!   the f64 partial sums (hops `≥ 1`, which only exist at `G > 2`); after
-//!   the last hop it owns the full exact sum of segment `r` =
-//!   `segment_bounds(n, G)[r]` — the range `samo::state` shards by —
-//!   divides by `G`, and rounds once to f16. The rest of the completed
-//!   buffer still holds the rank's own inputs.
+//!   the last hop it owns the full exact sum of segment `r` of every part
+//!   — the range `samo::state` shards each layer by — divides by `G`, and
+//!   rounds once to f16. The rest of each completed part still holds the
+//!   rank's own inputs.
 //! * **All-gather** (`G−1` hops, f16 payloads): contributions rotate
-//!   around the ring until every rank holds all of them. It splits in two
-//!   like a ring: [`Communicator::all_gather_f16_start`] sends hop 0 and
-//!   returns, and [`Communicator::all_gather_f16_finish`] receives the
-//!   rest, forwarding hops at `G > 2` — so a rank can send each gather as
-//!   soon as its input exists and wait once for all of them.
+//!   around the ring until every rank holds all of them, a bucket's parts
+//!   again one message per hop. It splits in two like a ring:
+//!   [`Communicator::all_gather_f16_start`] sends hop 0 and returns, and
+//!   [`Communicator::all_gather_f16_finish`] receives the rest, forwarding
+//!   hops at `G > 2` — so a rank can send each gather as soon as its input
+//!   exists and wait once for all of them.
 //!
-//! [`Communicator::allreduce_mean_f16`] is the two in a row: the
-//! reduce-scatter, then an all-gather of every rank's finished segment.
+//! [`Communicator::allreduce_mean_f16`] is the two in a row over one part:
+//! the reduce-scatter, then an all-gather of every rank's finished segment.
 //!
 //! | hop `s` of the reduce-scatter | payload | bytes per value |
 //! |-------------------------------|---------|-----------------|
@@ -36,10 +42,11 @@
 //! wire volume is `(G−1)/G · n` elements per phase — the
 //! bandwidth-optimal `2·(G−1)/G · n` total the byte-accounting formulas
 //! model, and at `G = 2` exactly that many f16 bytes plus a 16 B header
-//! per message. The f64 accumulation makes the sum *exact*, hence
-//! order-free, hence bitwise equal to [`crate::reference`] no matter
-//! how threads interleave or which width a hop travelled at (see the
-//! crate docs for the argument).
+//! per message, one message per bucket and phase. The f64 accumulation
+//! makes the sum *exact*, hence order-free, hence bitwise equal to
+//! [`crate::reference`] no matter how threads interleave, which width a
+//! hop travelled at or which bucket a part rode in (see the crate docs
+//! for the argument).
 //!
 //! # Overlap
 //!
@@ -70,18 +77,19 @@ pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(5);
 /// Most early arrivals a rank keeps for collectives it has not reached.
 /// A healthy neighbour runs at most one step ahead — one first hop per
 /// gradient bucket, the verdict flag, one hop 0 per started parameter
-/// gather, a pipeline's microbatches, a telemetry snapshot — so a stash
+/// bucket gather, a pipeline's microbatches, a telemetry snapshot — so a stash
 /// this deep is a peer off the message schedule, and is refused
 /// ([`CommsError::Mismatch`]) instead of grown.
 const STASH_CAP: usize = 4096;
 
-/// One in-flight chunked ring reduce-scatter.
+/// One in-flight chunked ring reduce-scatter over a bucket.
 struct RingState {
     id: u64,
-    /// Input values; this rank's own segment is overwritten with the mean.
-    data: Vec<F16>,
-    /// `G` contiguous segment bounds.
-    segs: Vec<(usize, usize)>,
+    /// The bucket's parts, input values; this rank's own segment of each
+    /// is overwritten with the mean.
+    parts: Vec<Vec<F16>>,
+    /// Per part, its `G` contiguous segment bounds.
+    segs: Vec<Vec<(usize, usize)>>,
     /// Incoming hops processed so far (of `G−1`); doubles as the next
     /// expected message `step`, since per-link FIFO order makes hops of
     /// one ring arrive in schedule order.
@@ -97,7 +105,8 @@ struct RingState {
 pub struct PendingGather {
     /// Hop 0's tag; the later hops differ only by `step`.
     tag: Tag,
-    counts: Vec<usize>,
+    /// Per part, every rank's contribution length.
+    counts: Vec<Vec<usize>>,
 }
 
 /// A started [`Communicator::all_true`]: the flag gather and this
@@ -120,7 +129,7 @@ pub struct Communicator<T: Transport> {
     /// this rank has not reached yet.
     stash: HashMap<(usize, Tag), Message>,
     rings: Vec<RingState>,
-    completed: Vec<(u64, Vec<F16>)>,
+    completed: Vec<(u64, Vec<Vec<F16>>)>,
     model_allreduce_bytes: u64,
     /// Trace `tid` this rank's comms slices/flows land on. Defaults to
     /// the transport rank; runtimes that own several meshes per OS
@@ -487,8 +496,9 @@ impl<T: Transport> Communicator<T> {
 
     /// Ring all-gather: rank `r` contributes `mine` (whose length must
     /// equal `counts[r]`); returns the concatenation of every rank's
-    /// contribution in rank order. [`Self::all_gather_f16_start`] followed
-    /// by [`Self::all_gather_f16_finish`], with `mine` put in its place.
+    /// contribution in rank order. The one-part case of
+    /// [`Self::all_gather_f16_start`] followed by
+    /// [`Self::all_gather_f16_finish`], with `mine` put in its place.
     pub fn all_gather_f16(
         &mut self,
         mine: &[F16],
@@ -497,27 +507,29 @@ impl<T: Transport> Communicator<T> {
         self.all_gather(mine, counts, Payload::F16, f16_payload)
     }
 
-    /// The first half of [`Self::all_gather_f16`]: checks the layout,
-    /// takes the collective id and sends hop 0 — `mine`, moved into the
-    /// message, not copied — and returns without waiting. Finish started
-    /// gathers in the order they were started, like every rank does; other
-    /// collectives may run in between. A group of one sends nothing and
-    /// takes no id.
+    /// The first half of a bucket all-gather: checks the layout — part `p`
+    /// contributes `mine[p]`, `counts[p][rank]` long, of `counts[p]` per
+    /// rank — takes the collective id and sends hop 0, every part's
+    /// contribution in one message (a single part moved into it, not
+    /// copied), and returns without waiting. Finish started gathers in the
+    /// order they were started, like every rank does; other collectives
+    /// may run in between. A group of one sends nothing and takes no id.
     pub fn all_gather_f16_start(
         &mut self,
-        mine: Vec<F16>,
-        counts: &[usize],
+        mine: Vec<Vec<F16>>,
+        counts: &[Vec<usize>],
     ) -> Result<PendingGather, CommsError> {
         self.gather_start(mine, counts, Payload::F16)
     }
 
-    /// The second half of [`Self::all_gather_f16`]: receives the other
-    /// ranks' contributions — forwarding each hop the ring still needs at
-    /// `G > 2` — into a fresh buffer in rank order, and returns it. The
-    /// rank's own range is left zero: its values went out in hop 0, and
-    /// the caller has them. A cut link fails here, with
-    /// [`CommsError::Timeout`] at the deadline.
-    pub fn all_gather_f16_finish(&mut self, started: PendingGather) -> Result<Vec<F16>, CommsError> {
+    /// The second half of a bucket all-gather: receives the other ranks'
+    /// contributions — forwarding each hop the ring still needs at `G > 2`
+    /// — into one fresh buffer per part in rank order, and returns them.
+    /// The rank's own ranges are left zero: its values went out in hop 0,
+    /// and the caller has them. A cut link fails here, with
+    /// [`CommsError::Timeout`] at the deadline; a hop whose length is not
+    /// the parts' segment sum, with [`CommsError::Mismatch`].
+    pub fn all_gather_f16_finish(&mut self, started: PendingGather) -> Result<Vec<Vec<F16>>, CommsError> {
         self.gather_finish(started, Payload::F16, f16_payload)
     }
 
@@ -536,9 +548,9 @@ impl<T: Transport> Communicator<T> {
         })
     }
 
-    /// The one blocking ring all-gather: start, finish, and the rank's own
-    /// contribution copied into its range. `wrap`/`unwrap` name the
-    /// [`Payload`] variant that carries `E` on the wire.
+    /// The one blocking ring all-gather, over one part: start, finish, and
+    /// the rank's own contribution copied into its range. `wrap`/`unwrap`
+    /// name the [`Payload`] variant that carries `E` on the wire.
     fn all_gather<E: Copy + Default>(
         &mut self,
         mine: &[E],
@@ -546,66 +558,69 @@ impl<T: Transport> Communicator<T> {
         wrap: fn(Vec<E>) -> Payload,
         unwrap: fn(Payload) -> Option<Vec<E>>,
     ) -> Result<Vec<E>, CommsError> {
-        let started = self.gather_start(mine.to_vec(), counts, wrap)?;
+        let started = self.gather_start(vec![mine.to_vec()], &[counts.to_vec()], wrap)?;
         let lo: usize = counts[..self.rank()].iter().sum();
-        let mut out = self.gather_finish(started, wrap, unwrap)?;
+        let mut out = self.gather_finish(started, wrap, unwrap)?.swap_remove(0);
         out[lo..lo + mine.len()].copy_from_slice(mine);
         Ok(out)
     }
 
     /// Hop 0 of a ring all-gather: at hop `s` rank `r` sends segment
-    /// `(r−s) mod G` to its successor — its own at hop 0, the one it
-    /// received at hop `s−1` after that — and receives segment
+    /// `(r−s) mod G` of every part to its successor — its own at hop 0, the
+    /// one it received at hop `s−1` after that — and receives segment
     /// `(r−s−1) mod G` from its predecessor.
-    fn gather_start<E>(
+    fn gather_start<E: Copy>(
         &mut self,
-        mine: Vec<E>,
-        counts: &[usize],
+        mut mine: Vec<Vec<E>>,
+        counts: &[Vec<usize>],
         wrap: fn(Vec<E>) -> Payload,
     ) -> Result<PendingGather, CommsError> {
         self.guarded(|c| {
             let (g, r) = (c.world(), c.rank());
-            if counts.len() != g {
+            if mine.len() != counts.len() {
                 return Err(CommsError::Mismatch(format!(
-                    "all_gather counts has {} entries for world {g}",
+                    "all_gather has {} parts and {} count lists",
+                    mine.len(),
                     counts.len()
                 )));
             }
-            if mine.len() != counts[r] {
-                return Err(CommsError::Mismatch(format!(
-                    "rank {r} contributes {} elements, counts says {}",
-                    mine.len(),
-                    counts[r]
-                )));
+            for (p, (part, counts)) in mine.iter().zip(counts).enumerate() {
+                if counts.len() != g {
+                    return Err(CommsError::Mismatch(format!(
+                        "all_gather part {p}: counts has {} entries for world {g}",
+                        counts.len()
+                    )));
+                }
+                if part.len() != counts[r] {
+                    return Err(CommsError::Mismatch(format!(
+                        "all_gather part {p}: rank {r} contributes {} elements, counts says {}",
+                        part.len(),
+                        counts[r]
+                    )));
+                }
             }
             let id = if g == 1 { 0 } else { c.fresh_id() };
             let tag = c.tag(Kind::AllGather, id, 0);
             if g > 1 {
-                c.send_traced(c.next(), Message { tag, payload: wrap(mine) })?;
+                let hop0 = if mine.len() == 1 { mine.swap_remove(0) } else { mine.concat() };
+                c.send_traced(c.next(), Message { tag, payload: wrap(hop0) })?;
             }
             Ok(PendingGather { tag, counts: counts.to_vec() })
         })
     }
 
     /// Hops `0..G−1` of a started all-gather's receive side, forwarding
-    /// hops `1..G−2` on.
+    /// hops `1..G−2` on as they came.
     fn gather_finish<E: Copy + Default>(
         &mut self,
         started: PendingGather,
         wrap: fn(Vec<E>) -> Payload,
         unwrap: fn(Payload) -> Option<Vec<E>>,
-    ) -> Result<Vec<E>, CommsError> {
+    ) -> Result<Vec<Vec<E>>, CommsError> {
         self.guarded(|c| {
             let (g, r) = (c.world(), c.rank());
             let PendingGather { tag, counts } = started;
-            let mut offsets = Vec::with_capacity(g + 1);
-            let mut total = 0usize;
-            for &n in &counts {
-                offsets.push(total);
-                total += n;
-            }
-            offsets.push(total);
-            let mut out = vec![E::default(); total];
+            let mut out: Vec<Vec<E>> = counts.iter().map(|n| vec![E::default(); n.iter().sum()]).collect();
             if g == 1 {
                 return Ok(out);
             }
@@ -620,14 +635,20 @@ impl<T: Transport> Communicator<T> {
                         std::any::type_name::<E>()
                     )));
                 };
-                if vals.len() != counts[recv_seg] {
+                let want: usize = counts.iter().map(|n| n[recv_seg]).sum();
+                if vals.len() != want {
                     return Err(CommsError::Mismatch(format!(
-                        "all_gather segment {recv_seg}: got {} elements, want {}",
-                        vals.len(),
-                        counts[recv_seg]
+                        "all_gather segment {recv_seg}: got {} elements, want {want}",
+                        vals.len()
                     )));
                 }
-                out[offsets[recv_seg]..offsets[recv_seg + 1]].copy_from_slice(&vals);
+                let mut rest = &vals[..];
+                for (out, n) in out.iter_mut().zip(&counts) {
+                    let lo: usize = n[..recv_seg].iter().sum();
+                    let (seg, tail) = rest.split_at(n[recv_seg]);
+                    out[lo..lo + seg.len()].copy_from_slice(seg);
+                    rest = tail;
+                }
                 if s + 2 < g {
                     let tag = Tag { step: s as u32 + 1, ..tag };
                     c.send_traced(c.next(), Message { tag, payload: wrap(vals) })?;
@@ -646,11 +667,11 @@ impl<T: Transport> Communicator<T> {
         self.all_true_finish(started)
     }
 
-    /// Sends this rank's flag ([`Self::all_gather_f16_start`]) and returns
+    /// Sends this rank's flag (a one-part gather start) and returns
     /// without waiting for the others'.
     pub fn all_true_start(&mut self, mine: bool) -> Result<PendingAllTrue, CommsError> {
         let flag = F16::from_f32(f32::from(u8::from(mine)));
-        let gather = self.all_gather_f16_start(vec![flag], &vec![1; self.world()])?;
+        let gather = self.gather_start(vec![vec![flag]], &[vec![1; self.world()]], Payload::F16)?;
         Ok(PendingAllTrue { gather, mine })
     }
 
@@ -658,7 +679,7 @@ impl<T: Transport> Communicator<T> {
     /// and returns the AND of every rank's.
     pub fn all_true_finish(&mut self, started: PendingAllTrue) -> Result<bool, CommsError> {
         let r = self.rank();
-        let flags = self.all_gather_f16_finish(started.gather)?;
+        let flags = self.gather_finish(started.gather, Payload::F16, f16_payload)?.swap_remove(0);
         Ok(started.mine && flags.iter().enumerate().all(|(i, f)| i == r || f.to_f32() == 1.0))
     }
 
@@ -785,33 +806,42 @@ impl<T: Transport> Communicator<T> {
 
     // --- Chunked ring reduce-scatter and all-reduce -------------------
 
-    /// Starts an asynchronous ring **reduce-scatter** (mean) over `data`
-    /// and returns its collective id: posts the first hop and returns.
-    /// Drive with [`Self::ring_pump`] / [`Self::ring_finish`], collect
-    /// with [`Self::take_completed`]. The completed buffer holds the mean
-    /// on this rank's `segment_bounds(n, G)[rank]` and the rank's own
-    /// inputs elsewhere.
-    pub fn reduce_scatter_start(&mut self, mut data: Vec<F16>) -> Result<u64, CommsError> {
+    /// Starts an asynchronous ring **reduce-scatter** (mean) over a
+    /// bucket of `parts` and returns its collective id: posts the first
+    /// hop — every part's segment in one message — and returns. Drive
+    /// with [`Self::ring_pump`] / [`Self::ring_finish`], collect with
+    /// [`Self::take_completed`]. Each completed part holds the mean on this
+    /// rank's `segment_bounds(len, G)[rank]` and the rank's own inputs
+    /// elsewhere.
+    pub fn reduce_scatter_start(&mut self, mut parts: Vec<Vec<F16>>) -> Result<u64, CommsError> {
         self.guarded(|c| {
             let g = c.world();
             let r = c.rank();
             let id = c.fresh_id();
-            c.model_allreduce_bytes += ring_allreduce_model_bytes(data.len() as u64, g as u64, 2);
+            for part in &parts {
+                c.model_allreduce_bytes += ring_allreduce_model_bytes(part.len() as u64, g as u64, 2);
+            }
             if g == 1 {
                 // Mean over one rank still goes through the shared rounding
                 // so G=1 matches the oracle bit-for-bit.
-                for v in &mut data {
-                    *v = f16_mean_from_exact_sum(f64::from(v.to_f32()), 1.0);
+                for part in &mut parts {
+                    for v in part.iter_mut() {
+                        *v = f16_mean_from_exact_sum(f64::from(v.to_f32()), 1.0);
+                    }
                 }
-                c.completed.push((id, data));
+                c.completed.push((id, parts));
                 return Ok(id);
             }
-            let segs = segment_bounds(data.len(), g);
-            let (lo, hi) = segs[(r + g - 1) % g];
+            let segs: Vec<_> = parts.iter().map(|part| segment_bounds(part.len(), g)).collect();
+            let send = (r + g - 1) % g;
+            let mut first = Vec::with_capacity(hop_len(&segs, send));
+            for (part, segs) in parts.iter().zip(&segs) {
+                let (lo, hi) = segs[send];
+                first.extend_from_slice(&part[lo..hi]);
+            }
             let tag = c.tag(Kind::AllReduce, id, 0);
-            let first = Payload::F16(data[lo..hi].to_vec());
-            c.send_traced(c.next(), Message { tag, payload: first })?;
-            c.rings.push(RingState { id, data, segs, hops_done: 0 });
+            c.send_traced(c.next(), Message { tag, payload: Payload::F16(first) })?;
+            c.rings.push(RingState { id, parts, segs, hops_done: 0 });
             // A fast neighbour may already have sent hops for this id.
             c.ring_drain_stash()?;
             Ok(id)
@@ -860,8 +890,8 @@ impl<T: Transport> Communicator<T> {
         })
     }
 
-    /// Drains finished rings as `(id, mean)` pairs, in completion order.
-    pub fn take_completed(&mut self) -> Vec<(u64, Vec<F16>)> {
+    /// Drains finished rings as `(id, parts)` pairs, in completion order.
+    pub fn take_completed(&mut self) -> Vec<(u64, Vec<Vec<F16>>)> {
         std::mem::take(&mut self.completed)
     }
 
@@ -869,12 +899,12 @@ impl<T: Transport> Communicator<T> {
     /// reduce-scatter, then an all-gather of this rank's finished segment.
     pub fn allreduce_mean_f16(&mut self, buf: &mut [F16]) -> Result<(), CommsError> {
         let _sp = telemetry::enabled().then(|| telemetry::span("comms.allreduce"));
-        let id = self.reduce_scatter_start(buf.to_vec())?;
+        let id = self.reduce_scatter_start(vec![buf.to_vec()])?;
         self.ring_finish()?;
         let Some(pos) = self.completed.iter().position(|(cid, _)| *cid == id) else {
             return Err(CommsError::Mismatch(format!("ring {id} finished without a result")));
         };
-        let (_, data) = self.completed.swap_remove(pos);
+        let data = self.completed.swap_remove(pos).1.swap_remove(0);
         let segs = segment_bounds(buf.len(), self.world());
         let counts: Vec<usize> = segs.iter().map(|&(lo, hi)| hi - lo).collect();
         let (lo, hi) = segs[self.rank()];
@@ -926,7 +956,7 @@ impl<T: Transport> Communicator<T> {
     }
 
     /// Executes one reduce-scatter hop: accumulate and forward, or, on
-    /// the last hop, finalize this rank's segment.
+    /// the last hop, finalize this rank's segment of every part.
     fn ring_process(&mut self, idx: usize, msg: Message) -> Result<(), CommsError> {
         let g = self.world();
         let r = self.rank();
@@ -948,12 +978,16 @@ impl<T: Transport> Communicator<T> {
                 )));
             }
             seg = (r + 2 * g - 2 - step) % g;
-            let (lo, hi) = ring.segs[seg];
-            let own = &mut ring.data[lo..hi];
+            let want = hop_len(&ring.segs, seg);
             let mismatch = |what: &str| {
-                let want = hi - lo;
                 CommsError::Mismatch(format!("ring {id} segment {seg}: hop {step} expects {want} {what}"))
             };
+            // This rank's values of the hop's segment, part after part: the
+            // order the message carries them in.
+            let own = ring.parts.iter_mut().zip(&ring.segs).map(|(part, segs)| {
+                let (lo, hi) = segs[seg];
+                &mut part[lo..hi]
+            });
             let table = to_f32_table();
             let widen = |x: &F16| f64::from(table[x.0 as usize]);
             let w = g as f64;
@@ -963,23 +997,34 @@ impl<T: Transport> Communicator<T> {
             // its segment; a hop that is both (G = 2) never materialises
             // the partials.
             let partial = match msg.payload {
-                Payload::F16(first) if step == 0 && first.len() == own.len() => {
-                    if last {
-                        for (slot, a) in own.iter_mut().zip(&first) {
-                            *slot = f16_mean_from_exact_sum(widen(a) + widen(slot), w);
+                Payload::F16(first) if step == 0 && first.len() == want => {
+                    let mut partial = Vec::with_capacity(if last { 0 } else { want });
+                    let mut rest = &first[..];
+                    for own in own {
+                        let (theirs, tail) = rest.split_at(own.len());
+                        rest = tail;
+                        if last {
+                            for (slot, a) in own.iter_mut().zip(theirs) {
+                                *slot = f16_mean_from_exact_sum(widen(a) + widen(slot), w);
+                            }
+                        } else {
+                            partial.extend(theirs.iter().zip(&*own).map(|(a, x)| widen(a) + widen(x)));
                         }
-                        None
-                    } else {
-                        Some(first.iter().zip(&*own).map(|(a, x)| widen(a) + widen(x)).collect())
                     }
+                    (!last).then_some(partial)
                 }
-                Payload::F64(mut partial) if step > 0 && partial.len() == own.len() => {
-                    for (a, x) in partial.iter_mut().zip(&*own) {
-                        *a += widen(x);
-                    }
-                    if last {
-                        for (slot, &sum) in own.iter_mut().zip(&partial) {
-                            *slot = f16_mean_from_exact_sum(sum, w);
+                Payload::F64(mut partial) if step > 0 && partial.len() == want => {
+                    let mut rest = &mut partial[..];
+                    for own in own {
+                        let (sums, tail) = rest.split_at_mut(own.len());
+                        rest = tail;
+                        for (a, x) in sums.iter_mut().zip(&*own) {
+                            *a += widen(x);
+                        }
+                        if last {
+                            for (slot, &sum) in own.iter_mut().zip(&*sums) {
+                                *slot = f16_mean_from_exact_sum(sum, w);
+                            }
                         }
                     }
                     (!last).then_some(partial)
@@ -997,7 +1042,7 @@ impl<T: Transport> Communicator<T> {
         }
         if done {
             let ring = self.rings.swap_remove(idx);
-            self.completed.push((ring.id, ring.data));
+            self.completed.push((ring.id, ring.parts));
             if tel {
                 telemetry::global().counter("comms.allreduce.completed").inc();
             }
@@ -1013,6 +1058,11 @@ impl<T: Transport> Communicator<T> {
         }
         Ok(())
     }
+}
+
+/// Length of a bucket's hop over segment `seg`: every part's, summed.
+fn hop_len(segs: &[Vec<(usize, usize)>], seg: usize) -> usize {
+    segs.iter().map(|s| s[seg].1 - s[seg].0).sum()
 }
 
 fn f16_payload(p: Payload) -> Option<Vec<F16>> {
@@ -1185,42 +1235,43 @@ mod tests {
         // finished in order. Same bits, same messages and bytes, the same
         // ids consumed — the barrier after it still matches — as the
         // blocking calls one by one; a group of one takes no id at all.
+        // One bucket of all the parts keeps the bits and sends one message
+        // per hop instead of one per part and hop.
         let counts_of = |world: usize, n: usize| -> Vec<usize> {
             (0..world).map(|r| crate::segment(n, r, world)).map(|(lo, hi)| hi - lo).collect()
         };
         let sizes = [13usize, 1, 0, 40, 7];
         for world in 1..=4usize {
-            let run = |two_phase: bool| {
+            // 0: blocking, 1: started one part each, 2: one bucket.
+            let run = |mode: usize| {
                 run_ranks(world, Arc::default(), DEFAULT_TIMEOUT, |comm, rank| {
                     let mine = |b: usize| {
                         let counts = counts_of(world, sizes[b]);
                         (vals(300 + 10 * b as u64 + rank as u64, counts[rank]), counts)
                     };
-                    let out: Vec<Vec<F16>> = if two_phase {
-                        let started: Vec<_> = (0..sizes.len())
-                            .map(|b| {
-                                let (v, counts) = mine(b);
-                                comm.all_gather_f16_start(v, &counts).unwrap()
-                            })
-                            .collect();
-                        let lo = |b: usize| counts_of(world, sizes[b])[..rank].iter().sum::<usize>();
-                        let mut out = Vec::new();
-                        for (b, g) in started.into_iter().enumerate() {
-                            let mut full = comm.all_gather_f16_finish(g).unwrap();
-                            let (v, _) = mine(b);
-                            let own = &mut full[lo(b)..lo(b) + v.len()];
-                            assert!(own.iter().all(|x| x.0 == 0), "own range left zero");
-                            own.copy_from_slice(&v);
-                            out.push(full);
+                    let (parts, counts): (Vec<_>, Vec<_>) = (0..sizes.len()).map(mine).unzip();
+                    let lo = |b: usize| counts[b][..rank].iter().sum::<usize>();
+                    // The own range comes back zero: the values are the rank's own.
+                    let fill = |b: usize, mut full: Vec<F16>| {
+                        let own = &mut full[lo(b)..lo(b) + parts[b].len()];
+                        assert!(own.iter().all(|x| x.0 == 0), "own range left zero");
+                        own.copy_from_slice(&parts[b]);
+                        full
+                    };
+                    let out: Vec<Vec<F16>> = match mode {
+                        0 => (0..sizes.len()).map(|b| comm.all_gather_f16(&parts[b], &counts[b]).unwrap()).collect(),
+                        1 => {
+                            let started: Vec<_> = (0..sizes.len())
+                                .map(|b| comm.all_gather_f16_start(vec![parts[b].clone()], &counts[b..=b]).unwrap())
+                                .collect();
+                            let finished = started.into_iter().map(|g| comm.all_gather_f16_finish(g).unwrap());
+                            finished.enumerate().map(|(b, mut full)| fill(b, full.swap_remove(0))).collect()
                         }
-                        out
-                    } else {
-                        (0..sizes.len())
-                            .map(|b| {
-                                let (v, counts) = mine(b);
-                                comm.all_gather_f16(&v, &counts).unwrap()
-                            })
-                            .collect()
+                        _ => {
+                            let started = comm.all_gather_f16_start(parts.clone(), &counts).unwrap();
+                            let full = comm.all_gather_f16_finish(started).unwrap();
+                            full.into_iter().enumerate().map(|(b, full)| fill(b, full)).collect()
+                        }
                     };
                     let ids = comm.next_id;
                     comm.barrier().unwrap();
@@ -1228,10 +1279,18 @@ mod tests {
                     (out, ids, t.msgs_sent(), t.bytes_sent())
                 })
             };
-            let (blocking, started) = (run(false), run(true));
+            let (blocking, started, bucket) = (run(0), run(1), run(2));
             assert_eq!(started, blocking, "world {world}");
             let ids = if world == 1 { 0 } else { sizes.len() as u64 };
             assert!(started.iter().all(|r| r.1 == ids), "world {world}: ids consumed");
+            let hops = (world - 1) as u64;
+            let headers = (sizes.len() as u64 - 1) * hops * crate::Payload::HEADER_BYTES;
+            for (b, s) in bucket.iter().zip(&started) {
+                assert_eq!(b.0, s.0, "world {world}: bucket bits");
+                assert_eq!(b.1, u64::from(world > 1), "world {world}: one id");
+                assert_eq!(b.2 + (sizes.len() as u64 - 1) * hops, s.2, "world {world}: one message a hop");
+                assert_eq!(b.3 + headers, s.3, "world {world}: the same bytes but the headers");
+            }
         }
     }
 
@@ -1243,7 +1302,7 @@ mod tests {
         // No endpoint is dropped before every rank's finish returned.
         let finished_all = std::sync::Barrier::new(3);
         let got = run_ranks(3, faults, timeout, |comm, rank| {
-            let started = comm.all_gather_f16_start(vals(rank as u64, 4), &[4, 4, 4]);
+            let started = comm.all_gather_f16_start(vec![vals(rank as u64, 4)], &[vec![4, 4, 4]]);
             let t0 = Instant::now();
             let finished = comm.all_gather_f16_finish(started.unwrap());
             let waited = t0.elapsed();
@@ -1331,7 +1390,7 @@ mod tests {
         let got = run_ranks(3, Arc::default(), DEFAULT_TIMEOUT, |comm, rank| {
             let mut ids = Vec::new();
             for (b, &n) in sizes.iter().enumerate() {
-                ids.push(comm.reduce_scatter_start(vals(500 + 10 * b as u64 + rank as u64, n)).unwrap());
+                ids.push(comm.reduce_scatter_start(vec![vals(500 + 10 * b as u64 + rank as u64, n)]).unwrap());
                 comm.ring_pump().unwrap();
             }
             comm.ring_finish().unwrap();
@@ -1341,8 +1400,9 @@ mod tests {
         });
         for (rank, (ids, done)) in got.into_iter().enumerate() {
             assert_eq!(done.len(), 3);
-            for (b, (id, data)) in done.into_iter().enumerate() {
+            for (b, (id, mut data)) in done.into_iter().enumerate() {
                 assert_eq!(id, ids[b]);
+                let data = data.swap_remove(0);
                 let (lo, hi) = segment_bounds(sizes[b], 3)[rank];
                 let mut want = vals(500 + 10 * b as u64 + rank as u64, sizes[b]);
                 want[lo..hi].copy_from_slice(&wants[b][lo..hi]);
@@ -1365,12 +1425,12 @@ mod tests {
             if rank == 0 {
                 posted.wait();
             }
-            comm.reduce_scatter_start(vals(900 + rank as u64, n)).unwrap();
+            comm.reduce_scatter_start(vec![vals(900 + rank as u64, n)]).unwrap();
             if rank == 0 {
                 comm.ring_pump().unwrap();
                 assert_eq!(comm.stash.len(), 1, "the early hop waits in the stash");
             }
-            comm.reduce_scatter_start(vals(900 + rank as u64, n)).unwrap();
+            comm.reduce_scatter_start(vec![vals(900 + rank as u64, n)]).unwrap();
             if rank != 0 {
                 posted.wait();
             }
@@ -1385,8 +1445,8 @@ mod tests {
             let (lo, hi) = segs[rank];
             let mut expect = vals(900 + rank as u64, n);
             expect[lo..hi].copy_from_slice(&want[lo..hi]);
-            assert_eq!(done[0].1, expect, "first reduce-scatter, rank {rank}");
-            assert_eq!(done[1].1, expect, "second reduce-scatter, rank {rank}");
+            assert_eq!(done[0].1, [expect.clone()], "first reduce-scatter, rank {rank}");
+            assert_eq!(done[1].1, [expect], "second reduce-scatter, rank {rank}");
         }
     }
 

@@ -393,6 +393,10 @@ impl Transport for TcpTransport {
                     delay.map_or(0u32, |d| d.as_micros().min(u128::from(u32::MAX)) as u32);
                 w.send_delayed(&msg, delay_us).map_err(|e| match e.kind() {
                     std::io::ErrorKind::TimedOut => CommsError::Timeout { rank: self.rank, from: to },
+                    // The peer's end is gone: its process died.
+                    std::io::ErrorKind::BrokenPipe | std::io::ErrorKind::ConnectionReset => {
+                        CommsError::Closed { rank: self.rank, peer: to }
+                    }
                     _ => CommsError::Io(format!("write to rank {to}: {e}")),
                 })
             }

@@ -190,13 +190,13 @@ proptest! {
                     s.spawn(move || {
                         let mut comm = Communicator::new(t);
                         for data in mine {
-                            comm.reduce_scatter_start(data).unwrap();
+                            comm.reduce_scatter_start(vec![data]).unwrap();
                             comm.ring_pump().unwrap();
                         }
                         comm.ring_finish().unwrap();
                         let mut done = comm.take_completed();
                         done.sort_by_key(|(id, _)| *id);
-                        done
+                        done.into_iter().map(|(id, mut parts)| (id, parts.swap_remove(0))).collect::<Vec<_>>()
                     })
                 })
                 .collect();

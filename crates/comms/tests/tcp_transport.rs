@@ -204,6 +204,20 @@ fn sigkilled_peer_surfaces_closed_via_socket_eof() {
         "got {err:?}"
     );
     assert!(t0.elapsed() < Duration::from_secs(5), "EOF detection is fast");
+    // Sends fail the same way once the kernel has the peer's reset: a
+    // broken pipe is the peer's death, not an I/O fault of this rank.
+    let tag = Tag { epoch: 0, kind: Kind::P2p, id: 0, step: 0 };
+    let err = loop {
+        match a.send(1, Message { tag, payload: Payload::Bytes(vec![0; 64]) }) {
+            Ok(()) => assert!(t0.elapsed() < Duration::from_secs(5), "a dead peer's writes fail"),
+            Err(e) => break e,
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert!(
+        matches!(err, CommsError::Closed { rank: 0, peer: 1 } | CommsError::PeerDead { rank: 0, peer: 1 }),
+        "got {err:?}"
+    );
 }
 
 #[test]

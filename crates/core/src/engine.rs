@@ -13,8 +13,8 @@
 //! * [`crate::threaded::DataParallelRank`] — one per rank thread of
 //!   [`crate::ThreadedDataParallelSamo`], one per process of
 //!   `samo-launch` — runs backward through
-//!   `backward_overlapped`, so each parameter's ring starts while the
-//!   rest of backward still runs — and a weight matrix whose layer offers
+//!   `backward_overlapped`, so each gradient bucket's ring starts while
+//!   the rest of backward still runs — and a weight matrix whose layer offers
 //!   the operands of its gradient's product is compressed *inside*
 //!   backward ([`SamoLayerState::compress_grad_product`]): the paper
 //!   compresses "at the granularity of a layer ... so that we never have
@@ -66,12 +66,19 @@
 //! bits on its own range only, so the group agrees on the overflow
 //! verdict with one flag gather per step (`finish_reduce`).
 //!
+//! The compressed gradients travel in buckets: parameter groups join the
+//! open bucket in the order backward finishes them, and the bucket starts
+//! one ring for all of them once it holds `BUCKET_BYTES` (64 KiB) of f16, or
+//! when backward ends. A bucket is one message a hop, not one per
+//! parameter; each part keeps its own segments, so the sums, the shards
+//! and the bits are those of a ring per parameter (DESIGN.md §12).
+//!
 //! After backward, a collective is sent as soon as its input exists and
 //! the rank blocks once for all of them: the flag leaves beside the ring
-//! tail, before `finish_reduce` waits for it, and each shard's parameter
-//! gather leaves as soon as its optimizer pass ends, before `apply` waits
-//! for any of them. The ids, messages and bytes are those of the blocking
-//! order; only the waits moved.
+//! tail, before `finish_reduce` waits for it, and each bucket's parameter
+//! gather leaves as soon as its last optimizer pass ends, before `apply`
+//! waits for any of them. The ids, messages and bytes are those of the
+//! blocking order; only the waits moved.
 //!
 //! One rank per group reports (rank 0; the pipeline narrows it to stage
 //! 0): with telemetry on it emits one `telemetry::StepEvent` per step —
@@ -99,6 +106,14 @@ use std::sync::Arc;
 use telemetry::SpanGuard;
 use tensor::f16::F16;
 use tensor::{ops, Tensor};
+
+/// The f16 bytes a gradient bucket collects before its ring starts. Below
+/// this a message costs its header, a syscall and a wake-up more than its
+/// bytes, so small layers share one; a layer past it is a bucket of its
+/// own (its bias riding along), which keeps a large model's rings
+/// overlapped with the rest of backward. DESIGN.md §20 has the
+/// measurement it is cut from.
+const BUCKET_BYTES: usize = 64 << 10;
 
 /// How a rank's compressed `∇θ16` becomes the group mean: not at all
 /// ([`NoReduce`], a single worker) or by the chunked ring all-reduce
@@ -182,9 +197,12 @@ pub struct StepEngine<R: Reducer> {
     remap_score: Vec<f32>,
     remap_weights: Vec<f32>,
     remap_events: u64,
-    /// `(ring id, parameter)` of every reduction started this step; the
-    /// ids are consecutive, so a ring's position is `id − first id`.
-    ring_order: Vec<(u64, usize)>,
+    /// This step's gradient buckets in ring start order: each ring's id
+    /// and its parameters in the order they joined. The ids are
+    /// consecutive, so a ring's bucket is `id − first id`.
+    buckets: Vec<(u64, Vec<usize>)>,
+    /// Parameters compressed since the last bucket started.
+    open: Vec<usize>,
     /// AND of the fused compress kernels' overflow flags this step.
     local_finite: bool,
     /// Parameters whose gradient's product the engine took: they keep no
@@ -233,7 +251,8 @@ impl<R: Reducer> StepEngine<R> {
             remap_score: Vec::new(),
             remap_weights: Vec::new(),
             remap_events: 0,
-            ring_order: Vec::new(),
+            buckets: Vec::new(),
+            open: Vec::new(),
             local_finite: true,
             labels,
             reports: rank == 0,
@@ -382,7 +401,8 @@ impl<R: Reducer> StepEngine<R> {
             &mut self.steps_skipped,
         );
         // Whatever a failed step left behind.
-        self.ring_order.clear();
+        self.buckets.clear();
+        self.open.clear();
         self.dw_sums.iter_mut().for_each(Vec::clear);
         self.phases.clear();
         self.local_finite = true;
@@ -427,22 +447,37 @@ impl<R: Reducer> StepEngine<R> {
 
     /// Compresses parameter `pi`'s freshly produced dense (loss-scaled)
     /// gradient into `∇θ16` — unless its product was compressed already
-    /// (`None`, see [`Overlap`]) — and starts its mean reduction. Ring ids
-    /// line up across ranks because every rank visits parameters in the
-    /// same order.
-    fn compress_param(&mut self, pi: usize, grad: Option<&[f32]>) -> Result<(), CommsError> {
+    /// (`None`, see [`Overlap`]) — and, in a group, adds it to the open
+    /// bucket.
+    fn compress_param(&mut self, pi: usize, grad: Option<&[f32]>) {
         let st = &mut self.layers[pi];
         match grad {
             Some(grad) => self.local_finite &= st.compress_grad_fused(grad),
             None => self.streamed[pi] = true,
         }
-        if let Some(comm) = self.reducer.comm_mut() {
-            // The ring takes the buffer and `finish_reduce` puts it back:
-            // no copy in either direction (a failed step loses it; the
-            // next compress or restore re-creates it).
-            let id = comm.reduce_scatter_start(std::mem::take(&mut st.grad16))?;
-            self.ring_order.push((id, pi));
+        if self.reducer.comm().is_some() {
+            self.open.push(pi);
         }
+    }
+
+    /// Starts the open bucket's ring once it holds [`BUCKET_BYTES`] of
+    /// f16, or — at the end of backward, `all` — whatever it holds. Ring
+    /// ids and bucket layouts line up across ranks because every rank
+    /// visits parameters in the same order.
+    fn start_bucket(&mut self, all: bool) -> Result<(), CommsError> {
+        let Some(comm) = self.reducer.comm_mut() else {
+            return Ok(());
+        };
+        let bytes: usize = self.open.iter().map(|&pi| 2 * self.layers[pi].grad16.len()).sum();
+        if self.open.is_empty() || !all && bytes < BUCKET_BYTES {
+            return Ok(());
+        }
+        // The ring takes the buffers and `finish_reduce` puts them back:
+        // no copy in either direction (a failed step loses them; the next
+        // compress or restore re-creates them).
+        let parts = self.open.iter().map(|&pi| std::mem::take(&mut self.layers[pi].grad16));
+        let id = comm.reduce_scatter_start(parts.collect())?;
+        self.buckets.push((id, std::mem::take(&mut self.open)));
         Ok(())
     }
 
@@ -469,9 +504,10 @@ impl<R: Reducer> StepEngine<R> {
 
     /// Backward with overlapped reduction: as each parameter group
     /// reports its gradient final (reverse execution order — identical
-    /// on every rank), compress it and start its ring; pump the rings in
-    /// flight between groups, so communication overlaps the rest of the
-    /// backward pass exactly as on a real cluster. A weight matrix whose
+    /// on every rank), compress it into the open bucket, start the
+    /// bucket's ring once it is full and the last one when backward ends;
+    /// pump the rings in flight between groups, so communication overlaps
+    /// the rest of the backward pass exactly as on a real cluster. A weight matrix whose
     /// layer offers its gradient's product is compressed from the
     /// operands — added to the sums of earlier microbatches where there
     /// are any — and its dense gradient never exists. Returns
@@ -483,7 +519,9 @@ impl<R: Reducer> StepEngine<R> {
             res: Ok(()),
         };
         let dx = model.backward_into(dy, &mut sink);
-        sink.res.map(|()| dx)
+        sink.res?;
+        self.start_bucket(true)?;
+        Ok(dx)
     }
 
     /// Backward of a microbatch whose gradients are not final yet: a
@@ -496,8 +534,8 @@ impl<R: Reducer> StepEngine<R> {
     }
 
     /// The collectives of a step whose backward has already run: the
-    /// dynamic-sparsity remap if the schedule fires, then compress and
-    /// reduce every parameter in order. The allocation-free
+    /// dynamic-sparsity remap if the schedule fires, then compress every
+    /// parameter in order into buckets and reduce them. The allocation-free
     /// `for_each_param_mut` traversal (not `params_mut`, which builds a
     /// `Vec`) keeps a single worker's whole step off the heap. Returns
     /// the overflow verdict input, see [`Self::finish_reduce`].
@@ -510,13 +548,13 @@ impl<R: Reducer> StepEngine<R> {
         let (mut i, mut res) = (0, Ok(()));
         model.for_each_param_mut(&mut |p| {
             if res.is_ok() {
-                res = self
-                    .compress_param(i, Some(p.grad.as_slice()))
-                    .and_then(|()| self.pump());
+                self.compress_param(i, Some(p.grad.as_slice()));
+                res = self.start_bucket(false).and_then(|()| self.pump());
             }
             i += 1;
         });
         res?;
+        self.start_bucket(true)?;
         assert_eq!(i, self.layers.len());
         self.end_phase(sp);
         let sp = self.span("samo.step.reduce");
@@ -541,32 +579,30 @@ impl<R: Reducer> StepEngine<R> {
         };
         let verdict = comm.all_true_start(local)?;
         comm.ring_finish()?;
-        let first = self.ring_order.first().map_or(0, |&(id, _)| id);
-        for (id, reduced) in comm.take_completed() {
+        let first = self.buckets.first().map_or(0, |&(id, _)| id);
+        for (id, parts) in comm.take_completed() {
             let started = id
                 .checked_sub(first)
-                .and_then(|k| self.ring_order.get(k as usize));
-            let Some(&(_, pi)) = started.filter(|&&(rid, _)| rid == id) else {
+                .and_then(|k| self.buckets.get(k as usize));
+            let Some((_, params)) = started.filter(|(rid, ps)| *rid == id && ps.len() == parts.len()) else {
                 return Err(CommsError::Mismatch(format!(
                     "completed ring {id} was not started by this step"
                 )));
             };
-            self.layers[pi].grad16 = reduced;
+            for (&pi, reduced) in params.iter().zip(parts) {
+                self.layers[pi].grad16 = reduced;
+            }
         }
-        self.ring_order.clear();
         comm.all_true_finish(verdict)
     }
 
     /// The rest of the step once the group agrees whether the reduced
     /// gradients are `finite`: the loss-scaler verdict, then — unless it
     /// skips — the fused optimizer pass on the owned range (which also
-    /// writes `θ16` and, where the model keeps one, its f32 view there).
-    /// A shard's parameter all-gather starts as soon as its pass ends, so
-    /// the gathers travel while the later passes run; a second pass waits
-    /// for them in the same order and scatters the other ranks' ranges,
-    /// one gathered buffer alive at a time. Then dense gradients are
-    /// zeroed (streamed ones released), counters and telemetry. Returns
-    /// `false` if the step was skipped.
+    /// writes `θ16` and, where the model keeps one, its f32 view there),
+    /// bucket by bucket in a group ([`Self::step_buckets`]). Then dense
+    /// gradients are zeroed (streamed ones released), counters and
+    /// telemetry. Returns `false` if the step was skipped.
     pub(crate) fn apply(
         &mut self,
         model: &mut impl Layer,
@@ -576,43 +612,24 @@ impl<R: Reducer> StepEngine<R> {
         let proceed = self.scaler.check_and_update(finite);
         if proceed {
             let sp = self.span("samo.step.optimizer");
-            let (layers, opt, reducer) = (&mut self.layers, &self.opt, &mut self.reducer);
             let inv_scale = 1.0 / scale;
-            let (mut i, mut res, mut gathers) = (0, Ok(()), Vec::new());
-            model.for_each_param_mut(&mut |p| {
-                let st = &mut layers[i];
-                i += 1;
-                if res.is_err() {
-                    return;
-                }
-                let mine = st.optimizer_step_owned(opt, inv_scale, p.value.as_mut_slice());
-                if st.is_sharded() {
-                    res = group(reducer.comm_mut())
-                        .and_then(|comm| comm.all_gather_f16_start(mine, &st.shard_counts()))
-                        .map(|started| gathers.push(started));
-                }
-            });
-            res?;
-            // The first pass started one gather per shard, in this order.
-            let (mut i, mut res, mut gathers) = (0, Ok(()), gathers.into_iter());
-            model.for_each_param_mut(&mut |p| {
-                let st = &mut layers[i];
-                i += 1;
-                if res.is_err() || !st.is_sharded() {
-                    return;
-                }
-                if let (Some(started), Some(comm)) = (gathers.next(), reducer.comm_mut()) {
-                    res = comm
-                        .all_gather_f16_finish(started)
-                        .map(|gathered| st.scatter_gathered(&gathered, p.value.as_mut_slice()));
-                }
-            });
-            res?;
+            if self.reducer.comm().is_some_and(|c| c.world() > 1) {
+                self.step_buckets(model, inv_scale)?;
+            } else {
+                // Full states — a single worker, a group of one: nothing
+                // to gather, no allocation.
+                let (mut layers, opt) = (self.layers.iter_mut(), &self.opt);
+                model.for_each_param_mut(&mut |p| {
+                    let st = layers.next().expect("one state per parameter");
+                    st.optimizer_step_owned(opt, inv_scale, p.value.as_mut_slice());
+                });
+            }
             self.end_phase(sp);
             self.steps_taken += 1;
         } else {
             self.steps_skipped += 1;
         }
+        self.buckets.clear();
         // A dense arrival is cleared for the next backward to accumulate
         // into; a streamed parameter has no use for the buffer — released
         // already, or materialised for this step by a plain backward.
@@ -643,6 +660,41 @@ impl<R: Reducer> StepEngine<R> {
             );
         }
         Ok(proceed)
+    }
+
+    /// The optimizer passes of a group's step, bucket by bucket in ring
+    /// order. A bucket's parameter all-gather starts as soon as its last
+    /// pass ends — one message a hop for all of its shards — so the
+    /// gathers travel while the later passes run; a second sweep waits for
+    /// them in the same order and scatters the other ranks' ranges, one
+    /// bucket's gathered buffers alive at a time.
+    fn step_buckets(&mut self, model: &mut impl Layer, inv_scale: f32) -> Result<(), CommsError> {
+        let (layers, opt, buckets) = (&mut self.layers, &self.opt, &self.buckets);
+        let comm = group(self.reducer.comm_mut())?;
+        let mut params = model.params_mut();
+        let bucketed: usize = buckets.iter().map(|(_, b)| b.len()).sum();
+        if bucketed != layers.len() || params.len() != layers.len() {
+            return Err(CommsError::Mismatch(format!(
+                "{bucketed} of {} parameters were reduced this step",
+                layers.len()
+            )));
+        }
+        let mut gathers = Vec::with_capacity(buckets.len());
+        for (_, bucket) in buckets {
+            let (mut mine, mut counts) = (Vec::new(), Vec::new());
+            for &pi in bucket {
+                mine.push(layers[pi].optimizer_step_owned(opt, inv_scale, params[pi].value.as_mut_slice()));
+                counts.push(layers[pi].shard_counts());
+            }
+            gathers.push(comm.all_gather_f16_start(mine, &counts)?);
+        }
+        for ((_, bucket), started) in buckets.iter().zip(gathers) {
+            let gathered = comm.all_gather_f16_finish(started)?;
+            for (&pi, full) in bucket.iter().zip(gathered) {
+                layers[pi].scatter_gathered(&full, params[pi].value.as_mut_slice());
+            }
+        }
+        Ok(())
     }
 
     /// Completes a training step after `model` has run forward/backward
@@ -727,7 +779,8 @@ impl<R: Reducer> StepEngine<R> {
 }
 
 /// The gradient sink of [`StepEngine::backward_overlapped`]: `ready`
-/// compresses what arrived dense and starts every parameter's ring;
+/// compresses what arrived dense into the open bucket and starts the
+/// bucket's ring once it is full;
 /// `take_product` compresses a weight gradient from the operands of its
 /// product — finishing the sums of earlier microbatches where a pipeline
 /// step left any — the layer state choosing how much of it to compute
@@ -747,14 +800,11 @@ impl<R: Reducer> GradSink for Overlap<'_, R> {
         }
         let took = self.took.take();
         let engine = &mut *self.engine;
-        self.res = params
-            .iter()
-            .enumerate()
-            .try_for_each(|(i, p)| {
-                let dense = (took != Some(off + i)).then(|| p.grad.as_slice());
-                engine.compress_param(off + i, dense)
-            })
-            .and_then(|()| engine.pump());
+        for (i, p) in params.iter().enumerate() {
+            let dense = (took != Some(off + i)).then(|| p.grad.as_slice());
+            engine.compress_param(off + i, dense);
+        }
+        self.res = engine.start_bucket(false).and_then(|()| engine.pump());
     }
 
     fn take_product(&mut self, index: usize, rows: usize, dy: &[f32], x: &[f32]) -> bool {

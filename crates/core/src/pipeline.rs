@@ -515,8 +515,8 @@ impl StageRank {
         let dx = if last_mb {
             // Final microbatch: every parameter's accumulated gradient
             // becomes final as its layer finishes backward — compress
-            // and start its ring immediately so the all-reduce overlaps
-            // the rest of the backward tail. A weight's product finishes
+            // it into the open bucket, whose ring starts once it is full,
+            // so the all-reduce overlaps the rest of the backward tail. A weight's product finishes
             // the kept sums of the earlier microbatches.
             self.engine.backward_overlapped(&mut self.block, dy)?
         } else {

@@ -11,7 +11,7 @@
 //! move through the chunked **ring reduce-scatter** (a shard needs the
 //! mean on its own range only; the parameter all-gather after the
 //! optimizer is the other half of an all-reduce's volume), and the
-//! reduction is started per parameter bucket from inside backward
+//! reduction is started per gradient bucket from inside backward
 //! ([`Layer::backward_into`] the engine's gradient sink), so
 //! communication overlaps the rest of the backward pass exactly as on a
 //! real cluster. The rank drives backward itself, so it can also take a
@@ -52,8 +52,8 @@
 //! scaler replica applies it in lockstep. Because the flag depends on no
 //! reduced bit, it can leave before the rings end (`crates/comms/tests/
 //! ring_oracle.rs` checks the fact against the oracle). The parameter
-//! all-gathers likewise leave one per shard as its optimizer pass ends,
-//! and the rank then waits for them together.
+//! all-gathers likewise leave one per bucket as its last optimizer pass
+//! ends, and the rank then waits for them together.
 //!
 //! # Failure handling
 //!
@@ -574,9 +574,9 @@ impl<M: Layer, T: Transport> DataParallelRank<M, T> {
 
     /// One training step: `f(rank, model, loss_scale)` runs forward and
     /// returns the scaled output gradient, then backward starts each
-    /// parameter's ring reduce-scatter from inside it, and the fused step
-    /// on the owned range starts each shard's parameter all-gather as its
-    /// pass ends. `Ok(false)` if skipped on overflow; `Err` if a
+    /// gradient bucket's ring reduce-scatter from inside it, and the fused
+    /// step on the owned range starts each bucket's parameter all-gather
+    /// as its last pass ends. `Ok(false)` if skipped on overflow; `Err` if a
     /// collective failed — the communicator then refuses every collective
     /// (`Poisoned`) until [`Self::restore`] or a rank rebuilt on a new one.
     pub fn step(&mut self, f: impl FnOnce(usize, &mut M, f32) -> Tensor) -> Result<bool, CommsError> {
@@ -805,7 +805,7 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
     /// `f(rank, model, loss_scale)` (forward + scaled backward seed),
     /// backward with overlapped ring reduce-scatter, the fused step on
     /// the owned range, and the parameter all-gathers, each started as its
-    /// shard's pass ends. Returns `Ok(true)` if applied, `Ok(false)` if
+    /// bucket's last pass ends. Returns `Ok(true)` if applied, `Ok(false)` if
     /// skipped on overflow, and `Err` if any rank's collective failed
     /// (the group then needs [`Self::restore`]).
     pub fn step(

@@ -6,7 +6,8 @@
 //! byte-identical checkpoints, ranks on distinct batches save what
 //! [`ThreadedDataParallelSamo`] saves, each holds only its shard, and a
 //! dead peer surfaces as a bounded `Err` after which a fresh rendezvous
-//! generation + rebuilt ranks + `restore` replay bitwise.
+//! generation + rebuilt ranks + `restore` replay bitwise. A step sends one
+//! message per gradient bucket and phase, plus the overflow flag.
 //!
 //! (CI's multiproc job additionally runs the same equivalence across
 //! real OS processes via `samo-launch`; these tests keep the property
@@ -14,7 +15,7 @@
 
 use comms::{
     bootstrap_tcp, BootstrapConfig, Communicator, FaultController, HeartbeatConfig, Rendezvous,
-    TcpTransport,
+    TcpTransport, Transport,
 };
 use nn::layer::{Layer, Sequential};
 use nn::linear::Linear;
@@ -340,5 +341,67 @@ fn dead_peer_errors_then_new_generation_restore_replays_bitwise() {
             want.as_ref(),
             "rank {rank}'s post-recovery checkpoint diverged from the oracle"
         );
+    }
+}
+
+/// The benchmark's data-parallel model: `Linear`s of `dims` with a GELU
+/// between them, weights of at least 1,024 values pruned to p = 0.9 by
+/// magnitude, biases dense.
+fn bench_model(dims: &[usize]) -> (Sequential, Vec<Mask>) {
+    let mut model = Sequential::new();
+    for (i, w) in dims.windows(2).enumerate() {
+        model = model.push(Linear::new(w[0], w[1], true, 40 + i as u64));
+        if i + 2 < dims.len() {
+            model = model.push(nn::activations::Gelu::new());
+        }
+    }
+    let masks = model
+        .params()
+        .iter()
+        .map(|p| match p.value.shape() {
+            shape if shape.len() == 2 && p.numel() >= 1024 => prune::magnitude_prune(p.value.as_slice(), shape, 0.9),
+            shape => Mask::dense(shape),
+        })
+        .collect();
+    (model, masks)
+}
+
+/// The message census of a world-2 step over TCP: a reduce-scatter and an
+/// all-gather message per gradient bucket and the overflow flag. The
+/// twelve 128-wide layers of `dp2_tcp_deep` (21,192 kept values, 42 KB of
+/// f16) are one bucket — 3 messages a rank, where a ring and a gather per
+/// tensor sent 49 — and the three layers of `dp2_tcp_wide` a bucket each,
+/// every weight past the bucket size with its bias riding along: 7.
+#[test]
+fn a_step_sends_one_message_per_bucket_and_phase() {
+    let deep = [128usize; 13];
+    for (dims, want) in [(&deep[..], 3u64), (&[256, 2048, 2048, 256][..], 7)] {
+        let (d_in, d_out) = (dims[0], dims[dims.len() - 1]);
+        let transports = TcpTransport::local_mesh(2).unwrap();
+        let sent: Vec<Vec<u64>> = std::thread::scope(|s| {
+            let handles: Vec<_> = transports
+                .into_iter()
+                .map(|t| {
+                    s.spawn(move || {
+                        let (model, masks) = bench_model(dims);
+                        let comm = Communicator::new(t).with_timeout(Duration::from_secs(20));
+                        let mut dp = DataParallelRank::new(model, &masks, adam(), comm);
+                        (0..3u64)
+                            .map(|step| {
+                                let before = dp.comm_mut().transport().msgs_sent();
+                                let seed = 500 + 10 * step + dp.comm_mut().rank() as u64;
+                                let batch = (Tensor::randn(&[1, d_in], 1.0, seed), Tensor::randn(&[1, d_out], 1.0, !seed));
+                                dp.step(|_, model, scale| loss_grad(model, batch, scale)).expect("step");
+                                dp.comm_mut().transport().msgs_sent() - before
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (rank, sent) in sent.iter().enumerate() {
+            assert_eq!(sent, &[want; 3], "dims {dims:?}, rank {rank}: messages per step");
+        }
     }
 }

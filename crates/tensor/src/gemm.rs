@@ -675,9 +675,11 @@ const KEPT_ROWS: usize = 8 * 8;
 /// changes only the sign of a zero accumulator. Hence the two fallbacks:
 /// a non-finite A runs `sgemm`, and a block in which an output comes out
 /// `±0` or NaN is recomputed by `sgemm` on the block's rows, group skip
-/// included — unless the output's row of A is all zero and it came out
-/// `+0.0`, which every chain of such a row is that meets no non-finite
-/// weight (DESIGN.md §19).
+/// included — unless it came out `+0.0` and is zero by structure: its row
+/// of A is all zero, every chain of which is `+0.0` that meets no
+/// non-finite weight, or its weight row (`x·Wᵀ`) or column (`dy·W`) keeps
+/// nothing, so the dense chain adds only `a · ±0` with a finite `a` to
+/// `+0.0` and stays there (DESIGN.md §19).
 ///
 /// # Panics
 /// Panics if an operand is too small for the described matrices, an
@@ -731,7 +733,7 @@ pub fn sgemm_kept_on_path(
                 kept_sweep(tier, transb, n, k, mp, at, b, idx, ct);
                 pack_transposed(tier, ct, mp, 0, 0, n, mt, 1.0, c_block, n);
                 let a_block = &a[i0 * k..(i0 + mt) * k];
-                if !settled(n, k, a_block, c_block) {
+                if !settled(n, k, a_block, c_block) && !empty_outputs_settled(transb, n, k, idx, a_block, c_block) {
                     // The block starts an `MC`-row panel of the product, so
                     // `sgemm` on its rows alone cuts the same row groups.
                     sgemm_with_tier(tier, false, transb, mt, n, k, 1.0, a_block, k, b, ldb, 0.0, c_block, n);
@@ -753,6 +755,36 @@ fn settled(n: usize, k: usize, a_block: &[f32], c_block: &[f32]) -> bool {
     c_block.chunks_exact(n).zip(a_block.chunks_exact(k)).all(|(c_row, a_row)| {
         c_row.iter().all(|v| v.abs() > 0.0)
             || (c_row.iter().all(|v| v.to_bits() == 0) && a_row.iter().all(|&x| x == 0.0))
+    })
+}
+
+/// [`settled`] for a block it refused, once more with the outputs whose
+/// weight row (`x·Wᵀ`, W stored `n × k`) or column (`dy·W`, W stored
+/// `k × n`) keeps nothing: their `+0.0` is the dense chain's too. Off the
+/// hot path — it runs only where a block holds a zero — and found by one
+/// walk of the ascending index, no division.
+#[cold]
+fn empty_outputs_settled(transb: bool, n: usize, k: usize, idx: &[u32], a_block: &[f32], c_block: &[f32]) -> bool {
+    let mut empty = vec![true; n];
+    if transb {
+        let mut t = 0;
+        for (j, empty) in empty.iter_mut().enumerate() {
+            let end = row_end(idx, t, (j + 1) * k);
+            *empty = end == t;
+            t = end;
+        }
+    } else {
+        let mut row = 0;
+        for &e in idx {
+            while e as usize >= row + n {
+                row += n;
+            }
+            empty[e as usize - row] = false;
+        }
+    }
+    c_block.chunks_exact(n).zip(a_block.chunks_exact(k)).all(|(c_row, a_row)| {
+        let zero_row = a_row.iter().all(|&x| x == 0.0);
+        c_row.iter().zip(&empty).all(|(v, &empty)| v.abs() > 0.0 || v.to_bits() == 0 && (empty || zero_row))
     })
 }
 

@@ -41,5 +41,24 @@ fn the_flop_counter_counts_what_ran() {
     // Declined, it is `sgemm`, and counted as one.
     sgemm_kept_on_path(Path::Packed, simd::active(), true, k, m, n, &b, &w, &idx, &mut y);
     assert_eq!(flops.get() - before, (2 * (idx.len() + m * n) * k) as u64, "declined: 2·m·n·k");
+    // A weight row that keeps nothing gives its output `+0.0` by
+    // structure: the kept product keeps it, with no `sgemm` behind it.
+    let kept: Vec<u32> = idx.iter().copied().filter(|&e| e as usize / n != 3).collect();
+    let mut w = vec![F16::ZERO; m * n];
+    kept.iter().for_each(|&e| w[e as usize] = F16::ONE);
+    let (calls0, flops0) = (calls.get(), flops.get());
+    sgemm_kept_on_path(Path::Kept, simd::active(), true, k, m, n, &b, &w, &kept, &mut y);
+    assert!(y.chunks(m).all(|row| row[3].to_bits() == 0), "the empty row's outputs are +0.0");
+    assert_eq!((calls.get() - calls0, flops.get() - flops0), (1, (2 * kept.len() * k) as u64), "no fallback");
+    // So does a weight column that keeps nothing, under `dy·W`: W stored
+    // `m × n`, output 3 empty.
+    let kept: Vec<u32> = idx.iter().copied().filter(|&e| e as usize % n != 3).collect();
+    let mut w = vec![F16::ZERO; m * n];
+    kept.iter().for_each(|&e| w[e as usize] = F16::ONE);
+    let (dy, mut dx) = (vec![0.5f32; k * m], vec![f32::NAN; k * n]);
+    let (calls0, flops0) = (calls.get(), flops.get());
+    sgemm_kept_on_path(Path::Kept, simd::active(), false, k, n, m, &dy, &w, &kept, &mut dx);
+    assert!(dx.chunks(n).all(|row| row[3].to_bits() == 0), "the empty column's outputs are +0.0");
+    assert_eq!((calls.get() - calls0, flops.get() - flops0), (1, (2 * kept.len() * k) as u64), "no fallback");
     telemetry::set_enabled(false);
 }

@@ -4,11 +4,15 @@
 //! panels; `k` across `KC`; masks from empty to dense; an A with zero row
 //! groups, a zero row, signed zeros and subnormals, and a non-finite A (the
 //! `sgemm` fallback); a W with `-0` at pruned positions, zeros at kept
-//! ones and `±∞` at kept ones (the dense-chain fallback) — on both tiers,
-//! on the kept path and through the dispatching entry. The suite runs
+//! ones and `±∞` at kept ones (the dense-chain fallback); and outputs that
+//! are `+0.0` by structure — a weight row (`x·Wᵀ`) or column (`dy·W`) that
+//! keeps nothing, an all-zero row of A — which the kept product keeps
+//! instead of falling back — on both tiers, on the kept path and through
+//! the dispatching entry. The suite runs
 //! under `SAMO_SIMD=off` and the default tier, `SAMO_THREADS=1` and the
 //! default pool in CI.
 
+use proptest::prelude::*;
 use tensor::f16::F16;
 use tensor::gemm::{plan, sgemm_kept, sgemm_kept_on_path, sgemm_with_tier, Op, Path};
 use tensor::simd::Tier;
@@ -163,6 +167,86 @@ fn products_that_cancel_or_underflow_take_the_dense_chain_s_sign() {
             let c = assert_same(transb, m, n, k, &a, &w, &idx, &format!("underflow, transb {transb}, m {m}"));
             assert!(c.iter().any(|v| v.to_bits() == 0x8000_0000), "some output is -0: transb {transb}, m {m}");
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Outputs that are zero by structure: planted weight rows and columns
+    /// that keep nothing (their pruned weights `-0` and `+0`), kept `-0`
+    /// weights, and all-zero rows of A — with `tiny` operands too, whose
+    /// chains underflow to `±0` in the other outputs, where a zero is
+    /// settled only by `sgemm`. Every bit is `sgemm`'s, and every output
+    /// of an empty row (`x·Wᵀ`) or column (`dy·W`) is `+0.0`.
+    #[test]
+    fn outputs_zero_by_structure_are_sgemm_s_bits(
+        transb in any::<bool>(),
+        m in 1usize..140,
+        n in 1usize..48,
+        k in 1usize..70,
+        density_pick in 0usize..4,
+        tiny in any::<bool>(),
+        empties in prop::collection::vec(0usize..64, 1..6),
+        zero_rows in prop::collection::vec(0usize..160, 0..4),
+        seed in any::<u64>(),
+    ) {
+        let density = [0.05, 0.1, 0.3, 0.9][density_pick];
+        let (rows, cols) = if transb { (n, k) } else { (k, n) };
+        let (mut idx, mut w) = weight(rows, cols, density, seed);
+        let empty: Vec<usize> = empties.iter().map(|&j| j % n).collect();
+        // Output `j` reads W's row `j` (`x·Wᵀ`) or column `j` (`dy·W`).
+        let output_of = |e: usize| if transb { e / k } else { e % n };
+        for (e, h) in w.iter_mut().enumerate() {
+            if empty.contains(&output_of(e)) {
+                *h = F16::from_f32(if e % 2 == 0 { -0.0 } else { 0.0 });
+            } else if e % 5 == 1 {
+                *h = F16::from_f32(-0.0);
+            } else if tiny && h.0 & 0x7fff != 0 {
+                *h = F16::from_f32(if h.to_f32() > 0.0 { 6e-5 } else { -6e-5 });
+            }
+        }
+        idx.retain(|&e| !empty.contains(&output_of(e as usize)));
+        let mut a = activations(m, k, seed ^ 0xA5);
+        if tiny {
+            a.iter_mut().for_each(|v| *v *= 4e-42);
+        }
+        for &i in &zero_rows {
+            let i = i % m;
+            a[i * k..(i + 1) * k].fill(0.0);
+        }
+        let what = format!("transb {transb}, {m}x{n}x{k}, density {density}, empty {empty:?}");
+        let c = assert_same(transb, m, n, k, &a, &w, &idx, &what);
+        for i in 0..m {
+            for &j in &empty {
+                prop_assert_eq!(c[i * n + j].to_bits(), 0, "{}: output ({}, {})", what, i, j);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_plus_zero_beside_an_empty_output_is_settled_only_there() {
+    // Output 0 keeps two weights; output 1 keeps none. Rows 4..8 (one MR
+    // row group) underflow to `-0` at step 0 and are zero at step 1, which
+    // `sgemm` skips for the group and the kept chain adds: `-0 + 0·w`, a
+    // `+0.0` the dense chain never reaches. Only output 1's `+0.0` is
+    // structural; output 0's must go back to `sgemm`.
+    let (m, n, k) = (8usize, 2usize, 2usize);
+    let mut a = vec![0.0f32; m * k];
+    for i in 0..m {
+        a[i * k] = if i < 4 { 0.5 + i as f32 } else { -1e-42 };
+        a[i * k + 1] = if i < 4 { 0.25 } else { 0.0 };
+    }
+    for transb in [true, false] {
+        let w16 = F16::from_f32(6e-5);
+        // Output 0's weights: W's row 0 (`x·Wᵀ`) or column 0 (`dy·W`).
+        let idx: Vec<u32> = if transb { vec![0, 1] } else { vec![0, 2] };
+        let mut w = vec![F16::from_f32(-0.0); n * k];
+        idx.iter().for_each(|&e| w[e as usize] = w16);
+        let c = assert_same(transb, m, n, k, &a, &w, &idx, &format!("skipped group, transb {transb}"));
+        assert!((4..m).all(|i| c[i * n].to_bits() == 0x8000_0000), "sgemm's -0: transb {transb}");
+        assert!((0..m).all(|i| c[i * n + 1].to_bits() == 0), "the empty output: transb {transb}");
     }
 }
 
