@@ -52,11 +52,14 @@ fn str_of(j: &Json) -> Option<&str> {
 }
 
 /// Re-derives the Eq. 7 bubble estimate per pipeline group from the
-/// raw F/B slices: `f̂`/`b̂` are the mean per-microbatch slice
-/// durations, the scheduler makespan of a step is the extent of its
-/// F/B slices (first forward start to last backward end — the same
-/// quantity the pipeline bench reads from its scheduler stats, without
-/// the collective epilogue the step *window* also covers).
+/// raw F/B/W slices: `f̂`/`b̂` are the mean per-microbatch slice
+/// durations — a microbatch's backward is its B and its W (the weight
+/// gradient a stage defers to where it would otherwise sleep), so W time
+/// folds into `b̂` and counts as busy — and the scheduler makespan of a
+/// step is the extent of its slices (first forward start to last
+/// backward end — the same quantity the pipeline bench reads from its
+/// scheduler stats, without the collective epilogue the step *window*
+/// also covers).
 fn eq7_from_trace(doc: &Json) -> Vec<Eq7Row> {
     let Some(Json::Arr(events)) = doc.get("traceEvents") else {
         return Vec::new();
@@ -70,7 +73,7 @@ fn eq7_from_trace(doc: &Json) -> Vec<Eq7Row> {
         hi: f64,
     }
     let mut windows: Vec<Win> = Vec::new();
-    let mut fb: Vec<(u64, f64, f64, bool, u64)> = Vec::new(); // (tid, ts, dur, fwd, mb)
+    let mut fb: Vec<(u64, f64, f64, char, u64)> = Vec::new(); // (tid, ts, dur, F/B/W, mb)
     for ev in events {
         if ev.get("ph").and_then(str_of) != Some("X")
             || ev.get("pid").and_then(as_f64) != Some(lane::PIPELINE as f64)
@@ -92,12 +95,12 @@ fn eq7_from_trace(doc: &Json) -> Vec<Eq7Row> {
                     hi: ts + dur,
                 });
             }
-        } else if let Some(mb) = name
-            .strip_prefix('F')
-            .or_else(|| name.strip_prefix('B'))
-            .and_then(|s| s.parse::<u64>().ok())
+        } else if let Some((kind @ ('F' | 'B' | 'W'), mb)) = name
+            .chars()
+            .next()
+            .zip(name.get(1..).and_then(|s| s.parse::<u64>().ok()))
         {
-            fb.push((tid, ts, dur, name.starts_with('F'), mb));
+            fb.push((tid, ts, dur, kind, mb));
         }
     }
 
@@ -127,7 +130,7 @@ fn eq7_from_trace(doc: &Json) -> Vec<Eq7Row> {
         let (mut f_sum, mut f_n, mut b_sum, mut b_n, mut mb_max) = (0.0, 0u64, 0.0, 0u64, 0u64);
         let mut bubbles = Vec::new();
         for &step in &measured_steps {
-            let in_step: Vec<&(u64, f64, f64, bool, u64)> = fb
+            let in_step: Vec<&(u64, f64, f64, char, u64)> = fb
                 .iter()
                 .filter(|&&(tid, ts, _, _, _)| in_group_step(tid, ts, step))
                 .collect();
@@ -140,14 +143,12 @@ fn eq7_from_trace(doc: &Json) -> Vec<Eq7Row> {
             if hi > lo {
                 bubbles.push(1.0 - busy / (lanes.len() as f64 * (hi - lo)));
             }
-            for &&(_, _, dur, fwd, mb) in &in_step {
+            for &&(_, _, dur, kind, mb) in &in_step {
                 mb_max = mb_max.max(mb);
-                if fwd {
-                    f_sum += dur;
-                    f_n += 1;
-                } else {
-                    b_sum += dur;
-                    b_n += 1;
+                match kind {
+                    'F' => (f_sum, f_n) = (f_sum + dur, f_n + 1),
+                    'B' => (b_sum, b_n) = (b_sum + dur, b_n + 1),
+                    _ => b_sum += dur,
                 }
             }
         }
@@ -319,4 +320,45 @@ fn merge_section(a: &Analysis, eq7: &[Json]) -> Json {
     fields.push(("steps_analyzed".into(), Json::UInt(a.steps.len() as u64)));
     fields.push(("eq7".into(), Json::Arr(eq7.to_vec())));
     Json::Obj(fields)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A W slice is backward work: busy in the measured bubble and folded
+    /// into `b̂`, so the estimate does not read a stage that defers its
+    /// weight gradients as idle.
+    #[test]
+    fn w_slices_are_busy_and_fold_into_b_hat() {
+        let slice = |tid: u64, name: &str, ts: f64, dur: f64| {
+            format!(
+                r#"{{"ph":"X","pid":{},"tid":{tid},"name":"{name}","cat":"pipeline","ts":{ts},"dur":{dur}}}"#,
+                lane::PIPELINE
+            )
+        };
+        let mut events = Vec::new();
+        // Three steps of two lanes, one microbatch each: F 10 us, B 20 us,
+        // W 5 us, back to back on lane 0, then on lane 1.
+        for step in 0..3u64 {
+            let t0 = 1_000.0 * step as f64;
+            for (tid, at) in [(0u64, t0), (1, t0 + 35.0)] {
+                events.push(format!(
+                    r#"{{"ph":"X","pid":{},"tid":{tid},"name":"step","cat":"pipeline","ts":{t0},"dur":500,"args":{{"step":{step},"group":0}}}}"#,
+                    lane::PIPELINE
+                ));
+                events.push(slice(tid, "F0", at, 10.0));
+                events.push(slice(tid, "B0", at + 10.0, 20.0));
+                events.push(slice(tid, "W0", at + 30.0, 5.0));
+            }
+        }
+        let doc = Json::parse(&format!(r#"{{"traceEvents":[{}]}}"#, events.join(","))).unwrap();
+        let rows = eq7_from_trace(&doc);
+        assert_eq!(rows.len(), 1);
+        let r = &rows[0];
+        assert_eq!((r.lanes, r.microbatches), (2, 1));
+        assert_eq!((r.f_hat_us, r.b_hat_us), (10.0, 25.0));
+        // Each lane is busy 35 of the 70 us the step's slices span.
+        assert!((r.measured - 0.5).abs() < 1e-12, "{}", r.measured);
+    }
 }

@@ -341,7 +341,7 @@ fn check_trace(dir: &Path, simulated: Vec<TraceEvent>, live: Vec<TraceEvent>, fl
         let arg = |k: &str| e.args.iter().any(|(key, _)| key == k);
         let ok = match e.name.as_str() {
             "step" => arg("step") && arg("group"),
-            name => matches!(name.as_bytes(), [b'F' | b'B', b'0'..=b'9']) && arg("mb"),
+            name => matches!(name.as_bytes(), [b'F' | b'B' | b'W', b'0'..=b'9']) && arg("mb"),
         };
         assert!(e.cat == "pipeline" && ok, "pipeline lane: {e:?}");
     }

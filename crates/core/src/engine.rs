@@ -25,14 +25,20 @@
 //!   update step is the exception: its plain backward materialises the
 //!   dense gradients (they are the grow score), and `apply` releases
 //!   them again;
-//! * [`crate::ThreadedPipelineSamo`] overlaps the rings the same way on
-//!   the last microbatch of its 1F1B schedule, and agrees on the overflow
-//!   verdict across stages between `finish_reduce` and `apply`. Its
-//!   earlier microbatches run `backward_accumulate`: a weight's product is
-//!   summed at the kept positions into an `nnz`-long f32 accumulator of
-//!   the engine (`tensor::gemm::matmul_tn_kept_acc`), which the last
-//!   microbatch's product finishes into `∇θ16`. So on a pipeline stage too
-//!   a weight's dense gradient never exists.
+//! * [`crate::ThreadedPipelineSamo`] splits every microbatch's backward
+//!   in two (the B/W split of Qi et al., *Zero Bubble Pipeline
+//!   Parallelism*). B (`backward_deferred`) computes `dx` and the dense
+//!   gradients of biases and norms; each weight's `dW = dyᵀ·x` is only
+//!   recorded — its operands copied into buffers the engine owns and
+//!   reuses (`Defer`). W (`run_w`), which the scheduler runs where the
+//!   stage would otherwise sleep, sums the products at the kept positions
+//!   into an `nnz`-long f32 accumulator per weight
+//!   (`tensor::gemm::matmul_tn_kept_acc`), oldest microbatch first; the
+//!   last microbatch's W finishes the sums into `∇θ16` and buckets every
+//!   gradient, the rings overlapping the rest of it. So on a pipeline
+//!   stage too a weight's dense gradient never exists. The stage agrees on
+//!   the overflow verdict across stages between `finish_reduce` and
+//!   `apply`.
 //!
 //! `θ16` *is* the weight: a parameter whose layer computes from half
 //! precision (`Parameter::accepts_theta16` — `Linear`) holds no f32
@@ -212,6 +218,13 @@ pub struct StepEngine<R: Reducer> {
     /// microbatches at the kept positions: `nnz` f32 sums while it holds
     /// them, empty otherwise. A transient, not model state.
     dw_sums: Vec<Vec<f32>>,
+    /// A pipeline step's deferred Ws, oldest first: the one a B just
+    /// recorded and, until it runs, at most one before it.
+    w_queue: Vec<Deferred>,
+    /// The buffers of the last W that ran, one microbatch's worth, for the
+    /// next B: every step reuses them. A B that finds them taken — an
+    /// older W still queued — records into new ones, freed after its W.
+    w_spare: Deferred,
     labels: &'static Labels,
     /// One rank per group reports: rank 0 of the reducer (the pipeline
     /// narrows it to stage 0).
@@ -240,6 +253,8 @@ impl<R: Reducer> StepEngine<R> {
             layers,
             streamed: vec![false; masks.len()],
             dw_sums: vec![Vec::new(); masks.len()],
+            w_queue: Vec::with_capacity(2),
+            w_spare: Deferred::default(),
             opt,
             scaler: LossScaler::default(),
             reducer,
@@ -404,6 +419,7 @@ impl<R: Reducer> StepEngine<R> {
         self.buckets.clear();
         self.open.clear();
         self.dw_sums.iter_mut().for_each(Vec::clear);
+        self.w_queue.clear();
         self.phases.clear();
         self.local_finite = true;
         if self.reports {
@@ -460,6 +476,17 @@ impl<R: Reducer> StepEngine<R> {
         }
     }
 
+    /// Compresses the freshly final parameters `off..` — from their dense
+    /// gradient, but for `took`, whose product was compressed already —
+    /// into the open bucket, starts it if full, and pumps the rings.
+    fn compress_ready(&mut self, off: usize, params: &[&Parameter], took: Option<usize>) -> Result<(), CommsError> {
+        for (i, p) in params.iter().enumerate() {
+            let dense = (took != Some(off + i)).then(|| p.grad.as_slice());
+            self.compress_param(off + i, dense);
+        }
+        self.start_bucket(false).and_then(|()| self.pump())
+    }
+
     /// Starts the open bucket's ring once it holds [`BUCKET_BYTES`] of
     /// f16, or — at the end of backward, `all` — whatever it holds. Ring
     /// ids and bucket layouts line up across ranks because every rank
@@ -507,10 +534,9 @@ impl<R: Reducer> StepEngine<R> {
     /// on every rank), compress it into the open bucket, start the
     /// bucket's ring once it is full and the last one when backward ends;
     /// pump the rings in flight between groups, so communication overlaps
-    /// the rest of the backward pass exactly as on a real cluster. A weight matrix whose
-    /// layer offers its gradient's product is compressed from the
-    /// operands — added to the sums of earlier microbatches where there
-    /// are any — and its dense gradient never exists. Returns
+    /// the rest of the backward pass exactly as on a real cluster. A weight
+    /// matrix whose layer offers its gradient's product is compressed from
+    /// the operands, and its dense gradient never exists. Returns
     /// `d(loss)/d(input)`.
     pub(crate) fn backward_overlapped(&mut self, model: &mut impl Layer, dy: &Tensor) -> Result<Tensor, CommsError> {
         let mut sink = Overlap {
@@ -524,13 +550,83 @@ impl<R: Reducer> StepEngine<R> {
         Ok(dx)
     }
 
-    /// Backward of a microbatch whose gradients are not final yet: a
-    /// weight matrix whose layer offers its gradient's product adds it at
-    /// the kept positions into the parameter's sums, every other gradient
-    /// accumulates into `grad`, and nothing is reduced. Returns
-    /// `d(loss)/d(input)`.
-    pub(crate) fn backward_accumulate(&mut self, model: &mut impl Layer, dy: &Tensor) -> Tensor {
-        model.backward_into(dy, &mut Accumulate(self))
+    /// A pipeline microbatch's B: backward computes `d(loss)/d(input)`,
+    /// which it returns, and accumulates every dense gradient into `grad`,
+    /// while a weight matrix whose layer offers its gradient's product
+    /// leaves its operands to a W ([`Defer`]), queued behind at most one
+    /// older W. `last` marks the step's final microbatch, whose W also
+    /// compresses and buckets every gradient ([`Self::run_w`]).
+    pub(crate) fn backward_deferred(&mut self, model: &mut impl Layer, dy: &Tensor, last: bool) -> Tensor {
+        assert!(self.w_queue.len() < 2, "a B queues its W behind at most one older W");
+        let mut w = std::mem::take(&mut self.w_spare);
+        w.used = 0;
+        w.events.clear();
+        w.last = last;
+        let dx = model.backward_into(dy, &mut Defer { layers: &self.layers, w: &mut w });
+        // A W with no product to run and nothing to compress is no W.
+        match last || w.used > 0 {
+            true => self.w_queue.push(w),
+            false => self.w_spare = w,
+        }
+        dx
+    }
+
+    /// Pipeline Ws queued and not yet run.
+    pub(crate) fn w_pending(&self) -> usize {
+        self.w_queue.len()
+    }
+
+    /// Bytes of operands the queued Ws hold: `dy` and `x` of every weight.
+    pub(crate) fn w_bytes(&self) -> usize {
+        let held = |w: &Deferred| w.ops[..w.used].iter().map(|b| 4 * b.len()).sum::<usize>();
+        self.w_queue.iter().map(held).sum()
+    }
+
+    /// Runs the oldest queued W, if any, and returns whether one ran: each
+    /// weight's product added into its kept sums — or, on the step's last
+    /// microbatch, finishing them into `∇θ16`, every gradient joining the
+    /// open bucket in the order backward reported it (the order of
+    /// [`Self::backward_overlapped`]), and the last bucket's ring started.
+    pub(crate) fn run_w(&mut self, model: &impl Layer) -> Result<bool, CommsError> {
+        if self.w_queue.is_empty() {
+            return Ok(false);
+        }
+        let w = self.w_queue.remove(0);
+        let res = self.run_deferred(&w, model);
+        if self.w_spare.ops.is_empty() {
+            self.w_spare = w;
+        }
+        res.map(|()| true)
+    }
+
+    fn run_deferred(&mut self, w: &Deferred, model: &impl Layer) -> Result<(), CommsError> {
+        let params = if w.last { model.params() } else { Vec::new() };
+        let mut took = None;
+        for e in &w.events {
+            match *e {
+                WEvent::Product { index, rows, at } => {
+                    let (st, sums) = (&mut self.layers[index], &mut self.dw_sums[index]);
+                    let (dy, x) = (&w.ops[at][..], &w.ops[at + 1][..]);
+                    if !w.last {
+                        st.accumulate_grad_product(rows, dy, x, sums);
+                        continue;
+                    }
+                    self.local_finite &= match sums.is_empty() {
+                        true => st.compress_grad_product(rows, dy, x),
+                        false => st.compress_grad_sum(rows, dy, x, sums),
+                    };
+                    took = Some(index);
+                }
+                WEvent::Ready { off, n } if w.last => {
+                    self.compress_ready(off, &params[off..off + n], took.take())?;
+                }
+                WEvent::Ready { .. } => {}
+            }
+        }
+        if w.last {
+            self.start_bucket(true)?;
+        }
+        Ok(())
     }
 
     /// The collectives of a step whose backward has already run: the
@@ -782,9 +878,8 @@ impl<R: Reducer> StepEngine<R> {
 /// compresses what arrived dense into the open bucket and starts the
 /// bucket's ring once it is full;
 /// `take_product` compresses a weight gradient from the operands of its
-/// product — finishing the sums of earlier microbatches where a pipeline
-/// step left any — the layer state choosing how much of it to compute
-/// (the module docs say why).
+/// product, the layer state choosing how much of it to compute (the
+/// module docs say why).
 struct Overlap<'a, R: Reducer> {
     engine: &'a mut StepEngine<R>,
     /// The parameter whose product was taken, until its `ready`.
@@ -795,49 +890,73 @@ struct Overlap<'a, R: Reducer> {
 
 impl<R: Reducer> GradSink for Overlap<'_, R> {
     fn ready(&mut self, off: usize, params: &[&Parameter]) {
-        if self.res.is_err() {
-            return;
+        if self.res.is_ok() {
+            self.res = self.engine.compress_ready(off, params, self.took.take());
         }
-        let took = self.took.take();
-        let engine = &mut *self.engine;
-        for (i, p) in params.iter().enumerate() {
-            let dense = (took != Some(off + i)).then(|| p.grad.as_slice());
-            engine.compress_param(off + i, dense);
-        }
-        self.res = engine.start_bucket(false).and_then(|()| engine.pump());
     }
 
     fn take_product(&mut self, index: usize, rows: usize, dy: &[f32], x: &[f32]) -> bool {
-        let engine = &mut *self.engine;
-        let (state, sums) = (&mut engine.layers[index], &mut engine.dw_sums[index]);
+        let state = &mut self.engine.layers[index];
         if state.mask().shape().len() != 2 {
             return false;
         }
         self.took = Some(index);
-        engine.local_finite &= match sums.is_empty() {
-            true => state.compress_grad_product(rows, dy, x),
-            false => state.compress_grad_sum(rows, dy, x, sums),
-        };
+        self.engine.local_finite &= state.compress_grad_product(rows, dy, x);
         true
     }
 }
 
-/// The gradient sink of [`StepEngine::backward_accumulate`]: a weight
-/// gradient's product is added into the parameter's sums at the kept
-/// positions, and no gradient is final.
-struct Accumulate<'a, R: Reducer>(&'a mut StepEngine<R>);
+/// One microbatch's W, as its B left it: the operands of every taken
+/// product and the order backward reported the parameters in.
+#[derive(Default)]
+struct Deferred {
+    /// `dy`, then `x`, of every taken product, a buffer each: the first
+    /// `used` are this W's, the rest are kept for the next.
+    ops: Vec<Vec<f32>>,
+    used: usize,
+    events: Vec<WEvent>,
+    /// The step's last microbatch: its W compresses and buckets.
+    last: bool,
+}
 
-impl<R: Reducer> GradSink for Accumulate<'_, R> {
-    fn ready(&mut self, _off: usize, _params: &[&Parameter]) {}
+/// What backward reported, in order: a product's operands (`dy` in buffer
+/// `at`, `x` in the next), or parameters `off..off + n` final.
+enum WEvent {
+    Product { index: usize, rows: usize, at: usize },
+    Ready { off: usize, n: usize },
+}
+
+/// The gradient sink of [`StepEngine::backward_deferred`]: a weight
+/// gradient's operands are copied into the W's buffers, and every
+/// gradient's `ready` is noted for the last microbatch's W to bucket in
+/// the same order.
+struct Defer<'a> {
+    layers: &'a [SamoLayerState],
+    w: &'a mut Deferred,
+}
+
+impl GradSink for Defer<'_> {
+    fn ready(&mut self, off: usize, params: &[&Parameter]) {
+        self.w.events.push(WEvent::Ready { off, n: params.len() });
+    }
 
     fn take_product(&mut self, index: usize, rows: usize, dy: &[f32], x: &[f32]) -> bool {
-        let engine = &mut *self.0;
-        let state = &engine.layers[index];
-        let taken = state.mask().shape().len() == 2;
-        if taken {
-            state.accumulate_grad_product(rows, dy, x, &mut engine.dw_sums[index]);
+        if self.layers[index].mask().shape().len() != 2 {
+            return false;
         }
-        taken
+        let w = &mut *self.w;
+        let at = w.used;
+        for src in [dy, x] {
+            if w.ops.len() == w.used {
+                w.ops.push(Vec::new());
+            }
+            let buf = &mut w.ops[w.used];
+            buf.clear();
+            buf.extend_from_slice(src);
+            w.used += 1;
+        }
+        w.events.push(WEvent::Product { index, rows, at });
+        true
     }
 }
 
@@ -1096,4 +1215,133 @@ pub(crate) fn report_step(prefix: &str, scale_now: f32, ev: &telemetry::StepEven
     reg.gauge(&format!("{prefix}.model_state_bytes"))
         .set_max(ev.model_state_bytes as f64);
     telemetry::jsonl::emit_step(ev);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SamoTrainer;
+    use nn::activations::Relu;
+    use nn::layer::Sequential;
+    use nn::linear::Linear;
+    use nn::loss::mse;
+    use nn::optim::AdamConfig;
+
+    /// Microbatches per step and rows per microbatch.
+    const M: usize = 3;
+    const ROWS: usize = 3;
+    /// `dy` and `x` of both weights for one microbatch, in bytes.
+    const W_BYTES: usize = 4 * ROWS * ((6 + 8) + (8 + 4));
+
+    fn model() -> Sequential {
+        Sequential::new()
+            .push(Linear::new(6, 8, true, 3))
+            .push(Relu::new())
+            .push(Linear::new(8, 4, true, 4))
+    }
+
+    fn masks() -> Vec<Mask> {
+        let mask = |p: &&Parameter| match p.value.shape() {
+            shape @ [_, _] => prune::magnitude_prune(p.value.as_slice(), shape, 0.5),
+            shape => Mask::dense(shape),
+        };
+        model().params().iter().map(mask).collect()
+    }
+
+    fn opt() -> Optimizer {
+        Optimizer::Adam(AdamConfig { lr: 0.01, ..Default::default() })
+    }
+
+    fn loss_grad(model: &mut Sequential, step: u64, k: usize, scale: f32) -> Tensor {
+        let seed = 100 * step + k as u64;
+        let y = model.forward(&Tensor::randn(&[ROWS, 6], 1.0, seed));
+        let (_, mut dy) = mse(&y, &Tensor::randn(&[ROWS, 4], 1.0, seed + 50));
+        ops::scale(scale, dy.as_mut_slice());
+        dy
+    }
+
+    fn oracle_step(trainer: &mut SamoTrainer, model: &mut Sequential, step: u64) {
+        for k in 0..M {
+            let dy = loss_grad(model, step, k, trainer.loss_scale());
+            model.backward(&dy);
+        }
+        trainer.step(model);
+    }
+
+    /// A one-stage pipeline step: a B per microbatch, and its W either at
+    /// once or — `lag` — only once the next B has queued behind it, the
+    /// most a stage ever holds. Returns the most W bytes held.
+    fn deferred_step(e: &mut StepEngine<NoReduce>, model: &mut Sequential, step: u64, lag: bool) -> usize {
+        e.lend_theta16(model, true);
+        let mut held = 0;
+        for k in 0..M {
+            let dy = loss_grad(model, step, k, e.loss_scale());
+            e.backward_deferred(model, &dy, k + 1 == M);
+            held = held.max(e.w_bytes());
+            while e.w_pending() > usize::from(lag && k + 1 < M) {
+                assert!(e.run_w(model).unwrap());
+            }
+        }
+        e.lend_theta16(model, false);
+        let finite = e.finish_reduce().unwrap();
+        e.apply(model, finite).unwrap();
+        held
+    }
+
+    /// Ws deferred behind their Bs leave the checkpoint bytes of the
+    /// plain backward, hold one microbatch's operands (two while a B
+    /// queues behind an older W), and reuse one set of buffers: nothing
+    /// grows after the first step.
+    #[test]
+    fn deferred_ws_match_the_trainer_and_reuse_their_buffers() {
+        let mut oracle_model = model();
+        let mut oracle = SamoTrainer::new(&mut oracle_model, masks(), opt());
+        let mut m = model();
+        let mut e = StepEngine::build(&mut m, &masks(), opt(), NoReduce, &SAMO);
+        let mut kept = None;
+        for step in 0..6u64 {
+            oracle_step(&mut oracle, &mut oracle_model, step);
+            let lag = step % 2 == 1;
+            let held = deferred_step(&mut e, &mut m, step, lag);
+            assert_eq!(e.save().as_ref(), oracle.save().as_ref(), "step {step}");
+            assert_eq!(held, if lag { 2 * W_BYTES } else { W_BYTES }, "step {step}");
+            assert_eq!(e.w_pending(), 0);
+            let caps: Vec<usize> = e.w_spare.ops.iter().map(Vec::capacity).collect();
+            assert_eq!(caps.len(), 4, "dy and x of two weights");
+            assert_eq!(*kept.get_or_insert_with(|| caps.clone()), caps, "step {step}");
+        }
+    }
+
+    /// A step that fails with Ws queued and sums half summed leaves
+    /// nothing behind once the checkpoint is restored: the replay is the
+    /// trainer's, byte for byte.
+    #[test]
+    fn restore_drops_queued_ws_and_their_sums() {
+        let mut oracle_model = model();
+        let mut oracle = SamoTrainer::new(&mut oracle_model, masks(), opt());
+        let mut m = model();
+        let mut e = StepEngine::build(&mut m, &masks(), opt(), NoReduce, &SAMO);
+        oracle_step(&mut oracle, &mut oracle_model, 0);
+        deferred_step(&mut e, &mut m, 0, false);
+        let checkpoint = e.save();
+
+        // Step 1 breaks off after two Bs: W of microbatch 0 summed, W of 1
+        // queued, θ16 still lent.
+        e.lend_theta16(&mut m, true);
+        for k in 0..2 {
+            let dy = loss_grad(&mut m, 1, k, e.loss_scale());
+            e.backward_deferred(&mut m, &dy, false);
+        }
+        assert!(e.run_w(&m).unwrap());
+        assert!(e.dw_sums.iter().any(|s| !s.is_empty()) && e.w_pending() == 1);
+        e.restore(&checkpoint, &mut m).unwrap();
+        assert_eq!(e.w_pending(), 0);
+        assert!(e.dw_sums.iter().all(Vec::is_empty));
+
+        for step in 1..3u64 {
+            oracle_step(&mut oracle, &mut oracle_model, step);
+            deferred_step(&mut e, &mut m, step, true);
+            assert_eq!(e.save().as_ref(), oracle.save().as_ref(), "replayed step {step}");
+        }
+    }
 }

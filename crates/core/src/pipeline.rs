@@ -28,11 +28,23 @@
 //! downstream link for the next activation-gradient, and only when no
 //! backward work is ready does it admit the next forward microbatch.
 //! Every stage enforces the `max_in_flight` activation-memory cap
-//! (`next_fwd < bwd_done + max_in_flight`). Backward executes in strict
-//! microbatch order, so gradient accumulation order — and therefore
-//! every f32 sum — matches the single-process trainer exactly.
+//! (`next_fwd < bwd_done + max_in_flight`).
 //!
-//! With neither ready the rank **sleeps** in
+//! A microbatch's backward is split in two, as in Qi et al., *Zero Bubble
+//! Pipeline Parallelism* (arXiv 2401.10241): **B** computes `dx` — all the
+//! upstream stage waits for — and the dense gradients of biases and
+//! norms, and sends `dx` at once; **W**, every weight's `dW = dyᵀ·x`, runs
+//! later from operands B copied aside (`StepEngine::backward_deferred`).
+//! The loop's order is **B > F > W > sleep**: a W runs where the stage
+//! would otherwise sleep, with one bound — after B of microbatch `k`
+//! sends its `dx`, every W older than `k` runs. So between iterations a
+//! stage holds at most one microbatch's W operands, and for the moment
+//! between a B and that catch-up, two. Bs and Ws each execute in strict
+//! microbatch order, so gradient accumulation order — and therefore
+//! every f32 sum — matches the single-process trainer exactly. The loop
+//! ends once the last microbatch's W has run.
+//!
+//! With nothing to run the rank **sleeps** in
 //! [`Communicator::wait_any`] on exactly the links that can end the
 //! wait — downstream for the next gradient, upstream too while the
 //! window has room — and the neighbour's send wakes it. The wait's
@@ -54,22 +66,24 @@
 //! always immediately follows the matching forward.
 //! [`PipelineConfig::force_recompute`] forces the recompute everywhere,
 //! which makes per-stage work uniform — the pipeline bench uses it to
-//! compare the measured bubble against Eq. 7.
+//! compare the measured bubble against Eq. 7. The operands a B copies
+//! aside for its W are counted apart from the stash
+//! ([`StageStats::w_bytes_peak`]).
 //!
-//! Every backward runs through the engine's [`Layer::backward_into`]
-//! hook. A weight's gradient exists only at its kept positions: each
-//! microbatch but the last adds its product into the engine's `nnz`-long
-//! sums, and on the **last** one the product finishes them into `∇θ16`,
-//! each parameter bucket's ring starting on the data mesh as soon as its
-//! gradient is final — the all-reduce overlaps the backward tail, as in
-//! the data-parallel runtime.
+//! Every B runs through the engine's [`Layer::backward_into`] hook. A
+//! weight's gradient exists only at its kept positions: each
+//! microbatch's W but the last adds its product into the engine's
+//! `nnz`-long sums, and the **last** one finishes them into `∇θ16`, each
+//! parameter bucket's ring starting on the data mesh as soon as its
+//! gradients are final — the all-reduce overlaps the rest of that W.
 //!
 //! # Bitwise equivalence with the single-process trainer
 //!
 //! For any `(G_inter, G_data)` and any thread timing, checkpoint bytes
 //! equal a single-process [`crate::SamoTrainer`] driven with the same
 //! microbatches step for step (`tests/pipeline_threaded.rs` at the
-//! repository root):
+//! repository root, and `tests/pipeline_jitter.rs` under seeded link
+//! jitter, which moves where the Ws land):
 //! forward/backward compose the same deterministic kernels, backward
 //! order per parameter is microbatch order everywhere, recomputation
 //! reproduces identical activations (stage blocks must be
@@ -155,8 +169,11 @@ impl PipelineConfig {
 pub struct StageStats {
     /// Seconds spent in stage forward compute (initial passes).
     pub fwd_s: f64,
-    /// Seconds spent in backward compute, including any recompute.
+    /// Seconds spent in backward compute, including any recompute and
+    /// every W.
     pub bwd_s: f64,
+    /// Seconds of `bwd_s` spent in the deferred weight gradients (Ws).
+    pub w_s: f64,
     /// Seconds asleep waiting for a neighbour's message — the bubble.
     pub wait_s: f64,
     /// Wall seconds inside the scheduler loop (excludes the collective
@@ -169,6 +186,9 @@ pub struct StageStats {
     pub recomputes: u64,
     /// Most activation bytes ever parked in the stash at once.
     pub stash_bytes_peak: u64,
+    /// Most bytes of W operands (`dy` and `x` per deferred weight) ever
+    /// held at once.
+    pub w_bytes_peak: u64,
     /// When this rank's scheduler loop last started/ended, microseconds
     /// on the shared comms-trace clock ([`now_us`]) — the
     /// bubble bench reconstructs the step makespan across ranks from
@@ -258,7 +278,7 @@ impl RankWorker for StageRank {
         // covers the scheduler loop plus the collective epilogue, so
         // the critical-path analyzer can attribute every compute/comm/
         // wait slice inside it to this training step.
-        let win0 = telemetry::enabled().then(|| (now_us(), self.stats.wait_s));
+        let win0 = telemetry::enabled().then(|| (now_us(), self.stats.wait_s, self.stats.w_s));
         let m = self.cfg.microbatches;
         let s = self.stage;
         let last = self.is_last();
@@ -277,18 +297,21 @@ impl RankWorker for StageRank {
         // schedule fails, before the rank loop reports it.
         self.engine.lend_theta16(&mut self.block, true);
 
-        // Message-driven schedule: backward preferred over forward.
+        // Message-driven schedule: B > F > W > sleep.
         self.stats.last_sched_start_us = now_us();
         let wall0 = Instant::now();
         let mut fwd_done = 0usize;
         let mut bwd_done = 0usize;
         let mut last_progress = Instant::now();
-        while bwd_done < m {
+        while bwd_done < m || self.engine.w_pending() > 0 {
             let mut progressed = false;
 
-            // 1. Backward, in strict microbatch order (keeps per-layer
-            //    gradient accumulation order identical to the oracle).
-            let dy = if last {
+            // 1. B, in strict microbatch order (keeps per-layer gradient
+            //    accumulation order identical to the oracle), then every
+            //    W older than it.
+            let dy = if bwd_done == m {
+                None
+            } else if last {
                 (fwd_done > bwd_done).then(|| {
                     let y = self.y_stash[bwd_done].take().expect("output stashed");
                     (job.loss_grad)(self.data_idx, bwd_done, &y, scale_used)
@@ -302,6 +325,9 @@ impl RankWorker for StageRank {
             if let Some(dy) = dy {
                 self.backward_mb(bwd_done, &dy, bwd_done + 1 == m, step)?;
                 bwd_done += 1;
+                while self.engine.w_pending() > 1 {
+                    self.weight_mb(bwd_done)?;
+                }
                 progressed = true;
             }
 
@@ -323,16 +349,17 @@ impl RankWorker for StageRank {
                 }
             }
 
-            if progressed {
+            // 3. W, where the stage would otherwise sleep.
+            if progressed || self.weight_mb(bwd_done)? {
                 last_progress = Instant::now();
                 continue;
             }
-            // 3. Sleep until a neighbour can end the wait: downstream with
+            // 4. Sleep until a neighbour can end the wait: downstream with
             //    the next gradient, upstream too while the window admits a
             //    forward. A neighbour silent past the progress deadline is
             //    the wait's typed timeout, and a timed-out wait slice.
             //    Nothing needs pumping meanwhile: the first ring starts
-            //    inside the last backward, which ends the loop.
+            //    inside the last W, which ends the loop.
             debug_assert_eq!(self.engine.reducer.0.rings_in_flight(), 0);
             let links = [s + 1, s.wrapping_sub(1)];
             // [downstream unless last, upstream if it may be forwarded]
@@ -358,8 +385,9 @@ impl RankWorker for StageRank {
         let stage_finite = self.engine.finish_reduce()?;
         let finite = self.pipe.all_true(stage_finite)?;
         let applied = self.engine.apply(&mut self.block, finite)?;
-        if let Some((w0, waited0)) = win0 {
-            self.finish_step_telemetry(step, w0, self.stats.wait_s - waited0);
+        if let Some((w0, waited0, w_s0)) = win0 {
+            let (waited, w_s) = (self.stats.wait_s - waited0, self.stats.w_s - w_s0);
+            self.finish_step_telemetry(step, w0, waited, w_s);
         }
         Ok(applied)
     }
@@ -416,14 +444,16 @@ impl StageRank {
     }
 
     /// Telemetry tail of a completed step: records this rank's step
-    /// window slice, the seconds of it spent asleep and the stash's peak,
+    /// window slice, the seconds of it spent asleep and in Ws, the
+    /// stash's peak,
     /// and runs the mesh-native metrics relay
     /// ([`relay_step_metrics`]). Only called
     /// when telemetry is enabled and the step reached a verdict (error
     /// paths skip it — a dead rank's wait slices still tell the story).
-    fn finish_step_telemetry(&mut self, step: u32, win0: f64, waited_s: f64) {
+    fn finish_step_telemetry(&mut self, step: u32, win0: f64, waited_s: f64, w_s: f64) {
         let reg = telemetry::global();
         reg.histogram("samo.pipeline.wait_s").record(waited_s);
+        reg.histogram("samo.pipeline.w_s").record(w_s);
         reg.gauge("samo.pipeline.stash_bytes_peak").set_max(self.stats.stash_bytes_peak as f64);
         let now = now_us();
         let dur_us = (now - win0).max(0.0);
@@ -443,7 +473,7 @@ impl StageRank {
         relay_step_metrics(step, dur_us, place, Some(&mut self.pipe), data, rolling);
     }
 
-    /// Records one forward/backward compute slice on this rank's lane.
+    /// Records one forward/B/W compute slice on this rank's lane.
     fn record_mb_slice(&self, kind: char, mb: usize, ts: Option<f64>, dt: f64) {
         if let Some(ts) = ts {
             trace::slice(lane::PIPELINE, self.lane, "pipeline", ts, dt * 1e6, || {
@@ -487,6 +517,7 @@ impl StageRank {
         Ok(())
     }
 
+    /// B of microbatch `mb`: `dx`, sent upstream at once.
     fn backward_mb(
         &mut self,
         mb: usize,
@@ -512,16 +543,11 @@ impl StageRank {
                 self.stats.recomputes += 1;
             }
         }
-        let dx = if last_mb {
-            // Final microbatch: every parameter's accumulated gradient
-            // becomes final as its layer finishes backward — compress
-            // it into the open bucket, whose ring starts once it is full,
-            // so the all-reduce overlaps the rest of the backward tail. A weight's product finishes
-            // the kept sums of the earlier microbatches.
-            self.engine.backward_overlapped(&mut self.block, dy)?
-        } else {
-            self.engine.backward_accumulate(&mut self.block, dy)
-        };
+        // B: `dx` and the dense gradients; the weights' products wait for
+        // their W.
+        let dx = self.engine.backward_deferred(&mut self.block, dy, last_mb);
+        let held = self.engine.w_bytes() as u64;
+        self.stats.w_bytes_peak = self.stats.w_bytes_peak.max(held);
         if parked {
             self.swap_slot(mb);
         } else {
@@ -534,6 +560,22 @@ impl StageRank {
             self.pipe.send_p2p(self.stage - 1, p2p_id(mb, DIR_GRAD), step, dx.into_vec())?;
         }
         Ok(())
+    }
+
+    /// Runs the oldest queued W — microbatch `bwd_done − pending` — if
+    /// there is one, and returns whether it did.
+    fn weight_mb(&mut self, bwd_done: usize) -> Result<bool, CommsError> {
+        let mb = bwd_done - self.engine.w_pending();
+        let ts = telemetry::enabled().then(now_us);
+        let t0 = Instant::now();
+        if !self.engine.run_w(&self.block)? {
+            return Ok(false);
+        }
+        let dt = t0.elapsed().as_secs_f64();
+        self.stats.w_s += dt;
+        self.stats.bwd_s += dt;
+        self.record_mb_slice('W', mb, ts, dt);
+        Ok(true)
     }
 }
 
