@@ -29,11 +29,12 @@
 //!   in two (the B/W split of Qi et al., *Zero Bubble Pipeline
 //!   Parallelism*). B (`backward_deferred`) computes `dx` and the dense
 //!   gradients of biases and norms; each weight's `dW = dyᵀ·x` is only
-//!   recorded — its operands copied into buffers the engine owns and
-//!   reuses (`Defer`). W (`run_w`), which the scheduler runs where the
-//!   stage would otherwise sleep, sums the products at the kept positions
-//!   into an `nnz`-long f32 accumulator per weight
-//!   (`tensor::gemm::matmul_tn_kept_acc`), oldest microbatch first; the
+//!   recorded — the layer hands its operands over, and the queued W owns
+//!   them until it runs (`Defer`): no copy. W (`run_w`), which the
+//!   scheduler runs where the stage would otherwise sleep, sums the
+//!   products at the kept positions into an `nnz`-long f32 accumulator
+//!   per weight (`tensor::gemm::matmul_tn_kept_acc`), oldest microbatch
+//!   first, and frees each operand once its product has run; the
 //!   last microbatch's W finishes the sums into `∇θ16` and buckets every
 //!   gradient, the rings overlapping the rest of it. So on a pipeline
 //!   stage too a weight's dense gradient never exists. The stage agrees on
@@ -221,10 +222,6 @@ pub struct StepEngine<R: Reducer> {
     /// A pipeline step's deferred Ws, oldest first: the one a B just
     /// recorded and, until it runs, at most one before it.
     w_queue: Vec<Deferred>,
-    /// The buffers of the last W that ran, one microbatch's worth, for the
-    /// next B: every step reuses them. A B that finds them taken — an
-    /// older W still queued — records into new ones, freed after its W.
-    w_spare: Deferred,
     labels: &'static Labels,
     /// One rank per group reports: rank 0 of the reducer (the pipeline
     /// narrows it to stage 0).
@@ -254,7 +251,6 @@ impl<R: Reducer> StepEngine<R> {
             streamed: vec![false; masks.len()],
             dw_sums: vec![Vec::new(); masks.len()],
             w_queue: Vec::with_capacity(2),
-            w_spare: Deferred::default(),
             opt,
             scaler: LossScaler::default(),
             reducer,
@@ -538,7 +534,7 @@ impl<R: Reducer> StepEngine<R> {
     /// matrix whose layer offers its gradient's product is compressed from
     /// the operands, and its dense gradient never exists. Returns
     /// `d(loss)/d(input)`.
-    pub(crate) fn backward_overlapped(&mut self, model: &mut impl Layer, dy: &Tensor) -> Result<Tensor, CommsError> {
+    pub(crate) fn backward_overlapped(&mut self, model: &mut impl Layer, dy: Tensor) -> Result<Tensor, CommsError> {
         let mut sink = Overlap {
             engine: self,
             took: None,
@@ -553,20 +549,16 @@ impl<R: Reducer> StepEngine<R> {
     /// A pipeline microbatch's B: backward computes `d(loss)/d(input)`,
     /// which it returns, and accumulates every dense gradient into `grad`,
     /// while a weight matrix whose layer offers its gradient's product
-    /// leaves its operands to a W ([`Defer`]), queued behind at most one
+    /// hands its operands to a W ([`Defer`]), queued behind at most one
     /// older W. `last` marks the step's final microbatch, whose W also
     /// compresses and buckets every gradient ([`Self::run_w`]).
-    pub(crate) fn backward_deferred(&mut self, model: &mut impl Layer, dy: &Tensor, last: bool) -> Tensor {
+    pub(crate) fn backward_deferred(&mut self, model: &mut impl Layer, dy: Tensor, last: bool) -> Tensor {
         assert!(self.w_queue.len() < 2, "a B queues its W behind at most one older W");
-        let mut w = std::mem::take(&mut self.w_spare);
-        w.used = 0;
-        w.events.clear();
-        w.last = last;
-        let dx = model.backward_into(dy, &mut Defer { layers: &self.layers, w: &mut w });
+        let mut events = Vec::new();
+        let dx = model.backward_into(dy, &mut Defer { layers: &self.layers, events: &mut events });
         // A W with no product to run and nothing to compress is no W.
-        match last || w.used > 0 {
-            true => self.w_queue.push(w),
-            false => self.w_spare = w,
+        if last || events.iter().any(|e| matches!(e, WEvent::Product { .. })) {
+            self.w_queue.push(Deferred { events, last });
         }
         dx
     }
@@ -578,8 +570,11 @@ impl<R: Reducer> StepEngine<R> {
 
     /// Bytes of operands the queued Ws hold: `dy` and `x` of every weight.
     pub(crate) fn w_bytes(&self) -> usize {
-        let held = |w: &Deferred| w.ops[..w.used].iter().map(|b| 4 * b.len()).sum::<usize>();
-        self.w_queue.iter().map(held).sum()
+        let held = |e: &WEvent| match e {
+            WEvent::Product { dy, x, .. } => 4 * (dy.numel() + x.numel()),
+            WEvent::Ready { .. } => 0,
+        };
+        self.w_queue.iter().flat_map(|w| &w.events).map(held).sum()
     }
 
     /// Runs the oldest queued W, if any, and returns whether one ran: each
@@ -592,21 +587,14 @@ impl<R: Reducer> StepEngine<R> {
             return Ok(false);
         }
         let w = self.w_queue.remove(0);
-        let res = self.run_deferred(&w, model);
-        if self.w_spare.ops.is_empty() {
-            self.w_spare = w;
-        }
-        res.map(|()| true)
-    }
-
-    fn run_deferred(&mut self, w: &Deferred, model: &impl Layer) -> Result<(), CommsError> {
         let params = if w.last { model.params() } else { Vec::new() };
         let mut took = None;
-        for e in &w.events {
-            match *e {
-                WEvent::Product { index, rows, at } => {
+        // Each operand is freed as soon as its product has run.
+        for e in w.events {
+            match e {
+                WEvent::Product { index, dy, x } => {
                     let (st, sums) = (&mut self.layers[index], &mut self.dw_sums[index]);
-                    let (dy, x) = (&w.ops[at][..], &w.ops[at + 1][..]);
+                    let (rows, dy, x) = (dy.rows(), dy.as_slice(), x.as_slice());
                     if !w.last {
                         st.accumulate_grad_product(rows, dy, x, sums);
                         continue;
@@ -626,7 +614,7 @@ impl<R: Reducer> StepEngine<R> {
         if w.last {
             self.start_bucket(true)?;
         }
-        Ok(())
+        Ok(true)
     }
 
     /// The collectives of a step whose backward has already run: the
@@ -895,68 +883,51 @@ impl<R: Reducer> GradSink for Overlap<'_, R> {
         }
     }
 
-    fn take_product(&mut self, index: usize, rows: usize, dy: &[f32], x: &[f32]) -> bool {
+    fn take_product(&mut self, index: usize, dy: Tensor, x: Tensor) -> Result<(), (Tensor, Tensor)> {
         let state = &mut self.engine.layers[index];
         if state.mask().shape().len() != 2 {
-            return false;
+            return Err((dy, x));
         }
         self.took = Some(index);
-        self.engine.local_finite &= state.compress_grad_product(rows, dy, x);
-        true
+        self.engine.local_finite &= state.compress_grad_product(dy.rows(), dy.as_slice(), x.as_slice());
+        Ok(())
     }
 }
 
 /// One microbatch's W, as its B left it: the operands of every taken
 /// product and the order backward reported the parameters in.
-#[derive(Default)]
 struct Deferred {
-    /// `dy`, then `x`, of every taken product, a buffer each: the first
-    /// `used` are this W's, the rest are kept for the next.
-    ops: Vec<Vec<f32>>,
-    used: usize,
     events: Vec<WEvent>,
     /// The step's last microbatch: its W compresses and buckets.
     last: bool,
 }
 
-/// What backward reported, in order: a product's operands (`dy` in buffer
-/// `at`, `x` in the next), or parameters `off..off + n` final.
+/// What backward reported, in order: a product's operands, which the W
+/// owns, or parameters `off..off + n` final.
 enum WEvent {
-    Product { index: usize, rows: usize, at: usize },
+    Product { index: usize, dy: Tensor, x: Tensor },
     Ready { off: usize, n: usize },
 }
 
 /// The gradient sink of [`StepEngine::backward_deferred`]: a weight
-/// gradient's operands are copied into the W's buffers, and every
-/// gradient's `ready` is noted for the last microbatch's W to bucket in
-/// the same order.
+/// gradient's operands move into the W, and every gradient's `ready` is
+/// noted for the last microbatch's W to bucket in the same order.
 struct Defer<'a> {
     layers: &'a [SamoLayerState],
-    w: &'a mut Deferred,
+    events: &'a mut Vec<WEvent>,
 }
 
 impl GradSink for Defer<'_> {
     fn ready(&mut self, off: usize, params: &[&Parameter]) {
-        self.w.events.push(WEvent::Ready { off, n: params.len() });
+        self.events.push(WEvent::Ready { off, n: params.len() });
     }
 
-    fn take_product(&mut self, index: usize, rows: usize, dy: &[f32], x: &[f32]) -> bool {
+    fn take_product(&mut self, index: usize, dy: Tensor, x: Tensor) -> Result<(), (Tensor, Tensor)> {
         if self.layers[index].mask().shape().len() != 2 {
-            return false;
+            return Err((dy, x));
         }
-        let w = &mut *self.w;
-        let at = w.used;
-        for src in [dy, x] {
-            if w.ops.len() == w.used {
-                w.ops.push(Vec::new());
-            }
-            let buf = &mut w.ops[w.used];
-            buf.clear();
-            buf.extend_from_slice(src);
-            w.used += 1;
-        }
-        w.events.push(WEvent::Product { index, rows, at });
-        true
+        self.events.push(WEvent::Product { index, dy, x });
+        Ok(())
     }
 }
 
@@ -1276,7 +1247,7 @@ mod tests {
         let mut held = 0;
         for k in 0..M {
             let dy = loss_grad(model, step, k, e.loss_scale());
-            e.backward_deferred(model, &dy, k + 1 == M);
+            e.backward_deferred(model, dy, k + 1 == M);
             held = held.max(e.w_bytes());
             while e.w_pending() > usize::from(lag && k + 1 < M) {
                 assert!(e.run_w(model).unwrap());
@@ -1290,25 +1261,20 @@ mod tests {
 
     /// Ws deferred behind their Bs leave the checkpoint bytes of the
     /// plain backward, hold one microbatch's operands (two while a B
-    /// queues behind an older W), and reuse one set of buffers: nothing
-    /// grows after the first step.
+    /// queues behind an older W), and hold nothing once the step is over.
     #[test]
-    fn deferred_ws_match_the_trainer_and_reuse_their_buffers() {
+    fn deferred_ws_match_the_trainer_bitwise() {
         let mut oracle_model = model();
         let mut oracle = SamoTrainer::new(&mut oracle_model, masks(), opt());
         let mut m = model();
         let mut e = StepEngine::build(&mut m, &masks(), opt(), NoReduce, &SAMO);
-        let mut kept = None;
         for step in 0..6u64 {
             oracle_step(&mut oracle, &mut oracle_model, step);
             let lag = step % 2 == 1;
             let held = deferred_step(&mut e, &mut m, step, lag);
             assert_eq!(e.save().as_ref(), oracle.save().as_ref(), "step {step}");
             assert_eq!(held, if lag { 2 * W_BYTES } else { W_BYTES }, "step {step}");
-            assert_eq!(e.w_pending(), 0);
-            let caps: Vec<usize> = e.w_spare.ops.iter().map(Vec::capacity).collect();
-            assert_eq!(caps.len(), 4, "dy and x of two weights");
-            assert_eq!(*kept.get_or_insert_with(|| caps.clone()), caps, "step {step}");
+            assert_eq!((e.w_pending(), e.w_bytes()), (0, 0), "step {step}");
         }
     }
 
@@ -1330,12 +1296,12 @@ mod tests {
         e.lend_theta16(&mut m, true);
         for k in 0..2 {
             let dy = loss_grad(&mut m, 1, k, e.loss_scale());
-            e.backward_deferred(&mut m, &dy, false);
+            e.backward_deferred(&mut m, dy, false);
         }
         assert!(e.run_w(&m).unwrap());
-        assert!(e.dw_sums.iter().any(|s| !s.is_empty()) && e.w_pending() == 1);
+        assert!(e.dw_sums.iter().any(|s| !s.is_empty()) && e.w_pending() == 1 && e.w_bytes() > 0);
         e.restore(&checkpoint, &mut m).unwrap();
-        assert_eq!(e.w_pending(), 0);
+        assert_eq!((e.w_pending(), e.w_bytes()), (0, 0));
         assert!(e.dw_sums.iter().all(Vec::is_empty));
 
         for step in 1..3u64 {

@@ -34,7 +34,8 @@
 //! Pipeline Parallelism* (arXiv 2401.10241): **B** computes `dx` — all the
 //! upstream stage waits for — and the dense gradients of biases and
 //! norms, and sends `dx` at once; **W**, every weight's `dW = dyᵀ·x`, runs
-//! later from operands B copied aside (`StepEngine::backward_deferred`).
+//! later from the operands B handed over (`StepEngine::backward_deferred`):
+//! the `dy` B received or produced, and the input the layer cached, moved.
 //! The loop's order is **B > F > W > sleep**: a W runs where the stage
 //! would otherwise sleep, with one bound — after B of microbatch `k`
 //! sends its `dx`, every W older than `k` runs. So between iterations a
@@ -66,9 +67,9 @@
 //! always immediately follows the matching forward.
 //! [`PipelineConfig::force_recompute`] forces the recompute everywhere,
 //! which makes per-stage work uniform — the pipeline bench uses it to
-//! compare the measured bubble against Eq. 7. The operands a B copies
-//! aside for its W are counted apart from the stash
-//! ([`StageStats::w_bytes_peak`]).
+//! compare the measured bubble against Eq. 7. The operands a B hands to
+//! its W — a Linear's input cache leaves the layer with them — are
+//! counted apart from the stash ([`StageStats::w_bytes_peak`]).
 //!
 //! Every B runs through the engine's [`Layer::backward_into`] hook. A
 //! weight's gradient exists only at its kept positions: each
@@ -323,7 +324,7 @@ impl RankWorker for StageRank {
                     .transpose()?
             };
             if let Some(dy) = dy {
-                self.backward_mb(bwd_done, &dy, bwd_done + 1 == m, step)?;
+                self.backward_mb(bwd_done, dy, bwd_done + 1 == m, step)?;
                 bwd_done += 1;
                 while self.engine.w_pending() > 1 {
                     self.weight_mb(bwd_done)?;
@@ -521,7 +522,7 @@ impl StageRank {
     fn backward_mb(
         &mut self,
         mb: usize,
-        dy: &Tensor,
+        dy: Tensor,
         last_mb: bool,
         step: u32,
     ) -> Result<(), CommsError> {

@@ -596,7 +596,7 @@ impl<M: Layer, T: Transport> DataParallelRank<M, T> {
             self.engine.lend_theta16(&mut self.model, false);
             self.engine.reduce_after_backward(&mut self.model)?
         } else {
-            let backward = self.engine.backward_overlapped(&mut self.model, &dy);
+            let backward = self.engine.backward_overlapped(&mut self.model, dy);
             self.engine.lend_theta16(&mut self.model, false);
             backward?;
             self.engine.finish_reduce()?

@@ -4,11 +4,11 @@
 //! parameter's dense `grad`, a layer runs [`Layer::backward_into`] a
 //! [`GradSink`]: the hook a data-parallel runtime uses to take each
 //! gradient the moment it is final — and, for a weight matrix, before it
-//! exists: the layer hands the sink the operands of `dW = dyᵀ·x` and the
-//! sink decides how much of the product to compute, so that the dense
-//! gradient of the paper's Sec. III-C ("we never have to store the
-//! uncompressed gradients") need not be a tensor, a row block, or even
-//! computed where it is pruned.
+//! exists: the layer hands the sink the operands of `dW = dyᵀ·x` — moved,
+//! not lent — and the sink decides how much of the product to compute,
+//! and when, so that the dense gradient of the paper's Sec. III-C ("we
+//! never have to store the uncompressed gradients") need not be a tensor,
+//! a row block, or even computed where it is pruned.
 
 use crate::param::Parameter;
 use tensor::Tensor;
@@ -28,15 +28,17 @@ pub trait GradSink {
     /// The one way to take a 2-D gradient early. A layer whose parameter
     /// `index` (`out × in`) has the gradient `dyᵀ · x` — `dy` the
     /// `rows × out` gradient of its output, `x` the `rows × in` input it
-    /// cached, both row-major — offers the operands before it computes
-    /// anything. On `true` the sink has taken the gradient, whichever
-    /// product it chose to run, with the bits accumulating `dyᵀ · x` into
-    /// a zeroed `grad` would leave wherever it kept them, and the layer
-    /// leaves `grad` untouched; on `false` (the default) the layer
-    /// accumulates the product into `grad` itself. Either way the
-    /// parameter's [`Self::ready`] follows.
-    fn take_product(&mut self, _index: usize, _rows: usize, _dy: &[f32], _x: &[f32]) -> bool {
-        false
+    /// cached — hands both over once it has computed everything else that
+    /// reads them, so the sink owns them and may run the product now or
+    /// keep them for later. On `Ok` the sink has taken the gradient,
+    /// whichever product it chose to run, with the bits accumulating
+    /// `dyᵀ · x` into a zeroed `grad` would leave wherever it kept them,
+    /// and the layer leaves `grad` untouched; on `Err` (the default) the
+    /// sink hands the operands back and the layer accumulates the product
+    /// into `grad` itself. Either way the parameter's [`Self::ready`]
+    /// follows.
+    fn take_product(&mut self, _index: usize, dy: Tensor, x: Tensor) -> Result<(), (Tensor, Tensor)> {
+        Err((dy, x))
     }
 }
 
@@ -50,8 +52,8 @@ impl GradSink for Shifted<'_> {
     fn ready(&mut self, offset: usize, params: &[&Parameter]) {
         self.sink.ready(self.off + offset, params);
     }
-    fn take_product(&mut self, index: usize, rows: usize, dy: &[f32], x: &[f32]) -> bool {
-        self.sink.take_product(self.off + index, rows, dy, x)
+    fn take_product(&mut self, index: usize, dy: Tensor, x: Tensor) -> Result<(), (Tensor, Tensor)> {
+        self.sink.take_product(self.off + index, dy, x)
     }
 }
 
@@ -190,9 +192,11 @@ pub trait Layer {
     /// ready, every gradient dense); containers override it to forward
     /// the sink to each child, in reverse execution order, and layers
     /// whose weight gradient is one product offer the sink its operands
-    /// ([`GradSink::take_product`]).
-    fn backward_into(&mut self, dy: &Tensor, sink: &mut dyn GradSink) -> Tensor {
-        let dx = self.backward(dy);
+    /// ([`GradSink::take_product`]). `dy` is theirs: a container hands
+    /// each child's `dx` on to the next, and a layer may hand `dy` itself
+    /// to the sink.
+    fn backward_into(&mut self, dy: Tensor, sink: &mut dyn GradSink) -> Tensor {
+        let dx = self.backward(&dy);
         sink.ready(0, &self.params());
         dx
     }
@@ -337,24 +341,23 @@ impl Layer for Sequential {
         cols
     }
 
-    fn backward_into(&mut self, dy: &Tensor, sink: &mut dyn GradSink) -> Tensor {
+    fn backward_into(&mut self, dy: Tensor, sink: &mut dyn GradSink) -> Tensor {
         // Children finish their gradients in reverse execution order;
         // each sees the sink shifted by its parameter offset in
         // `params()` order, so the caller can start reducing a child's
         // gradients while earlier (in forward order) children are still
-        // running backward.
-        let offsets: Vec<usize> = self
-            .layers
-            .iter()
-            .scan(0usize, |off, l| {
-                let at = *off;
-                *off += l.params().len();
-                Some(at)
-            })
-            .collect();
-        let mut cur = dy.clone();
-        for (layer, &off) in self.layers.iter_mut().zip(&offsets).rev() {
-            cur = layer.backward_into(&cur, &mut Shifted { sink: &mut *sink, off });
+        // running backward. The offsets are counted, not collected, so a
+        // streamed backward allocates no more than the plain one.
+        let count = |l: &mut dyn Layer| {
+            let mut n = 0;
+            l.for_each_param_mut(&mut |_| n += 1);
+            n
+        };
+        let mut off = count(self);
+        let mut cur = dy;
+        for layer in self.layers.iter_mut().rev() {
+            off -= count(layer.as_mut());
+            cur = layer.backward_into(cur, &mut Shifted { sink: &mut *sink, off });
         }
         cur
     }
@@ -392,7 +395,7 @@ mod tests {
         let mut hooked = build();
         hooked.forward(&x);
         let mut groups = Groups(Vec::new());
-        let dx_hooked = hooked.backward_into(&dy, &mut groups);
+        let dx_hooked = hooked.backward_into(dy, &mut groups);
 
         assert_eq!(dx_plain.as_slice(), dx_hooked.as_slice(), "hook must not change math");
         // Reverse execution order: last Linear (params 2..3), Relu

@@ -11,9 +11,11 @@
 //! mask's index, so the two products may skip the pruned weights
 //! ([`tensor::gemm::sgemm_kept`] — still the same bits).
 //!
-//! The third product, `dW = dyᵀ · x`, is the sink's to choose: the layer
-//! offers its operands ([`GradSink::take_product`]) and accumulates the
-//! dense product into `grad` only for a sink that declines them.
+//! The third product, `dW = dyᵀ · x`, is the sink's to choose: once the
+//! bias gradient and `dx` are computed, the layer hands `dy` and the
+//! input it cached over by value ([`GradSink::take_product`]) and
+//! accumulates the dense product into `grad` only for a sink that hands
+//! them back.
 
 use crate::layer::{CacheSlot, GradSink, Layer};
 use crate::param::Parameter;
@@ -89,27 +91,27 @@ impl Linear {
         }
     }
 
-    /// Backward with the weight gradient `dW = dyᵀ · x` going to `sink`,
-    /// if there is one and it takes the product's operands, and otherwise
-    /// into the dense `grad` (materialised if it was released) — the same
-    /// bits either way, as [`GradSink::take_product`] requires.
-    fn backward_dw(&mut self, dy: &Tensor, sink: Option<&mut dyn GradSink>) -> Tensor {
+    /// `grad += dyᵀ · x` (out×batch · batch×in = out×in), into the dense
+    /// gradient (materialised if it was released): no dW-sized temporary.
+    fn accumulate_dw(&mut self, dy: &Tensor, x: &Tensor) {
+        let (m, n) = (self.out_features, self.in_features);
+        let grad = self.weight.dense_grad().as_mut_slice();
+        matmul_tn_acc(m, n, x.rows(), dy.as_slice(), x.as_slice(), grad);
+    }
+
+    /// The input `forward` cached for the backward of `dy`.
+    fn take_input(&mut self, dy: &Tensor) -> Tensor {
         let x = self
             .cached_input
             .take()
             .expect("backward called before forward");
-        let batch = x.rows();
-        assert_eq!(dy.rows(), batch);
+        assert_eq!(dy.rows(), x.rows());
         assert_eq!(dy.cols(), self.out_features);
+        x
+    }
 
-        // dW += dyᵀ · x  (out×batch · batch×in = out×in): no dW-sized
-        // temporary, and for a sink that takes the operands no dW at all.
-        if !sink.is_some_and(|s| s.take_product(0, batch, dy.as_slice(), x.as_slice())) {
-            let (m, n) = (self.out_features, self.in_features);
-            let grad = self.weight.dense_grad().as_mut_slice();
-            matmul_tn_acc(m, n, batch, dy.as_slice(), x.as_slice(), grad);
-        }
-
+    /// The bias gradient, and `dx = dy · W` (batch×out · out×in).
+    fn bias_and_dx(&mut self, dy: &Tensor) -> Tensor {
         if let Some(b) = &mut self.bias {
             let gb = b.dense_grad().as_mut_slice();
             for row in dy.as_slice().chunks(self.out_features) {
@@ -118,10 +120,8 @@ impl Linear {
                 }
             }
         }
-
-        // dx = dy · W  (batch×out · out×in)
-        let mut dx = Tensor::zeros(&[batch, self.in_features]);
-        self.times_weight(false, batch, dy.as_slice(), dx.as_mut_slice());
+        let mut dx = Tensor::zeros(&[dy.rows(), self.in_features]);
+        self.times_weight(false, dy.rows(), dy.as_slice(), dx.as_mut_slice());
         dx
     }
 }
@@ -169,11 +169,18 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
-        self.backward_dw(dy, None)
+        let x = self.take_input(dy);
+        self.accumulate_dw(dy, &x);
+        self.bias_and_dx(dy)
     }
 
-    fn backward_into(&mut self, dy: &Tensor, sink: &mut dyn GradSink) -> Tensor {
-        let dx = self.backward_dw(dy, Some(&mut *sink));
+    fn backward_into(&mut self, dy: Tensor, sink: &mut dyn GradSink) -> Tensor {
+        let x = self.take_input(&dy);
+        let dx = self.bias_and_dx(&dy);
+        // Both operands move on: nothing here reads them any more.
+        if let Err((dy, x)) = sink.take_product(0, dy, x) {
+            self.accumulate_dw(&dy, &x);
+        }
         // Stack slices, not `params()`: a streamed backward adds no
         // allocation to the plain one.
         match &self.bias {

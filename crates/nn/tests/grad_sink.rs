@@ -29,16 +29,28 @@ impl GradSink for Products {
     fn ready(&mut self, off: usize, params: &[&Parameter]) {
         self.ready.push((off, params.iter().map(|p| p.name.clone()).collect()));
     }
-    fn take_product(&mut self, index: usize, rows: usize, dy: &[f32], x: &[f32]) -> bool {
+    fn take_product(&mut self, index: usize, dy: Tensor, x: Tensor) -> Result<(), (Tensor, Tensor)> {
         self.asked.push(index);
         if !self.wants.contains(&index) {
-            return false;
+            return Err((dy, x));
         }
-        let (out, inp) = (dy.len() / rows, x.len() / rows);
+        let (rows, out, inp) = (dy.rows(), dy.cols(), x.cols());
         let mut dense = vec![0.0f32; out * inp];
-        matmul_tn_acc(out, inp, rows, dy, x, &mut dense);
+        matmul_tn_acc(out, inp, rows, dy.as_slice(), x.as_slice(), &mut dense);
         self.taken.push((index, rows, dense));
-        true
+        Ok(())
+    }
+}
+
+/// Takes every product and keeps its operands as they arrived.
+#[derive(Default)]
+struct Keeps(Vec<(usize, Tensor, Tensor)>);
+
+impl GradSink for Keeps {
+    fn ready(&mut self, _off: usize, _params: &[&Parameter]) {}
+    fn take_product(&mut self, index: usize, dy: Tensor, x: Tensor) -> Result<(), (Tensor, Tensor)> {
+        self.0.push((index, dy, x));
+        Ok(())
     }
 }
 
@@ -61,7 +73,7 @@ fn streamed_linear_is_the_plain_backward_without_the_dense_gradient() {
         streamed.weight_mut().grad.as_mut_slice().fill(7.0);
         streamed.forward(&x);
         let mut sink = Products { wants: vec![0], ..Default::default() };
-        let dx = streamed.backward_into(&dy, &mut sink);
+        let dx = streamed.backward_into(dy, &mut sink);
 
         assert_eq!(bits(dx.as_slice()), bits(dx_plain.as_slice()), "dx");
         assert_eq!(sink.asked, vec![0], "only the weight is offered as a product");
@@ -112,7 +124,7 @@ fn sequential_shifts_product_indices_like_ready_offsets() {
     let mut model = build();
     model.forward(&x);
     let mut sink = Products { wants: vec![2], ..Default::default() };
-    let dx = model.backward_into(&dy, &mut sink);
+    let dx = model.backward_into(dy, &mut sink);
     assert_eq!(bits(dx.as_slice()), bits(dx_plain.as_slice()));
     assert_eq!(sink.asked, vec![2, 0], "each weight offered under its params() index");
     let groups: Vec<(usize, usize)> = sink.ready.iter().map(|(o, n)| (*o, n.len())).collect();
@@ -125,4 +137,26 @@ fn sequential_shifts_product_indices_like_ready_offsets() {
     assert!(got[2].grad.as_slice().iter().all(|&g| g == 0.0), "its dense grad untouched");
     assert_eq!(bits(got[0].grad.as_slice()), bits(want[0].grad.as_slice()), "declined: dense");
     assert_eq!(bits(got[1].grad.as_slice()), bits(want[1].grad.as_slice()));
+}
+
+/// The operands move: the sink of a block that ends in a `Linear` owns
+/// the caller's `dy` allocation itself, and the first `Linear`'s `x` is
+/// the block's input.
+#[test]
+fn a_keeping_sink_owns_the_callers_dy() {
+    let mut block = Sequential::new()
+        .push(Linear::new(4, 3, true, 1))
+        .push(Relu::new())
+        .push(Linear::new(3, 2, false, 2));
+    let x = Tensor::randn(&[5, 4], 1.0, 3);
+    block.forward(&x);
+    let dy = Tensor::randn(&[5, 2], 1.0, 4);
+    let at = dy.as_slice().as_ptr();
+    let mut sink = Keeps::default();
+    block.backward_into(dy, &mut sink);
+
+    let order: Vec<usize> = sink.0.iter().map(|(i, _, _)| *i).collect();
+    assert_eq!(order, vec![2, 0], "each weight under its params() index");
+    assert_eq!(sink.0[0].1.as_slice().as_ptr(), at, "the last Linear hands on the caller's dy");
+    assert_eq!(bits(sink.0[1].2.as_slice()), bits(x.as_slice()), "the first Linear's input");
 }

@@ -24,9 +24,9 @@ struct Operands(Vec<(usize, usize, Vec<u32>, Vec<u32>)>);
 
 impl GradSink for Operands {
     fn ready(&mut self, _off: usize, _params: &[&Parameter]) {}
-    fn take_product(&mut self, index: usize, rows: usize, dy: &[f32], x: &[f32]) -> bool {
-        self.0.push((index, rows, bits(dy), bits(x)));
-        true
+    fn take_product(&mut self, index: usize, dy: Tensor, x: Tensor) -> Result<(), (Tensor, Tensor)> {
+        self.0.push((index, dy.rows(), bits(dy.as_slice()), bits(x.as_slice())));
+        Ok(())
     }
 }
 
@@ -79,7 +79,7 @@ type Pass = (Vec<u32>, Vec<u32>, Vec<Vec<u32>>, Vec<(usize, usize, Vec<u32>, Vec
 fn pass(model: &mut Sequential, x: &Tensor, dy: &Tensor) -> Pass {
     let y = model.forward(x);
     let mut sink = Operands::default();
-    let dx = model.backward_into(dy, &mut sink);
+    let dx = model.backward_into(dy.clone(), &mut sink);
     let bias_grads = model.params().into_iter().filter(|p| !p.accepts_theta16);
     let bias_grads = bias_grads.map(|p| bits(p.grad.as_slice())).collect();
     (bits(y.as_slice()), bits(dx.as_slice()), bias_grads, sink.0)

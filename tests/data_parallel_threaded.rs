@@ -53,16 +53,17 @@ impl GradSink for Tap<'_> {
     fn ready(&mut self, off: usize, params: &[&Parameter]) {
         self.sink.ready(off, params);
     }
-    fn take_product(&mut self, index: usize, rows: usize, dy: &[f32], x: &[f32]) -> bool {
-        let (out, inp) = (dy.len() / rows, x.len() / rows);
-        let (mut dy, mut x, mut rows) = (dy.to_vec(), x.to_vec(), rows);
+    fn take_product(&mut self, index: usize, dy: Tensor, x: Tensor) -> Result<(), (Tensor, Tensor)> {
+        let (out, inp, mut rows) = (dy.cols(), x.cols(), dy.rows());
+        let (mut dy, mut x) = (dy.into_vec(), x.into_vec());
         for (at, v) in self.plant.lock().unwrap().drain(..) {
             dy.extend((0..out).map(|i| if i == at / inp { 1e9f32.copysign(v) } else { 0.0 }));
             x.extend((0..inp).map(|j| if j == at % inp { 1.0 } else { 0.0 }));
             rows += 1;
         }
-        let took = self.sink.take_product(index, rows, &dy, &x);
-        assert!(took, "the threaded runtime streams a Linear's weight gradient");
+        let (dy, x) = (Tensor::from_vec(&[rows, out], dy), Tensor::from_vec(&[rows, inp], x));
+        let took = self.sink.take_product(index, dy, x);
+        assert!(took.is_ok(), "the threaded runtime streams a Linear's weight gradient");
         took
     }
 }
@@ -80,7 +81,7 @@ impl Layer for Tapped {
     fn params_mut(&mut self) -> Vec<&mut Parameter> {
         self.inner.params_mut()
     }
-    fn backward_into(&mut self, dy: &Tensor, sink: &mut dyn GradSink) -> Tensor {
+    fn backward_into(&mut self, dy: Tensor, sink: &mut dyn GradSink) -> Tensor {
         let mut tap = Tap { sink, plant: &self.plant };
         self.inner.backward_into(dy, &mut tap)
     }

@@ -4,8 +4,9 @@
 //! per-message jitter on every pipeline and data link, every step's
 //! checkpoint bytes equal the single-process `SamoTrainer` and every
 //! rank's wire bytes equal the unjittered run's, overflow step included.
-//! Also here: a step that fails with Ws summed and queued leaves nothing
-//! behind once restored, and what a stage holds for its Ws stays bounded.
+//! Also here: a step that fails with Ws summed and queued — its gradient
+//! link cut, or one message on it lost — leaves nothing behind once
+//! restored, and what a stage holds for its Ws stays bounded.
 
 use comms::FaultController;
 use nn::layer::{Layer, Sequential};
@@ -194,6 +195,46 @@ fn a_gradient_link_cut_mid_step_leaves_no_w_behind() {
     for s in fail_at..STEPS {
         assert_eq!(step(&mut pp, s), Ok(s != OVERFLOW_STEP), "replayed step {s}");
         assert_eq!(pp.save().as_ref(), want[s as usize].as_slice(), "replayed step {s}");
+    }
+}
+
+/// One message on replica 0's gradient link is lost — `dx` of the third
+/// microbatch, dropped once the last stage has run two Bs, so a W that
+/// owns the operands its B handed over is queued when it goes and kept
+/// sums are half summed. On a 2×1 and a 2×2 group the step fails with a
+/// typed timeout within its deadline, no rank hangs, and the restored
+/// group replays the oracle's bytes.
+#[test]
+fn a_dropped_gradient_message_with_ws_queued_fails_and_replays() {
+    let want = oracle_checkpoints();
+    let fail_at = 1u64;
+    for (g_inter, g_data) in [(2usize, 1usize), (2, 2)] {
+        let mut pp = group(g_inter, g_data, Duration::from_millis(300));
+        step(&mut pp, 0).expect("healthy mesh");
+        let checkpoint = pp.save();
+
+        let faults = Arc::clone(&pp.pipe_faults()[0]);
+        let t0 = Instant::now();
+        let err = pp
+            .step(
+                move |_, mb| batch(fail_at, mb).0,
+                move |data_idx, mb, y, scale| {
+                    if data_idx == 0 && mb == 2 {
+                        faults.drop_next(1, 0, 1);
+                    }
+                    scaled_grad(y, fail_at, mb, scale, data_idx == 0)
+                },
+            )
+            .expect_err("a lost gradient message must fail the step");
+        assert!(err.contains("timed out"), "{g_inter}x{g_data}: {err}");
+        assert!(t0.elapsed() < Duration::from_secs(10), "{g_inter}x{g_data} took {:?}", t0.elapsed());
+
+        pp.restore(&checkpoint).expect("restore");
+        for s in fail_at..STEPS {
+            let at = format!("{g_inter}x{g_data}, replayed step {s}");
+            assert_eq!(step(&mut pp, s), Ok(s != OVERFLOW_STEP), "{at}");
+            assert_eq!(pp.save().as_ref(), want[s as usize].as_slice(), "{at}");
+        }
     }
 }
 

@@ -288,11 +288,12 @@ fn hot_paths_allocate_nothing_in_steady_state() {
     struct Compress(samo::SamoLayerState, bool);
     impl nn::layer::GradSink for Compress {
         fn ready(&mut self, _off: usize, _params: &[&nn::Parameter]) {}
-        fn take_product(&mut self, index: usize, rows: usize, dy: &[f32], x: &[f32]) -> bool {
-            if index == 0 {
-                self.1 &= self.0.compress_grad_product(rows, dy, x);
+        fn take_product(&mut self, index: usize, dy: Tensor, x: Tensor) -> Result<(), (Tensor, Tensor)> {
+            if index != 0 {
+                return Err((dy, x));
             }
-            index == 0
+            self.1 &= self.0.compress_grad_product(dy.rows(), dy.as_slice(), x.as_slice());
+            Ok(())
         }
     }
     let sopt = Optimizer::Adam(AdamConfig::default());
@@ -300,18 +301,20 @@ fn hot_paths_allocate_nothing_in_steady_state() {
         let weights = lin.params()[0].value.as_slice();
         Compress(samo::SamoLayerState::from_params(weights, mask, &sopt), true)
     };
+    // The operands the sink takes are made outside the measured window.
     let stream_dw = |sink: &mut Compress| {
         use nn::layer::GradSink;
-        assert!(sink.take_product(0, batch, ldy.as_slice(), lx.as_slice()));
+        let (dy, x) = (ldy.clone(), lx.clone());
+        alloc_events_during(|| assert!(sink.take_product(0, dy, x).is_ok()))
     };
     let smask = prune::random_prune(&[out_f, in_f], 0.9, 33);
     assert_eq!(plan(Op::Tn, batch, smask.nnz(), smask.numel()), Path::Sampled);
     let mut sink = compress(smask);
-    let events = alloc_events_during(|| stream_dw(&mut sink));
+    let events = stream_dw(&mut sink);
     assert_eq!(events, 0, "cold sampled dW + compress allocated {events} time(s)");
     let mut blocks = compress(prune::Mask::dense(&[out_f, in_f]));
     stream_dw(&mut blocks); // warm the product block
-    let events = alloc_events_during(|| stream_dw(&mut blocks));
+    let events = stream_dw(&mut blocks);
     assert_eq!(events, 0, "streamed dW + compress allocated {events} time(s)");
     assert!(blocks.1, "ordinary gradients are finite");
 
@@ -320,16 +323,58 @@ fn hot_paths_allocate_nothing_in_steady_state() {
         lin.backward(&ldy);
     });
     lin.forward(&lx);
-    lin.backward_into(&ldy, &mut sink); // warm
+    lin.backward_into(ldy.clone(), &mut sink); // warm
     lin.forward(&lx);
+    let dy = ldy.clone();
     LARGEST_ALLOC.store(0, Ordering::Relaxed);
     let streamed = alloc_events_during(|| {
-        lin.backward_into(&ldy, &mut sink);
+        lin.backward_into(dy, &mut sink);
     });
     assert_eq!(streamed, plain, "a streamed backward allocates what a plain one does: dx");
     let largest = LARGEST_ALLOC.load(Ordering::Relaxed) as usize;
     assert!(largest <= activation, "streamed backward requested {largest} B at once");
     assert!(sink.1, "ordinary gradients are finite");
+
+    // --- A block's streamed backward hands its operands on -------------
+    // A pipeline stage's B gives every weight's `dy` and `x` to a sink
+    // that keeps them for a later W. They move there: a warm
+    // `[Linear, Relu, Linear]` block requests no more through a keeping
+    // sink than its plain backward does (each child's `dx`, which the
+    // plain one also clones `dy` for), and nothing larger than an
+    // activation.
+    struct Keep(Vec<(usize, Tensor, Tensor)>);
+    impl nn::layer::GradSink for Keep {
+        fn ready(&mut self, _off: usize, _params: &[&nn::Parameter]) {}
+        fn take_product(&mut self, index: usize, dy: Tensor, x: Tensor) -> Result<(), (Tensor, Tensor)> {
+            self.0.push((index, dy, x));
+            Ok(())
+        }
+    }
+    let mut block = Sequential::new()
+        .push(Linear::new(in_f, out_f, true, 34))
+        .push(nn::activations::Relu::new())
+        .push(Linear::new(out_f, in_f, false, 35));
+    let bdy = Tensor::randn(&[batch, in_f], 1.0, 36);
+    block.forward(&lx);
+    block.backward(&bdy); // warm
+    block.forward(&lx);
+    let plain = alloc_events_during(|| {
+        block.backward(&bdy);
+    });
+    let mut keep = Keep(Vec::with_capacity(2));
+    block.forward(&lx);
+    block.backward_into(bdy.clone(), &mut keep); // warm
+    keep.0.clear();
+    block.forward(&lx);
+    let dy = bdy.clone();
+    LARGEST_ALLOC.store(0, Ordering::Relaxed);
+    let streamed = alloc_events_during(|| {
+        block.backward_into(dy, &mut keep);
+    });
+    assert!(streamed <= plain, "a keeping sink's backward made {streamed} requests, the plain one {plain}");
+    assert_eq!(keep.0.len(), 2, "both weights' operands kept");
+    let largest = LARGEST_ALLOC.load(Ordering::Relaxed) as usize;
+    assert!(largest <= activation, "a keeping sink's backward requested {largest} B at once");
 
     // --- Linear from a lent θ16: forward + dx -------------------------
     // A weight a SAMO runtime manages computes from the dense θ16 the
