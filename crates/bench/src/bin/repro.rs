@@ -10,8 +10,9 @@
 //!   and fails unless the section passes its gate, `bench::gates`):
 //!                bench   (hot-path microbenchmarks)
 //!                comms   (threaded ring all-reduce, compressed vs dense)
-//!                pipeline (threaded inter-layer pipeline bubble, measured
-//!                         vs Eq. 7)
+//!                pipeline (threaded inter-layer pipeline bubble, read off
+//!                         the scheduler's counters, vs Eq. 7 — the
+//!                         one Eq. 7 check; `--trace` adds a trace)
 //!                tcp     (loopback-TCP vs in-process transport on the
 //!                         same ring all-reduce, bitwise cross-checked)
 //!                simd    (SIMD compute tier: scalar vs AVX2 per
@@ -25,9 +26,10 @@
 //!                         plus the in-place remap kernel vs the naive
 //!                         dense rebuild)
 //!                trace-analyze (offline critical-path / decomposition /
-//!                         flow-census analysis of a `--trace` file;
-//!                         records an `analysis` section; `--gate` turns
-//!                         trace health violations into a nonzero exit)
+//!                         flow-census / comm-overlap analysis of a
+//!                         `--trace` file; records an `analysis` section;
+//!                         `--gate` turns trace health violations into a
+//!                         nonzero exit)
 //!                gate    (runs the gate table over files on disk: every
 //!                         section of a BENCH_hotpaths.json, the shape of
 //!                         a Chrome trace or of a metrics.jsonl)

@@ -44,8 +44,9 @@
 //! * `relu_fwd_bwd_32x512` — a pipeline stage's `Relu` at `pipe2_mlp`'s
 //!   microbatch, forward and backward, against the copy roof.
 //! * `compress.f32` / `expand.f16` / `compress.f16` — the compression
-//!   and expansion primitives, at the element types the step uses.
-//! * `allreduce_compressed` — the compressed fp16 gradient all-reduce.
+//!   and expansion primitives, at the element types the step uses. The
+//!   compressed all-reduce is timed where the runtime runs it, on its
+//!   own ring (`repro comms`).
 //!
 //! Beside the kernels, `path_sweep`: the table the cuts of
 //! `tensor::gemm::plan` are read from, one grid ([`PATH_SWEEP`]) of
@@ -67,7 +68,6 @@
 //! index a `SamoTrainer` lends it, as the workload runs it.
 
 use crate::harness::{self, duel, duel_all, duel_n, obj, random_vec, round6, sample, Sample};
-use comms::reference::allreduce_mean_f16;
 use models::tiny::{TinyGpt, TinyGptConfig};
 use nn::activations::{Gelu, Relu};
 use nn::attention::CausalSelfAttention;
@@ -388,29 +388,6 @@ pub fn run(quick: bool) -> Result<(), String> {
         });
         // Gather: 4 B index + 2 B source read + 2 B write per nonzero.
         results.push(memory_row("compress.f16", timed, 8 * mask.nnz()));
-    }
-
-    // --- Compressed gradient all-reduce (4 ranks). --------------------
-    {
-        let ranks = 4;
-        let nnz = mask.nnz();
-        let mut bufs: Vec<Vec<F16>> = (0..ranks)
-            .map(|r| random_vec(nnz, 10 + r as u64).iter().map(|&v| F16::from_f32(v)).collect())
-            .collect();
-        let timed = sample(best_of, reps, || {
-            let mut views: Vec<&mut [F16]> = bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
-            allreduce_mean_f16(&mut views).expect("matching layouts");
-        });
-        // Every rank's buffer is read and rewritten in place: 4 B/elem.
-        results.push(KernelResult {
-            name: "allreduce_compressed",
-            n: ranks * nnz,
-            reps,
-            timed,
-            flops: None,
-            bytes: Some(4 * (ranks * nnz) as u64),
-            roof: None,
-        });
     }
 
     // --- The bandwidth roofs of this run. ------------------------------

@@ -1,6 +1,8 @@
 //! `repro pipeline` — measured pipeline-bubble fraction of the real
 //! thread-per-stage runtime vs AxoNN's Eq. 7 closed form, recorded to
-//! `BENCH_hotpaths.json`.
+//! `BENCH_hotpaths.json`. This is the repository's one bubble ruler:
+//! it reads the scheduler's always-on counters, so it needs no trace,
+//! and nothing else measures a bubble or sets one against Eq. 7.
 //!
 //! A uniform-stage model ([`models::uniform_pipeline_mlp_delayed`], one
 //! identical `Linear → ReLU → StageDelay` block per stage) trains for a
@@ -14,10 +16,11 @@
 //! core-count probe). Sleeps overlap on any host, so the number
 //! isolates what this bench is for — the runtime's message-driven 1F1B
 //! schedule. Each step, every stage reports its scheduler busy time
-//! (`fwd_s + bwd_s` from [`samo::pipeline::StageStats`]) and its
+//! (`fwd_s + bwd_s` from [`samo::pipeline::StageStats`]; `bwd_s`
+//! includes the deferred weight gradients, so a W is busy) and its
 //! scheduler window on the shared trace clock; the step makespan is
 //! `max(end) − min(start)` across stages, and the measured bubble
-//! fraction is
+//! fraction (`step_sample`) is
 //!
 //! ```text
 //! bubble = 1 − Σ_stages busy / (G_inter · makespan)
@@ -45,7 +48,7 @@ use crate::harness::{self, median, obj, round6};
 use axonn_sim::pipeline::analytic_bubble;
 use nn::mixed::{LossScaler, Optimizer};
 use nn::optim::AdamConfig;
-use samo::pipeline::{PipelineConfig, ThreadedPipelineSamo};
+use samo::pipeline::{PipelineConfig, StageStats, ThreadedPipelineSamo};
 use std::sync::Arc;
 use std::time::Duration;
 use telemetry::json::Json;
@@ -68,6 +71,43 @@ struct DepthRun {
     measured: f64,
     analytic: f64,
     rel_err: f64,
+}
+
+/// One step read off the scheduler's counters, summed over stages.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct StepSample {
+    fwd_s: f64,
+    /// Backward seconds, every W included: `StageStats::bwd_s` counts
+    /// it, so a deferred weight gradient is busy time, not bubble.
+    bwd_s: f64,
+    /// Latest scheduler end minus earliest scheduler start, any stages.
+    makespan_s: f64,
+    /// `1 − (fwd_s + bwd_s) / (G_inter · makespan_s)`.
+    bubble: f64,
+    /// Neighbour-wait seconds over `G_inter · makespan_s`.
+    wait_share: f64,
+}
+
+/// The one bubble ruler: every stage's [`StageStats`] before and after
+/// a step, in stage order, reduced to that step's [`StepSample`].
+fn step_sample(before: &[StageStats], after: &[StageStats]) -> StepSample {
+    let start = after.iter().map(|s| s.last_sched_start_us).fold(f64::INFINITY, f64::min);
+    let end = after.iter().map(|s| s.last_sched_end_us).fold(0.0f64, f64::max);
+    let makespan_s = (end - start) * 1e-6;
+    let (mut fwd_s, mut bwd_s, mut wait_s) = (0.0f64, 0.0f64, 0.0f64);
+    for (a, b) in after.iter().zip(before) {
+        fwd_s += a.fwd_s - b.fwd_s;
+        bwd_s += a.bwd_s - b.bwd_s;
+        wait_s += a.wait_s - b.wait_s;
+    }
+    let stage_s = after.len() as f64 * makespan_s;
+    StepSample {
+        fwd_s,
+        bwd_s,
+        makespan_s,
+        bubble: 1.0 - (fwd_s + bwd_s) / stage_s,
+        wait_share: wait_s / stage_s,
+    }
 }
 
 /// Trains `steps` measured steps (after one warmup) at one pipeline
@@ -140,21 +180,12 @@ fn bench_depth(
     for _ in 0..steps {
         run_step(&mut pp)?;
         let cur = pp.stage_stats();
-        let start =
-            cur.iter().map(|s| s.last_sched_start_us).fold(f64::INFINITY, f64::min);
-        let end = cur.iter().map(|s| s.last_sched_end_us).fold(0.0f64, f64::max);
-        let makespan = (end - start) * 1e-6;
-        let (mut fwd, mut bwd, mut wait) = (0.0f64, 0.0f64, 0.0f64);
-        for (c, p) in cur.iter().zip(&prev) {
-            fwd += c.fwd_s - p.fwd_s;
-            bwd += c.bwd_s - p.bwd_s;
-            wait += c.wait_s - p.wait_s;
-        }
-        fracs.push(1.0 - (fwd + bwd) / (g_inter as f64 * makespan));
-        waits.push(wait / (g_inter as f64 * makespan));
-        fwd_total += fwd;
-        bwd_total += bwd;
-        makespan_total += makespan;
+        let s = step_sample(&prev, &cur);
+        fracs.push(s.bubble);
+        waits.push(s.wait_share);
+        fwd_total += s.fwd_s;
+        bwd_total += s.bwd_s;
+        makespan_total += s.makespan_s;
         prev = cur;
     }
 
@@ -250,4 +281,61 @@ pub fn run(quick: bool) -> Result<(), String> {
         ("depths", Json::Arr(depth_rows)),
     ]);
     harness::record("pipeline", vec![("pipeline".to_string(), section)])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Two stages around one step: each forwards 10 ms and runs 20 ms of
+    /// backward, 5 ms of it Ws; they wait 4 and 6 ms. Stage 0 starts
+    /// first (1 ms) and stage 1 ends last (40 ms), so the makespan spans
+    /// both stages' windows, not either one's.
+    fn two_stages() -> ([StageStats; 2], [StageStats; 2]) {
+        let at = |fwd_s, bwd_s, w_s, wait_s, start_us, end_us| StageStats {
+            fwd_s,
+            bwd_s,
+            w_s,
+            wait_s,
+            last_sched_start_us: start_us,
+            last_sched_end_us: end_us,
+            ..StageStats::default()
+        };
+        let before = [
+            at(0.5, 1.0, 0.25, 0.125, 0.0, 900.0),
+            at(0.5, 1.0, 0.25, 0.25, 100.0, 950.0),
+        ];
+        let after = [
+            at(0.51, 1.02, 0.255, 0.129, 1_000.0, 36_000.0),
+            at(0.51, 1.02, 0.255, 0.256, 2_000.0, 40_000.0),
+        ];
+        (before, after)
+    }
+
+    #[test]
+    fn step_sample_spans_the_earliest_start_to_the_latest_end() {
+        let (before, after) = two_stages();
+        let s = step_sample(&before, &after);
+        let close = |got: f64, want: f64| assert!((got - want).abs() < 1e-9, "{got} vs {want}");
+        close(s.makespan_s, 0.039);
+        close(s.fwd_s, 0.02);
+        close(s.bwd_s, 0.04);
+        close(s.bubble, 1.0 - 0.06 / (2.0 * 0.039));
+        close(s.wait_share, 0.01 / (2.0 * 0.039));
+    }
+
+    /// A W is backward work: the ruler never subtracts `w_s`, so a stage
+    /// that defers its weight gradients is not read as idle.
+    #[test]
+    fn w_time_counts_as_busy() {
+        let (before, after) = two_stages();
+        let s = step_sample(&before, &after);
+        let without_w = 1.0 - (0.06 - 0.01) / (2.0 * 0.039);
+        assert!(s.bubble < without_w - 0.1, "{} vs {without_w}", s.bubble);
+        let (mut no_w_before, mut no_w_after) = (before, after);
+        for st in no_w_before.iter_mut().chain(&mut no_w_after) {
+            st.w_s = 0.0;
+        }
+        assert_eq!(step_sample(&no_w_before, &no_w_after), s);
+    }
 }

@@ -18,9 +18,9 @@
 //! * **Comm overlap** — the fraction of communication time hidden under
 //!   compute slices anywhere in the job, the quantity pipeline overlap
 //!   designs (AxoNN, DeepSpeed-3D) optimise for.
-//! * **Bubble** — per-step `1 − Σ busy / (G · makespan)`, the measured
-//!   pipeline bubble the bench cross-checks against Eq. 7's
-//!   `analytic_bubble`.
+//!
+//! The pipeline's Eq. 7 check is not made here: `repro pipeline`
+//! measures it from the scheduler's own counters, which need no trace.
 //!
 //! Lane convention: comms (pid 2) and pipeline (pid 3) events for one
 //! rank share a `tid` (the rank's trace lane), so both contribute to
@@ -63,8 +63,6 @@ pub struct StepAnalysis {
     pub makespan_us: f64,
     /// Longest dependent chain of compute+comm slices, microseconds.
     pub critical_path_us: f64,
-    /// `1 − Σ compute / (lanes · makespan)` — measured pipeline bubble.
-    pub bubble_fraction: f64,
     pub lanes: Vec<LaneShare>,
 }
 
@@ -77,9 +75,6 @@ pub struct Analysis {
     /// Median over analyzed steps of `critical_path / makespan`
     /// (warmup step excluded when three or more steps are present).
     pub median_cp_ratio: f64,
-    /// Median over analyzed steps of `bubble_fraction` (same warmup
-    /// exclusion).
-    pub median_bubble_fraction: f64,
     pub flow_starts: usize,
     pub flow_finishes: usize,
     /// Flow ids with exactly one `s` and one `f`.
@@ -363,7 +358,6 @@ pub fn analyze(doc: &Json) -> Result<Analysis, String> {
 
         // Per-lane decomposition, innermost-wins: comm ≻ compute ≻ wait.
         let mut lanes = Vec::new();
-        let mut compute_sum = 0.0;
         for &&(tid, _, _, lo, hi) in &step_windows {
             let of_class = |c: Class| -> Vec<(f64, f64)> {
                 clip(
@@ -385,7 +379,6 @@ pub fn analyze(doc: &Json) -> Result<Analysis, String> {
             let (comm_us, compute_us, wait_us) =
                 (total(&comm), total(&compute), total(&wait));
             let idle_us = (hi - lo) - comm_us - compute_us - wait_us;
-            compute_sum += compute_us;
             lanes.push(LaneShare {
                 tid,
                 window_us: hi - lo,
@@ -395,19 +388,12 @@ pub fn analyze(doc: &Json) -> Result<Analysis, String> {
                 idle_us,
             });
         }
-        let bubble_fraction = if makespan_us > 0.0 && !lanes.is_empty() {
-            1.0 - compute_sum / (lanes.len() as f64 * makespan_us)
-        } else {
-            0.0
-        };
-
         let critical_path_us = critical_path(&in_step, &flows);
         steps.push(StepAnalysis {
             group,
             step,
             makespan_us,
             critical_path_us,
-            bubble_fraction,
             lanes,
         });
     }
@@ -434,14 +420,11 @@ pub fn analyze(doc: &Json) -> Result<Analysis, String> {
             .map(|s| s.critical_path_us / s.makespan_us)
             .collect(),
     );
-    let median_bubble_fraction =
-        median(measured.iter().map(|s| s.bubble_fraction).collect());
 
     Ok(Analysis {
         steps,
         comm_overlap_fraction,
         median_cp_ratio,
-        median_bubble_fraction,
         flow_starts,
         flow_finishes,
         matched_flows,
@@ -525,7 +508,7 @@ fn critical_path(in_step: &[&Slice], flows: &[Flow]) -> f64 {
 
 impl Analysis {
     /// The `analysis` record `repro trace-analyze` merges into
-    /// `BENCH_hotpaths.json` (the bench adds the Eq. 7 comparison).
+    /// `BENCH_hotpaths.json`.
     pub fn to_json(&self) -> Json {
         let steps = self
             .steps
@@ -536,7 +519,6 @@ impl Analysis {
                     ("step".into(), Json::UInt(s.step)),
                     ("makespan_us".into(), Json::Num(s.makespan_us)),
                     ("critical_path_us".into(), Json::Num(s.critical_path_us)),
-                    ("bubble_fraction".into(), Json::Num(s.bubble_fraction)),
                     (
                         "lanes".into(),
                         Json::Arr(
@@ -565,10 +547,6 @@ impl Analysis {
                 Json::Num(self.comm_overlap_fraction),
             ),
             ("median_cp_ratio".into(), Json::Num(self.median_cp_ratio)),
-            (
-                "median_bubble_fraction".into(),
-                Json::Num(self.median_bubble_fraction),
-            ),
             ("flow_starts".into(), Json::UInt(self.flow_starts as u64)),
             ("flow_finishes".into(), Json::UInt(self.flow_finishes as u64)),
             ("matched_flows".into(), Json::UInt(self.matched_flows as u64)),
