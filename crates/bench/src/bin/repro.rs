@@ -8,16 +8,16 @@
 //!   trackers (NOT part of `all`: perf trackers, not paper experiments;
 //!   each records its section into BENCH_hotpaths.json at the repo root
 //!   and fails unless the section passes its gate, `bench::gates`):
-//!                bench   (hot-path microbenchmarks)
-//!                comms   (threaded ring all-reduce, compressed vs dense)
+//!                bench   (hot-path microbenchmarks, with the SIMD
+//!                         tiers and formats: scalar vs AVX2 sgemm, 2:4
+//!                         structured spMM vs dense/CSR, int8 vs f32 GEMM,
+//!                         vector GELU vs libm)
+//!                comms   (threaded ring all-reduce, compressed vs dense,
+//!                         in-process and over loopback TCP, bitwise
+//!                         against the oracle)
 //!                pipeline (threaded inter-layer pipeline bubble, read off
 //!                         the scheduler's counters, vs Eq. 7 — the
 //!                         one Eq. 7 check; `--trace` adds a trace)
-//!                tcp     (loopback-TCP vs in-process transport on the
-//!                         same ring all-reduce, bitwise cross-checked)
-//!                simd    (SIMD compute tier: scalar vs AVX2 per
-//!                         dispatched kernel, 2:4 structured spMM vs
-//!                         dense/CSR, int8 vs f32 GEMM)
 //!                serve   (batched inference serving over loopback TCP:
 //!                         SLA load-gen per backend at batch 1 vs
 //!                         batched, plus a hot-reload drill under load)
@@ -162,8 +162,6 @@ fn main() {
         exp("faults", "repro.faults", true, &mut || faults(quick));
         exp("bench", "repro.bench", false, &mut || bench::hotpaths::run(quick));
         exp("comms", "repro.comms", false, &mut || bench::comms_bench::run(quick));
-        exp("tcp", "repro.tcp", false, &mut || bench::tcp_bench::run(quick));
-        exp("simd", "repro.simd", false, &mut || bench::simd_bench::run(quick));
         exp("pipeline", "repro.pipeline", false, &mut || bench::pipeline_bench::run(quick));
         exp("serve", "repro.serve", false, &mut || bench::serve_bench::run(quick));
         exp("dynamic", "repro.dynamic", false, &mut || bench::dynamic_bench::run(quick));

@@ -7,8 +7,20 @@
 //!   SAMO step vs the three-phase oracle of `samo::reference`, same
 //!   layer state. Gated: the fused path may never be slower than the
 //!   reference.
-//! * `gemm_256` and `gemm_attn_32x32x16` — one large square GEMM and a
-//!   swarm of attention-shaped small GEMMs.
+//! * `gemm_attn_32x32x16` — a swarm of attention-shaped small GEMMs.
+//! * `sgemm_256_scalar` / `sgemm_256_avx2` / `spmm_nm24_256` /
+//!   `spmm_csr_256` / `qgemm_int8_256` — the SIMD tiers and the formats
+//!   (DESIGN.md §11) on one 256³ product: f32 `sgemm` on each tier, the
+//!   2:4 structured spMM, unstructured CSR at the same 50 % density (Fig. 1
+//!   shows it *losing* to dense, which the row documents) and int8 `qgemm`
+//!   against the active tier's `sgemm`. Gated by
+//!   [`crate::gates::AVX2_SGEMM_MIN`], [`crate::gates::NM24_OVER_DENSE_MIN`]
+//!   and [`crate::gates::INT8_OVER_F32_MIN`].
+//! * `widen_f16_*` / `narrow_f16_*` — the f16 conversions on each tier.
+//! * `gelu_fwd_*` / `gelu_bwd_*` / `softmax_rows_*` — the vector `exp`
+//!   kernels against the libm loops they replaced. GELU is gated both ways
+//!   by [`crate::gates::VECTOR_GELU_OVER_LIBM_MIN`]; `softmax_rows` is
+//!   recorded.
 //! * `gemm_nn_4x2048x2048` / `gemm_nn_packed_4x2048x2048` /
 //!   `gemm_nt_4x2048x2048` / `gemm_nn_1x768x768` — the thin shapes of
 //!   data-parallel training and batch-1 serving: `A·B` as `sgemm` runs it
@@ -33,6 +45,12 @@
 //!   values, no f32 view, the all-gather payload written), on the scalar
 //!   and the AVX2 tier. Gated by
 //!   [`crate::gates::VECTOR_SWEEP_OVER_SCALAR_MIN`].
+//!
+//! Every floor that presumes the AVX2 tier binds where the run records
+//! `avx2_detected` (scalar-vs-scalar ratios are 1× by construction), and
+//! the run records its `active_tier` beside it. A row's `rounds` are its
+//! recorded runs: `best_of`, or three times that for the duels whose
+//! ratios the floors above hold.
 //! * `stream_copy` / `stream_read_f16` — the bandwidth roofs of the same
 //!   run: a 16 MiB f32 copy and a read of `dp2_tcp_wide`'s 10.5 MB of
 //!   `θ16`. The three rows above that move bytes print achieved ÷ roof.
@@ -69,7 +87,7 @@
 
 use crate::harness::{self, duel, duel_all, duel_n, obj, random_vec, round6, sample, Sample};
 use models::tiny::{TinyGpt, TinyGptConfig};
-use nn::activations::{Gelu, Relu};
+use nn::activations::{gelu_grad_scalar, gelu_scalar, Gelu, Relu};
 use nn::attention::CausalSelfAttention;
 use nn::layer::Layer;
 use nn::linear::Linear;
@@ -78,12 +96,14 @@ use nn::norm::LayerNorm;
 use nn::optim::AdamConfig;
 use samo::reference::{compress_grad, grads_non_finite, optimizer_step};
 use samo::{compress, expand, state::SamoLayerState, SamoTrainer};
+use sparse::{spmm, Nm24};
 use telemetry::json::Json;
 use tensor::f16::{f16_slice_to_f32, f32_slice_to_f16, F16};
 use tensor::gemm::{
     matmul, matmul_nt, matmul_tn_acc, matmul_tn_kept_acc_on_path, matmul_tn_kept_on_path, plan, sgemm,
-    sgemm_kept_on_path, sgemm_on_path, GemmElem, Op, Path,
+    sgemm_kept_on_path, sgemm_on_path, sgemm_with_tier, GemmElem, Op, Path,
 };
+use tensor::qgemm::{qgemm_i8_with_tier, quantize_rows_i8, PackedBi8};
 use tensor::simd::{self, Tier};
 use tensor::Tensor;
 
@@ -167,12 +187,58 @@ pub fn run(quick: bool) -> Result<(), String> {
         bytes: None,
         roof: None,
     };
-    for (name, (m, n, k)) in [("gemm_256", (256, 256, 256)), ("gemm_nn_1x768x768", (1, 768, 768))] {
+    {
+        let (m, n, k) = (1, 768, 768);
         let a = random_vec(m * k, 3);
         let b = random_vec(k * n, 4);
         let mut c = vec![0.0f32; m * n];
         let timed = sample(best_of, reps, || matmul(m, n, k, &a, &b, &mut c));
-        results.push(gemm_row(name, (m, n, k), reps, timed));
+        results.push(gemm_row("gemm_nn_1x768x768", (m, n, k), reps, timed));
+    }
+    // The gated ratios of the tiers and formats below are duels of three
+    // times the rounds: min-of-N over interleaved trials is what makes a
+    // floor reproducible, and these kernels are cheap enough to afford it.
+    let duel_rounds = 3 * best_of;
+    let tier = simd::active();
+    {
+        // The 256³ square on the active tier's f32 `sgemm`, against the 2:4
+        // spMM, unstructured CSR at the same 50 % density (Fig. 1's losing
+        // road) and int8 `qgemm` on that tier: every contender computes the
+        // same W·B from the masked weights. The other tier's `sgemm` is
+        // sampled on its own: scalar runs ~50x slower, a gap that needs no
+        // duel, and kept out of this one it leaves the baseline of the
+        // format ratios as it finds it.
+        let dim = 256;
+        let nm = Nm24::from_dense(&random_vec(dim * dim, 7), dim, dim);
+        let w = nm.to_dense();
+        let b = random_vec(dim * dim, 8);
+        let csr = sparse::Coo::from_dense_where(&w, dim, dim, |i, _| w[i] != 0.0).to_csr();
+        let packed = PackedBi8::pack(&b, dim, dim);
+        let [mut c0, mut c1, mut c2, mut c3, mut c4] = [(); 5].map(|()| vec![0.0f32; dim * dim]);
+        let f32_on = |tier, c: &mut [f32]| sgemm_with_tier(tier, false, false, dim, dim, dim, 1.0, &w, dim, &b, dim, 0.0, c, dim);
+        let [dense, nm24, csr_ms, int8] = duel_n(
+            duel_rounds,
+            reps,
+            [
+                &mut || f32_on(tier, &mut c1),
+                &mut || sparse::spmm_nm24_with_tier(tier, &nm, &b, dim, &mut c2),
+                &mut || spmm(&csr, &b, dim, &mut c3),
+                // Activations quantize per run: that cost is part of the
+                // dynamic-quantization story and stays in the timer.
+                &mut || qgemm_i8_with_tier(tier, &quantize_rows_i8(std::hint::black_box(&w), dim, dim), &packed, &mut c4),
+            ],
+        );
+        let other = if tier == Tier::Avx2 { Tier::Scalar } else { Tier::Avx2 };
+        let other_ms = sample(best_of, reps, || f32_on(other, &mut c0));
+        let sgemm_256 = |tier| if tier == Tier::Avx2 { "sgemm_256_avx2" } else { "sgemm_256_scalar" };
+        let square = (dim, dim, dim);
+        results.push(gemm_row(sgemm_256(tier), square, reps, dense));
+        results.push(gemm_row(sgemm_256(other), square, reps, other_ms));
+        // The sparse rows count the useful FLOPs: half the dense product's.
+        for (name, timed) in [("spmm_nm24_256", nm24), ("spmm_csr_256", csr_ms)] {
+            results.push(KernelResult { flops: Some((dim * dim * dim) as u64), ..gemm_row(name, square, reps, timed) });
+        }
+        results.push(gemm_row("qgemm_int8_256", square, reps, int8));
     }
     {
         // `A·B` against `A·Bᵀ` (B stored n×k, as `Linear` stores its
@@ -184,7 +250,6 @@ pub fn run(quick: bool) -> Result<(), String> {
         let a = random_vec(m * k, 3);
         let b = random_vec(k * n, 4);
         let [mut c0, mut c1, mut c2] = [(); 3].map(|()| vec![0.0f32; m * n]);
-        let tier = simd::active();
         let [nn, packed, nt] = duel_n(
             best_of,
             4 * reps,
@@ -228,7 +293,6 @@ pub fn run(quick: bool) -> Result<(), String> {
         let mut dense_st = SamoLayerState::from_params(&vec![0.0; m * n], wmask.clone(), &opt);
         let mut grad = vec![0.0f32; m * n];
         let [mut streamed16, mut sampled16] = [(); 2].map(|()| vec![F16::ZERO; wmask.nnz()]);
-        let tier = simd::active();
         let dw = |path, out: &mut [F16]| matmul_tn_kept_on_path(path, tier, m, n, k, &dy, &x, wmask.indices(), out);
         let [dense, streamed, sampled] = duel_n(
             best_of,
@@ -390,6 +454,79 @@ pub fn run(quick: bool) -> Result<(), String> {
         results.push(memory_row("compress.f16", timed, 8 * mask.nnz()));
     }
 
+    {
+        // The f16 conversions the step runs on every tensor, per tier: two
+        // bytes one way, four the other, an element.
+        let n = if quick { 1 << 20 } else { 1 << 22 };
+        let src = random_vec(n, 5);
+        let halves = f32_slice_to_f16(&src);
+        let [mut w0, mut w1] = [(); 2].map(|()| vec![0.0f32; n]);
+        let [mut h0, mut h1] = [(); 2].map(|()| vec![F16::ZERO; n]);
+        let times = duel_n(
+            best_of,
+            reps,
+            [
+                &mut || simd::widen_slice_tier(Tier::Scalar, std::hint::black_box(&halves), &mut w0),
+                &mut || simd::widen_slice_tier(Tier::Avx2, std::hint::black_box(&halves), &mut w1),
+                &mut || simd::narrow_slice_tier(Tier::Scalar, std::hint::black_box(&src), &mut h0),
+                &mut || simd::narrow_slice_tier(Tier::Avx2, std::hint::black_box(&src), &mut h1),
+            ],
+        );
+        let names = ["widen_f16_scalar", "widen_f16_avx2", "narrow_f16_scalar", "narrow_f16_avx2"];
+        for (name, timed) in names.into_iter().zip(times) {
+            results.push(KernelResult { n, roof: Some("stream_copy"), ..memory_row(name, timed, 6 * n) });
+        }
+    }
+    {
+        // The vector `exp` kernels against the libm loops they replaced, at
+        // `gpt_single`'s shapes: a block's MLP activation is [512, 256], its
+        // attention probabilities 2048 rows of 32. Every contender starts
+        // from a fresh copy of its input, so the in-place ones see the same
+        // values every rep.
+        let n = 512 * 256;
+        let x: Vec<f32> = random_vec(n, 11).iter().map(|v| 3.0 * v).collect();
+        let d = random_vec(n, 12);
+        let (rows, cols) = (n / 64, 32);
+        let probs = &x[..rows * cols];
+        let [mut y0, mut y1, mut d0, mut d1] = [(); 4].map(|()| vec![0.0f32; n]);
+        let [mut p0, mut p1] = [(); 2].map(|()| vec![0.0f32; rows * cols]);
+        let times = duel_n(
+            duel_rounds,
+            reps,
+            [
+                &mut || {
+                    for (y, &v) in y0.iter_mut().zip(std::hint::black_box(&x)) {
+                        *y = gelu_scalar(v);
+                    }
+                },
+                &mut || simd::gelu_tier(tier, std::hint::black_box(&x), &mut y1),
+                &mut || {
+                    d0.copy_from_slice(&d);
+                    for (g, &v) in d0.iter_mut().zip(std::hint::black_box(&x)) {
+                        *g *= gelu_grad_scalar(v);
+                    }
+                },
+                &mut || {
+                    d1.copy_from_slice(&d);
+                    simd::gelu_grad_mul_tier(tier, std::hint::black_box(&x), &mut d1);
+                },
+                &mut || {
+                    p0.copy_from_slice(probs);
+                    softmax_rows_libm(&mut p0, cols);
+                },
+                &mut || {
+                    p1.copy_from_slice(probs);
+                    tensor::ops::softmax_rows(&mut p1, rows, cols);
+                },
+            ],
+        );
+        let names = ["gelu_fwd_libm", "gelu_fwd_vector", "gelu_bwd_libm", "gelu_bwd_vector", "softmax_rows_libm", "softmax_rows_vector"];
+        for (name, timed) in names.into_iter().zip(times) {
+            let n = if name.starts_with("softmax") { rows * cols } else { n };
+            results.push(KernelResult { name, n, reps, timed, flops: None, bytes: None, roof: None });
+        }
+    }
+
     // --- The bandwidth roofs of this run. ------------------------------
     {
         // Beyond the 2 MB L2 of the box the numbers were sized on: a
@@ -435,9 +572,28 @@ pub fn run(quick: bool) -> Result<(), String> {
 
     let shares: Vec<Option<f64>> = results.iter().map(roof_share).collect();
     let mut own = to_json(&results, &shares, quick, best_of);
+    own.push(("avx2_detected".to_string(), Json::Bool(simd::detected_avx2())));
+    own.push(("active_tier".to_string(), Json::Str(tier.name().to_string())));
     own.push(("path_sweep".to_string(), path_sweep(best_of, reps)));
     own.push(("gpt_layers".to_string(), gpt_layers(best_of, reps)));
     harness::record("kernels", own)
+}
+
+/// `softmax_rows` as it was before the vector `exp`: libm's `exp` per
+/// element, the loop the `softmax_rows_vector` row is measured against.
+fn softmax_rows_libm(data: &mut [f32], cols: usize) {
+    for row in data.chunks_mut(cols) {
+        let max = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+        let mut denom = 0.0f32;
+        for v in row.iter_mut() {
+            *v = (*v - max).exp();
+            denom += *v;
+        }
+        let inv = 1.0 / denom;
+        for v in row.iter_mut() {
+            *v *= inv;
+        }
+    }
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -731,6 +887,7 @@ fn to_json(results: &[KernelResult], roof_shares: &[Option<f64>], quick: bool, b
                 ("name".to_string(), Json::Str(r.name.to_string())),
                 ("n".to_string(), Json::UInt(r.n as u64)),
                 ("reps".to_string(), Json::UInt(r.reps as u64)),
+                ("rounds".to_string(), Json::UInt(r.timed.runs_ms.len() as u64)),
                 ("best_ms".to_string(), round6(r.timed.best_ms)),
                 (
                     "runs_ms".to_string(),

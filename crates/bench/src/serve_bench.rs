@@ -13,7 +13,7 @@
 //!   the dense backend (the continuous batcher's reason to exist).
 //!
 //! 2:4 structured and int8 over dense f32 at the same batched setting
-//! are recorded beside it as data: they are the `simd` row's kernel
+//! are recorded beside it as data: they are the `kernels` row's
 //! floors seen through a queue, at whatever batch fill the load reaches,
 //! and a floor is gated once — on the kernel. On hardware without AVX2
 //! the batching gate is skipped (scalar matvec vs scalar matmul is not

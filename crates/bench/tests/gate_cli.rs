@@ -27,11 +27,11 @@ fn committed_file_passes_and_a_missing_section_is_named() {
         "{stdout}"
     );
 
-    // Drop the `tcp` section the way a clobbering tracker would.
+    // Drop the `comms` section the way a clobbering tracker would.
     let text = std::fs::read_to_string(TRACKED).unwrap();
     let start = text
-        .find("  \"tcp\": {")
-        .expect("tracked file has a tcp section");
+        .find("  \"comms\": {")
+        .expect("tracked file has a comms section");
     let end = start + text[start..].find("\n  },\n").expect("section end") + "\n  },\n".len();
     let clobbered = std::env::temp_dir().join(format!("samo-gate-cli-{}.json", std::process::id()));
     std::fs::write(&clobbered, format!("{}{}", &text[..start], &text[end..])).unwrap();
@@ -39,7 +39,7 @@ fn committed_file_passes_and_a_missing_section_is_named() {
     let bad = gate(clobbered.to_str().unwrap());
     let stderr = String::from_utf8_lossy(&bad.stderr);
     assert_eq!(bad.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("section `tcp` is missing"), "{stderr}");
+    assert!(stderr.contains("section `comms` is missing"), "{stderr}");
     let _ = std::fs::remove_file(&clobbered);
 }
 

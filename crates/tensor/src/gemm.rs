@@ -85,7 +85,7 @@ pub fn sgemm<B: GemmElem>(
 }
 
 /// [`sgemm`] pinned to an explicit SIMD tier — the entry point the
-/// parity tests and the `repro simd` benchmark use, since the
+/// parity tests and `repro bench`'s per-tier rows use, since the
 /// process-wide tier is resolved once and cannot be toggled per call.
 #[allow(clippy::too_many_arguments)]
 pub fn sgemm_with_tier<B: GemmElem>(
