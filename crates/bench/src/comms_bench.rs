@@ -284,7 +284,7 @@ fn step_row(best_of: usize, reps: usize) -> Result<Json, String> {
 }
 
 /// Runs the suite: dense `phi` vs compressed `phi/f` on every transport
-/// and world of [`TRANSPORTS`], each run's bits against the oracle, a
+/// and world of `TRANSPORTS`, each run's bits against the oracle, a
 /// table and CSV to `results/`, the step row, and the `comms` section
 /// recorded under its gate.
 pub fn run(quick: bool) -> Result<(), String> {

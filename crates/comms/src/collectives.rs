@@ -77,7 +77,7 @@ pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(5);
 /// Most early arrivals a rank keeps for collectives it has not reached.
 /// A healthy neighbour runs at most one step ahead — one first hop per
 /// gradient bucket, the verdict flag, one hop 0 per started parameter
-/// bucket gather, a pipeline's microbatches, a telemetry snapshot — so a stash
+/// bucket gather, a pipeline's microbatches — so a stash
 /// this deep is a peer off the message schedule, and is refused
 /// ([`CommsError::Mismatch`]) instead of grown.
 const STASH_CAP: usize = 4096;
@@ -757,51 +757,6 @@ impl<T: Transport> Communicator<T> {
             }
             res
         })
-    }
-
-    // --- Telemetry (best-effort metrics snapshots) --------------------
-
-    /// Ships a metrics snapshot to rank `to`, tagged `(id, step)` like
-    /// p2p traffic (caller-supplied, no collective counter consumed).
-    ///
-    /// Best-effort: a send failure is logged and swallowed and the
-    /// communicator is **not** poisoned — telemetry must never take
-    /// down training.
-    pub fn send_telemetry(&mut self, to: usize, id: u64, step: u32, bytes: Vec<u8>) {
-        let tag = self.tag(Kind::Telemetry, id, step);
-        if let Err(e) = self.send_traced(to, Message { tag, payload: Payload::Bytes(bytes) }) {
-            telemetry::log_warn!("telemetry snapshot send to rank {to} failed: {e}");
-        }
-    }
-
-    /// Blocks up to `wait` for the snapshot tagged `(id, step)` from
-    /// `from`. Best-effort: a missing or malformed snapshot returns
-    /// `None` (with a warning) instead of poisoning, and stashed
-    /// telemetry from steps already passed is discarded so a straggling
-    /// sender can't grow the stash without bound.
-    pub fn recv_telemetry(
-        &mut self,
-        from: usize,
-        id: u64,
-        step: u32,
-        wait: Duration,
-    ) -> Option<Vec<u8>> {
-        let want = self.tag(Kind::Telemetry, id, step);
-        let deadline = Instant::now() + wait;
-        let res = self.recv_match(from, want, deadline);
-        self.stash
-            .retain(|(_, tag), _| tag.kind != Kind::Telemetry || tag.step >= step);
-        match res {
-            Ok(Message { payload: Payload::Bytes(b), .. }) => Some(b),
-            Ok(_) => {
-                telemetry::log_warn!("telemetry snapshot from rank {from} had a non-bytes payload");
-                None
-            }
-            Err(e) => {
-                telemetry::log_warn!("telemetry snapshot from rank {from} missed: {e}");
-                None
-            }
-        }
     }
 
     // --- Chunked ring reduce-scatter and all-reduce -------------------
@@ -1585,47 +1540,6 @@ mod tests {
         });
         assert_eq!(got[1].0, None, "nothing sent yet: try_recv must not block or invent data");
         assert_eq!(got[1].1, Some(vec![0.5]));
-    }
-
-    #[test]
-    fn telemetry_snapshots_are_best_effort_and_never_poison() {
-        let faults = Arc::new(FaultController::new());
-        faults.cut_link(2, 0);
-        let got = run_ranks(3, faults, Duration::from_millis(100), |comm, rank| {
-            if rank == 0 {
-                let ok = comm.recv_telemetry(1, 1, 5, Duration::from_millis(500));
-                // Rank 2's link is cut: the snapshot is simply missing.
-                let missing = comm.recv_telemetry(2, 2, 5, Duration::from_millis(50));
-                // A lost snapshot must not poison the communicator for
-                // later real collectives (barrier still pending below
-                // would deadlock with rank 0 poisoned).
-                (ok, missing)
-            } else {
-                comm.send_telemetry(0, rank as u64, 5, vec![rank as u8; 3]);
-                (None, None)
-            }
-        });
-        assert_eq!(got[0].0, Some(vec![1, 1, 1]));
-        assert_eq!(got[0].1, None);
-    }
-
-    #[test]
-    fn stale_telemetry_is_evicted_from_the_stash() {
-        let got = run_ranks(2, Arc::default(), DEFAULT_TIMEOUT, |comm, rank| {
-            if rank == 0 {
-                // Old snapshots for steps 0 and 1 arrive before rank 0
-                // asks for step 2; asking must evict them.
-                let missing = comm.recv_telemetry(1, 1, 2, Duration::from_millis(200));
-                let stash_len = comm.stash.len();
-                (missing, stash_len)
-            } else {
-                comm.send_telemetry(0, 1, 0, vec![0]);
-                comm.send_telemetry(0, 1, 1, vec![1]);
-                (None, 0)
-            }
-        });
-        assert_eq!(got[0].0, None);
-        assert_eq!(got[0].1, 0, "stale telemetry must not linger in the stash");
     }
 
     #[test]

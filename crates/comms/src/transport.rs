@@ -15,7 +15,7 @@ use crate::fault::{Decision, FaultController};
 use crate::heartbeat::Health;
 use crate::CommsError;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use tensor::f16::F16;
@@ -70,11 +70,10 @@ pub enum Kind {
     /// instead of consuming the shared monotonic collective counter,
     /// so stages exchanging different message counts stay aligned.
     P2p = 4,
-    /// Best-effort metrics snapshots shipped to rank 0 for mesh-wide
-    /// aggregation. Like [`Kind::P2p`] the tags are caller-supplied;
-    /// unlike everything else a lost or late snapshot must never fail
-    /// a collective, so telemetry traffic is sent and received through
-    /// the non-poisoning best-effort paths only.
+    /// Out-of-band text, never sent on a training mesh: the bootstrap
+    /// host's refusal of a registration (`bootstrap::Handshake::Reject`)
+    /// and the serving tier's error replies. A group's step durations
+    /// ride its rank threads' replies, not the wire.
     Telemetry = 5,
     /// Liveness probes on a socket transport: a background thread pings
     /// every peer each interval (`step` 0) and the peer's reader
@@ -282,47 +281,15 @@ impl Mailbox {
         from: usize,
         deadline: Option<Instant>,
     ) -> Result<Option<Message>, CommsError> {
-        let rank = self.rank;
-        let Some(rx) = self.inbox.get(from).and_then(Option::as_ref) else {
-            return Err(CommsError::Mismatch(format!("recv from invalid rank {from}")));
-        };
-        let (health, slice) = liveness(&self.liveness);
-        let held = &mut self.held[from];
-        loop {
-            if health.is_some_and(|h| h.is_dead(from)) {
-                return Err(CommsError::PeerDead { rank, peer: from });
-            }
-            let now = Instant::now();
-            let left = deadline.map_or(Duration::ZERO, |d| d.saturating_duration_since(now));
-            if held.is_none() {
-                // Waits in slices so a mid-wait death verdict surfaces
-                // within one of them instead of the full deadline.
-                let next = if left.is_zero() {
-                    rx.try_recv().map_err(|e| e == TryRecvError::Disconnected)
-                } else {
-                    rx.recv_timeout(left.min(slice)).map_err(|e| e == RecvTimeoutError::Disconnected)
-                };
-                match next {
-                    Ok(env) => *held = Some(env),
-                    Err(true) => return Err(CommsError::Closed { rank, peer: from }),
-                    Err(false) if left.is_zero() => return Ok(None),
-                    Err(false) => continue,
-                }
-            }
-            let due = held.as_ref().and_then(|env| env.deliver_at);
-            match due.map(|at| at.saturating_duration_since(now)) {
-                // FIFO: this *is* the next message, so if it cannot be
-                // delivered in time nothing can.
-                Some(wait) if wait > left => return Ok(None),
-                Some(wait) if !wait.is_zero() => std::thread::sleep(wait.min(slice)),
-                _ => return Ok(held.take().map(|env| env.msg)),
-            }
-        }
+        let ready = self.wait_any(&[from], deadline.unwrap_or_else(Instant::now))?;
+        Ok(ready.and_then(|from| self.held[from].take()).map(|env| env.msg))
     }
 
     /// The first of `links` whose head can be delivered now, sleeping until
     /// there is one or `deadline` passes (`Ok(None)`). A head that arrives
-    /// is moved to `held`, where [`Self::recv`] finds it.
+    /// is moved to `held`, where [`Self::recv`] finds it. Links are FIFO,
+    /// so when every link's head is due after `deadline` nothing can be
+    /// delivered in time, and the answer is `Ok(None)` at once.
     pub(crate) fn wait_any(
         &mut self,
         links: &[usize],
@@ -336,6 +303,7 @@ impl Mailbox {
             let now = Instant::now();
             // A death verdict wakes nobody: look again every slice.
             let mut until = now.checked_add(slice).map_or(deadline, |t| t.min(deadline));
+            let mut too_late = true;
             for &from in links {
                 let Some(rx) = self.inbox.get(from).and_then(Option::as_ref) else {
                     return Err(CommsError::Mismatch(format!("wait on invalid rank {from}")));
@@ -346,18 +314,24 @@ impl Mailbox {
                 if self.held[from].is_none() {
                     match rx.try_recv() {
                         Ok(env) => self.held[from] = Some(env),
-                        Err(TryRecvError::Empty) => continue,
+                        Err(TryRecvError::Empty) => {
+                            too_late = false;
+                            continue;
+                        }
                         Err(TryRecvError::Disconnected) => {
                             return Err(CommsError::Closed { rank, peer: from })
                         }
                     }
                 }
                 match self.held[from].as_ref().and_then(|env| env.deliver_at) {
-                    Some(due) if due > now => until = until.min(due),
+                    Some(due) if due > now => {
+                        until = until.min(due);
+                        too_late &= due > deadline;
+                    }
                     _ => return Ok(Some(from)),
                 }
             }
-            if links.is_empty() || now >= deadline {
+            if too_late || now >= deadline {
                 return Ok(None);
             }
             self.wake.park(seen, until);

@@ -105,7 +105,7 @@
 
 use crate::engine::{assert_replicas_agree, Ring, StepEngine, PIPELINE};
 use crate::state::SamoLayerState;
-use crate::threaded::{relay_step_metrics, RankGroup, RankWorker};
+use crate::threaded::{RankGroup, RankWorker};
 use comms::{CommsError, Communicator, FaultController, InProcTransport, Transport};
 use nn::layer::{CacheSlot, Layer, Sequential};
 use nn::mixed::{LossScaler, Optimizer};
@@ -258,10 +258,6 @@ struct StageRank {
     slots: Vec<CacheSlot>,
     /// Whether this step parks caches instead of recomputing them.
     stashing: bool,
-    /// Rank (0,0) only: rolling per-rank step-duration stats
-    /// `(sum_us, samples)` indexed by `data_idx * g_inter + stage`,
-    /// fed by the mesh-native telemetry relay. Empty elsewhere.
-    rank_dur_stats: Vec<(f64, u64)>,
 }
 
 impl RankWorker for StageRank {
@@ -445,12 +441,10 @@ impl StageRank {
     }
 
     /// Telemetry tail of a completed step: records this rank's step
-    /// window slice, the seconds of it spent asleep and in Ws, the
-    /// stash's peak,
-    /// and runs the mesh-native metrics relay
-    /// ([`relay_step_metrics`]). Only called
-    /// when telemetry is enabled and the step reached a verdict (error
-    /// paths skip it — a dead rank's wait slices still tell the story).
+    /// window slice, the seconds of it spent asleep and in Ws, and the
+    /// stash's peak. Only called when telemetry is enabled and the step
+    /// reached a verdict (error paths skip it — a dead rank's wait slices
+    /// still tell the story).
     fn finish_step_telemetry(&mut self, step: u32, win0: f64, waited_s: f64, w_s: f64) {
         let reg = telemetry::global();
         reg.histogram("samo.pipeline.wait_s").record(waited_s);
@@ -469,9 +463,6 @@ impl StageRank {
                 vec![uint("step", u64::from(step)), uint("group", group)],
             )
         });
-        let place = (self.stage, self.cfg.g_inter);
-        let (data, rolling) = (&mut self.engine.reducer.0, &mut self.rank_dur_stats);
-        relay_step_metrics(step, dur_us, place, Some(&mut self.pipe), data, rolling);
     }
 
     /// Records one forward/B/W compute slice on this rank's lane.
@@ -713,7 +704,6 @@ impl ThreadedPipelineSamo {
                     cache_mb: None,
                     slots: (0..cfg.max_in_flight).map(|_| CacheSlot::default()).collect(),
                     stashing: false,
-                    rank_dur_stats: Vec::new(),
                 };
                 param_off += n_params;
                 workers.push((format!("samo-pp-s{stage}d{data_idx}"), rk));
@@ -792,11 +782,8 @@ impl ThreadedPipelineSamo {
     ) -> Result<bool, String> {
         let step = self.step_seq;
         self.step_seq = self.step_seq.wrapping_add(1);
-        self.group.step(StepJob {
-            input: Arc::new(input),
-            loss_grad: Arc::new(loss_grad),
-            step,
-        })
+        let job = StepJob { input: Arc::new(input), loss_grad: Arc::new(loss_grad), step };
+        self.group.step(job, step)
     }
 
     /// Serializes the group as one topology-independent v2 checkpoint:

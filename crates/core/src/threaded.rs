@@ -101,17 +101,19 @@ pub struct CommStats {
 }
 
 /// A rank whose step duration exceeds this multiple of the step median
-/// is reported as a straggler by rank 0's metrics aggregation.
+/// is reported as a straggler in the group's `mesh_metrics` line.
 pub const STRAGGLER_FACTOR: f64 = 1.5;
 
 /// What a rank thread reports back after a step (and after a restore):
 /// the verdict, its trainer-level state — identical on every rank, and
-/// what the calling thread mirrors — and its unpruned parameter count,
-/// which a dynamic-sparsity remap changes.
+/// what the calling thread mirrors — its unpruned parameter count,
+/// which a dynamic-sparsity remap changes, and how long the step took.
 pub(crate) struct StepOutcome {
     pub applied: bool,
     pub meta: TrainerMeta,
     pub nnz: usize,
+    /// The step's wall time on the rank's thread (0 for a restore).
+    pub dur_us: f64,
 }
 
 /// What [`RankGroup`] needs of the state a rank thread owns.
@@ -161,31 +163,38 @@ fn rank_loop<W: RankWorker>(
     rx: Receiver<Cmd<W::Model, W::Job>>,
     tx: Sender<Resp<W::Stats>>,
 ) {
-    let outcome = |w: &mut W, applied| {
+    let outcome = |w: &mut W, applied, dur_us| {
         let engine = w.parts().1;
         StepOutcome {
             applied,
             meta: engine.meta(),
             nnz: engine.nnz(),
+            dur_us,
         }
     };
     let mut poisoned = false;
     while let Ok(cmd) = rx.recv() {
         let resp = match cmd {
             Cmd::Step(_) if poisoned => Resp::Done(Err(CommsError::Poisoned.to_string())),
-            Cmd::Step(job) => match w.step(&job) {
-                Ok(applied) => Resp::Done(Ok(outcome(&mut w, applied))),
-                Err(e) => {
-                    poisoned = true;
-                    // A pipeline schedule that ended in `Err` left θ16 lent.
-                    let (model, engine) = w.parts();
-                    engine.lend_theta16(model, false);
-                    Resp::Done(Err(e.to_string()))
+            Cmd::Step(job) => {
+                let t0 = Instant::now();
+                match w.step(&job) {
+                    Ok(applied) => {
+                        let dur_us = t0.elapsed().as_secs_f64() * 1e6;
+                        Resp::Done(Ok(outcome(&mut w, applied, dur_us)))
+                    }
+                    Err(e) => {
+                        poisoned = true;
+                        // A pipeline schedule that ended in `Err` left θ16 lent.
+                        let (model, engine) = w.parts();
+                        engine.lend_theta16(model, false);
+                        Resp::Done(Err(e.to_string()))
+                    }
                 }
-            },
+            }
             Cmd::Restore(ck) => Resp::Done(w.restore(&ck).map(|()| {
                 poisoned = false;
-                outcome(&mut w, false)
+                outcome(&mut w, false, 0.0)
             })),
             Cmd::SetScaler(s) => {
                 w.parts().1.scaler = s;
@@ -234,6 +243,8 @@ pub(crate) struct RankGroup<M, J, S> {
     pub numel: usize,
     /// Unpruned parameters fφ (per replica).
     pub nnz: usize,
+    /// Rolling per-rank step durations `(sum_us, samples)`, in rank order.
+    dur_stats: Vec<(f64, u64)>,
 }
 
 impl<M: 'static, J: Clone + Send + 'static, S: Send + 'static> RankGroup<M, J, S> {
@@ -250,6 +261,7 @@ impl<M: 'static, J: Clone + Send + 'static, S: Send + 'static> RankGroup<M, J, S
             meta: trainer_meta(&LossScaler::default(), 0, 0),
             numel: 0,
             nnz: 0,
+            dur_stats: vec![(0.0, 0); workers.len()],
         };
         for (i, (name, mut worker)) in workers.into_iter().enumerate() {
             if i < g_inter {
@@ -294,8 +306,8 @@ impl<M: 'static, J: Clone + Send + 'static, S: Send + 'static> RankGroup<M, J, S
 
     /// Runs a step or a restore on every rank, joins the errors of the
     /// ranks that failed, and mirrors what the others reported. Returns
-    /// whether the step was applied.
-    fn run(&mut self, cmd: impl Fn() -> Cmd<M, J>) -> Result<bool, String> {
+    /// every rank's outcome, in rank order.
+    fn run(&mut self, cmd: impl Fn() -> Cmd<M, J>) -> Result<Vec<StepOutcome>, String> {
         let mut outcomes = Vec::with_capacity(self.cmd.len());
         let mut errors = Vec::new();
         for (i, resp) in self.broadcast(cmd).into_iter().enumerate() {
@@ -319,13 +331,68 @@ impl<M: 'static, J: Clone + Send + 'static, S: Send + 'static> RankGroup<M, J, S
         self.meta = first.meta;
         // A dynamic-sparsity remap may have changed the masks.
         self.nnz = outcomes[..self.g_inter].iter().map(|o| o.nnz).sum();
-        Ok(first.applied)
+        Ok(outcomes)
     }
 
     /// One training step on every rank; `Err` if any rank's collective
-    /// failed (the group then needs [`Self::restore`]).
-    pub fn step(&mut self, job: J) -> Result<bool, String> {
-        self.run(|| Cmd::Step(job.clone()))
+    /// failed (the group then needs [`Self::restore`]). With telemetry
+    /// on, the ranks' step durations become the `mesh_metrics` line of
+    /// step `index`.
+    pub fn step(&mut self, job: J, index: u32) -> Result<bool, String> {
+        let outcomes = self.run(|| Cmd::Step(job.clone()))?;
+        if telemetry::enabled() {
+            self.emit_mesh_metrics(index, &outcomes);
+        }
+        Ok(outcomes[0].applied)
+    }
+
+    /// Folds one step's per-rank durations into the rolling means, warns
+    /// on stragglers (above [`STRAGGLER_FACTOR`] × the step median) and
+    /// writes one `mesh_metrics` line to the metrics jsonl stream. A rank
+    /// is named by `rank`, or by `stage` and `data` in a pipeline.
+    fn emit_mesh_metrics(&mut self, step: u32, outcomes: &[StepOutcome]) {
+        let g_inter = self.g_inter;
+        let mut sorted: Vec<f64> = outcomes.iter().map(|o| o.dur_us).collect();
+        sorted.sort_by(f64::total_cmp);
+        let (median, max) = (sorted[sorted.len() / 2], sorted[sorted.len() - 1]);
+        let id = |i: usize| -> Vec<(String, Json)> {
+            let uint = |k: &str, v: usize| (k.to_string(), Json::UInt(v as u64));
+            if g_inter == 1 {
+                vec![uint("rank", i)]
+            } else {
+                vec![uint("stage", i % g_inter), uint("data", i / g_inter)]
+            }
+        };
+        let mut per_rank = Vec::with_capacity(outcomes.len());
+        let mut stragglers = Vec::new();
+        for (i, (o, cell)) in outcomes.iter().zip(&mut self.dur_stats).enumerate() {
+            let dur = o.dur_us;
+            cell.0 += dur;
+            cell.1 += 1;
+            let mut obj = id(i);
+            obj.push(("dur_us".into(), Json::Num(dur)));
+            obj.push(("mean_us".into(), Json::Num(cell.0 / cell.1 as f64)));
+            per_rank.push(Json::Obj(obj));
+            if outcomes.len() > 1 && dur > STRAGGLER_FACTOR * median {
+                let mut obj = id(i);
+                telemetry::log_warn!(
+                    "straggler: {} step {step} took {dur:.0}us ({:.2}x step median)",
+                    Json::Obj(obj.clone()).render(),
+                    dur / median
+                );
+                obj.push(("ratio".into(), Json::Num(dur / median)));
+                stragglers.push(Json::Obj(obj));
+            }
+        }
+        telemetry::jsonl::emit_line(&Json::Obj(vec![
+            ("kind".into(), Json::from("mesh_metrics")),
+            ("step".into(), Json::UInt(u64::from(step))),
+            ("ranks".into(), Json::UInt(outcomes.len() as u64)),
+            ("median_us".into(), Json::Num(median)),
+            ("max_us".into(), Json::Num(max)),
+            ("per_rank".into(), Json::Arr(per_rank)),
+            ("stragglers".into(), Json::Arr(stragglers)),
+        ]));
     }
 
     /// Restores a checkpoint on every rank and re-synchronizes the
@@ -431,105 +498,6 @@ impl<M, J, S> Drop for RankGroup<M, J, S> {
     }
 }
 
-/// Mesh-native metrics aggregation: every rank ships its step wall time
-/// over the transport to rank 0 (data rank 0 of stage 0), which folds
-/// rolling per-rank `(sum_us, samples)` stats, warns on stragglers (above
-/// [`STRAGGLER_FACTOR`] × the step median) and emits one aggregated
-/// `mesh_metrics` line into the metrics jsonl stream.
-///
-/// Two hops in a pipeline of `g_inter` stages: stages > 0 send to stage
-/// 0 over their replica's `pipe` mesh; replicas > 0 relay their gathered
-/// batch to data rank 0 over the stage-0 `data` mesh. A record is
-/// `slot: u64le | dur_us: f64le` with `slot = data rank · g_inter +
-/// stage`. Delivery is best-effort ([`Communicator::send_telemetry`]
-/// never poisons) — a lost snapshot degrades the report, never the step.
-pub(crate) fn relay_step_metrics<T: Transport>(
-    step: u32,
-    dur_us: f64,
-    (stage, g_inter): (usize, usize),
-    pipe: Option<&mut Communicator<InProcTransport>>,
-    data: &mut Communicator<T>,
-    rolling: &mut Vec<(f64, u64)>,
-) {
-    let (rank, timeout) = (data.rank(), data.timeout());
-    let slot = (rank * g_inter + stage) as u64;
-    let mut batch = [slot.to_le_bytes(), dur_us.to_le_bytes()].concat();
-    if let Some(pipe) = pipe {
-        if stage > 0 {
-            pipe.send_telemetry(0, stage as u64, step, batch);
-            return;
-        }
-        for s in 1..g_inter {
-            batch.extend(
-                pipe.recv_telemetry(s, s as u64, step, timeout)
-                    .unwrap_or_default(),
-            );
-        }
-    }
-    if rank > 0 {
-        data.send_telemetry(0, rank as u64, step, batch);
-        return;
-    }
-    for r in 1..data.world() {
-        batch.extend(
-            data.recv_telemetry(r, r as u64, step, timeout)
-                .unwrap_or_default(),
-        );
-    }
-    // Trailing partial records (impossible from well-behaved peers) are
-    // dropped, as are slots outside the group.
-    rolling.resize(g_inter * data.world(), (0.0, 0));
-    let entries: Vec<(usize, f64)> = batch
-        .chunks_exact(16)
-        .map(|c| {
-            let slot = u64::from_le_bytes(c[..8].try_into().unwrap()) as usize;
-            (slot, f64::from_le_bytes(c[8..].try_into().unwrap()))
-        })
-        .filter(|&(slot, _)| slot < rolling.len())
-        .collect();
-    let mut sorted: Vec<f64> = entries.iter().map(|e| e.1).collect();
-    sorted.sort_by(f64::total_cmp);
-    let (median, max) = (sorted[sorted.len() / 2], sorted[sorted.len() - 1]);
-    let id = |slot: usize| -> Vec<(String, Json)> {
-        let uint = |k: &str, v: usize| (k.to_string(), Json::UInt(v as u64));
-        if g_inter == 1 {
-            vec![uint("rank", slot)]
-        } else {
-            vec![uint("stage", slot % g_inter), uint("data", slot / g_inter)]
-        }
-    };
-    let mut per_rank = Vec::with_capacity(entries.len());
-    let mut stragglers = Vec::new();
-    for &(slot, dur) in &entries {
-        let cell = &mut rolling[slot];
-        cell.0 += dur;
-        cell.1 += 1;
-        let mut obj = id(slot);
-        obj.push(("dur_us".into(), Json::Num(dur)));
-        obj.push(("mean_us".into(), Json::Num(cell.0 / cell.1 as f64)));
-        per_rank.push(Json::Obj(obj));
-        if entries.len() > 1 && dur > STRAGGLER_FACTOR * median {
-            let mut obj = id(slot);
-            telemetry::log_warn!(
-                "straggler: {} step {step} took {dur:.0}us ({:.2}x step median)",
-                Json::Obj(obj.clone()).render(),
-                dur / median
-            );
-            obj.push(("ratio".into(), Json::Num(dur / median)));
-            stragglers.push(Json::Obj(obj));
-        }
-    }
-    telemetry::jsonl::emit_line(&Json::Obj(vec![
-        ("kind".into(), Json::from("mesh_metrics")),
-        ("step".into(), Json::UInt(u64::from(step))),
-        ("ranks".into(), Json::UInt(entries.len() as u64)),
-        ("median_us".into(), Json::Num(median)),
-        ("max_us".into(), Json::Num(max)),
-        ("per_rank".into(), Json::Arr(per_rank)),
-        ("stragglers".into(), Json::Arr(stragglers)),
-    ]));
-}
-
 /// One rank of a data-parallel group: its replica and the sharded
 /// [`StepEngine`] training it over `T` — the one data-parallel rank.
 /// [`ThreadedDataParallelSamo`] runs one per rank thread; `samo-launch`
@@ -540,9 +508,6 @@ pub(crate) fn relay_step_metrics<T: Transport>(
 pub struct DataParallelRank<M: Layer, T: Transport> {
     model: M,
     engine: StepEngine<Ring<T>>,
-    /// Rank 0 only: rolling per-rank step-duration stats
-    /// `(sum_us, samples)`, fed by the mesh-native telemetry relay.
-    rank_dur_stats: Vec<(f64, u64)>,
 }
 
 impl<M: Layer, T: Transport> DataParallelRank<M, T> {
@@ -553,7 +518,7 @@ impl<M: Layer, T: Transport> DataParallelRank<M, T> {
     /// each step.
     pub fn new(mut model: M, masks: &[Mask], opt: Optimizer, comm: Communicator<T>) -> Self {
         let engine = StepEngine::build(&mut model, masks, opt, Ring(comm), &DP_THREADED);
-        DataParallelRank { model, engine, rank_dur_stats: Vec::new() }
+        DataParallelRank { model, engine }
     }
 
     /// The engine: step counters, loss scale, state bytes, remap events.
@@ -580,9 +545,6 @@ impl<M: Layer, T: Transport> DataParallelRank<M, T> {
     /// collective failed — the communicator then refuses every collective
     /// (`Poisoned`) until [`Self::restore`] or a rank rebuilt on a new one.
     pub fn step(&mut self, f: impl FnOnce(usize, &mut M, f32) -> Tensor) -> Result<bool, CommsError> {
-        // The step event comes once per group, from rank 0's engine; the
-        // metrics relay below runs on *every* rank when telemetry is on.
-        let t_step0 = telemetry::enabled().then(Instant::now);
         // The compute window: forward and backward run from the lent θ16,
         // which is home again before the collectives — or the error.
         self.engine.lend_theta16(&mut self.model, true);
@@ -601,14 +563,7 @@ impl<M: Layer, T: Transport> DataParallelRank<M, T> {
             backward?;
             self.engine.finish_reduce()?
         };
-        let applied = self.engine.apply(&mut self.model, finite)?;
-        if let Some(t0) = t_step0 {
-            let dur_us = t0.elapsed().as_secs_f64() * 1e6;
-            let step = self.engine.step_index().saturating_sub(1) as u32;
-            let (comm, rolling) = (&mut self.engine.reducer.0, &mut self.rank_dur_stats);
-            relay_step_metrics(step, dur_us, (0, 1), None, comm, rolling);
-        }
-        Ok(applied)
+        self.engine.apply(&mut self.model, finite)
     }
 
     /// Reloads a checkpoint written by any runtime at any world size, cut
@@ -812,7 +767,8 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
         &mut self,
         f: impl Fn(usize, &mut M, f32) -> Tensor + Send + Sync + 'static,
     ) -> Result<bool, String> {
-        let applied = self.group.step(Arc::new(f))?;
+        let index = self.group.meta.steps_taken + self.group.meta.steps_skipped;
+        let applied = self.group.step(Arc::new(f), index as u32)?;
         self.allreduce_bytes +=
             samo_ring_allreduce_bytes(self.group.nnz as u64, self.world_size() as u64);
         Ok(applied)

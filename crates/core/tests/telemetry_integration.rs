@@ -34,10 +34,10 @@ fn linear_and_mask() -> (Linear, prune::Mask) {
     (Linear::new(8, 8, false, 1), prune::random_prune(&[8, 8], 0.75, 2))
 }
 
-/// The step records in `data` from line `from` on, parsed.
-fn step_records(data: &str, from: usize) -> Vec<Json> {
+/// The records of `kind` in `data` from line `from` on, parsed.
+fn records(data: &str, from: usize, kind: &str) -> Vec<Json> {
     let recs = data.lines().skip(from).map(|l| Json::parse(l).expect("valid JSONL"));
-    recs.filter(|r| r.get("kind") == Some(&Json::from("step"))).collect()
+    recs.filter(|r| r.get("kind") == Some(&Json::from(kind))).collect()
 }
 
 /// The keys of one record, and the phases (`t_<phase>`) among them.
@@ -158,7 +158,7 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
     assert_eq!(n as u64, steps, "rank 0 alone reports");
     assert_eq!(reg.histogram("samo.step.optimizer").count() - optimizer_spans, steps);
     let data = read();
-    let dp = step_records(&data, steps as usize);
+    let dp = records(&data, steps as usize, "step");
     assert_eq!(dp.len(), steps as usize);
     // A rank holds its shard of the compressed state, not `formula`.
     let shard = samo::m_samo_zero_bytes(phi, 1.0 - nnz as f64 / phi as f64, 2) as f64;
@@ -168,6 +168,9 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
         let Some(Json::UInt(held)) = rec.get("model_state_bytes") else { panic!("{rec:?}") };
         assert!((*held as f64 - shard).abs() <= 18.0, "{held} B vs {shard} B: {rec:?}");
     }
+    // Only a rank group sees every rank's step duration: bare ranks
+    // write no `mesh_metrics` line.
+    assert_eq!(records(&data, 0, "mesh_metrics").len(), 0, "{data}");
 
     // The remaining runtimes, one step each: the sequential oracle, the
     // dense baseline, and the two threaded groups (world 2).
@@ -193,7 +196,8 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
     let stage = || Box::new(linear_and_mask().0) as Box<dyn Layer + Send>;
     let pipe_model = Sequential::from_layers(vec![stage(), stage()]);
     let cfg = PipelineConfig::new(2, 2, 4);
-    let mut pipe = ThreadedPipelineSamo::new(vec![pipe_model], vec![mask.clone(), mask], adam(), cfg);
+    let pipe_masks = vec![mask.clone(), mask.clone()];
+    let mut pipe = ThreadedPipelineSamo::new(vec![pipe_model], pipe_masks.clone(), adam(), cfg);
     let (xs, ts) = (x.clone(), target.clone());
     pipe.step(move |_, _| xs.clone(), move |_, _, y, scale| fwd_bwd_grad(y, &ts, scale))
         .expect("healthy pipeline");
@@ -205,7 +209,7 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
     // Every runtime writes the same record: same fixed keys in the same
     // order; only the phases its code path times differ.
     let data = read();
-    let rest = step_records(&data, already);
+    let rest = records(&data, already, "step");
     let runtime = |r: &Json| r.get("runtime").cloned();
     let by_runtime = |name: &str| {
         let mut hits = rest.iter().filter(|r| runtime(r) == Some(Json::from(name)));
@@ -239,7 +243,72 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
     let shadows = ["samo", "samo.pipeline", "samo.dp_threaded"].map(resident);
     assert_eq!(shadows, [256.0, 4.0 * 16.0, 0.0]);
 
+    // Step durations ride the rank threads' replies, not the mesh: with
+    // telemetry on, a group step sends the bytes it sends with telemetry
+    // off, no telemetry message among them, and the group writes one
+    // `mesh_metrics` line per step — one `per_rank` entry per rank, in
+    // rank order, at the step index the engine took.
+    let already = read().lines().count();
+    let dp_wire = |on: bool| {
+        telemetry::set_enabled(on);
+        let mut th = ThreadedDataParallelSamo::new(replicas(3), vec![mask.clone()], adam());
+        for _ in 0..steps {
+            let (xs, ts) = (x.clone(), target.clone());
+            th.step(move |_, m, scale| fwd_bwd(m, &xs, &ts, scale)).expect("healthy mesh");
+        }
+        let wire: Vec<u64> = th.comm_stats().iter().map(|s| s.wire_bytes).collect();
+        telemetry::set_enabled(false);
+        wire
+    };
+    let pipe_wire = |on: bool| {
+        telemetry::set_enabled(on);
+        let cfg = PipelineConfig { g_data: 2, ..PipelineConfig::new(2, 2, 4) };
+        let pipe_model = || Sequential::from_layers(vec![stage(), stage()]);
+        let replicas = vec![pipe_model(), pipe_model()];
+        let mut pipe = ThreadedPipelineSamo::new(replicas, pipe_masks.clone(), adam(), cfg);
+        let (xs, ts) = (x.clone(), target.clone());
+        pipe.step(move |_, _| xs.clone(), move |_, _, y, scale| fwd_bwd_grad(y, &ts, scale))
+            .expect("healthy pipeline");
+        let stats = pipe.stage_stats();
+        telemetry::set_enabled(false);
+        stats.iter().map(|s| (s.pipe_wire_bytes, s.data_wire_bytes)).collect::<Vec<_>>()
+    };
+    let (dp_off, pipe_off) = (dp_wire(false), pipe_wire(false));
+    telemetry::trace::take();
+    assert_eq!(dp_wire(true), dp_off, "data-parallel wire bytes per rank, telemetry on vs off");
+    assert_eq!(pipe_wire(true), pipe_off, "pipeline (pipe, data) wire bytes per rank, on vs off");
+    let (_, flows) = telemetry::trace::take();
+    assert!(!flows.is_empty(), "a traced step records its messages");
+    assert!(flows.iter().all(|f| !f.name.starts_with("tel ")), "telemetry on the mesh");
+    telemetry::set_enabled(true);
+    telemetry::jsonl::flush();
+    telemetry::set_enabled(false);
+    let data = read();
+    let mesh = records(&data, already, "mesh_metrics");
+    assert_eq!(mesh.len(), steps as usize + 1, "one line per group step: {data}");
+    let ids = |rec: &Json, keys: &[&str]| -> Vec<Vec<u64>> {
+        let Some(Json::Arr(per_rank)) = rec.get("per_rank") else { panic!("{rec:?}") };
+        let id = |r: &Json| keys.iter().map(|k| uint(r.get(k))).collect();
+        per_rank.iter().map(id).collect()
+    };
+    for (step, rec) in mesh[..steps as usize].iter().enumerate() {
+        assert_eq!((uint(rec.get("step")), uint(rec.get("ranks"))), (step as u64, 3), "{rec:?}");
+        assert_eq!(ids(rec, &["rank"]), [[0], [1], [2]], "{rec:?}");
+    }
+    let pipe_rec = &mesh[steps as usize];
+    assert_eq!((uint(pipe_rec.get("step")), uint(pipe_rec.get("ranks"))), (0, 4), "{pipe_rec:?}");
+    let placed = ids(pipe_rec, &["stage", "data"]);
+    assert_eq!(placed, [[0, 0], [1, 0], [0, 1], [1, 1]], "{pipe_rec:?}");
+
     let _ = std::fs::remove_dir_all(&tmp);
+}
+
+/// An unsigned field of a record.
+fn uint(v: Option<&Json>) -> u64 {
+    match v {
+        Some(Json::UInt(n)) => *n,
+        other => panic!("not an unsigned field: {other:?}"),
+    }
 }
 
 /// The pipeline's loss-gradient callback: scaled `d(mse)/d(output)`.

@@ -9,7 +9,7 @@
 //! these kernels lose to dense GEMM at pruned-network sparsities. Having
 //! the layer real lets the reproduction (a) verify the sparse math is
 //! exactly the masked dense math, and (b) benchmark the two honestly on
-//! CPU (`bench/benches/gemm_vs_sparse.rs`).
+//! CPU (`repro bench`'s `spmm_csr_256` row against `sgemm_256_*`).
 
 use crate::layer::Layer;
 use crate::param::Parameter;
