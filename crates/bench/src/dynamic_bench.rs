@@ -85,7 +85,7 @@ fn run_trajectory(quick: bool) -> (Vec<Json>, u64, usize, u64) {
         0.1,
     ));
     let steps = schedule.end() + 2;
-    tr.set_mask_schedule(schedule);
+    tr.set_mask_schedule(schedule).expect("a fresh trainer lends no gradient sums");
 
     let phi = tr.numel() as u64;
     let batch = 8;

@@ -101,7 +101,8 @@ fn drive_training(dir: &Path) {
     let knots = vec![(0, 0.75), (4, 0.5)];
     trainer.set_mask_schedule(MaskSchedule::MomentumPruneRegrow(MomentumPruneRegrow::new(
         knots, 1, 0.2,
-    )));
+    )))
+    .unwrap();
     for _ in 0..2 {
         fwd_bwd(&mut model, trainer.loss_scale());
         trainer.step(&mut model);

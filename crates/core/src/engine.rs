@@ -9,7 +9,15 @@
 //!
 //! * [`crate::SamoTrainer`] calls `step(model)` after the caller's
 //!   backward — an inline loop over the parameters
-//!   (`reduce_after_backward`);
+//!   (`reduce_after_backward`). Between steps it lends each weight the
+//!   kept sums of its gradient beside `θ16` and the index
+//!   (`lend_grad_sums`): the caller's backward adds `dyᵀ·x` at the kept
+//!   positions alone into `nnz` f32s (`tensor::gemm::matmul_tn_kept_acc`),
+//!   the step narrows them into `∇θ16` (`SamoLayerState::compress_sums`,
+//!   the tail the pipeline's W ends with), and the dense `grad` stays
+//!   released. Not for the first step, whose schedule may still be
+//!   installed, and not for a step the schedule updates on: its grow
+//!   score is the dense gradient;
 //! * [`crate::threaded::DataParallelRank`] — one per rank thread of
 //!   [`crate::ThreadedDataParallelSamo`], one per process of
 //!   `samo-launch` — runs backward through
@@ -58,10 +66,12 @@
 //! the values for its closure (`Parameter::widen_value`).
 //! [`crate::SamoTrainer`]'s caller runs forward and backward, so its
 //! window is the time *between* steps: `new` releases and lends, `step`
-//! brings `θ16` home for the remap, compress and optimizer and lends it
-//! again, and `restore` / `rollback` leave it where they found it. No
-//! runtime keeps the f32 view; the independent oracle of the lent
-//! products is `crate::reference`, which multiplies f32 weights.
+//! brings `θ16` (and the gradient sums) home for the remap, compress and
+//! optimizer and lends them again, and `restore` / `rollback` leave `θ16`
+//! where they found it and the sums out only if they were, by the rule of
+//! the end of a step. No runtime keeps the f32 view; the independent
+//! oracle of the lent products is `crate::reference`, which multiplies
+//! f32 weights.
 //!
 //! Every state runs the same fused pair
 //! ([`SamoLayerState::compress_grad_fused`] — or its product form — and
@@ -161,6 +171,16 @@ impl<T: Transport> Reducer for Ring<T> {
     }
 }
 
+/// A mask schedule a single worker refused
+/// ([`crate::SamoTrainer::set_mask_schedule`]): it fires at `step`, the
+/// next one, and the gradient sums are lent for that step's backward, so
+/// the dense gradient its grow score ranks would never be formed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScheduleRefused {
+    /// The update step the schedule would have ranked without a gradient.
+    pub step: u64,
+}
+
 /// What differs between the runtimes' reports: the prefix of their
 /// counters and gauges (`.steps_taken`, `.steps_skipped`, `.loss_scale`,
 /// `.model_state_bytes`, `.allreduce_bytes`, `.remap_events`) — and, dots
@@ -215,10 +235,13 @@ pub struct StepEngine<R: Reducer> {
     /// Parameters whose gradient's product the engine took: they keep no
     /// dense `grad` between steps (`apply`).
     streamed: Vec<bool>,
-    /// Per parameter, the weight gradient of a pipeline step's earlier
-    /// microbatches at the kept positions: `nnz` f32 sums while it holds
-    /// them, empty otherwise. A transient, not model state.
+    /// Per parameter, the weight gradient at the kept positions: `nnz`
+    /// f32 sums of a pipeline step's earlier microbatches, or of a single
+    /// worker's backward once its lent target comes home; empty
+    /// otherwise, and while lent. A transient, not model state.
     dw_sums: Vec<Vec<f32>>,
+    /// Whether the sums are lent to the model ([`Self::lend_grad_sums`]).
+    pub(crate) sums_lent: bool,
     /// A pipeline step's deferred Ws, oldest first: the one a B just
     /// recorded and, until it runs, at most one before it.
     w_queue: Vec<Deferred>,
@@ -250,6 +273,7 @@ impl<R: Reducer> StepEngine<R> {
             layers,
             streamed: vec![false; masks.len()],
             dw_sums: vec![Vec::new(); masks.len()],
+            sums_lent: false,
             w_queue: Vec::with_capacity(2),
             opt,
             scaler: LossScaler::default(),
@@ -278,7 +302,7 @@ impl<R: Reducer> StepEngine<R> {
     /// Pre-sizes one [`RemapScratch`] per layer and the buffers the
     /// ranking reads, so the only allocation of an update step that scales
     /// with a layer is its new mask's index vector.
-    pub fn set_mask_schedule(&mut self, schedule: MaskSchedule) {
+    pub(crate) fn install_schedule(&mut self, schedule: MaskSchedule) {
         self.prime_remap_scratch();
         self.schedule = Some(schedule);
     }
@@ -393,8 +417,10 @@ impl<R: Reducer> StepEngine<R> {
         let mine = layers.drain(off..off + self.layers.len());
         // `θ16` goes home to be replaced with its state, and back out only
         // if it was out: a parameter that still held the old one would
-        // keep it through a re-lend, which never moves a held buffer.
+        // keep it through a re-lend, which never moves a held buffer. The
+        // gradient sums go home with it.
         let lent = self.layers.iter().any(|st| st.theta16.len() != st.numel());
+        let sums_lent = self.sums_lent;
         self.lend_theta16(model, false);
         let installed = install_layers(&mut self.layers, mine, model);
         self.lend_theta16(model, lent);
@@ -418,6 +444,10 @@ impl<R: Reducer> StepEngine<R> {
         self.w_queue.clear();
         self.phases.clear();
         self.local_finite = true;
+        // The sums go out again by the rule of the end of a step.
+        if sums_lent {
+            self.lend_grad_sums(model, !self.is_update_step());
+        }
         if self.reports {
             count_recovery();
         }
@@ -459,12 +489,16 @@ impl<R: Reducer> StepEngine<R> {
 
     /// Compresses parameter `pi`'s freshly produced dense (loss-scaled)
     /// gradient into `∇θ16` — unless its product was compressed already
-    /// (`None`, see [`Overlap`]) — and, in a group, adds it to the open
-    /// bucket.
+    /// (`None`, see [`Overlap`]), or its kept sums, home from a lend, are
+    /// the gradient — and, in a group, adds it to the open bucket.
     fn compress_param(&mut self, pi: usize, grad: Option<&[f32]>) {
-        let st = &mut self.layers[pi];
+        let (st, sums) = (&mut self.layers[pi], &mut self.dw_sums[pi]);
         match grad {
-            Some(grad) => self.local_finite &= st.compress_grad_fused(grad),
+            Some(grad) if sums.is_empty() => self.local_finite &= st.compress_grad_fused(grad),
+            Some(_) => {
+                self.local_finite &= st.compress_sums(sums);
+                self.streamed[pi] = true;
+            }
             None => self.streamed[pi] = true,
         }
         if self.reducer.comm().is_some() {
@@ -513,16 +547,39 @@ impl<R: Reducer> StepEngine<R> {
 
     /// Moves `θ16` of every parameter that holds no f32 view from its
     /// layer state into the parameter (`lend`) for a compute window, with
-    /// the mask's shared index beside it, or every lent one back home.
-    /// Idempotent either way; allocation-free. A lend after a remap
-    /// carries the new index.
+    /// the mask's shared index beside it, or every lent one back home —
+    /// after the gradient sums laid out on that index. Idempotent either
+    /// way; allocation-free. A lend after a remap carries the new index.
     pub(crate) fn lend_theta16(&mut self, model: &mut impl Layer, lend: bool) {
+        if !lend {
+            self.lend_grad_sums(model, false);
+        }
         let mut layers = self.layers.iter_mut();
         model.for_each_param_mut(&mut |p| {
             let st = layers.next().expect("one state per parameter");
             let index = Arc::clone(st.mask().indices());
             p.lend_theta16(&mut st.theta16, index, lend);
         });
+    }
+
+    /// Lends every parameter that holds a lent `θ16` and keeps a position
+    /// the kept sums of its gradient (`lend`) — `nnz` zeros, sized with
+    /// `reserve_exact`, so a remap that densifies grows them once by the
+    /// new index and never doubles them — or brings every lent one home,
+    /// summed. Idempotent either way; allocation-free unless `nnz` grew.
+    pub(crate) fn lend_grad_sums(&mut self, model: &mut impl Layer, lend: bool) {
+        let mut states = self.layers.iter().zip(&mut self.dw_sums);
+        model.for_each_param_mut(&mut |p| {
+            let (st, sums) = states.next().expect("one state per parameter");
+            let here = lend && p.index().is_some() && st.nnz() > 0;
+            if here && p.grad_sums().is_none() {
+                sums.clear();
+                sums.reserve_exact(st.nnz());
+                sums.resize(st.nnz(), 0.0);
+            }
+            p.lend_grad_sums(sums, here);
+        });
+        self.sums_lent = lend;
     }
 
     /// Backward with overlapped reduction: as each parameter group
@@ -723,12 +780,8 @@ impl<R: Reducer> StepEngine<R> {
             _ => p.zero_grad(),
         });
         if self.reports && telemetry::enabled() {
-            // The f32 shadows of the parameters, and the kept sums kept
-            // warm for the next step's microbatches.
-            let (values, grads) = nn::param::resident_param_bytes(model);
-            let sums: usize = self.dw_sums.iter().map(|s| 4 * s.capacity()).sum();
             let name = format!("{}.resident_param_bytes", self.labels.prefix);
-            let resident = (values + grads + sums) as f64;
+            let resident = self.resident_param_bytes(model) as f64;
             telemetry::global().gauge(&name).set(resident);
             let world = self.reducer.comm().map(Communicator::world);
             let phases = std::mem::take(&mut self.phases);
@@ -744,6 +797,16 @@ impl<R: Reducer> StepEngine<R> {
             );
         }
         Ok(proceed)
+    }
+
+    /// The bytes of the gauge `<prefix>.resident_param_bytes`: the f32
+    /// shadows of the parameters and the kept sums of their gradients,
+    /// wherever those are — lent to the model, or home and kept warm for
+    /// the next step.
+    pub(crate) fn resident_param_bytes(&self, model: &impl Layer) -> usize {
+        let (values, grads) = nn::param::resident_param_bytes(model);
+        let home: usize = self.dw_sums.iter().map(|s| 4 * s.capacity()).sum();
+        values + grads + home
     }
 
     /// The optimizer passes of a group's step, bucket by bucket in ring

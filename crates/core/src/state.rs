@@ -433,11 +433,17 @@ impl SamoLayerState {
 
     /// [`Self::compress_grad_product`] of a gradient whose earlier
     /// microbatches `sums` holds ([`Self::accumulate_grad_product`]): the
-    /// product is added, the sums narrowed into `∇θ16` — the bits and the
-    /// overflow flag of [`Self::compress_grad_fused`] on the dense gradient
-    /// of all the microbatches — and emptied for the next step.
+    /// product is added and the sums compressed ([`Self::compress_sums`]).
     pub(crate) fn compress_grad_sum(&mut self, rows: usize, dy: &[f32], x: &[f32], sums: &mut Vec<f32>) -> bool {
         self.accumulate_grad_product(rows, dy, x, sums);
+        self.compress_sums(sums)
+    }
+
+    /// Narrows a weight gradient's kept sums — `nnz` f32s at the shared
+    /// index, each the bits the dense gradient holds there — into `∇θ16`,
+    /// with the bits and the overflow flag of [`Self::compress_grad_fused`]
+    /// on that dense gradient, and empties them for the next step.
+    pub(crate) fn compress_sums(&mut self, sums: &mut Vec<f32>) -> bool {
         let (tier, all_finite) = (simd::active(), AtomicBool::new(true));
         par_chunks_mut(self.compress_target().1, STEP_MIN_CHUNK, |s, out| {
             if !simd::narrow_sum_finite(tier, &sums[s..s + out.len()], out) {

@@ -201,7 +201,7 @@ fn rank_loop<W: RankWorker>(
                 Resp::Ack
             }
             Cmd::SetSchedule(s) => {
-                w.parts().1.set_mask_schedule(s);
+                w.parts().1.install_schedule(s);
                 Resp::Ack
             }
             Cmd::Stats => Resp::Stats(w.stats()),
@@ -534,7 +534,7 @@ impl<M: Layer, T: Transport> DataParallelRank<M, T> {
     /// Installs a dynamic-sparsity schedule; every rank installs the same
     /// one before the same step.
     pub fn set_mask_schedule(&mut self, schedule: MaskSchedule) {
-        self.engine.set_mask_schedule(schedule);
+        self.engine.install_schedule(schedule);
     }
 
     /// One training step: `f(rank, model, loss_scale)` runs forward and

@@ -4,10 +4,10 @@
 //! The dense masked baseline it must be numerically equivalent to is
 //! [`crate::reference::DenseMaskedTrainer`].
 
-use crate::engine::{NoReduce, StepEngine, SAMO};
+use crate::engine::{NoReduce, ScheduleRefused, StepEngine, SAMO};
 use nn::layer::Layer;
 use nn::mixed::Optimizer;
-use prune::Mask;
+use prune::{Mask, MaskSchedule};
 
 /// SAMO training state for a whole model on one worker: the
 /// [`StepEngine`] with no reducer. Everything but `new` and `step` is
@@ -27,19 +27,36 @@ impl StepEngine<NoReduce> {
         tr
     }
 
+    /// Installs a dynamic-sparsity schedule, as a rank does
+    /// ([`crate::DataParallelRank::set_mask_schedule`]). Refused if it
+    /// fires at the next step while the gradient sums are lent for that
+    /// step's backward: the dense gradient its grow score ranks would
+    /// never be formed. A schedule installed before the first step, or
+    /// one that fires later, is taken.
+    pub fn set_mask_schedule(&mut self, schedule: MaskSchedule) -> Result<(), ScheduleRefused> {
+        let step = self.step_index();
+        if self.sums_lent && schedule.is_update_step(step) {
+            return Err(ScheduleRefused { step });
+        }
+        self.install_schedule(schedule);
+        Ok(())
+    }
+
     /// Completes a training step after `model` has run forward/backward
     /// with the loss multiplied by [`Self::loss_scale`]: brings the lent
-    /// `θ16` home, remaps if the mask schedule fires, then runs the two
-    /// fused single-pass kernels — gather + f16-round + overflow-detect
-    /// ([`crate::SamoLayerState::compress_grad_fused`]), then upscale +
-    /// optimizer + downcast + scatter into `θ16` and whatever f32 views
-    /// the model still holds
+    /// `θ16`, index and gradient sums home, remaps if the mask schedule
+    /// fires, then runs the two fused single-pass kernels — compress with
+    /// overflow detection (the sums narrowed,
+    /// [`crate::SamoLayerState::compress_grad_fused`] for a dense
+    /// gradient), then upscale + optimizer + downcast + scatter into `θ16`
+    /// and whatever f32 views the model still holds
     /// ([`crate::SamoLayerState::optimizer_step_fused`]) — and lends `θ16`
-    /// again with the current index. Returns `false` if the step was
+    /// again with the current index, and zeroed sums beside it unless the
+    /// schedule updates at the next step. Returns `false` if the step was
     /// skipped.
     ///
-    /// The steady-state path performs no heap allocation: the lend is a
-    /// `Vec` swap, both kernels work in place, and the skipped-step path
+    /// The steady-state path performs no heap allocation: the lends are
+    /// `Vec` moves, both kernels work in place, and the skipped-step path
     /// only zeroes gradients (asserted by `tests/zero_alloc.rs`).
     ///
     /// With telemetry enabled, each fused kernel is timed
@@ -50,6 +67,7 @@ impl StepEngine<NoReduce> {
         self.lend_theta16(model, false);
         let applied = self.step_after_backward(model).expect("a single worker runs no collective");
         self.lend_theta16(model, true);
+        self.lend_grad_sums(model, !self.is_update_step());
         applied
     }
 }
@@ -65,15 +83,22 @@ pub fn formula_state_bytes(opt: &Optimizer, phi: u64, nnz: u64) -> u64 {
     }
 }
 
-/// Global L2 norm of the model's current (scaled) gradients — the signal
-/// the divergence sentinel (`crate::sentinel`) watches alongside the
-/// loss. fp64 accumulation so large models don't overflow the sum.
+/// Global L2 norm of the model's current (scaled) gradients at the
+/// positions a step applies — the signal the divergence sentinel
+/// (`crate::sentinel`) watches alongside the loss: a weight's lent kept
+/// sums, or its dense gradient gathered at the lent index, and every
+/// other gradient whole. fp64 accumulation so large models don't
+/// overflow the sum.
 // TEST-API: `fault_tolerance`'s sentinel drill feeds it to `DivergenceSentinel`.
 pub fn grad_l2_norm(model: &impl Layer) -> f64 {
     let mut sum = 0.0f64;
+    let mut add = |g: f32| sum += f64::from(g) * f64::from(g);
     for p in model.params() {
-        for &g in p.grad.as_slice() {
-            sum += f64::from(g) * f64::from(g);
+        let dense = p.grad.as_slice();
+        match (p.grad_sums(), p.index()) {
+            (Some(sums), _) => sums.iter().for_each(|&g| add(g)),
+            (None, Some(idx)) if dense.len() == p.numel() => idx.iter().for_each(|&i| add(dense[i as usize])),
+            _ => dense.iter().for_each(|&g| add(g)),
         }
     }
     sum.sqrt()
@@ -327,7 +352,7 @@ mod tests {
             traj.sparsity_at(0),
         );
         let mut tr = SamoTrainer::new(&mut model, vec![start], adam());
-        tr.set_mask_schedule(MaskSchedule::MomentumPruneRegrow(traj.clone()));
+        tr.set_mask_schedule(MaskSchedule::MomentumPruneRegrow(traj.clone())).unwrap();
 
         let x = Tensor::randn(&[8, 12], 1.0, 72);
         let target = Tensor::randn(&[8, 12], 1.0, 73);
@@ -604,7 +629,7 @@ mod tests {
         model.params_mut()[0].grad.as_mut_slice()[0] = f32::INFINITY;
         tr.step(&mut model);
         for _ in 0..2 {
-            model.params_mut()[0].grad.as_mut_slice().fill(0.01);
+            plant_grad(&mut model, 0.01);
             tr.step(&mut model);
         }
         assert_eq!(tr.steps_taken(), 2);
@@ -626,7 +651,7 @@ mod tests {
         let mut model = Linear::new(4, 4, false, 63);
         let mut tr = SamoTrainer::new(&mut model, vec![Mask::dense(&[4, 4])], adam());
         for _ in 0..3 {
-            model.params_mut()[0].grad.as_mut_slice().fill(0.02);
+            plant_grad(&mut model, 0.02);
             tr.step(&mut model);
         }
         let good = tr.save();
@@ -635,7 +660,7 @@ mod tests {
 
         // "Diverge": take more steps, then roll back.
         for _ in 0..2 {
-            model.params_mut()[0].grad.as_mut_slice().fill(5.0);
+            plant_grad(&mut model, 5.0);
             tr.step(&mut model);
         }
         assert_ne!(views(&model), theta);
@@ -643,6 +668,136 @@ mod tests {
         assert_eq!(views(&model), theta);
         assert_eq!(tr.steps_taken(), 3);
         assert_eq!(tr.loss_scale(), scale * 0.5, "rollback must back off the scale");
+    }
+
+    /// Sets the weight gradient the next step applies to `g` everywhere:
+    /// the lent kept sums, or the dense gradient while none are lent.
+    fn plant_grad(model: &mut Linear, g: f32) {
+        let w = model.weight_mut();
+        match w.kept_grad_target() {
+            Some((_, sums)) => sums.fill(g),
+            None => w.dense_grad().as_mut_slice().fill(g),
+        }
+    }
+
+    /// One forward and backward of `model` on batch `seed`, loss-scaled.
+    fn fwd_bwd(model: &mut Linear, tr: &SamoTrainer, seed: u64) {
+        let (inf, outf) = (model.in_features(), model.out_features());
+        let y = model.forward(&Tensor::randn(&[4, inf], 1.0, seed));
+        let (_, mut dy) = mse(&y, &Tensor::randn(&[4, outf], 1.0, seed + 500));
+        tensor::ops::scale(tr.loss_scale(), dy.as_mut_slice());
+        model.backward(&dy);
+    }
+
+    /// A new trainer lends no gradient sums — a schedule may still come
+    /// — and takes any schedule. A stepped one lends them for the next
+    /// step, so a schedule that fires there is refused and none is
+    /// installed, while one that fires later is taken, and the sums stay
+    /// home for the step it updates on: its backward forms the dense
+    /// gradient the grow score ranks. A restore that finds them lent
+    /// sends them out again by the same rule.
+    #[test]
+    fn a_schedule_that_fires_at_a_lent_step_is_refused() {
+        use prune::MomentumPruneRegrow;
+        let schedule = |knots| MaskSchedule::MomentumPruneRegrow(MomentumPruneRegrow::new(knots, 3, 0.1));
+        let make = || {
+            let mut model = Linear::new(12, 10, true, 111);
+            let masks = vec![prune::random_prune(&[10, 12], 0.5, 112), Mask::dense(&[10])];
+            let tr = SamoTrainer::new(&mut model, masks, adam());
+            (model, tr)
+        };
+        let (mut fresh_model, mut fresh) = make();
+        assert!(fresh_model.params()[0].grad_sums().is_none());
+        assert_eq!(fresh.set_mask_schedule(schedule(vec![(0, 0.5), (6, 0.8)])), Ok(()));
+        fwd_bwd(&mut fresh_model, &fresh, 0);
+        fresh.step(&mut fresh_model);
+        assert_eq!(fresh.remap_events(), 1, "the dense gradient of step 0 ranked the regrowth");
+
+        let (mut model, mut tr) = make();
+        fwd_bwd(&mut model, &tr, 0);
+        tr.step(&mut model);
+        let kept = tr.layers[0].nnz();
+        assert_eq!(model.params()[0].grad_sums().map(<[f32]>::len), Some(kept), "lent for step 1");
+        let refused = tr.set_mask_schedule(schedule(vec![(1, 0.5), (7, 0.8)]));
+        assert_eq!(refused, Err(ScheduleRefused { step: 1 }));
+        assert!(tr.mask_schedule().is_none(), "a refused schedule is not installed");
+        assert_eq!(tr.set_mask_schedule(schedule(vec![(3, 0.5), (9, 0.8)])), Ok(()));
+        for t in 1..4u64 {
+            let lent = model.params()[0].grad_sums().is_some();
+            assert_eq!(lent, t != 3, "step {t}: the sums are lent unless it updates");
+            fwd_bwd(&mut model, &tr, t);
+            assert_eq!(model.params()[0].grad.numel(), if lent { 0 } else { 120 }, "step {t}");
+            tr.step(&mut model);
+        }
+        assert_eq!(tr.remap_events(), 1);
+        assert!(model.params()[0].grad_sums().is_some(), "step 4 does not update");
+
+        // Lent sums a restore finds go out again, zeroed — unless the
+        // checkpoint's next step updates.
+        let (at1, at3) = {
+            let (mut m, mut t) = make();
+            t.set_mask_schedule(schedule(vec![(3, 0.5), (9, 0.8)])).unwrap();
+            let mut saved = Vec::new();
+            for s in 0..3 {
+                fwd_bwd(&mut m, &t, s);
+                t.step(&mut m);
+                saved.push(t.save());
+            }
+            (saved[0].clone(), saved[2].clone())
+        };
+        fwd_bwd(&mut model, &tr, 4);
+        tr.restore(&at1, &mut model).unwrap();
+        assert_eq!(model.params()[0].grad_sums(), Some(&vec![0.0; kept][..]), "zeroed for step 1");
+        tr.restore(&at3, &mut model).unwrap();
+        assert!(model.params()[0].grad_sums().is_none(), "step 3 updates");
+    }
+
+    /// The sentinel's norm is that of the gradient a step applies: the
+    /// kept sums once they are lent, and before — on the first step — the
+    /// dense gradient gathered at the lent index. Both equal, to the bit,
+    /// a dense twin gathered at the mask's index.
+    #[test]
+    fn grad_norm_sums_the_gradient_the_step_applies() {
+        let mut model = Linear::new(16, 12, true, 121);
+        let mask = prune::random_prune(&[12, 16], 0.75, 122);
+        let mut tr = SamoTrainer::new(&mut model, vec![mask.clone(), Mask::dense(&[12])], adam());
+        for t in 0..3u64 {
+            let weights = model.params()[0].f32_view().into_owned();
+            let bias = model.params()[1].value.clone();
+            let mut twin = Linear::from_weights(Tensor::from_vec(&[12, 16], weights), Some(bias));
+            fwd_bwd(&mut model, &tr, 10 * t);
+            let y = twin.forward(&Tensor::randn(&[4, 16], 1.0, 10 * t));
+            let (_, mut dy) = mse(&y, &Tensor::randn(&[4, 12], 1.0, 10 * t + 500));
+            tensor::ops::scale(tr.loss_scale(), dy.as_mut_slice());
+            twin.backward(&dy);
+            let (dw, db) = (twin.params()[0].grad.as_slice(), twin.params()[1].grad.as_slice());
+            let kept = mask.indices().iter().map(|&i| dw[i as usize]);
+            let want = kept.chain(db.iter().copied()).fold(0.0f64, |s, g| s + f64::from(g) * f64::from(g));
+            assert_eq!(model.params()[0].grad_sums().is_some(), t > 0);
+            assert_eq!(grad_l2_norm(&model), want.sqrt(), "step {t}");
+            tr.step(&mut model);
+        }
+    }
+
+    /// The gradient bytes a single worker holds between steps are the
+    /// biases' dense gradients and the `4·nnz` of the kept sums, no dense
+    /// weight gradient; the gauge counts the sums lent or home alike.
+    #[test]
+    fn resident_bytes_count_the_lent_sums_wherever_they_are() {
+        let mut model = Linear::new(16, 16, true, 131);
+        let masks = vec![prune::random_prune(&[16, 16], 0.75, 132), Mask::dense(&[16])];
+        let mut tr = SamoTrainer::new(&mut model, masks, adam());
+        for t in 0..2 {
+            fwd_bwd(&mut model, &tr, t);
+            tr.step(&mut model);
+        }
+        let nnz = tr.layers[0].nnz();
+        assert_eq!(nn::param::resident_param_bytes(&model), (4 * 16, 4 * 16 + 4 * nnz));
+        let lent = tr.resident_param_bytes(&model);
+        assert_eq!(lent, 4 * 16 + 4 * 16 + 4 * nnz);
+        tr.lend_grad_sums(&mut model, false);
+        assert_eq!(nn::param::resident_param_bytes(&model), (4 * 16, 4 * 16));
+        assert_eq!(tr.resident_param_bytes(&model), lent, "home, they count the same");
     }
 
     #[test]

@@ -90,7 +90,7 @@ type OracleRun = (Vec<bytes::Bytes>, Vec<usize>, Vec<Vec<Vec<u32>>>);
 fn oracle_run() -> OracleRun {
     let mut model = build_model(91);
     let mut oracle = SamoTrainer::new(&mut model, masks_for(&build_model(91)), adam());
-    oracle.set_mask_schedule(schedule());
+    oracle.set_mask_schedule(schedule()).unwrap();
     let mut ckpts = Vec::with_capacity(STEPS);
     let mut nnzs = Vec::with_capacity(STEPS);
     let mut views = Vec::with_capacity(STEPS);

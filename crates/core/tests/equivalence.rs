@@ -20,6 +20,7 @@ use prune::Mask;
 use samo::compressed::compress;
 use samo::reference::DenseMaskedTrainer;
 use samo::trainer::SamoTrainer;
+use tensor::f16::F16;
 use tensor::Tensor;
 
 fn build_model(in_dim: usize, hidden: usize, out_dim: usize, seed: u64) -> Sequential {
@@ -177,4 +178,89 @@ fn long_run_equivalence_adam() {
         ..Default::default()
     });
     assert_equivalent(opt, 0.9, 40, 424242).unwrap();
+}
+
+/// Two microbatches' backward passes before each step: on the first step
+/// and on a step a schedule updates on they add into the dense gradient,
+/// on every other step into the kept sums the trainer lends — and either
+/// way SAMO trains the dense masked baseline's bits, whose gradient is
+/// always dense. Under a schedule the baseline takes each mask the
+/// trainer moved to before its own step, as the remap does: a regrown
+/// position enters with zero moments, a dead one is zero at once.
+fn assert_microbatches_equivalent(schedule: Option<prune::MaskSchedule>, steps: u64) {
+    let (in_dim, hidden, out_dim, rows) = (6, 10, 4, 3);
+    let opt = Optimizer::Adam(AdamConfig { lr: 0.01, weight_decay: 0.01, ..Default::default() });
+    let mut model_samo = build_model(in_dim, hidden, out_dim, 151);
+    let mut model_dense = build_model(in_dim, hidden, out_dim, 151);
+    let masks = masks_for(&model_samo, 0.6, 152);
+    let mut samo_tr = SamoTrainer::new(&mut model_samo, masks.clone(), opt.clone());
+    let mut dense_tr = DenseMaskedTrainer::new(&mut model_dense, masks, opt);
+    let updates = |t: u64| schedule.as_ref().is_some_and(|s| s.is_update_step(t));
+    let lent_want = (1..steps).filter(|&t| !updates(t)).count();
+    if let Some(s) = schedule.clone() {
+        samo_tr.set_mask_schedule(s).expect("a new trainer lends no sums");
+    }
+    let mut lent_steps = 0;
+    for step in 0..steps {
+        lent_steps += usize::from(model_samo.params()[0].grad_sums().is_some());
+        for k in 0..2 {
+            let seed = 7000 + 10 * step + k;
+            let x = Tensor::randn(&[rows, in_dim], 1.0, seed);
+            let target = Tensor::randn(&[rows, out_dim], 1.0, seed + 5);
+            for (model, scale) in [(&mut model_samo, samo_tr.loss_scale()), (&mut model_dense, dense_tr.loss_scale())] {
+                let y = model.forward(&x);
+                let (_, mut dy) = mse(&y, &target);
+                tensor::ops::scale(scale, dy.as_mut_slice());
+                model.backward(&dy);
+            }
+        }
+        samo_tr.step(&mut model_samo);
+        let layers = samo_tr.layers.iter().zip(&mut dense_tr.layers);
+        for ((samo_layer, (dense_state, mask)), p) in layers.zip(model_dense.params_mut()) {
+            if samo_layer.mask() == mask {
+                continue;
+            }
+            let (old, new) = (mask.to_bools(), samo_layer.mask().to_bools());
+            let nn::mixed::OptState::Adam(adam) = &mut dense_state.os else { unreachable!() };
+            for i in 0..new.len() {
+                match (old[i], new[i]) {
+                    (false, true) => (adam.m[i], adam.v[i]) = (0.0, 0.0),
+                    // Dead whether or not the step is applied.
+                    (true, false) => {
+                        (dense_state.theta32[i], dense_state.theta16[i]) = (0.0, F16::ZERO);
+                        p.value.as_mut_slice()[i] = 0.0;
+                    }
+                    _ => {}
+                }
+            }
+            *mask = samo_layer.mask().clone();
+        }
+        dense_tr.step(&mut model_dense);
+
+        for (samo_layer, (dense_state, mask)) in samo_tr.layers.iter().zip(&dense_tr.layers) {
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            let dense_c = compress(&dense_state.theta32, mask);
+            assert_eq!(bits(&samo_layer.theta32), bits(&dense_c), "θ32 diverged at step {step}");
+        }
+        for (a, b) in model_samo.params().iter().zip(model_dense.params()) {
+            assert_eq!(&a.f32_view()[..], b.value.as_slice(), "{} at step {step}", a.name);
+        }
+    }
+    assert_eq!(lent_steps, lent_want, "steps that ran on the lent sums");
+    assert!(samo_tr.remap_events() >= u64::from(updates(0)) * 3, "the masks must move");
+}
+
+#[test]
+fn microbatches_on_lent_sums_equal_dense_masked_static() {
+    assert_microbatches_equivalent(None, 8);
+}
+
+#[test]
+fn microbatches_on_lent_sums_equal_dense_masked_across_remaps() {
+    let schedule = prune::MaskSchedule::MomentumPruneRegrow(prune::MomentumPruneRegrow::new(
+        vec![(0, 0.6), (6, 0.85), (12, 0.4)],
+        3,
+        0.1,
+    ));
+    assert_microbatches_equivalent(Some(schedule), 16);
 }

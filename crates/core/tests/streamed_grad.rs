@@ -263,9 +263,10 @@ fn a_training_rank_holds_f32_buffers_for_the_biases_only() {
         assert_eq!(grads, 4 * held, "rank {rank}, step {step}: no weight matrix keeps a dense gradient");
     }
     // The caller runs forward and backward: the weights compute from the
-    // θ16 the trainer lends between steps, and the gradients are where
-    // backward writes them.
-    assert_eq!(resident_param_bytes(&model), (4 * BIASES, 4 * PHI));
+    // θ16 the trainer lends between steps, and backward writes their
+    // gradients into the kept sums lent beside it — the biases' gradients
+    // whole, every weight's `nnz` f32s (the bias masks are dense).
+    assert_eq!(resident_param_bytes(&model), (4 * BIASES, 4 * single.nnz()));
 }
 
 const IN: usize = 6;

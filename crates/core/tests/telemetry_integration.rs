@@ -234,14 +234,14 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
         assert!(reg.gauge(&format!("{prefix}.model_state_bytes")).get() > 0.0, "{prefix}");
     }
     // The f32 shadows a reporting rank's 8 × 8 weight keeps next to that
-    // state: the gradient backward writes where the caller runs the
-    // passes, its weight computing from the θ16 lent between steps; on a
-    // pipeline stage, the sums its microbatches add dW into at the 16
-    // kept positions, 4·nnz; nothing on a data-parallel rank, which
-    // computes from θ16 and streams dW into ∇θ16.
+    // state: where the caller runs the passes, the sums backward adds dW
+    // into at the 16 kept positions, lent between steps beside θ16, 4·nnz
+    // (no dense gradient after the first step); on a pipeline stage, the
+    // sums its microbatches add dW into, 4·nnz again; nothing on a
+    // data-parallel rank, which computes from θ16 and streams dW into ∇θ16.
     let resident = |prefix: &str| reg.gauge(&format!("{prefix}.resident_param_bytes")).get();
     let shadows = ["samo", "samo.pipeline", "samo.dp_threaded"].map(resident);
-    assert_eq!(shadows, [256.0, 4.0 * 16.0, 0.0]);
+    assert_eq!(shadows, [4.0 * 16.0, 4.0 * 16.0, 0.0]);
 
     // Step durations ride the rank threads' replies, not the mesh: with
     // telemetry on, a group step sends the bytes it sends with telemetry

@@ -13,13 +13,17 @@
 //!
 //! The third product, `dW = dyᵀ · x`, is the sink's to choose: once the
 //! bias gradient and `dx` are computed, the layer hands `dy` and the
-//! input it cached over by value ([`GradSink::take_product`]) and
-//! accumulates the dense product into `grad` only for a sink that hands
-//! them back.
+//! input it cached over by value ([`GradSink::take_product`]). Without a
+//! sink, or for one that hands them back, the layer adds the product at
+//! the kept positions alone into the sums a SAMO trainer lent beside the
+//! index ([`Parameter::kept_grad_target`],
+//! [`tensor::gemm::matmul_tn_kept_acc`] — the bits the dense gradient
+//! would hold there), and into the dense `grad` only while none are lent:
+//! for an unmanaged model, or the step a mask update ranks it.
 
 use crate::layer::{CacheSlot, GradSink, Layer};
 use crate::param::Parameter;
-use tensor::gemm::{matmul_tn_acc, sgemm, sgemm_kept};
+use tensor::gemm::{matmul_tn_acc, matmul_tn_kept_acc, sgemm, sgemm_kept};
 use tensor::Tensor;
 
 /// Affine map `y = x · Wᵀ + b`, weights stored `[out_features, in_features]`
@@ -91,12 +95,16 @@ impl Linear {
         }
     }
 
-    /// `grad += dyᵀ · x` (out×batch · batch×in = out×in), into the dense
-    /// gradient (materialised if it was released): no dW-sized temporary.
+    /// `dW += dyᵀ · x` (out×batch · batch×in = out×in): into the lent
+    /// kept sums, at the kept positions only, and into the dense gradient
+    /// (materialised if it was released) only while none are lent. No
+    /// dW-sized temporary either way.
     fn accumulate_dw(&mut self, dy: &Tensor, x: &Tensor) {
-        let (m, n) = (self.out_features, self.in_features);
-        let grad = self.weight.dense_grad().as_mut_slice();
-        matmul_tn_acc(m, n, x.rows(), dy.as_slice(), x.as_slice(), grad);
+        let (m, n, rows, dy, x) = (self.out_features, self.in_features, x.rows(), dy.as_slice(), x.as_slice());
+        match self.weight.kept_grad_target() {
+            Some((idx, sums)) => matmul_tn_kept_acc(m, n, rows, dy, x, idx, sums),
+            None => matmul_tn_acc(m, n, rows, dy, x, self.weight.dense_grad().as_mut_slice()),
+        }
     }
 
     /// The input `forward` cached for the backward of `dy`.

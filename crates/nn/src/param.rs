@@ -25,6 +25,13 @@
 //! shared index — so a layer may multiply by the kept weights alone. The
 //! index comes and goes with the `θ16` it describes, in the same call, so
 //! a parameter never holds one without the other.
+//!
+//! A runtime whose caller runs backward may lend one more buffer beside
+//! them: the weight gradient's kept sums ([`Parameter::lend_grad_sums`]),
+//! one f32 per position of the index. While they are lent the dense
+//! `grad` is released, and a layer that offers its weight gradient's
+//! product adds it there, at the kept positions only
+//! ([`Parameter::kept_grad_target`]). They go home before their index.
 
 use crate::layer::Layer;
 use std::borrow::Cow;
@@ -52,6 +59,9 @@ pub struct Parameter {
     /// The kept positions of the lent `theta16` (every other one is
     /// zero), lent with it; `None` while no `theta16` is lent.
     index: Option<Arc<Vec<u32>>>,
+    /// The weight gradient at the positions of `index`, while a runtime
+    /// lends it as the target of backward; `None` otherwise.
+    grad_sums: Option<Vec<f32>>,
 }
 
 impl Parameter {
@@ -65,6 +75,7 @@ impl Parameter {
             theta16: Vec::new(),
             accepts_theta16: false,
             index: None,
+            grad_sums: None,
         }
     }
 
@@ -118,6 +129,7 @@ impl Parameter {
     /// `θ16`, ascending, every position outside it zero — is held while
     /// `θ16` is and dropped with it.
     pub fn lend_theta16(&mut self, home: &mut Vec<F16>, index: Arc<Vec<u32>>, lend: bool) {
+        debug_assert!(lend || self.grad_sums.is_none(), "the kept sums go home before their index");
         let wanted_here = lend && !self.holds_value();
         if wanted_here == self.theta16.is_empty() {
             std::mem::swap(&mut self.theta16, home);
@@ -128,6 +140,34 @@ impl Parameter {
     /// The index lent with `theta16`, while one is lent.
     pub fn index(&self) -> Option<&[u32]> {
         self.index.as_deref().map(Vec::as_slice)
+    }
+
+    /// Moves the weight gradient's kept sums between `home` — one f32 per
+    /// position of the lent index, zeroed by their owner — and the
+    /// parameter: in (`lend`) while an index is lent, where they are the
+    /// target of backward and the dense `grad` is released; back out
+    /// otherwise. A `Vec` move, no copy; a no-op where they already are.
+    pub fn lend_grad_sums(&mut self, home: &mut Vec<f32>, lend: bool) {
+        if !lend || self.index.is_none() {
+            if let Some(sums) = self.grad_sums.take() {
+                *home = sums;
+            }
+        } else if self.grad_sums.is_none() {
+            debug_assert_eq!(home.len(), self.index.as_ref().map_or(0, |i| i.len()));
+            self.grad_sums = Some(std::mem::take(home));
+            self.release_grad();
+        }
+    }
+
+    /// The lent kept sums, while they are lent.
+    pub fn grad_sums(&self) -> Option<&[f32]> {
+        self.grad_sums.as_deref()
+    }
+
+    /// The lent index and the kept sums beside it, for a layer to add its
+    /// weight gradient's product into; `None` while no sums are lent.
+    pub fn kept_grad_target(&mut self) -> Option<(&[u32], &mut [f32])> {
+        Some((self.index.as_deref()?, self.grad_sums.as_deref_mut()?))
     }
 
     /// Clears the gradient accumulator (nothing to clear while released).
@@ -160,11 +200,13 @@ impl Parameter {
 
 /// Bytes of the f32 buffers `model`'s parameters hold right now, as
 /// `(values, grads)`: the two dense shadows a process keeps next to the
-/// compressed model state. Buffer lengths, not capacities or pages — a
-/// released value or gradient counts zero.
+/// compressed model state, and the lent kept sums among the gradients.
+/// Buffer lengths, not capacities or pages — a released value or
+/// gradient counts zero.
 pub fn resident_param_bytes(model: &impl Layer) -> (usize, usize) {
     model.params().iter().fold((0, 0), |(v, g), p| {
-        (v + 4 * p.value.numel(), g + 4 * p.grad.numel())
+        let sums = p.grad_sums().map_or(0, <[f32]>::len);
+        (v + 4 * p.value.numel(), g + 4 * (p.grad.numel() + sums))
     })
 }
 

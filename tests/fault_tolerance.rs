@@ -294,7 +294,7 @@ fn kill_and_resume_across_remap_events_is_bitwise_identical() {
     // Reference: uninterrupted run across all five schedule updates.
     let mut m_ref = model(55);
     let mut tr_ref = SamoTrainer::new(&mut m_ref, dyn_masks(&model(55)), adam());
-    tr_ref.set_mask_schedule(dyn_schedule());
+    tr_ref.set_mask_schedule(dyn_schedule()).unwrap();
     for s in 0..total {
         train_step(&mut tr_ref, &mut m_ref, s);
     }
@@ -308,7 +308,7 @@ fn kill_and_resume_across_remap_events_is_bitwise_identical() {
     {
         let mut m = model(55);
         let mut tr = SamoTrainer::new(&mut m, dyn_masks(&model(55)), adam());
-        tr.set_mask_schedule(dyn_schedule());
+        tr.set_mask_schedule(dyn_schedule()).unwrap();
         for s in 0..total {
             train_step(&mut tr, &mut m, s);
             if s + 1 == gen_a || s + 1 == gen_b {
@@ -322,7 +322,7 @@ fn kill_and_resume_across_remap_events_is_bitwise_identical() {
         let bytes = std::fs::read(path).unwrap();
         let mut m2 = model(999); // init seed intentionally different
         let mut tr2 = SamoTrainer::new(&mut m2, dyn_masks(&model(55)), adam());
-        tr2.set_mask_schedule(dyn_schedule());
+        tr2.set_mask_schedule(dyn_schedule()).unwrap();
         tr2.restore(&bytes, &mut m2).unwrap();
         assert_eq!(tr2.steps_taken() + tr2.steps_skipped(), from);
         for s in from..total {
@@ -346,7 +346,7 @@ fn kill_and_resume_across_remap_events_is_bitwise_identical() {
     let bytes = std::fs::read(&fallback).unwrap();
     let mut m3 = model(1234);
     let mut tr3 = SamoTrainer::new(&mut m3, dyn_masks(&model(55)), adam());
-    tr3.set_mask_schedule(dyn_schedule());
+    tr3.set_mask_schedule(dyn_schedule()).unwrap();
     tr3.restore(&bytes, &mut m3).unwrap();
     for s in gen_b..total {
         train_step(&mut tr3, &mut m3, s);

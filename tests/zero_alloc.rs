@@ -170,7 +170,8 @@ fn hot_paths_allocate_nothing_in_steady_state() {
     let mut tr2 = SamoTrainer::new(&mut model2, vec![mask2], opt);
     tr2.set_mask_schedule(prune::MaskSchedule::MomentumPruneRegrow(
         prune::MomentumPruneRegrow::new(vec![(0, 0.25), (4, 0.75), (8, 0.4)], 2, 0.1),
-    ));
+    ))
+    .unwrap();
     // t = 0..2 unmeasured: crosses the remap events at t = 0 and 2.
     for _ in 0..3 {
         run_fwd_bwd(&mut model2, tr2.loss_scale());
@@ -209,7 +210,7 @@ fn hot_paths_allocate_nothing_in_steady_state() {
     let opt = Optimizer::Adam(AdamConfig::default());
     let mut tr3 = SamoTrainer::new(&mut model3, vec![mask3], opt);
     let policy = prune::MomentumPruneRegrow::new(vec![(0, 0.9), (8, 0.8)], 2, 0.1);
-    tr3.set_mask_schedule(prune::MaskSchedule::MomentumPruneRegrow(policy.clone()));
+    tr3.set_mask_schedule(prune::MaskSchedule::MomentumPruneRegrow(policy.clone())).unwrap();
     let (x3, target3) = (Tensor::randn(&[4, side], 1.0, 42), Tensor::randn(&[4, side], 1.0, 43));
     for t in 0..=4u64 {
         let y = model3.forward(&x3);
