@@ -212,6 +212,7 @@ fn run_axonn_like(
         microbatches: pc.microbatches,
         t_fwd,
         t_bwd,
+        t_w: vec![0.0; pc.g_inter],
         msg_bytes: cfg.boundary_activation_bytes(mbs),
         gpu_ids: (0..pc.g_inter).collect(),
         max_in_flight: pc.g_inter + 1,

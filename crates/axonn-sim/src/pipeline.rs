@@ -4,9 +4,12 @@
 //! Each of `stages` GPUs owns a contiguous block of layers. Microbatches
 //! flow forward through the stages and backward in reverse; activations /
 //! activation-gradients cross stage boundaries as MPI point-to-point
-//! messages. The scheduler is message-driven (a GPU executes whichever
-//! ready operation it sees, preferring backward work to release
-//! activation memory early, as AxoNN does).
+//! messages. What a GPU runs next is decided by [`Schedule`], the state
+//! machine the threaded runtime (`samo::pipeline`) runs on wall time:
+//! message-driven, B > F > W, a `max_in_flight` window on every stage.
+//! Here it runs on modelled durations — `t_fwd`, `t_bwd` and `t_w`, the
+//! weight-gradient W that Zero Bubble (arXiv 2401.10241) splits off the
+//! backward; a zero-length W is done on the spot and not logged.
 //!
 //! Sends occupy the sending GPU's timeline for the transfer duration —
 //! matching the paper's CUDA-event measurements, where the transmission
@@ -31,7 +34,7 @@
 //! overlaps an inbound in-flight message is *p2p time*; sending is *p2p
 //! time*; the rest of idleness is *pipeline bubble*.
 
-use std::collections::VecDeque;
+use samo::pipeline::{Msg, Next, Op, Schedule};
 use summit_sim::event::EventQueue;
 use summit_sim::machine::Machine;
 
@@ -44,21 +47,26 @@ pub struct PipelineSpec {
     pub microbatches: usize,
     /// Forward compute time of one microbatch on each stage.
     pub t_fwd: Vec<f64>,
-    /// Backward compute time of one microbatch on each stage.
+    /// B compute time of one microbatch on each stage: the backward
+    /// without its weight gradients, or the whole backward where `t_w` is
+    /// zero.
     pub t_bwd: Vec<f64>,
+    /// W compute time (the deferred weight gradients) of one microbatch
+    /// on each stage; no message waits for it.
+    pub t_w: Vec<f64>,
     /// Bytes of the boundary activation message.
     pub msg_bytes: u64,
     /// Global GPU rank of each stage (for link topology).
     pub gpu_ids: Vec<usize>,
-    /// Maximum microbatches in flight from stage 0 (activation-memory
-    /// cap; `stages + 1` ≈ 1F1B).
+    /// Maximum microbatches each stage holds forwarded and not yet
+    /// through B (activation-memory cap; `stages + 1` ≈ 1F1B).
     pub max_in_flight: usize,
 }
 
 /// Per-GPU time accounting over the pipeline phase.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GpuPhases {
-    /// Time spent executing forward/backward compute.
+    /// Time spent executing forward, B and W compute.
     pub compute: f64,
     /// Time spent sending messages plus idle time overlapped with an
     /// inbound in-flight message.
@@ -94,49 +102,26 @@ impl PipelineResult {
         let sum: f64 = self.per_gpu.iter().map(|g| g.bubble).sum();
         sum / (self.total_time * self.per_gpu.len() as f64)
     }
-
-    /// Per-GPU busy fraction (compute time over wall-clock), one entry
-    /// per stage.
-    pub fn busy_fractions(&self) -> Vec<f64> {
-        if self.total_time <= 0.0 {
-            return vec![0.0; self.per_gpu.len()];
-        }
-        self.per_gpu
-            .iter()
-            .map(|g| g.compute / self.total_time)
-            .collect()
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Op {
-    Fwd(usize), // microbatch id
-    Bwd(usize),
 }
 
 #[derive(Debug, Clone, Copy)]
 enum Event {
     /// GPU finished its current op (including any blocking send).
     OpDone { stage: usize, op: Op },
-    /// A message enabling `op` arrived at `stage`.
-    MsgArrive { stage: usize, op: Op, send_start: f64 },
-}
-
-/// A ready op together with the message interval that enabled it (if
-/// any), for idle-time attribution.
-#[derive(Debug, Clone, Copy)]
-struct Ready {
-    op: Op,
-    enabled_by_msg: Option<(f64, f64)>, // (send_start, arrive)
+    /// A boundary message reached `stage`; its send started at
+    /// `send_start`.
+    MsgArrive { stage: usize, msg: Msg, send_start: f64 },
 }
 
 struct GpuState {
+    sched: Schedule,
+    /// When the current op ends, or the last one ended: idle since then.
     busy_until: f64,
-    running: Option<Op>,
-    fwd_ready: VecDeque<Ready>,
-    bwd_ready: VecDeque<Ready>,
+    running: bool,
     phases: GpuPhases,
-    last_idle_from: f64,
+    /// `(send_start, arrive)` of each microbatch's activation and
+    /// gradient message, for idle-time attribution.
+    stamps: [Vec<(f64, f64)>; 2],
 }
 
 /// Runs the discrete-event pipeline simulation.
@@ -144,8 +129,9 @@ pub fn simulate_pipeline(machine: &Machine, spec: &PipelineSpec) -> PipelineResu
     simulate_inner(machine, spec, &mut None)
 }
 
-/// Records `(stage, start, end, 'F'/'B')` compute intervals of the
-/// schedule (sends excluded), for Fig.-3-style rendering.
+/// Records `(stage, start, end, 'F'/'B'/'W')` compute intervals of the
+/// schedule (sends and zero-length Ws excluded), for Fig.-3-style
+/// rendering.
 pub fn trace_schedule(machine: &Machine, spec: &PipelineSpec) -> Vec<(usize, f64, f64, char)> {
     let mut log = Some(Vec::new());
     simulate_inner(machine, spec, &mut log);
@@ -161,169 +147,113 @@ fn simulate_inner(
     let s = spec.stages;
     let m = spec.microbatches;
     assert!(s >= 1 && m >= 1);
-    assert_eq!(spec.t_fwd.len(), s);
-    assert_eq!(spec.t_bwd.len(), s);
+    for t in [&spec.t_fwd, &spec.t_bwd, &spec.t_w] {
+        assert_eq!(t.len(), s);
+    }
     assert_eq!(spec.gpu_ids.len(), s);
-    assert!(spec.max_in_flight >= 1);
 
     let mut q: EventQueue<Event> = EventQueue::new();
     let mut gpus: Vec<GpuState> = (0..s)
-        .map(|_| GpuState {
+        .map(|stage| GpuState {
+            sched: Schedule::new(stage, s, m, spec.max_in_flight),
             busy_until: 0.0,
-            running: None,
-            fwd_ready: VecDeque::new(),
-            bwd_ready: VecDeque::new(),
+            running: false,
             phases: GpuPhases::default(),
-            last_idle_from: 0.0,
+            stamps: [vec![(0.0, 0.0); m], vec![(0.0, 0.0); m]],
         })
         .collect();
 
-    // Stage 0's in-flight window: fwd(mb) may start once
-    // mb < bwd_completed + max_in_flight.
-    let mut stage0_bwd_done = 0usize;
-    let initial = spec.max_in_flight.min(m);
-    for mb in 0..initial {
-        gpus[0].fwd_ready.push_back(Ready {
-            op: Op::Fwd(mb),
-            enabled_by_msg: None,
-        });
-    }
-    let mut stage0_next_fwd = initial;
-
-    // Starts the next ready op on `stage` if idle: runs compute, then a
-    // blocking send (if the op produces a boundary message), scheduling
-    // the arrival at the downstream stage.
+    // Starts the op `stage`'s schedule picks, if the GPU is idle: runs
+    // compute, then a blocking send (if the op produces a boundary
+    // message), scheduling the arrival at the neighbour. A zero-length W
+    // is done on the spot.
     let try_start = |q: &mut EventQueue<Event>,
                      gpus: &mut [GpuState],
                      stage: usize,
                      now: f64,
                      log: &mut Option<Vec<(usize, f64, f64, char)>>| {
         let g = &mut gpus[stage];
-        if g.running.is_some() {
+        if g.running {
             return;
         }
-        // Backward priority (frees activation memory, AxoNN's policy).
-        let Some(ready) = g.bwd_ready.pop_front().or_else(|| g.fwd_ready.pop_front()) else {
-            return;
+        let op = loop {
+            match g.sched.next() {
+                Next::Run(op @ Op::W(_)) if spec.t_w[stage] == 0.0 => g.sched.done(op),
+                Next::Run(op) => break op,
+                Next::Wait { .. } | Next::Done => return,
+            }
         };
 
-        // Idle-gap attribution.
-        let gap_start = g.last_idle_from;
+        // Idle-gap attribution: the share overlapping the message that
+        // enabled the op is p2p time.
+        let gap_start = g.busy_until;
         if now > gap_start {
-            let gap = now - gap_start;
-            let p2p = if let Some((send_start, arrive)) = ready.enabled_by_msg {
-                (arrive.min(now) - send_start.max(gap_start)).max(0.0)
-            } else {
-                0.0
-            };
+            let p2p = match op {
+                Op::F(mb) if stage > 0 => Some(g.stamps[0][mb]),
+                Op::B(mb) if stage + 1 < s => Some(g.stamps[1][mb]),
+                _ => None,
+            }
+            .map_or(0.0, |(send_start, arrive)| (arrive.min(now) - send_start.max(gap_start)).max(0.0));
             g.phases.p2p_wait += p2p;
-            g.phases.bubble += gap - p2p;
+            g.phases.bubble += now - gap_start - p2p;
         }
 
-        let (dur, label) = match ready.op {
-            Op::Fwd(_) => (spec.t_fwd[stage], 'F'),
-            Op::Bwd(_) => (spec.t_bwd[stage], 'B'),
+        // Duration, label, and the boundary message the op produces.
+        let (dur, label, out) = match op {
+            Op::F(mb) => (spec.t_fwd[stage], 'F', (stage + 1 < s).then(|| (stage + 1, Msg::Act(mb)))),
+            Op::B(mb) => (spec.t_bwd[stage], 'B', (stage > 0).then(|| (stage - 1, Msg::Grad(mb)))),
+            Op::W(_) => (spec.t_w[stage], 'W', None),
         };
-        // Destination of the boundary message this op produces, if any.
-        let dest = match ready.op {
-            Op::Fwd(_) if stage + 1 < s => Some(stage + 1),
-            Op::Bwd(_) if stage > 0 => Some(stage - 1),
-            _ => None,
-        };
-        let send_dur = dest
-            .map(|d| machine.mpi_p2p_time(spec.msg_bytes, spec.gpu_ids[stage], spec.gpu_ids[d]))
+        let send_dur = out
+            .map(|(d, _)| machine.mpi_p2p_time(spec.msg_bytes, spec.gpu_ids[stage], spec.gpu_ids[d]))
             .unwrap_or(0.0);
 
         g.phases.compute += dur;
         g.phases.p2p_wait += send_dur;
-        if dest.is_some() {
-            g.phases.sends += 1;
-        }
-        g.running = Some(ready.op);
+        g.phases.sends += u64::from(out.is_some());
+        g.running = true;
         g.busy_until = now + dur + send_dur;
         if let Some(log) = log {
             log.push((stage, now, now + dur, label));
         }
-        if let Some(d) = dest {
-            let fwd_op = ready.op;
-            q.push(
-                now + dur + send_dur,
-                Event::MsgArrive {
-                    stage: d,
-                    op: fwd_op,
-                    send_start: now + dur,
-                },
-            );
+        if let Some((d, msg)) = out {
+            let event = Event::MsgArrive { stage: d, msg, send_start: now + dur };
+            q.push(now + dur + send_dur, event);
         }
-        q.push(
-            now + dur + send_dur,
-            Event::OpDone {
-                stage,
-                op: ready.op,
-            },
-        );
+        q.push(now + dur + send_dur, Event::OpDone { stage, op });
     };
 
-    try_start(&mut q, &mut gpus, 0, 0.0, log);
+    for stage in 0..s {
+        try_start(&mut q, &mut gpus, stage, 0.0, log);
+    }
 
     while let Some((now, ev)) = q.pop() {
-        match ev {
+        let stage = match ev {
             Event::OpDone { stage, op } => {
+                gpus[stage].running = false;
+                gpus[stage].sched.done(op);
+                stage
+            }
+            Event::MsgArrive { stage, msg, send_start } => {
                 let g = &mut gpus[stage];
-                debug_assert_eq!(g.running, Some(op));
-                g.running = None;
-                g.last_idle_from = now;
-                match op {
-                    Op::Fwd(mb) => {
-                        if stage + 1 == s {
-                            // Last stage: backward of this microbatch is
-                            // immediately ready (loss is local).
-                            g.bwd_ready.push_back(Ready {
-                                op: Op::Bwd(mb),
-                                enabled_by_msg: None,
-                            });
-                        }
-                    }
-                    Op::Bwd(_) => {
-                        if stage == 0 {
-                            // A new microbatch may enter the window.
-                            stage0_bwd_done += 1;
-                            if stage0_next_fwd < m
-                                && stage0_next_fwd < stage0_bwd_done + spec.max_in_flight
-                            {
-                                gpus[0].fwd_ready.push_back(Ready {
-                                    op: Op::Fwd(stage0_next_fwd),
-                                    enabled_by_msg: None,
-                                });
-                                stage0_next_fwd += 1;
-                            }
-                        }
-                    }
-                }
-                try_start(&mut q, &mut gpus, stage, now, log);
-            }
-            Event::MsgArrive { stage, op, send_start } => {
-                gpus[stage].phases.recvs += 1;
-                let ready = Ready {
-                    op,
-                    enabled_by_msg: Some((send_start, now)),
+                g.phases.recvs += 1;
+                let (link, mb) = match msg {
+                    Msg::Act(mb) => (0, mb),
+                    Msg::Grad(mb) => (1, mb),
                 };
-                match op {
-                    Op::Fwd(_) => gpus[stage].fwd_ready.push_back(ready),
-                    Op::Bwd(_) => gpus[stage].bwd_ready.push_back(ready),
-                }
-                try_start(&mut q, &mut gpus, stage, now, log);
+                g.stamps[link][mb] = (send_start, now);
+                g.sched.arrived(msg);
+                stage
             }
-        }
+        };
+        try_start(&mut q, &mut gpus, stage, now, log);
     }
 
     let total_time = gpus.iter().map(|g| g.busy_until).fold(0.0f64, f64::max);
     // Trailing idle counts as bubble.
     for g in &mut gpus {
-        let trailing = total_time - g.busy_until;
-        if trailing > 0.0 {
-            g.phases.bubble += trailing;
-        }
+        debug_assert_eq!(g.sched.next(), Next::Done);
+        g.phases.bubble += total_time - g.busy_until;
     }
 
     let result = PipelineResult {
@@ -332,12 +262,11 @@ fn simulate_inner(
     };
     if telemetry::enabled() {
         let reg = telemetry::global();
-        reg.gauge("axonn.pipeline.bubble_fraction")
-            .set(result.bubble_fraction());
+        reg.gauge("axonn.pipeline.bubble_fraction").set(result.bubble_fraction());
         reg.gauge("axonn.pipeline.total_time").set(result.total_time);
-        for (i, busy) in result.busy_fractions().iter().enumerate() {
-            reg.gauge(&format!("axonn.pipeline.gpu{i}.busy_fraction"))
-                .set(*busy);
+        for (i, g) in result.per_gpu.iter().enumerate() {
+            let busy = if total_time > 0.0 { g.compute / total_time } else { 0.0 };
+            reg.gauge(&format!("axonn.pipeline.gpu{i}.busy_fraction")).set(busy);
         }
     }
     result
@@ -352,7 +281,12 @@ pub fn chrome_trace_events(trace: &[(usize, f64, f64, char)]) -> Vec<telemetry::
     trace
         .iter()
         .map(|&(stage, start, end, label)| telemetry::TraceEvent {
-            name: if label == 'F' { "forward" } else { "backward" }.to_string(),
+            name: match label {
+                'F' => "forward",
+                'B' => "backward",
+                _ => "weight",
+            }
+            .to_string(),
             cat: "pipeline".to_string(),
             pid: telemetry::trace::lane::SIMULATED,
             tid: stage as u64,
@@ -375,9 +309,10 @@ pub fn analytic_bubble(t_f: f64, t_b: f64, g_inter: usize) -> f64 {
 }
 
 /// Renders any simulated schedule as a proportional ASCII gantt chart,
-/// `width` columns wide: `F`/`f` forward, `B`/`b` backward, spaces idle
-/// (which includes blocking sends). Use for realistic stage times where
-/// [`ascii_schedule`]'s unit-time rendering does not apply.
+/// `width` columns wide: `F`/`f` forward, `B`/`b` backward, `W`/`w`
+/// weight gradients, spaces idle (which includes blocking sends). Use for
+/// realistic stage times where [`ascii_schedule`]'s unit-time rendering
+/// does not apply.
 pub fn render_gantt(machine: &Machine, spec: &PipelineSpec, width: usize) -> String {
     assert!(width >= 20);
     let trace = trace_schedule(machine, spec);
@@ -385,53 +320,48 @@ pub fn render_gantt(machine: &Machine, spec: &PipelineSpec, width: usize) -> Str
     if end <= 0.0 {
         return String::from("(empty schedule)");
     }
-    let scale = (width - 1) as f64 / end;
-    let mut rows = vec![vec![' '; width]; spec.stages];
-    for (stage, start, endt, label) in trace {
-        let c0 = (start * scale).round() as usize;
-        let c1 = ((endt * scale).round() as usize).max(c0 + 1).min(width);
+    draw(&trace, spec.stages, (width - 1) as f64 / end, width)
+}
+
+/// The Fig. 3 schedule's inputs: unit-time forward and 2-unit backward
+/// blocks, no W, free messages, every microbatch admitted.
+pub fn fig3_spec(stages: usize, microbatches: usize) -> PipelineSpec {
+    PipelineSpec {
+        stages,
+        microbatches,
+        t_fwd: vec![1.0; stages],
+        t_bwd: vec![2.0; stages],
+        t_w: vec![0.0; stages],
+        msg_bytes: 0,
+        gpu_ids: vec![0; stages],
+        max_in_flight: microbatches,
+    }
+}
+
+/// Renders the Fig. 3-style schedule ([`fig3_spec`]) as ASCII art, one
+/// row per GPU.
+pub fn ascii_schedule(stages: usize, microbatches: usize) -> String {
+    let spec = fig3_spec(stages, microbatches);
+    let trace = trace_schedule(&summit_sim::machine::SUMMIT, &spec);
+    let end = trace.iter().map(|(_, _, e, _)| *e).fold(0.0f64, f64::max);
+    draw(&trace, stages, 1.0, end.round() as usize)
+}
+
+/// Draws a [`trace_schedule`] log at `cols` columns per time unit, one
+/// row of `width` columns per GPU: an op's first column is its label, the
+/// rest the label in lower case.
+fn draw(trace: &[(usize, f64, f64, char)], stages: usize, cols: f64, width: usize) -> String {
+    let mut rows = vec![vec![' '; width]; stages];
+    for &(stage, start, end, label) in trace {
+        let c0 = (start * cols).round() as usize;
+        let c1 = ((end * cols).round() as usize).max(c0 + 1).min(width);
         for (i, slot) in (c0..c1).enumerate() {
-            rows[stage][slot] = if i == 0 {
-                label
-            } else {
-                label.to_ascii_lowercase()
-            };
+            rows[stage][slot] = if i == 0 { label } else { label.to_ascii_lowercase() };
         }
     }
     rows.iter()
         .enumerate()
         .map(|(i, r)| format!("GPU {i}: |{}|", r.iter().collect::<String>()))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-/// Renders the Fig. 3-style schedule as ASCII art (one row per GPU),
-/// using unit-time forward and 2-unit backward blocks and free messages.
-pub fn ascii_schedule(stages: usize, microbatches: usize) -> String {
-    let spec = PipelineSpec {
-        stages,
-        microbatches,
-        t_fwd: vec![1.0; stages],
-        t_bwd: vec![2.0; stages],
-        msg_bytes: 0,
-        gpu_ids: vec![0; stages],
-        max_in_flight: microbatches,
-    };
-    let machine = summit_sim::machine::SUMMIT;
-    let trace = trace_schedule(&machine, &spec);
-    let end = trace.iter().map(|(_, _, e, _)| *e).fold(0.0f64, f64::max).round() as usize;
-    let mut rows = vec![" ".repeat(end); stages];
-    for (stage, start, endt, label) in trace {
-        let s = start.round() as usize;
-        let e = endt.round() as usize;
-        for (i, slot) in (s..e).enumerate() {
-            let ch = if i == 0 { label } else { label.to_ascii_lowercase() };
-            rows[stage].replace_range(slot..slot + 1, &ch.to_string());
-        }
-    }
-    rows.iter()
-        .enumerate()
-        .map(|(i, r)| format!("GPU {i}: |{r}|"))
         .collect::<Vec<_>>()
         .join("\n")
 }
@@ -447,6 +377,7 @@ mod tests {
             microbatches,
             t_fwd: vec![tf / stages as f64; stages],
             t_bwd: vec![tb / stages as f64; stages],
+            t_w: vec![0.0; stages],
             msg_bytes: 0,
             gpu_ids: vec![0; stages], // same rank → free messages
             max_in_flight: stages + 1,
@@ -491,6 +422,7 @@ mod tests {
             microbatches: 5,
             t_fwd: vec![1.0; 3],
             t_bwd: vec![2.0; 3],
+            t_w: vec![0.0; 3],
             msg_bytes: 0,
             gpu_ids: vec![0; 3],
             max_in_flight: 5,
@@ -520,6 +452,7 @@ mod tests {
             microbatches: m,
             t_fwd: vec![50e-3; 2],
             t_bwd: vec![150e-3; 2],
+            t_w: vec![0.0; 2],
             msg_bytes: 10_000_000, // 10 MB over MPI → 10 ms
             gpu_ids: vec![0, 1],
             max_in_flight: 3,
@@ -541,6 +474,7 @@ mod tests {
             microbatches: 12,
             t_fwd: vec![1e-3, 2e-3, 1.5e-3, 1e-3],
             t_bwd: vec![3e-3, 6e-3, 4.5e-3, 3e-3],
+            t_w: vec![0.0; 4],
             msg_bytes: 1_000_000,
             gpu_ids: vec![0, 1, 2, 3],
             max_in_flight: 5,
@@ -587,6 +521,7 @@ mod tests {
             microbatches: 4,
             t_fwd: vec![1.0; 2],
             t_bwd: vec![1.0; 2],
+            t_w: vec![0.0; 2],
             msg_bytes: 0,
             gpu_ids: vec![0; 2],
             max_in_flight: 1,
@@ -609,6 +544,7 @@ mod tests {
             microbatches: m,
             t_fwd: vec![50e-3; 3],
             t_bwd: vec![150e-3; 3],
+            t_w: vec![0.0; 3],
             msg_bytes: 1_000_000,
             gpu_ids: vec![0, 1, 2],
             max_in_flight: 4,
@@ -630,6 +566,37 @@ mod tests {
         assert!(r.per_gpu[1].p2p_wait >= 2.0 * m as f64 * t_msg - 1e-9);
     }
 
+    /// A W schedule worked by hand: 2 stages, 3 microbatches, unit F, B
+    /// and W, free messages. Stage 0 runs F0 F1 F2 B0 W0 B1 W1 · B2 W2 and
+    /// stage 1 · F0 B0 F1 B1 W0 F2 B2 W1 W2 (`·` one idle unit): 10 units,
+    /// 9 of them compute on each GPU.
+    #[test]
+    fn w_schedule_by_hand() {
+        let spec = PipelineSpec {
+            stages: 2,
+            microbatches: 3,
+            t_fwd: vec![1.0; 2],
+            t_bwd: vec![1.0; 2],
+            t_w: vec![1.0; 2],
+            msg_bytes: 0,
+            gpu_ids: vec![0; 2],
+            max_in_flight: 3,
+        };
+        let r = simulate_pipeline(&SUMMIT, &spec);
+        assert_eq!(r.total_time, 10.0);
+        for g in &r.per_gpu {
+            assert_eq!((g.compute, g.bubble, g.p2p_wait), (9.0, 1.0, 0.0));
+        }
+        assert_eq!(
+            render_gantt(&SUMMIT, &spec, 21),
+            "GPU 0: |FfFfFfBbWwBbWw  BbWw |\nGPU 1: |  FfBbFfBbWwFfBbWwWw |"
+        );
+        let trace = trace_schedule(&SUMMIT, &spec);
+        let events = chrome_trace_events(&trace);
+        let weights = events.iter().filter(|e| e.name == "weight").count();
+        assert_eq!((trace.len(), weights), (18, 6));
+    }
+
     #[test]
     fn gantt_renders_proportionally() {
         let spec = PipelineSpec {
@@ -637,6 +604,7 @@ mod tests {
             microbatches: 3,
             t_fwd: vec![1e-3; 2],
             t_bwd: vec![3e-3; 2], // backward 3x wider than forward
+            t_w: vec![0.0; 2],
             msg_bytes: 0,
             gpu_ids: vec![0; 2],
             max_in_flight: 3,

@@ -17,6 +17,7 @@ fn arb_spec() -> impl Strategy<Value = PipelineSpec> {
                     microbatches,
                     t_fwd,
                     t_bwd,
+                    t_w: vec![0.0; stages],
                     msg_bytes,
                     gpu_ids: (0..stages)
                         .map(|s| if cross_node { s * 6 } else { s })
@@ -105,6 +106,7 @@ proptest! {
             microbatches,
             t_fwd: t_fwd.clone(),
             t_bwd: t_bwd.clone(),
+            t_w: vec![0.0; stages],
             msg_bytes: 1_000_000,
             gpu_ids: (0..stages).collect(),
             max_in_flight: stages + 1,

@@ -12,6 +12,7 @@ fn fig3_spec() -> PipelineSpec {
         microbatches: 5,
         t_fwd: vec![1.0; 3],
         t_bwd: vec![2.0; 3],
+        t_w: vec![0.0; 3],
         msg_bytes: 0,
         gpu_ids: vec![0; 3],
         max_in_flight: 5,
@@ -79,6 +80,7 @@ fn lanes_cover_every_stage_and_durations_positive() {
         microbatches: 6,
         t_fwd: vec![1e-3, 2e-3, 1.5e-3, 1e-3],
         t_bwd: vec![3e-3, 6e-3, 4.5e-3, 3e-3],
+        t_w: vec![0.0; 4],
         msg_bytes: 1_000_000,
         gpu_ids: vec![0, 1, 2, 3],
         max_in_flight: 5,

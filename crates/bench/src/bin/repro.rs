@@ -50,7 +50,7 @@
 //! step to `results/metrics.jsonl`.
 
 use axonn_sim::frameworks::{run_gpt, run_vision, Framework};
-use axonn_sim::pipeline::{analytic_bubble, ascii_schedule};
+use axonn_sim::pipeline::{analytic_bubble, ascii_schedule, fig3_spec};
 use bench::chart::{line_chart, Series};
 use bench::{write_text, Table};
 use models::gpt::{GptConfig, GPT3_13B, GPT3_2_7B, GPT3_6_7B, GPT3_XL};
@@ -233,17 +233,8 @@ impl Drop for FlushGuard {
 /// flow arrows are the causal edges `repro trace-analyze` walks for the
 /// cross-rank critical path.
 fn write_trace(path: &str) -> Result<(), String> {
-    let spec = axonn_sim::PipelineSpec {
-        stages: 3,
-        microbatches: 5,
-        t_fwd: vec![1.0; 3],
-        t_bwd: vec![2.0; 3],
-        msg_bytes: 0,
-        gpu_ids: vec![0; 3],
-        max_in_flight: 5,
-    };
-    let mut events =
-        axonn_sim::chrome_trace_events(&axonn_sim::pipeline::trace_schedule(&SUMMIT, &spec));
+    let trace = axonn_sim::pipeline::trace_schedule(&SUMMIT, &fig3_spec(3, 5));
+    let mut events = axonn_sim::chrome_trace_events(&trace);
     let (live, flows) = telemetry::trace::take();
     events.extend(live);
     telemetry::trace::write_chrome_trace_with_flows(std::path::Path::new(path), &events, &flows)

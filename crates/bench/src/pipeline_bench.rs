@@ -38,6 +38,12 @@
 //! the median measured fraction deviates from the analytic one by more
 //! than [`BUBBLE_TOLERANCE`] relative — the `pipeline` gate.
 //!
+//! The model beside them, reported and not gated: `axonn-sim`'s
+//! simulator, which runs the runtime's own schedule
+//! ([`samo::pipeline::Schedule`]), fed each stage's measured
+//! per-microbatch F, B (`bwd_s − w_s`) and W (`w_s`), free messages and
+//! the runtime's `max_in_flight` (`sim_bubble`).
+//!
 //! The bench also pins `SAMO_THREADS=1` before the first tensor op:
 //! stage threads are the parallelism under test, and letting each
 //! stage's (small) real GEMM fan out over the shared worker pool would
@@ -45,7 +51,7 @@
 
 use crate::gates::BUBBLE_TOLERANCE;
 use crate::harness::{self, median, obj, round6};
-use axonn_sim::pipeline::analytic_bubble;
+use axonn_sim::pipeline::{analytic_bubble, simulate_pipeline, PipelineSpec};
 use nn::mixed::{LossScaler, Optimizer};
 use nn::optim::AdamConfig;
 use samo::pipeline::{PipelineConfig, StageStats, ThreadedPipelineSamo};
@@ -71,6 +77,8 @@ struct DepthRun {
     measured: f64,
     analytic: f64,
     rel_err: f64,
+    /// `axonn-sim`'s bubble fraction on the measured op times.
+    sim: f64,
 }
 
 /// One step read off the scheduler's counters, summed over stages.
@@ -129,12 +137,13 @@ fn bench_depth(
         bwd_delay,
     );
     let masks = models::uniform_pipeline_masks(&model, SPARSITY);
+    let max_in_flight = g_inter;
     let cfg = PipelineConfig {
         g_inter,
         g_data: 1,
         microbatches,
         mb_rows: rows,
-        max_in_flight: g_inter,
+        max_in_flight,
         timeout: Duration::from_secs(60),
         force_recompute: true,
     };
@@ -174,7 +183,8 @@ fn bench_depth(
     };
 
     run_step(&mut pp)?; // warmup: first-touch allocation, thread ramp-up
-    let mut prev = pp.stage_stats();
+    let first = pp.stage_stats();
+    let mut prev = first.clone();
     let (mut fracs, mut waits) = (Vec::with_capacity(steps), Vec::with_capacity(steps));
     let (mut fwd_total, mut bwd_total, mut makespan_total) = (0.0f64, 0.0f64, 0.0f64);
     for _ in 0..steps {
@@ -197,6 +207,21 @@ fn bench_depth(
     let bubble_s = analytic_bubble(g_inter as f64 * f_hat, g_inter as f64 * b_hat, g_inter);
     let analytic = bubble_s / (bubble_s + microbatches as f64 * (f_hat + b_hat));
     let measured = median(fracs).expect("at least one measured step");
+    // The simulator on each stage's measured per-microbatch op times.
+    let per_stage = (steps * microbatches) as f64;
+    let mean = |f: fn(&StageStats) -> f64| -> Vec<f64> {
+        prev.iter().zip(&first).map(|(a, b)| (f(a) - f(b)) / per_stage).collect()
+    };
+    let spec = PipelineSpec {
+        stages: g_inter,
+        microbatches,
+        t_fwd: mean(|s| s.fwd_s),
+        t_bwd: mean(|s| s.bwd_s - s.w_s),
+        t_w: mean(|s| s.w_s),
+        msg_bytes: 0,
+        gpu_ids: vec![0; g_inter],
+        max_in_flight,
+    };
     Ok(DepthRun {
         g_inter,
         f_hat,
@@ -206,6 +231,7 @@ fn bench_depth(
         measured,
         analytic,
         rel_err: (measured - analytic).abs() / analytic,
+        sim: simulate_pipeline(&summit_sim::machine::SUMMIT, &spec).bubble_fraction(),
     })
 }
 
@@ -233,7 +259,7 @@ pub fn run(quick: bool) -> Result<(), String> {
         "pipeline_bubble",
         &[
             "g_inter", "microbatches", "fwd_ms_mb", "bwd_ms_mb", "makespan_ms",
-            "wait_share", "measured_bubble", "analytic_bubble", "rel_err",
+            "wait_share", "measured_bubble", "sim_bubble", "analytic_bubble", "rel_err",
         ],
     );
     let mut depth_rows: Vec<Json> = Vec::new();
@@ -247,6 +273,7 @@ pub fn run(quick: bool) -> Result<(), String> {
             format!("{:.2}", r.makespan_s * 1e3),
             format!("{:.4}", r.wait_share),
             format!("{:.4}", r.measured),
+            format!("{:.4}", r.sim),
             format!("{:.4}", r.analytic),
             format!("{:.4}", r.rel_err),
         ]);
@@ -257,6 +284,7 @@ pub fn run(quick: bool) -> Result<(), String> {
             ("makespan_ms", round6(r.makespan_s * 1e3)),
             ("wait_share", round6(r.wait_share)),
             ("measured_bubble_fraction", round6(r.measured)),
+            ("sim_bubble_fraction", round6(r.sim)),
             ("analytic_bubble_fraction", round6(r.analytic)),
             ("rel_err", round6(r.rel_err)),
         ]));

@@ -275,6 +275,7 @@ fn drive_simulation() -> Vec<TraceEvent> {
         microbatches: 5,
         t_fwd: vec![1.0; 3],
         t_bwd: vec![2.0; 3],
+        t_w: vec![0.0; 3],
         msg_bytes: 0,
         gpu_ids: vec![0; 3],
         max_in_flight: 5,

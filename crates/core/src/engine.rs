@@ -621,6 +621,7 @@ impl<R: Reducer> StepEngine<R> {
     }
 
     /// Pipeline Ws queued and not yet run.
+    #[cfg(test)]
     pub(crate) fn w_pending(&self) -> usize {
         self.w_queue.len()
     }

@@ -22,13 +22,12 @@
 //!
 //! # Scheduling
 //!
-//! The per-rank scheduler is message-driven with **backward preferred
-//! over forward** (AxoNN's rule, mirrored from `axonn-sim`'s
-//! event-driven simulator): each loop iteration first polls the
-//! downstream link for the next activation-gradient, and only when no
-//! backward work is ready does it admit the next forward microbatch.
-//! Every stage enforces the `max_in_flight` activation-memory cap
-//! (`next_fwd < bwd_done + max_in_flight`).
+//! Which op a stage runs next is decided in one place: [`Schedule`], a
+//! pure state machine that `axonn-sim`'s simulator runs too, on modelled
+//! durations instead of wall time. It is message-driven with **backward
+//! preferred over forward** (AxoNN's rule), and every stage keeps a
+//! window of at most `max_in_flight` microbatches forwarded and not yet
+//! through B.
 //!
 //! A microbatch's backward is split in two, as in Qi et al., *Zero Bubble
 //! Pipeline Parallelism* (arXiv 2401.10241): **B** computes `dx` — all the
@@ -36,19 +35,21 @@
 //! norms, and sends `dx` at once; **W**, every weight's `dW = dyᵀ·x`, runs
 //! later from the operands B handed over (`StepEngine::backward_deferred`):
 //! the `dy` B received or produced, and the input the layer cached, moved.
-//! The loop's order is **B > F > W > sleep**: a W runs where the stage
-//! would otherwise sleep, with one bound — after B of microbatch `k`
-//! sends its `dx`, every W older than `k` runs. So between iterations a
-//! stage holds at most one microbatch's W operands, and for the moment
-//! between a B and that catch-up, two. Bs and Ws each execute in strict
-//! microbatch order, so gradient accumulation order — and therefore
-//! every f32 sum — matches the single-process trainer exactly. The loop
-//! ends once the last microbatch's W has run.
+//! The order is **B > F > W > sleep**: a W runs where the stage would
+//! otherwise sleep, with one bound — after B of microbatch `k` sends its
+//! `dx`, every W older than `k` runs. So between ops a stage holds at
+//! most one microbatch's W operands, and for the moment between a B and
+//! that catch-up, two. Bs and Ws each execute in strict microbatch order,
+//! so gradient accumulation order — and therefore every f32 sum — matches
+//! the single-process trainer exactly. The step ends once the last
+//! microbatch's W has run.
 //!
-//! With nothing to run the rank **sleeps** in
-//! [`Communicator::wait_any`] on exactly the links that can end the
-//! wait — downstream for the next gradient, upstream too while the
-//! window has room — and the neighbour's send wakes it. The wait's
+//! The rank loop receives — one `try_recv_p2p` per link, for the next
+//! microbatch that link delivers — tells the machine what arrived, and
+//! executes what [`Schedule::next`] returns. With nothing to run the rank
+//! **sleeps** in [`Communicator::wait_any`] on exactly the links the
+//! machine names — downstream for the next gradient, upstream too while
+//! the window has room — and the neighbour's send wakes it. The wait's
 //! deadline is the rank's progress deadline, so a silent neighbour is a
 //! typed timeout out of the same call.
 //!
@@ -205,6 +206,127 @@ pub struct StageStats {
     pub msgs_dropped: u64,
 }
 
+/// One op of a stage on microbatch `mb`: its forward, its **B** (`dx`,
+/// sent upstream at once) or its **W** (the weight gradients B deferred).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op {
+    F(usize),
+    B(usize),
+    W(usize),
+}
+
+/// A boundary message reaching a stage: microbatch `mb`'s activation from
+/// upstream, or its activation-gradient from downstream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Msg {
+    Act(usize),
+    Grad(usize),
+}
+
+/// What a stage does next, by [`Schedule::next`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Next {
+    Run(Op),
+    /// Nothing can run until a message comes over a named link:
+    /// downstream with the next gradient, upstream with the next
+    /// activation.
+    Wait { downstream: bool, upstream: bool },
+    Done,
+}
+
+/// One stage's schedule for one step, the one place a pipeline
+/// scheduling decision is made: the rank loop runs it on wall time, and
+/// `axonn-sim` on modelled durations. It is told what arrived
+/// ([`Self::arrived`]) and what ran ([`Self::done`]), and says what runs
+/// next ([`Self::next`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Schedule {
+    microbatches: usize,
+    max_in_flight: usize,
+    last: bool,
+    /// Fs, Bs and Ws done; each kind runs in microbatch order.
+    fwd: usize,
+    bwd: usize,
+    wgt: usize,
+    /// Activations and gradients arrived, in microbatch order (stage 0's
+    /// inputs are all local).
+    acts: usize,
+    grads: usize,
+}
+
+impl Schedule {
+    /// Stage `stage` of `stages`, before its first op.
+    pub fn new(stage: usize, stages: usize, microbatches: usize, max_in_flight: usize) -> Schedule {
+        assert!(stage < stages && microbatches >= 1);
+        assert!(max_in_flight >= 1, "max_in_flight must admit one microbatch");
+        Schedule {
+            microbatches,
+            max_in_flight,
+            last: stage + 1 == stages,
+            fwd: 0,
+            bwd: 0,
+            wgt: 0,
+            acts: if stage == 0 { microbatches } else { 0 },
+            grads: 0,
+        }
+    }
+
+    /// The next activation and the next gradient this stage receives, as
+    /// far as each is still to come over its link.
+    pub fn expected(&self) -> [Option<Msg>; 2] {
+        let m = self.microbatches;
+        [
+            (self.acts < m).then_some(Msg::Act(self.acts)),
+            (!self.last && self.grads < m).then_some(Msg::Grad(self.grads)),
+        ]
+    }
+
+    /// Records an arrival; each link delivers in microbatch order.
+    pub fn arrived(&mut self, msg: Msg) {
+        assert!(self.expected().contains(&Some(msg)), "{msg:?} out of order");
+        match msg {
+            Msg::Act(_) => self.acts += 1,
+            Msg::Grad(_) => self.grads += 1,
+        }
+    }
+
+    /// The rule, in order: a W while more than one is pending (the
+    /// catch-up after a B), then B, then F inside the window, then W,
+    /// then wait.
+    pub fn next(&self) -> Next {
+        let m = self.microbatches;
+        let pending = self.bwd - self.wgt;
+        // The last stage's loss is local: its forward is its gradient.
+        let grads = if self.last { self.fwd } else { self.grads };
+        let admits = self.fwd < m && self.fwd < self.bwd + self.max_in_flight;
+        if pending > 1 {
+            Next::Run(Op::W(self.wgt))
+        } else if self.bwd < grads {
+            Next::Run(Op::B(self.bwd))
+        } else if admits && self.fwd < self.acts {
+            Next::Run(Op::F(self.fwd))
+        } else if pending > 0 {
+            Next::Run(Op::W(self.wgt))
+        } else if self.wgt == m {
+            Next::Done
+        } else {
+            // Stage 0 has every input: a window with room has run its F.
+            Next::Wait { downstream: !self.last, upstream: admits }
+        }
+    }
+
+    /// Records that `op`, which [`Self::next`] returned, has run.
+    pub fn done(&mut self, op: Op) {
+        let (count, mb) = match op {
+            Op::F(mb) => (&mut self.fwd, mb),
+            Op::B(mb) => (&mut self.bwd, mb),
+            Op::W(mb) => (&mut self.wgt, mb),
+        };
+        assert_eq!(*count, mb, "{op:?} out of microbatch order");
+        *count += 1;
+    }
+}
+
 const DIR_ACT: u64 = 0;
 const DIR_GRAD: u64 = 1;
 
@@ -249,8 +371,6 @@ struct StageRank {
     /// Boundary input per in-flight microbatch: what a recompute starts
     /// from, so kept only while the stage is not `stashing`.
     input_stash: Vec<Option<Tensor>>,
-    /// Last stage only: outputs awaiting their loss gradient.
-    y_stash: Vec<Option<Tensor>>,
     /// Which microbatch the block's own activation caches belong to: the
     /// last one forwarded, until its backward.
     cache_mb: Option<usize>,
@@ -258,6 +378,8 @@ struct StageRank {
     slots: Vec<CacheSlot>,
     /// Whether this step parks caches instead of recomputing them.
     stashing: bool,
+    /// This stage's schedule before a step's first op.
+    schedule: Schedule,
 }
 
 impl RankWorker for StageRank {
@@ -278,13 +400,10 @@ impl RankWorker for StageRank {
         let win0 = telemetry::enabled().then(|| (now_us(), self.stats.wait_s, self.stats.w_s));
         let m = self.cfg.microbatches;
         let s = self.stage;
-        let last = self.is_last();
         let step = job.step;
         let scale_used = self.engine.loss_scale();
-        for stash in [&mut self.input_stash, &mut self.y_stash] {
-            stash.clear();
-            stash.resize_with(m, || None);
-        }
+        self.input_stash.clear();
+        self.input_stash.resize_with(m, || None);
         self.cache_mb = None;
         // One verdict a step, before any microbatch depends on it: a swap
         // with an empty slot moves nothing and tells whether the block can.
@@ -294,79 +413,62 @@ impl RankWorker for StageRank {
         // schedule fails, before the rank loop reports it.
         self.engine.lend_theta16(&mut self.block, true);
 
-        // Message-driven schedule: B > F > W > sleep.
+        // The schedule decides, the loop receives and executes.
         self.stats.last_sched_start_us = now_us();
         let wall0 = Instant::now();
-        let mut fwd_done = 0usize;
-        let mut bwd_done = 0usize;
+        let mut sched = self.schedule;
+        // A link's next message, received and not yet consumed; on the
+        // last stage `dy_in` is the loss gradient of the output it just
+        // made, which its B runs next.
+        let (mut x_in, mut dy_in) = (None, None);
         let mut last_progress = Instant::now();
-        while bwd_done < m || self.engine.w_pending() > 0 {
-            let mut progressed = false;
-
-            // 1. B, in strict microbatch order (keeps per-layer gradient
-            //    accumulation order identical to the oracle), then every
-            //    W older than it.
-            let dy = if bwd_done == m {
-                None
-            } else if last {
-                (fwd_done > bwd_done).then(|| {
-                    let y = self.y_stash[bwd_done].take().expect("output stashed");
-                    (job.loss_grad)(self.data_idx, bwd_done, &y, scale_used)
-                })
-            } else {
-                self.pipe
-                    .try_recv_p2p(s + 1, p2p_id(bwd_done, DIR_GRAD), step)?
-                    .map(|v| self.tensor_from_wire(v))
-                    .transpose()?
-            };
-            if let Some(dy) = dy {
-                self.backward_mb(bwd_done, dy, bwd_done + 1 == m, step)?;
-                bwd_done += 1;
-                while self.engine.w_pending() > 1 {
-                    self.weight_mb(bwd_done)?;
-                }
-                progressed = true;
-            }
-
-            // 2. Forward, inside the activation-memory window.
-            let admits = fwd_done < m && fwd_done < bwd_done + self.cfg.max_in_flight;
-            if !progressed && admits {
-                let x = if s == 0 {
-                    Some((job.input)(self.data_idx, fwd_done))
-                } else {
-                    self.pipe
-                        .try_recv_p2p(s - 1, p2p_id(fwd_done, DIR_ACT), step)?
-                        .map(|v| self.tensor_from_wire(v))
-                        .transpose()?
+        loop {
+            for msg in sched.expected().into_iter().flatten() {
+                let (peer, id, held) = match msg {
+                    Msg::Act(mb) => (s - 1, p2p_id(mb, DIR_ACT), &mut x_in),
+                    Msg::Grad(mb) => (s + 1, p2p_id(mb, DIR_GRAD), &mut dy_in),
                 };
-                if let Some(x) = x {
-                    self.forward_mb(fwd_done, x, step)?;
-                    fwd_done += 1;
-                    progressed = true;
+                if held.is_none() {
+                    if let Some(v) = self.pipe.try_recv_p2p(peer, id, step)? {
+                        *held = Some(self.tensor_from_wire(v)?);
+                        sched.arrived(msg);
+                    }
                 }
             }
-
-            // 3. W, where the stage would otherwise sleep.
-            if progressed || self.weight_mb(bwd_done)? {
-                last_progress = Instant::now();
-                continue;
+            let op = match sched.next() {
+                Next::Run(op) => op,
+                Next::Done => break,
+                Next::Wait { downstream, upstream } => {
+                    // Sleep until a neighbour can end the wait. A neighbour
+                    // silent past the progress deadline is the wait's typed
+                    // timeout, and a timed-out wait slice. Nothing needs
+                    // pumping meanwhile: the first ring starts inside the
+                    // last W, which ends the loop.
+                    debug_assert_eq!(self.engine.reducer.0.rings_in_flight(), 0);
+                    let links = [s + 1, s.wrapping_sub(1)];
+                    let links = &links[usize::from(!downstream)..1 + usize::from(upstream)];
+                    let t0 = Instant::now();
+                    let woken = self.pipe.wait_any(links, last_progress + self.cfg.timeout, || {
+                        format!("sched wait (mb {}f/{}b)", sched.fwd, sched.bwd)
+                    });
+                    self.stats.wait_s += t0.elapsed().as_secs_f64();
+                    woken?;
+                    continue;
+                }
+            };
+            match op {
+                Op::F(mb) => {
+                    // Stage 0 reads its input; every other stage has one in hand.
+                    let x = x_in.take().unwrap_or_else(|| (job.input)(self.data_idx, mb));
+                    if let Some(y) = self.forward_mb(mb, x, step)? {
+                        dy_in = Some((job.loss_grad)(self.data_idx, mb, &y, scale_used));
+                    }
+                }
+                Op::B(mb) => self.backward_mb(mb, dy_in.take().expect("dy in hand"), mb + 1 == m, step)?,
+                Op::W(mb) => self.weight_mb(mb)?,
             }
-            // 4. Sleep until a neighbour can end the wait: downstream with
-            //    the next gradient, upstream too while the window admits a
-            //    forward. A neighbour silent past the progress deadline is
-            //    the wait's typed timeout, and a timed-out wait slice.
-            //    Nothing needs pumping meanwhile: the first ring starts
-            //    inside the last W, which ends the loop.
-            debug_assert_eq!(self.engine.reducer.0.rings_in_flight(), 0);
-            let links = [s + 1, s.wrapping_sub(1)];
-            // [downstream unless last, upstream if it may be forwarded]
-            let links = &links[usize::from(last)..1 + usize::from(admits && s > 0)];
-            let t0 = Instant::now();
-            let woken = self.pipe.wait_any(links, last_progress + self.cfg.timeout, || {
-                format!("sched wait (mb {fwd_done}f/{bwd_done}b)")
-            });
-            self.stats.wait_s += t0.elapsed().as_secs_f64();
-            woken?;
+            sched.done(op);
+            last_progress = Instant::now();
         }
         self.stats.sched_wall_s += wall0.elapsed().as_secs_f64();
         self.stats.last_sched_end_us = now_us();
@@ -424,10 +526,6 @@ impl RankWorker for StageRank {
 }
 
 impl StageRank {
-    fn is_last(&self) -> bool {
-        self.stage + 1 == self.cfg.g_inter
-    }
-
     fn tensor_from_wire(&self, v: Vec<f32>) -> Result<Tensor, CommsError> {
         let rows = self.cfg.mb_rows;
         if rows == 0 || !v.len().is_multiple_of(rows) {
@@ -483,7 +581,9 @@ impl StageRank {
         self.slots[slot].exchange(&mut self.block);
     }
 
-    fn forward_mb(&mut self, mb: usize, x: Tensor, step: u32) -> Result<(), CommsError> {
+    /// F of microbatch `mb`: its output is sent downstream, or returned
+    /// on the last stage.
+    fn forward_mb(&mut self, mb: usize, x: Tensor, step: u32) -> Result<Option<Tensor>, CommsError> {
         let ts = telemetry::enabled().then(now_us);
         let t0 = Instant::now();
         if let (true, Some(in_flight)) = (self.stashing, self.cache_mb) {
@@ -501,12 +601,11 @@ impl StageRank {
         if !self.stashing {
             self.input_stash[mb] = Some(x);
         }
-        if self.is_last() {
-            self.y_stash[mb] = Some(y);
-        } else {
-            self.pipe.send_p2p(self.stage + 1, p2p_id(mb, DIR_ACT), step, y.into_vec())?;
+        if self.stage + 1 == self.cfg.g_inter {
+            return Ok(Some(y));
         }
-        Ok(())
+        self.pipe.send_p2p(self.stage + 1, p2p_id(mb, DIR_ACT), step, y.into_vec())?;
+        Ok(None)
     }
 
     /// B of microbatch `mb`: `dx`, sent upstream at once.
@@ -554,20 +653,17 @@ impl StageRank {
         Ok(())
     }
 
-    /// Runs the oldest queued W — microbatch `bwd_done − pending` — if
-    /// there is one, and returns whether it did.
-    fn weight_mb(&mut self, bwd_done: usize) -> Result<bool, CommsError> {
-        let mb = bwd_done - self.engine.w_pending();
+    /// W of microbatch `mb`: the engine's oldest queued W, if B queued one.
+    fn weight_mb(&mut self, mb: usize) -> Result<(), CommsError> {
         let ts = telemetry::enabled().then(now_us);
         let t0 = Instant::now();
-        if !self.engine.run_w(&self.block)? {
-            return Ok(false);
+        if self.engine.run_w(&self.block)? {
+            let dt = t0.elapsed().as_secs_f64();
+            self.stats.w_s += dt;
+            self.stats.bwd_s += dt;
+            self.record_mb_slice('W', mb, ts, dt);
         }
-        let dt = t0.elapsed().as_secs_f64();
-        self.stats.w_s += dt;
-        self.stats.bwd_s += dt;
-        self.record_mb_slice('W', mb, ts, dt);
-        Ok(true)
+        Ok(())
     }
 }
 
@@ -620,10 +716,6 @@ impl ThreadedPipelineSamo {
         );
         assert!(cfg.g_inter >= 1 && cfg.g_data >= 1);
         assert!(cfg.microbatches >= 1, "need at least one microbatch");
-        assert!(
-            cfg.max_in_flight >= 1,
-            "max_in_flight must admit one microbatch"
-        );
         let n_layers = replicas[0].len();
         assert!(
             n_layers >= cfg.g_inter,
@@ -700,10 +792,10 @@ impl ThreadedPipelineSamo {
                     pipe: comm(pipe_t),
                     stats: StageStats::default(),
                     input_stash: Vec::new(),
-                    y_stash: Vec::new(),
                     cache_mb: None,
                     slots: (0..cfg.max_in_flight).map(|_| CacheSlot::default()).collect(),
                     stashing: false,
+                    schedule: Schedule::new(stage, cfg.g_inter, cfg.microbatches, cfg.max_in_flight),
                 };
                 param_off += n_params;
                 workers.push((format!("samo-pp-s{stage}d{data_idx}"), rk));

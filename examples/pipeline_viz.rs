@@ -31,6 +31,7 @@ fn main() {
         microbatches,
         t_fwd: vec![1.0; stages],
         t_bwd: vec![2.0; stages],
+        t_w: vec![0.0; stages],
         msg_bytes: 0,
         gpu_ids: vec![0; stages],
         max_in_flight: microbatches,
@@ -59,6 +60,7 @@ fn main() {
         microbatches: 8,
         t_fwd: vec![tf; g_inter],
         t_bwd: vec![3.0 * tf; g_inter],
+        t_w: vec![0.0; g_inter],
         msg_bytes: GPT3_2_7B.boundary_activation_bytes(1),
         gpu_ids: (0..g_inter).collect(),
         max_in_flight: g_inter + 1,
@@ -77,6 +79,7 @@ fn main() {
             microbatches: 24,
             t_fwd: vec![1.0 / s as f64; s],
             t_bwd: vec![2.0 / s as f64; s],
+            t_w: vec![0.0; s],
             msg_bytes: 0,
             gpu_ids: vec![0; s],
             max_in_flight: s + 1,

@@ -57,6 +57,7 @@ fn eq7_bubble_formula() {
             microbatches: 4 * s,
             t_fwd: vec![1.0 / s as f64; s],
             t_bwd: vec![2.0 / s as f64; s],
+            t_w: vec![0.0; s],
             msg_bytes: 0,
             gpu_ids: vec![0; s],
             max_in_flight: s + 1,
