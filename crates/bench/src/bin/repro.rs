@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! repro <experiment> [--quick] [--trace <path>]
-//! repro trace-analyze <trace.json> [--gate]
 //! repro gate <BENCH_hotpaths.json | trace.json | metrics.jsonl>...
 //!   experiments: fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 table1 table2 memory ablation sensitivity scorecard cnn memorymap faults all
 //!   trackers (NOT part of `all`: perf trackers, not paper experiments;
@@ -25,11 +24,6 @@
 //!                         memory against 24(1-p(t))phi + 2phi per step,
 //!                         plus the in-place remap kernel vs the naive
 //!                         dense rebuild)
-//!                trace-analyze (offline critical-path / decomposition /
-//!                         flow-census / comm-overlap analysis of a
-//!                         `--trace` file; records an `analysis` section;
-//!                         `--gate` turns trace health violations into a
-//!                         nonzero exit)
 //!                gate    (runs the gate table over files on disk: every
 //!                         section of a BENCH_hotpaths.json, the shape of
 //!                         a Chrome trace or of a metrics.jsonl)
@@ -84,7 +78,6 @@ fn main() {
     telemetry::clock::reset();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let gate = args.iter().any(|a| a == "--gate");
     let trace_pos = args.iter().position(|a| a == "--trace");
     let trace_path = match trace_pos {
         Some(i) => match args.get(i + 1) {
@@ -165,9 +158,6 @@ fn main() {
         exp("pipeline", "repro.pipeline", false, &mut || bench::pipeline_bench::run(quick));
         exp("serve", "repro.serve", false, &mut || bench::serve_bench::run(quick));
         exp("dynamic", "repro.dynamic", false, &mut || bench::dynamic_bench::run(quick));
-        exp("trace-analyze", "repro.trace_analyze", false, &mut || {
-            bench::trace_analyze::run(&file_args(&positionals, "a trace file path")[0], gate)
-        });
         exp("gate", "repro.gate", false, &mut || {
             bench::gates::run(file_args(&positionals, "at least one file path"))
         });
@@ -229,9 +219,8 @@ impl Drop for FlushGuard {
 /// pid 0 (one tid lane per GPU) plus one drain of the trace recorder —
 /// whatever this run recorded live on the lanes of
 /// `telemetry::trace::lane` (span timers, comms ring hops with their
-/// send→recv flow arrows, pipeline stage slices, serving slices). The
-/// flow arrows are the causal edges `repro trace-analyze` walks for the
-/// cross-rank critical path.
+/// send→recv flow arrows, pipeline stage slices, serving slices).
+/// `repro gate` holds the flow arrows to exact pairing.
 fn write_trace(path: &str) -> Result<(), String> {
     let trace = axonn_sim::pipeline::trace_schedule(&SUMMIT, &fig3_spec(3, 5));
     let mut events = axonn_sim::chrome_trace_events(&trace);

@@ -10,7 +10,6 @@ pub mod harness;
 pub mod hotpaths;
 pub mod pipeline_bench;
 pub mod serve_bench;
-pub mod trace_analyze;
 pub mod tracked;
 
 use std::fs;

@@ -23,7 +23,7 @@ fn committed_file_passes_and_a_missing_section_is_named() {
         String::from_utf8_lossy(&ok.stderr)
     );
     assert!(
-        stdout.contains("kernels OK") && stdout.contains("analysis OK"),
+        stdout.contains("kernels OK") && stdout.contains("serve OK"),
         "{stdout}"
     );
 

@@ -10,8 +10,8 @@
 //!
 //! * **the trace** — one `telemetry::trace::take()` holds all four live
 //!   lanes; together with the simulated schedule it must keep the
-//!   pid/tid/cat/name conventions `critical_path::classify`, Perfetto
-//!   and `repro gate` rely on, and pair every flow;
+//!   pid/tid/cat/name conventions Perfetto and `repro gate` rely on, and
+//!   pair every flow;
 //! * **the registry** — its `(name, type)` set, per-rank suffixes and
 //!   runtime prefixes normalised, must equal the table between the
 //!   `metric-table` markers in DESIGN.md. On a mismatch the test prints
@@ -322,10 +322,12 @@ fn check_trace(dir: &Path, simulated: Vec<TraceEvent>, live: Vec<TraceEvent>, fl
             "span lane: {e:?}"
         );
     }
-    for name in ["remap", "compress", "reduce", "optimizer"] {
+    // The phase spans are the oracle's own: the engine's runtimes charge
+    // their phases to the step ledger, which feeds histograms.
+    for name in ["compress", "reduce", "optimizer"] {
         assert!(
             on(lane::SPANS).any(|e| e.name == format!("samo.step.{name}")),
-            "phase span {name}"
+            "oracle phase span {name}"
         );
     }
     for e in on(lane::COMMS) {

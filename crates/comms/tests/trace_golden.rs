@@ -88,19 +88,15 @@ fn golden_trace_pairs_every_flow_and_roundtrips() {
         assert!(lanes.contains(&f.tid), "flow on lane {} without any slice there", f.tid);
     }
 
-    // Rendered document: binding points present, valid JSON, and the
-    // analyzer's census agrees with the raw count.
+    // Rendered document: binding points present and valid JSON, with
+    // every drained flow in it.
     let doc = telemetry::trace::chrome_trace_json_with_flows(&events, &flows);
     let text = doc.render();
     assert!(text.contains("\"bp\":\"e\""), "flow finish events must carry bp:\"e\"");
     assert_eq!(text.matches("\"ph\":\"s\"").count(), starts);
     assert_eq!(text.matches("\"ph\":\"f\"").count(), flows.len() - starts);
 
-    let reparsed = telemetry::json::Json::parse(&text).expect("trace must be valid JSON");
-    let analysis = telemetry::critical_path::analyze(&reparsed).expect("analyzable");
-    assert_eq!(analysis.flow_starts, starts);
-    assert_eq!(analysis.matched_flows, starts, "census: every start matched");
-    assert_eq!(analysis.orphan_flows, 0, "census: no orphans");
+    telemetry::json::Json::parse(&text).expect("trace must be valid JSON");
 }
 
 #[test]
@@ -111,8 +107,8 @@ fn timed_out_recv_leaves_exactly_one_orphan_start() {
     telemetry::trace::take();
 
     // Rank 0 sends to rank 1, which never receives: the flow start is
-    // recorded at the send but no finish ever appears — the analyzer
-    // must report it as an orphan rather than inventing a pair.
+    // recorded at the send but no finish ever appears — an orphan, not
+    // an invented pair.
     let mesh = InProcTransport::mesh(2);
     std::thread::scope(|s| {
         for (rank, t) in mesh.into_iter().enumerate() {
@@ -127,13 +123,18 @@ fn timed_out_recv_leaves_exactly_one_orphan_start() {
     });
     telemetry::set_enabled(was);
 
-    let (events, flows) = telemetry::trace::take();
+    let (_, flows) = telemetry::trace::take();
     let starts = flows.iter().filter(|f| f.start).count();
     let finishes = flows.len() - starts;
     assert_eq!(starts, finishes + 1, "exactly the unreceived p2p is unpaired");
 
-    let doc = telemetry::trace::chrome_trace_json_with_flows(&events, &flows);
-    let analysis = telemetry::critical_path::analyze(&doc).unwrap();
-    assert_eq!(analysis.orphan_flows, 1);
-    assert_eq!(analysis.matched_flows, starts - 1);
+    // The census, from the drained flows: every id but one pairs.
+    let mut by_id: HashMap<u64, (usize, usize)> = HashMap::new();
+    for f in &flows {
+        let e = by_id.entry(f.id).or_insert((0, 0));
+        *(if f.start { &mut e.0 } else { &mut e.1 }) += 1;
+    }
+    let orphans: Vec<_> = by_id.values().filter(|&&p| p != (1, 1)).collect();
+    assert_eq!(orphans, [&(1, 0)], "one start, never finished");
+    assert_eq!(by_id.len(), starts, "ids are unique per send");
 }

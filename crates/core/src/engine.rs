@@ -97,14 +97,18 @@
 //! waits for any of them. The ids, messages and bytes are those of the
 //! blocking order; only the waits moved.
 //!
+//! Every rank times its step on one phase clock, the engine's
+//! `telemetry::ledger::Ledger`: the runtime opens the window, the
+//! runtime and the engine charge `f`, `b`, `w`, `send`, `wait`, `remap`,
+//! `compress`, `reduce`, `optimizer` and `gather` where each runs — a
+//! ring pumped inside backward is `reduce`, the innermost phase — and
+//! `StepEngine::end_step` closes it. The phases sum to the window.
 //! One rank per group reports (rank 0; the pipeline narrows it to stage
 //! 0): with telemetry on it emits one `telemetry::StepEvent` per step —
-//! the same record for every runtime, told apart by `runtime` — and keeps
-//! the counters and gauges under the runtime's `Labels` prefix. The
-//! phase spans `samo.step.{remap,compress,reduce,optimizer}` open where
-//! the inline path runs (`reduce_after_backward`, `apply`); the overlapped
-//! drivers open none for compress and reduce, because there both
-//! interleave with backward.
+//! the same record for every runtime, told apart by `runtime`, with a
+//! `t_<phase>` per phase of the ledger — feeds the `samo.step.<phase>`
+//! histograms and keeps the counters and gauges under the runtime's
+//! `Labels` prefix.
 //!
 //! [`crate::reference::DataParallelSamo`], the sequential oracle the
 //! threaded runtimes are compared with, keeps its own step and shares
@@ -120,7 +124,7 @@ use nn::mixed::{LossScaler, LossScalerState, Optimizer};
 use nn::param::Parameter;
 use prune::{Mask, MaskSchedule};
 use std::sync::Arc;
-use telemetry::SpanGuard;
+use telemetry::ledger::{Ledger, Phase};
 use tensor::f16::F16;
 use tensor::{ops, Tensor};
 
@@ -184,9 +188,8 @@ pub struct ScheduleRefused {
 /// What differs between the runtimes' reports: the prefix of their
 /// counters and gauges (`.steps_taken`, `.steps_skipped`, `.loss_scale`,
 /// `.model_state_bytes`, `.allreduce_bytes`, `.remap_events`) — and, dots
-/// to underscores, the `runtime` of their step events. The phase spans
-/// (`samo.step.{remap,compress,reduce,optimizer}`) are the same for all:
-/// a runtime reports the phases its code path runs inline.
+/// to underscores, the `runtime` of their step events. The phases of the
+/// ledger are the same for all.
 pub(crate) struct Labels {
     pub prefix: &'static str,
 }
@@ -200,9 +203,6 @@ pub(crate) const DP_THREADED: Labels = Labels {
 pub(crate) const PIPELINE: Labels = Labels {
     prefix: "samo.pipeline",
 };
-
-/// A running phase span and its name.
-pub(crate) struct Phase(&'static str, SpanGuard);
 
 /// SAMO training state of one rank for a whole model (or pipeline stage):
 /// one compressed layer state per parameter tensor, the loss scaler, the
@@ -249,7 +249,8 @@ pub struct StepEngine<R: Reducer> {
     /// One rank per group reports: rank 0 of the reducer (the pipeline
     /// narrows it to stage 0).
     pub(crate) reports: bool,
-    phases: Vec<(&'static str, f64)>,
+    /// This rank's phase clock; a runtime opens its window per step.
+    pub(crate) ledger: Ledger,
 }
 
 impl<R: Reducer> StepEngine<R> {
@@ -291,7 +292,7 @@ impl<R: Reducer> StepEngine<R> {
             local_finite: true,
             labels,
             reports: rank == 0,
-            phases: Vec::new(),
+            ledger: Ledger::default(),
         }
     }
 
@@ -442,7 +443,6 @@ impl<R: Reducer> StepEngine<R> {
         self.open.clear();
         self.dw_sums.iter_mut().for_each(Vec::clear);
         self.w_queue.clear();
-        self.phases.clear();
         self.local_finite = true;
         // The sums go out again by the rule of the end of a step.
         if sums_lent {
@@ -471,20 +471,6 @@ impl<R: Reducer> StepEngine<R> {
             telemetry::global().counter("samo.ckpt.rollbacks").inc();
         }
         Ok(())
-    }
-
-    /// Starts a phase span when this rank reports.
-    fn span(&self, name: &'static str) -> Option<Phase> {
-        (self.reports && telemetry::enabled()).then(|| Phase(name, telemetry::span(name)))
-    }
-
-    /// Ends a [`Self::span`], keeping its duration for the step event
-    /// under the last segment of the span's name.
-    fn end_phase(&mut self, phase: Option<Phase>) {
-        if let Some(Phase(name, sp)) = phase {
-            self.phases
-                .push((name.rsplit('.').next().unwrap_or(name), sp.finish()));
-        }
     }
 
     /// Compresses parameter `pi`'s freshly produced dense (loss-scaled)
@@ -533,16 +519,22 @@ impl<R: Reducer> StepEngine<R> {
         // no copy in either direction (a failed step loses them; the next
         // compress or restore re-creates them).
         let parts = self.open.iter().map(|&pi| std::mem::take(&mut self.layers[pi].grad16));
-        let id = comm.reduce_scatter_start(parts.collect())?;
-        self.buckets.push((id, std::mem::take(&mut self.open)));
+        self.ledger.enter(Phase::Reduce);
+        let id = comm.reduce_scatter_start(parts.collect());
+        self.ledger.exit(Phase::Reduce);
+        self.buckets.push((id?, std::mem::take(&mut self.open)));
         Ok(())
     }
 
     /// Makes progress on the in-flight reductions without blocking.
-    pub(crate) fn pump(&mut self) -> Result<(), CommsError> {
-        self.reducer
-            .comm_mut()
-            .map_or(Ok(()), Communicator::ring_pump)
+    fn pump(&mut self) -> Result<(), CommsError> {
+        let Some(comm) = self.reducer.comm_mut() else {
+            return Ok(());
+        };
+        self.ledger.enter(Phase::Reduce);
+        let res = comm.ring_pump();
+        self.ledger.exit(Phase::Reduce);
+        res
     }
 
     /// Moves `θ16` of every parameter that holds no f32 view from its
@@ -686,7 +678,7 @@ impl<R: Reducer> StepEngine<R> {
         model: &mut impl Layer,
     ) -> Result<bool, CommsError> {
         self.maybe_remap(model)?;
-        let sp = self.span("samo.step.compress");
+        self.ledger.enter(Phase::Compress);
         let (mut i, mut res) = (0, Ok(()));
         model.for_each_param_mut(&mut |p| {
             if res.is_ok() {
@@ -695,14 +687,11 @@ impl<R: Reducer> StepEngine<R> {
             }
             i += 1;
         });
+        self.ledger.exit(Phase::Compress);
         res?;
         self.start_bucket(true)?;
         assert_eq!(i, self.layers.len());
-        self.end_phase(sp);
-        let sp = self.span("samo.step.reduce");
-        let finite = self.finish_reduce()?;
-        self.end_phase(sp);
-        Ok(finite)
+        self.finish_reduce()
     }
 
     /// Completes every reduction started this step, installs the means
@@ -715,6 +704,13 @@ impl<R: Reducer> StepEngine<R> {
     /// collected after the means are installed. A single worker's flag
     /// is the verdict.
     pub(crate) fn finish_reduce(&mut self) -> Result<bool, CommsError> {
+        self.ledger.enter(Phase::Reduce);
+        let verdict = self.reduce_verdict();
+        self.ledger.exit(Phase::Reduce);
+        verdict
+    }
+
+    fn reduce_verdict(&mut self) -> Result<bool, CommsError> {
         let local = std::mem::replace(&mut self.local_finite, true);
         let Some(comm) = self.reducer.comm_mut() else {
             return Ok(local);
@@ -743,8 +739,8 @@ impl<R: Reducer> StepEngine<R> {
     /// skips — the fused optimizer pass on the owned range (which also
     /// writes `θ16` and, where the model keeps one, its f32 view there),
     /// bucket by bucket in a group ([`Self::step_buckets`]). Then dense
-    /// gradients are zeroed (streamed ones released), counters and
-    /// telemetry. Returns `false` if the step was skipped.
+    /// gradients are zeroed (streamed ones released) and the counters
+    /// advanced. Returns `false` if the step was skipped.
     pub(crate) fn apply(
         &mut self,
         model: &mut impl Layer,
@@ -753,10 +749,10 @@ impl<R: Reducer> StepEngine<R> {
         let scale = self.scaler.scale();
         let proceed = self.scaler.check_and_update(finite);
         if proceed {
-            let sp = self.span("samo.step.optimizer");
+            self.ledger.enter(Phase::Optimizer);
             let inv_scale = 1.0 / scale;
-            if self.reducer.comm().is_some_and(|c| c.world() > 1) {
-                self.step_buckets(model, inv_scale)?;
+            let stepped = if self.reducer.comm().is_some_and(|c| c.world() > 1) {
+                self.step_buckets(model, inv_scale)
             } else {
                 // Full states — a single worker, a group of one: nothing
                 // to gather, no allocation.
@@ -765,8 +761,10 @@ impl<R: Reducer> StepEngine<R> {
                     let st = layers.next().expect("one state per parameter");
                     st.optimizer_step_owned(opt, inv_scale, p.value.as_mut_slice());
                 });
-            }
-            self.end_phase(sp);
+                Ok(())
+            };
+            self.ledger.exit(Phase::Optimizer);
+            stepped?;
             self.steps_taken += 1;
         } else {
             self.steps_skipped += 1;
@@ -780,24 +778,35 @@ impl<R: Reducer> StepEngine<R> {
             Some(true) => p.release_grad(),
             _ => p.zero_grad(),
         });
-        if self.reports && telemetry::enabled() {
-            let name = format!("{}.resident_param_bytes", self.labels.prefix);
-            let resident = self.resident_param_bytes(model) as f64;
-            telemetry::global().gauge(&name).set(resident);
-            let world = self.reducer.comm().map(Communicator::world);
-            let phases = std::mem::take(&mut self.phases);
-            record_step(
-                self.labels,
-                proceed,
-                scale,
-                self.meta(),
-                &self.layers,
-                &self.opt,
-                world,
-                phases,
-            );
-        }
         Ok(proceed)
+    }
+
+    /// Closes the step's window on the ledger and returns `applied`. When
+    /// this rank reports and telemetry is on, it records the step too: the
+    /// step event, run at loss scale `scale_used`, with a `t_<phase>` per
+    /// phase, a `samo.step.<phase>` sample per phase the step charged, and
+    /// the gauges.
+    pub(crate) fn end_step(&mut self, model: &impl Layer, applied: bool, scale_used: f32) -> bool {
+        self.ledger.stop();
+        if !(self.reports && telemetry::enabled()) {
+            return applied;
+        }
+        let reg = telemetry::global();
+        let name = format!("{}.resident_param_bytes", self.labels.prefix);
+        reg.gauge(&name).set(self.resident_param_bytes(model) as f64);
+        let split = self.ledger.split();
+        let phases = Phase::ALL.map(|p| (p.name(), split.secs(p)));
+        for &(name, secs) in &phases {
+            // Every phase's histogram exists; it samples the steps that charged it.
+            let histogram = reg.histogram(&format!("samo.step.{name}"));
+            if secs > 0.0 {
+                histogram.record(secs);
+            }
+        }
+        let world = self.reducer.comm().map(Communicator::world);
+        let meta = self.meta();
+        record_step(self.labels, applied, scale_used, meta, &self.layers, &self.opt, world, phases.to_vec());
+        applied
     }
 
     /// The bytes of the gauge `<prefix>.resident_param_bytes`: the f32
@@ -834,11 +843,16 @@ impl<R: Reducer> StepEngine<R> {
                 mine.push(layers[pi].optimizer_step_owned(opt, inv_scale, params[pi].value.as_mut_slice()));
                 counts.push(layers[pi].shard_counts());
             }
-            gathers.push(comm.all_gather_f16_start(mine, &counts)?);
+            self.ledger.enter(Phase::Gather);
+            let started = comm.all_gather_f16_start(mine, &counts);
+            self.ledger.exit(Phase::Gather);
+            gathers.push(started?);
         }
         for ((_, bucket), started) in buckets.iter().zip(gathers) {
-            let gathered = comm.all_gather_f16_finish(started)?;
-            for (&pi, full) in bucket.iter().zip(gathered) {
+            self.ledger.enter(Phase::Gather);
+            let gathered = comm.all_gather_f16_finish(started);
+            self.ledger.exit(Phase::Gather);
+            for (&pi, full) in bucket.iter().zip(gathered?) {
                 layers[pi].scatter_gathered(&full, params[pi].value.as_mut_slice());
             }
         }
@@ -878,7 +892,7 @@ impl<R: Reducer> StepEngine<R> {
         else {
             return Ok(());
         };
-        let sp = self.span("samo.step.remap");
+        self.ledger.enter(Phase::Remap);
         let (layers, scratch) = (&mut self.layers, &mut self.remap_scratch);
         let (score16, reducer) = (&mut self.remap_score16, &mut self.reducer);
         let (score, weights) = (&mut self.remap_score, &mut self.remap_weights);
@@ -909,6 +923,7 @@ impl<R: Reducer> StepEngine<R> {
                 moved = true;
             }
         });
+        self.ledger.exit(Phase::Remap);
         res?;
         assert_eq!(i, self.layers.len());
         if moved {
@@ -921,7 +936,6 @@ impl<R: Reducer> StepEngine<R> {
                 telemetry::global().counter(&name).inc();
             }
         }
-        self.end_phase(sp);
         Ok(())
     }
 }

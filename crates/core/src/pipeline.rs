@@ -112,9 +112,10 @@ use nn::layer::{CacheSlot, Layer, Sequential};
 use nn::mixed::{LossScaler, Optimizer};
 use prune::Mask;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use telemetry::clock::now_us;
 use telemetry::json::Json;
+use telemetry::ledger::Phase;
 use telemetry::trace::{self, lane};
 use tensor::Tensor;
 
@@ -166,7 +167,8 @@ impl PipelineConfig {
     }
 }
 
-/// Per-rank scheduler statistics, cumulative across steps.
+/// Per-rank scheduler statistics, cumulative across steps. The seconds
+/// are laps of the rank's ledger (`telemetry::ledger`), summed.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageStats {
     /// Seconds spent in stage forward compute (initial passes).
@@ -340,10 +342,10 @@ fn p2p_id(mb: usize, dir: u64) -> u64 {
 
 /// What one pipelined step is told to do.
 #[derive(Clone)]
-struct StepJob {
-    input: InputFn,
-    loss_grad: LossGradFn,
-    step: u32,
+pub(crate) struct StepJob {
+    pub input: InputFn,
+    pub loss_grad: LossGradFn,
+    pub step: u32,
 }
 
 /// Everything one `(stage, data_idx)` rank thread owns.
@@ -393,11 +395,11 @@ impl RankWorker for StageRank {
     }
 
     fn step(&mut self, job: &StepJob) -> Result<bool, CommsError> {
-        // Step window start: the "step" slice recorded on completion
-        // covers the scheduler loop plus the collective epilogue, so
-        // the critical-path analyzer can attribute every compute/comm/
-        // wait slice inside it to this training step.
-        let win0 = telemetry::enabled().then(|| (now_us(), self.stats.wait_s, self.stats.w_s));
+        // The call is the ledger's window, and — traced — the "step"
+        // slice recorded on completion, which covers the scheduler loop
+        // plus the collective epilogue.
+        self.engine.ledger.start();
+        let win0 = telemetry::enabled().then(now_us);
         let m = self.cfg.microbatches;
         let s = self.stage;
         let step = job.step;
@@ -415,13 +417,13 @@ impl RankWorker for StageRank {
 
         // The schedule decides, the loop receives and executes.
         self.stats.last_sched_start_us = now_us();
-        let wall0 = Instant::now();
+        let sched0 = self.engine.ledger.mark();
         let mut sched = self.schedule;
         // A link's next message, received and not yet consumed; on the
         // last stage `dy_in` is the loss gradient of the output it just
         // made, which its B runs next.
         let (mut x_in, mut dy_in) = (None, None);
-        let mut last_progress = Instant::now();
+        let mut last_progress = sched0;
         loop {
             for msg in sched.expected().into_iter().flatten() {
                 let (peer, id, held) = match msg {
@@ -447,11 +449,13 @@ impl RankWorker for StageRank {
                     debug_assert_eq!(self.engine.reducer.0.rings_in_flight(), 0);
                     let links = [s + 1, s.wrapping_sub(1)];
                     let links = &links[usize::from(!downstream)..1 + usize::from(upstream)];
-                    let t0 = Instant::now();
-                    let woken = self.pipe.wait_any(links, last_progress + self.cfg.timeout, || {
+                    let ledger = &mut self.engine.ledger;
+                    let deadline = ledger.at(last_progress) + self.cfg.timeout;
+                    ledger.enter(Phase::Wait);
+                    let woken = self.pipe.wait_any(links, deadline, || {
                         format!("sched wait (mb {}f/{}b)", sched.fwd, sched.bwd)
                     });
-                    self.stats.wait_s += t0.elapsed().as_secs_f64();
+                    ledger.exit(Phase::Wait);
                     woken?;
                     continue;
                 }
@@ -468,10 +472,15 @@ impl RankWorker for StageRank {
                 Op::W(mb) => self.weight_mb(mb)?,
             }
             sched.done(op);
-            last_progress = Instant::now();
+            last_progress = self.engine.ledger.mark();
         }
-        self.stats.sched_wall_s += wall0.elapsed().as_secs_f64();
+        self.stats.sched_wall_s += (self.engine.ledger.mark() - sched0) as f64 / 1e9;
         self.stats.last_sched_end_us = now_us();
+        let split = self.engine.ledger.split();
+        self.stats.fwd_s += split.secs(Phase::F);
+        self.stats.bwd_s += split.secs(Phase::B) + split.secs(Phase::W);
+        self.stats.w_s += split.secs(Phase::W);
+        self.stats.wait_s += split.secs(Phase::Wait);
         self.engine.lend_theta16(&mut self.block, false);
 
         // Collective epilogue: finish the overlapped rings, install the
@@ -482,13 +491,14 @@ impl RankWorker for StageRank {
         // already its data group's, so every rank's scaler stays in
         // lockstep — then step the owned range and all-gather parameters.
         let stage_finite = self.engine.finish_reduce()?;
-        let finite = self.pipe.all_true(stage_finite)?;
-        let applied = self.engine.apply(&mut self.block, finite)?;
-        if let Some((w0, waited0, w_s0)) = win0 {
-            let (waited, w_s) = (self.stats.wait_s - waited0, self.stats.w_s - w_s0);
-            self.finish_step_telemetry(step, w0, waited, w_s);
+        self.engine.ledger.enter(Phase::Reduce);
+        let finite = self.pipe.all_true(stage_finite);
+        self.engine.ledger.exit(Phase::Reduce);
+        let applied = self.engine.apply(&mut self.block, finite?)?;
+        if let Some(w0) = win0 {
+            self.finish_step_telemetry(step, w0);
         }
-        Ok(applied)
+        Ok(self.engine.end_step(&self.block, applied, scale_used))
     }
 
     /// Reloads this rank's stage slice of a full checkpoint, then
@@ -539,20 +549,17 @@ impl StageRank {
     }
 
     /// Telemetry tail of a completed step: records this rank's step
-    /// window slice, the seconds of it spent asleep and in Ws, and the
-    /// stash's peak. Only called when telemetry is enabled and the step
-    /// reached a verdict (error paths skip it — a dead rank's wait slices
-    /// still tell the story).
-    fn finish_step_telemetry(&mut self, step: u32, win0: f64, waited_s: f64, w_s: f64) {
+    /// window slice and the stash's peak. Only called when telemetry is
+    /// enabled and the step reached a verdict (error paths skip it — a
+    /// dead rank's wait slices still tell the story).
+    fn finish_step_telemetry(&mut self, step: u32, win0: f64) {
         let reg = telemetry::global();
-        reg.histogram("samo.pipeline.wait_s").record(waited_s);
-        reg.histogram("samo.pipeline.w_s").record(w_s);
         reg.gauge("samo.pipeline.stash_bytes_peak").set_max(self.stats.stash_bytes_peak as f64);
         let now = now_us();
         let dur_us = (now - win0).max(0.0);
-        // The step window `telemetry::critical_path` attributes this
-        // rank's compute/comm/wait slices to; the group id (lane base)
-        // keeps same-numbered steps of two groups from merging.
+        // The step window on this rank's row, around its F/B/W slices and
+        // its comms lane; the group id (lane base) keeps same-numbered
+        // steps of two groups apart in a merged trace.
         let group = self.lane - (self.data_idx * self.cfg.g_inter + self.stage) as u64;
         trace::slice(lane::PIPELINE, self.lane, "pipeline", win0, dur_us, || {
             let uint = |k: &str, v: u64| (k.to_string(), Json::UInt(v));
@@ -563,14 +570,15 @@ impl StageRank {
         });
     }
 
-    /// Records one forward/B/W compute slice on this rank's lane.
-    fn record_mb_slice(&self, kind: char, mb: usize, ts: Option<f64>, dt: f64) {
-        if let Some(ts) = ts {
-            trace::slice(lane::PIPELINE, self.lane, "pipeline", ts, dt * 1e6, || {
-                (
-                    format!("{kind}{mb}"),
-                    vec![("mb".into(), Json::UInt(mb as u64))],
-                )
+    /// Closes `phase`, microbatch `mb`'s F, B or W, on the ledger and —
+    /// traced, and if it `ran` — records it as a slice on this rank's lane.
+    fn end_op(&mut self, phase: Phase, mb: usize, ran: bool) {
+        let lap_us = self.engine.ledger.exit(phase) as f64 * 1e-3;
+        if ran && telemetry::enabled() {
+            let ts = (now_us() - lap_us).max(0.0);
+            trace::slice(lane::PIPELINE, self.lane, "pipeline", ts, lap_us, || {
+                let kind = phase.name().to_uppercase();
+                (format!("{kind}{mb}"), vec![("mb".into(), Json::UInt(mb as u64))])
             });
         }
     }
@@ -584,8 +592,7 @@ impl StageRank {
     /// F of microbatch `mb`: its output is sent downstream, or returned
     /// on the last stage.
     fn forward_mb(&mut self, mb: usize, x: Tensor, step: u32) -> Result<Option<Tensor>, CommsError> {
-        let ts = telemetry::enabled().then(now_us);
-        let t0 = Instant::now();
+        self.engine.ledger.enter(Phase::F);
         if let (true, Some(in_flight)) = (self.stashing, self.cache_mb) {
             // The block's caches belong to a microbatch not yet retired:
             // park them before this forward overwrites them.
@@ -594,9 +601,7 @@ impl StageRank {
             self.stats.stash_bytes_peak = self.stats.stash_bytes_peak.max(parked as u64);
         }
         let y = self.block.forward(&x);
-        let dt = t0.elapsed().as_secs_f64();
-        self.stats.fwd_s += dt;
-        self.record_mb_slice('F', mb, ts, dt);
+        self.end_op(Phase::F, mb, true);
         self.cache_mb = Some(mb);
         if !self.stashing {
             self.input_stash[mb] = Some(x);
@@ -604,8 +609,17 @@ impl StageRank {
         if self.stage + 1 == self.cfg.g_inter {
             return Ok(Some(y));
         }
-        self.pipe.send_p2p(self.stage + 1, p2p_id(mb, DIR_ACT), step, y.into_vec())?;
+        self.send(self.stage + 1, p2p_id(mb, DIR_ACT), step, y)?;
         Ok(None)
+    }
+
+    /// Hands a boundary tensor to pipeline neighbour `to`, charged to
+    /// `send`.
+    fn send(&mut self, to: usize, id: u64, step: u32, t: Tensor) -> Result<(), CommsError> {
+        self.engine.ledger.enter(Phase::Send);
+        let sent = self.pipe.send_p2p(to, id, step, t.into_vec());
+        self.engine.ledger.exit(Phase::Send);
+        sent
     }
 
     /// B of microbatch `mb`: `dx`, sent upstream at once.
@@ -616,8 +630,7 @@ impl StageRank {
         last_mb: bool,
         step: u32,
     ) -> Result<(), CommsError> {
-        let ts = telemetry::enabled().then(now_us);
-        let t0 = Instant::now();
+        self.engine.ledger.enter(Phase::B);
         let parked = self.stashing && self.cache_mb != Some(mb);
         if parked {
             // Trade the newest microbatch's caches for this one's; they
@@ -644,26 +657,19 @@ impl StageRank {
         } else {
             self.cache_mb = None;
         }
-        let dt = t0.elapsed().as_secs_f64();
-        self.stats.bwd_s += dt;
-        self.record_mb_slice('B', mb, ts, dt);
+        self.end_op(Phase::B, mb, true);
         if self.stage > 0 {
-            self.pipe.send_p2p(self.stage - 1, p2p_id(mb, DIR_GRAD), step, dx.into_vec())?;
+            self.send(self.stage - 1, p2p_id(mb, DIR_GRAD), step, dx)?;
         }
         Ok(())
     }
 
     /// W of microbatch `mb`: the engine's oldest queued W, if B queued one.
     fn weight_mb(&mut self, mb: usize) -> Result<(), CommsError> {
-        let ts = telemetry::enabled().then(now_us);
-        let t0 = Instant::now();
-        if self.engine.run_w(&self.block)? {
-            let dt = t0.elapsed().as_secs_f64();
-            self.stats.w_s += dt;
-            self.stats.bwd_s += dt;
-            self.record_mb_slice('W', mb, ts, dt);
-        }
-        Ok(())
+        self.engine.ledger.enter(Phase::W);
+        let ran = self.engine.run_w(&self.block);
+        self.end_op(Phase::W, mb, matches!(ran, Ok(true)));
+        ran.map(drop)
     }
 }
 
@@ -676,7 +682,7 @@ impl StageRank {
 pub struct ThreadedPipelineSamo {
     cfg: PipelineConfig,
     /// Rank `data_idx · g_inter + stage`.
-    group: RankGroup<Sequential, StepJob, StageStats>,
+    pub(crate) group: RankGroup<Sequential, StepJob, StageStats>,
     /// One fault controller per data replica's pipeline mesh.
     pipe_faults: Vec<Arc<FaultController>>,
     /// One fault controller per stage's data mesh.

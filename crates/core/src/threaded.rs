@@ -81,6 +81,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use telemetry::json::Json;
+use telemetry::ledger::{Phase, Split};
 use tensor::Tensor;
 
 /// The per-step work a rank thread runs before the collective phase:
@@ -100,20 +101,29 @@ pub struct CommStats {
     pub msgs_dropped: u64,
 }
 
-/// A rank whose step duration exceeds this multiple of the step median
-/// is reported as a straggler in the group's `mesh_metrics` line.
+/// A rank whose compute time in a step exceeds this multiple of the
+/// group's lower median is reported as a straggler in the group's
+/// `mesh_metrics` line. Step durations cannot tell: the collectives hold
+/// every rank of a group in lockstep.
 pub const STRAGGLER_FACTOR: f64 = 1.5;
+
+/// The phases of a rank's ledger it computes in, rather than talks or
+/// waits.
+const COMPUTE: [Phase; 6] = [Phase::F, Phase::B, Phase::W, Phase::Compress, Phase::Optimizer, Phase::Remap];
 
 /// What a rank thread reports back after a step (and after a restore):
 /// the verdict, its trainer-level state — identical on every rank, and
 /// what the calling thread mirrors — its unpruned parameter count,
-/// which a dynamic-sparsity remap changes, and how long the step took.
+/// which a dynamic-sparsity remap changes, how long the step took and
+/// where that time went.
 pub(crate) struct StepOutcome {
     pub applied: bool,
     pub meta: TrainerMeta,
     pub nnz: usize,
     /// The step's wall time on the rank's thread (0 for a restore).
     pub dur_us: f64,
+    /// The rank's phase split of the step (of the last one, for a restore).
+    pub split: Split,
 }
 
 /// What [`RankGroup`] needs of the state a rank thread owns.
@@ -170,6 +180,7 @@ fn rank_loop<W: RankWorker>(
             meta: engine.meta(),
             nnz: engine.nnz(),
             dur_us,
+            split: engine.ledger.split(),
         }
     };
     let mut poisoned = false;
@@ -347,14 +358,21 @@ impl<M: 'static, J: Clone + Send + 'static, S: Send + 'static> RankGroup<M, J, S
     }
 
     /// Folds one step's per-rank durations into the rolling means, warns
-    /// on stragglers (above [`STRAGGLER_FACTOR`] × the step median) and
-    /// writes one `mesh_metrics` line to the metrics jsonl stream. A rank
-    /// is named by `rank`, or by `stage` and `data` in a pipeline.
+    /// on stragglers (compute time above [`STRAGGLER_FACTOR`] × the lower
+    /// median of the group's) and writes one `mesh_metrics` line to the
+    /// metrics jsonl stream, each rank's entry with its ledger's phase
+    /// split. A rank is named by `rank`, or by `stage` and `data` in a
+    /// pipeline.
     fn emit_mesh_metrics(&mut self, step: u32, outcomes: &[StepOutcome]) {
         let g_inter = self.g_inter;
-        let mut sorted: Vec<f64> = outcomes.iter().map(|o| o.dur_us).collect();
-        sorted.sort_by(f64::total_cmp);
-        let (median, max) = (sorted[sorted.len() / 2], sorted[sorted.len() - 1]);
+        let lower_median = |mut v: Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v[(v.len() - 1) / 2]
+        };
+        let compute = |o: &StepOutcome| COMPUTE.iter().map(|&p| o.split.secs(p)).sum::<f64>() * 1e6;
+        let busy = lower_median(outcomes.iter().map(compute).collect());
+        let median = lower_median(outcomes.iter().map(|o| o.dur_us).collect());
+        let max = outcomes.iter().map(|o| o.dur_us).fold(0.0, f64::max);
         let id = |i: usize| -> Vec<(String, Json)> {
             let uint = |k: &str, v: usize| (k.to_string(), Json::UInt(v as u64));
             if g_inter == 1 {
@@ -372,15 +390,21 @@ impl<M: 'static, J: Clone + Send + 'static, S: Send + 'static> RankGroup<M, J, S
             let mut obj = id(i);
             obj.push(("dur_us".into(), Json::Num(dur)));
             obj.push(("mean_us".into(), Json::Num(cell.0 / cell.1 as f64)));
+            obj.push(("window_us".into(), Json::Num(o.split.window_ns() as f64 / 1e3)));
+            for p in Phase::ALL {
+                obj.push((format!("t_{}", p.name()), Json::Num(o.split.secs(p))));
+            }
+            obj.push(("hidden_comm_s".into(), Json::Num(o.split.hidden_ns() as f64 / 1e9)));
             per_rank.push(Json::Obj(obj));
-            if outcomes.len() > 1 && dur > STRAGGLER_FACTOR * median {
+            let busy_us = compute(o);
+            if outcomes.len() > 1 && busy_us > STRAGGLER_FACTOR * busy {
                 let mut obj = id(i);
                 telemetry::log_warn!(
-                    "straggler: {} step {step} took {dur:.0}us ({:.2}x step median)",
+                    "straggler: {} step {step} computed {busy_us:.0}us ({:.2}x the group's lower median)",
                     Json::Obj(obj.clone()).render(),
-                    dur / median
+                    busy_us / busy
                 );
-                obj.push(("ratio".into(), Json::Num(dur / median)));
+                obj.push(("ratio".into(), Json::Num(busy_us / busy)));
                 stragglers.push(Json::Obj(obj));
             }
         }
@@ -545,25 +569,37 @@ impl<M: Layer, T: Transport> DataParallelRank<M, T> {
     /// collective failed — the communicator then refuses every collective
     /// (`Poisoned`) until [`Self::restore`] or a rank rebuilt on a new one.
     pub fn step(&mut self, f: impl FnOnce(usize, &mut M, f32) -> Tensor) -> Result<bool, CommsError> {
+        // The call is the ledger's window: the closure is `f`, backward
+        // `b` (its ring pumps `reduce`), the engine charges the rest.
+        let scale = self.engine.loss_scale();
+        let engine = &mut self.engine;
+        engine.ledger.start();
         // The compute window: forward and backward run from the lent θ16,
         // which is home again before the collectives — or the error.
-        self.engine.lend_theta16(&mut self.model, true);
-        let dy = f(self.engine.reducer.0.rank(), &mut self.model, self.engine.loss_scale());
-        let finite = if self.engine.is_update_step() {
+        engine.lend_theta16(&mut self.model, true);
+        engine.ledger.enter(Phase::F);
+        let dy = f(engine.reducer.0.rank(), &mut self.model, scale);
+        engine.ledger.exit(Phase::F);
+        let finite = if engine.is_update_step() {
             // Dynamic-sparsity update step: the masks, and with them the
             // compressed bucket layout, are renegotiated from the final
             // gradients — run a plain backward, then the engine's inline
             // remap → compress → reduce.
+            engine.ledger.enter(Phase::B);
             let _ = self.model.backward(&dy);
-            self.engine.lend_theta16(&mut self.model, false);
-            self.engine.reduce_after_backward(&mut self.model)?
+            engine.ledger.exit(Phase::B);
+            engine.lend_theta16(&mut self.model, false);
+            engine.reduce_after_backward(&mut self.model)?
         } else {
-            let backward = self.engine.backward_overlapped(&mut self.model, dy);
-            self.engine.lend_theta16(&mut self.model, false);
+            engine.ledger.enter(Phase::B);
+            let backward = engine.backward_overlapped(&mut self.model, dy);
+            engine.ledger.exit(Phase::B);
+            engine.lend_theta16(&mut self.model, false);
             backward?;
-            self.engine.finish_reduce()?
+            engine.finish_reduce()?
         };
-        self.engine.apply(&mut self.model, finite)
+        let applied = engine.apply(&mut self.model, finite)?;
+        Ok(engine.end_step(&self.model, applied, scale))
     }
 
     /// Reloads a checkpoint written by any runtime at any world size, cut
@@ -804,5 +840,78 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
         F: FnOnce(&mut M, &[SamoLayerState]) -> R + Send + 'static,
     {
         self.group.with_rank(rank, f)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::{PipelineConfig, StepJob, ThreadedPipelineSamo};
+    use nn::linear::Linear;
+    use nn::loss::mse;
+    use nn::optim::AdamConfig;
+
+    const WIDTH: usize = 8;
+    const DELAY: Duration = Duration::from_millis(3);
+
+    fn adam() -> Optimizer {
+        Optimizer::Adam(AdamConfig::default())
+    }
+
+    /// Scaled `d(mse)/d(y)` against a fixed target.
+    fn loss_grad(y: &Tensor, scale: f32) -> Tensor {
+        let (_, mut dy) = mse(y, &Tensor::randn(y.shape(), 1.0, 4));
+        tensor::ops::scale(scale, dy.as_mut_slice());
+        dy
+    }
+
+    /// Every rank's phases sum to its ledger window, and the window is
+    /// the rank loop's own ruler of the step, `dur_us`, within 1 %.
+    fn assert_windows_match_dur(outcomes: &[StepOutcome]) {
+        for (r, o) in outcomes.iter().enumerate() {
+            let sum: u64 = Phase::ALL.iter().map(|&p| o.split.ns(p)).sum();
+            assert_eq!(sum, o.split.window_ns(), "rank {r}: {:?}", o.split);
+            let window_us = o.split.window_ns() as f64 * 1e-3;
+            let off = (window_us - o.dur_us).abs() / o.dur_us;
+            assert!(off <= 0.01, "rank {r}: window {window_us:.1}us vs dur {:.1}us", o.dur_us);
+        }
+    }
+
+    #[test]
+    fn every_data_parallel_rank_charges_its_whole_step() {
+        let replicas = (0..3).map(|_| Linear::new(WIDTH, WIDTH, true, 1)).collect::<Vec<_>>();
+        let prune = |p: &&nn::Parameter| prune::magnitude_prune(p.value.as_slice(), p.value.shape(), 0.5);
+        let masks = replicas[0].params().iter().map(prune).collect();
+        let mut dp = ThreadedDataParallelSamo::new(replicas, masks, adam());
+        let job: StepFn<Linear> = Arc::new(|_, m: &mut Linear, scale| {
+            std::thread::sleep(DELAY);
+            loss_grad(&m.forward(&Tensor::randn(&[4, WIDTH], 1.0, 3)), scale)
+        });
+        for _ in 0..2 {
+            let outcomes = dp.group.run(|| Cmd::Step(Arc::clone(&job))).expect("healthy mesh");
+            assert_windows_match_dur(&outcomes);
+            assert!(outcomes.iter().all(|o| o.split.ns(Phase::F) >= DELAY.as_nanos() as u64));
+        }
+    }
+
+    #[test]
+    fn every_pipeline_rank_charges_its_whole_step() {
+        let model = || models::uniform_pipeline_mlp_delayed(2, WIDTH, 7, DELAY, DELAY);
+        let masks = models::uniform_pipeline_masks(&model(), 0.5);
+        let cfg = PipelineConfig { g_data: 2, ..PipelineConfig::new(2, 4, 4) };
+        let mut pp = ThreadedPipelineSamo::new(vec![model(), model()], masks, adam(), cfg);
+        for step in 0..2 {
+            let job = StepJob {
+                input: Arc::new(|_, mb| Tensor::randn(&[4, WIDTH], 1.0, mb as u64)),
+                loss_grad: Arc::new(|_, _, y, scale| loss_grad(y, scale)),
+                step,
+            };
+            let outcomes = pp.group.run(|| Cmd::Step(job.clone())).expect("healthy pipeline");
+            assert_windows_match_dur(&outcomes);
+            for o in &outcomes {
+                assert!(o.split.ns(Phase::F) >= 4 * DELAY.as_nanos() as u64, "{:?}", o.split);
+                assert!(o.split.ns(Phase::Wait) > 0, "a stage of two waits: {:?}", o.split);
+            }
+        }
     }
 }

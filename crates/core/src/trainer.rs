@@ -59,16 +59,19 @@ impl StepEngine<NoReduce> {
     /// `Vec` moves, both kernels work in place, and the skipped-step path
     /// only zeroes gradients (asserted by `tests/zero_alloc.rs`).
     ///
-    /// With telemetry enabled, each fused kernel is timed
-    /// (`samo.step.compress`, `samo.step.optimizer`) and one
-    /// [`telemetry::StepEvent`] line is appended to `metrics.jsonl`;
-    /// disabled, the overhead is a few atomic loads.
+    /// The call is the window of the engine's ledger: the remap, compress
+    /// and optimizer are charged to their phases, the rest to `other`.
+    /// With telemetry enabled one [`telemetry::StepEvent`] line is
+    /// appended to `metrics.jsonl`; disabled, the overhead is an atomic
+    /// load and a clock read per phase.
     pub fn step(&mut self, model: &mut impl Layer) -> bool {
+        let scale = self.loss_scale();
+        self.ledger.start();
         self.lend_theta16(model, false);
         let applied = self.step_after_backward(model).expect("a single worker runs no collective");
         self.lend_theta16(model, true);
         self.lend_grad_sums(model, !self.is_update_step());
-        applied
+        self.end_step(model, applied, scale)
     }
 }
 

@@ -1,6 +1,6 @@
-//! End-to-end telemetry: training steps must produce counters, span
-//! timings, and `metrics.jsonl` lines whose byte accounting matches the
-//! paper's closed-form model-state size.
+//! End-to-end telemetry: training steps must produce counters, phase
+//! timings off the step ledger, and `metrics.jsonl` lines whose byte
+//! accounting matches the paper's closed-form model-state size.
 
 use nn::layer::{Layer, Sequential};
 use nn::linear::Linear;
@@ -12,7 +12,6 @@ use samo::reference::{dense_formula_state_bytes, DataParallelSamo, DenseMaskedTr
 use samo::trainer::{formula_state_bytes, SamoTrainer};
 use samo::{DataParallelRank, ThreadedDataParallelSamo};
 use telemetry::json::Json;
-use telemetry::trace::lane;
 use tensor::Tensor;
 
 fn adam() -> Optimizer {
@@ -39,6 +38,12 @@ fn records(data: &str, from: usize, kind: &str) -> Vec<Json> {
     let recs = data.lines().skip(from).map(|l| Json::parse(l).expect("valid JSONL"));
     recs.filter(|r| r.get("kind") == Some(&Json::from(kind))).collect()
 }
+
+/// The phases of the step ledger, as a step event's keys.
+const LEDGER_KEYS: [&str; 11] = [
+    "t_f", "t_b", "t_w", "t_send", "t_wait", "t_remap", "t_compress", "t_reduce", "t_optimizer", "t_gather",
+    "t_other",
+];
 
 /// The keys of one record, and the phases (`t_<phase>`) among them.
 fn keys(rec: &Json) -> (Vec<&str>, Vec<&str>) {
@@ -92,16 +97,13 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
         trainer.model_state_bytes(true) as f64
     );
 
-    // Spans: the fused compress kernel ran every step; the fused
-    // optimizer+expand kernel only on applied steps. They are slices on
-    // the spans lane of the one recorder.
+    // Phases: the ledger charged the fused compress kernel every step and
+    // the fused optimizer+expand kernel only on applied steps, each into
+    // the histogram of its name. The engine opens no span timer.
     let (spans, _) = telemetry::trace::take();
-    assert!(spans.iter().all(|s| (s.pid, s.cat.as_str()) == (lane::SPANS, "span")));
-    let count_of = |n: &str| spans.iter().filter(|s| s.name == n).count() as u64;
-    assert_eq!(count_of("samo.step.compress"), steps);
-    assert_eq!(count_of("samo.step.optimizer"), taken);
-    // And they feed the histogram of the same name.
+    assert!(!spans.iter().any(|s| s.name.starts_with("samo.step.")), "{spans:?}");
     assert_eq!(reg.histogram("samo.step.compress").count(), steps);
+    assert_eq!(reg.histogram("samo.step.optimizer").count(), taken);
 
     // JSONL: one line per step with the formula matching the measured
     // bytes (Adam: 2φ + 24·nnz).
@@ -127,11 +129,11 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
 
     // The same recorder serves the data-parallel rank run one per process
     // (here one per thread): one `samo_dp_threaded` event per group step
-    // (from rank 0), the optimizer phase as a span — compress and reduce
-    // interleave with backward — and a restore counted as a recovery.
+    // (from rank 0), with every phase of the ledger, and a restore counted
+    // as a recovery.
     let recoveries = reg.counter("samo.ckpt.recoveries").get();
     let dp_taken = reg.counter("samo.dp_threaded.steps_taken").get();
-    let optimizer_spans = reg.histogram("samo.step.optimizer").count();
+    let optimizer_before = reg.histogram("samo.step.optimizer").count();
     telemetry::set_enabled(true);
     std::thread::scope(|s| {
         for t in comms::InProcTransport::mesh(2) {
@@ -153,10 +155,9 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
     let dp_taken = reg.counter("samo.dp_threaded.steps_taken").get() - dp_taken;
     assert_eq!(dp_taken, steps);
     assert_eq!(reg.counter("samo.ckpt.recoveries").get() - recoveries, 1);
-    let (slices, _) = telemetry::trace::take();
-    let n = slices.iter().filter(|s| s.pid == lane::SPANS && s.name == "samo.step.optimizer").count();
-    assert_eq!(n as u64, steps, "rank 0 alone reports");
-    assert_eq!(reg.histogram("samo.step.optimizer").count() - optimizer_spans, steps);
+    telemetry::trace::take();
+    let optimizer = reg.histogram("samo.step.optimizer").count() - optimizer_before;
+    assert_eq!(optimizer, steps, "rank 0 alone reports");
     let data = read();
     let dp = records(&data, steps as usize, "step");
     assert_eq!(dp.len(), steps as usize);
@@ -164,7 +165,7 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
     let shard = samo::m_samo_zero_bytes(phi, 1.0 - nnz as f64 / phi as f64, 2) as f64;
     for rec in &dp {
         assert_eq!(rec.get("runtime"), Some(&Json::from("samo_dp_threaded")), "{rec:?}");
-        assert_eq!(keys(rec).1, ["t_optimizer"], "overlapped phases: {rec:?}");
+        assert_eq!(keys(rec).1, LEDGER_KEYS, "every phase: {rec:?}");
         let Some(Json::UInt(held)) = rec.get("model_state_bytes") else { panic!("{rec:?}") };
         assert!((*held as f64 - shard).abs() <= 18.0, "{held} B vs {shard} B: {rec:?}");
     }
@@ -207,7 +208,8 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
     telemetry::trace::take();
 
     // Every runtime writes the same record: same fixed keys in the same
-    // order; only the phases its code path times differ.
+    // order, and the engine's runtimes every phase of the ledger; the
+    // oracle and the dense baseline time their own.
     let data = read();
     let rest = records(&data, already, "step");
     let runtime = |r: &Json| r.get("runtime").cloned();
@@ -222,10 +224,9 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
         assert_eq!(keys(by_runtime(name)).0, fixed, "{name} has the common key set");
     }
     assert_eq!(keys(&Json::parse(lines[0]).unwrap()).0, fixed);
-    // The overlapped drivers time no compress/reduce (both interleave
-    // with backward); the optimizer phase is inline in every runtime.
-    assert_eq!(keys(by_runtime("samo_dp_threaded")).1, ["t_optimizer"]);
-    assert_eq!(keys(by_runtime("samo_pipeline")).1, ["t_optimizer"]);
+    assert_eq!(keys(by_runtime("samo_dp_threaded")).1, LEDGER_KEYS);
+    assert_eq!(keys(by_runtime("samo_pipeline")).1, LEDGER_KEYS);
+    assert_eq!(keys(&Json::parse(lines[0]).unwrap()).1, LEDGER_KEYS);
     assert_eq!(keys(by_runtime("samo_dp")).1, ["t_compress", "t_reduce", "t_optimizer"]);
     assert_eq!(keys(by_runtime("dense_masked")).1, ["t_mask_grad", "t_optimizer"]);
     let once = [("samo.dp_threaded", dp_taken + 1), ("samo.pipeline", 1), ("dense", 1)];
@@ -300,7 +301,52 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
     let placed = ids(pipe_rec, &["stage", "data"]);
     assert_eq!(placed, [[0, 0], [1, 0], [0, 1], [1, 1]], "{pipe_rec:?}");
 
+    // A straggler is a rank that computes longer than the group, not one
+    // whose step runs longer — the collectives keep a group in lockstep.
+    // At world 2 the lower median is the faster rank's compute time.
+    let already = read().lines().count();
+    telemetry::set_enabled(true);
+    let mut th = ThreadedDataParallelSamo::new(replicas(2), vec![mask.clone()], adam());
+    for _ in 0..steps {
+        let (xs, ts) = (x.clone(), target.clone());
+        th.step(move |rank, m, scale| {
+            if rank == 1 {
+                std::thread::sleep(std::time::Duration::from_millis(25));
+            }
+            fwd_bwd(m, &xs, &ts, scale)
+        })
+        .expect("healthy mesh");
+    }
+    drop(th);
+    telemetry::jsonl::flush();
+    telemetry::set_enabled(false);
+    telemetry::trace::take();
+    let data = read();
+    let mesh = records(&data, already, "mesh_metrics");
+    assert_eq!(mesh.len(), steps as usize, "{data}");
+    for rec in &mesh {
+        let Some(Json::Arr(late)) = rec.get("stragglers") else { panic!("{rec:?}") };
+        let named: Vec<u64> = late.iter().map(|s| uint(s.get("rank"))).collect();
+        assert_eq!(named, [1], "rank 1 alone lags: {rec:?}");
+        let Some(Json::Arr(per_rank)) = rec.get("per_rank") else { panic!("{rec:?}") };
+        for r in per_rank {
+            let window = num(r.get("window_us")) * 1e-6;
+            let sum: f64 = LEDGER_KEYS.iter().map(|k| num(r.get(k))).sum();
+            assert!((sum - window).abs() <= 1e-6 * window.max(1e-3), "{r:?}");
+        }
+    }
+
     let _ = std::fs::remove_dir_all(&tmp);
+}
+
+/// A number field of a record.
+fn num(v: Option<&Json>) -> f64 {
+    match v {
+        Some(Json::Num(n)) => *n,
+        // An integral value renders, and parses back, as an integer.
+        Some(Json::UInt(n)) => *n as f64,
+        other => panic!("not a number field: {other:?}"),
+    }
 }
 
 /// An unsigned field of a record.

@@ -24,8 +24,9 @@
 //!   results directory (`SAMO_RESULTS_DIR`, default `results`).
 //!
 //! Supporting cast: [`clock`] (the shared resettable trace clock every
-//! lane stamps from) and [`critical_path`] (offline analyzer walking a
-//! merged trace's slices and flow edges).
+//! lane stamps from) and [`ledger`] (a rank's phase clock: every
+//! nanosecond of a training step charged to one phase, the split every
+//! runtime's step timings read).
 //!
 //! Plus [`logger`], a leveled stderr logger (`SAMO_LOG=quiet|info|debug`)
 //! so experiment drivers can keep stdout exclusively for machine-readable
@@ -40,9 +41,9 @@
 //! ```
 
 pub mod clock;
-pub mod critical_path;
 pub mod json;
 pub mod jsonl;
+pub mod ledger;
 pub mod logger;
 pub mod registry;
 mod sink;
