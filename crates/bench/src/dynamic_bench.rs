@@ -243,9 +243,14 @@ fn bench_mask_update(quick: bool) -> (Vec<Json>, f64) {
         (0..3).map(|l| harness::random_vec(shapes[l][0] * shapes[l][1], seed + l as u64)).collect()
     };
     let (w, grad) = (random(31), random(41));
+    // What the engine ranks: `θ16` and the grow score narrowed to f16.
+    let halves = |x: &[Vec<f32>]| -> Vec<Vec<F16>> {
+        x.iter().map(|v| v.iter().map(|&f| F16::from_f32(f)).collect()).collect()
+    };
+    let (w16, grad16) = (halves(&w), halves(&grad));
     let prune = |l: usize| prune::magnitude_prune(&w[l], &shapes[l], 0.9);
     let from: Vec<prune::Mask> = (0..3).map(prune).collect();
-    let next = |l: usize| policy.next_mask(16, &w[l], &grad[l], &from[l]);
+    let next = |l: usize| policy.next_mask(16, &w16[l], &grad16[l], &from[l]);
     let to: Vec<prune::Mask> = (0..3).map(next).collect();
     let mut layers: Vec<SamoLayerState> =
         (0..3).map(|l| SamoLayerState::from_params(&w[l], from[l].clone(), &opt)).collect();
@@ -255,20 +260,19 @@ fn bench_mask_update(quick: bool) -> (Vec<Json>, f64) {
 
     let phi: usize = w.iter().map(Vec::len).sum();
     let (nnz, keep): (usize, usize) = (from.iter().map(|m| m.nnz()).sum(), to.iter().map(|m| m.nnz()).sum());
-    let (mut half, mut score) = (vec![F16::ZERO; 1 << 20], vec![0.0f32; 1 << 20]);
+    let mut half = vec![F16::ZERO; 1 << 20];
     let mut rows = Vec::new();
     let mut row = |name: &str, bytes: usize, calls: f64, f: &mut dyn FnMut()| {
         let ms = sample(best_of, reps, &mut *f).best_ms / calls;
         let gbps = round6(bytes as f64 / ms / 1e6);
         rows.push(obj([("name", Json::Str(name.into())), ("ms", round6(ms)), ("gbps", gbps)]));
     };
-    row("canonicalise", 12 * phi, 1.0, &mut || {
+    row("canonicalise", 6 * phi, 1.0, &mut || {
         for g in &grad {
             tensor::ops::narrow_into(g, &mut half[..g.len()]);
-            tensor::ops::widen_into(&half[..g.len()], &mut score[..g.len()]);
         }
     });
-    row("next_mask", 8 * phi + 4 * (nnz + keep), 1.0, &mut || (0..3).for_each(|l| drop(black_box(next(l)))));
+    row("next_mask", 4 * phi + 4 * (nnz + keep), 1.0, &mut || (0..3).for_each(|l| drop(black_box(next(l)))));
     row("magnitude_prune", 4 * phi + 4 * nnz, 1.0, &mut || (0..3).for_each(|l| drop(black_box(prune(l)))));
     // There and back, so every rep starts from the same mask; θ32, ∇θ32,
     // both moments and ∇θ16 are read under one index and written under the other.

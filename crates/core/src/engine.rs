@@ -217,12 +217,10 @@ pub struct StepEngine<R: Reducer> {
     steps_skipped: u64,
     schedule: Option<MaskSchedule>,
     remap_scratch: Vec<RemapScratch>,
-    /// What a mask update ranks, one layer at a time, in buffers as long
-    /// as the largest layer: the grow score's f16 staging, the score, and
-    /// the weights widened from `θ16`.
+    /// A mask update's grow score, one layer at a time, as long as the
+    /// largest layer: the dense gradient narrowed to f16 — what the group's
+    /// ring agrees on — and ranked as it is, beside the layer's `θ16`.
     remap_score16: Vec<F16>,
-    remap_score: Vec<f32>,
-    remap_weights: Vec<f32>,
     remap_events: u64,
     /// This step's gradient buckets in ring start order: each ring's id
     /// and its parameters in the order they joined. The ids are
@@ -284,8 +282,6 @@ impl<R: Reducer> StepEngine<R> {
             schedule: None,
             remap_scratch: Vec::new(),
             remap_score16: Vec::new(),
-            remap_score: Vec::new(),
-            remap_weights: Vec::new(),
             remap_events: 0,
             buckets: Vec::new(),
             open: Vec::new(),
@@ -300,9 +296,9 @@ impl<R: Reducer> StepEngine<R> {
     /// step the masks are recomputed and the compressed state remapped
     /// in place before the new gradient is compressed. Every rank of a
     /// group must install the same schedule before the same step.
-    /// Pre-sizes one [`RemapScratch`] per layer and the buffers the
-    /// ranking reads, so the only allocation of an update step that scales
-    /// with a layer is its new mask's index vector.
+    /// Pre-sizes one [`RemapScratch`] per layer and the grow score's
+    /// staging, so the only allocation of an update step that scales with
+    /// a layer is its new mask's index vector.
     pub(crate) fn install_schedule(&mut self, schedule: MaskSchedule) {
         self.prime_remap_scratch();
         self.schedule = Some(schedule);
@@ -317,8 +313,6 @@ impl<R: Reducer> StepEngine<R> {
             .collect();
         let largest = self.layers.iter().map(|l| l.numel()).max().unwrap_or(0);
         self.remap_score16 = vec![F16::ZERO; largest];
-        self.remap_score = vec![0.0; largest];
-        self.remap_weights = vec![0.0; largest];
     }
 
     /// The installed dynamic-sparsity schedule, if any.
@@ -870,11 +864,11 @@ impl<R: Reducer> StepEngine<R> {
     }
 
     /// Dynamic-sparsity hook: if the schedule fires at the current step
-    /// index, recompute each layer's mask from the dense weights and the
-    /// *grow score* — the f16-narrowed dense gradient, mean-reduced
-    /// across the group and widened back, i.e. exactly the values a
-    /// compressed ring would agree on, so every runtime ranks regrowth
-    /// candidates identically and no mask broadcast is needed — and
+    /// index, recompute each layer's mask from `θ16` and the *grow score*
+    /// — the f16-narrowed dense gradient, mean-reduced across the group,
+    /// i.e. exactly the values a compressed ring would agree on, so every
+    /// runtime ranks regrowth candidates identically and no mask
+    /// broadcast is needed — ranked on those halves with no f32 copy, and
     /// remap the compressed state in place. Runs before the
     /// compress/verdict phase so the new mask's gradient slots are filled
     /// by the normal compress whether or not the scaler skips the step:
@@ -895,7 +889,6 @@ impl<R: Reducer> StepEngine<R> {
         self.ledger.enter(Phase::Remap);
         let (layers, scratch) = (&mut self.layers, &mut self.remap_scratch);
         let (score16, reducer) = (&mut self.remap_score16, &mut self.reducer);
-        let (score, weights) = (&mut self.remap_score, &mut self.remap_weights);
         let (mut i, mut moved, mut res) = (0, false, Ok(()));
         model.for_each_param_mut(&mut |p| {
             let (layer, sc) = (&mut layers[i], &mut scratch[i]);
@@ -903,8 +896,7 @@ impl<R: Reducer> StepEngine<R> {
             if res.is_err() {
                 return;
             }
-            let n = layer.numel();
-            let (dense16, score, weights) = (&mut score16[..n], &mut score[..n], &mut weights[..n]);
+            let dense16 = &mut score16[..layer.numel()];
             ops::narrow_into(p.grad.as_slice(), dense16);
             if let Some(comm) = reducer.comm_mut() {
                 res = comm.allreduce_mean_f16(dense16);
@@ -912,11 +904,9 @@ impl<R: Reducer> StepEngine<R> {
                     return;
                 }
             }
-            ops::widen_into(dense16, score);
             // The weights are `θ16` — home here, and the same bits as any
             // f32 view the model holds.
-            ops::widen_into(&layer.theta16, weights);
-            let new_mask = sched.next_mask(t, weights, score, layer.mask());
+            let new_mask = sched.next_mask(t, &layer.theta16, dense16, layer.mask());
             if &new_mask != layer.mask() {
                 res = remap_layer(layer, new_mask, sc, reducer.comm_mut());
                 layer.write_dense_f32_params_into(p.value.as_mut_slice());

@@ -20,7 +20,8 @@
 //! bitwise-identical masks from the reduced gradient.
 
 use crate::mask::Mask;
-use crate::select::reselect;
+use crate::select::{reselect, Ranked};
+use tensor::F16;
 
 /// Momentum-style prune-and-regrow with a piecewise-linear sparsity
 /// trajectory (Dettmers & Zettlemoyer, PAPERS.md).
@@ -112,8 +113,10 @@ impl MomentumPruneRegrow {
 
     /// Computes the next mask: prune smallest-|weights| survivors to the
     /// trajectory's keep count minus the churn budget, then regrow the
-    /// highest-|grow_score| pruned positions to fill the target.
-    pub fn next_mask(&self, t: u64, weights: &[f32], grow_score: &[f32], prev: &Mask) -> Mask {
+    /// highest-|grow_score| pruned positions to fill the target. Halves
+    /// rank as their widened values do, so either precision gives the
+    /// mask of the `f32` view.
+    pub fn next_mask<K: Ranked>(&self, t: u64, weights: &[K], grow_score: &[K], prev: &Mask) -> Mask {
         let numel = prev.numel();
         let keep_target =
             (((1.0 - self.sparsity_at(t)) * numel as f64).round() as usize).min(numel);
@@ -165,12 +168,13 @@ impl MaskSchedule {
         self.policy().end()
     }
 
-    /// The mask the schedule wants at step `t`. `weights` is the dense
-    /// parameter view (zeros at pruned positions), `grow_score` ranks
-    /// pruned positions for regrowth — the trainer passes the
-    /// f16-canonicalized dense gradient so every rank of a data-parallel
-    /// group agrees bitwise. Both slices are `numel` long.
-    pub fn next_mask(&self, t: u64, weights: &[f32], grow_score: &[f32], prev: &Mask) -> Mask {
+    /// The mask the schedule wants at step `t`, ranked on the halves the
+    /// trainer holds: `weights` is `θ16` (zeros at pruned positions),
+    /// `grow_score` the dense gradient narrowed to f16 and mean-reduced
+    /// over the group — what a compressed ring agrees on, so every rank
+    /// of a data-parallel group computes the same mask. Both slices are
+    /// `numel` long.
+    pub fn next_mask(&self, t: u64, weights: &[F16], grow_score: &[F16], prev: &Mask) -> Mask {
         self.policy().next_mask(t, weights, grow_score, prev)
     }
 }
@@ -247,6 +251,10 @@ mod tests {
         (0..n).map(|i| (i + 1) as f32).collect()
     }
 
+    fn halves(x: &[f32]) -> Vec<F16> {
+        x.iter().map(|&v| F16::from_f32(v)).collect()
+    }
+
     #[test]
     fn momentum_trajectory_interpolates_and_clamps() {
         let m = MomentumPruneRegrow::new(vec![(100, 0.5), (200, 0.9), (300, 0.7)], 25, 0.0);
@@ -306,7 +314,7 @@ mod tests {
         // but the churn wants to swap too — dropped survivors refill.
         let m = MomentumPruneRegrow::new(vec![(0, 0.0)], 1, 0.5);
         let prev = Mask::new(&[4], vec![0, 1, 3]);
-        let mask = m.next_mask(0, &[4.0, 3.0, 2.0, 1.0], &[1.0; 4], &prev);
+        let mask = m.next_mask(0, &[4.0f32, 3.0, 2.0, 1.0], &[1.0; 4], &prev);
         assert_eq!(mask.nnz(), 4, "target was dense");
     }
 
@@ -326,9 +334,10 @@ mod tests {
         assert!((g.sparsity_at(50) - 0.7).abs() < 1e-12);
         assert_eq!(g.sparsity_at(200), 0.5);
         let start = magnitude_prune(&w, &[n], 0.9);
-        let mid = g.next_mask(50, &w, &score, &start);
+        let (w16, score16) = (halves(&w), halves(&score));
+        let mid = g.next_mask(50, &w16, &score16, &start);
         assert_eq!(mid.nnz(), 12, "downward trajectory must densify");
-        let fin = g.next_mask(100, &w, &score, &mid);
+        let fin = g.next_mask(100, &w16, &score16, &mid);
         assert_eq!(fin.nnz(), 20);
         // Densification preserved every old survivor.
         let old = start.to_bools();
@@ -350,8 +359,9 @@ mod tests {
             0.15,
         ));
         let prev = magnitude_prune(&w, &[n], 0.3);
-        let a = m.next_mask(20, &w, &score, &prev);
-        let b = m.next_mask(20, &w, &score, &prev);
+        let (w16, score16) = (halves(&w), halves(&score));
+        let a = m.next_mask(20, &w16, &score16, &prev);
+        let b = m.next_mask(20, &w16, &score16, &prev);
         assert_eq!(a, b);
     }
 }

@@ -4,14 +4,16 @@
 //! `|score|` first, a NaN below every magnitude, ties to the lower
 //! index. [`key`] maps a score to a `u32` with that order, so choosing
 //! the best `k` of a population is a radix select: one counting pass per
-//! 16-bit digit of the key finds the lowest admitted key and how many of
-//! the positions tied at it get in — a `Cut` — and one ascending pass
-//! over the positions emits the kept indices already sorted. No index
-//! vector, comparator or sort: a selection reads its scores three times
-//! and allocates its output (the histogram is 256 KiB a thread, once).
+//! 16-bit digit of the key ([`Ranked`]: two for an `f32`, one for a half)
+//! finds the lowest admitted key and how many of the positions tied at it
+//! get in — a `Cut` — and one ascending pass over the positions emits the
+//! kept indices already sorted. No index vector, comparator or sort: a
+//! selection reads its scores once per digit and once to emit, and
+//! allocates its output (the histogram is 256 KiB a thread, once).
 
 use crate::mask::Mask;
 use std::num::Wrapping;
+use tensor::F16;
 
 /// Rank of a score, larger is better: the bit pattern of `|x|` (ordered
 /// as the magnitudes are; `±0` equal) plus one, and 0 for a NaN of
@@ -25,12 +27,42 @@ pub fn key(x: f32) -> u32 {
     }
 }
 
+/// What a selection ranks: a score whose `u32` key has [`key`]'s order
+/// and `DIGITS` 16-bit digits, one counting pass each.
+pub trait Ranked: Copy {
+    const DIGITS: u32;
+    fn key(self) -> u32;
+}
+
+impl Ranked for f32 {
+    const DIGITS: u32 = 2;
+    fn key(self) -> u32 {
+        key(self)
+    }
+}
+
+/// A half ranks by its own magnitude bits. Widening to `f32` is exact and
+/// strictly monotone in magnitude, sends `±0` to one key and every NaN to
+/// 0, so this is `key(h.to_f32())`'s order, ties included — in one digit:
+/// the key is at most `0x7C01`.
+impl Ranked for F16 {
+    const DIGITS: u32 = 1;
+    fn key(self) -> u32 {
+        let mag = u32::from(self.to_bits() & 0x7FFF);
+        if mag > F16::INFINITY.to_bits().into() {
+            0
+        } else {
+            mag + 1
+        }
+    }
+}
+
 const DIGIT: u32 = 16;
 const BINS: usize = 1 << DIGIT;
 /// Counters per high-digit bin, side by side: gradients crowd into few
 /// exponents, and back-to-back increments of one counter wait on each
-/// other's store. A key is below 2³¹, so its high digit has `BINS / 2`
-/// values and both digits count into `BINS` counters.
+/// other's store. A key's high digit (all of a half's key) is below 2¹⁵,
+/// so it has `BINS / 2` values and every digit counts into `BINS` counters.
 const LANES: usize = 2;
 
 thread_local! {
@@ -43,8 +75,8 @@ thread_local! {
 /// to [`Cut::best`].
 struct Tally<'a> {
     hist: &'a mut [Wrapping<u32>],
-    /// `None` while the high digits are counted, then the high digit
-    /// under which the low ones are.
+    /// `None` while the high digits (a half's whole key) are counted,
+    /// then the high digit under which the low ones are.
     high: Option<u32>,
 }
 
@@ -52,15 +84,16 @@ impl Tally<'_> {
     /// Counts (`sign = 1`) or takes back out (`-1`) the scores of
     /// `items`. Few keys share the threshold's high digit, so the second
     /// pass is a compare per item and a rare increment.
-    fn count<T>(&mut self, items: &[T], score: impl Fn(&T) -> f32, sign: i32) {
+    fn count<T, K: Ranked>(&mut self, items: &[T], score: impl Fn(&T) -> K, sign: i32) {
         let Some(high) = self.high else {
+            let shift = DIGIT * (K::DIGITS - 1);
             for (i, item) in items.iter().enumerate() {
-                self.hist[((key(score(item)) >> DIGIT) as usize * LANES + i % LANES) % BINS] += sign as u32;
+                self.hist[((score(item).key() >> shift) as usize * LANES + i % LANES) % BINS] += sign as u32;
             }
             return;
         };
         for item in items {
-            let key = key(score(item));
+            let key = score(item).key();
             if key >> DIGIT == high {
                 std::hint::cold_path();
                 self.hist[key as usize % BINS] += sign as u32;
@@ -105,7 +138,7 @@ impl Cut {
 
     /// The cut that admits the best `k` of a population of `count`
     /// scores; `population` tallies all of them and runs once per digit.
-    fn best(count: usize, k: usize, population: impl Fn(&mut Tally<'_>)) -> Cut {
+    fn best<K: Ranked>(count: usize, k: usize, population: impl Fn(&mut Tally<'_>)) -> Cut {
         if k == 0 {
             return Cut::NONE;
         } else if k >= count {
@@ -117,11 +150,11 @@ impl Cut {
         // admit: walk the bins from the best until one crosses it.
         let (mut found, mut left) = (0u32, k);
         HIST.with_borrow_mut(|hist| {
-            for lanes in [LANES, 1] {
+            for pass in 0..K::DIGITS {
                 hist.clear();
                 hist.resize(BINS, Wrapping(0));
-                population(&mut Tally { hist, high: (lanes == 1).then_some(found) });
-                let digit = crossing(hist, lanes, &mut left);
+                population(&mut Tally { hist, high: (pass > 0).then_some(found) });
+                let digit = crossing(hist, if pass == 0 { LANES } else { 1 }, &mut left);
                 found = found << DIGIT | digit as u32;
             }
         });
@@ -130,8 +163,8 @@ impl Cut {
 
     /// Writes `i` at `out[*n]` and steps `n` past it if `x` is admitted:
     /// a store and an add for every position, a branch only on a tie.
-    fn admit(&mut self, x: f32, i: usize, out: &mut [u32], n: &mut usize) {
-        let k = key(x);
+    fn admit(&mut self, x: impl Ranked, i: usize, out: &mut [u32], n: &mut usize) {
+        let k = x.key();
         out[*n] = i as u32;
         *n += usize::from(k > self.key);
         if k == self.key {
@@ -149,11 +182,11 @@ impl Cut {
 /// by `survivors.0` under `survivors.1`, a position in a gap of `prev`
 /// by `candidates.0` under `candidates.1`. `out` needs one slot beyond
 /// the admitted count.
-fn emit(
+fn emit<K: Ranked>(
     numel: usize,
     prev: &[u32],
-    survivors: (&[f32], &mut Cut),
-    candidates: (&[f32], &mut Cut),
+    survivors: (&[K], &mut Cut),
+    candidates: (&[K], &mut Cut),
     out: &mut [u32],
 ) -> usize {
     let ((w, s), (score, c)) = (survivors, candidates);
@@ -177,20 +210,20 @@ fn emit(
 /// sorted index list `prev` by `|survivors.0|` and the `candidates.1`
 /// best positions outside `prev` by `|candidates.0|` (both slices dense,
 /// `numel` long; a count beyond its population keeps all of it).
-pub(crate) fn reselect(
+pub(crate) fn reselect<K: Ranked>(
     shape: &[usize],
     prev: &[u32],
-    survivors: (&[f32], usize),
-    candidates: (&[f32], usize),
+    survivors: (&[K], usize),
+    candidates: (&[K], usize),
 ) -> Mask {
     let numel: usize = shape.iter().product();
     let ((w, keep_s), (score, keep_c)) = (survivors, candidates);
     assert!(w.len() == numel && score.len() == numel, "scores must cover the tensor");
     let (keep_s, keep_c) = (keep_s.min(prev.len()), keep_c.min(numel - prev.len()));
-    let mut s = Cut::best(prev.len(), keep_s, |t| t.count(prev, |&i| w[i as usize], 1));
+    let mut s = Cut::best::<K>(prev.len(), keep_s, |t| t.count(prev, |&i| w[i as usize], 1));
     // The pruned positions are everything but `prev`: two straight
     // walks instead of one over ~nnz short gaps.
-    let mut c = Cut::best(numel - prev.len(), keep_c, |t| {
+    let mut c = Cut::best::<K>(numel - prev.len(), keep_c, |t| {
         t.count(score, |&x| x, 1);
         t.count(prev, |&i| score[i as usize], -1);
     });
@@ -235,6 +268,26 @@ mod tests {
                 _ => -0.25,
             })
             .collect()
+    }
+
+    /// Halves that stress the order: raw bit patterns, a pool of special
+    /// values (NaN payloads of both signs, ±0, subnormals, ±∞), a few
+    /// levels, or one value.
+    fn draw16(kind: u32, n: usize, seed: u64) -> Vec<F16> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let special = [0x0000, 0x8000, 0x0001, 0x83FF, 0x0400, 0x7C00, 0xFC00, 0x7E00, 0x7C01, 0xFFFF, 0x3C00, 0xBC00, 0x7BFF];
+        (0..n)
+            .map(|_| match kind {
+                0 => F16::from_bits(rng.gen::<u32>() as u16),
+                1 => F16::from_bits(special[rng.gen_range(0..special.len())]),
+                2 => F16::from_f32((rng.gen_range(0..6) as f32 - 3.0) * 0.5),
+                _ => F16::from_f32(-0.25),
+            })
+            .collect()
+    }
+
+    fn widen(h: &[F16]) -> Vec<f32> {
+        h.iter().map(|x| x.to_f32()).collect()
     }
 
     /// `k` from the edges of `0..=len`, or anywhere inside.
@@ -299,6 +352,43 @@ mod tests {
                 sort_oracle::next_mask(&m, 0, &w, &score, &prev)
             );
         }
+
+        /// Halves rank as their widened values: the kernel and the policy
+        /// on `F16` keep what the sort oracle keeps on `f32` copies — the
+        /// refill branch included (a dense `prev` leaves no candidates).
+        #[test]
+        fn halves_select_as_the_sort_oracle_on_their_widened_values(
+            numel in 1usize..300,
+            prev_sparsity in 0.0f64..1.0,
+            prev_kind in 0u32..3,
+            kinds in (0u32..4, 0u32..4),
+            picks in (0u32..6, 0u32..6),
+            fracs in (0.0f64..1.0, 0.0f64..1.0),
+            schedule in (0.0f64..1.0, 0.0f64..0.99),
+            seed in any::<u64>(),
+        ) {
+            let (w16, score16) = (draw16(kinds.0, numel, seed), draw16(kinds.1, numel, seed ^ 1));
+            let (w, score) = (widen(&w16), widen(&score16));
+            let prev = match prev_kind {
+                0 => Mask::new(&[numel], vec![]),
+                1 => Mask::dense(&[numel]),
+                _ => random_prune(&[numel], prev_sparsity, seed ^ 2),
+            };
+            let (survivors, pruned) = (prev.indices().as_slice(), sort_oracle::pruned_indices(&prev));
+            let keep_s = pick_k(picks.0, survivors.len(), fracs.0);
+            let keep_c = pick_k(picks.1, pruned.len(), fracs.1);
+            let mut want = sort_oracle::top_k(survivors.to_vec(), keep_s, &w);
+            want.extend(sort_oracle::top_k(pruned, keep_c, &score));
+            want.sort_unstable();
+            let got = reselect(&[numel], survivors, (&w16, keep_s), (&score16, keep_c));
+            prop_assert_eq!(got.indices().as_slice(), &want[..]);
+
+            let m = MomentumPruneRegrow::new(vec![(0, schedule.0)], 1, schedule.1);
+            prop_assert_eq!(
+                m.next_mask(0, &w16, &score16, &prev),
+                sort_oracle::next_mask(&m, 0, &w, &score, &prev)
+            );
+        }
     }
 
     #[test]
@@ -310,6 +400,26 @@ mod tests {
         assert_eq!(key(-0.0), key(0.0));
         assert_eq!(key(-2.5), key(2.5));
         assert_eq!(key(f32::from_bits(0xFFC0_0001)), 0, "a negative NaN payload is still a NaN");
+    }
+
+    #[test]
+    fn half_keys_order_as_their_widened_values() {
+        let ascending = [F16::NAN, F16::ZERO, F16::from_bits(1), F16::MIN_POSITIVE, F16::ONE, F16::MAX, F16::INFINITY];
+        for pair in ascending.windows(2) {
+            assert!(pair[0].key() < pair[1].key(), "{pair:?}");
+        }
+        assert_eq!(F16::from_bits(0x8000).key(), F16::ZERO.key());
+        assert_eq!(F16::from_f32(-2.5).key(), F16::from_f32(2.5).key());
+        assert_eq!(F16::from_bits(0xFE01).key(), 0, "a negative NaN payload is still a NaN");
+        // Every half, against the key of its widened value: the same
+        // order, the same ties, and one digit.
+        let mut all: Vec<F16> = (0..=u16::MAX).map(F16::from_bits).collect();
+        all.sort_by_key(|h| key(h.to_f32()));
+        for pair in all.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            assert_eq!(a.key().cmp(&b.key()), key(a.to_f32()).cmp(&key(b.to_f32())), "{a:?} {b:?}");
+        }
+        assert_eq!(all.last().unwrap().key(), 0x7C01);
     }
 
     /// Regression: one NaN weight in seven made the comparator sorts
