@@ -3,8 +3,8 @@
 //! `BENCH_hotpaths.json`.
 //!
 //! For each world size every rank runs on its own OS thread with its own
-//! [`Communicator`] (`bench_mesh`): over [`InProcTransport`] (channels) at
-//! worlds 2, 4 and 8, and over [`TcpTransport::local_mesh`] (real
+//! [`Communicator`] (`bench_mesh`): over an in-process [`Endpoint::mesh`]
+//! (channels) at worlds 2, 4 and 8, and over [`Endpoint::local_mesh`] (real
 //! `127.0.0.1` sockets, length-prefixed frames, per-peer reader threads,
 //! heartbeats) at worlds 2 and 4. So the number includes the real
 //! synchronization cost of the chunked ring schedule (reduce-scatter +
@@ -40,7 +40,7 @@
 
 use crate::harness::{self, obj, round6};
 use crate::Table;
-use comms::{CommsError, Communicator, InProcTransport, TcpTransport, Transport};
+use comms::{CommsError, Communicator, Endpoint, Transport as _};
 use std::sync::Mutex;
 use std::time::Instant;
 use telemetry::json::Json;
@@ -89,7 +89,7 @@ fn oracle(world: usize, n: usize) -> Result<Vec<F16>, String> {
 }
 
 /// Times `reps` chunked ring all-reduces of `n` f16 elements on `world`
-/// rank threads over the endpoints `make_mesh` builds, `best_of`
+/// rank threads over the wire named in [`TRANSPORTS`], `best_of`
 /// samples, each on a fresh mesh. The clock runs *inside* the rank
 /// threads: every rank builds its communicator and buffers, meets the
 /// others at a barrier, starts its clock, reduces the same `seeded_buf`
@@ -98,14 +98,14 @@ fn oracle(world: usize, n: usize) -> Result<Vec<F16>, String> {
 /// slowest rank's time — the collective is over when its last rank is —
 /// so thread spawn, mesh and buffer set-up, reader-thread joins and
 /// socket teardown are outside it, and so are both barriers' bytes.
-fn bench_mesh<T, F>(make_mesh: F, world: usize, n: usize, best_of: usize, reps: usize) -> Result<Run, String>
-where
-    T: Transport + Send + 'static,
-    F: Fn() -> Result<Vec<T>, String>,
-{
+fn bench_mesh(transport: &str, world: usize, n: usize, best_of: usize, reps: usize) -> Result<Run, String> {
     let mut run = Run { best_ms: f64::INFINITY, model_bytes: 0, wire_bytes: 0, reduced: Vec::new() };
     for _ in 0..best_of {
-        let mesh = make_mesh()?;
+        let mesh = match transport {
+            "tcp" => Endpoint::local_mesh(world).map_err(|e| format!("local_mesh({world}): {e}"))?,
+            "inproc" => Endpoint::mesh(world),
+            other => return Err(format!("no transport named {other}")),
+        };
         // (model bytes, wire bytes, slowest rank's seconds)
         let totals: Mutex<(u64, u64, f64)> = Mutex::new((0, 0, 0.0));
         let rank0: Mutex<Vec<F16>> = Mutex::new(Vec::new());
@@ -158,18 +158,6 @@ where
     Ok(run)
 }
 
-/// [`bench_mesh`] over the transport named in [`TRANSPORTS`].
-fn bench_on(transport: &str, world: usize, n: usize, best_of: usize, reps: usize) -> Result<Run, String> {
-    match transport {
-        "tcp" => {
-            let mesh = || TcpTransport::local_mesh(world).map_err(|e| format!("local_mesh({world}): {e}"));
-            bench_mesh(mesh, world, n, best_of, reps)
-        }
-        "inproc" => bench_mesh(|| Ok(InProcTransport::mesh(world)), world, n, best_of, reps),
-        other => Err(format!("no transport named {other}")),
-    }
-}
-
 /// One timed step shape: the slowest rank's best milliseconds per step,
 /// the messages a rank sends per step, and rank 0's gathered tensors.
 struct StepComms {
@@ -181,8 +169,8 @@ struct StepComms {
 /// One step's collectives on one rank: the reduce-scatter of `grads`,
 /// then the all-gather of the rank's reduced segments, as one bucket or
 /// one tensor at a time. Returns every tensor's gathered mean.
-fn step_collectives<T: Transport>(
-    comm: &mut Communicator<T>,
+fn step_collectives(
+    comm: &mut Communicator,
     grads: &[Vec<F16>],
     bucketed: bool,
 ) -> Result<Vec<Vec<F16>>, CommsError> {
@@ -221,8 +209,8 @@ fn step_collectives<T: Transport>(
 /// mesh — bucketed or one tensor at a time — timed inside the threads
 /// between two barriers.
 fn step_sample(tensors: &[usize], bucketed: bool, reps: usize) -> Result<StepComms, String> {
-    let mesh = TcpTransport::local_mesh(2).map_err(|e| format!("local_mesh(2): {e}"))?;
-    let rank_run = |t: TcpTransport| -> Result<StepComms, CommsError> {
+    let mesh = Endpoint::local_mesh(2).map_err(|e| format!("local_mesh(2): {e}"))?;
+    let rank_run = |t: Endpoint| -> Result<StepComms, CommsError> {
         let mut comm = Communicator::new(t);
         let r = comm.rank();
         let grads: Vec<Vec<F16>> = tensors.iter().enumerate().map(|(i, &n)| seeded_buf(r + 7 * i, n)).collect();
@@ -307,8 +295,8 @@ pub fn run(quick: bool) -> Result<(), String> {
     let mut world_rows: Vec<Json> = Vec::new();
     for (transport, worlds) in TRANSPORTS {
         for &world in worlds {
-            let dense = bench_on(transport, world, phi, best_of, reps)?;
-            let comp = bench_on(transport, world, nnz, best_of, reps)?;
+            let dense = bench_mesh(transport, world, phi, best_of, reps)?;
+            let comp = bench_mesh(transport, world, nnz, best_of, reps)?;
 
             // The transport must be invisible in the reduced bits: a
             // mismatch is a framing or ordering bug.

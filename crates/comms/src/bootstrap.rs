@@ -23,7 +23,7 @@
 
 use crate::heartbeat::HeartbeatConfig;
 use crate::tcp::framing::{self, FrameReader, FrameWriter};
-use crate::tcp::TcpTransport;
+use crate::transport::Endpoint;
 use crate::transport::{Kind, Message, Payload, Tag};
 use crate::{CommsError, FaultController};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -327,7 +327,7 @@ fn connect_with_retry(
 
 /// Joins the mesh: registers with the rendezvous at `rdv_addr`, waits
 /// for the world to assemble, wires one TCP connection per directed
-/// link, and returns a live [`TcpTransport`] plus the agreed
+/// link, and returns a live TCP [`Endpoint`] plus the agreed
 /// generation/epoch. `epoch` is this rank's *current* communicator
 /// epoch (0 on first boot) so the host can hand everyone one past the
 /// stalest survivor.
@@ -338,7 +338,7 @@ pub fn bootstrap_tcp(
     epoch: u32,
     cfg: &BootstrapConfig,
     faults: Arc<FaultController>,
-) -> Result<(TcpTransport, BootstrapInfo), CommsError> {
+) -> Result<(Endpoint, BootstrapInfo), CommsError> {
     assert!(world >= 1 && rank < world);
     let rdv_addr: SocketAddr = rdv_addr
         .parse()
@@ -422,7 +422,7 @@ pub fn bootstrap_tcp(
 
     let mesh_id = (2u64 << 32) | u64::from(generation);
     let transport =
-        TcpTransport::from_links(rank, world, mesh_id, outbound, inbound, faults, cfg.heartbeat)?;
+        Endpoint::from_links(rank, world, mesh_id, outbound, inbound, faults, cfg.heartbeat)?;
     if generation > 0 {
         if telemetry::enabled() {
             telemetry::global().counter("comms.tcp.reconnects").inc();

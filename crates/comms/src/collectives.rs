@@ -1,5 +1,5 @@
 //! The collectives: barrier, broadcast, all-gather, and the chunked
-//! ring reduce-scatter and all-reduce, implemented over any [`Transport`].
+//! ring reduce-scatter and all-reduce, implemented over a [`Transport`].
 //!
 //! # Ring schedule
 //!
@@ -61,7 +61,7 @@
 //! until this rank catches up, never misrouted.
 
 use crate::reference::f16_mean_from_exact_sum;
-use crate::transport::{Kind, Message, Payload, Tag, Transport};
+use crate::transport::{Endpoint, Kind, Message, Payload, Tag, Transport};
 use crate::{ring_allreduce_model_bytes, segment_bounds, CommsError};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -118,8 +118,10 @@ pub struct PendingAllTrue {
     mine: bool,
 }
 
-/// A rank's collective interface over a transport endpoint.
-pub struct Communicator<T: Transport> {
+/// A rank's collective interface over its [`Endpoint`]. (`T` is only
+/// ever the endpoint; the parameter stays because the frozen benchmark
+/// writes it.)
+pub struct Communicator<T: Transport = Endpoint> {
     t: T,
     epoch: u32,
     next_id: u64,
@@ -1052,7 +1054,6 @@ fn flow_name(tag: &Tag) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::InProcTransport;
     use crate::FaultController;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -1063,9 +1064,9 @@ mod tests {
         world: usize,
         faults: Arc<FaultController>,
         timeout: Duration,
-        f: impl Fn(&mut Communicator<InProcTransport>, usize) -> R + Sync,
+        f: impl Fn(&mut Communicator, usize) -> R + Sync,
     ) -> Vec<R> {
-        let mesh = InProcTransport::mesh_with_faults(world, faults);
+        let mesh = Endpoint::mesh_with_faults(world, faults);
         std::thread::scope(|s| {
             let handles: Vec<_> = mesh
                 .into_iter()

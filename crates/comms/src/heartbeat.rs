@@ -1,6 +1,6 @@
 //! Heartbeat-based peer failure detection for socket transports.
 //!
-//! Every [`crate::TcpTransport`] runs one background thread that pings
+//! Every TCP [`crate::Endpoint`] runs one background thread that pings
 //! each peer every [`HeartbeatConfig::interval`] with a
 //! [`crate::Kind::Heartbeat`] frame and checks the per-peer last-seen
 //! clock. *Any* inbound frame refreshes the clock (data traffic counts

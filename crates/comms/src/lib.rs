@@ -1,11 +1,12 @@
 //! `comms` — a message-passing collectives runtime.
 //!
-//! Unlike `samo::data_parallel`, where all ranks live in one `Vec` and a
-//! sequential loop averages gradients in place, this crate moves real
-//! messages between real OS threads or processes: each rank owns a
-//! [`Transport`] endpoint ([`InProcTransport`]: typed channels;
-//! [`TcpTransport`]: length-prefixed frames over real sockets, with
-//! heartbeats) and a [`Communicator`] implementing
+//! Unlike `samo::reference::DataParallelSamo`, where all ranks live in
+//! one `Vec` and a sequential loop averages gradients in place, this
+//! crate moves real messages between real OS threads or processes: each
+//! rank owns an [`Endpoint`] — built in process by [`Endpoint::mesh`]
+//! (typed channels), over sockets by [`Endpoint::local_mesh`] or
+//! [`bootstrap_tcp`] (length-prefixed frames, with heartbeats) — and a
+//! [`Communicator`] implementing
 //! `barrier`, `broadcast`, `all_gather`, and a **chunked ring
 //! all-reduce** over compressed fp16 gradient buckets — the collective
 //! the paper's Sec. IV-A runs on `∇θ16` to cut message volume by `1/f`.
@@ -29,8 +30,8 @@
 //!
 //! # Fault injection
 //!
-//! Every link of an in-process mesh consults a shared
-//! [`FaultController`]: tests cut links (messages silently vanish, the
+//! Every link of a mesh, in process or over TCP, consults a shared
+//! [`FaultController`] on send: tests cut links (messages silently vanish, the
 //! receiver times out with a [`CommsError::Timeout`] instead of
 //! hanging), delay them, or drive seeded per-message jitter from
 //! `summit_sim`'s failure models.
@@ -48,8 +49,7 @@ pub use bootstrap::{bootstrap_tcp, BootstrapConfig, BootstrapInfo, Rendezvous};
 pub use collectives::{Communicator, PendingAllTrue, PendingGather};
 pub use fault::FaultController;
 pub use heartbeat::HeartbeatConfig;
-pub use tcp::TcpTransport;
-pub use transport::{InProcTransport, Kind, Message, Payload, Tag, Transport};
+pub use transport::{Endpoint, InProcTransport, Kind, Message, Payload, Tag, TcpTransport, Transport};
 
 use std::fmt;
 

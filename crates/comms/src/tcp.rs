@@ -1,14 +1,15 @@
-//! Cross-process transport: length-prefixed frames over `TcpStream`.
+//! The TCP wire of an [`Endpoint`]: length-prefixed frames over `TcpStream`.
 //!
-//! [`TcpTransport`] implements the same [`Transport`] trait as the
-//! in-process mesh, so [`crate::Communicator`], the ring collectives,
-//! and both threaded runtimes run over it unchanged. Each directed
+//! An endpoint built here ([`Endpoint::local_mesh`], or
+//! [`crate::bootstrap_tcp`] across processes) is the same type as an
+//! in-process one — the same mailbox, fault decision and counters — and
+//! differs only in how a message leaves. Each directed
 //! link is its own TCP connection: the outbound stream is written
 //! through one shared [`FrameWriter`] (by `send`, the heartbeat thread
 //! and the pong-answering reader), the inbound stream is owned by a
 //! per-peer **reader thread** that pulls frames off a [`FrameReader`]
-//! and feeds the same `Mailbox` the in-process transport waits on —
-//! so the held-envelope/deadline-receive logic exists once. The wire
+//! and feeds the endpoint's `Mailbox` — the one the in-process wire
+//! fills from the sender's thread. The wire
 //! format and what a peer can make either half do are [`framing`]'s.
 //!
 //! A [`FaultController`] injected delivery delay rides in the frame's
@@ -22,7 +23,7 @@
 //! A background heartbeat thread pings every peer each
 //! [`HeartbeatConfig::interval`] and declares a peer dead after
 //! [`HeartbeatConfig::window`] of silence (any inbound frame counts as
-//! liveness). Receives from a dead peer return
+//! liveness). Receives from and sends to a dead peer return
 //! [`CommsError::PeerDead`] immediately — detection is bounded by the
 //! heartbeat window even when the collective deadline is much longer.
 //! The same window is every writer's deadline: a peer that stops
@@ -34,9 +35,9 @@
 
 pub mod framing;
 
-use crate::fault::{Decision, FaultController};
+use crate::fault::FaultController;
 use crate::heartbeat::{Health, HeartbeatConfig};
-use crate::transport::{Envelope, Kind, LinkTx, Mailbox, Message, Payload, Tag, Transport};
+use crate::transport::{Endpoint, Envelope, Kind, LinkTx, Mailbox, Message, Payload, Tag, Wire};
 use crate::CommsError;
 use framing::{FrameReader, FrameWriter};
 use std::net::{TcpListener, TcpStream};
@@ -192,28 +193,56 @@ fn monitor_loop(
     }
 }
 
-/// A cross-process mesh endpoint: one TCP connection per directed
-/// link, per-peer reader threads, and a heartbeat failure detector.
-/// Built by [`crate::bootstrap_tcp`] (multi-process rendezvous) or
-/// [`TcpTransport::local_mesh`] (in-process loopback, for tests and
-/// benches).
-pub struct TcpTransport {
-    rank: usize,
-    world: usize,
-    mesh_id: u64,
+/// The TCP wire of an [`Endpoint`]: one connection per directed link,
+/// written through the shared [`FrameWriter`]s and read by per-peer
+/// reader threads, and a heartbeat failure detector. Dropping it stops
+/// the threads.
+pub(crate) struct Sockets {
     writers: Vec<Option<Arc<FrameWriter>>>,
-    mailbox: Mailbox,
-    health: Arc<Health>,
-    faults: Arc<FaultController>,
+    pub(crate) health: Arc<Health>,
     shutdown: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
-    bytes_sent: u64,
-    msgs_sent: u64,
-    msgs_dropped: u64,
 }
 
-impl TcpTransport {
-    /// Wires one endpoint from already-connected links: `outbound[p]`
+impl Sockets {
+    /// Writes `msg` to peer `to`, its injected `delay` riding in the frame.
+    pub(crate) fn send(
+        &self,
+        rank: usize,
+        to: usize,
+        msg: &Message,
+        delay: Option<Duration>,
+    ) -> Result<(), CommsError> {
+        let closed = CommsError::Closed { rank, peer: to };
+        let Some(w) = &self.writers[to] else {
+            return Err(closed);
+        };
+        let delay_us = delay.map_or(0u32, |d| d.as_micros().min(u128::from(u32::MAX)) as u32);
+        w.send_delayed(msg, delay_us).map_err(|e| match e.kind() {
+            std::io::ErrorKind::TimedOut => CommsError::Timeout { rank, from: to },
+            // The peer's end is gone: its process died.
+            std::io::ErrorKind::BrokenPipe | std::io::ErrorKind::ConnectionReset => closed,
+            _ => CommsError::Io(format!("write to rank {to}: {e}")),
+        })
+    }
+}
+
+impl Drop for Sockets {
+    fn drop(&mut self) {
+        self.shutdown.store(true, Ordering::Relaxed);
+        // Closing the outbound half lets the peer's readers see EOF
+        // promptly; our own readers exit on the flag within one POLL.
+        for w in self.writers.iter().flatten() {
+            w.close();
+        }
+        for t in self.threads.drain(..) {
+            let _ = t.join();
+        }
+    }
+}
+
+impl Endpoint {
+    /// Wires one TCP endpoint from already-connected links: `outbound[p]`
     /// writes to peer `p`, `inbound[p]` is read by a dedicated thread
     /// (with whatever its reader already buffered behind a preamble).
     /// Spawns `world − 1` readers plus the heartbeat monitor.
@@ -225,16 +254,18 @@ impl TcpTransport {
         inbound: Vec<Option<FrameReader<TcpStream>>>,
         faults: Arc<FaultController>,
         hb: HeartbeatConfig,
-    ) -> Result<TcpTransport, CommsError> {
+    ) -> Result<Endpoint, CommsError> {
         assert_eq!(outbound.len(), world);
         assert_eq!(inbound.len(), world);
         let io_err = |what: &str, e: std::io::Error| CommsError::Io(format!("{what}: {e}"));
         let writers: Vec<Option<Arc<FrameWriter>>> =
             outbound.into_iter().map(|w| w.map(Arc::new)).collect();
         let health = Arc::new(Health::new(world, hb));
-        let shutdown = Arc::new(AtomicBool::new(false));
         let mut mailbox = Mailbox::new(rank, world, Some((Arc::clone(&health), POLL)));
-        let mut threads = Vec::new();
+        // An error from here on drops the wire, which stops the threads
+        // already running.
+        let mut sockets =
+            Sockets { writers, health, shutdown: Arc::new(AtomicBool::new(false)), threads: Vec::new() };
         for (peer, reader) in inbound.into_iter().enumerate() {
             let Some(reader) = reader else {
                 continue;
@@ -242,56 +273,43 @@ impl TcpTransport {
             let stream = reader.get_ref();
             stream.set_read_timeout(Some(POLL)).map_err(|e| io_err("set_read_timeout", e))?;
             let tx = mailbox.open(peer);
-            let pong = writers[peer].clone();
-            let h = Arc::clone(&health);
-            let sd = Arc::clone(&shutdown);
-            threads.push(
+            let pong = sockets.writers[peer].clone();
+            let h = Arc::clone(&sockets.health);
+            let sd = Arc::clone(&sockets.shutdown);
+            sockets.threads.push(
                 std::thread::Builder::new()
                     .name(format!("tcp-rd-{rank}<{peer}"))
                     .spawn(move || reader_loop(rank, peer, reader, tx, pong, h, sd))
                     .map_err(|e| io_err("spawn reader", e))?,
             );
         }
-        let w = writers.clone();
-        let h = Arc::clone(&health);
+        let w = sockets.writers.clone();
+        let h = Arc::clone(&sockets.health);
         let f = Arc::clone(&faults);
-        let sd = Arc::clone(&shutdown);
-        threads.push(
+        let sd = Arc::clone(&sockets.shutdown);
+        sockets.threads.push(
             std::thread::Builder::new()
                 .name(format!("tcp-hb-{rank}"))
                 .spawn(move || monitor_loop(rank, world, w, h, f, sd))
                 .map_err(|e| io_err("spawn heartbeat", e))?,
         );
-        Ok(TcpTransport {
-            rank,
-            world,
-            mesh_id,
-            writers,
-            mailbox,
-            health,
-            faults,
-            shutdown,
-            threads,
-            bytes_sent: 0,
-            msgs_sent: 0,
-            msgs_dropped: 0,
-        })
+        Ok(Endpoint::new(rank, world, mesh_id, Wire::Tcp(sockets), mailbox, faults))
     }
 
     /// A fault-free loopback mesh with default heartbeat parameters.
-    pub fn local_mesh(world: usize) -> Result<Vec<TcpTransport>, CommsError> {
+    pub fn local_mesh(world: usize) -> Result<Vec<Endpoint>, CommsError> {
         Self::local_mesh_with(world, Arc::new(FaultController::new()), HeartbeatConfig::default())
     }
 
     /// Builds a full mesh of `world` endpoints over 127.0.0.1 sockets in
     /// one process — real TCP framing and reader threads, no rendezvous.
     /// Every link consults `faults` on send, exactly like
-    /// [`InProcTransport::mesh_with_faults`](crate::InProcTransport::mesh_with_faults).
+    /// [`Endpoint::mesh_with_faults`].
     pub fn local_mesh_with(
         world: usize,
         faults: Arc<FaultController>,
         hb: HeartbeatConfig,
-    ) -> Result<Vec<TcpTransport>, CommsError> {
+    ) -> Result<Vec<Endpoint>, CommsError> {
         assert!(world >= 1, "a mesh needs at least one rank");
         let io_err = |what: &str, e: std::io::Error| CommsError::Io(format!("{what}: {e}"));
         let listener =
@@ -325,22 +343,6 @@ impl TcpTransport {
             })
             .collect()
     }
-
-    /// The shared fault controller (for tests that only hold endpoints).
-    pub fn faults(&self) -> &Arc<FaultController> {
-        &self.faults
-    }
-
-    /// Whether the failure detector has declared `peer` dead.
-    pub fn peer_dead(&self, peer: usize) -> bool {
-        self.health.is_dead(peer)
-    }
-
-    /// Last measured heartbeat round trip to `peer`, if any pong has
-    /// come back yet.
-    pub fn rtt_us(&self, peer: usize) -> Option<u64> {
-        self.health.rtt_us(peer)
-    }
 }
 
 /// Process-unique mesh ids for loopback meshes, salted into a distinct
@@ -348,101 +350,4 @@ impl TcpTransport {
 fn next_mesh_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     (1 << 32) | NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
-impl std::fmt::Debug for TcpTransport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpTransport")
-            .field("rank", &self.rank)
-            .field("world", &self.world)
-            .field("mesh_id", &self.mesh_id)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Transport for TcpTransport {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn world(&self) -> usize {
-        self.world
-    }
-
-    fn mesh_id(&self) -> u64 {
-        self.mesh_id
-    }
-
-    fn send(&mut self, to: usize, msg: Message) -> Result<(), CommsError> {
-        let Some(w) = self.writers.get(to).and_then(|o| o.as_ref()) else {
-            return Err(CommsError::Mismatch(format!("send to invalid rank {to}")));
-        };
-        self.bytes_sent += msg.payload.wire_bytes();
-        self.msgs_sent += 1;
-        if self.health.is_dead(to) {
-            self.msgs_dropped += 1;
-            return Err(CommsError::PeerDead { rank: self.rank, peer: to });
-        }
-        match self.faults.decide(self.rank, to) {
-            Decision::Drop => {
-                self.msgs_dropped += 1;
-                Ok(())
-            }
-            Decision::Deliver(delay) => {
-                let delay_us =
-                    delay.map_or(0u32, |d| d.as_micros().min(u128::from(u32::MAX)) as u32);
-                w.send_delayed(&msg, delay_us).map_err(|e| match e.kind() {
-                    std::io::ErrorKind::TimedOut => CommsError::Timeout { rank: self.rank, from: to },
-                    // The peer's end is gone: its process died.
-                    std::io::ErrorKind::BrokenPipe | std::io::ErrorKind::ConnectionReset => {
-                        CommsError::Closed { rank: self.rank, peer: to }
-                    }
-                    _ => CommsError::Io(format!("write to rank {to}: {e}")),
-                })
-            }
-        }
-    }
-
-    fn recv_from(&mut self, from: usize, deadline: Instant) -> Result<Message, CommsError> {
-        let timeout = CommsError::Timeout { rank: self.rank, from };
-        self.mailbox.recv(from, Some(deadline))?.ok_or(timeout)
-    }
-
-    fn try_recv_from(&mut self, from: usize) -> Result<Option<Message>, CommsError> {
-        self.mailbox.recv(from, None)
-    }
-
-    fn wait_any(&mut self, from: &[usize], deadline: Instant) -> Result<Option<usize>, CommsError> {
-        self.mailbox.wait_any(from, deadline)
-    }
-
-    fn drain(&mut self) {
-        self.mailbox.drain();
-    }
-
-    fn bytes_sent(&self) -> u64 {
-        self.bytes_sent
-    }
-
-    fn msgs_sent(&self) -> u64 {
-        self.msgs_sent
-    }
-
-    fn msgs_dropped(&self) -> u64 {
-        self.msgs_dropped
-    }
-}
-
-impl Drop for TcpTransport {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        // Closing the outbound half lets the peer's readers see EOF
-        // promptly; our own readers exit on the flag within one POLL.
-        for w in self.writers.iter().flatten() {
-            w.close();
-        }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
 }

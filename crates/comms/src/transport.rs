@@ -1,18 +1,21 @@
-//! The transport layer: typed messages and point-to-point endpoints.
+//! The transport layer: typed messages and the one point-to-point
+//! [`Endpoint`].
 //!
 //! [`Transport`] is the narrow waist between the collectives and the
-//! wire. Both implementations deliver into the same `Mailbox` — one
-//! `mpsc` FIFO per directed link, exactly the ordering guarantee TCP
-//! gives, with the held-envelope, injected-delay and deadline logic of
-//! a receive written once — and differ only in how a message leaves:
-//! [`InProcTransport`] sends the envelope down the peer's channel,
-//! [`crate::TcpTransport`] writes a frame that the peer's reader thread
-//! turns back into one. Either way the envelope goes in through the
+//! wire, and [`Endpoint`] its one implementation. An endpoint receives
+//! through its `Mailbox` — one `mpsc` FIFO per directed link, exactly the
+//! ordering guarantee TCP gives, with the held-envelope, injected-delay
+//! and deadline logic of a receive written once — and every send takes
+//! the same fault decision and counts the same bytes. Its `Wire` is
+//! only how a message leaves: in process the envelope goes down the
+//! peer's channel, over TCP a frame that the peer's reader thread turns
+//! back into one. Either way the envelope goes in through the
 //! link's `LinkTx`, which also wakes a rank asleep in
 //! [`Transport::wait_any`] — the one way to wait on several links.
 
 use crate::fault::{Decision, FaultController};
 use crate::heartbeat::Health;
+use crate::tcp::Sockets;
 use crate::CommsError;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
@@ -347,13 +350,28 @@ impl Mailbox {
     }
 }
 
-/// In-process mesh endpoint: one `mpsc` channel per directed link.
-pub struct InProcTransport {
+/// How a message leaves an [`Endpoint`] — the one thing its constructors
+/// choose.
+pub(crate) enum Wire {
+    /// In process: `out[to]` feeds peer `to`'s mailbox (`None` at the own
+    /// rank).
+    InProc(Vec<Option<LinkTx>>),
+    /// Over TCP: the socket writers, the failure detector, and the reader
+    /// and heartbeat threads that stop when it drops.
+    Tcp(Sockets),
+}
+
+/// A rank's endpoint of a mesh: the mailbox it receives through, the
+/// fault decision every send consults and the byte counters, whatever
+/// `Wire` carries the message. Built in process by [`Self::mesh`], over
+/// loopback sockets by [`Self::local_mesh`], and across processes by
+/// [`crate::bootstrap_tcp`].
+pub struct Endpoint {
     rank: usize,
     world: usize,
     mesh_id: u64,
-    /// `out[to]` — `None` at `to == rank`.
-    out: Vec<Option<LinkTx>>,
+    /// Declared before the mailbox, so a TCP wire's readers stop first.
+    wire: Wire,
     mailbox: Mailbox,
     faults: Arc<FaultController>,
     bytes_sent: u64,
@@ -361,17 +379,34 @@ pub struct InProcTransport {
     msgs_dropped: u64,
 }
 
-impl InProcTransport {
-    /// Builds a fully connected fault-free mesh of `world` endpoints.
-    pub fn mesh(world: usize) -> Vec<InProcTransport> {
+/// The endpoint [`Endpoint::mesh`] builds, by the name the frozen
+/// benchmark knows it.
+pub type InProcTransport = Endpoint;
+/// The endpoint [`Endpoint::local_mesh`] builds, by the name the frozen
+/// benchmark knows it.
+pub type TcpTransport = Endpoint;
+
+impl Endpoint {
+    pub(crate) fn new(
+        rank: usize,
+        world: usize,
+        mesh_id: u64,
+        wire: Wire,
+        mailbox: Mailbox,
+        faults: Arc<FaultController>,
+    ) -> Endpoint {
+        Endpoint { rank, world, mesh_id, wire, mailbox, faults, bytes_sent: 0, msgs_sent: 0, msgs_dropped: 0 }
+    }
+
+    /// Builds a fully connected fault-free in-process mesh of `world`
+    /// endpoints.
+    pub fn mesh(world: usize) -> Vec<Endpoint> {
         Self::mesh_with_faults(world, Arc::new(FaultController::new()))
     }
 
-    /// Builds a mesh whose every link consults `faults` on each send.
-    pub fn mesh_with_faults(
-        world: usize,
-        faults: Arc<FaultController>,
-    ) -> Vec<InProcTransport> {
+    /// Builds an in-process mesh whose every link consults `faults` on
+    /// each send: one `mpsc` channel per directed link.
+    pub fn mesh_with_faults(world: usize, faults: Arc<FaultController>) -> Vec<Endpoint> {
         assert!(world >= 1, "a mesh needs at least one rank");
         static NEXT_MESH_ID: AtomicU64 = AtomicU64::new(0);
         let mesh_id = NEXT_MESH_ID.fetch_add(1, Ordering::Relaxed);
@@ -382,16 +417,8 @@ impl InProcTransport {
         outs.into_iter()
             .zip(mailboxes)
             .enumerate()
-            .map(|(rank, (out, mailbox))| InProcTransport {
-                rank,
-                world,
-                mesh_id,
-                out,
-                mailbox,
-                faults: Arc::clone(&faults),
-                bytes_sent: 0,
-                msgs_sent: 0,
-                msgs_dropped: 0,
+            .map(|(rank, (out, mailbox))| {
+                Endpoint::new(rank, world, mesh_id, Wire::InProc(out), mailbox, Arc::clone(&faults))
             })
             .collect()
     }
@@ -400,9 +427,37 @@ impl InProcTransport {
     pub fn faults(&self) -> &Arc<FaultController> {
         &self.faults
     }
+
+    /// Whether the failure detector has declared `peer` dead. In process
+    /// nothing is declared: a gone peer is a closed link.
+    pub fn peer_dead(&self, peer: usize) -> bool {
+        match &self.wire {
+            Wire::InProc(_) => false,
+            Wire::Tcp(sockets) => sockets.health.is_dead(peer),
+        }
+    }
+
+    /// Last measured heartbeat round trip to `peer`, if any pong has come
+    /// back yet; never in process, where nothing is pinged.
+    pub fn rtt_us(&self, peer: usize) -> Option<u64> {
+        match &self.wire {
+            Wire::InProc(_) => None,
+            Wire::Tcp(sockets) => sockets.health.rtt_us(peer),
+        }
+    }
 }
 
-impl Transport for InProcTransport {
+impl std::fmt::Debug for Endpoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Endpoint")
+            .field("rank", &self.rank)
+            .field("world", &self.world)
+            .field("mesh_id", &self.mesh_id)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Transport for Endpoint {
     fn rank(&self) -> usize {
         self.rank
     }
@@ -416,22 +471,29 @@ impl Transport for InProcTransport {
     }
 
     fn send(&mut self, to: usize, msg: Message) -> Result<(), CommsError> {
-        let tx = self
-            .out
-            .get(to)
-            .and_then(|o| o.as_ref())
-            .ok_or_else(|| CommsError::Mismatch(format!("send to invalid rank {to}")))?;
+        if to >= self.world || to == self.rank {
+            return Err(CommsError::Mismatch(format!("send to invalid rank {to}")));
+        }
         self.bytes_sent += msg.payload.wire_bytes();
         self.msgs_sent += 1;
-        match self.faults.decide(self.rank, to) {
+        // Offered to a gone peer: an error, not an injected drop.
+        if self.peer_dead(to) {
+            return Err(CommsError::PeerDead { rank: self.rank, peer: to });
+        }
+        let delay = match self.faults.decide(self.rank, to) {
             Decision::Drop => {
                 self.msgs_dropped += 1;
-                Ok(())
+                return Ok(());
             }
-            Decision::Deliver(delay) => {
+            Decision::Deliver(delay) => delay,
+        };
+        match &self.wire {
+            Wire::InProc(out) => {
                 let env = Envelope { deliver_at: delay.map(|d| Instant::now() + d), msg };
-                tx.send(env).then_some(()).ok_or(CommsError::Closed { rank: self.rank, peer: to })
+                let sent = out[to].as_ref().is_some_and(|tx| tx.send(env));
+                sent.then_some(()).ok_or(CommsError::Closed { rank: self.rank, peer: to })
             }
+            Wire::Tcp(sockets) => sockets.send(self.rank, to, &msg, delay),
         }
     }
 
@@ -468,7 +530,7 @@ impl Transport for InProcTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HeartbeatConfig, TcpTransport};
+    use crate::HeartbeatConfig;
 
     fn bytes(id: u64, body: Vec<u8>) -> Message {
         Message { tag: Tag { epoch: 0, kind: Kind::Barrier, id, step: 0 }, payload: Payload::Bytes(body) }
@@ -483,8 +545,10 @@ mod tests {
     /// hanging, injected delay that holds a message back without
     /// reordering, a drain that discards what was held, a wait on a set
     /// of links that a send ends at once and nothing else ends early, and
-    /// a dead peer that surfaces as an error. `mesh` builds a world of 2.
-    fn endpoint_contract<T: Transport>(mesh: impl Fn(Arc<FaultController>) -> Vec<T>) {
+    /// a dead peer that surfaces as an error — a send to it too, ending
+    /// in `gone_send` and never counted as a drop. `mesh` builds a world
+    /// of 2.
+    fn endpoint_contract(mesh: impl Fn(Arc<FaultController>) -> Vec<Endpoint>, gone_send: CommsError) {
         let faults = Arc::new(FaultController::new());
         let mut ends = mesh(Arc::clone(&faults));
         let (mut b, mut a) = (ends.pop().unwrap(), ends.pop().unwrap());
@@ -607,22 +671,45 @@ mod tests {
         let err = a.recv_from(1, within(30_000)).unwrap_err();
         assert!(gone.contains(&err), "got {err:?}");
         assert!(t0.elapsed() < Duration::from_secs(5));
+
+        // A send to the gone peer is offered, not dropped. Over TCP the
+        // socket may take the first frames, or fail, before the detector
+        // declares the peer dead.
+        let (sent, dropped) = (a.msgs_sent(), a.msgs_dropped());
+        let mut sends = 0;
+        loop {
+            let res = a.send(1, bytes(17, vec![]));
+            sends += 1;
+            assert_eq!((a.msgs_sent(), a.msgs_dropped()), (sent + sends, dropped), "after {res:?}");
+            match res {
+                Err(e) if e == gone_send => break,
+                Ok(()) | Err(CommsError::Closed { .. } | CommsError::Io(_)) => {}
+                Err(e) => panic!("send to a gone peer: {e:?}"),
+            }
+            assert!(t0.elapsed() < Duration::from_secs(10), "no verdict on the gone peer");
+            std::thread::sleep(Duration::from_millis(10));
+        }
     }
 
     #[test]
     fn in_process_mesh_keeps_the_endpoint_contract() {
-        endpoint_contract(|faults| InProcTransport::mesh_with_faults(2, faults));
-        // In process the sender learns of a dead peer too.
-        let mut mesh = InProcTransport::mesh(2);
+        let closed = CommsError::Closed { rank: 0, peer: 1 };
+        endpoint_contract(|faults| Endpoint::mesh_with_faults(2, faults), closed);
+        // In process nothing is pinged, and no peer is declared dead.
+        let mut mesh = Endpoint::mesh(2);
+        assert_eq!((mesh[0].peer_dead(1), mesh[0].rtt_us(1)), (false, None));
+        // In process the sender learns of a dead peer on its first send.
         mesh.pop();
         let err = mesh[0].send(1, bytes(0, vec![]));
         assert_eq!(err, Err(CommsError::Closed { rank: 0, peer: 1 }));
+        assert_eq!((mesh[0].msgs_sent(), mesh[0].msgs_dropped()), (1, 0));
     }
 
     #[test]
     fn tcp_mesh_keeps_the_endpoint_contract() {
-        endpoint_contract(|faults| {
-            TcpTransport::local_mesh_with(2, faults, HeartbeatConfig::default()).unwrap()
-        });
+        endpoint_contract(
+            |faults| Endpoint::local_mesh_with(2, faults, HeartbeatConfig::default()).unwrap(),
+            CommsError::PeerDead { rank: 0, peer: 1 },
+        );
     }
 }

@@ -3,8 +3,9 @@
 //! The paper's contribution is one per-layer data structure
 //! ([`SamoLayerState`]) and one step over it: compress → reduce →
 //! verdict → optimizer → expand. [`StepEngine`] is that step for one
-//! rank, generic over a [`Reducer`] — how the rank's compressed `∇θ16`
-//! becomes the group mean. What varies between runtimes is only who
+//! rank; a rank of a group holds the group's [`Communicator`], over
+//! which its compressed `∇θ16` becomes the group mean, and a single
+//! worker holds none. What varies between runtimes is only who
 //! drives it:
 //!
 //! * [`crate::SamoTrainer`] calls `step(model)` after the caller's
@@ -76,7 +77,7 @@
 //! Every state runs the same fused pair
 //! ([`SamoLayerState::compress_grad_fused`] — or its product form — and
 //! [`SamoLayerState::optimizer_step_owned`]) on the range it owns. An
-//! engine is sharded iff its reducer has a group: rank `r` of `G` owns
+//! engine is sharded iff it has a group: rank `r` of `G` owns
 //! shard `r`, reduce-scatters `∇θ16` (it needs the mean on its own range
 //! alone) and all-gathers the updated fp16 parameters — together the
 //! `2·(G−1)/G·fφ·2 B` of a ring all-reduce. A shard then holds reduced
@@ -118,7 +119,7 @@
 use crate::serialize::{load_checkpoint, save_checkpoint, TrainerMeta};
 use crate::state::{RemapScratch, SamoLayerState};
 use crate::trainer::{formula_state_bytes, samo_allreduce_bytes, samo_ring_allreduce_bytes};
-use comms::{CommsError, Communicator, InProcTransport, Transport};
+use comms::{CommsError, Communicator};
 use nn::layer::{GradSink, Layer};
 use nn::mixed::{LossScaler, LossScalerState, Optimizer};
 use nn::param::Parameter;
@@ -135,45 +136,6 @@ use tensor::{ops, Tensor};
 /// overlapped with the rest of backward. DESIGN.md §20 has the
 /// measurement it is cut from.
 const BUCKET_BYTES: usize = 64 << 10;
-
-/// How a rank's compressed `∇θ16` becomes the group mean: not at all
-/// ([`NoReduce`], a single worker) or by the chunked ring all-reduce
-/// over any [`Transport`] ([`Ring`]).
-pub trait Reducer: Send {
-    /// The wire under the communicator.
-    type Transport: Transport;
-    /// The communicator the collectives run on, if there is a group.
-    fn comm(&self) -> Option<&Communicator<Self::Transport>>;
-    /// Mutable counterpart of [`Self::comm`].
-    fn comm_mut(&mut self) -> Option<&mut Communicator<Self::Transport>>;
-}
-
-/// A single worker: the local gradient is the mean.
-pub struct NoReduce;
-
-impl Reducer for NoReduce {
-    // Never instantiated: names a transport so the trait stays one type.
-    type Transport = InProcTransport;
-    fn comm(&self) -> Option<&Communicator<InProcTransport>> {
-        None
-    }
-    fn comm_mut(&mut self) -> Option<&mut Communicator<InProcTransport>> {
-        None
-    }
-}
-
-/// One rank of a data-parallel group reducing over `T`.
-pub struct Ring<T: Transport>(pub(crate) Communicator<T>);
-
-impl<T: Transport> Reducer for Ring<T> {
-    type Transport = T;
-    fn comm(&self) -> Option<&Communicator<T>> {
-        Some(&self.0)
-    }
-    fn comm_mut(&mut self) -> Option<&mut Communicator<T>> {
-        Some(&mut self.0)
-    }
-}
 
 /// A mask schedule a single worker refused
 /// ([`crate::SamoTrainer::set_mask_schedule`]): it fires at `step`, the
@@ -208,11 +170,14 @@ pub(crate) const PIPELINE: Labels = Labels {
 /// one compressed layer state per parameter tensor, the loss scaler, the
 /// step counters, and (optionally) a dynamic-sparsity [`MaskSchedule`]
 /// with its per-layer remap scratch.
-pub struct StepEngine<R: Reducer> {
+pub struct StepEngine {
     pub layers: Vec<SamoLayerState>,
     pub opt: Optimizer,
     pub scaler: LossScaler,
-    pub(crate) reducer: R,
+    /// The group's communicator, over which the compressed gradients
+    /// become the group mean; `None` on a single worker, whose local
+    /// gradient is the mean.
+    pub(crate) group: Option<Communicator>,
     steps_taken: u64,
     steps_skipped: u64,
     schedule: Option<MaskSchedule>,
@@ -244,14 +209,14 @@ pub struct StepEngine<R: Reducer> {
     /// recorded and, until it runs, at most one before it.
     w_queue: Vec<Deferred>,
     labels: &'static Labels,
-    /// One rank per group reports: rank 0 of the reducer (the pipeline
+    /// One rank per group reports: rank 0 of the group (the pipeline
     /// narrows it to stage 0).
     pub(crate) reports: bool,
     /// This rank's phase clock; a runtime opens its window per step.
     pub(crate) ledger: Ledger,
 }
 
-impl<R: Reducer> StepEngine<R> {
+impl StepEngine {
     /// Builds the rank's state from the model's current parameters and
     /// one mask per parameter tensor (in `model.params()` order): the
     /// full state, or — in a group — this rank's shard of the group's.
@@ -262,10 +227,10 @@ impl<R: Reducer> StepEngine<R> {
         model: &mut impl Layer,
         masks: &[Mask],
         opt: Optimizer,
-        reducer: R,
+        group: Option<Communicator>,
         labels: &'static Labels,
-    ) -> StepEngine<R> {
-        let (rank, world) = reducer.comm().map_or((0, 1), |c| (c.rank(), c.world()));
+    ) -> StepEngine {
+        let (rank, world) = group.as_ref().map_or((0, 1), |c| (c.rank(), c.world()));
         let layers = build_layers(model, masks, &opt, rank, world);
         model.for_each_param_mut(&mut |p| p.release_value());
         StepEngine {
@@ -276,7 +241,7 @@ impl<R: Reducer> StepEngine<R> {
             w_queue: Vec::with_capacity(2),
             opt,
             scaler: LossScaler::default(),
-            reducer,
+            group,
             steps_taken: 0,
             steps_skipped: 0,
             schedule: None,
@@ -290,6 +255,16 @@ impl<R: Reducer> StepEngine<R> {
             reports: rank == 0,
             ledger: Ledger::default(),
         }
+    }
+
+    /// A group rank's communicator, for the runtime's own collectives.
+    pub(crate) fn comm(&self) -> &Communicator {
+        self.group.as_ref().expect("a rank's engine is built with its group")
+    }
+
+    /// Mutable counterpart of [`Self::comm`].
+    pub(crate) fn comm_mut(&mut self) -> &mut Communicator {
+        self.group.as_mut().expect("a rank's engine is built with its group")
     }
 
     /// Installs a dynamic-sparsity schedule: on every schedule update
@@ -481,7 +456,7 @@ impl<R: Reducer> StepEngine<R> {
             }
             None => self.streamed[pi] = true,
         }
-        if self.reducer.comm().is_some() {
+        if self.group.is_some() {
             self.open.push(pi);
         }
     }
@@ -502,7 +477,7 @@ impl<R: Reducer> StepEngine<R> {
     /// ids and bucket layouts line up across ranks because every rank
     /// visits parameters in the same order.
     fn start_bucket(&mut self, all: bool) -> Result<(), CommsError> {
-        let Some(comm) = self.reducer.comm_mut() else {
+        let Some(comm) = self.group.as_mut() else {
             return Ok(());
         };
         let bytes: usize = self.open.iter().map(|&pi| 2 * self.layers[pi].grad16.len()).sum();
@@ -522,7 +497,7 @@ impl<R: Reducer> StepEngine<R> {
 
     /// Makes progress on the in-flight reductions without blocking.
     fn pump(&mut self) -> Result<(), CommsError> {
-        let Some(comm) = self.reducer.comm_mut() else {
+        let Some(comm) = self.group.as_mut() else {
             return Ok(());
         };
         self.ledger.enter(Phase::Reduce);
@@ -706,7 +681,7 @@ impl<R: Reducer> StepEngine<R> {
 
     fn reduce_verdict(&mut self) -> Result<bool, CommsError> {
         let local = std::mem::replace(&mut self.local_finite, true);
-        let Some(comm) = self.reducer.comm_mut() else {
+        let Some(comm) = self.group.as_mut() else {
             return Ok(local);
         };
         let verdict = comm.all_true_start(local)?;
@@ -745,7 +720,7 @@ impl<R: Reducer> StepEngine<R> {
         if proceed {
             self.ledger.enter(Phase::Optimizer);
             let inv_scale = 1.0 / scale;
-            let stepped = if self.reducer.comm().is_some_and(|c| c.world() > 1) {
+            let stepped = if self.group.as_ref().is_some_and(|c| c.world() > 1) {
                 self.step_buckets(model, inv_scale)
             } else {
                 // Full states — a single worker, a group of one: nothing
@@ -797,7 +772,7 @@ impl<R: Reducer> StepEngine<R> {
                 histogram.record(secs);
             }
         }
-        let world = self.reducer.comm().map(Communicator::world);
+        let world = self.group.as_ref().map(Communicator::world);
         let meta = self.meta();
         record_step(self.labels, applied, scale_used, meta, &self.layers, &self.opt, world, phases.to_vec());
         applied
@@ -821,7 +796,7 @@ impl<R: Reducer> StepEngine<R> {
     /// bucket's gathered buffers alive at a time.
     fn step_buckets(&mut self, model: &mut impl Layer, inv_scale: f32) -> Result<(), CommsError> {
         let (layers, opt, buckets) = (&mut self.layers, &self.opt, &self.buckets);
-        let comm = group(self.reducer.comm_mut())?;
+        let comm = group(self.group.as_mut())?;
         let mut params = model.params_mut();
         let bucketed: usize = buckets.iter().map(|(_, b)| b.len()).sum();
         if bucketed != layers.len() || params.len() != layers.len() {
@@ -888,7 +863,7 @@ impl<R: Reducer> StepEngine<R> {
         };
         self.ledger.enter(Phase::Remap);
         let (layers, scratch) = (&mut self.layers, &mut self.remap_scratch);
-        let (score16, reducer) = (&mut self.remap_score16, &mut self.reducer);
+        let (score16, group) = (&mut self.remap_score16, &mut self.group);
         let (mut i, mut moved, mut res) = (0, false, Ok(()));
         model.for_each_param_mut(&mut |p| {
             let (layer, sc) = (&mut layers[i], &mut scratch[i]);
@@ -898,7 +873,7 @@ impl<R: Reducer> StepEngine<R> {
             }
             let dense16 = &mut score16[..layer.numel()];
             ops::narrow_into(p.grad.as_slice(), dense16);
-            if let Some(comm) = reducer.comm_mut() {
+            if let Some(comm) = group.as_mut() {
                 res = comm.allreduce_mean_f16(dense16);
                 if res.is_err() {
                     return;
@@ -908,7 +883,7 @@ impl<R: Reducer> StepEngine<R> {
             // f32 view the model holds.
             let new_mask = sched.next_mask(t, &layer.theta16, dense16, layer.mask());
             if &new_mask != layer.mask() {
-                res = remap_layer(layer, new_mask, sc, reducer.comm_mut());
+                res = remap_layer(layer, new_mask, sc, group.as_mut());
                 layer.write_dense_f32_params_into(p.value.as_mut_slice());
                 moved = true;
             }
@@ -918,7 +893,7 @@ impl<R: Reducer> StepEngine<R> {
         assert_eq!(i, self.layers.len());
         if moved {
             self.remap_events += 1;
-            if let Some(comm) = self.reducer.comm_mut() {
+            if let Some(comm) = self.group.as_mut() {
                 comm.bump_epoch();
             }
             if self.reports && telemetry::enabled() {
@@ -936,15 +911,15 @@ impl<R: Reducer> StepEngine<R> {
 /// `take_product` compresses a weight gradient from the operands of its
 /// product, the layer state choosing how much of it to compute (the
 /// module docs say why).
-struct Overlap<'a, R: Reducer> {
-    engine: &'a mut StepEngine<R>,
+struct Overlap<'a> {
+    engine: &'a mut StepEngine,
     /// The parameter whose product was taken, until its `ready`.
     took: Option<usize>,
     /// The first comms failure: backward finishes, but stops talking.
     res: Result<(), CommsError>,
 }
 
-impl<R: Reducer> GradSink for Overlap<'_, R> {
+impl GradSink for Overlap<'_> {
     fn ready(&mut self, off: usize, params: &[&Parameter]) {
         if self.res.is_ok() {
             self.res = self.engine.compress_ready(off, params, self.took.take());
@@ -1008,11 +983,11 @@ fn group<C>(comm: Option<C>) -> Result<C, CommsError> {
 /// remapped in place. A shard's bounds depend on `nnz`, so surviving
 /// values migrate between ranks: the full state is gathered
 /// ([`gather_full`]), remapped, and cut again under the new bounds.
-fn remap_layer<T: Transport>(
+fn remap_layer(
     layer: &mut SamoLayerState,
     new_mask: Mask,
     scratch: &mut RemapScratch,
-    comm: Option<&mut Communicator<T>>,
+    comm: Option<&mut Communicator>,
 ) -> Result<(), CommsError> {
     if !layer.is_sharded() {
         layer.remap_compressed_state(new_mask, scratch);
@@ -1028,9 +1003,9 @@ fn remap_layer<T: Transport>(
 /// A shard's full fp32 state, reassembled from every rank's
 /// `[θ32 | os]` segment over [`Communicator::all_gather_f32`]; `∇θ16` is
 /// this rank's. The one gather behind a remap and a group's `save`.
-pub(crate) fn gather_full<T: Transport>(
+pub(crate) fn gather_full(
     layer: &SamoLayerState,
-    comm: &mut Communicator<T>,
+    comm: &mut Communicator,
 ) -> Result<SamoLayerState, CommsError> {
     let mine = layer.shard_arrays();
     let arrays = mine.len();
@@ -1310,7 +1285,7 @@ mod tests {
     /// A one-stage pipeline step: a B per microbatch, and its W either at
     /// once or — `lag` — only once the next B has queued behind it, the
     /// most a stage ever holds. Returns the most W bytes held.
-    fn deferred_step(e: &mut StepEngine<NoReduce>, model: &mut Sequential, step: u64, lag: bool) -> usize {
+    fn deferred_step(e: &mut StepEngine, model: &mut Sequential, step: u64, lag: bool) -> usize {
         e.lend_theta16(model, true);
         let mut held = 0;
         for k in 0..M {
@@ -1335,7 +1310,7 @@ mod tests {
         let mut oracle_model = model();
         let mut oracle = SamoTrainer::new(&mut oracle_model, masks(), opt());
         let mut m = model();
-        let mut e = StepEngine::build(&mut m, &masks(), opt(), NoReduce, &SAMO);
+        let mut e = StepEngine::build(&mut m, &masks(), opt(), None, &SAMO);
         for step in 0..6u64 {
             oracle_step(&mut oracle, &mut oracle_model, step);
             let lag = step % 2 == 1;
@@ -1354,7 +1329,7 @@ mod tests {
         let mut oracle_model = model();
         let mut oracle = SamoTrainer::new(&mut oracle_model, masks(), opt());
         let mut m = model();
-        let mut e = StepEngine::build(&mut m, &masks(), opt(), NoReduce, &SAMO);
+        let mut e = StepEngine::build(&mut m, &masks(), opt(), None, &SAMO);
         oracle_step(&mut oracle, &mut oracle_model, 0);
         deferred_step(&mut e, &mut m, 0, false);
         let checkpoint = e.save();

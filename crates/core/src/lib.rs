@@ -19,15 +19,15 @@
 //!   ZeRO-style shard of it), its fused step kernels and the
 //!   dynamic-sparsity remap; [`sharded`] is its old second name,
 //! * [`engine`] — [`engine::StepEngine`], the one per-rank training step
-//!   (compress → reduce → verdict → optimizer → expand), generic over
-//!   how gradients are reduced.
+//!   (compress → reduce → verdict → optimizer → expand), over the
+//!   group's `comms::Communicator` or, on a single worker, none.
 //!
 //! The runtimes that drive it (DESIGN.md §20):
 //!
 //! * [`trainer`] — [`SamoTrainer`], the engine on a single worker; the
 //!   closed forms of state bytes and all-reduce volume,
 //! * [`threaded`] — [`DataParallelRank`], the one data-parallel rank: a
-//!   sharded engine over any `comms::Transport` with the ring overlapped
+//!   sharded engine over any `comms::Endpoint` with the ring overlapped
 //!   with backward, one per process in `samo-launch`, one per rank thread
 //!   in [`ThreadedDataParallelSamo`] — and the thread protocol both
 //!   threaded runtimes share,

@@ -104,10 +104,10 @@
 //! checkpoint on every rank, bumps both mesh epochs (discarding stale
 //! in-flight traffic) and barriers the group back together.
 
-use crate::engine::{assert_replicas_agree, Ring, StepEngine, PIPELINE};
+use crate::engine::{assert_replicas_agree, StepEngine, PIPELINE};
 use crate::state::SamoLayerState;
 use crate::threaded::{RankGroup, RankWorker};
-use comms::{CommsError, Communicator, FaultController, InProcTransport, Transport};
+use comms::{CommsError, Communicator, Endpoint, FaultController, Transport as _};
 use nn::layer::{CacheSlot, Layer, Sequential};
 use nn::mixed::{LossScaler, Optimizer};
 use prune::Mask;
@@ -366,9 +366,9 @@ struct StageRank {
     block: Sequential,
     /// The stage's state and step, reducing over the data mesh of this
     /// stage (rank = data_idx).
-    engine: StepEngine<Ring<InProcTransport>>,
+    engine: StepEngine,
     /// Pipeline mesh of this data replica; rank = stage.
-    pipe: Communicator<InProcTransport>,
+    pipe: Communicator,
     stats: StageStats,
     /// Boundary input per in-flight microbatch: what a recompute starts
     /// from, so kept only while the stage is not `stashing`.
@@ -386,11 +386,10 @@ struct StageRank {
 
 impl RankWorker for StageRank {
     type Model = Sequential;
-    type Transport = InProcTransport;
     type Job = StepJob;
     type Stats = StageStats;
 
-    fn parts(&mut self) -> (&mut Sequential, &mut StepEngine<Ring<InProcTransport>>) {
+    fn parts(&mut self) -> (&mut Sequential, &mut StepEngine) {
         (&mut self.block, &mut self.engine)
     }
 
@@ -446,7 +445,7 @@ impl RankWorker for StageRank {
                     // timeout, and a timed-out wait slice. Nothing needs
                     // pumping meanwhile: the first ring starts inside the
                     // last W, which ends the loop.
-                    debug_assert_eq!(self.engine.reducer.0.rings_in_flight(), 0);
+                    debug_assert_eq!(self.engine.comm().rings_in_flight(), 0);
                     let links = [s + 1, s.wrapping_sub(1)];
                     let links = &links[usize::from(!downstream)..1 + usize::from(upstream)];
                     let ledger = &mut self.engine.ledger;
@@ -514,7 +513,7 @@ impl RankWorker for StageRank {
         // re-synchronize: every rank restores together, so epochs
         // advance in lockstep; the barriers run pipe-then-data on every
         // rank, and the meshes are disjoint, so no ordering deadlock.
-        let data = &mut self.engine.reducer.0;
+        let data = self.engine.comm_mut();
         self.pipe.bump_epoch();
         data.bump_epoch();
         self.pipe
@@ -525,7 +524,7 @@ impl RankWorker for StageRank {
     }
 
     fn stats(&self) -> StageStats {
-        let (pipe, data) = (self.pipe.transport(), self.engine.reducer.0.transport());
+        let (pipe, data) = (self.pipe.transport(), self.engine.comm().transport());
         StageStats {
             pipe_wire_bytes: pipe.bytes_sent(),
             data_wire_bytes: data.bytes_sent(),
@@ -692,11 +691,11 @@ pub struct ThreadedPipelineSamo {
 
 /// One in-process mesh of `world` endpoints per fault controller, each
 /// endpoint to be taken by the rank that owns it.
-fn meshes(faults: &[Arc<FaultController>], world: usize) -> Vec<Vec<Option<InProcTransport>>> {
+fn meshes(faults: &[Arc<FaultController>], world: usize) -> Vec<Vec<Option<Endpoint>>> {
     faults
         .iter()
         .map(|f| {
-            InProcTransport::mesh_with_faults(world, Arc::clone(f))
+            Endpoint::mesh_with_faults(world, Arc::clone(f))
                 .into_iter()
                 .map(Some)
                 .collect()
@@ -781,7 +780,7 @@ impl ThreadedPipelineSamo {
                     &mut block,
                     &masks[param_off..param_off + n_params],
                     opt.clone(),
-                    Ring(comm(data_t)),
+                    Some(comm(data_t)),
                     &PIPELINE,
                 );
                 // Rank (0,0) reports for the group.

@@ -68,11 +68,11 @@
 //! survivors rendezvous again and rebuild their ranks on the new
 //! communicator, and [`DataParallelRank::restore`] rejoins them.
 
-use crate::engine::{assert_replicas_agree, gather_full, trainer_meta, Ring, StepEngine, DP_THREADED};
+use crate::engine::{assert_replicas_agree, gather_full, trainer_meta, StepEngine, DP_THREADED};
 use crate::serialize::{save_checkpoint, save_ranges, TrainerMeta};
 use crate::state::{OwnedRange, SamoLayerState};
 use crate::trainer::samo_ring_allreduce_bytes;
-use comms::{CommsError, Communicator, FaultController, InProcTransport, Transport};
+use comms::{CommsError, Communicator, Endpoint, FaultController, Transport as _};
 use nn::layer::Layer;
 use nn::mixed::{LossScaler, Optimizer};
 use prune::{Mask, MaskSchedule};
@@ -129,12 +129,11 @@ pub(crate) struct StepOutcome {
 /// What [`RankGroup`] needs of the state a rank thread owns.
 pub(crate) trait RankWorker: Send + 'static {
     type Model: Layer;
-    type Transport: Transport;
     /// What one step is told to do.
     type Job: Clone + Send + 'static;
     type Stats: Send + 'static;
     /// The compute model and the engine training it.
-    fn parts(&mut self) -> (&mut Self::Model, &mut StepEngine<Ring<Self::Transport>>);
+    fn parts(&mut self) -> (&mut Self::Model, &mut StepEngine);
     /// Runs one training step; `Ok(false)` if skipped on overflow.
     fn step(&mut self, job: &Self::Job) -> Result<bool, CommsError>;
     /// Reloads the rank's part of a full checkpoint, then rejoins the
@@ -523,36 +522,35 @@ impl<M, J, S> Drop for RankGroup<M, J, S> {
 }
 
 /// One rank of a data-parallel group: its replica and the sharded
-/// [`StepEngine`] training it over `T` — the one data-parallel rank.
+/// [`StepEngine`] training it — the one data-parallel rank.
 /// [`ThreadedDataParallelSamo`] runs one per rank thread; `samo-launch`
-/// runs one per process, over the [`comms::TcpTransport`] of
-/// [`comms::bootstrap_tcp`]. [`Self::step`], [`Self::save`] and
-/// [`Self::restore`] are collective: every rank of the group calls them
-/// together.
-pub struct DataParallelRank<M: Layer, T: Transport> {
+/// runs one per process, over the endpoint of [`comms::bootstrap_tcp`].
+/// [`Self::step`], [`Self::save`] and [`Self::restore`] are collective:
+/// every rank of the group calls them together.
+pub struct DataParallelRank<M: Layer> {
     model: M,
-    engine: StepEngine<Ring<T>>,
+    engine: StepEngine,
 }
 
-impl<M: Layer, T: Transport> DataParallelRank<M, T> {
+impl<M: Layer> DataParallelRank<M> {
     /// Builds shard `comm.rank()` of the group's state from this rank's
     /// replica — every rank's is the same — and one mask per parameter
     /// tensor. From here on `θ16` is the weight: the replica's `Linear`s
     /// hold no f32 `value` and compute from what the engine lends for
     /// each step.
-    pub fn new(mut model: M, masks: &[Mask], opt: Optimizer, comm: Communicator<T>) -> Self {
-        let engine = StepEngine::build(&mut model, masks, opt, Ring(comm), &DP_THREADED);
+    pub fn new(mut model: M, masks: &[Mask], opt: Optimizer, comm: Communicator) -> Self {
+        let engine = StepEngine::build(&mut model, masks, opt, Some(comm), &DP_THREADED);
         DataParallelRank { model, engine }
     }
 
     /// The engine: step counters, loss scale, state bytes, remap events.
-    pub fn engine(&self) -> &StepEngine<Ring<T>> {
+    pub fn engine(&self) -> &StepEngine {
         &self.engine
     }
 
     /// The communicator — for broadcasts and barriers around the steps.
-    pub fn comm_mut(&mut self) -> &mut Communicator<T> {
-        &mut self.engine.reducer.0
+    pub fn comm_mut(&mut self) -> &mut Communicator {
+        self.engine.comm_mut()
     }
 
     /// Installs a dynamic-sparsity schedule; every rank installs the same
@@ -578,7 +576,7 @@ impl<M: Layer, T: Transport> DataParallelRank<M, T> {
         // which is home again before the collectives — or the error.
         engine.lend_theta16(&mut self.model, true);
         engine.ledger.enter(Phase::F);
-        let dy = f(engine.reducer.0.rank(), &mut self.model, scale);
+        let dy = f(engine.comm().rank(), &mut self.model, scale);
         engine.ledger.exit(Phase::F);
         let finite = if engine.is_update_step() {
             // Dynamic-sparsity update step: the masks, and with them the
@@ -608,7 +606,7 @@ impl<M: Layer, T: Transport> DataParallelRank<M, T> {
     /// rank restores together, so the epochs advance in lockstep.
     pub fn restore(&mut self, checkpoint: &[u8]) -> Result<(), String> {
         self.engine.restore(checkpoint, &mut self.model)?;
-        let comm = &mut self.engine.reducer.0;
+        let comm = self.engine.comm_mut();
         comm.bump_epoch();
         comm.barrier()
             .map_err(|e| format!("post-restore barrier failed: {e}"))
@@ -622,7 +620,7 @@ impl<M: Layer, T: Transport> DataParallelRank<M, T> {
     /// a rank whose step failed has nothing consistent to save and is
     /// refused (`Poisoned`): restore first.
     pub fn save(&mut self) -> Result<bytes::Bytes, CommsError> {
-        let comm = &mut self.engine.reducer.0;
+        let comm = self.engine.group.as_mut().expect("a rank's engine is built with its group");
         let mut full = Vec::with_capacity(self.engine.layers.len());
         for st in &self.engine.layers {
             let mut layer = gather_full(st, comm)?;
@@ -634,13 +632,12 @@ impl<M: Layer, T: Transport> DataParallelRank<M, T> {
     }
 }
 
-impl<M: Layer + Send + 'static, T: Transport + 'static> RankWorker for DataParallelRank<M, T> {
+impl<M: Layer + Send + 'static> RankWorker for DataParallelRank<M> {
     type Model = M;
-    type Transport = T;
     type Job = StepFn<M>;
     type Stats = CommStats;
 
-    fn parts(&mut self) -> (&mut M, &mut StepEngine<Ring<T>>) {
+    fn parts(&mut self) -> (&mut M, &mut StepEngine) {
         (&mut self.model, &mut self.engine)
     }
 
@@ -653,7 +650,7 @@ impl<M: Layer + Send + 'static, T: Transport + 'static> RankWorker for DataParal
     }
 
     fn stats(&self) -> CommStats {
-        let comm = &self.engine.reducer.0;
+        let comm = self.engine.comm();
         CommStats {
             wire_bytes: comm.transport().bytes_sent(),
             model_allreduce_bytes: comm.model_allreduce_bytes(),
@@ -687,23 +684,22 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
         timeout: Duration,
     ) -> ThreadedDataParallelSamo<M> {
         let faults = Arc::new(FaultController::new());
-        let mesh = InProcTransport::mesh_with_faults(replicas.len(), Arc::clone(&faults));
+        let mesh = Endpoint::mesh_with_faults(replicas.len(), Arc::clone(&faults));
         Self::with_transports(replicas, masks, opt, timeout, mesh, faults)
     }
 
-    /// Builds the group over caller-supplied transport endpoints — the
-    /// same rank threads and collectives, but the wires can be anything
-    /// implementing [`Transport`] (e.g. loopback
-    /// [`comms::TcpTransport::local_mesh`] endpoints, proving the
-    /// runtime is transport-agnostic bit for bit). `transports[r]` must
+    /// Builds the group over caller-supplied endpoints — the same rank
+    /// threads and collectives over whatever wire they were built on
+    /// (e.g. loopback [`Endpoint::local_mesh`] sockets, proving the
+    /// runtime is wire-agnostic bit for bit). `transports[r]` must
     /// report rank `r`; `faults` should be the controller those
-    /// transports were built with so [`Self::faults`] still steers them.
-    pub fn with_transports<T: Transport + 'static>(
+    /// endpoints were built with so [`Self::faults`] still steers them.
+    pub fn with_transports(
         replicas: Vec<M>,
         masks: Vec<Mask>,
         opt: Optimizer,
         timeout: Duration,
-        transports: Vec<T>,
+        transports: Vec<Endpoint>,
         faults: Arc<FaultController>,
     ) -> ThreadedDataParallelSamo<M> {
         assert_eq!(

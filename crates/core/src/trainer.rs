@@ -1,20 +1,20 @@
-//! Single-worker training: [`SamoTrainer`] — the step engine with nothing
-//! to reduce — plus the closed forms of the model-state memory and of
+//! Single-worker training: [`SamoTrainer`] — the step engine with no
+//! group to reduce over — plus the closed forms of the model-state memory and of
 //! the compressed data-parallel gradient all-reduce (paper Sec. IV-A).
 //! The dense masked baseline it must be numerically equivalent to is
 //! [`crate::reference::DenseMaskedTrainer`].
 
-use crate::engine::{NoReduce, ScheduleRefused, StepEngine, SAMO};
+use crate::engine::{ScheduleRefused, StepEngine, SAMO};
 use nn::layer::Layer;
 use nn::mixed::Optimizer;
 use prune::{Mask, MaskSchedule};
 
 /// SAMO training state for a whole model on one worker: the
-/// [`StepEngine`] with no reducer. Everything but `new` and `step` is
-/// the engine's.
-pub type SamoTrainer = StepEngine<NoReduce>;
+/// [`StepEngine`] with no group. `new`, `set_mask_schedule` and `step`
+/// are the single worker's; the rest is every engine's.
+pub type SamoTrainer = StepEngine;
 
-impl StepEngine<NoReduce> {
+impl StepEngine {
     /// Builds the trainer from a model's current parameters and one mask
     /// per parameter tensor (in `model.params()` order). The model's
     /// parameters are immediately pruned in place, and a parameter whose
@@ -22,7 +22,7 @@ impl StepEngine<NoReduce> {
     /// computes from the lent `θ16` and its index from here on (read it
     /// with [`nn::Parameter::f32_view`]).
     pub fn new(model: &mut impl Layer, masks: Vec<Mask>, opt: Optimizer) -> SamoTrainer {
-        let mut tr = StepEngine::build(model, &masks, opt, NoReduce, &SAMO);
+        let mut tr = StepEngine::build(model, &masks, opt, None, &SAMO);
         tr.lend_theta16(model, true);
         tr
     }

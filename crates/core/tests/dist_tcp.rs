@@ -33,7 +33,7 @@ const IN: usize = 6;
 const OUT: usize = 4;
 const BATCH: usize = 5;
 
-type TcpRank = DataParallelRank<Sequential, TcpTransport>;
+type TcpRank = DataParallelRank<Sequential>;
 
 fn build_model(seed: u64) -> Sequential {
     Sequential::new()
