@@ -8,7 +8,7 @@
 //! Spawns `N` worker processes (re-invocations of this binary in
 //! `worker` mode) that rendezvous over loopback TCP, train a replicated
 //! data-parallel SAMO model — one [`samo::DataParallelRank`] per process,
-//! the sharded, overlapped rank `ThreadedDataParallelSamo` runs one per
+//! the one-stage pipeline rank `ThreadedDataParallelSamo` runs one per
 //! thread — and checkpoint every `K` steps with a collective save that
 //! gathers the shards. The parent runs the same
 //! trajectory on an in-process [`samo::SamoTrainer`] and **fails unless

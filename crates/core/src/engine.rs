@@ -15,53 +15,45 @@
 //!   (`lend_grad_sums`): the caller's backward adds `dyᵀ·x` at the kept
 //!   positions alone into `nnz` f32s (`tensor::gemm::matmul_tn_kept_acc`),
 //!   the step narrows them into `∇θ16` (`SamoLayerState::compress_sums`,
-//!   the tail the pipeline's W ends with), and the dense `grad` stays
+//!   the tail the last W ends with), and the dense `grad` stays
 //!   released. Not for the first step, whose schedule may still be
 //!   installed, and not for a step the schedule updates on: its grow
 //!   score is the dense gradient;
-//! * [`crate::threaded::DataParallelRank`] — one per rank thread of
-//!   [`crate::ThreadedDataParallelSamo`], one per process of
-//!   `samo-launch` — runs backward through
-//!   `backward_overlapped`, so each gradient bucket's ring starts while
-//!   the rest of backward still runs — and a weight matrix whose layer offers
-//!   the operands of its gradient's product is compressed *inside*
-//!   backward ([`SamoLayerState::compress_grad_product`]): the paper
-//!   compresses "at the granularity of a layer ... so that we never have
-//!   to store the uncompressed gradients for the entire model"
-//!   (Sec. III-C); here the gradient is computed at the shared index
-//!   straight into `∇θ16` (`tensor::gemm` picks the product), the dense
-//!   `grad` is released, and `apply` has nothing to clear. A dynamic-sparsity
-//!   update step is the exception: its plain backward materialises the
-//!   dense gradients (they are the grow score), and `apply` releases
-//!   them again;
-//! * [`crate::ThreadedPipelineSamo`] splits every microbatch's backward
-//!   in two (the B/W split of Qi et al., *Zero Bubble Pipeline
-//!   Parallelism*). B (`backward_deferred`) computes `dx` and the dense
-//!   gradients of biases and norms; each weight's `dW = dyᵀ·x` is only
-//!   recorded — the layer hands its operands over, and the queued W owns
-//!   them until it runs (`Defer`): no copy. W (`run_w`), which the
-//!   scheduler runs where the stage would otherwise sleep, sums the
-//!   products at the kept positions into an `nnz`-long f32 accumulator
-//!   per weight (`tensor::gemm::matmul_tn_kept_acc`), oldest microbatch
-//!   first, and frees each operand once its product has run; the
-//!   last microbatch's W finishes the sums into `∇θ16` and buckets every
-//!   gradient, the rings overlapping the rest of it. So on a pipeline
-//!   stage too a weight's dense gradient never exists. The stage agrees on
-//!   the overflow verdict across stages between `finish_reduce` and
-//!   `apply`.
+//! * [`crate::pipeline::StageRank`], the one rank of the `G_inter ×
+//!   G_data` grid — one per thread of [`crate::ThreadedPipelineSamo`]
+//!   and, at one stage and one microbatch, [`crate::DataParallelRank`]:
+//!   one per thread of [`crate::ThreadedDataParallelSamo`], one per
+//!   process of `samo-launch` — splits every microbatch's backward in two
+//!   (the B/W split of Qi et al., *Zero Bubble Pipeline Parallelism*). B
+//!   (`backward_deferred`) computes `dx` and the dense gradients of
+//!   biases and norms; each weight's `dW = dyᵀ·x` is only recorded — the
+//!   layer hands its operands over, and the queued W owns them until it
+//!   runs (`Defer`): no copy. W (`run_w`), which the scheduler runs where
+//!   the stage would otherwise sleep, sums the products at the kept
+//!   positions into an `nnz`-long f32 accumulator per weight
+//!   (`tensor::gemm::matmul_tn_kept_acc`), oldest microbatch first, and
+//!   frees each operand once its product has run; the last microbatch's
+//!   W finishes the sums into `∇θ16` — at one microbatch, the product
+//!   straight into `∇θ16` ([`SamoLayerState::compress_grad_product`]):
+//!   the paper compresses "at the granularity of a layer ... so that we
+//!   never have to store the uncompressed gradients for the entire model"
+//!   (Sec. III-C) — and buckets every gradient, the rings overlapping the
+//!   rest of it. So a weight's dense gradient never exists, but on a
+//!   dynamic-sparsity update step: its Bs take no product, the dense
+//!   gradients are the grow score, and the epilogue runs
+//!   `reduce_after_backward` instead of `finish_reduce`; `apply` releases
+//!   them again. A pipeline stage agrees on the overflow verdict across
+//!   stages between the reduction and `apply`.
 //!
 //! `θ16` *is* the weight: a parameter whose layer computes from half
 //! precision (`Parameter::accepts_theta16` — `Linear`) holds no f32
 //! `value` while it trains (`Parameter::release_value`), and for a
 //! compute window the state's `theta16` buffer is moved into the
 //! parameter and back (`StepEngine::lend_theta16`: a `Vec` swap, one
-//! buffer, one owner at a time). The window of the runtimes that own
-//! their model is a step's — the data-parallel rank's step closure and
-//! backward; every microbatch of a pipeline schedule. They bring `θ16`
-//! home when it closes, before `finish_reduce` / `apply`: the rank
-//! whether or not its backward failed; a pipeline schedule that fails
-//! returns early, and the thread group's rank loop brings it home before
-//! it reports the error. So everything outside
+//! buffer, one owner at a time). The window of the rank, which owns its
+//! model, is its step's schedule — every F, B and W — and it brings `θ16`
+//! home when the schedule ends, before the reduction and `apply`,
+//! whether or not the schedule failed. So everything outside
 //! their step (`save`, `restore`, remap, the inspection hook) finds
 //! `theta16` where it always was; the inspection hook additionally widens
 //! the values for its closure (`Parameter::widen_value`).
@@ -102,7 +94,7 @@
 //! `telemetry::ledger::Ledger`: the runtime opens the window, the
 //! runtime and the engine charge `f`, `b`, `w`, `send`, `wait`, `remap`,
 //! `compress`, `reduce`, `optimizer` and `gather` where each runs — a
-//! ring pumped inside backward is `reduce`, the innermost phase — and
+//! ring pumped inside a W is `reduce`, the innermost phase — and
 //! `StepEngine::end_step` closes it. The phases sum to the window.
 //! One rank per group reports (rank 0; the pipeline narrows it to stage
 //! 0): with telemetry on it emits one `telemetry::StepEvent` per step —
@@ -357,7 +349,7 @@ impl StepEngine {
     /// The compute model is *not* included — θ16 is reconstructible from
     /// the checkpoint via [`Self::restore`]. The layers must be
     /// unsharded; a group's rank saves collectively
-    /// ([`crate::threaded::DataParallelRank::save`]).
+    /// ([`crate::pipeline::StageRank::save`]).
     pub fn save(&self) -> bytes::Bytes {
         save_checkpoint(&self.layers, &self.meta())
     }
@@ -444,7 +436,7 @@ impl StepEngine {
 
     /// Compresses parameter `pi`'s freshly produced dense (loss-scaled)
     /// gradient into `∇θ16` — unless its product was compressed already
-    /// (`None`, see [`Overlap`]), or its kept sums, home from a lend, are
+    /// (`None`, by the last W), or its kept sums, home from a lend, are
     /// the gradient — and, in a group, adds it to the open bucket.
     fn compress_param(&mut self, pi: usize, grad: Option<&[f32]>) {
         let (st, sums) = (&mut self.layers[pi], &mut self.dw_sums[pi]);
@@ -543,39 +535,21 @@ impl StepEngine {
         self.sums_lent = lend;
     }
 
-    /// Backward with overlapped reduction: as each parameter group
-    /// reports its gradient final (reverse execution order — identical
-    /// on every rank), compress it into the open bucket, start the
-    /// bucket's ring once it is full and the last one when backward ends;
-    /// pump the rings in flight between groups, so communication overlaps
-    /// the rest of the backward pass exactly as on a real cluster. A weight
-    /// matrix whose layer offers its gradient's product is compressed from
-    /// the operands, and its dense gradient never exists. Returns
-    /// `d(loss)/d(input)`.
-    pub(crate) fn backward_overlapped(&mut self, model: &mut impl Layer, dy: Tensor) -> Result<Tensor, CommsError> {
-        let mut sink = Overlap {
-            engine: self,
-            took: None,
-            res: Ok(()),
-        };
-        let dx = model.backward_into(dy, &mut sink);
-        sink.res?;
-        self.start_bucket(true)?;
-        Ok(dx)
-    }
-
-    /// A pipeline microbatch's B: backward computes `d(loss)/d(input)`,
-    /// which it returns, and accumulates every dense gradient into `grad`,
-    /// while a weight matrix whose layer offers its gradient's product
-    /// hands its operands to a W ([`Defer`]), queued behind at most one
-    /// older W. `last` marks the step's final microbatch, whose W also
-    /// compresses and buckets every gradient ([`Self::run_w`]).
+    /// A microbatch's B: backward computes `d(loss)/d(input)`, which it
+    /// returns, and accumulates every dense gradient into `grad`, while a
+    /// weight matrix whose layer offers its gradient's product hands its
+    /// operands to a W ([`Defer`]), queued behind at most one older W.
+    /// `last` marks the step's final microbatch, whose W also compresses
+    /// and buckets every gradient ([`Self::run_w`]). On a mask-update step
+    /// every product is refused and no W is queued: the dense gradients
+    /// accumulate over the microbatches, and they are the grow score that
+    /// [`Self::reduce_after_backward`] ranks, compresses and reduces.
     pub(crate) fn backward_deferred(&mut self, model: &mut impl Layer, dy: Tensor, last: bool) -> Tensor {
         assert!(self.w_queue.len() < 2, "a B queues its W behind at most one older W");
-        let mut events = Vec::new();
-        let dx = model.backward_into(dy, &mut Defer { layers: &self.layers, events: &mut events });
+        let (mut events, dense) = (Vec::new(), self.is_update_step());
+        let dx = model.backward_into(dy, &mut Defer { layers: &self.layers, events: &mut events, dense });
         // A W with no product to run and nothing to compress is no W.
-        if last || events.iter().any(|e| matches!(e, WEvent::Product { .. })) {
+        if !dense && (last || events.iter().any(|e| matches!(e, WEvent::Product { .. }))) {
             self.w_queue.push(Deferred { events, last });
         }
         dx
@@ -599,8 +573,8 @@ impl StepEngine {
     /// Runs the oldest queued W, if any, and returns whether one ran: each
     /// weight's product added into its kept sums — or, on the step's last
     /// microbatch, finishing them into `∇θ16`, every gradient joining the
-    /// open bucket in the order backward reported it (the order of
-    /// [`Self::backward_overlapped`]), and the last bucket's ring started.
+    /// open bucket in the order backward reported it, and the last
+    /// bucket's ring started.
     pub(crate) fn run_w(&mut self, model: &impl Layer) -> Result<bool, CommsError> {
         if self.w_queue.is_empty() {
             return Ok(false);
@@ -905,38 +879,6 @@ impl StepEngine {
     }
 }
 
-/// The gradient sink of [`StepEngine::backward_overlapped`]: `ready`
-/// compresses what arrived dense into the open bucket and starts the
-/// bucket's ring once it is full;
-/// `take_product` compresses a weight gradient from the operands of its
-/// product, the layer state choosing how much of it to compute (the
-/// module docs say why).
-struct Overlap<'a> {
-    engine: &'a mut StepEngine,
-    /// The parameter whose product was taken, until its `ready`.
-    took: Option<usize>,
-    /// The first comms failure: backward finishes, but stops talking.
-    res: Result<(), CommsError>,
-}
-
-impl GradSink for Overlap<'_> {
-    fn ready(&mut self, off: usize, params: &[&Parameter]) {
-        if self.res.is_ok() {
-            self.res = self.engine.compress_ready(off, params, self.took.take());
-        }
-    }
-
-    fn take_product(&mut self, index: usize, dy: Tensor, x: Tensor) -> Result<(), (Tensor, Tensor)> {
-        let state = &mut self.engine.layers[index];
-        if state.mask().shape().len() != 2 {
-            return Err((dy, x));
-        }
-        self.took = Some(index);
-        self.engine.local_finite &= state.compress_grad_product(dy.rows(), dy.as_slice(), x.as_slice());
-        Ok(())
-    }
-}
-
 /// One microbatch's W, as its B left it: the operands of every taken
 /// product and the order backward reported the parameters in.
 struct Deferred {
@@ -958,6 +900,8 @@ enum WEvent {
 struct Defer<'a> {
     layers: &'a [SamoLayerState],
     events: &'a mut Vec<WEvent>,
+    /// A mask-update step's B: every product is refused.
+    dense: bool,
 }
 
 impl GradSink for Defer<'_> {
@@ -966,7 +910,7 @@ impl GradSink for Defer<'_> {
     }
 
     fn take_product(&mut self, index: usize, dy: Tensor, x: Tensor) -> Result<(), (Tensor, Tensor)> {
-        if self.layers[index].mask().shape().len() != 2 {
+        if self.dense || self.layers[index].mask().shape().len() != 2 {
             return Err((dy, x));
         }
         self.events.push(WEvent::Product { index, dy, x });

@@ -26,13 +26,14 @@
 //!
 //! * [`trainer`] — [`SamoTrainer`], the engine on a single worker; the
 //!   closed forms of state bytes and all-reduce volume,
-//! * [`threaded`] — [`DataParallelRank`], the one data-parallel rank: a
-//!   sharded engine over any `comms::Endpoint` with the ring overlapped
-//!   with backward, one per process in `samo-launch`, one per rank thread
-//!   in [`ThreadedDataParallelSamo`] — and the thread protocol both
-//!   threaded runtimes share,
-//! * [`pipeline`] — [`ThreadedPipelineSamo`], the hybrid
-//!   `G_inter × G_data` 1F1B pipeline.
+//! * [`pipeline`] — [`pipeline::StageRank`], the one rank of the hybrid
+//!   `G_inter × G_data` grid: a sharded engine over any `comms::Endpoint`
+//!   running the B > F > W schedule, one per rank thread of the 1F1B
+//!   pipeline [`ThreadedPipelineSamo`],
+//! * [`threaded`] — [`DataParallelRank`], that rank at one stage: one per
+//!   process in `samo-launch`, one per rank thread in
+//!   [`ThreadedDataParallelSamo`] — and the thread protocol both
+//!   threaded runtimes share.
 //!
 //! What a correct step is — run by no runtime, checked against by all:
 //!

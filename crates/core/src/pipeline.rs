@@ -6,8 +6,9 @@
 //! A [`Sequential`] model is partitioned into `G_inter` contiguous
 //! stage blocks ([`comms::segment_bounds`] over the layer list, the
 //! same split the simulator and the analytic model use). Each of the
-//! `G_inter × G_data` ranks owns one stage block of one data replica
-//! on its own thread, plus two communicator endpoints:
+//! `G_inter × G_data` ranks — a [`StageRank`], the one rank type, which
+//! at one stage is [`crate::DataParallelRank`] — owns one stage block of
+//! one data replica on its own thread, plus two communicator endpoints:
 //!
 //! * a **pipeline mesh** per data replica (`world = G_inter`) carrying
 //!   boundary activations forward and activation-gradients backward as
@@ -17,8 +18,8 @@
 //!   compressed-`∇θ16` chunked ring reduce-scatter, the overflow-flag
 //!   gather and the sharded parameter all-gather — the stage's
 //!   [`StepEngine`], exactly as in [`crate::ThreadedDataParallelSamo`],
-//!   whose thread protocol (`RankGroup`) this runtime shares. What this
-//!   file adds is the 1F1B scheduler.
+//!   whose thread protocol (`RankGroup`) this runtime shares. A rank
+//!   outside a pipeline has no pipeline mesh.
 //!
 //! # Scheduling
 //!
@@ -77,15 +78,20 @@
 //! microbatch's W but the last adds its product into the engine's
 //! `nnz`-long sums, and the **last** one finishes them into `∇θ16`, each
 //! parameter bucket's ring starting on the data mesh as soon as its
-//! gradients are final — the all-reduce overlaps the rest of that W.
+//! gradients are final — the all-reduce overlaps the rest of that W. On
+//! a dynamic-sparsity update step ([`ThreadedPipelineSamo::set_mask_schedule`])
+//! the Bs take no product and queue no W: the dense gradients they leave
+//! are the grow score, and the epilogue remaps, compresses and reduces
+//! them on each stage's data mesh, whose masks are the stage's own.
 //!
 //! # Bitwise equivalence with the single-process trainer
 //!
 //! For any `(G_inter, G_data)` and any thread timing, checkpoint bytes
 //! equal a single-process [`crate::SamoTrainer`] driven with the same
-//! microbatches step for step (`tests/pipeline_threaded.rs` at the
-//! repository root, and `tests/pipeline_jitter.rs` under seeded link
-//! jitter, which moves where the Ws land):
+//! microbatches step for step, mask updates included
+//! (`tests/pipeline_threaded.rs` at the repository root, and
+//! `tests/pipeline_jitter.rs` under seeded link jitter, which moves where
+//! the Ws land):
 //! forward/backward compose the same deterministic kernels, backward
 //! order per parameter is microbatch order everywhere, recomputation
 //! reproduces identical activations (stage blocks must be
@@ -104,13 +110,14 @@
 //! checkpoint on every rank, bumps both mesh epochs (discarding stale
 //! in-flight traffic) and barriers the group back together.
 
-use crate::engine::{assert_replicas_agree, StepEngine, PIPELINE};
+use crate::engine::{assert_replicas_agree, gather_full, StepEngine, DP_THREADED, PIPELINE};
+use crate::serialize::save_checkpoint;
 use crate::state::SamoLayerState;
-use crate::threaded::{RankGroup, RankWorker};
+use crate::threaded::RankGroup;
 use comms::{CommsError, Communicator, Endpoint, FaultController, Transport as _};
 use nn::layer::{CacheSlot, Layer, Sequential};
 use nn::mixed::{LossScaler, Optimizer};
-use prune::Mask;
+use prune::{Mask, MaskSchedule};
 use std::sync::Arc;
 use std::time::Duration;
 use telemetry::clock::now_us;
@@ -118,14 +125,6 @@ use telemetry::json::Json;
 use telemetry::ledger::Phase;
 use telemetry::trace::{self, lane};
 use tensor::Tensor;
-
-/// Produces stage 0's boundary input for `(data_idx, microbatch)`.
-pub type InputFn = Arc<dyn Fn(usize, usize) -> Tensor + Send + Sync>;
-
-/// Given the last stage's output for `(data_idx, microbatch)` and the
-/// current loss scale, returns the **scaled** output gradient
-/// `d(scale·loss)/d(output)` seeding backward.
-pub type LossGradFn = Arc<dyn Fn(usize, usize, &Tensor, f32) -> Tensor + Send + Sync>;
 
 /// Pipeline decomposition and scheduling knobs.
 #[derive(Clone, Debug)]
@@ -340,16 +339,28 @@ fn p2p_id(mb: usize, dir: u64) -> u64 {
     ((mb as u64) << 1) | dir
 }
 
-/// What one pipelined step is told to do.
-#[derive(Clone)]
-pub(crate) struct StepJob {
-    pub input: InputFn,
-    pub loss_grad: LossGradFn,
-    pub step: u32,
+/// What one step is told to do, per `(data_idx, microbatch)`: stage 0's
+/// input, and the last stage's scaled loss seed from its output. At one
+/// stage the [`crate::threaded::StepFn`] closure is both: it runs
+/// the forward and returns the seed.
+pub(crate) enum Job<'a, M> {
+    Split(
+        &'a (dyn Fn(usize, usize) -> Tensor + Send + Sync),
+        &'a (dyn Fn(usize, usize, &Tensor, f32) -> Tensor + Send + Sync),
+    ),
+    Whole(&'a dyn Fn(usize, &mut M, f32) -> Tensor),
 }
 
-/// Everything one `(stage, data_idx)` rank thread owns.
-struct StageRank {
+/// The one rank of AxoNN's `G_inter × G_data` grid: stage `stage` of data
+/// replica `data_idx` — its block of the model and the [`StepEngine`]
+/// training it, sharded over the stage's data mesh. [`ThreadedPipelineSamo`]
+/// runs one per thread. At one stage and one microbatch it is
+/// [`crate::DataParallelRank`], which [`crate::ThreadedDataParallelSamo`]
+/// runs one per thread and `samo-launch` one per process, over the
+/// endpoint of [`comms::bootstrap_tcp`]. [`Self::step`], [`Self::save`]
+/// and [`Self::restore`] are collective: every rank of the group calls
+/// them together.
+pub struct StageRank<M> {
     stage: usize,
     data_idx: usize,
     cfg: PipelineConfig,
@@ -363,12 +374,13 @@ struct StageRank {
     /// the whole model's parameter count.
     param_off: usize,
     params_total: usize,
-    block: Sequential,
+    pub(crate) block: M,
     /// The stage's state and step, reducing over the data mesh of this
     /// stage (rank = data_idx).
-    engine: StepEngine,
-    /// Pipeline mesh of this data replica; rank = stage.
-    pipe: Communicator,
+    pub(crate) engine: StepEngine,
+    /// Pipeline mesh of this data replica; rank = stage. A one-stage rank
+    /// outside a pipeline has none.
+    pipe: Option<Communicator>,
     stats: StageStats,
     /// Boundary input per in-flight microbatch: what a recompute starts
     /// from, so kept only while the stage is not `stashing`.
@@ -384,37 +396,123 @@ struct StageRank {
     schedule: Schedule,
 }
 
-impl RankWorker for StageRank {
-    type Model = Sequential;
-    type Job = StepJob;
-    type Stats = StageStats;
-
-    fn parts(&mut self) -> (&mut Sequential, &mut StepEngine) {
-        (&mut self.block, &mut self.engine)
+impl<M: Layer> StageRank<M> {
+    /// A one-stage rank: builds shard `comm.rank()` of the group's state
+    /// from this rank's replica — every rank's is the same — and one mask
+    /// per parameter tensor. From here on `θ16` is the weight: the
+    /// replica's `Linear`s hold no f32 `value` and compute from what the
+    /// engine lends for each step.
+    pub fn new(mut model: M, masks: &[Mask], opt: Optimizer, comm: Communicator) -> Self {
+        let engine = StepEngine::build(&mut model, masks, opt, Some(comm), &DP_THREADED);
+        Self::with_engine(model, engine, PipelineConfig::new(1, 1, 0))
     }
 
-    fn step(&mut self, job: &StepJob) -> Result<bool, CommsError> {
-        // The call is the ledger's window, and — traced — the "step"
-        // slice recorded on completion, which covers the scheduler loop
-        // plus the collective epilogue.
+    /// Stage 0 of `cfg.g_inter`, with no pipeline mesh: the fields a
+    /// pipeline stage overrides.
+    fn with_engine(block: M, engine: StepEngine, cfg: PipelineConfig) -> Self {
+        StageRank {
+            stage: 0,
+            data_idx: engine.comm().rank(),
+            lane: 0,
+            param_off: 0,
+            params_total: engine.layers.len(),
+            block,
+            engine,
+            pipe: None,
+            stats: StageStats::default(),
+            input_stash: Vec::new(),
+            cache_mb: None,
+            slots: (0..cfg.max_in_flight).map(|_| CacheSlot::default()).collect(),
+            stashing: false,
+            schedule: Schedule::new(0, cfg.g_inter, cfg.microbatches, cfg.max_in_flight),
+            cfg,
+        }
+    }
+
+    /// The engine: step counters, loss scale, state bytes, remap events.
+    pub fn engine(&self) -> &StepEngine {
+        &self.engine
+    }
+
+    /// The data mesh's communicator — for broadcasts and barriers around
+    /// the steps.
+    pub fn comm_mut(&mut self) -> &mut Communicator {
+        self.engine.comm_mut()
+    }
+
+    /// Installs a dynamic-sparsity schedule; every rank installs the same
+    /// one before the same step.
+    pub fn set_mask_schedule(&mut self, schedule: MaskSchedule) {
+        self.engine.install_schedule(schedule);
+    }
+
+    /// One training step of a one-stage rank: `f(rank, model, loss_scale)`
+    /// runs forward and returns the scaled output gradient — the
+    /// schedule's F — then B and W, whose last bucket's ring the epilogue
+    /// finishes, and the fused step on the owned range starts each
+    /// bucket's parameter all-gather as its last pass ends. `Ok(false)` if
+    /// skipped on overflow; `Err` if a collective failed — the
+    /// communicator then refuses every collective (`Poisoned`) until
+    /// [`Self::restore`] or a rank rebuilt on a new one.
+    pub fn step(&mut self, f: impl FnOnce(usize, &mut M, f32) -> Tensor) -> Result<bool, CommsError> {
+        let f = std::cell::Cell::new(Some(f));
+        let once = |rank, model: &mut M, scale| f.take().expect("one microbatch, one F")(rank, model, scale);
+        self.run(&Job::Whole(&once), self.engine.step_index() as u32)
+    }
+
+    /// Runs step `step` of the group: the schedule, then the collective
+    /// epilogue. The call is the ledger's window, and — traced, on a
+    /// pipeline — the "step" slice recorded on completion.
+    pub(crate) fn run(&mut self, job: &Job<'_, M>, step: u32) -> Result<bool, CommsError> {
         self.engine.ledger.start();
         let win0 = telemetry::enabled().then(now_us);
-        let m = self.cfg.microbatches;
-        let s = self.stage;
-        let step = job.step;
         let scale_used = self.engine.loss_scale();
         self.input_stash.clear();
-        self.input_stash.resize_with(m, || None);
+        self.input_stash.resize_with(self.cfg.microbatches, || None);
         self.cache_mb = None;
         // One verdict a step, before any microbatch depends on it: a swap
         // with an empty slot moves nothing and tells whether the block can.
         self.stashing = !self.cfg.force_recompute && self.slots[0].exchange(&mut self.block);
         // The compute window: every microbatch's forward and backward runs
-        // from the lent θ16 — home again before the epilogue, or, if the
-        // schedule fails, before the rank loop reports it.
+        // from the lent θ16, which is home again before the epilogue — or
+        // the error.
         self.engine.lend_theta16(&mut self.block, true);
+        let scheduled = self.run_schedule(job, step, scale_used);
+        self.engine.lend_theta16(&mut self.block, false);
+        scheduled?;
 
-        // The schedule decides, the loop receives and executes.
+        // Collective epilogue: finish the overlapped rings — or, on a mask
+        // update, whose Bs left the dense gradients, remap, compress and
+        // reduce them — install the reduced gradients and agree on this
+        // stage's overflow flag across its data replicas, then across
+        // stages — one f16 flag per stage; every stage of this replica sees
+        // the same flags, and replicas agree because each stage's flag is
+        // already its data group's, so every rank's scaler stays in
+        // lockstep — then step the owned range and all-gather parameters.
+        let stage_finite = match self.engine.is_update_step() {
+            true => self.engine.reduce_after_backward(&mut self.block)?,
+            false => self.engine.finish_reduce()?,
+        };
+        let finite = match &mut self.pipe {
+            Some(pipe) => {
+                self.engine.ledger.enter(Phase::Reduce);
+                let finite = pipe.all_true(stage_finite);
+                self.engine.ledger.exit(Phase::Reduce);
+                finite?
+            }
+            None => stage_finite,
+        };
+        let applied = self.engine.apply(&mut self.block, finite)?;
+        if let Some(w0) = win0.filter(|_| self.pipe.is_some()) {
+            self.finish_step_telemetry(step, w0);
+        }
+        Ok(self.engine.end_step(&self.block, applied, scale_used))
+    }
+
+    /// The step's schedule: receives, and runs what [`Schedule::next`]
+    /// returns until the last W has run.
+    fn run_schedule(&mut self, job: &Job<'_, M>, step: u32, scale_used: f32) -> Result<(), CommsError> {
+        let s = self.stage;
         self.stats.last_sched_start_us = now_us();
         let sched0 = self.engine.ledger.mark();
         let mut sched = self.schedule;
@@ -430,7 +528,7 @@ impl RankWorker for StageRank {
                     Msg::Grad(mb) => (s + 1, p2p_id(mb, DIR_GRAD), &mut dy_in),
                 };
                 if held.is_none() {
-                    if let Some(v) = self.pipe.try_recv_p2p(peer, id, step)? {
+                    if let Some(v) = self.pipe_mut().try_recv_p2p(peer, id, step)? {
                         *held = Some(self.tensor_from_wire(v)?);
                         sched.arrived(msg);
                     }
@@ -451,7 +549,8 @@ impl RankWorker for StageRank {
                     let ledger = &mut self.engine.ledger;
                     let deadline = ledger.at(last_progress) + self.cfg.timeout;
                     ledger.enter(Phase::Wait);
-                    let woken = self.pipe.wait_any(links, deadline, || {
+                    let pipe = self.pipe.as_mut().expect("a stage that waits has neighbours");
+                    let woken = pipe.wait_any(links, deadline, || {
                         format!("sched wait (mb {}f/{}b)", sched.fwd, sched.bwd)
                     });
                     ledger.exit(Phase::Wait);
@@ -459,16 +558,25 @@ impl RankWorker for StageRank {
                     continue;
                 }
             };
-            match op {
-                Op::F(mb) => {
+            match (op, job) {
+                (Op::F(mb), Job::Split(input, loss_grad)) => {
                     // Stage 0 reads its input; every other stage has one in hand.
-                    let x = x_in.take().unwrap_or_else(|| (job.input)(self.data_idx, mb));
+                    let x = x_in.take().unwrap_or_else(|| input(self.data_idx, mb));
                     if let Some(y) = self.forward_mb(mb, x, step)? {
-                        dy_in = Some((job.loss_grad)(self.data_idx, mb, &y, scale_used));
+                        dy_in = Some(loss_grad(self.data_idx, mb, &y, scale_used));
                     }
                 }
-                Op::B(mb) => self.backward_mb(mb, dy_in.take().expect("dy in hand"), mb + 1 == m, step)?,
-                Op::W(mb) => self.weight_mb(mb)?,
+                (Op::F(mb), Job::Whole(f)) => {
+                    self.engine.ledger.enter(Phase::F);
+                    dy_in = Some(f(self.data_idx, &mut self.block, scale_used));
+                    self.end_op(Phase::F, mb, true);
+                    self.cache_mb = Some(mb);
+                }
+                (Op::B(mb), _) => {
+                    let last_mb = mb + 1 == self.cfg.microbatches;
+                    self.backward_mb(mb, dy_in.take().expect("dy in hand"), last_mb, step)?;
+                }
+                (Op::W(mb), _) => self.weight_mb(mb)?,
             }
             sched.done(op);
             last_progress = self.engine.ledger.mark();
@@ -480,61 +588,64 @@ impl RankWorker for StageRank {
         self.stats.bwd_s += split.secs(Phase::B) + split.secs(Phase::W);
         self.stats.w_s += split.secs(Phase::W);
         self.stats.wait_s += split.secs(Phase::Wait);
-        self.engine.lend_theta16(&mut self.block, false);
-
-        // Collective epilogue: finish the overlapped rings, install the
-        // reduced gradients and agree on this stage's overflow flag
-        // across its data replicas (`finish_reduce`), then across stages
-        // — one f16 flag per stage; every stage of this replica sees the
-        // same flags, and replicas agree because each stage's flag is
-        // already its data group's, so every rank's scaler stays in
-        // lockstep — then step the owned range and all-gather parameters.
-        let stage_finite = self.engine.finish_reduce()?;
-        self.engine.ledger.enter(Phase::Reduce);
-        let finite = self.pipe.all_true(stage_finite);
-        self.engine.ledger.exit(Phase::Reduce);
-        let applied = self.engine.apply(&mut self.block, finite?)?;
-        if let Some(w0) = win0 {
-            self.finish_step_telemetry(step, w0);
-        }
-        Ok(self.engine.end_step(&self.block, applied, scale_used))
+        Ok(())
     }
 
-    /// Reloads this rank's stage slice of a full checkpoint, then
-    /// rejoins both meshes on fresh epochs.
-    fn restore(&mut self, checkpoint: &[u8]) -> Result<(), String> {
-        self.engine.restore_slice(
-            checkpoint,
-            &mut self.block,
-            self.param_off,
-            self.params_total,
-        )?;
-        // Discard stale in-flight traffic on both meshes and
-        // re-synchronize: every rank restores together, so epochs
-        // advance in lockstep; the barriers run pipe-then-data on every
-        // rank, and the meshes are disjoint, so no ordering deadlock.
+    /// Reloads a checkpoint written by any runtime at any world size —
+    /// this rank's stage slice of it, cut to its shard — then rejoins the
+    /// group behind barriers on fresh comms epochs, which discard stale
+    /// in-flight traffic: every rank restores together, so epochs advance
+    /// in lockstep, and the barriers run pipe-then-data on every rank over
+    /// disjoint meshes, so no ordering deadlock.
+    pub fn restore(&mut self, checkpoint: &[u8]) -> Result<(), String> {
+        let (off, total) = (self.param_off, self.params_total);
+        self.engine.restore_slice(checkpoint, &mut self.block, off, total)?;
+        if let Some(pipe) = &mut self.pipe {
+            pipe.bump_epoch();
+            pipe.barrier()
+                .map_err(|e| format!("post-restore pipeline barrier failed: {e}"))?;
+        }
         let data = self.engine.comm_mut();
-        self.pipe.bump_epoch();
         data.bump_epoch();
-        self.pipe
-            .barrier()
-            .map_err(|e| format!("post-restore pipeline barrier failed: {e}"))?;
         data.barrier()
             .map_err(|e| format!("post-restore data barrier failed: {e}"))
     }
 
-    fn stats(&self) -> StageStats {
-        let (pipe, data) = (self.pipe.transport(), self.engine.comm().transport());
+    /// Serializes a one-stage group's state as one v2 checkpoint: on every
+    /// rank, the bytes a [`crate::SamoTrainer`] in the same state saves.
+    /// Per layer, the `[θ32 | moments]` segments are gathered as a remap
+    /// gathers them, and the owned `∇θ16` ranges with one f16 all-gather,
+    /// so each rank holds a full state for the call. `Err` on a dead peer;
+    /// a rank whose step failed has nothing consistent to save and is
+    /// refused (`Poisoned`): restore first.
+    pub fn save(&mut self) -> Result<bytes::Bytes, CommsError> {
+        let comm = self.engine.group.as_mut().expect("a rank's engine is built with its group");
+        let mut full = Vec::with_capacity(self.engine.layers.len());
+        for st in &self.engine.layers {
+            let mut layer = gather_full(st, comm)?;
+            let (lo, hi) = st.shard_range();
+            layer.grad16 = comm.all_gather_f16(&st.grad16[lo..hi], &st.shard_counts())?;
+            full.push(layer);
+        }
+        Ok(save_checkpoint(&full, &self.engine.meta()))
+    }
+
+    /// The scheduler's statistics and both meshes' wire counters.
+    pub(crate) fn stats(&self) -> StageStats {
+        let data = self.engine.comm().transport();
+        let pipe = self.pipe.as_ref().map(|p| p.transport());
         StageStats {
-            pipe_wire_bytes: pipe.bytes_sent(),
+            pipe_wire_bytes: pipe.map_or(0, |p| p.bytes_sent()),
             data_wire_bytes: data.bytes_sent(),
-            msgs_dropped: pipe.msgs_dropped() + data.msgs_dropped(),
+            msgs_dropped: pipe.map_or(0, |p| p.msgs_dropped()) + data.msgs_dropped(),
             ..self.stats
         }
     }
-}
 
-impl StageRank {
+    fn pipe_mut(&mut self) -> &mut Communicator {
+        self.pipe.as_mut().expect("a stage with neighbours has a pipeline mesh")
+    }
+
     fn tensor_from_wire(&self, v: Vec<f32>) -> Result<Tensor, CommsError> {
         let rows = self.cfg.mb_rows;
         if rows == 0 || !v.len().is_multiple_of(rows) {
@@ -573,7 +684,7 @@ impl StageRank {
     /// traced, and if it `ran` — records it as a slice on this rank's lane.
     fn end_op(&mut self, phase: Phase, mb: usize, ran: bool) {
         let lap_us = self.engine.ledger.exit(phase) as f64 * 1e-3;
-        if ran && telemetry::enabled() {
+        if ran && self.pipe.is_some() && telemetry::enabled() {
             let ts = (now_us() - lap_us).max(0.0);
             trace::slice(lane::PIPELINE, self.lane, "pipeline", ts, lap_us, || {
                 let kind = phase.name().to_uppercase();
@@ -616,7 +727,7 @@ impl StageRank {
     /// `send`.
     fn send(&mut self, to: usize, id: u64, step: u32, t: Tensor) -> Result<(), CommsError> {
         self.engine.ledger.enter(Phase::Send);
-        let sent = self.pipe.send_p2p(to, id, step, t.into_vec());
+        let sent = self.pipe_mut().send_p2p(to, id, step, t.into_vec());
         self.engine.ledger.exit(Phase::Send);
         sent
     }
@@ -636,13 +747,13 @@ impl StageRank {
             // come back once this backward has consumed its own.
             self.swap_slot(mb);
         } else if !self.stashing {
-            let x = self.input_stash[mb].take().expect("boundary input stashed");
+            let x = self.input_stash[mb].take();
             if self.cfg.force_recompute || self.cache_mb != Some(mb) {
                 // The activation caches belong to a different microbatch:
                 // re-run the stage forward from the stashed boundary input.
                 // Parameters are unchanged within a step, so the recompute
                 // reproduces the original activations bit for bit.
-                let _ = self.block.forward(&x);
+                let _ = self.block.forward(&x.expect("boundary input stashed"));
                 self.stats.recomputes += 1;
             }
         }
@@ -681,7 +792,7 @@ impl StageRank {
 pub struct ThreadedPipelineSamo {
     cfg: PipelineConfig,
     /// Rank `data_idx · g_inter + stage`.
-    pub(crate) group: RankGroup<Sequential, StepJob, StageStats>,
+    pub(crate) group: RankGroup<Sequential>,
     /// One fault controller per data replica's pipeline mesh.
     pipe_faults: Vec<Arc<FaultController>>,
     /// One fault controller per stage's data mesh.
@@ -787,20 +898,12 @@ impl ThreadedPipelineSamo {
                 engine.reports &= stage == 0;
                 let rk = StageRank {
                     stage,
-                    data_idx,
-                    cfg: cfg.clone(),
                     lane,
                     param_off,
                     params_total: masks.len(),
-                    block,
-                    engine,
-                    pipe: comm(pipe_t),
-                    stats: StageStats::default(),
-                    input_stash: Vec::new(),
-                    cache_mb: None,
-                    slots: (0..cfg.max_in_flight).map(|_| CacheSlot::default()).collect(),
-                    stashing: false,
+                    pipe: Some(comm(pipe_t)),
                     schedule: Schedule::new(stage, cfg.g_inter, cfg.microbatches, cfg.max_in_flight),
+                    ..StageRank::with_engine(block, engine, cfg.clone())
                 };
                 param_off += n_params;
                 workers.push((format!("samo-pp-s{stage}d{data_idx}"), rk));
@@ -867,6 +970,16 @@ impl ThreadedPipelineSamo {
         self.group.set_scaler(scaler);
     }
 
+    /// Installs a dynamic-sparsity [`MaskSchedule`] on every rank. Masks
+    /// are per layer, so an update step's remap stays inside each stage's
+    /// data group: its Bs leave the dense gradients (the grow score), and
+    /// the epilogue remaps, compresses and reduces them on a fresh epoch
+    /// of the stage's data mesh.
+    // TEST-API: `pipeline_threaded` and `pipeline_jitter` train a pipeline with dynamic sparsity.
+    pub fn set_mask_schedule(&mut self, schedule: MaskSchedule) {
+        self.group.set_mask_schedule(schedule);
+    }
+
     /// Runs one pipelined training step. `input(data_idx, mb)` feeds
     /// stage 0; `loss_grad(data_idx, mb, y, scale)` turns the last
     /// stage's output into the scaled backward seed. Returns `Ok(true)`
@@ -879,8 +992,8 @@ impl ThreadedPipelineSamo {
     ) -> Result<bool, String> {
         let step = self.step_seq;
         self.step_seq = self.step_seq.wrapping_add(1);
-        let job = StepJob { input: Arc::new(input), loss_grad: Arc::new(loss_grad), step };
-        self.group.step(job, step)
+        let job = move |rank: &mut StageRank<Sequential>| rank.run(&Job::Split(&input, &loss_grad), step);
+        self.group.step(Arc::new(job), step)
     }
 
     /// Serializes the group as one topology-independent v2 checkpoint:
@@ -901,7 +1014,7 @@ impl ThreadedPipelineSamo {
     /// Per-rank scheduler statistics in rank order
     /// (`data_idx · g_inter + stage`).
     pub fn stage_stats(&mut self) -> Vec<StageStats> {
-        self.group.stats()
+        self.group.each(|rank| rank.stats())
     }
 
     /// Runs `f` on rank `(stage, data_idx)`'s thread with exclusive

@@ -1,33 +1,32 @@
 //! Data-parallel SAMO training over the real message-passing collectives
 //! runtime in the `comms` crate: the one data-parallel rank,
-//! [`DataParallelRank`], run one per OS thread by
-//! [`ThreadedDataParallelSamo`] and one per process by `samo-launch`.
+//! [`DataParallelRank`] — the grid's rank ([`StageRank`]) at one stage and
+//! one microbatch — run one per OS thread by [`ThreadedDataParallelSamo`]
+//! and one per process by `samo-launch`.
 //!
 //! Where [`crate::reference::DataParallelSamo`] loops over replicas
 //! inside one thread and reduces gradients with the sequential oracle,
-//! every rank here owns its replica and a [`StepEngine`] — sharded
-//! optimizer state, loss-scaler copy, and a [`comms::Communicator`]
+//! every rank here owns its replica and a [`crate::engine::StepEngine`] —
+//! sharded optimizer state, loss-scaler copy, and a [`comms::Communicator`]
 //! endpoint of an in-process mesh or a TCP one. Gradients
 //! move through the chunked **ring reduce-scatter** (a shard needs the
 //! mean on its own range only; the parameter all-gather after the
-//! optimizer is the other half of an all-reduce's volume), and the
-//! reduction is started per gradient bucket from inside backward
-//! ([`Layer::backward_into`] the engine's gradient sink), so
-//! communication overlaps the rest of the backward pass exactly as on a
-//! real cluster. The rank drives backward itself, so it can also take a
-//! `Linear`'s weight gradient from the operands of its product: it is
-//! computed at the shared index straight into `∇θ16`, and a rank holds
-//! no dense gradient for a weight matrix between steps — only on a
-//! dynamic-sparsity update step, whose plain backward materialises them
-//! as the grow score. And because the rank owns its replica, the dense
-//! `θ16` is the replica's weight: a `Linear` holds no f32 `value` while
-//! the rank trains and multiplies by the `θ16` its engine lends for the
-//! step closure and backward (`crate::engine`, module docs). Only the
+//! optimizer is the other half of an all-reduce's volume). A step runs
+//! the schedule of a one-stage pipeline: F (the step closure), B, which
+//! hands each `Linear` weight's operands to a W, and W, which computes
+//! the gradient at the shared index straight into `∇θ16` and starts each
+//! bucket's ring as its gradients are final, overlapping the rest of W.
+//! So a rank holds no dense gradient for a weight matrix between steps —
+//! only on a dynamic-sparsity update step, whose B takes no product and
+//! leaves them as the grow score. And because the rank owns its replica,
+//! the dense `θ16` is the replica's weight: a `Linear` holds no f32
+//! `value` while the rank trains and multiplies by the `θ16` its engine
+//! lends for the step's F, B and W (`crate::engine`, module docs). Only the
 //! inspection hook ([`ThreadedDataParallelSamo::with_rank`]) shows its
 //! closure widened values, for the length of the call. The thread
 //! protocol, `RankGroup`, is shared with [`crate::ThreadedPipelineSamo`].
 //! A thread group saves by copying each rank's owned ranges off its
-//! thread; a process rank saves collectively ([`DataParallelRank::save`]).
+//! thread; a process rank saves collectively ([`StageRank::save`]).
 //!
 //! # Bitwise equivalence with the in-process trainer
 //!
@@ -66,11 +65,12 @@
 //! rank's peer that dies surfaces the same way, or sooner through the
 //! TCP heartbeat (`PeerDead`) or the socket's EOF (`Closed`); the
 //! survivors rendezvous again and rebuild their ranks on the new
-//! communicator, and [`DataParallelRank::restore`] rejoins them.
+//! communicator, and [`StageRank::restore`] rejoins them.
 
-use crate::engine::{assert_replicas_agree, gather_full, trainer_meta, StepEngine, DP_THREADED};
-use crate::serialize::{save_checkpoint, save_ranges, TrainerMeta};
-use crate::state::{OwnedRange, SamoLayerState};
+use crate::engine::{assert_replicas_agree, trainer_meta};
+use crate::pipeline::StageRank;
+use crate::serialize::{save_ranges, TrainerMeta};
+use crate::state::SamoLayerState;
 use crate::trainer::samo_ring_allreduce_bytes;
 use comms::{CommsError, Communicator, Endpoint, FaultController, Transport as _};
 use nn::layer::Layer;
@@ -126,124 +126,62 @@ pub(crate) struct StepOutcome {
     pub split: Split,
 }
 
-/// What [`RankGroup`] needs of the state a rank thread owns.
-pub(crate) trait RankWorker: Send + 'static {
-    type Model: Layer;
-    /// What one step is told to do.
-    type Job: Clone + Send + 'static;
-    type Stats: Send + 'static;
-    /// The compute model and the engine training it.
-    fn parts(&mut self) -> (&mut Self::Model, &mut StepEngine);
-    /// Runs one training step; `Ok(false)` if skipped on overflow.
-    fn step(&mut self, job: &Self::Job) -> Result<bool, CommsError>;
-    /// Reloads the rank's part of a full checkpoint, then rejoins the
-    /// group on fresh comms epochs.
-    fn restore(&mut self, checkpoint: &[u8]) -> Result<(), String>;
-    fn stats(&self) -> Self::Stats;
-}
+/// A step as the group hands it to every rank: which job, at which step.
+pub(crate) type StepCall<M> = Arc<dyn Fn(&mut StageRank<M>) -> Result<bool, CommsError> + Send + Sync>;
 
-type InspectFn<M> = Box<dyn FnOnce(&mut M, &[SamoLayerState]) + Send>;
+/// Anything else a rank thread is asked: it runs there and replies on its
+/// own channel.
+type Call<M> = Box<dyn FnOnce(&mut StageRank<M>) + Send>;
 
-enum Cmd<M, J> {
-    Step(J),
+enum Cmd<M> {
+    Step(StepCall<M>),
     Restore(Arc<[u8]>),
-    SetScaler(LossScaler),
-    SetSchedule(MaskSchedule),
-    Stats,
-    Save,
-    Inspect(InspectFn<M>),
+    Call(Call<M>),
 }
 
-enum Resp<S> {
-    /// A step's or a restore's result.
-    Done(Result<StepOutcome, String>),
-    Stats(S),
-    /// Per layer, what a checkpoint carries of this rank's state: the
-    /// mask (shared, not copied) and copies of the owned ranges.
-    Saved(Vec<(Mask, OwnedRange<'static>)>),
-    Ack,
-}
-
-/// A rank thread: serves commands until the group drops its channel.
-/// A rank whose step failed refuses further steps (poisoned) until a
-/// restore succeeds.
-fn rank_loop<W: RankWorker>(
-    mut w: W,
-    rx: Receiver<Cmd<W::Model, W::Job>>,
-    tx: Sender<Resp<W::Stats>>,
-) {
-    let outcome = |w: &mut W, applied, dur_us| {
-        let engine = w.parts().1;
-        StepOutcome {
-            applied,
-            meta: engine.meta(),
-            nnz: engine.nnz(),
-            dur_us,
-            split: engine.ledger.split(),
-        }
+/// A rank thread: serves commands until the group drops its channel,
+/// answering each step and restore with its outcome. A rank whose step
+/// failed refuses further steps (poisoned) until a restore succeeds.
+fn rank_loop<M: Layer>(mut rank: StageRank<M>, rx: Receiver<Cmd<M>>, tx: Sender<Result<StepOutcome, String>>) {
+    let outcome = |rank: &StageRank<M>, applied, dur_us| StepOutcome {
+        applied,
+        meta: rank.engine.meta(),
+        nnz: rank.engine.nnz(),
+        dur_us,
+        split: rank.engine.ledger.split(),
     };
     let mut poisoned = false;
     while let Ok(cmd) = rx.recv() {
-        let resp = match cmd {
-            Cmd::Step(_) if poisoned => Resp::Done(Err(CommsError::Poisoned.to_string())),
+        let done = match cmd {
+            Cmd::Step(_) if poisoned => Err(CommsError::Poisoned.to_string()),
             Cmd::Step(job) => {
                 let t0 = Instant::now();
-                match w.step(&job) {
-                    Ok(applied) => {
-                        let dur_us = t0.elapsed().as_secs_f64() * 1e6;
-                        Resp::Done(Ok(outcome(&mut w, applied, dur_us)))
-                    }
-                    Err(e) => {
-                        poisoned = true;
-                        // A pipeline schedule that ended in `Err` left θ16 lent.
-                        let (model, engine) = w.parts();
-                        engine.lend_theta16(model, false);
-                        Resp::Done(Err(e.to_string()))
-                    }
-                }
+                let stepped = job(&mut rank);
+                let dur_us = t0.elapsed().as_secs_f64() * 1e6;
+                poisoned = stepped.is_err();
+                stepped.map(|applied| outcome(&rank, applied, dur_us)).map_err(|e| e.to_string())
             }
-            Cmd::Restore(ck) => Resp::Done(w.restore(&ck).map(|()| {
+            Cmd::Restore(ck) => rank.restore(&ck).map(|()| {
                 poisoned = false;
-                outcome(&mut w, false, 0.0)
-            })),
-            Cmd::SetScaler(s) => {
-                w.parts().1.scaler = s;
-                Resp::Ack
-            }
-            Cmd::SetSchedule(s) => {
-                w.parts().1.install_schedule(s);
-                Resp::Ack
-            }
-            Cmd::Stats => Resp::Stats(w.stats()),
-            Cmd::Save => {
-                let layers = w.parts().1.layers.iter();
-                Resp::Saved(layers.map(|l| (l.mask().clone(), l.owned_range().into_owned())).collect())
-            }
-            Cmd::Inspect(f) => {
-                let (model, engine) = w.parts();
-                // `value`s current for the closure: widened from θ16, which
-                // is home again before the closure sees the states.
-                engine.lend_theta16(model, true);
-                model.for_each_param_mut(&mut |p| p.widen_value());
-                engine.lend_theta16(model, false);
-                f(model, &engine.layers);
-                model.for_each_param_mut(&mut |p| p.release_value());
-                Resp::Ack
+                outcome(&rank, false, 0.0)
+            }),
+            Cmd::Call(f) => {
+                f(&mut rank);
+                continue;
             }
         };
-        if tx.send(resp).is_err() {
+        if tx.send(done).is_err() {
             return;
         }
     }
 }
 
 /// One OS thread per rank plus the calling thread's mirror of the state
-/// every rank agrees on. Typed by what crosses the channels — the
-/// model `M`, the step job `J` and the per-rank stats `S` — not by the
-/// transport the rank threads talk over.
-pub(crate) struct RankGroup<M, J, S> {
-    cmd: Vec<Sender<Cmd<M, J>>>,
-    resp: Vec<Receiver<Resp<S>>>,
+/// every rank agrees on. Typed by the model `M` its ranks train, not by
+/// the transport the rank threads talk over.
+pub(crate) struct RankGroup<M> {
+    cmd: Vec<Sender<Cmd<M>>>,
+    resp: Vec<Receiver<Result<StepOutcome, String>>>,
     handles: Vec<JoinHandle<()>>,
     /// Pipeline depth: rank `i` is stage `i % g_inter` of data replica
     /// `i / g_inter` (1 for plain data parallelism).
@@ -257,32 +195,28 @@ pub(crate) struct RankGroup<M, J, S> {
     dur_stats: Vec<(f64, u64)>,
 }
 
-impl<M: 'static, J: Clone + Send + 'static, S: Send + 'static> RankGroup<M, J, S> {
-    /// Spawns one named thread per worker, in rank order.
-    pub fn spawn<W>(workers: Vec<(String, W)>, g_inter: usize) -> RankGroup<M, J, S>
-    where
-        W: RankWorker<Model = M, Job = J, Stats = S>,
-    {
+impl<M: Layer + Send + 'static> RankGroup<M> {
+    /// Spawns one named thread per rank, in rank order.
+    pub fn spawn(ranks: Vec<(String, StageRank<M>)>, g_inter: usize) -> RankGroup<M> {
         let mut group = RankGroup {
-            cmd: Vec::with_capacity(workers.len()),
-            resp: Vec::with_capacity(workers.len()),
-            handles: Vec::with_capacity(workers.len()),
+            cmd: Vec::with_capacity(ranks.len()),
+            resp: Vec::with_capacity(ranks.len()),
+            handles: Vec::with_capacity(ranks.len()),
             g_inter,
             meta: trainer_meta(&LossScaler::default(), 0, 0),
             numel: 0,
             nnz: 0,
-            dur_stats: vec![(0.0, 0); workers.len()],
+            dur_stats: vec![(0.0, 0); ranks.len()],
         };
-        for (i, (name, mut worker)) in workers.into_iter().enumerate() {
+        for (i, (name, rank)) in ranks.into_iter().enumerate() {
             if i < g_inter {
                 // The stages of replica 0 make up one whole model.
-                let engine = worker.parts().1;
-                group.numel += engine.numel();
-                group.nnz += engine.nnz();
+                group.numel += rank.engine.numel();
+                group.nnz += rank.engine.nnz();
             }
             let (ctx, crx) = channel();
             let (rtx, rrx) = channel();
-            let run = move || rank_loop(worker, crx, rtx);
+            let run = move || rank_loop(rank, crx, rtx);
             group.handles.push(
                 std::thread::Builder::new()
                     .name(name)
@@ -304,28 +238,21 @@ impl<M: 'static, J: Clone + Send + 'static, S: Send + 'static> RankGroup<M, J, S
         }
     }
 
-    /// Sends every rank its command, then collects every reply: the
-    /// ranks run concurrently, as the collectives inside require.
-    /// `None` marks a rank whose thread died.
-    fn broadcast(&self, cmd: impl Fn() -> Cmd<M, J>) -> Vec<Option<Resp<S>>> {
+    /// Runs a step or a restore on every rank — concurrently, as the
+    /// collectives inside require — joins the errors of the ranks that
+    /// failed, and mirrors what the others reported. Returns every rank's
+    /// outcome, in rank order.
+    fn run(&mut self, cmd: impl Fn() -> Cmd<M>) -> Result<Vec<StepOutcome>, String> {
         for tx in &self.cmd {
             let _ = tx.send(cmd());
         }
-        self.resp.iter().map(|rx| rx.recv().ok()).collect()
-    }
-
-    /// Runs a step or a restore on every rank, joins the errors of the
-    /// ranks that failed, and mirrors what the others reported. Returns
-    /// every rank's outcome, in rank order.
-    fn run(&mut self, cmd: impl Fn() -> Cmd<M, J>) -> Result<Vec<StepOutcome>, String> {
         let mut outcomes = Vec::with_capacity(self.cmd.len());
         let mut errors = Vec::new();
-        for (i, resp) in self.broadcast(cmd).into_iter().enumerate() {
-            match resp {
-                Some(Resp::Done(Ok(o))) => outcomes.push(o),
-                Some(Resp::Done(Err(e))) => errors.push(format!("{}: {e}", self.label(i))),
-                Some(_) => errors.push(format!("{}: protocol confusion", self.label(i))),
-                None => errors.push(format!("{}: thread died", self.label(i))),
+        for (i, rx) in self.resp.iter().enumerate() {
+            match rx.recv() {
+                Ok(Ok(o)) => outcomes.push(o),
+                Ok(Err(e)) => errors.push(format!("{}: {e}", self.label(i))),
+                Err(_) => errors.push(format!("{}: thread died", self.label(i))),
             }
         }
         if !errors.is_empty() {
@@ -348,8 +275,8 @@ impl<M: 'static, J: Clone + Send + 'static, S: Send + 'static> RankGroup<M, J, S
     /// failed (the group then needs [`Self::restore`]). With telemetry
     /// on, the ranks' step durations become the `mesh_metrics` line of
     /// step `index`.
-    pub fn step(&mut self, job: J, index: u32) -> Result<bool, String> {
-        let outcomes = self.run(|| Cmd::Step(job.clone()))?;
+    pub fn step(&mut self, job: StepCall<M>, index: u32) -> Result<bool, String> {
+        let outcomes = self.run(|| Cmd::Step(Arc::clone(&job)))?;
         if telemetry::enabled() {
             self.emit_mesh_metrics(index, &outcomes);
         }
@@ -429,34 +356,28 @@ impl<M: 'static, J: Clone + Send + 'static, S: Send + 'static> RankGroup<M, J, S
     /// Replaces the loss scaler on every rank (and the mirror).
     pub fn set_scaler(&mut self, scaler: LossScaler) {
         self.meta = trainer_meta(&scaler, self.meta.steps_taken, self.meta.steps_skipped);
-        self.acked(|| Cmd::SetScaler(scaler.clone()));
+        self.each(move |rank| rank.engine.scaler = scaler.clone());
     }
 
     /// Installs a dynamic-sparsity schedule on every rank.
     pub fn set_mask_schedule(&mut self, schedule: MaskSchedule) {
-        self.acked(|| Cmd::SetSchedule(schedule.clone()));
+        self.each(move |rank| rank.set_mask_schedule(schedule.clone()));
     }
 
-    /// Every rank's reply to `cmd`, in rank order, as `pick` reads it.
-    fn collect<X>(
-        &self,
-        cmd: impl Fn() -> Cmd<M, J>,
-        pick: impl Fn(Resp<S>) -> Option<X>,
-    ) -> Vec<X> {
-        let replies = self.broadcast(cmd).into_iter();
-        replies.map(|r| r.and_then(&pick).expect("rank thread died")).collect()
+    /// Posts `f` to rank `i`'s thread; its reply comes on the receiver.
+    fn post<R: Send + 'static>(&self, i: usize, f: impl FnOnce(&mut StageRank<M>) -> R + Send + 'static) -> Receiver<R> {
+        let (tx, rx) = channel();
+        let _ = self.cmd[i].send(Cmd::Call(Box::new(move |rank| {
+            let _ = tx.send(f(rank));
+        })));
+        rx
     }
 
-    fn acked(&self, cmd: impl Fn() -> Cmd<M, J>) {
-        self.collect(cmd, |r| matches!(r, Resp::Ack).then_some(()));
-    }
-
-    /// Every rank's stats, in rank order.
-    pub fn stats(&self) -> Vec<S> {
-        self.collect(|| Cmd::Stats, |r| match r {
-            Resp::Stats(stats) => Some(stats),
-            _ => None,
-        })
+    /// Runs `f` on every rank's thread, all at once, and returns the
+    /// replies in rank order.
+    pub fn each<R: Send + 'static>(&self, f: impl Fn(&mut StageRank<M>) -> R + Clone + Send + 'static) -> Vec<R> {
+        let replies: Vec<_> = (0..self.cmd.len()).map(|i| self.post(i, f.clone())).collect();
+        replies.iter().map(|rx| rx.recv().expect("rank thread died")).collect()
     }
 
     /// Serializes the group as one topology-independent v2 checkpoint:
@@ -470,9 +391,10 @@ impl<M: 'static, J: Clone + Send + 'static, S: Send + 'static> RankGroup<M, J, S
     /// failed has no consistent state to save (its rings kept `∇θ16`):
     /// restore first.
     pub fn save(&self) -> bytes::Bytes {
-        let mut ranks = self.collect(|| Cmd::Save, |r| match r {
-            Resp::Saved(layers) => Some(layers.into_iter()),
-            _ => None,
+        let mut ranks = self.each(|rank| {
+            let layers = rank.engine.layers.iter();
+            let owned = layers.map(|l| (l.mask().clone(), l.owned_range().into_owned()));
+            owned.collect::<Vec<_>>().into_iter()
         });
         let g_data = ranks.len() / self.g_inter;
         let mut layers = Vec::new();
@@ -496,22 +418,23 @@ impl<M: 'static, J: Clone + Send + 'static, S: Send + 'static> RankGroup<M, J, S
         R: Send + 'static,
         F: FnOnce(&mut M, &[SamoLayerState]) -> R + Send + 'static,
     {
-        let (tx, rx) = channel();
-        self.cmd[i]
-            .send(Cmd::Inspect(Box::new(move |model, layers| {
-                let _ = tx.send(f(model, layers));
-            })))
-            .expect("rank thread alive");
-        let out = rx.recv().expect("inspect reply");
-        assert!(
-            matches!(self.resp[i].recv(), Ok(Resp::Ack)),
-            "rank thread died during inspect"
-        );
-        out
+        let inspect = move |rank: &mut StageRank<M>| {
+            let (model, engine) = (&mut rank.block, &mut rank.engine);
+            // `value`s current for the closure: widened from θ16, which
+            // is home again before the closure sees the states.
+            engine.lend_theta16(model, true);
+            model.for_each_param_mut(&mut |p| p.widen_value());
+            engine.lend_theta16(model, false);
+            let out = f(model, &engine.layers);
+            model.for_each_param_mut(&mut |p| p.release_value());
+            out
+        };
+        self.post(i, inspect).recv().expect("rank thread died during inspect")
     }
 }
 
-impl<M, J, S> Drop for RankGroup<M, J, S> {
+impl<M> Drop for RankGroup<M> {
+
     fn drop(&mut self) {
         // A closed channel is the shutdown message.
         self.cmd.clear();
@@ -521,149 +444,19 @@ impl<M, J, S> Drop for RankGroup<M, J, S> {
     }
 }
 
-/// One rank of a data-parallel group: its replica and the sharded
-/// [`StepEngine`] training it — the one data-parallel rank.
+/// The one data-parallel rank: the grid's rank at one stage and one
+/// microbatch — its replica and the sharded [`crate::engine::StepEngine`]
+/// training it.
 /// [`ThreadedDataParallelSamo`] runs one per rank thread; `samo-launch`
 /// runs one per process, over the endpoint of [`comms::bootstrap_tcp`].
-/// [`Self::step`], [`Self::save`] and [`Self::restore`] are collective:
-/// every rank of the group calls them together.
-pub struct DataParallelRank<M: Layer> {
-    model: M,
-    engine: StepEngine,
-}
-
-impl<M: Layer> DataParallelRank<M> {
-    /// Builds shard `comm.rank()` of the group's state from this rank's
-    /// replica — every rank's is the same — and one mask per parameter
-    /// tensor. From here on `θ16` is the weight: the replica's `Linear`s
-    /// hold no f32 `value` and compute from what the engine lends for
-    /// each step.
-    pub fn new(mut model: M, masks: &[Mask], opt: Optimizer, comm: Communicator) -> Self {
-        let engine = StepEngine::build(&mut model, masks, opt, Some(comm), &DP_THREADED);
-        DataParallelRank { model, engine }
-    }
-
-    /// The engine: step counters, loss scale, state bytes, remap events.
-    pub fn engine(&self) -> &StepEngine {
-        &self.engine
-    }
-
-    /// The communicator — for broadcasts and barriers around the steps.
-    pub fn comm_mut(&mut self) -> &mut Communicator {
-        self.engine.comm_mut()
-    }
-
-    /// Installs a dynamic-sparsity schedule; every rank installs the same
-    /// one before the same step.
-    pub fn set_mask_schedule(&mut self, schedule: MaskSchedule) {
-        self.engine.install_schedule(schedule);
-    }
-
-    /// One training step: `f(rank, model, loss_scale)` runs forward and
-    /// returns the scaled output gradient, then backward starts each
-    /// gradient bucket's ring reduce-scatter from inside it, and the fused
-    /// step on the owned range starts each bucket's parameter all-gather
-    /// as its last pass ends. `Ok(false)` if skipped on overflow; `Err` if a
-    /// collective failed — the communicator then refuses every collective
-    /// (`Poisoned`) until [`Self::restore`] or a rank rebuilt on a new one.
-    pub fn step(&mut self, f: impl FnOnce(usize, &mut M, f32) -> Tensor) -> Result<bool, CommsError> {
-        // The call is the ledger's window: the closure is `f`, backward
-        // `b` (its ring pumps `reduce`), the engine charges the rest.
-        let scale = self.engine.loss_scale();
-        let engine = &mut self.engine;
-        engine.ledger.start();
-        // The compute window: forward and backward run from the lent θ16,
-        // which is home again before the collectives — or the error.
-        engine.lend_theta16(&mut self.model, true);
-        engine.ledger.enter(Phase::F);
-        let dy = f(engine.comm().rank(), &mut self.model, scale);
-        engine.ledger.exit(Phase::F);
-        let finite = if engine.is_update_step() {
-            // Dynamic-sparsity update step: the masks, and with them the
-            // compressed bucket layout, are renegotiated from the final
-            // gradients — run a plain backward, then the engine's inline
-            // remap → compress → reduce.
-            engine.ledger.enter(Phase::B);
-            let _ = self.model.backward(&dy);
-            engine.ledger.exit(Phase::B);
-            engine.lend_theta16(&mut self.model, false);
-            engine.reduce_after_backward(&mut self.model)?
-        } else {
-            engine.ledger.enter(Phase::B);
-            let backward = engine.backward_overlapped(&mut self.model, dy);
-            engine.ledger.exit(Phase::B);
-            engine.lend_theta16(&mut self.model, false);
-            backward?;
-            engine.finish_reduce()?
-        };
-        let applied = engine.apply(&mut self.model, finite)?;
-        Ok(engine.end_step(&self.model, applied, scale))
-    }
-
-    /// Reloads a checkpoint written by any runtime at any world size, cut
-    /// to this rank's shard, then rejoins the group behind a barrier on a
-    /// fresh comms epoch, which discards stale in-flight traffic: every
-    /// rank restores together, so the epochs advance in lockstep.
-    pub fn restore(&mut self, checkpoint: &[u8]) -> Result<(), String> {
-        self.engine.restore(checkpoint, &mut self.model)?;
-        let comm = self.engine.comm_mut();
-        comm.bump_epoch();
-        comm.barrier()
-            .map_err(|e| format!("post-restore barrier failed: {e}"))
-    }
-
-    /// Serializes the group's state as one v2 checkpoint: on every rank,
-    /// the bytes a [`crate::SamoTrainer`] in the same state saves. Per
-    /// layer, the `[θ32 | moments]` segments are gathered as a remap
-    /// gathers them, and the owned `∇θ16` ranges with one f16 all-gather,
-    /// so each rank holds a full state for the call. `Err` on a dead peer;
-    /// a rank whose step failed has nothing consistent to save and is
-    /// refused (`Poisoned`): restore first.
-    pub fn save(&mut self) -> Result<bytes::Bytes, CommsError> {
-        let comm = self.engine.group.as_mut().expect("a rank's engine is built with its group");
-        let mut full = Vec::with_capacity(self.engine.layers.len());
-        for st in &self.engine.layers {
-            let mut layer = gather_full(st, comm)?;
-            let (lo, hi) = st.shard_range();
-            layer.grad16 = comm.all_gather_f16(&st.grad16[lo..hi], &st.shard_counts())?;
-            full.push(layer);
-        }
-        Ok(save_checkpoint(&full, &self.engine.meta()))
-    }
-}
-
-impl<M: Layer + Send + 'static> RankWorker for DataParallelRank<M> {
-    type Model = M;
-    type Job = StepFn<M>;
-    type Stats = CommStats;
-
-    fn parts(&mut self) -> (&mut M, &mut StepEngine) {
-        (&mut self.model, &mut self.engine)
-    }
-
-    fn step(&mut self, f: &StepFn<M>) -> Result<bool, CommsError> {
-        DataParallelRank::step(self, &**f)
-    }
-
-    fn restore(&mut self, checkpoint: &[u8]) -> Result<(), String> {
-        DataParallelRank::restore(self, checkpoint)
-    }
-
-    fn stats(&self) -> CommStats {
-        let comm = self.engine.comm();
-        CommStats {
-            wire_bytes: comm.transport().bytes_sent(),
-            model_allreduce_bytes: comm.model_allreduce_bytes(),
-            msgs_dropped: comm.transport().msgs_dropped(),
-        }
-    }
-}
+/// `new`, `step`, `save` and `restore` are [`StageRank`]'s.
+pub type DataParallelRank<M> = StageRank<M>;
 
 /// A data-parallel SAMO group where every rank is a real OS thread and
 /// gradients move through the `comms` ring reduce-scatter. Drop-in peer of
 /// [`crate::reference::DataParallelSamo`] (same step semantics, same bits).
 pub struct ThreadedDataParallelSamo<M: Layer + Send + 'static> {
-    group: RankGroup<M, StepFn<M>, CommStats>,
+    group: RankGroup<M>,
     faults: Arc<FaultController>,
     allreduce_bytes: u64,
 }
@@ -789,10 +582,10 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
     }
 
     /// Runs one concurrent training step: every rank thread executes
-    /// `f(rank, model, loss_scale)` (forward + scaled backward seed),
-    /// backward with overlapped ring reduce-scatter, the fused step on
-    /// the owned range, and the parameter all-gathers, each started as its
-    /// bucket's last pass ends. Returns `Ok(true)` if applied, `Ok(false)` if
+    /// `f(rank, model, loss_scale)` (forward + scaled backward seed), B,
+    /// then W with each bucket's ring reduce-scatter started inside it,
+    /// the fused step on the owned range, and the parameter all-gathers,
+    /// each started as its bucket's last pass ends. Returns `Ok(true)` if applied, `Ok(false)` if
     /// skipped on overflow, and `Err` if any rank's collective failed
     /// (the group then needs [`Self::restore`]).
     pub fn step(
@@ -800,7 +593,9 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
         f: impl Fn(usize, &mut M, f32) -> Tensor + Send + Sync + 'static,
     ) -> Result<bool, String> {
         let index = self.group.meta.steps_taken + self.group.meta.steps_skipped;
-        let applied = self.group.step(Arc::new(f), index as u32)?;
+        let f: StepFn<M> = Arc::new(f);
+        let job = move |rank: &mut StageRank<M>| rank.step(&*f);
+        let applied = self.group.step(Arc::new(job), index as u32)?;
         self.allreduce_bytes +=
             samo_ring_allreduce_bytes(self.group.nnz as u64, self.world_size() as u64);
         Ok(applied)
@@ -822,7 +617,14 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
     /// Per-rank transport statistics (wire bytes, modeled ring bytes,
     /// fault-dropped messages), in rank order.
     pub fn comm_stats(&mut self) -> Vec<CommStats> {
-        self.group.stats()
+        self.group.each(|rank| {
+            let comm = rank.engine.comm();
+            CommStats {
+                wire_bytes: comm.transport().bytes_sent(),
+                model_allreduce_bytes: comm.model_allreduce_bytes(),
+                msgs_dropped: comm.transport().msgs_dropped(),
+            }
+        })
     }
 
     /// Runs `f` on rank `rank`'s thread with exclusive access to its
@@ -842,7 +644,8 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{PipelineConfig, StepJob, ThreadedPipelineSamo};
+    use crate::pipeline::{Job, PipelineConfig, ThreadedPipelineSamo};
+    use nn::layer::Sequential;
     use nn::linear::Linear;
     use nn::loss::mse;
     use nn::optim::AdamConfig;
@@ -879,9 +682,11 @@ mod tests {
         let prune = |p: &&nn::Parameter| prune::magnitude_prune(p.value.as_slice(), p.value.shape(), 0.5);
         let masks = replicas[0].params().iter().map(prune).collect();
         let mut dp = ThreadedDataParallelSamo::new(replicas, masks, adam());
-        let job: StepFn<Linear> = Arc::new(|_, m: &mut Linear, scale| {
-            std::thread::sleep(DELAY);
-            loss_grad(&m.forward(&Tensor::randn(&[4, WIDTH], 1.0, 3)), scale)
+        let job: StepCall<Linear> = Arc::new(|rank: &mut StageRank<Linear>| {
+            rank.step(|_, m: &mut Linear, scale| {
+                std::thread::sleep(DELAY);
+                loss_grad(&m.forward(&Tensor::randn(&[4, WIDTH], 1.0, 3)), scale)
+            })
         });
         for _ in 0..2 {
             let outcomes = dp.group.run(|| Cmd::Step(Arc::clone(&job))).expect("healthy mesh");
@@ -897,12 +702,11 @@ mod tests {
         let cfg = PipelineConfig { g_data: 2, ..PipelineConfig::new(2, 4, 4) };
         let mut pp = ThreadedPipelineSamo::new(vec![model(), model()], masks, adam(), cfg);
         for step in 0..2 {
-            let job = StepJob {
-                input: Arc::new(|_, mb| Tensor::randn(&[4, WIDTH], 1.0, mb as u64)),
-                loss_grad: Arc::new(|_, _, y, scale| loss_grad(y, scale)),
-                step,
-            };
-            let outcomes = pp.group.run(|| Cmd::Step(job.clone())).expect("healthy pipeline");
+            let input = |_: usize, mb: usize| Tensor::randn(&[4, WIDTH], 1.0, mb as u64);
+            let seed = |_: usize, _: usize, y: &Tensor, scale: f32| loss_grad(y, scale);
+            let job: StepCall<Sequential> =
+                Arc::new(move |rank: &mut StageRank<Sequential>| rank.run(&Job::Split(&input, &seed), step));
+            let outcomes = pp.group.run(|| Cmd::Step(Arc::clone(&job))).expect("healthy pipeline");
             assert_windows_match_dur(&outcomes);
             for o in &outcomes {
                 assert!(o.split.ns(Phase::F) >= 4 * DELAY.as_nanos() as u64, "{:?}", o.split);

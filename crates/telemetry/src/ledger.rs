@@ -20,10 +20,10 @@ use std::time::Instant;
 /// What a step's time is charged to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// A pipeline microbatch's forward, or a data-parallel rank's step
-    /// closure (forward and loss).
+    /// A microbatch's forward — at one stage, the data-parallel rank's
+    /// step closure (forward and loss).
     F,
-    /// Backward: a pipeline microbatch's B, or a data-parallel rank's.
+    /// A microbatch's B: `dx` and the dense gradients.
     B,
     /// A pipeline microbatch's deferred weight gradients.
     W,

@@ -3,7 +3,10 @@
 //! B sends its `dx` — and the timing must never reach a bit. Under seeded
 //! per-message jitter on every pipeline and data link, every step's
 //! checkpoint bytes equal the single-process `SamoTrainer` and every
-//! rank's wire bytes equal the unjittered run's, overflow step included.
+//! rank's wire bytes equal the unjittered run's, overflow step included
+//! — and so do a 2×2 group's under a prune-and-regrow schedule, whose
+//! mask updates remap each stage's state on its data mesh while the other
+//! stage may still be running its schedule.
 //! Also here: a step that fails with Ws summed and queued — its gradient
 //! link cut, or one message on it lost — leaves nothing behind once
 //! restored, and what a stage holds for its Ws stays bounded.
@@ -14,7 +17,7 @@ use nn::linear::Linear;
 use nn::loss::mse;
 use nn::mixed::{LossScaler, Optimizer};
 use nn::optim::AdamConfig;
-use prune::Mask;
+use prune::{Mask, MaskSchedule, MomentumPruneRegrow};
 use samo::pipeline::{PipelineConfig, ThreadedPipelineSamo};
 use samo::SamoTrainer;
 use std::sync::Arc;
@@ -70,12 +73,23 @@ fn scaled_grad(y: &Tensor, step: u64, mb: usize, scale: f32, planted: bool) -> T
     dy
 }
 
-/// The single-process oracle's checkpoint after each of `STEPS` steps.
-fn oracle_checkpoints() -> Vec<Vec<u8>> {
+/// Mask updates at t = 0, 3 and 4, around the overflow step: sparsity
+/// 0.6, then 0.71 and 0.75, each also churning a fifth of the kept
+/// weights.
+fn schedule() -> MaskSchedule {
+    MaskSchedule::MomentumPruneRegrow(MomentumPruneRegrow::new(vec![(0, 0.6), (4, 0.75)], 3, 0.2))
+}
+
+/// The single-process oracle's checkpoint after each of `STEPS` steps,
+/// under `schedule` if given.
+fn oracle_checkpoints(schedule: Option<&MaskSchedule>) -> Vec<Vec<u8>> {
     let mut m = model();
     let mut trainer = SamoTrainer::new(&mut m, masks(), adam());
     trainer.scaler = LossScaler::new(1024.0);
-    (0..STEPS)
+    if let Some(s) = schedule {
+        trainer.set_mask_schedule(s.clone()).expect("installed before the first step");
+    }
+    let ckpts = (0..STEPS)
         .map(|step| {
             let scale = trainer.loss_scale();
             for mb in 0..MB {
@@ -85,10 +99,12 @@ fn oracle_checkpoints() -> Vec<Vec<u8>> {
             assert_eq!(trainer.step(&mut m), step != OVERFLOW_STEP, "oracle verdict at {step}");
             trainer.save().as_ref().to_vec()
         })
-        .collect()
+        .collect();
+    assert!(schedule.is_none() || trainer.remap_events() >= 2, "the masks must move");
+    ckpts
 }
 
-fn group(g_inter: usize, g_data: usize, timeout: Duration) -> ThreadedPipelineSamo {
+fn group(g_inter: usize, g_data: usize, timeout: Duration, schedule: Option<&MaskSchedule>) -> ThreadedPipelineSamo {
     let cfg = PipelineConfig {
         g_inter,
         g_data,
@@ -101,6 +117,9 @@ fn group(g_inter: usize, g_data: usize, timeout: Duration) -> ThreadedPipelineSa
     let replicas = (0..g_data).map(|_| model()).collect();
     let mut pp = ThreadedPipelineSamo::new(replicas, masks(), adam(), cfg);
     pp.set_scaler(LossScaler::new(1024.0));
+    if let Some(s) = schedule {
+        pp.set_mask_schedule(s.clone());
+    }
     pp
 }
 
@@ -129,21 +148,24 @@ fn wire(pp: &mut ThreadedPipelineSamo) -> Vec<(u64, u64)> {
 }
 
 /// Eight seeds of jitter on every pipeline and data link of a 2×1, 3×1
-/// and 2×2 group: after every step, the checkpoint is the oracle's and
-/// each rank has sent exactly the bytes of the unjittered run.
+/// and 2×2 group, and of a 2×2 group with a mask schedule: after every
+/// step, the checkpoint is the oracle's and each rank has sent exactly
+/// the bytes of the unjittered run.
 #[test]
 fn jittered_links_move_the_ws_but_no_bit_and_no_byte() {
-    let want = oracle_checkpoints();
-    for (g_inter, g_data) in [(2usize, 1usize), (3, 1), (2, 2)] {
-        let mut calm = group(g_inter, g_data, Duration::from_secs(5));
+    let sparse = schedule();
+    for (g_inter, g_data, sched) in [(2usize, 1usize, None), (3, 1, None), (2, 2, None), (2, 2, Some(&sparse))] {
+        let want = oracle_checkpoints(sched);
+        let grid = format!("{g_inter}x{g_data}{}", if sched.is_some() { " scheduled" } else { "" });
+        let mut calm = group(g_inter, g_data, Duration::from_secs(5), sched);
         let mut calm_wire = Vec::new();
         for s in 0..STEPS {
-            assert_eq!(step(&mut calm, s), Ok(s != OVERFLOW_STEP), "{g_inter}x{g_data} step {s}");
-            assert_eq!(calm.save().as_ref(), want[s as usize].as_slice(), "{g_inter}x{g_data} step {s}");
+            assert_eq!(step(&mut calm, s), Ok(s != OVERFLOW_STEP), "{grid} step {s}");
+            assert_eq!(calm.save().as_ref(), want[s as usize].as_slice(), "{grid} step {s}");
             calm_wire.push(wire(&mut calm));
         }
         for seed in 0..8u64 {
-            let mut pp = group(g_inter, g_data, Duration::from_secs(5));
+            let mut pp = group(g_inter, g_data, Duration::from_secs(5), sched);
             for f in pp.pipe_faults() {
                 jitter(f, g_inter, seed);
             }
@@ -151,7 +173,7 @@ fn jittered_links_move_the_ws_but_no_bit_and_no_byte() {
                 jitter(f, g_data, seed ^ 0xDA7A);
             }
             for s in 0..STEPS {
-                let at = format!("{g_inter}x{g_data}, seed {seed}, step {s}");
+                let at = format!("{grid}, seed {seed}, step {s}");
                 assert_eq!(step(&mut pp, s), Ok(s != OVERFLOW_STEP), "{at}: verdict");
                 assert_eq!(pp.save().as_ref(), want[s as usize].as_slice(), "{at}: checkpoint bytes");
                 assert_eq!(wire(&mut pp), calm_wire[s as usize], "{at}: wire bytes per rank");
@@ -167,8 +189,8 @@ fn jittered_links_move_the_ws_but_no_bit_and_no_byte() {
 /// bytes.
 #[test]
 fn a_gradient_link_cut_mid_step_leaves_no_w_behind() {
-    let want = oracle_checkpoints();
-    let mut pp = group(2, 1, Duration::from_millis(300));
+    let want = oracle_checkpoints(None);
+    let mut pp = group(2, 1, Duration::from_millis(300), None);
     let fail_at = 1u64;
     step(&mut pp, 0).expect("healthy mesh");
     let checkpoint = pp.save();
@@ -206,10 +228,10 @@ fn a_gradient_link_cut_mid_step_leaves_no_w_behind() {
 /// group replays the oracle's bytes.
 #[test]
 fn a_dropped_gradient_message_with_ws_queued_fails_and_replays() {
-    let want = oracle_checkpoints();
+    let want = oracle_checkpoints(None);
     let fail_at = 1u64;
     for (g_inter, g_data) in [(2usize, 1usize), (2, 2)] {
-        let mut pp = group(g_inter, g_data, Duration::from_millis(300));
+        let mut pp = group(g_inter, g_data, Duration::from_millis(300), None);
         step(&mut pp, 0).expect("healthy mesh");
         let checkpoint = pp.save();
 
@@ -243,7 +265,7 @@ fn a_dropped_gradient_message_with_ws_queued_fails_and_replays() {
 /// W time is part of backward time.
 #[test]
 fn w_operands_stay_within_two_microbatches() {
-    let mut pp = group(2, 1, Duration::from_secs(5));
+    let mut pp = group(2, 1, Duration::from_secs(5), None);
     for s in 0..3 {
         step(&mut pp, s).expect("healthy mesh");
     }

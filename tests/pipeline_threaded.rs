@@ -5,7 +5,8 @@
 //! stash, with activation recomputation instead of it (forced on, or
 //! because a layer declines the stash), with every product running over
 //! the kept weights of a lent index (p = 0.9), and after a killed stage is
-//! healed and restored from a checkpoint.
+//! healed and restored from a checkpoint. At one stage it is the
+//! data-parallel runtime, bit for bit, mask updates included.
 
 use nn::layer::{Layer, Sequential};
 use nn::linear::Linear;
@@ -13,8 +14,9 @@ use nn::loss::mse;
 use nn::mixed::{LossScaler, Optimizer};
 use nn::optim::AdamConfig;
 use prune::Mask;
+use prune::{MaskSchedule, MomentumPruneRegrow};
 use samo::pipeline::{PipelineConfig, ThreadedPipelineSamo};
-use samo::SamoTrainer;
+use samo::{DataParallelSamo, SamoTrainer, ThreadedDataParallelSamo};
 use std::time::{Duration, Instant};
 use tensor::gemm::{plan, Op, Path};
 use tensor::Tensor;
@@ -425,14 +427,65 @@ fn restore_rejects_a_checkpoint_with_more_layers_than_the_model() {
     assert_eq!(pipeline_step(&mut pp, 1), Ok(true), "the group keeps training");
 }
 
-/// A depth-1 "pipeline" degenerates to plain data-parallel semantics
-/// and must not deadlock on self-communication.
+/// At one stage a pipeline is the data-parallel runtime: a 1×G
+/// `ThreadedPipelineSamo` at one microbatch, `ThreadedDataParallelSamo`
+/// and the sequential `DataParallelSamo` oracle save the same bytes after
+/// every step at worlds 1–4, each replica on its own batch, through the
+/// mask updates of a prune-and-regrow schedule. The oracle has no
+/// schedule: after an update step it adopts the runtimes' new masks by
+/// restoring their checkpoint.
 #[test]
-fn depth_of_one_still_steps() {
-    let mut pp = ThreadedPipelineSamo::new(vec![model(3)], masks(), adam(), cfg(1, 1));
-    pp.set_scaler(LossScaler::new(256.0));
-    for step in 0..3 {
-        assert_eq!(pipeline_step(&mut pp, step), Ok(true));
+fn a_one_stage_pipeline_is_the_data_parallel_runtime_bitwise() {
+    // Mask updates at t = 1, 4 and 7.
+    let schedule = MaskSchedule::MomentumPruneRegrow(MomentumPruneRegrow::new(vec![(1, 0.5), (7, 0.7)], 3, 0.2));
+    let seed = |y: &Tensor, target: &Tensor, scale: f32| {
+        let (_, mut dy) = mse(y, target);
+        tensor::ops::scale(scale, dy.as_mut_slice());
+        dy
+    };
+    for world in 1..=4 {
+        let replicas = || (0..world).map(|_| model(5)).collect::<Vec<_>>();
+        let one_mb = PipelineConfig { microbatches: 1, ..cfg(1, world) };
+        let mut pp = ThreadedPipelineSamo::new(replicas(), masks(), adam(), one_mb);
+        let mut dp = ThreadedDataParallelSamo::new(replicas(), masks(), adam());
+        let mut oracle = DataParallelSamo::new(replicas(), masks(), adam());
+        pp.set_scaler(LossScaler::new(1024.0));
+        dp.set_scaler(LossScaler::new(1024.0));
+        oracle.set_scaler(LossScaler::new(1024.0));
+        pp.set_mask_schedule(schedule.clone());
+        dp.set_mask_schedule(schedule.clone());
+        let mut nnz = vec![pp.nnz()];
+        for step in 0..9u64 {
+            let at = format!("world {world}, step {step}");
+            let applied = pp.step(
+                move |d, _| batch(step, d).0,
+                move |d, _, y, scale| seed(y, &batch(step, d).1, scale),
+            );
+            assert_eq!(applied, Ok(true), "{at}");
+            let applied = dp.step(move |r, m, scale| {
+                let (x, target) = batch(step, r);
+                seed(&m.forward(&x), &target, scale)
+            });
+            assert_eq!(applied, Ok(true), "{at}");
+            let want = pp.save();
+            assert_eq!(dp.save().as_ref(), want.as_ref(), "{at}: pipeline vs data-parallel");
+            if schedule.is_update_step(step) {
+                oracle.restore(&want).expect("the oracle adopts the new masks");
+            } else {
+                let scale = oracle.loss_scale();
+                for r in 0..world {
+                    let (x, target) = batch(step, r);
+                    let m = oracle.replica_mut(r);
+                    let y = m.forward(&x);
+                    m.backward(&seed(&y, &target, scale));
+                }
+                assert!(oracle.step(), "{at}");
+                assert_eq!(oracle.save().as_ref(), want.as_ref(), "{at}: pipeline vs oracle");
+            }
+            nnz.push(pp.nnz());
+        }
+        assert_eq!(dp.nnz(), pp.nnz(), "world {world}");
+        let moved = nnz.windows(2).filter(|w| w[0] != w[1]).count();
+        assert!(moved >= 2, "world {world}: the masks moved at {moved} updates: {nnz:?}");
     }
-    assert_eq!(pp.steps_taken(), 3);
 }
