@@ -17,7 +17,7 @@
 //! the transport must be invisible in the bytes.
 //!
 //! With `--kill-rank R --kill-at S2` the parent SIGKILLs rank `R` once
-//! its progress file reaches step `S2`, then relaunches it. Survivors
+//! its events file shows step `S2` done, then relaunches it. Survivors
 //! must surface the death as a bounded step or save error (socket EOF
 //! or heartbeat), re-rendezvous in a fresh generation, rebuild their
 //! ranks, restore rank 0's last checkpoint, and replay — and the
@@ -31,13 +31,17 @@
 //! Never kill rank 0: it hosts the rendezvous for every generation.
 //!
 //! Coordination between parent and workers goes through small files in
-//! `--dir`: `rdv.addr` and per-rank `rank<R>.step` progress (tmp+rename
-//! writes), `rank<R>.latest.ckpt` and `rank<R>.final.ckpt` (durable
-//! writes, `samo::checkpoint::write_durable`), and an append-only
-//! `rank<R>.events` log of failures and resyncs. A save that fails on a
-//! dead peer writes nothing: the files are only ever replaced whole. A
-//! checkpoint the disk refuses is an `event=ckpt_write_error` line and
-//! the worker's exit 5, never a silently older file for recovery to read.
+//! `--dir`: `rdv.addr` (a tmp+rename write), `rank<R>.latest.ckpt` and
+//! `rank<R>.final.ckpt` (durable writes, `samo::checkpoint::write_durable`),
+//! and an append-only `rank<R>.events` log, one JSON object a line told
+//! apart by `kind`: every step's `telemetry::StepEvent` (`step`, with
+//! telemetry on or off), so a running world can be read as it trains,
+//! and its failures and resyncs (`step_error`, `resync`,
+//! `ckpt_write_error`). The parent reads it with `Json::parse`; a line
+//! still being written is an `Err` and is skipped. A save that fails on a
+//! dead peer writes nothing: the checkpoints are only ever replaced whole.
+//! A checkpoint the disk refuses is a `ckpt_write_error` line and the
+//! worker's exit 5, never a silently older file for recovery to read.
 
 use comms::{bootstrap_tcp, BootstrapConfig, Communicator, FaultController, Rendezvous};
 use nn::layer::{Layer, Sequential};
@@ -52,6 +56,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use telemetry::json::Json;
 use tensor::Tensor;
 
 const SEED: u64 = 77;
@@ -114,29 +119,45 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// Writes `rank<R>.<kind>.ckpt` durably. On failure it logs an
-/// `event=ckpt_write_error` line and returns the worker's exit code, 5.
-fn write_ckpt(dir: &Path, rank: usize, kind: &str, ckpt: &[u8]) -> Result<(), i32> {
-    let path = dir.join(format!("rank{rank}.{kind}.ckpt"));
+/// Writes `rank<R>.<file>.ckpt` durably. On failure it logs a
+/// `ckpt_write_error` line and returns the worker's exit code, 5.
+fn write_ckpt(dir: &Path, rank: usize, file: &str, ckpt: &[u8]) -> Result<(), i32> {
+    let path = dir.join(format!("rank{rank}.{file}.ckpt"));
     samo::checkpoint::write_durable(&path, ckpt).map_err(|e| {
-        append_event(dir, rank, &format!("event=ckpt_write_error file={kind} err={e}"));
-        eprintln!("rank {rank}: write {kind} checkpoint: {e}");
+        let fields = [("file", Json::from(file)), ("err", e.to_string().into())];
+        append_event(dir, rank, &event("ckpt_write_error", fields));
+        eprintln!("rank {rank}: write {file} checkpoint: {e}");
         5
     })
 }
 
-fn append_event(dir: &Path, rank: usize, line: &str) {
+/// A line of the events file that is not a step: `kind` and its fields.
+fn event<const N: usize>(kind: &str, fields: [(&str, Json); N]) -> Json {
+    let fields = fields.into_iter().map(|(k, v)| (k.to_string(), v));
+    Json::Obj(std::iter::once(("kind".to_string(), Json::from(kind))).chain(fields).collect())
+}
+
+/// Appends one line to `rank<R>.events`, in one write.
+fn append_event(dir: &Path, rank: usize, line: &Json) {
     let path = dir.join(format!("rank{rank}.events"));
     if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(path) {
-        let _ = writeln!(f, "{line}");
+        let _ = f.write_all((line.render() + "\n").as_bytes());
     }
+}
+
+/// The lines of `rank<R>.events` that parse: a line a live worker is
+/// still appending is not one of them.
+fn read_events(dir: &Path, rank: usize) -> Vec<Json> {
+    let body = std::fs::read_to_string(dir.join(format!("rank{rank}.events"))).unwrap_or_default();
+    body.lines().filter_map(|l| Json::parse(l).ok()).collect()
 }
 
 /// Logs a collective that failed at `step`, with how long it took to
 /// surface.
 fn step_error(dir: &Path, rank: usize, step: usize, t0: Instant, e: comms::CommsError) {
-    let ms = t0.elapsed().as_millis();
-    append_event(dir, rank, &format!("event=step_error step={step} detect_ms={ms} err={e}"));
+    let ms = t0.elapsed().as_millis() as u64;
+    let fields = [("step", Json::from(step)), ("detect_ms", ms.into()), ("err", e.to_string().into())];
+    append_event(dir, rank, &event("step_error", fields));
 }
 
 fn env_num<T: std::str::FromStr>(key: &str) -> T
@@ -243,16 +264,13 @@ fn worker() -> i32 {
             continue;
         }
         if info.generation > 0 {
-            append_event(
-                &dir,
-                rank,
-                &format!(
-                    "event=resync generation={} epoch={} step={}",
-                    info.generation,
-                    epoch,
-                    dp.engine().step_index()
-                ),
-            );
+            let step = dp.engine().step_index();
+            let fields = [
+                ("generation", Json::from(u64::from(info.generation))),
+                ("epoch", u64::from(epoch).into()),
+                ("step", step.into()),
+            ];
+            append_event(&dir, rank, &event("resync", fields));
         }
 
         let mut failed = false;
@@ -266,11 +284,8 @@ fn worker() -> i32 {
             let step = dp.engine().step_index() as usize;
             let t0 = Instant::now();
             let res = dp.step(|_, model, scale| loss_grad(model, step, scale)).and_then(|_| {
+                append_event(&dir, rank, &dp.engine().step_event().to_json());
                 let done = dp.engine().step_index();
-                let _ = write_atomic(
-                    &dir.join(format!("rank{rank}.step")),
-                    done.to_string().as_bytes(),
-                );
                 // Collective: every rank saves after the same step.
                 (done % ckpt_every == 0).then(|| dp.save()).transpose()
             });
@@ -439,13 +454,15 @@ fn parent() -> Result<(), String> {
     }
 
     if let (Some(victim), Some(at)) = (args.kill_rank, args.kill_at) {
-        let progress = args.dir.join(format!("rank{victim}.step"));
         let deadline = Instant::now() + Duration::from_secs(120);
         loop {
-            let done: u64 = std::fs::read_to_string(&progress)
-                .ok()
-                .and_then(|s| s.trim().parse().ok())
-                .unwrap_or(0);
+            // Steps done: one past the last step line's index.
+            let events = read_events(&args.dir, victim);
+            let last_step = events.iter().rev().find(|e| e.get("kind") == Some(&Json::from("step")));
+            let done = match last_step.and_then(|e| e.get("step")) {
+                Some(Json::UInt(step)) => step + 1,
+                _ => 0,
+            };
             if done >= at {
                 break;
             }
@@ -504,24 +521,15 @@ fn parent() -> Result<(), String> {
         // Detection and recovery must both have left evidence: at least
         // one survivor recorded a bounded step error, and at least one
         // rank resynced in a later generation.
-        let mut detect_ms: Option<u128> = None;
+        let mut detect_ms: Option<u64> = None;
         let mut resyncs = 0usize;
-        for rank in 0..args.world {
-            let path = args.dir.join(format!("rank{rank}.events"));
-            let Ok(body) = std::fs::read_to_string(&path) else { continue };
-            for line in body.lines() {
-                if line.contains("event=step_error") {
-                    if let Some(ms) = line
-                        .split_whitespace()
-                        .find_map(|f| f.strip_prefix("detect_ms="))
-                        .and_then(|v| v.parse::<u128>().ok())
-                    {
-                        detect_ms = Some(detect_ms.map_or(ms, |d| d.min(ms)));
-                    }
+        for ev in (0..args.world).flat_map(|rank| read_events(&args.dir, rank)) {
+            match (ev.get("kind"), ev.get("detect_ms")) {
+                (Some(Json::Str(kind)), Some(&Json::UInt(ms))) if kind == "step_error" => {
+                    detect_ms = Some(detect_ms.map_or(ms, |d| d.min(ms)));
                 }
-                if line.contains("event=resync") {
-                    resyncs += 1;
-                }
+                (Some(Json::Str(kind)), _) if kind == "resync" => resyncs += 1,
+                _ => {}
             }
         }
         let detect =

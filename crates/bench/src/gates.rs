@@ -567,12 +567,18 @@ fn metrics(jsonl: &str) -> Check {
         records += 1;
         match text(&rec, "kind")? {
             "mesh_metrics" => {
-                // Rank-0 aggregation shipped over the transport.
+                // A thread group's step: every rank's step record, and the
+                // median and the largest of their windows.
                 mesh += 1;
                 let ranks = uint(&rec, "ranks")?;
                 let (median, max) = (num(&rec, "median_us")?, num(&rec, "max_us")?);
-                let per_rank = rows(&rec, "per_rank")?.len() as u64;
-                if ranks < 1 || per_rank != ranks || median <= 0.0 || max < median {
+                let per_rank = rows(&rec, "per_rank")?;
+                let window = |r: &Json| match text(r, "kind")? {
+                    "step" => num(r, "window_us"),
+                    _ => Err(bad("a mesh_metrics entry that is not a step record")),
+                };
+                let widest = per_rank.iter().map(window).try_fold(0.0, |w, r| r.map(|r| f64::max(w, r)))?;
+                if ranks < 1 || per_rank.len() as u64 != ranks || median <= 0.0 || max < median || max != widest {
                     return Err(bad("inconsistent mesh_metrics record"));
                 }
             }
@@ -1082,7 +1088,7 @@ mod tests {
     fn metrics_shape_and_exact_state_bytes_are_held() {
         let step = r#"{"kind":"step","runtime":"samo","step":1,"model_state_bytes":440,"formula_state_bytes":440}"#;
         let sharded = r#"{"kind":"step","runtime":"samo_dp","step":1,"model_state_bytes":300,"formula_state_bytes":null}"#;
-        let mesh = r#"{"kind":"mesh_metrics","ranks":2,"median_us":5.0,"max_us":7.5,"per_rank":[5.0,7.5]}"#;
+        let mesh = r#"{"kind":"mesh_metrics","ranks":2,"median_us":5.0,"max_us":7.5,"per_rank":[{"kind":"step","window_us":5.0},{"kind":"step","window_us":7.5}]}"#;
         let link = r#"{"kind":"link_event","event":"peer_dead","rank":1}"#;
         let ok = metrics(&[step, sharded, mesh, link].join("\n")).unwrap();
         assert_eq!(ok, "4 records (1 mesh_metrics)");
@@ -1095,6 +1101,12 @@ mod tests {
         assert!(metrics(&mesh.replace("7.5,", "4.0,"))
             .unwrap_err()
             .contains("mesh_metrics"));
+        assert!(metrics(&mesh.replace("\"window_us\":7.5", "\"window_us\":9.5"))
+            .unwrap_err()
+            .contains("mesh_metrics"));
+        assert!(metrics(&mesh.replace("[{\"kind\":\"step\"", "[{\"kind\":\"link_event\""))
+            .unwrap_err()
+            .contains("not a step record"));
         assert!(metrics(&link.replace("peer_dead", ""))
             .unwrap_err()
             .contains("link_event"));

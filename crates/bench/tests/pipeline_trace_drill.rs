@@ -3,7 +3,7 @@
 //! surviving *and* the isolated rank's slices are still drainable
 //! after the group is torn down (per-thread buffers outlive their
 //! threads), the failed step leaves a `timed_out` wait slice, and the
-//! good step's mesh-aggregated `mesh_metrics` line reaches
+//! good step's `mesh_metrics` line, every rank's step event, reaches
 //! `metrics.jsonl`.
 
 use nn::mixed::{LossScaler, Optimizer};
@@ -110,8 +110,8 @@ fn killed_rank_still_delivers_its_trace_and_metrics() {
     });
     assert!(timed_out, "dead-neighbour step must record a timed-out wait slice");
 
-    // Rank (0,0) aggregated the healthy step's per-rank durations over
-    // the mesh and the line survived to disk.
+    // The group wrote the healthy step's events, one per rank, and the
+    // line survived to disk.
     let jsonl = std::fs::read_to_string(tmp.join("metrics.jsonl")).expect("metrics.jsonl written");
     let mesh_lines: Vec<_> =
         jsonl.lines().filter(|l| l.contains("\"kind\":\"mesh_metrics\"")).collect();

@@ -75,7 +75,7 @@ pub enum Kind {
     P2p = 4,
     /// Out-of-band text, never sent on a training mesh: the bootstrap
     /// host's refusal of a registration (`bootstrap::Handshake::Reject`)
-    /// and the serving tier's error replies. A group's step durations
+    /// and the serving tier's error replies. A group's step events
     /// ride its rank threads' replies, not the wire.
     Telemetry = 5,
     /// Liveness probes on a socket transport: a background thread pings

@@ -95,13 +95,18 @@
 //! runtime and the engine charge `f`, `b`, `w`, `send`, `wait`, `remap`,
 //! `compress`, `reduce`, `optimizer` and `gather` where each runs — a
 //! ring pumped inside a W is `reduce`, the innermost phase — and
-//! `StepEngine::end_step` closes it. The phases sum to the window.
-//! One rank per group reports (rank 0; the pipeline narrows it to stage
-//! 0): with telemetry on it emits one `telemetry::StepEvent` per step —
-//! the same record for every runtime, told apart by `runtime`, with a
-//! `t_<phase>` per phase of the ledger — feeds the `samo.step.<phase>`
-//! histograms and keeps the counters and gauges under the runtime's
-//! `Labels` prefix.
+//! `StepEngine::end_step` closes it. The phases sum to the window, which
+//! is the step's only clock: its start sits on the trace clock, so the
+//! pipeline's trace slices are ledger marks too.
+//!
+//! A step has one record, `telemetry::StepEvent`, built by one function,
+//! `StepEngine::step_event`: the same record for every runtime, told
+//! apart by `runtime` and placed by the rank's grid place `(stage, data)`,
+//! with the ledger's window and a `t_<phase>` per phase. Rank `(0, 0)`
+//! reports it: with telemetry on it writes the event's line, feeds the
+//! `samo.step.<phase>` histograms and keeps the counters and gauges under
+//! the runtime's prefix. A rank thread hands its event to its
+//! group, and a `samo-launch` worker writes it to its events file.
 //!
 //! [`crate::reference::DataParallelSamo`], the sequential oracle the
 //! threaded runtimes are compared with, keeps its own step and shares
@@ -138,25 +143,6 @@ pub struct ScheduleRefused {
     /// The update step the schedule would have ranked without a gradient.
     pub step: u64,
 }
-
-/// What differs between the runtimes' reports: the prefix of their
-/// counters and gauges (`.steps_taken`, `.steps_skipped`, `.loss_scale`,
-/// `.model_state_bytes`, `.allreduce_bytes`, `.remap_events`) — and, dots
-/// to underscores, the `runtime` of their step events. The phases of the
-/// ledger are the same for all.
-pub(crate) struct Labels {
-    pub prefix: &'static str,
-}
-
-pub(crate) const SAMO: Labels = Labels { prefix: "samo" };
-/// The sequential [`crate::reference::DataParallelSamo`].
-pub(crate) const DP: Labels = Labels { prefix: "samo.dp" };
-pub(crate) const DP_THREADED: Labels = Labels {
-    prefix: "samo.dp_threaded",
-};
-pub(crate) const PIPELINE: Labels = Labels {
-    prefix: "samo.pipeline",
-};
 
 /// SAMO training state of one rank for a whole model (or pipeline stage):
 /// one compressed layer state per parameter tensor, the loss scaler, the
@@ -200,10 +186,19 @@ pub struct StepEngine {
     /// A pipeline step's deferred Ws, oldest first: the one a B just
     /// recorded and, until it runs, at most one before it.
     w_queue: Vec<Deferred>,
-    labels: &'static Labels,
-    /// One rank per group reports: rank 0 of the group (the pipeline
-    /// narrows it to stage 0).
-    pub(crate) reports: bool,
+    /// What differs between the runtimes' reports: the prefix of their
+    /// counters and gauges (`.steps_taken`, `.steps_skipped`,
+    /// `.loss_scale`, `.model_state_bytes`, `.allreduce_bytes`,
+    /// `.remap_events`) — `samo`, `samo.dp_threaded` or `samo.pipeline`
+    /// (the oracle's is `samo.dp`) — and, dots to underscores, the
+    /// `runtime` of their step events. The phases of the ledger are the
+    /// same for all.
+    prefix: &'static str,
+    /// The rank's place in the grid, `(stage, data)`: `(0, group rank)`
+    /// until a pipeline names the stage. Rank `(0, 0)` reports.
+    pub(crate) place: (usize, usize),
+    /// The last step's verdict and the loss scale it ran at.
+    verdict: (bool, f32),
     /// This rank's phase clock; a runtime opens its window per step.
     pub(crate) ledger: Ledger,
 }
@@ -220,7 +215,7 @@ impl StepEngine {
         masks: &[Mask],
         opt: Optimizer,
         group: Option<Communicator>,
-        labels: &'static Labels,
+        prefix: &'static str,
     ) -> StepEngine {
         let (rank, world) = group.as_ref().map_or((0, 1), |c| (c.rank(), c.world()));
         let layers = build_layers(model, masks, &opt, rank, world);
@@ -243,8 +238,9 @@ impl StepEngine {
             buckets: Vec::new(),
             open: Vec::new(),
             local_finite: true,
-            labels,
-            reports: rank == 0,
+            prefix,
+            place: (0, rank),
+            verdict: (false, 0.0),
             ledger: Ledger::default(),
         }
     }
@@ -409,7 +405,7 @@ impl StepEngine {
         if sums_lent {
             self.lend_grad_sums(model, !self.is_update_step());
         }
-        if self.reports {
+        if self.reports() {
             count_recovery();
         }
         Ok(())
@@ -724,32 +720,53 @@ impl StepEngine {
         Ok(proceed)
     }
 
-    /// Closes the step's window on the ledger and returns `applied`. When
-    /// this rank reports and telemetry is on, it records the step too: the
-    /// step event, run at loss scale `scale_used`, with a `t_<phase>` per
-    /// phase, a `samo.step.<phase>` sample per phase the step charged, and
-    /// the gauges.
+    /// Whether this rank reports for its group: rank `(0, 0)`.
+    fn reports(&self) -> bool {
+        self.place == (0, 0)
+    }
+
+    /// Closes the step's window on the ledger, keeps the verdict, run at
+    /// loss scale `scale_used`, for [`Self::step_event`] and returns
+    /// `applied`. When this rank reports and telemetry is on, it reports
+    /// the step too: its event, a `samo.step.<phase>` sample per phase the
+    /// step charged, and the gauges.
     pub(crate) fn end_step(&mut self, model: &impl Layer, applied: bool, scale_used: f32) -> bool {
         self.ledger.stop();
-        if !(self.reports && telemetry::enabled()) {
+        self.verdict = (applied, scale_used);
+        if !(self.reports() && telemetry::enabled()) {
             return applied;
         }
         let reg = telemetry::global();
-        let name = format!("{}.resident_param_bytes", self.labels.prefix);
+        let name = format!("{}.resident_param_bytes", self.prefix);
         reg.gauge(&name).set(self.resident_param_bytes(model) as f64);
-        let split = self.ledger.split();
-        let phases = Phase::ALL.map(|p| (p.name(), split.secs(p)));
-        for &(name, secs) in &phases {
+        let ev = self.step_event();
+        for &(name, secs) in &ev.phases {
             // Every phase's histogram exists; it samples the steps that charged it.
             let histogram = reg.histogram(&format!("samo.step.{name}"));
             if secs > 0.0 {
                 histogram.record(secs);
             }
         }
-        let world = self.group.as_ref().map(Communicator::world);
-        let meta = self.meta();
-        record_step(self.labels, applied, scale_used, meta, &self.layers, &self.opt, world, phases.to_vec());
+        report_step(self.prefix, self.group.is_some(), self.scaler.scale(), &ev);
         applied
+    }
+
+    /// The step this rank last ended, as its one record: the verdict and
+    /// state after it, the rank's place, and its ledger's window, split
+    /// and hidden communication. Built on demand, not per step: a rank
+    /// thread asks with telemetry on, a `samo-launch` worker always.
+    pub fn step_event(&self) -> telemetry::StepEvent {
+        let split = self.ledger.split();
+        let world = self.group.as_ref().map(Communicator::world);
+        let (stage, data) = self.place;
+        telemetry::StepEvent {
+            stage: stage as u64,
+            data: data as u64,
+            window_us: split.window_ns() as f64 / 1e3,
+            hidden_comm_s: split.hidden_ns() as f64 / 1e9,
+            phases: Phase::ALL.iter().map(|&p| (p.name(), split.secs(p))).collect(),
+            ..step_event(self.prefix, self.verdict, self.meta(), &self.layers, &self.opt, world)
+        }
     }
 
     /// The bytes of the gauge `<prefix>.resident_param_bytes`: the f32
@@ -870,8 +887,8 @@ impl StepEngine {
             if let Some(comm) = self.group.as_mut() {
                 comm.bump_epoch();
             }
-            if self.reports && telemetry::enabled() {
-                let name = format!("{}.remap_events", self.labels.prefix);
+            if self.reports() && telemetry::enabled() {
+                let name = format!("{}.remap_events", self.prefix);
                 telemetry::global().counter(&name).inc();
             }
         }
@@ -1114,40 +1131,29 @@ pub(crate) fn count_recovery() {
     }
 }
 
-/// Cold path: metric/JSONL bookkeeping for one completed step of one
-/// rank holding `layers`, in a ring group of `world` (a single worker has
-/// none, and reports the flat payload a data-parallel step would move,
-/// Eq. 9, instead of the ring byte model and its cumulative counter).
-/// `meta` is the state *after* the verdict.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn record_step(
-    labels: &Labels,
-    applied: bool,
-    scale_used: f32,
+/// The record of one completed step of one rank holding `layers`, at
+/// place `(0, 0)` and with no phases: what every SAMO runtime's event
+/// shares ([`StepEngine::step_event`] adds the ledger's). `verdict` is
+/// whether it applied and at which loss scale, `meta` the state *after*
+/// it. A rank in a ring group of `world` moves the ring byte model; a
+/// single worker reports the flat payload a data-parallel step would
+/// move, Eq. 9.
+pub(crate) fn step_event(
+    prefix: &str,
+    (applied, scale_used): (bool, f32),
     meta: TrainerMeta,
     layers: &[SamoLayerState],
     opt: &Optimizer,
     world: Option<usize>,
-    phases: Vec<(&'static str, f64)>,
-) {
-    let prefix = labels.prefix;
+) -> telemetry::StepEvent {
     let numel = layers.iter().map(|l| l.numel()).sum::<usize>() as u64;
     let nnz = layers.iter().map(|l| l.nnz()).sum::<usize>() as u64;
-    let allreduce_bytes = match world {
-        Some(world) => {
-            let step_bytes = samo_ring_allreduce_bytes(nnz, world as u64);
-            let name = format!("{prefix}.allreduce_bytes");
-            telemetry::global().counter(&name).add(step_bytes);
-            step_bytes
-        }
-        None => samo_allreduce_bytes(nnz),
-    };
     // Shards carry per-rank remainders; the paper's closed form holds
     // for a state that owns the whole compressed range.
     let unsharded = !layers.iter().any(SamoLayerState::is_sharded);
-    let ev = telemetry::StepEvent {
+    telemetry::StepEvent {
         runtime: prefix.replace('.', "_"),
-        step: meta.steps_taken + meta.steps_skipped - 1,
+        step: (meta.steps_taken + meta.steps_skipped).saturating_sub(1),
         applied,
         loss_scale: scale_used,
         steps_taken: meta.steps_taken,
@@ -1156,23 +1162,26 @@ pub(crate) fn record_step(
         nnz,
         model_state_bytes: layers.iter().map(|l| l.measured_bytes(true)).sum(),
         formula_state_bytes: unsharded.then(|| formula_state_bytes(opt, numel, nnz)),
-        allreduce_bytes,
-        phases,
-    };
-    report_step(prefix, meta.loss_scale, &ev);
+        allreduce_bytes: world.map_or(samo_allreduce_bytes(nnz), |w| samo_ring_allreduce_bytes(nnz, w as u64)),
+        ..Default::default()
+    }
 }
 
-/// The counters and gauges every runtime keeps under its `prefix`, and
-/// the step event itself. `scale_now` is the loss scale after the verdict.
-pub(crate) fn report_step(prefix: &str, scale_now: f32, ev: &telemetry::StepEvent) {
+/// Reports a step: the counters and gauges every runtime keeps under its
+/// `prefix` — a ring group's cumulative `allreduce_bytes` among them —
+/// and the event's line. `scale_now` is the loss scale after the verdict.
+pub(crate) fn report_step(prefix: &str, ring: bool, scale_now: f32, ev: &telemetry::StepEvent) {
     let reg = telemetry::global();
     let verdict = if ev.applied { "taken" } else { "skipped" };
     reg.counter(&format!("{prefix}.steps_{verdict}")).inc();
+    if ring {
+        reg.counter(&format!("{prefix}.allreduce_bytes")).add(ev.allreduce_bytes);
+    }
     reg.gauge(&format!("{prefix}.loss_scale"))
         .set(f64::from(scale_now));
     reg.gauge(&format!("{prefix}.model_state_bytes"))
         .set_max(ev.model_state_bytes as f64);
-    telemetry::jsonl::emit_step(ev);
+    telemetry::jsonl::emit_line(&ev.to_json());
 }
 
 #[cfg(test)]
@@ -1254,7 +1263,7 @@ mod tests {
         let mut oracle_model = model();
         let mut oracle = SamoTrainer::new(&mut oracle_model, masks(), opt());
         let mut m = model();
-        let mut e = StepEngine::build(&mut m, &masks(), opt(), None, &SAMO);
+        let mut e = StepEngine::build(&mut m, &masks(), opt(), None, "samo");
         for step in 0..6u64 {
             oracle_step(&mut oracle, &mut oracle_model, step);
             let lag = step % 2 == 1;
@@ -1273,7 +1282,7 @@ mod tests {
         let mut oracle_model = model();
         let mut oracle = SamoTrainer::new(&mut oracle_model, masks(), opt());
         let mut m = model();
-        let mut e = StepEngine::build(&mut m, &masks(), opt(), None, &SAMO);
+        let mut e = StepEngine::build(&mut m, &masks(), opt(), None, "samo");
         oracle_step(&mut oracle, &mut oracle_model, 0);
         deferred_step(&mut e, &mut m, 0, false);
         let checkpoint = e.save();

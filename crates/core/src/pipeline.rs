@@ -110,7 +110,7 @@
 //! checkpoint on every rank, bumps both mesh epochs (discarding stale
 //! in-flight traffic) and barriers the group back together.
 
-use crate::engine::{assert_replicas_agree, gather_full, StepEngine, DP_THREADED, PIPELINE};
+use crate::engine::{assert_replicas_agree, gather_full, StepEngine};
 use crate::serialize::save_checkpoint;
 use crate::state::SamoLayerState;
 use crate::threaded::RankGroup;
@@ -120,7 +120,6 @@ use nn::mixed::{LossScaler, Optimizer};
 use prune::{Mask, MaskSchedule};
 use std::sync::Arc;
 use std::time::Duration;
-use telemetry::clock::now_us;
 use telemetry::json::Json;
 use telemetry::ledger::Phase;
 use telemetry::trace::{self, lane};
@@ -192,10 +191,11 @@ pub struct StageStats {
     /// Most bytes of W operands (`dy` and `x` per deferred weight) ever
     /// held at once.
     pub w_bytes_peak: u64,
-    /// When this rank's scheduler loop last started/ended, microseconds
-    /// on the shared comms-trace clock ([`now_us`]) — the
-    /// bubble bench reconstructs the step makespan across ranks from
-    /// these (`max(end) − min(start)` over the group).
+    /// When this rank's scheduler loop last started/ended: ledger marks,
+    /// in microseconds on the shared trace clock
+    /// ([`telemetry::clock::now_us`]) — the bubble bench reconstructs the
+    /// step makespan across ranks from these (`max(end) − min(start)`
+    /// over the group).
     pub last_sched_start_us: f64,
     /// See [`Self::last_sched_start_us`].
     pub last_sched_end_us: f64,
@@ -351,9 +351,10 @@ pub(crate) enum Job<'a, M> {
     Whole(&'a dyn Fn(usize, &mut M, f32) -> Tensor),
 }
 
-/// The one rank of AxoNN's `G_inter × G_data` grid: stage `stage` of data
-/// replica `data_idx` — its block of the model and the [`StepEngine`]
-/// training it, sharded over the stage's data mesh. [`ThreadedPipelineSamo`]
+/// The one rank of AxoNN's `G_inter × G_data` grid: a stage of a data
+/// replica — its engine's place `(stage, data)` — with its block of the
+/// model and the [`StepEngine`] training it, sharded over the stage's
+/// data mesh. [`ThreadedPipelineSamo`]
 /// runs one per thread. At one stage and one microbatch it is
 /// [`crate::DataParallelRank`], which [`crate::ThreadedDataParallelSamo`]
 /// runs one per thread and `samo-launch` one per process, over the
@@ -361,8 +362,6 @@ pub(crate) enum Job<'a, M> {
 /// and [`Self::restore`] are collective: every rank of the group calls
 /// them together.
 pub struct StageRank<M> {
-    stage: usize,
-    data_idx: usize,
     cfg: PipelineConfig,
     /// Global trace lane (`tid`) of this rank: unique across every
     /// pipeline group of the process, shared by the rank's stage
@@ -376,7 +375,7 @@ pub struct StageRank<M> {
     params_total: usize,
     pub(crate) block: M,
     /// The stage's state and step, reducing over the data mesh of this
-    /// stage (rank = data_idx).
+    /// stage (rank = its data replica).
     pub(crate) engine: StepEngine,
     /// Pipeline mesh of this data replica; rank = stage. A one-stage rank
     /// outside a pipeline has none.
@@ -403,7 +402,7 @@ impl<M: Layer> StageRank<M> {
     /// replica's `Linear`s hold no f32 `value` and compute from what the
     /// engine lends for each step.
     pub fn new(mut model: M, masks: &[Mask], opt: Optimizer, comm: Communicator) -> Self {
-        let engine = StepEngine::build(&mut model, masks, opt, Some(comm), &DP_THREADED);
+        let engine = StepEngine::build(&mut model, masks, opt, Some(comm), "samo.dp_threaded");
         Self::with_engine(model, engine, PipelineConfig::new(1, 1, 0))
     }
 
@@ -411,8 +410,6 @@ impl<M: Layer> StageRank<M> {
     /// pipeline stage overrides.
     fn with_engine(block: M, engine: StepEngine, cfg: PipelineConfig) -> Self {
         StageRank {
-            stage: 0,
-            data_idx: engine.comm().rank(),
             lane: 0,
             param_off: 0,
             params_total: engine.layers.len(),
@@ -465,7 +462,6 @@ impl<M: Layer> StageRank<M> {
     /// pipeline — the "step" slice recorded on completion.
     pub(crate) fn run(&mut self, job: &Job<'_, M>, step: u32) -> Result<bool, CommsError> {
         self.engine.ledger.start();
-        let win0 = telemetry::enabled().then(now_us);
         let scale_used = self.engine.loss_scale();
         self.input_stash.clear();
         self.input_stash.resize_with(self.cfg.microbatches, || None);
@@ -503,8 +499,8 @@ impl<M: Layer> StageRank<M> {
             None => stage_finite,
         };
         let applied = self.engine.apply(&mut self.block, finite)?;
-        if let Some(w0) = win0.filter(|_| self.pipe.is_some()) {
-            self.finish_step_telemetry(step, w0);
+        if self.pipe.is_some() && telemetry::enabled() {
+            self.finish_step_telemetry(step);
         }
         Ok(self.engine.end_step(&self.block, applied, scale_used))
     }
@@ -512,9 +508,9 @@ impl<M: Layer> StageRank<M> {
     /// The step's schedule: receives, and runs what [`Schedule::next`]
     /// returns until the last W has run.
     fn run_schedule(&mut self, job: &Job<'_, M>, step: u32, scale_used: f32) -> Result<(), CommsError> {
-        let s = self.stage;
-        self.stats.last_sched_start_us = now_us();
+        let (s, d) = self.engine.place;
         let sched0 = self.engine.ledger.mark();
+        self.stats.last_sched_start_us = self.engine.ledger.trace_us(sched0);
         let mut sched = self.schedule;
         // A link's next message, received and not yet consumed; on the
         // last stage `dy_in` is the loss gradient of the output it just
@@ -561,14 +557,14 @@ impl<M: Layer> StageRank<M> {
             match (op, job) {
                 (Op::F(mb), Job::Split(input, loss_grad)) => {
                     // Stage 0 reads its input; every other stage has one in hand.
-                    let x = x_in.take().unwrap_or_else(|| input(self.data_idx, mb));
+                    let x = x_in.take().unwrap_or_else(|| input(d, mb));
                     if let Some(y) = self.forward_mb(mb, x, step)? {
-                        dy_in = Some(loss_grad(self.data_idx, mb, &y, scale_used));
+                        dy_in = Some(loss_grad(d, mb, &y, scale_used));
                     }
                 }
                 (Op::F(mb), Job::Whole(f)) => {
                     self.engine.ledger.enter(Phase::F);
-                    dy_in = Some(f(self.data_idx, &mut self.block, scale_used));
+                    dy_in = Some(f(d, &mut self.block, scale_used));
                     self.end_op(Phase::F, mb, true);
                     self.cache_mb = Some(mb);
                 }
@@ -581,9 +577,11 @@ impl<M: Layer> StageRank<M> {
             sched.done(op);
             last_progress = self.engine.ledger.mark();
         }
-        self.stats.sched_wall_s += (self.engine.ledger.mark() - sched0) as f64 / 1e9;
-        self.stats.last_sched_end_us = now_us();
-        let split = self.engine.ledger.split();
+        let ledger = &mut self.engine.ledger;
+        let end = ledger.mark();
+        self.stats.sched_wall_s += (end - sched0) as f64 / 1e9;
+        self.stats.last_sched_end_us = ledger.trace_us(end);
+        let split = ledger.split();
         self.stats.fwd_s += split.secs(Phase::F);
         self.stats.bwd_s += split.secs(Phase::B) + split.secs(Phase::W);
         self.stats.w_s += split.secs(Phase::W);
@@ -662,15 +660,16 @@ impl<M: Layer> StageRank<M> {
     /// window slice and the stash's peak. Only called when telemetry is
     /// enabled and the step reached a verdict (error paths skip it — a
     /// dead rank's wait slices still tell the story).
-    fn finish_step_telemetry(&mut self, step: u32, win0: f64) {
+    fn finish_step_telemetry(&mut self, step: u32) {
         let reg = telemetry::global();
         reg.gauge("samo.pipeline.stash_bytes_peak").set_max(self.stats.stash_bytes_peak as f64);
-        let now = now_us();
-        let dur_us = (now - win0).max(0.0);
+        let ledger = &mut self.engine.ledger;
+        let (win0, dur_us) = (ledger.trace_us(0), ledger.mark() as f64 * 1e-3);
         // The step window on this rank's row, around its F/B/W slices and
         // its comms lane; the group id (lane base) keeps same-numbered
         // steps of two groups apart in a merged trace.
-        let group = self.lane - (self.data_idx * self.cfg.g_inter + self.stage) as u64;
+        let (s, d) = self.engine.place;
+        let group = self.lane - (d * self.cfg.g_inter + s) as u64;
         trace::slice(lane::PIPELINE, self.lane, "pipeline", win0, dur_us, || {
             let uint = |k: &str, v: u64| (k.to_string(), Json::UInt(v));
             (
@@ -683,9 +682,10 @@ impl<M: Layer> StageRank<M> {
     /// Closes `phase`, microbatch `mb`'s F, B or W, on the ledger and —
     /// traced, and if it `ran` — records it as a slice on this rank's lane.
     fn end_op(&mut self, phase: Phase, mb: usize, ran: bool) {
-        let lap_us = self.engine.ledger.exit(phase) as f64 * 1e-3;
+        let ledger = &mut self.engine.ledger;
+        let lap = ledger.exit(phase);
         if ran && self.pipe.is_some() && telemetry::enabled() {
-            let ts = (now_us() - lap_us).max(0.0);
+            let (ts, lap_us) = (ledger.trace_us(ledger.charged_ns() - lap), lap as f64 * 1e-3);
             trace::slice(lane::PIPELINE, self.lane, "pipeline", ts, lap_us, || {
                 let kind = phase.name().to_uppercase();
                 (format!("{kind}{mb}"), vec![("mb".into(), Json::UInt(mb as u64))])
@@ -716,10 +716,11 @@ impl<M: Layer> StageRank<M> {
         if !self.stashing {
             self.input_stash[mb] = Some(x);
         }
-        if self.stage + 1 == self.cfg.g_inter {
+        let stage = self.engine.place.0;
+        if stage + 1 == self.cfg.g_inter {
             return Ok(Some(y));
         }
-        self.send(self.stage + 1, p2p_id(mb, DIR_ACT), step, y)?;
+        self.send(stage + 1, p2p_id(mb, DIR_ACT), step, y)?;
         Ok(None)
     }
 
@@ -768,8 +769,9 @@ impl<M: Layer> StageRank<M> {
             self.cache_mb = None;
         }
         self.end_op(Phase::B, mb, true);
-        if self.stage > 0 {
-            self.send(self.stage - 1, p2p_id(mb, DIR_GRAD), step, dx)?;
+        let stage = self.engine.place.0;
+        if stage > 0 {
+            self.send(stage - 1, p2p_id(mb, DIR_GRAD), step, dx)?;
         }
         Ok(())
     }
@@ -892,12 +894,11 @@ impl ThreadedPipelineSamo {
                     &masks[param_off..param_off + n_params],
                     opt.clone(),
                     Some(comm(data_t)),
-                    &PIPELINE,
+                    "samo.pipeline",
                 );
-                // Rank (0,0) reports for the group.
-                engine.reports &= stage == 0;
+                // Its place in the grid: rank (0, 0) reports for the group.
+                engine.place = (stage, data_idx);
                 let rk = StageRank {
-                    stage,
                     lane,
                     param_off,
                     params_total: masks.len(),

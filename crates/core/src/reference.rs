@@ -17,9 +17,9 @@
 //!   the replicas inside one thread, reduces with
 //!   [`comms::reference::allreduce_mean_f16`] and steps with the
 //!   three-phase kernels. It therefore keeps its own step, independent of
-//!   `crate::engine`, and shares only the engine's construction,
-//!   checkpoint and telemetry helpers; [`to_full_layer`] gathers its
-//!   shards for a checkpoint.
+//!   `crate::engine`, mask updates included, and shares only the engine's
+//!   construction, checkpoint and telemetry helpers; [`to_full_layer`]
+//!   gathers its shards for a checkpoint or a remap.
 //! * [`DenseMaskedTrainer`], the dense mixed-precision baseline SAMO
 //!   must reproduce bit for bit on `θ32` — the reproduction's core
 //!   correctness theorem — and its closed form
@@ -28,14 +28,14 @@
 use crate::compressed::expand_into;
 use crate::engine::{
     apply_meta, assert_replicas_agree, build_layers, check_structure, count_recovery,
-    install_layers, record_step, report_step, trainer_meta, DP,
+    install_layers, report_step, step_event, trainer_meta,
 };
 use crate::serialize::{load_checkpoint, save_checkpoint};
-use crate::state::{os_arrays_mut, SamoLayerState};
+use crate::state::{os_arrays_mut, RemapScratch, SamoLayerState};
 use crate::trainer::{dense_allreduce_bytes, samo_ring_allreduce_bytes};
 use nn::layer::Layer;
 use nn::mixed::{DenseMixedState, LossScaler, OptState, Optimizer};
-use prune::Mask;
+use prune::{Mask, MaskSchedule};
 use tensor::f16::F16;
 
 /// Compresses a freshly produced dense (loss-scaled) fp32 gradient
@@ -141,6 +141,8 @@ pub struct DataParallelSamo<M: Layer> {
     steps_skipped: u64,
     /// Cumulative compressed-gradient bytes moved through the all-reduce.
     allreduce_bytes: u64,
+    /// The dynamic-sparsity schedule, if any ([`Self::set_mask_schedule`]).
+    schedule: Option<MaskSchedule>,
 }
 
 impl<M: Layer> DataParallelSamo<M> {
@@ -166,6 +168,43 @@ impl<M: Layer> DataParallelSamo<M> {
             steps_taken: 0,
             steps_skipped: 0,
             allreduce_bytes: 0,
+            schedule: None,
+        }
+    }
+
+    /// Installs a dynamic-sparsity schedule. On an update step, before
+    /// compressing, each parameter's grow score is the exact mean of the
+    /// replicas' dense gradients narrowed to f16, ranked beside `θ16`
+    /// ([`MaskSchedule::next_mask`]); a moved mask remaps the gathered
+    /// state, cuts it into shards again and rewrites every replica.
+    // TEST-API: `pipeline_threaded` holds the runtimes' mask updates to it.
+    pub fn set_mask_schedule(&mut self, schedule: MaskSchedule) {
+        self.schedule = Some(schedule);
+    }
+
+    /// The mask update of step `t`, if the schedule fires there.
+    fn remap(&mut self, t: u64) {
+        let Some(sched) = self.schedule.as_ref().filter(|s| s.is_update_step(t)) else {
+            return;
+        };
+        let d = self.replicas.len();
+        for pi in 0..self.states[0].len() {
+            let narrow = |m: &mut M| m.params_mut()[pi].grad.as_slice().iter().map(|&g| F16::from_f32(g)).collect();
+            let mut scores: Vec<Vec<F16>> = self.replicas.iter_mut().map(narrow).collect();
+            let mut bufs: Vec<&mut [F16]> = scores.iter_mut().map(|v| &mut v[..]).collect();
+            comms::reference::allreduce_mean_f16(&mut bufs).expect("replica gradients share one layout");
+            let st = &self.states[0][pi];
+            let new_mask = sched.next_mask(t, &st.theta16, &scores[0], &st.mask);
+            if new_mask == st.mask {
+                continue;
+            }
+            let mut full = to_full_layer(&self.states.iter().map(|rs| &rs[pi]).collect::<Vec<_>>());
+            let mut scratch = RemapScratch::for_layer(&mut full, &self.opt);
+            full.remap_compressed_state(new_mask, &mut scratch);
+            for (r, (rs, model)) in self.states.iter_mut().zip(&mut self.replicas).enumerate() {
+                rs[pi] = full.clone().into_shard(r, d);
+                rs[pi].write_dense_f32_params_into(model.params_mut()[pi].value.as_mut_slice());
+            }
         }
     }
 
@@ -227,6 +266,9 @@ impl<M: Layer> DataParallelSamo<M> {
         let nparams = self.states[0].len();
         let mut phases = Vec::new();
 
+        // 0. A mask update, if the schedule fires at this step.
+        self.remap(self.steps_taken + self.steps_skipped);
+
         // 1. Compress each rank's gradients.
         let sp = tel.then(|| telemetry::span("samo.step.compress"));
         for (model, rank_states) in self.replicas.iter_mut().zip(&mut self.states) {
@@ -287,16 +329,8 @@ impl<M: Layer> DataParallelSamo<M> {
             self.steps_skipped += 1;
         }
         if tel {
-            record_step(
-                &DP,
-                proceed,
-                scale,
-                self.meta(),
-                &self.states[0],
-                &self.opt,
-                Some(d),
-                phases,
-            );
+            let ev = step_event("samo.dp", (proceed, scale), self.meta(), &self.states[0], &self.opt, Some(d));
+            report_step("samo.dp", true, self.scaler.scale(), &telemetry::StepEvent { phases, ..ev });
         }
         proceed
     }
@@ -598,8 +632,9 @@ impl DenseMaskedTrainer {
             formula_state_bytes: Some(dense_formula_state_bytes(&self.opt, numel)),
             allreduce_bytes: dense_allreduce_bytes(numel),
             phases: phases.into_iter().filter_map(|(n, t)| Some((n, t?))).collect(),
+            ..Default::default()
         };
-        report_step("dense", self.scaler.scale(), &ev);
+        report_step("dense", false, self.scaler.scale(), &ev);
     }
 }
 

@@ -79,9 +79,10 @@ use prune::{Mask, MaskSchedule};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use telemetry::json::Json;
-use telemetry::ledger::{Phase, Split};
+use telemetry::ledger::Phase;
+use telemetry::StepEvent;
 use tensor::Tensor;
 
 /// The per-step work a rank thread runs before the collective phase:
@@ -114,16 +115,13 @@ const COMPUTE: [Phase; 6] = [Phase::F, Phase::B, Phase::W, Phase::Compress, Phas
 /// What a rank thread reports back after a step (and after a restore):
 /// the verdict, its trainer-level state — identical on every rank, and
 /// what the calling thread mirrors — its unpruned parameter count,
-/// which a dynamic-sparsity remap changes, how long the step took and
-/// where that time went.
+/// which a dynamic-sparsity remap changes, and, with telemetry on, the
+/// step's event (none for a restore).
 pub(crate) struct StepOutcome {
     pub applied: bool,
     pub meta: TrainerMeta,
     pub nnz: usize,
-    /// The step's wall time on the rank's thread (0 for a restore).
-    pub dur_us: f64,
-    /// The rank's phase split of the step (of the last one, for a restore).
-    pub split: Split,
+    pub event: Option<StepEvent>,
 }
 
 /// A step as the group hands it to every rank: which job, at which step.
@@ -143,27 +141,25 @@ enum Cmd<M> {
 /// answering each step and restore with its outcome. A rank whose step
 /// failed refuses further steps (poisoned) until a restore succeeds.
 fn rank_loop<M: Layer>(mut rank: StageRank<M>, rx: Receiver<Cmd<M>>, tx: Sender<Result<StepOutcome, String>>) {
-    let outcome = |rank: &StageRank<M>, applied, dur_us| StepOutcome {
+    let outcome = |rank: &StageRank<M>, applied, event| StepOutcome {
         applied,
         meta: rank.engine.meta(),
         nnz: rank.engine.nnz(),
-        dur_us,
-        split: rank.engine.ledger.split(),
+        event,
     };
     let mut poisoned = false;
     while let Ok(cmd) = rx.recv() {
         let done = match cmd {
             Cmd::Step(_) if poisoned => Err(CommsError::Poisoned.to_string()),
             Cmd::Step(job) => {
-                let t0 = Instant::now();
                 let stepped = job(&mut rank);
-                let dur_us = t0.elapsed().as_secs_f64() * 1e6;
                 poisoned = stepped.is_err();
-                stepped.map(|applied| outcome(&rank, applied, dur_us)).map_err(|e| e.to_string())
+                let event = || telemetry::enabled().then(|| rank.engine.step_event());
+                stepped.map(|applied| outcome(&rank, applied, event())).map_err(|e| e.to_string())
             }
             Cmd::Restore(ck) => rank.restore(&ck).map(|()| {
                 poisoned = false;
-                outcome(&rank, false, 0.0)
+                outcome(&rank, false, None)
             }),
             Cmd::Call(f) => {
                 f(&mut rank);
@@ -191,8 +187,6 @@ pub(crate) struct RankGroup<M> {
     pub numel: usize,
     /// Unpruned parameters fφ (per replica).
     pub nnz: usize,
-    /// Rolling per-rank step durations `(sum_us, samples)`, in rank order.
-    dur_stats: Vec<(f64, u64)>,
 }
 
 impl<M: Layer + Send + 'static> RankGroup<M> {
@@ -206,7 +200,6 @@ impl<M: Layer + Send + 'static> RankGroup<M> {
             meta: trainer_meta(&LossScaler::default(), 0, 0),
             numel: 0,
             nnz: 0,
-            dur_stats: vec![(0.0, 0); ranks.len()],
         };
         for (i, (name, rank)) in ranks.into_iter().enumerate() {
             if i < g_inter {
@@ -229,13 +222,10 @@ impl<M: Layer + Send + 'static> RankGroup<M> {
         group
     }
 
-    /// Names rank `i` in error messages.
+    /// Names rank `i` in error messages by its place: a data-parallel
+    /// rank is stage 0 of its replica.
     fn label(&self, i: usize) -> String {
-        if self.g_inter == 1 {
-            format!("rank {i}")
-        } else {
-            format!("stage {} (data {})", i % self.g_inter, i / self.g_inter)
-        }
+        format!("stage {} (data {})", i % self.g_inter, i / self.g_inter)
     }
 
     /// Runs a step or a restore on every rank — concurrently, as the
@@ -273,76 +263,15 @@ impl<M: Layer + Send + 'static> RankGroup<M> {
 
     /// One training step on every rank; `Err` if any rank's collective
     /// failed (the group then needs [`Self::restore`]). With telemetry
-    /// on, the ranks' step durations become the `mesh_metrics` line of
-    /// step `index`.
+    /// on, the ranks' step events become the `mesh_metrics` line of step
+    /// `index`.
     pub fn step(&mut self, job: StepCall<M>, index: u32) -> Result<bool, String> {
         let outcomes = self.run(|| Cmd::Step(Arc::clone(&job)))?;
-        if telemetry::enabled() {
-            self.emit_mesh_metrics(index, &outcomes);
+        let events: Option<Vec<&StepEvent>> = outcomes.iter().map(|o| o.event.as_ref()).collect();
+        if let Some(events) = events {
+            emit_mesh_metrics(index, &events);
         }
         Ok(outcomes[0].applied)
-    }
-
-    /// Folds one step's per-rank durations into the rolling means, warns
-    /// on stragglers (compute time above [`STRAGGLER_FACTOR`] × the lower
-    /// median of the group's) and writes one `mesh_metrics` line to the
-    /// metrics jsonl stream, each rank's entry with its ledger's phase
-    /// split. A rank is named by `rank`, or by `stage` and `data` in a
-    /// pipeline.
-    fn emit_mesh_metrics(&mut self, step: u32, outcomes: &[StepOutcome]) {
-        let g_inter = self.g_inter;
-        let lower_median = |mut v: Vec<f64>| {
-            v.sort_by(f64::total_cmp);
-            v[(v.len() - 1) / 2]
-        };
-        let compute = |o: &StepOutcome| COMPUTE.iter().map(|&p| o.split.secs(p)).sum::<f64>() * 1e6;
-        let busy = lower_median(outcomes.iter().map(compute).collect());
-        let median = lower_median(outcomes.iter().map(|o| o.dur_us).collect());
-        let max = outcomes.iter().map(|o| o.dur_us).fold(0.0, f64::max);
-        let id = |i: usize| -> Vec<(String, Json)> {
-            let uint = |k: &str, v: usize| (k.to_string(), Json::UInt(v as u64));
-            if g_inter == 1 {
-                vec![uint("rank", i)]
-            } else {
-                vec![uint("stage", i % g_inter), uint("data", i / g_inter)]
-            }
-        };
-        let mut per_rank = Vec::with_capacity(outcomes.len());
-        let mut stragglers = Vec::new();
-        for (i, (o, cell)) in outcomes.iter().zip(&mut self.dur_stats).enumerate() {
-            let dur = o.dur_us;
-            cell.0 += dur;
-            cell.1 += 1;
-            let mut obj = id(i);
-            obj.push(("dur_us".into(), Json::Num(dur)));
-            obj.push(("mean_us".into(), Json::Num(cell.0 / cell.1 as f64)));
-            obj.push(("window_us".into(), Json::Num(o.split.window_ns() as f64 / 1e3)));
-            for p in Phase::ALL {
-                obj.push((format!("t_{}", p.name()), Json::Num(o.split.secs(p))));
-            }
-            obj.push(("hidden_comm_s".into(), Json::Num(o.split.hidden_ns() as f64 / 1e9)));
-            per_rank.push(Json::Obj(obj));
-            let busy_us = compute(o);
-            if outcomes.len() > 1 && busy_us > STRAGGLER_FACTOR * busy {
-                let mut obj = id(i);
-                telemetry::log_warn!(
-                    "straggler: {} step {step} computed {busy_us:.0}us ({:.2}x the group's lower median)",
-                    Json::Obj(obj.clone()).render(),
-                    busy_us / busy
-                );
-                obj.push(("ratio".into(), Json::Num(busy_us / busy)));
-                stragglers.push(Json::Obj(obj));
-            }
-        }
-        telemetry::jsonl::emit_line(&Json::Obj(vec![
-            ("kind".into(), Json::from("mesh_metrics")),
-            ("step".into(), Json::UInt(u64::from(step))),
-            ("ranks".into(), Json::UInt(outcomes.len() as u64)),
-            ("median_us".into(), Json::Num(median)),
-            ("max_us".into(), Json::Num(max)),
-            ("per_rank".into(), Json::Arr(per_rank)),
-            ("stragglers".into(), Json::Arr(stragglers)),
-        ]));
     }
 
     /// Restores a checkpoint on every rank and re-synchronizes the
@@ -431,6 +360,49 @@ impl<M: Layer + Send + 'static> RankGroup<M> {
         };
         self.post(i, inspect).recv().expect("rank thread died during inspect")
     }
+}
+
+/// Writes one group step's `mesh_metrics` line: every rank's step event
+/// in rank order, the median and largest of their windows, and the
+/// stragglers, each warned of too — a rank whose compute time exceeds
+/// [`STRAGGLER_FACTOR`] × the lower median of the group's.
+fn emit_mesh_metrics(step: u32, events: &[&StepEvent]) {
+    let lower_median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[(v.len() - 1) / 2]
+    };
+    let compute = |ev: &StepEvent| {
+        let computes = |name: &str| COMPUTE.iter().any(|p| p.name() == name);
+        ev.phases.iter().filter(|(name, _)| computes(name)).map(|(_, secs)| secs).sum::<f64>() * 1e6
+    };
+    let busy = lower_median(events.iter().map(|ev| compute(ev)).collect());
+    let median = lower_median(events.iter().map(|ev| ev.window_us).collect());
+    let max = events.iter().map(|ev| ev.window_us).fold(0.0, f64::max);
+    let mut stragglers = Vec::new();
+    for ev in events.iter().filter(|_| events.len() > 1) {
+        let busy_us = compute(ev);
+        if busy_us > STRAGGLER_FACTOR * busy {
+            let (stage, data) = (ev.stage, ev.data);
+            telemetry::log_warn!(
+                "straggler: stage {stage} (data {data}) step {step} computed {busy_us:.0}us ({:.2}x the group's lower median)",
+                busy_us / busy
+            );
+            stragglers.push(Json::Obj(vec![
+                ("stage".into(), Json::UInt(stage)),
+                ("data".into(), Json::UInt(data)),
+                ("ratio".into(), Json::Num(busy_us / busy)),
+            ]));
+        }
+    }
+    telemetry::jsonl::emit_line(&Json::Obj(vec![
+        ("kind".into(), Json::from("mesh_metrics")),
+        ("step".into(), Json::UInt(u64::from(step))),
+        ("ranks".into(), Json::UInt(events.len() as u64)),
+        ("median_us".into(), Json::Num(median)),
+        ("max_us".into(), Json::Num(max)),
+        ("per_rank".into(), Json::Arr(events.iter().map(|ev| ev.to_json()).collect())),
+        ("stragglers".into(), Json::Arr(stragglers)),
+    ]));
 }
 
 impl<M> Drop for RankGroup<M> {
@@ -649,6 +621,9 @@ mod tests {
     use nn::linear::Linear;
     use nn::loss::mse;
     use nn::optim::AdamConfig;
+    use std::sync::Mutex;
+    use std::time::Instant;
+    use telemetry::ledger::Split;
 
     const WIDTH: usize = 8;
     const DELAY: Duration = Duration::from_millis(3);
@@ -664,16 +639,40 @@ mod tests {
         dy
     }
 
+    /// Each rank's place, ledger split and step call as the test's own
+    /// clock timed it, in microseconds.
+    type Rulers = Arc<Mutex<Vec<((usize, usize), Split, f64)>>>;
+
+    /// `step` as a group step whose every call the test times itself.
+    fn timed<M: Layer + 'static>(
+        rulers: &Rulers,
+        step: impl Fn(&mut StageRank<M>) -> Result<bool, CommsError> + Send + Sync + 'static,
+    ) -> StepCall<M> {
+        let rulers = Arc::clone(rulers);
+        Arc::new(move |rank: &mut StageRank<M>| {
+            let t0 = Instant::now();
+            let stepped = step(rank);
+            let dur_us = t0.elapsed().as_secs_f64() * 1e6;
+            let ruled = (rank.engine.place, rank.engine.ledger.split(), dur_us);
+            rulers.lock().expect("no rank panics holding the rulers").push(ruled);
+            stepped
+        })
+    }
+
     /// Every rank's phases sum to its ledger window, and the window is
-    /// the rank loop's own ruler of the step, `dur_us`, within 1 %.
-    fn assert_windows_match_dur(outcomes: &[StepOutcome]) {
-        for (r, o) in outcomes.iter().enumerate() {
-            let sum: u64 = Phase::ALL.iter().map(|&p| o.split.ns(p)).sum();
-            assert_eq!(sum, o.split.window_ns(), "rank {r}: {:?}", o.split);
-            let window_us = o.split.window_ns() as f64 * 1e-3;
-            let off = (window_us - o.dur_us).abs() / o.dur_us;
-            assert!(off <= 0.01, "rank {r}: window {window_us:.1}us vs dur {:.1}us", o.dur_us);
+    /// the test's own ruler of the rank's step call within 1 %. Returns
+    /// the ranks' splits.
+    fn assert_windows_match_dur(rulers: &Rulers, ranks: usize) -> Vec<Split> {
+        let ruled: Vec<_> = rulers.lock().expect("no rank panicked").drain(..).collect();
+        assert_eq!(ruled.len(), ranks);
+        for &(place, split, dur_us) in &ruled {
+            let sum: u64 = Phase::ALL.iter().map(|&p| split.ns(p)).sum();
+            assert_eq!(sum, split.window_ns(), "{place:?}: {split:?}");
+            let window_us = split.window_ns() as f64 * 1e-3;
+            let off = (window_us - dur_us).abs() / dur_us;
+            assert!(off <= 0.01, "{place:?}: window {window_us:.1}us vs dur {dur_us:.1}us");
         }
+        ruled.into_iter().map(|(_, split, _)| split).collect()
     }
 
     #[test]
@@ -682,16 +681,17 @@ mod tests {
         let prune = |p: &&nn::Parameter| prune::magnitude_prune(p.value.as_slice(), p.value.shape(), 0.5);
         let masks = replicas[0].params().iter().map(prune).collect();
         let mut dp = ThreadedDataParallelSamo::new(replicas, masks, adam());
-        let job: StepCall<Linear> = Arc::new(|rank: &mut StageRank<Linear>| {
+        let rulers = Rulers::default();
+        let job = timed(&rulers, |rank: &mut StageRank<Linear>| {
             rank.step(|_, m: &mut Linear, scale| {
                 std::thread::sleep(DELAY);
                 loss_grad(&m.forward(&Tensor::randn(&[4, WIDTH], 1.0, 3)), scale)
             })
         });
-        for _ in 0..2 {
-            let outcomes = dp.group.run(|| Cmd::Step(Arc::clone(&job))).expect("healthy mesh");
-            assert_windows_match_dur(&outcomes);
-            assert!(outcomes.iter().all(|o| o.split.ns(Phase::F) >= DELAY.as_nanos() as u64));
+        for step in 0..2 {
+            dp.group.step(Arc::clone(&job), step).expect("healthy mesh");
+            let splits = assert_windows_match_dur(&rulers, 3);
+            assert!(splits.iter().all(|s| s.ns(Phase::F) >= DELAY.as_nanos() as u64));
         }
     }
 
@@ -701,16 +701,17 @@ mod tests {
         let masks = models::uniform_pipeline_masks(&model(), 0.5);
         let cfg = PipelineConfig { g_data: 2, ..PipelineConfig::new(2, 4, 4) };
         let mut pp = ThreadedPipelineSamo::new(vec![model(), model()], masks, adam(), cfg);
+        let rulers = Rulers::default();
         for step in 0..2 {
             let input = |_: usize, mb: usize| Tensor::randn(&[4, WIDTH], 1.0, mb as u64);
             let seed = |_: usize, _: usize, y: &Tensor, scale: f32| loss_grad(y, scale);
-            let job: StepCall<Sequential> =
-                Arc::new(move |rank: &mut StageRank<Sequential>| rank.run(&Job::Split(&input, &seed), step));
-            let outcomes = pp.group.run(|| Cmd::Step(Arc::clone(&job))).expect("healthy pipeline");
-            assert_windows_match_dur(&outcomes);
-            for o in &outcomes {
-                assert!(o.split.ns(Phase::F) >= 4 * DELAY.as_nanos() as u64, "{:?}", o.split);
-                assert!(o.split.ns(Phase::Wait) > 0, "a stage of two waits: {:?}", o.split);
+            let job = timed(&rulers, move |rank: &mut StageRank<Sequential>| {
+                rank.run(&Job::Split(&input, &seed), step)
+            });
+            pp.group.step(job, step).expect("healthy pipeline");
+            for s in assert_windows_match_dur(&rulers, 4) {
+                assert!(s.ns(Phase::F) >= 4 * DELAY.as_nanos() as u64, "{s:?}");
+                assert!(s.ns(Phase::Wait) > 0, "a stage of two waits: {s:?}");
             }
         }
     }

@@ -4,7 +4,7 @@
 //! The dense masked baseline it must be numerically equivalent to is
 //! [`crate::reference::DenseMaskedTrainer`].
 
-use crate::engine::{ScheduleRefused, StepEngine, SAMO};
+use crate::engine::{ScheduleRefused, StepEngine};
 use nn::layer::Layer;
 use nn::mixed::Optimizer;
 use prune::{Mask, MaskSchedule};
@@ -22,7 +22,7 @@ impl StepEngine {
     /// computes from the lent `θ16` and its index from here on (read it
     /// with [`nn::Parameter::f32_view`]).
     pub fn new(model: &mut impl Layer, masks: Vec<Mask>, opt: Optimizer) -> SamoTrainer {
-        let mut tr = StepEngine::build(model, &masks, opt, None, &SAMO);
+        let mut tr = StepEngine::build(model, &masks, opt, None, "samo");
         tr.lend_theta16(model, true);
         tr
     }

@@ -244,11 +244,12 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
     let shadows = ["samo", "samo.pipeline", "samo.dp_threaded"].map(resident);
     assert_eq!(shadows, [4.0 * 16.0, 4.0 * 16.0, 0.0]);
 
-    // Step durations ride the rank threads' replies, not the mesh: with
+    // Step events ride the rank threads' replies, not the mesh: with
     // telemetry on, a group step sends the bytes it sends with telemetry
     // off, no telemetry message among them, and the group writes one
-    // `mesh_metrics` line per step — one `per_rank` entry per rank, in
-    // rank order, at the step index the engine took.
+    // `mesh_metrics` line per step — every rank's step event, in rank
+    // order and placed by `(stage, data)`, at the step index the engine
+    // took, with the largest of their windows.
     let already = read().lines().count();
     let dp_wire = |on: bool| {
         telemetry::set_enabled(on);
@@ -294,7 +295,11 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
     };
     for (step, rec) in mesh[..steps as usize].iter().enumerate() {
         assert_eq!((uint(rec.get("step")), uint(rec.get("ranks"))), (step as u64, 3), "{rec:?}");
-        assert_eq!(ids(rec, &["rank"]), [[0], [1], [2]], "{rec:?}");
+        assert_eq!(ids(rec, &["stage", "data", "step"]), [[0, 0, step as u64], [0, 1, step as u64], [0, 2, step as u64]]);
+        let Some(Json::Arr(per_rank)) = rec.get("per_rank") else { panic!("{rec:?}") };
+        assert!(per_rank.iter().all(|r| r.get("runtime") == Some(&Json::from("samo_dp_threaded"))), "{rec:?}");
+        let widest = per_rank.iter().map(|r| num(r.get("window_us"))).fold(0.0, f64::max);
+        assert_eq!(num(rec.get("max_us")), widest, "{rec:?}");
     }
     let pipe_rec = &mesh[steps as usize];
     assert_eq!((uint(pipe_rec.get("step")), uint(pipe_rec.get("ranks"))), (0, 4), "{pipe_rec:?}");
@@ -326,8 +331,8 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
     assert_eq!(mesh.len(), steps as usize, "{data}");
     for rec in &mesh {
         let Some(Json::Arr(late)) = rec.get("stragglers") else { panic!("{rec:?}") };
-        let named: Vec<u64> = late.iter().map(|s| uint(s.get("rank"))).collect();
-        assert_eq!(named, [1], "rank 1 alone lags: {rec:?}");
+        let named: Vec<_> = late.iter().map(|s| (uint(s.get("stage")), uint(s.get("data")))).collect();
+        assert_eq!(named, [(0, 1)], "rank 1 alone lags: {rec:?}");
         let Some(Json::Arr(per_rank)) = rec.get("per_rank") else { panic!("{rec:?}") };
         for r in per_rank {
             let window = num(r.get("window_us")) * 1e-6;

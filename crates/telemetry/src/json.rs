@@ -126,7 +126,7 @@ impl Json {
     /// render→parse round trip reproduces the same variants.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, at: 0 };
+        let mut p = Parser { bytes, at: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -145,9 +145,17 @@ impl Json {
     }
 }
 
+/// How deep arrays and objects may nest in a parsed document: far above
+/// anything the repo writes (`BENCH_hotpaths.json` nests 5 deep, a
+/// `mesh_metrics` line 3), far below what the parser's recursion can
+/// take on a thread's stack.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     at: usize,
+    /// Arrays and objects open around `at`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -185,8 +193,14 @@ impl Parser<'_> {
             Some(b't') => self.eat_lit("true", Json::Bool(true)),
             Some(b'f') => self.eat_lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            // A bound, not the stack, ends a line of a million `[`.
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => Err(format!("nesting deeper than {MAX_DEPTH}")),
+            Some(c @ (b'[' | b'{')) => {
+                self.depth += 1;
+                let v = if c == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(format!("unexpected '{}' at byte {}", c as char, self.at)),
             None => Err("unexpected end of input".into()),
@@ -438,5 +452,16 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted malformed: {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_stack_deep() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err().contains("nesting deeper"));
+        let object = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&object).unwrap_err().contains("nesting deeper"));
+        // Once overflowed the stack and aborted the process.
+        assert!(Json::parse(&"[".repeat(1_000_000)).is_err());
     }
 }

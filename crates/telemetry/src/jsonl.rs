@@ -1,11 +1,14 @@
 //! One-line-per-training-step JSONL metric records.
 //!
-//! Every training runtime emits the same [`StepEvent`] per optimizer
-//! step (`kind: "step"`, told apart by `runtime`); with telemetry
-//! enabled each event is appended as a single JSON object line to
+//! A training step has one record, the [`StepEvent`] (`kind: "step"`,
+//! told apart by `runtime` and placed by `stage` and `data`), and this is
+//! the one place its keys are written. With telemetry enabled the
+//! reporting rank's event is appended as a single JSON object line to
 //! `<results>/metrics.jsonl`, where `<results>` honours
 //! `SAMO_RESULTS_DIR` (default `results`). The file is truncated the
-//! first time the process writes to it, so each run starts clean.
+//! first time the process writes to it, so each run starts clean. The
+//! same object is a rank's entry in a group's `mesh_metrics` line and a
+//! `samo-launch` worker's step line.
 
 use crate::json::Json;
 use parking_lot::Mutex;
@@ -20,7 +23,7 @@ use std::sync::OnceLock;
 /// (Adam: `2φ + 24·nnz`, SGD: `2φ + 20·nnz`); it is `None` where the
 /// closed form does not apply verbatim (e.g. sharded data-parallel
 /// replicas with per-rank remainders).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct StepEvent {
     /// Which runtime produced the event: `samo`, `samo_dp`,
     /// `samo_dp_threaded`, `samo_pipeline` or the dense baseline
@@ -28,6 +31,11 @@ pub struct StepEvent {
     pub runtime: String,
     /// 0-based index of this `step()` call (applied or skipped).
     pub step: u64,
+    /// The rank's place in the `G_inter × G_data` grid: its pipeline
+    /// stage and its data replica (`(0, 0)` for a single worker and the
+    /// oracles).
+    pub stage: u64,
+    pub data: u64,
     /// False when the dynamic loss scaler skipped the update.
     pub applied: bool,
     pub loss_scale: f32,
@@ -43,6 +51,12 @@ pub struct StepEvent {
     pub formula_state_bytes: Option<u64>,
     /// Gradient bytes this step would move through all-reduce.
     pub allreduce_bytes: u64,
+    /// The step's window on the rank's ledger, in microseconds: the sum
+    /// of its phases (0 where no ledger timed the step).
+    pub window_us: f64,
+    /// Seconds of communication the ledger charged while compute was
+    /// open below it: what compute hid.
+    pub hidden_comm_s: f64,
     /// `(phase name, seconds)` wall-clock timings for this step.
     pub phases: Vec<(&'static str, f64)>,
 }
@@ -54,24 +68,19 @@ impl StepEvent {
             ("kind".into(), Json::from("step")),
             ("runtime".into(), Json::Str(self.runtime.clone())),
             ("step".into(), Json::UInt(self.step)),
+            ("stage".into(), Json::UInt(self.stage)),
+            ("data".into(), Json::UInt(self.data)),
             ("applied".into(), Json::Bool(self.applied)),
             ("loss_scale".into(), Json::Num(f64::from(self.loss_scale))),
             ("steps_taken".into(), Json::UInt(self.steps_taken)),
             ("steps_skipped".into(), Json::UInt(self.steps_skipped)),
             ("numel".into(), Json::UInt(self.numel)),
             ("nnz".into(), Json::UInt(self.nnz)),
-            (
-                "model_state_bytes".into(),
-                Json::UInt(self.model_state_bytes),
-            ),
-            (
-                "formula_state_bytes".into(),
-                match self.formula_state_bytes {
-                    Some(b) => Json::UInt(b),
-                    None => Json::Null,
-                },
-            ),
+            ("model_state_bytes".into(), Json::UInt(self.model_state_bytes)),
+            ("formula_state_bytes".into(), self.formula_state_bytes.map_or(Json::Null, Json::UInt)),
             ("allreduce_bytes".into(), Json::UInt(self.allreduce_bytes)),
+            ("window_us".into(), Json::Num(self.window_us)),
+            ("hidden_comm_s".into(), Json::Num(self.hidden_comm_s)),
         ];
         for (name, secs) in &self.phases {
             fields.push((format!("t_{name}"), Json::Num(*secs)));
@@ -107,25 +116,10 @@ fn sink() -> &'static Mutex<Sink> {
     })
 }
 
-/// Append one step record to `metrics.jsonl`. No-op while telemetry is
-/// disabled; I/O errors are swallowed (telemetry must never take down
-/// training).
-pub fn emit_step(ev: &StepEvent) {
-    if !crate::enabled() {
-        return;
-    }
-    let mut line = ev.to_json().render();
-    line.push('\n');
-    let mut sink = sink().lock();
-    if let Some(f) = sink.file.as_mut() {
-        let _ = f.write_all(line.as_bytes());
-    }
-}
-
-/// Append one arbitrary JSON object as a line to `metrics.jsonl` —
-/// used by the mesh metrics aggregator for records that are not
-/// per-trainer [`StepEvent`]s. Same gating and error policy as
-/// [`emit_step`].
+/// Append one JSON object as a line to `metrics.jsonl`: a step record
+/// ([`StepEvent::to_json`]), a group's `mesh_metrics` or a link event.
+/// No-op while telemetry is disabled; I/O errors are swallowed
+/// (telemetry must never take down training).
 pub fn emit_line(obj: &Json) {
     if !crate::enabled() {
         return;
@@ -143,7 +137,7 @@ pub fn emit_line(obj: &Json) {
 /// after a relaunch. `peer` is omitted for events that concern the
 /// whole endpoint (e.g. a rejoin); `fields` carries event-specific
 /// context such as silence duration or bootstrap generation. Same
-/// gating and error policy as [`emit_step`].
+/// gating and error policy as [`emit_line`].
 pub fn emit_link_event(
     event: &str,
     rank: usize,
@@ -185,6 +179,8 @@ mod tests {
         let ev = StepEvent {
             runtime: "samo".into(),
             step: 3,
+            stage: 1,
+            data: 2,
             applied: true,
             loss_scale: 65536.0,
             steps_taken: 4,
@@ -194,6 +190,8 @@ mod tests {
             model_state_bytes: 440,
             formula_state_bytes: Some(440),
             allreduce_bytes: 20,
+            window_us: 750_000.0,
+            hidden_comm_s: 0.125,
             phases: vec![("compress", 0.5), ("optimizer", 0.25)],
         };
         let line = ev.to_json().render();
@@ -201,14 +199,14 @@ mod tests {
         for key in [
             "\"kind\":\"step\"",
             "\"runtime\":\"samo\"",
-            "\"step\":3",
+            "\"step\":3,\"stage\":1,\"data\":2",
             "\"applied\":true",
             "\"loss_scale\":65536",
             "\"numel\":100",
             "\"nnz\":10",
             "\"model_state_bytes\":440",
             "\"formula_state_bytes\":440",
-            "\"allreduce_bytes\":20",
+            "\"allreduce_bytes\":20,\"window_us\":750000,\"hidden_comm_s\":0.125",
             "\"t_compress\":0.5",
             "\"t_optimizer\":0.25",
         ] {
@@ -220,17 +218,12 @@ mod tests {
     fn formula_none_serialises_as_null() {
         let ev = StepEvent {
             runtime: "samo_dp".into(),
-            step: 0,
-            applied: false,
             loss_scale: 2.0,
-            steps_taken: 0,
             steps_skipped: 1,
             numel: 8,
             nnz: 8,
-            model_state_bytes: 0,
-            formula_state_bytes: None,
             allreduce_bytes: 16,
-            phases: vec![],
+            ..StepEvent::default()
         };
         assert!(ev
             .to_json()

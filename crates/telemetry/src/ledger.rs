@@ -8,7 +8,10 @@
 //! previous one, so the phases sum to the window exactly, by
 //! construction; [`Ledger::split`] reads them. The ledger has a fixed
 //! size and never allocates: it runs whether or not telemetry is on, at
-//! one clock read per boundary.
+//! one clock read per boundary. The window's start is also placed on the
+//! trace clock ([`crate::clock`]), so a mark is a trace timestamp too
+//! ([`Ledger::trace_us`]) and a rank's trace slices need no clock of
+//! their own.
 //!
 //! Communication charged while a compute phase is open below it on the
 //! stack — a ring hop pumped inside a backward — is also counted apart
@@ -116,6 +119,8 @@ impl Split {
 #[derive(Debug, Clone)]
 pub struct Ledger {
     base: Instant,
+    /// The window's start on the trace clock, in microseconds.
+    start_us: f64,
     /// Nanoseconds since `base` of the last charge.
     last: u64,
     split: Split,
@@ -128,6 +133,7 @@ impl Default for Ledger {
     fn default() -> Ledger {
         Ledger {
             base: Instant::now(),
+            start_us: 0.0,
             last: 0,
             split: Split::default(),
             stack: [(Phase::Other, 0); DEPTH],
@@ -137,9 +143,11 @@ impl Default for Ledger {
 }
 
 impl Ledger {
-    /// Opens a window: every count back to zero, no phase open.
+    /// Opens a window: every count back to zero, no phase open, and its
+    /// start placed on the trace clock.
     pub fn start(&mut self) {
         *self = Ledger::default();
+        self.start_us = crate::clock::now_us();
     }
 
     /// Charges the time since the last charge to the innermost open
@@ -186,6 +194,18 @@ impl Ledger {
     /// The instant `ns` nanoseconds into the window.
     pub fn at(&self, ns: u64) -> Instant {
         self.base + std::time::Duration::from_nanos(ns)
+    }
+
+    /// The nanoseconds into the window of the last charge: where the lap
+    /// [`Self::exit`] just returned ended.
+    pub fn charged_ns(&self) -> u64 {
+        self.last
+    }
+
+    /// Where `ns` nanoseconds into the window fall on the trace clock
+    /// ([`crate::clock::now_us`]), in microseconds.
+    pub fn trace_us(&self, ns: u64) -> f64 {
+        self.start_us + ns as f64 / 1e3
     }
 
     /// What the window charged so far — all of it, once stopped.
@@ -243,6 +263,23 @@ mod tests {
         assert_eq!(Phase::ALL.iter().map(|&p| s.ns(p)).sum::<u64>(), window);
         assert_eq!(s.window_ns(), window);
         assert!(s.ns(Phase::Other) >= 2_000_000 && s.ns(Phase::Gather) >= 2_000_000, "{s:?}");
+    }
+
+    #[test]
+    fn marks_are_trace_timestamps() {
+        // Another test may reset the trace clock's origin.
+        let _guard = crate::registry::test_lock();
+        let mut l = Ledger::default();
+        let before = crate::clock::now_us();
+        l.start();
+        nap();
+        let ns = l.mark();
+        let after = crate::clock::now_us();
+        assert_eq!(l.charged_ns(), ns);
+        // Both rulers count whole microseconds of one monotonic clock.
+        assert!(before <= l.trace_us(0) + 1.0, "{before} vs {}", l.trace_us(0));
+        assert!(l.trace_us(ns) <= after + 1.0, "{} vs {after}", l.trace_us(ns));
+        assert!(l.trace_us(ns) - l.trace_us(0) >= 2_000.0);
     }
 
     #[test]
