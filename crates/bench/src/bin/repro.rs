@@ -38,7 +38,7 @@
 //! (`quiet|info|debug`). `--trace <path>` enables telemetry
 //! (`SAMO_TELEMETRY=1` does too) and writes a Chrome `trace_event` JSON
 //! file combining the Fig. 3 simulated pipeline schedule (pid 0, one
-//! lane per GPU) with the live per-experiment span timers (pid 1); load
+//! lane per GPU) with a live slice per experiment (pid 1); load
 //! it in `chrome://tracing` or <https://ui.perfetto.dev>. While
 //! telemetry is enabled the trainers also append one line per training
 //! step to `results/metrics.jsonl`.
@@ -62,6 +62,7 @@ use samo::{reference::DenseMaskedTrainer, trainer::SamoTrainer};
 use std::time::Instant;
 use summit_sim::kernels::fig1_fc_layer;
 use summit_sim::machine::SUMMIT;
+use telemetry::trace::lane;
 
 const ALL_FRAMEWORKS: [Framework; 4] = [
     Framework::Sputnik,
@@ -118,47 +119,46 @@ fn main() {
         // `in_all` is false for the perf trackers and the file tools: they
         // are not paper experiments and write into the repo root rather
         // than `results/`.
-        let mut exp = |name: &'static str,
-                       span_name: &'static str,
-                       in_all: bool,
-                       f: &mut dyn FnMut() -> Result<(), String>| {
+        // Each experiment run is a `repro.<name>` slice on the spans lane.
+        let mut exp = |name: &'static str, in_all: bool, f: &mut dyn FnMut() -> Result<(), String>| {
             names.push(name);
             if (what == name || (in_all && what == "all")) && failed.is_none() {
-                let sp = telemetry::enabled().then(|| telemetry::span(span_name));
+                let t0 = telemetry::clock::now_us();
                 if let Err(e) = f() {
                     failed = Some(format!("{name}: {e}"));
                 }
-                drop(sp);
+                let dur = telemetry::clock::now_us() - t0;
+                telemetry::trace::slice(lane::SPANS, 0, "span", t0, dur, || (format!("repro.{name}"), Vec::new()));
                 ran = true;
             }
         };
-        exp("fig1", "repro.fig1", true, &mut || fig1(quick));
-        exp("fig2", "repro.fig2", true, &mut fig2);
-        exp("fig3", "repro.fig3", true, &mut fig3);
-        exp("fig4", "repro.fig4", true, &mut || fig4(quick));
-        exp("fig5", "repro.fig5", true, &mut fig5);
-        exp("fig6", "repro.fig6", true, &mut || {
+        exp("fig1", true, &mut || fig1(quick));
+        exp("fig2", true, &mut fig2);
+        exp("fig3", true, &mut fig3);
+        exp("fig4", true, &mut || fig4(quick));
+        exp("fig5", true, &mut fig5);
+        exp("fig6", true, &mut || {
             fig6_7("fig6", &[(GPT3_XL, 64, 512), (GPT3_2_7B, 64, 512)])
         });
-        exp("fig7", "repro.fig7", true, &mut || {
+        exp("fig7", true, &mut || {
             fig6_7("fig7", &[(GPT3_6_7B, 128, 1024), (GPT3_13B, 256, 2048)])
         });
-        exp("fig8", "repro.fig8", true, &mut fig8);
-        exp("table1", "repro.table1", true, &mut table1);
-        exp("table2", "repro.table2", true, &mut table2);
-        exp("memory", "repro.memory", true, &mut memory_headline);
-        exp("ablation", "repro.ablation", true, &mut ablation);
-        exp("sensitivity", "repro.sensitivity", true, &mut sensitivity);
-        exp("scorecard", "repro.scorecard", true, &mut scorecard);
-        exp("cnn", "repro.cnn", true, &mut || cnn_accuracy(quick));
-        exp("memorymap", "repro.memorymap", true, &mut memorymap);
-        exp("faults", "repro.faults", true, &mut || faults(quick));
-        exp("bench", "repro.bench", false, &mut || bench::hotpaths::run(quick));
-        exp("comms", "repro.comms", false, &mut || bench::comms_bench::run(quick));
-        exp("pipeline", "repro.pipeline", false, &mut || bench::pipeline_bench::run(quick));
-        exp("serve", "repro.serve", false, &mut || bench::serve_bench::run(quick));
-        exp("dynamic", "repro.dynamic", false, &mut || bench::dynamic_bench::run(quick));
-        exp("gate", "repro.gate", false, &mut || {
+        exp("fig8", true, &mut fig8);
+        exp("table1", true, &mut table1);
+        exp("table2", true, &mut table2);
+        exp("memory", true, &mut memory_headline);
+        exp("ablation", true, &mut ablation);
+        exp("sensitivity", true, &mut sensitivity);
+        exp("scorecard", true, &mut scorecard);
+        exp("cnn", true, &mut || cnn_accuracy(quick));
+        exp("memorymap", true, &mut memorymap);
+        exp("faults", true, &mut || faults(quick));
+        exp("bench", false, &mut || bench::hotpaths::run(quick));
+        exp("comms", false, &mut || bench::comms_bench::run(quick));
+        exp("pipeline", false, &mut || bench::pipeline_bench::run(quick));
+        exp("serve", false, &mut || bench::serve_bench::run(quick));
+        exp("dynamic", false, &mut || bench::dynamic_bench::run(quick));
+        exp("gate", false, &mut || {
             bench::gates::run(file_args(&positionals, "at least one file path"))
         });
     }
@@ -218,7 +218,7 @@ impl Drop for FlushGuard {
 /// Writes the Chrome trace: the Fig. 3 simulated pipeline schedule on
 /// pid 0 (one tid lane per GPU) plus one drain of the trace recorder —
 /// whatever this run recorded live on the lanes of
-/// `telemetry::trace::lane` (span timers, comms ring hops with their
+/// `telemetry::trace::lane` (experiments, comms ring hops with their
 /// send→recv flow arrows, pipeline stage slices, serving slices).
 /// `repro gate` holds the flow arrows to exact pairing.
 fn write_trace(path: &str) -> Result<(), String> {

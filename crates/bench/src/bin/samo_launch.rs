@@ -1,12 +1,13 @@
 //! `samo-launch` — multi-process training launcher and kill drill.
 //!
 //! ```text
-//! samo-launch --world N --steps S [--ckpt-every K] [--dir D]
-//!             [--step-delay-ms T] [--kill-rank R --kill-at S2]
+//! samo-launch [worker --rank R] --world N --steps S [--ckpt-every K]
+//!             [--dir D] [--step-delay-ms T] [--kill-rank R2 --kill-at S2]
 //! ```
 //!
-//! Spawns `N` worker processes (re-invocations of this binary in
-//! `worker` mode) that rendezvous over loopback TCP, train a replicated
+//! Spawns `N` worker processes (`samo-launch worker --rank R` with the
+//! parent's world, steps, cadence, delay and directory) that rendezvous
+//! over loopback TCP, train a replicated
 //! data-parallel SAMO model — one [`samo::DataParallelRank`] per process,
 //! the one-stage pipeline rank `ThreadedDataParallelSamo` runs one per
 //! thread — and checkpoint every `K` steps with a collective save that
@@ -31,7 +32,8 @@
 //! Never kill rank 0: it hosts the rendezvous for every generation.
 //!
 //! Coordination between parent and workers goes through small files in
-//! `--dir`: `rdv.addr` (a tmp+rename write), `rank<R>.latest.ckpt` and
+//! `--dir`, which the parent clears before the first spawn so a reused
+//! directory starts cold: `rdv.addr`, `rank<R>.latest.ckpt` and
 //! `rank<R>.final.ckpt` (durable writes, `samo::checkpoint::write_durable`),
 //! and an append-only `rank<R>.events` log, one JSON object a line told
 //! apart by `kind`: every step's `telemetry::StepEvent` (`step`, with
@@ -112,13 +114,6 @@ fn loss_grad(model: &mut Sequential, step: usize, scale: f32) -> Tensor {
     dy
 }
 
-/// Atomic file publish: write to a sibling tmp path, then rename.
-fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
-}
-
 /// Writes `rank<R>.<file>.ckpt` durably. On failure it logs a
 /// `ckpt_write_error` line and returns the worker's exit code, 5.
 fn write_ckpt(dir: &Path, rank: usize, file: &str, ckpt: &[u8]) -> Result<(), i32> {
@@ -160,25 +155,11 @@ fn step_error(dir: &Path, rank: usize, step: usize, t0: Instant, e: comms::Comms
     append_event(dir, rank, &event("step_error", fields));
 }
 
-fn env_num<T: std::str::FromStr>(key: &str) -> T
-where
-    T::Err: std::fmt::Debug,
-{
-    std::env::var(key)
-        .unwrap_or_else(|_| panic!("{key} not set"))
-        .parse()
-        .unwrap_or_else(|e| panic!("{key} unparsable: {e:?}"))
-}
-
 // ---------------------------------------------------------------- worker
 
-fn worker() -> i32 {
-    let rank: usize = env_num("SAMO_RANK");
-    let world: usize = env_num("SAMO_WORLD");
-    let steps: u64 = env_num("SAMO_STEPS");
-    let ckpt_every: u64 = env_num("SAMO_CKPT_EVERY");
-    let step_delay_ms: u64 = env_num("SAMO_STEP_DELAY_MS");
-    let dir = PathBuf::from(std::env::var("SAMO_DIR").expect("SAMO_DIR not set"));
+fn worker(rank: usize, args: &Args) -> i32 {
+    let &Args { world, steps, ckpt_every, step_delay_ms, .. } = args;
+    let dir = &args.dir;
 
     // Rank 0 hosts the rendezvous for the process lifetime (all
     // generations re-register at the same address); others poll for the
@@ -194,7 +175,7 @@ fn worker() -> i32 {
             }
         };
         let a = r.addr();
-        if let Err(e) = write_atomic(&addr_path, a.as_bytes()) {
+        if let Err(e) = samo::checkpoint::write_durable(&addr_path, a.as_bytes()) {
             eprintln!("rank 0: publish rendezvous addr: {e}");
             return 2;
         }
@@ -270,7 +251,7 @@ fn worker() -> i32 {
                 ("epoch", u64::from(epoch).into()),
                 ("step", step.into()),
             ];
-            append_event(&dir, rank, &event("resync", fields));
+            append_event(dir, rank, &event("resync", fields));
         }
 
         let mut failed = false;
@@ -284,20 +265,20 @@ fn worker() -> i32 {
             let step = dp.engine().step_index() as usize;
             let t0 = Instant::now();
             let res = dp.step(|_, model, scale| loss_grad(model, step, scale)).and_then(|_| {
-                append_event(&dir, rank, &dp.engine().step_event().to_json());
+                append_event(dir, rank, &dp.engine().step_event().to_json());
                 let done = dp.engine().step_index();
                 // Collective: every rank saves after the same step.
                 (done % ckpt_every == 0).then(|| dp.save()).transpose()
             });
             match res {
                 Ok(Some(ckpt)) => {
-                    if let Err(code) = write_ckpt(&dir, rank, "latest", &ckpt) {
+                    if let Err(code) = write_ckpt(dir, rank, "latest", &ckpt) {
                         return code;
                     }
                 }
                 Ok(None) => {}
                 Err(e) => {
-                    step_error(&dir, rank, step, t0, e);
+                    step_error(dir, rank, step, t0, e);
                     failed = true;
                     break;
                 }
@@ -313,11 +294,11 @@ fn worker() -> i32 {
         let ckpt = match dp.save().and_then(|ckpt| dp.comm_mut().barrier().map(|()| ckpt)) {
             Ok(ckpt) => ckpt,
             Err(e) => {
-                step_error(&dir, rank, steps as usize, t0, e);
+                step_error(dir, rank, steps as usize, t0, e);
                 continue;
             }
         };
-        return match write_ckpt(&dir, rank, "final", &ckpt) {
+        return match write_ckpt(dir, rank, "final", &ckpt) {
             Ok(()) => 0,
             Err(code) => code,
         };
@@ -341,7 +322,10 @@ fn oracle_checkpoint(steps: u64) -> Vec<u8> {
     oracle.save().to_vec()
 }
 
+/// The command line: the parent's flags, and in a worker also its rank.
 struct Args {
+    /// `Some` in a worker (`samo-launch worker --rank R ...`).
+    rank: Option<usize>,
     world: usize,
     steps: u64,
     ckpt_every: u64,
@@ -352,7 +336,12 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    let worker = argv.first().is_some_and(|a| a == "worker");
+    if worker {
+        argv.remove(0);
+    }
+    let mut rank = None;
     let mut world = None;
     let mut steps = None;
     let mut ckpt_every = 4u64;
@@ -366,6 +355,7 @@ fn parse_args() -> Result<Args, String> {
             argv.get(i + 1).ok_or_else(|| format!("{} needs a value", argv[i]))
         };
         match argv[i].as_str() {
+            "--rank" if worker => rank = Some(val(i)?.parse().map_err(|e| format!("--rank: {e}"))?),
             "--world" => world = Some(val(i)?.parse().map_err(|e| format!("--world: {e}"))?),
             "--steps" => steps = Some(val(i)?.parse().map_err(|e| format!("--steps: {e}"))?),
             "--ckpt-every" => {
@@ -383,10 +373,16 @@ fn parse_args() -> Result<Args, String> {
         }
         i += 2;
     }
+    if worker && rank.is_none() {
+        return Err("worker needs --rank".into());
+    }
     let world = world.ok_or("--world is required")?;
     let steps = steps.ok_or("--steps is required")?;
     if world < 2 {
         return Err("--world must be >= 2".into());
+    }
+    if rank.is_some_and(|r| r >= world) {
+        return Err(format!("--rank out of range for world {world}"));
     }
     if ckpt_every == 0 {
         return Err("--ckpt-every must be >= 1".into());
@@ -415,24 +411,50 @@ fn parse_args() -> Result<Args, String> {
     let dir = dir.unwrap_or_else(|| {
         std::env::temp_dir().join(format!("samo-launch-{}", std::process::id()))
     });
-    Ok(Args { world, steps, ckpt_every, step_delay_ms, dir, kill_rank, kill_at })
+    Ok(Args { rank, world, steps, ckpt_every, step_delay_ms, dir, kill_rank, kill_at })
 }
 
+/// `samo-launch worker --rank R` with the parent's world, steps,
+/// cadence, delay and directory.
 fn spawn_worker(exe: &Path, args: &Args, rank: usize) -> std::io::Result<Child> {
-    Command::new(exe)
-        .arg("worker")
-        .env("SAMO_RANK", rank.to_string())
-        .env("SAMO_WORLD", args.world.to_string())
-        .env("SAMO_STEPS", args.steps.to_string())
-        .env("SAMO_CKPT_EVERY", args.ckpt_every.to_string())
-        .env("SAMO_STEP_DELAY_MS", args.step_delay_ms.to_string())
-        .env("SAMO_DIR", &args.dir)
-        .spawn()
+    let flags = [
+        ("--rank", rank as u64),
+        ("--world", args.world as u64),
+        ("--steps", args.steps),
+        ("--ckpt-every", args.ckpt_every),
+        ("--step-delay-ms", args.step_delay_ms),
+    ];
+    let mut cmd = Command::new(exe);
+    cmd.arg("worker");
+    for (flag, value) in flags {
+        cmd.arg(flag).arg(value.to_string());
+    }
+    cmd.arg("--dir").arg(&args.dir).spawn()
 }
 
-fn parent() -> Result<(), String> {
-    let args = parse_args()?;
+/// Removes the files a run coordinates through — `rdv.addr`,
+/// `rank<R>.events`, `rank<R>.{latest,final}.ckpt` and their `.tmp`
+/// siblings — so a reused directory starts cold: no rank 0 resumes
+/// another run's checkpoint, no rank dials its dead rendezvous, and no
+/// old step line reads as progress.
+fn clear_run_files(dir: &Path) -> Result<(), String> {
+    let entries = std::fs::read_dir(dir).map_err(|e| format!("read {dir:?}: {e}"))?;
+    for entry in entries.flatten() {
+        let name = entry.file_name().to_string_lossy().into_owned();
+        let name = name.strip_suffix(".tmp").unwrap_or(&name);
+        let ranked = [".events", ".latest.ckpt", ".final.ckpt"].iter().any(|s| name.ends_with(s));
+        let ours = name == "rdv.addr" || (name.starts_with("rank") && ranked);
+        if ours && entry.file_type().is_ok_and(|t| t.is_file()) {
+            let path = entry.path();
+            std::fs::remove_file(&path).map_err(|e| format!("remove {path:?}: {e}"))?;
+        }
+    }
+    Ok(())
+}
+
+fn parent(args: Args) -> Result<(), String> {
     std::fs::create_dir_all(&args.dir).map_err(|e| format!("create {:?}: {e}", args.dir))?;
+    clear_run_files(&args.dir)?;
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let drill = args.kill_rank.is_some();
     eprintln!(
@@ -550,10 +572,11 @@ fn parent() -> Result<(), String> {
 }
 
 fn main() {
-    if std::env::args().nth(1).as_deref() == Some("worker") {
-        std::process::exit(worker());
-    }
-    if let Err(e) = parent() {
+    let res = parse_args().and_then(|args| match args.rank {
+        Some(rank) => std::process::exit(worker(rank, &args)),
+        None => parent(args),
+    });
+    if let Err(e) = res {
         eprintln!("samo-launch: FAILED: {e}");
         std::process::exit(1);
     }

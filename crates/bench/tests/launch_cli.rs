@@ -2,7 +2,8 @@
 //! end to end: a checkpoint cadence of zero is a usage error before any
 //! worker spawns, not a remainder by zero in every worker, a checkpoint
 //! the disk refuses stops the worker instead of leaving recovery an older
-//! file, and a running world can be read from its workers' step lines.
+//! file, a reused directory starts a run cold, and a running world can be
+//! read from its workers' step lines.
 
 use std::path::Path;
 use std::process::Command;
@@ -43,6 +44,26 @@ fn a_refused_checkpoint_write_is_a_worker_error() {
     let refused: Vec<Json> = refused.filter(|e| e.get("kind") == Some(&Json::from("ckpt_write_error"))).collect();
     assert_eq!(refused.len(), 1, "{events}");
     assert_eq!(refused[0].get("file"), Some(&Json::from("latest")), "{events}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A second run in the same directory is a new run: it resumes neither
+/// the first run's checkpoints nor its rendezvous, and its final
+/// checkpoints still equal its own oracle.
+#[test]
+fn a_reused_directory_starts_cold() {
+    let dir = std::env::temp_dir().join(format!("samo-launch-reuse-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for steps in ["12", "8"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_samo-launch"))
+            .args(["--world", "2", "--steps", steps, "--dir"])
+            .arg(&dir)
+            .output()
+            .expect("samo-launch runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "--steps {steps}: {stderr}");
+        assert!(stderr.contains("bitwise equal to the oracle"), "--steps {steps}: {stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -443,7 +443,6 @@ impl<T: Transport> Communicator<T> {
             if g == 1 {
                 return Ok(());
             }
-            let _sp = telemetry::enabled().then(|| telemetry::span("comms.barrier"));
             let id = c.fresh_id();
             let deadline = c.deadline();
             let r = c.rank();
@@ -476,7 +475,6 @@ impl<T: Transport> Communicator<T> {
             if g == 1 {
                 return Ok(());
             }
-            let _sp = telemetry::enabled().then(|| telemetry::span("comms.broadcast"));
             let deadline = c.deadline();
             let pos = ((c.rank() + g - root) % g) as u32; // position along the chain
             let tag = c.tag(Kind::Broadcast, id, pos);
@@ -626,7 +624,6 @@ impl<T: Transport> Communicator<T> {
             if g == 1 {
                 return Ok(out);
             }
-            let _sp = telemetry::enabled().then(|| telemetry::span("comms.allgather"));
             let deadline = c.deadline();
             for s in 0..g - 1 {
                 let recv_seg = (r + g - s - 1) % g;
@@ -855,7 +852,6 @@ impl<T: Transport> Communicator<T> {
     /// Blocking ring all-reduce (mean) of one buffer in place: the
     /// reduce-scatter, then an all-gather of this rank's finished segment.
     pub fn allreduce_mean_f16(&mut self, buf: &mut [F16]) -> Result<(), CommsError> {
-        let _sp = telemetry::enabled().then(|| telemetry::span("comms.allreduce"));
         let id = self.reduce_scatter_start(vec![buf.to_vec()])?;
         self.ring_finish()?;
         let Some(pos) = self.completed.iter().position(|(cid, _)| *cid == id) else {

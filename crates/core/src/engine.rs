@@ -189,7 +189,7 @@ pub struct StepEngine {
     /// What differs between the runtimes' reports: the prefix of their
     /// counters and gauges (`.steps_taken`, `.steps_skipped`,
     /// `.loss_scale`, `.model_state_bytes`, `.allreduce_bytes`,
-    /// `.remap_events`) — `samo`, `samo.dp_threaded` or `samo.pipeline`
+    /// `.remap_events`) — `samo`, `samo.dp_rank` or `samo.pipeline`
     /// (the oracle's is `samo.dp`) — and, dots to underscores, the
     /// `runtime` of their step events. The phases of the ledger are the
     /// same for all.
@@ -756,17 +756,14 @@ impl StepEngine {
     /// and hidden communication. Built on demand, not per step: a rank
     /// thread asks with telemetry on, a `samo-launch` worker always.
     pub fn step_event(&self) -> telemetry::StepEvent {
-        let split = self.ledger.split();
         let world = self.group.as_ref().map(Communicator::world);
         let (stage, data) = self.place;
         telemetry::StepEvent {
             stage: stage as u64,
             data: data as u64,
-            window_us: split.window_ns() as f64 / 1e3,
-            hidden_comm_s: split.hidden_ns() as f64 / 1e9,
-            phases: Phase::ALL.iter().map(|&p| (p.name(), split.secs(p))).collect(),
             ..step_event(self.prefix, self.verdict, self.meta(), &self.layers, &self.opt, world)
         }
+        .timed(&self.ledger.split())
     }
 
     /// The bytes of the gauge `<prefix>.resident_param_bytes`: the f32
@@ -1132,8 +1129,8 @@ pub(crate) fn count_recovery() {
 }
 
 /// The record of one completed step of one rank holding `layers`, at
-/// place `(0, 0)` and with no phases: what every SAMO runtime's event
-/// shares ([`StepEngine::step_event`] adds the ledger's). `verdict` is
+/// place `(0, 0)` and not yet timed: what every SAMO runtime's event
+/// shares, before `StepEvent::timed` adds its ledger's split. `verdict` is
 /// whether it applied and at which loss scale, `meta` the state *after*
 /// it. A rank in a ring group of `world` moves the ring byte model; a
 /// single worker reports the flat payload a data-parallel step would

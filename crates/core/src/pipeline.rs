@@ -402,7 +402,7 @@ impl<M: Layer> StageRank<M> {
     /// replica's `Linear`s hold no f32 `value` and compute from what the
     /// engine lends for each step.
     pub fn new(mut model: M, masks: &[Mask], opt: Optimizer, comm: Communicator) -> Self {
-        let engine = StepEngine::build(&mut model, masks, opt, Some(comm), "samo.dp_threaded");
+        let engine = StepEngine::build(&mut model, masks, opt, Some(comm), "samo.dp_rank");
         Self::with_engine(model, engine, PipelineConfig::new(1, 1, 0))
     }
 

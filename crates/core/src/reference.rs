@@ -36,6 +36,7 @@ use crate::trainer::{dense_allreduce_bytes, samo_ring_allreduce_bytes};
 use nn::layer::Layer;
 use nn::mixed::{DenseMixedState, LossScaler, OptState, Optimizer};
 use prune::{Mask, MaskSchedule};
+use telemetry::ledger::{Ledger, Phase};
 use tensor::f16::F16;
 
 /// Compresses a freshly produced dense (loss-scaled) fp32 gradient
@@ -143,6 +144,9 @@ pub struct DataParallelSamo<M: Layer> {
     allreduce_bytes: u64,
     /// The dynamic-sparsity schedule, if any ([`Self::set_mask_schedule`]).
     schedule: Option<MaskSchedule>,
+    /// The step timer: a step's window, charged `remap`, `compress`,
+    /// `reduce` and `optimizer` where they run.
+    ledger: Ledger,
 }
 
 impl<M: Layer> DataParallelSamo<M> {
@@ -169,6 +173,7 @@ impl<M: Layer> DataParallelSamo<M> {
             steps_skipped: 0,
             allreduce_bytes: 0,
             schedule: None,
+            ledger: Ledger::default(),
         }
     }
 
@@ -187,6 +192,7 @@ impl<M: Layer> DataParallelSamo<M> {
         let Some(sched) = self.schedule.as_ref().filter(|s| s.is_update_step(t)) else {
             return;
         };
+        self.ledger.enter(Phase::Remap);
         let d = self.replicas.len();
         for pi in 0..self.states[0].len() {
             let narrow = |m: &mut M| m.params_mut()[pi].grad.as_slice().iter().map(|&g| F16::from_f32(g)).collect();
@@ -206,6 +212,7 @@ impl<M: Layer> DataParallelSamo<M> {
                 rs[pi].write_dense_f32_params_into(model.params_mut()[pi].value.as_mut_slice());
             }
         }
+        self.ledger.exit(Phase::Remap);
     }
 
     /// Number of data-parallel ranks.
@@ -261,31 +268,30 @@ impl<M: Layer> DataParallelSamo<M> {
     /// with the scaled loss: compress → all-reduce → shard-step →
     /// all-gather → expand. Returns `false` if skipped on overflow.
     pub fn step(&mut self) -> bool {
-        let tel = telemetry::enabled();
         let d = self.replicas.len();
         let nparams = self.states[0].len();
-        let mut phases = Vec::new();
+        self.ledger.start();
 
         // 0. A mask update, if the schedule fires at this step.
         self.remap(self.steps_taken + self.steps_skipped);
 
         // 1. Compress each rank's gradients.
-        let sp = tel.then(|| telemetry::span("samo.step.compress"));
+        self.ledger.enter(Phase::Compress);
         for (model, rank_states) in self.replicas.iter_mut().zip(&mut self.states) {
             for (p, st) in model.params_mut().into_iter().zip(rank_states.iter_mut()) {
                 compress_grad(st, p.grad.as_slice());
             }
         }
-        phases.extend(sp.map(|sp| ("compress", sp.finish())));
+        self.ledger.exit(Phase::Compress);
 
         // 2. All-reduce (mean) the compressed fp16 gradients per param.
-        let sp = tel.then(|| telemetry::span("samo.step.reduce"));
+        self.ledger.enter(Phase::Reduce);
         for pi in 0..nparams {
             let mut bufs: Vec<&mut [F16]> = self.states.iter_mut().map(|rs| &mut rs[pi].grad16[..]).collect();
             comms::reference::allreduce_mean_f16(&mut bufs)
                 .expect("replica gradient buffers share one layout by construction");
         }
-        phases.extend(sp.map(|sp| ("reduce", sp.finish())));
+        self.ledger.exit(Phase::Reduce);
         // The collective has run by now whether or not the step applies.
         // Accounted with the bandwidth-optimal ring formula
         // `2·(G−1)/G · fφ` values — what a real ring all-reduce moves
@@ -299,7 +305,7 @@ impl<M: Layer> DataParallelSamo<M> {
         let proceed = self.scaler.check_and_update(finite);
         if proceed {
             // 3–4. Each rank steps its shard; gather shards per parameter.
-            let sp = tel.then(|| telemetry::span("samo.step.optimizer"));
+            self.ledger.enter(Phase::Optimizer);
             for pi in 0..nparams {
                 let nnz = self.states[0][pi].grad16.len();
                 let mut gathered = vec![F16::ZERO; nnz];
@@ -320,7 +326,7 @@ impl<M: Layer> DataParallelSamo<M> {
                     p.zero_grad();
                 }
             }
-            phases.extend(sp.map(|sp| ("optimizer", sp.finish())));
+            self.ledger.exit(Phase::Optimizer);
             self.steps_taken += 1;
         } else {
             for model in &mut self.replicas {
@@ -328,9 +334,10 @@ impl<M: Layer> DataParallelSamo<M> {
             }
             self.steps_skipped += 1;
         }
-        if tel {
+        self.ledger.stop();
+        if telemetry::enabled() {
             let ev = step_event("samo.dp", (proceed, scale), self.meta(), &self.states[0], &self.opt, Some(d));
-            report_step("samo.dp", true, self.scaler.scale(), &telemetry::StepEvent { phases, ..ev });
+            report_step("samo.dp", true, self.scaler.scale(), &ev.timed(&self.ledger.split()));
         }
         proceed
     }
@@ -501,6 +508,8 @@ pub struct DenseMaskedTrainer {
     pub scaler: LossScaler,
     steps_taken: u64,
     steps_skipped: u64,
+    /// The step timer: masking the gradients is its `compress`.
+    ledger: Ledger,
 }
 
 impl DenseMaskedTrainer {
@@ -524,6 +533,7 @@ impl DenseMaskedTrainer {
             scaler: LossScaler::default(),
             steps_taken: 0,
             steps_skipped: 0,
+            ledger: Ledger::default(),
         }
     }
 
@@ -561,25 +571,24 @@ impl DenseMaskedTrainer {
     /// (the subnetwork constraint), runs the dense optimizer, re-masks
     /// parameters, writes back.
     pub fn step(&mut self, model: &mut impl Layer) -> bool {
-        let tel = telemetry::enabled();
+        self.ledger.start();
         let params = model.params_mut();
         assert_eq!(params.len(), self.layers.len());
-        let sp = tel.then(|| telemetry::span("dense.step.mask_grad"));
+        self.ledger.enter(Phase::Compress);
         for (p, (st, mask)) in params.iter().zip(&mut self.layers) {
             let mut g = p.grad.as_slice().to_vec();
             mask.apply(&mut g);
             st.set_grad_from_f32(&g);
         }
-        let t_mask_grad = sp.map(telemetry::SpanGuard::finish);
+        self.ledger.exit(Phase::Compress);
         let finite = !self
             .layers
             .iter()
             .any(|(st, _)| st.grad16.iter().any(|g| !g.is_finite()));
         let scale = self.scaler.scale();
         let proceed = self.scaler.check_and_update(finite);
-        let mut t_optimizer = None;
         if proceed {
-            let sp = tel.then(|| telemetry::span("dense.step.optimizer"));
+            self.ledger.enter(Phase::Optimizer);
             for (p, (st, mask)) in params.into_iter().zip(&mut self.layers) {
                 st.optimizer_step(&self.opt, 1.0 / scale);
                 // Keep pruned positions exactly zero (masked subnetwork
@@ -594,7 +603,7 @@ impl DenseMaskedTrainer {
                 p.value.as_mut_slice().copy_from_slice(&dense);
                 p.zero_grad();
             }
-            t_optimizer = sp.map(telemetry::SpanGuard::finish);
+            self.ledger.exit(Phase::Optimizer);
             self.steps_taken += 1;
         } else {
             for p in params {
@@ -602,23 +611,17 @@ impl DenseMaskedTrainer {
             }
             self.steps_skipped += 1;
         }
-        if tel {
-            self.record_step(proceed, scale, t_mask_grad, t_optimizer);
+        self.ledger.stop();
+        if telemetry::enabled() {
+            self.record_step(proceed, scale);
         }
         proceed
     }
 
     /// Cold path: the same step record and `dense.*` metrics every SAMO
     /// runtime keeps, under `runtime: "dense_masked"`.
-    fn record_step(
-        &self,
-        applied: bool,
-        scale_used: f32,
-        t_mask_grad: Option<f64>,
-        t_optimizer: Option<f64>,
-    ) {
+    fn record_step(&self, applied: bool, scale_used: f32) {
         let numel = self.numel() as u64;
-        let phases = [("mask_grad", t_mask_grad), ("optimizer", t_optimizer)];
         let ev = telemetry::StepEvent {
             runtime: "dense_masked".into(),
             step: self.steps_taken + self.steps_skipped - 1,
@@ -631,10 +634,9 @@ impl DenseMaskedTrainer {
             model_state_bytes: self.model_state_bytes(),
             formula_state_bytes: Some(dense_formula_state_bytes(&self.opt, numel)),
             allreduce_bytes: dense_allreduce_bytes(numel),
-            phases: phases.into_iter().filter_map(|(n, t)| Some((n, t?))).collect(),
             ..Default::default()
         };
-        report_step("dense", false, self.scaler.scale(), &ev);
+        report_step("dense", false, self.scaler.scale(), &ev.timed(&self.ledger.split()));
     }
 }
 

@@ -53,7 +53,7 @@ fn keys(rec: &Json) -> (Vec<&str>, Vec<&str>) {
 }
 
 #[test]
-fn every_runtime_records_counters_spans_and_the_one_step_schema() {
+fn every_runtime_records_counters_ledgers_and_the_one_step_schema() {
     // Route the JSONL sink to a scratch directory. The sink opens
     // lazily on first emit, which only happens inside this test binary
     // while the flag below is set — hence one test function for every
@@ -128,11 +128,11 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
     }
 
     // The same recorder serves the data-parallel rank run one per process
-    // (here one per thread): one `samo_dp_threaded` event per group step
+    // (here one per thread): one `samo_dp_rank` event per group step
     // (from rank 0), with every phase of the ledger, and a restore counted
     // as a recovery.
     let recoveries = reg.counter("samo.ckpt.recoveries").get();
-    let dp_taken = reg.counter("samo.dp_threaded.steps_taken").get();
+    let dp_taken = reg.counter("samo.dp_rank.steps_taken").get();
     let optimizer_before = reg.histogram("samo.step.optimizer").count();
     telemetry::set_enabled(true);
     std::thread::scope(|s| {
@@ -152,7 +152,7 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
     });
     telemetry::jsonl::flush();
     telemetry::set_enabled(false);
-    let dp_taken = reg.counter("samo.dp_threaded.steps_taken").get() - dp_taken;
+    let dp_taken = reg.counter("samo.dp_rank.steps_taken").get() - dp_taken;
     assert_eq!(dp_taken, steps);
     assert_eq!(reg.counter("samo.ckpt.recoveries").get() - recoveries, 1);
     telemetry::trace::take();
@@ -164,7 +164,7 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
     // A rank holds its shard of the compressed state, not `formula`.
     let shard = samo::m_samo_zero_bytes(phi, 1.0 - nnz as f64 / phi as f64, 2) as f64;
     for rec in &dp {
-        assert_eq!(rec.get("runtime"), Some(&Json::from("samo_dp_threaded")), "{rec:?}");
+        assert_eq!(rec.get("runtime"), Some(&Json::from("samo_dp_rank")), "{rec:?}");
         assert_eq!(keys(rec).1, LEDGER_KEYS, "every phase: {rec:?}");
         let Some(Json::UInt(held)) = rec.get("model_state_bytes") else { panic!("{rec:?}") };
         assert!((*held as f64 - shard).abs() <= 18.0, "{held} B vs {shard} B: {rec:?}");
@@ -208,8 +208,8 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
     telemetry::trace::take();
 
     // Every runtime writes the same record: same fixed keys in the same
-    // order, and the engine's runtimes every phase of the ledger; the
-    // oracle and the dense baseline time their own.
+    // order and every phase of its ledger, the oracle's and the dense
+    // baseline's included.
     let data = read();
     let rest = records(&data, already, "step");
     let runtime = |r: &Json| r.get("runtime").cloned();
@@ -220,16 +220,19 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
         hit
     };
     let fixed = keys(&dp[0]).0;
-    for name in ["samo_dp", "dense_masked", "samo_dp_threaded", "samo_pipeline"] {
-        assert_eq!(keys(by_runtime(name)).0, fixed, "{name} has the common key set");
+    assert_eq!(keys(&Json::parse(lines[0]).unwrap()), (fixed.clone(), LEDGER_KEYS.to_vec()));
+    for name in ["samo_dp", "dense_masked", "samo_dp_rank", "samo_pipeline"] {
+        let (common, phases) = keys(by_runtime(name));
+        assert_eq!(common, fixed, "{name} has the common key set");
+        assert_eq!(phases, LEDGER_KEYS, "{name} times its step on a ledger");
     }
-    assert_eq!(keys(&Json::parse(lines[0]).unwrap()).0, fixed);
-    assert_eq!(keys(by_runtime("samo_dp_threaded")).1, LEDGER_KEYS);
-    assert_eq!(keys(by_runtime("samo_pipeline")).1, LEDGER_KEYS);
-    assert_eq!(keys(&Json::parse(lines[0]).unwrap()).1, LEDGER_KEYS);
-    assert_eq!(keys(by_runtime("samo_dp")).1, ["t_compress", "t_reduce", "t_optimizer"]);
-    assert_eq!(keys(by_runtime("dense_masked")).1, ["t_mask_grad", "t_optimizer"]);
-    let once = [("samo.dp_threaded", dp_taken + 1), ("samo.pipeline", 1), ("dense", 1)];
+    for name in ["samo_dp", "dense_masked"] {
+        let rec = by_runtime(name);
+        let window = num(rec.get("window_us")) * 1e-6;
+        let sum: f64 = LEDGER_KEYS.iter().map(|k| num(rec.get(k))).sum();
+        assert!(window > 0.0 && (sum - window).abs() <= 1e-6 * window.max(1e-3), "{name}: {rec:?}");
+    }
+    let once = [("samo.dp_rank", dp_taken + 1), ("samo.pipeline", 1), ("dense", 1)];
     for (prefix, taken) in once {
         assert_eq!(reg.counter(&format!("{prefix}.steps_taken")).get(), taken, "{prefix}");
         assert!(reg.gauge(&format!("{prefix}.model_state_bytes")).get() > 0.0, "{prefix}");
@@ -241,7 +244,7 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
     // sums its microbatches add dW into, 4·nnz again; nothing on a
     // data-parallel rank, which computes from θ16 and streams dW into ∇θ16.
     let resident = |prefix: &str| reg.gauge(&format!("{prefix}.resident_param_bytes")).get();
-    let shadows = ["samo", "samo.pipeline", "samo.dp_threaded"].map(resident);
+    let shadows = ["samo", "samo.pipeline", "samo.dp_rank"].map(resident);
     assert_eq!(shadows, [4.0 * 16.0, 4.0 * 16.0, 0.0]);
 
     // Step events ride the rank threads' replies, not the mesh: with
@@ -297,7 +300,7 @@ fn every_runtime_records_counters_spans_and_the_one_step_schema() {
         assert_eq!((uint(rec.get("step")), uint(rec.get("ranks"))), (step as u64, 3), "{rec:?}");
         assert_eq!(ids(rec, &["stage", "data", "step"]), [[0, 0, step as u64], [0, 1, step as u64], [0, 2, step as u64]]);
         let Some(Json::Arr(per_rank)) = rec.get("per_rank") else { panic!("{rec:?}") };
-        assert!(per_rank.iter().all(|r| r.get("runtime") == Some(&Json::from("samo_dp_threaded"))), "{rec:?}");
+        assert!(per_rank.iter().all(|r| r.get("runtime") == Some(&Json::from("samo_dp_rank"))), "{rec:?}");
         let widest = per_rank.iter().map(|r| num(r.get("window_us"))).fold(0.0, f64::max);
         assert_eq!(num(rec.get("max_us")), widest, "{rec:?}");
     }

@@ -11,6 +11,7 @@
 //! `samo-launch` worker's step line.
 
 use crate::json::Json;
+use crate::ledger::{Phase, Split};
 use parking_lot::Mutex;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -25,9 +26,10 @@ use std::sync::OnceLock;
 /// replicas with per-rank remainders).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StepEvent {
-    /// Which runtime produced the event: `samo`, `samo_dp`,
-    /// `samo_dp_threaded`, `samo_pipeline` or the dense baseline
-    /// `dense_masked`. Every runtime writes the same keys.
+    /// Which runtime produced the event: `samo`, the oracle `samo_dp`,
+    /// `samo_dp_rank` (a data-parallel rank, a thread's or a process's),
+    /// `samo_pipeline` or the dense baseline `dense_masked`. Every
+    /// runtime writes the same keys.
     pub runtime: String,
     /// 0-based index of this `step()` call (applied or skipped).
     pub step: u64,
@@ -52,16 +54,27 @@ pub struct StepEvent {
     /// Gradient bytes this step would move through all-reduce.
     pub allreduce_bytes: u64,
     /// The step's window on the rank's ledger, in microseconds: the sum
-    /// of its phases (0 where no ledger timed the step).
+    /// of its phases.
     pub window_us: f64,
     /// Seconds of communication the ledger charged while compute was
     /// open below it: what compute hid.
     pub hidden_comm_s: f64,
-    /// `(phase name, seconds)` wall-clock timings for this step.
+    /// `(phase name, seconds)`: what the ledger charged each phase.
     pub phases: Vec<(&'static str, f64)>,
 }
 
 impl StepEvent {
+    /// The event timed by a ledger's `split`: its window, hidden
+    /// communication and every phase, as every trainer reports a step.
+    pub fn timed(self, split: &Split) -> StepEvent {
+        StepEvent {
+            window_us: split.window_ns() as f64 / 1e3,
+            hidden_comm_s: split.hidden_ns() as f64 / 1e9,
+            phases: Phase::ALL.iter().map(|&p| (p.name(), split.secs(p))).collect(),
+            ..self
+        }
+    }
+
     /// The JSON object written as one line.
     pub fn to_json(&self) -> Json {
         let mut fields: Vec<(String, Json)> = vec![

@@ -5,7 +5,7 @@
 //! flag off (the default) the hot paths of the training and simulation
 //! crates pay only that load; nothing allocates, locks or writes.
 //!
-//! Four cooperating pieces:
+//! Three cooperating pieces:
 //!
 //! * [`registry`] — named [`Counter`]s, [`Gauge`]s and fixed-bucket
 //!   [`Histogram`]s, shared through a process-global [`Registry`]
@@ -16,17 +16,14 @@
 //!   [`trace::take`] drains them, and the `chrome://tracing` / Perfetto
 //!   `trace_event` exporter writes them next to the simulated pipeline
 //!   schedule.
-//! * [`mod@span`] — RAII wall-clock timers. Every finished span feeds a
-//!   histogram (`<name>` in seconds) and becomes a slice on the spans
-//!   lane.
 //! * [`jsonl`] — one-line-per-training-step [`StepEvent`] records, one
 //!   schema for every runtime, appended to `metrics.jsonl` under the
 //!   results directory (`SAMO_RESULTS_DIR`, default `results`).
 //!
 //! Supporting cast: [`clock`] (the shared resettable trace clock every
-//! lane stamps from) and [`ledger`] (a rank's phase clock: every
+//! lane stamps from) and [`ledger`] (the one step timer: every
 //! nanosecond of a training step charged to one phase, the split every
-//! runtime's step timings read).
+//! trainer's step record reads).
 //!
 //! Plus [`logger`], a leveled stderr logger (`SAMO_LOG=quiet|info|debug`)
 //! so experiment drivers can keep stdout exclusively for machine-readable
@@ -47,12 +44,10 @@ pub mod ledger;
 pub mod logger;
 pub mod registry;
 mod sink;
-pub mod span;
 pub mod trace;
 
 pub use jsonl::StepEvent;
 pub use registry::{global, Counter, Gauge, Histogram, Registry};
-pub use span::{span, SpanGuard};
 pub use trace::{FlowEvent, TraceEvent};
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -41,7 +41,7 @@ pub mod lane {
     /// The simulated pipeline schedule, one `tid` per GPU — built by
     /// `axonn_sim::chrome_trace_events`, never recorded live.
     pub const SIMULATED: u64 = 0;
-    /// [`mod@crate::span`] timers, one `tid` per thread.
+    /// `repro`'s experiments, one slice each.
     pub const SPANS: u64 = 1;
     /// Ring hops, sends, recv waits and their flows, one `tid` per rank.
     pub const COMMS: u64 = 2;
