@@ -119,7 +119,7 @@ fn main() {
         // `in_all` is false for the perf trackers and the file tools: they
         // are not paper experiments and write into the repo root rather
         // than `results/`.
-        // Each experiment run is a `repro.<name>` slice on the spans lane.
+        // Each experiment run is a `repro.<name>` slice on the experiments lane.
         let mut exp = |name: &'static str, in_all: bool, f: &mut dyn FnMut() -> Result<(), String>| {
             names.push(name);
             if (what == name || (in_all && what == "all")) && failed.is_none() {
@@ -128,7 +128,8 @@ fn main() {
                     failed = Some(format!("{name}: {e}"));
                 }
                 let dur = telemetry::clock::now_us() - t0;
-                telemetry::trace::slice(lane::SPANS, 0, "span", t0, dur, || (format!("repro.{name}"), Vec::new()));
+                let describe = || (format!("repro.{name}"), Vec::new());
+                telemetry::trace::slice(lane::EXPERIMENTS, 0, "experiment", t0, dur, describe);
                 ran = true;
             }
         };

@@ -33,9 +33,10 @@
 //!
 //! Coordination between parent and workers goes through small files in
 //! `--dir`, which the parent clears before the first spawn so a reused
-//! directory starts cold: `rdv.addr`, `rank<R>.latest.ckpt` and
-//! `rank<R>.final.ckpt` (durable writes, `samo::checkpoint::write_durable`),
-//! and an append-only `rank<R>.events` log, one JSON object a line told
+//! directory starts cold: `rdv.addr`, `rank0.latest.ckpt` — the one
+//! `latest`: every rank joins the collective save, rank 0 alone writes it,
+//! and recovery broadcasts it — and `rank<R>.final.ckpt` (durable writes,
+//! `samo::checkpoint::write_durable`), and an append-only `rank<R>.events` log, one JSON object a line told
 //! apart by `kind`: every step's `telemetry::StepEvent` (`step`, with
 //! telemetry on or off), so a running world can be read as it trains,
 //! and its failures and resyncs (`step_error`, `resync`,
@@ -271,12 +272,13 @@ fn worker(rank: usize, args: &Args) -> i32 {
                 (done % ckpt_every == 0).then(|| dp.save()).transpose()
             });
             match res {
-                Ok(Some(ckpt)) => {
+                // Recovery reads rank 0's alone.
+                Ok(Some(ckpt)) if rank == 0 => {
                     if let Err(code) = write_ckpt(dir, rank, "latest", &ckpt) {
                         return code;
                     }
                 }
-                Ok(None) => {}
+                Ok(_) => {}
                 Err(e) => {
                     step_error(dir, rank, step, t0, e);
                     failed = true;

@@ -49,7 +49,8 @@ fn a_refused_checkpoint_write_is_a_worker_error() {
 
 /// A second run in the same directory is a new run: it resumes neither
 /// the first run's checkpoints nor its rendezvous, and its final
-/// checkpoints still equal its own oracle.
+/// checkpoints still equal its own oracle. Only rank 0 leaves a `latest`:
+/// recovery reads no other.
 #[test]
 fn a_reused_directory_starts_cold() {
     let dir = std::env::temp_dir().join(format!("samo-launch-reuse-{}", std::process::id()));
@@ -63,6 +64,8 @@ fn a_reused_directory_starts_cold() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(out.status.success(), "--steps {steps}: {stderr}");
         assert!(stderr.contains("bitwise equal to the oracle"), "--steps {steps}: {stderr}");
+        assert!(dir.join("rank0.latest.ckpt").is_file(), "--steps {steps}");
+        assert!(!dir.join("rank1.latest.ckpt").exists(), "--steps {steps}: rank 1 wrote a latest");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

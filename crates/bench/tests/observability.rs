@@ -302,7 +302,7 @@ fn check_trace(dir: &Path, simulated: Vec<TraceEvent>, live: Vec<TraceEvent>, fl
     let on = |pid: u64| live.iter().filter(move |e| e.pid == pid);
     let pids: BTreeSet<u64> = live.iter().map(|e| e.pid).collect();
     // Every trainer times its phases on its step ledger, not on a lane:
-    // the spans lane carries `repro`'s experiments only.
+    // the experiments lane carries `repro`'s experiments only.
     let driven = [lane::COMMS, lane::PIPELINE, lane::SERVE];
     assert_eq!(
         pids,
@@ -310,7 +310,7 @@ fn check_trace(dir: &Path, simulated: Vec<TraceEvent>, live: Vec<TraceEvent>, fl
         "one drain holds the three live lanes the drill drives"
     );
     assert_eq!(
-        (lane::SIMULATED, lane::SPANS, driven),
+        (lane::SIMULATED, lane::EXPERIMENTS, driven),
         (0, 1, [2, 3, 4]),
         "Perfetto lanes keep their pids"
     );

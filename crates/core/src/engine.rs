@@ -101,9 +101,9 @@
 //!
 //! A step has one record, `telemetry::StepEvent`, built by one function,
 //! `StepEngine::step_event`: the same record for every runtime, told
-//! apart by `runtime` and placed by the rank's grid place `(stage, data)`,
-//! with the ledger's window and a `t_<phase>` per phase. Rank `(0, 0)`
-//! reports it: with telemetry on it writes the event's line, feeds the
+//! apart by `runtime`, placed by the rank's grid place `(stage, data)` and
+//! carrying the ledger's split itself. Rank `(0, 0)` reports it: with
+//! telemetry on it writes the event's line, feeds the
 //! `samo.step.<phase>` histograms and keeps the counters and gauges under
 //! the runtime's prefix. A rank thread hands its event to its
 //! group, and a `samo-launch` worker writes it to its events file.
@@ -122,7 +122,7 @@ use nn::mixed::{LossScaler, LossScalerState, Optimizer};
 use nn::param::Parameter;
 use prune::{Mask, MaskSchedule};
 use std::sync::Arc;
-use telemetry::ledger::{Ledger, Phase};
+use telemetry::ledger::{Ledger, Phase, Split};
 use tensor::f16::F16;
 use tensor::{ops, Tensor};
 
@@ -740,11 +740,11 @@ impl StepEngine {
         let name = format!("{}.resident_param_bytes", self.prefix);
         reg.gauge(&name).set(self.resident_param_bytes(model) as f64);
         let ev = self.step_event();
-        for &(name, secs) in &ev.phases {
+        for phase in Phase::ALL {
             // Every phase's histogram exists; it samples the steps that charged it.
-            let histogram = reg.histogram(&format!("samo.step.{name}"));
-            if secs > 0.0 {
-                histogram.record(secs);
+            let histogram = reg.histogram(&format!("samo.step.{}", phase.name()));
+            if ev.split.ns(phase) > 0 {
+                histogram.record(ev.split.secs(phase));
             }
         }
         report_step(self.prefix, self.group.is_some(), self.scaler.scale(), &ev);
@@ -758,12 +758,12 @@ impl StepEngine {
     pub fn step_event(&self) -> telemetry::StepEvent {
         let world = self.group.as_ref().map(Communicator::world);
         let (stage, data) = self.place;
+        let split = self.ledger.split();
         telemetry::StepEvent {
             stage: stage as u64,
             data: data as u64,
-            ..step_event(self.prefix, self.verdict, self.meta(), &self.layers, &self.opt, world)
+            ..step_event(self.prefix, self.verdict, self.meta(), &self.layers, &self.opt, world, split)
         }
-        .timed(&self.ledger.split())
     }
 
     /// The bytes of the gauge `<prefix>.resident_param_bytes`: the f32
@@ -1129,12 +1129,11 @@ pub(crate) fn count_recovery() {
 }
 
 /// The record of one completed step of one rank holding `layers`, at
-/// place `(0, 0)` and not yet timed: what every SAMO runtime's event
-/// shares, before `StepEvent::timed` adds its ledger's split. `verdict` is
-/// whether it applied and at which loss scale, `meta` the state *after*
-/// it. A rank in a ring group of `world` moves the ring byte model; a
-/// single worker reports the flat payload a data-parallel step would
-/// move, Eq. 9.
+/// place `(0, 0)`, as its ledger charged it (`split`): what every SAMO
+/// runtime's event shares. `verdict` is whether it applied and at which
+/// loss scale, `meta` the state *after* it. A rank in a ring group of
+/// `world` moves the ring byte model; a single worker reports the flat
+/// payload a data-parallel step would move, Eq. 9.
 pub(crate) fn step_event(
     prefix: &str,
     (applied, scale_used): (bool, f32),
@@ -1142,6 +1141,7 @@ pub(crate) fn step_event(
     layers: &[SamoLayerState],
     opt: &Optimizer,
     world: Option<usize>,
+    split: Split,
 ) -> telemetry::StepEvent {
     let numel = layers.iter().map(|l| l.numel()).sum::<usize>() as u64;
     let nnz = layers.iter().map(|l| l.nnz()).sum::<usize>() as u64;
@@ -1160,6 +1160,7 @@ pub(crate) fn step_event(
         model_state_bytes: layers.iter().map(|l| l.measured_bytes(true)).sum(),
         formula_state_bytes: unsharded.then(|| formula_state_bytes(opt, numel, nnz)),
         allreduce_bytes: world.map_or(samo_allreduce_bytes(nnz), |w| samo_ring_allreduce_bytes(nnz, w as u64)),
+        split,
         ..Default::default()
     }
 }

@@ -336,8 +336,9 @@ impl<M: Layer> DataParallelSamo<M> {
         }
         self.ledger.stop();
         if telemetry::enabled() {
-            let ev = step_event("samo.dp", (proceed, scale), self.meta(), &self.states[0], &self.opt, Some(d));
-            report_step("samo.dp", true, self.scaler.scale(), &ev.timed(&self.ledger.split()));
+            let split = self.ledger.split();
+            let ev = step_event("samo.dp", (proceed, scale), self.meta(), &self.states[0], &self.opt, Some(d), split);
+            report_step("samo.dp", true, self.scaler.scale(), &ev);
         }
         proceed
     }
@@ -634,9 +635,10 @@ impl DenseMaskedTrainer {
             model_state_bytes: self.model_state_bytes(),
             formula_state_bytes: Some(dense_formula_state_bytes(&self.opt, numel)),
             allreduce_bytes: dense_allreduce_bytes(numel),
+            split: self.ledger.split(),
             ..Default::default()
         };
-        report_step("dense", false, self.scaler.scale(), &ev.timed(&self.ledger.split()));
+        report_step("dense", false, self.scaler.scale(), &ev);
     }
 }
 

@@ -81,7 +81,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use telemetry::json::Json;
-use telemetry::ledger::Phase;
 use telemetry::StepEvent;
 use tensor::Tensor;
 
@@ -102,15 +101,11 @@ pub struct CommStats {
     pub msgs_dropped: u64,
 }
 
-/// A rank whose compute time in a step exceeds this multiple of the
-/// group's lower median is reported as a straggler in the group's
+/// A rank whose busy time in a step (`Split::busy_us`) exceeds this
+/// multiple of the group's lower median is reported as a straggler in the group's
 /// `mesh_metrics` line. Step durations cannot tell: the collectives hold
 /// every rank of a group in lockstep.
 pub const STRAGGLER_FACTOR: f64 = 1.5;
-
-/// The phases of a rank's ledger it computes in, rather than talks or
-/// waits.
-const COMPUTE: [Phase; 6] = [Phase::F, Phase::B, Phase::W, Phase::Compress, Phase::Optimizer, Phase::Remap];
 
 /// What a rank thread reports back after a step (and after a restore):
 /// the verdict, its trainer-level state — identical on every rank, and
@@ -269,7 +264,7 @@ impl<M: Layer + Send + 'static> RankGroup<M> {
         let outcomes = self.run(|| Cmd::Step(Arc::clone(&job)))?;
         let events: Option<Vec<&StepEvent>> = outcomes.iter().map(|o| o.event.as_ref()).collect();
         if let Some(events) = events {
-            emit_mesh_metrics(index, &events);
+            telemetry::jsonl::emit_line(&mesh_metrics(index, &events));
         }
         Ok(outcomes[0].applied)
     }
@@ -362,25 +357,21 @@ impl<M: Layer + Send + 'static> RankGroup<M> {
     }
 }
 
-/// Writes one group step's `mesh_metrics` line: every rank's step event
-/// in rank order, the median and largest of their windows, and the
-/// stragglers, each warned of too — a rank whose compute time exceeds
+/// One group step's `mesh_metrics` line: every rank's step event in rank
+/// order, the median and largest of their windows, and the stragglers,
+/// each warned of too — a rank whose busy time (`Split::busy_us`) exceeds
 /// [`STRAGGLER_FACTOR`] × the lower median of the group's.
-fn emit_mesh_metrics(step: u32, events: &[&StepEvent]) {
+fn mesh_metrics(step: u32, events: &[&StepEvent]) -> Json {
     let lower_median = |mut v: Vec<f64>| {
         v.sort_by(f64::total_cmp);
         v[(v.len() - 1) / 2]
     };
-    let compute = |ev: &StepEvent| {
-        let computes = |name: &str| COMPUTE.iter().any(|p| p.name() == name);
-        ev.phases.iter().filter(|(name, _)| computes(name)).map(|(_, secs)| secs).sum::<f64>() * 1e6
-    };
-    let busy = lower_median(events.iter().map(|ev| compute(ev)).collect());
-    let median = lower_median(events.iter().map(|ev| ev.window_us).collect());
-    let max = events.iter().map(|ev| ev.window_us).fold(0.0, f64::max);
+    let busy = lower_median(events.iter().map(|ev| ev.split.busy_us()).collect());
+    let median = lower_median(events.iter().map(|ev| ev.split.window_us()).collect());
+    let max = events.iter().map(|ev| ev.split.window_us()).fold(0.0, f64::max);
     let mut stragglers = Vec::new();
     for ev in events.iter().filter(|_| events.len() > 1) {
-        let busy_us = compute(ev);
+        let busy_us = ev.split.busy_us();
         if busy_us > STRAGGLER_FACTOR * busy {
             let (stage, data) = (ev.stage, ev.data);
             telemetry::log_warn!(
@@ -394,7 +385,7 @@ fn emit_mesh_metrics(step: u32, events: &[&StepEvent]) {
             ]));
         }
     }
-    telemetry::jsonl::emit_line(&Json::Obj(vec![
+    Json::Obj(vec![
         ("kind".into(), Json::from("mesh_metrics")),
         ("step".into(), Json::UInt(u64::from(step))),
         ("ranks".into(), Json::UInt(events.len() as u64)),
@@ -402,7 +393,7 @@ fn emit_mesh_metrics(step: u32, events: &[&StepEvent]) {
         ("max_us".into(), Json::Num(max)),
         ("per_rank".into(), Json::Arr(events.iter().map(|ev| ev.to_json()).collect())),
         ("stragglers".into(), Json::Arr(stragglers)),
-    ]));
+    ])
 }
 
 impl<M> Drop for RankGroup<M> {
@@ -623,7 +614,7 @@ mod tests {
     use nn::optim::AdamConfig;
     use std::sync::Mutex;
     use std::time::Instant;
-    use telemetry::ledger::Split;
+    use telemetry::ledger::{Phase, Split};
 
     const WIDTH: usize = 8;
     const DELAY: Duration = Duration::from_millis(3);
@@ -667,12 +658,58 @@ mod tests {
         assert_eq!(ruled.len(), ranks);
         for &(place, split, dur_us) in &ruled {
             let sum: u64 = Phase::ALL.iter().map(|&p| split.ns(p)).sum();
-            assert_eq!(sum, split.window_ns(), "{place:?}: {split:?}");
-            let window_us = split.window_ns() as f64 * 1e-3;
+            let window_us = split.window_us();
+            assert_eq!(sum as f64 / 1e3, window_us, "{place:?}: {split:?}");
             let off = (window_us - dur_us).abs() / dur_us;
             assert!(off <= 0.01, "{place:?}: window {window_us:.1}us vs dur {dur_us:.1}us");
         }
         ruled.into_iter().map(|(_, split, _)| split).collect()
+    }
+
+    /// Four ranks' planted splits, placed `(stage, data)`: rank 1 waits
+    /// and idles far longer than the rest and computes no longer; rank 2's
+    /// extra time is a remap, rank 3's an optimizer pass.
+    fn planted_group() -> Vec<StepEvent> {
+        let base = [1_234_567, 2_345_678, 345_679, 12_345, 456_789, 0, 98_765, 543_210, 210_987, 87_654, 7_654];
+        let idle = [1_300_001, 2_400_003, 400_005, 11_111, 9_876_543, 0, 90_001, 600_007, 200_003, 80_009, 6_000_001];
+        let (mut remap, mut optimizer) = (base, base);
+        remap[Phase::Remap as usize] = 6_000_000;
+        optimizer[Phase::Optimizer as usize] = 6_500_000;
+        let splits = [(base, 321_098), (idle, 0), (remap, 321_098), (optimizer, 1)];
+        let places = [(0, 0), (1, 0), (0, 1), (1, 1)];
+        let event = |(&(stage, data), &(ns, hidden)): (&(u64, u64), &_)| StepEvent {
+            runtime: "samo_dp_rank".into(),
+            step: 5,
+            stage,
+            data,
+            applied: true,
+            loss_scale: 1024.0,
+            steps_taken: 6,
+            numel: 100,
+            nnz: 10,
+            model_state_bytes: 440,
+            allreduce_bytes: 20,
+            split: Split::planted(ns, hidden),
+            ..StepEvent::default()
+        };
+        places.iter().zip(&splits).map(event).collect()
+    }
+
+    /// A straggler has more busy time, whichever busy phase holds it — a
+    /// remap or an optimizer pass as much as F, B or W — and waiting or
+    /// unaccounted time makes none. The line reads as it did when the
+    /// rule matched phase names: every rank's record, then these numbers.
+    #[test]
+    fn stragglers_are_busy_longer_by_the_ledgers_rule() {
+        let events = planted_group();
+        let line = mesh_metrics(5, &events.iter().collect::<Vec<_>>()).render();
+        let per_rank = Json::Arr(events.iter().map(StepEvent::to_json).collect()).render();
+        let head = r#"{"kind":"mesh_metrics","step":5,"ranks":4,"median_us":11343.328,"max_us":20957.684,"per_rank":"#;
+        let tail = concat!(
+            r#","stragglers":[{"stage":0,"data":1,"ratio":2.331582161601799},"#,
+            r#"{"stage":1,"data":1,"ratio":2.3974163630039365}]}"#
+        );
+        assert_eq!(line, format!("{head}{per_rank}{tail}"));
     }
 
     #[test]

@@ -12,6 +12,7 @@ use samo::reference::{dense_formula_state_bytes, DataParallelSamo, DenseMaskedTr
 use samo::trainer::{formula_state_bytes, SamoTrainer};
 use samo::{DataParallelRank, ThreadedDataParallelSamo};
 use telemetry::json::Json;
+use telemetry::ledger::Phase;
 use tensor::Tensor;
 
 fn adam() -> Optimizer {
@@ -40,10 +41,9 @@ fn records(data: &str, from: usize, kind: &str) -> Vec<Json> {
 }
 
 /// The phases of the step ledger, as a step event's keys.
-const LEDGER_KEYS: [&str; 11] = [
-    "t_f", "t_b", "t_w", "t_send", "t_wait", "t_remap", "t_compress", "t_reduce", "t_optimizer", "t_gather",
-    "t_other",
-];
+fn ledger_keys() -> Vec<String> {
+    Phase::ALL.iter().map(|p| format!("t_{}", p.name())).collect()
+}
 
 /// The keys of one record, and the phases (`t_<phase>`) among them.
 fn keys(rec: &Json) -> (Vec<&str>, Vec<&str>) {
@@ -165,7 +165,7 @@ fn every_runtime_records_counters_ledgers_and_the_one_step_schema() {
     let shard = samo::m_samo_zero_bytes(phi, 1.0 - nnz as f64 / phi as f64, 2) as f64;
     for rec in &dp {
         assert_eq!(rec.get("runtime"), Some(&Json::from("samo_dp_rank")), "{rec:?}");
-        assert_eq!(keys(rec).1, LEDGER_KEYS, "every phase: {rec:?}");
+        assert_eq!(keys(rec).1, ledger_keys(), "every phase: {rec:?}");
         let Some(Json::UInt(held)) = rec.get("model_state_bytes") else { panic!("{rec:?}") };
         assert!((*held as f64 - shard).abs() <= 18.0, "{held} B vs {shard} B: {rec:?}");
     }
@@ -220,16 +220,18 @@ fn every_runtime_records_counters_ledgers_and_the_one_step_schema() {
         hit
     };
     let fixed = keys(&dp[0]).0;
-    assert_eq!(keys(&Json::parse(lines[0]).unwrap()), (fixed.clone(), LEDGER_KEYS.to_vec()));
+    let first = Json::parse(lines[0]).unwrap();
+    assert_eq!(keys(&first).0, fixed);
+    assert_eq!(keys(&first).1, ledger_keys());
     for name in ["samo_dp", "dense_masked", "samo_dp_rank", "samo_pipeline"] {
         let (common, phases) = keys(by_runtime(name));
         assert_eq!(common, fixed, "{name} has the common key set");
-        assert_eq!(phases, LEDGER_KEYS, "{name} times its step on a ledger");
+        assert_eq!(phases, ledger_keys(), "{name} times its step on a ledger");
     }
     for name in ["samo_dp", "dense_masked"] {
         let rec = by_runtime(name);
         let window = num(rec.get("window_us")) * 1e-6;
-        let sum: f64 = LEDGER_KEYS.iter().map(|k| num(rec.get(k))).sum();
+        let sum: f64 = ledger_keys().iter().map(|k| num(rec.get(k))).sum();
         assert!(window > 0.0 && (sum - window).abs() <= 1e-6 * window.max(1e-3), "{name}: {rec:?}");
     }
     let once = [("samo.dp_rank", dp_taken + 1), ("samo.pipeline", 1), ("dense", 1)];
@@ -339,7 +341,7 @@ fn every_runtime_records_counters_ledgers_and_the_one_step_schema() {
         let Some(Json::Arr(per_rank)) = rec.get("per_rank") else { panic!("{rec:?}") };
         for r in per_rank {
             let window = num(r.get("window_us")) * 1e-6;
-            let sum: f64 = LEDGER_KEYS.iter().map(|k| num(r.get(k))).sum();
+            let sum: f64 = ledger_keys().iter().map(|k| num(r.get(k))).sum();
             assert!((sum - window).abs() <= 1e-6 * window.max(1e-3), "{r:?}");
         }
     }

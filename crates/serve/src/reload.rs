@@ -27,7 +27,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+use telemetry::clock::now_us;
 use telemetry::json::Json;
 use telemetry::trace::{self, lane};
 
@@ -60,8 +61,7 @@ fn watch(
     while !shutdown.load(Ordering::Relaxed) {
         std::thread::sleep(cfg.poll);
         let Some((step, path)) = cfg.sub.poll() else { continue };
-        let t0 = Instant::now();
-        let load_ts = telemetry::clock::now_us();
+        let load_ts = now_us();
         // Load + verify + build: all off the serving path.
         let loaded = match crate::model::load_verified(&path, step, &cfg.opt) {
             Ok(l) => l,
@@ -89,7 +89,7 @@ fn watch(
         }
         // Hand the ready models over and time first-swap -> last-ack.
         let (ack_tx, ack_rx) = channel::<usize>();
-        let swap_t0 = Instant::now();
+        let swap_ts = now_us();
         let msg = DispatchMsg::Reload { step, states: loaded.states, models, ack: ack_tx };
         if dispatch.send(msg).is_err() {
             return; // dispatcher gone: server stopping
@@ -101,23 +101,20 @@ fn watch(
                 Err(_) => break, // a replica died mid-swap; respawn path covers it
             }
         }
-        let blackout = swap_t0.elapsed();
+        let end_ts = now_us();
+        let blackout_us = (end_ts - swap_ts) as u64;
         shared.reloads.fetch_add(1, Ordering::Relaxed);
         shared.serving_step.store(step, Ordering::Relaxed);
-        shared
-            .last_blackout_us
-            .store(blackout.as_micros() as u64, Ordering::Relaxed);
-        let dur_us = t0.elapsed().as_secs_f64() * 1e6;
-        trace::slice(lane::SERVE, watcher_tid, "reload", load_ts, dur_us, || {
+        shared.last_blackout_us.store(blackout_us, Ordering::Relaxed);
+        trace::slice(lane::SERVE, watcher_tid, "reload", load_ts, end_ts - load_ts, || {
             let uint = |k: &str, v: u64| (k.to_string(), Json::UInt(v));
-            let blackout_us = uint("blackout_us", blackout.as_micros() as u64);
-            let args = vec![uint("step", step), blackout_us, uint("acked", acked as u64)];
+            let args = vec![uint("step", step), uint("blackout_us", blackout_us), uint("acked", acked as u64)];
             (format!("reload step={step}"), args)
         });
         telemetry::log_info!(
             "serve: hot-reloaded step {step} on {acked}/{} replicas, blackout {:.2} ms",
             cfg.replicas,
-            blackout.as_secs_f64() * 1e3
+            blackout_us as f64 / 1e3
         );
     }
 }

@@ -26,18 +26,16 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 use telemetry::clock::now_us;
 use telemetry::json::Json;
 use telemetry::trace::{self, lane};
 
 /// One queued inference request, carrying everything needed to answer
-/// it: the reply route and the enqueue timestamps for latency and the
-/// queue-wait trace slice.
+/// it: the reply route and the enqueue stamp on the trace clock, which
+/// both its latency and its queue-wait slice are measured from.
 pub(crate) struct Pending {
     pub id: u64,
     pub features: Vec<f32>,
-    pub enqueued: Instant,
     pub enqueued_us: f64,
     /// The write half of the client's connection, shared by every
     /// replica that answers that client. A reply it cannot take — the
@@ -106,7 +104,6 @@ fn run_batch(
     output: &mut Vec<f32>,
 ) {
     let tid = idx as u64;
-    let t_batch = Instant::now();
     let batch_ts = now_us();
     // Shape-check first: misfits get an error reply, the rest batch.
     let mut good: Vec<Pending> = Vec::with_capacity(batch.len());
@@ -147,12 +144,12 @@ fn run_batch(
         } else {
             shared.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        shared.latency_us.record(p.enqueued.elapsed().as_secs_f64() * 1e6);
+        shared.latency_us.record(now_us() - p.enqueued_us);
     }
     shared.requests.fetch_add(n as u64, Ordering::Relaxed);
     shared.batches.fetch_add(1, Ordering::Relaxed);
     shared.batch_fill.record(n as f64);
-    trace::slice(lane::SERVE, tid, "batch", batch_ts, t_batch.elapsed().as_secs_f64() * 1e6, || {
+    trace::slice(lane::SERVE, tid, "batch", batch_ts, now_us() - batch_ts, || {
         let uint = |k: &str, v: u64| (k.to_string(), Json::UInt(v));
         (format!("batch n={n} step={step}"), vec![uint("rows", n as u64), uint("step", step)])
     });

@@ -303,7 +303,6 @@ fn conn_loop(stream: TcpStream, tx: Sender<DispatchMsg>, shutdown: Arc<AtomicBoo
                 let pending = Pending {
                     id,
                     features,
-                    enqueued: Instant::now(),
                     enqueued_us: telemetry::clock::now_us(),
                     conn: writer.clone(),
                 };

@@ -53,28 +53,12 @@ pub struct StepEvent {
     pub formula_state_bytes: Option<u64>,
     /// Gradient bytes this step would move through all-reduce.
     pub allreduce_bytes: u64,
-    /// The step's window on the rank's ledger, in microseconds: the sum
-    /// of its phases.
-    pub window_us: f64,
-    /// Seconds of communication the ledger charged while compute was
-    /// open below it: what compute hid.
-    pub hidden_comm_s: f64,
-    /// `(phase name, seconds)`: what the ledger charged each phase.
-    pub phases: Vec<(&'static str, f64)>,
+    /// What the rank's ledger charged the step: its window, each phase
+    /// and the communication compute hid.
+    pub split: Split,
 }
 
 impl StepEvent {
-    /// The event timed by a ledger's `split`: its window, hidden
-    /// communication and every phase, as every trainer reports a step.
-    pub fn timed(self, split: &Split) -> StepEvent {
-        StepEvent {
-            window_us: split.window_ns() as f64 / 1e3,
-            hidden_comm_s: split.hidden_ns() as f64 / 1e9,
-            phases: Phase::ALL.iter().map(|&p| (p.name(), split.secs(p))).collect(),
-            ..self
-        }
-    }
-
     /// The JSON object written as one line.
     pub fn to_json(&self) -> Json {
         let mut fields: Vec<(String, Json)> = vec![
@@ -92,11 +76,11 @@ impl StepEvent {
             ("model_state_bytes".into(), Json::UInt(self.model_state_bytes)),
             ("formula_state_bytes".into(), self.formula_state_bytes.map_or(Json::Null, Json::UInt)),
             ("allreduce_bytes".into(), Json::UInt(self.allreduce_bytes)),
-            ("window_us".into(), Json::Num(self.window_us)),
-            ("hidden_comm_s".into(), Json::Num(self.hidden_comm_s)),
+            ("window_us".into(), Json::Num(self.split.window_us())),
+            ("hidden_comm_s".into(), Json::Num(self.split.hidden_ns() as f64 / 1e9)),
         ];
-        for (name, secs) in &self.phases {
-            fields.push((format!("t_{name}"), Json::Num(*secs)));
+        for phase in Phase::ALL {
+            fields.push((format!("t_{}", phase.name()), Json::Num(self.split.secs(phase))));
         }
         Json::Obj(fields)
     }
@@ -187,8 +171,11 @@ pub fn flush() {
 mod tests {
     use super::*;
 
+    /// Every key, in order, with the numbers a ledger split renders to:
+    /// the line as it read when the record still held a copy of its split.
     #[test]
     fn step_event_serialises_all_fields() {
+        let ns = [1_234_567, 2_345_678, 345_679, 12_345, 456_789, 0, 98_765, 543_210, 210_987, 87_654, 7_654];
         let ev = StepEvent {
             runtime: "samo".into(),
             step: 3,
@@ -203,28 +190,20 @@ mod tests {
             model_state_bytes: 440,
             formula_state_bytes: Some(440),
             allreduce_bytes: 20,
-            window_us: 750_000.0,
-            hidden_comm_s: 0.125,
-            phases: vec![("compress", 0.5), ("optimizer", 0.25)],
+            split: Split::planted(ns, 321_098),
         };
-        let line = ev.to_json().render();
-        assert!(line.starts_with('{') && line.ends_with('}'));
-        for key in [
-            "\"kind\":\"step\"",
-            "\"runtime\":\"samo\"",
-            "\"step\":3,\"stage\":1,\"data\":2",
-            "\"applied\":true",
-            "\"loss_scale\":65536",
-            "\"numel\":100",
-            "\"nnz\":10",
-            "\"model_state_bytes\":440",
-            "\"formula_state_bytes\":440",
-            "\"allreduce_bytes\":20,\"window_us\":750000,\"hidden_comm_s\":0.125",
-            "\"t_compress\":0.5",
-            "\"t_optimizer\":0.25",
-        ] {
-            assert!(line.contains(key), "{key} missing from {line}");
-        }
+        assert_eq!(
+            ev.to_json().render(),
+            concat!(
+                r#"{"kind":"step","runtime":"samo","step":3,"stage":1,"data":2,"applied":true,"#,
+                r#""loss_scale":65536,"steps_taken":4,"steps_skipped":0,"numel":100,"nnz":10,"#,
+                r#""model_state_bytes":440,"formula_state_bytes":440,"allreduce_bytes":20,"#,
+                r#""window_us":5343.328,"hidden_comm_s":0.000321098,"#,
+                r#""t_f":0.001234567,"t_b":0.002345678,"t_w":0.000345679,"t_send":0.000012345,"#,
+                r#""t_wait":0.000456789,"t_remap":0,"t_compress":0.000098765,"t_reduce":0.00054321,"#,
+                r#""t_optimizer":0.000210987,"t_gather":0.000087654,"t_other":0.000007654}"#,
+            )
+        );
     }
 
     #[test]

@@ -79,6 +79,12 @@ impl Phase {
     fn communicates(self) -> bool {
         matches!(self, Phase::Send | Phase::Wait | Phase::Reduce | Phase::Gather)
     }
+
+    /// Whether the rank works in `self` rather than talks, waits or is
+    /// unaccounted for: F, B, W, Remap, Compress and Optimizer.
+    fn busy(self) -> bool {
+        !self.communicates() && self != Phase::Other
+    }
 }
 
 /// How deep phases nest.
@@ -86,7 +92,7 @@ const DEPTH: usize = 8;
 
 /// What a window charged: nanoseconds per phase, their sum, and the
 /// communication among them that compute hid.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Split {
     ns: [u64; Phase::ALL.len()],
     hidden: u64,
@@ -94,6 +100,13 @@ pub struct Split {
 }
 
 impl Split {
+    /// A closed window that charged `ns[i]` to `Phase::ALL[i]`, `hidden`
+    /// of it communication that compute hid.
+    // TEST-API: the step-record goldens and the straggler tests plant a split no clock could charge.
+    pub fn planted(ns: [u64; Phase::ALL.len()], hidden: u64) -> Split {
+        Split { ns, hidden, window: ns.iter().sum() }
+    }
+
     /// Nanoseconds charged to `phase`.
     pub fn ns(&self, phase: Phase) -> u64 {
         self.ns[phase as usize]
@@ -104,14 +117,20 @@ impl Split {
         self.ns(phase) as f64 / 1e9
     }
 
-    /// The closed window's nanoseconds: the sum of every phase's.
-    pub fn window_ns(&self) -> u64 {
-        self.window
+    /// The closed window in microseconds: the sum of every phase's.
+    pub fn window_us(&self) -> f64 {
+        self.window as f64 / 1e3
     }
 
     /// Communication nanoseconds charged with a compute phase open below.
     pub fn hidden_ns(&self) -> u64 {
         self.hidden
+    }
+
+    /// Microseconds the rank was busy: every phase that neither
+    /// communicates nor is [`Phase::Other`]. What a straggler has more of.
+    pub fn busy_us(&self) -> f64 {
+        Phase::ALL.iter().filter(|p| p.busy()).map(|&p| self.ns(p)).sum::<u64>() as f64 / 1e3
     }
 }
 
@@ -261,7 +280,7 @@ mod tests {
         let window = l.stop();
         let s = l.split();
         assert_eq!(Phase::ALL.iter().map(|&p| s.ns(p)).sum::<u64>(), window);
-        assert_eq!(s.window_ns(), window);
+        assert_eq!(s.window_us(), window as f64 / 1e3);
         assert!(s.ns(Phase::Other) >= 2_000_000 && s.ns(Phase::Gather) >= 2_000_000, "{s:?}");
     }
 
@@ -298,6 +317,6 @@ mod tests {
         assert!(laps >= 6_000_000);
         l.start();
         let s = l.split();
-        assert_eq!((s.ns(Phase::W), s.window_ns()), (0, 0), "a new window starts from zero");
+        assert_eq!((s.ns(Phase::W), s.window_us()), (0, 0.0), "a new window starts from zero");
     }
 }

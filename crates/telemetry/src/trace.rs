@@ -23,7 +23,7 @@
 //! construction. Enabled, an event is pushed into the calling thread's
 //! own buffer (`ThreadLocalSink`): no cross-thread lock, and a buffer
 //! outlives its thread, so a rank killed mid-drill still contributes
-//! its events to [`take`]. At most [`MAX_COLLECTED_SPANS`] events are
+//! its events to [`take`]. At most [`MAX_HELD_EVENTS`] events are
 //! held between drains; the rest are counted in
 //! `telemetry.trace.dropped`.
 
@@ -41,8 +41,8 @@ pub mod lane {
     /// The simulated pipeline schedule, one `tid` per GPU — built by
     /// `axonn_sim::chrome_trace_events`, never recorded live.
     pub const SIMULATED: u64 = 0;
-    /// `repro`'s experiments, one slice each.
-    pub const SPANS: u64 = 1;
+    /// `repro`'s experiments, one `experiment` slice each.
+    pub const EXPERIMENTS: u64 = 1;
     /// Ring hops, sends, recv waits and their flows, one `tid` per rank.
     pub const COMMS: u64 = 2;
     /// Pipeline-runtime stage slices and step windows, one `tid` per rank.
@@ -56,7 +56,7 @@ pub mod lane {
 /// are dropped. Generous for any real run (a full `repro all --quick`
 /// produces a few thousand) while bounding memory if telemetry stays on
 /// in a long run that never drains.
-pub const MAX_COLLECTED_SPANS: usize = 100_000;
+pub const MAX_HELD_EVENTS: usize = 100_000;
 
 static SLICES: ThreadLocalSink<TraceEvent> = ThreadLocalSink::new();
 static FLOWS: ThreadLocalSink<FlowEvent> = ThreadLocalSink::new();
@@ -79,7 +79,7 @@ fn admit() -> bool {
     if !crate::enabled() {
         return false;
     }
-    if HELD.fetch_add(1, Ordering::Relaxed) < MAX_COLLECTED_SPANS {
+    if HELD.fetch_add(1, Ordering::Relaxed) < MAX_HELD_EVENTS {
         return true;
     }
     HELD.fetch_sub(1, Ordering::Relaxed);
@@ -149,7 +149,7 @@ pub fn take() -> (Vec<TraceEvent>, Vec<FlowEvent>) {
     let total = dropped().get();
     let new = total.saturating_sub(REPORTED.swap(total, Ordering::Relaxed));
     if new > 0 {
-        crate::log_warn!("trace: {new} events dropped at the {MAX_COLLECTED_SPANS}-event cap");
+        crate::log_warn!("trace: {new} events dropped at the {MAX_HELD_EVENTS}-event cap");
     }
     (slices, flows)
 }
@@ -448,14 +448,14 @@ mod tests {
                     }
                 })
             };
-            let half = MAX_COLLECTED_SPANS / 2;
-            let (a, b) = (spawn(half), spawn(MAX_COLLECTED_SPANS - half - 1));
+            let half = MAX_HELD_EVENTS / 2;
+            let (a, b) = (spawn(half), spawn(MAX_HELD_EVENTS - half - 1));
             a.join().unwrap();
             b.join().unwrap();
             flow(lane::COMMS, 0, "msg", 0.0, 1, true, String::new);
             let built = std::cell::Cell::new(0);
             for _ in 0..EXTRA {
-                slice(lane::SPANS, 0, "span", 0.0, 1.0, || {
+                slice(lane::EXPERIMENTS, 0, "experiment", 0.0, 1.0, || {
                     built.set(built.get() + 1);
                     (String::new(), Vec::new())
                 });
@@ -464,7 +464,7 @@ mod tests {
             let (slices, flows) = take();
             (slices.len() + flows.len(), dropped().get() - before)
         });
-        assert_eq!(kept, MAX_COLLECTED_SPANS);
+        assert_eq!(kept, MAX_HELD_EVENTS);
         assert_eq!(dropped_by, EXTRA as u64);
         assert!(crate::global()
             .snapshot()

@@ -5,11 +5,8 @@
 
 use proptest::prelude::*;
 use telemetry::json::Json;
+use telemetry::ledger::Split;
 use telemetry::StepEvent;
-
-const PHASES: [&str; 11] = [
-    "f", "b", "w", "send", "wait", "remap", "compress", "reduce", "optimizer", "gather", "other",
-];
 
 /// A step record as a rank writes it, its numbers drawn from `seed`.
 fn step(seed: u64, stage: u64, data: u64) -> StepEvent {
@@ -28,9 +25,7 @@ fn step(seed: u64, stage: u64, data: u64) -> StepEvent {
         model_state_bytes: seed % 1_000_000,
         formula_state_bytes: (seed & 2 == 0).then_some(seed % 1_000_000),
         allreduce_bytes: seed % 65_536,
-        window_us: frac(3) * 1e3,
-        hidden_comm_s: frac(5) * 1e-6,
-        phases: PHASES.iter().enumerate().map(|(k, &p)| (p, frac(k as u64) * 1e-3)).collect(),
+        split: Split::planted(std::array::from_fn(|k| (frac(k as u64) * 1e6) as u64), (frac(5) * 1e3) as u64),
     }
 }
 
