@@ -34,8 +34,8 @@
 //! Coordination between parent and workers goes through small files in
 //! `--dir`, which the parent clears before the first spawn so a reused
 //! directory starts cold: `rdv.addr`, `rank0.latest.ckpt` — the one
-//! `latest`: every rank joins the collective save, rank 0 alone writes it,
-//! and recovery broadcasts it — and `rank<R>.final.ckpt` (durable writes,
+//! `latest`: every rank joins the collective save's gathers, rank 0 alone
+//! serializes and writes it, and recovery broadcasts it — and `rank<R>.final.ckpt` (durable writes,
 //! `samo::checkpoint::write_durable`), and an append-only `rank<R>.events` log, one JSON object a line told
 //! apart by `kind`: every step's `telemetry::StepEvent` (`step`, with
 //! telemetry on or off), so a running world can be read as it trains,
@@ -268,17 +268,20 @@ fn worker(rank: usize, args: &Args) -> i32 {
             let res = dp.step(|_, model, scale| loss_grad(model, step, scale)).and_then(|_| {
                 append_event(dir, rank, &dp.engine().step_event().to_json());
                 let done = dp.engine().step_index();
-                // Collective: every rank saves after the same step.
-                (done % ckpt_every == 0).then(|| dp.save()).transpose()
+                // Collective: every rank joins the save after the same
+                // step, and rank 0 alone serializes — recovery reads its.
+                match done % ckpt_every {
+                    0 => dp.save_if(rank == 0),
+                    _ => Ok(None),
+                }
             });
             match res {
-                // Recovery reads rank 0's alone.
-                Ok(Some(ckpt)) if rank == 0 => {
+                Ok(Some(ckpt)) => {
                     if let Err(code) = write_ckpt(dir, rank, "latest", &ckpt) {
                         return code;
                     }
                 }
-                Ok(_) => {}
+                Ok(None) => {}
                 Err(e) => {
                     step_error(dir, rank, step, t0, e);
                     failed = true;

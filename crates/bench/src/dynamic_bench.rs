@@ -267,9 +267,19 @@ fn bench_mask_update(quick: bool) -> (Vec<Json>, f64) {
         let gbps = round6(bytes as f64 / ms / 1e6);
         rows.push(obj([("name", Json::Str(name.into())), ("ms", round6(ms)), ("gbps", gbps)]));
     };
-    row("canonicalise", 6 * phi, 1.0, &mut || {
-        for g in &grad {
-            tensor::ops::narrow_into(g, &mut half[..g.len()]);
+    // The grow score as an update step forms it: each layer's one logged
+    // product at `dyn_ckpt`'s 4 rows, summed in row blocks and narrowed —
+    // 2φ B of halves written, no f32 gradient.
+    let product = |l: usize| {
+        let [m, n] = shapes[l];
+        let seed = 51 + 2 * l as u64;
+        vec![(Tensor::randn(&[4, m], 1.0, seed), Tensor::randn(&[4, n], 1.0, seed + 1))]
+    };
+    let logs: Vec<Vec<(Tensor, Tensor)>> = (0..3).map(product).collect();
+    let operands: usize = logs.iter().flatten().map(|(dy, x)| dy.numel() + x.numel()).sum();
+    row("grow_score", 2 * phi + 4 * operands, 1.0, &mut || {
+        for (log, &[m, n]) in logs.iter().zip(&shapes) {
+            tensor::gemm::matmul_tn_sum_narrow(m, n, log, &mut half[..m * n]);
         }
     });
     row("next_mask", 4 * phi + 4 * (nnz + keep), 1.0, &mut || (0..3).for_each(|l| drop(black_box(next(l)))));

@@ -109,7 +109,12 @@ fn drive_training(dir: &Path) {
     }
     assert!(trainer.remap_events() >= 1, "the schedule must move a mask");
     fwd_bwd(&mut model, trainer.loss_scale());
-    model.params_mut()[0].grad.as_mut_slice()[0] = f32::INFINITY;
+    // The step updates the mask, so the weight's gradient is its logged
+    // products: the overflow is planted in the logged `dy`.
+    match model.params_mut()[0].grad_target() {
+        nn::param::GradTarget::Log(log) => log[0].0.as_mut_slice()[0] = f32::INFINITY,
+        _ => panic!("an update step's weight gradient is logged"),
+    }
     assert!(!trainer.step(&mut model), "an inf gradient skips the step");
     let ckpt = trainer.save();
     trainer

@@ -10,15 +10,16 @@
 //!
 //! * [`crate::SamoTrainer`] calls `step(model)` after the caller's
 //!   backward — an inline loop over the parameters
-//!   (`reduce_after_backward`). Between steps it lends each weight the
-//!   kept sums of its gradient beside `θ16` and the index
-//!   (`lend_grad_sums`): the caller's backward adds `dyᵀ·x` at the kept
-//!   positions alone into `nnz` f32s (`tensor::gemm::matmul_tn_kept_acc`),
-//!   the step narrows them into `∇θ16` (`SamoLayerState::compress_sums`,
-//!   the tail the last W ends with), and the dense `grad` stays
-//!   released. Not for the first step, whose schedule may still be
-//!   installed, and not for a step the schedule updates on: its grow
-//!   score is the dense gradient;
+//!   (`reduce_after_backward`). Between steps it lends each weight a
+//!   target for its gradient beside `θ16` and the index
+//!   (`lend_grad_target`), and the dense `grad` stays released: the kept
+//!   sums, where the caller's backward adds `dyᵀ·x` at the kept positions
+//!   alone (`tensor::gemm::matmul_tn_kept_acc`) and the step narrows them
+//!   into `∇θ16` (`SamoLayerState::compress_sums`, the tail the last W
+//!   ends with); or, before a step the schedule updates on, a log of the
+//!   products' operands, which the step runs as a W once it has ranked
+//!   them. Not for the first step, whose schedule may still be installed:
+//!   nothing is lent there, and its backward forms the dense gradient;
 //! * [`crate::pipeline::StageRank`], the one rank of the `G_inter ×
 //!   G_data` grid — one per thread of [`crate::ThreadedPipelineSamo`]
 //!   and, at one stage and one microbatch, [`crate::DataParallelRank`]:
@@ -38,12 +39,15 @@
 //!   the paper compresses "at the granularity of a layer ... so that we
 //!   never have to store the uncompressed gradients for the entire model"
 //!   (Sec. III-C) — and buckets every gradient, the rings overlapping the
-//!   rest of it. So a weight's dense gradient never exists, but on a
-//!   dynamic-sparsity update step: its Bs take no product, the dense
-//!   gradients are the grow score, and the epilogue runs
-//!   `reduce_after_backward` instead of `finish_reduce`; `apply` releases
-//!   them again. A pipeline stage agrees on the overflow verdict across
-//!   stages between the reduction and `apply`.
+//!   rest of it. So a weight's dense gradient never exists, a
+//!   dynamic-sparsity update step's included: its Bs log their products'
+//!   operands instead of queueing Ws, and the epilogue runs
+//!   `reduce_after_backward` instead of `finish_reduce`. There, for every
+//!   runtime, `maybe_remap` streams each layer's grow score from its log
+//!   (`tensor::gemm::matmul_tn_sum_narrow`: row block by row block, into
+//!   halves), ranks and remaps, and the compress runs the logged products
+//!   as the ordinary W at the new index. A pipeline stage agrees on the
+//!   overflow verdict across stages between the reduction and `apply`.
 //!
 //! `θ16` *is* the weight: a parameter whose layer computes from half
 //! precision (`Parameter::accepts_theta16` — `Linear`) holds no f32
@@ -136,8 +140,8 @@ const BUCKET_BYTES: usize = 64 << 10;
 
 /// A mask schedule a single worker refused
 /// ([`crate::SamoTrainer::set_mask_schedule`]): it fires at `step`, the
-/// next one, and the gradient sums are lent for that step's backward, so
-/// the dense gradient its grow score ranks would never be formed.
+/// next one, and the kept sums are lent for that step's backward, so the
+/// products its grow score ranks at every position would not be logged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduleRefused {
     /// The update step the schedule would have ranked without a gradient.
@@ -161,8 +165,9 @@ pub struct StepEngine {
     schedule: Option<MaskSchedule>,
     remap_scratch: Vec<RemapScratch>,
     /// A mask update's grow score, one layer at a time, as long as the
-    /// largest layer: the dense gradient narrowed to f16 — what the group's
-    /// ring agrees on — and ranked as it is, beside the layer's `θ16`.
+    /// largest layer: the gradient in f16 — streamed from its logged
+    /// products, or a bias's narrowed — what the group's ring agrees on,
+    /// ranked as it is beside the layer's `θ16`.
     remap_score16: Vec<F16>,
     remap_events: u64,
     /// This step's gradient buckets in ring start order: each ring's id
@@ -181,8 +186,14 @@ pub struct StepEngine {
     /// worker's backward once its lent target comes home; empty
     /// otherwise, and while lent. A transient, not model state.
     dw_sums: Vec<Vec<f32>>,
-    /// Whether the sums are lent to the model ([`Self::lend_grad_sums`]).
-    pub(crate) sums_lent: bool,
+    /// Per parameter, a mask update's weight gradient as the operands of
+    /// its products, oldest first — a single worker's lent log come home,
+    /// or a pipeline step's Bs — until the step runs them at the new
+    /// index; empty otherwise, and while lent.
+    dw_log: Vec<Vec<(Tensor, Tensor)>>,
+    /// Whether a gradient target is lent to the model
+    /// ([`Self::lend_grad_target`]).
+    pub(crate) grads_lent: bool,
     /// A pipeline step's deferred Ws, oldest first: the one a B just
     /// recorded and, until it runs, at most one before it.
     w_queue: Vec<Deferred>,
@@ -224,7 +235,8 @@ impl StepEngine {
             layers,
             streamed: vec![false; masks.len()],
             dw_sums: vec![Vec::new(); masks.len()],
-            sums_lent: false,
+            dw_log: vec![Vec::new(); masks.len()],
+            grads_lent: false,
             w_queue: Vec::with_capacity(2),
             opt,
             scaler: LossScaler::default(),
@@ -376,9 +388,9 @@ impl StepEngine {
         // `θ16` goes home to be replaced with its state, and back out only
         // if it was out: a parameter that still held the old one would
         // keep it through a re-lend, which never moves a held buffer. The
-        // gradient sums go home with it.
+        // gradient targets go home with it.
         let lent = self.layers.iter().any(|st| st.theta16.len() != st.numel());
-        let sums_lent = self.sums_lent;
+        let grads_lent = self.grads_lent;
         self.lend_theta16(model, false);
         let installed = install_layers(&mut self.layers, mine, model);
         self.lend_theta16(model, lent);
@@ -399,11 +411,12 @@ impl StepEngine {
         self.buckets.clear();
         self.open.clear();
         self.dw_sums.iter_mut().for_each(Vec::clear);
+        self.dw_log.iter_mut().for_each(Vec::clear);
         self.w_queue.clear();
         self.local_finite = true;
-        // The sums go out again by the rule of the end of a step.
-        if sums_lent {
-            self.lend_grad_sums(model, !self.is_update_step());
+        // The target goes out again by the rule of the end of a step.
+        if grads_lent {
+            self.lend_grad_target(model, true);
         }
         if self.reports() {
             count_recovery();
@@ -432,14 +445,17 @@ impl StepEngine {
 
     /// Compresses parameter `pi`'s freshly produced dense (loss-scaled)
     /// gradient into `∇θ16` — unless its product was compressed already
-    /// (`None`, by the last W), or its kept sums, home from a lend, are
-    /// the gradient — and, in a group, adds it to the open bucket.
+    /// (`None`, by the last W), or its logged products or its kept sums,
+    /// home from a lend, are the gradient — and, in a group, adds it to the
+    /// open bucket.
     fn compress_param(&mut self, pi: usize, grad: Option<&[f32]>) {
-        let (st, sums) = (&mut self.layers[pi], &mut self.dw_sums[pi]);
         match grad {
-            Some(grad) if sums.is_empty() => self.local_finite &= st.compress_grad_fused(grad),
+            Some(_) if !self.dw_log[pi].is_empty() => self.run_log(pi),
+            Some(grad) if self.dw_sums[pi].is_empty() => {
+                self.local_finite &= self.layers[pi].compress_grad_fused(grad);
+            }
             Some(_) => {
-                self.local_finite &= st.compress_sums(sums);
+                self.local_finite &= self.layers[pi].compress_sums(&mut self.dw_sums[pi]);
                 self.streamed[pi] = true;
             }
             None => self.streamed[pi] = true,
@@ -447,6 +463,34 @@ impl StepEngine {
         if self.group.is_some() {
             self.open.push(pi);
         }
+    }
+
+    /// Runs parameter `pi`'s logged products as the ordinary W at the
+    /// index the step ends on, oldest first, each operand freed once its
+    /// product has run.
+    fn run_log(&mut self, pi: usize) {
+        let mut log = std::mem::take(&mut self.dw_log[pi]);
+        let n = log.len();
+        for (k, (dy, x)) in log.drain(..).enumerate() {
+            self.w_product(pi, &dy, &x, k + 1 == n);
+        }
+        self.dw_log[pi] = log;
+    }
+
+    /// One product `dyᵀ·x` of parameter `pi`'s weight gradient: added into
+    /// its kept sums or — `last` — finishing them into `∇θ16`, and alone
+    /// computed straight into it.
+    fn w_product(&mut self, pi: usize, dy: &Tensor, x: &Tensor, last: bool) {
+        let (st, sums) = (&mut self.layers[pi], &mut self.dw_sums[pi]);
+        let (rows, dy, x) = (dy.rows(), dy.as_slice(), x.as_slice());
+        if !last {
+            return st.accumulate_grad_product(rows, dy, x, sums);
+        }
+        self.local_finite &= match sums.is_empty() {
+            true => st.compress_grad_product(rows, dy, x),
+            false => st.compress_grad_sum(rows, dy, x, sums),
+        };
+        self.streamed[pi] = true;
     }
 
     /// Compresses the freshly final parameters `off..` — from their dense
@@ -497,11 +541,11 @@ impl StepEngine {
     /// Moves `θ16` of every parameter that holds no f32 view from its
     /// layer state into the parameter (`lend`) for a compute window, with
     /// the mask's shared index beside it, or every lent one back home —
-    /// after the gradient sums laid out on that index. Idempotent either
+    /// after the gradient targets lent beside that index. Idempotent either
     /// way; allocation-free. A lend after a remap carries the new index.
     pub(crate) fn lend_theta16(&mut self, model: &mut impl Layer, lend: bool) {
         if !lend {
-            self.lend_grad_sums(model, false);
+            self.lend_grad_target(model, false);
         }
         let mut layers = self.layers.iter_mut();
         model.for_each_param_mut(&mut |p| {
@@ -511,24 +555,30 @@ impl StepEngine {
         });
     }
 
-    /// Lends every parameter that holds a lent `θ16` and keeps a position
-    /// the kept sums of its gradient (`lend`) — `nnz` zeros, sized with
+    /// Lends every parameter that holds a lent `θ16` the target of its
+    /// gradient for the next backward (`lend`), or brings every lent one
+    /// home, summed or logged. Before a step the schedule updates on it is
+    /// a log of the products' operands — the grow score ranks the
+    /// gradient at every position; before any other, for a parameter that
+    /// keeps a position, the kept sums: `nnz` zeros, sized with
     /// `reserve_exact`, so a remap that densifies grows them once by the
-    /// new index and never doubles them — or brings every lent one home,
-    /// summed. Idempotent either way; allocation-free unless `nnz` grew.
-    pub(crate) fn lend_grad_sums(&mut self, model: &mut impl Layer, lend: bool) {
-        let mut states = self.layers.iter().zip(&mut self.dw_sums);
+    /// new index and never doubles them. Idempotent either way;
+    /// allocation-free unless `nnz` grew.
+    pub(crate) fn lend_grad_target(&mut self, model: &mut impl Layer, lend: bool) {
+        let log = lend && self.is_update_step();
+        let mut homes = self.layers.iter().zip(self.dw_sums.iter_mut().zip(&mut self.dw_log));
         model.for_each_param_mut(&mut |p| {
-            let (st, sums) = states.next().expect("one state per parameter");
-            let here = lend && p.index().is_some() && st.nnz() > 0;
+            let (st, (sums, ops)) = homes.next().expect("one state per parameter");
+            let here = lend && !log && p.index().is_some() && st.nnz() > 0;
             if here && p.grad_sums().is_none() {
                 sums.clear();
                 sums.reserve_exact(st.nnz());
                 sums.resize(st.nnz(), 0.0);
             }
             p.lend_grad_sums(sums, here);
+            p.lend_grad_log(ops, log);
         });
-        self.sums_lent = lend;
+        self.grads_lent = lend;
     }
 
     /// A microbatch's B: backward computes `d(loss)/d(input)`, which it
@@ -537,15 +587,21 @@ impl StepEngine {
     /// operands to a W ([`Defer`]), queued behind at most one older W.
     /// `last` marks the step's final microbatch, whose W also compresses
     /// and buckets every gradient ([`Self::run_w`]). On a mask-update step
-    /// every product is refused and no W is queued: the dense gradients
-    /// accumulate over the microbatches, and they are the grow score that
-    /// [`Self::reduce_after_backward`] ranks, compresses and reduces.
+    /// the Ws wait for the epilogue: every product's operands are logged
+    /// for [`Self::reduce_after_backward`] to rank, then run at the new
+    /// index, compress and reduce.
     pub(crate) fn backward_deferred(&mut self, model: &mut impl Layer, dy: Tensor, last: bool) -> Tensor {
         assert!(self.w_queue.len() < 2, "a B queues its W behind at most one older W");
-        let (mut events, dense) = (Vec::new(), self.is_update_step());
-        let dx = model.backward_into(dy, &mut Defer { layers: &self.layers, events: &mut events, dense });
-        // A W with no product to run and nothing to compress is no W.
-        if !dense && (last || events.iter().any(|e| matches!(e, WEvent::Product { .. }))) {
+        let mut events = Vec::new();
+        let dx = model.backward_into(dy, &mut Defer { events: &mut events });
+        if self.is_update_step() {
+            for e in events {
+                if let WEvent::Product { index, dy, x } = e {
+                    self.dw_log[index].push((dy, x));
+                }
+            }
+        } else if last || events.iter().any(|e| matches!(e, WEvent::Product { .. })) {
+            // A W with no product to run and nothing to compress is no W.
             self.w_queue.push(Deferred { events, last });
         }
         dx
@@ -557,13 +613,15 @@ impl StepEngine {
         self.w_queue.len()
     }
 
-    /// Bytes of operands the queued Ws hold: `dy` and `x` of every weight.
+    /// Bytes of operands the queued Ws and a mask update's log hold: `dy`
+    /// and `x` of every weight.
     pub(crate) fn w_bytes(&self) -> usize {
         let held = |e: &WEvent| match e {
             WEvent::Product { dy, x, .. } => 4 * (dy.numel() + x.numel()),
             WEvent::Ready { .. } => 0,
         };
-        self.w_queue.iter().flat_map(|w| &w.events).map(held).sum()
+        let logged: usize = self.dw_log.iter().flatten().map(|(dy, x)| 4 * (dy.numel() + x.numel())).sum();
+        self.w_queue.iter().flat_map(|w| &w.events).map(held).sum::<usize>() + logged
     }
 
     /// Runs the oldest queued W, if any, and returns whether one ran: each
@@ -582,17 +640,8 @@ impl StepEngine {
         for e in w.events {
             match e {
                 WEvent::Product { index, dy, x } => {
-                    let (st, sums) = (&mut self.layers[index], &mut self.dw_sums[index]);
-                    let (rows, dy, x) = (dy.rows(), dy.as_slice(), x.as_slice());
-                    if !w.last {
-                        st.accumulate_grad_product(rows, dy, x, sums);
-                        continue;
-                    }
-                    self.local_finite &= match sums.is_empty() {
-                        true => st.compress_grad_product(rows, dy, x),
-                        false => st.compress_grad_sum(rows, dy, x, sums),
-                    };
-                    took = Some(index);
+                    self.w_product(index, &dy, &x, w.last);
+                    took = w.last.then_some(index);
                 }
                 WEvent::Ready { off, n } if w.last => {
                     self.compress_ready(off, &params[off..off + n], took.take())?;
@@ -828,9 +877,9 @@ impl StepEngine {
 
     /// Dynamic-sparsity hook: if the schedule fires at the current step
     /// index, recompute each layer's mask from `θ16` and the *grow score*
-    /// — the f16-narrowed dense gradient, mean-reduced across the group,
-    /// i.e. exactly the values a compressed ring would agree on, so every
-    /// runtime ranks regrowth candidates identically and no mask
+    /// — the gradient in f16 ([`grow_score`]), mean-reduced across the
+    /// group, i.e. exactly the values a compressed ring would agree on, so
+    /// every runtime ranks regrowth candidates identically and no mask
     /// broadcast is needed — ranked on those halves with no f32 copy, and
     /// remap the compressed state in place. Runs before the
     /// compress/verdict phase so the new mask's gradient slots are filled
@@ -850,17 +899,17 @@ impl StepEngine {
             return Ok(());
         };
         self.ledger.enter(Phase::Remap);
-        let (layers, scratch) = (&mut self.layers, &mut self.remap_scratch);
+        let (layers, scratch, logs) = (&mut self.layers, &mut self.remap_scratch, &self.dw_log);
         let (score16, group) = (&mut self.remap_score16, &mut self.group);
         let (mut i, mut moved, mut res) = (0, false, Ok(()));
         model.for_each_param_mut(&mut |p| {
-            let (layer, sc) = (&mut layers[i], &mut scratch[i]);
+            let (layer, sc, log) = (&mut layers[i], &mut scratch[i], &logs[i]);
             i += 1;
             if res.is_err() {
                 return;
             }
             let dense16 = &mut score16[..layer.numel()];
-            ops::narrow_into(p.grad.as_slice(), dense16);
+            grow_score(log, p, dense16);
             if let Some(comm) = group.as_mut() {
                 res = comm.allreduce_mean_f16(dense16);
                 if res.is_err() {
@@ -912,10 +961,7 @@ enum WEvent {
 /// gradient's operands move into the W, and every gradient's `ready` is
 /// noted for the last microbatch's W to bucket in the same order.
 struct Defer<'a> {
-    layers: &'a [SamoLayerState],
     events: &'a mut Vec<WEvent>,
-    /// A mask-update step's B: every product is refused.
-    dense: bool,
 }
 
 impl GradSink for Defer<'_> {
@@ -924,11 +970,21 @@ impl GradSink for Defer<'_> {
     }
 
     fn take_product(&mut self, index: usize, dy: Tensor, x: Tensor) -> Result<(), (Tensor, Tensor)> {
-        if self.dense || self.layers[index].mask().shape().len() != 2 {
-            return Err((dy, x));
-        }
         self.events.push(WEvent::Product { index, dy, x });
         Ok(())
+    }
+}
+
+/// A mask update's grow score of parameter `p` into `out`, its `numel`
+/// halves: the sum of its logged products (`log`), streamed row block by
+/// row block and narrowed — no `m × n` f32 buffer — or, for a parameter
+/// that logged none (a bias, a norm, a weight on a trainer's first step),
+/// its dense gradient narrowed.
+fn grow_score(log: &[(Tensor, Tensor)], p: &Parameter, out: &mut [F16]) {
+    match (log, p.value.shape()) {
+        ([], _) => ops::narrow_into(p.grad.as_slice(), out),
+        (_, &[m, n]) => tensor::gemm::matmul_tn_sum_narrow(m, n, log, out),
+        _ => panic!("a logged gradient is a matrix's"),
     }
 }
 

@@ -80,9 +80,10 @@
 //! parameter bucket's ring starting on the data mesh as soon as its
 //! gradients are final — the all-reduce overlaps the rest of that W. On
 //! a dynamic-sparsity update step ([`ThreadedPipelineSamo::set_mask_schedule`])
-//! the Bs take no product and queue no W: the dense gradients they leave
-//! are the grow score, and the epilogue remaps, compresses and reduces
-//! them on each stage's data mesh, whose masks are the stage's own.
+//! the Bs log every product's operands and queue no W: the epilogue
+//! streams the grow score from the logs, remaps, runs them as Ws at the
+//! new index, compresses and reduces on each stage's data mesh, whose
+//! masks are the stage's own.
 //!
 //! # Bitwise equivalence with the single-process trainer
 //!
@@ -478,13 +479,14 @@ impl<M: Layer> StageRank<M> {
         scheduled?;
 
         // Collective epilogue: finish the overlapped rings — or, on a mask
-        // update, whose Bs left the dense gradients, remap, compress and
-        // reduce them — install the reduced gradients and agree on this
-        // stage's overflow flag across its data replicas, then across
-        // stages — one f16 flag per stage; every stage of this replica sees
-        // the same flags, and replicas agree because each stage's flag is
-        // already its data group's, so every rank's scaler stays in
-        // lockstep — then step the owned range and all-gather parameters.
+        // update, whose Bs logged the products, rank them, remap, run them
+        // at the new index, compress and reduce — install the reduced
+        // gradients and agree on this stage's overflow flag across its data
+        // replicas, then across stages — one f16 flag per stage; every
+        // stage of this replica sees the same flags, and replicas agree
+        // because each stage's flag is already its data group's, so every
+        // rank's scaler stays in lockstep — then step the owned range and
+        // all-gather parameters.
         let stage_finite = match self.engine.is_update_step() {
             true => self.engine.reduce_after_backward(&mut self.block)?,
             false => self.engine.finish_reduce()?,
@@ -617,15 +619,24 @@ impl<M: Layer> StageRank<M> {
     /// a rank whose step failed has nothing consistent to save and is
     /// refused (`Poisoned`): restore first.
     pub fn save(&mut self) -> Result<bytes::Bytes, CommsError> {
+        self.save_if(true).map(|ckpt| ckpt.expect("a rank that writes serializes"))
+    }
+
+    /// [`Self::save`] on the rank that `writes` the checkpoint: every rank
+    /// joins the gathers, and only that one keeps the full layers and
+    /// serializes them; the others get `None`.
+    pub fn save_if(&mut self, writes: bool) -> Result<Option<bytes::Bytes>, CommsError> {
         let comm = self.engine.group.as_mut().expect("a rank's engine is built with its group");
-        let mut full = Vec::with_capacity(self.engine.layers.len());
+        let mut full = Vec::with_capacity(if writes { self.engine.layers.len() } else { 0 });
         for st in &self.engine.layers {
             let mut layer = gather_full(st, comm)?;
             let (lo, hi) = st.shard_range();
             layer.grad16 = comm.all_gather_f16(&st.grad16[lo..hi], &st.shard_counts())?;
-            full.push(layer);
+            if writes {
+                full.push(layer);
+            }
         }
-        Ok(save_checkpoint(&full, &self.engine.meta()))
+        Ok(writes.then(|| save_checkpoint(&full, &self.engine.meta())))
     }
 
     /// The scheduler's statistics and both meshes' wire counters.
@@ -973,9 +984,9 @@ impl ThreadedPipelineSamo {
 
     /// Installs a dynamic-sparsity [`MaskSchedule`] on every rank. Masks
     /// are per layer, so an update step's remap stays inside each stage's
-    /// data group: its Bs leave the dense gradients (the grow score), and
-    /// the epilogue remaps, compresses and reduces them on a fresh epoch
-    /// of the stage's data mesh.
+    /// data group: its Bs log the products (the grow score streams from
+    /// them), and the epilogue remaps, runs them at the new index,
+    /// compresses and reduces on a fresh epoch of the stage's data mesh.
     // TEST-API: `pipeline_threaded` and `pipeline_jitter` train a pipeline with dynamic sparsity.
     pub fn set_mask_schedule(&mut self, schedule: MaskSchedule) {
         self.group.set_mask_schedule(schedule);

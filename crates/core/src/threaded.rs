@@ -16,9 +16,9 @@
 //! hands each `Linear` weight's operands to a W, and W, which computes
 //! the gradient at the shared index straight into `∇θ16` and starts each
 //! bucket's ring as its gradients are final, overlapping the rest of W.
-//! So a rank holds no dense gradient for a weight matrix between steps —
-//! only on a dynamic-sparsity update step, whose B takes no product and
-//! leaves them as the grow score. And because the rank owns its replica,
+//! So a rank holds no dense gradient for a weight matrix, not even on a
+//! dynamic-sparsity update step, whose B logs every product for the
+//! epilogue to rank and then run. And because the rank owns its replica,
 //! the dense `θ16` is the replica's weight: a `Linear` holds no f32
 //! `value` while the rank trains and multiplies by the `θ16` its engine
 //! lends for the step's F, B and W (`crate::engine`, module docs). Only the

@@ -29,13 +29,16 @@ impl StepEngine {
 
     /// Installs a dynamic-sparsity schedule, as a rank does
     /// ([`crate::DataParallelRank::set_mask_schedule`]). Refused if it
-    /// fires at the next step while the gradient sums are lent for that
-    /// step's backward: the dense gradient its grow score ranks would
-    /// never be formed. A schedule installed before the first step, or
-    /// one that fires later, is taken.
+    /// fires at the next step while the kept sums are lent for that
+    /// step's backward: the gradient its grow score ranks at every
+    /// position would never be logged. A schedule installed before the
+    /// first step, or one that fires later, is taken.
     pub fn set_mask_schedule(&mut self, schedule: MaskSchedule) -> Result<(), ScheduleRefused> {
         let step = self.step_index();
-        if self.sums_lent && schedule.is_update_step(step) {
+        // What is lent follows the installed schedule: the sums unless it
+        // updates at the next step.
+        let sums_lent = self.grads_lent && !self.is_update_step();
+        if sums_lent && schedule.is_update_step(step) {
             return Err(ScheduleRefused { step });
         }
         self.install_schedule(schedule);
@@ -44,16 +47,17 @@ impl StepEngine {
 
     /// Completes a training step after `model` has run forward/backward
     /// with the loss multiplied by [`Self::loss_scale`]: brings the lent
-    /// `θ16`, index and gradient sums home, remaps if the mask schedule
+    /// `θ16`, index and gradient target home, remaps if the mask schedule
     /// fires, then runs the two fused single-pass kernels — compress with
-    /// overflow detection (the sums narrowed,
-    /// [`crate::SamoLayerState::compress_grad_fused`] for a dense
-    /// gradient), then upscale + optimizer + downcast + scatter into `θ16`
-    /// and whatever f32 views the model still holds
+    /// overflow detection (the sums narrowed, the logged products run at
+    /// the new index, [`crate::SamoLayerState::compress_grad_fused`] for a
+    /// dense gradient), then upscale + optimizer + downcast + scatter into
+    /// `θ16` and whatever f32 views the model still holds
     /// ([`crate::SamoLayerState::optimizer_step_fused`]) — and lends `θ16`
-    /// again with the current index, and zeroed sums beside it unless the
-    /// schedule updates at the next step. Returns `false` if the step was
-    /// skipped.
+    /// again with the current index, and beside it a target for the next
+    /// backward: zeroed kept sums, or a log of the products' operands if
+    /// the schedule updates at the next step. Returns `false` if the step
+    /// was skipped.
     ///
     /// The steady-state path performs no heap allocation: the lends are
     /// `Vec` moves, both kernels work in place, and the skipped-step path
@@ -70,7 +74,7 @@ impl StepEngine {
         self.lend_theta16(model, false);
         let applied = self.step_after_backward(model).expect("a single worker runs no collective");
         self.lend_theta16(model, true);
-        self.lend_grad_sums(model, !self.is_update_step());
+        self.lend_grad_target(model, true);
         self.end_step(model, applied, scale)
     }
 }
@@ -89,18 +93,25 @@ pub fn formula_state_bytes(opt: &Optimizer, phi: u64, nnz: u64) -> u64 {
 /// Global L2 norm of the model's current (scaled) gradients at the
 /// positions a step applies — the signal the divergence sentinel
 /// (`crate::sentinel`) watches alongside the loss: a weight's lent kept
-/// sums, or its dense gradient gathered at the lent index, and every
-/// other gradient whole. fp64 accumulation so large models don't
-/// overflow the sum.
+/// sums, its logged products summed at the lent index, or its dense
+/// gradient gathered there, and every other gradient whole. fp64
+/// accumulation so large models don't overflow the sum.
 // TEST-API: `fault_tolerance`'s sentinel drill feeds it to `DivergenceSentinel`.
 pub fn grad_l2_norm(model: &impl Layer) -> f64 {
     let mut sum = 0.0f64;
     let mut add = |g: f32| sum += f64::from(g) * f64::from(g);
     for p in model.params() {
         let dense = p.grad.as_slice();
-        match (p.grad_sums(), p.index()) {
-            (Some(sums), _) => sums.iter().for_each(|&g| add(g)),
-            (None, Some(idx)) if dense.len() == p.numel() => idx.iter().for_each(|&i| add(dense[i as usize])),
+        match (p.grad_sums(), p.grad_log(), p.index(), p.value.shape()) {
+            (Some(sums), ..) => sums.iter().for_each(|&g| add(g)),
+            (None, Some(log), Some(idx), &[m, n]) => {
+                let mut sums = vec![0.0f32; idx.len()];
+                for (dy, x) in log {
+                    tensor::gemm::matmul_tn_kept_acc(m, n, dy.rows(), dy.as_slice(), x.as_slice(), idx, &mut sums);
+                }
+                sums.iter().for_each(|&g| add(g));
+            }
+            (None, _, Some(idx), _) if dense.len() == p.numel() => idx.iter().for_each(|&i| add(dense[i as usize])),
             _ => dense.iter().for_each(|&g| add(g)),
         }
     }
@@ -676,10 +687,10 @@ mod tests {
     /// Sets the weight gradient the next step applies to `g` everywhere:
     /// the lent kept sums, or the dense gradient while none are lent.
     fn plant_grad(model: &mut Linear, g: f32) {
-        let w = model.weight_mut();
-        match w.kept_grad_target() {
-            Some((_, sums)) => sums.fill(g),
-            None => w.dense_grad().as_mut_slice().fill(g),
+        match model.weight_mut().grad_target() {
+            nn::param::GradTarget::Kept(_, sums) => sums.fill(g),
+            nn::param::GradTarget::Log(_) => unreachable!("no schedule is installed"),
+            nn::param::GradTarget::Dense(grad) => grad.as_mut_slice().fill(g),
         }
     }
 
@@ -695,10 +706,11 @@ mod tests {
     /// A new trainer lends no gradient sums — a schedule may still come
     /// — and takes any schedule. A stepped one lends them for the next
     /// step, so a schedule that fires there is refused and none is
-    /// installed, while one that fires later is taken, and the sums stay
-    /// home for the step it updates on: its backward forms the dense
-    /// gradient the grow score ranks. A restore that finds them lent
-    /// sends them out again by the same rule.
+    /// installed, while one that fires later is taken, and for the step it
+    /// updates on the trainer lends a log instead: its backward logs the
+    /// products the grow score ranks, and no dense weight gradient is
+    /// formed. A restore that finds a target lent sends one out again by
+    /// the same rule.
     #[test]
     fn a_schedule_that_fires_at_a_lent_step_is_refused() {
         use prune::MomentumPruneRegrow;
@@ -726,10 +738,12 @@ mod tests {
         assert!(tr.mask_schedule().is_none(), "a refused schedule is not installed");
         assert_eq!(tr.set_mask_schedule(schedule(vec![(3, 0.5), (9, 0.8)])), Ok(()));
         for t in 1..4u64 {
-            let lent = model.params()[0].grad_sums().is_some();
-            assert_eq!(lent, t != 3, "step {t}: the sums are lent unless it updates");
+            let w = &model.params()[0];
+            let (sums, log) = (w.grad_sums().is_some(), w.grad_log().map(<[_]>::len));
+            assert_eq!((sums, log), (t != 3, (t == 3).then_some(0)), "step {t}: the sums, or the log if it updates");
             fwd_bwd(&mut model, &tr, t);
-            assert_eq!(model.params()[0].grad.numel(), if lent { 0 } else { 120 }, "step {t}");
+            let w = &model.params()[0];
+            assert_eq!((w.grad.numel(), w.grad_log().map(<[_]>::len)), (0, log.map(|_| 1)), "step {t}");
             tr.step(&mut model);
         }
         assert_eq!(tr.remap_events(), 1);
@@ -753,6 +767,7 @@ mod tests {
         assert_eq!(model.params()[0].grad_sums(), Some(&vec![0.0; kept][..]), "zeroed for step 1");
         tr.restore(&at3, &mut model).unwrap();
         assert!(model.params()[0].grad_sums().is_none(), "step 3 updates");
+        assert_eq!(model.params()[0].grad_log().map(<[_]>::len), Some(0), "its log goes out, empty");
     }
 
     /// The sentinel's norm is that of the gradient a step applies: the
@@ -798,7 +813,7 @@ mod tests {
         assert_eq!(nn::param::resident_param_bytes(&model), (4 * 16, 4 * 16 + 4 * nnz));
         let lent = tr.resident_param_bytes(&model);
         assert_eq!(lent, 4 * 16 + 4 * 16 + 4 * nnz);
-        tr.lend_grad_sums(&mut model, false);
+        tr.lend_grad_target(&mut model, false);
         assert_eq!(nn::param::resident_param_bytes(&model), (4 * 16, 4 * 16));
         assert_eq!(tr.resident_param_bytes(&model), lent, "home, they count the same");
     }

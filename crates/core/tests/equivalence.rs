@@ -181,10 +181,10 @@ fn long_run_equivalence_adam() {
 }
 
 /// Two microbatches' backward passes before each step: on the first step
-/// and on a step a schedule updates on they add into the dense gradient,
-/// on every other step into the kept sums the trainer lends — and either
-/// way SAMO trains the dense masked baseline's bits, whose gradient is
-/// always dense. Under a schedule the baseline takes each mask the
+/// they add into the dense gradient, on a step a schedule updates on they
+/// log their operands in the log the trainer lends, on every other step
+/// they add into the kept sums it lends — and either way SAMO trains the
+/// dense masked baseline's bits, whose gradient is always dense. Under a schedule the baseline takes each mask the
 /// trainer moved to before its own step, as the remap does: a regrown
 /// position enters with zero moments, a dead one is zero at once.
 fn assert_microbatches_equivalent(schedule: Option<prune::MaskSchedule>, steps: u64) {
@@ -196,13 +196,18 @@ fn assert_microbatches_equivalent(schedule: Option<prune::MaskSchedule>, steps: 
     let mut samo_tr = SamoTrainer::new(&mut model_samo, masks.clone(), opt.clone());
     let mut dense_tr = DenseMaskedTrainer::new(&mut model_dense, masks, opt);
     let updates = |t: u64| schedule.as_ref().is_some_and(|s| s.is_update_step(t));
-    let lent_want = (1..steps).filter(|&t| !updates(t)).count();
+    let lent_want = (
+        (1..steps).filter(|&t| !updates(t)).count(),
+        (1..steps).filter(|&t| updates(t)).count(),
+    );
     if let Some(s) = schedule.clone() {
         samo_tr.set_mask_schedule(s).expect("a new trainer lends no sums");
     }
-    let mut lent_steps = 0;
+    let mut lent_steps = (0, 0);
     for step in 0..steps {
-        lent_steps += usize::from(model_samo.params()[0].grad_sums().is_some());
+        let w = &model_samo.params()[0];
+        lent_steps.0 += usize::from(w.grad_sums().is_some());
+        lent_steps.1 += usize::from(w.grad_log().is_some());
         for k in 0..2 {
             let seed = 7000 + 10 * step + k;
             let x = Tensor::randn(&[rows, in_dim], 1.0, seed);
@@ -246,7 +251,7 @@ fn assert_microbatches_equivalent(schedule: Option<prune::MaskSchedule>, steps: 
             assert_eq!(&a.f32_view()[..], b.value.as_slice(), "{} at step {step}", a.name);
         }
     }
-    assert_eq!(lent_steps, lent_want, "steps that ran on the lent sums");
+    assert_eq!(lent_steps, lent_want, "steps that ran on the lent sums and on the lent log");
     assert!(samo_tr.remap_events() >= u64::from(updates(0)) * 3, "the masks must move");
 }
 

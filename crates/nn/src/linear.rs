@@ -14,15 +14,17 @@
 //! The third product, `dW = dyᵀ · x`, is the sink's to choose: once the
 //! bias gradient and `dx` are computed, the layer hands `dy` and the
 //! input it cached over by value ([`GradSink::take_product`]). Without a
-//! sink, or for one that hands them back, the layer adds the product at
-//! the kept positions alone into the sums a SAMO trainer lent beside the
-//! index ([`Parameter::kept_grad_target`],
-//! [`tensor::gemm::matmul_tn_kept_acc`] — the bits the dense gradient
-//! would hold there), and into the dense `grad` only while none are lent:
-//! for an unmanaged model, or the step a mask update ranks it.
+//! sink, or for one that hands them back, it goes where the SAMO trainer
+//! that lent the index says ([`Parameter::grad_target`]): added at the
+//! kept positions alone into the lent sums
+//! ([`tensor::gemm::matmul_tn_kept_acc`] — the bits the dense gradient
+//! would hold there), or — for the step a mask update ranks it — its
+//! operands appended to the lent log. Only while neither is lent — an
+//! unmanaged model, a trainer's first step — does it add into the dense
+//! `grad`.
 
 use crate::layer::{CacheSlot, GradSink, Layer};
-use crate::param::Parameter;
+use crate::param::{GradTarget, Parameter};
 use tensor::gemm::{matmul_tn_acc, matmul_tn_kept_acc, sgemm, sgemm_kept};
 use tensor::Tensor;
 
@@ -95,15 +97,17 @@ impl Linear {
         }
     }
 
-    /// `dW += dyᵀ · x` (out×batch · batch×in = out×in): into the lent
-    /// kept sums, at the kept positions only, and into the dense gradient
-    /// (materialised if it was released) only while none are lent. No
-    /// dW-sized temporary either way.
-    fn accumulate_dw(&mut self, dy: &Tensor, x: &Tensor) {
-        let (m, n, rows, dy, x) = (self.out_features, self.in_features, x.rows(), dy.as_slice(), x.as_slice());
-        match self.weight.kept_grad_target() {
-            Some((idx, sums)) => matmul_tn_kept_acc(m, n, rows, dy, x, idx, sums),
-            None => matmul_tn_acc(m, n, rows, dy, x, self.weight.dense_grad().as_mut_slice()),
+    /// `dW += dyᵀ · x` (out×batch · batch×in = out×in) into the weight's
+    /// gradient target: the lent kept sums, at the kept positions only;
+    /// the lent log, `dy` and `x` themselves; or, while neither is lent,
+    /// the dense gradient (materialised if it was released). No dW-sized
+    /// temporary either way.
+    fn accumulate_dw(&mut self, dy: &Tensor, x: Tensor) {
+        let (m, n, rows) = (self.out_features, self.in_features, x.rows());
+        match self.weight.grad_target() {
+            GradTarget::Kept(idx, sums) => matmul_tn_kept_acc(m, n, rows, dy.as_slice(), x.as_slice(), idx, sums),
+            GradTarget::Log(log) => log.push((dy.clone(), x)),
+            GradTarget::Dense(grad) => matmul_tn_acc(m, n, rows, dy.as_slice(), x.as_slice(), grad.as_mut_slice()),
         }
     }
 
@@ -178,7 +182,7 @@ impl Layer for Linear {
 
     fn backward(&mut self, dy: &Tensor) -> Tensor {
         let x = self.take_input(dy);
-        self.accumulate_dw(dy, &x);
+        self.accumulate_dw(dy, x);
         self.bias_and_dx(dy)
     }
 
@@ -187,7 +191,7 @@ impl Layer for Linear {
         let dx = self.bias_and_dx(&dy);
         // Both operands move on: nothing here reads them any more.
         if let Err((dy, x)) = sink.take_product(0, dy, x) {
-            self.accumulate_dw(&dy, &x);
+            self.accumulate_dw(&dy, x);
         }
         // Stack slices, not `params()`: a streamed backward adds no
         // allocation to the plain one.

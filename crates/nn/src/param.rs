@@ -27,11 +27,14 @@
 //! a parameter never holds one without the other.
 //!
 //! A runtime whose caller runs backward may lend one more buffer beside
-//! them: the weight gradient's kept sums ([`Parameter::lend_grad_sums`]),
-//! one f32 per position of the index. While they are lent the dense
-//! `grad` is released, and a layer that offers its weight gradient's
-//! product adds it there, at the kept positions only
-//! ([`Parameter::kept_grad_target`]). They go home before their index.
+//! them, the target of the weight gradient ([`Parameter::grad_target`]):
+//! its kept sums ([`Parameter::lend_grad_sums`]), one f32 per position of
+//! the index, where a layer that offers its gradient's product adds it at
+//! the kept positions only; or, for a step that ranks the gradient at
+//! every position, a log of the products' operands
+//! ([`Parameter::lend_grad_log`]), where the layer appends them. While
+//! either is lent the dense `grad` is released. They go home before their
+//! index.
 
 use crate::layer::Layer;
 use std::borrow::Cow;
@@ -62,6 +65,22 @@ pub struct Parameter {
     /// The weight gradient at the positions of `index`, while a runtime
     /// lends it as the target of backward; `None` otherwise.
     grad_sums: Option<Vec<f32>>,
+    /// The operands `(dy, x)` of the weight gradient's products, oldest
+    /// first, while a runtime lends the log as the target of backward;
+    /// `None` otherwise.
+    grad_log: Option<Vec<(Tensor, Tensor)>>,
+}
+
+/// Where a layer that offers its weight gradient's product `dyᵀ·x` puts
+/// it ([`Parameter::grad_target`]).
+pub enum GradTarget<'a> {
+    /// The lent index and the kept sums beside it: the product is added
+    /// at the kept positions.
+    Kept(&'a [u32], &'a mut [f32]),
+    /// The lent operand log: `dy` and `x` are appended.
+    Log(&'a mut Vec<(Tensor, Tensor)>),
+    /// Nothing lent: the dense `grad`, materialised if released.
+    Dense(&'a mut Tensor),
 }
 
 impl Parameter {
@@ -76,6 +95,7 @@ impl Parameter {
             accepts_theta16: false,
             index: None,
             grad_sums: None,
+            grad_log: None,
         }
     }
 
@@ -129,7 +149,7 @@ impl Parameter {
     /// `θ16`, ascending, every position outside it zero — is held while
     /// `θ16` is and dropped with it.
     pub fn lend_theta16(&mut self, home: &mut Vec<F16>, index: Arc<Vec<u32>>, lend: bool) {
-        debug_assert!(lend || self.grad_sums.is_none(), "the kept sums go home before their index");
+        debug_assert!(lend || self.grad_sums.is_none() && self.grad_log.is_none(), "a gradient target goes home before its index");
         let wanted_here = lend && !self.holds_value();
         if wanted_here == self.theta16.is_empty() {
             std::mem::swap(&mut self.theta16, home);
@@ -148,13 +168,21 @@ impl Parameter {
     /// target of backward and the dense `grad` is released; back out
     /// otherwise. A `Vec` move, no copy; a no-op where they already are.
     pub fn lend_grad_sums(&mut self, home: &mut Vec<f32>, lend: bool) {
-        if !lend || self.index.is_none() {
-            if let Some(sums) = self.grad_sums.take() {
-                *home = sums;
-            }
-        } else if self.grad_sums.is_none() {
-            debug_assert_eq!(home.len(), self.index.as_ref().map_or(0, |i| i.len()));
-            self.grad_sums = Some(std::mem::take(home));
+        debug_assert!(!lend || self.grad_sums.is_some() || home.len() == self.index().map_or(0, <[u32]>::len));
+        let lend = lend && self.index.is_some();
+        if move_lent(&mut self.grad_sums, home, lend) {
+            self.release_grad();
+        }
+    }
+
+    /// Moves a log of the weight gradient's products between `home` —
+    /// empty, kept by its owner — and the parameter, as
+    /// [`Self::lend_grad_sums`] moves the sums: in (`lend`) while an index
+    /// is lent, where a layer that offers its product appends the operands
+    /// and the dense `grad` is released; back out otherwise, with them.
+    pub fn lend_grad_log(&mut self, home: &mut Vec<(Tensor, Tensor)>, lend: bool) {
+        let lend = lend && self.index.is_some();
+        if move_lent(&mut self.grad_log, home, lend) {
             self.release_grad();
         }
     }
@@ -164,10 +192,22 @@ impl Parameter {
         self.grad_sums.as_deref()
     }
 
-    /// The lent index and the kept sums beside it, for a layer to add its
-    /// weight gradient's product into; `None` while no sums are lent.
-    pub fn kept_grad_target(&mut self) -> Option<(&[u32], &mut [f32])> {
-        Some((self.index.as_deref()?, self.grad_sums.as_deref_mut()?))
+    /// The lent operand log, while it is lent.
+    pub fn grad_log(&self) -> Option<&[(Tensor, Tensor)]> {
+        self.grad_log.as_deref()
+    }
+
+    /// Where the weight gradient's product goes: the lent kept sums, the
+    /// lent log, or — while neither is — the dense `grad`.
+    pub fn grad_target(&mut self) -> GradTarget<'_> {
+        if self.grad_sums.is_none() && self.grad_log.is_none() {
+            return GradTarget::Dense(self.dense_grad());
+        }
+        match (self.index.as_deref(), &mut self.grad_sums, &mut self.grad_log) {
+            (Some(idx), Some(sums), _) => GradTarget::Kept(idx, sums),
+            (_, _, Some(log)) => GradTarget::Log(log),
+            _ => unreachable!("sums are lent only beside an index"),
+        }
     }
 
     /// Clears the gradient accumulator (nothing to clear while released).
@@ -200,14 +240,28 @@ impl Parameter {
 
 /// Bytes of the f32 buffers `model`'s parameters hold right now, as
 /// `(values, grads)`: the two dense shadows a process keeps next to the
-/// compressed model state, and the lent kept sums among the gradients.
+/// compressed model state, and the lent kept sums and operand logs among
+/// the gradients.
 /// Buffer lengths, not capacities or pages — a released value or
 /// gradient counts zero.
 pub fn resident_param_bytes(model: &impl Layer) -> (usize, usize) {
     model.params().iter().fold((0, 0), |(v, g), p| {
         let sums = p.grad_sums().map_or(0, <[f32]>::len);
-        (v + 4 * p.value.numel(), g + 4 * (p.grad.numel() + sums))
+        let log: usize = p.grad_log().unwrap_or_default().iter().map(|(dy, x)| dy.numel() + x.numel()).sum();
+        (v + 4 * p.value.numel(), g + 4 * (p.grad.numel() + sums + log))
     })
+}
+
+/// Moves a lent buffer between its owner's `home` and the parameter's
+/// `slot`: in if `lend` and not there yet, home if not `lend`. A `Vec`
+/// move, no copy. Returns whether it went in.
+fn move_lent<T: Default>(slot: &mut Option<T>, home: &mut T, lend: bool) -> bool {
+    match (lend, slot.is_some()) {
+        (true, false) => *slot = Some(std::mem::take(home)),
+        (false, true) => *home = slot.take().expect("a lent buffer is there"),
+        _ => return false,
+    }
+    lend
 }
 
 #[cfg(test)]

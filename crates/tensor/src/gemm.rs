@@ -31,6 +31,7 @@
 use crate::f16::{to_f32_table, F16};
 use crate::pool::{par_chunks_mut, par_parts_mut, par_ranges, par_rows_mut, SplitMut};
 use crate::simd::{self, Kept, Tier};
+use crate::Tensor;
 use std::sync::{Arc, OnceLock};
 
 /// Cached handles so the per-call telemetry cost is two atomic adds, not
@@ -314,6 +315,52 @@ where
         let (row0, row1) = (p0 * MC, (p1 * MC).min(m));
         tn_row_blocks::<true>(tier, row0, row1, m, n, k, a, b, |r0, r1, block| {
             consume(r0, r1, block)
+        });
+    });
+}
+
+/// `Σ aᵢᵀ · bᵢ` over `products` — each a row-major `k × m` and `k × n`
+/// pair, `k` its own: the operands `(dy, x)` of a weight gradient's
+/// microbatches — narrowed into `out`, `m × n` halves, with no `m × n`
+/// f32 buffer: one `MC`-row block at a time, the block starts at zeros,
+/// takes the products oldest first, and is narrowed while it is in cache.
+/// Every half is that of the f32 gradient [`matmul_tn_acc`] leaves in a
+/// zeroed C after each product in turn, as [`matmul_tn_row_blocks`]'
+/// blocks are those of one: a mask update's grow score, from operands.
+///
+/// # Panics
+/// Panics if `out` is not `m × n` or an operand is too small.
+pub fn matmul_tn_sum_narrow(m: usize, n: usize, products: &[(Tensor, Tensor)], out: &mut [F16]) {
+    assert_eq!(out.len(), m * n, "the score is m × n halves");
+    let tier = simd::active();
+    for (a, b) in products {
+        if !begin_gemm(true, false, m, n, a.rows(), a.numel(), m, b.numel(), n, m * n, n) {
+            return;
+        }
+    }
+    par_rows_mut(out, MC * n.max(1), 1, |offset, out| {
+        let (row0, row_end) = (offset / n, (offset + out.len()) / n);
+        SUM_SCRATCH.with(|cell| {
+            let mut sum = cell.borrow_mut();
+            if sum.len() < MC.min(m) * n {
+                sum.resize(MC.min(m) * n, 0.0);
+            }
+            for r0 in (row0..row_end).step_by(MC) {
+                let r1 = (r0 + MC).min(row_end);
+                let block = &mut sum[..(r1 - r0) * n];
+                block.fill(0.0);
+                for (a, b) in products {
+                    let (k, a, b) = (a.rows(), a.as_slice(), b.as_slice());
+                    if (1..=KC).contains(&k) {
+                        gemm_panel::<true, _>(tier, true, false, r0, r1, n, k, 1.0, a, m, b, n, block, n);
+                    } else {
+                        tn_row_blocks::<false>(tier, r0, r1, m, n, k, a, b, |_, _, t| {
+                            block.iter_mut().zip(t.iter()).for_each(|(s, &t)| *s += t);
+                        });
+                    }
+                }
+                simd::narrow_slice_tier(tier, block, &mut out[(r0 - row0) * n..(r1 - row0) * n]);
+            }
         });
     });
 }
@@ -1080,6 +1127,12 @@ thread_local! {
     /// way. Separate from `PACK_SCRATCH` because `gemm_panel` borrows that
     /// while this is held.
     static ACC_SCRATCH: std::cell::RefCell<Vec<f32>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+
+    /// The `MC × n` sum block of [`matmul_tn_sum_narrow`], apart from
+    /// `ACC_SCRATCH`, which a long product's [`tn_row_blocks`] borrows
+    /// while the sum is held.
+    static SUM_SCRATCH: std::cell::RefCell<Vec<f32>> =
         const { std::cell::RefCell::new(Vec::new()) };
 
     /// [`sgemm_kept`]'s transposed A block and transposed product,

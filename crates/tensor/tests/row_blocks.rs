@@ -5,14 +5,19 @@
 //! path onto the same block product must not have changed its results.
 //! The row-block path of `matmul_tn_kept`, which gathers each block's kept
 //! positions into `∇θ16` as it leaves the product, must leave the bits and
-//! the overflow flag of one gather over the assembled gradient.
+//! the overflow flag of one gather over the assembled gradient, and
+//! `matmul_tn_sum_narrow`, which sums several products block by block,
+//! the halves of the gradient `matmul_tn_acc` accumulates from them.
 //! The suite runs under `SAMO_SIMD=off` and the default tier in CI; the
 //! expectation is computed on both tiers explicitly.
 
 use std::sync::Mutex;
 use tensor::f16::F16;
-use tensor::gemm::{matmul_tn, matmul_tn_acc, matmul_tn_kept_on_path, matmul_tn_row_blocks, sgemm_with_tier, Path};
+use tensor::gemm::{
+    matmul_tn, matmul_tn_acc, matmul_tn_kept_on_path, matmul_tn_row_blocks, matmul_tn_sum_narrow, sgemm_with_tier, Path,
+};
 use tensor::simd::{gather_narrow_finite, Tier};
+use tensor::Tensor;
 
 /// The deepest single k-block of the kernel (`KC` in `tensor::gemm`).
 const KC: usize = 256;
@@ -126,6 +131,34 @@ fn long_k_accumulation_is_still_product_then_add() {
         let want: Vec<f32> = c.iter().zip(&product).map(|(c, t)| c + t).collect();
         matmul_tn_acc(m, n, k, &a, &b, &mut c);
         assert_eq!(bits(&c), bits(&want), "{m}x{n}x{k}");
+    }
+}
+
+#[test]
+fn summed_blocks_narrow_to_the_halves_of_the_accumulated_gradient() {
+    // Microbatches of differing depth — one k-block, a long one, none —
+    // summed oldest first into zeros, as `matmul_tn_acc` leaves them in a
+    // zeroed gradient, narrowed: over one panel, a panel cut inside a row
+    // group, and three panels.
+    for &(m, n) in &[(1usize, 1usize), (5, 33), (64, 17), (70, 9), (130, 20)] {
+        for ks in [&[][..], &[4], &[3, KC + 2, 0, 1], &[KC, KC]] {
+            let products: Vec<(Tensor, Tensor)> = ks
+                .iter()
+                .enumerate()
+                .map(|(p, &k)| {
+                    let seed = (m * 7 + n + 31 * p) as u64;
+                    (Tensor::from_vec(&[k, m], operand(k, m, seed, 11)), Tensor::from_vec(&[k, n], operand(k, n, seed + 1, 0)))
+                })
+                .collect();
+            let mut acc = vec![0.0f32; m * n];
+            for (a, b) in &products {
+                matmul_tn_acc(m, n, a.rows(), a.as_slice(), b.as_slice(), &mut acc);
+            }
+            let mut got = vec![F16::from_f32(f32::NAN); m * n];
+            matmul_tn_sum_narrow(m, n, &products, &mut got);
+            let want: Vec<u16> = acc.iter().map(|&g| F16::from_f32(g).0).collect();
+            assert_eq!(got.iter().map(|h| h.0).collect::<Vec<_>>(), want, "{m}x{n}, k = {ks:?}");
+        }
     }
 }
 

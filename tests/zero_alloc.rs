@@ -198,12 +198,15 @@ fn hot_paths_allocate_nothing_in_steady_state() {
         assert_eq!(events, 0, "post-schedule step allocated {events} time(s)");
     }
 
-    // --- SamoTrainer::step *on* a remap event --------------------------
+    // --- A remap event: backward and SamoTrainer::step ----------------
     // An update step allocates, but nothing that scales with the layer
-    // except the new mask's index vector: the grow score is canonicalised
-    // in the engine's warm scratch, the selection reads scores in place
-    // (its histogram is a fixed 256 KiB the thread keeps from t = 0), the
-    // remap kernel swaps pre-sized buffers.
+    // except the new mask's index vector — backward included: it logs the
+    // product's operands (a copy of `dy`) where a dense 512² gradient used
+    // to be formed; the grow score streams from them through one `MC × n`
+    // block (no larger than the index here) into the engine's warm halves,
+    // the selection reads scores in place (its histogram is a fixed 256
+    // KiB the thread keeps from t = 0), the remap kernel swaps pre-sized
+    // buffers, and the lent sums grow once by the new index.
     let side = 512usize;
     let mut model3 = Linear::new(side, side, false, 41);
     let mask3 = prune::magnitude_prune(model3.params()[0].value.as_slice(), &[side, side], 0.9);
@@ -216,13 +219,14 @@ fn hot_paths_allocate_nothing_in_steady_state() {
         let y = model3.forward(&x3);
         let (_, mut dy) = mse(&y, &target3);
         tensor::ops::scale(tr3.loss_scale(), dy.as_mut_slice());
-        model3.backward(&dy);
         let remaps = tr3.remap_events();
         LARGEST_ALLOC.store(0, Ordering::Relaxed);
         alloc_events_during(|| {
+            model3.backward(&dy);
             tr3.step(&mut model3);
         });
-        // t = 0 warmed the scratch; t = 2 and 4 are the measured updates.
+        // t = 0 ran dense and warmed the selection; t = 2 and 4 are the
+        // measured updates.
         if t >= 2 && policy.is_update_step(t) {
             assert_eq!(tr3.remap_events(), remaps + 1, "the mask must move at t = {t}");
             let keep_target = ((1.0 - policy.sparsity_at(t)) * (side * side) as f64).round() as usize;
