@@ -8,9 +8,9 @@
 //! Spawns `N` worker processes (`samo-launch worker --rank R` with the
 //! parent's world, steps, cadence, delay and directory) that rendezvous
 //! over loopback TCP, train a replicated
-//! data-parallel SAMO model — one [`samo::DataParallelRank`] per process,
-//! the one-stage pipeline rank `ThreadedDataParallelSamo` runs one per
-//! thread — and checkpoint every `K` steps with a collective save that
+//! data-parallel SAMO model — one [`samo::StageRank`] per process at
+//! one stage, the rank `ThreadedDataParallelSamo` runs one per thread —
+//! and checkpoint every `K` steps with a collective save that
 //! gathers the shards. The parent runs the same
 //! trajectory on an in-process [`samo::SamoTrainer`] and **fails unless
 //! every worker's final checkpoint is bitwise identical to that
@@ -53,7 +53,7 @@ use nn::loss::mse;
 use nn::mixed::Optimizer;
 use nn::optim::AdamConfig;
 use prune::Mask;
-use samo::{DataParallelRank, SamoTrainer};
+use samo::{SamoTrainer, StageRank};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
@@ -227,7 +227,7 @@ fn worker(rank: usize, args: &Args) -> i32 {
         // checkpoint below (empty on a cold start).
         let model = build_model();
         let masks = masks_for(&model);
-        let mut dp = DataParallelRank::new(model, &masks, adam(), comm);
+        let mut dp = StageRank::new(model, &masks, adam(), comm);
         let mut bytes = if rank == 0 {
             std::fs::read(dir.join("rank0.latest.ckpt")).unwrap_or_default()
         } else {

@@ -34,7 +34,7 @@ use samo::pipeline::{PipelineConfig, ThreadedPipelineSamo};
 use samo::reference::{DataParallelSamo, DenseMaskedTrainer};
 use samo::sentinel::{DivergenceSentinel, SentinelConfig};
 use samo::trainer::SamoTrainer;
-use samo::{CheckpointConfig, CheckpointManager, DataParallelRank, ThreadedDataParallelSamo};
+use samo::{CheckpointConfig, CheckpointManager, StageRank, ThreadedDataParallelSamo};
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::Arc;
@@ -164,7 +164,7 @@ fn drive_training(dir: &Path) {
         for _ in 0..2 {
             let (t, fresh) = (old.remove(0), new.remove(0));
             s.spawn(move || {
-                let rank = |t| DataParallelRank::new(linear(), &[mask()], adam(), Communicator::new(t));
+                let rank = |t| StageRank::new(linear(), &[mask()], adam(), Communicator::new(t));
                 let mut dp = rank(t);
                 dp.step(step).expect("healthy mesh");
                 let ckpt = dp.save().expect("collective save");

@@ -21,10 +21,10 @@
 //!   them. Not for the first step, whose schedule may still be installed:
 //!   nothing is lent there, and its backward forms the dense gradient;
 //! * [`crate::pipeline::StageRank`], the one rank of the `G_inter ×
-//!   G_data` grid — one per thread of [`crate::ThreadedPipelineSamo`]
-//!   and, at one stage and one microbatch, [`crate::DataParallelRank`]:
-//!   one per thread of [`crate::ThreadedDataParallelSamo`], one per
-//!   process of `samo-launch` — splits every microbatch's backward in two
+//!   G_data` grid — one per thread of the one group, [`crate::RankGroup`]
+//!   (as [`crate::ThreadedPipelineSamo`] or, at one stage,
+//!   [`crate::ThreadedDataParallelSamo`]), and one per process of
+//!   `samo-launch` — splits every microbatch's backward in two
 //!   (the B/W split of Qi et al., *Zero Bubble Pipeline Parallelism*). B
 //!   (`backward_deferred`) computes `dx` and the dense gradients of
 //!   biases and norms; each weight's `dW = dyᵀ·x` is only recorded — the

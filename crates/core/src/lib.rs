@@ -26,14 +26,14 @@
 //!
 //! * [`trainer`] — [`SamoTrainer`], the engine on a single worker; the
 //!   closed forms of state bytes and all-reduce volume,
-//! * [`pipeline`] — [`pipeline::StageRank`], the one rank of the hybrid
+//! * [`pipeline`] — [`StageRank`], the one rank of the hybrid
 //!   `G_inter × G_data` grid: a sharded engine over any `comms::Endpoint`
-//!   running the B > F > W schedule, one per rank thread of the 1F1B
-//!   pipeline [`ThreadedPipelineSamo`],
-//! * [`threaded`] — [`DataParallelRank`], that rank at one stage: one per
-//!   process in `samo-launch`, one per rank thread in
-//!   [`ThreadedDataParallelSamo`] — and the thread protocol both
-//!   threaded runtimes share.
+//!   running the B > F > W schedule; at one stage, one per process in
+//!   `samo-launch`,
+//! * [`threaded`] — [`RankGroup`], the one group: a rank thread per grid
+//!   point, built as [`ThreadedPipelineSamo`] from `Sequential` stage
+//!   blocks at any point, or as [`ThreadedDataParallelSamo`], its 1×G
+//!   point over whole replicas of any model.
 //!
 //! What a correct step is — run by no runtime, checked against by all:
 //!
@@ -88,11 +88,11 @@ pub use compressed::{compress, expand};
 pub use memory::{
     m_default_bytes, m_samo_bytes, m_samo_zero_bytes, samo_savings_fraction, SamoBreakdown,
 };
-pub use pipeline::{PipelineConfig, StageStats, ThreadedPipelineSamo};
+pub use pipeline::{PipelineConfig, StageRank, StageStats, ThreadedPipelineSamo};
 pub use reference::{DataParallelSamo, DenseMaskedTrainer};
 pub use sentinel::{DivergenceSentinel, SentinelConfig, Verdict};
 pub use serialize::TrainerMeta;
 pub use sharded::ShardedSamoLayerState;
 pub use state::SamoLayerState;
-pub use threaded::{DataParallelRank, ThreadedDataParallelSamo};
+pub use threaded::{RankGroup, ThreadedDataParallelSamo};
 pub use trainer::SamoTrainer;

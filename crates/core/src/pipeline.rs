@@ -6,9 +6,10 @@
 //! A [`Sequential`] model is partitioned into `G_inter` contiguous
 //! stage blocks ([`comms::segment_bounds`] over the layer list, the
 //! same split the simulator and the analytic model use). Each of the
-//! `G_inter × G_data` ranks — a [`StageRank`], the one rank type, which
-//! at one stage is [`crate::DataParallelRank`] — owns one stage block of
-//! one data replica on its own thread, plus two communicator endpoints:
+//! `G_inter × G_data` ranks — a [`StageRank`], the one rank type — owns
+//! one stage block of one data replica on its own thread of the one
+//! group, [`RankGroup`] (here as [`ThreadedPipelineSamo`]), plus two
+//! communicator endpoints:
 //!
 //! * a **pipeline mesh** per data replica (`world = G_inter`) carrying
 //!   boundary activations forward and activation-gradients backward as
@@ -17,9 +18,9 @@
 //! * a **data mesh** per stage (`world = G_data`) running the
 //!   compressed-`∇θ16` chunked ring reduce-scatter, the overflow-flag
 //!   gather and the sharded parameter all-gather — the stage's
-//!   [`StepEngine`], exactly as in [`crate::ThreadedDataParallelSamo`],
-//!   whose thread protocol (`RankGroup`) this runtime shares. A rank
-//!   outside a pipeline has no pipeline mesh.
+//!   [`StepEngine`]. At one stage the group is the data-parallel runtime
+//!   ([`crate::ThreadedDataParallelSamo`] builds that point over whole
+//!   replicas): its ranks have no pipeline mesh.
 //!
 //! # Scheduling
 //!
@@ -79,7 +80,7 @@
 //! `nnz`-long sums, and the **last** one finishes them into `∇θ16`, each
 //! parameter bucket's ring starting on the data mesh as soon as its
 //! gradients are final — the all-reduce overlaps the rest of that W. On
-//! a dynamic-sparsity update step ([`ThreadedPipelineSamo::set_mask_schedule`])
+//! a dynamic-sparsity update step ([`RankGroup::set_mask_schedule`])
 //! the Bs log every product's operands and queue no W: the epilogue
 //! streams the grow score from the logs, remaps, runs them as Ws at the
 //! new index, compresses and reduces on each stage's data mesh, whose
@@ -107,19 +108,17 @@
 //! A killed or cut stage surfaces as a bounded step `Err` — every wait
 //! of the scheduler loop ends at the rank's progress deadline, so a
 //! silent neighbour can never hang the group. The group then refuses further
-//! steps (poisoned) until [`ThreadedPipelineSamo::restore`] reloads a
+//! steps (poisoned) until [`RankGroup::restore`] reloads a
 //! checkpoint on every rank, bumps both mesh epochs (discarding stale
 //! in-flight traffic) and barriers the group back together.
 
 use crate::engine::{assert_replicas_agree, gather_full, StepEngine};
 use crate::serialize::save_checkpoint;
-use crate::state::SamoLayerState;
 use crate::threaded::RankGroup;
-use comms::{CommsError, Communicator, Endpoint, FaultController, Transport as _};
+use comms::{CommsError, Communicator, Transport as _};
 use nn::layer::{CacheSlot, Layer, Sequential};
-use nn::mixed::{LossScaler, Optimizer};
+use nn::mixed::Optimizer;
 use prune::{Mask, MaskSchedule};
-use std::sync::Arc;
 use std::time::Duration;
 use telemetry::json::Json;
 use telemetry::ledger::Phase;
@@ -342,8 +341,8 @@ fn p2p_id(mb: usize, dir: u64) -> u64 {
 
 /// What one step is told to do, per `(data_idx, microbatch)`: stage 0's
 /// input, and the last stage's scaled loss seed from its output. At one
-/// stage the [`crate::threaded::StepFn`] closure is both: it runs
-/// the forward and returns the seed.
+/// stage a one-stage rank's step closure is both: it runs the forward and
+/// returns the seed.
 pub(crate) enum Job<'a, M> {
     Split(
         &'a (dyn Fn(usize, usize) -> Tensor + Send + Sync),
@@ -355,11 +354,9 @@ pub(crate) enum Job<'a, M> {
 /// The one rank of AxoNN's `G_inter × G_data` grid: a stage of a data
 /// replica — its engine's place `(stage, data)` — with its block of the
 /// model and the [`StepEngine`] training it, sharded over the stage's
-/// data mesh. [`ThreadedPipelineSamo`]
-/// runs one per thread. At one stage and one microbatch it is
-/// [`crate::DataParallelRank`], which [`crate::ThreadedDataParallelSamo`]
-/// runs one per thread and `samo-launch` one per process, over the
-/// endpoint of [`comms::bootstrap_tcp`]. [`Self::step`], [`Self::save`]
+/// data mesh. [`RankGroup`] runs one per thread at every grid point; at
+/// one stage and one microbatch `samo-launch` runs one per process, over
+/// the endpoint of [`comms::bootstrap_tcp`]. [`Self::step`], [`Self::save`]
 /// and [`Self::restore`] are collective: every rank of the group calls
 /// them together.
 pub struct StageRank<M> {
@@ -402,27 +399,45 @@ impl<M: Layer> StageRank<M> {
     /// per parameter tensor. From here on `θ16` is the weight: the
     /// replica's `Linear`s hold no f32 `value` and compute from what the
     /// engine lends for each step.
-    pub fn new(mut model: M, masks: &[Mask], opt: Optimizer, comm: Communicator) -> Self {
-        let engine = StepEngine::build(&mut model, masks, opt, Some(comm), "samo.dp_rank");
-        Self::with_engine(model, engine, PipelineConfig::new(1, 1, 0))
+    pub fn new(model: M, masks: &[Mask], opt: Optimizer, comm: Communicator) -> Self {
+        let (place, one_stage) = ((0, comm.rank()), PipelineConfig::new(1, 1, 0));
+        Self::build(model, masks, (0, masks.len()), opt, one_stage, place, (comm, None))
     }
 
-    /// Stage 0 of `cfg.g_inter`, with no pipeline mesh: the fields a
-    /// pipeline stage overrides.
-    fn with_engine(block: M, engine: StepEngine, cfg: PipelineConfig) -> Self {
+    /// Every rank's one builder: stage `place.0` of data replica `place.1`
+    /// in `cfg`'s grid, training `block` under its `masks` — the model's
+    /// parameters from `params.0` on, of `params.1` — sharded over its
+    /// stage's data mesh `links.0`; `links.1` is its replica's pipeline
+    /// mesh, which a one-stage rank has none of. The grid names the
+    /// runtime its steps report as: `samo.dp_rank` at one stage,
+    /// `samo.pipeline` deeper.
+    pub(crate) fn build(
+        mut block: M,
+        masks: &[Mask],
+        params: (usize, usize),
+        opt: Optimizer,
+        cfg: PipelineConfig,
+        place: (usize, usize),
+        (data, pipe): (Communicator, Option<Communicator>),
+    ) -> Self {
+        let runtime = if cfg.g_inter == 1 { "samo.dp_rank" } else { "samo.pipeline" };
+        let lane = data.trace_lane();
+        let mut engine = StepEngine::build(&mut block, masks, opt, Some(data), runtime);
+        // Its place in the grid: rank (0, 0) reports for the group.
+        engine.place = place;
         StageRank {
-            lane: 0,
-            param_off: 0,
-            params_total: engine.layers.len(),
+            lane,
+            param_off: params.0,
+            params_total: params.1,
             block,
             engine,
-            pipe: None,
+            pipe,
             stats: StageStats::default(),
             input_stash: Vec::new(),
             cache_mb: None,
             slots: (0..cfg.max_in_flight).map(|_| CacheSlot::default()).collect(),
             stashing: false,
-            schedule: Schedule::new(0, cfg.g_inter, cfg.microbatches, cfg.max_in_flight),
+            schedule: Schedule::new(place.0, cfg.g_inter, cfg.microbatches, cfg.max_in_flight),
             cfg,
         }
     }
@@ -455,13 +470,15 @@ impl<M: Layer> StageRank<M> {
     pub fn step(&mut self, f: impl FnOnce(usize, &mut M, f32) -> Tensor) -> Result<bool, CommsError> {
         let f = std::cell::Cell::new(Some(f));
         let once = |rank, model: &mut M, scale| f.take().expect("one microbatch, one F")(rank, model, scale);
-        self.run(&Job::Whole(&once), self.engine.step_index() as u32)
+        self.run(&Job::Whole(&once))
     }
 
-    /// Runs step `step` of the group: the schedule, then the collective
-    /// epilogue. The call is the ledger's window, and — traced, on a
-    /// pipeline — the "step" slice recorded on completion.
-    pub(crate) fn run(&mut self, job: &Job<'_, M>, step: u32) -> Result<bool, CommsError> {
+    /// Runs the group's next step, numbered by the engine's step index as
+    /// every rank numbers it: the schedule, then the collective epilogue.
+    /// The call is the ledger's window, and — traced, on a pipeline — the
+    /// "step" slice recorded on completion.
+    pub(crate) fn run(&mut self, job: &Job<'_, M>) -> Result<bool, CommsError> {
+        let step = self.engine.step_index() as u32;
         self.engine.ledger.start();
         let scale_used = self.engine.loss_scale();
         self.input_stash.clear();
@@ -796,246 +813,46 @@ impl<M: Layer> StageRank<M> {
     }
 }
 
-/// A hybrid `G_inter × G_data` SAMO group: every rank is an OS thread
-/// owning one pipeline-stage block of one data replica, boundary
-/// tensors move as tagged p2p messages, and gradients ride the
-/// compressed ring all-reduce within each data-parallel group. Peer of
-/// [`crate::ThreadedDataParallelSamo`] (which is the `G_inter = 1`
-/// special case) and bitwise-equivalent to [`crate::SamoTrainer`].
-pub struct ThreadedPipelineSamo {
-    cfg: PipelineConfig,
-    /// Rank `data_idx · g_inter + stage`.
-    pub(crate) group: RankGroup<Sequential>,
-    /// One fault controller per data replica's pipeline mesh.
-    pipe_faults: Vec<Arc<FaultController>>,
-    /// One fault controller per stage's data mesh.
-    data_faults: Vec<Arc<FaultController>>,
-    step_seq: u32,
-}
-
-/// One in-process mesh of `world` endpoints per fault controller, each
-/// endpoint to be taken by the rank that owns it.
-fn meshes(faults: &[Arc<FaultController>], world: usize) -> Vec<Vec<Option<Endpoint>>> {
-    faults
-        .iter()
-        .map(|f| {
-            Endpoint::mesh_with_faults(world, Arc::clone(f))
-                .into_iter()
-                .map(Some)
-                .collect()
-        })
-        .collect()
-}
+/// The hybrid `G_inter × G_data` SAMO group of [`Sequential`] stage
+/// blocks: every rank is an OS thread owning one stage block of one data
+/// replica, boundary tensors move as tagged p2p messages over each
+/// replica's pipeline mesh, and gradients ride the compressed ring
+/// all-reduce within each stage's data mesh. The one group
+/// ([`RankGroup`]) at `Sequential`; at one stage it is the runtime
+/// [`crate::ThreadedDataParallelSamo`] runs, and at every grid point it
+/// is bitwise-equivalent to [`crate::SamoTrainer`].
+pub type ThreadedPipelineSamo = RankGroup<Sequential>;
 
 impl ThreadedPipelineSamo {
     /// Builds the group from `g_data` identically initialized model
     /// replicas (consumed and partitioned into `g_inter` stage blocks
-    /// each) and one mask per parameter tensor, then spawns one thread
-    /// per `(stage, data_idx)` rank.
+    /// each, [`comms::segment_bounds`] over the layer list) and one mask
+    /// per parameter tensor, then spawns one thread per `(stage,
+    /// data_idx)` rank.
     pub fn new(
         replicas: Vec<Sequential>,
         masks: Vec<Mask>,
         opt: Optimizer,
         cfg: PipelineConfig,
     ) -> ThreadedPipelineSamo {
-        assert_eq!(
-            replicas.len(),
-            cfg.g_data,
-            "one model replica per data rank"
-        );
-        assert!(cfg.g_inter >= 1 && cfg.g_data >= 1);
-        assert!(cfg.microbatches >= 1, "need at least one microbatch");
+        let (g_inter, g_data) = (cfg.g_inter, cfg.g_data);
+        assert_eq!(replicas.len(), g_data, "one model replica per data rank");
+        assert!(g_inter >= 1 && g_data >= 1 && cfg.microbatches >= 1, "a grid needs a stage, a replica and a microbatch");
         let n_layers = replicas[0].len();
-        assert!(
-            n_layers >= cfg.g_inter,
-            "cannot split {n_layers} layers into {} stages",
-            cfg.g_inter
-        );
+        assert!(n_layers >= g_inter, "cannot split {n_layers} layers into {g_inter} stages");
         for (r, m) in replicas.iter().enumerate() {
             assert_eq!(m.len(), n_layers, "replica {r} layer count differs");
         }
         assert_replicas_agree(&replicas);
-        assert_eq!(
-            replicas[0].params().len(),
-            masks.len(),
-            "one mask per parameter"
-        );
-
-        // Meshes: one pipeline ring per data replica, one data ring per
-        // stage. Each rank takes endpoint [stage] of its replica's pipe
-        // mesh and endpoint [data_idx] of its stage's data mesh.
-        let new_faults = |n| {
-            (0..n)
-                .map(|_| Arc::new(FaultController::new()))
-                .collect::<Vec<_>>()
-        };
-        let (pipe_faults, data_faults) = (new_faults(cfg.g_data), new_faults(cfg.g_inter));
-        let mut pipe_meshes = meshes(&pipe_faults, cfg.g_inter);
-        let mut data_meshes = meshes(&data_faults, cfg.g_data);
-
-        let bounds = comms::segment_bounds(n_layers, cfg.g_inter);
-        // Trace lanes are process-global so two groups alive in one
-        // session (e.g. the bench sweeping pipeline depths) never share
-        // a `tid` row in the combined trace.
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static NEXT_LANE: AtomicU64 = AtomicU64::new(0);
-        let lane_base = NEXT_LANE.fetch_add((cfg.g_inter * cfg.g_data) as u64, Ordering::Relaxed);
-        let mut workers = Vec::with_capacity(cfg.g_inter * cfg.g_data);
-        for (data_idx, replica) in replicas.into_iter().enumerate() {
+        assert_eq!(replicas[0].params().len(), masks.len(), "one mask per parameter");
+        let bounds = comms::segment_bounds(n_layers, g_inter);
+        let mut blocks = Vec::with_capacity(g_inter * g_data);
+        for replica in replicas {
             let mut layers = replica.into_layers();
             // Split back-to-front so earlier bounds stay valid.
-            let mut blocks: Vec<Sequential> = Vec::with_capacity(cfg.g_inter);
-            for &(lo, _hi) in bounds.iter().rev() {
-                blocks.push(Sequential::from_layers(layers.split_off(lo)));
-            }
-            blocks.reverse();
-            let mut param_off = 0usize;
-            for (stage, mut block) in blocks.into_iter().enumerate() {
-                let n_params = block.params().len();
-                let pipe_t = pipe_meshes[data_idx][stage].take().expect("pipe endpoint");
-                let data_t = data_meshes[stage][data_idx].take().expect("data endpoint");
-                let lane = lane_base + (data_idx * cfg.g_inter + stage) as u64;
-                let comm = |t| {
-                    Communicator::new(t)
-                        .with_timeout(cfg.timeout)
-                        .with_trace_lane(lane)
-                };
-                let mut engine = StepEngine::build(
-                    &mut block,
-                    &masks[param_off..param_off + n_params],
-                    opt.clone(),
-                    Some(comm(data_t)),
-                    "samo.pipeline",
-                );
-                // Its place in the grid: rank (0, 0) reports for the group.
-                engine.place = (stage, data_idx);
-                let rk = StageRank {
-                    lane,
-                    param_off,
-                    params_total: masks.len(),
-                    pipe: Some(comm(pipe_t)),
-                    schedule: Schedule::new(stage, cfg.g_inter, cfg.microbatches, cfg.max_in_flight),
-                    ..StageRank::with_engine(block, engine, cfg.clone())
-                };
-                param_off += n_params;
-                workers.push((format!("samo-pp-s{stage}d{data_idx}"), rk));
-            }
+            let back_to_front: Vec<_> = bounds.iter().rev().map(|&(lo, _)| layers.split_off(lo)).collect();
+            blocks.extend(back_to_front.into_iter().rev().map(Sequential::from_layers));
         }
-        ThreadedPipelineSamo {
-            group: RankGroup::spawn(workers, cfg.g_inter),
-            cfg,
-            pipe_faults,
-            data_faults,
-            step_seq: 0,
-        }
-    }
-
-    /// Pipeline depth.
-    pub fn g_inter(&self) -> usize {
-        self.cfg.g_inter
-    }
-
-    /// Data-parallel width.
-    pub fn g_data(&self) -> usize {
-        self.cfg.g_data
-    }
-
-    /// Fault injection handles, one per data replica's pipeline mesh
-    /// (index = `data_idx`; ranks within it are stage indices).
-    pub fn pipe_faults(&self) -> &[Arc<FaultController>] {
-        &self.pipe_faults
-    }
-
-    /// Fault injection handles, one per stage's data mesh
-    /// (index = `stage`; ranks within it are data indices).
-    pub fn data_faults(&self) -> &[Arc<FaultController>] {
-        &self.data_faults
-    }
-
-    /// Current loss scale (the loss-gradient closure receives it).
-    pub fn loss_scale(&self) -> f32 {
-        self.group.meta.loss_scale
-    }
-
-    /// Applied steps.
-    pub fn steps_taken(&self) -> u64 {
-        self.group.meta.steps_taken
-    }
-
-    /// Steps skipped on gradient overflow (all ranks skip together).
-    pub fn steps_skipped(&self) -> u64 {
-        self.group.meta.steps_skipped
-    }
-
-    /// Total parameters φ (per replica).
-    pub fn numel(&self) -> usize {
-        self.group.numel
-    }
-
-    /// Unpruned parameters fφ (per replica).
-    pub fn nnz(&self) -> usize {
-        self.group.nnz
-    }
-
-    /// Replaces the loss scaler on every rank (and the mirror).
-    pub fn set_scaler(&mut self, scaler: LossScaler) {
-        self.group.set_scaler(scaler);
-    }
-
-    /// Installs a dynamic-sparsity [`MaskSchedule`] on every rank. Masks
-    /// are per layer, so an update step's remap stays inside each stage's
-    /// data group: its Bs log the products (the grow score streams from
-    /// them), and the epilogue remaps, runs them at the new index,
-    /// compresses and reduces on a fresh epoch of the stage's data mesh.
-    // TEST-API: `pipeline_threaded` and `pipeline_jitter` train a pipeline with dynamic sparsity.
-    pub fn set_mask_schedule(&mut self, schedule: MaskSchedule) {
-        self.group.set_mask_schedule(schedule);
-    }
-
-    /// Runs one pipelined training step. `input(data_idx, mb)` feeds
-    /// stage 0; `loss_grad(data_idx, mb, y, scale)` turns the last
-    /// stage's output into the scaled backward seed. Returns `Ok(true)`
-    /// if applied, `Ok(false)` if skipped on overflow, `Err` if any
-    /// rank failed (the group then needs [`Self::restore`]).
-    pub fn step(
-        &mut self,
-        input: impl Fn(usize, usize) -> Tensor + Send + Sync + 'static,
-        loss_grad: impl Fn(usize, usize, &Tensor, f32) -> Tensor + Send + Sync + 'static,
-    ) -> Result<bool, String> {
-        let step = self.step_seq;
-        self.step_seq = self.step_seq.wrapping_add(1);
-        let job = move |rank: &mut StageRank<Sequential>| rank.run(&Job::Split(&input, &loss_grad), step);
-        self.group.step(Arc::new(job), step)
-    }
-
-    /// Serializes the group as one topology-independent v2 checkpoint:
-    /// shards are gathered across data ranks and stage slices
-    /// concatenated in model order, so the bytes equal what a
-    /// single-process [`crate::SamoTrainer`] in the same state saves.
-    pub fn save(&mut self) -> bytes::Bytes {
-        self.group.save()
-    }
-
-    /// Restores a checkpoint on every rank and re-synchronizes the
-    /// group (fresh epochs on both meshes + barriers). The recovery
-    /// path after a failed step: heal the faulted links first.
-    pub fn restore(&mut self, checkpoint: &[u8]) -> Result<(), String> {
-        self.group.restore(checkpoint)
-    }
-
-    /// Per-rank scheduler statistics in rank order
-    /// (`data_idx · g_inter + stage`).
-    pub fn stage_stats(&mut self) -> Vec<StageStats> {
-        self.group.each(|rank| rank.stats())
-    }
-
-    /// Runs `f` on rank `(stage, data_idx)`'s thread with exclusive
-    /// access to its stage block and sharded states.
-    pub fn with_rank<R, F>(&mut self, stage: usize, data_idx: usize, f: F) -> R
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut Sequential, &[SamoLayerState]) -> R + Send + 'static,
-    {
-        self.group.with_rank(data_idx * self.cfg.g_inter + stage, f)
+        RankGroup::build(blocks, &masks, opt, cfg, None)
     }
 }

@@ -1,30 +1,37 @@
-//! Data-parallel SAMO training over the real message-passing collectives
-//! runtime in the `comms` crate: the one data-parallel rank,
-//! [`DataParallelRank`] — the grid's rank ([`StageRank`]) at one stage and
-//! one microbatch — run one per OS thread by [`ThreadedDataParallelSamo`]
-//! and one per process by `samo-launch`.
+//! The rank-thread group: AxoNN's `G_inter × G_data` grid (paper
+//! Sec. III) run one OS thread per point over the real message-passing
+//! collectives of the `comms` crate. [`RankGroup`] is the one group type
+//! for every grid point: one path builds each rank — the grid's one rank,
+//! [`StageRank`] — from its block, its masks, its place and its endpoints,
+//! and the group spawns their threads, mirrors the state they agree on
+//! and steps, saves and restores them together.
+//! [`crate::ThreadedPipelineSamo`] is the group of `Sequential` stage
+//! blocks at any point of the grid; [`ThreadedDataParallelSamo`] is its
+//! 1×G point over whole replicas of any model, on an in-process mesh or
+//! the caller's endpoints. `samo-launch` runs the same rank one per
+//! process. At one stage the grid has no pipeline mesh, and its ranks
+//! report as `samo.dp_rank`; deeper, as `samo.pipeline`.
 //!
 //! Where [`crate::reference::DataParallelSamo`] loops over replicas
 //! inside one thread and reduces gradients with the sequential oracle,
-//! every rank here owns its replica and a [`crate::engine::StepEngine`] —
+//! every rank here owns its block and a [`crate::engine::StepEngine`] —
 //! sharded optimizer state, loss-scaler copy, and a [`comms::Communicator`]
-//! endpoint of an in-process mesh or a TCP one. Gradients
+//! endpoint of its stage's data mesh, in-process or TCP. Gradients
 //! move through the chunked **ring reduce-scatter** (a shard needs the
 //! mean on its own range only; the parameter all-gather after the
-//! optimizer is the other half of an all-reduce's volume). A step runs
-//! the schedule of a one-stage pipeline: F (the step closure), B, which
+//! optimizer is the other half of an all-reduce's volume). A one-stage
+//! step runs F (the step closure), B, which
 //! hands each `Linear` weight's operands to a W, and W, which computes
 //! the gradient at the shared index straight into `∇θ16` and starts each
 //! bucket's ring as its gradients are final, overlapping the rest of W.
 //! So a rank holds no dense gradient for a weight matrix, not even on a
 //! dynamic-sparsity update step, whose B logs every product for the
-//! epilogue to rank and then run. And because the rank owns its replica,
-//! the dense `θ16` is the replica's weight: a `Linear` holds no f32
+//! epilogue to rank and then run. And because the rank owns its block,
+//! the dense `θ16` is the block's weight: a `Linear` holds no f32
 //! `value` while the rank trains and multiplies by the `θ16` its engine
 //! lends for the step's F, B and W (`crate::engine`, module docs). Only the
-//! inspection hook ([`ThreadedDataParallelSamo::with_rank`]) shows its
-//! closure widened values, for the length of the call. The thread
-//! protocol, `RankGroup`, is shared with [`crate::ThreadedPipelineSamo`].
+//! inspection hook ([`RankGroup::with_rank`]) shows its
+//! closure widened values, for the length of the call.
 //! A thread group saves by copying each rank's owned ranges off its
 //! thread; a process rank saves collectively ([`StageRank::save`]).
 //!
@@ -56,11 +63,11 @@
 //!
 //! # Failure handling
 //!
-//! Injected link faults ([`ThreadedDataParallelSamo::faults`]) surface
-//! as a step `Err` within the communicator timeout — never a hang. A
-//! failed group refuses further steps (poisoned) until
-//! [`ThreadedDataParallelSamo::restore`] reloads a
-//! checkpoint on every rank, bumps the comms epoch (discarding stale
+//! Injected link faults ([`RankGroup::pipe_faults`],
+//! [`RankGroup::data_faults`]) surface as a step `Err` within the
+//! communicator timeout — never a hang. A failed group refuses further
+//! steps (poisoned) until [`RankGroup::restore`] reloads a
+//! checkpoint on every rank, bumps the comms epochs (discarding stale
 //! in-flight traffic), and barriers the group back together. A process
 //! rank's peer that dies surfaces the same way, or sooner through the
 //! TCP heartbeat (`PeerDead`) or the socket's EOF (`Closed`); the
@@ -68,7 +75,7 @@
 //! communicator, and [`StageRank::restore`] rejoins them.
 
 use crate::engine::{assert_replicas_agree, trainer_meta};
-use crate::pipeline::StageRank;
+use crate::pipeline::{Job, PipelineConfig, StageRank, StageStats};
 use crate::serialize::{save_ranges, TrainerMeta};
 use crate::state::SamoLayerState;
 use crate::trainer::samo_ring_allreduce_bytes;
@@ -76,6 +83,8 @@ use comms::{CommsError, Communicator, Endpoint, FaultController, Transport as _}
 use nn::layer::Layer;
 use nn::mixed::{LossScaler, Optimizer};
 use prune::{Mask, MaskSchedule};
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -83,11 +92,6 @@ use std::time::Duration;
 use telemetry::json::Json;
 use telemetry::StepEvent;
 use tensor::Tensor;
-
-/// The per-step work a rank thread runs before the collective phase:
-/// forward on this rank's batch, loss, and backward seed — returns the
-/// **scaled** output gradient `d(scale·loss)/d(output)` for backward.
-pub type StepFn<M> = Arc<dyn Fn(usize, &mut M, f32) -> Tensor + Send + Sync>;
 
 /// Per-rank transport statistics, via [`ThreadedDataParallelSamo::comm_stats`].
 #[derive(Debug, Clone, Copy)]
@@ -119,7 +123,7 @@ pub(crate) struct StepOutcome {
     pub event: Option<StepEvent>,
 }
 
-/// A step as the group hands it to every rank: which job, at which step.
+/// A step as the group hands it to every rank.
 pub(crate) type StepCall<M> = Arc<dyn Fn(&mut StageRank<M>) -> Result<bool, CommsError> + Send + Sync>;
 
 /// Anything else a rank thread is asked: it runs there and replies on its
@@ -167,37 +171,96 @@ fn rank_loop<M: Layer>(mut rank: StageRank<M>, rx: Receiver<Cmd<M>>, tx: Sender<
     }
 }
 
-/// One OS thread per rank plus the calling thread's mirror of the state
-/// every rank agrees on. Typed by the model `M` its ranks train, not by
-/// the transport the rank threads talk over.
-pub(crate) struct RankGroup<M> {
+/// The one group of rank threads, for every point of the `G_inter ×
+/// G_data` grid: one OS thread per [`StageRank`] — rank `d·g_inter + s`
+/// is stage `s` of data replica `d` — plus the calling thread's mirror of
+/// the state every rank agrees on. Typed by the model `M` its ranks
+/// train, not by the wire they talk over. Built as
+/// [`crate::ThreadedPipelineSamo`] (`Sequential` stage blocks, any grid
+/// point) or inside [`ThreadedDataParallelSamo`] (whole replicas, 1×G);
+/// either way it steps bitwise-equal to [`crate::SamoTrainer`] and, at
+/// one stage, to [`crate::reference::DataParallelSamo`].
+pub struct RankGroup<M> {
     cmd: Vec<Sender<Cmd<M>>>,
     resp: Vec<Receiver<Result<StepOutcome, String>>>,
     handles: Vec<JoinHandle<()>>,
-    /// Pipeline depth: rank `i` is stage `i % g_inter` of data replica
-    /// `i / g_inter` (1 for plain data parallelism).
     g_inter: usize,
-    pub meta: TrainerMeta,
+    g_data: usize,
+    /// What every rank reported after the last step or restore.
+    meta: TrainerMeta,
     /// Total parameters φ (per replica).
-    pub numel: usize,
+    numel: usize,
     /// Unpruned parameters fφ (per replica).
-    pub nnz: usize,
+    nnz: usize,
+    /// One fault controller per data replica's pipeline mesh; none at one
+    /// stage, which has no pipeline mesh.
+    pipe_faults: Vec<Arc<FaultController>>,
+    /// One fault controller per stage's data mesh.
+    data_faults: Vec<Arc<FaultController>>,
 }
 
 impl<M: Layer + Send + 'static> RankGroup<M> {
-    /// Spawns one named thread per rank, in rank order.
-    pub fn spawn(ranks: Vec<(String, StageRank<M>)>, g_inter: usize) -> RankGroup<M> {
+    /// Builds `cfg`'s grid over `blocks` — rank `d·g_inter + s`'s at that
+    /// index — and one mask per parameter of the whole model, and spawns
+    /// one named thread per rank, in rank order. Each stage's data mesh is
+    /// in-process unless `data` brings a one-stage grid's endpoints, in
+    /// rank order, with the controller they were built with; each
+    /// replica's pipeline mesh is in-process. Trace lanes are
+    /// process-global, so two groups alive at once never share a `tid`
+    /// row in the combined trace.
+    pub(crate) fn build(
+        blocks: Vec<M>,
+        masks: &[Mask],
+        opt: Optimizer,
+        cfg: PipelineConfig,
+        data: Option<(Vec<Endpoint>, Arc<FaultController>)>,
+    ) -> RankGroup<M> {
+        let (g_inter, g_data, ranks) = (cfg.g_inter, cfg.g_data, blocks.len());
+        assert_eq!(ranks, g_inter * g_data, "one block per rank of the grid");
+        let in_process = |meshes: usize, world: usize| {
+            let faults: Vec<_> = (0..meshes).map(|_| Arc::new(FaultController::new())).collect();
+            let mesh = |f: &Arc<_>| Endpoint::mesh_with_faults(world, Arc::clone(f)).into_iter().map(Some).collect();
+            let ends: Vec<Vec<_>> = faults.iter().map(mesh).collect();
+            (faults, ends)
+        };
+        // Rank (s, d) takes endpoint [d] of stage s's data mesh and
+        // endpoint [s] of replica d's pipeline mesh.
+        let (data_faults, mut data_ends) = match data {
+            Some((ends, faults)) => (vec![faults], vec![ends.into_iter().map(Some).collect()]),
+            None => in_process(g_inter, g_data),
+        };
+        let (pipe_faults, mut pipe_ends) = in_process(if g_inter > 1 { g_data } else { 0 }, g_inter);
+        static NEXT_LANE: AtomicU64 = AtomicU64::new(0);
+        let lane_base = NEXT_LANE.fetch_add(ranks as u64, Ordering::Relaxed);
         let mut group = RankGroup {
-            cmd: Vec::with_capacity(ranks.len()),
-            resp: Vec::with_capacity(ranks.len()),
-            handles: Vec::with_capacity(ranks.len()),
+            cmd: Vec::with_capacity(ranks),
+            resp: Vec::with_capacity(ranks),
+            handles: Vec::with_capacity(ranks),
             g_inter,
+            g_data,
             meta: trainer_meta(&LossScaler::default(), 0, 0),
             numel: 0,
             nnz: 0,
+            pipe_faults,
+            data_faults,
         };
-        for (i, (name, rank)) in ranks.into_iter().enumerate() {
-            if i < g_inter {
+        let mut param_off = 0;
+        for (i, block) in blocks.into_iter().enumerate() {
+            let (s, d) = (i % g_inter, i / g_inter);
+            let comm = |t: Option<Endpoint>| {
+                let t = t.expect("one endpoint per rank and mesh");
+                Communicator::new(t).with_timeout(cfg.timeout).with_trace_lane(lane_base + i as u64)
+            };
+            let links = (comm(data_ends[s][d].take()), pipe_ends.get_mut(d).map(|e| comm(e[s].take())));
+            if s == 0 {
+                param_off = 0;
+            }
+            let n = block.params().len();
+            let stage_masks = masks.get(param_off..param_off + n).expect("one mask per parameter");
+            let params = (param_off, masks.len());
+            let rank = StageRank::build(block, stage_masks, params, opt.clone(), cfg.clone(), (s, d), links);
+            param_off += n;
+            if d == 0 {
                 // The stages of replica 0 make up one whole model.
                 group.numel += rank.engine.numel();
                 group.nnz += rank.engine.nnz();
@@ -207,7 +270,7 @@ impl<M: Layer + Send + 'static> RankGroup<M> {
             let run = move || rank_loop(rank, crx, rtx);
             group.handles.push(
                 std::thread::Builder::new()
-                    .name(name)
+                    .name(format!("samo-rank-s{s}d{d}"))
                     .spawn(run)
                     .expect("spawn rank thread"),
             );
@@ -217,8 +280,7 @@ impl<M: Layer + Send + 'static> RankGroup<M> {
         group
     }
 
-    /// Names rank `i` in error messages by its place: a data-parallel
-    /// rank is stage 0 of its replica.
+    /// Names rank `i` in error messages by its place.
     fn label(&self, i: usize) -> String {
         format!("stage {} (data {})", i % self.g_inter, i / self.g_inter)
     }
@@ -256,25 +318,84 @@ impl<M: Layer + Send + 'static> RankGroup<M> {
         Ok(outcomes)
     }
 
-    /// One training step on every rank; `Err` if any rank's collective
-    /// failed (the group then needs [`Self::restore`]). With telemetry
-    /// on, the ranks' step events become the `mesh_metrics` line of step
-    /// `index`.
-    pub fn step(&mut self, job: StepCall<M>, index: u32) -> Result<bool, String> {
+    /// Runs `job` as one training step on every rank; `Err` if any rank's
+    /// collective failed (the group then needs [`Self::restore`]). With
+    /// telemetry on, the ranks' step events become the `mesh_metrics` line
+    /// of the step, numbered as the ranks' engines number it.
+    fn run_step(&mut self, job: StepCall<M>) -> Result<bool, String> {
+        let index = self.meta.steps_taken + self.meta.steps_skipped;
         let outcomes = self.run(|| Cmd::Step(Arc::clone(&job)))?;
         let events: Option<Vec<&StepEvent>> = outcomes.iter().map(|o| o.event.as_ref()).collect();
         if let Some(events) = events {
-            telemetry::jsonl::emit_line(&mesh_metrics(index, &events));
+            telemetry::jsonl::emit_line(&mesh_metrics(index as u32, &events));
         }
         Ok(outcomes[0].applied)
     }
 
-    /// Restores a checkpoint on every rank and re-synchronizes the
-    /// group (fresh comms epochs + barriers). This is the recovery path
-    /// after a failed step: heal the faulted links first, then restore.
+    /// Runs one pipelined training step. `input(data_idx, mb)` feeds
+    /// stage 0; `loss_grad(data_idx, mb, y, scale)` turns the last
+    /// stage's output into the scaled backward seed. Returns `Ok(true)`
+    /// if applied, `Ok(false)` if skipped on overflow, `Err` if any
+    /// rank failed (the group then needs [`Self::restore`]).
+    pub fn step(
+        &mut self,
+        input: impl Fn(usize, usize) -> Tensor + Send + Sync + 'static,
+        loss_grad: impl Fn(usize, usize, &Tensor, f32) -> Tensor + Send + Sync + 'static,
+    ) -> Result<bool, String> {
+        self.run_step(Arc::new(move |rank: &mut StageRank<M>| rank.run(&Job::Split(&input, &loss_grad))))
+    }
+
+    /// Restores a checkpoint written by any runtime at any grid point on
+    /// every rank and re-synchronizes the group (fresh epochs on every
+    /// mesh + barriers). This is the recovery path after a failed step:
+    /// heal the faulted links first, then restore.
     pub fn restore(&mut self, checkpoint: &[u8]) -> Result<(), String> {
         let ck: Arc<[u8]> = checkpoint.into();
         self.run(|| Cmd::Restore(Arc::clone(&ck))).map(|_| ())
+    }
+
+    /// Number of rank threads, `g_inter · g_data`.
+    pub fn world_size(&self) -> usize {
+        self.cmd.len()
+    }
+
+    /// Current loss scale (multiply the loss before backward — the step
+    /// and loss-gradient closures receive it).
+    pub fn loss_scale(&self) -> f32 {
+        self.meta.loss_scale
+    }
+
+    /// Applied steps.
+    pub fn steps_taken(&self) -> u64 {
+        self.meta.steps_taken
+    }
+
+    /// Steps skipped on gradient overflow (every rank skips together).
+    pub fn steps_skipped(&self) -> u64 {
+        self.meta.steps_skipped
+    }
+
+    /// Total parameters φ (per replica).
+    pub fn numel(&self) -> usize {
+        self.numel
+    }
+
+    /// Unpruned parameters fφ (per replica).
+    pub fn nnz(&self) -> usize {
+        self.nnz
+    }
+
+    /// Fault injection handles, one per data replica's pipeline mesh
+    /// (index = `data_idx`; ranks within it are stage indices). Empty at
+    /// one stage.
+    pub fn pipe_faults(&self) -> &[Arc<FaultController>] {
+        &self.pipe_faults
+    }
+
+    /// Fault injection handles, one per stage's data mesh (index =
+    /// `stage`; ranks within it are data indices).
+    pub fn data_faults(&self) -> &[Arc<FaultController>] {
+        &self.data_faults
     }
 
     /// Replaces the loss scaler on every rank (and the mirror).
@@ -283,9 +404,30 @@ impl<M: Layer + Send + 'static> RankGroup<M> {
         self.each(move |rank| rank.engine.scaler = scaler.clone());
     }
 
-    /// Installs a dynamic-sparsity schedule on every rank.
+    /// Installs a dynamic-sparsity [`MaskSchedule`] on every rank. Masks
+    /// are per layer, so an update step's remap stays inside each stage's
+    /// data group: its Bs log the products (the grow score streams from
+    /// them), and the epilogue remaps, runs them at the new index,
+    /// compresses and reduces on a fresh epoch of the stage's data mesh —
+    /// the ranks recompute the masks from identical reduced bits, with no
+    /// broadcast, and the trajectory stays bitwise identical to a
+    /// [`crate::SamoTrainer`] driven by the same schedule.
+    // TEST-API: `dynamic_sparsity`, `pipeline_threaded` and `pipeline_jitter` train a group with dynamic sparsity.
     pub fn set_mask_schedule(&mut self, schedule: MaskSchedule) {
         self.each(move |rank| rank.set_mask_schedule(schedule.clone()));
+    }
+
+    /// Per-rank scheduler statistics in rank order
+    /// (`data_idx · g_inter + stage`).
+    pub fn stage_stats(&self) -> Vec<StageStats> {
+        self.each(|rank| rank.stats())
+    }
+
+    /// The runtime each rank's steps report as (a step record's
+    /// `runtime`), in rank order: the grid names it, not the constructor.
+    // TEST-API: `pipeline_threaded` checks that both constructors' 1×G groups report as one runtime.
+    pub fn runtimes(&self) -> Vec<String> {
+        self.each(|rank| rank.engine.step_event().runtime)
     }
 
     /// Posts `f` to rank `i`'s thread; its reply comes on the receiver.
@@ -299,7 +441,7 @@ impl<M: Layer + Send + 'static> RankGroup<M> {
 
     /// Runs `f` on every rank's thread, all at once, and returns the
     /// replies in rank order.
-    pub fn each<R: Send + 'static>(&self, f: impl Fn(&mut StageRank<M>) -> R + Clone + Send + 'static) -> Vec<R> {
+    fn each<R: Send + 'static>(&self, f: impl Fn(&mut StageRank<M>) -> R + Clone + Send + 'static) -> Vec<R> {
         let replies: Vec<_> = (0..self.cmd.len()).map(|i| self.post(i, f.clone())).collect();
         replies.iter().map(|rx| rx.recv().expect("rank thread died")).collect()
     }
@@ -309,7 +451,7 @@ impl<M: Layer + Send + 'static> RankGroup<M> {
     /// ranks that hold it and the stages' layers concatenated in model
     /// order, so the bytes equal what a single-process
     /// [`crate::SamoTrainer`] in the same state saves — a checkpoint
-    /// written at one world size restores into any other. Only what the
+    /// written at one grid point restores into any other. Only what the
     /// checkpoint carries is copied off the rank threads (`14 B` per
     /// kept value in all): no dense `θ16`, no index. A group whose step
     /// failed has no consistent state to save (its rings kept `∇θ16`):
@@ -320,11 +462,10 @@ impl<M: Layer + Send + 'static> RankGroup<M> {
             let owned = layers.map(|l| (l.mask().clone(), l.owned_range().into_owned()));
             owned.collect::<Vec<_>>().into_iter()
         });
-        let g_data = ranks.len() / self.g_inter;
         let mut layers = Vec::new();
         for stage in 0..self.g_inter {
             while let Some((mask, first)) = ranks[stage].next() {
-                let rest = (1..g_data).map(|d| ranks[d * self.g_inter + stage].next());
+                let rest = (1..self.g_data).map(|d| ranks[d * self.g_inter + stage].next());
                 let rest = rest.map(|l| l.expect("every replica holds the same layers").1);
                 layers.push((mask, std::iter::once(first).chain(rest).collect()));
             }
@@ -332,16 +473,22 @@ impl<M: Layer + Send + 'static> RankGroup<M> {
         save_ranges(&layers, &self.meta)
     }
 
-    /// Runs `f` on rank `i`'s thread with exclusive access to its model
-    /// and layer states, and returns the result — the inspection hook
-    /// tests use to compare bits across runtimes. The model's `value`s
-    /// are current for the call (the widened `θ16`, released again after
-    /// it): a step closure sees the training form instead.
-    pub fn with_rank<R, F>(&self, i: usize, f: F) -> R
+    /// Runs `f` on rank `(stage, data_idx)`'s thread with exclusive access
+    /// to its block and layer states, and returns the result — the
+    /// inspection hook tests use to compare bits across runtimes. The
+    /// block's `value`s are current for the call (the widened `θ16`, a
+    /// transient `4φ` bytes, released again after it): a step closure
+    /// sees the training form instead. Panics on a place outside the grid.
+    pub fn with_rank<R, F>(&self, stage: usize, data_idx: usize, f: F) -> R
     where
         R: Send + 'static,
         F: FnOnce(&mut M, &[SamoLayerState]) -> R + Send + 'static,
     {
+        let (g_inter, g_data) = (self.g_inter, self.g_data);
+        assert!(
+            stage < g_inter && data_idx < g_data,
+            "no rank at stage {stage} (data {data_idx}) of a {g_inter}×{g_data} grid"
+        );
         let inspect = move |rank: &mut StageRank<M>| {
             let (model, engine) = (&mut rank.block, &mut rank.engine);
             // `value`s current for the closure: widened from θ16, which
@@ -353,7 +500,8 @@ impl<M: Layer + Send + 'static> RankGroup<M> {
             model.for_each_param_mut(&mut |p| p.release_value());
             out
         };
-        self.post(i, inspect).recv().expect("rank thread died during inspect")
+        let rank = data_idx * g_inter + stage;
+        self.post(rank, inspect).recv().expect("rank thread died during inspect")
     }
 }
 
@@ -407,21 +555,28 @@ impl<M> Drop for RankGroup<M> {
     }
 }
 
-/// The one data-parallel rank: the grid's rank at one stage and one
-/// microbatch — its replica and the sharded [`crate::engine::StepEngine`]
-/// training it.
-/// [`ThreadedDataParallelSamo`] runs one per rank thread; `samo-launch`
-/// runs one per process, over the endpoint of [`comms::bootstrap_tcp`].
-/// `new`, `step`, `save` and `restore` are [`StageRank`]'s.
-pub type DataParallelRank<M> = StageRank<M>;
-
-/// A data-parallel SAMO group where every rank is a real OS thread and
-/// gradients move through the `comms` ring reduce-scatter. Drop-in peer of
+/// The 1×G point of the grid over whole replicas of any model: a
+/// [`RankGroup`] of one-stage ranks, each stepped by one closure, whose
+/// gradients move through the `comms` ring reduce-scatter. It derefs to
+/// its group for everything but the members below. Drop-in peer of
 /// [`crate::reference::DataParallelSamo`] (same step semantics, same bits).
 pub struct ThreadedDataParallelSamo<M: Layer + Send + 'static> {
     group: RankGroup<M>,
-    faults: Arc<FaultController>,
     allreduce_bytes: u64,
+}
+
+impl<M: Layer + Send + 'static> Deref for ThreadedDataParallelSamo<M> {
+    type Target = RankGroup<M>;
+
+    fn deref(&self) -> &RankGroup<M> {
+        &self.group
+    }
+}
+
+impl<M: Layer + Send + 'static> DerefMut for ThreadedDataParallelSamo<M> {
+    fn deref_mut(&mut self) -> &mut RankGroup<M> {
+        &mut self.group
+    }
 }
 
 impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
@@ -439,17 +594,15 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
         opt: Optimizer,
         timeout: Duration,
     ) -> ThreadedDataParallelSamo<M> {
-        let faults = Arc::new(FaultController::new());
-        let mesh = Endpoint::mesh_with_faults(replicas.len(), Arc::clone(&faults));
-        Self::with_transports(replicas, masks, opt, timeout, mesh, faults)
+        Self::over(replicas, &masks, opt, timeout, None)
     }
 
     /// Builds the group over caller-supplied endpoints — the same rank
     /// threads and collectives over whatever wire they were built on
     /// (e.g. loopback [`Endpoint::local_mesh`] sockets, proving the
     /// runtime is wire-agnostic bit for bit). `transports[r]` must
-    /// report rank `r`; `faults` should be the controller those
-    /// endpoints were built with so [`Self::faults`] still steers them.
+    /// report rank `r`, and `faults` must be the controller those
+    /// endpoints were built with, so that [`Self::faults`] steers them.
     pub fn with_transports(
         replicas: Vec<M>,
         masks: Vec<Mask>,
@@ -458,58 +611,32 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
         transports: Vec<Endpoint>,
         faults: Arc<FaultController>,
     ) -> ThreadedDataParallelSamo<M> {
-        assert_eq!(
-            transports.len(),
-            replicas.len(),
-            "one transport endpoint per replica"
-        );
-        assert_replicas_agree(&replicas);
-        let workers = replicas
-            .into_iter()
-            .zip(transports)
-            .enumerate()
-            .map(|(rank, (model, t))| {
-                assert_eq!(
-                    t.rank(),
-                    rank,
-                    "transport endpoints must arrive in rank order"
-                );
-                let comm = Communicator::new(t).with_timeout(timeout);
-                let rk = DataParallelRank::new(model, &masks, opt.clone(), comm);
-                (format!("samo-dp-rank{rank}"), rk)
-            })
-            .collect();
-        ThreadedDataParallelSamo {
-            group: RankGroup::spawn(workers, 1),
-            faults,
-            allreduce_bytes: 0,
+        assert_eq!(transports.len(), replicas.len(), "one transport endpoint per replica");
+        for (r, t) in transports.iter().enumerate() {
+            assert_eq!(t.rank(), r, "transport endpoints must arrive in rank order");
+            let foreign = "`faults` must be the controller the endpoints were built with";
+            assert!(Arc::ptr_eq(&faults, t.faults()), "rank {r}: {foreign}");
         }
+        Self::over(replicas, &masks, opt, timeout, Some((transports, faults)))
     }
 
-    /// Number of rank threads.
-    pub fn world_size(&self) -> usize {
-        self.group.cmd.len()
+    /// The 1×G grid of `replicas` over `data`'s endpoints, or in process.
+    fn over(
+        replicas: Vec<M>,
+        masks: &[Mask],
+        opt: Optimizer,
+        timeout: Duration,
+        data: Option<(Vec<Endpoint>, Arc<FaultController>)>,
+    ) -> ThreadedDataParallelSamo<M> {
+        assert_replicas_agree(&replicas);
+        let cfg = PipelineConfig { g_data: replicas.len(), timeout, ..PipelineConfig::new(1, 1, 0) };
+        let group = RankGroup::build(replicas, masks, opt, cfg, data);
+        ThreadedDataParallelSamo { group, allreduce_bytes: 0 }
     }
 
     /// Fault injection handle for every link of the mesh.
     pub fn faults(&self) -> &Arc<FaultController> {
-        &self.faults
-    }
-
-    /// Current loss scale (multiply the loss before backward — the
-    /// step closure receives it as its third argument).
-    pub fn loss_scale(&self) -> f32 {
-        self.group.meta.loss_scale
-    }
-
-    /// Applied steps.
-    pub fn steps_taken(&self) -> u64 {
-        self.group.meta.steps_taken
-    }
-
-    /// Steps skipped on gradient overflow (every rank skips together).
-    pub fn steps_skipped(&self) -> u64 {
-        self.group.meta.steps_skipped
+        &self.group.data_faults[0]
     }
 
     /// Cumulative modeled ring all-reduce bytes, same formula as
@@ -518,68 +645,25 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
         self.allreduce_bytes
     }
 
-    /// Total parameters φ (per replica).
-    pub fn numel(&self) -> usize {
-        self.group.numel
-    }
-
-    /// Unpruned parameters fφ (per replica).
-    pub fn nnz(&self) -> usize {
-        self.group.nnz
-    }
-
-    /// Replaces the loss scaler on every rank (and the mirror).
-    pub fn set_scaler(&mut self, scaler: LossScaler) {
-        self.group.set_scaler(scaler);
-    }
-
-    /// Installs a dynamic-sparsity [`MaskSchedule`] on every rank. At
-    /// each schedule update step the ranks recompute the masks from
-    /// identical reduced bits (no broadcast needed), migrate the
-    /// sharded compressed state, and renegotiate the compressed-
-    /// gradient bucket layout on a fresh comms epoch — the trajectory
-    /// stays bitwise identical to a [`crate::SamoTrainer`] driven by
-    /// the same schedule on replicated data.
-    pub fn set_mask_schedule(&mut self, schedule: MaskSchedule) {
-        self.group.set_mask_schedule(schedule);
-    }
-
     /// Runs one concurrent training step: every rank thread executes
     /// `f(rank, model, loss_scale)` (forward + scaled backward seed), B,
     /// then W with each bucket's ring reduce-scatter started inside it,
     /// the fused step on the owned range, and the parameter all-gathers,
     /// each started as its bucket's last pass ends. Returns `Ok(true)` if applied, `Ok(false)` if
     /// skipped on overflow, and `Err` if any rank's collective failed
-    /// (the group then needs [`Self::restore`]).
+    /// (the group then needs [`RankGroup::restore`]).
     pub fn step(
         &mut self,
         f: impl Fn(usize, &mut M, f32) -> Tensor + Send + Sync + 'static,
     ) -> Result<bool, String> {
-        let index = self.group.meta.steps_taken + self.group.meta.steps_skipped;
-        let f: StepFn<M> = Arc::new(f);
-        let job = move |rank: &mut StageRank<M>| rank.step(&*f);
-        let applied = self.group.step(Arc::new(job), index as u32)?;
-        self.allreduce_bytes +=
-            samo_ring_allreduce_bytes(self.group.nnz as u64, self.world_size() as u64);
+        let applied = self.group.run_step(Arc::new(move |rank: &mut StageRank<M>| rank.step(&f)))?;
+        self.allreduce_bytes += samo_ring_allreduce_bytes(self.nnz() as u64, self.world_size() as u64);
         Ok(applied)
-    }
-
-    /// Serializes the group as one rank-count-independent v2 checkpoint
-    /// (same format as [`crate::reference::DataParallelSamo::save`]).
-    pub fn save(&mut self) -> bytes::Bytes {
-        self.group.save()
-    }
-
-    /// Restores a checkpoint on every rank and re-synchronizes the
-    /// group (fresh comms epoch + barrier). This is the recovery path
-    /// after a failed step: heal the faulted links first, then restore.
-    pub fn restore(&mut self, checkpoint: &[u8]) -> Result<(), String> {
-        self.group.restore(checkpoint)
     }
 
     /// Per-rank transport statistics (wire bytes, modeled ring bytes,
     /// fault-dropped messages), in rank order.
-    pub fn comm_stats(&mut self) -> Vec<CommStats> {
+    pub fn comm_stats(&self) -> Vec<CommStats> {
         self.group.each(|rank| {
             let comm = rank.engine.comm();
             CommStats {
@@ -590,24 +674,21 @@ impl<M: Layer + Send + 'static> ThreadedDataParallelSamo<M> {
         })
     }
 
-    /// Runs `f` on rank `rank`'s thread with exclusive access to its
-    /// replica and sharded states, and returns the result — the
-    /// inspection hook tests use to compare bits across runtimes. For the
-    /// call the replica's `value`s are the widened `θ16` (a transient
-    /// `4φ` bytes); inside a step closure the weights hold none.
-    pub fn with_rank<R, F>(&mut self, rank: usize, f: F) -> R
+    /// Runs `f` on rank `rank`'s thread: [`RankGroup::with_rank`] at its
+    /// one stage.
+    pub fn with_rank<R, F>(&self, rank: usize, f: F) -> R
     where
         R: Send + 'static,
         F: FnOnce(&mut M, &[SamoLayerState]) -> R + Send + 'static,
     {
-        self.group.with_rank(rank, f)
+        self.group.with_rank(0, rank, f)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{Job, PipelineConfig, ThreadedPipelineSamo};
+    use crate::pipeline::ThreadedPipelineSamo;
     use nn::layer::Sequential;
     use nn::linear::Linear;
     use nn::loss::mse;
@@ -725,8 +806,8 @@ mod tests {
                 loss_grad(&m.forward(&Tensor::randn(&[4, WIDTH], 1.0, 3)), scale)
             })
         });
-        for step in 0..2 {
-            dp.group.step(Arc::clone(&job), step).expect("healthy mesh");
+        for _ in 0..2 {
+            dp.run_step(Arc::clone(&job)).expect("healthy mesh");
             let splits = assert_windows_match_dur(&rulers, 3);
             assert!(splits.iter().all(|s| s.ns(Phase::F) >= DELAY.as_nanos() as u64));
         }
@@ -739,13 +820,11 @@ mod tests {
         let cfg = PipelineConfig { g_data: 2, ..PipelineConfig::new(2, 4, 4) };
         let mut pp = ThreadedPipelineSamo::new(vec![model(), model()], masks, adam(), cfg);
         let rulers = Rulers::default();
-        for step in 0..2 {
+        for _ in 0..2 {
             let input = |_: usize, mb: usize| Tensor::randn(&[4, WIDTH], 1.0, mb as u64);
             let seed = |_: usize, _: usize, y: &Tensor, scale: f32| loss_grad(y, scale);
-            let job = timed(&rulers, move |rank: &mut StageRank<Sequential>| {
-                rank.run(&Job::Split(&input, &seed), step)
-            });
-            pp.group.step(job, step).expect("healthy pipeline");
+            let job = timed(&rulers, move |rank: &mut StageRank<Sequential>| rank.run(&Job::Split(&input, &seed)));
+            pp.run_step(job).expect("healthy pipeline");
             for s in assert_windows_match_dur(&rulers, 4) {
                 assert!(s.ns(Phase::F) >= 4 * DELAY.as_nanos() as u64, "{s:?}");
                 assert!(s.ns(Phase::Wait) > 0, "a stage of two waits: {s:?}");

@@ -28,7 +28,7 @@ impl StepEngine {
     }
 
     /// Installs a dynamic-sparsity schedule, as a rank does
-    /// ([`crate::DataParallelRank::set_mask_schedule`]). Refused if it
+    /// ([`crate::StageRank::set_mask_schedule`]). Refused if it
     /// fires at the next step while the kept sums are lent for that
     /// step's backward: the gradient its grow score ranks at every
     /// position would never be logged. A schedule installed before the

@@ -1,5 +1,5 @@
 //! The data-parallel rank over real TCP sockets — one
-//! [`DataParallelRank`] per process in `samo-launch`, one per thread here
+//! [`StageRank`] per process in `samo-launch`, one per thread here
 //! — is **bitwise interchangeable** with the single-process
 //! [`samo::SamoTrainer`] and with the thread group: replicated ranks
 //! feeding identical batches through the framed-TCP reduce-scatter save
@@ -23,7 +23,8 @@ use nn::loss::mse;
 use nn::mixed::Optimizer;
 use nn::optim::AdamConfig;
 use prune::Mask;
-use samo::threaded::{DataParallelRank, ThreadedDataParallelSamo};
+use samo::threaded::ThreadedDataParallelSamo;
+use samo::StageRank;
 use samo::SamoTrainer;
 use std::sync::Arc;
 use std::time::Duration;
@@ -33,7 +34,7 @@ const IN: usize = 6;
 const OUT: usize = 4;
 const BATCH: usize = 5;
 
-type TcpRank = DataParallelRank<Sequential>;
+type TcpRank = StageRank<Sequential>;
 
 fn build_model(seed: u64) -> Sequential {
     Sequential::new()
@@ -112,7 +113,7 @@ fn over_tcp<R: Send>(world: usize, seed: u64, body: impl Fn(&mut TcpRank) -> R +
                     let comm = Communicator::new(t).with_timeout(Duration::from_secs(10));
                     let model = build_model(seed);
                     let masks = masks_for(&model, seed + 100);
-                    body(&mut DataParallelRank::new(model, &masks, adam(), comm))
+                    body(&mut StageRank::new(model, &masks, adam(), comm))
                 })
             })
             .collect();
@@ -273,7 +274,7 @@ fn dead_peer_errors_then_new_generation_restore_replays_bitwise() {
                         comm.adopt_epoch(info.epoch);
                         let model = build_model(71);
                         let masks = masks_for(&model, 171);
-                        DataParallelRank::new(model, &masks, adam(), comm)
+                        StageRank::new(model, &masks, adam(), comm)
                     };
                     // Generation 0: assemble, train, checkpoint.
                     let mut dp = Some(join(0, 0));
@@ -385,7 +386,7 @@ fn a_step_sends_one_message_per_bucket_and_phase() {
                     s.spawn(move || {
                         let (model, masks) = bench_model(dims);
                         let comm = Communicator::new(t).with_timeout(Duration::from_secs(20));
-                        let mut dp = DataParallelRank::new(model, &masks, adam(), comm);
+                        let mut dp = StageRank::new(model, &masks, adam(), comm);
                         (0..3u64)
                             .map(|step| {
                                 let before = dp.comm_mut().transport().msgs_sent();

@@ -4,7 +4,7 @@
 //! single-process [`samo::SamoTrainer`], the thread-per-rank
 //! [`ThreadedDataParallelSamo`] over the in-process mesh, the same
 //! runtime over loopback-TCP endpoints, and its rank run one per process
-//! ([`DataParallelRank`], the `samo-launch` path) — replicated
+//! ([`StageRank`], the `samo-launch` path) — replicated
 //! data parallelism, so the ring-reduced grow score equals the local
 //! one bit for bit and every runtime computes the same masks without a
 //! broadcast.
@@ -16,7 +16,8 @@ use nn::loss::mse;
 use nn::mixed::Optimizer;
 use nn::optim::AdamConfig;
 use prune::{MaskSchedule, MomentumPruneRegrow};
-use samo::threaded::{DataParallelRank, ThreadedDataParallelSamo};
+use samo::threaded::ThreadedDataParallelSamo;
+use samo::StageRank;
 use samo::SamoTrainer;
 use std::sync::Arc;
 use std::time::Duration;
@@ -204,7 +205,7 @@ fn threaded_tcp_matches_single_process_across_remaps() {
     }
 }
 
-/// The `samo-launch` rank: one [`DataParallelRank`] per rank thread over
+/// The `samo-launch` rank: one [`StageRank`] per rank thread over
 /// real TCP sockets, each installing the same schedule. Epoch
 /// renegotiation runs in lockstep on every mask change, shards migrate
 /// through the remap's gather, and each rank's per-step collective save
@@ -223,7 +224,7 @@ fn dist_tcp_matches_single_process_across_remaps() {
                     let comm = Communicator::new(t).with_timeout(Duration::from_secs(10));
                     let model = build_model(91);
                     let masks = masks_for(&model);
-                    let mut dp = DataParallelRank::new(model, &masks, adam(), comm);
+                    let mut dp = StageRank::new(model, &masks, adam(), comm);
                     dp.set_mask_schedule(schedule());
                     let mut ckpts = Vec::with_capacity(STEPS);
                     for step in 0..STEPS {

@@ -10,7 +10,7 @@ use nn::optim::AdamConfig;
 use samo::pipeline::{PipelineConfig, ThreadedPipelineSamo};
 use samo::reference::{dense_formula_state_bytes, DataParallelSamo, DenseMaskedTrainer};
 use samo::trainer::{formula_state_bytes, SamoTrainer};
-use samo::{DataParallelRank, ThreadedDataParallelSamo};
+use samo::{StageRank, ThreadedDataParallelSamo};
 use telemetry::json::Json;
 use telemetry::ledger::Phase;
 use tensor::Tensor;
@@ -141,7 +141,7 @@ fn every_runtime_records_counters_ledgers_and_the_one_step_schema() {
             s.spawn(move || {
                 let (model, mask) = linear_and_mask();
                 let comm = comms::Communicator::new(t);
-                let mut rank = DataParallelRank::new(model, &[mask], adam(), comm);
+                let mut rank = StageRank::new(model, &[mask], adam(), comm);
                 for _ in 0..steps {
                     rank.step(|_, m, scale| fwd_bwd(m, x, target, scale)).expect("healthy mesh");
                 }

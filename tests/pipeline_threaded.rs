@@ -432,7 +432,8 @@ fn restore_rejects_a_checkpoint_with_more_layers_than_the_model() {
 /// and the sequential `DataParallelSamo` oracle save the same bytes after
 /// every step at worlds 1–4, each replica on its own batch, through the
 /// mask updates of a prune-and-regrow schedule, which the oracle ranks on
-/// its own mean of the replicas' gradients.
+/// its own mean of the replicas' gradients; both threaded groups report
+/// their steps as the one data-parallel runtime, `samo_dp_rank`.
 #[test]
 fn a_one_stage_pipeline_is_the_data_parallel_runtime_bitwise() {
     // Mask updates at t = 1, 4 and 7.
@@ -448,6 +449,8 @@ fn a_one_stage_pipeline_is_the_data_parallel_runtime_bitwise() {
         let mut pp = ThreadedPipelineSamo::new(replicas(), masks(), adam(), one_mb);
         let mut dp = ThreadedDataParallelSamo::new(replicas(), masks(), adam());
         let mut oracle = DataParallelSamo::new(replicas(), masks(), adam());
+        assert_eq!(pp.runtimes(), vec!["samo_dp_rank"; world], "world {world}: pipeline");
+        assert_eq!(dp.runtimes(), pp.runtimes(), "world {world}: data-parallel vs pipeline");
         pp.set_scaler(LossScaler::new(1024.0));
         dp.set_scaler(LossScaler::new(1024.0));
         oracle.set_scaler(LossScaler::new(1024.0));
