@@ -20,8 +20,9 @@
 //!   the f64 partial sums (hops `≥ 1`, which only exist at `G > 2`); after
 //!   the last hop it owns the full exact sum of segment `r` of every part
 //!   — the range `samo::state` shards each layer by — divides by `G`, and
-//!   rounds once to f16. The rest of each completed part still holds the
-//!   rank's own inputs.
+//!   rounds once to f16. Each hop's arithmetic is one call of
+//!   `tensor::simd::ring_hop_tier` per part's segment. The rest of each
+//!   completed part still holds the rank's own inputs.
 //! * **All-gather** (`G−1` hops, f16 payloads): contributions rotate
 //!   around the ring until every rank holds all of them, a bucket's parts
 //!   again one message per hop. It splits in two like a ring:
@@ -60,7 +61,6 @@
 //! already working on the next bucket or the next step — are stashed
 //! until this rank catches up, never misrouted.
 
-use crate::reference::f16_mean_from_exact_sum;
 use crate::transport::{Endpoint, Kind, Message, Payload, Tag, Transport};
 use crate::{ring_allreduce_model_bytes, segment_bounds, CommsError};
 use std::collections::HashMap;
@@ -68,7 +68,8 @@ use std::time::{Duration, Instant};
 use telemetry::clock::now_us;
 use telemetry::json::Json;
 use telemetry::trace::{self, lane};
-use tensor::f16::{to_f32_table, F16};
+use tensor::f16::F16;
+use tensor::simd::{self, HopIn, HopOut};
 
 /// Default per-collective deadline. Generous for healthy in-process
 /// meshes; tests with injected faults shrink it.
@@ -776,12 +777,10 @@ impl<T: Transport> Communicator<T> {
                 c.model_allreduce_bytes += ring_allreduce_model_bytes(part.len() as u64, g as u64, 2);
             }
             if g == 1 {
-                // Mean over one rank still goes through the shared rounding
+                // Mean over one rank still goes through the hop's rounding
                 // so G=1 matches the oracle bit-for-bit.
                 for part in &mut parts {
-                    for v in part.iter_mut() {
-                        *v = f16_mean_from_exact_sum(f64::from(v.to_f32()), 1.0);
-                    }
+                    simd::ring_hop_tier(simd::active(), HopIn::Nothing, part, HopOut::Mean(1));
                 }
                 c.completed.push((id, parts));
                 return Ok(id);
@@ -941,51 +940,32 @@ impl<T: Transport> Communicator<T> {
                 let (lo, hi) = segs[seg];
                 &mut part[lo..hi]
             });
-            let table = to_f32_table();
-            let widen = |x: &F16| f64::from(table[x.0 as usize]);
-            let w = g as f64;
             let last = step == g - 2;
             // Hop 0 carries the sender's own f16 values, later hops f64
             // partial sums. The last hop leaves this rank the exact sum of
-            // its segment; a hop that is both (G = 2) never materialises
-            // the partials.
-            let partial = match msg.payload {
+            // its segment, and means it; a hop that is both (G = 2) never
+            // materialises the partials.
+            let (first, mut partial) = match msg.payload {
                 Payload::F16(first) if step == 0 && first.len() == want => {
-                    let mut partial = Vec::with_capacity(if last { 0 } else { want });
-                    let mut rest = &first[..];
-                    for own in own {
-                        let (theirs, tail) = rest.split_at(own.len());
-                        rest = tail;
-                        if last {
-                            for (slot, a) in own.iter_mut().zip(theirs) {
-                                *slot = f16_mean_from_exact_sum(widen(a) + widen(slot), w);
-                            }
-                        } else {
-                            partial.extend(theirs.iter().zip(&*own).map(|(a, x)| widen(a) + widen(x)));
-                        }
-                    }
-                    (!last).then_some(partial)
+                    (Some(first), vec![0.0; if last { 0 } else { want }])
                 }
-                Payload::F64(mut partial) if step > 0 && partial.len() == want => {
-                    let mut rest = &mut partial[..];
-                    for own in own {
-                        let (sums, tail) = rest.split_at_mut(own.len());
-                        rest = tail;
-                        for (a, x) in sums.iter_mut().zip(&*own) {
-                            *a += widen(x);
-                        }
-                        if last {
-                            for (slot, &sum) in own.iter_mut().zip(&*sums) {
-                                *slot = f16_mean_from_exact_sum(sum, w);
-                            }
-                        }
-                    }
-                    (!last).then_some(partial)
-                }
+                Payload::F64(partial) if step > 0 && partial.len() == want => (None, partial),
                 _ if step == 0 => return Err(mismatch("f16 values")),
                 _ => return Err(mismatch("f64 partial sums")),
             };
-            outgoing = partial.map(|partial| (step as u32 + 1, Payload::F64(partial)));
+            let mut at = 0;
+            for own in own {
+                let span = at..at + own.len();
+                at = span.end;
+                let (input, out) = match (&first, last) {
+                    (Some(first), true) => (HopIn::Halves(&first[span]), HopOut::Mean(g)),
+                    (Some(first), false) => (HopIn::Halves(&first[span.clone()]), HopOut::Store(&mut partial[span])),
+                    (None, true) => (HopIn::Sums(&partial[span]), HopOut::Mean(g)),
+                    (None, false) => (HopIn::Nothing, HopOut::Add(&mut partial[span])),
+                };
+                simd::ring_hop_tier(simd::active(), input, own, out);
+            }
+            outgoing = (!last).then(|| (step as u32 + 1, Payload::F64(partial)));
             ring.hops_done += 1;
             done = last;
         }

@@ -24,8 +24,9 @@
 //! mantissa without rounding. Exact addition is associative and
 //! commutative, so the ring's per-segment accumulation order and the
 //! oracle's rank-order loop compute the same f64 sum bit-for-bit; one
-//! shared final rounding (`reference::f16_mean_from_exact_sum`) turns it
-//! into the same f16 everywhere. See DESIGN.md §12 for the full
+//! final rounding, the oracle's `reference::f16_mean_from_exact_sum` and
+//! the ring's `tensor::simd::ring_hop_tier` alike, turns it into the same
+//! f16 everywhere. See DESIGN.md §12 for the full
 //! argument, including the non-finite cases.
 //!
 //! # Fault injection

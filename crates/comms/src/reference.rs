@@ -29,13 +29,13 @@ use tensor::f16::F16;
 /// hypothetical 2¹³-rank group fails loudly instead of rounding subtly.
 pub const MAX_EXACT_WORLD: usize = 1 << 12;
 
-/// One shared final rounding from the exact f64 sum to the f16 mean.
-/// Both the oracle and the ring call this — the double rounding
-/// (f64→f32→f16) is part of the contract, not an accident, and NaN is
-/// canonicalized for bitwise reproducibility. The narrowing is the
+/// The final rounding from the exact f64 sum to the f16 mean. The double
+/// rounding (f64→f32→f16) is part of the contract, not an accident, and
+/// NaN is canonicalized for bitwise reproducibility. The narrowing is the
 /// straight-line [`F16::from_f32_fast`], bit-identical to
-/// [`F16::from_f32`] on every f32: the ring finalizes a whole segment
-/// per step through this function.
+/// [`F16::from_f32`] on every f32. The ring rounds a whole segment at a
+/// time in `tensor::simd::ring_hop_tier`, which `tests/hop_kernel.rs`
+/// holds to this function bit for bit on both tiers.
 #[inline]
 pub fn f16_mean_from_exact_sum(sum: f64, world: f64) -> F16 {
     let mean = sum / world;

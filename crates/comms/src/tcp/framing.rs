@@ -86,25 +86,26 @@ pub(crate) fn encode_frame(msg: &Message, delay_us: u32) -> Vec<u8> {
     buf.extend_from_slice(&msg.tag.id.to_le_bytes());
     buf.extend_from_slice(&msg.tag.step.to_le_bytes());
     buf.extend_from_slice(&delay_us.to_le_bytes());
+    let head = buf.len();
+    buf.resize(4 + body_len, 0);
+    let data = &mut buf[head..];
     match &msg.payload {
-        Payload::F16(v) => {
-            for x in v {
-                buf.extend_from_slice(&x.to_bits().to_le_bytes());
-            }
-        }
-        Payload::F32(v) => {
-            for x in v {
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-        Payload::F64(v) => {
-            for x in v {
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-        Payload::Bytes(v) => buf.extend_from_slice(v),
+        Payload::F16(v) => put(data, v, |x| x.to_bits().to_le_bytes()),
+        Payload::F32(v) => put(data, v, |x| x.to_le_bytes()),
+        Payload::F64(v) => put(data, v, |x| x.to_le_bytes()),
+        Payload::Bytes(v) => data.copy_from_slice(v),
     }
     buf
+}
+
+/// Writes `src` into `data` as `N`-byte little-endian elements; `data`
+/// is exactly that long.
+fn put<const N: usize, E: Copy>(data: &mut [u8], src: &[E], to_le: impl Fn(E) -> [u8; N]) {
+    let (chunks, rest) = data.as_chunks_mut::<N>();
+    debug_assert!(rest.is_empty() && chunks.len() == src.len());
+    for (chunk, &x) in chunks.iter_mut().zip(src) {
+        *chunk = to_le(x);
+    }
 }
 
 /// The checked cursor of the decoder: the next `N` bytes of `body`, or
@@ -118,7 +119,7 @@ fn take<const N: usize>(body: &mut &[u8]) -> Result<[u8; N], String> {
 }
 
 /// `data` as `N`-byte little-endian elements; a ragged tail is an error.
-fn elems<const N: usize, E>(data: &[u8], from_le: fn([u8; N]) -> E) -> Result<Vec<E>, String> {
+fn elems<const N: usize, E>(data: &[u8], from_le: impl Fn([u8; N]) -> E) -> Result<Vec<E>, String> {
     let (chunks, rest) = data.as_chunks::<N>();
     if !rest.is_empty() {
         return Err(format!("payload of {} bytes is not whole {N}-byte elements", data.len()));
@@ -368,10 +369,12 @@ mod tests {
             msg(Kind::AllReduce, 1, Payload::F16(vec![
                 F16::from_bits(0x3c00),
                 F16::from_bits(0x8001), // -min subnormal: bit pattern must survive
+                F16::from_bits(0x8000), // -0.0
                 F16::from_bits(0x7e00), // NaN
+                F16::from_bits(0xfd23), // signalling NaN with a payload
             ])),
-            msg(Kind::P2p, 2, Payload::F32(vec![1.5, -0.0, f32::NAN])),
-            msg(Kind::AllGather, 3, Payload::F64(vec![2.0_f64.powi(-40)])),
+            msg(Kind::P2p, 2, Payload::F32(vec![1.5, -0.0, f32::NAN, f32::from_bits(0xffa0_1234)])),
+            msg(Kind::AllGather, 3, Payload::F64(vec![2.0_f64.powi(-40), -0.0, f64::from_bits(0x7ff4_0000_0000_00a5)])),
             msg(Kind::Barrier, 4, Payload::Bytes(vec![0, 255, 7])),
             msg(Kind::Heartbeat, 5, Payload::Bytes(Vec::new())),
         ]
@@ -387,6 +390,15 @@ mod tests {
             assert_eq!((delay, back.tag), (1234, m.tag));
             assert_eq!(std::mem::discriminant(&back.payload), std::mem::discriminant(&m.payload));
             assert_eq!(bits(&back.payload), bits(&m.payload));
+            // The payload is its elements' little-endian bytes, in order,
+            // straight after the 26-byte head.
+            let le: Vec<u8> = match &m.payload {
+                Payload::F16(v) => v.iter().flat_map(|x| x.to_bits().to_le_bytes()).collect(),
+                Payload::F32(v) => v.iter().flat_map(|x| x.to_le_bytes()).collect(),
+                Payload::F64(v) => v.iter().flat_map(|x| x.to_le_bytes()).collect(),
+                Payload::Bytes(v) => v.clone(),
+            };
+            assert_eq!(frame[4 + FRAME_HEADER as usize..], le[..], "{:?}", m.tag.kind);
         }
         for (code, kind) in KINDS.into_iter().enumerate() {
             assert_eq!(kind as usize, code, "a kind's wire code is its discriminant");
@@ -403,10 +415,16 @@ mod tests {
         let mut bad_ptype = good[4..].to_vec();
         bad_ptype[0] = 42;
         assert!(decode_frame(&bad_ptype).is_err());
-        // An f64 payload whose byte count is not a multiple of 8.
-        let mut ragged = encode_frame(&msg(Kind::AllReduce, 0, Payload::F64(vec![1.0])), 0);
-        ragged.truncate(ragged.len() - 3);
-        assert!(decode_frame(&ragged[4..]).is_err());
+        // Payloads whose byte count is not a multiple of the element size.
+        for (payload, cut) in [
+            (Payload::F16(vec![F16::ONE; 3]), 1),
+            (Payload::F32(vec![1.0; 2]), 3),
+            (Payload::F64(vec![1.0]), 3),
+        ] {
+            let mut ragged = encode_frame(&msg(Kind::AllReduce, 0, payload), 0);
+            ragged.truncate(ragged.len() - cut);
+            assert!(decode_frame(&ragged[4..]).is_err(), "ragged by {cut}");
+        }
     }
 
     #[test]

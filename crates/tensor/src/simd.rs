@@ -135,6 +135,87 @@ pub fn narrow_slice_tier(tier: Tier, src: &[f32], dst: &mut [F16]) {
     }
 }
 
+/// What one hop of a ring reduce-scatter adds a rank's own halves to.
+pub enum HopIn<'a> {
+    /// Nothing: the sum is the rank's own half (a world of one, or a
+    /// partial the hop adds to in place).
+    Nothing,
+    /// The predecessor's own halves (hop 0).
+    Halves(&'a [F16]),
+    /// The f64 partial sums the predecessor forwarded (hops `≥ 1`).
+    Sums(&'a [f64]),
+}
+
+/// Where a hop's exact sums go, as [`Kept`] finishes a chain: stored as
+/// the f64 partials the hop forwards, added to partials held in place,
+/// or — on the last hop — averaged over `world` ranks into the rank's own
+/// halves.
+pub enum HopOut<'a> {
+    Store(&'a mut [f64]),
+    Add(&'a mut [f64]),
+    Mean(usize),
+}
+
+/// The arithmetic of one ring reduce-scatter hop over a segment, on an
+/// explicit tier: per position `j`, the f64 sum `input[j] + widen(own[j])`
+/// — every widening [`to_f32_table`]'s, every sum of at most 2¹² halves
+/// exact — finished as `out` says. A mean is `sum / world`, rounded to
+/// f32 and narrowed by [`F16::from_f32_fast`], a NaN mean becoming
+/// [`F16::NAN`]: the bits of `comms::reference::f16_mean_from_exact_sum`.
+///
+/// The AVX2 path runs eight positions at a time, and its lanes are the
+/// scalar loop's bits: `vcvtph2ps` widens every half to the table's entry
+/// but a signalling NaN, which it quiets — as the f64 widening after it
+/// (`vcvtps2pd`, like the scalar `f64::from`) quiets the table's; `vaddpd`
+/// and `vdivpd` are the IEEE sum and quotient — a `vmulpd` by `1 / world`
+/// where `world` is a power of two, whose reciprocal is exact, so the
+/// product is the quotient; `vcvtpd2ps` rounds as `as f32`; and
+/// `vcvtps2ph` rounds every non-NaN f32 to nearest even as
+/// [`F16::from_f32_fast`] does, a NaN lane being first replaced by the
+/// quiet NaN that narrows to [`F16::NAN`].
+///
+/// # Panics
+/// Panics if a slice differs in length from `own`, or a mean is over no
+/// ranks.
+pub fn ring_hop_tier(tier: Tier, input: HopIn<'_>, own: &mut [F16], mut out: HopOut<'_>) {
+    let n = own.len();
+    match &input {
+        HopIn::Nothing => {}
+        HopIn::Halves(h) => assert_eq!(h.len(), n, "ring_hop: halves"),
+        HopIn::Sums(s) => assert_eq!(s.len(), n, "ring_hop: partial sums"),
+    }
+    match &out {
+        HopOut::Store(s) | HopOut::Add(s) => assert_eq!(s.len(), n, "ring_hop: partial sums"),
+        HopOut::Mean(world) => assert!(*world > 0, "ring_hop: a mean over no ranks"),
+    }
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if tier == Tier::Avx2 && detected_avx2() {
+        // SAFETY: AVX2 and F16C presence just checked; every slice is
+        // `own`'s length.
+        done = unsafe { ring_hop_avx2(&input, own, &mut out) };
+    }
+    let _ = tier;
+    let table = to_f32_table();
+    let widen = |x: F16| f64::from(table[x.0 as usize]);
+    for j in done..n {
+        let mine = widen(own[j]);
+        let sum = match input {
+            HopIn::Nothing => mine,
+            HopIn::Halves(h) => widen(h[j]) + mine,
+            HopIn::Sums(s) => s[j] + mine,
+        };
+        match &mut out {
+            HopOut::Store(s) => s[j] = sum,
+            HopOut::Add(s) => s[j] += sum,
+            HopOut::Mean(world) => {
+                let mean = sum / *world as f64;
+                own[j] = if mean.is_nan() { F16::NAN } else { F16::from_f32_fast(mean as f32) };
+            }
+        }
+    }
+}
+
 /// Fused gather → f32-to-f16 narrow → finiteness test:
 /// `out[j] = F16::from_f32_fast(src[idx[j] - base])`, returning `false` if
 /// any produced half is non-finite. This is the inner loop of the fused
@@ -515,7 +596,7 @@ pub fn exp_sub_tier(tier: Tier, row: &mut [f32], max: f32) {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{exp_s, gather_fma_scalar, gelu_grad_s, gelu_s, AdamArrays, AdamLanes, Kept, SplitMut, SweepTargets, F16};
+    use super::{exp_s, gather_fma_scalar, gelu_grad_s, gelu_s, AdamArrays, AdamLanes, HopIn, HopOut, Kept, SplitMut, SweepTargets, F16};
     use super::{EXP_LIMIT, EXP_POLY, GELU_K, GELU_KC, LN2_HI, LN2_LO, LOG2E};
     use std::arch::x86_64::*;
 
@@ -735,6 +816,75 @@ mod avx2 {
         }
     }
 
+    /// The eight halves at `src`, exactly, as f64: lanes 0–3, then 4–7.
+    ///
+    /// # Safety
+    /// Requires AVX2 and F16C; `src` must be readable for eight halves.
+    #[inline]
+    #[target_feature(enable = "avx2,f16c")]
+    unsafe fn widen8_f64(src: *const F16) -> (__m256d, __m256d) {
+        // SAFETY: an unaligned 16-byte load of the eight halves the caller
+        // vouches for.
+        let v = _mm256_cvtph_ps(_mm_loadu_si128(src as *const __m128i));
+        (_mm256_cvtps_pd(_mm256_castps256_ps128(v)), _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v)))
+    }
+
+    /// The leading whole groups of eight positions of
+    /// [`super::ring_hop_tier`], lane for lane: returns how many positions
+    /// that was, and the scalar loop finishes the rest.
+    ///
+    /// # Safety
+    /// Requires AVX2 and F16C; every slice of `input` and `out` is `own`'s
+    /// length.
+    #[target_feature(enable = "avx2,f16c")]
+    pub unsafe fn ring_hop_avx2(input: &HopIn, own: &mut [F16], out: &mut HopOut) -> usize {
+        let n = own.len() / 8 * 8;
+        let op = own.as_mut_ptr();
+        let world = if let HopOut::Mean(world) = *out { world } else { 1 };
+        let w = _mm256_set1_pd(world as f64);
+        let recip = world.is_power_of_two().then(|| _mm256_set1_pd(1.0 / world as f64));
+        let quiet_nan = _mm256_set1_ps(f32::NAN);
+        // SAFETY: every slice is read and written at `i..i + 8` with
+        // `i + 8 <= n <= own.len()`, the length (caller) of them all.
+        for i in (0..n).step_by(8) {
+            let (mine_lo, mine_hi) = widen8_f64(op.add(i));
+            let (lo, hi) = match *input {
+                HopIn::Nothing => (mine_lo, mine_hi),
+                HopIn::Halves(h) => {
+                    let (lo, hi) = widen8_f64(h.as_ptr().add(i));
+                    (_mm256_add_pd(lo, mine_lo), _mm256_add_pd(hi, mine_hi))
+                }
+                HopIn::Sums(s) => {
+                    let p = s.as_ptr().add(i);
+                    (_mm256_add_pd(_mm256_loadu_pd(p), mine_lo), _mm256_add_pd(_mm256_loadu_pd(p.add(4)), mine_hi))
+                }
+            };
+            match out {
+                HopOut::Store(s) => {
+                    let p = s.as_mut_ptr().add(i);
+                    _mm256_storeu_pd(p, lo);
+                    _mm256_storeu_pd(p.add(4), hi);
+                }
+                HopOut::Add(s) => {
+                    let p = s.as_mut_ptr().add(i);
+                    _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), lo));
+                    _mm256_storeu_pd(p.add(4), _mm256_add_pd(_mm256_loadu_pd(p.add(4)), hi));
+                }
+                HopOut::Mean(_) => {
+                    let (lo, hi) = match recip {
+                        Some(r) => (_mm256_mul_pd(lo, r), _mm256_mul_pd(hi, r)),
+                        None => (_mm256_div_pd(lo, w), _mm256_div_pd(hi, w)),
+                    };
+                    let mean = _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo));
+                    let mean = _mm256_blendv_ps(mean, quiet_nan, _mm256_cmp_ps::<_CMP_UNORD_Q>(mean, mean));
+                    let halves = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(mean);
+                    _mm_storeu_si128(op.add(i) as *mut __m128i, halves);
+                }
+            }
+        }
+        n
+    }
+
     /// Finishes positions `j + lo .. j + hi` of `out` from lanes `lo..hi`
     /// of `acc` as [`Kept::put`] finishes each, and returns a mask that is
     /// set where a narrowed half is not finite (per lane, or — finished
@@ -928,7 +1078,7 @@ pub(crate) use avx2::put8;
 #[cfg(target_arch = "x86_64")]
 use avx2::{
     adam_sweep_avx2, exp_sub_avx2, gather_fma_avx2, gather_narrow_finite_avx2, gelu_avx2,
-    gelu_grad_mul_avx2, narrow_avx2, widen_avx2,
+    gelu_grad_mul_avx2, narrow_avx2, ring_hop_avx2, widen_avx2,
 };
 
 #[cfg(test)]
