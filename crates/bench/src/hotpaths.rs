@@ -73,8 +73,8 @@
 //! the planner's pick: the sampled and the transposed `dyᵀ·x` against the
 //! row blocks and the pack-free `dy·W16` against the packed one at 2048²,
 //! rows {1 … 64}; `pipe2_mlp`'s `dyᵀ·x` (32 rows of a 512² layer at
-//! p = 0.9) summed over its eight microbatches on each path against the
-//! dense gradient; `x·Wᵀ` and `dy·W` over the kept weights against
+//! p = 0.9, `dy` half zeros behind a ReLU) summed over its eight
+//! microbatches on each path against the dense gradient; `x·Wᵀ` and `dy·W` over the kept weights against
 //! `sgemm` at `pipe2_mlp`'s 512², rows {1 … 64, 512} (gated at 32 rows,
 //! p = 0.9: [`crate::gates::KEPT_OVER_DENSE_MIN`]). And
 //! `gpt_layers`: which layer type owns the
@@ -619,6 +619,10 @@ pub struct Family {
     /// against the dense gradient (`Packed`: `matmul_tn_acc` and the
     /// fused compress).
     rounds: usize,
+    /// `dy` behind a ReLU: exact zeros wherever a fixed-seed mask turned
+    /// the unit off, about half of them — the partly live blocks a
+    /// pipeline stage's weight gradient meets.
+    relu_dy: bool,
 }
 
 impl Family {
@@ -637,16 +641,17 @@ const KEPT_ROWS: [usize; 11] = [1, 2, 4, 5, 6, 7, 8, 16, 32, 64, 512];
 /// The grid of `path_sweep`, the table the cuts of `tensor::gemm::plan`
 /// are read from: the weight gradient at the wide layer's 2048² (sampled
 /// and transposed against the row blocks), the same at `pipe2_mlp`'s cell
-/// summed over its eight microbatches against the dense gradient, the
+/// summed over its eight microbatches against the dense gradient (its
+/// `dy` half zeros behind a ReLU), the
 /// pack-free `dy·W16` at 2048² against the packed one, and `x·Wᵀ` / `dy·W`
 /// at 512² over the kept weights against `sgemm`. The gate counts its
 /// cells off the same grid.
 pub const PATH_SWEEP: [Family; 5] = [
-    Family { key: "dw", op: Op::Tn, side: 2048, rows: &THIN_ROWS, densities: &DENSITIES, paths: &[Path::Sampled, Path::Transposed], rival: Some(Path::RowBlocks), rounds: 1 },
-    Family { key: "dw_acc", op: Op::Tn, side: 512, rows: &[32], densities: &[0.1], paths: &[Path::Sampled, Path::Transposed, Path::RowBlocks], rival: Some(Path::Packed), rounds: 8 },
-    Family { key: "nn", op: Op::Nn, side: 2048, rows: &THIN_ROWS, densities: &[1.0], paths: &[Path::PackFree], rival: Some(Path::Packed), rounds: 1 },
-    Family { key: "xwt", op: Op::Nt, side: 512, rows: &KEPT_ROWS, densities: &DENSITIES, paths: &[Path::Kept], rival: None, rounds: 1 },
-    Family { key: "dyw", op: Op::Nn, side: 512, rows: &KEPT_ROWS, densities: &DENSITIES, paths: &[Path::Kept], rival: None, rounds: 1 },
+    Family { key: "dw", op: Op::Tn, side: 2048, rows: &THIN_ROWS, densities: &DENSITIES, paths: &[Path::Sampled, Path::Transposed], rival: Some(Path::RowBlocks), rounds: 1, relu_dy: false },
+    Family { key: "dw_acc", op: Op::Tn, side: 512, rows: &[32], densities: &[0.1], paths: &[Path::Sampled, Path::Transposed, Path::RowBlocks], rival: Some(Path::Packed), rounds: 8, relu_dy: true },
+    Family { key: "nn", op: Op::Nn, side: 2048, rows: &THIN_ROWS, densities: &[1.0], paths: &[Path::PackFree], rival: Some(Path::Packed), rounds: 1, relu_dy: false },
+    Family { key: "xwt", op: Op::Nt, side: 512, rows: &KEPT_ROWS, densities: &DENSITIES, paths: &[Path::Kept], rival: None, rounds: 1, relu_dy: false },
+    Family { key: "dyw", op: Op::Nn, side: 512, rows: &KEPT_ROWS, densities: &DENSITIES, paths: &[Path::Kept], rival: None, rounds: 1, relu_dy: false },
 ];
 
 /// What one contender of a cell leaves: `C` of `x·Wᵀ` / `dy·W`, or for
@@ -666,7 +671,14 @@ fn path_sweep(best_of: usize, reps: usize) -> Json {
     let families = PATH_SWEEP.iter().map(|f| {
         let side = f.side;
         let max_rows = f.rows.iter().copied().max().unwrap_or(0);
-        let (a, x, w) = (random_vec(max_rows * side, 40), random_vec(max_rows * side, 41), random_vec(side * side, 43));
+        let (mut a, x, w) = (random_vec(max_rows * side, 40), random_vec(max_rows * side, 41), random_vec(side * side, 43));
+        if f.relu_dy {
+            for (v, off) in a.iter_mut().zip(random_vec(max_rows * side, 44)) {
+                if off < 0.0 {
+                    *v = 0.0;
+                }
+            }
+        }
         let mut head = vec!["rows".to_string(), "density".into(), "rival".into(), "rival_ms".into()];
         for p in f.paths {
             head.extend([format!("{p:?}_ms"), format!("rival_over_{p:?}")]);

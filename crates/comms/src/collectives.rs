@@ -67,6 +67,7 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use telemetry::clock::now_us;
 use telemetry::json::Json;
+use telemetry::ledger::{Ledger, Phase};
 use telemetry::trace::{self, lane};
 use tensor::f16::F16;
 use tensor::simd::{self, HopIn, HopOut};
@@ -826,13 +827,23 @@ impl<T: Transport> Communicator<T> {
     /// Blocks until every in-flight ring completes (or the deadline
     /// passes — a cut link surfaces here as `Timeout`, never a hang).
     pub fn ring_finish(&mut self) -> Result<(), CommsError> {
+        self.ring_finish_charged(&mut Ledger::default())
+    }
+
+    /// [`Self::ring_finish`] with each blocking receive from the
+    /// predecessor charged to [`Phase::Wait`] on `ledger`, inside whatever
+    /// phase is open there: the time this rank sleeps on a slower peer is
+    /// a wait, not its reduce's work.
+    pub fn ring_finish_charged(&mut self, ledger: &mut Ledger) -> Result<(), CommsError> {
         self.guarded(|c| {
             let deadline = c.deadline();
             let prev = c.prev();
             c.ring_drain_stash()?;
             while !c.rings.is_empty() {
                 let t0 = telemetry::enabled().then(now_us);
+                ledger.enter(Phase::Wait);
                 let res = c.t.recv_from(prev, deadline);
+                ledger.exit(Phase::Wait);
                 if let Some(t0) = t0 {
                     let t1 = now_us();
                     c.wait_slice(t0, t1, prev, res.is_err(), || "ring stall".to_string());

@@ -704,7 +704,7 @@ impl StepEngine {
             return Ok(local);
         };
         let verdict = comm.all_true_start(local)?;
-        comm.ring_finish()?;
+        comm.ring_finish_charged(&mut self.ledger)?;
         let first = self.buckets.first().map_or(0, |&(id, _)| id);
         for (id, parts) in comm.take_completed() {
             let started = id

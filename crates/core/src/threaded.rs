@@ -814,6 +814,35 @@ mod tests {
     }
 
     #[test]
+    fn a_ring_that_sleeps_on_a_slow_peer_charges_a_wait() {
+        // Two ranks; in one group every message from rank 1 to rank 0 is
+        // held for `DELAY`. Rank 0's ring sleeps on it: a wait, inside the
+        // reduce, and not a bit of the state moves.
+        let group = || {
+            let replicas = (0..2).map(|_| Linear::new(WIDTH, WIDTH, true, 1)).collect::<Vec<_>>();
+            let prune = |p: &&nn::Parameter| prune::magnitude_prune(p.value.as_slice(), p.value.shape(), 0.5);
+            let masks = replicas[0].params().iter().map(prune).collect();
+            ThreadedDataParallelSamo::new(replicas, masks, adam())
+        };
+        let (mut calm, mut slow) = (group(), group());
+        slow.data_faults()[0].delay_link(1, 0, DELAY);
+        let rulers = Rulers::default();
+        let job = |rulers: &Rulers| {
+            timed(rulers, |rank: &mut StageRank<Linear>| {
+                rank.step(|_, m: &mut Linear, scale| loss_grad(&m.forward(&Tensor::randn(&[4, WIDTH], 1.0, 3)), scale))
+            })
+        };
+        for _ in 0..2 {
+            calm.run_step(job(&Rulers::default())).expect("healthy mesh");
+            slow.run_step(job(&rulers)).expect("a slow link is not a dead one");
+            let splits = assert_windows_match_dur(&rulers, 2);
+            assert!(splits.iter().any(|s| s.ns(Phase::Wait) >= DELAY.as_nanos() as u64), "{splits:?}");
+        }
+        let crc = |g: &ThreadedDataParallelSamo<Linear>| crate::serialize::crc32(&g.save());
+        assert_eq!(crc(&slow), crc(&calm), "the wait moves no bit of the state");
+    }
+
+    #[test]
     fn every_pipeline_rank_charges_its_whole_step() {
         let model = || models::uniform_pipeline_mlp_delayed(2, WIDTH, 7, DELAY, DELAY);
         let masks = models::uniform_pipeline_masks(&model(), 0.5);

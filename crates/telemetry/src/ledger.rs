@@ -32,7 +32,8 @@ pub enum Phase {
     W,
     /// Handing a boundary tensor to a pipeline neighbour.
     Send,
-    /// Asleep until a pipeline neighbour's message arrives.
+    /// Asleep until a pipeline neighbour's message arrives, or a ring's
+    /// predecessor's.
     Wait,
     /// A dynamic-sparsity mask update and the state remap behind it.
     Remap,

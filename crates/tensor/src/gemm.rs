@@ -481,17 +481,15 @@ fn tn_gathered(tier: Tier, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], i
 const SAMPLED_MIN_CHUNK: usize = 32 * 1024;
 
 /// [`Path::Sampled`] and [`Path::Transposed`]: walks the index row by row,
-/// marks the live steps of the row's MR row group — those it does not
-/// skip (full groups from row 0 while they fit in `m`, single rows after,
-/// the cut of `microkernel`; a `0 · ∞` appears, or not, where the blocks
-/// put it) — once per group, and computes the chains of the row's kept
-/// positions over them, each finished ([`Kept`]) as its vector of eight
-/// leaves the kernel. The sampled path gathers B per kept column
-/// (`simd::gather_fma`); the transposed one reads `Bᵀ`, transposed once
-/// into this thread's scratch before the walk ([`transposed_chains`]). The
-/// `k · (m·n − nnz)` multiply-adds at pruned positions are never done,
-/// and no block is written and read back to keep a tenth of it. Parallel
-/// over runs of `idx`, each task owning its part of `out`.
+/// loads the row's MR row group ([`RowGroup`]) once per group, and computes
+/// the chains of the row's kept positions over the group's live steps,
+/// each finished ([`Kept`]) as its vector of eight leaves the kernel. The
+/// sampled path gathers B per kept column (`simd::gather_fma`); the
+/// transposed one reads `Bᵀ`, transposed once into this thread's scratch
+/// before the walk ([`transposed_chains`]). The `k · (m·n − nnz)`
+/// multiply-adds at pruned positions are never done, and no block is
+/// written and read back to keep a tenth of it. Parallel over runs of
+/// `idx`, each task owning its part of `out`.
 #[allow(clippy::too_many_arguments)]
 fn tn_chains(path: Path, tier: Tier, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], idx: &[u32], out: Kept) -> bool {
     check_dims(true, false, m, n, k, a.len(), m, b.len(), n, m * n, n);
@@ -503,22 +501,24 @@ fn tn_chains(path: Path, tier: Tier, m: usize, n: usize, k: usize, a: &[f32], b:
     let kp = k.next_multiple_of(8);
     KEPT_SCRATCH.with(|cell| {
         let mut scratch = cell.borrow_mut();
-        if path == Path::Transposed {
-            if scratch.len() < n * kp {
-                scratch.resize(n * kp, 0.0);
+        let bt: &[f32] = if path == Path::Transposed {
+            if scratch.len() < n * kp + 16 {
+                scratch.resize(n * kp + 16, 0.0);
             }
-            // Column `j` of B as row `j`; its `kp − k` padding is never read.
-            pack_transposed(tier, b, n, 0, 0, k, n, 1.0, &mut scratch, kp);
-        }
-        let bt: &[f32] = &scratch;
+            // Rows of `Bᵀ` from a cache line's start, so a row of `kp`
+            // floats spans `kp / 16` lines, not one more. Column `j` of B
+            // is row `j`; its `kp − k` padding steps are dead.
+            let skip = scratch.as_ptr().align_offset(64).min(16);
+            pack_transposed(tier, b, n, 0, 0, k, n, 1.0, &mut scratch[skip..], kp);
+            &scratch[skip..]
+        } else {
+            &[]
+        };
         let all_finite = std::sync::atomic::AtomicBool::new(true);
         par_chunks_mut(out, SAMPLED_MIN_CHUNK, |s, mut out| {
             let mut run = &idx[s..s + out.len()];
             let mut finite = true;
-            // Bit `q` of `live[b]`: step `8b + q` is live for the row group
-            // starting at `live_group`; `av[p]`: A at step `p` of the row.
-            let (mut live, mut live_group) = ([0u8; SAMPLED_MAX_K / 8], usize::MAX);
-            let mut av = [0.0f32; SAMPLED_MAX_K];
+            let mut group = RowGroup::new();
             let mut terms = [(0usize, 0.0f32); SAMPLED_MAX_K];
             while let Some(&first) = run.first() {
                 let i = first as usize / n;
@@ -528,40 +528,29 @@ fn tn_chains(path: Path, tier: Tier, m: usize, n: usize, k: usize, a: &[f32], b:
                 // ends the run early or is refused by the kernel; it is
                 // never misread.
                 let in_row = row_end(run, 0, (i + 1) * n);
-                let group = if i / MR * MR + MR <= m { i / MR * MR..i / MR * MR + MR } else { i..i + 1 };
-                if group.start != live_group {
-                    live_group = group.start;
-                    live.fill(0);
-                    for p in 0..k {
-                        if a[p * m..][group.clone()].iter().any(|&v| v != 0.0) {
-                            live[p / 8] |= 1 << (p % 8);
-                        }
+                let full = i / MR * MR + MR <= m;
+                let start = if full { i / MR * MR } else { i };
+                if start != group.start {
+                    if full {
+                        group.load::<MR>(a, m, k, start);
+                    } else {
+                        group.load::<1>(a, m, k, start);
                     }
                 }
-                let (live, base) = (&live[..kp / 8], (i * n) as u32);
+                let (row, base) = (i - start, (i * n) as u32);
                 let (row_out, rest) = out.split_at(in_row);
                 finite &= match path {
                     // The sampled product takes the live steps as a list,
-                    // the transposed one A at every step beside the bits.
+                    // the transposed one A at every step beside the lanes.
                     Path::Sampled => {
                         let mut steps = 0;
-                        for (b, &bits) in live.iter().enumerate() {
-                            let mut bits = bits;
-                            while bits != 0 {
-                                let p = 8 * b + bits.trailing_zeros() as usize;
-                                terms[steps] = (p, a[p * m + i]);
-                                steps += 1;
-                                bits &= bits - 1;
-                            }
+                        for p in (0..k).filter(|&p| group.keep[p] != 0) {
+                            terms[steps] = (p, group.av[p * MR + row]);
+                            steps += 1;
                         }
                         simd::gather_fma(tier, b, &terms[..steps], n, base, &run[..in_row], row_out)
                     }
-                    _ => {
-                        for (p, v) in av[..k].iter_mut().enumerate() {
-                            *v = a[p * m + i];
-                        }
-                        transposed_chains(tier, bt, n, live, &av[..kp], base, &run[..in_row], row_out)
-                    }
+                    _ => transposed_chains(tier, bt, n, kp, &group, row, base, &run[..in_row], row_out),
                 };
                 (run, out) = (&run[in_row..], rest);
             }
@@ -573,82 +562,144 @@ fn tn_chains(path: Path, tier: Tier, m: usize, n: usize, k: usize, a: &[f32], b:
     })
 }
 
+/// The row group the walk of [`tn_chains`] is in — MR rows from a multiple
+/// of MR while they fit in `m`, single rows after: the cut of
+/// `microkernel`, which skips a step exactly when every A value of the
+/// group is zero there (a `0 · ∞` appears, or not, where the blocks put
+/// it). `keep[p]` is all ones at a live step `p` and zero at a dead one,
+/// and `av[p · MR + r]` is A at step `p` of the group's row `r`. Steps from
+/// `k` up to a multiple of eight are dead. At a dead step `av` holds
+/// `-0.0`: its product with a `+0.0` is `-0.0`, and `c + -0.0` is `c`, bit
+/// for bit.
+struct RowGroup {
+    start: usize,
+    keep: [u32; SAMPLED_MAX_K],
+    av: [f32; MR * SAMPLED_MAX_K],
+}
+
+impl RowGroup {
+    fn new() -> Self {
+        RowGroup { start: usize::MAX, keep: [0; SAMPLED_MAX_K], av: [0.0; MR * SAMPLED_MAX_K] }
+    }
+
+    /// Loads the group of `W` rows from row `start` of the `k × m` A: per
+    /// step one contiguous read of its `W` values, all of them tested —
+    /// no branch per value, none per step.
+    #[inline]
+    fn load<const W: usize>(&mut self, a: &[f32], m: usize, k: usize, start: usize) {
+        let kp = k.next_multiple_of(8);
+        self.start = start;
+        self.keep[k..kp].fill(0);
+        self.av[k * MR..kp * MR].fill(-0.0);
+        for p in 0..k {
+            let vals: &[f32; W] = a[p * m + start..][..W].try_into().expect("W values");
+            let on = vals.iter().fold(false, |on, &v| on | (v != 0.0));
+            self.keep[p] = if on { u32::MAX } else { 0 };
+            for (d, &v) in self.av[p * MR..][..W].iter_mut().zip(vals) {
+                *d = if on { v } else { -0.0 };
+            }
+        }
+    }
+}
+
 /// [`Path::Transposed`] for one row's run: position `j` is finished
 /// ([`Kept`]) from `Σ_p av[p] · bt[(idx[j] − base) · kp + p]` over the
-/// steps `p` that `live` marks (bit `p % 8` of `live[p / 8]`), ascending,
-/// one FMA chain from `+0.0` — [`simd::gather_fma`]'s sum, read from `bt`:
-/// B transposed into `n` rows of `kp = 8 · live.len()` floats. `false` if
-/// a half it narrowed is not finite. The AVX2 tier runs eight kept columns
-/// in the lanes of one vector: per block of eight steps with a live one it
-/// loads the eight columns' rows of `Bᵀ` there and transposes them in
-/// registers, so a live step is one broadcast and one FMA for eight
-/// columns, and nothing is gathered. The lanes share the row, and with it
-/// the row group, so a skipped step is skipped for all of them alike.
+/// live steps `p` of row `row` of `group`, ascending, one FMA chain from
+/// `+0.0` — [`simd::gather_fma`]'s sum, read from `bt`: B transposed into
+/// `n` rows of `kp` floats. `false` if a half it narrowed is not finite.
+/// The AVX2 tier runs eight kept columns in the lanes of one vector: per
+/// block of eight steps with a live one it loads the eight columns' rows
+/// of `Bᵀ` there and transposes them in registers, so a step is one
+/// broadcast and one FMA for eight columns, and nothing is gathered. The
+/// lanes share the row, and with it the row group, so a skipped step is
+/// skipped for all of them alike.
 ///
 /// # Panics
-/// Panics if the lengths differ or an index lies outside `base..base + n`.
+/// Panics if the lengths differ, `kp` is not a multiple of eight up to
+/// `SAMPLED_MAX_K`, `row` is not a row of a group, or an index lies
+/// outside `base..base + n`.
 #[allow(clippy::too_many_arguments)]
-fn transposed_chains(tier: Tier, bt: &[f32], n: usize, live: &[u8], av: &[f32], base: u32, idx: &[u32], mut out: Kept) -> bool {
+fn transposed_chains(
+    tier: Tier, bt: &[f32], n: usize, kp: usize, group: &RowGroup, row: usize, base: u32, idx: &[u32], mut out: Kept,
+) -> bool {
     // The bounds every access below stays inside, on either tier; an
     // index below `base` wraps past any `n`.
-    let kp = 8 * live.len();
-    assert!(idx.len() == out.len() && av.len() == kp && bt.len() >= n * kp);
+    assert!(idx.len() == out.len() && kp.is_multiple_of(8) && kp <= SAMPLED_MAX_K && row < MR && bt.len() >= n * kp);
+    assert!(n * kp <= u32::MAX as usize, "rows of Bᵀ past a 32-bit offset");
     let max = idx.iter().fold(0, |mx, &ix| ix.wrapping_sub(base).max(mx));
     assert!(idx.is_empty() || (max as usize) < n, "index out of bounds for positions {base}..{}", base as usize + n);
     #[cfg(target_arch = "x86_64")]
     if tier == Tier::Avx2 && simd::detected_avx2() {
-        let mut finite = true;
-        for first in (0..idx.len()).step_by(32) {
-            // SAFETY: AVX2+FMA+F16C presence just checked; every column's
-            // row of `kp` floats lies inside `bt`, and every position inside
-            // `out`, by the asserts above.
-            finite &= unsafe {
-                match (idx.len() - first).div_ceil(8) {
-                    1 => transposed_eights::<1>(bt, live, av, base, idx, first, &mut out),
-                    2 => transposed_eights::<2>(bt, live, av, base, idx, first, &mut out),
-                    3 => transposed_eights::<3>(bt, live, av, base, idx, first, &mut out),
-                    _ => transposed_eights::<4>(bt, live, av, base, idx, first, &mut out),
-                }
-            };
-        }
-        return finite;
+        // SAFETY: AVX2+FMA+F16C presence just checked; every column's
+        // row of `kp` floats lies inside `bt`, every step inside the
+        // group, and every position inside `out`, by the asserts above.
+        return unsafe { transposed_row(bt, kp, group, row, base, idx, &mut out) };
     }
     let _ = tier;
-    let steps = || (0..kp).filter(|&p| live[p / 8] >> (p % 8) & 1 != 0);
+    let steps = || (0..kp).filter(|&p| group.keep[p] != 0);
     idx.iter().enumerate().fold(true, |finite, (j, &ix)| {
         let col = &bt[(ix - base) as usize * kp..][..kp];
-        out.put(j, steps().fold(0.0, |acc, p| av[p].mul_add(col[p], acc))) & finite
+        out.put(j, steps().fold(0.0, |acc, p| group.av[p * MR + row].mul_add(col[p], acc))) & finite
     })
 }
 
-/// The AVX2+FMA tier of [`transposed_chains`] for the (up to) `G` eights of
-/// kept columns from `first`: per block of eight steps with a live one,
-/// each eight's rows of `Bᵀ` are transposed in registers and its chain is
-/// continued over the live steps — `G` independent chains, each hiding the
-/// others' FMA latency — and each eight is put as it is done. A run whose
-/// length is not a multiple of eight ends in an eight that overlaps the
-/// one before, only its last lanes new; a run shorter than eight has
-/// spare lanes that repeat its last column and are never put.
+/// The AVX2+FMA tier of [`transposed_chains`]: the row's kept columns two
+/// eights at a time ([`transposed_eights`]), in one call.
 ///
 /// # Safety
-/// Requires AVX2, FMA and F16C; `bt` holds `kp = 8 · live.len()` floats
-/// from `(idx[j] − base) · kp` for every `j`, `av` is `kp` long, `out` is
-/// as long as `idx`, and `first < idx.len()`.
+/// As [`transposed_eights`], for every `first` that is a multiple of 16
+/// below `idx.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma,f16c")]
+unsafe fn transposed_row(bt: &[f32], kp: usize, group: &RowGroup, row: usize, base: u32, idx: &[u32], out: &mut Kept) -> bool {
+    use std::arch::x86_64::*;
+    let mut nonfinite = _mm256_setzero_si256();
+    for first in (0..idx.len()).step_by(16) {
+        let flags = if idx.len() - first > 8 {
+            transposed_eights::<2>(bt, kp, group, row, base, idx, first, out)
+        } else {
+            transposed_eights::<1>(bt, kp, group, row, base, idx, first, out)
+        };
+        nonfinite = _mm256_or_si256(nonfinite, flags);
+    }
+    _mm256_movemask_epi8(nonfinite) == 0
+}
+
+/// The (up to) `G` eights of kept columns from `first`: per block of eight
+/// steps with a live one, each eight's rows of `Bᵀ` are transposed in
+/// registers and its chain is continued over all eight steps — `G`
+/// independent chains, each hiding the other's FMA latency — and each
+/// eight is put as it is done; returns [`simd::put8`]'s flags. A dead step
+/// of a partly live block has its B zeroed before the transpose (the
+/// group's `keep`) and A `-0.0`: an FMA that leaves the chain as it was,
+/// bit for bit, whatever B held there — the step is skipped without a
+/// branch. A run whose length is not a multiple of eight ends in an eight
+/// that overlaps the one before, only its last lanes new; a run shorter
+/// than eight has spare lanes that repeat its last column and are never
+/// put.
+///
+/// # Safety
+/// Requires AVX2, FMA and F16C; `kp` is a multiple of eight up to
+/// `SAMPLED_MAX_K`, `row < MR`, `bt` holds `kp` floats from `(idx[j] −
+/// base) · kp < 2³²` for every `j`, `out` is as long as `idx`, and `first
+/// < idx.len()`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma,f16c")]
 #[inline]
+#[allow(clippy::too_many_arguments)]
 unsafe fn transposed_eights<const G: usize>(
     bt: &[f32],
-    live: &[u8],
-    av: &[f32],
+    kp: usize,
+    group: &RowGroup,
+    row: usize,
     base: u32,
     idx: &[u32],
     first: usize,
     out: &mut Kept,
-) -> bool {
+) -> std::arch::x86_64::__m256i {
     use std::arch::x86_64::*;
-    let (kp, len) = (8 * live.len(), idx.len());
-    debug_assert!(first < len && av.len() == kp && out.len() == len);
+    let len = idx.len();
+    debug_assert!(first < len && kp.is_multiple_of(8) && kp <= SAMPLED_MAX_K && row < MR && out.len() == len);
     // Per eight: its first position, and the lanes that are new.
     let eights: [(usize, usize, usize); G] = std::array::from_fn(|g| {
         let at = first + 8 * g;
@@ -660,30 +711,36 @@ unsafe fn transposed_eights<const G: usize>(
             (at, 0, len - at)
         }
     });
-    // SAFETY: for the pointers and the loads — every lane's row of `Bᵀ`
-    // starts at `(col − base) · kp` with `kp` floats behind it, and a
-    // block of steps starts at `8b <= kp − 8`, so the two four-float loads
-    // per row stay inside it.
-    let rows: [[*const f32; 8]; G] = std::array::from_fn(|g| {
-        std::array::from_fn(|l| bt.as_ptr().add((idx[(eights[g].0 + l).min(len - 1)] - base) as usize * kp))
+    // Each lane's row of `Bᵀ`, as an offset into `bt`.
+    let cols: [[u32; 8]; G] = std::array::from_fn(|g| {
+        let at = eights[g].0;
+        if len < 8 {
+            return std::array::from_fn(|l| (idx[(at + l).min(len - 1)] - base) * kp as u32);
+        }
+        // SAFETY: positions `at ..+ 8` lie inside `idx`.
+        let cols = _mm256_sub_epi32(_mm256_loadu_si256(idx.as_ptr().add(at) as *const __m256i), _mm256_set1_epi32(base as i32));
+        std::mem::transmute::<__m256i, [u32; 8]>(_mm256_mullo_epi32(cols, _mm256_set1_epi32(kp as i32)))
     });
     let mut acc = [_mm256_setzero_ps(); G];
-    for (b, &mask) in live.iter().enumerate() {
-        if mask == 0 {
+    for b in 0..kp / 8 {
+        // SAFETY: for the pointers and the loads — every lane's row of
+        // `Bᵀ` has `kp` floats from its offset and a block of steps starts
+        // at `8b <= kp − 8`, so the two four-float loads per row stay
+        // inside it; the group holds steps `8b ..+ 8` of `keep` and `av`.
+        let (keep, bt, av) = (group.keep.as_ptr().add(8 * b), bt.as_ptr().add(8 * b), group.av.as_ptr().add(8 * b * MR + row));
+        let block = _mm256_loadu_si256(keep as *const __m256i);
+        if _mm256_testz_si256(block, block) == 1 {
             continue;
         }
-        let av = &av[8 * b..8 * b + 8];
-        for (rows, acc) in rows.iter().zip(&mut acc) {
-            let steps = transpose8x8(|r, half| _mm_loadu_ps(rows[r].add(8 * b + 4 * half)));
-            if mask == u8::MAX {
-                for (&a, step) in av.iter().zip(steps) {
-                    *acc = _mm256_fmadd_ps(_mm256_set1_ps(a), step, *acc);
-                }
-            } else {
-                for (q, (&a, step)) in av.iter().zip(steps).enumerate() {
-                    if mask >> q & 1 != 0 {
-                        *acc = _mm256_fmadd_ps(_mm256_set1_ps(a), step, *acc);
-                    }
+        for half in 0..2 {
+            // Lanes `s` and `4 + s` of a pair keep step `4 · half + s`
+            // where it is live.
+            let keep = _mm256_castsi256_ps(_mm256_broadcastsi128_si256(_mm_loadu_si128(keep.add(4 * half) as *const __m128i)));
+            for (cols, acc) in cols.iter().zip(&mut acc) {
+                let load = |r: usize| _mm_loadu_ps(bt.add(cols[r] as usize + 4 * half));
+                let steps = transpose4x8(|r| _mm256_and_ps(keep, pair(load(r), load(r + 4))));
+                for (q, step) in steps.into_iter().enumerate() {
+                    *acc = _mm256_fmadd_ps(_mm256_broadcast_ss(&*av.add((4 * half + q) * MR)), step, *acc);
                 }
             }
         }
@@ -692,7 +749,7 @@ unsafe fn transposed_eights<const G: usize>(
     for (&(at, lo, hi), &acc) in eights.iter().zip(&acc) {
         nonfinite = _mm256_or_si256(nonfinite, simd::put8(out, at, lo, hi, acc));
     }
-    _mm256_movemask_epi8(nonfinite) == 0
+    nonfinite
 }
 
 /// Rows of A one sweep of the index serves — eight vector accumulators —
@@ -1947,7 +2004,8 @@ fn pack_transposed<E: GemmElem>(
 
 /// `dst[c * ldd + r] = alpha * src[r * ld + c]` for `r, c < TB`: the
 /// block's rows — widened by the load ([`GemmElem::load4`]) — through
-/// [`transpose8x8`], each column scaled and stored as an output row.
+/// [`transpose4x8`] a half at a time, each column scaled and stored as an
+/// output row.
 ///
 /// # Safety
 /// Requires AVX2, FMA and F16C. `src + r * ld` must be readable for `TB`
@@ -1966,36 +2024,44 @@ unsafe fn transpose_block_avx2<E: GemmElem>(
     let scale = _mm256_set1_ps(alpha);
     // SAFETY: for the loads and stores — `r < TB` and `4 * half + 4 <= TB`
     // keep every four-element load inside the caller's `TB` readable
-    // elements per source row, and the eight-float store of column `c`
-    // inside row `c < TB` of `dst`.
-    let cols = transpose8x8(|r, half| E::load4(src.add(r * ld + 4 * half)));
-    for (c, col) in cols.into_iter().enumerate() {
-        _mm256_storeu_ps(dst.add(c * ldd), _mm256_mul_ps(scale, col));
+    // elements per source row, and the eight-float store of column
+    // `4 * half + c < TB` inside that row of `dst`.
+    for half in 0..2 {
+        let load = |r: usize| E::load4(src.add(r * ld + 4 * half));
+        for (c, col) in transpose4x8(|r| pair(load(r), load(r + 4))).into_iter().enumerate() {
+            _mm256_storeu_ps(dst.add((4 * half + c) * ldd), _mm256_mul_ps(scale, col));
+        }
     }
 }
 
-/// The eight columns of an 8×8 block, one vector each: `row(r, half)` is
-/// columns `4 · half ..+ 4` of row `r`. Rows `r` and `r + 4` go in the two
-/// 128-bit halves of one vector, once for each half of the columns, so the
-/// 4×4 transposes within the halves (unpack, then shuffle) already leave
-/// whole columns — sixteen shuffles a block, no cross-lane permute.
+/// Two four-float rows in the two 128-bit halves of one vector: what
+/// [`transpose4x8`] transposes.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma,f16c")]
 #[inline]
-fn transpose8x8(row: impl Fn(usize, usize) -> std::arch::x86_64::__m128) -> [std::arch::x86_64::__m256; 8] {
+fn pair(lo: std::arch::x86_64::__m128, hi: std::arch::x86_64::__m128) -> std::arch::x86_64::__m256 {
     use std::arch::x86_64::*;
-    let mut cols = [_mm256_setzero_ps(); 8];
-    for half in 0..2 {
-        let pair = |r: usize| _mm256_insertf128_ps(_mm256_castps128_ps256(row(r, half)), row(r + 4, half), 1);
-        let (r0, r1, r2, r3) = (pair(0), pair(1), pair(2), pair(3));
-        let (lo01, hi01) = (_mm256_unpacklo_ps(r0, r1), _mm256_unpackhi_ps(r0, r1));
-        let (lo23, hi23) = (_mm256_unpacklo_ps(r2, r3), _mm256_unpackhi_ps(r2, r3));
-        cols[4 * half] = _mm256_shuffle_ps(lo01, lo23, 0x44);
-        cols[4 * half + 1] = _mm256_shuffle_ps(lo01, lo23, 0xEE);
-        cols[4 * half + 2] = _mm256_shuffle_ps(hi01, hi23, 0x44);
-        cols[4 * half + 3] = _mm256_shuffle_ps(hi01, hi23, 0xEE);
-    }
-    cols
+    _mm256_insertf128_ps(_mm256_castps128_ps256(lo), hi, 1)
+}
+
+/// Four columns of an 8×4 block, one vector each: `pair(r)` holds rows `r`
+/// and `r + 4` ([`pair`]), so the 4×4 transposes within the halves (unpack,
+/// then shuffle) already leave whole columns — eight shuffles, no
+/// cross-lane permute.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma,f16c")]
+#[inline]
+fn transpose4x8(pair: impl Fn(usize) -> std::arch::x86_64::__m256) -> [std::arch::x86_64::__m256; 4] {
+    use std::arch::x86_64::*;
+    let (r0, r1, r2, r3) = (pair(0), pair(1), pair(2), pair(3));
+    let (lo01, hi01) = (_mm256_unpacklo_ps(r0, r1), _mm256_unpackhi_ps(r0, r1));
+    let (lo23, hi23) = (_mm256_unpacklo_ps(r2, r3), _mm256_unpackhi_ps(r2, r3));
+    [
+        _mm256_shuffle_ps(lo01, lo23, 0x44),
+        _mm256_shuffle_ps(lo01, lo23, 0xEE),
+        _mm256_shuffle_ps(hi01, hi23, 0x44),
+        _mm256_shuffle_ps(hi01, hi23, 0xEE),
+    ]
 }
 
 // The argument list mirrors the BLAS sgemm signature one-for-one;

@@ -891,7 +891,8 @@ mod avx2 {
     /// lane by lane — on all lanes or none). A narrow of all eight lanes
     /// (`hi == 8`) is one vector pass, and writes positions `j .. j + lo`
     /// again — with the halves they hold when they were finished from the
-    /// same chains, the overlapping last eight of a run.
+    /// same chains, the overlapping last eight of a run. A sum is one
+    /// masked vector pass that reads and writes lanes `lo..hi` only.
     ///
     /// # Safety
     /// Requires AVX2; `lo <= hi <= 8` and `j + hi <= out.len()`.
@@ -908,10 +909,16 @@ mod avx2 {
                 let exp_mask = _mm256_set1_epi32(0x7C00);
                 _mm256_cmpeq_epi32(_mm256_and_si256(h, exp_mask), exp_mask)
             }
-            Kept::Add(sums) if (lo, hi) == (0, 8) => {
-                // SAFETY: positions `j .. j + 8` lie inside `sums`.
+            Kept::Add(sums) => {
+                let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+                let new = _mm256_andnot_si256(
+                    _mm256_cmpgt_epi32(_mm256_set1_epi32(lo as i32), lane),
+                    _mm256_cmpgt_epi32(_mm256_set1_epi32(hi as i32), lane),
+                );
+                // SAFETY: positions `j + lo .. j + hi` lie inside `sums`,
+                // and a masked load or store touches no other lane.
                 let at = sums.as_mut_ptr().add(j);
-                _mm256_storeu_ps(at, _mm256_add_ps(_mm256_loadu_ps(at), acc));
+                _mm256_maskstore_ps(at, new, _mm256_add_ps(_mm256_maskload_ps(at, new), acc));
                 _mm256_setzero_si256()
             }
             _ => {

@@ -13,6 +13,8 @@
 //! default tier and under `SAMO_SIMD=off`, where every dispatch takes the
 //! scalar twin the AVX2 kernels are held to.
 
+mod partly_live;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -169,6 +171,25 @@ fn a_whole_k_block_and_the_pipeline_shape_hold_too() {
         check((m, n, k), &idx, &vec![0.0; idx.len()], &batches).unwrap();
     }
     assert_eq!(plan(Op::Tn, 32, 26_214, 512 * 512), Path::Transposed, "pipe2_mlp's dW is transposed");
+}
+
+#[test]
+fn partly_live_row_groups_sum_and_narrow_to_the_dense_gradient() {
+    // Row groups dead at scattered steps, rows zero where their group is
+    // live, non-finite B exactly at dead steps, signed zeros and products
+    // that underflow, from sums that include `−0.0`: the partly live
+    // blocks behind a ReLU, up to `pipe2_mlp`'s shape over its eight
+    // microbatches.
+    let mut rng = StdRng::seed_from_u64(11);
+    for ((m, n, k), rounds) in [((12, 40, 9), 3), ((37, 24, 32), 3), ((64, 33, 17), 3), ((512, 64, 32), 8)] {
+        for (scale, non_finite) in [(1.0f32, false), (1.0, true), (1e-22, false), (1e-22, true)] {
+            let idx = kept(&mut rng, m * n, 0.3);
+            let start = operand(&mut rng, 1, idx.len(), 4.0);
+            let batches: Vec<_> =
+                (0..rounds).map(|_| partly_live::operands(m, n, k, scale, non_finite, rng.gen())).collect();
+            check((m, n, k), &idx, &start, &batches).unwrap();
+        }
+    }
 }
 
 #[test]

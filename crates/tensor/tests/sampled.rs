@@ -10,6 +10,8 @@
 //! tiers. The suite runs under `SAMO_SIMD=off` and the default tier,
 //! `SAMO_THREADS=1` and the default pool in CI.
 
+mod partly_live;
+
 use std::sync::Mutex;
 use tensor::f16::F16;
 use tensor::gemm::{matmul_tn_kept_on_path, matmul_tn_row_blocks, plan, Op, Path};
@@ -155,6 +157,38 @@ fn non_finite_operands_give_the_verdict_of_the_blocks() {
         let mut b = b0.clone();
         b[3] = f32::INFINITY;
         assert!(assert_same(m, n, k, &a0, &b, &group, "skipped group"), "k = {k}: 0·∞ never happens");
+    }
+}
+
+#[test]
+fn partly_live_row_groups_skip_their_dead_steps_on_both_kept_paths() {
+    // Row groups dead at scattered steps, rows zero where their group is
+    // live, non-finite B exactly at dead steps: most blocks of eight steps
+    // are partly live, as behind a ReLU. Sampled and transposed, on both
+    // tiers, narrow to the gathered blocks' halves and verdict.
+    let kept_on = |path, tier, m, n, k, a: &[f32], b: &[f32], idx: &[u32]| {
+        let mut out = vec![F16::from_f32(-3.0); idx.len()];
+        let finite = matmul_tn_kept_on_path(path, tier, m, n, k, a, b, idx, &mut out);
+        (out.iter().map(|h| h.0).collect::<Vec<u16>>(), finite)
+    };
+    for &(m, n, k) in &[(10usize, 40usize, 9usize), (19, 24, 32), (64, 37, 17)] {
+        for (scale, kind) in [(2.0f32, "ordinary"), (1e-22, "underflowing")] {
+            for non_finite in [false, true] {
+                let seed = (m * 131 + n * 7 + k) as u64;
+                let (a, b) = partly_live::operands(m, n, k, scale, non_finite, seed);
+                for density in [0.1, 0.5, 1.0] {
+                    let idx = kept(m * n, density, seed + 1);
+                    let what = format!("{m}x{n}x{k}, {density}, {kind}, non-finite B {non_finite}");
+                    let want = by_blocks(Tier::Scalar, m, n, k, &a, &b, &idx);
+                    for path in [Path::Sampled, Path::Transposed] {
+                        for tier in [Tier::Scalar, Tier::Avx2] {
+                            assert_eq!(kept_on(path, tier, m, n, k, &a, &b, &idx), want, "{path:?} on {tier:?}: {what}");
+                        }
+                    }
+                    assert!(want.1 || non_finite, "{what}: a dead step's non-finite B is never met");
+                }
+            }
+        }
     }
 }
 
