@@ -256,20 +256,10 @@ fn simulate_inner(
         g.phases.bubble += total_time - g.busy_until;
     }
 
-    let result = PipelineResult {
+    PipelineResult {
         total_time,
         per_gpu: gpus.into_iter().map(|g| g.phases).collect(),
-    };
-    if telemetry::enabled() {
-        let reg = telemetry::global();
-        reg.gauge("axonn.pipeline.bubble_fraction").set(result.bubble_fraction());
-        reg.gauge("axonn.pipeline.total_time").set(result.total_time);
-        for (i, g) in result.per_gpu.iter().enumerate() {
-            let busy = if total_time > 0.0 { g.compute / total_time } else { 0.0 };
-            reg.gauge(&format!("axonn.pipeline.gpu{i}.busy_fraction")).set(busy);
-        }
     }
-    result
 }
 
 /// Converts a [`trace_schedule`] log into Chrome trace_event complete

@@ -73,9 +73,9 @@ const ALL_FRAMEWORKS: [Framework; 4] = [
 
 fn main() {
     telemetry::init_from_env();
-    // One trace session per invocation: all lanes (spans, comms,
-    // pipeline) stamp from the shared clock, rebased to zero here so
-    // the trace starts at t=0 regardless of process warmup.
+    // One trace session per invocation: all live lanes (experiments,
+    // comms, pipeline, serve) stamp from the shared clock, rebased to
+    // zero here so the trace starts at t=0 regardless of process warmup.
     telemetry::clock::reset();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");

@@ -154,7 +154,7 @@ mod tests {
         assert_eq!(csv_escape("cr\rcell"), "\"cr\rcell\"");
 
         // Serializes SAMO_RESULTS_DIR mutation against csv_roundtrip.
-        let _guard = telemetry::registry::test_lock();
+        let _guard = telemetry::test_lock();
         let dir = std::env::temp_dir().join(format!("samo-csv-test-{}", std::process::id()));
         std::env::set_var("SAMO_RESULTS_DIR", &dir);
         let mut t = Table::new("unit_csv_quote", &["name", "note"]);
@@ -172,7 +172,7 @@ mod tests {
 
     #[test]
     fn csv_roundtrip() {
-        let _guard = telemetry::registry::test_lock();
+        let _guard = telemetry::test_lock();
         let dir = std::env::temp_dir().join("samo-test-results");
         std::env::set_var("SAMO_RESULTS_DIR", &dir);
         let mut t = Table::new("unit_csv", &["x", "y"]);

@@ -1,24 +1,21 @@
-//! One recorder, one step schema, one checked metric table.
+//! One recorder, one step schema.
 //!
 //! A single drill drives, with telemetry on, one step of every training
 //! runtime (plus a remap, an overflow skip, restores and a rollback),
-//! the checkpoint manager and the divergence sentinel, one TCP
-//! ring through a heartbeat death and a reconnect, one served request
-//! through a hot reload and a rejected publish, and one simulated
-//! pipeline. Then it checks the two artefacts the drill leaves in the
-//! process:
+//! one TCP ring through a heartbeat death and a reconnect, one served
+//! request through a hot reload and a rejected publish, and one
+//! simulated pipeline. Then it checks the two artefacts the drill leaves
+//! behind:
 //!
 //! * **the trace** — one `telemetry::trace::take()` holds the three live
 //!   lanes the drill drives; together with the simulated schedule it must
 //!   keep the pid/tid/cat/name conventions Perfetto and `repro gate` rely
 //!   on, and pair every flow;
-//! * **the registry** — its `(name, type)` set, per-rank suffixes and
-//!   runtime prefixes normalised, must equal the table between the
-//!   `metric-table` markers in DESIGN.md. On a mismatch the test prints
-//!   the regenerated table: paste it over the old one.
+//! * **`metrics.jsonl`** — its step, `mesh_metrics` and link-event lines
+//!   pass the gates `repro gate` runs over them.
 //!
-//! One `#[test]`: the drill owns the process-global recorder, registry
-//! and JSONL sink.
+//! One `#[test]`: the drill owns the process-global recorder and JSONL
+//! sink.
 
 use comms::{
     bootstrap_tcp, BootstrapConfig, Communicator, FaultController, HeartbeatConfig,
@@ -32,7 +29,6 @@ use nn::optim::AdamConfig;
 use prune::dynamic::{MaskSchedule, MomentumPruneRegrow};
 use samo::pipeline::{PipelineConfig, ThreadedPipelineSamo};
 use samo::reference::{DataParallelSamo, DenseMaskedTrainer};
-use samo::sentinel::{DivergenceSentinel, SentinelConfig};
 use samo::trainer::SamoTrainer;
 use samo::{CheckpointConfig, CheckpointManager, StageRank, ThreadedDataParallelSamo};
 use std::collections::{BTreeSet, HashMap};
@@ -91,10 +87,9 @@ fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
     }
 }
 
-/// Every single-process runtime, the oracle, the two threaded groups,
-/// the data-parallel rank as a process runs it (on an in-process mesh), the checkpoint
-/// manager and the sentinel.
-fn drive_training(dir: &Path) {
+/// Every single-process runtime, the oracle, the two threaded groups and
+/// the data-parallel rank as a process runs it (on an in-process mesh).
+fn drive_training() {
     // Single worker: a remap at step 0, then a planted overflow.
     let mut model = linear();
     let mut trainer = SamoTrainer::new(&mut model, vec![mask()], adam());
@@ -172,23 +167,6 @@ fn drive_training(dir: &Path) {
             });
         }
     });
-
-    // Durable checkpoints: a stale temp file swept, a write, a publish.
-    let ckpt_dir = dir.join("ckpt");
-    std::fs::create_dir_all(&ckpt_dir).unwrap();
-    std::fs::write(ckpt_dir.join("ckpt-000000000001.samo.tmp"), b"torn").unwrap();
-    let mut mgr = CheckpointManager::new(CheckpointConfig::new(&ckpt_dir)).expect("manager");
-    mgr.sweep_stale_tmps().expect("sweep");
-    mgr.save_and_publish(1, &ckpt).expect("save and publish");
-
-    // The sentinel: a healthy baseline, then a sustained explosion.
-    let mut sentinel = DivergenceSentinel::new(SentinelConfig::default());
-    for _ in 0..8 {
-        sentinel.observe(1.0, 1.0);
-    }
-    for _ in 0..SentinelConfig::default().patience {
-        sentinel.observe(1e6, 1e6);
-    }
 }
 
 /// Every collective once over loopback TCP with a fast heartbeat, a cut
@@ -264,16 +242,14 @@ fn drive_serving(dir: &Path) {
     let mut mgr = CheckpointManager::new(CheckpointConfig::new(&ckpt_dir)).expect("manager");
     mgr.save_and_publish(99, b"not a checkpoint")
         .expect("publish garbage");
-    let rejected = telemetry::global().counter("serve.reload_rejected");
-    wait_for("the garbage publish to be rejected", || rejected.get() >= 1);
+    wait_for("the garbage publish to be rejected", || server.stats().reload_rejected >= 1);
     client
         .infer(&[0.5; WIDTH])
         .expect("still serving after the rejected publish");
     server.stop();
 }
 
-/// The simulated pipeline schedule (pid 0) and the substrate counters
-/// no step above reaches.
+/// The simulated pipeline schedule (pid 0).
 fn drive_simulation() -> Vec<TraceEvent> {
     let spec = axonn_sim::PipelineSpec {
         stages: 3,
@@ -286,19 +262,6 @@ fn drive_simulation() -> Vec<TraceEvent> {
         max_in_flight: 5,
     };
     let machine = &summit_sim::machine::SUMMIT;
-    axonn_sim::pipeline::simulate_pipeline(machine, &spec);
-    let _ = models::TinyGpt::new(
-        models::TinyGptConfig {
-            vocab: 8,
-            seq: 4,
-            dim: 8,
-            heads: 2,
-            layers: 1,
-        },
-        1,
-    );
-    let a = sparse::Csr::from_dense(&[1.0, 0.0, 0.0, 2.0], 2, 2);
-    sparse::spmm(&a, &[1.0; 4], 2, &mut [0.0; 4]);
     axonn_sim::chrome_trace_events(&axonn_sim::pipeline::trace_schedule(machine, &spec))
 }
 
@@ -390,85 +353,18 @@ fn check_trace(dir: &Path, simulated: Vec<TraceEvent>, live: Vec<TraceEvent>, fl
     bench::gates::run(&files).expect("trace and metrics gates");
 }
 
-const TABLE_BEGIN: &str = "<!-- metric-table:begin -->";
-const TABLE_END: &str = "<!-- metric-table:end -->";
-
-/// Folds what varies per rank, per GPU and per runtime out of a name.
-fn normalise(name: &str) -> String {
-    const RUNTIMES: [&str; 5] = [
-        "samo.dp_rank",
-        "samo.pipeline",
-        "samo.dp",
-        "samo",
-        "dense",
-    ];
-    const PER_RUNTIME: [&str; 7] = [
-        "steps_taken",
-        "steps_skipped",
-        "loss_scale",
-        "model_state_bytes",
-        "resident_param_bytes",
-        "allreduce_bytes",
-        "remap_events",
-    ];
-    if name.starts_with("comms.tcp.rtt_us.") {
-        return "comms.tcp.rtt_us.<rank>-><peer>".into();
-    }
-    if name.starts_with("axonn.pipeline.gpu") {
-        return "axonn.pipeline.gpu<i>.busy_fraction".into();
-    }
-    let field = RUNTIMES
-        .iter()
-        .find_map(|r| name.strip_prefix(r)?.strip_prefix('.'));
-    match field {
-        Some(field) if PER_RUNTIME.contains(&field) => format!("<runtime>.{field}"),
-        _ => name.into(),
-    }
-}
-
-/// The registry's `(name, type)` set equals DESIGN.md's generated table.
-fn check_metric_table() {
-    let snap = telemetry::global().snapshot();
-    let names = [
-        (snap.counters.keys().collect::<Vec<_>>(), "counter"),
-        (snap.gauges.keys().collect(), "gauge"),
-        (snap.histograms.keys().collect(), "histogram"),
-    ];
-    let registry: BTreeSet<(String, &str)> = names
-        .iter()
-        .flat_map(|(names, ty)| names.iter().map(|n| (normalise(n), *ty)))
-        .collect();
-    let mut table = format!("{TABLE_BEGIN}\n| name | type |\n|---|---|\n");
-    for (name, ty) in &registry {
-        table += &format!("| `{name}` | {ty} |\n");
-    }
-    table += TABLE_END;
-
-    let design = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../DESIGN.md");
-    let text = std::fs::read_to_string(&design).expect("DESIGN.md");
-    let committed = text
-        .find(TABLE_BEGIN)
-        .zip(text.find(TABLE_END))
-        .map(|(a, b)| &text[a..b + TABLE_END.len()])
-        .expect("DESIGN.md carries the metric-table markers");
-    assert!(
-        committed == table,
-        "the metric table in DESIGN.md has drifted from the registry; replace it with:\n\n{table}\n"
-    );
-}
-
 #[test]
-fn one_drain_one_step_schema_one_metric_table() {
+fn one_drain_one_step_schema() {
     let dir = std::env::temp_dir().join(format!("samo-observability-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::env::set_var("SAMO_RESULTS_DIR", &dir);
 
-    let _guard = telemetry::registry::test_lock();
+    let _guard = telemetry::test_lock();
     telemetry::set_enabled(true);
     telemetry::clock::reset();
     telemetry::trace::take();
 
-    drive_training(&dir);
+    drive_training();
     drive_tcp();
     drive_serving(&dir);
     let simulated = drive_simulation();
@@ -482,7 +378,6 @@ fn one_drain_one_step_schema_one_metric_table() {
     );
 
     check_trace(&dir, simulated, live, &flows);
-    check_metric_table();
 
     std::env::remove_var("SAMO_RESULTS_DIR");
     let _ = std::fs::remove_dir_all(&dir);

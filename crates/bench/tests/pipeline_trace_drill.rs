@@ -63,7 +63,7 @@ fn killed_rank_still_delivers_its_trace_and_metrics() {
     let _ = std::fs::remove_dir_all(&tmp);
     std::env::set_var("SAMO_RESULTS_DIR", &tmp);
 
-    let _guard = telemetry::registry::test_lock();
+    let _guard = telemetry::test_lock();
     let was = telemetry::enabled();
     telemetry::set_enabled(true);
     telemetry::clock::reset();

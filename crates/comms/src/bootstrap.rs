@@ -424,9 +424,6 @@ pub fn bootstrap_tcp(
     let transport =
         Endpoint::from_links(rank, world, mesh_id, outbound, inbound, faults, cfg.heartbeat)?;
     if generation > 0 {
-        if telemetry::enabled() {
-            telemetry::global().counter("comms.tcp.reconnects").inc();
-        }
         telemetry::jsonl::emit_link_event(
             "reconnect",
             rank,

@@ -923,8 +923,7 @@ impl<T: Transport> Communicator<T> {
     fn ring_process(&mut self, idx: usize, msg: Message) -> Result<(), CommsError> {
         let g = self.world();
         let r = self.rank();
-        let tel = telemetry::enabled();
-        let t0 = tel.then(now_us);
+        let t0 = telemetry::enabled().then(now_us);
         let in_tag = msg.tag;
         let step = msg.tag.step as usize;
         let id = msg.tag.id;
@@ -987,9 +986,6 @@ impl<T: Transport> Communicator<T> {
         if done {
             let ring = self.rings.swap_remove(idx);
             self.completed.push((ring.id, ring.parts));
-            if tel {
-                telemetry::global().counter("comms.allreduce.completed").inc();
-            }
         }
         if let Some(t0) = t0 {
             trace::slice(lane::COMMS, self.trace_lane, "comms", t0, now_us() - t0, || {
@@ -1532,7 +1528,7 @@ mod tests {
 
     #[test]
     fn traced_run_pairs_every_flow_and_records_waits() {
-        let _guard = telemetry::registry::test_lock();
+        let _guard = telemetry::test_lock();
         let was = telemetry::enabled();
         telemetry::set_enabled(true);
         trace::take();

@@ -12,8 +12,7 @@
 //!
 //! Pings carry a wall-clock micros timestamp as their collective `id`;
 //! the peer's reader answers in line (`step` 1, same `id`) and the
-//! answer's age becomes a per-link RTT gauge
-//! (`comms.tcp.rtt_us.<rank>-><peer>`).
+//! answer's age becomes the link's RTT (`Endpoint::rtt_us`).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};

@@ -103,11 +103,6 @@ fn reader_loop(
             Kind::Heartbeat => {
                 let rtt = unix_micros().saturating_sub(msg.tag.id);
                 health.record_rtt(peer, rtt);
-                if telemetry::enabled() {
-                    telemetry::global()
-                        .gauge(&format!("comms.tcp.rtt_us.{rank}->{peer}"))
-                        .set(rtt as f64);
-                }
             }
             _ => {
                 let deliver_at =
@@ -164,9 +159,6 @@ fn monitor_loop(
                     "rank {rank}: peer {peer} silent for {}ms (heartbeat misses)",
                     silent.as_millis()
                 );
-                if telemetry::enabled() {
-                    telemetry::global().counter("comms.tcp.heartbeat_misses").inc();
-                }
                 telemetry::jsonl::emit_link_event(
                     "heartbeat_miss",
                     rank,
@@ -179,9 +171,6 @@ fn monitor_loop(
                     "rank {rank}: peer {peer} silent for {}ms — declaring dead",
                     silent.as_millis()
                 );
-                if telemetry::enabled() {
-                    telemetry::global().counter("comms.tcp.peers_dead").inc();
-                }
                 telemetry::jsonl::emit_link_event(
                     "peer_dead",
                     rank,

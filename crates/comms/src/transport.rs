@@ -80,7 +80,7 @@ pub enum Kind {
     Telemetry = 5,
     /// Liveness probes on a socket transport: a background thread pings
     /// every peer each interval (`step` 0) and the peer's reader
-    /// answers in line (`step` 1), yielding a per-link RTT gauge.
+    /// answers in line (`step` 1), yielding a per-link RTT.
     /// Heartbeats are consumed inside the transport — they refresh the
     /// peer's last-seen clock and never reach the tagged inbox, so the
     /// collectives are oblivious to them.

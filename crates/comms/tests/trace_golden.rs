@@ -41,7 +41,7 @@ fn traced_world() {
 
 #[test]
 fn golden_trace_pairs_every_flow_and_roundtrips() {
-    let _guard = telemetry::registry::test_lock();
+    let _guard = telemetry::test_lock();
     let was = telemetry::enabled();
     telemetry::set_enabled(true);
     telemetry::clock::reset();
@@ -99,7 +99,7 @@ fn golden_trace_pairs_every_flow_and_roundtrips() {
 
 #[test]
 fn timed_out_recv_leaves_exactly_one_orphan_start() {
-    let _guard = telemetry::registry::test_lock();
+    let _guard = telemetry::test_lock();
     let was = telemetry::enabled();
     telemetry::set_enabled(true);
     telemetry::trace::take();

@@ -10,10 +10,8 @@
 //!
 //! Policy lives here too: a step-cadence (`every_steps`) and a retention
 //! window (`keep_last`), so a long run keeps a bounded set of recent
-//! checkpoints to roll back to. With telemetry enabled, writes feed
-//! `samo.ckpt.writes` / `samo.ckpt.bytes_written` counters, the
-//! `samo.ckpt.write_seconds` histogram, and a `samo.ckpt.last_bytes`
-//! gauge.
+//! checkpoints to roll back to. Each write logs its path, size and
+//! duration.
 
 use std::fs;
 use std::io::Write as _;
@@ -121,7 +119,7 @@ impl CheckpointManager {
 
     /// Removes orphaned `{prefix}-*.samo.tmp` files — the leftovers of
     /// a crash that landed between the temp write and the rename.
-    /// Returns how many were removed and bumps `samo.ckpt.tmp_swept`.
+    /// Returns how many were removed.
     pub fn sweep_stale_tmps(&self) -> Result<usize, String> {
         let mut swept = 0usize;
         let entries = fs::read_dir(&self.cfg.dir)
@@ -136,9 +134,6 @@ impl CheckpointManager {
                 telemetry::log_debug!("checkpoint: swept stale temp file {path:?}");
                 swept += 1;
             }
-        }
-        if swept > 0 && telemetry::enabled() {
-            telemetry::global().counter("samo.ckpt.tmp_swept").add(swept as u64);
         }
         Ok(swept)
     }
@@ -175,7 +170,6 @@ impl CheckpointManager {
     /// `steps_taken`, atomically (temp file + fsync + rename + dir
     /// sync), then prunes beyond the retention window.
     pub fn save_now(&mut self, steps_taken: u64, bytes: &[u8]) -> Result<PathBuf, String> {
-        let tel = telemetry::enabled();
         let started = std::time::Instant::now();
         let final_path = self.file_name(steps_taken);
         write_durable(&final_path, bytes)?;
@@ -185,13 +179,6 @@ impl CheckpointManager {
             "checkpoint: wrote {final_path:?} ({} bytes) in {elapsed:.3}s",
             bytes.len()
         );
-        if tel {
-            let reg = telemetry::global();
-            reg.counter("samo.ckpt.writes").inc();
-            reg.counter("samo.ckpt.bytes_written").add(bytes.len() as u64);
-            reg.gauge("samo.ckpt.last_bytes").set(bytes.len() as f64);
-            reg.histogram("samo.ckpt.write_seconds").record(elapsed);
-        }
         self.sweep_stale_tmps()?;
         self.prune_old()?;
         Ok(final_path)
@@ -280,9 +267,6 @@ impl CheckpointManager {
         let line = format!("{name} {:08x}\n", crate::serialize::crc32(name.as_bytes()));
         write_durable(&self.publish_marker(), line.as_bytes())?;
         telemetry::log_info!("checkpoint: published step {step} ({name})");
-        if telemetry::enabled() {
-            telemetry::global().counter("samo.ckpt.publishes").inc();
-        }
         Ok(step)
     }
 

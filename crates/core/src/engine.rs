@@ -107,10 +107,8 @@
 //! `StepEngine::step_event`: the same record for every runtime, told
 //! apart by `runtime`, placed by the rank's grid place `(stage, data)` and
 //! carrying the ledger's split itself. Rank `(0, 0)` reports it: with
-//! telemetry on it writes the event's line, feeds the
-//! `samo.step.<phase>` histograms and keeps the counters and gauges under
-//! the runtime's prefix. A rank thread hands its event to its
-//! group, and a `samo-launch` worker writes it to its events file.
+//! telemetry on it writes the event's line. A rank thread hands its event
+//! to its group, and a `samo-launch` worker writes it to its events file.
 //!
 //! [`crate::reference::DataParallelSamo`], the sequential oracle the
 //! threaded runtimes are compared with, keeps its own step and shares
@@ -197,14 +195,11 @@ pub struct StepEngine {
     /// A pipeline step's deferred Ws, oldest first: the one a B just
     /// recorded and, until it runs, at most one before it.
     w_queue: Vec<Deferred>,
-    /// What differs between the runtimes' reports: the prefix of their
-    /// counters and gauges (`.steps_taken`, `.steps_skipped`,
-    /// `.loss_scale`, `.model_state_bytes`, `.allreduce_bytes`,
-    /// `.remap_events`) — `samo`, `samo.dp_rank` or `samo.pipeline`
-    /// (the oracle's is `samo.dp`) — and, dots to underscores, the
-    /// `runtime` of their step events. The phases of the ledger are the
-    /// same for all.
-    prefix: &'static str,
+    /// What differs between the runtimes' reports: the `runtime` of their
+    /// step events — `samo`, `samo_dp_rank` or `samo_pipeline` (the
+    /// oracle's is `samo_dp`). The phases of the ledger are the same for
+    /// all.
+    runtime: &'static str,
     /// The rank's place in the grid, `(stage, data)`: `(0, group rank)`
     /// until a pipeline names the stage. Rank `(0, 0)` reports.
     pub(crate) place: (usize, usize),
@@ -226,7 +221,7 @@ impl StepEngine {
         masks: &[Mask],
         opt: Optimizer,
         group: Option<Communicator>,
-        prefix: &'static str,
+        runtime: &'static str,
     ) -> StepEngine {
         let (rank, world) = group.as_ref().map_or((0, 1), |c| (c.rank(), c.world()));
         let layers = build_layers(model, masks, &opt, rank, world);
@@ -250,7 +245,7 @@ impl StepEngine {
             buckets: Vec::new(),
             open: Vec::new(),
             local_finite: true,
-            prefix,
+            runtime,
             place: (0, rank),
             verdict: (false, 0.0),
             ledger: Ledger::default(),
@@ -418,9 +413,6 @@ impl StepEngine {
         if grads_lent {
             self.lend_grad_target(model, true);
         }
-        if self.reports() {
-            count_recovery();
-        }
         Ok(())
     }
 
@@ -437,9 +429,6 @@ impl StepEngine {
             self.steps_skipped,
             self.scaler.scale()
         );
-        if telemetry::enabled() {
-            telemetry::global().counter("samo.ckpt.rollbacks").inc();
-        }
         Ok(())
     }
 
@@ -776,27 +765,14 @@ impl StepEngine {
 
     /// Closes the step's window on the ledger, keeps the verdict, run at
     /// loss scale `scale_used`, for [`Self::step_event`] and returns
-    /// `applied`. When this rank reports and telemetry is on, it reports
-    /// the step too: its event, a `samo.step.<phase>` sample per phase the
-    /// step charged, and the gauges.
-    pub(crate) fn end_step(&mut self, model: &impl Layer, applied: bool, scale_used: f32) -> bool {
+    /// `applied`. When this rank reports and telemetry is on, it writes
+    /// the step's event line too.
+    pub(crate) fn end_step(&mut self, applied: bool, scale_used: f32) -> bool {
         self.ledger.stop();
         self.verdict = (applied, scale_used);
-        if !(self.reports() && telemetry::enabled()) {
-            return applied;
+        if self.reports() && telemetry::enabled() {
+            telemetry::jsonl::emit_line(&self.step_event().to_json());
         }
-        let reg = telemetry::global();
-        let name = format!("{}.resident_param_bytes", self.prefix);
-        reg.gauge(&name).set(self.resident_param_bytes(model) as f64);
-        let ev = self.step_event();
-        for phase in Phase::ALL {
-            // Every phase's histogram exists; it samples the steps that charged it.
-            let histogram = reg.histogram(&format!("samo.step.{}", phase.name()));
-            if ev.split.ns(phase) > 0 {
-                histogram.record(ev.split.secs(phase));
-            }
-        }
-        report_step(self.prefix, self.group.is_some(), self.scaler.scale(), &ev);
         applied
     }
 
@@ -811,18 +787,8 @@ impl StepEngine {
         telemetry::StepEvent {
             stage: stage as u64,
             data: data as u64,
-            ..step_event(self.prefix, self.verdict, self.meta(), &self.layers, &self.opt, world, split)
+            ..step_event(self.runtime, self.verdict, self.meta(), &self.layers, &self.opt, world, split)
         }
-    }
-
-    /// The bytes of the gauge `<prefix>.resident_param_bytes`: the f32
-    /// shadows of the parameters and the kept sums of their gradients,
-    /// wherever those are — lent to the model, or home and kept warm for
-    /// the next step.
-    pub(crate) fn resident_param_bytes(&self, model: &impl Layer) -> usize {
-        let (values, grads) = nn::param::resident_param_bytes(model);
-        let home: usize = self.dw_sums.iter().map(|s| 4 * s.capacity()).sum();
-        values + grads + home
     }
 
     /// The optimizer passes of a group's step, bucket by bucket in ring
@@ -932,10 +898,6 @@ impl StepEngine {
             self.remap_events += 1;
             if let Some(comm) = self.group.as_mut() {
                 comm.bump_epoch();
-            }
-            if self.reports() && telemetry::enabled() {
-                let name = format!("{}.remap_events", self.prefix);
-                telemetry::global().counter(&name).inc();
             }
         }
         Ok(())
@@ -1177,13 +1139,6 @@ pub(crate) fn apply_meta(
     *steps_skipped = meta.steps_skipped;
 }
 
-/// Counts a restore from a checkpoint, whichever runtime ran it.
-pub(crate) fn count_recovery() {
-    if telemetry::enabled() {
-        telemetry::global().counter("samo.ckpt.recoveries").inc();
-    }
-}
-
 /// The record of one completed step of one rank holding `layers`, at
 /// place `(0, 0)`, as its ledger charged it (`split`): what every SAMO
 /// runtime's event shares. `verdict` is whether it applied and at which
@@ -1191,7 +1146,7 @@ pub(crate) fn count_recovery() {
 /// `world` moves the ring byte model; a single worker reports the flat
 /// payload a data-parallel step would move, Eq. 9.
 pub(crate) fn step_event(
-    prefix: &str,
+    runtime: &'static str,
     (applied, scale_used): (bool, f32),
     meta: TrainerMeta,
     layers: &[SamoLayerState],
@@ -1205,7 +1160,7 @@ pub(crate) fn step_event(
     // for a state that owns the whole compressed range.
     let unsharded = !layers.iter().any(SamoLayerState::is_sharded);
     telemetry::StepEvent {
-        runtime: prefix.replace('.', "_"),
+        runtime,
         step: (meta.steps_taken + meta.steps_skipped).saturating_sub(1),
         applied,
         loss_scale: scale_used,
@@ -1219,23 +1174,6 @@ pub(crate) fn step_event(
         split,
         ..Default::default()
     }
-}
-
-/// Reports a step: the counters and gauges every runtime keeps under its
-/// `prefix` — a ring group's cumulative `allreduce_bytes` among them —
-/// and the event's line. `scale_now` is the loss scale after the verdict.
-pub(crate) fn report_step(prefix: &str, ring: bool, scale_now: f32, ev: &telemetry::StepEvent) {
-    let reg = telemetry::global();
-    let verdict = if ev.applied { "taken" } else { "skipped" };
-    reg.counter(&format!("{prefix}.steps_{verdict}")).inc();
-    if ring {
-        reg.counter(&format!("{prefix}.allreduce_bytes")).add(ev.allreduce_bytes);
-    }
-    reg.gauge(&format!("{prefix}.loss_scale"))
-        .set(f64::from(scale_now));
-    reg.gauge(&format!("{prefix}.model_state_bytes"))
-        .set_max(ev.model_state_bytes as f64);
-    telemetry::jsonl::emit_line(&ev.to_json());
 }
 
 #[cfg(test)]

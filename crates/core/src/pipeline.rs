@@ -409,8 +409,8 @@ impl<M: Layer> StageRank<M> {
     /// parameters from `params.0` on, of `params.1` — sharded over its
     /// stage's data mesh `links.0`; `links.1` is its replica's pipeline
     /// mesh, which a one-stage rank has none of. The grid names the
-    /// runtime its steps report as: `samo.dp_rank` at one stage,
-    /// `samo.pipeline` deeper.
+    /// runtime its steps report as: `samo_dp_rank` at one stage,
+    /// `samo_pipeline` deeper.
     pub(crate) fn build(
         mut block: M,
         masks: &[Mask],
@@ -420,7 +420,7 @@ impl<M: Layer> StageRank<M> {
         place: (usize, usize),
         (data, pipe): (Communicator, Option<Communicator>),
     ) -> Self {
-        let runtime = if cfg.g_inter == 1 { "samo.dp_rank" } else { "samo.pipeline" };
+        let runtime = if cfg.g_inter == 1 { "samo_dp_rank" } else { "samo_pipeline" };
         let lane = data.trace_lane();
         let mut engine = StepEngine::build(&mut block, masks, opt, Some(data), runtime);
         // Its place in the grid: rank (0, 0) reports for the group.
@@ -521,7 +521,7 @@ impl<M: Layer> StageRank<M> {
         if self.pipe.is_some() && telemetry::enabled() {
             self.finish_step_telemetry(step);
         }
-        Ok(self.engine.end_step(&self.block, applied, scale_used))
+        Ok(self.engine.end_step(applied, scale_used))
     }
 
     /// The step's schedule: receives, and runs what [`Schedule::next`]
@@ -685,12 +685,10 @@ impl<M: Layer> StageRank<M> {
     }
 
     /// Telemetry tail of a completed step: records this rank's step
-    /// window slice and the stash's peak. Only called when telemetry is
-    /// enabled and the step reached a verdict (error paths skip it — a
-    /// dead rank's wait slices still tell the story).
+    /// window slice. Only called when telemetry is enabled and the step
+    /// reached a verdict (error paths skip it — a dead rank's wait slices
+    /// still tell the story).
     fn finish_step_telemetry(&mut self, step: u32) {
-        let reg = telemetry::global();
-        reg.gauge("samo.pipeline.stash_bytes_peak").set_max(self.stats.stash_bytes_peak as f64);
         let ledger = &mut self.engine.ledger;
         let (win0, dur_us) = (ledger.trace_us(0), ledger.mark() as f64 * 1e-3);
         // The step window on this rank's row, around its F/B/W slices and

@@ -27,8 +27,8 @@
 
 use crate::compressed::expand_into;
 use crate::engine::{
-    apply_meta, assert_replicas_agree, build_layers, check_structure, count_recovery,
-    install_layers, report_step, step_event, trainer_meta,
+    apply_meta, assert_replicas_agree, build_layers, check_structure, install_layers, step_event,
+    trainer_meta,
 };
 use crate::serialize::{load_checkpoint, save_checkpoint};
 use crate::state::{os_arrays_mut, RemapScratch, SamoLayerState};
@@ -337,8 +337,8 @@ impl<M: Layer> DataParallelSamo<M> {
         self.ledger.stop();
         if telemetry::enabled() {
             let split = self.ledger.split();
-            let ev = step_event("samo.dp", (proceed, scale), self.meta(), &self.states[0], &self.opt, Some(d), split);
-            report_step("samo.dp", true, self.scaler.scale(), &ev);
+            let ev = step_event("samo_dp", (proceed, scale), self.meta(), &self.states[0], &self.opt, Some(d), split);
+            telemetry::jsonl::emit_line(&ev.to_json());
         }
         proceed
     }
@@ -379,7 +379,6 @@ impl<M: Layer> DataParallelSamo<M> {
             &mut self.steps_taken,
             &mut self.steps_skipped,
         );
-        count_recovery();
         Ok(())
     }
 
@@ -402,11 +401,6 @@ impl<M: Layer> DataParallelSamo<M> {
             layers.into_iter(),
             &mut self.replicas[rank],
         )?;
-        if telemetry::enabled() {
-            telemetry::global()
-                .counter("samo.ckpt.rank_recoveries")
-                .inc();
-        }
         Ok(())
     }
 
@@ -619,12 +613,12 @@ impl DenseMaskedTrainer {
         proceed
     }
 
-    /// Cold path: the same step record and `dense.*` metrics every SAMO
-    /// runtime keeps, under `runtime: "dense_masked"`.
+    /// Cold path: the same step record every SAMO runtime writes, under
+    /// `runtime: "dense_masked"`.
     fn record_step(&self, applied: bool, scale_used: f32) {
         let numel = self.numel() as u64;
         let ev = telemetry::StepEvent {
-            runtime: "dense_masked".into(),
+            runtime: "dense_masked",
             step: self.steps_taken + self.steps_skipped - 1,
             applied,
             loss_scale: scale_used,
@@ -638,7 +632,7 @@ impl DenseMaskedTrainer {
             split: self.ledger.split(),
             ..Default::default()
         };
-        report_step("dense", false, self.scaler.scale(), &ev);
+        telemetry::jsonl::emit_line(&ev.to_json());
     }
 }
 

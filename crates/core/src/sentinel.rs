@@ -127,17 +127,11 @@ impl DivergenceSentinel {
             return Verdict::Healthy;
         }
         self.suspect_streak += 1;
-        if telemetry::enabled() {
-            telemetry::global().counter("samo.sentinel.suspect_steps").inc();
-        }
         if self.suspect_streak >= self.cfg.patience {
             telemetry::log_info!(
                 "sentinel: divergence after {} consecutive suspect steps (loss {loss}, grad norm {grad_norm})",
                 self.suspect_streak
             );
-            if telemetry::enabled() {
-                telemetry::global().counter("samo.sentinel.divergences").inc();
-            }
             self.reset();
             Verdict::Diverged
         } else {

@@ -10,7 +10,7 @@
 //! 1×G point over whole replicas of any model, on an in-process mesh or
 //! the caller's endpoints. `samo-launch` runs the same rank one per
 //! process. At one stage the grid has no pipeline mesh, and its ranks
-//! report as `samo.dp_rank`; deeper, as `samo.pipeline`.
+//! report as `samo_dp_rank`; deeper, as `samo_pipeline`.
 //!
 //! Where [`crate::reference::DataParallelSamo`] loops over replicas
 //! inside one thread and reduces gradients with the sequential oracle,
@@ -426,7 +426,7 @@ impl<M: Layer + Send + 'static> RankGroup<M> {
     /// The runtime each rank's steps report as (a step record's
     /// `runtime`), in rank order: the grid names it, not the constructor.
     // TEST-API: `pipeline_threaded` checks that both constructors' 1×G groups report as one runtime.
-    pub fn runtimes(&self) -> Vec<String> {
+    pub fn runtimes(&self) -> Vec<&'static str> {
         self.each(|rank| rank.engine.step_event().runtime)
     }
 
@@ -759,7 +759,7 @@ mod tests {
         let splits = [(base, 321_098), (idle, 0), (remap, 321_098), (optimizer, 1)];
         let places = [(0, 0), (1, 0), (0, 1), (1, 1)];
         let event = |(&(stage, data), &(ns, hidden)): (&(u64, u64), &_)| StepEvent {
-            runtime: "samo_dp_rank".into(),
+            runtime: "samo_dp_rank",
             step: 5,
             stage,
             data,

@@ -63,7 +63,7 @@ fn step(pp: &mut ThreadedPipelineSamo, step: u64) -> Result<bool, String> {
 fn a_restored_group_numbers_its_steps_as_its_ranks_do() {
     let tmp = std::env::temp_dir().join(format!("samo-one-group-{}", std::process::id()));
     std::env::set_var("SAMO_RESULTS_DIR", &tmp);
-    let _guard = telemetry::registry::test_lock();
+    let _guard = telemetry::test_lock();
     let mut trained = ThreadedPipelineSamo::new(vec![model()], masks(), adam(), cfg(2, 1));
     for s in 0..3 {
         step(&mut trained, s).expect("healthy mesh");

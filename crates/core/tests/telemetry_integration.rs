@@ -1,6 +1,7 @@
-//! End-to-end telemetry: training steps must produce counters, phase
-//! timings off the step ledger, and `metrics.jsonl` lines whose byte
-//! accounting matches the paper's closed-form model-state size.
+//! End-to-end telemetry: training steps must produce `metrics.jsonl`
+//! lines that carry the step's counters, its phase timings off the step
+//! ledger, and byte accounting that matches the paper's closed-form
+//! model-state size.
 
 use nn::layer::{Layer, Sequential};
 use nn::linear::Linear;
@@ -11,6 +12,8 @@ use samo::pipeline::{PipelineConfig, ThreadedPipelineSamo};
 use samo::reference::{dense_formula_state_bytes, DataParallelSamo, DenseMaskedTrainer};
 use samo::trainer::{formula_state_bytes, SamoTrainer};
 use samo::{StageRank, ThreadedDataParallelSamo};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use telemetry::json::Json;
 use telemetry::ledger::Phase;
 use tensor::Tensor;
@@ -45,6 +48,11 @@ fn ledger_keys() -> Vec<String> {
     Phase::ALL.iter().map(|p| format!("t_{}", p.name())).collect()
 }
 
+/// The seconds a step record charges to `phase`.
+fn secs(rec: &Json, phase: Phase) -> f64 {
+    num(rec.get(&format!("t_{}", phase.name())))
+}
+
 /// The keys of one record, and the phases (`t_<phase>`) among them.
 fn keys(rec: &Json) -> (Vec<&str>, Vec<&str>) {
     let Json::Obj(fields) = rec else { panic!("record is not an object: {rec:?}") };
@@ -52,17 +60,28 @@ fn keys(rec: &Json) -> (Vec<&str>, Vec<&str>) {
     names.partition(|k| !k.starts_with("t_"))
 }
 
-#[test]
-fn every_runtime_records_counters_ledgers_and_the_one_step_schema() {
-    // Route the JSONL sink to a scratch directory. The sink opens
-    // lazily on first emit, which only happens inside this test binary
-    // while the flag below is set — hence one test function for every
-    // runtime: the sink is opened once per process.
+/// Routes the JSONL sink to a scratch directory and returns it. The sink
+/// opens lazily on the first line, once per process — hence one test
+/// function for every runtime, and one directory for both tests here.
+fn sink_dir() -> PathBuf {
     let tmp = std::env::temp_dir().join(format!("samo-telemetry-test-{}", std::process::id()));
     std::env::set_var("SAMO_RESULTS_DIR", &tmp);
-    let read = || std::fs::read_to_string(tmp.join("metrics.jsonl")).unwrap();
+    tmp
+}
 
-    let _guard = telemetry::registry::test_lock();
+/// The last of the two tests that share [`sink_dir`] removes it.
+fn finished(dir: &Path) {
+    static DONE: AtomicUsize = AtomicUsize::new(0);
+    if DONE.fetch_add(1, Ordering::Relaxed) == 1 {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+#[test]
+fn every_runtime_records_its_ledger_in_the_one_step_schema() {
+    let _guard = telemetry::test_lock();
+    let tmp = sink_dir();
+    let read = || std::fs::read_to_string(tmp.join("metrics.jsonl")).unwrap();
     telemetry::set_enabled(true);
     telemetry::trace::take();
 
@@ -71,45 +90,40 @@ fn every_runtime_records_counters_ledgers_and_the_one_step_schema() {
     let x = Tensor::randn(&[4, 8], 1.0, 3);
     let target = Tensor::randn(&[4, 8], 1.0, 4);
     let steps = 3;
+    let mut scales = Vec::new();
     for _ in 0..steps {
+        scales.push(f64::from(trainer.loss_scale()));
         let dy = fwd_bwd(&mut model, &x, &target, trainer.loss_scale());
         model.backward(&dy);
         trainer.step(&mut model);
     }
     telemetry::jsonl::flush();
     telemetry::set_enabled(false);
+    // Between steps the weight holds no f32 value (it computes from the
+    // lent θ16) and no dense gradient: the kept sums, 4·nnz.
+    assert_eq!(nn::param::resident_param_bytes(&model), (0, 4 * 16));
 
-    // Counters: every applied/skipped step is accounted for.
-    let reg = telemetry::global();
-    let taken = reg.counter("samo.steps_taken").get();
-    let skipped = reg.counter("samo.steps_skipped").get();
-    assert_eq!(taken + skipped, steps);
-    assert_eq!(taken, trainer.steps_taken());
-
-    // Gauges: loss scale mirrors the scaler; state bytes high-water mark
-    // equals the (constant) measured size.
-    assert_eq!(
-        reg.gauge("samo.loss_scale").get(),
-        f64::from(trainer.loss_scale())
-    );
-    assert_eq!(
-        reg.gauge("samo.model_state_bytes").get(),
-        trainer.model_state_bytes(true) as f64
-    );
-
-    // Phases: the ledger charged the fused compress kernel every step and
-    // the fused optimizer+expand kernel only on applied steps, each into
-    // the histogram of its name. The engine opens no span timer.
-    let (spans, _) = telemetry::trace::take();
-    assert!(!spans.iter().any(|s| s.name.starts_with("samo.step.")), "{spans:?}");
-    assert_eq!(reg.histogram("samo.step.compress").count(), steps);
-    assert_eq!(reg.histogram("samo.step.optimizer").count(), taken);
-
-    // JSONL: one line per step with the formula matching the measured
-    // bytes (Adam: 2φ + 24·nnz).
+    // JSONL: one line per step, each with the loss scale it ran at and
+    // the formula matching the measured bytes (Adam: 2φ + 24·nnz); the
+    // last one carries the trainer's counters.
     let data = read();
     let lines: Vec<&str> = data.lines().collect();
     assert_eq!(lines.len(), steps as usize);
+    let single = records(&data, 0, "step");
+    assert_eq!(single.iter().map(|r| num(r.get("loss_scale"))).collect::<Vec<_>>(), scales);
+    let last = &single[steps as usize - 1];
+    let taken = uint(last.get("steps_taken"));
+    assert_eq!(taken + uint(last.get("steps_skipped")), steps);
+    assert_eq!(taken, trainer.steps_taken());
+
+    // Phases: the ledger charged the fused compress kernel every step and
+    // the fused optimizer+expand kernel only on applied steps. The engine
+    // opens no span timer.
+    let (spans, _) = telemetry::trace::take();
+    assert!(spans.is_empty(), "{spans:?}");
+    let charged = |phase| single.iter().filter(|r| secs(r, phase) > 0.0).count() as u64;
+    assert_eq!(charged(Phase::Compress), steps);
+    assert_eq!(charged(Phase::Optimizer), taken);
     let phi = trainer.numel() as u64;
     let nnz = trainer.nnz() as u64;
     let formula = formula_state_bytes(&trainer.opt, phi, nnz);
@@ -129,38 +143,36 @@ fn every_runtime_records_counters_ledgers_and_the_one_step_schema() {
 
     // The same recorder serves the data-parallel rank run one per process
     // (here one per thread): one `samo_dp_rank` event per group step
-    // (from rank 0), with every phase of the ledger, and a restore counted
-    // as a recovery.
-    let recoveries = reg.counter("samo.ckpt.recoveries").get();
-    let dp_taken = reg.counter("samo.dp_rank.steps_taken").get();
-    let optimizer_before = reg.histogram("samo.step.optimizer").count();
+    // (from rank 0), with every phase of the ledger; a rank rebuilt on a
+    // fresh mesh resumes from the group's checkpoint at the saved step.
     telemetry::set_enabled(true);
+    let (old, new) = (comms::InProcTransport::mesh(2), comms::InProcTransport::mesh(2));
     std::thread::scope(|s| {
-        for t in comms::InProcTransport::mesh(2) {
+        for (t, fresh) in old.into_iter().zip(new) {
             let (x, target) = (&x, &target);
             s.spawn(move || {
-                let (model, mask) = linear_and_mask();
-                let comm = comms::Communicator::new(t);
-                let mut rank = StageRank::new(model, &[mask], adam(), comm);
+                let rank = |t| {
+                    let (model, mask) = linear_and_mask();
+                    StageRank::new(model, &[mask], adam(), comms::Communicator::new(t))
+                };
+                let mut dp = rank(t);
                 for _ in 0..steps {
-                    rank.step(|_, m, scale| fwd_bwd(m, x, target, scale)).expect("healthy mesh");
+                    dp.step(|_, m, scale| fwd_bwd(m, x, target, scale)).expect("healthy mesh");
                 }
-                let ckpt = rank.save().expect("collective save");
-                rank.restore(&ckpt).expect("own checkpoint restores");
+                let ckpt = dp.save().expect("collective save");
+                let mut back = rank(fresh);
+                back.restore(&ckpt).expect("the group's checkpoint restores");
+                assert_eq!(back.engine().steps_taken(), steps, "resumed at the saved step");
             });
         }
     });
     telemetry::jsonl::flush();
     telemetry::set_enabled(false);
-    let dp_taken = reg.counter("samo.dp_rank.steps_taken").get() - dp_taken;
-    assert_eq!(dp_taken, steps);
-    assert_eq!(reg.counter("samo.ckpt.recoveries").get() - recoveries, 1);
     telemetry::trace::take();
-    let optimizer = reg.histogram("samo.step.optimizer").count() - optimizer_before;
-    assert_eq!(optimizer, steps, "rank 0 alone reports");
     let data = read();
     let dp = records(&data, steps as usize, "step");
-    assert_eq!(dp.len(), steps as usize);
+    assert_eq!(dp.len(), steps as usize, "rank 0 alone reports");
+    assert_eq!(uint(dp[steps as usize - 1].get("steps_taken")), steps);
     // A rank holds its shard of the compressed state, not `formula`.
     let shard = samo::m_samo_zero_bytes(phi, 1.0 - nnz as f64 / phi as f64, 2) as f64;
     for rec in &dp {
@@ -234,20 +246,11 @@ fn every_runtime_records_counters_ledgers_and_the_one_step_schema() {
         let sum: f64 = ledger_keys().iter().map(|k| num(rec.get(k))).sum();
         assert!(window > 0.0 && (sum - window).abs() <= 1e-6 * window.max(1e-3), "{name}: {rec:?}");
     }
-    let once = [("samo.dp_rank", dp_taken + 1), ("samo.pipeline", 1), ("dense", 1)];
-    for (prefix, taken) in once {
-        assert_eq!(reg.counter(&format!("{prefix}.steps_taken")).get(), taken, "{prefix}");
-        assert!(reg.gauge(&format!("{prefix}.model_state_bytes")).get() > 0.0, "{prefix}");
+    for name in ["samo_dp", "dense_masked", "samo_dp_rank", "samo_pipeline"] {
+        let rec = by_runtime(name);
+        assert_eq!(uint(rec.get("steps_taken")), 1, "{name}: {rec:?}");
+        assert!(uint(rec.get("model_state_bytes")) > 0, "{name}: {rec:?}");
     }
-    // The f32 shadows a reporting rank's 8 × 8 weight keeps next to that
-    // state: where the caller runs the passes, the sums backward adds dW
-    // into at the 16 kept positions, lent between steps beside θ16, 4·nnz
-    // (no dense gradient after the first step); on a pipeline stage, the
-    // sums its microbatches add dW into, 4·nnz again; nothing on a
-    // data-parallel rank, which computes from θ16 and streams dW into ∇θ16.
-    let resident = |prefix: &str| reg.gauge(&format!("{prefix}.resident_param_bytes")).get();
-    let shadows = ["samo", "samo.pipeline", "samo.dp_rank"].map(resident);
-    assert_eq!(shadows, [4.0 * 16.0, 4.0 * 16.0, 0.0]);
 
     // Step events ride the rank threads' replies, not the mesh: with
     // telemetry on, a group step sends the bytes it sends with telemetry
@@ -346,7 +349,7 @@ fn every_runtime_records_counters_ledgers_and_the_one_step_schema() {
         }
     }
 
-    let _ = std::fs::remove_dir_all(&tmp);
+    finished(&tmp);
 }
 
 /// A number field of a record.
@@ -385,15 +388,20 @@ fn formula_helpers_cover_both_optimizers() {
     assert_eq!(dense_formula_state_bytes(&sgd, 100), 1600);
 }
 
+/// Telemetry off, a step writes no line and records no trace event:
+/// whether the sink is open or not yet, `metrics.jsonl` keeps its lines.
 #[test]
-fn disabled_telemetry_adds_no_metrics() {
-    let _guard = telemetry::registry::test_lock();
+fn telemetry_off_writes_no_line_and_records_no_trace_event() {
+    let _guard = telemetry::test_lock();
+    let tmp = sink_dir();
+    let lines = || std::fs::read_to_string(tmp.join("metrics.jsonl")).map_or(0, |d| d.lines().count());
     telemetry::set_enabled(false);
+    telemetry::trace::take();
+    let before = lines();
 
     let mut model = Linear::new(6, 6, false, 9);
     let mask = prune::random_prune(&[6, 6], 0.5, 10);
     let mut trainer = SamoTrainer::new(&mut model, vec![mask], adam());
-    let before = telemetry::global().counter("samo.steps_taken").get();
     let x = Tensor::randn(&[2, 6], 1.0, 11);
     let target = Tensor::randn(&[2, 6], 1.0, 12);
     let y = model.forward(&x);
@@ -402,6 +410,8 @@ fn disabled_telemetry_adds_no_metrics() {
     model.backward(&dy);
     trainer.step(&mut model);
 
-    assert_eq!(telemetry::global().counter("samo.steps_taken").get(), before);
-    assert!(telemetry::trace::take().0.is_empty());
+    assert_eq!(trainer.steps_taken() + trainer.steps_skipped(), 1, "the step ran");
+    assert_eq!(lines(), before);
+    assert_eq!(telemetry::trace::take(), (Vec::new(), Vec::new()));
+    finished(&tmp);
 }

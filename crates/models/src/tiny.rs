@@ -162,9 +162,6 @@ pub struct TinyGpt {
 impl TinyGpt {
     /// Builds the model with deterministic seeded initialization.
     pub fn new(config: TinyGptConfig, seed: u64) -> TinyGpt {
-        if telemetry::enabled() {
-            telemetry::global().counter("models.built").inc();
-        }
         let blocks = (0..config.layers)
             .map(|i| TransformerBlock::new(config.dim, config.heads, seed + 100 * i as u64))
             .collect();

@@ -3,14 +3,6 @@
 use tensor::ops::softmax_rows;
 use tensor::Tensor;
 
-/// Counts one loss evaluation (`nn.loss_evals`) — a cheap proxy for
-/// "training steps attempted" visible from any driver.
-fn count_loss_eval() {
-    if telemetry::enabled() {
-        telemetry::global().counter("nn.loss_evals").inc();
-    }
-}
-
 /// Softmax cross-entropy over logits.
 ///
 /// `logits` is `[N, V]`, `targets` a slice of `N` class indices. Returns
@@ -21,7 +13,6 @@ pub fn cross_entropy(logits: &Tensor, targets: &[usize]) -> (f32, Tensor) {
     let n = logits.rows();
     let v = logits.cols();
     assert_eq!(targets.len(), n, "one target per row");
-    count_loss_eval();
 
     let mut probs = logits.clone();
     softmax_rows(probs.as_mut_slice(), n, v);
@@ -54,7 +45,6 @@ pub fn perplexity(cross_entropy_loss: f32) -> f32 {
 /// Mean squared error and its gradient w.r.t. predictions.
 pub fn mse(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
     assert_eq!(pred.shape(), target.shape());
-    count_loss_eval();
     let n = pred.numel() as f32;
     let mut grad = Tensor::zeros(pred.shape());
     let mut loss = 0.0f64;

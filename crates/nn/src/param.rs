@@ -244,6 +244,7 @@ impl Parameter {
 /// the gradients.
 /// Buffer lengths, not capacities or pages — a released value or
 /// gradient counts zero.
+// TEST-API: the rulers of what a rank keeps in f32 (`streamed_grad`, `no_dense_weight_grad`, `telemetry_integration`).
 pub fn resident_param_bytes(model: &impl Layer) -> (usize, usize) {
     model.params().iter().fold((0, 0), |(v, g), p| {
         let sums = p.grad_sums().map_or(0, <[f32]>::len);

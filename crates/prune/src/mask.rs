@@ -42,9 +42,6 @@ impl Mask {
         if let Some(&last) = indices.last() {
             assert!((last as usize) < numel, "mask index out of bounds");
         }
-        if telemetry::enabled() {
-            telemetry::global().counter("prune.masks_built").inc();
-        }
         Mask {
             shape: shape.to_vec(),
             indices: Arc::new(indices),

@@ -91,14 +91,15 @@ fn serve_mode(args: &[String]) -> Result<(), String> {
     let stats = server.stop();
     println!(
         "samo-serve: done; {} requests in {} batches (mean fill {:.1}), \
-         {} reloads, {} respawns, p50 {:.2} ms p99 {:.2} ms",
+         {} reloads, {} respawns, p50 {:.2} ms p99 {:.2} ms, {} reloads rejected",
         stats.requests,
         stats.batches,
         stats.mean_batch_fill,
         stats.reloads,
         stats.respawns,
         stats.p50_latency_ms,
-        stats.p99_latency_ms
+        stats.p99_latency_ms,
+        stats.reload_rejected
     );
     Ok(())
 }

@@ -12,11 +12,11 @@
 //! first swap enqueued to the last replica's ack, during which mixed
 //! old-step/new-step replies coexist (each still bitwise-correct for
 //! the step it is stamped with). The watcher measures that window and
-//! records it as `serve.reload_blackout_ms`; the bench gates on it.
+//! records it as `ServeStats::last_blackout_ms`; the bench gates on it.
 //!
 //! A checkpoint that fails verification is skipped with an error log
-//! and a `serve.reload_rejected` count — the serving fleet keeps
-//! answering on the model it already trusts.
+//! and counted in `ServeStats::reload_rejected` — the serving fleet
+//! keeps answering on the model it already trusts.
 
 use crate::model::{build_model, Backend};
 use crate::server::DispatchMsg;
@@ -67,7 +67,7 @@ fn watch(
             Ok(l) => l,
             Err(e) => {
                 telemetry::log_warn!("serve: rejected published step {step}: {e}");
-                telemetry::global().counter("serve.reload_rejected").inc();
+                shared.reload_rejected.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
         };
@@ -78,7 +78,7 @@ fn watch(
                 Ok(m) => models.push(m),
                 Err(e) => {
                     telemetry::log_warn!("serve: cannot lower published step {step}: {e}");
-                    telemetry::global().counter("serve.reload_rejected").inc();
+                    shared.reload_rejected.fetch_add(1, Ordering::Relaxed);
                     ok = false;
                     break;
                 }

@@ -241,8 +241,8 @@ impl Server {
         true
     }
 
-    /// Stops everything, joins every thread, mirrors the counters into
-    /// the global registry, and returns the lifetime totals.
+    /// Stops everything, joins every thread, and returns the lifetime
+    /// totals.
     pub fn stop(self) -> ServeStats {
         self.shutdown.store(true, Ordering::Relaxed);
         let _ = self.dispatch.send(DispatchMsg::Shutdown);
@@ -253,7 +253,6 @@ impl Server {
         for j in joins {
             let _ = j.join();
         }
-        self.shared.publish_global();
         self.shared.snapshot()
     }
 }

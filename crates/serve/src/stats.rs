@@ -1,16 +1,14 @@
 //! Per-server counters and latency accounting, shared lock-free
 //! between the listener, replicas, dispatcher, and reload watcher.
 //!
-//! The registry in `telemetry` is process-global; tests run several
-//! servers in one process, so each server owns its own [`Shared`]
-//! block and mirrors it into the global registry only at shutdown
-//! (when `telemetry::enabled()`), where `repro serve` drains it into
-//! `metrics.jsonl`. Latency and batch-fill use the same bucketed
-//! [`Histogram`] the registry hands out, with microsecond bounds wide
-//! enough to resolve a p99 from tens of microseconds to seconds.
+//! Tests run several servers in one process, so each server owns its
+//! own [`Shared`] block, read through [`ServeStats`]. Latency and
+//! batch-fill use `telemetry`'s bucketed [`Histogram`], with
+//! microsecond bounds wide enough to resolve a p99 from tens of
+//! microseconds to seconds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use telemetry::registry::Histogram;
+use telemetry::Histogram;
 
 /// Geometric microsecond bounds, 10 µs .. ~84 s, ratio ~1.3; bucketed
 /// quantiles resolve to better than ±15%.
@@ -33,6 +31,9 @@ pub(crate) struct Shared {
     pub dropped: AtomicU64,
     pub batches: AtomicU64,
     pub reloads: AtomicU64,
+    /// Published checkpoints the watcher refused: failed verification
+    /// or could not be lowered.
+    pub reload_rejected: AtomicU64,
     pub respawns: AtomicU64,
     pub serving_step: AtomicU64,
     /// Most recent reload blackout (first swap sent → last replica
@@ -51,6 +52,7 @@ impl Shared {
             dropped: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             reloads: AtomicU64::new(0),
+            reload_rejected: AtomicU64::new(0),
             respawns: AtomicU64::new(0),
             serving_step: AtomicU64::new(initial_step),
             last_blackout_us: AtomicU64::new(0),
@@ -70,6 +72,7 @@ impl Shared {
             dropped: r(&self.dropped),
             batches: r(&self.batches),
             reloads: r(&self.reloads),
+            reload_rejected: r(&self.reload_rejected),
             respawns: r(&self.respawns),
             serving_step: r(&self.serving_step),
             last_blackout_ms: r(&self.last_blackout_us) as f64 / 1e3,
@@ -77,26 +80,6 @@ impl Shared {
             p99_latency_ms: self.latency_us.quantile(0.99).unwrap_or(0.0) / 1e3,
             mean_batch_fill: self.batch_fill.mean().unwrap_or(0.0),
         }
-    }
-
-    /// Mirrors the final counters into the process-global registry
-    /// under `serve.*`, for the `metrics.jsonl` drain.
-    pub fn publish_global(&self) {
-        if !telemetry::enabled() {
-            return;
-        }
-        let reg = telemetry::global();
-        let s = self.snapshot();
-        reg.counter("serve.requests").add(s.requests);
-        reg.counter("serve.responses").add(s.responses);
-        reg.counter("serve.errors").add(s.errors);
-        reg.counter("serve.batches").add(s.batches);
-        reg.counter("serve.reloads").add(s.reloads);
-        reg.counter("serve.replica_respawns").add(s.respawns);
-        reg.gauge("serve.p50_latency_ms").set(s.p50_latency_ms);
-        reg.gauge("serve.p99_latency_ms").set(s.p99_latency_ms);
-        reg.gauge("serve.reload_blackout_ms").set_max(s.last_blackout_ms);
-        reg.gauge("serve.mean_batch_fill").set(s.mean_batch_fill);
     }
 }
 
@@ -111,6 +94,8 @@ pub struct ServeStats {
     pub dropped: u64,
     pub batches: u64,
     pub reloads: u64,
+    /// Published checkpoints refused by the reload watcher.
+    pub reload_rejected: u64,
     pub respawns: u64,
     pub serving_step: u64,
     pub last_blackout_ms: f64,

@@ -14,14 +14,7 @@
 //! assigning an equal number of *nonzeros* (not rows) to each task.
 
 use crate::formats::Csr;
-use std::sync::{Arc, OnceLock};
 use tensor::pool::{par_parts_mut, par_rows_mut, ThreadPool};
-
-/// Cached `sparse.spmm_calls` counter handle (all spMM variants).
-fn spmm_calls() -> &'static Arc<telemetry::Counter> {
-    static CALLS: OnceLock<Arc<telemetry::Counter>> = OnceLock::new();
-    CALLS.get_or_init(|| telemetry::global().counter("sparse.spmm_calls"))
-}
 
 /// spMM: `C = A_sparse · B`, where `A` is `m × k` CSR, `B` is dense
 /// row-major `k × n`, `C` is dense row-major `m × n` (overwritten).
@@ -34,15 +27,11 @@ pub fn spmm(a: &Csr, b: &[f32], n: usize, c: &mut [f32]) {
     par_rows_mut(c, n, 1, |offset, c_rows| spmm_rows(a, b, n, offset / n, c_rows));
 }
 
-/// Checks the operand sizes and counts the call; `false` when C is empty.
+/// Checks the operand sizes; `false` when C is empty.
 fn begin_spmm(a: &Csr, b: &[f32], n: usize, c: &[f32]) -> bool {
     assert_eq!(b.len(), a.cols * n, "B must be k x n");
     assert_eq!(c.len(), a.rows * n, "C must be m x n");
-    let work = !c.is_empty();
-    if work && telemetry::enabled() {
-        spmm_calls().inc();
-    }
-    work
+    !c.is_empty()
 }
 
 /// Rows `r0..` of `A_sparse · B` into `c_rows`, as many as it holds.

@@ -3,17 +3,6 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, OnceLock};
-
-/// Process-wide telemetry handles, resolved once so the hot `pop` path
-/// does a single atomic add / store instead of a registry lookup.
-fn sim_metrics() -> &'static (Arc<telemetry::Counter>, Arc<telemetry::Gauge>) {
-    static METRICS: OnceLock<(Arc<telemetry::Counter>, Arc<telemetry::Gauge>)> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let reg = telemetry::global();
-        (reg.counter("summit.events_processed"), reg.gauge("summit.sim_time"))
-    })
-}
 
 /// An event tagged with its firing time.
 struct Timed<E> {
@@ -92,11 +81,6 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(f64, E)> {
         self.heap.pop().map(|t| {
             self.now = t.time;
-            if telemetry::enabled() {
-                let (events, sim_time) = sim_metrics();
-                events.inc();
-                sim_time.set_max(t.time);
-            }
             (t.time, t.event)
         })
     }

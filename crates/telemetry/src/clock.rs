@@ -47,7 +47,7 @@ mod tests {
 
     #[test]
     fn monotonic_within_a_session() {
-        let _guard = crate::registry::test_lock();
+        let _guard = crate::test_lock();
         let a = now_us();
         let b = now_us();
         assert!(b >= a);
@@ -55,7 +55,7 @@ mod tests {
 
     #[test]
     fn reset_rewinds_the_session_origin() {
-        let _guard = crate::registry::test_lock();
+        let _guard = crate::test_lock();
         // The base is fixed at first use: touch it before sleeping, or a
         // run where this test comes first measures the 5 ms from nothing.
         let start = now_us();

@@ -30,7 +30,7 @@ pub struct StepEvent {
     /// `samo_dp_rank` (a data-parallel rank, a thread's or a process's),
     /// `samo_pipeline` or the dense baseline `dense_masked`. Every
     /// runtime writes the same keys.
-    pub runtime: String,
+    pub runtime: &'static str,
     /// 0-based index of this `step()` call (applied or skipped).
     pub step: u64,
     /// The rank's place in the `G_inter × G_data` grid: its pipeline
@@ -63,7 +63,7 @@ impl StepEvent {
     pub fn to_json(&self) -> Json {
         let mut fields: Vec<(String, Json)> = vec![
             ("kind".into(), Json::from("step")),
-            ("runtime".into(), Json::Str(self.runtime.clone())),
+            ("runtime".into(), Json::from(self.runtime)),
             ("step".into(), Json::UInt(self.step)),
             ("stage".into(), Json::UInt(self.stage)),
             ("data".into(), Json::UInt(self.data)),
@@ -177,7 +177,7 @@ mod tests {
     fn step_event_serialises_all_fields() {
         let ns = [1_234_567, 2_345_678, 345_679, 12_345, 456_789, 0, 98_765, 543_210, 210_987, 87_654, 7_654];
         let ev = StepEvent {
-            runtime: "samo".into(),
+            runtime: "samo",
             step: 3,
             stage: 1,
             data: 2,
@@ -209,7 +209,7 @@ mod tests {
     #[test]
     fn formula_none_serialises_as_null() {
         let ev = StepEvent {
-            runtime: "samo_dp".into(),
+            runtime: "samo_dp",
             loss_scale: 2.0,
             steps_skipped: 1,
             numel: 8,

@@ -288,7 +288,7 @@ mod tests {
     #[test]
     fn marks_are_trace_timestamps() {
         // Another test may reset the trace clock's origin.
-        let _guard = crate::registry::test_lock();
+        let _guard = crate::test_lock();
         let mut l = Ledger::default();
         let before = crate::clock::now_us();
         l.start();

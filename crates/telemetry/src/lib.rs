@@ -5,14 +5,11 @@
 //! flag off (the default) the hot paths of the training and simulation
 //! crates pay only that load; nothing allocates, locks or writes.
 //!
-//! Three cooperating pieces:
+//! Two pieces carry what a run measures:
 //!
-//! * [`registry`] — named [`Counter`]s, [`Gauge`]s and fixed-bucket
-//!   [`Histogram`]s, shared through a process-global [`Registry`]
-//!   (scoped registries are available for tests).
 //! * [`trace`] — the one trace recorder: [`trace::slice()`] and
 //!   [`trace::flow`] push into per-thread buffers on one of the live
-//!   lanes ([`trace::lane`]: spans, comms, pipeline, serve),
+//!   lanes ([`trace::lane`]: experiments, comms, pipeline, serve),
 //!   [`trace::take`] drains them, and the `chrome://tracing` / Perfetto
 //!   `trace_event` exporter writes them next to the simulated pipeline
 //!   schedule.
@@ -21,9 +18,10 @@
 //!   results directory (`SAMO_RESULTS_DIR`, default `results`).
 //!
 //! Supporting cast: [`clock`] (the shared resettable trace clock every
-//! lane stamps from) and [`ledger`] (the one step timer: every
+//! lane stamps from), [`ledger`] (the one step timer: every
 //! nanosecond of a training step charged to one phase, the split every
-//! trainer's step record reads).
+//! trainer's step record reads) and [`histogram`] (the fixed-bucket
+//! accumulator behind a server's latency quantiles).
 //!
 //! Plus [`logger`], a leveled stderr logger (`SAMO_LOG=quiet|info|debug`)
 //! so experiment drivers can keep stdout exclusively for machine-readable
@@ -38,16 +36,16 @@
 //! ```
 
 pub mod clock;
+pub mod histogram;
 pub mod json;
 pub mod jsonl;
 pub mod ledger;
 pub mod logger;
-pub mod registry;
 mod sink;
 pub mod trace;
 
 pub use jsonl::StepEvent;
-pub use registry::{global, Counter, Gauge, Histogram, Registry};
+pub use histogram::Histogram;
 pub use trace::{FlowEvent, TraceEvent};
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -85,13 +83,22 @@ pub fn init_from_env() {
     });
 }
 
+/// Serialises tests that flip the process-global enable flag or drain
+/// the trace recorder, so `cargo test`'s parallel runner can't
+/// interleave them. Public for use by dependent crates' test suites.
+// TEST-API: suites that flip the global telemetry flag serialise on it.
+pub fn test_lock() -> parking_lot::MutexGuard<'static, ()> {
+    static LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+    LOCK.lock()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn enable_roundtrip() {
-        let _guard = crate::registry::test_lock();
+        let _guard = crate::test_lock();
         let before = enabled();
         set_enabled(true);
         assert!(enabled());

@@ -116,7 +116,7 @@ mod tests {
 
     #[test]
     fn set_level_gates_enabled_at() {
-        let _guard = crate::registry::test_lock();
+        let _guard = crate::test_lock();
         let was = level();
         set_level(LogLevel::Quiet);
         assert!(!enabled_at(LogLevel::Info));

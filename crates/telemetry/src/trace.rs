@@ -24,16 +24,14 @@
 //! own buffer (`ThreadLocalSink`): no cross-thread lock, and a buffer
 //! outlives its thread, so a rank killed mid-drill still contributes
 //! its events to [`take`]. At most [`MAX_HELD_EVENTS`] events are
-//! held between drains; the rest are counted in
-//! `telemetry.trace.dropped`.
+//! held between drains; the rest are counted, and the next [`take`]
+//! warns how many were dropped.
 
 use crate::json::Json;
-use crate::registry::Counter;
 use crate::sink::{Handle, ThreadLocalSink};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
 
 /// The `pid` of each lane group in a combined trace: the simulated
 /// schedule and the four live lanes.
@@ -63,14 +61,11 @@ static FLOWS: ThreadLocalSink<FlowEvent> = ThreadLocalSink::new();
 /// Events reserved or buffered; a relaxed counter, so the cap costs the
 /// recording path no lock.
 static HELD: AtomicUsize = AtomicUsize::new(0);
+/// Events refused for room since the last [`take`].
+static DROPPED: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static LOCAL: (Handle<TraceEvent>, Handle<FlowEvent>) = (SLICES.handle(), FLOWS.handle());
-}
-
-fn dropped() -> &'static Counter {
-    static DROPPED: OnceLock<Arc<Counter>> = OnceLock::new();
-    DROPPED.get_or_init(|| crate::global().counter("telemetry.trace.dropped"))
 }
 
 /// Whether an event may be recorded now: telemetry on and room under
@@ -83,7 +78,7 @@ fn admit() -> bool {
         return true;
     }
     HELD.fetch_sub(1, Ordering::Relaxed);
-    dropped().inc();
+    DROPPED.fetch_add(1, Ordering::Relaxed);
     false
 }
 
@@ -143,11 +138,9 @@ pub fn flow(
 /// threads that have exited. Events come grouped by thread, not sorted
 /// by `ts` (trace UIs sort on load).
 pub fn take() -> (Vec<TraceEvent>, Vec<FlowEvent>) {
-    static REPORTED: AtomicU64 = AtomicU64::new(0);
     let (slices, flows) = (SLICES.drain(), FLOWS.drain());
     HELD.fetch_sub(slices.len() + flows.len(), Ordering::Relaxed);
-    let total = dropped().get();
-    let new = total.saturating_sub(REPORTED.swap(total, Ordering::Relaxed));
+    let new = DROPPED.swap(0, Ordering::Relaxed);
     if new > 0 {
         crate::log_warn!("trace: {new} events dropped at the {MAX_HELD_EVENTS}-event cap");
     }
@@ -341,7 +334,7 @@ mod tests {
 
     /// Telemetry on for the test, the recorder drained before and after.
     fn recording<R>(f: impl FnOnce() -> R) -> R {
-        let _guard = crate::registry::test_lock();
+        let _guard = crate::test_lock();
         crate::set_enabled(true);
         take();
         let out = f();
@@ -352,7 +345,7 @@ mod tests {
 
     #[test]
     fn disabled_runs_no_closure_and_registers_no_buffer() {
-        let _guard = crate::registry::test_lock();
+        let _guard = crate::test_lock();
         crate::set_enabled(false);
         // A fresh thread: its buffers would be registered on first use.
         let (calls, registered) = std::thread::spawn(|| {
@@ -437,7 +430,6 @@ mod tests {
     fn the_cap_keeps_exactly_max_events_and_counts_the_rest() {
         const EXTRA: usize = 37;
         let (kept, dropped_by) = recording(|| {
-            let before = dropped().get();
             // Two exited threads and the caller share the one cap.
             let spawn = |n: usize| {
                 std::thread::spawn(move || {
@@ -461,14 +453,12 @@ mod tests {
                 });
             }
             assert_eq!(built.get(), 0, "a dropped event is never built");
+            let dropped = DROPPED.load(Ordering::Relaxed);
             let (slices, flows) = take();
-            (slices.len() + flows.len(), dropped().get() - before)
+            assert_eq!(DROPPED.load(Ordering::Relaxed), 0, "a drain reports and resets the count");
+            (slices.len() + flows.len(), dropped)
         });
         assert_eq!(kept, MAX_HELD_EVENTS);
         assert_eq!(dropped_by, EXTRA as u64);
-        assert!(crate::global()
-            .snapshot()
-            .counters
-            .contains_key("telemetry.trace.dropped"));
     }
 }

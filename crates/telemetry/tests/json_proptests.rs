@@ -12,7 +12,7 @@ use telemetry::StepEvent;
 fn step(seed: u64, stage: u64, data: u64) -> StepEvent {
     let frac = |k: u64| (seed.rotate_left(k as u32) % 1_000_003) as f64 / 7_919.0;
     StepEvent {
-        runtime: "samo_dp_rank".into(),
+        runtime: "samo_dp_rank",
         step: seed % 997,
         stage,
         data,

@@ -32,17 +32,6 @@ use crate::f16::{to_f32_table, F16};
 use crate::pool::{par_chunks_mut, par_parts_mut, par_ranges, par_rows_mut, SplitMut};
 use crate::simd::{self, Kept, Tier};
 use crate::Tensor;
-use std::sync::{Arc, OnceLock};
-
-/// Cached handles so the per-call telemetry cost is two atomic adds, not
-/// a registry lookup: (`tensor.sgemm_calls`, `tensor.sgemm_flops`).
-fn gemm_metrics() -> &'static (Arc<telemetry::Counter>, Arc<telemetry::Counter>) {
-    static METRICS: OnceLock<(Arc<telemetry::Counter>, Arc<telemetry::Counter>)> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let reg = telemetry::global();
-        (reg.counter("tensor.sgemm_calls"), reg.counter("tensor.sgemm_flops"))
-    })
-}
 
 /// Row-panel height processed per task; also the L2 block for A.
 const MC: usize = 64;
@@ -302,7 +291,7 @@ pub fn matmul_tn_acc(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut
 ///
 /// `consume` runs inside the product's per-thread block and must not
 /// call back into this function or [`matmul_tn_acc`].
-// TEST-API: `row_blocks`, `sampled` and `gemm_counters` use its blocks as the oracle of the kept paths.
+// TEST-API: `row_blocks` and `sampled` use its blocks as the oracle of the kept paths.
 pub fn matmul_tn_row_blocks<F>(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], consume: F)
 where
     F: Fn(usize, usize, &[f32]) + Sync,
@@ -494,10 +483,6 @@ const SAMPLED_MIN_CHUNK: usize = 32 * 1024;
 fn tn_chains(path: Path, tier: Tier, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], idx: &[u32], out: Kept) -> bool {
     check_dims(true, false, m, n, k, a.len(), m, b.len(), n, m * n, n);
     assert!(k <= SAMPLED_MAX_K, "a kept product is one k-block");
-    if telemetry::enabled() {
-        gemm_metrics().0.inc();
-        gemm_metrics().1.add(2 * (idx.len() as u64) * (k as u64));
-    }
     let kp = k.next_multiple_of(8);
     KEPT_SCRATCH.with(|cell| {
         let mut scratch = cell.borrow_mut();
@@ -812,10 +797,6 @@ pub fn sgemm_kept_on_path(
         return sgemm_with_tier(tier, false, transb, m, n, k, 1.0, a, k, b, ldb, 0.0, c, n);
     }
     assert!(idx.last().is_none_or(|&i| (i as usize) < n * k), "index outside the weight");
-    if telemetry::enabled() {
-        gemm_metrics().0.inc();
-        gemm_metrics().1.add(2 * (idx.len() as u64) * (m as u64));
-    }
     let (b, c) = (&b[..n * k], &mut c[..m * n]);
     let mp_max = KEPT_ROWS.min(m.next_multiple_of(8));
     par_rows_mut(c, KEPT_ROWS * n, 1, |offset, c_rows| {
@@ -1126,8 +1107,8 @@ fn tn_row_blocks<const ONTO_ZERO: bool>(
     });
 }
 
-/// Checks the operand sizes and counts the call; `false` when C is empty
-/// and there is nothing to do.
+/// Checks the operand sizes; `false` when C is empty and there is
+/// nothing to do.
 #[allow(clippy::too_many_arguments)]
 fn begin_gemm(
     transa: bool,
@@ -1143,14 +1124,7 @@ fn begin_gemm(
     ldc: usize,
 ) -> bool {
     check_dims(transa, transb, m, n, k, alen, lda, blen, ldb, clen, ldc);
-    if m == 0 || n == 0 {
-        return false;
-    }
-    if telemetry::enabled() {
-        gemm_metrics().0.inc();
-        gemm_metrics().1.add(2 * (m as u64) * (n as u64) * (k as u64));
-    }
-    true
+    m != 0 && n != 0
 }
 
 /// Runs `f(row0, row1, c_panel)` over disjoint ranges of whole `MC`-row
