@@ -693,7 +693,7 @@ mod tests {
     use nn::linear::Linear;
     use nn::loss::mse;
     use nn::optim::AdamConfig;
-    use std::sync::Mutex;
+    use std::sync::{Barrier, Mutex};
     use std::time::Instant;
     use telemetry::ledger::{Phase, Split};
 
@@ -816,27 +816,44 @@ mod tests {
     #[test]
     fn a_ring_that_sleeps_on_a_slow_peer_charges_a_wait() {
         // Two ranks; in one group every message from rank 1 to rank 0 is
-        // held for `DELAY`. Rank 0's ring sleeps on it: a wait, inside the
-        // reduce, and not a bit of the state moves.
+        // held for `hold`, counted from rank 1's send. Both forwards return
+        // together and rank 1 sleeps `DELAY` before its B, so rank 0 is
+        // asleep in its ring when rank 1 sends and waits out the sleep and
+        // the hold: at least `DELAY + hold / 2`, which the sleep alone (or
+        // a wait charged elsewhere) cannot reach. Not a bit of the state
+        // moves.
         let group = || {
             let replicas = (0..2).map(|_| Linear::new(WIDTH, WIDTH, true, 1)).collect::<Vec<_>>();
             let prune = |p: &&nn::Parameter| prune::magnitude_prune(p.value.as_slice(), p.value.shape(), 0.5);
             let masks = replicas[0].params().iter().map(prune).collect();
             ThreadedDataParallelSamo::new(replicas, masks, adam())
         };
+        let hold = 4 * DELAY;
         let (mut calm, mut slow) = (group(), group());
-        slow.data_faults()[0].delay_link(1, 0, DELAY);
-        let rulers = Rulers::default();
+        slow.data_faults()[0].delay_link(1, 0, hold);
         let job = |rulers: &Rulers| {
-            timed(rulers, |rank: &mut StageRank<Linear>| {
-                rank.step(|_, m: &mut Linear, scale| loss_grad(&m.forward(&Tensor::randn(&[4, WIDTH], 1.0, 3)), scale))
+            let forwards = Arc::new(Barrier::new(2));
+            timed(rulers, move |rank: &mut StageRank<Linear>| {
+                let (data, forwards) = (rank.engine.place.1, Arc::clone(&forwards));
+                rank.step(move |_, m: &mut Linear, scale| {
+                    let dy = loss_grad(&m.forward(&Tensor::randn(&[4, WIDTH], 1.0, 3)), scale);
+                    forwards.wait();
+                    if data == 1 {
+                        std::thread::sleep(DELAY);
+                    }
+                    dy
+                })
             })
         };
+        let rulers = Rulers::default();
         for _ in 0..2 {
             calm.run_step(job(&Rulers::default())).expect("healthy mesh");
             slow.run_step(job(&rulers)).expect("a slow link is not a dead one");
-            let splits = assert_windows_match_dur(&rulers, 2);
-            assert!(splits.iter().any(|s| s.ns(Phase::Wait) >= DELAY.as_nanos() as u64), "{splits:?}");
+            let ruled = rulers.lock().expect("no rank panicked").clone();
+            assert_windows_match_dur(&rulers, 2);
+            let rank0 = ruled.iter().find(|(place, ..)| *place == (0, 0)).map(|(_, split, _)| split);
+            let wait = rank0.expect("rank 0 stepped").ns(Phase::Wait);
+            assert!(wait >= (DELAY + hold / 2).as_nanos() as u64, "rank 0 waits {wait} ns: {ruled:?}");
         }
         let crc = |g: &ThreadedDataParallelSamo<Linear>| crate::serialize::crc32(&g.save());
         assert_eq!(crc(&slow), crc(&calm), "the wait moves no bit of the state");
