@@ -242,15 +242,28 @@ fn bench_mask_update(quick: bool) -> (Vec<Json>, f64) {
     let random = |seed: u64| -> Vec<Vec<f32>> {
         (0..3).map(|l| harness::random_vec(shapes[l][0] * shapes[l][1], seed + l as u64)).collect()
     };
-    let (w, grad) = (random(31), random(41));
-    // What the engine ranks: `θ16` and the grow score narrowed to f16.
-    let halves = |x: &[Vec<f32>]| -> Vec<Vec<F16>> {
-        x.iter().map(|v| v.iter().map(|&f| F16::from_f32(f)).collect()).collect()
+    let w = random(31);
+    // The grow score as an update step forms it: each layer's one logged
+    // product at `dyn_ckpt`'s 4 rows, summed in row blocks and narrowed —
+    // 2φ B of halves written, no f32 gradient.
+    let product = |l: usize| {
+        let [m, n] = shapes[l];
+        let seed = 51 + 2 * l as u64;
+        vec![(Tensor::randn(&[4, m], 1.0, seed), Tensor::randn(&[4, n], 1.0, seed + 1))]
     };
-    let (w16, grad16) = (halves(&w), halves(&grad));
+    let logs: Vec<Vec<(Tensor, Tensor)>> = (0..3).map(product).collect();
+    let grow = |l: usize| {
+        let [m, n] = shapes[l];
+        let mut half = vec![F16::ZERO; m * n];
+        tensor::gemm::matmul_tn_sum_narrow(m, n, &logs[l], &mut half);
+        half
+    };
+    // What the engine ranks: `θ16`, and the grow score the row below forms.
+    let w16: Vec<Vec<F16>> = w.iter().map(|v| v.iter().map(|&f| F16::from_f32(f)).collect()).collect();
+    let grow16: Vec<Vec<F16>> = (0..3).map(grow).collect();
     let prune = |l: usize| prune::magnitude_prune(&w[l], &shapes[l], 0.9);
     let from: Vec<prune::Mask> = (0..3).map(prune).collect();
-    let next = |l: usize| policy.next_mask(16, &w16[l], &grad16[l], &from[l]);
+    let next = |l: usize| policy.next_mask(16, &w16[l], &grow16[l], &from[l]);
     let to: Vec<prune::Mask> = (0..3).map(next).collect();
     let mut layers: Vec<SamoLayerState> =
         (0..3).map(|l| SamoLayerState::from_params(&w[l], from[l].clone(), &opt)).collect();
@@ -267,15 +280,6 @@ fn bench_mask_update(quick: bool) -> (Vec<Json>, f64) {
         let gbps = round6(bytes as f64 / ms / 1e6);
         rows.push(obj([("name", Json::Str(name.into())), ("ms", round6(ms)), ("gbps", gbps)]));
     };
-    // The grow score as an update step forms it: each layer's one logged
-    // product at `dyn_ckpt`'s 4 rows, summed in row blocks and narrowed —
-    // 2φ B of halves written, no f32 gradient.
-    let product = |l: usize| {
-        let [m, n] = shapes[l];
-        let seed = 51 + 2 * l as u64;
-        vec![(Tensor::randn(&[4, m], 1.0, seed), Tensor::randn(&[4, n], 1.0, seed + 1))]
-    };
-    let logs: Vec<Vec<(Tensor, Tensor)>> = (0..3).map(product).collect();
     let operands: usize = logs.iter().flatten().map(|(dy, x)| dy.numel() + x.numel()).sum();
     row("grow_score", 2 * phi + 4 * operands, 1.0, &mut || {
         for (log, &[m, n]) in logs.iter().zip(&shapes) {

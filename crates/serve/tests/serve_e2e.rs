@@ -162,6 +162,13 @@ fn a_client_that_never_reads_cannot_wedge_the_replica() {
     assert!(reply.is_ok(), "B starved behind A for {waited:?}: {reply:?}");
     assert_eq!(reply.unwrap().output.len(), WIDE[2]);
 
+    // B may be served before the replica has read far enough into A's
+    // flood to meet an unwritable reply: wait for the first drop (the
+    // live counter), boundedly, before stopping.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while server.stats().dropped == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
     let t0 = Instant::now();
     let stats = server.stop();
     assert!(t0.elapsed() < Duration::from_secs(5), "stop joined every thread");
