@@ -8,21 +8,14 @@
 //! finds the lowest admitted key and how many of the positions tied at it
 //! get in — a `Cut` — and one ascending pass over the positions emits the
 //! kept indices already sorted. No index vector, comparator or sort: a
-//! selection allocates only its output.
+//! selection reads its scores once per digit and at most once to emit,
+//! and allocates its output (the histogram is 256 KiB a thread, once).
 //!
-//! Each pass skips what its cut cannot admit. Dense scores are read a
-//! chunk of 16 at a time: one range test of every score against the
-//! lowest key the pass can take, without a branch, which the compiler runs
-//! on the lanes of a register, and only the lanes that pass are visited.
-//! A sample of every 31st candidate guesses a window of keys that holds
-//! the candidates' cut, so their counting pass visits only the keys in it
-//! or above (the whole key range is counted again if the guess missed),
-//! and the emitting pass visits only the candidates at or above the cut,
-//! reaching the survivors through their sorted index list. A selection
-//! that admits more than one candidate in 32 would hit most chunks, so
-//! its passes run straight over every position. A histogram (one per
-//! thread, at most 256 KiB) is zero between passes: a pass walks and
-//! clears only the bins it wrote.
+//! The emitting pass skips what its cut cannot admit when the cut is
+//! sparse (a mask update regrows ≈ 1 % of the pruned positions): it tests
+//! the candidates' scores a chunk of 16 at a time against the cut, without
+//! a branch, reads only the chunks that may hold one, and reaches the
+//! survivors of the skipped chunks through their sorted index list.
 
 use crate::mask::Mask;
 use std::num::Wrapping;
@@ -44,23 +37,20 @@ pub fn key(x: f32) -> u32 {
 /// and `DIGITS` 16-bit digits, one counting pass each.
 pub trait Ranked: Copy {
     const DIGITS: u32;
-    /// The largest key, an infinity's.
-    const TOP: u32;
     fn key(self) -> u32;
-    /// `key() >= floor` for a `floor` in `1..=TOP + 1`, without a branch:
-    /// `floor − 1 ≤ |x|'s bits ≤ ∞'s`, compared as signed lanes.
-    fn at_least(self, floor: u32) -> bool;
+    /// Whether `key() >= floor` may hold, for a `floor` of at least 1:
+    /// `|x|`'s bits against `floor − 1` in one compare, so a NaN passes
+    /// too. A filter, not a rank.
+    fn may_reach(self, floor: u32) -> bool;
 }
 
 impl Ranked for f32 {
     const DIGITS: u32 = 2;
-    const TOP: u32 = f32::INFINITY.to_bits() + 1;
     fn key(self) -> u32 {
         key(self)
     }
-    fn at_least(self, floor: u32) -> bool {
-        let mag = (self.to_bits() & 0x7FFF_FFFF) as i32;
-        (mag >= floor as i32 - 1) & (mag <= f32::INFINITY.to_bits() as i32)
+    fn may_reach(self, floor: u32) -> bool {
+        self.to_bits() & 0x7FFF_FFFF >= floor - 1
     }
 }
 
@@ -70,7 +60,6 @@ impl Ranked for f32 {
 /// the key is at most `0x7C01`.
 impl Ranked for F16 {
     const DIGITS: u32 = 1;
-    const TOP: u32 = F16::INFINITY.to_bits() as u32 + 1;
     fn key(self) -> u32 {
         let mag = u32::from(self.to_bits() & 0x7FFF);
         if mag > F16::INFINITY.to_bits().into() {
@@ -79,236 +68,92 @@ impl Ranked for F16 {
             mag + 1
         }
     }
-    fn at_least(self, floor: u32) -> bool {
-        let mag = (self.to_bits() & 0x7FFF) as i16;
-        (mag >= (floor as i32 - 1) as i16) & (mag <= F16::INFINITY.to_bits() as i16)
+    fn may_reach(self, floor: u32) -> bool {
+        u32::from(self.to_bits() & 0x7FFF) >= floor - 1
     }
 }
 
 const DIGIT: u32 = 16;
-/// Counters per bin of a whole first pass, side by side: gradients crowd
-/// into few exponents, and back-to-back increments of one counter wait on
-/// each other's store.
+const BINS: usize = 1 << DIGIT;
+/// Counters per high-digit bin, side by side: gradients crowd into few
+/// exponents, and back-to-back increments of one counter wait on each
+/// other's store. A key's high digit (all of a half's key) is below 2¹⁵,
+/// so it has `BINS / 2` values and every digit counts into `BINS` counters.
 const LANES: usize = 2;
-/// Scores a chunk test covers.
+/// Positions one test covers.
 const CHUNK: usize = 16;
-/// A sample takes every `STRIDE`-th score: a prime, so the rows of a
-/// power-of-two width are sampled across all their columns.
-const STRIDE: usize = 31;
-/// A dense pass skips chunks when it admits at most one score in
-/// `SPARSE`; a denser one hits most chunks and runs straight.
+/// `emit` tests chunks when it admits at most one candidate in `SPARSE`.
+/// Measured on one selection of 1 M positions: skipping halves its time
+/// at one admitted in 200, and breaks even near one in 33 with no
+/// survivors (`f32`) and one in 8 with 10 % survivors (halves); denser,
+/// the tests cost more than the chunks they skip.
 const SPARSE: usize = 32;
 
-/// Whether admitting `k` of `count` dense scores is sparse enough to skip.
-fn sparse(k: usize, count: usize) -> bool {
-    k.saturating_mul(SPARSE) <= count
-}
-
 thread_local! {
-    /// The histogram's storage, kept per thread and all zero between
-    /// passes: up to 256 KiB a selection would otherwise map, fault in,
-    /// clear and unmap every time.
+    /// The histogram's storage, kept per thread: 256 KiB a selection
+    /// would otherwise map, fault in and unmap every time.
     static HIST: std::cell::RefCell<Vec<Wrapping<u32>>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// The lanes of `chunk` (at most 32 scores) whose key is at least `floor`,
-/// a bit each, or `None` when there are none: a fold the compiler runs on
-/// the lanes of a register, then the bits only where one is set.
-fn lanes_at_least<K: Ranked>(chunk: &[K], floor: u32) -> Option<u32> {
-    if floor == 0 {
-        return Some(u32::MAX >> (32 - chunk.len()));
-    }
-    if !chunk.iter().fold(false, |any, x| any | x.at_least(floor)) {
-        return None;
-    }
-    Some(chunk.iter().enumerate().fold(0, |bits, (j, x)| bits | u32::from(x.at_least(floor)) << j))
+/// Whether `chunk` may hold a key of at least `floor`: a fold without a
+/// branch, which the compiler runs on the lanes of a register.
+fn reaches<K: Ranked>(chunk: &[K], floor: u32) -> bool {
+    floor == 0 || chunk.iter().fold(false, |any, x| any | x.may_reach(floor))
 }
 
-/// The set bits of `bits`, lowest first.
-fn ones(mut bits: u32) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        let j = bits.trailing_zeros() as usize;
-        bits &= bits.wrapping_sub(1);
-        (j < 32).then_some(j)
-    })
-}
-
-/// One pass's histogram: a bin for every `key >> shift` in `lo..=hi`, and
-/// with `above` one more for all above `hi`; other keys are not counted.
-/// `touched` spans the counters written. `skip` skips the dense chunks
-/// without a key in view; a `whole` first pass (`lo..=hi` every digit)
-/// counts without a test, into `LANES` counters a bin.
+/// One digit's histogram of a population, filled by the closure handed
+/// to [`Cut::best`].
 struct Tally<'a> {
     hist: &'a mut [Wrapping<u32>],
-    shift: u32,
-    lo: u32,
-    hi: u32,
-    above: bool,
-    skip: bool,
-    whole: bool,
-    touched: (usize, usize),
+    /// `None` while the high digits (a half's whole key) are counted,
+    /// then the high digit under which the low ones are.
+    high: Option<u32>,
 }
 
-impl<'a> Tally<'a> {
-    fn new(hist: &'a mut Vec<Wrapping<u32>>, shift: u32, (lo, hi): (u32, u32)) -> Self {
-        let len = (hi - lo + 2) as usize * LANES;
-        if hist.len() < len {
-            hist.resize(len, Wrapping(0));
-        }
-        Tally { hist, shift, lo, hi, above: false, skip: false, whole: false, touched: (usize::MAX, 0) }
-    }
-
-    fn lanes(&self) -> usize {
-        if self.whole { LANES } else { 1 }
-    }
-
-    /// Counts (`sign = 1`) or takes back out (`u32::MAX`) the keys of
-    /// `scores`. A key below `lo` wraps far above `span`.
-    fn count<K: Ranked>(&mut self, scores: impl Iterator<Item = K>, sign: Wrapping<u32>) {
-        let (shift, lo) = (self.shift, self.lo);
-        if self.whole {
-            // Every key has a bin: no test, no branch.
-            let hist = &mut *self.hist;
-            for (i, x) in scores.enumerate() {
-                hist[(x.key() >> shift) as usize * LANES + i % LANES] += sign;
+impl Tally<'_> {
+    /// Counts (`sign = 1`) or takes back out (`-1`) the scores of
+    /// `items`. Few keys share the threshold's high digit, so the second
+    /// pass is a compare per item and a rare increment.
+    fn count<T, K: Ranked>(&mut self, items: &[T], score: impl Fn(&T) -> K, sign: i32) {
+        let Some(high) = self.high else {
+            let shift = DIGIT * (K::DIGITS - 1);
+            for (i, item) in items.iter().enumerate() {
+                self.hist[((score(item).key() >> shift) as usize * LANES + i % LANES) % BINS] += sign as u32;
             }
-            self.touched = (0, (self.hi + 1) as usize * LANES - 1);
             return;
-        }
-        let (above, span) = (self.hi + 1 - lo, if self.above { u32::MAX >> 1 } else { self.hi - lo });
-        let ((mut first, mut last), hist) = (self.touched, &mut *self.hist);
-        for x in scores {
-            let d = (x.key() >> shift).wrapping_sub(lo);
-            if d <= span {
-                let at = d.min(above) as usize;
-                hist[at] += sign;
-                (first, last) = (first.min(at), last.max(at));
-            }
-        }
-        self.touched = (first, last);
-    }
-
-    /// Counts the dense `scores`, when skipping only the keys at or
-    /// above `lo`.
-    fn count_dense<K: Ranked>(&mut self, scores: &[K]) {
-        let floor = self.lo << self.shift;
-        if !self.skip || floor == 0 {
-            return self.count(scores.iter().copied(), Wrapping(1));
-        }
-        for chunk in scores.chunks(CHUNK) {
-            if let Some(bits) = lanes_at_least(chunk, floor) {
-                self.count(ones(bits).map(|j| chunk[j]), Wrapping(1));
-            }
-        }
-    }
-
-    /// Walks the bins from the best down, the one above `hi` first if
-    /// the tally counts it, taking every bin it passes off `left`, and
-    /// returns the `key >> shift` of the bin that holds the `left`-th key and what
-    /// is left of `left` there — `None` if the bins hold fewer keys or
-    /// the one above `hi` holds it. A lane may have wrapped below zero
-    /// where scores were taken back out; a bin's — and so a block's —
-    /// wrapping total is exact, the population being at most `u32::MAX`.
-    fn crossing(&self, mut left: usize) -> Option<(u32, usize)> {
-        let total = |counters: &[Wrapping<u32>]| counters.iter().sum::<Wrapping<u32>>().0 as usize;
-        let lanes = self.lanes();
-        let end = (self.hi - self.lo + 1 + u32::from(self.above)) as usize * lanes;
-        let (first, last) = (self.touched.0 / lanes, (self.touched.1 / lanes + 1).min(end / lanes));
-        if first >= last {
-            return None;
-        }
-        // Most bins are empty: step over them a block at a time.
-        const BLOCK: usize = 256;
-        let walked = &self.hist[first * lanes..last * lanes];
-        for (b, block) in walked.chunks(BLOCK).enumerate().rev() {
-            if total(block) < left {
-                left -= total(block);
-                continue;
-            }
-            for (i, bin) in block.chunks(lanes).enumerate().rev() {
-                if total(bin) >= left {
-                    let bin = (first + b * BLOCK / lanes + i) as u32;
-                    return (bin <= self.hi - self.lo).then_some((self.lo + bin, left));
-                }
-                left -= total(bin);
-            }
-        }
-        None
-    }
-
-    /// Zeroes the counters written, for the next pass.
-    fn clear(self) {
-        if self.touched.0 <= self.touched.1 {
-            self.hist[self.touched.0..=self.touched.1].fill(Wrapping(0));
-        }
-    }
-}
-
-/// What a cut ranks: `scores` at the sorted positions `prev` (the
-/// survivors), or at every other position (the candidates).
-#[derive(Clone, Copy)]
-struct Population<'a, K> {
-    scores: &'a [K],
-    prev: &'a [u32],
-    survivors: bool,
-}
-
-impl<K: Ranked> Population<'_, K> {
-    fn len(&self) -> usize {
-        if self.survivors {
-            self.prev.len()
-        } else {
-            self.scores.len() - self.prev.len()
-        }
-    }
-
-    /// Tallies the population. The candidates are everything but
-    /// `prev`: two straight walks instead of one over ~nnz short gaps.
-    fn tally(&self, t: &mut Tally<'_>) {
-        let at = |&i: &u32| self.scores[i as usize];
-        if self.survivors {
-            t.count(self.prev.iter().map(at), Wrapping(1));
-        } else {
-            t.count_dense(self.scores);
-            t.count(self.prev.iter().map(at), Wrapping(u32::MAX));
-        }
-    }
-
-    /// The first pass over the keys with `key >> shift` in `window` (or
-    /// above it): the digit and what is left of `left` there, as
-    /// [`Tally::crossing`] finds them.
-    fn first_pass(&self, hist: &mut Vec<Wrapping<u32>>, shift: u32, window: (u32, u32), left: usize) -> Option<(u32, usize)> {
-        let mut t = Tally::new(hist, shift, window);
-        (t.above, t.skip) = (true, true);
-        // A population with more keys than there are bins fills most of
-        // them: count it without a test, and clear them all after.
-        t.whole = window == (0, K::TOP >> shift) && self.len() >= (window.1 as usize + 1) * LANES;
-        self.tally(&mut t);
-        let found = t.crossing(left);
-        t.clear();
-        found
-    }
-
-    /// The digits `key >> shift` that likely hold the candidates' `k`-th
-    /// best key, from the candidates at the multiples of `STRIDE`, with a
-    /// margin of four standard deviations either way; `None` where the
-    /// window would start at 0.
-    fn window(&self, hist: &mut Vec<Wrapping<u32>>, shift: u32, k: usize) -> Option<(u32, u32)> {
-        let top = K::TOP >> shift;
-        let mut t = Tally::new(hist, shift, (0, top));
-        t.count(self.scores.iter().step_by(STRIDE).copied(), Wrapping(1));
-        let sampled = self.prev.iter().filter(|&&i| (i as usize).is_multiple_of(STRIDE));
-        t.count(sampled.map(|&i| self.scores[i as usize]), Wrapping(u32::MAX));
-        let expect = k as f64 / STRIDE as f64;
-        let margin = 4.0 * expect.sqrt() + 8.0;
-        let hi = match expect - margin {
-            few if few >= 0.0 => t.crossing(few as usize + 1).map_or(top, |(hi, _)| hi),
-            _ => top,
         };
-        let lo = t.crossing((expect + margin).ceil() as usize).map(|(lo, _)| lo);
-        t.clear();
-        lo.filter(|&lo| lo > 0).map(|lo| (lo, hi))
+        for item in items {
+            let key = score(item).key();
+            if key >> DIGIT == high {
+                std::hint::cold_path();
+                self.hist[key as usize % BINS] += sign as u32;
+            }
+        }
     }
+}
+
+/// Walks the bins of `hist` (`lanes` counters each) from the best down,
+/// taking every bin it passes off `left`, and returns the bin that holds
+/// the `left`-th key. A lane may have wrapped below zero where scores
+/// were taken back out; a bin's — and so a block's — wrapping total is
+/// exact, the population being at most `u32::MAX`.
+fn crossing(hist: &[Wrapping<u32>], lanes: usize, left: &mut usize) -> usize {
+    let total = |counters: &[Wrapping<u32>]| counters.iter().sum::<Wrapping<u32>>().0 as usize;
+    // Most bins are empty: step over them a block at a time.
+    const BLOCK: usize = 256;
+    for (b, block) in hist.chunks(BLOCK).enumerate().rev() {
+        if total(block) < *left {
+            *left -= total(block);
+            continue;
+        }
+        for (i, bin) in block.chunks(lanes).enumerate().rev() {
+            if total(bin) >= *left {
+                return b * BLOCK / lanes + i;
+            }
+            *left -= total(bin);
+        }
+    }
+    unreachable!("the population holds more than `left` keys")
 }
 
 /// What a selection admits: every key above `key`, and the first `ties`
@@ -321,12 +166,9 @@ struct Cut {
 impl Cut {
     const NONE: Cut = Cut { key: u32::MAX, ties: 0 };
 
-    /// The cut that admits the best `k` of `population`: a first pass
-    /// over its high digits (the candidates' over the window their sample
-    /// guessed, all of them if it missed), then, for an `f32`, one pass
-    /// under the high digit found.
-    fn best<K: Ranked>(population: Population<'_, K>, k: usize) -> Cut {
-        let count = population.len();
+    /// The cut that admits the best `k` of a population of `count`
+    /// scores; `population` tallies all of them and runs once per digit.
+    fn best<K: Ranked>(count: usize, k: usize, population: impl Fn(&mut Tally<'_>)) -> Cut {
         if k == 0 {
             return Cut::NONE;
         } else if k >= count {
@@ -334,27 +176,19 @@ impl Cut {
             return Cut { key: 0, ties: usize::MAX };
         }
         assert!(count <= u32::MAX as usize, "population too large for the bin counters");
+        // `left` of the keys under the digits found so far are still to
+        // admit: walk the bins from the best until one crosses it.
+        let (mut found, mut left) = (0u32, k);
         HIST.with_borrow_mut(|hist| {
-            let shift = DIGIT * (K::DIGITS - 1);
-            let skip = !population.survivors && sparse(k, count);
-            let guess = if skip { population.window(hist, shift, k) } else { None };
-            let found = guess.and_then(|window| population.first_pass(hist, shift, window, k));
-            let (high, left) = found
-                .or_else(|| population.first_pass(hist, shift, (0, K::TOP >> shift), k))
-                .expect("the population holds more than `k` keys");
-            if K::DIGITS == 1 {
-                return Cut { key: high, ties: left };
+            for pass in 0..K::DIGITS {
+                hist.clear();
+                hist.resize(BINS, Wrapping(0));
+                population(&mut Tally { hist, high: (pass > 0).then_some(found) });
+                let digit = crossing(hist, if pass == 0 { LANES } else { 1 }, &mut left);
+                found = found << DIGIT | digit as u32;
             }
-            // The low digit under the high one: keys with a higher high
-            // digit land in the bin above and were taken off `left`.
-            let lo = high << DIGIT;
-            let mut t = Tally::new(hist, 0, (lo, lo | 0xFFFF));
-            t.skip = skip;
-            population.tally(&mut t);
-            let (key, ties) = t.crossing(left).expect("the high digit's bin holds `left` keys");
-            t.clear();
-            Cut { key, ties }
-        })
+        });
+        Cut { key: found, ties: left }
     }
 
     /// The lowest key the cut still admits: its own while ties are left.
@@ -380,15 +214,16 @@ impl Cut {
 
 /// Writes to `out`, ascending, every position of `0..numel` its cut
 /// admits, and returns how many: an entry of the sorted `prev` is ranked
-/// by `survivors.0` under `survivors.1`, any other position by
-/// `candidates.0` under `candidates.1`. A `sparse` cut visits only the
-/// candidates at or above it, a dense one every gap between survivors.
-/// `out` needs one slot beyond the admitted count.
+/// by `survivors.0` under `survivors.1`, a position in a gap of `prev`
+/// by `candidates.0` under `candidates.1`. With `skip`, a chunk of
+/// positions none of whose candidates reaches the cut is not read: its
+/// survivors go out in one run with those of the chunks skipped beside
+/// it. `out` needs one slot beyond the admitted count.
 fn emit<K: Ranked>(
     prev: &[u32],
     survivors: (&[K], &mut Cut),
     candidates: (&[K], &mut Cut),
-    sparse: bool,
+    skip: bool,
     out: &mut [u32],
 ) -> usize {
     let ((w, s), (score, c)) = (survivors, candidates);
@@ -400,25 +235,24 @@ fn emit<K: Ranked>(
             *p += 1;
         }
     };
-    let scan = c.key != Cut::NONE.key;
-    if scan && !sparse {
-        let mut start = 0;
-        for end in prev.iter().map(|&i| i as usize).chain([score.len()]) {
-            for (j, &x) in score[start..end].iter().enumerate() {
-                c.admit(x, start + j, out, &mut n);
-            }
-            survivors_below(end + 1, &mut p, out, &mut n);
-            start = end + 1;
+    // Unskipped, the whole tensor is one chunk.
+    let width = if skip { CHUNK } else { score.len().max(1) };
+    for (b, chunk) in score.chunks(width).enumerate() {
+        if c.key == Cut::NONE.key || skip && !reaches(chunk, c.floor()) {
+            continue;
         }
-    } else if scan {
-        for (b, chunk) in score.chunks(CHUNK).enumerate() {
-            let start = b * CHUNK;
-            for i in lanes_at_least(chunk, c.floor()).into_iter().flat_map(ones).map(|j| start + j) {
-                survivors_below(i, &mut p, out, &mut n);
-                if prev.get(p) != Some(&(i as u32)) {
-                    c.admit(score[i], i, out, &mut n);
-                }
+        let (mut start, end) = (b * width, b * width + chunk.len());
+        survivors_below(start, &mut p, out, &mut n);
+        // The gaps of `prev` in the chunk, each survivor after its gap.
+        while start < end {
+            let gap = prev.get(p).map_or(end, |&i| end.min(i as usize));
+            for (i, &x) in (start..gap).zip(&score[start..gap]) {
+                c.admit(x, i, out, &mut n);
             }
+            if gap < end {
+                survivors_below(gap + 1, &mut p, out, &mut n);
+            }
+            start = gap + 1;
         }
     }
     survivors_below(score.len(), &mut p, out, &mut n);
@@ -439,11 +273,16 @@ pub(crate) fn reselect<K: Ranked>(
     let ((w, keep_s), (score, keep_c)) = (survivors, candidates);
     assert!(w.len() == numel && score.len() == numel, "scores must cover the tensor");
     let (keep_s, keep_c) = (keep_s.min(prev.len()), keep_c.min(numel - prev.len()));
-    let mut s = Cut::best(Population { scores: w, prev, survivors: true }, keep_s);
-    let mut c = Cut::best(Population { scores: score, prev, survivors: false }, keep_c);
+    let mut s = Cut::best::<K>(prev.len(), keep_s, |t| t.count(prev, |&i| w[i as usize], 1));
+    // The pruned positions are everything but `prev`: two straight
+    // walks instead of one over ~nnz short gaps.
+    let mut c = Cut::best::<K>(numel - prev.len(), keep_c, |t| {
+        t.count(score, |&x| x, 1);
+        t.count(prev, |&i| score[i as usize], -1);
+    });
     let mut kept = vec![0; keep_s + keep_c + 1];
-    let dense = !sparse(keep_c, numel - prev.len());
-    let n = emit(prev, (w, &mut s), (score, &mut c), !dense, &mut kept);
+    let skip = keep_c.saturating_mul(SPARSE) <= numel - prev.len();
+    let n = emit(prev, (w, &mut s), (score, &mut c), skip, &mut kept);
     kept.truncate(n);
     Mask::new(shape, kept)
 }
@@ -629,7 +468,7 @@ mod tests {
         /// survivor runs on chunk edges, and tie quotas (a few levels, or
         /// one value) that run out inside a chunk or chunks later: every
         /// `draw16` kind, halves and their widened values, k = 0, 1, all,
-        /// a sparse few (the chunk-skipping passes) or any share.
+        /// a sparse few (the emitting pass skips chunks) or any share.
         #[test]
         fn chunked_selection_matches_the_sort_oracle(
             chunks in 1usize..312,
