@@ -74,7 +74,9 @@
 //! row blocks and the pack-free `dy·W16` against the packed one at 2048²,
 //! rows {1 … 64}; `pipe2_mlp`'s `dyᵀ·x` (32 rows of a 512² layer at
 //! p = 0.9, `dy` half zeros behind a ReLU) summed over its eight
-//! microbatches on each path against the dense gradient; `x·Wᵀ` and `dy·W` over the kept weights against
+//! microbatches on each path against the dense gradient; `gpt_single`'s
+//! `dyᵀ·x` at its four `Linear` shapes, rows {256, 512, 1024} at p = 0.9,
+//! transposed against the row blocks; `x·Wᵀ` and `dy·W` over the kept weights against
 //! `sgemm` at `pipe2_mlp`'s 512², rows {1 … 64, 512} (gated at 32 rows,
 //! p = 0.9: [`crate::gates::KEPT_OVER_DENSE_MIN`]). And
 //! `gpt_layers`: which layer type owns the
@@ -600,13 +602,15 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|f| f.to_bits()).collect()
 }
 
-/// One family of [`PATH_SWEEP`]: `op` against a `side × side` weight at
-/// every row count × density, its short cuts `paths` raced against what
-/// runs where the planner declines them.
+/// One family of [`PATH_SWEEP`]: `op` against each weight shape at every
+/// row count × density, its short cuts `paths` raced against what runs
+/// where the planner declines them.
 pub struct Family {
     pub key: &'static str,
     op: Op,
-    side: usize,
+    /// `(out, in)` of each weight: W is `out × in`, `x` is `rows × in` and
+    /// `dy` is `rows × out`.
+    shapes: &'static [(usize, usize)],
     rows: &'static [usize],
     densities: &'static [f64],
     paths: &'static [Path],
@@ -628,7 +632,7 @@ pub struct Family {
 impl Family {
     /// How many cells the family records.
     pub fn cells(&self) -> usize {
-        self.rows.len() * self.densities.len()
+        self.shapes.len() * self.rows.len() * self.densities.len()
     }
 }
 
@@ -637,6 +641,8 @@ const THIN_ROWS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 /// Every row count between four and eight, where the pack-free `dy·W`
 /// ends and the kept one starts to win, and `gpt_single`'s 512.
 const KEPT_ROWS: [usize; 11] = [1, 2, 4, 5, 6, 7, 8, 16, 32, 64, 512];
+/// `gpt_single`'s four `Linear` weights, `(out, in)`: qkv, proj, up, down.
+const GPT_LINEARS: [(usize, usize); 4] = [(192, 64), (64, 64), (256, 64), (64, 256)];
 
 /// The grid of `path_sweep`, the table the cuts of `tensor::gemm::plan`
 /// are read from: the weight gradient at the wide layer's 2048² (sampled
@@ -644,14 +650,16 @@ const KEPT_ROWS: [usize; 11] = [1, 2, 4, 5, 6, 7, 8, 16, 32, 64, 512];
 /// summed over its eight microbatches against the dense gradient (its
 /// `dy` half zeros behind a ReLU), the
 /// pack-free `dy·W16` at 2048² against the packed one, and `x·Wᵀ` / `dy·W`
-/// at 512² over the kept weights against `sgemm`. The gate counts its
-/// cells off the same grid.
-pub const PATH_SWEEP: [Family; 5] = [
-    Family { key: "dw", op: Op::Tn, side: 2048, rows: &THIN_ROWS, densities: &DENSITIES, paths: &[Path::Sampled, Path::Transposed], rival: Some(Path::RowBlocks), rounds: 1, relu_dy: false },
-    Family { key: "dw_acc", op: Op::Tn, side: 512, rows: &[32], densities: &[0.1], paths: &[Path::Sampled, Path::Transposed, Path::RowBlocks], rival: Some(Path::Packed), rounds: 8, relu_dy: true },
-    Family { key: "nn", op: Op::Nn, side: 2048, rows: &THIN_ROWS, densities: &[1.0], paths: &[Path::PackFree], rival: Some(Path::Packed), rounds: 1, relu_dy: false },
-    Family { key: "xwt", op: Op::Nt, side: 512, rows: &KEPT_ROWS, densities: &DENSITIES, paths: &[Path::Kept], rival: None, rounds: 1, relu_dy: false },
-    Family { key: "dyw", op: Op::Nn, side: 512, rows: &KEPT_ROWS, densities: &DENSITIES, paths: &[Path::Kept], rival: None, rounds: 1, relu_dy: false },
+/// at 512² over the kept weights against `sgemm`; and `gpt_single`'s
+/// weight gradients, past one k-block, transposed against the row blocks.
+/// The gate counts its cells off the same grid.
+pub const PATH_SWEEP: [Family; 6] = [
+    Family { key: "dw", op: Op::Tn, shapes: &[(2048, 2048)], rows: &THIN_ROWS, densities: &DENSITIES, paths: &[Path::Sampled, Path::Transposed], rival: Some(Path::RowBlocks), rounds: 1, relu_dy: false },
+    Family { key: "dw_acc", op: Op::Tn, shapes: &[(512, 512)], rows: &[32], densities: &[0.1], paths: &[Path::Sampled, Path::Transposed, Path::RowBlocks], rival: Some(Path::Packed), rounds: 8, relu_dy: true },
+    Family { key: "dw_gpt", op: Op::Tn, shapes: &GPT_LINEARS, rows: &[256, 512, 1024], densities: &[0.1], paths: &[Path::Transposed], rival: Some(Path::RowBlocks), rounds: 1, relu_dy: false },
+    Family { key: "nn", op: Op::Nn, shapes: &[(2048, 2048)], rows: &THIN_ROWS, densities: &[1.0], paths: &[Path::PackFree], rival: Some(Path::Packed), rounds: 1, relu_dy: false },
+    Family { key: "xwt", op: Op::Nt, shapes: &[(512, 512)], rows: &KEPT_ROWS, densities: &DENSITIES, paths: &[Path::Kept], rival: None, rounds: 1, relu_dy: false },
+    Family { key: "dyw", op: Op::Nn, shapes: &[(512, 512)], rows: &KEPT_ROWS, densities: &DENSITIES, paths: &[Path::Kept], rival: None, rounds: 1, relu_dy: false },
 ];
 
 /// What one contender of a cell leaves: `C` of `x·Wᵀ` / `dy·W`, or for
@@ -669,17 +677,17 @@ struct Out {
 fn path_sweep(best_of: usize, reps: usize) -> Json {
     let tier = simd::active();
     let families = PATH_SWEEP.iter().map(|f| {
-        let side = f.side;
         let max_rows = f.rows.iter().copied().max().unwrap_or(0);
-        let (mut a, x, w) = (random_vec(max_rows * side, 40), random_vec(max_rows * side, 41), random_vec(side * side, 43));
+        let widest = f.shapes.iter().map(|&(o, i)| o.max(i)).max().unwrap_or(0);
+        let (mut a, x, w) = (random_vec(max_rows * widest, 40), random_vec(max_rows * widest, 41), random_vec(widest * widest, 43));
         if f.relu_dy {
-            for (v, off) in a.iter_mut().zip(random_vec(max_rows * side, 44)) {
+            for (v, off) in a.iter_mut().zip(random_vec(max_rows * widest, 44)) {
                 if off < 0.0 {
                     *v = 0.0;
                 }
             }
         }
-        let mut head = vec!["rows".to_string(), "density".into(), "rival".into(), "rival_ms".into()];
+        let mut head = vec!["shape".to_string(), "rows".into(), "density".into(), "rival".into(), "rival_ms".into()];
         for p in f.paths {
             head.extend([format!("{p:?}_ms"), format!("rival_over_{p:?}")]);
         }
@@ -687,72 +695,88 @@ fn path_sweep(best_of: usize, reps: usize) -> Json {
         let head: Vec<&str> = head.iter().map(String::as_str).collect();
         let mut tab = crate::Table::new(&format!("bench_path_sweep_{}", f.key), &head);
         let mut cells = Vec::new();
-        for &density in f.densities {
-            let mask = prune::random_prune(&[side, side], 1.0 - density, 42);
-            let (idx, nnz, numel) = (mask.indices(), mask.nnz(), side * side);
-            let mut pruned = w.clone();
-            mask.apply(&mut pruned);
-            let w16 = f32_slice_to_f16(&pruned);
-            for &rows in f.rows {
-                let rival = f.rival.unwrap_or_else(|| plan(f.op, rows, numel, numel));
-                let (a, x) = (&a[..rows * side], &x[..rows * side]);
-                let run = |path, out: &mut Out| match f.op {
-                    Op::Tn if f.rounds == 1 => {
-                        out.finite = matmul_tn_kept_on_path(path, tier, side, side, rows, a, x, idx, &mut out.g16)
-                    }
-                    // A pipeline step's weight gradient: the dense gradient
-                    // accumulated, compressed and cleared, or the kept sums.
-                    Op::Tn if path == Path::Packed => {
-                        for _ in 0..f.rounds {
-                            matmul_tn_acc(side, side, rows, a, x, &mut out.c);
+        for &(out_f, in_f) in f.shapes {
+            for &density in f.densities {
+                let mask = prune::random_prune(&[out_f, in_f], 1.0 - density, 42);
+                let (idx, nnz, numel) = (mask.indices(), mask.nnz(), out_f * in_f);
+                let mut pruned = w[..numel].to_vec();
+                mask.apply(&mut pruned);
+                let w16 = f32_slice_to_f16(&pruned);
+                for &rows in f.rows {
+                    let rival = f.rival.unwrap_or_else(|| plan(f.op, rows, numel, numel));
+                    // `a` is the product's A: `dy` (rows × out) of `dyᵀ·x`
+                    // and `dy·W`, `x` (rows × in) of `x·Wᵀ`; `x` is the B
+                    // of `dyᵀ·x`.
+                    let a_cols = if f.op == Op::Nt { in_f } else { out_f };
+                    let (a, x) = (&a[..rows * a_cols], &x[..rows * in_f]);
+                    let run = |path, out: &mut Out| match f.op {
+                        Op::Tn if f.rounds == 1 => {
+                            out.finite = matmul_tn_kept_on_path(path, tier, out_f, in_f, rows, a, x, idx, &mut out.g16)
                         }
-                        out.finite = simd::gather_narrow_finite(tier, &out.c, 0, idx, &mut out.g16);
-                        out.c.fill(0.0);
-                    }
-                    Op::Tn => {
-                        let sums = &mut out.c[..nnz];
-                        sums.fill(0.0);
-                        for _ in 0..f.rounds {
-                            matmul_tn_kept_acc_on_path(path, tier, side, side, rows, a, x, idx, sums);
+                        // A pipeline step's weight gradient: the dense
+                        // gradient accumulated, compressed and cleared, or
+                        // the kept sums.
+                        Op::Tn if path == Path::Packed => {
+                            for _ in 0..f.rounds {
+                                matmul_tn_acc(out_f, in_f, rows, a, x, &mut out.c);
+                            }
+                            out.finite = simd::gather_narrow_finite(tier, &out.c, 0, idx, &mut out.g16);
+                            out.c.fill(0.0);
                         }
-                        out.finite = simd::narrow_sum_finite(tier, sums, &mut out.g16);
+                        Op::Tn => {
+                            let sums = &mut out.c[..nnz];
+                            sums.fill(0.0);
+                            for _ in 0..f.rounds {
+                                matmul_tn_kept_acc_on_path(path, tier, out_f, in_f, rows, a, x, idx, sums);
+                            }
+                            out.finite = simd::narrow_sum_finite(tier, sums, &mut out.g16);
+                        }
+                        // `x·Wᵀ`: W stored `n × k` = out × in; `dy·W`: W
+                        // stored `k × n` = out × in.
+                        Op::Nt => sgemm_kept_on_path(path, tier, true, rows, out_f, in_f, a, &w16, idx, &mut out.c),
+                        Op::Nn => sgemm_kept_on_path(path, tier, false, rows, in_f, out_f, a, &w16, idx, &mut out.c),
+                    };
+                    let contenders: Vec<Path> = std::iter::once(rival).chain(f.paths.iter().copied()).collect();
+                    let c_len = match f.op {
+                        Op::Tn if f.rounds > 1 => numel,
+                        Op::Tn => 0,
+                        Op::Nt => rows * out_f,
+                        Op::Nn => rows * in_f,
+                    };
+                    let mut outs: Vec<Out> = contenders
+                        .iter()
+                        .map(|_| Out { c: vec![0.0; c_len], g16: vec![F16::ZERO; if f.op == Op::Tn { nnz } else { 0 }], finite: true })
+                        .collect();
+                    let times = {
+                        let mut bodies: Vec<_> =
+                            contenders.iter().zip(outs.iter_mut()).map(|(&path, out)| move || run(path, out)).collect();
+                        let mut refs: Vec<&mut dyn FnMut()> = bodies.iter_mut().map(|b| b as &mut dyn FnMut()).collect();
+                        duel_all(best_of, reps, &mut refs)
+                    };
+                    let shape = format!("{out_f}x{in_f}");
+                    for (path, out) in contenders.iter().zip(&outs).skip(1) {
+                        // For `dyᵀ·x` only ∇θ16 and the flag are the product's.
+                        let same = (&out.g16, out.finite) == (&outs[0].g16, outs[0].finite)
+                            && (f.op == Op::Tn || bits(&out.c) == bits(&outs[0].c));
+                        assert!(same, "{} differs between {rival:?} and {path:?} at {shape}, {rows} rows, {density}", f.key);
                     }
-                    op => sgemm_kept_on_path(path, tier, op == Op::Nt, rows, side, side, a, &w16, idx, &mut out.c),
-                };
-                let contenders: Vec<Path> = std::iter::once(rival).chain(f.paths.iter().copied()).collect();
-                let mut outs: Vec<Out> = contenders
-                    .iter()
-                    .map(|_| match f.op {
-                        Op::Tn => Out { c: vec![0.0; if f.rounds > 1 { numel } else { 0 }], g16: vec![F16::ZERO; nnz], finite: true },
-                        _ => Out { c: vec![0.0; rows * side], g16: Vec::new(), finite: true },
-                    })
-                    .collect();
-                let times = {
-                    let mut bodies: Vec<_> =
-                        contenders.iter().zip(outs.iter_mut()).map(|(&path, out)| move || run(path, out)).collect();
-                    let mut refs: Vec<&mut dyn FnMut()> = bodies.iter_mut().map(|b| b as &mut dyn FnMut()).collect();
-                    duel_all(best_of, reps, &mut refs)
-                };
-                for (path, out) in contenders.iter().zip(&outs).skip(1) {
-                    // For `dyᵀ·x` only ∇θ16 and the flag are the product's.
-                    let same = (&out.g16, out.finite) == (&outs[0].g16, outs[0].finite)
-                        && (f.op == Op::Tn || bits(&out.c) == bits(&outs[0].c));
-                    assert!(same, "{} differs between {rival:?} and {path:?} at {rows} rows, {density}", f.key);
+                    let picked = plan(f.op, rows, nnz, numel);
+                    let mut row = vec![shape, rows.to_string(), format!("{density}"), format!("{rival:?}"), format!("{:.4}", times[0].best_ms)];
+                    for t in &times[1..] {
+                        row.extend([format!("{:.4}", t.best_ms), format!("{:.2}", times[0].best_ms / t.best_ms)]);
+                    }
+                    row.push(format!("{picked:?}"));
+                    tab.push(row);
+                    let ms = contenders.iter().zip(&times).map(|(p, t)| (format!("{p:?}"), round6(t.best_ms)));
+                    cells.push(obj([
+                        ("out", Json::UInt(out_f as u64)),
+                        ("in", Json::UInt(in_f as u64)),
+                        ("rows", Json::UInt(rows as u64)),
+                        ("density", Json::Num(density)),
+                        ("ms", Json::Obj(ms.collect())),
+                        ("picked", Json::Str(format!("{picked:?}"))),
+                    ]));
                 }
-                let picked = plan(f.op, rows, nnz, numel);
-                let mut row = vec![rows.to_string(), format!("{density}"), format!("{rival:?}"), format!("{:.4}", times[0].best_ms)];
-                for t in &times[1..] {
-                    row.extend([format!("{:.4}", t.best_ms), format!("{:.2}", times[0].best_ms / t.best_ms)]);
-                }
-                row.push(format!("{picked:?}"));
-                tab.push(row);
-                let ms = contenders.iter().zip(&times).map(|(p, t)| (format!("{p:?}"), round6(t.best_ms)));
-                cells.push(obj([
-                    ("rows", Json::UInt(rows as u64)),
-                    ("density", Json::Num(density)),
-                    ("ms", Json::Obj(ms.collect())),
-                    ("picked", Json::Str(format!("{picked:?}"))),
-                ]));
             }
         }
         println!("{}", tab.render());
@@ -785,15 +809,20 @@ fn gpt_layers(best_of: usize, reps: usize) -> Json {
     let flat = |cols: usize, seed| Tensor::randn(&[rows, cols], 1.0, seed);
     // Each `Linear` twice: dense from its f32 `value`, and as `gpt_single`
     // runs it — pruned to 0.9 by magnitude under a `SamoTrainer`, which
-    // lends it `θ16` and the mask's index between steps.
+    // lends it `θ16` and the mask's index between steps and, from the end
+    // of its first step, the kept sums its `dyᵀ·x` adds into.
     let linear = |n_in, n_out| {
         let x = flat(n_in, 2);
         let f32_value = time(&mut Linear::new(n_in, n_out, true, 1), &x);
         let mut lent = Linear::new(n_in, n_out, true, 1);
         let w = &lent.params()[0].value;
         let masks = vec![prune::magnitude_prune(w.as_slice(), w.shape(), 0.9), prune::Mask::dense(&[n_out])];
-        let _lends = SamoTrainer::new(&mut lent, masks, Optimizer::Adam(AdamConfig::default()));
+        let mut trainer = SamoTrainer::new(&mut lent, masks, Optimizer::Adam(AdamConfig::default()));
+        let dy = Tensor::full(lent.forward(&x).shape(), 0.01);
+        lent.backward(&dy);
+        trainer.step(&mut lent);
         assert!(lent.params()[0].index().is_some(), "the weight computes from the lent θ16");
+        assert!(lent.params()[0].grad_sums().is_some(), "the weight gradient is summed at the index");
         (f32_value, Some(time(&mut lent, &x)))
     };
     let (qkv, proj) = (linear(dim, 3 * dim), linear(dim, dim));

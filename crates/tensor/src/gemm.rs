@@ -137,8 +137,8 @@ const THIN_MAX_M: usize = 2 * MR;
 const KEPT_DENSITY_CUT: usize = 5;
 const KEPT_MIN_ROWS: [usize; 2] = [5, 2];
 
-/// Deepest `k` of the sampled product: one k-block, like the `ADD` tile
-/// whose chain it runs (a row's live steps are listed on the stack).
+/// Deepest `k` of the sampled product: one k-block (a row's live steps
+/// are listed on the stack).
 const SAMPLED_MAX_K: usize = KC;
 
 /// The sampled product pays while `rows · nnz ≤ SAMPLED_MAX_KEPT_ROWS · numel`.
@@ -156,10 +156,11 @@ const TRANSPOSED_DENSITY_CUT: usize = 4;
 /// [`Path::Kept`]. It reads the shape alone: no knob, no environment
 /// variable, no workload name. The cuts are read off `repro bench`'s
 /// `path_sweep` and DESIGN.md §19 ("The planner") tabulates them:
-/// * `Aᵀ·B` within one k-block (`rows ≤ 256`) is [`Path::Transposed`] from
-///   16 rows while at most a quarter of the gradient is kept — its
-///   multiply-adds run at full vector width over the kept positions, and
-///   the transposes they cost pay once a row has many steps — then
+/// * `Aᵀ·B` is [`Path::Transposed`] from 16 rows while at most a quarter
+///   of the gradient is kept — its multiply-adds run at full vector width
+///   over the kept positions, and the transposes they cost pay once a row
+///   has many steps; however deep, its chains are those the row blocks
+///   carry across k-blocks — then, within one k-block (`rows ≤ 256`),
 ///   [`Path::Sampled`] while `rows · nnz ≤ 2 · numel` — the sampled product
 ///   does `rows · nnz` gathered multiply-adds where the row blocks do
 ///   `rows · numel` streamed ones plus a write, a re-read and a gather —
@@ -173,9 +174,7 @@ const TRANSPOSED_DENSITY_CUT: usize = 4;
 #[inline]
 pub fn plan(op: Op, rows: usize, nnz: usize, numel: usize) -> Path {
     match op {
-        Op::Tn if (TRANSPOSED_MIN_ROWS..=SAMPLED_MAX_K).contains(&rows) && TRANSPOSED_DENSITY_CUT * nnz <= numel => {
-            Path::Transposed
-        }
+        Op::Tn if rows >= TRANSPOSED_MIN_ROWS && TRANSPOSED_DENSITY_CUT * nnz <= numel => Path::Transposed,
         Op::Tn if rows <= SAMPLED_MAX_K && rows * nnz <= SAMPLED_MAX_KEPT_ROWS * numel => Path::Sampled,
         Op::Tn => Path::RowBlocks,
         _ if numel > 0 && rows >= KEPT_MIN_ROWS[usize::from(op == Op::Nt)] && KEPT_DENSITY_CUT * nnz <= numel => {
@@ -399,8 +398,8 @@ pub fn matmul_tn_kept_acc(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], id
     tn_kept(path, simd::active(), m, n, k, a, b, idx, Kept::Add(acc));
 }
 
-/// [`matmul_tn_kept`] on the path the caller names ([`Path::Sampled`] or
-/// [`Path::Transposed`], which need `k ≤ 256`, or [`Path::RowBlocks`])
+/// [`matmul_tn_kept`] on the path the caller names ([`Path::Sampled`],
+/// which needs `k ≤ 256`, [`Path::Transposed`] or [`Path::RowBlocks`])
 /// instead of the one [`plan`] picks, and on an explicit tier — for the
 /// suites that hold the paths to the same bits and flag, and the sweep the
 /// cuts are read from.
@@ -466,7 +465,8 @@ fn tn_gathered(tier: Tier, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], i
 }
 
 /// Compressed positions per pool task of the sampled and transposed
-/// products.
+/// products up to four rows deep; a deeper product's task takes fewer, so
+/// that each holds at least `4 · SAMPLED_MIN_CHUNK` multiply-adds.
 const SAMPLED_MIN_CHUNK: usize = 32 * 1024;
 
 /// [`Path::Sampled`] and [`Path::Transposed`]: walks the index row by row,
@@ -478,73 +478,86 @@ const SAMPLED_MIN_CHUNK: usize = 32 * 1024;
 /// before the walk ([`transposed_chains`]). The `k · (m·n − nnz)`
 /// multiply-adds at pruned positions are never done, and no block is
 /// written and read back to keep a tenth of it. Parallel over runs of
-/// `idx`, each task owning its part of `out`.
+/// `idx`, each task owning its part of `out`. An empty index does nothing.
 #[allow(clippy::too_many_arguments)]
 fn tn_chains(path: Path, tier: Tier, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], idx: &[u32], out: Kept) -> bool {
     check_dims(true, false, m, n, k, a.len(), m, b.len(), n, m * n, n);
-    assert!(k <= SAMPLED_MAX_K, "a kept product is one k-block");
+    assert!(path == Path::Transposed || k <= SAMPLED_MAX_K, "the sampled product is one k-block");
+    if idx.is_empty() {
+        return true;
+    }
     let kp = k.next_multiple_of(8);
     KEPT_SCRATCH.with(|cell| {
         let mut scratch = cell.borrow_mut();
         let bt: &[f32] = if path == Path::Transposed {
-            if scratch.len() < n * kp + 16 {
-                scratch.resize(n * kp + 16, 0.0);
-            }
-            // Rows of `Bᵀ` from a cache line's start, so a row of `kp`
-            // floats spans `kp / 16` lines, not one more. Column `j` of B
-            // is row `j`; its `kp − k` padding steps are dead.
-            let skip = scratch.as_ptr().align_offset(64).min(16);
-            pack_transposed(tier, b, n, 0, 0, k, n, 1.0, &mut scratch[skip..], kp);
-            &scratch[skip..]
+            // Column `j` of B is row `j`, from a cache line's start; its
+            // `kp − k` padding steps are dead.
+            let bt = cache_lines(&mut scratch, n * kp);
+            pack_transposed(tier, b, n, 0, 0, k, n, 1.0, bt, kp);
+            bt
         } else {
             &[]
         };
         let all_finite = std::sync::atomic::AtomicBool::new(true);
-        par_chunks_mut(out, SAMPLED_MIN_CHUNK, |s, mut out| {
-            let mut run = &idx[s..s + out.len()];
-            let mut finite = true;
-            let mut group = RowGroup::new();
-            let mut terms = [(0usize, 0.0f32); SAMPLED_MAX_K];
-            while let Some(&first) = run.first() {
-                let i = first as usize / n;
-                // The row's run ends at the first index past it: a
-                // sequential read of what the kernel loads next (a binary
-                // search would touch the run cold). An index out of order
-                // ends the run early or is refused by the kernel; it is
-                // never misread.
-                let in_row = row_end(run, 0, (i + 1) * n);
-                let full = i / MR * MR + MR <= m;
-                let start = if full { i / MR * MR } else { i };
-                if start != group.start {
-                    if full {
-                        group.load::<MR>(a, m, k, start);
-                    } else {
-                        group.load::<1>(a, m, k, start);
-                    }
-                }
-                let (row, base) = (i - start, (i * n) as u32);
-                let (row_out, rest) = out.split_at(in_row);
-                finite &= match path {
-                    // The sampled product takes the live steps as a list,
-                    // the transposed one A at every step beside the lanes.
-                    Path::Sampled => {
-                        let mut steps = 0;
-                        for p in (0..k).filter(|&p| group.keep[p] != 0) {
-                            terms[steps] = (p, group.av[p * MR + row]);
-                            steps += 1;
+        par_chunks_mut(out, 4 * SAMPLED_MIN_CHUNK / k.max(4), |s, mut out| {
+            GROUP_SCRATCH.with_borrow_mut(|(keep, av)| {
+                let mut run = &idx[s..s + out.len()];
+                let mut finite = true;
+                let mut group = RowGroup::new(keep, av, k);
+                let mut terms = [(0usize, 0.0f32); SAMPLED_MAX_K];
+                while let Some(&first) = run.first() {
+                    let i = first as usize / n;
+                    // The row's run ends at the first index past it: a
+                    // sequential read of what the kernel loads next (a
+                    // binary search would touch the run cold). An index out
+                    // of order ends the run early or is refused by the
+                    // kernel; it is never misread.
+                    let in_row = row_end(run, 0, (i + 1) * n);
+                    let full = i / MR * MR + MR <= m;
+                    let start = if full { i / MR * MR } else { i };
+                    if start != group.start {
+                        if full {
+                            group.load::<MR>(a, m, k, start);
+                        } else {
+                            group.load::<1>(a, m, k, start);
                         }
-                        simd::gather_fma(tier, b, &terms[..steps], n, base, &run[..in_row], row_out)
                     }
-                    _ => transposed_chains(tier, bt, n, kp, &group, row, base, &run[..in_row], row_out),
-                };
-                (run, out) = (&run[in_row..], rest);
-            }
-            if !finite {
-                all_finite.store(false, std::sync::atomic::Ordering::Relaxed);
-            }
+                    let (row, base) = (i - start, (i * n) as u32);
+                    let (row_out, rest) = out.split_at(in_row);
+                    finite &= match path {
+                        // The sampled product takes the live steps as a
+                        // list, the transposed one A at every step beside
+                        // the lanes.
+                        Path::Sampled => {
+                            let mut steps = 0;
+                            for p in (0..k).filter(|&p| group.keep[p] != 0) {
+                                terms[steps] = (p, group.av[p * MR + row]);
+                                steps += 1;
+                            }
+                            simd::gather_fma(tier, b, &terms[..steps], n, base, &run[..in_row], row_out)
+                        }
+                        _ => transposed_chains(tier, bt, n, kp, &group, row, base, &run[..in_row], row_out),
+                    };
+                    (run, out) = (&run[in_row..], rest);
+                }
+                if !finite {
+                    all_finite.store(false, std::sync::atomic::Ordering::Relaxed);
+                }
+            })
         });
         all_finite.into_inner()
     })
+}
+
+/// `len` elements of `buf` from a cache line's start, `buf` grown to hold
+/// them and never shrunk.
+fn cache_lines<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
+    let line = 64 / std::mem::size_of::<T>();
+    if buf.len() < len + line {
+        buf.resize(len + line, T::default());
+    }
+    let skip = buf.as_ptr().align_offset(64).min(line);
+    &mut buf[skip..skip + len]
 }
 
 /// The row group the walk of [`tn_chains`] is in — MR rows from a multiple
@@ -552,19 +565,25 @@ fn tn_chains(path: Path, tier: Tier, m: usize, n: usize, k: usize, a: &[f32], b:
 /// `microkernel`, which skips a step exactly when every A value of the
 /// group is zero there (a `0 · ∞` appears, or not, where the blocks put
 /// it). `keep[p]` is all ones at a live step `p` and zero at a dead one,
-/// and `av[p · MR + r]` is A at step `p` of the group's row `r`. Steps from
-/// `k` up to a multiple of eight are dead. At a dead step `av` holds
-/// `-0.0`: its product with a `+0.0` is `-0.0`, and `c + -0.0` is `c`, bit
-/// for bit.
-struct RowGroup {
+/// and `av[p · MR + r]` is A at step `p` of the group's row `r`, for `kp`
+/// steps: `k` up to a multiple of eight, the steps past `k` dead. At a dead
+/// step `av` holds `-0.0`: its product with a `+0.0` is `-0.0`, and
+/// `c + -0.0` is `c`, bit for bit. Both live in the thread's
+/// [`GROUP_SCRATCH`], from cache-line starts, sized to the product.
+struct RowGroup<'s> {
     start: usize,
-    keep: [u32; SAMPLED_MAX_K],
-    av: [f32; MR * SAMPLED_MAX_K],
+    keep: &'s mut [u32],
+    av: &'s mut [f32],
 }
 
-impl RowGroup {
-    fn new() -> Self {
-        RowGroup { start: usize::MAX, keep: [0; SAMPLED_MAX_K], av: [0.0; MR * SAMPLED_MAX_K] }
+impl<'s> RowGroup<'s> {
+    /// A group of `k` steps, none loaded, in `keep` and `av` (grown to fit).
+    fn new(keep: &'s mut Vec<u32>, av: &'s mut Vec<f32>, k: usize) -> Self {
+        let kp = k.next_multiple_of(8);
+        let (keep, av) = (cache_lines(keep, kp), cache_lines(av, kp * MR));
+        keep[k..].fill(0);
+        av[k * MR..].fill(-0.0);
+        RowGroup { start: usize::MAX, keep, av }
     }
 
     /// Loads the group of `W` rows from row `start` of the `k × m` A: per
@@ -572,10 +591,7 @@ impl RowGroup {
     /// no branch per value, none per step.
     #[inline]
     fn load<const W: usize>(&mut self, a: &[f32], m: usize, k: usize, start: usize) {
-        let kp = k.next_multiple_of(8);
         self.start = start;
-        self.keep[k..kp].fill(0);
-        self.av[k * MR..kp * MR].fill(-0.0);
         for p in 0..k {
             let vals: &[f32; W] = a[p * m + start..][..W].try_into().expect("W values");
             let on = vals.iter().fold(false, |on, &v| on | (v != 0.0));
@@ -600,16 +616,17 @@ impl RowGroup {
 /// skipped for all of them alike.
 ///
 /// # Panics
-/// Panics if the lengths differ, `kp` is not a multiple of eight up to
-/// `SAMPLED_MAX_K`, `row` is not a row of a group, or an index lies
-/// outside `base..base + n`.
+/// Panics if the lengths differ, `kp` is not a multiple of eight the group
+/// holds, `row` is not a row of a group, or an index lies outside
+/// `base..base + n`.
 #[allow(clippy::too_many_arguments)]
 fn transposed_chains(
     tier: Tier, bt: &[f32], n: usize, kp: usize, group: &RowGroup, row: usize, base: u32, idx: &[u32], mut out: Kept,
 ) -> bool {
     // The bounds every access below stays inside, on either tier; an
     // index below `base` wraps past any `n`.
-    assert!(idx.len() == out.len() && kp.is_multiple_of(8) && kp <= SAMPLED_MAX_K && row < MR && bt.len() >= n * kp);
+    assert!(idx.len() == out.len() && kp.is_multiple_of(8) && row < MR && bt.len() >= n * kp);
+    assert!(group.keep.len() >= kp && group.av.len() >= kp * MR, "a group of fewer steps than the product");
     assert!(n * kp <= u32::MAX as usize, "rows of Bᵀ past a 32-bit offset");
     let max = idx.iter().fold(0, |mx, &ix| ix.wrapping_sub(base).max(mx));
     assert!(idx.is_empty() || (max as usize) < n, "index out of bounds for positions {base}..{}", base as usize + n);
@@ -664,8 +681,8 @@ unsafe fn transposed_row(bt: &[f32], kp: usize, group: &RowGroup, row: usize, ba
 /// put.
 ///
 /// # Safety
-/// Requires AVX2, FMA and F16C; `kp` is a multiple of eight up to
-/// `SAMPLED_MAX_K`, `row < MR`, `bt` holds `kp` floats from `(idx[j] −
+/// Requires AVX2, FMA and F16C; `kp` is a multiple of eight, the group
+/// holds `kp` steps, `row < MR`, `bt` holds `kp` floats from `(idx[j] −
 /// base) · kp < 2³²` for every `j`, `out` is as long as `idx`, and `first
 /// < idx.len()`.
 #[cfg(target_arch = "x86_64")]
@@ -684,28 +701,32 @@ unsafe fn transposed_eights<const G: usize>(
 ) -> std::arch::x86_64::__m256i {
     use std::arch::x86_64::*;
     let len = idx.len();
-    debug_assert!(first < len && kp.is_multiple_of(8) && kp <= SAMPLED_MAX_K && row < MR && out.len() == len);
-    // Per eight: its first position, and the lanes that are new.
-    let eights: [(usize, usize, usize); G] = std::array::from_fn(|g| {
+    debug_assert!(first < len && kp.is_multiple_of(8) && group.keep.len() >= kp && row < MR && out.len() == len);
+    // Per eight: its first position, the lanes that are new, and each
+    // lane's row of `Bᵀ` as an offset into `bt`. Plain loops, so nothing
+    // here is a call.
+    let mut eights = [(0usize, 0usize, 0usize); G];
+    let mut cols = [[0u32; 8]; G];
+    for (g, (eight, lanes)) in eights.iter_mut().zip(&mut cols).enumerate() {
         let at = first + 8 * g;
-        if at + 8 <= len {
+        *eight = if at + 8 <= len {
             (at, 0, 8)
         } else if len >= 8 {
             (len - 8, at - (len - 8), 8)
         } else {
             (at, 0, len - at)
-        }
-    });
-    // Each lane's row of `Bᵀ`, as an offset into `bt`.
-    let cols: [[u32; 8]; G] = std::array::from_fn(|g| {
-        let at = eights[g].0;
+        };
+        let at = eight.0;
         if len < 8 {
-            return std::array::from_fn(|l| (idx[(at + l).min(len - 1)] - base) * kp as u32);
+            for (l, lane) in lanes.iter_mut().enumerate() {
+                *lane = (idx[(at + l).min(len - 1)] - base) * kp as u32;
+            }
+        } else {
+            // SAFETY: positions `at ..+ 8` lie inside `idx`.
+            let offsets = _mm256_sub_epi32(_mm256_loadu_si256(idx.as_ptr().add(at) as *const __m256i), _mm256_set1_epi32(base as i32));
+            *lanes = std::mem::transmute::<__m256i, [u32; 8]>(_mm256_mullo_epi32(offsets, _mm256_set1_epi32(kp as i32)));
         }
-        // SAFETY: positions `at ..+ 8` lie inside `idx`.
-        let cols = _mm256_sub_epi32(_mm256_loadu_si256(idx.as_ptr().add(at) as *const __m256i), _mm256_set1_epi32(base as i32));
-        std::mem::transmute::<__m256i, [u32; 8]>(_mm256_mullo_epi32(cols, _mm256_set1_epi32(kp as i32)))
-    });
+    }
     let mut acc = [_mm256_setzero_ps(); G];
     for b in 0..kp / 8 {
         // SAFETY: for the pointers and the loads — every lane's row of
@@ -836,9 +857,11 @@ const _: () = assert!(KEPT_ROWS.is_multiple_of(MC));
 /// the kept and the dense chains part only at an output that came out
 /// `±0` or NaN — and not at the `+0.0`s of a row of A that is all zero,
 /// every chain of which is `+0.0` unless it meets a non-finite weight.
+/// A row's test is folded without an early exit, so it runs at vector
+/// width: it reads the whole row either way.
 fn settled(n: usize, k: usize, a_block: &[f32], c_block: &[f32]) -> bool {
     c_block.chunks_exact(n).zip(a_block.chunks_exact(k)).all(|(c_row, a_row)| {
-        c_row.iter().all(|v| v.abs() > 0.0)
+        c_row.iter().fold(true, |nonzero, v| nonzero & (v.abs() > 0.0))
             || (c_row.iter().all(|v| v.to_bits() == 0) && a_row.iter().all(|&x| x == 0.0))
     })
 }
@@ -1169,10 +1192,16 @@ thread_local! {
     /// [`sgemm_kept`]'s transposed A block and transposed product,
     /// `(k + n) · 64` floats at most — one buffer, so `x·Wᵀ` and `dy·W`
     /// of one layer (`k` and `n` swapped) grow it once between them — and
-    /// the transposed B of [`Path::Transposed`], which at up to 64 rows
-    /// fits what those two grew.
+    /// the transposed B of [`Path::Transposed`], `n` rows of the batch
+    /// rounded up to eight: one activation.
     static KEPT_SCRATCH: std::cell::RefCell<Vec<f32>> =
         const { std::cell::RefCell::new(Vec::new()) };
+
+    /// The `(keep, av)` of a [`RowGroup`], `5 · k` words: apart from
+    /// `KEPT_SCRATCH`, which the thread that packed `Bᵀ` holds while it
+    /// walks its own run of the index.
+    static GROUP_SCRATCH: std::cell::RefCell<(Vec<u32>, Vec<f32>)> =
+        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// Rows of C updated per microkernel invocation: four accumulator rows

@@ -5,7 +5,9 @@
 //! `RowBlocks` — on both tiers; and `matmul_tn_kept` must give one set of
 //! halves and one overflow flag on all three, those of the fused compress
 //! of the dense product. Rows 1–64 (off the eight lanes of the transposed
-//! kernel and off the MR groups) and a whole k-block of 256; output rows
+//! kernel and off the MR groups), a whole k-block of 256, and past it —
+//! 257, 512 and 1000 rows, where `Sampled` (one k-block) drops out and the
+//! row blocks carry their chains across k-blocks; output rows
 //! off the row group and columns off the vector; rows of `dy` and whole MR
 //! groups that are zero (the skip, in front of non-finite `x`); `±∞`, NaN
 //! and `−0.0` in either operand; products that underflow; sums that start
@@ -84,7 +86,7 @@ fn first_diff(got: &[f32], want: &[u32]) -> Option<(usize, f32, f32)> {
 /// The whole contract for one shape, mask and run of microbatches: every
 /// round, every path and tier — pinned and planned — sums to the dense
 /// gradient's bits at the kept positions, and narrows each microbatch to
-/// the fused compress's halves and flag.
+/// the fused compress's halves and flag. `Sampled` takes one k-block only.
 fn check(
     (m, n, k): (usize, usize, usize),
     idx: &[u32],
@@ -104,7 +106,7 @@ fn check(
         matmul_tn_kept_acc(m, n, k, dy, x, idx, &mut planned[0]);
         let diff = first_diff(&planned[0], &want);
         prop_assert!(diff.is_none(), "planned sum, round {}: {:?}", round, diff);
-        let cases = PATHS.iter().flat_map(|&p| TIERS.map(|t| (p, t)));
+        let cases = paths(k).flat_map(|p| TIERS.map(|t| (p, t)));
         for ((path, tier), sum) in cases.zip(pinned) {
             matmul_tn_kept_acc_on_path(path, tier, m, n, k, dy, x, idx, sum);
             let diff = first_diff(sum, &want);
@@ -120,7 +122,7 @@ fn check(
         let mut got = vec![F16::from_f32(-3.0); idx.len()];
         prop_assert_eq!(matmul_tn_kept(m, n, k, dy, x, idx, &mut got), finite, "planned flag, round {}", round);
         prop_assert_eq!(&got, &halves, "planned halves, round {}", round);
-        for path in PATHS {
+        for path in paths(k) {
             for tier in TIERS {
                 got.fill(F16::from_f32(-3.0));
                 let flag = matmul_tn_kept_on_path(path, tier, m, n, k, dy, x, idx, &mut got);
@@ -130,6 +132,11 @@ fn check(
         }
     }
     Ok(())
+}
+
+/// The paths of a product `k` rows deep.
+fn paths(k: usize) -> impl Iterator<Item = Path> {
+    PATHS.into_iter().filter(move |&p| p != Path::Sampled || k <= 256)
 }
 
 proptest! {
@@ -171,6 +178,47 @@ fn a_whole_k_block_and_the_pipeline_shape_hold_too() {
         check((m, n, k), &idx, &vec![0.0; idx.len()], &batches).unwrap();
     }
     assert_eq!(plan(Op::Tn, 32, 26_214, 512 * 512), Path::Transposed, "pipe2_mlp's dW is transposed");
+}
+
+#[test]
+fn past_one_k_block_the_transposed_sums_are_the_dense_gradient() {
+    // One step past a k-block, `gpt_single`'s 512 rows and 1000: ordinary
+    // and underflowing products (`−0.0` chains), sums from zeros and from
+    // values with `−0.0`, each microbatch's plant; then partly live groups
+    // with one MR group dead over steps 250..262 — its block of eight
+    // astride step 256 — and `∞` in `x` behind it.
+    let mut rng = StdRng::seed_from_u64(13);
+    for (m, n, k) in [(37, 29, 257), (64, 33, 512), (19, 24, 1000)] {
+        for scale in [1.0f32, 1e-22] {
+            let idx = kept(&mut rng, m * n, 0.1);
+            let start = operand(&mut rng, 1, idx.len(), 4.0);
+            let batches: Vec<_> = (0..3).map(|r| microbatch(&mut rng, (m, n, k), scale, [0, 2, 5][r])).collect();
+            check((m, n, k), &idx, &start, &batches).unwrap();
+            let (mut dy, mut x) = partly_live::operands(m, n, k, scale, true, rng.gen());
+            for p in 250..k.min(262) {
+                dy[p * m + 4..p * m + 8].fill(0.0);
+            }
+            x[256 * n + 5] = f32::INFINITY;
+            check((m, n, k), &idx, &start, &[(dy, x)]).unwrap();
+        }
+        assert_eq!(plan(Op::Tn, k, (m * n) / 10, m * n), Path::Transposed, "{k} rows at p = 0.9 are transposed");
+    }
+}
+
+#[test]
+fn an_empty_index_is_no_work_on_any_path() {
+    // No position, so no chain: not even B's transpose. Operands that
+    // would poison any product, and a flag that stays finite.
+    let (m, n, k) = (8, 8, 600);
+    let (a, b) = (vec![f32::NAN; k * m], vec![f32::INFINITY; k * n]);
+    assert_eq!(plan(Op::Tn, k, 0, m * n), Path::Transposed);
+    assert!(matmul_tn_kept(m, n, k, &a, &b, &[], &mut []));
+    matmul_tn_kept_acc(m, n, k, &a, &b, &[], &mut []);
+    for path in paths(k) {
+        for tier in TIERS {
+            assert!(matmul_tn_kept_on_path(path, tier, m, n, k, &a, &b, &[], &mut []), "{path:?} on {tier:?}");
+        }
+    }
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! pack-free `A·B` up to eight rows inside `sgemm`, the kept `x·Wᵀ` /
 //! `dy·W` inside `sgemm_kept`, and the sampled `dyᵀ·x` the layer state
 //! used to choose — except where the one cut added since takes over: the
-//! transposed `dyᵀ·x` from 16 rows. The cuts are copied below as they were
+//! transposed `dyᵀ·x` from 16 rows, at any depth. The cuts are copied below as they were
 //! written, and the planner must agree with them on every op, rows 0 to
 //! 600, weights from empty to 2048², and kept counts on both sides of
 //! every density cut; below 16 rows, with the three alone — the evidence
@@ -40,10 +40,11 @@ fn before(op: Op, rows: usize, nnz: usize, numel: usize) -> Path {
     }
 }
 
-/// The cut added to them: `dyᵀ·x` transposed from 16 rows within one
-/// k-block while at most a quarter of the gradient is kept.
+/// The cut added to them: `dyᵀ·x` transposed from 16 rows while at most a
+/// quarter of the gradient is kept, with no upper row cut — its chain runs
+/// over every step, as the row blocks carry theirs across k-blocks.
 fn transposed_pays(rows: usize, nnz: usize, numel: usize) -> bool {
-    (16..=SAMPLED_MAX_K).contains(&rows) && 4 * nnz <= numel
+    rows >= 16 && 4 * nnz <= numel
 }
 
 #[test]

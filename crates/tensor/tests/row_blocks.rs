@@ -256,3 +256,48 @@ fn row_blocks_compress_to_the_bits_of_the_fused_kernel() {
         }
     }
 }
+
+#[test]
+fn past_one_k_block_the_transposed_path_keeps_the_bits_of_the_row_blocks() {
+    // The row blocks carry each chain across k-blocks; the transposed path
+    // runs it over every step at once. Both must narrow to the fused
+    // compress of `matmul_tn_acc`'s gradient, flag included: zero row
+    // groups (the skip), a `-0.0` underflow at a kept position, one MR
+    // group dead over steps 250..262 with `∞` in B behind it at step 256.
+    let cols = 33usize;
+    for &(rows, k) in &[(70usize, KC + 1), (64, 512), (13, 1000)] {
+        let numel = rows * cols;
+        let mut dy = operand(k, rows, (rows * 3 + k) as u64, 11);
+        let mut x = operand(k, cols, (rows + k * 5) as u64, 0);
+        for p in 250..k.min(262) {
+            dy[p * rows + 4..p * rows + 8].fill(0.0);
+        }
+        x[256 * cols + 2] = f32::INFINITY;
+        // Row 0, column 0: one product, `-1e-30 · 1e-30`, which underflows.
+        for p in 0..k {
+            dy[p * rows] = 0.0;
+        }
+        dy[0] = -1e-30;
+        x[0] = 1e-30;
+        for density in [1.0, 0.5, 0.1] {
+            let mut idx = kept(numel, density, 7);
+            if idx.first() != Some(&0) {
+                idx.insert(0, 0);
+            }
+            let mut dense = vec![0.0f32; numel];
+            matmul_tn_acc(rows, cols, k, &dy, &x, &mut dense);
+            assert_eq!(dense[0].to_bits(), 0, "a zeroed gradient reads +0.0");
+            for tier in [Tier::Scalar, Tier::Avx2] {
+                let ctx = format!("{rows} rows, k = {k}, density {density}, {tier:?}");
+                let mut want = vec![F16::ZERO; idx.len()];
+                let want_finite = gather_narrow_finite(tier, &dense, 0, &idx, &mut want);
+                for path in [Path::RowBlocks, Path::Transposed] {
+                    let mut got = vec![F16::from_f32(-3.0); idx.len()];
+                    let finite = matmul_tn_kept_on_path(path, tier, rows, cols, k, &dy, &x, &idx, &mut got);
+                    assert!(got.iter().zip(&want).all(|(g, w)| g.0 == w.0), "∇θ16 on {path:?}: {ctx}");
+                    assert_eq!(finite, want_finite, "overflow flag on {path:?}: {ctx}");
+                }
+            }
+        }
+    }
+}

@@ -203,7 +203,50 @@ fn the_dispatch_reads_rows_times_density() {
     assert!(sampled_pays(2, 2048 * 2048, 2048 * 2048));
     assert!(sampled_pays(8, 0, 1));
     assert_eq!(plan(Op::Tn, 256, 0, 1), Path::Transposed, "one whole k-block");
-    assert_eq!(plan(Op::Tn, 257, 0, 1), Path::RowBlocks, "past one k-block");
+    assert_eq!(plan(Op::Tn, 257, 0, 1), Path::Transposed, "past one k-block: no upper cut");
+    assert_eq!(plan(Op::Tn, 512, 1_638, 64 * 256), Path::Transposed, "gpt_single's dW at p = 0.9");
+    assert_eq!(plan(Op::Tn, 257, 1, 2), Path::RowBlocks, "the sampled product stays one k-block");
+}
+
+#[test]
+fn past_one_k_block_the_transposed_path_narrows_to_the_gathered_blocks() {
+    // Deeper than one k-block, where the blocks carry each chain from one
+    // to the next: the transposed chain over every step is the same one.
+    // Partly live groups (a dead step's B non-finite), products that
+    // underflow to `-0.0`, and one MR group dead over steps 250..262, its
+    // block of eight astride step 256 and `∞` in B behind it.
+    for &(m, n, k) in &[(10usize, 40usize, 257usize), (19, 24, 512), (37, 17, 1000)] {
+        for (scale, kind) in [(2.0f32, "ordinary"), (1e-22, "underflowing")] {
+            for non_finite in [false, true] {
+                let seed = (m * 131 + n * 7 + k) as u64;
+                let (mut a, mut b) = partly_live::operands(m, n, k, scale, non_finite, seed);
+                for p in 250..k.min(262) {
+                    a[p * m + 4..p * m + 8].fill(0.0);
+                }
+                b[256 * n + 3] = f32::INFINITY;
+                for density in [0.1, 0.5, 1.0] {
+                    let idx = kept(m * n, density, seed + 1);
+                    let what = format!("{m}x{n}x{k}, {density}, {kind}, non-finite B {non_finite}");
+                    let want = by_blocks(Tier::Scalar, m, n, k, &a, &b, &idx);
+                    for tier in [Tier::Scalar, Tier::Avx2] {
+                        assert_eq!(by_blocks(tier, m, n, k, &a, &b, &idx), want, "blocks on {tier:?}: {what}");
+                        let mut out = vec![F16::from_f32(-3.0); idx.len()];
+                        let finite = matmul_tn_kept_on_path(Path::Transposed, tier, m, n, k, &a, &b, &idx, &mut out);
+                        let got = (out.iter().map(|h| h.0).collect::<Vec<u16>>(), finite);
+                        assert_eq!(got, want, "Transposed on {tier:?}: {what}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "one k-block")]
+fn the_sampled_path_refuses_a_second_k_block() {
+    let (a, b) = (vec![1.0f32; 257 * 4], vec![1.0f32; 257 * 4]);
+    let mut out = vec![F16::ZERO; 1];
+    matmul_tn_kept_on_path(Path::Sampled, Tier::Scalar, 4, 4, 257, &a, &b, &[0], &mut out);
 }
 
 #[test]

@@ -206,7 +206,7 @@ product_planner() {
 # short-circuiting `.any(` over the row group's values is a branch per value.
 kept_grad_branchless() {
   kernel=$(block crates/tensor/src/gemm.rs '^unsafe fn transposed_(row|eights)' '^}$')
-  live=$(block crates/tensor/src/gemm.rs '^fn tn_chains\(' '^}$' '^impl RowGroup ' '^}$')
+  live=$(block crates/tensor/src/gemm.rs '^fn tn_chains\(' '^}$' '^impl(<[^>]*>)? RowGroup' '^}$')
   [[ -n $kernel && -n $live ]]
   printf '%s\n' "$kernel" | { ! grep -nE '\bif\b[^{]*(>>|<<|&[[:space:]]*1\b)'; }
   printf '%s\n' "$live" | { ! grep -nF '.any('; }

@@ -317,6 +317,17 @@ fn hot_paths_allocate_nothing_in_steady_state() {
     let mut sink = compress(smask);
     let events = stream_dw(&mut sink);
     assert_eq!(events, 0, "cold sampled dW + compress allocated {events} time(s)");
+    // An empty index is no work on any path: on a thread whose scratch is
+    // cold, the product the planner sends to the transposed path packs no
+    // `Bᵀ`, so it allocates nothing.
+    let (rows, side) = (600, 32);
+    let (dy, x) = (vec![1.0f32; rows * side], vec![1.0f32; rows * side]);
+    assert_eq!(plan(Op::Tn, rows, 0, side * side), Path::Transposed);
+    let cold = std::thread::spawn(move || {
+        alloc_events_during(|| assert!(tensor::gemm::matmul_tn_kept(side, side, rows, &dy, &x, &[], &mut [])))
+    });
+    let events = cold.join().expect("the cold thread finishes");
+    assert_eq!(events, 0, "an empty index allocated {events} time(s)");
     let mut blocks = compress(prune::Mask::dense(&[out_f, in_f]));
     stream_dw(&mut blocks); // warm the product block
     let events = stream_dw(&mut blocks);
