@@ -1,7 +1,7 @@
 //! One recorder, one step schema.
 //!
 //! A single drill drives, with telemetry on, one step of every training
-//! runtime (plus a remap, an overflow skip, restores and a rollback),
+//! runtime (plus a remap, an overflow skip and restores),
 //! one TCP ring through a heartbeat death and a reconnect, one served
 //! request through a hot reload and a rejected publish, and one
 //! simulated pipeline. Then it checks the two artefacts the drill leaves
@@ -113,8 +113,8 @@ fn drive_training() {
     assert!(!trainer.step(&mut model), "an inf gradient skips the step");
     let ckpt = trainer.save();
     trainer
-        .rollback(&ckpt, &mut model)
-        .expect("own checkpoint rolls back");
+        .restore(&ckpt, &mut model)
+        .expect("own checkpoint restores");
 
     let mut dense_model = linear();
     let mut dense = DenseMaskedTrainer::new(&mut dense_model, vec![mask()], adam());
@@ -127,9 +127,6 @@ fn drive_training() {
         fwd_bwd(oracle.replica_mut(r), scale);
     }
     oracle.step();
-    oracle
-        .rank_failure_drill(1)
-        .expect("rank 1 resyncs from the checkpoint");
 
     let mut threaded =
         ThreadedDataParallelSamo::new(vec![linear(), linear()], vec![mask()], adam());

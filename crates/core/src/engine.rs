@@ -64,9 +64,9 @@
 //! [`crate::SamoTrainer`]'s caller runs forward and backward, so its
 //! window is the time *between* steps: `new` releases and lends, `step`
 //! brings `θ16` (and the gradient sums) home for the remap, compress and
-//! optimizer and lends them again, and `restore` / `rollback` leave `θ16`
-//! where they found it and the sums out only if they were, by the rule of
-//! the end of a step. No runtime keeps the f32 view; the independent
+//! optimizer and lends them again, and `restore` leaves `θ16` where it
+//! found it and the sums out only if they were, by the rule of the end
+//! of a step. No runtime keeps the f32 view; the independent
 //! oracle of the lent products is `crate::reference`, which multiplies
 //! f32 weights.
 //!
@@ -413,22 +413,6 @@ impl StepEngine {
         if grads_lent {
             self.lend_grad_target(model, true);
         }
-        Ok(())
-    }
-
-    /// Recovery path: restores the last good checkpoint *and* backs the
-    /// loss scale off once, so the replayed steps retry with a gentler
-    /// scale than the one that just diverged. Used by the divergence
-    /// sentinel (`crate::sentinel`).
-    pub fn rollback(&mut self, checkpoint: &[u8], model: &mut impl Layer) -> Result<(), String> {
-        self.restore(checkpoint, model)?;
-        self.scaler.force_backoff();
-        telemetry::log_info!(
-            "rollback: restored step {} (skipped {}), loss scale backed off to {}",
-            self.steps_taken,
-            self.steps_skipped,
-            self.scaler.scale()
-        );
         Ok(())
     }
 

@@ -48,8 +48,10 @@
 //!
 //! * [`serialize`] — the CRC-validated v2 checkpoint format,
 //! * [`checkpoint`] — durable on-disk checkpointing (atomic writes,
-//!   cadence + retention, publish markers),
-//! * [`sentinel`] — divergence detection driving checkpoint rollback.
+//!   cadence + retention, publish markers).
+//!
+//! A run has one recovery path: every rank restores the one checkpoint
+//! (`SamoTrainer::restore`, `StageRank::restore`, `RankGroup::restore`).
 //!
 //! ```
 //! use nn::layer::Layer;
@@ -74,7 +76,6 @@ pub mod engine;
 pub mod memory;
 pub mod pipeline;
 pub mod reference;
-pub mod sentinel;
 pub mod serialize;
 pub mod sharded;
 pub mod state;
@@ -90,7 +91,6 @@ pub use memory::{
 };
 pub use pipeline::{PipelineConfig, StageRank, StageStats, ThreadedPipelineSamo};
 pub use reference::{DataParallelSamo, DenseMaskedTrainer};
-pub use sentinel::{DivergenceSentinel, SentinelConfig, Verdict};
 pub use serialize::TrainerMeta;
 pub use sharded::ShardedSamoLayerState;
 pub use state::SamoLayerState;

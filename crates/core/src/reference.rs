@@ -31,10 +31,10 @@ use crate::engine::{
     trainer_meta,
 };
 use crate::serialize::{load_checkpoint, save_checkpoint};
-use crate::state::{os_arrays_mut, RemapScratch, SamoLayerState};
+use crate::state::{RemapScratch, SamoLayerState};
 use crate::trainer::{dense_allreduce_bytes, samo_ring_allreduce_bytes};
 use nn::layer::Layer;
-use nn::mixed::{DenseMixedState, LossScaler, OptState, Optimizer};
+use nn::mixed::{DenseMixedState, LossScaler, Optimizer};
 use prune::{Mask, MaskSchedule};
 use telemetry::ledger::{Ledger, Phase};
 use tensor::f16::F16;
@@ -381,107 +381,6 @@ impl<M: Layer> DataParallelSamo<M> {
         );
         Ok(())
     }
-
-    /// Reconstructs a single failed rank from a checkpoint taken at the
-    /// group's current step, leaving the surviving ranks untouched. The
-    /// rebuilt rank is bitwise identical to one that never failed (same
-    /// θ16/∇θ16/θ32-shard/optimizer shard), which
-    /// [`Self::rank_failure_drill`] verifies.
-    pub fn restore_rank(&mut self, rank: usize, checkpoint: &[u8]) -> Result<(), String> {
-        if rank >= self.replicas.len() {
-            return Err(format!(
-                "rank {rank} out of range for world size {}",
-                self.replicas.len()
-            ));
-        }
-        let (layers, _) = load_checkpoint(checkpoint, &self.opt)?;
-        check_structure(&self.states[0], &layers, 0, self.states[0].len())?;
-        install_layers(
-            &mut self.states[rank],
-            layers.into_iter(),
-            &mut self.replicas[rank],
-        )?;
-        Ok(())
-    }
-
-    /// Fault drill: checkpoints the group, destroys rank `rank`'s state
-    /// (NaN in its parameters, `θ16`, `∇θ16`, `θ32`, `∇θ32` and optimizer
-    /// moments, Adam's step count scrambled, as a lost node would leave
-    /// them), reconstructs it from the checkpoint, and verifies it
-    /// bitwise: `θ16`, `∇θ16` and the parameters against a surviving rank,
-    /// and the rank's own `θ32` range, moments and step — which no other
-    /// rank holds — against the checkpoint cut to its shard. Returns the
-    /// checkpoint size in bytes on success; any mismatch is an `Err`
-    /// naming the first diverging tensor.
-    pub fn rank_failure_drill(&mut self, rank: usize) -> Result<usize, String> {
-        if self.replicas.len() < 2 {
-            return Err("drill needs at least two ranks (one must survive)".into());
-        }
-        if rank >= self.replicas.len() {
-            return Err(format!(
-                "rank {rank} out of range for world size {}",
-                self.replicas.len()
-            ));
-        }
-        let checkpoint = self.save();
-        telemetry::log_info!(
-            "rank_failure_drill: dropping rank {rank}, checkpoint {} bytes",
-            checkpoint.len()
-        );
-
-        // Simulate the failure: wipe the rank's model and shards.
-        for p in self.replicas[rank].params_mut() {
-            p.value.as_mut_slice().fill(f32::NAN);
-            p.zero_grad();
-        }
-        for st in &mut self.states[rank] {
-            st.theta16.fill(F16::from_f32(f32::NAN));
-            st.grad16.fill(F16::from_f32(f32::NAN));
-            st.theta32.fill(f32::NAN);
-            st.grad32.fill(f32::NAN);
-            for a in os_arrays_mut(&mut st.os).into_iter().flatten() {
-                a.fill(f32::NAN);
-            }
-            if let OptState::Adam(a) = &mut st.os {
-                a.step = u64::MAX;
-            }
-        }
-
-        self.restore_rank(rank, &checkpoint)?;
-
-        // Prove bitwise resynchronization against a surviving rank.
-        let witness = if rank == 0 { 1 } else { 0 };
-        for (pi, (a, b)) in self.states[rank].iter().zip(&self.states[witness]).enumerate() {
-            if a.theta16 != b.theta16 {
-                return Err(format!("param {pi}: θ16 diverged after rank recovery"));
-            }
-            if a.grad16 != b.grad16 {
-                return Err(format!("param {pi}: ∇θ16 diverged after rank recovery"));
-            }
-        }
-        for (p, q) in self.replicas[rank].params().iter().zip(self.replicas[witness].params()) {
-            if p.value.as_slice() != q.value.as_slice() {
-                return Err(format!("parameter {}: replica diverged after rank recovery", p.name));
-            }
-        }
-        // What only this rank holds — its θ32 range and optimizer state —
-        // against the checkpoint cut to its shard.
-        let (layers, _) = load_checkpoint(&checkpoint, &self.opt)?;
-        let step = |os: &OptState| match os { OptState::Adam(a) => Some(a.step), OptState::Sgd(_) => None };
-        for (pi, (st, layer)) in self.states[rank].iter().zip(layers).enumerate() {
-            let want = layer.into_shard(rank, self.replicas.len());
-            let arrays = st.shard_arrays().into_iter().zip(want.shard_arrays());
-            for ((a, b), name) in arrays.zip(["θ32", "m / velocity", "v"]) {
-                if !a.iter().map(|x| x.to_bits()).eq(b.iter().map(|x| x.to_bits())) {
-                    return Err(format!("param {pi}: {name} diverged after rank recovery"));
-                }
-            }
-            if step(&st.os) != step(&want.os) {
-                return Err(format!("param {pi}: Adam's step diverged after rank recovery"));
-            }
-        }
-        Ok(checkpoint.len())
-    }
 }
 
 /// Closed-form dense mixed-precision model-state bytes: `20φ` (Adam) or
@@ -642,6 +541,7 @@ mod tests {
     use nn::layer::Sequential;
     use nn::linear::Linear;
     use nn::loss::mse;
+    use nn::mixed::OptState;
     use nn::optim::AdamConfig;
     use tensor::Tensor;
 
@@ -981,37 +881,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn rank_failure_drill_resynchronizes_bitwise() {
-        let masks3 = masks(&model(23));
-        let mut dp = DataParallelSamo::new(vec![model(23), model(23), model(23)], masks3, dp_adam());
-        dp.set_scaler(LossScaler::new(256.0));
-        for s in 0..3 {
-            drive_step(&mut dp, s);
-        }
-        let bytes = dp.rank_failure_drill(1).unwrap();
-        assert!(bytes > 0);
-        // The group keeps training in lockstep after the recovery.
-        for s in 3..6 {
-            drive_step(&mut dp, s);
-        }
-        let reference: Vec<Vec<f32>> = dp.replicas[0]
-            .params()
-            .iter()
-            .map(|p| p.value.as_slice().to_vec())
-            .collect();
-        for r in 1..dp.world_size() {
-            for (p, want) in dp.replicas[r].params().iter().zip(&reference) {
-                assert_eq!(p.value.as_slice(), &want[..], "rank {r} {}", p.name);
-            }
-        }
-        assert_eq!(dp.steps_taken(), 6);
-    }
-
-    /// The drill under SGD with momentum: the velocity of the lost rank's
+    /// A group restore under SGD with momentum: every rank's velocity
     /// shard, which no other rank holds, comes back bit for bit.
     #[test]
-    fn rank_failure_drill_restores_sgd_velocity() {
+    fn restore_brings_back_every_ranks_sgd_velocity() {
         let sgd = Optimizer::Sgd(nn::optim::SgdConfig { lr: 1e-2, momentum: 0.9, weight_decay: 1e-3 });
         let mut dp = DataParallelSamo::new(vec![model(31), model(31)], masks(&model(31)), sgd);
         dp.set_scaler(LossScaler::new(256.0));
@@ -1019,28 +892,19 @@ mod tests {
             drive_step(&mut dp, s);
         }
         let shard_bits = |dp: &DataParallelSamo<Sequential>| -> Vec<Vec<u32>> {
-            let arrays = dp.states[0].iter().flat_map(|st| st.shard_arrays());
+            let arrays = dp.states.iter().flatten().flat_map(|st| st.shard_arrays());
             arrays.map(|a| a.iter().map(|x| x.to_bits()).collect()).collect()
         };
-        let before = shard_bits(&dp);
-        for st in &dp.states[0] {
+        let (ckpt, before) = (dp.save(), shard_bits(&dp));
+        for st in dp.states.iter().flatten() {
             let OptState::Sgd(s) = &st.os else { panic!("an SGD group holds velocity") };
             assert!(s.velocity.iter().any(|&v| v != 0.0), "velocity never moved");
         }
-        dp.rank_failure_drill(0).unwrap();
-        assert_eq!(shard_bits(&dp), before);
         drive_step(&mut dp, 3);
-        assert_eq!(dp.steps_taken(), 4);
-    }
-
-    #[test]
-    fn drill_rejects_degenerate_groups() {
-        let masks1 = masks(&model(27));
-        let mut dp = DataParallelSamo::new(vec![model(27)], masks1, dp_adam());
-        assert!(dp.rank_failure_drill(0).is_err(), "needs a surviving rank");
-        let ckpt = dp.save();
-        let err = dp.restore_rank(5, &ckpt).unwrap_err();
-        assert!(err.contains("out of range"), "{err}");
+        assert_ne!(shard_bits(&dp), before);
+        dp.restore(&ckpt).unwrap();
+        assert_eq!(shard_bits(&dp), before);
+        assert_eq!(dp.steps_taken(), 3);
     }
 
     #[test]

@@ -90,34 +90,6 @@ pub fn formula_state_bytes(opt: &Optimizer, phi: u64, nnz: u64) -> u64 {
     }
 }
 
-/// Global L2 norm of the model's current (scaled) gradients at the
-/// positions a step applies — the signal the divergence sentinel
-/// (`crate::sentinel`) watches alongside the loss: a weight's lent kept
-/// sums, its logged products summed at the lent index, or its dense
-/// gradient gathered there, and every other gradient whole. fp64
-/// accumulation so large models don't overflow the sum.
-// TEST-API: `fault_tolerance`'s sentinel drill feeds it to `DivergenceSentinel`.
-pub fn grad_l2_norm(model: &impl Layer) -> f64 {
-    let mut sum = 0.0f64;
-    let mut add = |g: f32| sum += f64::from(g) * f64::from(g);
-    for p in model.params() {
-        let dense = p.grad.as_slice();
-        match (p.grad_sums(), p.grad_log(), p.index(), p.value.shape()) {
-            (Some(sums), ..) => sums.iter().for_each(|&g| add(g)),
-            (None, Some(log), Some(idx), &[m, n]) => {
-                let mut sums = vec![0.0f32; idx.len()];
-                for (dy, x) in log {
-                    tensor::gemm::matmul_tn_kept_acc(m, n, dy.rows(), dy.as_slice(), x.as_slice(), idx, &mut sums);
-                }
-                sums.iter().for_each(|&g| add(g));
-            }
-            (None, _, Some(idx), _) if dense.len() == p.numel() => idx.iter().for_each(|&i| add(dense[i as usize])),
-            _ => dense.iter().for_each(|&g| add(g)),
-        }
-    }
-    sum.sqrt()
-}
-
 /// Message bytes of a dense fp16 gradient all-reduce for `phi` params
 /// (flat payload model, Eq. 9: every parameter crosses the wire once).
 pub fn dense_allreduce_bytes(phi: u64) -> u64 {
@@ -456,18 +428,15 @@ mod tests {
             .collect()
     }
 
-    /// A restore or rollback into a trainer that has stepped — whose
-    /// model computes from a lent `θ16` holding newer weights than the
-    /// checkpoint — replays bit for bit: the lent weights are the
-    /// checkpoint's, not the ones the model held.
+    /// A restore into a trainer that has stepped — whose model computes
+    /// from a lent `θ16` holding newer weights than the checkpoint —
+    /// replays bit for bit: the lent weights are the checkpoint's, not the
+    /// ones the model held.
     #[test]
-    fn restore_and_rollback_into_a_stepped_trainer_replay_bitwise() {
-        let make = || {
-            let mut model = Linear::new(16, 12, true, 91);
-            let masks = vec![prune::random_prune(&[12, 16], 0.8, 92), Mask::dense(&[12])];
-            let tr = SamoTrainer::new(&mut model, masks, adam());
-            (model, tr)
-        };
+    fn restore_into_a_stepped_trainer_replays_bitwise() {
+        let mut model = Linear::new(16, 12, true, 91);
+        let masks = vec![prune::random_prune(&[12, 16], 0.8, 92), Mask::dense(&[12])];
+        let mut tr = SamoTrainer::new(&mut model, masks, adam());
         let train_step = |m: &mut Linear, t: &mut SamoTrainer, s: u64| {
             let y = m.forward(&Tensor::randn(&[4, 16], 1.0, 93 + s));
             let (_, mut dy) = mse(&y, &Tensor::randn(&[4, 12], 1.0, 193 + s));
@@ -476,7 +445,6 @@ mod tests {
             t.step(m);
             (views(m), t.save())
         };
-        let (mut model, mut tr) = make();
         for s in 0..3 {
             train_step(&mut model, &mut tr, s);
         }
@@ -489,22 +457,6 @@ mod tests {
             replayed == live,
             "a restore into a stepped trainer diverged from the live run"
         );
-
-        // A rollback retries at half the scale: the same replay as a fresh
-        // trainer rolled back from the same bytes.
-        tr.rollback(&ckpt, &mut model).unwrap();
-        let (mut fresh_model, mut fresh) = make();
-        fresh.rollback(&ckpt, &mut fresh_model).unwrap();
-        for s in 3..6 {
-            let (a, b) = (
-                train_step(&mut model, &mut tr, s),
-                train_step(&mut fresh_model, &mut fresh, s),
-            );
-            assert!(
-                a == b,
-                "a rollback into a stepped trainer diverged at step {s}"
-            );
-        }
     }
 
     /// Between steps the weight is the lent `θ16` with its index; the
@@ -660,30 +612,6 @@ mod tests {
         assert_eq!(tr2.scaler.snapshot(), tr.scaler.snapshot());
     }
 
-    #[test]
-    fn rollback_restores_state_and_backs_off_scale() {
-        let mut model = Linear::new(4, 4, false, 63);
-        let mut tr = SamoTrainer::new(&mut model, vec![Mask::dense(&[4, 4])], adam());
-        for _ in 0..3 {
-            plant_grad(&mut model, 0.02);
-            tr.step(&mut model);
-        }
-        let good = tr.save();
-        let scale = tr.loss_scale();
-        let theta = views(&model);
-
-        // "Diverge": take more steps, then roll back.
-        for _ in 0..2 {
-            plant_grad(&mut model, 5.0);
-            tr.step(&mut model);
-        }
-        assert_ne!(views(&model), theta);
-        tr.rollback(&good, &mut model).unwrap();
-        assert_eq!(views(&model), theta);
-        assert_eq!(tr.steps_taken(), 3);
-        assert_eq!(tr.loss_scale(), scale * 0.5, "rollback must back off the scale");
-    }
-
     /// Sets the weight gradient the next step applies to `g` everywhere:
     /// the lent kept sums, or the dense gradient while none are lent.
     fn plant_grad(model: &mut Linear, g: f32) {
@@ -770,33 +698,6 @@ mod tests {
         assert_eq!(model.params()[0].grad_log().map(<[_]>::len), Some(0), "its log goes out, empty");
     }
 
-    /// The sentinel's norm is that of the gradient a step applies: the
-    /// kept sums once they are lent, and before — on the first step — the
-    /// dense gradient gathered at the lent index. Both equal, to the bit,
-    /// a dense twin gathered at the mask's index.
-    #[test]
-    fn grad_norm_sums_the_gradient_the_step_applies() {
-        let mut model = Linear::new(16, 12, true, 121);
-        let mask = prune::random_prune(&[12, 16], 0.75, 122);
-        let mut tr = SamoTrainer::new(&mut model, vec![mask.clone(), Mask::dense(&[12])], adam());
-        for t in 0..3u64 {
-            let weights = model.params()[0].f32_view().into_owned();
-            let bias = model.params()[1].value.clone();
-            let mut twin = Linear::from_weights(Tensor::from_vec(&[12, 16], weights), Some(bias));
-            fwd_bwd(&mut model, &tr, 10 * t);
-            let y = twin.forward(&Tensor::randn(&[4, 16], 1.0, 10 * t));
-            let (_, mut dy) = mse(&y, &Tensor::randn(&[4, 12], 1.0, 10 * t + 500));
-            tensor::ops::scale(tr.loss_scale(), dy.as_mut_slice());
-            twin.backward(&dy);
-            let (dw, db) = (twin.params()[0].grad.as_slice(), twin.params()[1].grad.as_slice());
-            let kept = mask.indices().iter().map(|&i| dw[i as usize]);
-            let want = kept.chain(db.iter().copied()).fold(0.0f64, |s, g| s + f64::from(g) * f64::from(g));
-            assert_eq!(model.params()[0].grad_sums().is_some(), t > 0);
-            assert_eq!(grad_l2_norm(&model), want.sqrt(), "step {t}");
-            tr.step(&mut model);
-        }
-    }
-
     /// The gradient bytes a single worker holds between steps are the
     /// biases' dense gradients and the `4·nnz` of the kept sums, no dense
     /// weight gradient; home, the sums are kept warm and lent again.
@@ -815,16 +716,6 @@ mod tests {
         assert_eq!(nn::param::resident_param_bytes(&model), (4 * 16, 4 * 16));
         tr.lend_grad_target(&mut model, true);
         assert_eq!(nn::param::resident_param_bytes(&model), (4 * 16, 4 * 16 + 4 * nnz), "lent again");
-    }
-
-    #[test]
-    fn grad_norm_reflects_gradients() {
-        let mut model = Linear::new(2, 2, false, 64);
-        model.params_mut()[0]
-            .grad
-            .as_mut_slice()
-            .copy_from_slice(&[3.0, 4.0, 0.0, 0.0]);
-        assert!((grad_l2_norm(&model) - 5.0).abs() < 1e-9);
     }
 
     #[test]

@@ -204,14 +204,6 @@ impl LossScaler {
         self.good_steps = st.good_steps;
     }
 
-    /// Multiplies the scale by `backoff_factor` (floored at 1.0) and resets
-    /// the good-step counter — the recovery path uses this after a rollback
-    /// so the replayed steps retry with a gentler scale.
-    pub fn force_backoff(&mut self) {
-        self.scale = (self.scale * self.backoff_factor).max(1.0);
-        self.good_steps = 0;
-    }
-
     /// Checks the (scaled) f16 gradients of a step. Returns `true` if the
     /// step should proceed; on overflow returns `false` and backs off.
     pub fn check_and_update(&mut self, grads_finite: bool) -> bool {
@@ -313,17 +305,6 @@ mod tests {
         assert_eq!(a.scale(), 16.0);
         assert_eq!(b.scale(), 16.0);
         assert_eq!(a.snapshot(), b.snapshot());
-    }
-
-    #[test]
-    fn forced_backoff_halves_and_floors() {
-        let mut s = LossScaler::with_config(4.0, 2.0, 0.5, 2000);
-        s.force_backoff();
-        assert_eq!(s.scale(), 2.0);
-        for _ in 0..10 {
-            s.force_backoff();
-        }
-        assert_eq!(s.scale(), 1.0);
     }
 
     #[test]

@@ -251,7 +251,10 @@ unsafe_contracts() {
 # A `pub fn|struct|enum|trait|type|const|static` on a code line of
 # crates/*/src must be named on another code line — not a `use` or `mod` line
 # — of crates/*/src, src/, examples/ or benchmark/src, or say which test needs
-# it and why on the line above: `// TEST-API: <test, and why>`.
+# it and why on the line above: `// TEST-API: <test, and why>`. A name
+# repeated in its own file counts as a use, so items that only name each
+# other — a detector with a test as its one caller — pass: the fence finds an
+# item no line names, not a module no runtime runs.
 nothing_dead() {
   awk '
     FNR == 1 { test_mod = 0; in_use = 0; above = "" }
@@ -427,6 +430,15 @@ one_timer() {
 # trait over two kinds of rank is a second way to run a step.
 one_backward() {
   ! grep -rnE 'backward_(overlapped|accumulate)\b|\bRankWorker\b|struct Overlap\b' crates/core/src
+}
+## One recovery path
+# Every rank restores the one checkpoint: `SamoTrainer::restore`,
+# `StageRank::restore`, `RankGroup::restore` and `samo-launch`'s resync. A
+# rollback that also cuts the loss scale, a one-rank restore or drill, or a
+# divergence sentinel is a second path that no runtime runs.
+one_recovery() {
+  if [ -e crates/core/src/sentinel.rs ]; then echo "crates/core/src/sentinel.rs is back"; exit 1; fi
+  ! grep -rnE '\bfn rollback\b|\b(restore_rank|rank_failure_drill|force_backoff|DivergenceSentinel)\b' crates/*/src
 }
 ## A W moves its operands
 # A B hands each weight's `dy` and `x` to its W by value

@@ -239,7 +239,7 @@ fn kept_products_from_the_lent_index_match_inproc_bitwise() {
 /// timeout within the deadline — no hang, no panic — the group then
 /// refuses further steps until restored, and a checkpoint restore
 /// resynchronizes it bitwise with an in-process trainer that never
-/// failed (the in-process side also runs its own `rank_failure_drill`).
+/// failed.
 #[test]
 fn killed_rank_times_out_and_restore_resyncs_bitwise() {
     let world = 3;
@@ -263,8 +263,6 @@ fn killed_rank_times_out_and_restore_resyncs_bitwise() {
     }
     let checkpoint = th.save();
     assert_eq!(checkpoint.as_ref(), dp.save().as_ref(), "pre-failure state diverged");
-    // The in-process trainer survives its own drill without state drift.
-    dp.rank_failure_drill(1).expect("in-process drill");
 
     // Node 1 dies: every link in and out goes dark.
     th.faults().kill_rank(1, world);

@@ -1,7 +1,7 @@
 //! Integration: the fault-tolerance stack end to end — durable on-disk
-//! checkpoints, kill-and-resume bitwise identity, sentinel-driven
-//! rollback, and the data-parallel rank-failure drill, all through the
-//! public API.
+//! checkpoints and kill-and-resume bitwise identity, all through the
+//! public API. A run has one recovery path: every rank restores the one
+//! checkpoint.
 
 use nn::activations::Gelu;
 use nn::layer::{Layer, Sequential};
@@ -12,8 +12,7 @@ use nn::optim::AdamConfig;
 use prune::Mask;
 use samo::checkpoint::{CheckpointConfig, CheckpointManager};
 use samo::reference::DataParallelSamo;
-use samo::trainer::{grad_l2_norm, SamoTrainer};
-use samo::{DivergenceSentinel, SentinelConfig, Verdict};
+use samo::trainer::SamoTrainer;
 use tensor::Tensor;
 
 fn model(seed: u64) -> Sequential {
@@ -110,82 +109,17 @@ fn kill_and_resume_is_bitwise_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The full divergence-recovery loop: sentinel watches real loss /
-/// grad-norm, a poisoned parameter makes the run explode, the sentinel
-/// fires, rollback restores the checkpoint with a gentler loss scale,
-/// and training continues healthily.
-#[test]
-fn sentinel_rollback_recovers_divergent_run() {
-    let mut m = model(33);
-    let mut tr = SamoTrainer::new(&mut m, masks_for(&model(33)), adam());
-    let mut sentinel = DivergenceSentinel::new(SentinelConfig {
-        window: 8,
-        explode_factor: 10.0,
-        grad_explode_factor: 100.0,
-        patience: 2,
-    });
-
-    // Healthy phase, then a durable snapshot.
-    let observe = |m: &mut Sequential, tr: &mut SamoTrainer, s: u64| -> (f64, f64) {
-        let x = Tensor::randn(&[8, 12], 1.0, 1000 + s);
-        let target = Tensor::randn(&[8, 12], 0.5, 2000 + s);
-        let y = m.forward(&x);
-        let (loss, mut d) = mse(&y, &target);
-        tensor::ops::scale(tr.loss_scale(), d.as_mut_slice());
-        m.backward(&d);
-        let gn = grad_l2_norm(m) / f64::from(tr.loss_scale());
-        tr.step(m);
-        (f64::from(loss), gn)
-    };
-    for s in 0..10 {
-        let (loss, gn) = observe(&mut m, &mut tr, s);
-        assert_eq!(sentinel.observe(loss, gn), Verdict::Healthy);
-    }
-    let ckpt = tr.save();
-    let scale_at_ckpt = tr.loss_scale();
-    let good: Vec<Vec<f32>> = params_of(&mut m);
-
-    // Sabotage: blow up a kept weight of the lent θ16 — the largest
-    // finite half — so the loss genuinely explodes, and rollback has to
-    // bring the bad θ16 home, install the checkpoint's and lend that.
-    let mut params = m.params_mut();
-    let kept = params[0].index().expect("the weight computes from the lent θ16")[0] as usize;
-    params[0].theta16[kept] = tensor::f16::F16::from_f32(65504.0);
-    let mut diverged = false;
-    for s in 10..20 {
-        let (loss, gn) = observe(&mut m, &mut tr, s);
-        if sentinel.observe(loss, gn) == Verdict::Diverged {
-            tr.rollback(&ckpt, &mut m).unwrap();
-            sentinel.reset();
-            diverged = true;
-            break;
-        }
-    }
-    assert!(diverged, "sentinel never fired on an exploding run");
-    assert_eq!(params_of(&mut m), good, "rollback must restore the snapshot");
-    assert_eq!(
-        tr.loss_scale(),
-        scale_at_ckpt * 0.5,
-        "rollback backs off the restored loss scale"
-    );
-
-    // The resumed run is healthy again.
-    for s in 10..16 {
-        let (loss, gn) = observe(&mut m, &mut tr, s);
-        assert!(loss.is_finite());
-        assert_ne!(sentinel.observe(loss, gn), Verdict::Diverged);
-    }
-}
-
-/// Rank-failure drill through the public API: wipe one rank, restore it
-/// from the group checkpoint, and keep training with all ranks bitwise
-/// in sync.
+/// A lost rank through the public API: the group checkpoints, one
+/// replica's weights are wiped as a dead node leaves them, every rank
+/// restores the one checkpoint, and the group trains on bitwise identical
+/// to a group that never failed.
 #[test]
 fn rank_failure_drill_and_continue() {
-    let masks = masks_for(&model(5));
-    let mut dp = DataParallelSamo::new(vec![model(5), model(5), model(5)], masks, adam());
-    dp.set_scaler(LossScaler::new(256.0));
-
+    let group = || {
+        let mut dp = DataParallelSamo::new(vec![model(5), model(5), model(5)], masks_for(&model(5)), adam());
+        dp.set_scaler(LossScaler::new(256.0));
+        dp
+    };
     let drive = |dp: &mut DataParallelSamo<Sequential>, s: u64| {
         for r in 0..3usize {
             let scale = dp.loss_scale();
@@ -199,31 +133,27 @@ fn rank_failure_drill_and_continue() {
         }
         dp.step();
     };
-
+    let (mut dp, mut never_failed) = (group(), group());
     for s in 0..5 {
         drive(&mut dp, s);
+        drive(&mut never_failed, s);
     }
-    let ckpt_bytes = dp.rank_failure_drill(1).expect("drill must pass");
-    assert!(ckpt_bytes > 0);
+    let ckpt = dp.save();
 
-    // The group still trains and stays bitwise consistent afterwards.
+    // One step on, rank 1 dies: its weights are what a lost node leaves.
+    drive(&mut dp, 5);
+    for p in dp.replica_mut(1).params_mut() {
+        p.value.as_mut_slice().fill(f32::NAN);
+    }
+    dp.restore(&ckpt).expect("every rank restores the group checkpoint");
+
     for s in 5..10 {
         drive(&mut dp, s);
+        drive(&mut never_failed, s);
     }
-    let p0: Vec<Vec<f32>> = dp
-        .replica_mut(0)
-        .params()
-        .iter()
-        .map(|p| p.value.as_slice().to_vec())
-        .collect();
-    for r in 1..3usize {
-        let pr: Vec<Vec<f32>> = dp
-            .replica_mut(r)
-            .params()
-            .iter()
-            .map(|p| p.value.as_slice().to_vec())
-            .collect();
-        assert_eq!(p0, pr, "rank {r} diverged after the drill");
+    assert_eq!(dp.save().as_ref(), never_failed.save().as_ref(), "the restored group diverged");
+    for r in 0..3usize {
+        assert_eq!(params_of(dp.replica_mut(r)), params_of(never_failed.replica_mut(0)), "rank {r}");
     }
 }
 

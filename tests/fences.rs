@@ -280,6 +280,12 @@ fn plants(clean: &str) -> Vec<Plant> {
         top("one_backward", "crates/core/src/engine.rs", "fn backward_overlapped() {}"),
         top("one_backward", "crates/core/src/threaded.rs", "trait RankWorker {}"),
         top("one_backward", "crates/core/src/pipeline.rs", "struct Overlap;"),
+        top("one_recovery", "crates/core/src/engine.rs", "fn rollback() {}"),
+        top("one_recovery", "crates/core/src/reference.rs", "fn restore_rank() {}"),
+        top("one_recovery", "crates/core/src/reference.rs", "fn rank_failure_drill() {}"),
+        top("one_recovery", "crates/nn/src/mixed.rs", "fn force_backoff() {}"),
+        top("one_recovery", "crates/core/src/lib.rs", "pub struct DivergenceSentinel;"),
+        top("one_recovery", "crates/core/src/sentinel.rs", "//! Divergence detection."),
         after(
             "w_moves_operands",
             "crates/core/src/engine.rs",
